@@ -45,11 +45,7 @@ CI smoke gates (enforced with ``--smoke``; ISSUE 10 acceptance):
 Run standalone (it is not a pytest file):
 
     PYTHONPATH=src python benchmarks/bench_matrix.py
-    PYTHONPATH=src python benchmarks/bench_matrix.py --smoke --json
-
-``--json`` appends a ``{"bench": "matrix", ...}`` record to the shared
-``BENCH_throughput.json`` trajectory, making the matrix a first-class
-table in the repo's accumulated perf history.
+    PYTHONPATH=src python benchmarks/bench_matrix.py --smoke
 """
 
 from __future__ import annotations
@@ -57,15 +53,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_throughput import append_trajectory  # noqa: E402
 
 from repro.bench import Table  # noqa: E402
 from repro.core import RecursiveModelIndex  # noqa: E402
@@ -424,14 +417,6 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke", action="store_true",
         help="CI scale: shrink keys/queries, enforce the gates",
     )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="append a matrix record to the trajectory file",
-    )
-    parser.add_argument(
-        "--json-path", type=Path, default=Path("BENCH_throughput.json"),
-        help="trajectory file --json appends to",
-    )
     args = parser.parse_args(argv)
     if args.smoke:
         args.n = min(args.n, 200_000)
@@ -456,23 +441,6 @@ def main(argv: list[str] | None = None) -> int:
           f" -> {'ok' if gates['beats_rmi_somewhere'] else 'FAIL'}")
     print(f"  all cells bit-identical: "
           f"{'ok' if gates['all_identical'] else 'FAIL'}")
-
-    if args.json:
-        record = {
-            "bench": "matrix",
-            "config": {
-                "n": args.n, "queries": args.queries,
-                "reps": args.reps, "mixed_rounds": args.mixed_rounds,
-                "smoke": args.smoke,
-            },
-            "matrix": [asdict(c) for c in cells],
-            "gates": gates,
-        }
-        payload = append_trajectory(args.json_path, record)
-        print(
-            f"wrote {args.json_path} "
-            f"({len(payload['trajectory'])} trajectory entries)"
-        )
 
     ok = (
         gates["all_identical"]

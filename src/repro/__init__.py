@@ -24,8 +24,10 @@ every substrate its evaluation depends on:
 * **Competing index families** (PR 10) — :class:`PGMIndex` (recursive
   ε-bounded segments), :class:`RadixSplineIndex` (spline knots behind
   a radix table), and :class:`GappedArrayIndex` (the ALEX-style
-  writable gapped array), all compiled onto the RMI's shared batch
-  engine; raced in ``benchmarks/bench_matrix.py``.
+  writable gapped array).  PGM and RadixSpline plug a builder into
+  the same :class:`repro.core.CompiledPlanIndex` surface the RMI
+  does; raced in ``benchmarks/bench_matrix.py`` and
+  ``benchmarks/e2e``.
 * **Serving & observability** — :class:`CoalescingIndexServer`,
   :class:`ShardedLSMStore`, :class:`CDFSplitter` (PR 8) and the
   :mod:`repro.obs` metrics/tracing registry (PR 9).

@@ -33,8 +33,8 @@ from .engine import (
 )
 from .lif import CandidateResult, default_grid, evaluate_config, synthesize
 from .paged import PagedLearnedIndex, PageStore
+from .plan_index import CompiledPlanIndex
 from .rmi import (
-    BUILD_MODES,
     DEFAULT_LEAF_ERROR,
     RecursiveModelIndex,
     RMIStats,
@@ -50,7 +50,6 @@ from .search import (
 from .string_index import StringRMI
 
 __all__ = [
-    "BUILD_MODES",
     "DEFAULT_LEAF_ERROR",
     "ROOT_MODEL_KINDS",
     "SEARCH_STRATEGIES",
@@ -58,6 +57,7 @@ __all__ = [
     "SORTED_BATCH_THRESHOLD",
     "CandidateResult",
     "CompiledPlan",
+    "CompiledPlanIndex",
     "QueryBatch",
     "SortedKeyColumn",
     "RangeScanResult",

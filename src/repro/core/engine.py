@@ -78,9 +78,9 @@ __all__ = [
 #: probes a fixed-seed random ~4k sample for duplicate density
 #: (:data:`SORTED_BATCH_MIN_DUP_FRACTION`, estimation details in
 #: :func:`batch_dup_fraction`) — skewed workloads (zipfian, hotspot)
-#: qualify, uniform workloads don't.  The ``sorted_path`` section of
-#: ``benchmarks/bench_throughput.py`` measures both forced paths and
-#: records the crossover in BENCH_throughput.json.
+#: qualify, uniform workloads don't.  ``benchmarks/e2e`` times the
+#: forced sorted path beside the unsorted engine
+#: (``core.engine.sorted_path_ns`` under ``--trace 1``).
 SORTED_BATCH_THRESHOLD = 32_768
 
 #: Estimated fraction of the batch that must be duplicates before the

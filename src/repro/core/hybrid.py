@@ -65,7 +65,6 @@ class HybridIndex(RecursiveModelIndex):
         search_strategy: str = "binary",
         threshold: int = 128,
         btree_page_size: int = 128,
-        build_mode: str = "vectorized",
     ):
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
@@ -77,7 +76,6 @@ class HybridIndex(RecursiveModelIndex):
             stage_sizes=stage_sizes,
             model_factories=model_factories,
             search_strategy=search_strategy,
-            build_mode=build_mode,
         )
         self._replace_bad_leaves()
 
@@ -104,10 +102,6 @@ class HybridIndex(RecursiveModelIndex):
             self.leaf_btrees[j] = _LeafBTree(
                 self.keys, base, end, self.btree_page_size
             )
-        # Leaves backed by B-Trees no longer satisfy the compiled
-        # linear-leaf fast path assumptions.
-        if self.leaf_btrees:
-            self._fast = False
 
     # -- lookup -----------------------------------------------------------------
 
@@ -149,7 +143,7 @@ class HybridIndex(RecursiveModelIndex):
         n = self.keys.size
         if n == 0:
             return np.zeros(queries.size, dtype=np.int64)
-        if not self.leaf_btrees or not self._compiled:
+        if not self.leaf_btrees or self._plan is None:
             return super().lookup_batch(queries, sort=sort)
         qb = self._column.prepare(queries)
         leaf, raw = self._plan.route(qb)

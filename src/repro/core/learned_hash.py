@@ -70,8 +70,8 @@ class LearnedHashFunction:
         """Vectorized slot computation via the RMI's batch routing."""
         keys = np.asarray(keys, dtype=np.float64).ravel()
         rmi = self._rmi
-        if rmi._compiled and self._n:
-            _leaf, raw = rmi._route_batch(keys)
+        if rmi._plan is not None and self._n:
+            _leaf, raw = rmi._plan.route(rmi._column.prepare(keys))
             slots = (raw * self._scale).astype(np.int64)
             return np.clip(slots, 0, self.num_slots - 1)
         out = np.empty(keys.size, dtype=np.int64)

@@ -46,24 +46,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, counter_field
 from ..range_scan import RangeScanResult, assemble_slices
 from .rmi import RecursiveModelIndex
 from .search import vectorized_bounded_search
-
-
-def _io_counter(slot: str):
-    """IO-accounting fields are views over the store's obs registry:
-    ``store.page_reads += 1`` reads and writes the ``paged.io.*``
-    counter, so exporters see the same numbers the tests pin."""
-
-    def _get(self):
-        return self._io_counters[slot].value
-
-    def _set(self, value):
-        self._io_counters[slot].set(value)
-
-    return property(_get, _set)
 
 __all__ = ["PageStore", "FilePageStore", "PagedLearnedIndex"]
 
@@ -79,8 +65,10 @@ class PageStore:
     stores); otherwise whole pages transfer.
     """
 
-    page_reads = _io_counter("page_reads")
-    bytes_read = _io_counter("bytes_read")
+    # IO accounting lives in the store's obs registry (``paged.io.*``);
+    # ``store.page_reads += 1`` reads and writes the counter.
+    page_reads = counter_field("page_reads")
+    bytes_read = counter_field("bytes_read")
 
     def __init__(
         self,
@@ -112,7 +100,7 @@ class PageStore:
             self._pages[int(physical_of_logical[logical])] = chunk
         self.translation = physical_of_logical  # logical -> physical
         self.registry = MetricsRegistry()
-        self._io_counters = {
+        self._counters = {
             name: self.registry.counter("paged.io." + name)
             for name in ("page_reads", "bytes_read")
         }
@@ -173,9 +161,9 @@ class FilePageStore:
     it owns a file descriptor.
     """
 
-    page_reads = _io_counter("page_reads")
-    bytes_read = _io_counter("bytes_read")
-    preads = _io_counter("preads")
+    page_reads = counter_field("page_reads")
+    bytes_read = counter_field("bytes_read")
+    preads = counter_field("preads")
 
     def __init__(
         self,
@@ -201,7 +189,7 @@ class FilePageStore:
         # Contiguous file region: logical page i *is* physical page i.
         self.translation = np.arange(self.num_pages, dtype=np.int64)
         self.registry = MetricsRegistry()
-        self._io_counters = {
+        self._counters = {
             name: self.registry.counter("paged.io." + name)
             for name in ("page_reads", "bytes_read", "preads")
         }
@@ -335,7 +323,7 @@ class PagedLearnedIndex:
         """
         if self.n == 0:
             return 0, 0
-        _leaf, est, lo, hi = self._rmi._predict_window(key)
+        est, lo, hi = self._rmi.predict(key)
         first_page = lo // self.page_size
         last_page = min(hi, self.n - 1) // self.page_size
         position = None
@@ -504,7 +492,7 @@ class PagedLearnedIndex:
         if queries.size == 0 or self.n == 0:
             return np.zeros(queries.size, dtype=np.int64), None, None
         rmi = self._rmi
-        if not rmi._compiled:
+        if rmi._plan is None:
             # Deep/non-linear RMIs: per-query loop (scalar accounting).
             return np.array(
                 [

@@ -1,25 +1,34 @@
-"""Shared chassis for learned-index families compiled to a plan.
+"""The one index surface: a learned range index over a compiled plan.
 
-The ISSUE 10 families (PGM-index, RadixSpline) differ from the RMI only
-in how a query is *routed* to a linear leaf segment; everything after
-routing — the Section 3.4 error window, the bounded search, the
-dtype-exact verification and fix-up, the sorted-batch fast path, range
-assembly — is the shared engine (:mod:`repro.core.engine`).  This base
-class captures that split: a subclass builds its segments and routing
-structure in ``_build`` and installs them with :meth:`_install_plan`;
-the base provides the full scalar + batch public surface of
-:class:`repro.core.rmi.RecursiveModelIndex` over the installed
+Every learned family in this repo — the RMI (:mod:`repro.core.rmi`),
+the PGM-index and RadixSpline (:mod:`repro.families`) — differs only in
+how it *fits* linear leaf segments and how a query is *routed* to one;
+everything after routing — the Section 3.4 error window, the bounded
+search, the dtype-exact verification and fix-up, the sorted-batch fast
+path, range assembly — is the shared engine (:mod:`repro.core.engine`).
+:class:`CompiledPlanIndex` captures that split: a subclass builds its
+segments and routing structure in ``_build`` and installs them with
+:meth:`~CompiledPlanIndex._install_plan`; the base provides the full
+scalar + batch public surface over the installed
 :class:`~repro.core.engine.CompiledPlan`, so every family drops into
 the differential-oracle and adversarial-dtype suites, the serving
-layer, and the benchmark matrix unchanged.
+layer, and the benchmarks unchanged.
 
-The scalar latency path mirrors ``RecursiveModelIndex._lookup_fast``
-(plain-float list mirrors, bounded binary search, exponential-search
-fix-up) with the single hook :meth:`_route_scalar` supplying the leaf
-index.  Exactness never depends on routing: any leaf's stored window is
-searched and the result verified, so a misrouted query costs a fix-up,
-never a wrong position — which is also why float64 routing stays exact
-on int64/uint64 keys beyond 2^53.
+The scalar latency path (plain-float list mirrors, bounded binary
+search, exponential-search fix-up) takes the leaf index from the single
+hook :meth:`~CompiledPlanIndex._route_scalar`.  Exactness never depends
+on routing: any leaf's stored window is searched and the result
+verified, so a misrouted query costs a fix-up, never a wrong position —
+which is also why float64 routing stays exact on int64/uint64 keys
+beyond 2^53.
+
+A subclass whose model cannot be flattened into the four leaf tables
+(an RMI with three or more stages, or non-linear leaves) leaves
+``_plan`` as ``None`` and supplies its own :meth:`lookup`; the batch
+surface then answers with the per-query loop
+(:meth:`~CompiledPlanIndex.lookup_batch_scalar`).  In-package consumers
+read exactly two fields of an index: ``_plan`` (``None`` when
+uncompiled) and ``_column``.
 """
 
 from __future__ import annotations
@@ -27,26 +36,52 @@ from __future__ import annotations
 import numpy as np
 
 from ..btree.search_baselines import exponential_search
+from ..obs import StatsView, counter_field
 from ..range_scan import RangeScanResult, batch_range_scan
 from ..util import scalar_view
-from ..core.engine import (
-    CompiledPlan,
-    SortedKeyColumn,
-    clamp_window,
-)
-from ..core.rmi import RMIStats
+from .engine import CompiledPlan, SortedKeyColumn, clamp_window
 
-__all__ = ["CompiledPlanIndex"]
+__all__ = ["CompiledPlanIndex", "RMIStats"]
+
+
+class RMIStats(StatsView):
+    """Lookup instrumentation for benchmarks and the cost model.
+
+    A thin view over a per-index :class:`repro.obs.MetricsRegistry`:
+    each field reads/writes a named ``rmi.*`` counter, so the same
+    numbers surface through the obs exporters while the historical
+    ``stats.lookups += 1`` idiom keeps working unchanged.
+    """
+
+    _FIELDS = ("lookups", "comparisons", "fixups", "window_total")
+    _PREFIX = "rmi."
+
+    lookups = counter_field("lookups")
+    comparisons = counter_field("comparisons")
+    fixups = counter_field("fixups")
+    window_total = counter_field("window_total")
+
+    def __init__(self, registry=None) -> None:
+        super().__init__(registry)
+        self.extra: dict = {}
+
+    def reset(self) -> None:
+        super().reset()
+        self.extra.clear()
+
+    @property
+    def mean_window(self) -> float:
+        return self.window_total / self.lookups if self.lookups else 0.0
 
 
 class CompiledPlanIndex:
     """A learned range index whose batch surface is one compiled plan.
 
     Subclasses implement ``_build`` (segment fitting + routing
-    structure; must call :meth:`_install_plan` when ``keys`` is
-    non-empty) and ``_route_scalar`` (one key → leaf index, the scalar
-    analogue of the plan's vectorized routing).  Lower-bound semantics
-    are identical to every index in :mod:`repro.btree`.
+    structure; calls :meth:`_install_plan` when the model flattens to
+    linear leaf tables) and ``_route_scalar`` (one key → leaf index,
+    the scalar analogue of the plan's vectorized routing).  Lower-bound
+    semantics are identical to every index in :mod:`repro.btree`.
     """
 
     def __init__(self, keys: np.ndarray):
@@ -57,13 +92,18 @@ class CompiledPlanIndex:
         # on huge key spans and no full-width temporary.
         if keys.size and np.any(keys[:-1] > keys[1:]):
             raise ValueError("keys must be sorted ascending")
+        self._bind_keys(keys)
+        if keys.size:
+            self._build()
+
+    def _bind_keys(self, keys: np.ndarray) -> None:
+        """Adopt ``keys`` (sorted; not copied, not re-validated) as
+        the indexed column, with no plan installed yet."""
         self.keys = keys
         self._keys_view = scalar_view(keys)
         self._column = SortedKeyColumn(keys)
         self.stats = RMIStats()
         self._plan: CompiledPlan | None = None
-        if keys.size:
-            self._build()
 
     # -- subclass contract -------------------------------------------------
 
@@ -115,7 +155,11 @@ class CompiledPlanIndex:
     # -- scalar latency path ----------------------------------------------
 
     def lookup(self, key) -> int:
-        """Position of the first stored key >= ``key`` (lower bound)."""
+        """Position of the first stored key >= ``key`` (lower bound).
+
+        Requires an installed plan (or an empty key array); subclasses
+        that can stay uncompiled override this for that case.
+        """
         n = self.keys.size
         if n == 0:
             return 0
@@ -148,7 +192,12 @@ class CompiledPlanIndex:
         return left
 
     def upper_bound(self, key) -> int:
-        """Position one past the last stored key <= ``key``."""
+        """Position one past the last stored key <= ``key``.
+
+        Duplicates are resolved by one ``searchsorted(side="right")``
+        over the suffix starting at the lower bound — O(log d) for d
+        duplicates instead of the naive O(d) scan.
+        """
         pos = self.lookup(key)
         return pos + int(np.searchsorted(self.keys[pos:], key, side="right"))
 
@@ -166,8 +215,18 @@ class CompiledPlanIndex:
         return self.keys[start:end]
 
     # -- batch surface (thin adapters over the shared engine) --------------
+    #
+    # Queries are prepared once into the key column's native dtype, the
+    # CompiledPlan runs route → window → lock-step bounded search →
+    # verification → fix-up, and the column primitives answer
+    # membership and duplicate widening.  No search or comparison
+    # logic lives in this class.
 
     def _prepare_queries(self, queries) -> np.ndarray:
+        """Normalize a raw query argument to a flat numpy array,
+        keeping its native dtype (the engine compares int64/uint64
+        queries exactly; float64 casts only happen for model
+        inference)."""
         queries = np.asarray(queries)
         if queries.dtype == object:
             queries = queries.astype(np.float64)
@@ -176,25 +235,38 @@ class CompiledPlanIndex:
     def lookup_batch(
         self, queries: np.ndarray, *, sort: bool | None = None
     ) -> np.ndarray:
-        """Lower-bound positions for a whole query batch — identical to
-        a per-query :meth:`lookup` loop and exact in the key dtype."""
-        queries = self._prepare_queries(queries)
-        if self.keys.size == 0:
-            return np.zeros(queries.size, dtype=np.int64)
-        qb = self._column.prepare(queries)
-        return self._plan.lookup_batch(qb, sort=sort, stats=self.stats)
+        """Lower-bound positions for a whole query batch.
+
+        Identical to a per-query :meth:`lookup` loop and exact in the
+        key dtype (int64 keys >= 2^53 included).  An index without a
+        compiled plan answers with exactly that loop.
+
+        ``sort`` controls the sorted-batch fast path (sort + dedup +
+        engine over the sorted unique queries + inverse-map scatter):
+        ``None`` (default) applies the size + duplicate-density
+        heuristic, ``True``/``False`` force it on/off.  All three
+        settings return bit-identical positions.
+        """
+        return self._lower_bounds_with_batch(queries, sort)[1]
 
     def lookup_batch_scalar(self, queries: np.ndarray) -> np.ndarray:
-        """Per-query :meth:`lookup` loop — the interpreter-bound
-        baseline batch benchmarks compare against."""
+        """Per-query :meth:`lookup` loop — the batch surface of an
+        uncompiled index, and the interpreter-bound reference the
+        equivalence tests compare the engine against.  ``tolist``
+        yields native Python scalars (ints for integer dtypes), so the
+        loop compares exactly like the batch engine."""
         items = self._prepare_queries(queries).tolist()
         return np.array([self.lookup(q) for q in items], dtype=np.int64)
 
     def _lower_bounds_with_batch(self, queries, sort=None):
+        """(prepared batch, lower bounds) — one preparation, shared by
+        every batch surface; the batch is ``None`` on an empty index."""
         queries = self._prepare_queries(queries)
         if self.keys.size == 0:
             return None, np.zeros(queries.size, dtype=np.int64)
         qb = self._column.prepare(queries)
+        if self._plan is None:
+            return qb, self.lookup_batch_scalar(queries)
         return qb, self._plan.lookup_batch(qb, sort=sort, stats=self.stats)
 
     def contains_batch(self, queries: np.ndarray) -> np.ndarray:
@@ -207,7 +279,12 @@ class CompiledPlanIndex:
     def upper_bound_batch(
         self, queries: np.ndarray, *, sort: bool | None = None
     ) -> np.ndarray:
-        """Vectorized :meth:`upper_bound`: one position per query."""
+        """Vectorized :meth:`upper_bound`: one position per query.
+
+        Lower bounds come from the batch engine; only queries that hit
+        a stored key pay the duplicate-run widening (the column's one
+        vectorized ``searchsorted(side="right")`` over the hits).
+        """
         qb, positions = self._lower_bounds_with_batch(queries, sort=sort)
         if qb is None:
             return positions
@@ -216,8 +293,15 @@ class CompiledPlanIndex:
     def range_query_batch(
         self, lows: np.ndarray, highs: np.ndarray, *, sort: bool | None = None
     ) -> RangeScanResult:
-        """Batched :meth:`range_query` via one concatenated endpoint
-        resolution (see :mod:`repro.range_scan`)."""
+        """Batched :meth:`range_query`: all stored keys in each
+        ``[lows[i], highs[i]]``.
+
+        Both endpoint arrays resolve through :meth:`lookup_batch` in a
+        single concatenated call (the sorted fast path applies to the
+        combined batch), then one vectorized gather assembles every
+        slice — see :mod:`repro.range_scan`.  ``result[i]`` is
+        bit-identical to ``range_query(lows[i], highs[i])``.
+        """
         return batch_range_scan(
             self.keys, lows, highs,
             lambda q: self.lookup_batch(q, sort=sort),
@@ -231,9 +315,11 @@ class CompiledPlanIndex:
         return self._plan.leaf_count if self._plan is not None else 0
 
     def size_bytes(self) -> int:
-        """Leaf tables (4 x float64 per segment) + routing structure."""
-        m = self.segment_count
-        return m * 4 * 8 + self._routing_size_bytes()
+        """Leaf tables (4 x float64 per segment) + routing structure;
+        zero while no plan is installed (nothing was built)."""
+        if self._plan is None:
+            return 0
+        return self._plan.leaf_count * 4 * 8 + self._routing_size_bytes()
 
     @property
     def max_error_window(self) -> int:

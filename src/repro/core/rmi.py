@@ -28,60 +28,45 @@ Key properties reproduced here:
 The public API is ``lookup`` / ``upper_bound`` / ``range_query`` /
 ``contains`` with lower-bound semantics identical to every baseline in
 :mod:`repro.btree`, plus ``predict`` exposing (estimate, window) and
-the batch variants ``lookup_batch`` / ``contains_batch``.
+the batch variants.  All of it except ``predict`` and the
+general-strategy scalar ``lookup`` is inherited from
+:class:`repro.core.plan_index.CompiledPlanIndex`: this module
+contributes what is specific to the RMI — stage-wise training
+(``_build``), root → leaf routing (``_route_scalar``), and the
+model-level accounting and serialization.
 
-Throughput vs latency
----------------------
+Compiled vs uncompiled
+----------------------
 Two-stage RMIs with linear leaves compile to four flat NumPy arrays
-(``slopes``, ``intercepts``, ``lo_offsets``, ``hi_offsets``), which
-supports two distinct execution modes:
+(``slopes``, ``intercepts``, ``lo_offsets``, ``hi_offsets``) installed
+as a :class:`~repro.core.engine.CompiledPlan`.  ``lookup`` with the
+default ``"binary"`` strategy and every batch method then run the
+shared surface (scalar *latency* path over plain Python floats, batch
+*throughput* path through the vectorized engine; identical positions).
+Deeper hierarchies and non-linear leaves stay uncompiled
+(``_plan is None``): ``lookup`` walks the stage models and the batch
+surface falls back to the per-query loop.  The other search strategies
+only change the scalar probe schedule, never the returned position.
 
-* ``lookup`` — the scalar *latency* path: one query at a time through
-  plain Python floats (list mirrors of the compiled arrays), so
-  measured ns/lookup and comparison counts reflect genuine per-query
-  cost and stay comparable to the Section 2.1 cost model;
-* ``lookup_batch`` — the vectorized *throughput* path: root
-  ``predict_batch`` → vectorized leaf routing → gathered per-leaf
-  affine predictions → clamped per-query windows → lock-step bounded
-  binary search (:func:`repro.core.search.vectorized_bounded_search`)
-  → vectorized lower-bound verification, with the rare Section 3.4
-  misses fixed up by scalar exponential search.  Both paths return
-  identical positions; the batch path just amortizes interpreter
-  overhead across the whole query array, which is how SOSD-style
-  benchmarks measure learned indexes.  ``lookup_batch_scalar`` keeps
-  the per-query loop available so benchmarks can report both numbers.
-
-``range_query_batch`` builds on the same engine (one concatenated
-endpoint resolution + vectorized slice assembly, see
-:mod:`repro.range_scan`), and ``lookup_batch(sort=...)`` adds the
-sorted-batch fast path: sort + dedup once, search the unique queries,
-scatter through the inverse map — a measured win on duplicate-heavy
-(zipfian/hotspot) batches and bit-identical everywhere.
-
-Construction (``build_mode``)
------------------------------
-Construction used to be the last interpreter-bound pass: stage-wise
-training fit each of the (typically 10,000) leaf models in a Python
-loop, then walked the leaves again for error bounds.  The default
-``build_mode="vectorized"`` replaces both loops with single-pass array
-math.  Keys route to leaves with one root ``predict_batch``; for a
-linear stage, each leaf's least-squares line solves from per-leaf
+Construction
+------------
+Stage-wise training is single-pass array math wherever the stage is
+plain linear regression.  Keys route to leaves with one root
+``predict_batch``; each leaf's least-squares line solves from per-leaf
 sufficient statistics — within leaf ``j`` with members ``(x_i, y_i)``,
 center on the leaf means and accumulate ``Σdx²`` and ``Σdx·dy`` with
 ``np.bincount(assignment, weights=...)``, giving
 
     ``slope_j = Σdx·dy / Σdx²``,  ``intercept_j = ȳ_j - slope_j·x̄_j``
 
-for every leaf at once (:func:`repro.models.linear.segmented_linear_fit`;
-empty and degenerate leaves fall back exactly as the scalar loop does).
-Leaf error bounds likewise come from one vectorized pass over the
-assignment-sorted signed errors (``np.minimum/maximum.reduceat`` +
-``bincount`` moments).  ``build_mode="scalar"`` keeps the per-leaf
-reference loop; the two modes are equivalence-pinned — same leaf
-assignment, same models up to float tolerance, bit-identical lookups —
-and the vectorized build is >10x faster at 1M keys / 10k leaves (see
-the construction section of ``benchmarks/bench_throughput.py``), which
-is what makes ``WritableLearnedIndex.merge`` retrains cheap.
+for every leaf at once (:func:`repro.models.linear.segmented_linear_fit`).
+Any other stage model (NN, spline, a ``LinearModel`` subclass) takes
+the per-model fit loop.  Leaf error bounds always come from one
+vectorized pass over the assignment-sorted signed errors
+(:func:`repro.models.cdf.segmented_error_arrays`).
+``tests/test_build_equivalence.py`` pins the segmented fit against the
+per-model loop: same leaf assignment, same models up to float
+tolerance, bit-identical lookups.
 """
 
 from __future__ import annotations
@@ -91,11 +76,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..btree.search_baselines import exponential_search
-from ..obs import MetricsRegistry
 from ..models.base import ConstantModel, Model
 from ..models.cdf import (
     ErrorStats,
-    error_stats,
     error_stats_list_from_arrays,
     positions_for_keys,
     segmented_error_arrays,
@@ -105,16 +88,13 @@ from ..models.linear import (
     fit_linear_cdf_root,
     segmented_linear_fit,
 )
-from ..range_scan import RangeScanResult, batch_range_scan
-from ..util import scalar_view
 from .engine import (
     SORTED_BATCH_MIN_DUP_FRACTION,
     SORTED_BATCH_THRESHOLD,
-    CompiledPlan,
-    SortedKeyColumn,
     clamp_window,
     clamp_window_batch,
 )
+from .plan_index import CompiledPlanIndex, RMIStats
 from .search import (
     Counter,
     bounded_search,
@@ -124,7 +104,6 @@ from .search import (
 __all__ = [
     "RecursiveModelIndex",
     "RMIStats",
-    "BUILD_MODES",
     "DEFAULT_LEAF_ERROR",
     "SORTED_BATCH_THRESHOLD",
     "SORTED_BATCH_MIN_DUP_FRACTION",
@@ -132,67 +111,11 @@ __all__ = [
     "clamp_window_batch",
 ]
 
-#: Accepted ``build_mode`` values: ``"vectorized"`` is the segmented
-#: least-squares fast path (the default), ``"scalar"`` the per-leaf
-#: reference loop it is equivalence-pinned against.
-BUILD_MODES = ("vectorized", "scalar")
-
 #: Error assigned to untrained (empty) leaves: one page worth of slack.
 DEFAULT_LEAF_ERROR = 128
 
 
-def _stat_field(slot: str):
-    """Property mapping ``stats.<slot>`` (including ``+=``) onto the
-    backing registry counter."""
-
-    def _get(self):
-        return self._counters[slot].value
-
-    def _set(self, value):
-        self._counters[slot].set(value)
-
-    return property(_get, _set)
-
-
-class RMIStats:
-    """Lookup instrumentation for benchmarks and the cost model.
-
-    A thin view over a per-index :class:`repro.obs.MetricsRegistry`:
-    each field reads/writes a named ``rmi.*`` counter, so the same
-    numbers surface through the obs exporters while the historical
-    ``stats.lookups += 1`` idiom keeps working unchanged.
-    """
-
-    _FIELDS = ("lookups", "comparisons", "fixups", "window_total")
-
-    lookups = _stat_field("lookups")
-    comparisons = _stat_field("comparisons")
-    fixups = _stat_field("fixups")
-    window_total = _stat_field("window_total")
-
-    def __init__(self, registry=None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter("rmi." + name)
-            for name in self._FIELDS
-        }
-        self.extra: dict = {}
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.set(0)
-        self.extra.clear()
-
-    @property
-    def mean_window(self) -> float:
-        return self.window_total / self.lookups if self.lookups else 0.0
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{n}={getattr(self, n)}" for n in self._FIELDS)
-        return f"RMIStats({body})"
-
-
-class RecursiveModelIndex:
+class RecursiveModelIndex(CompiledPlanIndex):
     """A staged learned range index over a sorted key array.
 
     Parameters
@@ -213,14 +136,6 @@ class RecursiveModelIndex:
     min_leaf_error:
         Lower clamp on the stored per-leaf error window; widening it
         trades comparisons for robustness on absent keys.
-    build_mode:
-        ``"vectorized"`` (default) fits every linear stage with the
-        one-pass segmented least-squares engine
-        (:func:`repro.models.linear.segmented_linear_fit`) and computes
-        all leaf error bounds in one vectorized pass; ``"scalar"``
-        keeps the per-leaf Python fit loop as the equivalence
-        reference.  Both modes produce the same leaf assignment, the
-        same models up to float tolerance, and bit-identical lookups.
     """
 
     def __init__(
@@ -230,15 +145,7 @@ class RecursiveModelIndex:
         model_factories: Sequence[Callable[[], Model]] | None = None,
         search_strategy: str = "binary",
         min_leaf_error: int = 0,
-        build_mode: str = "vectorized",
     ):
-        keys = np.asarray(keys)
-        if keys.ndim != 1:
-            raise ValueError("keys must be one-dimensional")
-        # Comparison instead of np.diff: no int64 difference overflow
-        # on huge key spans and no full-width temporary.
-        if keys.size and np.any(keys[:-1] > keys[1:]):
-            raise ValueError("keys must be sorted ascending")
         stage_sizes = tuple(int(m) for m in stage_sizes)
         if len(stage_sizes) < 1 or stage_sizes[0] != 1:
             raise ValueError("stage_sizes must start with a single root model")
@@ -248,20 +155,16 @@ class RecursiveModelIndex:
             model_factories = [LinearModel for _ in stage_sizes]
         if len(model_factories) != len(stage_sizes):
             raise ValueError("need one model factory per stage")
-        if build_mode not in BUILD_MODES:
-            raise ValueError(f"build_mode must be one of {BUILD_MODES}")
-        self.build_mode = str(build_mode)
-        self.keys = keys
-        self._keys_view = scalar_view(keys)
-        # The query core's view of the key column: dtype-preserving
-        # exact comparisons for every batch path (ISSUE 5).
-        self._column = SortedKeyColumn(keys)
         self.stage_sizes = stage_sizes
         self.search_strategy = str(search_strategy)
         self.min_leaf_error = int(min_leaf_error)
-        self.stats = RMIStats()
         self._model_factories = list(model_factories)
-        self._build()
+        super().__init__(keys)
+        if not self.keys.size:
+            # The base trains only on data; an empty RMI still carries
+            # its (untrained) stage models so routing, ``predict`` and
+            # the size accounting stay total.
+            self._build()
 
     # -- training (Algorithm 1, lines 1-10) ----------------------------------
 
@@ -270,11 +173,10 @@ class RecursiveModelIndex:
         keys_f = self.keys.astype(np.float64)
         positions = positions_for_keys(n)
         stages: list[list[Model]] = []
-        # Parameter/bound arrays cached by the vectorized fit so
-        # _compile can skip its per-leaf extraction loop; the scalar
-        # build leaves them None and _compile reads the model objects.
+        # Leaf parameter arrays cached by the segmented fit so _compile
+        # can skip its per-leaf extraction loop; the per-model fit loop
+        # leaves them None and _compile reads the model objects.
         self._leaf_param_arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._leaf_bound_arrays: tuple[np.ndarray, np.ndarray] | None = None
         # When the leaf stage is vectorized, the per-leaf Model objects
         # are materialized lazily from these parts (see __getattr__) —
         # a compiled index never needs them on the hot path.
@@ -289,9 +191,8 @@ class RecursiveModelIndex:
         for level, m_l in enumerate(self.stage_sizes):
             factory = self._model_factories[level]
             if level == 0:
-                # Plain linear roots take the temp-free CDF fit; both
-                # build modes share it, so leaf assignment stays equal.
-                # The sniffed instance is reused for the fit when the
+                # Plain linear roots take the temp-free CDF fit.  The
+                # sniffed instance is reused for the fit when the
                 # factory turns out non-linear — constructing an NN
                 # root twice per (re)build would be real money.
                 probe = None if factory is LinearModel else factory()
@@ -317,10 +218,7 @@ class RecursiveModelIndex:
                 np.floor(raw, out=raw)
                 np.clip(raw, 0, m_l - 1, out=raw)
                 assignment = raw.astype(np.int64)
-            if (
-                self.build_mode == "vectorized"
-                and self._stage_vectorizable(factory)
-            ):
+            if self._stage_vectorizable(factory):
                 # Compute the contiguity layout once; the error pass
                 # below reuses the leaf stage's boundaries.
                 if n and bool(np.all(assignment[1:] >= assignment[:-1])):
@@ -343,9 +241,9 @@ class RecursiveModelIndex:
                 # predictions are unaffected.
                 for j in empty:
                     intercepts[j] = self._empty_leaf_model(j, m_l, n).value
-                self._leaf_param_arrays = (slopes, intercepts)
                 parts = (slopes, intercepts, empty, m_l, n)
                 if level == last:
+                    self._leaf_param_arrays = (slopes, intercepts)
                     deferred_leaf_stage = parts
                     leaf_boundaries = boundaries
                 else:
@@ -361,22 +259,18 @@ class RecursiveModelIndex:
             self._deferred_leaf_stage = (stages, *deferred_leaf_stage)
         else:
             self._stages = stages
-        if self.build_mode == "vectorized":
-            self._compute_leaf_errors_vectorized(
-                predictions, positions, boundaries=leaf_boundaries
-            )
-        else:
-            self._compute_leaf_errors(predictions, positions)
+        self._compute_leaf_errors(
+            predictions, positions, boundaries=leaf_boundaries
+        )
         self._compile()
 
     def __getattr__(self, name: str):
-        # Lazy views of the compiled arrays: a vectorized build defers
-        # the per-leaf Model objects and ErrorStats rows (tens of
-        # thousands of Python allocations) until something actually
-        # introspects them.  __getattr__ only fires for attributes
-        # missing from the instance, so once materialized — or on a
-        # scalar build, which assigns both eagerly — access costs
-        # nothing extra.
+        # Lazy views of the compiled arrays: the per-leaf Model objects
+        # of a vectorized leaf stage and the ErrorStats rows (tens of
+        # thousands of Python allocations) are deferred until something
+        # actually introspects them.  __getattr__ only fires for
+        # attributes missing from the instance, so once materialized
+        # access costs nothing extra.
         if name == "_stages":
             parts = self.__dict__.get("_deferred_leaf_stage")
             if parts is not None:
@@ -438,7 +332,8 @@ class RecursiveModelIndex:
         m_l: int,
         factory: Callable[[], Model],
     ) -> tuple[list[Model], np.ndarray]:
-        """Reference per-model fit loop (``build_mode="scalar"``)."""
+        """Per-model fit loop: the only path for stages the segmented
+        fit cannot express (see :meth:`_stage_vectorizable`)."""
         n = keys_f.size
         order = np.argsort(assignment, kind="stable")
         sorted_assign = assignment[order]
@@ -476,21 +371,22 @@ class RecursiveModelIndex:
         slack = min(DEFAULT_LEAF_ERROR, max(self.keys.size, 1))
         return ErrorStats(-slack, slack, 0.0, 0.0, 0)
 
-    def _compute_leaf_errors_vectorized(
+    def _compute_leaf_errors(
         self,
         predictions: np.ndarray,
         positions: np.ndarray,
         boundaries: np.ndarray | None = None,
     ) -> None:
-        """All leaf error bounds in one vectorized pass.
+        """Per-leaf signed min/max error over assigned keys (Section
+        3.4), all leaves in one vectorized pass.
 
-        Same bounds as :meth:`_compute_leaf_errors` (min/max via
-        ``np.minimum/maximum.reduceat`` over the assignment-ordered
-        signed errors, moments via ``np.add.reduceat``) without the
-        per-leaf Python scan.  Only the flat arrays are produced here:
-        ``_compile`` consumes the window offsets directly, and the
-        ``leaf_errors`` list of :class:`ErrorStats` materializes lazily
-        on first access (``__getattr__``).
+        Min/max via ``np.minimum/maximum.reduceat`` over the
+        assignment-ordered signed errors, moments via
+        ``np.add.reduceat`` — no per-leaf Python scan.  Only the flat
+        arrays are produced here: ``_compile`` consumes the window
+        offsets directly, and the ``leaf_errors`` list of
+        :class:`ErrorStats` materializes lazily on first access
+        (``__getattr__``).
         """
         min_error, max_error, mean_abs, std, counts = (
             segmented_error_arrays(
@@ -503,90 +399,32 @@ class RecursiveModelIndex:
                 boundaries=boundaries,
             )
         )
-        self.__dict__.pop("leaf_errors", None)
         self._leaf_error_stat_arrays = (
             min_error, max_error, mean_abs, std, counts,
         )
-        self._leaf_bound_arrays = (
-            max_error.astype(np.float64),
-            min_error.astype(np.float64),
-        )
-
-    def _compute_leaf_errors(
-        self, predictions: np.ndarray, positions: np.ndarray
-    ) -> None:
-        """Per-leaf signed min/max error over assigned keys (Section 3.4)."""
-        leaves = self.stage_sizes[-1]
-        self.leaf_errors: list[ErrorStats] = []
-        n = self.keys.size
-        default = self._default_leaf_error()
-        if n == 0:
-            self.leaf_errors = [default] * leaves
-            return
-        order = np.argsort(self._leaf_assignment, kind="stable")
-        sorted_assign = self._leaf_assignment[order]
-        boundaries = np.searchsorted(
-            sorted_assign, np.arange(leaves + 1), side="left"
-        )
-        for j in range(leaves):
-            members = order[boundaries[j]:boundaries[j + 1]]
-            if members.size == 0:
-                self.leaf_errors.append(default)
-                continue
-            stats = error_stats(predictions[members], positions[members])
-            if self.min_leaf_error:
-                stats = ErrorStats(
-                    min(stats.min_error, -self.min_leaf_error),
-                    max(stats.max_error, self.min_leaf_error),
-                    stats.mean_absolute,
-                    stats.std,
-                    stats.count,
-                )
-            self.leaf_errors.append(stats)
 
     def _compile(self) -> None:
-        """Extract linear-leaf parameters into flat NumPy arrays.
+        """Install the compiled plan when the model flattens to one.
 
         The LIF analogue (Section 3.1): "given a trained Tensorflow
         model, LIF automatically extracts all weights from the model and
         generates efficient index structures".  With two stages and
         linear leaves the entire lookup becomes a handful of float
         operations over four flat arrays, with no per-model dispatch.
-
-        The arrays are the canonical compiled form — ``lookup_batch``
-        gathers from them directly.  The scalar latency path reads the
-        ``*_list`` mirrors instead, because indexing a Python list
-        returns a native float while indexing a numpy array boxes a
-        ``np.float64`` per probe (see :mod:`repro.util`).
-
-        ``_compiled`` means the arrays exist (batch engine usable);
-        ``_fast`` additionally means scalar lookups may take the
-        compiled path — hybrid indexes clear only ``_fast`` when B-Tree
-        fallback leaves are installed.
+        Anything else leaves ``_plan`` as ``None``.
         """
-        self._fast = False
-        self._compiled = False
-        self._plan = None
         if len(self.stage_sizes) != 2:
             return
         m = self.stage_sizes[1]
-        if (
-            self._leaf_param_arrays is not None
-            and self._leaf_bound_arrays is not None
-        ):
-            # The vectorized build already solved every leaf into flat
+        if self._leaf_param_arrays is not None:
+            # The segmented fit already solved every leaf into flat
             # arrays (all leaves LinearModel/ConstantModel by
             # construction) — nothing to extract.
             slopes, intercepts = self._leaf_param_arrays
-            lo_offsets, hi_offsets = self._leaf_bound_arrays
         else:
             slopes = np.zeros(m, dtype=np.float64)
             intercepts = np.zeros(m, dtype=np.float64)
-            lo_offsets = np.zeros(m, dtype=np.float64)
-            hi_offsets = np.zeros(m, dtype=np.float64)
-            for j, (model, err) in enumerate(
-                zip(self._stages[1], self.leaf_errors)
-            ):
+            for j, model in enumerate(self._stages[1]):
                 if isinstance(model, LinearModel):
                     slopes[j] = model.slope
                     intercepts[j] = model.intercept
@@ -594,34 +432,17 @@ class RecursiveModelIndex:
                     intercepts[j] = model.value
                 else:
                     return
-                lo_offsets[j] = float(err.max_error)
-                hi_offsets[j] = float(err.min_error)
-        self._leaf_slopes = slopes
-        self._leaf_intercepts = intercepts
-        self._leaf_lo_offsets = lo_offsets
-        self._leaf_hi_offsets = hi_offsets
-        self._leaf_slopes_list = slopes.tolist()
-        self._leaf_intercepts_list = intercepts.tolist()
-        self._leaf_lo_offsets_list = lo_offsets.tolist()
-        self._leaf_hi_offsets_list = hi_offsets.tolist()
+        # The window offsets are the per-leaf max/min signed error.
+        min_error, max_error = self._leaf_error_stat_arrays[:2]
+        lo_offsets = max_error.astype(np.float64)
+        hi_offsets = min_error.astype(np.float64)
         # _root_model avoids touching _stages, which would materialize
         # the lazily deferred leaf-model objects.
         root = self._root_model
         self._root_predict = root.predict
-        self._root_predict_batch = root.predict_batch
-        # The whole batch surface is one shared-engine plan over the
-        # compiled arrays; this class only adapts its public API to it.
-        self._plan = CompiledPlan(
-            self._column,
-            root.predict_batch,
-            m,
-            slopes,
-            intercepts,
-            lo_offsets,
-            hi_offsets,
+        self._install_plan(
+            root.predict_batch, m, slopes, intercepts, lo_offsets, hi_offsets
         )
-        self._compiled = True
-        self._fast = True
 
     # -- serialization ---------------------------------------------------------
 
@@ -637,7 +458,7 @@ class RecursiveModelIndex:
         ``TypeError`` for indexes this flat form cannot represent
         (deeper hierarchies, non-linear roots, uncompiled leaves).
         """
-        if not self._compiled or self._plan is None:
+        if self._plan is None:
             raise TypeError(
                 "only compiled two-stage indexes have a flat state"
             )
@@ -679,7 +500,6 @@ class RecursiveModelIndex:
         ``leaf_errors`` are approximated from the stored window
         offsets (zero mean/std, count 1) — bounds exact, moments not.
         """
-        self = cls.__new__(cls)
         keys = np.asarray(keys)
         slopes = np.ascontiguousarray(slopes, dtype=np.float64)
         intercepts = np.ascontiguousarray(intercepts, dtype=np.float64)
@@ -692,37 +512,44 @@ class RecursiveModelIndex:
             and hi_offsets.size == m
         ) or m < 1:
             raise ValueError("leaf arrays must share one nonzero length")
-        self.build_mode = "vectorized"
-        self.keys = keys
-        self._keys_view = scalar_view(keys)
-        self._column = SortedKeyColumn(keys)
+        self = cls.__new__(cls)
+        self._bind_keys(keys)
         self.stage_sizes = (1, m)
         self.search_strategy = str(search_strategy)
         self.min_leaf_error = 0
-        self.stats = RMIStats()
         self._model_factories = [LinearModel, LinearModel]
         root = LinearModel(root_slope, root_intercept)
         self._root_model = root
-        self._leaf_param_arrays = (slopes, intercepts)
-        self._leaf_bound_arrays = (lo_offsets, hi_offsets)
-        # lo/hi offsets are the per-leaf max/min signed error; the
-        # moments were not persisted, so the lazy ErrorStats rows carry
-        # exact bounds with placeholder statistics.
+        self._root_predict = root.predict
+        # The two lazy views (see __getattr__).  lo/hi offsets are the
+        # per-leaf max/min signed error; the moments were not
+        # persisted, so the ErrorStats rows carry exact bounds with
+        # placeholder statistics.  Empty-leaf slots were folded into
+        # the intercepts at export; LinearModel(0, v) predicts
+        # identically to ConstantModel(v).
         zeros = np.zeros(m, dtype=np.float64)
         self._leaf_error_stat_arrays = (
             hi_offsets, lo_offsets, zeros, zeros,
             np.ones(m, dtype=np.int64),
         )
-        # Leaf Model objects materialize lazily via __getattr__ exactly
-        # like a deferred vectorized build (empty-leaf slots were
-        # folded into the intercepts at export; LinearModel(0, v)
-        # predicts identically to ConstantModel(v)).
         self._deferred_leaf_stage = ([[root]], slopes, intercepts, [], m,
                                      keys.size)
-        self._compile()
+        self._install_plan(
+            root.predict_batch, m, slopes, intercepts, lo_offsets, hi_offsets
+        )
         return self
 
     # -- inference -------------------------------------------------------------
+
+    def _route_scalar(self, key) -> int:
+        # Compiled (two-stage) routing: root prediction → leaf slot.
+        m = self.stage_sizes[1]
+        j = int(self._root_predict(key) * m / self.keys.size)
+        if j < 0:
+            return 0
+        if j >= m:
+            return m - 1
+        return j
 
     def _leaf_for(self, key: float) -> tuple[int, float]:
         """Run all stages; return (leaf index, leaf prediction)."""
@@ -750,7 +577,7 @@ class RecursiveModelIndex:
         return est, lo, hi
 
     def _predict_window(self, key: float) -> tuple[int, int, int, int]:
-        """(leaf, estimate, window lo, window hi) — the full hot path."""
+        """(leaf, estimate, window lo, window hi) via the stage models."""
         n = self.keys.size
         if n == 0:
             return 0, 0, 0, 0
@@ -769,12 +596,18 @@ class RecursiveModelIndex:
         return leaf, est, lo, hi
 
     def lookup(self, key: float) -> int:
-        """Position of the first stored key >= ``key`` (lower bound)."""
+        """Position of the first stored key >= ``key`` (lower bound).
+
+        A compiled index with the default ``"binary"`` strategy takes
+        the shared scalar fast path; an uncompiled one, or any other
+        strategy (the paper-figure probe schedules), walks the stage
+        models and searches the window with :func:`bounded_search`.
+        """
+        if self._plan is not None and self.search_strategy == "binary":
+            return CompiledPlanIndex.lookup(self, key)
         n = self.keys.size
         if n == 0:
             return 0
-        if self._fast and self.search_strategy in ("binary", "biased_binary"):
-            return self._lookup_fast(key, n)
         self.stats.lookups += 1
         leaf, est, lo, hi = self._predict_window(key)
         self.stats.window_total += hi - lo
@@ -805,197 +638,6 @@ class RecursiveModelIndex:
             pos = exponential_search(keys_view, key, pos, counter)
             self.stats.comparisons += counter.comparisons
         return pos
-
-    def _lookup_fast(self, key: float, n: int) -> int:
-        """Compiled two-stage lookup: pure float math + bounded search."""
-        stats = self.stats
-        stats.lookups += 1
-        m = self.stage_sizes[1]
-        j = int(self._root_predict(key) * m / n)
-        if j < 0:
-            j = 0
-        elif j >= m:
-            j = m - 1
-        raw = self._leaf_slopes_list[j] * key + self._leaf_intercepts_list[j]
-        lo = int(raw - self._leaf_lo_offsets_list[j]) - 1
-        hi = int(raw - self._leaf_hi_offsets_list[j]) + 2
-        lo, hi = clamp_window(lo, hi, n)
-        stats.window_total += hi - lo
-        keys = self._keys_view
-        comparisons = 0
-        if self.search_strategy == "biased_binary":
-            # First probe at the prediction instead of the window middle.
-            est = int(raw)
-            if est < lo:
-                est = lo
-            elif est >= hi:
-                est = hi - 1
-            comparisons += 1
-            if keys[est] < key:
-                lo = est + 1
-            else:
-                hi = est
-        left, right = lo, hi
-        while left < right:
-            mid = (left + right) >> 1
-            comparisons += 1
-            if keys[mid] < key:
-                left = mid + 1
-            else:
-                right = mid
-        stats.comparisons += comparisons
-        # Misprediction check (Section 3.4): widen if the window missed.
-        if left < n and keys[left] < key:
-            stats.fixups += 1
-            return exponential_search(keys, key, left)
-        if left > 0 and keys[left - 1] >= key:
-            stats.fixups += 1
-            return exponential_search(keys, key, left - 1)
-        return left
-
-    # -- range-index interface ---------------------------------------------------
-
-    def upper_bound(self, key: float) -> int:
-        """Position one past the last stored key <= ``key``.
-
-        Duplicates are resolved by one ``searchsorted(side="right")``
-        over the suffix starting at the lower bound — O(log d) for d
-        duplicates instead of the naive O(d) scan.
-        """
-        pos = self.lookup(key)
-        return pos + int(np.searchsorted(self.keys[pos:], key, side="right"))
-
-    def contains(self, key: float) -> bool:
-        pos = self.lookup(key)
-        return pos < self.keys.size and self.keys[pos] == key
-
-    def range_query(self, low: float, high: float) -> np.ndarray:
-        """All stored keys in ``[low, high]``."""
-        if high < low:
-            return self.keys[0:0]
-        start = self.lookup(low)
-        end = self.lookup(high)
-        end += int(np.searchsorted(self.keys[end:], high, side="right"))
-        return self.keys[start:end]
-
-    # -- batch interface ---------------------------------------------------------
-    #
-    # Every batch method below is a thin adapter over the shared query
-    # core (repro.core.engine): queries are prepared once into the key
-    # column's native dtype, the CompiledPlan runs route → window →
-    # lock-step bounded search → verification → fix-up, and the column
-    # primitives answer membership and duplicate widening.  No search
-    # or comparison logic lives in this class.
-
-    def _prepare_queries(self, queries) -> np.ndarray:
-        """Normalize a raw query argument to a flat numpy array,
-        keeping its native dtype (the engine compares int64/uint64
-        queries exactly; float64 casts only happen for model
-        inference)."""
-        queries = np.asarray(queries)
-        if queries.dtype == object:
-            queries = queries.astype(np.float64)
-        return queries.ravel()
-
-    def _route_batch(
-        self, queries: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(leaf indices, leaf raw predictions) for a query batch.
-
-        Compatibility adapter over :meth:`CompiledPlan.route` for
-        callers that reuse the routing alone (the learned hash
-        function).  Requires a compiled two-stage index and a non-empty
-        key array.
-        """
-        return self._plan.route(
-            self._column.prepare(self._prepare_queries(queries))
-        )
-
-    def lookup_batch(
-        self, queries: np.ndarray, *, sort: bool | None = None
-    ) -> np.ndarray:
-        """Lower-bound positions for a whole query batch.
-
-        Compiled two-stage indexes run the shared vectorized engine;
-        anything else (deeper hierarchies, non-linear leaves) falls
-        back to the per-query loop.  Results are identical to calling
-        :meth:`lookup` per query — the search strategy only changes the
-        scalar probe schedule, never the returned position — and exact
-        in the key dtype (int64 keys >= 2^53 included).
-
-        ``sort`` controls the sorted-batch fast path (sort + dedup +
-        engine over the sorted unique queries + inverse-map scatter):
-        ``None`` (default) applies the size + duplicate-density
-        heuristic, ``True``/``False`` force it on/off.  All three
-        settings return bit-identical positions.
-        """
-        queries = self._prepare_queries(queries)
-        if self.keys.size == 0:
-            return np.zeros(queries.size, dtype=np.int64)
-        if not self._compiled:
-            return self.lookup_batch_scalar(queries)
-        qb = self._column.prepare(queries)
-        return self._plan.lookup_batch(qb, sort=sort, stats=self.stats)
-
-    def lookup_batch_scalar(self, queries: np.ndarray) -> np.ndarray:
-        """Per-query :meth:`lookup` loop — the interpreter-bound
-        baseline that batch-throughput benchmarks compare against.
-        ``tolist`` yields native Python scalars (ints for integer
-        dtypes), so the loop compares exactly like the batch engine."""
-        items = self._prepare_queries(queries).tolist()
-        return np.array(
-            [self.lookup(q) for q in items], dtype=np.int64
-        )
-
-    def _lower_bounds_with_batch(self, queries, sort=None):
-        """(prepared batch, lower bounds) — one preparation, shared by
-        the membership and widening surfaces below."""
-        queries = self._prepare_queries(queries)
-        if self.keys.size == 0:
-            return None, np.zeros(queries.size, dtype=np.int64)
-        qb = self._column.prepare(queries)
-        if not self._compiled:
-            return qb, self.lookup_batch_scalar(queries)
-        return qb, self._plan.lookup_batch(qb, sort=sort, stats=self.stats)
-
-    def contains_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorized membership: one bool per query, dtype-exact."""
-        qb, positions = self._lower_bounds_with_batch(queries)
-        if qb is None:
-            return np.zeros(positions.size, dtype=bool)
-        return self._column.contains_at(qb, positions)
-
-    def upper_bound_batch(
-        self, queries: np.ndarray, *, sort: bool | None = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`upper_bound`: one position per query.
-
-        Lower bounds come from the batch engine; only queries that hit
-        a stored key pay the duplicate-run widening (the column's one
-        vectorized ``searchsorted(side="right")`` over the hits).
-        """
-        qb, positions = self._lower_bounds_with_batch(queries, sort=sort)
-        if qb is None:
-            return positions
-        return self._column.upper_bounds(qb, positions)
-
-    def range_query_batch(
-        self, lows: np.ndarray, highs: np.ndarray, *, sort: bool | None = None
-    ) -> RangeScanResult:
-        """Batched :meth:`range_query`: all stored keys in each
-        ``[lows[i], highs[i]]``.
-
-        Both endpoint arrays resolve through :meth:`lookup_batch` in a
-        single concatenated call (the sorted fast path applies to the
-        combined batch), then one vectorized gather assembles every
-        slice — see :mod:`repro.range_scan`.  ``result[i]`` is
-        bit-identical to ``range_query(lows[i], highs[i])``.
-        """
-        return batch_range_scan(
-            self.keys, lows, highs,
-            lambda q: self.lookup_batch(q, sort=sort),
-            column=self._column,
-        )
 
     # -- accounting ----------------------------------------------------------------
 

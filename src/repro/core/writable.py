@@ -20,10 +20,10 @@ tiered runs:
 * when the buffer exceeds ``merge_threshold`` (or on explicit
   :meth:`merge`), the buffer is merged into the main array and the RMI
   retrained — cheap, because linear leaves train in closed form
-  (Section 3.6) and the rebuild takes the RMI's vectorized
-  ``build_mode``: one ``np.union1d`` merge plus the segmented
-  least-squares build, so a merge is memcpy-plus-array-math instead of
-  ten thousand Python model fits;
+  (Section 3.6) and the rebuild is the RMI's vectorized construction:
+  one ``np.union1d`` merge plus the segmented least-squares build, so
+  a merge is memcpy-plus-array-math instead of ten thousand Python
+  model fits;
 * bulk loads go through :meth:`insert_batch`, which sorts and
   deduplicates the whole batch in one NumPy pass, drops keys already
   present in the main index with one ``lookup_batch``, lands the rest
@@ -45,8 +45,9 @@ the timestamps of web-logs ... most if not all inserts will be appends
 with increasing timestamps ... updating the index structure becomes an
 O(1) operation" — appends beyond the trained key range never invalidate
 the stored error bounds of existing leaves, so merges of append-only
-batches can skip full retraining (``append_fast_path=True`` keeps the
-model and only extends the array, re-checking the last leaf's bound).
+batches skip full retraining whenever the trained model still predicts
+the appended keys well (the model is kept, the array extended, and the
+stored bounds widened by the measured append error).
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ class WritableLearnedIndex:
         stage_sizes: Sequence[int] = (1, 100),
         model_factories: Sequence[Callable[[], Model]] | None = None,
         merge_threshold: int = 4_096,
-        append_fast_path: bool = True,
-        build_mode: str = "vectorized",
     ):
         if merge_threshold < 1:
             raise ValueError("merge_threshold must be >= 1")
@@ -87,9 +86,7 @@ class WritableLearnedIndex:
             raise ValueError("initial keys must be sorted and unique")
         self._stage_sizes = tuple(stage_sizes)
         self._model_factories = model_factories
-        self.build_mode = str(build_mode)
         self.merge_threshold = int(merge_threshold)
-        self.append_fast_path = bool(append_fast_path)
         self.merges = 0
         self.retrains = 0
         self.fast_appends = 0
@@ -103,7 +100,6 @@ class WritableLearnedIndex:
             keys,
             stage_sizes=self._stage_sizes,
             model_factories=self._model_factories,
-            build_mode=self.build_mode,
         )
         self.retrains += 1
 
@@ -184,8 +180,7 @@ class WritableLearnedIndex:
             tombstoned = False
         delta = self._mem.put_keys()
         is_pure_append = (
-            self.append_fast_path
-            and not tombstoned
+            not tombstoned
             and main_keys.size > 0
             and delta.size > 0
             and delta[0] > main_keys[-1]
@@ -202,99 +197,41 @@ class WritableLearnedIndex:
         self._rebuild(merged)
 
     def _try_fast_append(self, merged: np.ndarray, appended: int) -> bool:
-        """O(appended) append path: keep the model, extend the array.
+        """O(leaves + appended) append path: keep the model, extend
+        the array.
 
         Valid when the model generalizes to the appended range — i.e.
         the existing leaf routing still predicts the new keys within a
         tolerable error.  We verify by measuring the worst new-key
-        error; if it exceeds the current max window we fall back to
-        retraining (the paper's "can it be detected?" question,
-        answered by measurement).
+        error over a sample; if it exceeds the current max window we
+        fall back to retraining (the paper's "can it be detected?"
+        question, answered by measurement).  An index without a flat
+        compiled state (deep hierarchy, non-linear root or leaves)
+        always retrains.
         """
-        old = self._main
-        candidate = object.__new__(RecursiveModelIndex)
-        candidate.__dict__.update(old.__dict__)
-        # Rebind data arrays; models and error stats are shared.
-        from ..util import scalar_view
-
-        candidate.keys = merged
-        candidate._keys_view = scalar_view(merged)
-        # The copied __dict__ still points the query core at the old
-        # array; rebind it before _compile builds the new plan.
-        from .engine import SortedKeyColumn
-
-        candidate._column = SortedKeyColumn(merged)
-        # Probe through the compiled arrays when available: touching
-        # _leaf_for or max_error_window would materialize the lazily
-        # deferred per-leaf objects, costing O(leaves) on an append
-        # path that promises O(appended).
-        if candidate._compiled:
-            m = candidate.stage_sizes[1]
-            n_merged = int(merged.size)
-            slopes = candidate._leaf_slopes_list
-            intercepts = candidate._leaf_intercepts_list
-            root_predict = candidate._root_predict
-
-            def predict_raw(key: float) -> float:
-                j = int(root_predict(key) * m / n_merged)
-                j = 0 if j < 0 else (m - 1 if j >= m else j)
-                return slopes[j] * key + intercepts[j]
-
-        else:
-            def predict_raw(key: float) -> float:
-                return candidate._leaf_for(key)[1]
-
-        new_keys = merged[-appended:]
-        worst = 0
-        for key in new_keys[:: max(appended // 64, 1)]:
-            true_pos = int(np.searchsorted(merged, key))
-            raw = predict_raw(float(key))
-            worst = max(worst, abs(int(raw) - true_pos))
-        bound_arrays = old.__dict__.get("_leaf_bound_arrays")
-        if bound_arrays is not None:
-            # window = max_error - min_error = lo_offset - hi_offset.
-            lo, hi = bound_arrays
-            worst_window = int((lo - hi).max()) if lo.size else 0
-        else:
-            worst_window = old.max_error_window
-        budget = max(worst_window, 64) * 4
+        try:
+            state = self._main.compiled_state()
+        except TypeError:
+            return False
+        del state["leaf_count"]
+        candidate = RecursiveModelIndex.from_compiled_arrays(merged, **state)
+        # Unclamped leaf predictions of the sampled new keys, through
+        # the candidate's plan (routing depends on the merged size).
+        sample = merged[-appended:][:: max(appended // 64, 1)]
+        _leaf, raw = candidate._plan.route(candidate._column.prepare(sample))
+        true_pos = np.searchsorted(merged, sample)
+        worst = int(np.abs(raw.astype(np.int64) - true_pos).max())
+        # window = max_error - min_error = lo_offset - hi_offset.
+        lo, hi = state["lo_offsets"], state["hi_offsets"]
+        budget = max(int((lo - hi).max()), 64) * 4
         if worst > budget:
-            self._rebuild(merged)
             return False
         # Widen every leaf's stored bounds by the observed append error
         # so the guarantee stays honest without retraining.
         slack = worst + 1
-        stat_arrays = old.__dict__.get("_leaf_error_stat_arrays")
-        if stat_arrays is not None:
-            # Vectorized build: widen the flat stat arrays and drop any
-            # materialized ErrorStats view copied from ``old`` — the
-            # candidate stays lazy, keeping the append path O(appended).
-            mn, mx, ma, sd, cnt = stat_arrays
-            candidate.__dict__.pop("leaf_errors", None)
-            candidate._leaf_error_stat_arrays = (
-                mn - slack, mx + slack, ma, sd, cnt,
-            )
-        else:
-            from ..models.cdf import ErrorStats
-
-            candidate.leaf_errors = [
-                ErrorStats(
-                    stats.min_error - slack,
-                    stats.max_error + slack,
-                    stats.mean_absolute,
-                    stats.std,
-                    stats.count,
-                )
-                for stats in old.leaf_errors
-            ]
-        # The compiled window offsets (lo = max_error, hi = min_error)
-        # widen by the same slack; recompute them so _compile's array
-        # fast path doesn't reuse the stale cache shared with ``old``.
-        if old._leaf_bound_arrays is not None:
-            lo, hi = old._leaf_bound_arrays
-            candidate._leaf_bound_arrays = (lo + slack, hi - slack)
-        candidate._compile()
-        self._main = candidate
+        state["lo_offsets"] = lo + slack
+        state["hi_offsets"] = hi - slack
+        self._main = RecursiveModelIndex.from_compiled_arrays(merged, **state)
         return True
 
     # -- read path ----------------------------------------------------------------

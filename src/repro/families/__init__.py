@@ -16,8 +16,8 @@ and the serving/obs layers apply to every one of them:
 classic baselines across the SOSD-style dataset × workload matrix.
 """
 
+from ..core.plan_index import CompiledPlanIndex
 from .alex import DEFAULT_DENSITY, GappedArrayIndex
-from .base import CompiledPlanIndex
 from .pgm import DEFAULT_PGM_EPSILON, PGMIndex
 from .radix_spline import DEFAULT_SPLINE_EPSILON, RadixSplineIndex
 from .segmentation import EpsilonSegmentation, epsilon_segment

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..models.cdf import positions_for_keys
-from .base import CompiledPlanIndex
+from ..core.plan_index import CompiledPlanIndex
 from .segmentation import epsilon_segment
 
 __all__ = ["PGMIndex", "DEFAULT_PGM_EPSILON", "DEFAULT_PGM_EPSILON_INTERNAL"]

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core.search import vectorized_bounded_search
 from ..models.cdf import positions_for_keys
-from .base import CompiledPlanIndex
+from ..core.plan_index import CompiledPlanIndex
 from .pgm import _predecessor
 from .segmentation import epsilon_segment
 

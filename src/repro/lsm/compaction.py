@@ -5,9 +5,9 @@ policy chooses *which* age-adjacent runs to fold together, and
 :func:`merge_runs` executes the fold as pure array math — one
 ``np.lexsort`` on (key, age) interleaves every run at once, a
 first-occurrence scan keeps the newest version of each key, and the
-merged run re-indexes through the PR 3 segmented least-squares build
-(``build_mode="vectorized"``), so compacting a million keys is
-memcpy-plus-array-math, not Python loops.
+merged run re-indexes through the PR 3 segmented least-squares build,
+so compacting a million keys is memcpy-plus-array-math, not Python
+loops.
 
 Two classic policies:
 

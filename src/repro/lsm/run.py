@@ -10,10 +10,9 @@ model is trained once at seal/compaction time and never invalidated.
 
 A :class:`SortedRun` is that unit: a sorted unique key array (with
 parallel values and a tombstone mask), indexed by a
-:class:`~repro.core.rmi.RecursiveModelIndex` built with
-``build_mode="vectorized"`` — so sealing costs one segmented
-least-squares pass (PR 3), not ten thousand Python model fits — and
-guarded by a bloom filter over its keys, so point probes for keys the
+:class:`~repro.core.rmi.RecursiveModelIndex` — sealing costs one
+segmented least-squares pass (PR 3), not ten thousand Python model
+fits — and guarded by a bloom filter over its keys, so point probes for keys the
 run cannot hold skip the model entirely.
 
 Durability (PR 6): immutability also makes a run the perfect unit of
@@ -300,7 +299,7 @@ class SortedRun:
         self.path: str | None = None
         leaves = max(1, -(-keys.size // max(leaf_target, 1)))
         self._rmi: RecursiveModelIndex | None = RecursiveModelIndex(
-            keys, stage_sizes=(1, leaves), build_mode="vectorized"
+            keys, stage_sizes=(1, leaves)
         )
         factory = bloom_factory or _default_bloom
         self._bloom = factory(keys.size, bloom_fpr)
@@ -362,9 +361,7 @@ class SortedRun:
             )
         else:
             leaves = max(1, -(-keys.size // max(leaf_target, 1)))
-            self._rmi = RecursiveModelIndex(
-                keys, stage_sizes=(1, leaves), build_mode="vectorized"
-            )
+            self._rmi = RecursiveModelIndex(keys, stage_sizes=(1, leaves))
         if bloom is not None:
             self._bloom = bloom
         else:

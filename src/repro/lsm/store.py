@@ -113,7 +113,7 @@ from typing import Callable
 import numpy as np
 
 from ..core.engine import SortedKeyColumn
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, StatsView, counter_field
 from ..obs import span as obs_span
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
 from .compaction import (
@@ -388,54 +388,7 @@ class StoreSnapshot:
         self.release()
 
 
-def _counter_field(slot: str, doc: str | None = None):
-    """Property exposing registry counter ``slot`` as a plain attribute."""
-
-    def _get(self):
-        return self._counters[slot].value
-
-    def _set(self, value):
-        self._counters[slot].set(value)
-
-    return property(_get, _set, doc=doc)
-
-
-class _StatsBase:
-    """Stats objects are thin views over a :class:`repro.obs`
-    :class:`~repro.obs.registry.MetricsRegistry`: every public field is
-    a property reading a named counter, so the same numbers flow into
-    exporters and cross-process merges with no parallel bookkeeping.
-    Each counter takes its own lock, so :meth:`add` keeps the
-    lost-increment-free concurrency discipline the old shared-lock
-    dataclasses had (bare ``+=`` on a shared attribute is a
-    read-modify-write race)."""
-
-    _FIELDS: tuple = ()
-    _PREFIX = ""
-
-    def __init__(self, registry=None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter(self._PREFIX + name)
-            for name in self._FIELDS
-        }
-
-    def add(self, **deltas) -> None:
-        """Atomically add every ``counter=delta`` pair."""
-        counters = self._counters
-        for name, delta in deltas.items():
-            counters[name].inc(delta)
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.set(0)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{n}={getattr(self, n)}" for n in self._FIELDS)
-        return f"{type(self).__name__}({body})"
-
-
-class LSMReadStats(_StatsBase):
+class LSMReadStats(StatsView):
     """Read-amplification instrumentation.
 
     A *run probe* is one (query, run) RMI lookup actually executed; a
@@ -455,11 +408,11 @@ class LSMReadStats(_StatsBase):
     )
     _PREFIX = "lsm.read."
 
-    lookups = _counter_field("lookups")
-    memtable_hits = _counter_field("memtable_hits")
-    run_probes = _counter_field("run_probes")
-    probe_misses = _counter_field("probe_misses")
-    bloom_rejects = _counter_field("bloom_rejects")
+    lookups = counter_field("lookups")
+    memtable_hits = counter_field("memtable_hits")
+    run_probes = counter_field("run_probes")
+    probe_misses = counter_field("probe_misses")
+    bloom_rejects = counter_field("bloom_rejects")
 
     @property
     def negative_probes_eliminated(self) -> float:
@@ -467,7 +420,7 @@ class LSMReadStats(_StatsBase):
         return self.bloom_rejects / total if total else 0.0
 
 
-class LSMWriteStats(_StatsBase):
+class LSMWriteStats(StatsView):
     """Write-amplification instrumentation.
 
     ``keys_written`` counts every entry landed in the memtable;
@@ -491,13 +444,13 @@ class LSMWriteStats(_StatsBase):
     )
     _PREFIX = "lsm.write."
 
-    keys_written = _counter_field("keys_written")
-    seals = _counter_field("seals")
-    entries_sealed = _counter_field("entries_sealed")
-    compactions = _counter_field("compactions")
-    entries_compacted = _counter_field("entries_compacted")
-    write_stalls = _counter_field("write_stalls")
-    stall_seconds = _counter_field("stall_seconds")
+    keys_written = counter_field("keys_written")
+    seals = counter_field("seals")
+    entries_sealed = counter_field("entries_sealed")
+    compactions = counter_field("compactions")
+    entries_compacted = counter_field("entries_compacted")
+    write_stalls = counter_field("write_stalls")
+    stall_seconds = counter_field("stall_seconds")
 
     def __init__(self, registry=None) -> None:
         super().__init__(registry)

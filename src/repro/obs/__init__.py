@@ -36,6 +36,8 @@ from .registry import (
     Gauge,
     MetricsRegistry,
     RegistrySnapshot,
+    StatsView,
+    counter_field,
     default_registry,
 )
 from .tracing import (
@@ -73,6 +75,8 @@ __all__ = [
     "Gauge",
     "MetricsRegistry",
     "RegistrySnapshot",
+    "StatsView",
+    "counter_field",
     "default_registry",
     "adopt",
     "all_spans",

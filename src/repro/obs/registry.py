@@ -180,3 +180,51 @@ _default = MetricsRegistry()
 def default_registry() -> MetricsRegistry:
     """The process-global registry (span durations land here)."""
     return _default
+
+
+def counter_field(slot: str, doc: str | None = None):
+    """Property exposing registry counter ``slot`` of the owner's
+    ``_counters`` dict as a plain attribute (``+=`` included)."""
+
+    def _get(self):
+        return self._counters[slot].value
+
+    def _set(self, value):
+        self._counters[slot].set(value)
+
+    return property(_get, _set, doc=doc)
+
+
+class StatsView:
+    """Stats objects are thin views over a :class:`MetricsRegistry`:
+    every public field is a :func:`counter_field` reading the counter
+    named ``_PREFIX + field``, so the same numbers flow into exporters
+    and cross-process merges with no parallel bookkeeping.  Each
+    counter takes its own lock, so :meth:`add` keeps the
+    lost-increment-free concurrency discipline the old shared-lock
+    dataclasses had (bare ``+=`` on a shared attribute is a
+    read-modify-write race)."""
+
+    _FIELDS: tuple = ()
+    _PREFIX = ""
+
+    def __init__(self, registry=None) -> None:
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._counters = {
+            name: self.registry.counter(self._PREFIX + name)
+            for name in self._FIELDS
+        }
+
+    def add(self, **deltas) -> None:
+        """Atomically add every ``counter=delta`` pair."""
+        counters = self._counters
+        for name, delta in deltas.items():
+            counters[name].inc(delta)
+
+    def reset(self) -> None:
+        for counter in self._counters.values():
+            counter.set(0)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)}" for n in self._FIELDS)
+        return f"{type(self).__name__}({body})"

@@ -32,27 +32,14 @@ import time
 import numpy as np
 
 from ..core.engine import pack_requests, unpack_results
-from ..obs import MetricsRegistry, tracing
+from ..obs import MetricsRegistry, StatsView, counter_field, tracing
 from ..obs import state as obs_state
 from ..range_scan import RangeScanResult
 
 __all__ = ["CoalescingIndexServer", "CoalescerStats"]
 
 
-def _stat_field(slot: str, doc: str):
-    """Property mapping ``stats.<slot>`` (including ``+=``) onto the
-    backing ``serving.coalescer.*`` registry counter."""
-
-    def _get(self):
-        return self._counters[slot].value
-
-    def _set(self, value):
-        self._counters[slot].set(value)
-
-    return property(_get, _set, doc=doc)
-
-
-class CoalescerStats:
+class CoalescerStats(StatsView):
     """Flush-side accounting (read it to see the coalescing happen).
 
     A thin view over a :class:`repro.obs.MetricsRegistry` — every
@@ -69,43 +56,41 @@ class CoalescerStats:
         "requests_cancelled",
         "fallback_requests",
     )
+    _PREFIX = "serving.coalescer."
 
-    ticks = _stat_field(
+    ticks = counter_field(
         "ticks", "Flush callbacks that ran (scheduled ticks / windows)."
     )
-    empty_ticks = _stat_field(
+    empty_ticks = counter_field(
         "empty_ticks", "Flushes where every pending request was cancelled."
     )
-    store_calls = _stat_field(
+    store_calls = counter_field(
         "store_calls", "Store batch calls issued (point and range together)."
     )
-    requests_served = _stat_field(
+    requests_served = counter_field(
         "requests_served", "Requests resolved through a coalesced batch."
     )
-    requests_cancelled = _stat_field(
+    requests_cancelled = counter_field(
         "requests_cancelled", "Requests skipped: future already cancelled."
     )
-    fallback_requests = _stat_field(
+    fallback_requests = counter_field(
         "fallback_requests", "Requests re-run solo after a batch failure."
     )
 
     def __init__(self, registry=None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter("serving.coalescer." + name)
-            for name in self._FIELDS
-        }
+        super().__init__(registry)
         #: Keys (or ranges) per point/range store call, most recent last.
         self.point_batch_sizes: list = []
         self.range_batch_sizes: list = []
 
+    def reset(self) -> None:
+        super().reset()
+        self.point_batch_sizes.clear()
+        self.range_batch_sizes.clear()
+
     def mean_point_batch(self) -> float:
         sizes = self.point_batch_sizes
         return float(np.mean(sizes)) if sizes else 0.0
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{n}={getattr(self, n)}" for n in self._FIELDS)
-        return f"CoalescerStats({body})"
 
 
 class _Pending:

@@ -112,7 +112,7 @@ class TestRMIEquivalence:
             stage_sizes=(1, 8, 64),
             model_factories=[LinearModel, LinearModel, LinearModel],
         )
-        assert not index._compiled
+        assert index._plan is None
         assert_batch_matches_scalar(index, query_batch(keys))
 
     def test_uncompiled_fallback_spline_leaves(self):
@@ -122,7 +122,7 @@ class TestRMIEquivalence:
             stage_sizes=(1, 16),
             model_factories=[LinearModel, lambda: SplineSegmentModel(knots=4)],
         )
-        assert not index._compiled
+        assert index._plan is None
         assert_batch_matches_scalar(index, query_batch(keys))
 
     @settings(
@@ -580,9 +580,19 @@ class TestExact64BitWritable:
             assert list(result[i]) == expected, i
 
 
-# -- PR 10 families ------------------------------------------------------------
+# -- every plan-backed index ---------------------------------------------------
 
 FAMILY_FACTORIES = {
+    "rmi": lambda keys: RecursiveModelIndex(keys, stage_sizes=(1, 32)),
+    "rmi_three_stage": lambda keys: RecursiveModelIndex(
+        keys, stage_sizes=(1, 4, 32)
+    ),
+    "rmi_spline_leaves": lambda keys: RecursiveModelIndex(
+        keys,
+        stage_sizes=(1, 16),
+        model_factories=[LinearModel, lambda: SplineSegmentModel(knots=4)],
+    ),
+    "hybrid": lambda keys: HybridIndex(keys, stage_sizes=(1, 16), threshold=4),
     "pgm": lambda keys: PGMIndex(keys, epsilon=4, epsilon_internal=2),
     "pgm_deep": lambda keys: PGMIndex(keys, epsilon=2, epsilon_internal=1),
     "radix_spline": lambda keys: RadixSplineIndex(
@@ -592,7 +602,8 @@ FAMILY_FACTORIES = {
 
 
 class TestFamilyBatchEquivalence:
-    """PGM / RadixSpline batch surfaces == scalar loops, all regimes."""
+    """RMI (compiled and not) / Hybrid / PGM / RadixSpline: the shared
+    batch surface == scalar loops, all regimes."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("name", sorted(FAMILY_FACTORIES))
@@ -604,6 +615,10 @@ class TestFamilyBatchEquivalence:
         np.testing.assert_array_equal(
             index.lookup_batch_scalar(queries), index.lookup_batch(queries)
         )
+        # Accounting must not read what only a build over data sets up
+        # (kind "empty" builds nothing).
+        assert index.size_bytes() >= 0
+        assert type(index).__name__ in repr(index)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("name", sorted(FAMILY_FACTORIES))

@@ -1,11 +1,16 @@
 """Equivalence pins: vectorized segmented-fit build vs the scalar loop.
 
-ISSUE 3's contract for ``build_mode="vectorized"``: same leaf
-assignment, same models up to float tolerance, same-or-adjacent error
-bounds (floor/ceil of float-rounded extremes may differ by one), and
+ISSUE 3's contract for the segmented build: same leaf assignment, same
+models up to float tolerance, same-or-adjacent error bounds
+(floor/ceil of float-rounded extremes may differ by one), and
 bit-identical lookups — on every dataset shape that has historically
 broken segmented array code (uniform, lognormal, adversarial clusters,
 duplicate-heavy, more leaves than keys, trailing empty leaves, empty).
+
+The reference side is built with :class:`ReferenceLinear` leaves: not
+*exactly* ``LinearModel``, so the RMI fits every leaf with its
+per-model loop instead of the segmented fit — same math, no product
+knob.
 """
 
 from __future__ import annotations
@@ -16,8 +21,18 @@ import pytest
 from repro.core import HybridIndex, RecursiveModelIndex, WritableLearnedIndex
 from repro.data import lognormal_keys, uniform_keys
 from repro.models import LinearModel, segmented_linear_fit
+from repro.models.cdf import error_stats, segmented_error_arrays
 
 SEED = 0xB111D
+
+
+class ReferenceLinear(LinearModel):
+    """Per-leaf reference: takes the RMI's per-model fit loop."""
+
+
+def reference_factories(stage_sizes) -> list:
+    """Linear root, :class:`ReferenceLinear` everywhere below it."""
+    return [LinearModel] + [ReferenceLinear] * (len(stage_sizes) - 1)
 
 
 def dataset(name: str) -> np.ndarray:
@@ -81,15 +96,21 @@ def leaf_params(index: RecursiveModelIndex) -> tuple[np.ndarray, np.ndarray]:
     return slopes, intercepts
 
 
-def build_pair(keys, **kwargs):
-    scalar = RecursiveModelIndex(keys, build_mode="scalar", **kwargs)
-    vector = RecursiveModelIndex(keys, build_mode="vectorized", **kwargs)
+def build_pair(keys, stage_sizes, **kwargs):
+    scalar = RecursiveModelIndex(
+        keys,
+        stage_sizes=stage_sizes,
+        model_factories=reference_factories(stage_sizes),
+        **kwargs,
+    )
+    vector = RecursiveModelIndex(keys, stage_sizes=stage_sizes, **kwargs)
+    assert scalar._leaf_param_arrays is None
     return scalar, vector
 
 
 @pytest.mark.parametrize("dataset_name", DATASETS)
 @pytest.mark.parametrize("leaves", [8, 200])
-def test_build_modes_equivalent(dataset_name, leaves):
+def test_build_paths_equivalent(dataset_name, leaves):
     keys = dataset(dataset_name)
     scalar, vector = build_pair(keys, stage_sizes=(1, leaves))
 
@@ -138,7 +159,9 @@ def test_bounds_cover_stored_keys_both_modes():
         for index in build_pair(keys, stage_sizes=(1, 16)):
             for i in range(keys.size):
                 _est, lo, hi = index.predict(float(keys[i]))
-                assert lo <= i < hi, (name, index.build_mode, i)
+                assert lo <= i < hi, (
+                    name, type(index.leaf_model(0)).__name__, i,
+                )
 
 
 def test_min_leaf_error_clamp_matches():
@@ -156,12 +179,7 @@ def test_min_leaf_error_clamp_matches():
 def test_three_stage_vectorized_lookups_match_scalar():
     """Deeper hierarchies vectorize per stage; lookups stay exact."""
     keys = dataset("uniform")
-    scalar = RecursiveModelIndex(
-        keys, stage_sizes=(1, 10, 200), build_mode="scalar"
-    )
-    vector = RecursiveModelIndex(
-        keys, stage_sizes=(1, 10, 200), build_mode="vectorized"
-    )
+    scalar, vector = build_pair(keys, stage_sizes=(1, 10, 200))
     rng = np.random.default_rng(SEED + 1)
     qs = probes(keys, rng, 400)
     for q in qs:
@@ -170,7 +188,7 @@ def test_three_stage_vectorized_lookups_match_scalar():
 
 def test_non_linear_leaves_fall_back_to_scalar_fit():
     """A non-LinearModel factory cannot take the segmented fit; the
-    vectorized build mode must still produce a correct index."""
+    build must still produce a correct index."""
     from repro.models import SplineSegmentModel
 
     keys = dataset("lognormal")
@@ -179,7 +197,6 @@ def test_non_linear_leaves_fall_back_to_scalar_fit():
         keys,
         stage_sizes=(1, 32),
         model_factories=factories,
-        build_mode="vectorized",
     )
     import bisect
 
@@ -195,28 +212,20 @@ def test_lambda_linear_factory_takes_vectorized_path():
         keys,
         stage_sizes=(1, 64),
         model_factories=[LinearModel, lambda: LinearModel()],
-        build_mode="vectorized",
     )
     # The segmented fit caches flat parameter arrays; the factory sniff
     # must recognize the lambda as plain LinearModel.
     assert index._leaf_param_arrays is not None
 
 
-def test_invalid_build_mode_rejected():
-    with pytest.raises(ValueError):
-        RecursiveModelIndex(np.arange(10), build_mode="turbo")
-
-
-def test_hybrid_replacement_agrees_across_build_modes():
+def test_hybrid_replacement_agrees_across_build_paths():
     keys = dataset("clustered")
     threshold = 6
     scalar = HybridIndex(
-        keys, stage_sizes=(1, 16), threshold=threshold, build_mode="scalar"
-    )
-    vector = HybridIndex(
         keys, stage_sizes=(1, 16), threshold=threshold,
-        build_mode="vectorized",
+        model_factories=reference_factories((1, 16)),
     )
+    vector = HybridIndex(keys, stage_sizes=(1, 16), threshold=threshold)
     # Replacement keys off max_abs_err > threshold; the one-unit bound
     # rounding slack may flip leaves sitting exactly at the threshold.
     disagree = set(scalar.leaf_btrees) ^ set(vector.leaf_btrees)
@@ -268,16 +277,62 @@ def test_segmented_fit_matches_per_segment_scalar_fit():
             )
 
 
-def test_writable_rebuild_modes_agree():
+@pytest.mark.parametrize("dataset_name", DATASETS)
+def test_segmented_error_arrays_match_per_leaf_error_stats(dataset_name):
+    """The error-pass oracle: one vectorized pass == ``error_stats`` on
+    each leaf's members (bounds, moments, counts; empty leaves and the
+    ``min_error_clamp`` widening included)."""
+    keys = dataset(dataset_name)
+    leaves, clamp = 16, 3
+    index = RecursiveModelIndex(keys, stage_sizes=(1, leaves))
+    assignment = index._leaf_assignment
+    positions = np.arange(keys.size, dtype=np.float64)
+    predictions = np.array(
+        [index._leaf_for(float(k))[1] for k in keys], dtype=np.float64
+    )
+    default = index._default_leaf_error()
+    # Contiguous layout (monotone root), then a shuffled one that
+    # takes the argsort branch.
+    shuffle = np.random.default_rng(SEED + 6).permutation(keys.size)
+    for order in (np.arange(keys.size), shuffle):
+        pred, pos, assign = (
+            predictions[order], positions[order], assignment[order]
+        )
+        mn, mx, mean_abs, std, counts = segmented_error_arrays(
+            pred, pos, assign, leaves,
+            default=default, min_error_clamp=clamp,
+        )
+        for j in range(leaves):
+            members = assign == j
+            if not members.any():
+                assert (mn[j], mx[j], counts[j]) == (
+                    default.min_error, default.max_error, 0
+                ), j
+                continue
+            ref = error_stats(pred[members], pos[members])
+            assert counts[j] == ref.count, j
+            assert mn[j] == min(ref.min_error, -clamp), j
+            assert mx[j] == max(ref.max_error, clamp), j
+            assert mean_abs[j] == pytest.approx(
+                ref.mean_absolute, rel=1e-9, abs=1e-9
+            ), j
+            assert std[j] == pytest.approx(ref.std, rel=1e-9, abs=1e-9), j
+
+
+def test_writable_rebuild_paths_agree():
     """Merge-heavy random mutation, then the two rebuild modes must
     expose identical contents."""
     rng = np.random.default_rng(SEED + 5)
     base = np.unique(rng.integers(0, 50_000, 2_000)).astype(np.int64)
     writables = {
         mode: WritableLearnedIndex(
-            base, stage_sizes=(1, 64), merge_threshold=256, build_mode=mode
+            base, stage_sizes=(1, 64), merge_threshold=256,
+            model_factories=factories,
         )
-        for mode in ("scalar", "vectorized")
+        for mode, factories in (
+            ("scalar", reference_factories((1, 64))),
+            ("vectorized", None),
+        )
     }
     for step in range(1_500):
         op = rng.random()

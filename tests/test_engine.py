@@ -216,6 +216,24 @@ class TestCompiledPlanMatchesRMI:
         assert "vectorized_bounded_search(" not in src
         assert "np.unique(queries, return_inverse" not in src
 
+    def test_rmi_defines_no_surface_of_its_own(self):
+        # The RMI is one CompiledPlanIndex family: the shared surface
+        # must not silently regrow as a private copy.
+        from repro.core import CompiledPlanIndex
+
+        assert issubclass(RecursiveModelIndex, CompiledPlanIndex)
+        for name in (
+            "lookup_batch",
+            "contains_batch",
+            "upper_bound_batch",
+            "range_query_batch",
+            "upper_bound",
+            "contains",
+            "range_query",
+        ):
+            assert name not in RecursiveModelIndex.__dict__, name
+            assert hasattr(CompiledPlanIndex, name), name
+
     def test_plan_lookup_sorted_identical(self):
         keys = np.unique(
             np.random.default_rng(5).integers(2**62, 2**63 - 2, 4_000)

@@ -191,7 +191,7 @@ class TestModelMixtures:
             stage_sizes=(1, 50),
             model_factories=[LinearModel, lambda: SplineSegmentModel(knots=4)],
         )
-        assert not index._fast
+        assert index._plan is None
         for q in rng.choice(uniform_small, 150):
             assert index.lookup(float(q)) == truth(uniform_small, q)
 

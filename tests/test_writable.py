@@ -195,15 +195,3 @@ class TestAppendFastPath:
         assert index.retrains > retrains_before
         for key in shifted[::199]:
             assert index.contains(int(key))
-
-    def test_fast_path_can_be_disabled(self):
-        keys = np.arange(0, 50_000, 5, dtype=np.int64)
-        index = WritableLearnedIndex(
-            keys,
-            stage_sizes=(1, 32),
-            merge_threshold=10**9,
-            append_fast_path=False,
-        )
-        index.insert_batch(range(50_000, 52_000, 5))
-        index.merge()
-        assert index.fast_appends == 0
