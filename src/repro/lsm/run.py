@@ -226,6 +226,33 @@ def _deserialize_bloom(kind: str, blob: bytes, path: str):
     raise CorruptRunError(f"{path}: unknown bloom kind {kind!r}")
 
 
+#: The RMI's flat leaf tables, in wire order.
+_LEAF_TABLES = ("slopes", "intercepts", "lo_offsets", "hi_offsets")
+
+
+def _train_rmi(keys: np.ndarray, leaf_target: int) -> RecursiveModelIndex:
+    leaves = max(1, -(-keys.size // max(leaf_target, 1)))
+    return RecursiveModelIndex(keys, stage_sizes=(1, leaves))
+
+
+def _compiled_rmi(keys: np.ndarray, meta, table) -> RecursiveModelIndex:
+    """Rebuild a run's RMI from its wire form, no retrain: root
+    parameters from ``meta``, each leaf table from ``table(name)``."""
+    return RecursiveModelIndex.from_compiled_arrays(
+        keys,
+        root_slope=float(meta["root_slope"]),
+        root_intercept=float(meta["root_intercept"]),
+        **{name: table(name) for name in _LEAF_TABLES},
+    )
+
+
+def _build_bloom(keys: np.ndarray, fpr: float = 0.01, factory=None):
+    bloom = (factory or _default_bloom)(keys.size, fpr)
+    if keys.size:
+        bloom.add_batch(keys)
+    return bloom
+
+
 class SortedRun:
     """One immutable level of an LSM store.
 
@@ -269,42 +296,51 @@ class SortedRun:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size and np.any(keys[1:] <= keys[:-1]):
             raise ValueError("run keys must be sorted and unique")
-        self._keys = keys
-        self._values = (
-            np.asarray(values, dtype=np.int64)
-            if values is not None
-            else keys.copy()
+        if values is None:
+            values = keys.copy()
+        if tombstones is None:
+            tombstones = np.zeros(keys.size, dtype=bool)
+        self._adopt(
+            keys,
+            np.asarray(values, dtype=np.int64),
+            np.asarray(tombstones, dtype=bool),
+            _train_rmi(keys, leaf_target),
+            _build_bloom(keys, bloom_fpr, bloom_factory),
+            sequence=sequence, level=level, leaf_target=leaf_target,
         )
-        self._tombstones = (
-            np.asarray(tombstones, dtype=bool)
-            if tombstones is not None
-            else np.zeros(keys.size, dtype=bool)
-        )
-        if (
-            self._values.size != keys.size
-            or self._tombstones.size != keys.size
+
+    def _adopt(
+        self, keys, values, tombstones, rmi, bloom, *, sequence, level,
+        leaf_target, n=None, num_tombstones=None, source=None, path=None,
+    ) -> "SortedRun":
+        """Assign every field of a run; all three constructors end
+        here.  Eager runs pass arrays, index and guard (counts derive
+        from them); a lazy :meth:`load` passes None for all five plus
+        its ``source`` file and the counts its metadata recorded."""
+        if keys is not None and (
+            values.size != keys.size or tombstones.size != keys.size
         ):
             raise ValueError("values/tombstones must parallel keys")
+        self._keys = keys
+        self._values = values
+        self._tombstones = tombstones
+        self._rmi = rmi
+        self._bloom = bloom
+        self._n = int(keys.size if n is None else n)
+        if num_tombstones is None:
+            num_tombstones = np.count_nonzero(tombstones)
+        self._num_tombstones = int(num_tombstones)
         self.sequence = int(sequence)
         self.level = int(level)
         self.leaf_target = int(leaf_target)
+        self._source = source
+        self.path = path
         #: Snapshot pin count (ISSUE 7): reads pin every run in their
         #: run-set snapshot so a background merge that supersedes the
         #: run defers closing + deleting it until the count returns to
         #: zero.  Mutated only under the store's state lock.
         self.pins = 0
-        self._n = int(keys.size)
-        self._num_tombstones = int(np.count_nonzero(self._tombstones))
-        self._source: SectionFile | None = None
-        self.path: str | None = None
-        leaves = max(1, -(-keys.size // max(leaf_target, 1)))
-        self._rmi: RecursiveModelIndex | None = RecursiveModelIndex(
-            keys, stage_sizes=(1, leaves)
-        )
-        factory = bloom_factory or _default_bloom
-        self._bloom = factory(keys.size, bloom_fpr)
-        if keys.size:
-            self._bloom.add_batch(keys)
+        return self
 
     @classmethod
     def from_arrays(
@@ -333,42 +369,16 @@ class SortedRun:
         the default guard over ``keys``.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
-        tombstones = np.asarray(tombstones, dtype=bool)
-        if values.size != keys.size or tombstones.size != keys.size:
-            raise ValueError("values/tombstones must parallel keys")
-        self = cls.__new__(cls)
-        self._keys = keys
-        self._values = values
-        self._tombstones = tombstones
-        self.sequence = int(sequence)
-        self.level = int(level)
-        self.leaf_target = int(leaf_target)
-        self.pins = 0
-        self._n = int(keys.size)
-        self._num_tombstones = int(np.count_nonzero(tombstones))
-        self._source = None
-        self.path = None
-        if compiled_state is not None:
-            self._rmi = RecursiveModelIndex.from_compiled_arrays(
-                keys,
-                root_slope=float(compiled_state["root_slope"]),
-                root_intercept=float(compiled_state["root_intercept"]),
-                slopes=compiled_state["slopes"],
-                intercepts=compiled_state["intercepts"],
-                lo_offsets=compiled_state["lo_offsets"],
-                hi_offsets=compiled_state["hi_offsets"],
-            )
-        else:
-            leaves = max(1, -(-keys.size // max(leaf_target, 1)))
-            self._rmi = RecursiveModelIndex(keys, stage_sizes=(1, leaves))
-        if bloom is not None:
-            self._bloom = bloom
-        else:
-            self._bloom = _default_bloom(keys.size, 0.01)
-            if keys.size:
-                self._bloom.add_batch(keys)
-        return self
+        return cls.__new__(cls)._adopt(
+            keys,
+            np.asarray(values, dtype=np.int64),
+            np.asarray(tombstones, dtype=bool),
+            _compiled_rmi(keys, compiled_state, compiled_state.__getitem__)
+            if compiled_state is not None
+            else _train_rmi(keys, leaf_target),
+            bloom if bloom is not None else _build_bloom(keys),
+            sequence=sequence, level=level, leaf_target=leaf_target,
+        )
 
     # -- persistence -----------------------------------------------------------
 
@@ -383,6 +393,17 @@ class SortedRun:
         run concurrently with foreground WAL fsyncs (see
         :func:`~repro.lsm.format.write_section_file`).
         """
+        meta, sections = self.wire_form()
+        write_section_file(
+            fs, path, magic=RUN_MAGIC, meta=meta, sections=sections,
+            fsync_every=fsync_every,
+        )
+        self.path = path
+
+    def wire_form(self) -> tuple[dict, list]:
+        """``(meta, [(section, array-or-bytes), ...])`` — the run's
+        flat state, listed once for both writers (:meth:`save`'s
+        section file, the serving layer's shared-memory segments)."""
         state = self.rmi.compiled_state()
         bloom_kind, bloom_blob = _serialize_bloom(self.bloom)
         meta = {
@@ -402,17 +423,10 @@ class SortedRun:
             ("keys", self.keys),
             ("values", self.values),
             ("tombstones", self.tombstones.astype(np.uint8)),
-            ("slopes", state["slopes"]),
-            ("intercepts", state["intercepts"]),
-            ("lo_offsets", state["lo_offsets"]),
-            ("hi_offsets", state["hi_offsets"]),
+            *((name, state[name]) for name in _LEAF_TABLES),
             ("bloom", bloom_blob),
         ]
-        write_section_file(
-            fs, path, magic=RUN_MAGIC, meta=meta, sections=sections,
-            fsync_every=fsync_every,
-        )
-        self.path = path
+        return meta, sections
 
     @classmethod
     def load(cls, fs, path: str, *, expect: dict | None = None) -> "SortedRun":
@@ -432,11 +446,12 @@ class SortedRun:
             raise CorruptRunError(f"{path}: not a run file")
         self = cls.__new__(cls)
         try:
-            self._n = int(meta["n"])
-            self._num_tombstones = int(meta["num_tombstones"])
-            self.sequence = int(meta["sequence"])
-            self.level = int(meta["level"])
-            self.leaf_target = int(meta["leaf_target"])
+            self._adopt(
+                None, None, None, None, None, source=source, path=path,
+                n=meta["n"], num_tombstones=meta["num_tombstones"],
+                sequence=meta["sequence"], level=meta["level"],
+                leaf_target=meta["leaf_target"],
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptRunError(
                 f"{path}: incomplete run metadata ({exc})"
@@ -453,14 +468,6 @@ class SortedRun:
                         f"{path}: manifest expects {field}="
                         f"{expect[field]}, file has {getattr(self, attr)}"
                     )
-        self._source = source
-        self.path = path
-        self.pins = 0
-        self._keys = None
-        self._values = None
-        self._tombstones = None
-        self._rmi = None
-        self._bloom = None
         return self
 
     @property
@@ -502,16 +509,9 @@ class SortedRun:
     def rmi(self) -> RecursiveModelIndex:
         if self._rmi is None:
             source = self._source
-            meta = source.meta
             try:
-                self._rmi = RecursiveModelIndex.from_compiled_arrays(
-                    self.keys,
-                    root_slope=float(meta["root_slope"]),
-                    root_intercept=float(meta["root_intercept"]),
-                    slopes=source.array("slopes"),
-                    intercepts=source.array("intercepts"),
-                    lo_offsets=source.array("lo_offsets"),
-                    hi_offsets=source.array("hi_offsets"),
+                self._rmi = _compiled_rmi(
+                    self.keys, source.meta, source.array
                 )
             except (KeyError, ValueError) as exc:
                 raise CorruptRunError(

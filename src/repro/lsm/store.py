@@ -80,13 +80,15 @@ calls (`insert*` / `delete*` / `flush` / `compact`) must come from a
 single thread; reads (`lookup*`, `range_*`, `live_keys`) may race the
 writer and the compactor freely.  The machinery:
 
-* **Snapshot reads.**  Every read pins a ``(memtable-view, run-set)``
-  snapshot: the memtable's immutable materialized triple is grabbed
-  *first*, then the run list is copied and each run's pin count
-  incremented under the state lock.  Memtable-first ordering is the
-  loss-free direction — a seal that lands between the two grabs moves
-  data *into* the run set, so the reader sees it twice (newest-wins
-  dedup resolves the duplicate) rather than never.
+* **Snapshot reads.**  Every batch read answers from one
+  :class:`ReadView` — an immutable ``(memtable-view, run-set)`` pair,
+  the single class that reads an LSM state: the memtable's cached
+  view triple is grabbed *first*, then the run list is copied and
+  each run's pin count incremented under the state lock.
+  Memtable-first ordering is the loss-free direction — a seal that
+  lands between the two grabs moves data *into* the run set, so the
+  reader sees it twice (newest-wins dedup resolves the duplicate)
+  rather than never.
 * **Atomic swap.**  The worker merges its window from a snapshot
   without holding any structural lock, then swaps ``runs[start:stop]
   = [merged]`` + commits the manifest under the structure lock.
@@ -135,9 +137,10 @@ __all__ = [
     "LearnedLSMStore",
     "LSMReadStats",
     "LSMWriteStats",
+    "ReadView",
     "StoreSnapshot",
-    "resolve_point_batch",
-    "resolve_range_batch",
+    "as_int64_keys",
+    "range_endpoints",
 ]
 
 #: name -> zero-argument policy factory for the ``compaction=`` string
@@ -153,221 +156,229 @@ COMPACTION_POLICIES: dict[str, Callable[[], CompactionPolicy]] = {
 _MERGE_SAVE_FSYNC_BYTES = 1 << 20
 
 
-def resolve_point_batch(
-    queries: np.ndarray,
-    put_keys: np.ndarray,
-    put_values: np.ndarray,
-    tomb_keys: np.ndarray,
-    runs,
-    stats: "LSMReadStats | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, found) for a query batch over an explicit read state.
+def as_int64_keys(keys) -> np.ndarray:
+    """Validate a batch key array: integer dtype required.
 
-    The store's newest-first batch walk, factored out of the store so
-    any holder of a consistent ``(memtable views, run sequence)`` pair
-    can run it: :meth:`LearnedLSMStore.lookup_batch` over its live
-    state, :class:`StoreSnapshot` over a pinned one, and the serving
-    layer's shared-memory clients over runs rebuilt in another process
-    (ISSUE 8) — all bit-identical, because they are the same code.
-
-    ``put_keys``/``tomb_keys`` must be sorted (the memtable's ``views``
-    contract); ``runs`` iterates newest-first.  ``stats`` receives the
-    usual read-amplification counters when provided.
+    The ``SortedKeyColumn`` contract from PR 5 — float keys would
+    silently alias above 2^53, and a float *query* would truncate
+    onto a neighbouring key — so every batch surface that takes keys
+    (writes and point reads alike) refuses them instead of casting.
+    Plain Python int sequences infer an integer dtype and pass; an
+    empty batch passes regardless of numpy's float64 default for
+    ``[]``.
     """
-    m = queries.size
-    values = np.zeros(m, dtype=np.int64)
-    found = np.zeros(m, dtype=bool)
-    if m == 0:
+    arr = np.asarray(keys)
+    if arr.dtype == np.int64:  # the per-request case: nothing to check
+        return arr.ravel()
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(
+            "batch keys must be an integer array, got dtype "
+            f"{arr.dtype}; cast explicitly if that loss is intended"
+        )
+    return arr.astype(np.int64).ravel()
+
+
+def range_endpoints(lows, highs) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize endpoint arrays, keeping their native dtype so
+    int64 ranges resolve exactly through every run's query core and a
+    float endpoint bounds the range where it says."""
+    lows = np.asarray(lows).ravel()
+    highs = np.asarray(highs).ravel()
+    if lows.size != highs.size:
+        raise ValueError("lows and highs must have the same length")
+    return lows, highs
+
+
+class ReadView:
+    """One immutable LSM read state — and the only code that reads one.
+
+    ``mem`` is the memtable's cached ``(put keys, put values,
+    tombstone keys)`` triple (:meth:`Memtable.views`: each sorted,
+    puts and tombstones disjoint); ``runs`` iterates newest-first.  A
+    read is a pure function of that pair, so every holder of one
+    answers through this class and all are bit-identical because
+    they are the same code: :class:`LearnedLSMStore` builds a view
+    per call (pin → read → unpin), :class:`StoreSnapshot` *is* one
+    that stays pinned, and the serving layer's client epochs are ones
+    whose arrays alias another process's shared pages (ISSUE 8).
+    """
+
+    __slots__ = ("mem", "runs")
+
+    def __init__(self, mem, runs):
+        self.mem = mem
+        self.runs = runs
+
+    def lookup_batch(
+        self, keys, stats: "LSMReadStats | None" = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(values, found) for a whole key batch — the newest-first
+        walk :meth:`LearnedLSMStore.lookup_batch` documents: memtable,
+        then per run bloom filter → RMI probe over the queries still
+        unresolved.  ``stats`` receives the read-amplification
+        counters when provided."""
+        queries = as_int64_keys(keys)
+        put_keys, put_values, tomb_keys = self.mem
+        m = queries.size
+        values = np.zeros(m, dtype=np.int64)
+        found = np.zeros(m, dtype=bool)
+        if m == 0:
+            return values, found
+        resolved = np.zeros(m, dtype=bool)
+        if put_keys.size:
+            pos = np.searchsorted(put_keys, queries)
+            safe = np.minimum(pos, put_keys.size - 1)
+            hit = (pos < put_keys.size) & (put_keys[safe] == queries)
+            values[hit] = put_values[safe[hit]]
+            found |= hit
+            resolved |= hit
+        if tomb_keys.size:
+            pos = np.searchsorted(tomb_keys, queries)
+            safe = np.minimum(pos, tomb_keys.size - 1)
+            dead = (pos < tomb_keys.size) & (tomb_keys[safe] == queries)
+            resolved |= dead
+        memtable_hits = int(np.count_nonzero(resolved))
+        rejects = probes = misses = 0
+        for run in self.runs:
+            open_idx = np.nonzero(~resolved)[0]
+            if open_idx.size == 0:
+                break
+            sub = queries[open_idx]
+            passed = run.bloom_contains_batch(sub)
+            rejects += int(sub.size - np.count_nonzero(passed))
+            cand_idx = open_idx[passed]
+            if cand_idx.size == 0:
+                continue
+            hit, dead, vals = run.probe_batch(queries[cand_idx])
+            probes += int(cand_idx.size)
+            misses += int(np.count_nonzero(~hit))
+            live = hit & ~dead
+            values[cand_idx[live]] = vals[live]
+            found[cand_idx[live]] = True
+            resolved[cand_idx[hit]] = True
+        if stats is not None:
+            stats.add(
+                lookups=m,
+                memtable_hits=memtable_hits,
+                run_probes=probes,
+                probe_misses=misses,
+                bloom_rejects=rejects,
+            )
         return values, found
-    resolved = np.zeros(m, dtype=bool)
-    if put_keys.size:
-        pos = np.searchsorted(put_keys, queries)
-        safe = np.minimum(pos, put_keys.size - 1)
-        hit = (pos < put_keys.size) & (put_keys[safe] == queries)
-        values[hit] = put_values[safe[hit]]
-        found |= hit
-        resolved |= hit
-    if tomb_keys.size:
-        pos = np.searchsorted(tomb_keys, queries)
-        safe = np.minimum(pos, tomb_keys.size - 1)
-        dead = (pos < tomb_keys.size) & (tomb_keys[safe] == queries)
-        resolved |= dead
-    memtable_hits = int(np.count_nonzero(resolved))
-    rejects = probes = misses = 0
-    for run in runs:
-        open_idx = np.nonzero(~resolved)[0]
-        if open_idx.size == 0:
-            break
-        sub = queries[open_idx]
-        passed = run.bloom_contains_batch(sub)
-        rejects += int(sub.size - np.count_nonzero(passed))
-        cand_idx = open_idx[passed]
-        if cand_idx.size == 0:
-            continue
-        hit, dead, vals = run.probe_batch(queries[cand_idx])
-        probes += int(cand_idx.size)
-        misses += int(np.count_nonzero(~hit))
-        live = hit & ~dead
-        values[cand_idx[live]] = vals[live]
-        found[cand_idx[live]] = True
-        resolved[cand_idx[hit]] = True
-    if stats is not None:
-        stats.add(
-            lookups=m,
-            memtable_hits=memtable_hits,
-            run_probes=probes,
-            probe_misses=misses,
-            bloom_rejects=rejects,
-        )
-    return values, found
 
+    def range_query_batch(self, lows, highs) -> RangeScanResult:
+        """Live keys in each closed range ``[lows[i], highs[i]]``."""
+        return self._range_walk(lows, highs, with_values=False)[0]
 
-def _memtable_range_source(
-    keys: np.ndarray,
-    mem_values: np.ndarray,
-    dead: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    *,
-    with_values: bool = False,
-):
-    """Range-scan one memtable snapshot triple like a run would.
+    def range_items_batch(
+        self, lows, highs
+    ) -> tuple[RangeScanResult, np.ndarray]:
+        """Live ``(key, value)`` pairs in each closed range, as
+        ``(result, values)`` with ``values`` parallel to
+        ``result.values``."""
+        return self._range_walk(lows, highs, with_values=True)
 
-    Endpoints resolve through the query core like every run's RMI does
-    — a raw searchsorted would promote the int64 snapshot to float64
-    under float endpoints, making memtable-resident data answer
-    differently from run-resident data beyond 2^53.
-    """
-    column = SortedKeyColumn(keys)
-    lo = column.rank_in(keys, column.prepare(lows), side="left")
-    hi = column.rank_in(keys, column.prepare(highs), side="right")
-    hi = np.maximum(hi, lo)
-    values, offsets = assemble_slices(keys, lo, hi)
-    flags, _ = assemble_slices(dead, lo, hi)
-    result = RangeScanResult(values=values, offsets=offsets)
-    if not with_values:
-        return result, flags
-    payloads, _ = assemble_slices(mem_values, lo, hi)
-    return result, flags, payloads
+    def _range_walk(self, lows, highs, *, with_values: bool):
+        """``(merged result, payloads or None)`` over every source.
 
-
-def resolve_range_batch(
-    lows: np.ndarray,
-    highs: np.ndarray,
-    memtable_snapshot,
-    runs,
-    *,
-    with_values: bool = False,
-):
-    """Merged live range results over an explicit read state.
-
-    The counterpart of :func:`resolve_point_batch` for ranges: every
-    source — the ``(keys, values, dead)`` memtable snapshot triple (or
-    None) plus each run's vectorized scan — contributes its entries,
-    and one :func:`~repro.range_scan.merge_scan_results` pass
-    interleaves them newest-first, deduplicates to the newest version
-    per key, and drops keys whose newest version is a tombstone.
-    Returns a :class:`RangeScanResult`, plus the parallel payload
-    array when ``with_values``.
-    """
-    n = lows.size
-    sources: list[RangeScanResult] = []
-    masks: list[np.ndarray | None] = []
-    payloads: list[np.ndarray] = []
-    if memtable_snapshot is not None and memtable_snapshot[0].size:
-        mem_keys, mem_values, mem_dead = memtable_snapshot
-        parts = _memtable_range_source(
-            mem_keys, mem_values, mem_dead, lows, highs,
-            with_values=with_values,
-        )
-        sources.append(parts[0])
-        masks.append(parts[1])
+        The memtable's puts and its tombstones (disjoint, so both rank
+        newest; a tombstone source is all drop mask) and each run's
+        vectorized scan contribute their entries; one
+        :func:`~repro.range_scan.merge_scan_results` pass resolves
+        them.  Inverted ranges come out empty in every source: the run
+        RMIs pin them (closed-interval semantics shared with the whole
+        repo) and the ``hi = max(hi, lo)`` clamp does the same here.
+        """
+        lows, highs = range_endpoints(lows, highs)
+        put_keys, put_values, tomb_keys = self.mem
+        sources: list[RangeScanResult] = []
+        masks: list[np.ndarray | None] = []
+        payloads: list[np.ndarray] = []
+        for keys, stored in ((put_keys, put_values), (tomb_keys, None)):
+            if keys.size == 0:
+                continue
+            # Endpoints resolve through the query core like every
+            # run's RMI does — a raw searchsorted would promote the
+            # int64 keys to float64 under float endpoints, making
+            # memtable-resident data answer differently from
+            # run-resident data beyond 2^53.
+            column = SortedKeyColumn(keys)
+            lo = column.rank_in(keys, column.prepare(lows), side="left")
+            hi = column.rank_in(keys, column.prepare(highs), side="right")
+            hi = np.maximum(hi, lo)
+            hits, offsets = assemble_slices(keys, lo, hi)
+            sources.append(RangeScanResult(values=hits, offsets=offsets))
+            dead = stored is None
+            masks.append(np.ones(hits.size, dtype=bool) if dead else None)
+            if with_values:
+                payloads.append(
+                    np.zeros(hits.size, dtype=np.int64)
+                    if dead
+                    else assemble_slices(stored, lo, hi)[0]
+                )
+        for run in self.runs:
+            parts = run.range_scan_batch(lows, highs, with_values=with_values)
+            sources.append(parts[0])
+            masks.append(parts[1])
+            if with_values:
+                payloads.append(parts[2])
+        if not sources:
+            empty = np.empty(0, dtype=np.int64)
+            offsets = np.zeros(lows.size + 1, dtype=np.int64)
+            return RangeScanResult(values=empty, offsets=offsets), empty
         if with_values:
-            payloads.append(parts[2])
-    for run in runs:
-        parts = run.range_scan_batch(lows, highs, with_values=with_values)
-        sources.append(parts[0])
-        masks.append(parts[1])
-        if with_values:
-            payloads.append(parts[2])
-    if not sources:
-        empty = RangeScanResult(
-            values=np.empty(0, dtype=np.int64),
-            offsets=np.zeros(n + 1, dtype=np.int64),
-        )
-        return (empty, np.empty(0, dtype=np.int64)) if with_values else empty
-    if with_values:
-        merged, values = merge_scan_results(
-            sources, drop_masks=masks, payloads=payloads
-        )
+            merged, values = merge_scan_results(
+                sources, drop_masks=masks, payloads=payloads
+            )
+            values = np.asarray(values, dtype=np.int64)
+        else:
+            merged = merge_scan_results(sources, drop_masks=masks)
+            values = None
         return (
             RangeScanResult(
                 values=np.asarray(merged.values, dtype=np.int64),
                 offsets=merged.offsets,
             ),
-            np.asarray(values, dtype=np.int64),
+            values,
         )
-    merged = merge_scan_results(sources, drop_masks=masks)
-    return RangeScanResult(
-        values=np.asarray(merged.values, dtype=np.int64),
-        offsets=merged.offsets,
-    )
 
 
-class StoreSnapshot:
+class StoreSnapshot(ReadView):
     """A pinned point-in-time read view of a :class:`LearnedLSMStore`.
 
-    Captures the memtable's materialized snapshot triple and a pinned
-    run set in the loss-free order (memtable first — see the module
-    docstring), then answers ``lookup_batch`` / ``range_query_batch``
-    / ``range_items_batch`` from exactly that state no matter how many
+    Captures the memtable's view triple and a pinned run set in the
+    loss-free order (memtable first — see the module docstring), then
+    answers ``lookup_batch`` / ``range_query_batch`` /
+    ``range_items_batch`` from exactly that state no matter how many
     writes, seals, or compactions land afterwards.  This is the PR 7
     epoch-read contract as a first-class object — the serving layer
-    pins one per shard to read a consistent cross-shard epoch
-    (ISSUE 8).
+    pins one per shard to publish a consistent epoch (ISSUE 8).
 
     Use as a context manager, or call :meth:`release` explicitly
     (idempotent); an unreleased snapshot blocks deletion of every run
     it pins.
     """
 
+    __slots__ = ("_store", "_released")
+
     def __init__(self, store: "LearnedLSMStore"):
         self._store = store
-        keys, values, dead = store.memtable.snapshot()
-        self.memtable_snapshot = (keys, values, dead)
-        live = ~dead
-        self._put_keys = keys[live]
-        self._put_values = values[live]
-        self._tomb_keys = keys[dead]
-        self.runs = store._pin_runs()
+        mem = store.memtable.views()
+        super().__init__(mem, store._pin_runs())
         self._released = False
 
     def lookup_batch(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """(values, found) against the pinned state — same contract as
-        :meth:`LearnedLSMStore.lookup_batch`."""
+        :meth:`LearnedLSMStore.lookup_batch`, counted into the store's
+        ``read_stats``."""
         self._ensure_live()
-        queries = np.asarray(keys, dtype=np.int64).ravel()
-        return resolve_point_batch(
-            queries, self._put_keys, self._put_values, self._tomb_keys,
-            self.runs, stats=self._store.read_stats,
-        )
+        return super().lookup_batch(keys, self._store.read_stats)
 
-    def range_query_batch(self, lows, highs) -> RangeScanResult:
-        """Live keys per closed range, against the pinned state."""
+    def _range_walk(self, lows, highs, *, with_values: bool):
         self._ensure_live()
-        lows, highs = LearnedLSMStore._range_endpoints(lows, highs)
-        return resolve_range_batch(
-            lows, highs, self.memtable_snapshot, self.runs
-        )
-
-    def range_items_batch(self, lows, highs):
-        """Live (key, value) pairs per closed range, pinned state."""
-        self._ensure_live()
-        lows, highs = LearnedLSMStore._range_endpoints(lows, highs)
-        return resolve_range_batch(
-            lows, highs, self.memtable_snapshot, self.runs,
-            with_values=True,
-        )
+        return super()._range_walk(lows, highs, with_values=with_values)
 
     def _ensure_live(self) -> None:
         if self._released:
@@ -685,7 +696,7 @@ class LearnedLSMStore:
 
         bulk = None
         if keys is not None:
-            keys = self._as_int64_keys(keys)
+            keys = as_int64_keys(keys)
             if values is None:
                 vals = keys.copy()
             else:
@@ -934,26 +945,6 @@ class LearnedLSMStore:
             self._sequence += 1
             return self._sequence
 
-    @staticmethod
-    def _as_int64_keys(keys) -> np.ndarray:
-        """Validate a batch key array: integer dtype required.
-
-        The ``SortedKeyColumn`` contract from PR 5 — float keys would
-        silently alias above 2^53, so the batch write surface refuses
-        them instead of casting.  Plain Python int sequences infer an
-        integer dtype and pass; an empty batch passes regardless of
-        numpy's float64 default for ``[]``.
-        """
-        arr = np.asarray(keys)
-        if arr.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if arr.dtype.kind not in "iu":
-            raise TypeError(
-                "batch keys must be an integer array, got dtype "
-                f"{arr.dtype}; cast explicitly if that loss is intended"
-            )
-        return arr.astype(np.int64, copy=False).ravel()
-
     # -- write path ------------------------------------------------------------
 
     def insert(self, key: int, value: int | None = None) -> None:
@@ -981,7 +972,7 @@ class LearnedLSMStore:
         does.  Raises ``TypeError`` on non-integer key arrays.
         """
         self._ensure_open()
-        keys = self._as_int64_keys(keys)
+        keys = as_int64_keys(keys)
         if values is None:
             values = keys
         else:
@@ -1020,7 +1011,7 @@ class LearnedLSMStore:
         :meth:`insert_batch`.
         """
         self._ensure_open()
-        keys = self._as_int64_keys(keys)
+        keys = as_int64_keys(keys)
         if keys.size == 0:
             return
         if self._wal is not None:
@@ -1104,9 +1095,9 @@ class LearnedLSMStore:
         else:
             self._compact(self._seal_merge_budget)
 
-    def _plan_merge(self, runs: list[SortedRun], seen: set):
-        """One validated, productive merge decision over a run-list
-        snapshot, or None.
+    def _plan_merge(self, seen: set):
+        """One validated, productive merge decision over a snapshot of
+        the current run list, or None.
 
         This is the no-progress guard (ISSUE 7): ``policy.select`` is
         re-consulted after every merge, and a policy whose bucket/level
@@ -1119,6 +1110,8 @@ class LearnedLSMStore:
         signatures is finite, so termination is unconditional).
         Returns ``(window, at_end, new_level)``.
         """
+        with self._state_lock:
+            runs = list(self.runs)
         selection = self.policy.select(runs)
         if selection is None:
             return None
@@ -1215,34 +1208,40 @@ class LearnedLSMStore:
             if self._fs is not None and run.path is not None:
                 self._fs.remove(run.path)
 
-    def _background_merge_once(self, seen: set) -> bool:
-        """One window, executed on the worker thread; True if merged.
+    def _execute_merge(
+        self, window: list[SortedRun], drop_tombstones: bool,
+        new_level: int, *, background: bool,
+    ) -> None:
+        """Run one planned window: merge → level → commit → count.
 
         The expensive part — :func:`merge_runs` + the RMI rebuild —
-        runs without any structural lock, so the writer keeps sealing
-        and readers keep serving their pinned snapshots; only the swap
-        itself synchronizes.
+        needs no structural lock (callers hold only the merge lock),
+        so the writer keeps sealing and readers keep serving their
+        pinned snapshots; only :meth:`_commit_merge`'s swap
+        synchronizes.
         """
+        with obs_span(
+            "lsm.compact.window", background=background, runs=len(window)
+        ) as attrs:
+            merged = merge_runs(
+                window, drop_tombstones=drop_tombstones, **self._run_kwargs
+            )
+            merged.level = new_level
+            self._commit_merge(window, merged)
+            if attrs is not None:
+                attrs["entries"] = len(merged)
+        self.write_stats.add(compactions=1, entries_compacted=len(merged))
+
+    def _background_merge_once(self, seen: set) -> bool:
+        """One policy-selected window, executed on the worker thread;
+        True if merged."""
         with self._merge_lock:
             if self._closed:
                 return False
-            with self._state_lock:
-                runs = list(self.runs)
-            plan = self._plan_merge(runs, seen)
+            plan = self._plan_merge(seen)
             if plan is None:
                 return False
-            window, at_end, new_level = plan
-            with obs_span(
-                "lsm.compact.window", background=True, runs=len(window)
-            ) as attrs:
-                merged = merge_runs(
-                    window, drop_tombstones=at_end, **self._run_kwargs
-                )
-                merged.level = new_level
-                self._commit_merge(window, merged)
-                if attrs is not None:
-                    attrs["entries"] = len(merged)
-        self.write_stats.add(compactions=1, entries_compacted=len(merged))
+            self._execute_merge(*plan, background=True)
         return True
 
     def _compact(self, budget: int | None = None) -> None:
@@ -1257,26 +1256,13 @@ class LearnedLSMStore:
         seen: set = set()
         with self._merge_lock:
             while budget is None or merges < budget:
-                with self._state_lock:
-                    runs = list(self.runs)
-                plan = self._plan_merge(runs, seen)
+                plan = self._plan_merge(seen)
                 if plan is None:
                     break
-                window, at_end, new_level = plan
                 began = time.perf_counter()
-                with obs_span(
-                    "lsm.compact.window", background=False, runs=len(window)
-                ):
-                    merged = merge_runs(
-                        window, drop_tombstones=at_end, **self._run_kwargs
-                    )
-                    merged.level = new_level
-                    self._commit_merge(window, merged)
+                self._execute_merge(*plan, background=False)
                 self.write_stats.add(
-                    compactions=1,
-                    entries_compacted=len(merged),
-                    write_stalls=1,
-                    stall_seconds=time.perf_counter() - began,
+                    write_stalls=1, stall_seconds=time.perf_counter() - began
                 )
                 merges += 1
 
@@ -1290,13 +1276,9 @@ class LearnedLSMStore:
             with self._state_lock:
                 window = list(self.runs)
             if len(window) > 1:
-                merged = merge_runs(
-                    window, drop_tombstones=True, **self._run_kwargs
-                )
-                merged.level = max(r.level for r in window)
-                self._commit_merge(window, merged)
-                self.write_stats.add(
-                    compactions=1, entries_compacted=len(merged)
+                self._execute_merge(
+                    window, drop_tombstones=True,
+                    new_level=max(r.level for r in window), background=False,
                 )
 
     def wait_for_compaction(self) -> None:
@@ -1436,6 +1418,18 @@ class LearnedLSMStore:
         )
         return result
 
+    def _read(self, read, *args):
+        """Answer ``read`` (a :class:`ReadView` method) from the live
+        state: memtable view triple first, *then* the run pin — the
+        loss-free order under a concurrent seal — and unpin after."""
+        self._ensure_open()
+        mem = self.memtable.views()
+        runs = self._pin_runs()
+        try:
+            return read(ReadView(mem, runs), *args)
+        finally:
+            self._unpin_runs(runs)
+
     def lookup_batch(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """(values, found) for a whole key batch.
 
@@ -1446,22 +1440,10 @@ class LearnedLSMStore:
         ``values[i]`` is 0 wherever ``found[i]`` is False.  The whole
         batch answers from one pinned (memtable-view, run-set)
         snapshot, so a concurrent seal or background merge can neither
-        hide an entry nor unmap a run mid-probe.
+        hide an entry nor unmap a run mid-probe.  Raises ``TypeError``
+        on non-integer key arrays, like the write path.
         """
-        self._ensure_open()
-        queries = np.asarray(keys, dtype=np.int64).ravel()
-        # One consistent (puts, values, tombstones) triple: fetching
-        # the three views separately could pair arrays from different
-        # memtable generations under a racing writer.
-        put_keys, put_values, tombs = self.memtable.views()
-        runs = self._pin_runs()
-        try:
-            return resolve_point_batch(
-                queries, put_keys, put_values, tombs, runs,
-                stats=self.read_stats,
-            )
-        finally:
-            self._unpin_runs(runs)
+        return self._read(ReadView.lookup_batch, keys, self.read_stats)
 
     def contains(self, key: int) -> bool:
         """Does a live (non-tombstoned) entry exist for ``key``?"""
@@ -1474,43 +1456,16 @@ class LearnedLSMStore:
 
     # -- range reads -----------------------------------------------------------
 
-    @staticmethod
-    def _range_endpoints(lows, highs) -> tuple[np.ndarray, np.ndarray]:
-        """Normalize endpoint arrays, keeping their native dtype so
-        int64 ranges resolve exactly through every run's query core."""
-        lows = np.asarray(lows).ravel()
-        highs = np.asarray(highs).ravel()
-        if lows.size != highs.size:
-            raise ValueError("lows and highs must have the same length")
-        return lows, highs
-
     def range_query_batch(self, lows, highs) -> RangeScanResult:
         """Live keys in each closed range ``[lows[i], highs[i]]``.
 
-        Every source — memtable snapshot plus each run's vectorized
+        Every source — the memtable view plus each run's vectorized
         range scan — contributes its entries; one
         :func:`~repro.range_scan.merge_scan_results` pass interleaves
         them newest-first, deduplicates to the newest version per key,
         and drops keys whose newest version is a tombstone.
         """
-        self._ensure_open()
-        lows_f, highs_f = self._range_endpoints(lows, highs)
-        if lows_f.size == 0:
-            return RangeScanResult(
-                values=np.empty(0, dtype=np.int64),
-                offsets=np.zeros(1, dtype=np.int64),
-            )
-        # Inverted ranges come out empty in every source: the run RMIs
-        # pin them (closed-interval semantics shared with the whole
-        # repo) and the memtable's hi = max(hi, lo) clamp does the same.
-        # Memtable snapshot before the run pin — the loss-free order
-        # under a concurrent seal.
-        mem = self.memtable.snapshot() if len(self.memtable) else None
-        runs = self._pin_runs()
-        try:
-            return resolve_range_batch(lows_f, highs_f, mem, runs)
-        finally:
-            self._unpin_runs(runs)
+        return self._read(ReadView.range_query_batch, lows, highs)
 
     def range_items_batch(
         self, lows, highs
@@ -1526,24 +1481,7 @@ class LearnedLSMStore:
         parallel to ``result.values``: the live value for
         ``result.values[j]`` is ``values[j]``.
         """
-        self._ensure_open()
-        lows_f, highs_f = self._range_endpoints(lows, highs)
-        if lows_f.size == 0:
-            return (
-                RangeScanResult(
-                    values=np.empty(0, dtype=np.int64),
-                    offsets=np.zeros(1, dtype=np.int64),
-                ),
-                np.empty(0, dtype=np.int64),
-            )
-        mem = self.memtable.snapshot() if len(self.memtable) else None
-        runs = self._pin_runs()
-        try:
-            return resolve_range_batch(
-                lows_f, highs_f, mem, runs, with_values=True
-            )
-        finally:
-            self._unpin_runs(runs)
+        return self._read(ReadView.range_items_batch, lows, highs)
 
     def range_query(self, low, high) -> np.ndarray:
         """Scalar range read: all live keys in ``[low, high]``."""

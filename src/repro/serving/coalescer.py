@@ -32,6 +32,7 @@ import time
 import numpy as np
 
 from ..core.engine import pack_requests, unpack_results
+from ..lsm.store import as_int64_keys
 from ..obs import MetricsRegistry, StatsView, counter_field, tracing
 from ..obs import state as obs_state
 from ..range_scan import RangeScanResult
@@ -178,8 +179,9 @@ class CoalescingIndexServer:
 
     async def lookup_batch(self, keys):
         """(values, found) for this request's keys, served from a
-        coalesced store call shared with concurrent requests."""
-        queries = np.asarray(keys, dtype=np.int64).ravel()
+        coalesced store call shared with concurrent requests.  A
+        non-integer key array is a ``TypeError``, not a truncation."""
+        queries = as_int64_keys(keys)
         return await self._submit(self._points, (queries,), queries.size)
 
     async def range_query(self, low: int, high: int) -> np.ndarray:
@@ -191,8 +193,10 @@ class CoalescingIndexServer:
         return np.asarray(result[0], dtype=np.int64)
 
     async def range_query_batch(self, lows, highs) -> RangeScanResult:
-        lows = np.asarray(lows, dtype=np.int64).ravel()
-        highs = np.asarray(highs, dtype=np.int64).ravel()
+        """Live keys per closed range.  Endpoints ride one packed
+        int64 array per tick, so a float endpoint is a ``TypeError``."""
+        lows = as_int64_keys(lows)
+        highs = as_int64_keys(highs)
         if lows.size != highs.size:
             raise ValueError("lows and highs must have the same length")
         return await self._submit(

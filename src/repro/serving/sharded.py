@@ -7,8 +7,8 @@ its own interpreter).  Writes route through a learned-CDF-balanced
 :class:`~repro.serving.splitter.CDFSplitter`; reads come in two
 flavours:
 
-* ``via="local"`` — the client resolves point/range batches itself,
-  over :class:`~repro.lsm.run.SortedRun` views rebuilt from the
+* ``via="local"`` — the client answers point/range batches itself,
+  through one :class:`~repro.lsm.store.ReadView` per shard over the
   workers' shared-memory segments (:mod:`repro.serving.shm`).  Zero
   IPC, zero copy: the client's probes touch the same physical pages
   the workers sealed.  This is the low-latency path for the small
@@ -18,10 +18,11 @@ flavours:
   the throughput path for large batches: N shards bring N cores to one
   batch, which is what the 1 → 4 shard scaling gate measures.
 
-``via="auto"`` (default) picks by per-shard sub-batch size.
+``via="auto"`` (default) picks by per-shard sub-batch size; a worker
+answers its sub-batch through the same ``ReadView`` code in its store.
 
 Consistency: each worker ack carries the shard's current epoch (run
-set + memtable snapshot) and the client adopts it before issuing
+set + memtable view triple) and the client adopts it before issuing
 another command, so a client that writes then reads always sees its
 own write.  :meth:`ShardedLSMStore.snapshot` pins every shard's
 current epoch into a :class:`ShardedSnapshot` — the PR 7 epoch-read
@@ -47,8 +48,9 @@ import numpy as np
 from ..core.engine import GroupScatter
 from ..lsm.store import (
     LearnedLSMStore,
-    resolve_point_batch,
-    resolve_range_batch,
+    ReadView,
+    as_int64_keys,
+    range_endpoints,
 )
 from ..obs import (
     MetricsRegistry,
@@ -76,7 +78,6 @@ __all__ = ["ShardedLSMStore", "ShardedSnapshot", "ShardedMetrics"]
 WORKER_BATCH_THRESHOLD = 2_048
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_BOOL = np.empty(0, dtype=bool)
 
 
 def _try_close(shm) -> bool:
@@ -88,6 +89,20 @@ def _try_close(shm) -> bool:
         return True
     except BufferError:
         return False
+
+
+def _concat(pieces: list) -> np.ndarray:
+    return np.concatenate(pieces) if pieces else _EMPTY_I64
+
+
+def _range_answer(view, lows, highs, with_values: bool) -> tuple:
+    """One shard's range answer in wire form, ``(values, offsets[,
+    payloads])``, from a worker's store or a client epoch alike."""
+    if with_values:
+        scan, payloads = view.range_items_batch(lows, highs)
+        return scan.values, scan.offsets, payloads
+    scan = view.range_query_batch(lows, highs)
+    return scan.values, scan.offsets
 
 
 def _shard_worker(
@@ -158,22 +173,10 @@ def _shard_worker(
                         epoch = publish()
                     elif op == "lookup_batch":
                         result = store.lookup_batch(cmd["keys"])
-                    elif op == "range_query_batch":
-                        scan = store.range_query_batch(
-                            cmd["lows"], cmd["highs"]
-                        )
-                        result = (
-                            np.asarray(scan.values),
-                            np.asarray(scan.offsets),
-                        )
-                    elif op == "range_items_batch":
-                        scan, payloads = store.range_items_batch(
-                            cmd["lows"], cmd["highs"]
-                        )
-                        result = (
-                            np.asarray(scan.values),
-                            np.asarray(scan.offsets),
-                            payloads,
+                    elif op in ("range_query_batch", "range_items_batch"):
+                        result = _range_answer(
+                            store, cmd["lows"], cmd["highs"],
+                            op == "range_items_batch",
                         )
                     elif op == "backup":
                         store.backup(cmd["dest"])
@@ -231,38 +234,26 @@ class ShardedMetrics:
         }
 
 
-class _ClientEpoch:
-    """One shard's published state, mapped into the client process."""
+class _ClientEpoch(ReadView):
+    """One shard's published state, mapped into the client process: a
+    :class:`~repro.lsm.store.ReadView` whose runs and memtable view
+    triple alias the worker's shared pages."""
 
-    __slots__ = (
-        "names", "runs", "memtable_snapshot",
-        "put_keys", "put_values", "tomb_keys",
-        "_mem_shm", "pins",
-    )
+    __slots__ = ("names", "_mem_shm", "pins")
 
     def __init__(self, desc: dict, cache: dict):
         self.names = segment_names(desc)
-        self.runs = []
+        runs = []
         for run_desc in desc["runs"]:
             entry = cache.get(run_desc["name"])
             if entry is None:
                 entry = attach_run(run_desc)
                 cache[run_desc["name"]] = entry
-            self.runs.append(entry[1])
-        mem_desc = desc.get("memtable")
-        if mem_desc is None:
-            self._mem_shm = None
-            triple = (_EMPTY_I64, _EMPTY_I64, _EMPTY_BOOL)
-        else:
-            self._mem_shm, triple = attach_memtable(mem_desc)
-        keys, values, dead = triple
-        self.memtable_snapshot = triple
-        # Mask indexing copies, so the derived arrays survive the
-        # segment; only the triple itself aliases shared pages.
-        live = ~dead
-        self.put_keys = keys[live]
-        self.put_values = values[live]
-        self.tomb_keys = keys[dead]
+            runs.append(entry[1])
+        self._mem_shm, mem = None, (_EMPTY_I64,) * 3
+        if desc.get("memtable") is not None:
+            self._mem_shm, mem = attach_memtable(desc["memtable"])
+        super().__init__(mem, runs)
         self.pins = 0
 
     def drop_mappings(self) -> list:
@@ -270,7 +261,7 @@ class _ClientEpoch:
         mapping closes here; run mappings belong to the cache).
         Returns any mapping that could not close yet (live exports)."""
         self.runs = []
-        self.memtable_snapshot = None
+        self.mem = None
         shm, self._mem_shm = self._mem_shm, None
         if shm is not None and not _try_close(shm):
             return [shm]
@@ -291,17 +282,15 @@ class ShardedSnapshot:
 
     def lookup_batch(self, keys) -> tuple[np.ndarray, np.ndarray]:
         self._ensure_live()
-        return self._store._local_points(keys, self._epochs)
+        return self._store._points(keys, epochs=self._epochs)
 
     def range_query_batch(self, lows, highs) -> RangeScanResult:
         self._ensure_live()
-        return self._store._local_ranges(lows, highs, self._epochs)
+        return self._store._ranges(lows, highs, False, epochs=self._epochs)
 
     def range_items_batch(self, lows, highs):
         self._ensure_live()
-        return self._store._local_ranges(
-            lows, highs, self._epochs, with_values=True
-        )
+        return self._store._ranges(lows, highs, True, epochs=self._epochs)
 
     def _ensure_live(self) -> None:
         if self._released:
@@ -390,7 +379,7 @@ class ShardedLSMStore:
         bulk_keys = [None] * self.num_shards
         bulk_values = [None] * self.num_shards
         if keys is not None:
-            keys = LearnedLSMStore._as_int64_keys(keys)
+            keys = as_int64_keys(keys)
             if values is None:
                 values = keys
             else:
@@ -562,7 +551,7 @@ class ShardedLSMStore:
         sub-batch write per shard, last-wins on duplicates preserved
         (the scatter is stable)."""
         self._ensure_open()
-        keys = LearnedLSMStore._as_int64_keys(keys)
+        keys = as_int64_keys(keys)
         if values is None:
             values = keys
         else:
@@ -590,7 +579,7 @@ class ShardedLSMStore:
 
     def delete_batch(self, keys) -> None:
         self._ensure_open()
-        keys = LearnedLSMStore._as_int64_keys(keys)
+        keys = as_int64_keys(keys)
         if keys.size == 0:
             return
         route = GroupScatter(
@@ -638,10 +627,7 @@ class ShardedLSMStore:
         :meth:`LearnedLSMStore.lookup_batch`.  ``via=None`` falls back
         to the store's ``read_via`` default."""
         self._ensure_open()
-        queries = np.asarray(keys, dtype=np.int64).ravel()
-        if self._use_workers(queries.size, via or self.read_via):
-            return self._worker_points(queries)
-        return self._local_points(queries, self._epochs)
+        return self._points(keys, via=via)
 
     def range_query_batch(
         self, lows, highs, *, via: str | None = None
@@ -650,23 +636,13 @@ class ShardedLSMStore:
         intervals are ordered, so per-shard sorted results concatenate
         sorted)."""
         self._ensure_open()
-        lows = np.asarray(lows, dtype=np.int64).ravel()
-        highs = np.asarray(highs, dtype=np.int64).ravel()
-        if self._use_workers(lows.size, via or self.read_via):
-            return self._worker_ranges(lows, highs)
-        return self._local_ranges(lows, highs, self._epochs)
+        return self._ranges(lows, highs, False, via=via)
 
     def range_items_batch(
         self, lows, highs, *, via: str | None = None
     ) -> tuple[RangeScanResult, np.ndarray]:
         self._ensure_open()
-        lows = np.asarray(lows, dtype=np.int64).ravel()
-        highs = np.asarray(highs, dtype=np.int64).ravel()
-        if self._use_workers(lows.size, via or self.read_via):
-            return self._worker_ranges(lows, highs, with_values=True)
-        return self._local_ranges(
-            lows, highs, self._epochs, with_values=True
-        )
+        return self._ranges(lows, highs, True, via=via)
 
     def range_query(self, low, high) -> np.ndarray:
         result = self.range_query_batch([low], [high], via="local")
@@ -677,7 +653,8 @@ class ShardedLSMStore:
         self._ensure_open()
         return ShardedSnapshot(self)
 
-    def _use_workers(self, batch_size: int, via: str) -> bool:
+    def _use_workers(self, batch_size: int, via: str | None) -> bool:
+        via = via or self.read_via
         if via == "local":
             return False
         if via == "worker":
@@ -689,145 +666,100 @@ class ShardedLSMStore:
             and batch_size >= WORKER_BATCH_THRESHOLD * self.num_shards
         )
 
-    def _local_points(self, keys, epochs) -> tuple[np.ndarray, np.ndarray]:
-        queries = np.asarray(keys, dtype=np.int64).ravel()
-        values = np.zeros(queries.size, dtype=np.int64)
-        found = np.zeros(queries.size, dtype=bool)
-        if queries.size == 0:
-            return values, found
-        route = GroupScatter(
-            self.splitter.shard_of_batch(queries), self.num_shards
-        )
-        for shard in range(self.num_shards):
-            idx = route.indices(shard)
-            if idx.size == 0:
-                continue
-            epoch = epochs[shard]
-            sub_values, sub_found = resolve_point_batch(
-                queries[idx], epoch.put_keys, epoch.put_values,
-                epoch.tomb_keys, epoch.runs,
-            )
-            values[idx] = sub_values
-            found[idx] = sub_found
-        return values, found
-
-    def _worker_points(self, queries) -> tuple[np.ndarray, np.ndarray]:
+    def _points(
+        self, keys, *, via=None, epochs=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Scatter the batch by shard, answer each sub-batch — from
+        its shard's view in ``epochs`` (a snapshot's pinned ones;
+        default: the current ones unless ``via`` picks the workers),
+        or with one worker fanout — and gather into batch order."""
+        queries = as_int64_keys(keys)
+        if epochs is None and not self._use_workers(queries.size, via):
+            epochs = self._epochs
         values = np.zeros(queries.size, dtype=np.int64)
         found = np.zeros(queries.size, dtype=bool)
         route = GroupScatter(
             self.splitter.shard_of_batch(queries), self.num_shards
         )
-        commands = {}
-        for shard in range(self.num_shards):
-            idx = route.indices(shard)
-            if idx.size:
-                commands[shard] = {
-                    "op": "lookup_batch", "keys": queries[idx],
-                }
-        # Client-observed worker read load: every lookup command issued
-        # is answered by exactly one worker.lookup_batch span, so the
-        # merged per-shard span histogram count equals this counter.
-        self.registry.counter("serving.sharded.lookup.worker_batches").inc(
-            len(commands)
-        )
-        self.registry.counter("serving.sharded.lookup.worker_keys").inc(
-            int(queries.size)
-        )
-        acks = self._fanout(commands)
-        for shard, ack in acks.items():
-            idx = route.indices(shard)
-            sub_values, sub_found = ack["result"]
-            values[idx] = sub_values
-            found[idx] = sub_found
-        return values, found
-
-    def _stitch_ranges(
-        self, m: int, pieces: list[tuple], with_values: bool
-    ):
-        """Reassemble per-shard CSR results into one per-range CSR.
-
-        ``pieces`` is ``[(range_ids, values[, payloads]), ...]`` in
-        ascending shard order; a stable sort by range id then keeps
-        shard order within each range, and shard intervals ascend, so
-        each range's keys come out sorted.
-        """
-        if pieces:
-            range_rep = np.concatenate([p[0] for p in pieces])
-            values_all = np.concatenate([p[1] for p in pieces])
+        parts = {
+            shard: idx
+            for shard in range(self.num_shards)
+            if (idx := route.indices(shard)).size
+        }
+        if epochs is not None:
+            answers = {
+                shard: epochs[shard].lookup_batch(queries[idx])
+                for shard, idx in parts.items()
+            }
         else:
-            range_rep = _EMPTY_I64
-            values_all = _EMPTY_I64
+            # Client-observed worker read load: every lookup command
+            # issued is answered by exactly one worker.lookup_batch
+            # span, so the merged per-shard span histogram count
+            # equals this counter.
+            self.registry.counter(
+                "serving.sharded.lookup.worker_batches"
+            ).inc(len(parts))
+            self.registry.counter("serving.sharded.lookup.worker_keys").inc(
+                int(queries.size)
+            )
+            acks = self._fanout({
+                shard: {"op": "lookup_batch", "keys": queries[idx]}
+                for shard, idx in parts.items()
+            })
+            answers = {shard: ack["result"] for shard, ack in acks.items()}
+        for shard, idx in parts.items():
+            values[idx], found[idx] = answers[shard]
+        return values, found
+
+    def _ranges(self, lows, highs, with_values, *, via=None, epochs=None):
+        """Route each range to the shards it overlaps, answer each
+        shard's sub-batch (``via`` / ``epochs`` as in :meth:`_points`)
+        and stitch the per-shard CSR results into one per-range CSR.
+
+        Routing truncates float endpoints (conservative: it can only
+        add a shard whose answer comes back empty); the shards see the
+        native-dtype endpoints, like a single store's runs do.
+        """
+        lows, highs = range_endpoints(lows, highs)
+        if epochs is None and not self._use_workers(lows.size, via):
+            epochs = self._epochs
+        overlap = self.splitter.shards_overlapping(lows, highs)
+        parts = {
+            shard: sel
+            for shard in range(self.num_shards)
+            if (sel := np.nonzero(overlap[shard])[0]).size
+        }
+        if epochs is not None:
+            answers = {
+                shard: _range_answer(
+                    epochs[shard], lows[sel], highs[sel], with_values
+                )
+                for shard, sel in parts.items()
+            }
+        else:
+            op = "range_items_batch" if with_values else "range_query_batch"
+            acks = self._fanout({
+                shard: {"op": op, "lows": lows[sel], "highs": highs[sel]}
+                for shard, sel in parts.items()
+            })
+            answers = {shard: ack["result"] for shard, ack in acks.items()}
+        # Pieces concatenate in ascending shard order; a stable sort by
+        # range id then keeps shard order within each range, and shard
+        # intervals ascend, so each range's keys come out sorted.
+        range_rep = _concat([
+            np.repeat(sel, np.diff(answers[shard][1]))
+            for shard, sel in parts.items()
+        ])
         order = np.argsort(range_rep, kind="stable")
-        offsets = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(range_rep, minlength=m), out=offsets[1:]
-        ) if range_rep.size else None
+        offsets = np.zeros(lows.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(range_rep, minlength=lows.size), out=offsets[1:])
         result = RangeScanResult(
-            values=values_all[order], offsets=offsets
+            values=_concat([answers[s][0] for s in parts])[order],
+            offsets=offsets,
         )
         if not with_values:
             return result
-        if pieces:
-            payloads_all = np.concatenate([p[2] for p in pieces])
-        else:
-            payloads_all = _EMPTY_I64
-        return result, payloads_all[order]
-
-    def _local_ranges(
-        self, lows, highs, epochs, *, with_values: bool = False
-    ):
-        lows = np.asarray(lows, dtype=np.int64).ravel()
-        highs = np.asarray(highs, dtype=np.int64).ravel()
-        if lows.size != highs.size:
-            raise ValueError("lows and highs must have the same length")
-        m = lows.size
-        overlap = self.splitter.shards_overlapping(lows, highs)
-        pieces = []
-        for shard in range(self.num_shards):
-            sel = np.nonzero(overlap[shard])[0]
-            if sel.size == 0:
-                continue
-            epoch = epochs[shard]
-            parts = resolve_range_batch(
-                lows[sel], highs[sel], epoch.memtable_snapshot,
-                epoch.runs, with_values=with_values,
-            )
-            scan = parts[0] if with_values else parts
-            counts = np.diff(scan.offsets)
-            range_ids = np.repeat(sel, counts)
-            piece = (range_ids, np.asarray(scan.values, dtype=np.int64))
-            if with_values:
-                piece += (np.asarray(parts[1], dtype=np.int64),)
-            pieces.append(piece)
-        return self._stitch_ranges(m, pieces, with_values)
-
-    def _worker_ranges(self, lows, highs, *, with_values: bool = False):
-        if lows.size != highs.size:
-            raise ValueError("lows and highs must have the same length")
-        m = lows.size
-        overlap = self.splitter.shards_overlapping(lows, highs)
-        op = "range_items_batch" if with_values else "range_query_batch"
-        commands = {}
-        selections = {}
-        for shard in range(self.num_shards):
-            sel = np.nonzero(overlap[shard])[0]
-            if sel.size:
-                selections[shard] = sel
-                commands[shard] = {
-                    "op": op, "lows": lows[sel], "highs": highs[sel],
-                }
-        acks = self._fanout(commands)
-        pieces = []
-        for shard in sorted(acks):
-            sel = selections[shard]
-            result = acks[shard]["result"]
-            values, offsets = result[0], result[1]
-            range_ids = np.repeat(sel, np.diff(offsets))
-            piece = (range_ids, np.asarray(values, dtype=np.int64))
-            if with_values:
-                piece += (np.asarray(result[2], dtype=np.int64),)
-            pieces.append(piece)
-        return self._stitch_ranges(m, pieces, with_values)
+        return result, _concat([answers[s][2] for s in parts])[order]
 
     # -- accounting / lifecycle ------------------------------------------------
 

@@ -13,8 +13,9 @@ only the segment's name.  The client maps the segment and rebuilds a
 shared pages — bit-identical probes, zero copies, O(leaves) rebuild.
 
 The memtable is the one mutable source, so each published epoch
-carries a fresh (small, bounded by the memtable capacity) snapshot
-triple segment.
+carries a fresh (small, bounded by the memtable capacity) segment
+holding its cached view triple (put keys, put values, tombstone keys)
+— the ``mem`` of a :class:`~repro.lsm.store.ReadView`, read as mapped.
 
 Lifecycle protocol (the cross-process half of the PR 7 epoch
 contract):
@@ -42,7 +43,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..lsm.run import SortedRun, _deserialize_bloom, _serialize_bloom
+from ..lsm.run import SortedRun, _deserialize_bloom
 
 __all__ = [
     "RunPublisher",
@@ -53,30 +54,56 @@ __all__ = [
 
 _ALIGN = 8
 
+#: Section names of a published memtable view triple, in order.
+_MEM_SECTIONS = ("put_keys", "put_values", "tomb_keys")
 
-def _layout(parts: list[tuple[str, int]]) -> tuple[dict, int]:
-    """8-aligned sequential section table: name -> [offset, nbytes]."""
+
+def _create_segment(name: str, sections: list) -> tuple:
+    """Create segment ``name`` holding ``[(section, array-or-bytes)]``
+    8-aligned in order.  Returns ``(shm, table)`` with ``table`` =
+    section -> ``[offset, nbytes, dtype]``, which :func:`_attach`
+    maps back into read-only views."""
+    arrays = {
+        section: np.frombuffer(data, dtype=np.uint8)
+        if isinstance(data, bytes)
+        else np.ascontiguousarray(data)
+        for section, data in sections
+    }
     table = {}
     offset = 0
-    for name, nbytes in parts:
+    for section, arr in arrays.items():
         offset += -offset % _ALIGN
-        table[name] = [offset, nbytes]
-        offset += nbytes
-    return table, max(offset, 1)
+        table[section] = [offset, arr.nbytes, arr.dtype.str]
+        offset += arr.nbytes
+    shm = shared_memory.SharedMemory(
+        name=name, create=True, size=max(offset, 1)
+    )
+    for section, arr in arrays.items():
+        np.ndarray(
+            arr.shape, arr.dtype, buffer=shm.buf, offset=table[section][0]
+        )[...] = arr
+    return shm, table
 
 
-def _view(shm, dtype, offset: int, nbytes: int, *, writable: bool):
-    count = nbytes // np.dtype(dtype).itemsize
-    arr = np.frombuffer(shm.buf, dtype=dtype, count=count, offset=offset)
-    if not writable:
-        arr = arr.view()
+def _attach(desc: dict) -> tuple[shared_memory.SharedMemory, dict]:
+    """Map a published segment: ``(mapping, section -> read-only
+    array aliasing it)``.  The caller owns the mapping's ``close()``."""
+    shm = shared_memory.SharedMemory(name=desc["name"])
+    views = {}
+    for section, (offset, nbytes, dtype) in desc["sections"].items():
+        dtype = np.dtype(dtype)
+        arr = np.frombuffer(
+            shm.buf, dtype=dtype, count=nbytes // dtype.itemsize,
+            offset=offset,
+        )
         arr.flags.writeable = False
-    return arr
+        views[section] = arr
+    return shm, views
 
 
 class RunPublisher:
     """Worker-side segment registry: one segment per live run, one per
-    epoch for the memtable snapshot, retirement deferred until the
+    epoch for the memtable view triple, retirement deferred until the
     client has provably seen the superseding epoch.
 
     Keyed by run *identity*, not sequence number — merged runs inherit
@@ -100,76 +127,20 @@ class RunPublisher:
         return f"{self._prefix}{tag}{self._counter:06d}"
 
     def _create_run_segment(self, run: SortedRun) -> tuple:
-        state = run.rmi.compiled_state()
-        slopes = np.ascontiguousarray(state["slopes"], dtype=np.float64)
-        intercepts = np.ascontiguousarray(
-            state["intercepts"], dtype=np.float64
-        )
-        lo = np.ascontiguousarray(state["lo_offsets"], dtype=np.int64)
-        hi = np.ascontiguousarray(state["hi_offsets"], dtype=np.int64)
-        bloom_kind, bloom_blob = _serialize_bloom(run.bloom)
-        n = len(run)
-        table, total = _layout([
-            ("keys", n * 8),
-            ("values", n * 8),
-            ("tombstones", n),
-            ("slopes", slopes.nbytes),
-            ("intercepts", intercepts.nbytes),
-            ("lo_offsets", lo.nbytes),
-            ("hi_offsets", hi.nbytes),
-            ("bloom", len(bloom_blob)),
-        ])
+        meta, sections = run.wire_form()
         name = self._new_name("r")
-        shm = shared_memory.SharedMemory(name=name, create=True, size=total)
-        for section, arr in (
-            ("keys", np.ascontiguousarray(run.keys, dtype=np.int64)),
-            ("values", np.ascontiguousarray(run.values, dtype=np.int64)),
-            (
-                "tombstones",
-                np.ascontiguousarray(run.tombstones, dtype=np.uint8),
-            ),
-            ("slopes", slopes),
-            ("intercepts", intercepts),
-            ("lo_offsets", lo),
-            ("hi_offsets", hi),
-        ):
-            off, nbytes = table[section]
-            _view(shm, arr.dtype, off, nbytes, writable=True)[:] = arr
-        off, nbytes = table["bloom"]
-        shm.buf[off:off + nbytes] = bloom_blob
-        desc = {
-            "name": name,
-            "n": n,
-            "sequence": run.sequence,
-            "level": run.level,
-            "root_slope": float(state["root_slope"]),
-            "root_intercept": float(state["root_intercept"]),
-            "bloom_kind": bloom_kind,
-            "sections": table,
-        }
-        return name, shm, desc, run
+        shm, table = _create_segment(name, sections)
+        return name, shm, {**meta, "name": name, "sections": table}, run
 
-    def _publish_memtable(self, triple) -> dict | None:
+    def _publish_memtable(self, mem) -> dict | None:
         if self._mem_current is not None:
             self._retired.append(self._mem_current[:2])
             self._mem_current = None
-        keys, values, dead = triple
-        n = int(keys.size)
-        if n == 0:
+        if not (mem[0].size or mem[2].size):
             return None
-        table, total = _layout([
-            ("keys", n * 8), ("values", n * 8), ("dead", n),
-        ])
         name = self._new_name("m")
-        shm = shared_memory.SharedMemory(name=name, create=True, size=total)
-        for section, arr in (
-            ("keys", np.ascontiguousarray(keys, dtype=np.int64)),
-            ("values", np.ascontiguousarray(values, dtype=np.int64)),
-            ("dead", np.ascontiguousarray(dead, dtype=np.uint8)),
-        ):
-            off, nbytes = table[section]
-            _view(shm, arr.dtype, off, nbytes, writable=True)[:] = arr
-        desc = {"name": name, "n": n, "sections": table}
+        shm, table = _create_segment(name, list(zip(_MEM_SECTIONS, mem)))
+        desc = {"name": name, "sections": table}
         self._mem_current = (name, shm, desc)
         return desc
 
@@ -177,7 +148,7 @@ class RunPublisher:
         """Current epoch as a descriptor of segment names + metadata.
 
         Pins a :meth:`~repro.lsm.store.LearnedLSMStore.snapshot` for
-        the duration, so the run set and memtable triple are one
+        the duration, so the run set and memtable view triple are one
         consistent epoch even if the store's background machinery were
         active; fills segments only for runs not yet published.
         """
@@ -195,7 +166,7 @@ class RunPublisher:
             for rid in [r for r in self._segments if r not in live_ids]:
                 name, shm, _desc, _run = self._segments.pop(rid)
                 self._retired.append((name, shm))
-            mem_desc = self._publish_memtable(snap.memtable_snapshot)
+            mem_desc = self._publish_memtable(snap.mem)
         return {"runs": run_descs, "memtable": mem_desc}
 
     def unlink_retired(self) -> None:
@@ -231,32 +202,17 @@ def attach_run(desc: dict) -> tuple[shared_memory.SharedMemory, SortedRun]:
     bit-identical to the worker's own run, per the
     :meth:`~repro.lsm.run.SortedRun.from_arrays` contract.
     """
-    shm = shared_memory.SharedMemory(name=desc["name"])
-    sections = desc["sections"]
-
-    def view(section, dtype):
-        off, nbytes = sections[section]
-        return _view(shm, dtype, off, nbytes, writable=False)
-
-    off, nbytes = sections["bloom"]
-    bloom = _deserialize_bloom(
-        desc["bloom_kind"],
-        bytes(shm.buf[off:off + nbytes]),
-        f"shm:{desc['name']}",
-    )
+    shm, views = _attach(desc)
     run = SortedRun.from_arrays(
-        view("keys", np.int64),
-        view("values", np.int64),
-        view("tombstones", np.uint8).view(np.bool_),
-        compiled_state={
-            "root_slope": desc["root_slope"],
-            "root_intercept": desc["root_intercept"],
-            "slopes": view("slopes", np.float64),
-            "intercepts": view("intercepts", np.float64),
-            "lo_offsets": view("lo_offsets", np.int64),
-            "hi_offsets": view("hi_offsets", np.int64),
-        },
-        bloom=bloom,
+        views["keys"],
+        views["values"],
+        views["tombstones"].view(np.bool_),
+        compiled_state={**desc, **views},
+        bloom=_deserialize_bloom(
+            desc["bloom_kind"],
+            views["bloom"].tobytes(),
+            f"shm:{desc['name']}",
+        ),
         sequence=desc["sequence"],
         level=desc["level"],
     )
@@ -264,20 +220,10 @@ def attach_run(desc: dict) -> tuple[shared_memory.SharedMemory, SortedRun]:
 
 
 def attach_memtable(desc: dict) -> tuple[shared_memory.SharedMemory, tuple]:
-    """Map a published memtable snapshot triple (keys, values, dead)."""
-    shm = shared_memory.SharedMemory(name=desc["name"])
-    sections = desc["sections"]
-
-    def view(section, dtype):
-        off, nbytes = sections[section]
-        return _view(shm, dtype, off, nbytes, writable=False)
-
-    triple = (
-        view("keys", np.int64),
-        view("values", np.int64),
-        view("dead", np.uint8).view(np.bool_),
-    )
-    return shm, triple
+    """Map a published memtable view triple — the ``mem`` of a
+    :class:`~repro.lsm.store.ReadView`."""
+    shm, views = _attach(desc)
+    return shm, tuple(views[section] for section in _MEM_SECTIONS)
 
 
 def segment_names(epoch_desc: dict) -> set[str]:

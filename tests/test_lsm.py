@@ -622,6 +622,30 @@ class TestMemtableEndpointExactness:
         sealed = store.range_query_batch(lows, highs)
         assert list(sealed[0]) == list(buffered[0])
 
+    def test_reads_never_rematerialize_the_seal_layout(self, monkeypatch):
+        """Reads consume the memtable's cached view triple;
+        ``Memtable.snapshot()`` (a concatenate + stable argsort once a
+        tombstone is buffered) is what a seal writes, not a per-read
+        cost."""
+        store = LearnedLSMStore(np.arange(0, 100, 2), memtable_capacity=10**9)
+        store.insert_batch([1, 3, 4], [10, 30, 40])
+        store.delete_batch([4, 6])
+
+        def boom(self):
+            raise AssertionError("a read re-materialized the seal layout")
+
+        monkeypatch.setattr(Memtable, "snapshot", boom)
+        values, found = store.lookup_batch([1, 4, 6, 8])
+        assert found.tolist() == [True, False, False, True]
+        assert values.tolist() == [10, 0, 0, 8]
+        assert list(store.range_query_batch([0], [8])[0]) == [0, 1, 2, 3, 8]
+        items, payloads = store.range_items_batch([0], [8])
+        assert list(items[0]) == [0, 1, 2, 3, 8]
+        assert payloads.tolist() == [0, 10, 2, 30, 8]
+        with store.snapshot() as snap:
+            assert snap.lookup_batch([3, 6])[1].tolist() == [True, False]
+            assert list(snap.range_query_batch([5], [9])[0]) == [8]
+
 
 # -- compaction no-progress guard (ISSUE 7) ------------------------------------
 
