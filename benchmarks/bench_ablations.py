@@ -21,12 +21,12 @@ from repro.bench import Table, measure_lookups
 from repro.core import RecursiveModelIndex
 from repro.models import LinearModel
 
-from conftest import console, query_mix, show_table
+from conftest import comparisons_per_lookup, console, query_mix, show_table
 
 STRATEGIES = ("binary", "biased_binary", "biased_quaternary", "exponential")
 
 
-def test_ablation_search_strategies(fig4_datasets, query_rng, benchmark):
+def test_ablation_search_strategies(fig4_datasets, query_rng):
     keys = fig4_datasets["weblogs"]
     leaves = max(keys.size // 2_000, 8)
     queries = query_mix(keys, query_rng, count=1_500)
@@ -35,17 +35,15 @@ def test_ablation_search_strategies(fig4_datasets, query_rng, benchmark):
         ["strategy", "lookup ns", "comparisons/lookup"],
     )
     comparisons = {}
-    indexes = {}
     for strategy in STRATEGIES:
         index = RecursiveModelIndex(
             keys, stage_sizes=(1, leaves), search_strategy=strategy
         )
-        indexes[strategy] = index
         result = measure_lookups(index.lookup, queries, repeats=2)
         index.stats.reset()
         for q in queries:
             index.lookup(q)
-        per_lookup = index.stats.comparisons / index.stats.lookups
+        per_lookup = comparisons_per_lookup(index)
         comparisons[strategy] = per_lookup
         table.add_row(strategy, f"{result.mean_ns:.0f}", f"{per_lookup:.1f}")
     show_table(table)
@@ -59,18 +57,8 @@ def test_ablation_search_strategies(fig4_datasets, query_rng, benchmark):
         + ", ".join(f"{s}={c:.1f}" for s, c in comparisons.items())
     )
 
-    index = indexes["binary"]
-    state = {"i": 0}
 
-    def one_lookup():
-        q = queries[state["i"] % len(queries)]
-        state["i"] += 1
-        return index.lookup(q)
-
-    benchmark(one_lookup)
-
-
-def test_ablation_leaf_count_sweep(fig4_datasets, benchmark):
+def test_ablation_leaf_count_sweep(fig4_datasets):
     keys = fig4_datasets["lognormal"]
     table = Table(
         "Ablation: second-stage size vs error window (lognormal)",
@@ -92,10 +80,8 @@ def test_ablation_leaf_count_sweep(fig4_datasets, benchmark):
     assert windows[-1] < windows[0] / 4
     console(f"[ablation leaves] windows: {['%.0f' % w for w in windows]}")
 
-    benchmark(lambda: RecursiveModelIndex(keys[:20_000], stage_sizes=(1, 64)))
 
-
-def test_ablation_stage_count(fig4_datasets, query_rng, benchmark):
+def test_ablation_stage_count(fig4_datasets, query_rng):
     keys = fig4_datasets["weblogs"]
     queries = query_mix(keys, query_rng, count=1_000)
     leaves = max(keys.size // 2_000, 8)
@@ -129,17 +115,8 @@ def test_ablation_stage_count(fig4_datasets, query_rng, benchmark):
         f"3-stage window={three_stage.mean_error_window:.0f}"
     )
 
-    state = {"i": 0}
 
-    def one_lookup():
-        q = queries[state["i"] % len(queries)]
-        state["i"] += 1
-        return three_stage.lookup(q)
-
-    benchmark(one_lookup)
-
-
-def test_ablation_fixup_rate(fig4_datasets, query_rng, benchmark):
+def test_ablation_fixup_rate(fig4_datasets, query_rng):
     """How often the Section 3.4 widening fix-up fires for absent keys."""
     table = Table(
         "Ablation: misprediction fix-up rate (absent-key lookups)",
@@ -164,7 +141,3 @@ def test_ablation_fixup_rate(fig4_datasets, query_rng, benchmark):
     for name, fixups in rates.items():
         assert fixups < 1_000, name
     console(f"[ablation fixups] {rates}")
-
-    keys = fig4_datasets["maps"]
-    index = RecursiveModelIndex(keys, stage_sizes=(1, 64))
-    benchmark(lambda: index.lookup(float(keys[0]) + 0.5))

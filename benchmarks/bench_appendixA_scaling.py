@@ -46,7 +46,7 @@ def _lognormal_cdf(x):
     return np.array([0.5 * (1.0 + erf(v / np.sqrt(2.0))) for v in z])
 
 
-def test_appendixA_error_scaling(benchmark):
+def test_appendixA_error_scaling():
     table = Table(
         "Appendix A: position error of a constant-size model vs N "
         f"(lognormal(0,2), {SEEDS_PER_SIZE} seeds per point)",
@@ -87,10 +87,3 @@ def test_appendixA_error_scaling(benchmark):
     # hence also the mean).
     for m in measurements:
         assert m.mean_absolute_error < dkw_bound(m.n, alpha=0.001) * m.n
-
-    def one_measurement():
-        return empirical_position_error(
-            _lognormal_sampler, _lognormal_cdf, 2_000, seed=0
-        )
-
-    benchmark(one_measurement)

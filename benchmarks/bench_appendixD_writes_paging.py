@@ -15,17 +15,15 @@ the claims the sketches make:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.bench import Table, format_bytes
+from repro.bench import Table, format_bytes, measure_callable
 from repro.core import PagedLearnedIndex, WritableLearnedIndex
 
 from conftest import console, scaled, show_table
 
 
-def test_appendixD1_insert_workloads(benchmark):
+def test_appendixD1_insert_workloads():
     n = scaled(400_000)
     base = np.arange(0, 4 * n, 4, dtype=np.int64)  # timestamp-like
     index = WritableLearnedIndex(
@@ -33,16 +31,17 @@ def test_appendixD1_insert_workloads(benchmark):
     )
 
     def run(batches):
-        start = time.perf_counter()
         retrains = index.retrains
         fast = index.fast_appends
-        total = 0
-        for batch in batches:
-            index.insert_batch(batch)
-            total += len(batch)
-        index.merge()
+
+        def workload():
+            for batch in batches:
+                index.insert_batch(batch)
+            index.merge()
+
+        total = sum(len(batch) for batch in batches)
         return (
-            (time.perf_counter() - start) / total * 1e6,
+            measure_callable(workload, repeats=1) / total / 1e3,
             index.retrains - retrains,
             index.fast_appends - fast,
         )
@@ -74,26 +73,19 @@ def test_appendixD1_insert_workloads(benchmark):
     # The paper's claim: appends are the cheap case.
     assert append_retrains == 0
     assert append_fast >= 1
-    assert append_us < random_us
+    assert random_us / append_us > 1.0
     # correctness after both workloads
     assert index.contains(top + 8)
     assert index.contains(int(random_batches[0][0]))
     assert not index.contains(2)
     console(
         f"[appD1 shape] appends {append_us:.1f}us/insert with 0 retrains vs "
-        f"random {random_us:.1f}us/insert with {random_retrains} retrains"
+        f"random {random_us:.1f}us/insert with {random_retrains} retrains "
+        f"({random_us / append_us:.1f}x)"
     )
 
-    state = {"next": int(top + 10**9)}
 
-    def one_append():
-        state["next"] += 4
-        index.insert(state["next"])
-
-    benchmark(one_append)
-
-
-def test_appendixD2_paging_io(fig4_datasets, query_rng, benchmark):
+def test_appendixD2_paging_io(fig4_datasets, query_rng):
     keys = fig4_datasets["lognormal"]
     page_size = 1_024
     queries = [float(q) for q in query_rng.choice(keys, 800)]
@@ -146,12 +138,3 @@ def test_appendixD2_paging_io(fig4_datasets, query_rng, benchmark):
         f"[appD2 shape] {full_reads / len(queries):.2f} reads/lookup; "
         f"partial reads cut bytes {full_bytes / max(partial_bytes, 1):.1f}x"
     )
-
-    state = {"i": 0}
-
-    def one_lookup():
-        q = queries[state["i"] % len(queries)]
-        state["i"] += 1
-        return partial.lookup(q)
-
-    benchmark(one_lookup)

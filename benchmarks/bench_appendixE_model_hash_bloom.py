@@ -25,7 +25,7 @@ from conftest import console, scaled, show_table
 TARGETS = (0.01, 0.001)
 
 
-def test_appendixE_model_hash_bloom(benchmark):
+def test_appendixE_model_hash_bloom():
     n_keys = scaled(50_000)
     keys, negatives = url_dataset(n_keys, n_keys, seed=42)
     third = len(negatives) // 3
@@ -118,16 +118,3 @@ def test_appendixE_model_hash_bloom(benchmark):
             for t, r in results.items()
         )
     )
-
-    probes = keys[:256]
-    model_hash = ModelHashBloomFilter(
-        model, keys, validation, target_fpr=0.01, bitmap_bits=len(keys) * 4
-    )
-    state = {"i": 0}
-
-    def one_query():
-        q = probes[state["i"] & 255]
-        state["i"] += 1
-        return q in model_hash
-
-    benchmark(one_query)

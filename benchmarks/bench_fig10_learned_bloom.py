@@ -40,7 +40,7 @@ def _train_gru(width, keys, train_negs, epochs=3):
     return model
 
 
-def test_figure10_learned_bloom_footprint(benchmark):
+def test_figure10_learned_bloom_footprint():
     n_keys = scaled(25_000)
     keys, negatives = url_dataset(n_keys, n_keys, seed=42)
     third = len(negatives) // 3
@@ -106,13 +106,3 @@ def test_figure10_learned_bloom_footprint(benchmark):
         models[w0], keys, validation, target_fpr=0.01
     )
     assert all(k in learned for k in keys[:1_000])
-
-    probes = keys[:256]
-    state = {"i": 0}
-
-    def one_query():
-        q = probes[state["i"] & 255]
-        state["i"] += 1
-        return q in learned
-
-    benchmark(one_query)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import Table, format_bytes, measure_lookups
+from repro.bench import Table, compare_lookups, format_bytes
 from repro.core import LearnedHashFunction
 from repro.hashmap import ChainingHashMap, RandomHashFunction
 
@@ -30,7 +30,7 @@ def _build(keys, values, hash_fn, slots):
     return hash_map
 
 
-def test_figure11_chained_hashmap(fig4_datasets, query_rng, benchmark):
+def test_figure11_chained_hashmap(fig4_datasets, query_rng):
     table = Table(
         "Figure 11 / Appendix B: Model vs Random Hash-map "
         "(20-byte records, 24-byte slots)",
@@ -44,7 +44,6 @@ def test_figure11_chained_hashmap(fig4_datasets, query_rng, benchmark):
         ],
     )
     shapes = {}
-    maps_probe = None
     for name, keys in fig4_datasets.items():
         values = np.arange(keys.size)
         learned_fn_cache = {}
@@ -60,19 +59,14 @@ def test_figure11_chained_hashmap(fig4_datasets, query_rng, benchmark):
             model_map = _build(keys, values, learned_fn, slots)
             random_map = _build(keys, values, random_fn, slots)
             queries = [int(q) for q in query_rng.choice(keys, 1_500)]
-            model_ns = measure_lookups(model_map.get, queries, repeats=2)
-            random_ns = measure_lookups(random_map.get, queries, repeats=2)
+            random_ns, model_ns, slowdown = compare_lookups(
+                random_map.get, model_map.get, queries, repeats=2
+            )
             space_factor = (
                 model_map.empty_slot_bytes()
                 / max(random_map.empty_slot_bytes(), 1)
             )
-            shapes[(name, budget)] = (
-                model_ns.mean_ns,
-                random_ns.mean_ns,
-                space_factor,
-            )
-            if name == "maps" and budget == 1.0:
-                maps_probe = (model_map, queries)
+            shapes[(name, budget)] = (slowdown, space_factor)
             table.add_row(
                 name,
                 f"{budget:.0%}",
@@ -93,25 +87,16 @@ def test_figure11_chained_hashmap(fig4_datasets, query_rng, benchmark):
 
     # Shape assertions (paper: Maps 100% slots -> 0.21x space factor,
     # advantage shrinking at 125%).
-    assert shapes[("maps", 1.0)][2] < 0.45
+    assert shapes[("maps", 1.0)][1] < 0.45
     for name in fig4_datasets:
-        assert shapes[(name, 1.0)][2] < 1.0, name
-        assert shapes[(name, 1.25)][2] >= shapes[(name, 1.0)][2] * 0.8
-        model_ns, random_ns, _ = shapes[(name, 1.0)]
-        assert model_ns < random_ns * 2.5, name
+        slowdown, space_factor = shapes[(name, 1.0)]
+        assert space_factor < 1.0, name
+        assert shapes[(name, 1.25)][1] >= space_factor * 0.8
+        assert slowdown < 2.5, name
     console(
-        "[fig11 shape] space factors @100%: "
+        "[fig11 shape] @100% space factor / model-vs-random lookup time: "
         + ", ".join(
-            f"{name}={shapes[(name, 1.0)][2]:.2f}x" for name in fig4_datasets
+            "{}={:.2f}x/{:.2f}x".format(name, *reversed(shapes[(name, 1.0)]))
+            for name in fig4_datasets
         )
     )
-
-    model_map, queries = maps_probe
-    state = {"i": 0}
-
-    def one_get():
-        q = queries[state["i"] % len(queries)]
-        state["i"] += 1
-        return model_map.get(q)
-
-    benchmark(one_get)

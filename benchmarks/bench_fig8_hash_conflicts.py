@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import Table, measure_lookups
+from repro.bench import Table
 from repro.core import LearnedHashFunction, conflict_stats
 from repro.hashmap import RandomHashFunction
 
@@ -29,7 +29,7 @@ PAPER_ROWS = {
 }
 
 
-def test_figure8_conflict_reduction(fig4_datasets, benchmark):
+def test_figure8_conflict_reduction(fig4_datasets):
     table = Table(
         "Figure 8: Reduction of Conflicts (slots = #keys; "
         "learned = 2-stage RMI, linear models)",
@@ -42,14 +42,12 @@ def test_figure8_conflict_reduction(fig4_datasets, benchmark):
         ],
     )
     measured = {}
-    hash_fns = {}
     for name, keys in fig4_datasets.items():
         n = keys.size
         random_fn = RandomHashFunction(n, seed=7)
         learned_fn = LearnedHashFunction(
             keys, n, stage_sizes=(1, max(n // 10, 8))
         )
-        hash_fns[name] = learned_fn
         random_stats = conflict_stats(random_fn, keys, n)
         learned_stats = conflict_stats(learned_fn, keys, n)
         reduction = 1 - learned_stats.conflict_rate / random_stats.conflict_rate
@@ -79,17 +77,3 @@ def test_figure8_conflict_reduction(fig4_datasets, benchmark):
         "[fig8 shape] reductions: "
         + ", ".join(f"{k}={v[2]:.1%}" for k, v in measured.items())
     )
-
-    # Benchmark the learned hash-function evaluation itself (the paper
-    # notes it costs the model-execution time from Figure 4, ~25-40ns).
-    keys = fig4_datasets["maps"]
-    learned_fn = hash_fns["maps"]
-    probes = [float(k) for k in keys[:: max(keys.size // 512, 1)]]
-    state = {"i": 0}
-
-    def one_hash():
-        q = probes[state["i"] % len(probes)]
-        state["i"] += 1
-        return learned_fn(q)
-
-    benchmark(one_hash)

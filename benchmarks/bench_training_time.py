@@ -11,11 +11,7 @@ the Section 3.6 sampling trick on root training.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from repro.bench import Table
+from repro.bench import Table, measure_callable
 from repro.btree import BTreeIndex
 from repro.core import HybridIndex, RecursiveModelIndex
 from repro.models import LinearModel, NeuralRegressionModel
@@ -23,13 +19,7 @@ from repro.models import LinearModel, NeuralRegressionModel
 from conftest import console, show_table
 
 
-def _timed(builder):
-    start = time.perf_counter()
-    built = builder()
-    return built, time.perf_counter() - start
-
-
-def test_training_time(fig4_datasets, benchmark):
+def test_training_time(fig4_datasets):
     keys = fig4_datasets["lognormal"]
     leaves = max(keys.size // 2_000, 8)
     table = Table(
@@ -62,20 +52,21 @@ def test_training_time(fig4_datasets, benchmark):
         ),
     ]
     for name, builder in builders:
-        _built, seconds = _timed(builder)
+        seconds = measure_callable(builder, repeats=1) / 1e9
         rows[name] = seconds
         table.add_row(
             name, f"{seconds:.2f}", f"{seconds / keys.size * 1e9:.0f}"
         )
     show_table(table)
 
-    # Shape: RMI builds are "not much longer than a few seconds" even in
-    # Python at bench scale, and closed-form training is the fast path.
-    assert rows["RMI linear root"] < 30.0
-    assert rows["RMI linear root"] < rows["RMI NN root (sampled training)"]
+    # Shape: closed-form training is the fast path — the sampled NN
+    # root costs a multiple of the linear root's build.
+    nn_vs_linear = (
+        rows["RMI NN root (sampled training)"] / rows["RMI linear root"]
+    )
+    assert nn_vs_linear > 1.0
     console(
         f"[training shape] linear-root RMI builds at "
-        f"{rows['RMI linear root'] / keys.size * 1e9:.0f}ns/key"
+        f"{rows['RMI linear root'] / keys.size * 1e9:.0f}ns/key, "
+        f"NN root {nn_vs_linear:.2f}x that"
     )
-
-    benchmark(lambda: RecursiveModelIndex(keys[:20_000], stage_sizes=(1, 16)))

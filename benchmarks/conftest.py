@@ -1,17 +1,21 @@
-"""Shared benchmark infrastructure.
+"""Shared infrastructure of the paper-figure checks.
 
-Every benchmark prints the paper-style table for its figure directly to
-the real stdout (bypassing pytest capture) so that
+Every ``bench_*.py`` file is a plain pytest file: it prints the
+paper-style table for its figure directly to the real stdout
+(bypassing pytest capture) and asserts the figure's qualitative shape,
+so that
 
-    pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q | tee out.txt
 
-records both the pytest-benchmark timing table and the reproduced
-paper tables.
+(the CI ``paper`` lane) both records the reproduced tables and fails
+when the reproduction rots.  Every clock read is in
+``repro.bench.timing``; an assertion that orders two per-lookup times
+takes its ratio from ``compare_lookups``.
 
 Scale: ``REPRO_SCALE`` (float, default 1.0) multiplies every dataset
 size, so the suite can be re-run closer to paper scale on bigger
-machines.  The shapes reported in EXPERIMENTS.md are stable across
-scales.
+machines.  Some asserted shapes (learned-bloom footprint, page-read
+bytes) need the default scale or more.
 """
 
 from __future__ import annotations
@@ -48,6 +52,12 @@ def console(text: str = "") -> None:
             print(text, flush=True)
     else:
         print(text, file=sys.__stdout__, flush=True)
+
+
+def comparisons_per_lookup(index) -> float:
+    """Mean comparisons per scalar lookup since ``index.stats`` was
+    last reset — an exact count, unlike a wall-clock time."""
+    return index.stats.comparisons / index.stats.lookups
 
 
 def show_table(table) -> None:

@@ -9,9 +9,9 @@ every result is verified by bounded search, they can only differ in
 *speed and size*, never in answers — which this example checks against
 ``np.searchsorted`` before printing the comparison.
 
-The full dataset × family × workload matrix (with enforced gates)
-lives in ``benchmarks/bench_matrix.py``; this is the single-dataset
-tour of the same accounting surface.
+The measured family comparison (four workloads, bounds, oracle
+checks) lives in ``benchmarks/e2e``; this is the single-dataset tour
+of the same accounting surface.
 
 Run:  PYTHONPATH=src python examples/index_comparison.py [--n 500000]
 """

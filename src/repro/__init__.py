@@ -26,8 +26,7 @@ every substrate its evaluation depends on:
   a radix table), and :class:`GappedArrayIndex` (the ALEX-style
   writable gapped array).  PGM and RadixSpline plug a builder into
   the same :class:`repro.core.CompiledPlanIndex` surface the RMI
-  does; raced in ``benchmarks/bench_matrix.py`` and
-  ``benchmarks/e2e``.
+  does; raced in ``benchmarks/e2e``.
 * **Serving & observability** — :class:`CoalescingIndexServer`,
   :class:`ShardedLSMStore`, :class:`CDFSplitter` (PR 8) and the
   :mod:`repro.obs` metrics/tracing registry (PR 9).

@@ -2,7 +2,12 @@
 
 from .cost import DEFAULT_COST_MODEL, CostEstimate, CostModel
 from .tables import Table, factor, format_bytes, percentage
-from .timing import LatencyResult, measure_callable, measure_lookups
+from .timing import (
+    LatencyResult,
+    compare_lookups,
+    measure_callable,
+    measure_lookups,
+)
 
 __all__ = [
     "DEFAULT_COST_MODEL",
@@ -10,6 +15,7 @@ __all__ = [
     "CostModel",
     "LatencyResult",
     "Table",
+    "compare_lookups",
     "factor",
     "format_bytes",
     "measure_callable",

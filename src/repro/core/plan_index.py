@@ -36,37 +36,33 @@ from __future__ import annotations
 import numpy as np
 
 from ..btree.search_baselines import exponential_search
-from ..obs import StatsView, counter_field
-from ..range_scan import RangeScanResult, batch_range_scan
+from ..range_scan import (
+    RangeScanIndexMixin,
+    RangeScanResult,
+    batch_range_scan,
+)
 from ..util import scalar_view
 from .engine import CompiledPlan, SortedKeyColumn, clamp_window
 
 __all__ = ["CompiledPlanIndex", "RMIStats"]
 
 
-class RMIStats(StatsView):
+class RMIStats:
     """Lookup instrumentation for benchmarks and the cost model.
 
-    A thin view over a per-index :class:`repro.obs.MetricsRegistry`:
-    each field reads/writes a named ``rmi.*`` counter, so the same
-    numbers surface through the obs exporters while the historical
-    ``stats.lookups += 1`` idiom keeps working unchanged.
+    Plain ints, like the ``TraversalStats`` of the baselines these
+    indexes are raced against: every scalar lookup bumps them and
+    nothing exports them, so they are not a :class:`repro.obs.StatsView`.
     """
 
-    _FIELDS = ("lookups", "comparisons", "fixups", "window_total")
-    _PREFIX = "rmi."
+    __slots__ = ("lookups", "comparisons", "fixups", "window_total", "extra")
 
-    lookups = counter_field("lookups")
-    comparisons = counter_field("comparisons")
-    fixups = counter_field("fixups")
-    window_total = counter_field("window_total")
-
-    def __init__(self, registry=None) -> None:
-        super().__init__(registry)
+    def __init__(self) -> None:
         self.extra: dict = {}
+        self.reset()
 
     def reset(self) -> None:
-        super().reset()
+        self.lookups = self.comparisons = self.fixups = self.window_total = 0
         self.extra.clear()
 
     @property
@@ -74,14 +70,16 @@ class RMIStats(StatsView):
         return self.window_total / self.lookups if self.lookups else 0.0
 
 
-class CompiledPlanIndex:
+class CompiledPlanIndex(RangeScanIndexMixin):
     """A learned range index whose batch surface is one compiled plan.
 
     Subclasses implement ``_build`` (segment fitting + routing
     structure; calls :meth:`_install_plan` when the model flattens to
     linear leaf tables) and ``_route_scalar`` (one key → leaf index,
     the scalar analogue of the plan's vectorized routing).  Lower-bound
-    semantics are identical to every index in :mod:`repro.btree`.
+    semantics are identical to every index in :mod:`repro.btree`, whose
+    scalar ``upper_bound`` / ``range_query`` this class shares
+    (:class:`~repro.range_scan.RangeScanIndexMixin`).
     """
 
     def __init__(self, keys: np.ndarray):
@@ -191,28 +189,9 @@ class CompiledPlanIndex:
             return exponential_search(keys, key, left - 1)
         return left
 
-    def upper_bound(self, key) -> int:
-        """Position one past the last stored key <= ``key``.
-
-        Duplicates are resolved by one ``searchsorted(side="right")``
-        over the suffix starting at the lower bound — O(log d) for d
-        duplicates instead of the naive O(d) scan.
-        """
-        pos = self.lookup(key)
-        return pos + int(np.searchsorted(self.keys[pos:], key, side="right"))
-
     def contains(self, key) -> bool:
         pos = self.lookup(key)
         return pos < self.keys.size and self.keys[pos] == key
-
-    def range_query(self, low, high) -> np.ndarray:
-        """All stored keys in ``[low, high]``."""
-        if high < low:
-            return self.keys[0:0]
-        start = self.lookup(low)
-        end = self.lookup(high)
-        end += int(np.searchsorted(self.keys[end:], high, side="right"))
-        return self.keys[start:end]
 
     # -- batch surface (thin adapters over the shared engine) --------------
     #

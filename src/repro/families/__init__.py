@@ -12,8 +12,9 @@ and the serving/obs layers apply to every one of them:
 * :class:`GappedArrayIndex` — the ALEX-style writable variant, a
   gapped slot array under a live-routed slot model.
 
-``benchmarks/bench_matrix.py`` races them against the RMI and the
-classic baselines across the SOSD-style dataset × workload matrix.
+``benchmarks/e2e`` races PGM and RadixSpline against the RMI on every
+workload; ``tests/test_differential_oracle.py`` pins every family
+bit-identical to a bisect oracle across the SOSD-style key shapes.
 """
 
 from ..core.plan_index import CompiledPlanIndex

@@ -286,16 +286,16 @@ def batch_range_scan(
 class RangeScanIndexMixin:
     """The full batch + range API for numeric sorted-array indexes.
 
-    Mixed into every tree/table baseline so the semantics live in one
-    place: hosts must expose sorted ``keys`` (numpy) and scalar
-    ``lookup`` (lower bound).  The default ``lookup_batch`` answers
-    batches straight off the host's
-    :class:`~repro.core.engine.SortedKeyColumn` — these structures only
+    Mixed into every tree/table baseline and the learned-index base
+    so the semantics live in one place: hosts must expose sorted
+    ``keys`` (numpy) and scalar ``lookup`` (lower bound).  The default
+    ``lookup_batch`` answers batches straight off the host's
+    :class:`~repro.core.engine.SortedKeyColumn` — the baselines only
     accelerate scalar descents, and over a dense sorted array the
     vectorized page + in-page search is one exact ``searchsorted`` in
-    the key's native dtype; hosts with a real batch engine (the RMI's,
-    with its ``sort=`` fast path) or non-numpy keys (the
-    generic/string indexes) override the surface themselves.
+    the key's native dtype; hosts with a real batch engine
+    (``CompiledPlanIndex``, with its ``sort=`` fast path) or non-numpy
+    keys (the generic/string indexes) override the batch surface.
     """
 
     def _key_column(self):
@@ -324,10 +324,14 @@ class RangeScanIndexMixin:
         """Position one past the last stored key <= ``key``.
 
         One lower-bound descent plus a ``searchsorted(side="right")``
-        over the duplicate run — O(log d) for d duplicates.
+        over the duplicate run — O(log d) for d duplicates.  The
+        needle is the stored key: a Python int against a uint64 column
+        would promote both sides to float64 and round beyond 2^53.
         """
         pos = self.lookup(key)
-        return pos + int(np.searchsorted(self.keys[pos:], key, side="right"))
+        if pos < self.keys.size and (stored := self.keys[pos]) == key:
+            pos += int(np.searchsorted(self.keys[pos:], stored, side="right"))
+        return pos
 
     def range_query(self, low: float, high: float) -> np.ndarray:
         """All stored keys in ``[low, high]`` (closed interval)."""

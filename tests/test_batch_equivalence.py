@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bisect
+import zlib
 
 from repro.bloom import BloomFilter
 from repro.btree import (
@@ -477,7 +478,9 @@ class TestExact64BitEquivalence:
     @pytest.mark.parametrize("kind", HUGE_KINDS)
     @pytest.mark.parametrize("name", sorted(HUGE_FACTORIES))
     def test_point_ops_exact(self, name, kind):
-        rng = np.random.default_rng(0xE5 + hash((name, kind)) % 2**16)
+        rng = np.random.default_rng(
+            0xE5 + zlib.crc32(repr((name, kind)).encode()) % 2**16
+        )
         keys = huge_dataset(kind)
         index = HUGE_FACTORIES[name](keys)
         oracle = [int(k) for k in keys]
@@ -507,7 +510,9 @@ class TestExact64BitEquivalence:
     @pytest.mark.parametrize("kind", HUGE_KINDS)
     @pytest.mark.parametrize("name", sorted(HUGE_FACTORIES))
     def test_range_ops_exact(self, name, kind):
-        rng = np.random.default_rng(0xE6 + hash((name, kind)) % 2**16)
+        rng = np.random.default_rng(
+            0xE6 + zlib.crc32(repr((name, kind)).encode()) % 2**16
+        )
         keys = huge_dataset(kind)
         index = HUGE_FACTORIES[name](keys)
         oracle = [int(k) for k in keys]

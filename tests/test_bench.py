@@ -8,6 +8,7 @@ from repro.bench import (
     CostModel,
     Table,
     factor,
+    compare_lookups,
     format_bytes,
     measure_callable,
     measure_lookups,
@@ -86,6 +87,26 @@ class TestTimingHarness:
     def test_measure_lookups_rejects_empty(self):
         with pytest.raises(ValueError):
             measure_lookups(lambda q: q, [])
+
+    def test_compare_lookups_alternates_sides(self):
+        order = []
+        a, b, _ = compare_lookups(
+            lambda q: order.append("A"), lambda q: order.append("B"),
+            range(4), repeats=1, chunk=1,
+        )
+        # warm-up runs each side over the queries, then A B | B A | ...
+        assert "".join(order) == "AAAABBBB" + "ABBAABBA"
+        assert a.operations == b.operations == 4
+
+    def test_compare_lookups_of_a_callable_with_itself(self):
+        keys = np.arange(1000)
+
+        def lookup(q):
+            return int(np.searchsorted(keys, q))
+
+        a, b, ratio = compare_lookups(lookup, lookup, list(range(1000)))
+        assert 0.8 <= ratio <= 1.25
+        assert a.mean_ns > 0 and b.mean_ns > 0
 
 
 class TestTables:

@@ -14,6 +14,7 @@ counterexample rather than a statistical anomaly.
 from __future__ import annotations
 
 import bisect
+import zlib
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.btree import (
     HierarchicalLookupTable,
 )
 from repro.core import (
+    SORTED_BATCH_THRESHOLD,
     HybridIndex,
     RecursiveModelIndex,
     StringRMI,
@@ -36,6 +38,14 @@ from repro.lsm import LearnedLSMStore
 from repro.models import LinearModel, SplineSegmentModel
 
 SEED = 0xD1FF
+
+
+def case_rng(*case) -> np.random.Generator:
+    """A generator seeded from the parametrized id alone (``hash()`` of
+    a string is salted per process, so it cannot replay a failure)."""
+    return np.random.default_rng(
+        SEED + zlib.crc32(repr(case).encode()) % 2**16
+    )
 
 
 class Oracle:
@@ -86,6 +96,25 @@ def numeric_keys(regime: str, rng: np.random.Generator) -> np.ndarray:
         return np.sort(np.concatenate([keys, keys[::10]]))
     if regime == "uniform":
         return np.unique(rng.integers(0, 10**9, 2_000))
+    # The SOSD-style key shapes of the former benchmark matrix.
+    if regime == "heavy_tail":
+        # Unclipped lognormal: key gaps span orders of magnitude (the
+        # column on which PGM fits one segment per key).
+        return np.sort((np.exp(rng.normal(0, 2.0, 3_000)) * 1e7).astype(np.int64))
+    if regime == "clustered":
+        centers = rng.integers(0, 1 << 48, 4)
+        parts = [c + rng.integers(0, 40_000, 750) for c in centers]
+        return np.sort(np.concatenate(parts).astype(np.int64))
+    if regime == "osm_like":
+        # Dense blobs of very different widths over a sparse background.
+        centers = rng.integers(1 << 20, 1 << 44, 12)
+        widths = np.exp(rng.normal(14, 2, 12))
+        parts = [
+            (c + rng.normal(0, w, 190)).astype(np.int64)
+            for c, w in zip(centers, widths)
+        ]
+        parts.append(rng.integers(0, 1 << 44, 750).astype(np.int64))
+        return np.sort(np.abs(np.concatenate(parts)))
     raise ValueError(regime)
 
 
@@ -138,13 +167,16 @@ NUMERIC_REGIMES = [
     "duplicate_heavy",
     "adversarial_clusters",
     "uniform",
+    "heavy_tail",
+    "clustered",
+    "osm_like",
 ]
 
 
 @pytest.mark.parametrize("regime", NUMERIC_REGIMES)
 @pytest.mark.parametrize("name", sorted(NUMERIC_FACTORIES))
 def test_numeric_index_matches_oracle(name, regime):
-    rng = np.random.default_rng(SEED + hash((name, regime)) % 2**16)
+    rng = case_rng(name, regime)
     keys = numeric_keys(regime, rng)
     index = NUMERIC_FACTORIES[name](keys)
     oracle = Oracle(int(k) for k in keys)
@@ -194,6 +226,22 @@ def test_numeric_index_matches_oracle(name, regime):
         assert list(got) == expected, (name, regime, "range", i)
         scalar = index.range_query(float(lows[i]), float(highs[i]))
         assert list(scalar) == expected, (name, regime, "range_scalar", i)
+
+
+@pytest.mark.parametrize("name", ["rmi_binary", "pgm", "radix_spline"])
+def test_zipf_batch_takes_sorted_path_by_heuristic(name):
+    """A hot-key batch of SORTED_BATCH_THRESHOLD queries is sorted and
+    deduplicated by the default ``sort=None`` heuristic, bit-identically."""
+    rng = case_rng(name, "zipf")
+    keys = numeric_keys("heavy_tail", rng)
+    index = NUMERIC_FACTORIES[name](keys)
+    ranks = np.minimum(rng.zipf(1.3, SORTED_BATCH_THRESHOLD), keys.size) - 1
+    queries = rng.permutation(keys)[ranks]
+    np.testing.assert_array_equal(
+        index.lookup_batch(queries), np.searchsorted(keys, queries, side="left")
+    )
+    # Instrumentation counts the deduplicated engine work.
+    assert 0 < index.stats.lookups < queries.size
 
 
 def test_generic_btree_matches_oracle_over_ints():
@@ -541,6 +589,15 @@ def huge_oracle_keys(regime: str, rng: np.random.Generator) -> np.ndarray:
             (2**63 - 40_000) + np.cumsum(rng.integers(1, 3, 700)),
         ]
         return np.unique(np.concatenate(parts).astype(np.int64))
+    if regime == "strings":
+        # 8-byte strings packed big-endian into uint64 (SOSD's string
+        # keys; lexicographic order == integer order), ten last letters
+        # under each 7-byte prefix so float64 collides the siblings.
+        letters = np.array(list(b"abcdefghijklmnopqrstuvwxyz"), dtype=np.uint64)
+        chars = letters[rng.integers(0, 26, (300, 8))].repeat(10, axis=0)
+        chars[:, 7] = letters[rng.integers(0, 26, 3_000)]
+        weights = np.uint64(256) ** np.arange(7, -1, -1, dtype=np.uint64)
+        return np.unique(chars @ weights)
     raise ValueError(regime)
 
 
@@ -553,13 +610,13 @@ def huge_oracle_probes(keys: np.ndarray, rng, n: int) -> list[int]:
     return out
 
 
-HUGE_ORACLE_REGIMES = ["straddle_2p53", "adjacent_2p63"]
+HUGE_ORACLE_REGIMES = ["straddle_2p53", "adjacent_2p63", "strings"]
 
 
 @pytest.mark.parametrize("regime", HUGE_ORACLE_REGIMES)
 @pytest.mark.parametrize("name", sorted(NUMERIC_FACTORIES))
 def test_numeric_index_matches_oracle_beyond_2p53(name, regime):
-    rng = np.random.default_rng(SEED + hash((name, regime, 64)) % 2**16)
+    rng = case_rng(name, regime, 64)
     keys = huge_oracle_keys(regime, rng)
     # The regime is only meaningful if float64 would collide keys.
     assert np.unique(keys.astype(np.float64)).size < keys.size
@@ -611,7 +668,7 @@ def test_numeric_index_matches_oracle_beyond_2p53(name, regime):
 def test_paged_index_matches_oracle_beyond_2p53(regime):
     from repro.core import PagedLearnedIndex
 
-    rng = np.random.default_rng(SEED + hash(regime) % 2**16)
+    rng = case_rng(regime)
     keys = huge_oracle_keys(regime, rng)
     index = PagedLearnedIndex(keys, page_size=64)
     oracle = Oracle(int(k) for k in keys)
@@ -735,7 +792,7 @@ def test_lsm_store_matches_oracle_beyond_2p53():
 def test_gapped_array_matches_oracle_after_churn(regime):
     """The writable family vs a set-semantics bisect oracle, checked
     after every phase of an interleaved insert/delete churn."""
-    rng = np.random.default_rng(SEED + hash(("gapped", regime)) % 2**16)
+    rng = case_rng("gapped", regime)
     keys = np.unique(numeric_keys(regime, rng))
     index = GappedArrayIndex(keys)
     live = set(int(k) for k in keys)
