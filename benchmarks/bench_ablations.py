@@ -1,4 +1,4 @@
-"""E12 — Ablations over the design choices DESIGN.md calls out.
+"""E12 — Ablations over the reproduction's own design choices.
 
 Not a paper table; these benches justify the reproduction's own design
 decisions and quantify the paper's qualitative remarks:

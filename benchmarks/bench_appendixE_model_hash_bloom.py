@@ -108,8 +108,7 @@ def test_appendixE_model_hash_bloom():
     # keys (for a realistic non-zero FNR), and those keys overlap the
     # non-key score region — which poisons the low end of the bitmap
     # discretization and costs the model-hash variant most of its edge.
-    # Both constructions still beat the standard filter; see
-    # EXPERIMENTS.md E8 for the full discussion.
+    # Both constructions still beat the standard filter.
     console(
         "[appE shape] savings vs plain: "
         + ", ".join(

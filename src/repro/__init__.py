@@ -41,8 +41,9 @@ Quickstart::
     position = index.lookup(keys[1234])        # lower-bound semantics
     hits = index.range_query(10**8, 2 * 10**8)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured results of every reproduced table and figure.
+See ROADMAP.md for the system inventory and each subsystem's contract
+section; the paper-versus-measured tables and figures are printed by
+``benchmarks/bench_*.py`` (the CI ``paper`` lane).
 """
 
 from .bloom import BloomFilter

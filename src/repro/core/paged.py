@@ -148,8 +148,8 @@ class FilePageStore:
     (``byte_offset`` / ``count`` locate it — e.g. a sealed run's
     ``keys`` section, see
     :func:`repro.lsm.paged_runs.paged_index_over_run`).  ``preads``
-    counts actual syscalls issued, so the cold-vs-warm experiment the
-    durability bench runs measures genuine I/O, not a model of it.
+    counts actual syscalls issued, so a cold-vs-warm experiment
+    measures genuine I/O, not a model of it.
 
     The file region is one contiguous sorted array, so the translation
     table is the identity — the interesting part here is the real page

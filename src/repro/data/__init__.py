@@ -1,9 +1,9 @@
 """Dataset simulators for the learned-index reproduction.
 
 The paper evaluates on proprietary Google datasets; every generator in
-this package is a documented synthetic substitute (see DESIGN.md,
-"Fidelity notes") producing deterministic, seeded data with the CDF
-properties the paper relies on.
+this package is a documented synthetic substitute (each generator's
+docstring says what it stands in for) producing deterministic, seeded
+data with the CDF properties the paper relies on.
 """
 
 from .maps import LONGITUDE_SCALE, map_longitudes

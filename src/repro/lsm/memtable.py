@@ -42,6 +42,8 @@ import threading
 
 import numpy as np
 
+from .wal import RECORD_PUT
+
 __all__ = ["Memtable"]
 
 #: Value stored for tombstone entries in a sealed snapshot.
@@ -125,6 +127,14 @@ class Memtable:
                 pop(key, None)
             self._tombstones.update(items)
             self._dirty()
+
+    def apply(self, kind: int, keys: np.ndarray, values=None) -> None:
+        """Land one ``(kind, keys, values)`` write record — a live
+        store call and a replayed WAL record alike."""
+        if kind == RECORD_PUT:
+            self.put_batch(keys, values)
+        else:
+            self.delete_batch(keys)
 
     # Writable-index primitives: the single-run design decides *policy*
     # (e.g. "only tombstone keys the main index holds") itself, so it

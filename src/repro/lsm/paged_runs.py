@@ -9,8 +9,8 @@ actual on-disk section files.  This module closes the loop:
 ``keys`` section — every page fetch is one ``os.pread`` against the
 same bytes the LSM serves, and the store's ``preads`` counter reports
 syscalls actually issued.  Dropping the OS page cache between batches
-(``FilePageStore.drop_cache``) turns the same workload cold, which is
-the cold/warm experiment the durability bench surfaces.
+(``FilePageStore.drop_cache``) turns the same workload cold — the
+cold/warm experiment ``tests/test_serving.py`` drives.
 
 The pread path deliberately bypasses the fault-injection filesystem:
 it measures real I/O, and a simulated crash schedule has no meaning

@@ -610,10 +610,6 @@ class SortedRun:
     def num_tombstones(self) -> int:
         return self._num_tombstones
 
-    @property
-    def live_count(self) -> int:
-        return self._n - self._num_tombstones
-
     def __len__(self) -> int:
         return self._n
 

@@ -110,6 +110,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from operator import index as _index
 from typing import Callable
 
 import numpy as np
@@ -130,16 +131,19 @@ from .format import CorruptRunError
 from .manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from .memtable import Memtable
 from .run import DEFAULT_LEAF_TARGET, SortedRun
-from .wal import RECORD_PUT, WriteAheadLog
+from .wal import RECORD_DELETE, RECORD_PUT, WriteAheadLog
 from .wal import replay as wal_replay
 
 __all__ = [
+    "KVSurface",
     "LearnedLSMStore",
     "LSMReadStats",
     "LSMWriteStats",
     "ReadView",
     "StoreSnapshot",
+    "as_int64_key",
     "as_int64_keys",
+    "as_int64_pairs",
     "range_endpoints",
 ]
 
@@ -154,18 +158,21 @@ COMPACTION_POLICIES: dict[str, Callable[[], CompactionPolicy]] = {
 #: (RocksDB's ``bytes_per_sync``): caps how much dirty run-file data a
 #: concurrent foreground WAL fsync can get queued behind.
 _MERGE_SAVE_FSYNC_BYTES = 1 << 20
+_KEY_MIN, _KEY_MAX = -(2**63), 2**63 - 1  # the int64 key domain
 
 
 def as_int64_keys(keys) -> np.ndarray:
-    """Validate a batch key array: integer dtype required.
+    """The key contract, batch form: an integer array in the int64
+    domain, or a typed refusal — never a cast that changes a key.
 
     The ``SortedKeyColumn`` contract from PR 5 — float keys would
     silently alias above 2^53, and a float *query* would truncate
     onto a neighbouring key — so every batch surface that takes keys
-    (writes and point reads alike) refuses them instead of casting.
-    Plain Python int sequences infer an integer dtype and pass; an
-    empty batch passes regardless of numpy's float64 default for
-    ``[]``.
+    (writes and point reads alike) refuses them with ``TypeError``,
+    and a uint64 value above ``2^63 - 1`` with ``OverflowError`` (the
+    cast would wrap it onto a negative key).  Plain Python int
+    sequences infer an integer dtype and pass; an empty batch passes
+    regardless of numpy's float64 default for ``[]``.
     """
     arr = np.asarray(keys)
     if arr.dtype == np.int64:  # the per-request case: nothing to check
@@ -177,7 +184,29 @@ def as_int64_keys(keys) -> np.ndarray:
             "batch keys must be an integer array, got dtype "
             f"{arr.dtype}; cast explicitly if that loss is intended"
         )
+    if arr.dtype == np.uint64 and int(arr.max()) > _KEY_MAX:
+        raise OverflowError(f"key {arr.max()} is outside the int64 key domain")
     return arr.astype(np.int64).ravel()
+
+
+def as_int64_key(key) -> int:
+    """The key contract, scalar form: ``key`` as a Python int.
+    ``TypeError`` for a non-integer (``2.5``, ``2.0``, ``"7"`` — no
+    truncation onto a neighbour), ``OverflowError`` outside int64."""
+    key = _index(key)
+    if not _KEY_MIN <= key <= _KEY_MAX:
+        raise OverflowError(f"key {key} is outside the int64 key domain")
+    return key
+
+
+def as_int64_pairs(keys, values=None) -> tuple[np.ndarray, np.ndarray]:
+    """Parallel ``(keys, values)`` under the key contract; values
+    default to the keys (the key-only callers' payload)."""
+    keys = as_int64_keys(keys)
+    values = keys if values is None else as_int64_keys(values)
+    if values.size != keys.size:
+        raise ValueError("keys and values must have the same length")
+    return keys, values
 
 
 def range_endpoints(lows, highs) -> tuple[np.ndarray, np.ndarray]:
@@ -329,10 +358,10 @@ class ReadView:
             offsets = np.zeros(lows.size + 1, dtype=np.int64)
             return RangeScanResult(values=empty, offsets=offsets), empty
         if with_values:
-            merged, values = merge_scan_results(
+            merged, carried = merge_scan_results(
                 sources, drop_masks=masks, payloads=payloads
             )
-            values = np.asarray(values, dtype=np.int64)
+            values = np.asarray(carried, dtype=np.int64)
         else:
             merged = merge_scan_results(sources, drop_masks=masks)
             values = None
@@ -397,6 +426,80 @@ class StoreSnapshot(ReadView):
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.release()
+
+
+class KVSurface:
+    """The store surface, written once.  A key-value holder implements
+    ``lookup_batch``, ``range_query_batch`` (+ ``range_items_batch``),
+    ``close`` and one write primitive ``_write(kind, keys, values)`` —
+    a WAL record kind and parallel int64 arrays already under the key
+    contract (``values`` is ``None`` for deletes) — and inherits every
+    other entry point.  Caller input becomes keys and values only
+    here, through :func:`as_int64_keys` / :func:`as_int64_key` /
+    :func:`as_int64_pairs`, so a key means the same thing on every
+    entry point of every holder: a non-integer is a ``TypeError``, a
+    key outside int64 an ``OverflowError``, and a refused call writes
+    nothing.  (Float *range endpoints* are not keys; they bound the
+    range where they say.)
+    """
+
+    def insert(self, key: int, value: int | None = None) -> None:
+        """Write ``key -> value`` (value defaults to the key)."""
+        value = None if value is None else [as_int64_key(value)]
+        self.insert_batch([as_int64_key(key)], value)
+
+    def insert_batch(self, keys, values=None) -> None:
+        """Bulk insert: one write record (one WAL record + one
+        memtable update, at most one seal after).
+
+        Duplicate keys within the batch resolve last-wins, matching a
+        put loop.  The whole batch is atomic at WAL-record granularity:
+        after a crash, either every entry of the batch survives or none
+        does.  Raises ``TypeError`` on non-integer key or value arrays.
+        """
+        self._write(RECORD_PUT, *as_int64_pairs(keys, values))
+
+    def delete(self, key: int) -> None:
+        """Blind delete: a tombstone shadows every older version.
+
+        No read is performed (the LSM discipline — presence is resolved
+        at read/compaction time), so unlike
+        ``WritableLearnedIndex.delete`` there is no return value.
+        """
+        self.delete_batch([as_int64_key(key)])
+
+    def delete_batch(self, keys) -> None:
+        """Bulk blind delete: one write record.  Same atomicity and
+        integer-dtype contract as :meth:`insert_batch`."""
+        self._write(RECORD_DELETE, as_int64_keys(keys), None)
+
+    def lookup(self, key: int):
+        """The live value for ``key``, or None."""
+        values, found = self.lookup_batch([as_int64_key(key)])
+        return int(values[0]) if found[0] else None
+
+    def contains(self, key: int) -> bool:
+        """Does a live (non-tombstoned) entry exist for ``key``?"""
+        return self.lookup(key) is not None
+
+    def contains_batch(self, keys) -> np.ndarray:
+        """One bool per key: does a live (non-tombstoned) entry exist?"""
+        return self.lookup_batch(keys)[1]
+
+    def range_query(self, low, high) -> np.ndarray:
+        """Scalar range read: all live keys in ``[low, high]``."""
+        result = self.range_query_batch([low], [high])
+        return np.asarray(result[0], dtype=np.int64)
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise ValueError("store is closed")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
 
 class LSMReadStats(StatsView):
@@ -555,7 +658,7 @@ class _BackgroundCompactor:
         self._thread.join()
 
 
-class LearnedLSMStore:
+class LearnedLSMStore(KVSurface):
     """Tiered LSM key-value store whose every run is RMI-indexed.
 
     Parameters
@@ -696,13 +799,7 @@ class LearnedLSMStore:
 
         bulk = None
         if keys is not None:
-            keys = as_int64_keys(keys)
-            if values is None:
-                vals = keys.copy()
-            else:
-                vals = np.asarray(values, dtype=np.int64).ravel()
-                if vals.size != keys.size:
-                    raise ValueError("values must parallel keys")
+            keys, vals = as_int64_pairs(keys, values)
             if keys.size:
                 # Last value wins on duplicate keys, like a put loop.
                 uniq, last = np.unique(keys[::-1], return_index=True)
@@ -827,10 +924,7 @@ class LearnedLSMStore:
             # boundary before appending anything new.
             fs.truncate(wal_path, valid_size)
         for record in records:
-            if record.kind == RECORD_PUT:
-                self.memtable.put_batch(record.keys, record.values)
-            else:
-                self.memtable.delete_batch(record.keys)
+            self.memtable.apply(record.kind, record.keys, record.values)
         self.recovered_wal_records = len(records)
         self._wal = WriteAheadLog(
             fs, wal_path, fsync=self._wal_fsync, **self._wal_group
@@ -930,16 +1024,6 @@ class LearnedLSMStore:
     def closed(self) -> bool:
         return self._closed
 
-    def __enter__(self) -> "LearnedLSMStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ValueError("store is closed")
-
     def _next_sequence(self) -> int:
         with self._state_lock:
             self._sequence += 1
@@ -947,78 +1031,46 @@ class LearnedLSMStore:
 
     # -- write path ------------------------------------------------------------
 
+    def _write(self, kind: int, keys: np.ndarray, values) -> None:
+        """The store's one write primitive: one WAL record + one
+        memtable update, at most one seal after."""
+        self._ensure_open()
+        if keys.size == 0:
+            return
+        if self._wal is not None:
+            self._log(kind, keys, values)
+        self.memtable.apply(kind, keys, values)
+        self.write_stats.add(keys_written=keys.size)
+        self._maybe_seal()
+
+    def _log(self, kind: int, keys: np.ndarray, values) -> None:
+        with obs_span("lsm.wal.append", records=keys.size, kind=kind):
+            self._wal.append(kind, keys, values)
+
+    # ``insert`` / ``delete`` override the inherited one-element batch,
+    # a measured fork: a scalar dict put is 1.2-1.5 us against 2.8-3.7
+    # through ``_write`` memory-only, 6.2 against 7.7 durable unsynced.
+
     def insert(self, key: int, value: int | None = None) -> None:
         """Write ``key -> value`` (value defaults to the key)."""
         self._ensure_open()
-        key = int(key)
-        value = key if value is None else int(value)
+        key = as_int64_key(key)
+        value = key if value is None else as_int64_key(value)
         if self._wal is not None:
-            with obs_span("lsm.wal.append", records=1):
-                self._wal.append_puts(
-                    np.array([key], dtype=np.int64),
-                    np.array([value], dtype=np.int64),
-                )
+            pair = np.array([key, value], dtype=np.int64)
+            self._log(RECORD_PUT, pair[:1], pair[1:])
         self.memtable.put(key, value)
         self.write_stats.add(keys_written=1)
         self._maybe_seal()
 
-    def insert_batch(self, keys, values=None) -> None:
-        """Bulk insert: one WAL record + one memtable update, at most
-        one seal after.
-
-        Duplicate keys within the batch resolve last-wins, matching a
-        put loop.  The whole batch is atomic at WAL-record granularity:
-        after a crash, either every entry of the batch survives or none
-        does.  Raises ``TypeError`` on non-integer key arrays.
-        """
-        self._ensure_open()
-        keys = as_int64_keys(keys)
-        if values is None:
-            values = keys
-        else:
-            values = np.asarray(values, dtype=np.int64).ravel()
-            if values.size != keys.size:
-                raise ValueError("keys and values must have the same length")
-        if keys.size == 0:
-            return
-        if self._wal is not None:
-            with obs_span("lsm.wal.append", records=int(keys.size)):
-                self._wal.append_puts(keys, values)
-        self.memtable.put_batch(keys, values)
-        self.write_stats.add(keys_written=int(keys.size))
-        self._maybe_seal()
-
     def delete(self, key: int) -> None:
-        """Blind delete: a tombstone shadows every older version.
-
-        No read is performed (the LSM discipline — presence is resolved
-        at read/compaction time), so unlike
-        ``WritableLearnedIndex.delete`` there is no return value.
-        """
+        """Blind delete — see :meth:`KVSurface.delete`."""
         self._ensure_open()
-        key = int(key)
+        key = as_int64_key(key)
         if self._wal is not None:
-            with obs_span("lsm.wal.append", records=1, deletes=True):
-                self._wal.append_deletes(np.array([key], dtype=np.int64))
+            self._log(RECORD_DELETE, np.array([key], dtype=np.int64), None)
         self.memtable.delete(key)
         self.write_stats.add(keys_written=1)
-        self._maybe_seal()
-
-    def delete_batch(self, keys) -> None:
-        """Bulk blind delete: one WAL record + one memtable sweep.
-
-        Same atomicity and integer-dtype contract as
-        :meth:`insert_batch`.
-        """
-        self._ensure_open()
-        keys = as_int64_keys(keys)
-        if keys.size == 0:
-            return
-        if self._wal is not None:
-            with obs_span("lsm.wal.append", records=int(keys.size), deletes=True):
-                self._wal.append_deletes(keys)
-        self.memtable.delete_batch(keys)
-        self.write_stats.add(keys_written=int(keys.size))
         self._maybe_seal()
 
     def _maybe_seal(self) -> None:
@@ -1380,10 +1432,12 @@ class LearnedLSMStore:
 
         Memtable first (O(1) lock-free dict probes), then a pinned run
         snapshot newest-first; each run's bloom filter is consulted
-        before its RMI runs.
+        before its RMI runs.  Overrides the inherited one-element
+        ``lookup_batch``, a measured fork: 13-26 us here against
+        170-300 us through the batch walk (2-run 450k-key store).
         """
         self._ensure_open()
-        key = int(key)
+        key = as_int64_key(key)
         if self.memtable.is_tombstone(key):
             self.read_stats.add(lookups=1, memtable_hits=1)
             return None
@@ -1445,15 +1499,6 @@ class LearnedLSMStore:
         """
         return self._read(ReadView.lookup_batch, keys, self.read_stats)
 
-    def contains(self, key: int) -> bool:
-        """Does a live (non-tombstoned) entry exist for ``key``?"""
-        return self.lookup(key) is not None
-
-    def contains_batch(self, keys) -> np.ndarray:
-        """One bool per key: does a live (non-tombstoned) entry exist?"""
-        _values, found = self.lookup_batch(keys)
-        return found
-
     # -- range reads -----------------------------------------------------------
 
     def range_query_batch(self, lows, highs) -> RangeScanResult:
@@ -1482,11 +1527,6 @@ class LearnedLSMStore:
         ``result.values[j]`` is ``values[j]``.
         """
         return self._read(ReadView.range_items_batch, lows, highs)
-
-    def range_query(self, low, high) -> np.ndarray:
-        """Scalar range read: all live keys in ``[low, high]``."""
-        result = self.range_query_batch([low], [high])
-        return np.asarray(result[0], dtype=np.int64)
 
     # -- accounting ------------------------------------------------------------
 

@@ -162,7 +162,11 @@ class WriteAheadLog:
 
         fs.fsync_dir(os.path.dirname(path) or ".")
 
-    def _append(self, payload: bytes) -> None:
+    def append(self, kind: int, keys: np.ndarray, values=None) -> None:
+        """Append one ``(kind, keys, values)`` record — the shape a
+        write has from the store's public call to replay (``values``
+        is ``None`` for deletes) — and apply the fsync discipline."""
+        payload = _encode(kind, keys, values)
         frame = _FRAME.pack(checksum(payload), len(payload)) + payload
         fs = self._fs
         fs.write(self._handle, frame)
@@ -188,10 +192,10 @@ class WriteAheadLog:
         )
 
     def append_puts(self, keys: np.ndarray, values: np.ndarray) -> None:
-        self._append(_encode(RECORD_PUT, keys, values))
+        self.append(RECORD_PUT, keys, values)
 
     def append_deletes(self, keys: np.ndarray) -> None:
-        self._append(_encode(RECORD_DELETE, keys))
+        self.append(RECORD_DELETE, keys)
 
     def sync(self) -> None:
         if self._dirty:

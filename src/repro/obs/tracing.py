@@ -49,10 +49,6 @@ def set_process_name(name: str) -> None:
     _process_name = name
 
 
-def process_name() -> str:
-    return _process_name
-
-
 class _Recorder:
     def __init__(self) -> None:
         self._lock = threading.Lock()

@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from ..core.engine import pack_requests, unpack_results
-from ..lsm.store import as_int64_keys
+from ..lsm.store import as_int64_key, as_int64_keys
 from ..obs import MetricsRegistry, StatsView, counter_field, tracing
 from ..obs import state as obs_state
 from ..range_scan import RangeScanResult
@@ -172,9 +172,7 @@ class CoalescingIndexServer:
 
     async def lookup(self, key: int):
         """Single-key read; resolves to the value or ``None``."""
-        values, found = await self.lookup_batch(
-            np.array([key], dtype=np.int64)
-        )
+        values, found = await self.lookup_batch([as_int64_key(key)])
         return int(values[0]) if found[0] else None
 
     async def lookup_batch(self, keys):
@@ -185,11 +183,9 @@ class CoalescingIndexServer:
         return await self._submit(self._points, (queries,), queries.size)
 
     async def range_query(self, low: int, high: int) -> np.ndarray:
-        """Live keys in the closed range ``[low, high]``."""
-        result = await self.range_query_batch(
-            np.array([low], dtype=np.int64),
-            np.array([high], dtype=np.int64),
-        )
+        """Live keys in the closed range ``[low, high]`` — the batch
+        form's contract: a float endpoint is a ``TypeError``."""
+        result = await self.range_query_batch([low], [high])
         return np.asarray(result[0], dtype=np.int64)
 
     async def range_query_batch(self, lows, highs) -> RangeScanResult:
@@ -251,11 +247,11 @@ class CoalescingIndexServer:
         points, self._points = self._points, []
         ranges, self._ranges = self._ranges, []
         self._queued_sizes = 0
-        self.stats.ticks += 1
+        self.stats.add(ticks=1)
         points = self._drop_cancelled(points)
         ranges = self._drop_cancelled(ranges)
         if not points and not ranges:
-            self.stats.empty_ticks += 1
+            self.stats.add(empty_ticks=1)
             return
         if obs_state.enabled:
             # The tick serves many requests at once: it runs as its own
@@ -278,12 +274,9 @@ class CoalescingIndexServer:
             self._run_chunk(chunk, self._range_call, kind="range")
 
     def _drop_cancelled(self, pending: list) -> list:
-        kept = []
-        for req in pending:
-            if req.future.cancelled():
-                self.stats.requests_cancelled += 1
-            else:
-                kept.append(req)
+        kept = [req for req in pending if not req.future.cancelled()]
+        if len(kept) < len(pending):
+            self.stats.add(requests_cancelled=len(pending) - len(kept))
         return kept
 
     def _chunks(self, pending: list):
@@ -308,7 +301,7 @@ class CoalescingIndexServer:
 
     def _point_call(self, requests: list[_Pending]) -> list:
         flat, offsets = pack_requests([r.args[0] for r in requests])
-        self.stats.store_calls += 1
+        self.stats.add(store_calls=1)
         self.stats.point_batch_sizes.append(int(flat.size))
         with tracing.span(
             "coalesce.store_call", kind="point", keys=int(flat.size)
@@ -325,7 +318,7 @@ class CoalescingIndexServer:
     def _range_call(self, requests: list[_Pending]) -> list:
         lows, offsets = pack_requests([r.args[0] for r in requests])
         highs, _ = pack_requests([r.args[1] for r in requests])
-        self.stats.store_calls += 1
+        self.stats.add(store_calls=1)
         self.stats.range_batch_sizes.append(int(lows.size))
         with tracing.span(
             "coalesce.store_call", kind="range", ranges=int(lows.size)
@@ -349,13 +342,17 @@ class CoalescingIndexServer:
         except Exception:
             self._fallback(requests, kind)
             return
+        served = 0
         for req, result in zip(requests, results):
             if req.future.cancelled():
-                self.stats.requests_cancelled += 1
                 continue
             req.future.set_result(result)
-            self.stats.requests_served += 1
+            served += 1
             self._finish_request(req, kind)
+        self.stats.add(
+            requests_served=served,
+            requests_cancelled=len(requests) - served,
+        )
 
     def _finish_request(self, req: _Pending, kind: str) -> None:
         """Close the request-level span stamped at submit time."""
@@ -372,20 +369,25 @@ class CoalescingIndexServer:
     def _fallback(self, requests: list, kind: str) -> None:
         """Batch failed — re-run each request alone so only the
         poisoned one(s) reject."""
+        cancelled = served = 0
         for req in requests:
             if req.future.cancelled():
-                self.stats.requests_cancelled += 1
+                cancelled += 1
                 continue
-            self.stats.fallback_requests += 1
             try:
                 if kind == "point":
                     result = self.store.lookup_batch(req.args[0])
                 else:
                     result = self.store.range_query_batch(*req.args)
-                self.stats.store_calls += 1
             except Exception as exc:  # noqa: BLE001 — per-request verdict
                 req.future.set_exception(exc)
             else:
                 req.future.set_result(result)
-                self.stats.requests_served += 1
+                served += 1
                 self._finish_request(req, kind)
+        self.stats.add(
+            requests_cancelled=cancelled,
+            fallback_requests=len(requests) - cancelled,
+            store_calls=served,
+            requests_served=served,
+        )

@@ -47,11 +47,14 @@ import numpy as np
 
 from ..core.engine import GroupScatter
 from ..lsm.store import (
+    KVSurface,
     LearnedLSMStore,
     ReadView,
     as_int64_keys,
+    as_int64_pairs,
     range_endpoints,
 )
+from ..lsm.wal import RECORD_PUT
 from ..obs import (
     MetricsRegistry,
     RegistrySnapshot,
@@ -311,8 +314,9 @@ class ShardedSnapshot:
         self.release()
 
 
-class ShardedLSMStore:
-    """N worker-owned LSM shards behind one batch read/write surface.
+class ShardedLSMStore(KVSurface):
+    """N worker-owned LSM shards behind one batch read/write surface
+    (the scalar and write entry points are :class:`KVSurface`'s).
 
     Parameters
     ----------
@@ -376,24 +380,13 @@ class ShardedLSMStore:
                 if sample is not None
                 else CDFSplitter.uniform(self.num_shards)
             )
-        bulk_keys = [None] * self.num_shards
-        bulk_values = [None] * self.num_shards
+        bulk = {}
         if keys is not None:
-            keys = as_int64_keys(keys)
-            if values is None:
-                values = keys
-            else:
-                values = np.asarray(values, dtype=np.int64).ravel()
-                if values.size != keys.size:
-                    raise ValueError("values must parallel keys")
-            route = GroupScatter(
-                self.splitter.shard_of_batch(keys), self.num_shards
-            )
-            for shard in range(self.num_shards):
-                idx = route.indices(shard)
-                if idx.size:
-                    bulk_keys[shard] = keys[idx]
-                    bulk_values[shard] = values[idx]
+            keys, values = as_int64_pairs(keys, values)
+            bulk = {
+                shard: {"keys": keys[idx], "values": values[idx]}
+                for shard, idx in self._split(keys).items()
+            }
         base_kwargs = dict(store_kwargs or {})
         # Workers compact synchronously so every structural change
         # rides a command ack — the epoch protocol's invariant.
@@ -415,9 +408,7 @@ class ShardedLSMStore:
                 kwargs = dict(base_kwargs)
                 if path is not None:
                     kwargs["path"] = os.path.join(path, f"shard-{shard}")
-                if bulk_keys[shard] is not None:
-                    kwargs["keys"] = bulk_keys[shard]
-                    kwargs["values"] = bulk_values[shard]
+                kwargs.update(bulk.get(shard, {}))
                 parent, child = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker,
@@ -452,17 +443,6 @@ class ShardedLSMStore:
             raise RuntimeError(
                 f"shard {shard}: {ack.get('error', 'unknown error')}"
             )
-        return ack
-
-    def _roundtrip(self, shard: int, cmd: dict) -> dict:
-        if obs_state.enabled:
-            wire = tracing.wire_context()
-            if wire is not None:
-                cmd["trace"] = wire
-        self._conns[shard].send(cmd)
-        ack = self._recv(shard)
-        if ack.get("epoch") is not None:
-            self._adopt(shard, ack["epoch"])
         return ack
 
     def _fanout(self, commands: dict[int, dict]) -> dict[int, dict]:
@@ -540,57 +520,33 @@ class ShardedLSMStore:
 
     # -- write path ------------------------------------------------------------
 
-    def insert(self, key: int, value: int | None = None) -> None:
-        self.insert_batch(
-            np.array([key], dtype=np.int64),
-            None if value is None else np.array([value], dtype=np.int64),
-        )
-
-    def insert_batch(self, keys, values=None) -> None:
-        """Route the batch to its owning shards; one concurrent
-        sub-batch write per shard, last-wins on duplicates preserved
-        (the scatter is stable)."""
-        self._ensure_open()
-        keys = as_int64_keys(keys)
-        if values is None:
-            values = keys
-        else:
-            values = np.asarray(values, dtype=np.int64).ravel()
-            if values.size != keys.size:
-                raise ValueError("keys and values must have the same length")
-        if keys.size == 0:
-            return
+    def _split(self, keys: np.ndarray) -> dict[int, np.ndarray]:
+        """``{shard: batch positions}`` for every shard that owns some
+        of ``keys`` — the one scatter the bulk load, writes and point
+        reads share; stable, so per-shard order is batch order and
+        last-wins on duplicates survives the split."""
         route = GroupScatter(
             self.splitter.shard_of_batch(keys), self.num_shards
         )
-        commands = {}
-        for shard in range(self.num_shards):
-            idx = route.indices(shard)
-            if idx.size:
-                commands[shard] = {
-                    "op": "insert_batch",
-                    "keys": keys[idx],
-                    "values": values[idx],
-                }
-        self._fanout(commands)
+        return {
+            shard: idx
+            for shard in range(self.num_shards)
+            if (idx := route.indices(shard)).size
+        }
 
-    def delete(self, key: int) -> None:
-        self.delete_batch(np.array([key], dtype=np.int64))
-
-    def delete_batch(self, keys) -> None:
+    def _write(self, kind: int, keys: np.ndarray, values) -> None:
+        """Route the record to its owning shards: one concurrent
+        sub-batch write per shard."""
         self._ensure_open()
-        keys = as_int64_keys(keys)
-        if keys.size == 0:
-            return
-        route = GroupScatter(
-            self.splitter.shard_of_batch(keys), self.num_shards
-        )
-        commands = {}
-        for shard in range(self.num_shards):
-            idx = route.indices(shard)
-            if idx.size:
-                commands[shard] = {"op": "delete_batch", "keys": keys[idx]}
-        self._fanout(commands)
+        op = "insert_batch" if kind == RECORD_PUT else "delete_batch"
+        self._fanout({
+            shard: {
+                "op": op,
+                "keys": keys[idx],
+                "values": values if values is None else values[idx],
+            }
+            for shard, idx in self._split(keys).items()
+        })
 
     def flush(self) -> None:
         self._ensure_open()
@@ -610,15 +566,6 @@ class ShardedLSMStore:
         })
 
     # -- read path -------------------------------------------------------------
-
-    def lookup(self, key: int):
-        values, found = self.lookup_batch(
-            np.array([key], dtype=np.int64), via="local"
-        )
-        return int(values[0]) if found[0] else None
-
-    def contains(self, key: int) -> bool:
-        return self.lookup(key) is not None
 
     def lookup_batch(
         self, keys, *, via: str | None = None
@@ -643,10 +590,6 @@ class ShardedLSMStore:
     ) -> tuple[RangeScanResult, np.ndarray]:
         self._ensure_open()
         return self._ranges(lows, highs, True, via=via)
-
-    def range_query(self, low, high) -> np.ndarray:
-        result = self.range_query_batch([low], [high], via="local")
-        return np.asarray(result[0], dtype=np.int64)
 
     def snapshot(self) -> ShardedSnapshot:
         """Pin the current cross-shard epoch for consistent reads."""
@@ -678,14 +621,7 @@ class ShardedLSMStore:
             epochs = self._epochs
         values = np.zeros(queries.size, dtype=np.int64)
         found = np.zeros(queries.size, dtype=bool)
-        route = GroupScatter(
-            self.splitter.shard_of_batch(queries), self.num_shards
-        )
-        parts = {
-            shard: idx
-            for shard in range(self.num_shards)
-            if (idx := route.indices(shard)).size
-        }
+        parts = self._split(queries)
         if epochs is not None:
             answers = {
                 shard: epochs[shard].lookup_batch(queries[idx])
@@ -790,10 +726,6 @@ class ShardedLSMStore:
             merged=merged,
         )
 
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ValueError("store is closed")
-
     def close(self) -> None:
         """Stop every worker and release every mapping; idempotent.
         Outstanding snapshots become invalid."""
@@ -834,12 +766,6 @@ class ShardedLSMStore:
             self._deferred[shard] = [
                 s for s in self._deferred[shard] if not _try_close(s)
             ]
-
-    def __enter__(self) -> "ShardedLSMStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (

@@ -15,7 +15,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.lsm.store import LearnedLSMStore, ReadView, StoreSnapshot
+from repro.lsm.store import KVSurface, LearnedLSMStore, ReadView, StoreSnapshot
 from repro.serving import (
     CDFSplitter,
     CoalescingIndexServer,
@@ -499,3 +499,123 @@ def test_sharded_store_reads_only_through_readview():
     for name in ("lookup_batch", "range_query_batch", "range_items_batch"):
         assert name not in sharded._ClientEpoch.__dict__, name
         assert hasattr(ReadView, name), name
+
+
+# -- one store surface: one key contract on every entry point (ISSUE 20) -------
+
+_U64 = np.array([2**64 - 5], dtype=np.uint64)  # wraps onto key -5 if cast
+
+#: (method, args, error): calls that used to answer for a neighbouring
+#: key, write one, or wedge the store — each a typed refusal now.
+_REFUSED = (
+    ("lookup", (2.5,), TypeError),
+    ("lookup", ("7",), TypeError),
+    ("contains", (2.0,), TypeError),
+    ("delete", (4.9,), TypeError),
+    ("insert", (7.9,), TypeError),
+    ("insert", (8, 1.5), TypeError),
+    ("insert", (2**63,), OverflowError),
+    ("delete", (2**64 - 5,), OverflowError),
+    ("lookup", (2**64 - 5,), OverflowError),
+    ("lookup_batch", (_U64,), OverflowError),
+    ("contains_batch", (_U64,), OverflowError),
+    ("insert_batch", (_U64,), OverflowError),
+    ("insert_batch", ([8], _U64), OverflowError),
+    ("delete_batch", (_U64,), OverflowError),
+    ("insert_batch", ([1000], [1.9]), TypeError),
+    ("insert_batch", ([1.5],), TypeError),
+)
+
+
+def _refuse_all(store) -> None:
+    for method, args, error in _REFUSED:
+        with pytest.raises(error):
+            getattr(store, method)(*args)
+
+
+def test_refused_calls_leave_every_holder_unchanged(read_holders):
+    model, holders = read_holders
+    single, shards = holders["store"], holders["sharded_local"]._store
+    server = holders["coalescer"]._server
+    written = single.write_stats.keys_written
+    _refuse_all(single)
+    _refuse_all(shards)
+    for key, error in ((2.5, TypeError), (2**64 - 5, OverflowError)):
+        with pytest.raises(error):
+            asyncio.run(server.lookup(key))
+    with pytest.raises(TypeError):  # the coalescer's own batch contract
+        asyncio.run(server.range_query(2.5, 6.5))
+    # Float range endpoints are not keys: they bound the range.
+    expect = [k for k in sorted(model) if 2.5 <= k <= 6.5]
+    assert single.range_query(2.5, 6.5).tolist() == expect
+    assert shards.range_query(2.5, 6.5).tolist() == expect
+    # Nothing landed, nothing is wedged: contents are the dict replay.
+    assert single.write_stats.keys_written == written
+    assert len(single) == len(model)
+    assert sum(s["live_keys"] for s in shards.shard_stats()) == len(model)
+    probe = np.array(sorted(model) + [-5, 4, 7, 8, 1000, 2**62], dtype=np.int64)
+    for name in ("store", "sharded_local", "sharded_worker", "coalescer"):
+        values, found = holders[name].lookup_batch(probe)
+        assert found.tolist() == [int(k) in model for k in probe], name
+        assert values[found].tolist() == [model[int(k)] for k in probe[found]]
+    assert asyncio.run(server.lookup(np.int64(1))) == model[1]
+
+
+def test_scalars_agree_with_one_element_batches(tmp_path):
+    keys = [3, np.int64(_BIG + 1), np.uint32(77), _BIG + 2, -9, _BIG]
+    path = str(tmp_path / "durable")
+    with LearnedLSMStore(background=False) as mem, LearnedLSMStore(
+        path=path, background=False
+    ) as durable, ShardedLSMStore(
+        2, sample_keys=np.array([0, _BIG]), read_via="worker"
+    ) as shards:
+        for store in (mem, durable, shards):
+            model: dict = {}
+            with LearnedLSMStore(background=False) as twin:
+                for i, key in enumerate(keys):
+                    store.insert(key, np.int64(i + 1))
+                    twin.insert_batch([key], [i + 1])
+                    model[int(key)] = i + 1
+                store.insert(5)
+                twin.insert_batch([5])
+                model[5] = 5
+                store.delete(np.int64(3))
+                twin.delete_batch([3])
+                del model[3]
+                _refuse_all(store)
+                probe = sorted(model) + [3, 4, _BIG + 3]
+                for got, want in zip(
+                    store.lookup_batch(probe), twin.lookup_batch(probe)
+                ):
+                    assert np.array_equal(got, want)
+            for key in probe:
+                values, found = store.lookup_batch([key])
+                batch = int(values[0]) if found[0] else None
+                assert store.lookup(np.int64(key)) == batch == model.get(key)
+                assert store.contains(key) == (key in model)
+                assert store.contains_batch([key]).tolist() == [key in model]
+            span = store.range_query(-10, _BIG + 2).tolist()
+            assert span == sorted(model)
+            assert span == list(store.range_query_batch([-10], [_BIG + 2])[0])
+    # The WAL holds the eight acknowledged writes and no refused one.
+    with LearnedLSMStore(path=path, background=False) as reopened:
+        assert reopened.recovered_wal_records == len(keys) + 2
+        assert reopened.lookup_batch(sorted(model))[0].tolist() == [
+            model[k] for k in sorted(model)
+        ]
+        assert len(reopened) == len(model)
+
+
+def test_store_surface_is_written_once():
+    derived = {
+        "insert", "insert_batch", "delete", "delete_batch",
+        "lookup", "contains", "contains_batch", "range_query",
+    }
+    assert not derived & set(vars(ShardedLSMStore))
+    assert derived & set(vars(LearnedLSMStore)) == {"insert", "delete", "lookup"}
+    for holder in (LearnedLSMStore, ShardedLSMStore):
+        assert issubclass(holder, KVSurface) and "_write" in vars(holder)
+    for reader in (
+        ReadView, StoreSnapshot, sharded.ShardedSnapshot, CoalescingIndexServer
+    ):
+        assert not hasattr(reader, "_write") and not hasattr(reader, "insert")
