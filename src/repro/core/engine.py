@@ -45,16 +45,46 @@ Dtype contract
 The float->integer preparation is what closes the 2^53 follow-up: the
 query value that actually reaches a comparison is always a value of
 the key's dtype, never an upcast of the keys to float64.
+
+Small-batch dispatch
+--------------------
+Routing is a verified hint, so the column's own whole-array search
+(:meth:`SortedKeyColumn.lower_bounds`) returns the same positions as the
+model path, bit for bit; only the cost differs.  The engine pays a
+fixed ~45-80us a call (some forty small NumPy calls) and then ~0.1us a
+key; ``np.searchsorted`` pays ~1us a call and 0.1-0.8us a key, more
+the further the column outgrows the cache.  So
+:meth:`CompiledPlan.lookup_batch` chooses per call, by
+:func:`column_answers` — a pure function of two things it can see, the
+number of queries in the call and the number of keys in the column —
+and sends a call under the crossover for that column size straight to
+the column: a learned index never loses to the array it wraps
+(Section 3.3's bound, applied to the batch surface).  The crossovers
+are the module constants :data:`COLUMN_CROSSOVERS`, set from the table
+``benchmarks/bench_small_batch_floor.py`` prints and guards; there is
+no constructor option or environment variable.  ``sort=True`` /
+``sort=False`` name an engine path and therefore force the engine at
+any size, which is how the benches and the traced benchmark time it;
+``stats.extra["column_answered"]`` (and, with telemetry on,
+``engine.lookup_batch.column_calls`` / ``.column_keys``) say how many
+queries the column answered, while ``stats.lookups`` / ``comparisons``
+/ ``window_total`` / ``fixups`` keep counting engine work only.  The
+rule reads nothing of the plan: wide windows (ulp-bounded keys near
+2^63, skewed leaves) do move the true crossover up 2-4x, but the
+plan's build-time mean window does not predict it on skewed data, and
+the table errs toward the engine — the path such a call took before.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
 from ..btree.search_baselines import Counter, exponential_search
 from ..obs import default_registry
 from ..obs import state as obs_state
-from ..util import scalar_view
+from ..util import clamp_into, scalar_view
 from .search import vectorized_bounded_search, verify_lower_bound_batch
 
 __all__ = [
@@ -63,6 +93,9 @@ __all__ = [
     "CompiledPlan",
     "SORTED_BATCH_THRESHOLD",
     "SORTED_BATCH_MIN_DUP_FRACTION",
+    "COLUMN_CROSSOVERS",
+    "COLUMN_CROSSOVER_BEYOND",
+    "column_answers",
     "batch_dup_fraction",
     "clamp_window",
     "clamp_window_batch",
@@ -90,6 +123,45 @@ SORTED_BATCH_THRESHOLD = 32_768
 #: each other either way.
 SORTED_BATCH_MIN_DUP_FRACTION = 0.5
 
+#: ``(column keys, queries)``: on a column of at most that many keys, a
+#: call of at most that many queries is answered by the column (see
+#: "Small-batch dispatch" in the module docstring).  Each row is the
+#: call size at which the RMI's engine forced with ``sort=False`` and
+#: ``SortedKeyColumn.lower_bounds`` cost the same on a uniform int64
+#: column of that size, as the crossover scan of
+#: ``benchmarks/bench_small_batch_floor.py`` prints it — except the
+#: first, set between the RMI's (~2k-5k) and the PGM's and
+#: RadixSpline's (> 8k: their routing costs more per call, which shows
+#: while the column still sits in cache).  A size between two rows
+#: takes the larger row's smaller crossover, so the table errs toward
+#: the engine.
+COLUMN_CROSSOVERS = (
+    (1 << 14, 4096),
+    (1 << 17, 768),
+    (1 << 18, 320),
+    (1 << 19, 160),
+    (1 << 20, 96),
+)
+
+#: Crossover on columns larger than the table's last row.
+COLUMN_CROSSOVER_BEYOND = 48
+
+_CROSSOVER_SIZES = tuple(size for size, _ in COLUMN_CROSSOVERS)
+_CROSSOVER_QUERIES = tuple(k for _, k in COLUMN_CROSSOVERS) + (
+    COLUMN_CROSSOVER_BEYOND,
+)
+
+
+def column_answers(queries: int, keys: int) -> bool:
+    """Should a call of ``queries`` lookups into a column of ``keys``
+    keys skip the model and search the whole column?
+
+    A pure function of the two sizes, read off
+    :data:`COLUMN_CROSSOVERS`; both answers are bit-identical, this
+    only picks the cheaper one.
+    """
+    return queries <= _CROSSOVER_QUERIES[bisect_left(_CROSSOVER_SIZES, keys)]
+
 
 def clamp_window(lo: int, hi: int, n: int) -> tuple[int, int]:
     """Clamp a raw search window to ``[0, n]`` with ``hi`` exclusive.
@@ -114,10 +186,10 @@ def clamp_window_batch(
     lo: np.ndarray, hi: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`clamp_window` over parallel int64 arrays."""
-    np.clip(lo, 0, n, out=lo)
-    np.clip(hi, None, n, out=hi)
+    clamp_into(lo, 0, n)
+    np.minimum(hi, n, out=hi)
     degenerate = hi <= lo
-    if np.any(degenerate):
+    if degenerate.any():
         collapsed = np.minimum(
             lo[degenerate], np.maximum(hi[degenerate] - 1, 0)
         )
@@ -437,17 +509,14 @@ class SortedKeyColumn:
         for a non-integral ``q``, ``bisect_right == bisect_left`` at
         ``ceil(q)``."""
         if side == "right" and qb.exactable is not None:
-            left = np.searchsorted(
-                sorted_values, qb.compare, side="left"
-            ).astype(np.int64)
-            right = np.searchsorted(
-                sorted_values, qb.compare, side="right"
-            ).astype(np.int64)
+            left = np.searchsorted(sorted_values, qb.compare, side="left")
+            right = np.searchsorted(sorted_values, qb.compare, side="right")
             pos = np.where(qb.exactable, right, left)
         else:
-            pos = np.searchsorted(sorted_values, qb.compare, side=side).astype(
-                np.int64
-            )
+            pos = np.searchsorted(sorted_values, qb.compare, side=side)
+        # Fresh from searchsorted (intp), so the in-place write below
+        # is safe without the copy.
+        pos = pos.astype(np.int64, copy=False)
         if qb.oob_high is not None:
             pos[qb.oob_high] = len(sorted_values)
         return pos
@@ -479,7 +548,7 @@ class SortedKeyColumn:
         compare = qb.compare
         pos = vectorized_bounded_search(keys, compare, lo, hi, counter=counter)
         fixups = 0
-        suspects = np.nonzero((pos == lo) | (pos == hi))[0]
+        suspects = ((pos == lo) | (pos == hi)).nonzero()[0]
         if suspects.size:
             ok = verify_lower_bound_batch(
                 keys, compare[suspects], pos[suspects]
@@ -630,7 +699,7 @@ class CompiledPlan:
         qf = qb.float64
         root = np.asarray(self.root_predict_batch(qf), dtype=np.float64)
         leaf = (root * m / n).astype(np.int64)
-        np.clip(leaf, 0, m - 1, out=leaf)
+        clamp_into(leaf, 0, m - 1)
         return leaf, self.leaf_predict(leaf, qf)
 
     def leaf_predict(
@@ -651,8 +720,10 @@ class CompiledPlan:
         floor/ceil slack); the paged index builds its page fetch plans
         from the same windows.
         """
-        lo = (raw - self.lo_offsets[leaf]).astype(np.int64) - 1
-        hi = (raw - self.hi_offsets[leaf]).astype(np.int64) + 2
+        lo = (raw - self.lo_offsets[leaf]).astype(np.int64)
+        lo -= 1
+        hi = (raw - self.hi_offsets[leaf]).astype(np.int64)
+        hi += 2
         return clamp_window_batch(lo, hi, self.column.size)
 
     def windows(
@@ -708,22 +779,42 @@ class CompiledPlan:
         inverse map.  A query's position depends only on its compare
         value (the engine verifies every boundary), so the output is
         bit-identical to the unsorted engine; instrumentation counts
-        the deduplicated engine work.  ``sort=None`` applies the size +
-        duplicate-density heuristic (:data:`SORTED_BATCH_THRESHOLD`,
-        :data:`SORTED_BATCH_MIN_DUP_FRACTION`); ``True``/``False``
-        force the choice (benchmarks measure both).
+        the deduplicated engine work.  ``sort=None`` lets the call
+        choose: the column answers it outright when
+        :func:`column_answers` says the whole-column search is the
+        cheaper side (``stats.extra["column_answered"]`` counts those
+        queries; the engine counters count engine work only), otherwise
+        the size + duplicate-density heuristic
+        (:data:`SORTED_BATCH_THRESHOLD`,
+        :data:`SORTED_BATCH_MIN_DUP_FRACTION`) picks the engine path.
+        ``True``/``False`` force that engine path (benchmarks measure
+        both).
 
         ``routed`` lets callers that already ran :meth:`route` (e.g.
         the hybrid index) pass (leaf, raw) instead of paying the root
         inference twice.
         """
         compare = qb.compare
+        column = self.column
+        from_column = sort is None and column_answers(compare.size, column.size)
         if obs_state.enabled:
             # One branch on the hot path when disabled; the batch
             # counters feed the obs exporters and the auto-tuning arc.
             reg = default_registry()
             reg.counter("engine.lookup_batch.calls").inc()
             reg.counter("engine.lookup_batch.keys").inc(int(compare.size))
+            if from_column:
+                reg.counter("engine.lookup_batch.column_calls").inc()
+                reg.counter("engine.lookup_batch.column_keys").inc(
+                    int(compare.size)
+                )
+        if from_column:
+            if stats is not None:
+                extra = stats.extra
+                extra["column_answered"] = (
+                    extra.get("column_answered", 0) + compare.size
+                )
+            return column.lower_bounds(qb)
         if sort is None:
             sort = compare.size >= SORTED_BATCH_THRESHOLD and (
                 batch_dup_fraction(compare) >= SORTED_BATCH_MIN_DUP_FRACTION

@@ -23,6 +23,7 @@ import numpy as np
 from ..btree.btree import BTreeIndex
 from ..btree.search_baselines import exponential_search
 from ..models.base import Model
+from . import engine
 from .rmi import RecursiveModelIndex
 
 __all__ = ["HybridIndex"]
@@ -137,19 +138,23 @@ class HybridIndex(RecursiveModelIndex):
         fast path); queries landing on replaced leaves take the scalar
         fallback descent (they are the hard-to-learn minority by
         construction), comparing native Python scalars so integer keys
-        beyond 2^53 stay exact.
+        beyond 2^53 stay exact.  A batch the column answers
+        (:func:`repro.core.engine.column_answers`, ``sort=None`` only)
+        is not routed at all.
         """
-        queries = self._prepare_queries(queries)
         n = self.keys.size
-        if n == 0:
-            return np.zeros(queries.size, dtype=np.int64)
-        if not self.leaf_btrees or self._plan is None:
+        if n == 0 or not self.leaf_btrees or self._plan is None:
             return super().lookup_batch(queries, sort=sort)
         qb = self._column.prepare(queries)
+        if sort is None and engine.column_answers(qb.size, n):
+            # Below the crossover the plan answers from the column, and
+            # a B-Tree leaf's lower bound is the column's too: nothing
+            # to route.
+            return self._plan.lookup_batch(qb, stats=self.stats)
         leaf, raw = self._plan.route(qb)
         replaced_ids = np.fromiter(self.leaf_btrees, dtype=np.int64)
         replaced = np.isin(leaf, replaced_ids)
-        out = np.empty(queries.size, dtype=np.int64)
+        out = np.empty(qb.size, dtype=np.int64)
         modeled = np.nonzero(~replaced)[0]
         if modeled.size:
             out[modeled] = self._plan.lookup_batch(

@@ -240,9 +240,8 @@ class CompiledPlanIndex(RangeScanIndexMixin):
     def _lower_bounds_with_batch(self, queries, sort=None):
         """(prepared batch, lower bounds) — one preparation, shared by
         every batch surface; the batch is ``None`` on an empty index."""
-        queries = self._prepare_queries(queries)
         if self.keys.size == 0:
-            return None, np.zeros(queries.size, dtype=np.int64)
+            return None, np.zeros(np.size(queries), dtype=np.int64)
         qb = self._column.prepare(queries)
         if self._plan is None:
             return qb, self.lookup_batch_scalar(queries)

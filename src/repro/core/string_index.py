@@ -31,7 +31,7 @@ import numpy as np
 from ..btree.btree import GenericBTreeIndex
 from ..models.cdf import ErrorStats, segmented_error_stats
 from ..range_scan import RangeScanResult, batch_range_scan_generic
-from ..util import batch_contains_generic
+from ..util import batch_contains_generic, clamp_into
 from ..models.linear import LinearModel, segmented_linear_fit
 from ..models.nn import MLP
 from ..models.tokenization import (
@@ -372,7 +372,7 @@ class StringRMI:
         )
         m = self.num_leaves
         leaf = (root_pred * m / n).astype(np.int64)
-        np.clip(leaf, 0, m - 1, out=leaf)
+        clamp_into(leaf, 0, m - 1)
         # Shared engine: gathered per-leaf affine predictions over the
         # encoded scalars, then the Section 3.4 window formula + clamp.
         raw = self._plan.leaf_predict(leaf, scalars)

@@ -52,6 +52,7 @@ import numpy as np
 
 from ..models.cdf import positions_for_keys
 from ..core.plan_index import CompiledPlanIndex
+from ..util import clamp_into
 from .segmentation import epsilon_segment
 
 __all__ = ["PGMIndex", "DEFAULT_PGM_EPSILON", "DEFAULT_PGM_EPSILON_INTERNAL"]
@@ -104,7 +105,7 @@ def _predecessor(
     c = keys.size
     take = np.minimum(pos, c - 1)
     j = pos - ((pos == c) | (keys[take] > qf))
-    np.clip(j, 0, c - 1, out=j)
+    clamp_into(j, 0, c - 1)
     return j
 
 
@@ -255,7 +256,7 @@ class PGMIndex(CompiledPlanIndex):
             return ("search",)
         scale = cells / span
         top_cells = ((top - min_f) * scale).astype(np.int64)
-        np.clip(top_cells, 0, cells - 1, out=top_cells)
+        clamp_into(top_cells, 0, cells - 1)
         table = np.searchsorted(
             top_cells, np.arange(cells + 1), side="left"
         ).astype(np.int64)
@@ -282,13 +283,13 @@ class PGMIndex(CompiledPlanIndex):
         elif route[0] == "table":
             _tag, min_f, scale, table, rounds, padded = route
             cell = ((qf - min_f) * scale).astype(np.int64)
-            np.clip(cell, 0, table.size - 2, out=cell)
+            clamp_into(cell, 0, table.size - 2)
             j = _upper_bound_branchless(padded, qf, table.take(cell), rounds)
             j -= 1
-            np.clip(j, 0, top.size - 1, out=j)
+            clamp_into(j, 0, top.size - 1)
         else:
             j = np.searchsorted(top, qf, side="right") - 1
-            np.clip(j, 0, top.size - 1, out=j)
+            clamp_into(j, 0, top.size - 1)
         slack = self._level_slack
         rounds = self._level_rounds
         for level in self._levels:
@@ -296,10 +297,10 @@ class PGMIndex(CompiledPlanIndex):
             raw += level.intercepts[j]
             base = raw.astype(np.int64)
             base -= slack + 1
-            np.clip(base, 0, level.child_count, out=base)
+            clamp_into(base, 0, level.child_count)
             j = _upper_bound_branchless(level.child_padded, qf, base, rounds)
             j -= 1
-            np.clip(j, 0, level.child_count - 1, out=j)
+            clamp_into(j, 0, level.child_count - 1)
         return j
 
     def _route_scalar(self, key) -> int:

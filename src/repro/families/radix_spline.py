@@ -34,6 +34,7 @@ import numpy as np
 from ..core.search import vectorized_bounded_search
 from ..models.cdf import positions_for_keys
 from ..core.plan_index import CompiledPlanIndex
+from ..util import clamp_into
 from .pgm import _predecessor
 from .segmentation import epsilon_segment
 
@@ -101,7 +102,7 @@ class RadixSplineIndex(CompiledPlanIndex):
         self._min_f = min_f
         self._scale = cells / span if span > 0 else 0.0
         knot_cells = ((knots - min_f) * self._scale).astype(np.int64)
-        np.clip(knot_cells, 0, cells - 1, out=knot_cells)
+        clamp_into(knot_cells, 0, cells - 1)
         # table[c] = first knot whose cell >= c; the bracket for cell c
         # is [table[c], table[c + 1]].
         self._table = np.searchsorted(
@@ -122,7 +123,7 @@ class RadixSplineIndex(CompiledPlanIndex):
         """Predecessor knot index per query via the radix table."""
         knots = self._knots
         cell = ((qf - self._min_f) * self._scale).astype(np.int64)
-        np.clip(cell, 0, self._num_cells - 1, out=cell)
+        clamp_into(cell, 0, self._num_cells - 1)
         lo = self._table[cell]
         hi = self._table[cell + 1]
         pos = vectorized_bounded_search(knots, qf, lo, hi)

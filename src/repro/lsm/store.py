@@ -115,7 +115,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.engine import SortedKeyColumn
+from ..core.engine import SortedKeyColumn, column_answers
 from ..obs import MetricsRegistry, StatsView, counter_field
 from ..obs import span as obs_span
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
@@ -158,6 +158,18 @@ COMPACTION_POLICIES: dict[str, Callable[[], CompactionPolicy]] = {
 #: (RocksDB's ``bytes_per_sync``): caps how much dirty run-file data a
 #: concurrent foreground WAL fsync can get queued behind.
 _MERGE_SAVE_FSYNC_BYTES = 1 << 20
+
+#: A sub-batch this many times under a run's small-batch crossover
+#: (:func:`repro.core.engine.column_answers`) is probed without asking
+#: the run's bloom filter first.  The filter's batch pass costs ~22us +
+#: 0.1us/key whatever the run's size; the probe such a sub-batch gets
+#: is one ``searchsorted`` on the run's key column.  At 8x under the
+#: crossover (512 keys on a 16k-key run, 96 on a 131k-key run, 20 on a
+#: 500k-key run) the filter costs 1.4-4x the whole probe even when
+#: every key is absent, so it cannot pay at any hit rate (the filter
+#: table of ``benchmarks/bench_small_batch_floor.py``).
+UNGUARDED_PROBE_FACTOR = 8
+
 _KEY_MIN, _KEY_MAX = -(2**63), 2**63 - 1  # the int64 key domain
 
 
@@ -246,8 +258,9 @@ class ReadView:
         """(values, found) for a whole key batch — the newest-first
         walk :meth:`LearnedLSMStore.lookup_batch` documents: memtable,
         then per run bloom filter → RMI probe over the queries still
-        unresolved.  ``stats`` receives the read-amplification
-        counters when provided."""
+        unresolved — the probe alone where the filter would cost more
+        than it (:data:`UNGUARDED_PROBE_FACTOR`).  ``stats`` receives
+        the read-amplification counters when provided."""
         queries = as_int64_keys(keys)
         put_keys, put_values, tomb_keys = self.mem
         m = queries.size
@@ -269,20 +282,29 @@ class ReadView:
             dead = (pos < tomb_keys.size) & (tomb_keys[safe] == queries)
             resolved |= dead
         memtable_hits = int(np.count_nonzero(resolved))
-        rejects = probes = misses = 0
+        rejects = probes = misses = unguarded = 0
         for run in self.runs:
             open_idx = np.nonzero(~resolved)[0]
             if open_idx.size == 0:
                 break
-            sub = queries[open_idx]
-            passed = run.bloom_contains_batch(sub)
-            rejects += int(sub.size - np.count_nonzero(passed))
-            cand_idx = open_idx[passed]
-            if cand_idx.size == 0:
-                continue
+            guarded = not column_answers(
+                open_idx.size * UNGUARDED_PROBE_FACTOR, len(run)
+            )
+            if guarded:
+                sub = queries[open_idx]
+                passed = run.bloom_contains_batch(sub)
+                rejects += int(sub.size - np.count_nonzero(passed))
+                cand_idx = open_idx[passed]
+                if cand_idx.size == 0:
+                    continue
+            else:
+                cand_idx = open_idx
             hit, dead, vals = run.probe_batch(queries[cand_idx])
             probes += int(cand_idx.size)
-            misses += int(np.count_nonzero(~hit))
+            if guarded:
+                misses += int(np.count_nonzero(~hit))
+            else:
+                unguarded += int(cand_idx.size)
             live = hit & ~dead
             values[cand_idx[live]] = vals[live]
             found[cand_idx[live]] = True
@@ -294,6 +316,7 @@ class ReadView:
                 run_probes=probes,
                 probe_misses=misses,
                 bloom_rejects=rejects,
+                unguarded_probes=unguarded,
             )
         return values, found
 
@@ -508,9 +531,13 @@ class LSMReadStats(StatsView):
     A *run probe* is one (query, run) RMI lookup actually executed; a
     *bloom reject* is a (query, run) pair the filter short-circuited
     before the model ran.  ``probe_misses`` counts executed probes that
-    found no entry — i.e. bloom false positives.  The fraction of
-    negative-run probes the guards eliminate is
-    ``bloom_rejects / (bloom_rejects + probe_misses)``.
+    the filter passed and that found no entry — i.e. bloom false
+    positives.  The fraction of negative-run probes the guards
+    eliminate is ``bloom_rejects / (bloom_rejects + probe_misses)``.
+    ``unguarded_probes`` are the run probes executed without asking
+    the filter (sub-batches cheaper to probe than to filter); hit or
+    miss, they appear in neither of the filter's two counters, so both
+    ratios keep describing the filter.
     """
 
     _FIELDS = (
@@ -519,6 +546,7 @@ class LSMReadStats(StatsView):
         "run_probes",
         "probe_misses",
         "bloom_rejects",
+        "unguarded_probes",
     )
     _PREFIX = "lsm.read."
 
@@ -527,6 +555,7 @@ class LSMReadStats(StatsView):
     run_probes = counter_field("run_probes")
     probe_misses = counter_field("probe_misses")
     bloom_rejects = counter_field("bloom_rejects")
+    unguarded_probes = counter_field("unguarded_probes")
 
     @property
     def negative_probes_eliminated(self) -> float:

@@ -99,3 +99,65 @@ def make_queries(
 @pytest.fixture()
 def queries_factory():
     return make_queries
+
+
+# -- the engine suites run on both sides of the small-batch dispatch -----------
+
+_BOTH_SIDES_MODULES = {
+    "test_engine",
+    "test_batch_equivalence",
+    "test_differential_oracle",
+    "test_families",
+    "test_build_equivalence",
+    "test_hybrid",
+    "test_range_edge_cases",
+}
+
+
+@pytest.fixture()
+def dispatch_as_shipped():
+    """Requested by a test that drives the real ``column_answers``:
+    opts it out of :func:`both_sides_of_the_dispatch`."""
+
+
+@pytest.fixture(autouse=True)
+def both_sides_of_the_dispatch(request, monkeypatch):
+    """The engine's correctness suites keep testing the engine, and
+    test the column beside it.
+
+    Almost none of their batches is above the crossover, so as shipped
+    they would exercise ``np.searchsorted`` alone.  Here
+    ``column_answers`` says False for the whole test (every batch
+    routes, the hybrid's included, and ``stats`` count engine work as
+    before), and each ``sort=None`` call of
+    ``CompiledPlan.lookup_batch`` is first answered with it forced
+    True — the real column branch — and the two answers must agree bit
+    for bit.  One fixture that runs both sides rather than a
+    parametrized one, so the suites' test ids stay what they were.
+    """
+    module = request.module.__name__.rpartition(".")[2]
+    if (
+        module not in _BOTH_SIDES_MODULES
+        or "dispatch_as_shipped" in request.fixturenames
+    ):
+        return
+    from repro.core import engine
+
+    dispatched = engine.CompiledPlan.lookup_batch
+
+    def lookup_batch(plan, qb, *, sort=None, routed=None, stats=None):
+        if sort is None:
+            with monkeypatch.context() as column_side:
+                column_side.setattr(
+                    engine, "column_answers", lambda queries, keys: True
+                )
+                from_column = dispatched(plan, qb, routed=routed)
+        from_engine = dispatched(
+            plan, qb, sort=sort, routed=routed, stats=stats
+        )
+        if sort is None:
+            np.testing.assert_array_equal(from_column, from_engine)
+        return from_engine
+
+    monkeypatch.setattr(engine, "column_answers", lambda queries, keys: False)
+    monkeypatch.setattr(engine.CompiledPlan, "lookup_batch", lookup_batch)

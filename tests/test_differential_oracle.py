@@ -244,6 +244,36 @@ def test_zipf_batch_takes_sorted_path_by_heuristic(name):
     assert 0 < index.stats.lookups < queries.size
 
 
+@pytest.mark.parametrize("name", ["rmi_binary", "pgm", "radix_spline"])
+def test_batch_size_picks_column_or_engine(name, dispatch_as_shipped):
+    """As shipped: an 8-key ``sort=None`` batch is answered by the
+    column (no engine work counted), a 100 000-key batch by the engine,
+    and ``sort=False`` forces the engine at any size — bit-identically."""
+    rng = case_rng(name, "dispatch")
+    keys = numeric_keys("heavy_tail", rng)
+    index = NUMERIC_FACTORIES[name](keys)
+    small = numeric_probes(keys, rng, 8).astype(np.int64)
+    large = numeric_probes(keys, rng, 100_000).astype(np.int64)
+
+    def same_as_searchsorted(queries, **how):
+        np.testing.assert_array_equal(
+            index.lookup_batch(queries, **how),
+            np.searchsorted(keys, queries, side="left"),
+        )
+
+    same_as_searchsorted(small)
+    assert index.stats.lookups == 0
+    assert index.stats.extra["column_answered"] == 8
+    same_as_searchsorted(large)
+    # (deduplicated: 100 000 probes of a 3 000-key column repeat)
+    assert 0 < index.stats.lookups <= large.size
+    assert index.stats.extra["column_answered"] == 8
+    index.stats.reset()
+    same_as_searchsorted(small, sort=False)
+    assert index.stats.lookups == 8
+    assert "column_answered" not in index.stats.extra
+
+
 def test_generic_btree_matches_oracle_over_ints():
     """GenericBTreeIndex fuzzed with Python-int keys (object path)."""
     rng = np.random.default_rng(SEED)

@@ -75,6 +75,38 @@ class TestLookupCorrectness:
             assert rmi.lookup(float(q)) == hybrid.lookup(float(q))
 
 
+class TestSmallBatch:
+    """An 8-key batch is answered before any routing; ``sort=False``
+    still takes the route + B-Tree / engine path, identically."""
+
+    @pytest.mark.parametrize("threshold", [0, 10**9])  # all B-Tree / all modelled
+    def test_eight_keys_are_not_routed(
+        self, threshold, adversarial_keys, rng, dispatch_as_shipped
+    ):
+        hybrid = HybridIndex(
+            adversarial_keys, stage_sizes=(1, 50), threshold=threshold
+        )
+        assert bool(hybrid.leaf_btrees) == (threshold == 0)
+        queries = np.concatenate(
+            [
+                rng.choice(adversarial_keys, 4),
+                rng.integers(
+                    adversarial_keys.min() - 5, adversarial_keys.max() + 5, 4
+                ),
+            ]
+        )
+        expected = np.searchsorted(adversarial_keys, queries, side="left")
+        np.testing.assert_array_equal(hybrid.lookup_batch(queries), expected)
+        # no lane was routed, searched or sent down a leaf B-Tree
+        assert hybrid.stats.lookups == 0
+        assert hybrid.stats.extra["column_answered"] == 8
+        np.testing.assert_array_equal(
+            hybrid.lookup_batch(queries, sort=False), expected
+        )
+        assert hybrid.stats.lookups == 8
+        assert hybrid.stats.extra["column_answered"] == 8
+
+
 class TestWorstCaseBound:
     def test_hybrid_bounds_bad_leaf_cost(self, adversarial_keys, rng):
         """Section 3.3: hybrids bound worst-case lookups to B-Tree cost."""

@@ -306,6 +306,45 @@ class TestLearnedLSMStore:
         assert stats.bloom_rejects + stats.probe_misses == 10 * 5_000
         assert stats.negative_probes_eliminated >= 0.8
 
+    def test_small_sub_batches_are_probed_without_the_filter(self):
+        """A 4-key lookup costs less to probe than to filter, so the
+        runs are probed unguarded; a 50 000-key lookup of the same
+        absent keys is filtered as ever.  Same answers, and the
+        filter's own accounting only ever describes the filter."""
+        rng = np.random.default_rng(21)
+        store = LearnedLSMStore(
+            memtable_capacity=2_000,
+            compaction=SizeTieredCompaction(min_runs=32),  # keep runs
+        )
+        for _ in range(3):
+            store.insert_batch(rng.integers(0, 10**9, 2_000))
+        assert store.num_runs == 3
+        absent = rng.integers(2 * 10**9, 3 * 10**9, 50_000)
+        stats = store.read_stats
+
+        stats.reset()
+        few_values, few_found = store.lookup_batch(absent[:4])
+        assert stats.unguarded_probes == stats.run_probes == 3 * 4
+        assert stats.bloom_rejects == stats.probe_misses == 0
+        assert stats.negative_probes_eliminated == 0.0
+
+        stats.reset()
+        values, found = store.lookup_batch(absent)
+        np.testing.assert_array_equal(values[:4], few_values)
+        np.testing.assert_array_equal(found[:4], few_found)
+        assert not found.any()
+        assert stats.unguarded_probes == 0
+        # what the filters themselves say, run by run
+        passed = sum(
+            int(run.bloom_contains_batch(absent).sum()) for run in store.runs
+        )
+        assert stats.probe_misses == stats.run_probes == passed
+        assert stats.bloom_rejects == 3 * absent.size - passed
+        assert stats.negative_probes_eliminated == pytest.approx(
+            1 - passed / (3 * absent.size)
+        )
+        assert stats.negative_probes_eliminated >= 0.95
+
     def test_read_short_circuits_on_newest_hit(self, policy):
         store = LearnedLSMStore(
             memtable_capacity=100,

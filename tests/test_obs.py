@@ -19,6 +19,7 @@ Pins the contracts the serving stack depends on:
 * the Prometheus and JSON exporters render every metric kind.
 """
 
+import inspect
 import pickle
 import threading
 
@@ -28,6 +29,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core import RecursiveModelIndex
+from repro.core.engine import CompiledPlan
 from repro.core.paged import FilePageStore
 from repro.core.rmi import RMIStats
 from repro.lsm.store import LSMReadStats, LSMWriteStats
@@ -275,6 +278,51 @@ def test_rmi_and_coalescer_stats_views():
     assert stats.mean_point_batch() == pytest.approx(7.0)
     snap = stats.registry.snapshot()
     assert snap.counters["serving.coalescer.requests_served"] == 7
+
+
+def test_engine_counters_say_which_path_answered():
+    """``engine.lookup_batch.calls`` / ``.keys`` count every dispatched
+    batch, ``.column_calls`` / ``.column_keys`` the ones the column
+    answered; the difference is the engine's share."""
+    keys = np.arange(0, 600_000, 3, dtype=np.int64)
+    index = RecursiveModelIndex(keys, stage_sizes=(1, 64))
+    rng = np.random.default_rng(21)
+    sizes = [8, 100_000, 8, 8, 100_000]
+    batches = [rng.integers(-5, 600_005, size) for size in sizes]
+
+    def lookup_all():
+        for queries in batches:
+            np.testing.assert_array_equal(
+                index.lookup_batch(queries), np.searchsorted(keys, queries)
+            )
+
+    registry = obs.default_registry()
+    before = registry.snapshot()
+    lookup_all()  # disabled: nothing is counted
+    assert registry.snapshot().diff(before).counters.get(
+        "engine.lookup_batch.calls", 0
+    ) == 0
+
+    obs.set_enabled(True)
+    index.stats.reset()
+    lookup_all()
+    counted = registry.snapshot().diff(before).counters
+    calls = counted["engine.lookup_batch.calls"]
+    column_calls = counted["engine.lookup_batch.column_calls"]
+    assert (calls, column_calls) == (5, 3)
+    assert counted["engine.lookup_batch.keys"] == sum(sizes)
+    assert counted["engine.lookup_batch.column_keys"] == 24
+    # the per-index stats tell the same story
+    assert index.stats.extra["column_answered"] == 24
+    assert index.stats.lookups == 200_000
+
+    # Disabled telemetry costs the new branch one attribute read: all
+    # four counters live under the one ``if obs_state.enabled:``.
+    source = inspect.getsource(CompiledPlan.lookup_batch)
+    guarded = source.split("if obs_state.enabled:")
+    assert len(guarded) == 2
+    assert "reg.counter(" not in guarded[0]
+    assert guarded[1].count("reg.counter(") == 4
 
 
 def test_paged_io_counters_in_registry(tmp_path):
