@@ -15,6 +15,12 @@ is both the guard on that choice and the source of its constants:
   separately: the three Python frames between ``index.lookup_batch``
   and the column cost ~1.5us here, half of an 8-key call, and no
   choice of path gives them back);
+* the **dense column** row puts 131 072 int64 keys packed near 2^62
+  (ulp 1 024: cast raw, ~500 neighbours share a float64) beside the
+  uniform column of that size and asserts the forced engine costs the
+  same on both at every call size — models are fitted on
+  ``key - keys[0]``, so the float64 ulp must not widen a window
+  (ROADMAP item 2a's dense case);
 * the **crossover scan** prints, for every column size in
   ``COLUMN_CROSSOVERS`` (and one four times the largest, for
   ``COLUMN_CROSSOVER_BEYOND``), the paired column/engine time ratio
@@ -147,6 +153,47 @@ def test_lookup_batch_never_loses_to_either_forced_path():
                 )
     show_table(table)
     assert not losing, f"lookup_batch loses to a forced path: {losing}"
+
+
+def test_dense_column_near_2p62_costs_the_engine_what_a_uniform_one_does():
+    rng = np.random.default_rng(2518)
+    n = 131_072
+    uniform = uniform_keys(n, seed=7)
+    dense = np.int64(2**62 - n) + 2 * np.arange(n, dtype=np.int64)
+    assert np.unique(dense.astype(np.float64)).size < n // 100
+    table = Table(
+        "Dense int64 keys near 2^62 beside uniform ones, 131 072 keys: "
+        "us per call, engine forced (sort=False)",
+        ["keys/call", "family", "uniform", "dense", "dense/uniform",
+         "mean window uniform", "mean window dense"],
+    )
+    slower = {}
+    for family, build in FAMILIES.items():
+        on_uniform, on_dense = build(uniform), build(dense)
+        for k in FLOOR_CALL_SIZES:
+            pairs = list(zip(_calls(uniform, k, rng), _calls(dense, k, rng)))
+            for _, qd in pairs[:4]:
+                assert np.array_equal(
+                    on_dense.lookup_batch(qd, sort=False),
+                    np.searchsorted(dense, qd),
+                )
+            on_uniform.stats.reset()
+            on_dense.stats.reset()
+            base, packed, ratio = _paired(
+                lambda pair: on_uniform.lookup_batch(pair[0], sort=False),
+                lambda pair: on_dense.lookup_batch(pair[1], sort=False),
+                pairs,
+            )
+            if ratio > HEADROOM:
+                slower[family, k] = ratio
+            table.add_row(
+                k, family, f"{base.mean_ns / 1e3:.1f}",
+                f"{packed.mean_ns / 1e3:.1f}", f"{ratio:.2f}",
+                f"{on_uniform.stats.mean_window:.1f}",
+                f"{on_dense.stats.mean_window:.1f}",
+            )
+    show_table(table)
+    assert not slower, f"the engine pays for dense 64-bit keys: {slower}"
 
 
 def test_crossover_scan_behind_the_dispatch_table():

@@ -23,6 +23,12 @@ at:
   that native array.  Model predictions stay float64 (they are
   approximate by construction), but window arithmetic is int64 and
   verification compares integers as integers.
+* :class:`ModelSpace` — the one place a key becomes a model input:
+  ``key - origin`` computed exactly in the column's integer domain and
+  only then cast to float64, so neighbouring 64-bit keys near 2^63 stay
+  distinct for the model (the raw cast collapses ~1 000 of them onto
+  one float) and the model's error, not the float64 ulp, bounds the
+  search.
 * :class:`CompiledPlan` — the flat leaf tables every compiled learned
   index reduces to (slopes, intercepts, error-bound window offsets,
   window clamp) plus the batch point engine built on them: route →
@@ -69,14 +75,15 @@ any size, which is how the benches and the traced benchmark time it;
 ``engine.lookup_batch.column_calls`` / ``.column_keys``) say how many
 queries the column answered, while ``stats.lookups`` / ``comparisons``
 / ``window_total`` / ``fixups`` keep counting engine work only.  The
-rule reads nothing of the plan: wide windows (ulp-bounded keys near
-2^63, skewed leaves) do move the true crossover up 2-4x, but the
-plan's build-time mean window does not predict it on skewed data, and
-the table errs toward the engine — the path such a call took before.
+rule reads nothing of the plan: wide windows (skewed leaves) do move
+the true crossover up 2-4x, but the plan's build-time mean window does
+not predict it on skewed data, and the table errs toward the engine —
+the path such a call took before.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -90,6 +97,8 @@ from .search import vectorized_bounded_search, verify_lower_bound_batch
 __all__ = [
     "QueryBatch",
     "SortedKeyColumn",
+    "ModelSpace",
+    "narrow_offsets",
     "CompiledPlan",
     "SORTED_BATCH_THRESHOLD",
     "SORTED_BATCH_MIN_DUP_FRACTION",
@@ -340,9 +349,12 @@ class QueryBatch:
       regardless of what the clamped ``compare`` value finds.
       (Queries below the dtype minimum need no mask: their clamped
       ``compare`` already resolves to position 0.)
-    * ``float64`` — lazily materialized float64 view for model
-      inference only; for float query arrays it is the *original*
-      values so batch predictions mirror the scalar path bit-for-bit.
+    * ``float64`` — lazily materialized float64 view of the raw query
+      values (the original values for float query arrays).  It is not
+      a model input: a plan encodes ``compare`` against its own origin
+      at route time (:class:`ModelSpace`), and nothing per-plan is
+      cached here, so one prepared batch can be routed through several
+      plans.
     """
 
     __slots__ = ("compare", "exactable", "oob_high", "_float64")
@@ -617,6 +629,103 @@ def upper_bounds_batch(
     return column.upper_bounds(column.prepare(highs), lower_bounds)
 
 
+class ModelSpace:
+    """The encoding every model of one plan is fitted and queried in.
+
+    A model sees ``key - origin``, never the raw key.  On an integer
+    column the difference is taken exactly in the native integer domain
+    — unsigned wrap-around arithmetic, so an int64 span wider than 2^63
+    is still exact; values below the origin clamp to 0 — and only then
+    cast to float64.  A float64 holds 53 bits: uint64 keys around 2^63
+    collapse ~1 000 to a float when cast raw, but stay distinct as
+    offsets from their column's first key whenever the column spans
+    less than 2^53.  ``origin`` is a Python int (the scalar path
+    subtracts Python ints, which never wrap); float columns, whose keys
+    already are what the model computes in, keep origin 0 and encode by
+    a plain cast.  An integer column may also carry origin 0 — tables
+    fitted on raw keys, as run files written before the origin existed
+    hold them — and is served by the same arithmetic.
+    """
+
+    __slots__ = ("origin", "_floor", "_shift", "_top")
+
+    def __init__(self, dtype: np.dtype, origin: int = 0):
+        dtype = np.dtype(dtype)
+        info = np.iinfo(dtype) if dtype.kind in "iu" else None
+        if type(origin) is not int or not (
+            origin == 0 if info is None else info.min <= origin <= info.max
+        ):
+            raise ValueError(
+                f"origin {origin!r} is not an integer inside the "
+                f"{dtype} key domain"
+            )
+        self.origin = origin
+        if info is None:
+            self._floor = self._shift = self._top = None
+        else:
+            self._floor = dtype.type(origin)
+            self._shift = np.dtype(f"u{dtype.itemsize}").type(
+                origin % (1 << info.bits)
+            )
+            self._top = int(info.max)
+
+    @classmethod
+    def of(cls, keys: np.ndarray) -> "ModelSpace":
+        """The space of a freshly fitted plan over ``keys``: origin at
+        the column's first key."""
+        if keys.dtype.kind in "iu" and keys.size:
+            return cls(keys.dtype, int(keys[0]))
+        return cls(keys.dtype)
+
+    def encode(self, compare: np.ndarray) -> np.ndarray:
+        """float64 model inputs for values of the column's dtype (the
+        key column itself at build time, ``QueryBatch.compare`` at
+        route time)."""
+        if self._floor is None:
+            return compare.astype(np.float64, copy=False)
+        shifted = np.maximum(compare, self._floor).view(self._shift.dtype)
+        shifted -= self._shift
+        return shifted.astype(np.float64)
+
+    def encode_scalar(self, key) -> float:
+        """Scalar twin of :meth:`encode` for one raw query key of any
+        numeric type, clamped into the key dtype like a prepared batch:
+        a float query against an integer column is encoded as the
+        ``ceil`` it is compared as, a NumPy integer as its exact value
+        (``np.uint64 - int`` wraps or raises under NumPy 2.x; Python
+        ints do not), NaN and ``-inf`` as the origin, ``+inf`` as the
+        dtype's maximum."""
+        if self._floor is None:
+            return float(key)
+        if type(key) is not int:
+            try:
+                key = math.ceil(key) if isinstance(key, float) else int(key)
+            except (OverflowError, ValueError):
+                key = self._top if key > 0 else self.origin
+        if key > self._top:
+            key = self._top
+        span = key - self.origin
+        return float(span) if span > 0 else 0.0
+
+
+def narrow_offsets(
+    lo_offsets: np.ndarray, hi_offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both error-offset tables in the narrowest signed integer dtype
+    that holds them (``ceil`` of ``lo``, ``floor`` of ``hi``: the
+    window ``[raw - lo - 1, raw - hi + 2)`` can only widen).  Raises
+    ``ValueError`` on non-finite offsets."""
+    lo = np.ceil(np.asarray(lo_offsets, dtype=np.float64))
+    hi = np.floor(np.asarray(hi_offsets, dtype=np.float64))
+    bound = max(
+        float(np.abs(lo).max(initial=0.0)), float(np.abs(hi).max(initial=0.0))
+    )
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return lo.astype(dtype), hi.astype(dtype)
+    raise ValueError("error offsets must be finite")
+
+
 class CompiledPlan:
     """Flat leaf tables + the batch point engine over one key column.
 
@@ -632,7 +741,11 @@ class CompiledPlan:
     ``lo_offsets``/``hi_offsets`` are the per-leaf ``max_error`` /
     ``min_error`` (the window is ``[raw - lo_offset - 1,
     raw - hi_offset + 2)`` clamped — the conservative floor/ceil slack
-    of the scalar path, preserved bit-for-bit).
+    of the scalar path, preserved bit-for-bit), held in the narrowest
+    integer dtype that fits them (:func:`narrow_offsets`).  The root
+    predictor and the leaf models all live in ``space``
+    (:class:`ModelSpace`; by default the column's own, origin at its
+    first key).
     """
 
     __slots__ = (
@@ -643,6 +756,7 @@ class CompiledPlan:
         "intercepts",
         "lo_offsets",
         "hi_offsets",
+        "space",
     )
 
     def __init__(
@@ -654,14 +768,17 @@ class CompiledPlan:
         intercepts: np.ndarray,
         lo_offsets: np.ndarray,
         hi_offsets: np.ndarray,
+        space: ModelSpace | None = None,
     ):
         self.column = column
         self.root_predict_batch = root_predict_batch
         self.leaf_count = int(leaf_count)
         self.slopes = slopes
         self.intercepts = intercepts
-        self.lo_offsets = lo_offsets
-        self.hi_offsets = hi_offsets
+        self.lo_offsets, self.hi_offsets = narrow_offsets(
+            lo_offsets, hi_offsets
+        )
+        self.space = ModelSpace.of(column.keys) if space is None else space
 
     # -- serialization ---------------------------------------------------------
 
@@ -673,10 +790,10 @@ class CompiledPlan:
     def export_arrays(self) -> dict[str, np.ndarray]:
         """The plan's leaf tables as float64 arrays, keyed by
         :data:`ARRAY_FIELDS` — the serializable half of a compiled
-        index (the other half is the root model's two parameters).
-        Reconstructing a plan from these arrays over the same key
-        column reproduces every lookup bit-for-bit, because routing,
-        windows, and search consume nothing else."""
+        index (the other half is the root model's two parameters and
+        the origin of ``space``).  Reconstructing a plan from these
+        over the same key column reproduces every lookup bit-for-bit,
+        because routing, windows, and search consume nothing else."""
         return {
             name: np.ascontiguousarray(
                 getattr(self, name), dtype=np.float64
@@ -689,25 +806,26 @@ class CompiledPlan:
     def route(self, qb: QueryBatch) -> tuple[np.ndarray, np.ndarray]:
         """(leaf indices, leaf raw predictions) for a prepared batch.
 
-        Mirrors the scalar routing exactly: truncated ``pred * m / n``
+        Mirrors the scalar routing exactly: the compare values encoded
+        into this plan's model space, truncated ``pred * m / n``
         clamped to ``[0, m)``, then the gathered per-leaf affine model.
         Predictions are float64 by contract — only comparisons are
         dtype-native.
         """
         n = self.column.size
         m = self.leaf_count
-        qf = qb.float64
-        root = np.asarray(self.root_predict_batch(qf), dtype=np.float64)
+        encoded = self.space.encode(qb.compare)
+        root = np.asarray(self.root_predict_batch(encoded), dtype=np.float64)
         leaf = (root * m / n).astype(np.int64)
         clamp_into(leaf, 0, m - 1)
-        return leaf, self.leaf_predict(leaf, qf)
+        return leaf, self.leaf_predict(leaf, encoded)
 
     def leaf_predict(
         self, leaf: np.ndarray, encoded: np.ndarray
     ) -> np.ndarray:
-        """Gathered per-leaf affine predictions over any float64
-        encoding of the queries (identity for numeric keys; e.g. the
-        lexicographic scalar for string keys)."""
+        """Gathered per-leaf affine predictions over the float64
+        encoding the leaves were fitted in (``space`` for numeric keys;
+        e.g. the lexicographic scalar for string keys)."""
         return self.slopes[leaf] * encoded + self.intercepts[leaf]
 
     def windows_from_raw(

@@ -68,16 +68,17 @@ class LearnedHashFunction:
 
     def hash_batch(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized slot computation via the RMI's batch routing."""
-        keys = np.asarray(keys, dtype=np.float64).ravel()
+        # Keys keep their dtype: the plan then encodes them exactly as
+        # the scalar ``__call__`` does, and both hash a key to one slot.
+        keys = np.asarray(keys).ravel()
         rmi = self._rmi
         if rmi._plan is not None and self._n:
             _leaf, raw = rmi._plan.route(rmi._column.prepare(keys))
             slots = (raw * self._scale).astype(np.int64)
             return np.clip(slots, 0, self.num_slots - 1)
-        out = np.empty(keys.size, dtype=np.int64)
-        for i, key in enumerate(keys):
-            out[i] = self(float(key))
-        return out
+        return np.fromiter(
+            map(self, keys.tolist()), dtype=np.int64, count=keys.size
+        )
 
     def size_bytes(self) -> int:
         return self._rmi.size_bytes()

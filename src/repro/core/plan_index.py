@@ -16,11 +16,14 @@ layer, and the benchmarks unchanged.
 
 The scalar latency path (plain-float list mirrors, bounded binary
 search, exponential-search fix-up) takes the leaf index from the single
-hook :meth:`~CompiledPlanIndex._route_scalar`.  Exactness never depends
-on routing: any leaf's stored window is searched and the result
+hook :meth:`~CompiledPlanIndex._route_scalar`.  Models — the scalar
+path's and the plan's alike — see a key only through the index's
+:class:`~repro.core.engine.ModelSpace` (``key - origin``, exact in the
+key dtype before the float64 cast), never the raw key.  Exactness never
+depends on routing: any leaf's stored window is searched and the result
 verified, so a misrouted query costs a fix-up, never a wrong position —
-which is also why float64 routing stays exact on int64/uint64 keys
-beyond 2^53.
+which is also why float64 routing stays exact on int64/uint64 columns
+spanning more than 2^53.
 
 A subclass whose model cannot be flattened into the four leaf tables
 (an RMI with three or more stages, or non-linear leaves) leaves
@@ -42,7 +45,7 @@ from ..range_scan import (
     batch_range_scan,
 )
 from ..util import scalar_view
-from .engine import CompiledPlan, SortedKeyColumn, clamp_window
+from .engine import CompiledPlan, ModelSpace, SortedKeyColumn, clamp_window
 
 __all__ = ["CompiledPlanIndex", "RMIStats"]
 
@@ -73,10 +76,11 @@ class RMIStats:
 class CompiledPlanIndex(RangeScanIndexMixin):
     """A learned range index whose batch surface is one compiled plan.
 
-    Subclasses implement ``_build`` (segment fitting + routing
-    structure; calls :meth:`_install_plan` when the model flattens to
-    linear leaf tables) and ``_route_scalar`` (one key → leaf index,
-    the scalar analogue of the plan's vectorized routing).  Lower-bound
+    Subclasses implement ``_build`` (segment fitting over
+    ``self._space.encode(self.keys)`` + routing structure; calls
+    :meth:`_install_plan` when the model flattens to linear leaf
+    tables) and ``_route_scalar`` (one encoded key → leaf index, the
+    scalar analogue of the plan's vectorized routing).  Lower-bound
     semantics are identical to every index in :mod:`repro.btree`, whose
     scalar ``upper_bound`` / ``range_query`` this class shares
     (:class:`~repro.range_scan.RangeScanIndexMixin`).
@@ -100,6 +104,7 @@ class CompiledPlanIndex(RangeScanIndexMixin):
         self.keys = keys
         self._keys_view = scalar_view(keys)
         self._column = SortedKeyColumn(keys)
+        self._space = ModelSpace.of(keys)
         self.stats = RMIStats()
         self._plan: CompiledPlan | None = None
 
@@ -108,8 +113,8 @@ class CompiledPlanIndex(RangeScanIndexMixin):
     def _build(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _route_scalar(self, key) -> int:  # pragma: no cover - abstract
-        """Leaf segment index for one (float-encoded) key."""
+    def _route_scalar(self, encoded: float) -> int:  # pragma: no cover - abstract
+        """Leaf segment index for one key encoded by ``self._space``."""
         raise NotImplementedError
 
     def _routing_size_bytes(self) -> int:
@@ -128,13 +133,12 @@ class CompiledPlanIndex(RangeScanIndexMixin):
     ) -> None:
         """Adopt solved leaf tables as this index's compiled plan.
 
-        ``root_predict_batch`` must accept a bare float64 query array
-        (the sorted-batch fast path re-routes deduplicated queries
-        outside any prepared batch) and return float64 *position*
-        predictions whose ``floor(pred * leaf_count / n)`` recovers the
-        intended leaf — the plan's routing contract.
+        ``root_predict_batch`` must accept a bare float64 array of
+        queries encoded by ``self._space`` and return float64
+        *position* predictions whose ``floor(pred * leaf_count / n)``
+        recovers the intended leaf — the plan's routing contract.
         """
-        self._plan = CompiledPlan(
+        plan = self._plan = CompiledPlan(
             self._column,
             root_predict_batch,
             leaf_count,
@@ -142,13 +146,14 @@ class CompiledPlanIndex(RangeScanIndexMixin):
             intercepts,
             lo_offsets,
             hi_offsets,
+            self._space,
         )
-        # Python-list mirrors: native floats per probe on the scalar
-        # latency path (indexing numpy boxes a np.float64 each time).
+        # Python-list mirrors: native scalars per probe on the scalar
+        # latency path (indexing numpy boxes a NumPy scalar each time).
         self._slopes_list = slopes.tolist()
         self._intercepts_list = intercepts.tolist()
-        self._lo_offsets_list = lo_offsets.tolist()
-        self._hi_offsets_list = hi_offsets.tolist()
+        self._lo_offsets_list = plan.lo_offsets.tolist()
+        self._hi_offsets_list = plan.hi_offsets.tolist()
 
     # -- scalar latency path ----------------------------------------------
 
@@ -163,8 +168,9 @@ class CompiledPlanIndex(RangeScanIndexMixin):
             return 0
         stats = self.stats
         stats.lookups += 1
-        j = self._route_scalar(key)
-        raw = self._slopes_list[j] * key + self._intercepts_list[j]
+        encoded = self._space.encode_scalar(key)
+        j = self._route_scalar(encoded)
+        raw = self._slopes_list[j] * encoded + self._intercepts_list[j]
         lo = int(raw - self._lo_offsets_list[j]) - 1
         hi = int(raw - self._hi_offsets_list[j]) + 2
         lo, hi = clamp_window(lo, hi, n)
@@ -293,23 +299,33 @@ class CompiledPlanIndex(RangeScanIndexMixin):
         return self._plan.leaf_count if self._plan is not None else 0
 
     def size_bytes(self) -> int:
-        """Leaf tables (4 x float64 per segment) + routing structure;
-        zero while no plan is installed (nothing was built)."""
-        if self._plan is None:
+        """The four leaf tables as held (float64 models, offsets in
+        their narrowed dtype) + routing structure; zero while no plan
+        is installed (nothing was built)."""
+        plan = self._plan
+        if plan is None:
             return 0
-        return self._plan.leaf_count * 4 * 8 + self._routing_size_bytes()
+        return sum(
+            getattr(plan, name).nbytes for name in plan.ARRAY_FIELDS
+        ) + self._routing_size_bytes()
+
+    def _error_windows(self) -> np.ndarray:
+        """Per-leaf ``lo_offset - hi_offset``, widened out of the
+        tables' narrow dtype before subtracting."""
+        plan = self._plan
+        return plan.lo_offsets.astype(np.int64) - plan.hi_offsets
 
     @property
     def max_error_window(self) -> int:
         if self._plan is None:
             return 0
-        return int(np.max(self._plan.lo_offsets - self._plan.hi_offsets))
+        return int(np.max(self._error_windows()))
 
     @property
     def mean_error_window(self) -> float:
         if self._plan is None:
             return 0.0
-        return float(np.mean(self._plan.lo_offsets - self._plan.hi_offsets))
+        return float(np.mean(self._error_windows()))
 
     def __repr__(self) -> str:
         return (

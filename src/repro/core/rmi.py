@@ -91,8 +91,10 @@ from ..models.linear import (
 from .engine import (
     SORTED_BATCH_MIN_DUP_FRACTION,
     SORTED_BATCH_THRESHOLD,
+    ModelSpace,
     clamp_window,
     clamp_window_batch,
+    narrow_offsets,
 )
 from .plan_index import CompiledPlanIndex, RMIStats
 from .search import (
@@ -111,8 +113,10 @@ __all__ = [
     "clamp_window_batch",
 ]
 
-#: Error assigned to untrained (empty) leaves: one page worth of slack.
-DEFAULT_LEAF_ERROR = 128
+#: Error assigned to untrained (empty) leaves: about a page of slack,
+#: and the widest an int8 offset table holds — one dead leaf must not
+#: widen every leaf's offsets to int16.
+DEFAULT_LEAF_ERROR = 127
 
 
 class RecursiveModelIndex(CompiledPlanIndex):
@@ -170,7 +174,7 @@ class RecursiveModelIndex(CompiledPlanIndex):
 
     def _build(self) -> None:
         n = self.keys.size
-        keys_f = self.keys.astype(np.float64)
+        keys_f = self._space.encode(self.keys)
         positions = positions_for_keys(n)
         stages: list[list[Model]] = []
         # Leaf parameter arrays cached by the segmented fit so _compile
@@ -399,6 +403,9 @@ class RecursiveModelIndex(CompiledPlanIndex):
                 boundaries=boundaries,
             )
         )
+        # Held in the narrow dtype the plan serves them in, so
+        # size_bytes() counts what the index keeps.
+        max_error, min_error = narrow_offsets(max_error, min_error)
         self._leaf_error_stat_arrays = (
             min_error, max_error, mean_abs, std, counts,
         )
@@ -434,14 +441,12 @@ class RecursiveModelIndex(CompiledPlanIndex):
                     return
         # The window offsets are the per-leaf max/min signed error.
         min_error, max_error = self._leaf_error_stat_arrays[:2]
-        lo_offsets = max_error.astype(np.float64)
-        hi_offsets = min_error.astype(np.float64)
         # _root_model avoids touching _stages, which would materialize
         # the lazily deferred leaf-model objects.
         root = self._root_model
         self._root_predict = root.predict
         self._install_plan(
-            root.predict_batch, m, slopes, intercepts, lo_offsets, hi_offsets
+            root.predict_batch, m, slopes, intercepts, max_error, min_error
         )
 
     # -- serialization ---------------------------------------------------------
@@ -450,10 +455,11 @@ class RecursiveModelIndex(CompiledPlanIndex):
         """The compiled index as plain numbers + flat arrays.
 
         A compiled two-stage RMI with a :class:`LinearModel` root is
-        fully determined by six values: the root's ``(slope,
-        intercept)`` and the plan's four leaf tables — both the scalar
-        fast path and the batch engine consume nothing else.  Returns
-        ``{"root_slope", "root_intercept", "leaf_count"}`` plus the
+        fully determined by seven values: the model-space ``origin``,
+        the root's ``(slope, intercept)`` and the plan's four leaf
+        tables — both the scalar fast path and the batch engine
+        consume nothing else.  Returns ``{"origin", "root_slope",
+        "root_intercept", "leaf_count"}`` plus the
         :meth:`CompiledPlan.export_arrays` entries; raises
         ``TypeError`` for indexes this flat form cannot represent
         (deeper hierarchies, non-linear roots, uncompiled leaves).
@@ -469,6 +475,7 @@ class RecursiveModelIndex(CompiledPlanIndex):
                 "only LinearModel roots are supported"
             )
         state = {
+            "origin": self._space.origin,
             "root_slope": root.slope,
             "root_intercept": root.intercept,
             "leaf_count": self.stage_sizes[1],
@@ -487,6 +494,7 @@ class RecursiveModelIndex(CompiledPlanIndex):
         intercepts: np.ndarray,
         lo_offsets: np.ndarray,
         hi_offsets: np.ndarray,
+        origin: int = 0,
         search_strategy: str = "binary",
     ) -> "RecursiveModelIndex":
         """Rebuild a compiled index from :meth:`compiled_state` parts.
@@ -496,15 +504,19 @@ class RecursiveModelIndex(CompiledPlanIndex):
         re-validation (the caller vouches for ``keys`` — the on-disk
         run format checksums them).  Lookups are bit-identical to the
         index that exported the state, because both paths read only
-        the root parameters and the four arrays.  Diagnostic
-        ``leaf_errors`` are approximated from the stored window
-        offsets (zero mean/std, count 1) — bounds exact, moments not.
+        the origin, the root parameters and the four arrays.
+        ``origin`` defaults to 0: a state exported before the origin
+        existed holds tables fitted on raw keys.  Raises ``ValueError``
+        for an origin outside the key dtype and for non-finite
+        offsets.  Diagnostic ``leaf_errors`` are approximated from the
+        stored window offsets (zero mean/std, count 1) — bounds exact,
+        moments not.
         """
         keys = np.asarray(keys)
         slopes = np.ascontiguousarray(slopes, dtype=np.float64)
         intercepts = np.ascontiguousarray(intercepts, dtype=np.float64)
-        lo_offsets = np.ascontiguousarray(lo_offsets, dtype=np.float64)
-        hi_offsets = np.ascontiguousarray(hi_offsets, dtype=np.float64)
+        lo_offsets = np.asarray(lo_offsets)
+        hi_offsets = np.asarray(hi_offsets)
         m = int(slopes.size)
         if not (
             intercepts.size == m
@@ -514,6 +526,7 @@ class RecursiveModelIndex(CompiledPlanIndex):
             raise ValueError("leaf arrays must share one nonzero length")
         self = cls.__new__(cls)
         self._bind_keys(keys)
+        self._space = ModelSpace(keys.dtype, origin)
         self.stage_sizes = (1, m)
         self.search_strategy = str(search_strategy)
         self.min_leaf_error = 0
@@ -527,24 +540,24 @@ class RecursiveModelIndex(CompiledPlanIndex):
         # placeholder statistics.  Empty-leaf slots were folded into
         # the intercepts at export; LinearModel(0, v) predicts
         # identically to ConstantModel(v).
-        zeros = np.zeros(m, dtype=np.float64)
-        self._leaf_error_stat_arrays = (
-            hi_offsets, lo_offsets, zeros, zeros,
-            np.ones(m, dtype=np.int64),
-        )
         self._deferred_leaf_stage = ([[root]], slopes, intercepts, [], m,
                                      keys.size)
         self._install_plan(
             root.predict_batch, m, slopes, intercepts, lo_offsets, hi_offsets
         )
+        zeros = np.zeros(m, dtype=np.float64)
+        self._leaf_error_stat_arrays = (
+            self._plan.hi_offsets, self._plan.lo_offsets, zeros, zeros,
+            np.ones(m, dtype=np.int64),
+        )
         return self
 
     # -- inference -------------------------------------------------------------
 
-    def _route_scalar(self, key) -> int:
+    def _route_scalar(self, encoded: float) -> int:
         # Compiled (two-stage) routing: root prediction → leaf slot.
         m = self.stage_sizes[1]
-        j = int(self._root_predict(key) * m / self.keys.size)
+        j = int(self._root_predict(encoded) * m / self.keys.size)
         if j < 0:
             return 0
         if j >= m:
@@ -554,7 +567,8 @@ class RecursiveModelIndex(CompiledPlanIndex):
     def _leaf_for(self, key: float) -> tuple[int, float]:
         """Run all stages; return (leaf index, leaf prediction)."""
         n = self.keys.size
-        prediction = self._stages[0][0].predict(key)
+        encoded = self._space.encode_scalar(key)
+        prediction = self._stages[0][0].predict(encoded)
         leaf = 0
         for level in range(1, len(self.stage_sizes)):
             m_l = self.stage_sizes[level]
@@ -563,7 +577,7 @@ class RecursiveModelIndex(CompiledPlanIndex):
                 j = 0
             elif j >= m_l:
                 j = m_l - 1
-            prediction = self._stages[level][j].predict(key)
+            prediction = self._stages[level][j].predict(encoded)
             leaf = j
         return leaf, prediction
 
@@ -642,13 +656,14 @@ class RecursiveModelIndex(CompiledPlanIndex):
     # -- accounting ----------------------------------------------------------------
 
     def size_bytes(self) -> int:
-        """Model parameters plus per-leaf error bounds (2 x int32)."""
+        """Model parameters plus the two per-leaf error-bound tables
+        as held (the narrowest integer dtype that fits them)."""
         total = 0
         for stage in self._stages:
             for model in stage:
                 total += model.size_bytes()
-        total += len(self.leaf_errors) * 8  # min/max error as 2x int32
-        return total
+        min_error, max_error = self._leaf_error_stat_arrays[:2]
+        return total + min_error.nbytes + max_error.nbytes
 
     def model_op_count(self) -> int:
         """Multiply-adds for one full staged prediction (cost model)."""

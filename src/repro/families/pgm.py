@@ -37,10 +37,12 @@ bucket table whose cells bracket the upper bound exactly (the cell
 function is monotone in the key), so the top costs a handful of
 arithmetic ops plus the measured ``ceil(log2(max bracket))`` rounds.
 
-Exactness does not rest on the descent: the engine verifies every
-result against the dtype-native column and fixes up the rare misses
-(keys collapsing in float64, absent keys), so PGM lookups are
-bit-identical to the bisect oracle even beyond 2^53.
+Segments, levels and the top table are all fitted over the index's
+model space (``key - keys[0]``, exact in the key dtype before the
+float64 cast — :class:`~repro.core.engine.ModelSpace`).  Exactness does
+not rest on the descent: the engine verifies every result against the
+dtype-native column and fixes up the rare misses, so PGM lookups are
+bit-identical to the bisect oracle on any 64-bit column.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ class PGMIndex(CompiledPlanIndex):
 
     def _build(self) -> None:
         n = self.keys.size
-        keys_f = self.keys.astype(np.float64)
+        keys_f = self._space.encode(self.keys)
         seg = epsilon_segment(
             keys_f, positions_for_keys(n), self.epsilon, fit="least_squares"
         )
@@ -187,8 +189,8 @@ class PGMIndex(CompiledPlanIndex):
         self._leaf_first_list = first_keys.tolist()
         # Recurse over segment first keys until the remainder fits the
         # top.  A level that fails to shrink its input (every child its
-        # own segment — pathological float64 collapse) stops the
-        # recursion; the top route just covers more entries.
+        # own segment) stops the recursion; the top route just covers
+        # more entries.
         levels: list[_Level] = []
         child = first_keys
         k = int(np.ceil(self.epsilon_internal))
@@ -272,8 +274,8 @@ class PGMIndex(CompiledPlanIndex):
         Resolve the top array to a segment of the highest level, then
         per level one gathered linear prediction plus a fixed-round
         bounded upper-bound search over the child first keys; the
-        upper bound minus one is the predecessor segment.  A
-        float64-degenerate misroute only costs the engine a verified
+        upper bound minus one is the predecessor segment.  ``qf`` is
+        model-space input; a misroute only costs the engine a verified
         fix-up downstream.
         """
         top = self._top_keys
@@ -303,11 +305,11 @@ class PGMIndex(CompiledPlanIndex):
             clamp_into(j, 0, level.child_count - 1)
         return j
 
-    def _route_scalar(self, key) -> int:
+    def _route_scalar(self, encoded: float) -> int:
         # Scalar latency path: predecessor leaf by first key.  One
         # bisect over the Python-float mirror — the descent is a batch
         # amortization, not a correctness requirement.
-        j = bisect_right(self._leaf_first_list, float(key)) - 1
+        j = bisect_right(self._leaf_first_list, encoded) - 1
         return j if j >= 0 else 0
 
     @property

@@ -19,10 +19,12 @@ family's ``root_predict_batch``.  The bracket property
     ``table[c] <= lower_bound(knots, q) <= table[c + 1]``   (q in cell c)
 
 holds because the cell function is monotone in the key, so the bounded
-search resolves the exact predecessor knot in float64; queries whose
-keys collapse in float64 (or miss entirely) are caught by the engine's
-dtype-native verification and fix-up, keeping results bit-identical to
-the bisect oracle.
+search resolves the exact predecessor knot in float64.  Knots and table
+live in the index's model space (``key - keys[0]``, exact in the key
+dtype before the float64 cast — :class:`~repro.core.engine.ModelSpace`);
+a query the routing misplaces is caught by the engine's dtype-native
+verification and fix-up, keeping results bit-identical to the bisect
+oracle.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class RadixSplineIndex(CompiledPlanIndex):
 
     def _build(self) -> None:
         n = self.keys.size
-        keys_f = self.keys.astype(np.float64)
+        keys_f = self._space.encode(self.keys)
         seg = epsilon_segment(
             keys_f, positions_for_keys(n), self.epsilon, fit="endpoint"
         )
@@ -129,8 +131,8 @@ class RadixSplineIndex(CompiledPlanIndex):
         pos = vectorized_bounded_search(knots, qf, lo, hi)
         return _predecessor(pos, knots, qf)
 
-    def _route_scalar(self, key) -> int:
-        j = bisect_right(self._knots_list, float(key)) - 1
+    def _route_scalar(self, encoded: float) -> int:
+        j = bisect_right(self._knots_list, encoded) - 1
         return j if j >= 0 else 0
 
     def _routing_size_bytes(self) -> int:

@@ -18,8 +18,8 @@ run cannot hold skip the model entirely.
 Durability (PR 6): immutability also makes a run the perfect unit of
 persistence.  :meth:`SortedRun.save` writes one checksummed section
 file (:mod:`repro.lsm.format`) holding the key/value/tombstone arrays,
-the RMI's compiled state (root parameters + the four flat leaf
-tables), and the bloom filter's exported bits;
+the RMI's compiled state (origin and root parameters + the four flat
+leaf tables), and the bloom filter's exported bits;
 :meth:`SortedRun.load` reopens it in O(metadata) — every array is a
 lazy ``np.memmap`` property, the RMI reconstructs from the stored
 arrays via :meth:`RecursiveModelIndex.from_compiled_arrays` (bit-exact
@@ -236,10 +236,13 @@ def _train_rmi(keys: np.ndarray, leaf_target: int) -> RecursiveModelIndex:
 
 
 def _compiled_rmi(keys: np.ndarray, meta, table) -> RecursiveModelIndex:
-    """Rebuild a run's RMI from its wire form, no retrain: root
-    parameters from ``meta``, each leaf table from ``table(name)``."""
+    """Rebuild a run's RMI from its wire form, no retrain: origin and
+    root parameters from ``meta``, each leaf table from ``table(name)``.
+    A run written before the ``origin`` entry existed holds tables
+    fitted on raw keys, which is what origin 0 means."""
     return RecursiveModelIndex.from_compiled_arrays(
         keys,
+        origin=meta.get("origin", 0),
         root_slope=float(meta["root_slope"]),
         root_intercept=float(meta["root_intercept"]),
         **{name: table(name) for name in _LEAF_TABLES},
@@ -413,8 +416,10 @@ class SortedRun:
             "level": self.level,
             "leaf_target": self.leaf_target,
             "num_tombstones": self._num_tombstones,
-            # float64 round-trips JSON exactly (shortest-repr), so the
-            # root parameters reload bit-identical.
+            # float64 round-trips JSON exactly (shortest-repr) and so
+            # does a Python int, so the origin and the root parameters
+            # reload bit-identical.
+            "origin": state["origin"],
             "root_slope": state["root_slope"],
             "root_intercept": state["root_intercept"],
             "bloom_kind": bloom_kind,

@@ -33,6 +33,7 @@ from repro.core import (
     WritableLearnedIndex,
 )
 from repro.families import GappedArrayIndex, PGMIndex, RadixSplineIndex
+from repro.lsm import SortedRun
 from repro.models import LinearModel, SplineSegmentModel
 
 RNG = np.random.default_rng(77)
@@ -435,25 +436,78 @@ def huge_dataset(kind: str) -> np.ndarray:
     if kind == "uint64_top":
         gaps = rng.integers(1, 3, 1_200).astype(np.uint64)
         return np.uint64(2**63 - 1_200) + np.cumsum(gaps)
+    # The benchmark's two dense patterns: every key shares a float64
+    # with ~500 neighbours, yet the column spans only 2n.
+    if kind == "int64_dense_2p62":
+        return np.int64(2**62 - 3_000) + 2 * np.arange(3_000, dtype=np.int64)
+    if kind == "uint64_dense_2p63":
+        return np.uint64(2**63 - 3_000) + 2 * np.arange(3_000, dtype=np.uint64)
+    # Columns touching both ends of their dtype: the span from the
+    # origin does not fit the signed type.
+    if kind == "int64_full_span":
+        step = np.arange(400, dtype=np.int64)
+        return np.unique(np.concatenate([
+            np.iinfo(np.int64).min + 3 * step,
+            rng.integers(-2**62, 2**62, 400),
+            np.iinfo(np.int64).max - 3 * step,
+        ]))
+    if kind == "uint64_to_max":
+        step = np.arange(600, dtype=np.uint64)
+        return np.unique(np.concatenate([
+            np.uint64(2**63 - 600) + 2 * step,
+            np.iinfo(np.uint64).max - 3 * step,
+        ]))
     raise ValueError(kind)
 
 
 def huge_probes(keys: np.ndarray, rng) -> np.ndarray:
     """Present keys plus +-1 adjacents, same dtype as the keys."""
+    info = np.iinfo(keys.dtype)
     lo, hi = int(keys.min()), int(keys.max())
+    floor = max(lo - 2, int(info.min))
     picks = [int(k) for k in rng.choice(keys, 250)]
-    near = [min(max(k + d, lo - 2), hi) for k in picks for d in (-1, 1)]
-    if keys.dtype == np.uint64:
-        near = [max(k, 0) for k in near]
+    near = [min(max(k + d, floor), hi) for k in picks for d in (-1, 1)]
     return np.unique(np.array(picks + near + [lo, hi], dtype=keys.dtype))
 
 
-HUGE_KINDS = ["int64_adjacent", "uint64_top"]
+def origin_edge_ints(keys: np.ndarray) -> list[int]:
+    """Both sides of the column's ends and of its dtype's ends."""
+    info = np.iinfo(keys.dtype)
+    lo, hi = int(keys[0]), int(keys[-1])
+    candidates = (
+        info.min, info.min + 1, lo - 1_000, lo - 1, lo, lo + 1,
+        (lo + hi) // 2, hi - 1, hi, hi + 1, hi + 1_000,
+        info.max - 1, info.max,
+    )
+    return sorted({min(max(v, int(info.min)), int(info.max))
+                   for v in candidates})
+
+
+def origin_edge_floats(keys: np.ndarray) -> list[float]:
+    """Float queries against an integer column, negatives and
+    infinities included (NaN is checked apart: its position is
+    unspecified).  Python floats: they compare exactly with the
+    oracle's Python ints, which ``np.float64`` scalars do not."""
+    lo, hi = float(keys[0]), float(keys[-1])
+    return [float(q) for q in (
+        -np.inf, -1e30, -3.5, -0.5, 0.0, 0.5, lo, np.nextafter(lo, -np.inf),
+        np.nextafter(lo, np.inf), (lo + hi) / 2, hi,
+        np.nextafter(hi, np.inf), 1e30, np.inf,
+    )]
+
+
+HUGE_KINDS = [
+    "int64_adjacent", "uint64_top", "int64_dense_2p62", "uint64_dense_2p63",
+    "int64_full_span", "uint64_to_max",
+]
 
 HUGE_FACTORIES = {
     "rmi": lambda keys: RecursiveModelIndex(keys, stage_sizes=(1, 48)),
     "rmi_exponential": lambda keys: RecursiveModelIndex(
         keys, stage_sizes=(1, 48), search_strategy="exponential"
+    ),
+    "rmi_three_stage": lambda keys: RecursiveModelIndex(
+        keys, stage_sizes=(1, 4, 48)
     ),
     "hybrid": lambda keys: HybridIndex(keys, stage_sizes=(1, 16), threshold=4),
     "btree": lambda keys: BTreeIndex(keys, page_size=32),
@@ -465,6 +519,14 @@ HUGE_FACTORIES = {
         keys, epsilon=4, radix_bits=6
     ),
 }
+
+
+#: The factories above that route through a model (every place a key
+#: becomes a model input: compiled plan, scalar twin, staged walk).
+MODEL_BACKED = [
+    "hybrid", "pgm", "radix_spline", "rmi", "rmi_exponential",
+    "rmi_three_stage",
+]
 
 
 class TestExact64BitEquivalence:
@@ -527,6 +589,75 @@ class TestExact64BitEquivalence:
                 bisect.bisect_left(oracle, lo):bisect.bisect_right(oracle, hi)
             ]
             assert list(result[i]) == expected, (name, kind, i)
+
+    @pytest.mark.parametrize("kind", HUGE_KINDS)
+    @pytest.mark.parametrize("name", MODEL_BACKED)
+    def test_origin_edge_queries(self, name, kind):
+        """Queries around the model-space origin and both dtype ends:
+        scalar == batch (every ``sort`` setting) == bisect oracle."""
+        keys = huge_dataset(kind)
+        index = HUGE_FACTORIES[name](keys)
+        oracle = [int(k) for k in keys]
+        ints = origin_edge_ints(keys)
+        floats = origin_edge_floats(keys)
+        for queries, array in (
+            (ints, np.array(ints, dtype=keys.dtype)),
+            (floats, np.array(floats)),
+        ):
+            expected = np.array(
+                [bisect.bisect_left(oracle, q) for q in queries]
+            )
+            for sort in (None, True, False):
+                np.testing.assert_array_equal(
+                    index.lookup_batch(array, sort=sort), expected,
+                    err_msg=f"{name}/{kind} sort={sort}",
+                )
+            np.testing.assert_array_equal(
+                [index.lookup(q) for q in queries], expected
+            )
+        present = set(oracle)
+        np.testing.assert_array_equal(
+            index.contains_batch(np.array(ints, dtype=keys.dtype)),
+            [q in present for q in ints],
+        )
+        # NumPy scalars of the key dtype must not wrap against the origin.
+        for q in (keys[0], keys[-1], keys.dtype.type(ints[0])):
+            assert index.lookup(q) == bisect.bisect_left(oracle, int(q))
+        # Python ints beyond int64 or every 64-bit dtype: scalar path only.
+        for q in (2**63, 2**64 - 1, 2**64, 2**70, -2**63 - 1, -2**70):
+            assert index.lookup(q) == bisect.bisect_left(oracle, q), q
+            assert index.contains(q) == (q in present)
+        # NaN has no position; it must still not raise on either path.
+        index.lookup(float("nan"))
+        for sort in (None, True, False):
+            assert index.lookup_batch(
+                np.array([np.nan, 1.0]), sort=sort
+            ).size == 2
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in HUGE_KINDS if k.startswith("int64")]
+    )
+    def test_sorted_run_origin_edges(self, kind):
+        """A run's own origin (runs hold int64 keys only): scalar
+        ``probe`` == ``probe_batch`` == set membership, and the run's
+        index agrees with the oracle on every engine path."""
+        keys = huge_dataset(kind)
+        run = SortedRun(keys, keys ^ 0x5A, leaf_target=64)
+        assert run.rmi.compiled_state()["origin"] == int(keys[0])
+        present = set(keys.tolist())
+        ints = origin_edge_ints(keys) + keys[::97].tolist()
+        queries = np.array(ints, dtype=np.int64)
+        hit, dead, values = run.probe_batch(queries)
+        assert hit.tolist() == [q in present for q in ints]
+        assert not dead.any()
+        assert values[hit].tolist() == [q ^ 0x5A for q in ints if q in present]
+        for q, found in zip(ints, hit.tolist()):
+            assert run.probe(q) == (found, False, q ^ 0x5A if found else 0)
+        expected = np.searchsorted(keys, queries)
+        for sort in (None, True, False):
+            np.testing.assert_array_equal(
+                run.rmi.lookup_batch(queries, sort=sort), expected
+            )
 
     def test_rmi_sorted_path_exact(self):
         keys = huge_dataset("int64_adjacent")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.bloom import BloomFilter
+from repro.core import RecursiveModelIndex
 from repro.lsm import (
     CorruptRunError,
     FaultInjectingFilesystem,
@@ -45,6 +46,26 @@ def _example_run(n=4_000, tombstone_every=7, seed=3):
     dead = np.zeros(keys.size, dtype=bool)
     dead[::tombstone_every] = True
     return SortedRun(keys, values, dead, sequence=9, level=2)
+
+
+def _rewrite_as_parent_commit_run(fs, run, path):
+    """Rewrite ``run`` at ``path`` the way the commit before the
+    model-space origin wrote it: leaf tables fitted on the raw float64
+    keys, and no ``origin`` entry in the metadata."""
+    keys = np.asarray(run.keys)
+    state = RecursiveModelIndex(
+        keys.astype(np.float64), stage_sizes=run.rmi.stage_sizes
+    ).compiled_state()
+    assert state.pop("origin") == 0
+    del state["leaf_count"]
+    legacy = SortedRun.from_arrays(
+        keys, np.asarray(run.values), np.asarray(run.tombstones),
+        compiled_state=state, bloom=run.bloom, sequence=run.sequence,
+        level=run.level, leaf_target=run.leaf_target,
+    )
+    meta, sections = legacy.wire_form()
+    assert meta.pop("origin") == 0
+    write_section_file(fs, path, magic=RUN_MAGIC, meta=meta, sections=sections)
 
 
 # -- section-file format -------------------------------------------------------
@@ -374,10 +395,19 @@ class TestRunPersistence:
         with pytest.raises(CorruptRunError, match="sequence"):
             SortedRun.load(fs, path, expect={"sequence": 99})
 
+    #: Not sections: values of the meta block's ``origin`` entry, which
+    #: is checksummed with the block — so the damage modelled is a
+    #: writer's, not a flipped bit.
+    UNUSABLE_ORIGINS = {
+        "origin=1.5": 1.5, "origin='7'": "7", "origin=None": None,
+        "origin=True": True, "origin=2**63": 2**63,
+        "origin=-2**63-1": -2**63 - 1,
+    }
+
     @pytest.mark.parametrize(
         "section",
         ["keys", "values", "tombstones", "slopes", "intercepts",
-         "lo_offsets", "hi_offsets", "bloom"],
+         "lo_offsets", "hi_offsets", "bloom", *UNUSABLE_ORIGINS],
     )
     def test_any_flipped_section_byte_raises_never_lies(
         self, fs, tmp_path, section
@@ -385,11 +415,18 @@ class TestRunPersistence:
         run = _example_run(n=2_000)
         path = str(tmp_path / "run.run")
         run.save(fs, path)
-        offset, nbytes = SectionFile(
-            fs, path, magic=RUN_MAGIC
-        ).section_span(section)
-        assert nbytes > 0, f"test run must populate section {section}"
-        flip_byte(path, offset + nbytes // 2)
+        if section in self.UNUSABLE_ORIGINS:
+            meta, sections = run.wire_form()
+            meta["origin"] = self.UNUSABLE_ORIGINS[section]
+            write_section_file(
+                fs, path, magic=RUN_MAGIC, meta=meta, sections=sections
+            )
+        else:
+            offset, nbytes = SectionFile(
+                fs, path, magic=RUN_MAGIC
+            ).section_span(section)
+            assert nbytes > 0, f"test run must populate section {section}"
+            flip_byte(path, offset + nbytes // 2)
         loaded = SortedRun.load(fs, path)  # O(metadata) open still fine
         queries = run.keys[:64]
         with pytest.raises(CorruptRunError):
@@ -398,6 +435,34 @@ class TestRunPersistence:
             loaded.bloom_contains_batch(queries)
             loaded.probe_batch(queries)
             loaded.range_scan_batch(queries[:8], queries[:8] + 1000)
+
+    def test_run_without_origin_entry_serves_its_raw_key_tables(
+        self, fs, tmp_path
+    ):
+        run = _example_run(n=3_000)
+        path = str(tmp_path / "run.run")
+        _rewrite_as_parent_commit_run(fs, run, path)
+        loaded = SortedRun.load(fs, path)
+        assert "origin" not in loaded._source.meta
+        assert loaded.rmi.compiled_state()["origin"] == 0
+        assert run.rmi.compiled_state()["origin"] == int(run.keys[0])
+        rng = np.random.default_rng(12)
+        queries = np.concatenate([
+            run.keys[::5], run.keys[::5] + 1,
+            rng.integers(-(1 << 62), 1 << 62, 500),
+            [np.iinfo(np.int64).min, np.iinfo(np.int64).max],
+        ])
+        for got, want in zip(
+            loaded.probe_batch(queries), run.probe_batch(queries)
+        ):
+            assert np.array_equal(got, want)
+        for sort in (None, True, False):
+            assert np.array_equal(
+                loaded.rmi.lookup_batch(queries, sort=sort),
+                np.searchsorted(run.keys, queries),
+            )
+        for q in queries[::40].tolist():
+            assert loaded.probe(q) == run.probe(q)
 
     def test_learned_guard_persists_through_run(self, fs, tmp_path):
         validation = [f"v:{i}" for i in range(128)]
@@ -437,6 +502,42 @@ class TestDurableStore:
             assert found[1_000:].all()
             assert np.array_equal(got[1_000:], vals[1_000:])
             assert np.array_equal(store.live_keys(), live)
+
+    def test_parent_commit_store_reopens_and_compaction_adds_origins(
+        self, tmp_path
+    ):
+        """Run files without an ``origin`` entry keep serving; the next
+        compaction writes runs that carry one."""
+        d = str(tmp_path / "db")
+        fs = RealFileSystem()
+        keys, vals = self._payload()
+        keys = keys + np.int64(2**62)  # ulp-collapsed as raw float64
+        with LearnedLSMStore(path=d, memtable_capacity=1_024) as store:
+            store.insert_batch(keys, vals)
+            store.delete_batch(keys[:1_000])
+        old_paths = sorted(
+            os.path.join(d, name) for name in os.listdir(d)
+            if name.endswith(".run")
+        )
+        assert old_paths
+        for path in old_paths:
+            _rewrite_as_parent_commit_run(fs, SortedRun.load(fs, path), path)
+
+        def origin_of(path):
+            return SectionFile(fs, path, magic=RUN_MAGIC).meta.get("origin")
+
+        assert [origin_of(p) for p in old_paths] == [None] * len(old_paths)
+        with LearnedLSMStore(path=d) as store:
+            assert sorted(run.path for run in store.runs) == old_paths
+            got, found = store.lookup_batch(keys)
+            assert not found[:1_000].any() and found[1_000:].all()
+            assert np.array_equal(got[1_000:], vals[1_000:])
+            store.compact()
+            (merged,) = store.runs
+            assert origin_of(merged.path) == int(merged.keys[0])
+            got, found = store.lookup_batch(keys)
+            assert not found[:1_000].any() and found[1_000:].all()
+            assert np.array_equal(got[1_000:], vals[1_000:])
 
     def test_reopen_replays_wal_after_abandon(self, tmp_path):
         d = str(tmp_path / "db")

@@ -15,8 +15,10 @@ import pytest
 from repro.core import RecursiveModelIndex
 from repro.core.engine import (
     CompiledPlan,
+    ModelSpace,
     QueryBatch,
     SortedKeyColumn,
+    narrow_offsets,
     upper_bounds_batch,
 )
 
@@ -244,6 +246,164 @@ class TestCompiledPlanMatchesRMI:
             index.lookup_batch(probes, sort=True),
             index.lookup_batch(probes, sort=False),
         )
+
+
+I64, U64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+
+#: (dtype, origin) pairs at the corners of the 64-bit domains.
+SPACES = [
+    (np.int64, 0),
+    (np.int64, 2**62 - 7),
+    (np.int64, I64.min),
+    (np.int64, I64.max),
+    (np.uint64, 0),
+    (np.uint64, 2**63 - 7),
+    (np.uint64, U64.max),
+    (np.int32, -5),
+]
+
+
+class TestModelSpace:
+    """``key - origin`` exactly, then float64 — batch and scalar twin."""
+
+    @pytest.mark.parametrize("dtype,origin", SPACES)
+    def test_encode_is_exact_difference_clamped_at_zero(self, dtype, origin):
+        info = np.iinfo(dtype)
+        values = sorted({
+            min(max(v, info.min), info.max)
+            for v in (
+                info.min, info.min + 1, origin - 2**40, origin - 1, origin,
+                origin + 1, origin + 2**40 + 1, origin + 2**53 - 1,
+                info.max - 1, info.max,
+            )
+        })
+        space = ModelSpace(dtype, origin)
+        got = space.encode(np.array(values, dtype=dtype))
+        assert got.dtype == np.float64
+        want = [float(max(v - origin, 0)) for v in values]
+        assert got.tolist() == want
+        # the scalar twin agrees on Python ints and NumPy scalars alike
+        assert [space.encode_scalar(v) for v in values] == want
+        assert [space.encode_scalar(np.dtype(dtype).type(v))
+                for v in values] == want
+
+    @pytest.mark.parametrize("dtype,origin", SPACES)
+    def test_encode_does_not_touch_its_input(self, dtype, origin):
+        values = np.array([origin], dtype=dtype)
+        ModelSpace(dtype, origin).encode(values)
+        assert values[0] == origin
+
+    def test_dense_keys_near_2p63_stay_distinct(self):
+        keys = np.uint64(2**63 - 1000) + 2 * np.arange(1000, dtype=np.uint64)
+        assert np.unique(keys.astype(np.float64)).size < 10
+        encoded = ModelSpace.of(keys).encode(keys)
+        assert encoded.tolist() == [2.0 * i for i in range(1000)]
+
+    @pytest.mark.parametrize("dtype,origin", SPACES)
+    def test_scalar_twin_mirrors_prepared_floats(self, dtype, origin):
+        """A float query is encoded as the ceil it is compared as; NaN
+        and infinities resolve to a column end instead of raising."""
+        keys = np.array([origin], dtype=dtype)
+        column = SortedKeyColumn(keys)
+        space = ModelSpace.of(keys)
+        assert space.origin == origin and type(space.origin) is int
+        finite = [-3.5, -0.0, 0.5, 7.0, 1e9 + 0.5, float(origin) / 2]
+        batch = space.encode(column.prepare(np.array(finite)).compare)
+        assert [space.encode_scalar(q) for q in finite] == batch.tolist()
+        assert space.encode_scalar(float("nan")) == 0.0
+        assert space.encode_scalar(float("-inf")) == 0.0
+        top = float(np.iinfo(dtype).max - origin)
+        assert space.encode_scalar(float("inf")) == top
+        assert space.encode_scalar(np.float32("inf")) == top
+
+    def test_python_ints_beyond_64_bits(self):
+        """Clamped into the key dtype, like a prepared batch."""
+        space = ModelSpace(np.int64, I64.min)
+        assert space.encode_scalar(2**63) == float(2**64 - 1)
+        assert space.encode_scalar(10**400) == float(2**64 - 1)
+        assert space.encode_scalar(-(10**400)) == 0.0
+        space = ModelSpace(np.uint64, 5)
+        assert space.encode_scalar(2**64 + 5) == float(U64.max - 5)
+        assert space.encode_scalar(2**63 + 5) == float(2**63)
+
+    def test_float_columns_keep_origin_zero(self):
+        keys = np.array([-2.5, 1e300])
+        space = ModelSpace.of(keys)
+        assert space.origin == 0
+        assert space.encode(keys).tolist() == keys.tolist()
+        assert space.encode_scalar(-2.5) == -2.5
+        assert space.encode(np.float32([1.5])).dtype == np.float64
+        assert ModelSpace.of(np.empty(0, dtype=np.int64)).origin == 0
+
+    @pytest.mark.parametrize("dtype,origin", [
+        (np.int64, 2**63), (np.int64, -2**63 - 1), (np.uint64, -1),
+        (np.uint64, 2**64), (np.int64, 1.0), (np.int64, "7"),
+        (np.int64, None), (np.int64, True), (np.int64, np.int64(3)),
+        (np.float64, 1),
+    ])
+    def test_rejects_origin_outside_the_key_domain(self, dtype, origin):
+        with pytest.raises(ValueError):
+            ModelSpace(dtype, origin)
+
+    def test_prepared_batch_routes_through_plans_with_other_origins(self):
+        """Nothing per-plan is cached on the batch: one prepared batch
+        serves two columns of the same dtype with different origins."""
+        rng = np.random.default_rng(9)
+        a = np.int64(2**62) + np.cumsum(rng.integers(1, 4, 3_000))
+        b = a - np.int64(2**61)
+        probes = np.concatenate([a[::7], b[::7], a[:3] - 1])
+        ia = RecursiveModelIndex(a, stage_sizes=(1, 16))
+        ib = RecursiveModelIndex(b, stage_sizes=(1, 16))
+        qb = ia._column.prepare(probes)
+        assert ib._column.prepare(qb) is qb
+        for index, keys in ((ia, a), (ib, b), (ia, a)):
+            np.testing.assert_array_equal(
+                index._plan.lookup_batch(qb, sort=False),
+                np.searchsorted(keys, probes),
+            )
+
+
+class TestNarrowOffsets:
+    @pytest.mark.parametrize("bound,dtype", [
+        (0, np.int8), (127, np.int8), (128, np.int16), (32_767, np.int16),
+        (32_768, np.int32), (2**31 - 1, np.int32), (2**31, np.int64),
+    ])
+    def test_narrowest_dtype_holding_both_tables(self, bound, dtype):
+        lo, hi = narrow_offsets(
+            np.array([1.0, bound]), np.array([-float(bound), 0.0])
+        )
+        assert lo.dtype == hi.dtype == np.dtype(dtype)
+        assert lo.tolist() == [1, bound] and hi.tolist() == [-bound, 0]
+
+    def test_rounds_outward(self):
+        lo, hi = narrow_offsets(np.array([2.25]), np.array([-2.25]))
+        assert (lo.tolist(), hi.tolist()) == ([3], [-3])
+
+    def test_empty_and_non_finite(self):
+        lo, hi = narrow_offsets(np.zeros(0), np.zeros(0))
+        assert lo.dtype == hi.dtype == np.int8
+        for bad in (np.nan, np.inf, -np.inf, 2.0**63):
+            with pytest.raises(ValueError):
+                narrow_offsets(np.array([bad]), np.array([0.0]))
+
+    def test_plan_windows_survive_int8_tables(self):
+        """``lo - hi`` of two int8 tables would wrap; the index widens
+        before subtracting."""
+        keys = np.arange(0, 4_000, dtype=np.int64) ** 2
+        index = RecursiveModelIndex(keys, stage_sizes=(1, 64))
+        plan = index._plan
+        assert plan.lo_offsets.dtype == plan.hi_offsets.dtype == np.int8
+        widest = max(
+            int(lo) - int(hi)
+            for lo, hi in zip(plan.lo_offsets, plan.hi_offsets)
+        )
+        from repro.core import CompiledPlanIndex
+
+        assert widest > 127
+        # the RMI's override reads ErrorStats rows, the base the tables
+        assert index.max_error_window == widest
+        assert CompiledPlanIndex.max_error_window.fget(index) == widest
+        assert CompiledPlanIndex.mean_error_window.fget(index) > 0
 
 
 class TestEmptyColumn:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import RecursiveModelIndex
 from repro.families import (
     GappedArrayIndex,
     PGMIndex,
@@ -129,9 +130,9 @@ class TestPGMStructure:
         assert index.level_count >= 1
         # descending through every level must land on the leaf that the
         # scalar bisect route finds, for in-set keys
-        sample = keys[:: max(keys.size // 200, 1)].astype(np.float64)
+        sample = index._space.encode(keys[:: max(keys.size // 200, 1)])
         leaves = index._descend(sample)
-        expected = np.array([index._route_scalar(q) for q in sample])
+        expected = np.array([index._route_scalar(q) for q in sample.tolist()])
         np.testing.assert_array_equal(leaves, expected)
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
@@ -183,9 +184,13 @@ class TestRadixSplineStructure:
         index = RadixSplineIndex(keys, epsilon=8)
         knots = index._knots
         table = index._table
+        # knots, table and probes all live in the index's model space
         probes = np.concatenate([
             knots,
-            RNG.uniform(float(knots[0]), float(keys.max()), 5_000),
+            RNG.uniform(
+                float(knots[0]), float(index._space.encode(keys[-1:])[0]),
+                5_000,
+            ),
         ])
         cell = ((probes - index._min_f) * index._scale).astype(np.int64)
         np.clip(cell, 0, index._num_cells - 1, out=cell)
@@ -297,7 +302,78 @@ class TestAccountingSurface:
         keys = REGIMES["uniform"]
         index = family(keys)
         assert index.segment_count >= 1
-        assert index.size_bytes() >= index.segment_count * 32
+        plan = index._plan
+        assert index.size_bytes() == index._routing_size_bytes() + sum(
+            getattr(plan, name).nbytes for name in plan.ARRAY_FIELDS
+        )
         assert index.max_error_window >= 1
         assert 0 < index.mean_error_window <= index.max_error_window
         assert str(index.segment_count) in repr(index)
+
+
+# -- the model, not the float64 ulp, bounds the search -------------------------
+
+N_DENSE = 200_000
+
+#: The benchmark's two dense patterns (``u64_dense``: the static column
+#: and the KV keys): neighbours share a float64 ~500 at a time.
+DENSE = {
+    "uint64_2p63": np.uint64(2**63 - N_DENSE)
+    + 2 * np.arange(N_DENSE, dtype=np.uint64),
+    "int64_2p62": np.int64(2**62 - N_DENSE)
+    + 2 * np.arange(N_DENSE, dtype=np.int64),
+}
+
+DENSE_FAMILIES = {
+    "rmi": lambda keys: RecursiveModelIndex(keys, stage_sizes=(1, 2_000)),
+    "pgm": PGMIndex,
+    "rs": RadixSplineIndex,
+}
+
+
+class TestDenseColumnsAreModelBound:
+    @pytest.mark.parametrize("pattern", sorted(DENSE))
+    @pytest.mark.parametrize("family", sorted(DENSE_FAMILIES))
+    def test_window_and_segment_guard(self, family, pattern):
+        """Windows on dense 64-bit keys are as narrow as the model is
+        good — a raw float64 cast would make them ~770 slots (one ulp
+        of keys) and the PGM ~1 500 segments."""
+        keys = DENSE[pattern]
+        assert np.unique(keys.astype(np.float64)).size < keys.size // 100
+        index = DENSE_FAMILIES[family](keys)
+        rng = np.random.default_rng(0xD5)
+        picks = keys[rng.integers(0, keys.size, 20_000)]
+        queries = np.concatenate([picks, picks + keys.dtype.type(1)])
+        np.testing.assert_array_equal(
+            index.lookup_batch(queries, sort=False),
+            np.searchsorted(keys, queries),
+        )
+        assert index.stats.mean_window <= 8
+        assert index.stats.fixups == 0
+        if family != "rmi":
+            assert index.segment_count <= 4
+
+    @pytest.mark.parametrize("family", sorted(DENSE_FAMILIES))
+    def test_offset_tables_are_as_narrow_as_the_errors(self, family):
+        dense = DENSE_FAMILIES[family](DENSE["uint64_2p63"])
+        assert dense._plan.lo_offsets.dtype == np.int8
+        assert dense._plan.hi_offsets.dtype == np.int8
+        lognormal = np.unique(
+            np.exp(np.random.default_rng(0xD6).normal(18, 2, 200_000))
+            .astype(np.int64)
+        )
+        skewed = DENSE_FAMILIES[family](lognormal)
+        plan = skewed._plan
+        if family == "rmi":
+            assert plan.lo_offsets.dtype == plan.hi_offsets.dtype == np.int16
+            # The root's 16 B, 16 B per fitted leaf model (8 B for a
+            # dead leaf's constant), and the two tables as held.
+            dead = sum(s.count == 0 for s in skewed.leaf_errors)
+            assert skewed.size_bytes() == (
+                16 + 16 * (plan.leaf_count - dead) + 8 * dead
+                + plan.lo_offsets.nbytes + plan.hi_offsets.nbytes
+            )
+        for index in (dense, skewed):
+            tables = index._plan
+            assert tables.lo_offsets.dtype == tables.hi_offsets.dtype
+            assert tables.slopes.dtype == tables.intercepts.dtype == np.float64

@@ -19,6 +19,8 @@ from repro.core.paged import FilePageStore
 from repro.lsm.faultfs import RealFileSystem
 from repro.lsm.format import (
     ALGO_CRC32C,
+    RUN_MAGIC,
+    SectionFile,
     _HAVE_CRC32C,
     checksum,
     crc32c,
@@ -683,6 +685,33 @@ class TestPreadAccounting:
         finally:
             full.store.close()
             partial.store.close()
+
+    def test_dense_int64_run_fetches_model_sized_windows(self, tmp_path):
+        """A paged index over a run of keys near 2^62 is fitted in the
+        origin the run file records, so a lookup's window is the
+        model's few slots — one page, not the ulp's several."""
+        keys = np.int64(2**62 - 40_000) + 2 * np.arange(40_000, dtype=np.int64)
+        with LearnedLSMStore(
+            keys, keys, path=str(tmp_path), background=False
+        ) as store:
+            store.compact()
+        (path,) = glob.glob(str(tmp_path / "run-*.run"))
+        fs = RealFileSystem()
+        index = paged_index_over_run(fs, path, page_size=64)
+        try:
+            origin = SectionFile(fs, path, magic=RUN_MAGIC).meta["origin"]
+            assert origin == int(keys[0])
+            assert index._rmi.compiled_state()["origin"] == origin
+            queries = keys[5::977]
+            assert np.array_equal(
+                index.lookup_batch(queries), np.searchsorted(keys, queries)
+            )
+            assert index.store.preads <= 2 * queries.size
+            for q in queries[:16].tolist():
+                page, slot = index.lookup(q)
+                assert page * index.page_size + slot == np.searchsorted(keys, q)
+        finally:
+            index.store.close()
 
     def test_close_then_read_raises(self, run_file):
         _keys, path = run_file

@@ -137,6 +137,36 @@ class TestShardedReads:
         assert stats.store_calls <= 4  # coalesced, not per-request
 
 
+def test_published_run_carries_its_model_origin():
+    """The shared-memory epoch path reads the run's ``origin`` entry
+    like ``SortedRun.load`` does; a descriptor without one means tables
+    fitted on raw keys (origin 0) and still answers exactly."""
+    from repro.serving.shm import RunPublisher, attach_run, default_prefix
+
+    keys = np.int64(2**62 - 5_000) + 2 * np.arange(5_000, dtype=np.int64)
+    queries = np.concatenate([keys[::3], keys[::3] + 1, keys[:1] - 9])
+    store = LearnedLSMStore(keys, keys ^ 3, background=False)
+    publisher = RunPublisher(default_prefix(0) + "t")
+    try:
+        (desc,) = publisher.publish(store)["runs"]
+        assert desc["origin"] == int(keys[0])
+        without = {k: v for k, v in desc.items() if k != "origin"}
+        for descriptor, origin in ((desc, int(keys[0])), (without, 0)):
+            shm, run = attach_run(descriptor)
+            try:
+                assert run.rmi.compiled_state()["origin"] == origin
+                for got, want in zip(
+                    run.probe_batch(queries), store.runs[0].probe_batch(queries)
+                ):
+                    assert np.array_equal(got, want)
+            finally:
+                del run
+                assert sharded._try_close(shm)
+    finally:
+        publisher.close()
+        store.close()
+
+
 class TestShardedWrites:
     def test_differential_interleaved_history(self, tmp_path):
         """Reads interleaved with writes, deletes, seals, and
