@@ -1,13 +1,12 @@
 """Scenario: racing the index families on one dataset (PR 10).
 
-Four learned indexes answer the same queries over the same sorted key
+Three learned indexes answer the same queries over the same sorted key
 column through the same engine — the RMI from the paper, a PGM-index
-(recursive ε-bounded segments), a RadixSpline (spline knots behind a
-radix table), and an ALEX-style gapped array (the writable contender).
-Because every family compiles to the engine's flat plan tables and
-every result is verified by bounded search, they can only differ in
-*speed and size*, never in answers — which this example checks against
-``np.searchsorted`` before printing the comparison.
+(recursive ε-bounded segments) and a RadixSpline (spline knots behind a
+radix table).  Because every family compiles to the engine's flat plan
+tables and every result is verified by bounded search, they can only
+differ in *speed and size*, never in answers — which this example
+checks against ``np.searchsorted`` before printing the comparison.
 
 The measured family comparison (four workloads, bounds, oracle
 checks) lives in ``benchmarks/e2e``; this is the single-dataset tour
@@ -21,12 +20,7 @@ import time
 
 import numpy as np
 
-from repro import (
-    GappedArrayIndex,
-    PGMIndex,
-    RadixSplineIndex,
-    RecursiveModelIndex,
-)
+from repro import PGMIndex, RadixSplineIndex, RecursiveModelIndex
 from repro.bench import Table, factor, format_bytes
 
 
@@ -37,12 +31,6 @@ def build_families(keys: np.ndarray):
     )
     yield "PGM-index", lambda: PGMIndex(keys)
     yield "RadixSpline", lambda: RadixSplineIndex(keys)
-    yield "GappedArray", lambda: GappedArrayIndex(keys)
-
-
-def error_window(index) -> tuple[float, int]:
-    model = getattr(index, "_model", index)  # gapped array wraps an RMI
-    return float(model.mean_error_window), int(model.max_error_window)
 
 
 def main() -> None:
@@ -59,9 +47,7 @@ def main() -> None:
         rng.integers(0, 1 << 40, args.queries // 2, dtype=np.int64),
     ])
     rng.shuffle(queries)
-    # The gapped array dedups (set semantics); everyone is compared on
-    # the multiset positions, the gapped array on the distinct ones.
-    distinct = np.unique(keys)
+    expected = np.searchsorted(keys, queries, side="left")
 
     table = Table(
         f"Index families on {args.n:,} uniform int64 keys "
@@ -74,8 +60,6 @@ def main() -> None:
         index = make()
         build_s = time.perf_counter() - start
 
-        oracle_keys = distinct if isinstance(index, GappedArrayIndex) else keys
-        expected = np.searchsorted(oracle_keys, queries, side="left")
         best = float("inf")
         for _ in range(args.reps):
             start = time.perf_counter()
@@ -86,13 +70,12 @@ def main() -> None:
 
         if baseline_build is None:
             baseline_build, baseline_rate = build_s, rate
-        mean_w, max_w = error_window(index)
         table.add_row(
             name,
             f"{build_s * 1e3:.1f} ms",
             factor(build_s, baseline_build),
             format_bytes(index.size_bytes()),
-            f"{mean_w:.1f}/{max_w}",
+            f"{index.mean_error_window:.1f}/{index.max_error_window}",
             f"{rate / 1e6:.2f}M",
             factor(rate, baseline_rate),
         )

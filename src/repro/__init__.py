@@ -17,16 +17,18 @@ every substrate its evaluation depends on:
   overflow filter) and :class:`ModelHashBloomFilter` (Appendix E) over
   :class:`BloomFilter`, with the paper's character-level
   :class:`GRUClassifier`.
-* **Storage engine** — :class:`LearnedLSMStore` (Appendix D.1 at
-  system scale): tiered immutable runs, each indexed by a vectorized
-  RMI and guarded by a bloom filter, behind an O(1) memtable with
-  size-tiered or leveled compaction.
+* **Inserts** (Appendix D.1's delta buffer) —
+  :class:`repro.core.WritableLearnedIndex`, one buffer in front of one
+  retrained RMI (the reference the D.1 bench asserts), and
+  :class:`LearnedLSMStore`, the same idea at system scale: tiered
+  immutable runs, each indexed by a vectorized RMI and guarded by a
+  bloom filter, behind an O(1) memtable with size-tiered or leveled
+  compaction.
 * **Competing index families** (PR 10) — :class:`PGMIndex` (recursive
-  ε-bounded segments), :class:`RadixSplineIndex` (spline knots behind
-  a radix table), and :class:`GappedArrayIndex` (the ALEX-style
-  writable gapped array).  PGM and RadixSpline plug a builder into
-  the same :class:`repro.core.CompiledPlanIndex` surface the RMI
-  does; raced in ``benchmarks/e2e``.
+  ε-bounded segments) and :class:`RadixSplineIndex` (spline knots
+  behind a radix table) compile to the same
+  :class:`repro.core.CompiledPlanIndex` surface the RMI does; raced in
+  ``benchmarks/e2e``.
 * **Serving & observability** — :class:`CoalescingIndexServer`,
   :class:`ShardedLSMStore`, :class:`CDFSplitter` (PR 8) and the
   :mod:`repro.obs` metrics/tracing registry (PR 9).
@@ -65,11 +67,7 @@ from .core import (
     conflict_stats,
     synthesize,
 )
-from .families import (
-    GappedArrayIndex,
-    PGMIndex,
-    RadixSplineIndex,
-)
+from .families import PGMIndex, RadixSplineIndex
 from .lsm import (
     LearnedLSMStore,
     LeveledCompaction,
@@ -99,7 +97,6 @@ __all__ = [
     "FASTTree",
     "FixedSizeBTree",
     "GRUClassifier",
-    "GappedArrayIndex",
     "GenericBTreeIndex",
     "GenericCuckooHashMap",
     "HierarchicalLookupTable",

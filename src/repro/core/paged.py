@@ -14,7 +14,9 @@ which have to be read from a large page."
 
 * a :class:`PageStore` — a simulated block device holding fixed-size
   key pages at shuffled physical locations, counting page reads and
-  bytes transferred (the metrics that matter on disk);
+  bytes transferred (the metrics that matter on disk, and the only
+  ones the appendix argues about: the counts are exact and repeat,
+  where timing real reads would measure the OS page cache);
 * the standard RMI trained over the *logical* key order;
 * the translation table mapping logical page number -> physical page.
 
@@ -41,7 +43,6 @@ clip); ``partial_reads`` narrows transfers on the scalar path only.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ from ..range_scan import RangeScanResult, assemble_slices
 from .rmi import RecursiveModelIndex
 from .search import vectorized_bounded_search
 
-__all__ = ["PageStore", "FilePageStore", "PagedLearnedIndex"]
+__all__ = ["PageStore", "PagedLearnedIndex"]
 
 _KEY_BYTES = 8
 
@@ -140,140 +141,6 @@ class PageStore:
         self._buffer.clear()
 
 
-class FilePageStore:
-    """Page store whose every page fetch is a real ``os.pread``.
-
-    The simulated :class:`PageStore` *counts* page reads; this one
-    *performs* them, against an int64 key region inside an on-disk file
-    (``byte_offset`` / ``count`` locate it — e.g. a sealed run's
-    ``keys`` section, see
-    :func:`repro.lsm.paged_runs.paged_index_over_run`).  ``preads``
-    counts actual syscalls issued, so a cold-vs-warm experiment
-    measures genuine I/O, not a model of it.
-
-    The file region is one contiguous sorted array, so the translation
-    table is the identity — the interesting part here is the real page
-    cache underneath, which :meth:`drop_cache` evicts
-    (``posix_fadvise(DONTNEED)``) to make a lookup cold again.
-
-    Same interface contract as :class:`PageStore` (``read_page`` /
-    ``translation`` / accounting); additionally a context manager, as
-    it owns a file descriptor.
-    """
-
-    page_reads = counter_field("page_reads")
-    bytes_read = counter_field("bytes_read")
-    preads = counter_field("preads")
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        byte_offset: int,
-        count: int,
-        page_size: int = 256,
-        partial_reads: bool = False,
-        buffer_pages: int = 4,
-    ):
-        if page_size < 1:
-            raise ValueError("page_size must be >= 1")
-        self.path = path
-        self._fd = os.open(path, os.O_RDONLY)
-        self._byte_offset = int(byte_offset)
-        self._count = int(count)
-        self.page_size = int(page_size)
-        self.partial_reads = bool(partial_reads)
-        self.buffer_pages = int(buffer_pages)
-        self._buffer: dict[int, np.ndarray] = {}
-        self.num_pages = max((self._count + page_size - 1) // page_size, 1)
-        # Contiguous file region: logical page i *is* physical page i.
-        self.translation = np.arange(self.num_pages, dtype=np.int64)
-        self.registry = MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter("paged.io." + name)
-            for name in ("page_reads", "bytes_read", "preads")
-        }
-
-    def _pread(self, first: int, last: int) -> np.ndarray:
-        """Elements [first, last) of the key region, one syscall."""
-        if self._fd is None:
-            raise ValueError("page store is closed")
-        nbytes = (last - first) * _KEY_BYTES
-        data = os.pread(
-            self._fd, nbytes, self._byte_offset + first * _KEY_BYTES
-        )
-        if len(data) < nbytes:
-            raise IOError(
-                f"{self.path}: short pread ({len(data)}/{nbytes} bytes)"
-            )
-        self.preads += 1
-        self.bytes_read += len(data)
-        return np.frombuffer(data, dtype=np.int64)
-
-    def page_length(self, physical: int) -> int:
-        start = physical * self.page_size
-        return max(min(self._count - start, self.page_size), 0)
-
-    def read_page(
-        self, physical: int, first_slot: int = 0, last_slot: int | None = None
-    ) -> np.ndarray:
-        if not 0 <= physical < self.num_pages:
-            raise IndexError(f"physical page {physical} out of range")
-        page = self._buffer.get(physical)
-        if page is not None:
-            if self.partial_reads and last_slot is not None:
-                return page[max(first_slot, 0):min(last_slot, len(page))]
-            return page
-        start = physical * self.page_size
-        stop = min(start + self.page_size, self._count)
-        if self.partial_reads and last_slot is not None:
-            # Clipped transfer: only the window's byte range moves, and
-            # a sub-page fragment is not worth a buffer-pool slot.
-            lo = start + max(first_slot, 0)
-            hi = min(start + min(last_slot, self.page_size), stop)
-            self.page_reads += 1
-            return self._pread(lo, max(hi, lo))
-        page = self._pread(start, stop)
-        self.page_reads += 1
-        if self.buffer_pages:
-            self._buffer[physical] = page
-            while len(self._buffer) > self.buffer_pages:
-                self._buffer.pop(next(iter(self._buffer)))
-        return page
-
-    def drop_cache(self) -> None:
-        """Evict this region from the OS page cache and the buffer
-        pool, so the next lookup is genuinely cold."""
-        self._buffer.clear()
-        if hasattr(os, "posix_fadvise"):  # pragma: no branch - POSIX
-            os.posix_fadvise(
-                self._fd, 0, 0, os.POSIX_FADV_DONTNEED
-            )
-
-    def reset_io(self) -> None:
-        self.page_reads = 0
-        self.bytes_read = 0
-        self.preads = 0
-        self._buffer.clear()
-
-    def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-    def __enter__(self) -> "FilePageStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC timing
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
 class PagedLearnedIndex:
     """RMI + translation table over a :class:`PageStore`."""
 
@@ -285,27 +152,18 @@ class PagedLearnedIndex:
         stage_sizes: Sequence[int] = (1, 100),
         shuffle_seed: int = 0,
         partial_reads: bool = False,
-        store=None,
     ):
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size and np.any(np.diff(keys) <= 0):
             raise ValueError("keys must be sorted and unique")
         self.n = int(keys.size)
-        if store is not None:
-            # Caller-supplied page store (e.g. a FilePageStore over a
-            # sealed run's key section): the index trains on ``keys``
-            # but every read goes through the provided store, whose
-            # page_size wins.
-            self.store = store
-            self.page_size = int(store.page_size)
-        else:
-            self.page_size = int(page_size)
-            self.store = PageStore(
-                keys,
-                page_size,
-                shuffle_seed=shuffle_seed,
-                partial_reads=partial_reads,
-            )
+        self.page_size = int(page_size)
+        self.store = PageStore(
+            keys,
+            page_size,
+            shuffle_seed=shuffle_seed,
+            partial_reads=partial_reads,
+        )
         # The RMI is trained on the logical (sorted) order; only key
         # *values* and positions are needed, not the physical layout.
         self._rmi = RecursiveModelIndex(keys, stage_sizes=stage_sizes)

@@ -38,7 +38,18 @@ tiered runs:
 * :meth:`range_query_batch` merges main and delta hits for the whole
   batch with one multi-source k-way merge
   (:func:`repro.range_scan.merge_scan_results`) instead of a per-range
-  Python loop.
+  Python loop;
+* keys follow the key contract of the LSM store
+  (:func:`repro.lsm.store.as_int64_key` / ``as_int64_keys``): every
+  write and the initial keys are integers in the int64 domain, a
+  non-integer is a ``TypeError`` and a key outside int64 an
+  ``OverflowError``, and a refused call changes nothing.  Queries and
+  range endpoints are not keys: any real value reads exactly, against
+  the delta buffer and the tombstones as against the main index — the
+  batch forms through the main index's
+  :meth:`~repro.core.engine.SortedKeyColumn.prepare` +
+  :meth:`~repro.core.engine.SortedKeyColumn.rank_in`, the scalar forms
+  by native Python comparison.
 
 It also demonstrates the paper's append observation: "for an index over
 the timestamps of web-logs ... most if not all inserts will be appends
@@ -52,16 +63,32 @@ stored bounds widened by the measured append error).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..lsm.memtable import Memtable
+from ..lsm.store import as_int64_key, as_int64_keys
 from ..models.base import Model
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
+from ..util import scalar_view
+from .engine import QueryBatch, SortedKeyColumn
 from .rmi import RecursiveModelIndex
 
 __all__ = ["WritableLearnedIndex"]
+
+
+def _scalar_rank(sorted_keys: np.ndarray, key, bisect) -> int:
+    """``bisect`` of a native ``key`` over a sorted int64 array, item by
+    item as Python ints — exact for any real ``key``."""
+    return bisect(scalar_view(sorted_keys), key) if sorted_keys.size else 0
+
+
+def _members(sorted_keys: np.ndarray, qb: QueryBatch) -> np.ndarray:
+    """Exact membership of prepared queries in a sorted int64 array."""
+    column = SortedKeyColumn(sorted_keys)
+    return column.contains_at(qb, column.rank_in(sorted_keys, qb))
 
 
 class WritableLearnedIndex:
@@ -77,11 +104,7 @@ class WritableLearnedIndex:
     ):
         if merge_threshold < 1:
             raise ValueError("merge_threshold must be >= 1")
-        base = (
-            np.asarray(keys, dtype=np.int64)
-            if keys is not None
-            else np.empty(0, dtype=np.int64)
-        )
+        base = as_int64_keys(() if keys is None else keys)
         if base.size and np.any(np.diff(base) <= 0):
             raise ValueError("initial keys must be sorted and unique")
         self._stage_sizes = tuple(stage_sizes)
@@ -105,16 +128,17 @@ class WritableLearnedIndex:
 
     # -- write path -----------------------------------------------------------
 
+    def _in_main(self, key) -> bool:
+        """Scalar membership in the main index, compared natively (a
+        stored key as a Python int against ``key``)."""
+        pos = self._main.lookup(key)
+        return pos < self._main.keys.size and int(self._main.keys[pos]) == key
+
     def insert(self, key: int) -> None:
         """Insert ``key``; duplicate inserts are idempotent."""
-        key = int(key)
+        key = as_int64_key(key)
         self._mem.discard_tombstone(key)
-        main_pos = self._main.lookup(key)
-        in_main = (
-            main_pos < self._main.keys.size
-            and int(self._main.keys[main_pos]) == key
-        )
-        if in_main or self._mem.has_put(key):
+        if self._in_main(key) or self._mem.has_put(key):
             return
         self._mem.put(key, key)
         if self._mem.num_puts >= self.merge_threshold:
@@ -131,16 +155,11 @@ class WritableLearnedIndex:
         fires, after the whole batch lands, so bulk loads pay one
         retrain instead of one per ``merge_threshold`` keys.
         """
-        batch = np.unique(np.asarray(keys, dtype=np.int64).ravel())
+        batch = np.unique(as_int64_keys(keys))
         if batch.size == 0:
             return
         self._mem.discard_tombstones(batch)
-        main_keys = self._main.keys
-        if main_keys.size:
-            pos = self._main.lookup_batch(batch)
-            safe = np.minimum(pos, main_keys.size - 1)
-            in_main = (pos < main_keys.size) & (main_keys[safe] == batch)
-            batch = batch[~in_main]
+        batch = batch[~self._main.contains_batch(batch)]
         if batch.size:
             # Tombstones were swept above and only ever cover main
             # keys, which the membership probe just filtered out — the
@@ -151,15 +170,10 @@ class WritableLearnedIndex:
 
     def delete(self, key: int) -> bool:
         """Delete ``key``; returns whether it was present."""
-        key = int(key)
+        key = as_int64_key(key)
         if self._mem.remove_put(key):
             return True
-        main_pos = self._main.lookup(key)
-        if (
-            main_pos < self._main.keys.size
-            and int(self._main.keys[main_pos]) == key
-            and not self._mem.is_tombstone(key)
-        ):
+        if self._in_main(key) and not self._mem.is_tombstone(key):
             self._mem.add_tombstone(key)
             return True
         return False
@@ -242,28 +256,24 @@ class WritableLearnedIndex:
         The rank in the (never materialized) sorted array of live keys:
         the main index's lower bound, minus the tombstoned main keys
         below ``key``, plus the delta keys below ``key`` — two
-        ``searchsorted`` corrections around the learned lookup.
-        Integer keys stay native Python ints end to end, so the
-        corrections are exact beyond 2^53.
+        bisect corrections around the learned lookup.  Both compare
+        ``key`` natively against the buffer's keys as Python ints, so
+        they are exact beyond 2^53 and for any real ``key``.
         """
-        main_lb = self._main.lookup(key)
-        tombs = self._mem.tombstone_keys()
-        delta = self._mem.put_keys()
+        delta, _, tombs = self._mem.views()
         return (
-            main_lb
-            - int(np.searchsorted(tombs, key, side="left"))
-            + int(np.searchsorted(delta, key, side="left"))
+            self._main.lookup(key)
+            - _scalar_rank(tombs, key, bisect_left)
+            + _scalar_rank(delta, key, bisect_left)
         )
 
     def upper_bound(self, key) -> int:
         """Position one past the last live key <= ``key``."""
-        main_ub = self._main.upper_bound(key)
-        tombs = self._mem.tombstone_keys()
-        delta = self._mem.put_keys()
+        delta, _, tombs = self._mem.views()
         return (
-            main_ub
-            - int(np.searchsorted(tombs, key, side="right"))
-            + int(np.searchsorted(delta, key, side="right"))
+            self._main.upper_bound(key)
+            - _scalar_rank(tombs, key, bisect_right)
+            + _scalar_rank(delta, key, bisect_right)
         )
 
     def _batch_corrections(self, queries, pos, side: str) -> np.ndarray:
@@ -273,8 +283,7 @@ class WritableLearnedIndex:
         ``searchsorted`` calls compare in the key dtype (exact int64),
         with the engine's float-query ceiling semantics.
         """
-        tombs = self._mem.tombstone_keys()
-        delta = self._mem.put_keys()
+        delta, _, tombs = self._mem.views()
         if not tombs.size and not delta.size:
             return pos
         column = self._main._column
@@ -305,66 +314,50 @@ class WritableLearnedIndex:
         pos = self._main.upper_bound_batch(queries, sort=sort).astype(np.int64)
         return self._batch_corrections(queries, pos, "right")
 
-    def contains(self, key: int) -> bool:
-        key = int(key)
+    def contains(self, key) -> bool:
+        """Is ``key`` live?  Dict and set probes of the buffer, then the
+        main index — each comparing ``key`` natively, so ``3.5`` is
+        never the stored ``3``."""
         if self._mem.is_tombstone(key):
             return False
-        if self._mem.has_put(key):
-            return True
-        pos = self._main.lookup(key)
-        return pos < self._main.keys.size and int(self._main.keys[pos]) == key
+        return self._mem.has_put(key) or self._in_main(key)
 
     def contains_batch(self, keys) -> np.ndarray:
         """Batched :meth:`contains`, merging main + delta + tombstones.
 
-        The main index runs its vectorized ``lookup_batch``; the delta
-        buffer is probed with one ``searchsorted`` over the batch; the
-        tombstone set masks both — the delta-merge read path without a
-        per-key Python loop.
+        The main index runs its vectorized ``contains_batch``; the
+        delta buffer and the tombstones are each probed with one
+        ``searchsorted`` of the batch prepared by the main index's key
+        column — the delta-merge read path without a per-key Python
+        loop, exact for any query dtype.
         """
-        queries = np.asarray(keys, dtype=np.int64).ravel()
-        hit = np.zeros(queries.size, dtype=bool)
-        delta = self._mem.put_keys()
-        if delta.size:
-            spot = np.searchsorted(delta, queries)
-            safe = np.minimum(spot, delta.size - 1)
-            hit |= (spot < delta.size) & (delta[safe] == queries)
-        main_keys = self._main.keys
-        if main_keys.size:
-            hit |= self._main.contains_batch(queries)
-        tombs = self._mem.tombstone_keys()
-        if tombs.size:
-            hit &= ~np.isin(queries, tombs)
+        queries = np.asarray(keys).ravel()
+        hit = self._main.contains_batch(queries)
+        delta, _, tombs = self._mem.views()
+        if delta.size or tombs.size:
+            qb = self._main._column.prepare(queries)
+            if delta.size:
+                hit |= _members(delta, qb)
+            if tombs.size:
+                hit &= ~_members(tombs, qb)
         return hit
 
-    def range_query(self, low: int, high: int) -> np.ndarray:
+    def range_query(self, low, high) -> np.ndarray:
         """All live keys in ``[low, high]`` across main + delta."""
-        if high < low:
-            return np.empty(0, dtype=np.int64)
-        main_hits = self._main.range_query(low, high)
-        tombs = self._mem.tombstone_keys()
-        if tombs.size:
-            main_hits = main_hits[~np.isin(main_hits, tombs)]
-        delta = self._mem.put_keys()
-        lo = int(np.searchsorted(delta, int(low), side="left"))
-        hi = int(np.searchsorted(delta, int(high), side="right"))
-        delta_hits = delta[lo:hi]
-        if delta_hits.size == 0:
-            return main_hits.astype(np.int64)
-        return np.union1d(main_hits.astype(np.int64), delta_hits)
+        return self.range_query_batch([low], [high])[0]
 
     def range_query_batch(self, lows, highs) -> RangeScanResult:
         """Batched :meth:`range_query`, merging main + delta + tombstones.
 
         The main index resolves every range through its vectorized
         ``range_query_batch``; the delta buffer is sliced with two
-        ``searchsorted`` calls over the whole batch; tombstones mask the
-        main hits with one ``np.isin``.  The per-range merge of the two
-        sorted sources is one multi-source k-way merge
+        ``rank_in`` calls over the whole batch, endpoints prepared by the
+        main index's key column (a fractional endpoint bounds the range
+        where it says); tombstones mask the main hits with one
+        ``np.isin``.  The per-range merge of the two sorted sources is
+        one multi-source k-way merge
         (:func:`repro.range_scan.merge_scan_results`: one ``np.lexsort``
-        on (range id, key) interleaves all ``m`` merges at once, and its
-        dedup mirrors the scalar path's ``np.union1d``).  ``result[i]``
-        is bit-identical to ``range_query(lows[i], highs[i])``;
+        on (range id, key) interleaves all ``m`` merges at once).
         ``starts``/``ends`` are ``None`` because delta-merged ranges are
         not contiguous slices of one array.
         """
@@ -378,15 +371,10 @@ class WritableLearnedIndex:
                 values=np.empty(0, dtype=np.int64),
                 offsets=np.zeros(1, dtype=np.int64),
             )
-        # Mirror the scalar path exactly: the main index resolves the
-        # original endpoints (native dtype, exact through the query
-        # core), the delta buffer the truncated ints
-        # (``int(low)``/``int(high)``), and an inverted range is
-        # decided on the original values.
         main = self._main.range_query_batch(lows_f, highs_f)
         values = np.asarray(main.values, dtype=np.int64)
         offsets = main.offsets
-        tombs = self._mem.tombstone_keys()
+        delta, _, tombs = self._mem.views()
         if tombs.size and values.size:
             keep = ~np.isin(values, tombs)
             ids = np.repeat(np.arange(m, dtype=np.int64), main.counts)[keep]
@@ -394,12 +382,14 @@ class WritableLearnedIndex:
             offsets = np.zeros(m + 1, dtype=np.int64)
             np.cumsum(np.bincount(ids, minlength=m), out=offsets[1:])
         main_live = RangeScanResult(values=values, offsets=offsets)
-        delta = self._mem.put_keys()
         if not delta.size:
             return main_live
-        d_lo = np.searchsorted(delta, lows_f.astype(np.int64), "left")
-        d_hi = np.searchsorted(delta, highs_f.astype(np.int64), "right")
-        d_hi = np.where(highs_f < lows_f, d_lo, d_hi)
+        column = self._main._column
+        d_lo = column.rank_in(delta, column.prepare(lows_f), "left")
+        # An inverted range ranks its high end at or below its low end.
+        d_hi = np.maximum(
+            column.rank_in(delta, column.prepare(highs_f), "right"), d_lo
+        )
         delta_vals, d_offsets = assemble_slices(delta, d_lo, d_hi)
         merged = merge_scan_results(
             [

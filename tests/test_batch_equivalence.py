@@ -32,7 +32,7 @@ from repro.core import (
     StringRMI,
     WritableLearnedIndex,
 )
-from repro.families import GappedArrayIndex, PGMIndex, RadixSplineIndex
+from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
 from repro.models import LinearModel, SplineSegmentModel
 
@@ -770,25 +770,3 @@ class TestFamilyBatchEquivalence:
             index.upper_bound_batch(queries, sort=True),
             index.upper_bound_batch(queries, sort=False),
         )
-
-    @pytest.mark.parametrize("kind", ["duplicates", "uniform", "lognormal"])
-    def test_gapped_array_batch_after_churn(self, kind):
-        """Batch == scalar for the writable family while its slot model
-        goes stale through interleaved inserts and deletes."""
-        keys = np.unique(dataset(kind))
-        index = GappedArrayIndex(keys)
-        rng = np.random.default_rng(0xA1EC)
-        churn = rng.integers(0, 10**9, 1_200)
-        for step, v in enumerate(churn.tolist()):
-            if step % 3 == 2:
-                index.delete(v)
-            else:
-                index.insert(v)
-            if step % 400 == 399:
-                queries = query_batch(index.live_keys())
-                assert_batch_matches_scalar(index, queries)
-                batch_ub = index.upper_bound_batch(queries)
-                scalar_ub = np.array(
-                    [index.upper_bound(float(q)) for q in queries]
-                )
-                np.testing.assert_array_equal(batch_ub, scalar_ub)

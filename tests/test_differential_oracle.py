@@ -33,7 +33,7 @@ from repro.core import (
     StringRMI,
     WritableLearnedIndex,
 )
-from repro.families import GappedArrayIndex, PGMIndex, RadixSplineIndex
+from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import LearnedLSMStore
 from repro.models import LinearModel, SplineSegmentModel
 
@@ -347,11 +347,6 @@ class SetOracle:
     def contains(self, k) -> bool:
         return int(k) in self.live
 
-    def range_query(self, lo, hi) -> list:
-        if hi < lo:
-            return []
-        return sorted(k for k in self.live if lo <= k <= hi)
-
 
 def crosscheck_writable(index: WritableLearnedIndex, oracle: SetOracle, rng):
     probes = rng.integers(-100, 20_100, 300)
@@ -374,11 +369,31 @@ def crosscheck_writable(index: WritableLearnedIndex, oracle: SetOracle, rng):
         assert index.upper_bound(int(q)) == bisect.bisect_right(live, int(q))
     lows = rng.integers(-100, 20_100, 40)
     highs = lows + rng.integers(-50, 2_000, 40)
+    check_writable_ranges(index, live, lows, highs)
+    # Half-integer probes and endpoints on both sides of live keys,
+    # the smallest (negative) ones included: no key equals one, and
+    # each bounds a range where it says — against the delta and the
+    # tombstones as against the main index.
+    picks = np.array(live[:3] + list(rng.choice(live, 40)), dtype=np.float64)
+    halves = np.column_stack([picks - 0.5, picks + 0.5]).ravel()
+    np.testing.assert_array_equal(
+        index.contains_batch(halves), np.zeros(halves.size, dtype=bool)
+    )
+    assert not any(index.contains(q) for q in halves.tolist())
+    lows = halves[:12]
+    highs = lows + rng.integers(-50, 2_000, 12)
+    check_writable_ranges(index, live, lows, highs)
+
+
+def check_writable_ranges(index, live: list, lows, highs):
+    """Batch and scalar range reads against a bisect slice of ``live``."""
     result = index.range_query_batch(lows, highs)
-    for i in range(40):
-        expected = oracle.range_query(int(lows[i]), int(highs[i]))
-        assert list(result[i]) == expected, i
-        assert list(index.range_query(int(lows[i]), int(highs[i]))) == expected
+    for i, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist())):
+        expected = live[
+            bisect.bisect_left(live, lo):bisect.bisect_right(live, hi)
+        ]
+        assert list(result[i]) == expected, (i, lo, hi)
+        assert list(index.range_query(lo, hi)) == expected, (i, lo, hi)
 
 
 class ReferenceLinear(LinearModel):
@@ -391,8 +406,8 @@ def test_writable_randomized_round_trip(leaf_factory):
     """Interleaved inserts/batch-inserts/deletes/merges vs the oracle.
 
     The full read surface (``contains_batch`` + ``range_query_batch``
-    + scalar ``range_query``) is cross-checked after every merge and at
-    the end, so a stale delta slice, a leaked tombstone, a bulk insert
+    + scalar ``range_query``) is cross-checked before every merge and
+    after the last, so a stale delta slice, a leaked tombstone, a bulk insert
     that loses keys, or a fast-path append that corrupts the error
     bounds all surface immediately.  Parametrized over the leaf factory
     so every merge's rebuild is exercised under both the segmented fast
@@ -407,6 +422,9 @@ def test_writable_randomized_round_trip(leaf_factory):
         model_factories=[LinearModel, leaf_factory],
     )
     oracle = SetOracle(base)
+    for key in (-1, -6):  # negative keys for the half-integer probes
+        index.insert(key)
+        oracle.insert(key)
     for step in range(1_000):
         op = rng.random()
         key = int(rng.integers(-50, 20_050))
@@ -421,8 +439,10 @@ def test_writable_randomized_round_trip(leaf_factory):
             index.delete(key)
             oracle.delete(key)
         else:
-            index.merge()
+            # Read the delta and tombstones unmerged; the next check
+            # reads the main index this merge builds.
             crosscheck_writable(index, oracle, rng)
+            index.merge()
     index.merge()
     crosscheck_writable(index, oracle, rng)
     assert len(index) == len(oracle.live)
@@ -814,50 +834,3 @@ def test_lsm_store_matches_oracle_beyond_2p53():
         assert [oracle.lookup(int(k)) for k in items.values[o0:o1]] == list(
             item_values[o0:o1]
         ), i
-
-
-# -- gapped-array (ALEX-style) writable family ---------------------------------
-
-@pytest.mark.parametrize("regime", ["uniform", "duplicate_heavy"])
-def test_gapped_array_matches_oracle_after_churn(regime):
-    """The writable family vs a set-semantics bisect oracle, checked
-    after every phase of an interleaved insert/delete churn."""
-    rng = case_rng("gapped", regime)
-    keys = np.unique(numeric_keys(regime, rng))
-    index = GappedArrayIndex(keys)
-    live = set(int(k) for k in keys)
-    universe = rng.integers(0, 10**6, 3_000)
-    for phase in range(6):
-        for v in universe[phase * 400:(phase + 1) * 400].tolist():
-            if rng.random() < 0.6:
-                index.insert(v)
-                live.add(v)
-            else:
-                index.delete(v)
-                live.discard(v)
-        oracle = Oracle(sorted(live))
-        probes = numeric_probes(np.array(sorted(live) or [0]), rng, 80)
-        for q in probes:
-            q = float(q)
-            assert index.lookup(q) == oracle.lookup(q), (regime, phase, q)
-            assert index.contains(q) == oracle.contains(q), (regime, phase, q)
-            assert index.upper_bound(q) == oracle.upper_bound(q), (
-                regime, phase, q,
-            )
-        batch = probes.astype(np.int64)
-        np.testing.assert_array_equal(
-            index.lookup_batch(batch),
-            np.array([oracle.lookup(int(q)) for q in batch]),
-            err_msg=f"{regime}/phase{phase} lookup_batch",
-        )
-        np.testing.assert_array_equal(
-            index.contains_batch(batch),
-            np.array([oracle.contains(int(q)) for q in batch]),
-            err_msg=f"{regime}/phase{phase} contains_batch",
-        )
-        lows = batch[:30]
-        highs = lows + rng.integers(0, 5_000, lows.size)
-        result = index.range_query_batch(lows, highs)
-        for i in range(lows.size):
-            expected = oracle.range_query(int(lows[i]), int(highs[i]))
-            assert list(result[i]) == expected, (regime, phase, i)

@@ -1,6 +1,6 @@
 """Invariants of the PR 10 index families and their shared fitter.
 
-Three kinds of guarantee, each a hard assertion rather than a
+Two kinds of guarantee, each a hard assertion rather than a
 statistical check:
 
 * ``epsilon_segment`` — every segment spanning more than one distinct
@@ -11,9 +11,7 @@ statistical check:
   per-segment;
 * PGM / RadixSpline — routing structures are well-formed (strictly
   increasing knots, exact bucket brackets, recursion that terminates)
-  and every lookup is bit-identical to ``np.searchsorted``;
-* the gapped array — slot-layout invariants survive interleaved
-  insert/delete churn with a stale in-place-mutated slot model.
+  and every lookup is bit-identical to ``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -22,13 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import RecursiveModelIndex
-from repro.families import (
-    GappedArrayIndex,
-    PGMIndex,
-    RadixSplineIndex,
-    epsilon_segment,
-)
-from repro.families.alex import MAX_DENSITY
+from repro.families import PGMIndex, RadixSplineIndex, epsilon_segment
 from repro.models.cdf import positions_for_keys
 
 RNG = np.random.default_rng(0xFA1)
@@ -221,76 +213,6 @@ class TestRadixSplineStructure:
         np.testing.assert_array_equal(
             index.lookup_batch(queries),
             np.searchsorted(keys, queries, side="left"),
-        )
-
-
-# -- the gapped array under churn ----------------------------------------------
-
-def check_slot_invariants(index):
-    """The documented layout invariants: occupied slots non-decreasing,
-    live keys recoverable in order, rank table consistent."""
-    if index._slots is None:
-        assert len(index) == 0
-        return
-    occ = index._occupied
-    live = index._slots[occ]
-    assert np.all(live[:-1] <= live[1:])
-    assert len(index) == int(occ.sum())
-    # density stays below the rebuild ceiling after maintenance
-    if index._slots.size:
-        assert len(index) / index._slots.size <= MAX_DENSITY + 1e-9
-
-
-class TestGappedArrayChurn:
-    def test_interleaved_churn_against_set_oracle(self):
-        rng = np.random.default_rng(0xC0FFEE)
-        index = GappedArrayIndex(np.unique(
-            rng.integers(0, 200_000, 5_000)
-        ))
-        oracle = set(int(k) for k in index.live_keys())
-        for step in range(4_000):
-            v = int(rng.integers(0, 200_000))
-            if rng.random() < 0.55:
-                assert index.insert(v) == (v not in oracle), (step, v)
-                oracle.add(v)
-            else:
-                assert index.delete(v) == (v in oracle), (step, v)
-                oracle.discard(v)
-            if step % 500 == 499:
-                check_slot_invariants(index)
-                expected = np.array(sorted(oracle), dtype=np.int64)
-                np.testing.assert_array_equal(index.live_keys(), expected)
-                probes = rng.integers(0, 200_000, 400)
-                np.testing.assert_array_equal(
-                    index.lookup_batch(probes),
-                    np.searchsorted(expected, probes, side="left"),
-                )
-                np.testing.assert_array_equal(
-                    index.contains_batch(probes),
-                    np.isin(probes, expected),
-                )
-        assert index.rebuilds >= 1  # churn must have forced maintenance
-
-    def test_insert_batch_merge_equivalence(self):
-        rng = np.random.default_rng(5)
-        base = np.unique(rng.integers(0, 10**7, 3_000))
-        extra = rng.integers(0, 10**7, 2_000)
-        one = GappedArrayIndex(base)
-        one.insert_batch(extra)
-        two = GappedArrayIndex(np.unique(np.concatenate([base, extra])))
-        np.testing.assert_array_equal(one.live_keys(), two.live_keys())
-
-    def test_empty_start_and_drain(self):
-        index = GappedArrayIndex()
-        assert len(index) == 0 and not index.contains(1)
-        for v in [5, 3, 9, 3]:
-            index.insert(v)
-        assert len(index) == 3
-        for v in [5, 3, 9]:
-            assert index.delete(v)
-        assert len(index) == 0
-        np.testing.assert_array_equal(
-            index.lookup_batch(np.array([1, 2])), [0, 0]
         )
 
 

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core import RecursiveModelIndex
 from repro.core.engine import CompiledPlan
-from repro.core.paged import FilePageStore
+from repro.core.paged import PageStore
 from repro.core.rmi import RMIStats
 from repro.lsm.store import LSMReadStats, LSMWriteStats
 from repro.obs import (
@@ -325,25 +325,19 @@ def test_engine_counters_say_which_path_answered():
     assert guarded[1].count("reg.counter(") == 4
 
 
-def test_paged_io_counters_in_registry(tmp_path):
-    keys = np.arange(0, 4096, dtype=np.int64)
-    path = tmp_path / "pages.bin"
-    path.write_bytes(keys.tobytes())
-    store = FilePageStore(
-        str(path), byte_offset=0, count=keys.size, page_size=256
-    )
-    try:
-        store.read_page(0)
-        assert store.page_reads >= 1
-        assert store.preads >= 1
-        snap = store.registry.snapshot()
-        assert snap.counters["paged.io.page_reads"] == store.page_reads
-        assert snap.counters["paged.io.preads"] == store.preads
-        store.reset_io()
-        assert store.page_reads == 0
-        assert store.registry.counter("paged.io.page_reads").value == 0
-    finally:
-        store.close()
+def test_paged_io_counters_in_registry():
+    store = PageStore(np.arange(0, 4096, dtype=np.int64), page_size=256)
+    store.read_page(0)
+    store.read_page(0)  # a buffer-pool hit: no I/O counted
+    store.read_page(1)
+    assert (store.page_reads, store.bytes_read) == (2, 2 * 256 * 8)
+    snap = store.registry.snapshot()
+    assert snap.counters["paged.io.page_reads"] == store.page_reads
+    assert snap.counters["paged.io.bytes_read"] == store.bytes_read
+    store.reset_io()
+    assert store.page_reads == 0
+    assert store.registry.counter("paged.io.page_reads").value == 0
+    assert store.registry.counter("paged.io.bytes_read").value == 0
 
 
 # ---------------------------------------------------------------------------

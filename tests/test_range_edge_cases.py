@@ -9,6 +9,8 @@ cannot silently change the semantics of one family.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -236,19 +238,26 @@ class TestWritableEdgeCases:
         assert result.starts is None and result.ends is None
 
     def test_float_endpoints_match_scalar(self):
-        # Fractional endpoints must resolve exactly like the scalar
-        # path (floats against main, truncated ints against the delta),
-        # not get silently truncated before the main-index resolution.
+        # Fractional endpoints bound the range where they say, against
+        # the delta buffer exactly as against the main index: batch,
+        # scalar and a bisect oracle over the live keys agree.
+        base = list(range(0, 100, 4))
         index = WritableLearnedIndex(
-            np.arange(0, 100, 4, dtype=np.int64), merge_threshold=10**9
+            np.array(base, dtype=np.int64), merge_threshold=10**9
         )
-        index.insert(5)
-        lows = [0.5, 3.9, 10.0, 5.5, -0.5]
-        highs = [4.0, 8.1, 3.5, 5.2, 4.2]
+        for key in (5, 3, -1):
+            index.insert(key)
+        live = sorted(base + [5, 3, -1])
+        lows = [0.5, 3.9, 10.0, 5.5, -0.5, 3.5, -5, 2.5]
+        highs = [4.0, 8.1, 3.5, 5.2, 4.2, 10, -1.5, 3.0]
         result = index.range_query_batch(lows, highs)
         for i, (lo, hi) in enumerate(zip(lows, highs)):
-            np.testing.assert_array_equal(
-                result[i], index.range_query(lo, hi), err_msg=f"range {i}"
-            )
-        assert list(result[0]) == [4]   # 0 excluded: 0 < 0.5
-        assert list(result[3]) == []    # inverted on the float values
+            expected = live[
+                bisect.bisect_left(live, lo):bisect.bisect_right(live, hi)
+            ]
+            assert list(result[i]) == expected, f"range {i}"
+            assert list(index.range_query(lo, hi)) == expected, f"range {i}"
+        assert list(result[0]) == [3, 4]   # 0 excluded: 0 < 0.5
+        assert list(result[3]) == []       # inverted on the float values
+        assert list(result[5]) == [4, 5, 8]  # delta 3 < 3.5
+        assert list(result[6]) == []       # delta -1 > -1.5

@@ -1,5 +1,5 @@
 """Serving-layer unit tests: coalescer edge cases, CDF splitter,
-CRC32C fallback, backup/restore, and real pread accounting (ISSUE 8).
+CRC32C fallback and backup/restore.
 
 The sharded-store integration tests (worker processes, shared memory)
 live in ``test_sharded.py``; everything here runs in-process.
@@ -15,18 +15,13 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.paged import FilePageStore
-from repro.lsm.faultfs import RealFileSystem
 from repro.lsm.format import (
     ALGO_CRC32C,
-    RUN_MAGIC,
-    SectionFile,
     _HAVE_CRC32C,
     checksum,
     crc32c,
     software_crc32c,
 )
-from repro.lsm.paged_runs import paged_index_over_run
 from repro.lsm.store import LearnedLSMStore
 from repro.serving import CoalescingIndexServer, CDFSplitter
 from repro.serving.coalescer import CoalescerStats
@@ -602,123 +597,6 @@ class TestBackup:
             assert os.path.samefile(
                 str(src_dir / name), str(dst_dir / name)
             ), "run was copied, not linked"
-
-
-# ---------------------------------------------------------------------------
-# Real pread accounting over run files
-# ---------------------------------------------------------------------------
-
-
-class TestPreadAccounting:
-    @pytest.fixture()
-    def run_file(self, tmp_path):
-        keys = np.arange(0, 200_000, 4, dtype=np.int64)
-        with LearnedLSMStore(
-            keys, keys, path=str(tmp_path), background=False
-        ) as store:
-            store.compact()
-        paths = glob.glob(str(tmp_path / "run-*.run"))
-        assert len(paths) == 1
-        return np.asarray(keys), paths[0]
-
-    def test_preads_counted_and_results_exact(self, run_file, rng):
-        keys, path = run_file
-        index = paged_index_over_run(RealFileSystem(), path)
-        try:
-            store = index.store
-            assert isinstance(store, FilePageStore)
-            queries = rng.choice(keys, 512, replace=False)
-            positions = index.lookup_batch(queries)
-            assert np.array_equal(
-                positions, np.searchsorted(keys, queries)
-            )
-            cold = store.preads
-            assert cold > 0
-            assert store.bytes_read >= cold * 8
-
-            # Same batch again: the tiny page buffer plus the OS cache
-            # still issues preads, but drop_cache + reset shows the
-            # cold/warm asymmetry explicitly.
-            store.reset_io()
-            index.lookup_batch(queries)
-            warm = store.preads
-            assert warm <= cold
-
-            store.drop_cache()
-            store.reset_io()
-            index.lookup_batch(queries)
-            assert store.preads >= warm
-        finally:
-            index.store.close()
-
-    def test_sequential_batch_buffers_pages(self, run_file):
-        keys, path = run_file
-        index = paged_index_over_run(
-            RealFileSystem(), path, page_size=512
-        )
-        try:
-            store = index.store
-            index.lookup_batch(keys[:2048])  # 4 pages, sequential
-            # Batched page fetches coalesce: far fewer preads than
-            # queries.
-            assert store.preads <= 8
-        finally:
-            index.store.close()
-
-    def test_partial_reads_fetch_fewer_bytes(self, run_file, rng):
-        keys, path = run_file
-        fs = RealFileSystem()
-        full = paged_index_over_run(fs, path, partial_reads=False)
-        partial = paged_index_over_run(fs, path, partial_reads=True)
-        try:
-            # Partial clipping applies on the scalar path only.
-            queries = rng.choice(keys, 64, replace=False)
-            expect = np.searchsorted(keys, queries)
-            for q, pos in zip(queries.tolist(), expect.tolist()):
-                page, slot = full.lookup(q)
-                assert page * full.page_size + slot == pos
-                page, slot = partial.lookup(q)
-                assert page * partial.page_size + slot == pos
-            assert (
-                partial.store.bytes_read < full.store.bytes_read
-            ), "partial preads should touch fewer bytes"
-        finally:
-            full.store.close()
-            partial.store.close()
-
-    def test_dense_int64_run_fetches_model_sized_windows(self, tmp_path):
-        """A paged index over a run of keys near 2^62 is fitted in the
-        origin the run file records, so a lookup's window is the
-        model's few slots — one page, not the ulp's several."""
-        keys = np.int64(2**62 - 40_000) + 2 * np.arange(40_000, dtype=np.int64)
-        with LearnedLSMStore(
-            keys, keys, path=str(tmp_path), background=False
-        ) as store:
-            store.compact()
-        (path,) = glob.glob(str(tmp_path / "run-*.run"))
-        fs = RealFileSystem()
-        index = paged_index_over_run(fs, path, page_size=64)
-        try:
-            origin = SectionFile(fs, path, magic=RUN_MAGIC).meta["origin"]
-            assert origin == int(keys[0])
-            assert index._rmi.compiled_state()["origin"] == origin
-            queries = keys[5::977]
-            assert np.array_equal(
-                index.lookup_batch(queries), np.searchsorted(keys, queries)
-            )
-            assert index.store.preads <= 2 * queries.size
-            for q in queries[:16].tolist():
-                page, slot = index.lookup(q)
-                assert page * index.page_size + slot == np.searchsorted(keys, q)
-        finally:
-            index.store.close()
-
-    def test_close_then_read_raises(self, run_file):
-        _keys, path = run_file
-        index = paged_index_over_run(RealFileSystem(), path)
-        index.store.close()
-        with pytest.raises((ValueError, OSError)):
-            index.lookup_batch(np.array([0], dtype=np.int64))
 
 
 class TestCoalescerStatsShape:

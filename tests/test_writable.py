@@ -195,3 +195,66 @@ class TestAppendFastPath:
         assert index.retrains > retrains_before
         for key in shifted[::199]:
             assert index.contains(int(key))
+
+
+class TestKeyContract:
+    """Writes take keys under the LSM store's key contract: a
+    non-integer is a ``TypeError``, a key outside int64 an
+    ``OverflowError``, and a refused call changes nothing."""
+
+    REFUSED = {
+        "insert(7.9)": (lambda w: w.insert(7.9), TypeError),
+        "insert(7.0)": (lambda w: w.insert(7.0), TypeError),
+        "insert('7')": (lambda w: w.insert("7"), TypeError),
+        "insert(2**63)": (lambda w: w.insert(2**63), OverflowError),
+        "delete(4.9)": (lambda w: w.delete(4.9), TypeError),
+        "delete(-2**63-1)": (lambda w: w.delete(-(2**63) - 1), OverflowError),
+        "insert_batch(float)": (
+            lambda w: w.insert_batch(np.array([2.5, 6.0])), TypeError
+        ),
+        "insert_batch(uint64 2**63)": (
+            lambda w: w.insert_batch(np.array([2**63], dtype=np.uint64)),
+            OverflowError,
+        ),
+        "insert_batch(uint64 2**64-5)": (
+            lambda w: w.insert_batch(
+                np.array([5, 2**64 - 5], dtype=np.uint64)
+            ),
+            OverflowError,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_write_changes_nothing(self, case):
+        call, error = self.REFUSED[case]
+        index = WritableLearnedIndex(
+            np.arange(0, 100, 4, dtype=np.int64), merge_threshold=10**9
+        )
+        index.insert(3)
+        index.insert(-1)
+        index.delete(8)
+        everything = (-(2**63), 2**63 - 1)
+        before = index.range_query(*everything).copy()
+        with pytest.raises(error):
+            call(index)
+        np.testing.assert_array_equal(index.range_query(*everything), before)
+        assert (len(index), index.delta_size) == (before.size, 2)
+
+    @pytest.mark.parametrize(
+        "keys, error",
+        [
+            (np.array([2**63], dtype=np.uint64), OverflowError),
+            # Several keys: not a misleading "unsorted" error.
+            (np.array([5, 2**63], dtype=np.uint64), OverflowError),
+            (np.array([1.0, 2.0]), TypeError),
+        ],
+        ids=["uint64 2**63", "uint64 5, 2**63", "float"],
+    )
+    def test_constructor_refuses(self, keys, error):
+        with pytest.raises(error):
+            WritableLearnedIndex(keys)
+
+    def test_uint64_keys_inside_int64_are_keys(self):
+        index = WritableLearnedIndex(np.array([1, 5], dtype=np.uint64))
+        index.insert_batch(np.array([9], dtype=np.uint64))
+        assert list(index.range_query(0, 10)) == [1, 5, 9]
