@@ -112,7 +112,9 @@ class HybridIndex(RecursiveModelIndex):
             return 0
         if not self.leaf_btrees:
             return super().lookup(key)
-        leaf, _raw = self._leaf_for(key)
+        if isinstance(key, np.generic):
+            key = key.item()
+        leaf = self._route_scalar(self._space.encode_scalar(key))
         fallback = self.leaf_btrees.get(leaf)
         if fallback is None:
             return super().lookup(key)
@@ -143,7 +145,7 @@ class HybridIndex(RecursiveModelIndex):
         is not routed at all.
         """
         n = self.keys.size
-        if n == 0 or not self.leaf_btrees or self._plan is None:
+        if n == 0 or not self.leaf_btrees:
             return super().lookup_batch(queries, sort=sort)
         qb = self._column.prepare(queries)
         if sort is None and engine.column_answers(qb.size, n):

@@ -58,7 +58,12 @@ class LearnedHashFunction:
         self._scale = self.num_slots / max(self._n, 1)
 
     def __call__(self, key: float) -> int:
-        leaf, raw = self._rmi._leaf_for(key)
+        if not self._n:
+            return 0
+        rmi = self._rmi
+        encoded = rmi._space.encode_scalar(key)
+        leaf = rmi._route_scalar(encoded)
+        raw = rmi._slopes_list[leaf] * encoded + rmi._intercepts_list[leaf]
         slot = int(raw * self._scale)
         if slot < 0:
             return 0
@@ -71,14 +76,12 @@ class LearnedHashFunction:
         # Keys keep their dtype: the plan then encodes them exactly as
         # the scalar ``__call__`` does, and both hash a key to one slot.
         keys = np.asarray(keys).ravel()
+        if not self._n:
+            return np.zeros(keys.size, dtype=np.int64)
         rmi = self._rmi
-        if rmi._plan is not None and self._n:
-            _leaf, raw = rmi._plan.route(rmi._column.prepare(keys))
-            slots = (raw * self._scale).astype(np.int64)
-            return np.clip(slots, 0, self.num_slots - 1)
-        return np.fromiter(
-            map(self, keys.tolist()), dtype=np.int64, count=keys.size
-        )
+        _leaf, raw = rmi._plan.route(rmi._column.prepare(keys))
+        slots = (raw * self._scale).astype(np.int64)
+        return np.clip(slots, 0, self.num_slots - 1)
 
     def size_bytes(self) -> int:
         return self._rmi.size_bytes()

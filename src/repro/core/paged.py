@@ -350,17 +350,6 @@ class PagedLearnedIndex:
         if queries.size == 0 or self.n == 0:
             return np.zeros(queries.size, dtype=np.int64), None, None
         rmi = self._rmi
-        if rmi._plan is None:
-            # Deep/non-linear RMIs: per-query loop (scalar accounting).
-            return np.array(
-                [
-                    page * self.page_size + slot
-                    for page, slot in (
-                        self.lookup(q) for q in queries.tolist()
-                    )
-                ],
-                dtype=np.int64,
-            ), None, rmi._column.prepare(queries)
         n = self.n
         qb = rmi._column.prepare(queries)
         compare = qb.compare

@@ -25,13 +25,9 @@ verified, so a misrouted query costs a fix-up, never a wrong position —
 which is also why float64 routing stays exact on int64/uint64 columns
 spanning more than 2^53.
 
-A subclass whose model cannot be flattened into the four leaf tables
-(an RMI with three or more stages, or non-linear leaves) leaves
-``_plan`` as ``None`` and supplies its own :meth:`lookup`; the batch
-surface then answers with the per-query loop
-(:meth:`~CompiledPlanIndex.lookup_batch_scalar`).  In-package consumers
-read exactly two fields of an index: ``_plan`` (``None`` when
-uncompiled) and ``_column``.
+A hierarchy deeper than root → leaf compiles too: its internal stages
+fold into the one ``root_predict_batch`` the plan routes with (see
+:mod:`repro.core.rmi`).
 """
 
 from __future__ import annotations
@@ -77,9 +73,8 @@ class CompiledPlanIndex(RangeScanIndexMixin):
     """A learned range index whose batch surface is one compiled plan.
 
     Subclasses implement ``_build`` (segment fitting over
-    ``self._space.encode(self.keys)`` + routing structure; calls
-    :meth:`_install_plan` when the model flattens to linear leaf
-    tables) and ``_route_scalar`` (one encoded key → leaf index, the
+    ``self._space.encode(self.keys)`` + routing structure, installed
+    with :meth:`_install_plan`) and ``_route_scalar`` (one encoded key → leaf index, the
     scalar analogue of the plan's vectorized routing).  Lower-bound
     semantics are identical to every index in :mod:`repro.btree`, whose
     scalar ``upper_bound`` / ``range_query`` this class shares
@@ -160,12 +155,14 @@ class CompiledPlanIndex(RangeScanIndexMixin):
     def lookup(self, key) -> int:
         """Position of the first stored key >= ``key`` (lower bound).
 
-        Requires an installed plan (or an empty key array); subclasses
-        that can stay uncompiled override this for that case.
+        A NumPy scalar compares as its Python value: ``np.float64``
+        against a stored int would round the int to float64.
         """
         n = self.keys.size
         if n == 0:
             return 0
+        if isinstance(key, np.generic):
+            key = key.item()
         stats = self.stats
         stats.lookups += 1
         encoded = self._space.encode_scalar(key)
@@ -196,8 +193,10 @@ class CompiledPlanIndex(RangeScanIndexMixin):
         return left
 
     def contains(self, key) -> bool:
+        if isinstance(key, np.generic):
+            key = key.item()
         pos = self.lookup(key)
-        return pos < self.keys.size and self.keys[pos] == key
+        return pos < self.keys.size and self._keys_view[pos] == key
 
     # -- batch surface (thin adapters over the shared engine) --------------
     #
@@ -207,24 +206,13 @@ class CompiledPlanIndex(RangeScanIndexMixin):
     # membership and duplicate widening.  No search or comparison
     # logic lives in this class.
 
-    def _prepare_queries(self, queries) -> np.ndarray:
-        """Normalize a raw query argument to a flat numpy array,
-        keeping its native dtype (the engine compares int64/uint64
-        queries exactly; float64 casts only happen for model
-        inference)."""
-        queries = np.asarray(queries)
-        if queries.dtype == object:
-            queries = queries.astype(np.float64)
-        return queries.ravel()
-
     def lookup_batch(
         self, queries: np.ndarray, *, sort: bool | None = None
     ) -> np.ndarray:
         """Lower-bound positions for a whole query batch.
 
         Identical to a per-query :meth:`lookup` loop and exact in the
-        key dtype (int64 keys >= 2^53 included).  An index without a
-        compiled plan answers with exactly that loop.
+        key dtype (int64 keys >= 2^53 included).
 
         ``sort`` controls the sorted-batch fast path (sort + dedup +
         engine over the sorted unique queries + inverse-map scatter):
@@ -234,23 +222,12 @@ class CompiledPlanIndex(RangeScanIndexMixin):
         """
         return self._lower_bounds_with_batch(queries, sort)[1]
 
-    def lookup_batch_scalar(self, queries: np.ndarray) -> np.ndarray:
-        """Per-query :meth:`lookup` loop — the batch surface of an
-        uncompiled index, and the interpreter-bound reference the
-        equivalence tests compare the engine against.  ``tolist``
-        yields native Python scalars (ints for integer dtypes), so the
-        loop compares exactly like the batch engine."""
-        items = self._prepare_queries(queries).tolist()
-        return np.array([self.lookup(q) for q in items], dtype=np.int64)
-
     def _lower_bounds_with_batch(self, queries, sort=None):
         """(prepared batch, lower bounds) — one preparation, shared by
         every batch surface; the batch is ``None`` on an empty index."""
         if self.keys.size == 0:
             return None, np.zeros(np.size(queries), dtype=np.int64)
         qb = self._column.prepare(queries)
-        if self._plan is None:
-            return qb, self.lookup_batch_scalar(queries)
         return qb, self._plan.lookup_batch(qb, sort=sort, stats=self.stats)
 
     def contains_batch(self, queries: np.ndarray) -> np.ndarray:
@@ -296,15 +273,15 @@ class CompiledPlanIndex(RangeScanIndexMixin):
 
     @property
     def segment_count(self) -> int:
-        return self._plan.leaf_count if self._plan is not None else 0
+        return self._plan.leaf_count if self.keys.size else 0
 
     def size_bytes(self) -> int:
         """The four leaf tables as held (float64 models, offsets in
-        their narrowed dtype) + routing structure; zero while no plan
-        is installed (nothing was built)."""
-        plan = self._plan
-        if plan is None:
+        their narrowed dtype) + routing structure; zero on an empty
+        index (nothing was built)."""
+        if not self.keys.size:
             return 0
+        plan = self._plan
         return sum(
             getattr(plan, name).nbytes for name in plan.ARRAY_FIELDS
         ) + self._routing_size_bytes()
@@ -317,13 +294,13 @@ class CompiledPlanIndex(RangeScanIndexMixin):
 
     @property
     def max_error_window(self) -> int:
-        if self._plan is None:
+        if not self.keys.size:
             return 0
         return int(np.max(self._error_windows()))
 
     @property
     def mean_error_window(self) -> float:
-        if self._plan is None:
+        if not self.keys.size:
             return 0.0
         return float(np.mean(self._error_windows()))
 

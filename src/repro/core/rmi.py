@@ -35,18 +35,13 @@ contributes what is specific to the RMI — stage-wise training
 (``_build``), root → leaf routing (``_route_scalar``), and the
 model-level accounting and serialization.
 
-Compiled vs uncompiled
-----------------------
-Two-stage RMIs with linear leaves compile to four flat NumPy arrays
-(``slopes``, ``intercepts``, ``lo_offsets``, ``hi_offsets``) installed
-as a :class:`~repro.core.engine.CompiledPlan`.  ``lookup`` with the
-default ``"binary"`` strategy and every batch method then run the
-shared surface (scalar *latency* path over plain Python floats, batch
-*throughput* path through the vectorized engine; identical positions).
-Deeper hierarchies and non-linear leaves stay uncompiled
-(``_plan is None``): ``lookup`` walks the stage models and the batch
-surface falls back to the per-query loop.  The other search strategies
-only change the scalar probe schedule, never the returned position.
+Compilation
+-----------
+Every RMI compiles to one :class:`~repro.core.engine.CompiledPlan`
+whose routing function is the root's ``predict_batch`` followed by one
+truncated affine gather per internal stage
+(``pred = s_l[clip(trunc(pred * M_l / n))] * x + b_l[...]``), which is
+why only the root may be non-linear.
 
 Construction
 ------------
@@ -60,8 +55,8 @@ center on the leaf means and accumulate ``Σdx²`` and ``Σdx·dy`` with
     ``slope_j = Σdx·dy / Σdx²``,  ``intercept_j = ȳ_j - slope_j·x̄_j``
 
 for every leaf at once (:func:`repro.models.linear.segmented_linear_fit`).
-Any other stage model (NN, spline, a ``LinearModel`` subclass) takes
-the per-model fit loop.  Leaf error bounds always come from one
+Any other stage model (a non-linear root, a ``LinearModel`` subclass)
+takes the per-model fit loop.  Leaf error bounds always come from one
 vectorized pass over the assignment-sorted signed errors
 (:func:`repro.models.cdf.segmented_error_arrays`).
 ``tests/test_build_equivalence.py`` pins the segmented fit against the
@@ -88,6 +83,7 @@ from ..models.linear import (
     fit_linear_cdf_root,
     segmented_linear_fit,
 )
+from ..util import clamp_into
 from .engine import (
     SORTED_BATCH_MIN_DUP_FRACTION,
     SORTED_BATCH_THRESHOLD,
@@ -133,8 +129,11 @@ class RecursiveModelIndex(CompiledPlanIndex):
         One zero-argument :class:`repro.models.base.Model` factory per
         stage.  Defaults to linear regression everywhere — the paper's
         best second-stage choice and a solid root for smooth data; pass
-        e.g. ``NeuralRegressionModel`` factories for the root to
-        reproduce the grid-searched configurations.
+        e.g. a ``NeuralRegressionModel`` factory for the root to
+        reproduce the grid-searched configurations.  Every stage below
+        the root must build :class:`~repro.models.linear.LinearModel`
+        instances (a k-knot spline leaf is k linear leaves); anything
+        else is a ``ValueError`` before any fitting.
     search_strategy:
         One of :data:`repro.core.search.SEARCH_STRATEGIES`.
     min_leaf_error:
@@ -159,6 +158,14 @@ class RecursiveModelIndex(CompiledPlanIndex):
             model_factories = [LinearModel for _ in stage_sizes]
         if len(model_factories) != len(stage_sizes):
             raise ValueError("need one model factory per stage")
+        for factory in model_factories[1:]:
+            if factory is not LinearModel and not isinstance(
+                factory(), LinearModel
+            ):
+                raise ValueError(
+                    "every stage below the root must be a LinearModel: "
+                    "the compiled plan routes through affine stages"
+                )
         self.stage_sizes = stage_sizes
         self.search_strategy = str(search_strategy)
         self.min_leaf_error = int(min_leaf_error)
@@ -181,6 +188,9 @@ class RecursiveModelIndex(CompiledPlanIndex):
         # can skip its per-leaf extraction loop; the per-model fit loop
         # leaves them None and _compile reads the model objects.
         self._leaf_param_arrays: tuple[np.ndarray, np.ndarray] | None = None
+        # (model count, slopes, intercepts) of every internal stage, the
+        # tables the compiled routing function gathers from.
+        internal: list[tuple[int, np.ndarray, np.ndarray]] = []
         # When the leaf stage is vectorized, the per-leaf Model objects
         # are materialized lazily from these parts (see __getattr__) —
         # a compiled index never needs them on the hot path.
@@ -250,13 +260,21 @@ class RecursiveModelIndex(CompiledPlanIndex):
                     self._leaf_param_arrays = (slopes, intercepts)
                     deferred_leaf_stage = parts
                     leaf_boundaries = boundaries
-                else:
-                    stages.append(self._models_from_arrays(*parts))
+                    continue
+                stages.append(self._models_from_arrays(*parts))
             else:
                 models, predictions = self._fit_stage_scalar(
                     keys_f, positions, assignment, m_l, factory
                 )
                 stages.append(models)
+                if level == last:
+                    continue
+                slopes, intercepts = self._stage_tables(models)
+            # An internal stage routes the stage below by exactly the
+            # affine form the compiled plan evaluates, so every stored
+            # key trains the leaf a lookup for it reaches.
+            internal.append((m_l, slopes, intercepts))
+            predictions = slopes[assignment] * keys_f + intercepts[assignment]
 
         self._leaf_assignment = assignment
         if deferred_leaf_stage is not None:
@@ -266,7 +284,7 @@ class RecursiveModelIndex(CompiledPlanIndex):
         self._compute_leaf_errors(
             predictions, positions, boundaries=leaf_boundaries
         )
-        self._compile()
+        self._compile(internal)
 
     def __getattr__(self, name: str):
         # Lazy views of the compiled arrays: the per-leaf Model objects
@@ -315,18 +333,12 @@ class RecursiveModelIndex(CompiledPlanIndex):
         """Whether a stage's models can come from the segmented fit.
 
         The vectorized fit reproduces exactly plain
-        :class:`~repro.models.linear.LinearModel` least squares, so
-        anything else (NN leaves, subclasses overriding ``fit``) takes
-        the per-model loop.  Factories are sniffed by instantiating one
-        throwaway model, which also covers lambda factories.
+        :class:`~repro.models.linear.LinearModel` least squares, so a
+        subclass (one overriding ``fit``, say) takes the per-model loop.
+        Factories are sniffed by instantiating one throwaway model,
+        which also covers lambda factories.
         """
-        if factory is LinearModel:
-            return True
-        try:
-            probe = factory()
-        except Exception:
-            return False
-        return type(probe) is LinearModel
+        return factory is LinearModel or type(factory()) is LinearModel
 
     def _fit_stage_scalar(
         self,
@@ -357,6 +369,16 @@ class RecursiveModelIndex(CompiledPlanIndex):
                 model = self._empty_leaf_model(j, m_l, n)
             models.append(model)
         return models, new_predictions
+
+    @staticmethod
+    def _stage_tables(models: list[Model]) -> tuple[np.ndarray, np.ndarray]:
+        """(slopes, intercepts) of one stage's linear models; an empty
+        slot's :class:`ConstantModel` is slope 0."""
+        slopes = [getattr(m, "slope", 0.0) for m in models]
+        intercepts = [
+            getattr(m, "intercept", getattr(m, "value", 0.0)) for m in models
+        ]
+        return np.array(slopes, np.float64), np.array(intercepts, np.float64)
 
     def _empty_leaf_model(self, j: int, m_l: int, n: int) -> Model:
         """Model for a leaf that received no keys.
@@ -410,44 +432,37 @@ class RecursiveModelIndex(CompiledPlanIndex):
             min_error, max_error, mean_abs, std, counts,
         )
 
-    def _compile(self) -> None:
-        """Install the compiled plan when the model flattens to one.
+    def _compile(self, internal: list) -> None:
+        """Install the compiled plan.
 
         The LIF analogue (Section 3.1): "given a trained Tensorflow
         model, LIF automatically extracts all weights from the model and
-        generates efficient index structures".  With two stages and
-        linear leaves the entire lookup becomes a handful of float
-        operations over four flat arrays, with no per-model dispatch.
-        Anything else leaves ``_plan`` as ``None``.
+        generates efficient index structures".  Every stage below the
+        root is affine, so the whole lookup becomes the root, one
+        gather per internal stage (``internal``: ``(model count, slopes,
+        intercepts)`` per stage) and four flat leaf arrays, with no
+        per-model dispatch.
         """
-        if len(self.stage_sizes) != 2:
-            return
-        m = self.stage_sizes[1]
         if self._leaf_param_arrays is not None:
             # The segmented fit already solved every leaf into flat
-            # arrays (all leaves LinearModel/ConstantModel by
-            # construction) — nothing to extract.
+            # arrays — nothing to extract.
             slopes, intercepts = self._leaf_param_arrays
         else:
-            slopes = np.zeros(m, dtype=np.float64)
-            intercepts = np.zeros(m, dtype=np.float64)
-            for j, model in enumerate(self._stages[1]):
-                if isinstance(model, LinearModel):
-                    slopes[j] = model.slope
-                    intercepts[j] = model.intercept
-                elif isinstance(model, ConstantModel):
-                    intercepts[j] = model.value
-                else:
-                    return
+            slopes, intercepts = self._stage_tables(self._stages[-1])
         # The window offsets are the per-leaf max/min signed error.
         min_error, max_error = self._leaf_error_stat_arrays[:2]
         # _root_model avoids touching _stages, which would materialize
         # the lazily deferred leaf-model objects.
         root = self._root_model
         self._root_predict = root.predict
+        self._internal_stages = internal
         self._install_plan(
-            root.predict_batch, m, slopes, intercepts, max_error, min_error
+            self._route_batch if internal else root.predict_batch,
+            self.stage_sizes[-1], slopes, intercepts, max_error, min_error,
         )
+        self._stage_lists = [
+            (m_l, s.tolist(), b.tolist()) for m_l, s, b in internal
+        ] + [(self.stage_sizes[-1], self._slopes_list, self._intercepts_list)]
 
     # -- serialization ---------------------------------------------------------
 
@@ -462,12 +477,10 @@ class RecursiveModelIndex(CompiledPlanIndex):
         "root_intercept", "leaf_count"}`` plus the
         :meth:`CompiledPlan.export_arrays` entries; raises
         ``TypeError`` for indexes this flat form cannot represent
-        (deeper hierarchies, non-linear roots, uncompiled leaves).
+        (deeper hierarchies, non-linear roots).
         """
-        if self._plan is None:
-            raise TypeError(
-                "only compiled two-stage indexes have a flat state"
-            )
+        if len(self.stage_sizes) != 2:
+            raise TypeError("only two-stage indexes have a flat state")
         root = self._root_model
         if type(root) is not LinearModel:
             raise TypeError(
@@ -545,6 +558,7 @@ class RecursiveModelIndex(CompiledPlanIndex):
         self._install_plan(
             root.predict_batch, m, slopes, intercepts, lo_offsets, hi_offsets
         )
+        self._stage_lists = [(m, self._slopes_list, self._intercepts_list)]
         zeros = np.zeros(m, dtype=np.float64)
         self._leaf_error_stat_arrays = (
             self._plan.hi_offsets, self._plan.lo_offsets, zeros, zeros,
@@ -554,32 +568,32 @@ class RecursiveModelIndex(CompiledPlanIndex):
 
     # -- inference -------------------------------------------------------------
 
-    def _route_scalar(self, encoded: float) -> int:
-        # Compiled (two-stage) routing: root prediction → leaf slot.
-        m = self.stage_sizes[1]
-        j = int(self._root_predict(encoded) * m / self.keys.size)
-        if j < 0:
-            return 0
-        if j >= m:
-            return m - 1
-        return j
-
-    def _leaf_for(self, key: float) -> tuple[int, float]:
-        """Run all stages; return (leaf index, leaf prediction)."""
+    def _route_batch(self, encoded: np.ndarray) -> np.ndarray:
+        """The plan's routing function when internal stages exist: the
+        root's prediction, then per internal stage the truncated
+        ``pred * M_l / n`` picks the model whose affine prediction
+        routes the stage below — exactly what the plan does to pick a
+        leaf."""
         n = self.keys.size
-        encoded = self._space.encode_scalar(key)
-        prediction = self._stages[0][0].predict(encoded)
-        leaf = 0
-        for level in range(1, len(self.stage_sizes)):
-            m_l = self.stage_sizes[level]
-            j = int(prediction * m_l / n) if n else 0
+        pred = np.asarray(self._root_model.predict_batch(encoded), np.float64)
+        for m_l, slopes, intercepts in self._internal_stages:
+            j = (pred * m_l / n).astype(np.int64)
+            clamp_into(j, 0, m_l - 1)
+            pred = slopes[j] * encoded + intercepts[j]
+        return pred
+
+    def _route_scalar(self, encoded: float) -> int:
+        # _route_batch + the leaf pick over the plan's list mirrors.
+        n = self.keys.size
+        pred = self._root_predict(encoded)
+        for m_l, slopes, intercepts in self._stage_lists:
+            j = int(pred * m_l / n)
             if j < 0:
                 j = 0
             elif j >= m_l:
                 j = m_l - 1
-            prediction = self._stages[level][j].predict(encoded)
-            leaf = j
-        return leaf, prediction
+            pred = slopes[j] * encoded + intercepts[j]
+        return j
 
     def predict(self, key: float) -> tuple[int, int, int]:
         """(position estimate, window lo, window hi) for ``key``.
@@ -591,37 +605,40 @@ class RecursiveModelIndex(CompiledPlanIndex):
         return est, lo, hi
 
     def _predict_window(self, key: float) -> tuple[int, int, int, int]:
-        """(leaf, estimate, window lo, window hi) via the stage models."""
+        """(leaf, estimate, window lo, window hi) from the plan's
+        scalar mirrors — the window the compiled lookup searches."""
         n = self.keys.size
         if n == 0:
             return 0, 0, 0, 0
-        leaf, raw = self._leaf_for(key)
+        encoded = self._space.encode_scalar(key)
+        leaf = self._route_scalar(encoded)
+        raw = self._slopes_list[leaf] * encoded + self._intercepts_list[leaf]
         est = int(raw)
         if est < 0:
             est = 0
         elif est >= n:
             est = n - 1
-        stats = self.leaf_errors[leaf]
         # int() truncation + the conservative -1/+2 slack implements
         # floor/ceil for either sign without numpy scalar overhead.
-        lo = int(raw - stats.max_error) - 1
-        hi = int(raw - stats.min_error) + 2
+        lo = int(raw - self._lo_offsets_list[leaf]) - 1
+        hi = int(raw - self._hi_offsets_list[leaf]) + 2
         lo, hi = clamp_window(lo, hi, n)
         return leaf, est, lo, hi
 
     def lookup(self, key: float) -> int:
         """Position of the first stored key >= ``key`` (lower bound).
 
-        A compiled index with the default ``"binary"`` strategy takes
-        the shared scalar fast path; an uncompiled one, or any other
-        strategy (the paper-figure probe schedules), walks the stage
-        models and searches the window with :func:`bounded_search`.
+        The default ``"binary"`` strategy takes the shared scalar fast
+        path; any other strategy (the paper-figure probe schedules)
+        searches the same window with :func:`bounded_search`.
         """
-        if self._plan is not None and self.search_strategy == "binary":
+        if self.search_strategy == "binary":
             return CompiledPlanIndex.lookup(self, key)
         n = self.keys.size
         if n == 0:
             return 0
+        if isinstance(key, np.generic):
+            key = key.item()
         self.stats.lookups += 1
         leaf, est, lo, hi = self._predict_window(key)
         self.stats.window_total += hi - lo

@@ -34,7 +34,6 @@ from repro.core import (
 )
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
-from repro.models import LinearModel, SplineSegmentModel
 
 RNG = np.random.default_rng(77)
 
@@ -72,6 +71,13 @@ def query_batch(keys: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def scalar_loop(index, queries) -> np.ndarray:
+    """Per-query ``lookup`` over native Python scalars (``tolist``
+    keeps ints exact), the reference every batch surface must equal."""
+    items = np.asarray(queries).ravel().tolist()
+    return np.array([index.lookup(q) for q in items], dtype=np.int64)
+
+
 def assert_batch_matches_scalar(index, queries):
     batch = index.lookup_batch(queries)
     scalar = np.array([index.lookup(float(q)) for q in queries])
@@ -99,33 +105,13 @@ class TestRMIEquivalence:
         assert index.lookup_batch(np.array([])).size == 0
         assert index.contains_batch(np.array([])).size == 0
 
-    def test_scalar_loop_rename_still_available(self):
+    def test_scalar_loop_matches_batch(self):
         keys = dataset("uniform")
         index = RecursiveModelIndex(keys, stage_sizes=(1, 32))
         queries = query_batch(keys)
         np.testing.assert_array_equal(
-            index.lookup_batch_scalar(queries), index.lookup_batch(queries)
+            scalar_loop(index, queries), index.lookup_batch(queries)
         )
-
-    def test_uncompiled_fallback_three_stages(self):
-        keys = dataset("lognormal")
-        index = RecursiveModelIndex(
-            keys,
-            stage_sizes=(1, 8, 64),
-            model_factories=[LinearModel, LinearModel, LinearModel],
-        )
-        assert index._plan is None
-        assert_batch_matches_scalar(index, query_batch(keys))
-
-    def test_uncompiled_fallback_spline_leaves(self):
-        keys = dataset("uniform")
-        index = RecursiveModelIndex(
-            keys,
-            stage_sizes=(1, 16),
-            model_factories=[LinearModel, lambda: SplineSegmentModel(knots=4)],
-        )
-        assert index._plan is None
-        assert_batch_matches_scalar(index, query_batch(keys))
 
     @settings(
         max_examples=30,
@@ -522,7 +508,7 @@ HUGE_FACTORIES = {
 
 
 #: The factories above that route through a model (every place a key
-#: becomes a model input: compiled plan, scalar twin, staged walk).
+#: becomes a model input: compiled plan and its scalar twin).
 MODEL_BACKED = [
     "hybrid", "pgm", "radix_spline", "rmi", "rmi_exponential",
     "rmi_three_stage",
@@ -600,9 +586,14 @@ class TestExact64BitEquivalence:
         oracle = [int(k) for k in keys]
         ints = origin_edge_ints(keys)
         floats = origin_edge_floats(keys)
-        for queries, array in (
-            (ints, np.array(ints, dtype=keys.dtype)),
-            (floats, np.array(floats)),
+        present = set(oracle)
+        # NumPy float scalars compare as their Python value, not by
+        # rounding the stored key to float64.
+        np_floats = np.array(floats + [2.0**63, 2.0**64])
+        for queries, scalars, array in (
+            (ints, ints, np.array(ints, dtype=keys.dtype)),
+            (floats, floats, np.array(floats)),
+            (np_floats.tolist(), list(np_floats), np_floats),
         ):
             expected = np.array(
                 [bisect.bisect_left(oracle, q) for q in queries]
@@ -613,13 +604,13 @@ class TestExact64BitEquivalence:
                     err_msg=f"{name}/{kind} sort={sort}",
                 )
             np.testing.assert_array_equal(
-                [index.lookup(q) for q in queries], expected
+                [index.lookup(q) for q in scalars], expected
             )
-        present = set(oracle)
-        np.testing.assert_array_equal(
-            index.contains_batch(np.array(ints, dtype=keys.dtype)),
-            [q in present for q in ints],
-        )
+            member = [q in present for q in queries]
+            np.testing.assert_array_equal(
+                [index.contains(q) for q in scalars], member
+            )
+            np.testing.assert_array_equal(index.contains_batch(array), member)
         # NumPy scalars of the key dtype must not wrap against the origin.
         for q in (keys[0], keys[-1], keys.dtype.type(ints[0])):
             assert index.lookup(q) == bisect.bisect_left(oracle, int(q))
@@ -723,10 +714,8 @@ FAMILY_FACTORIES = {
     "rmi_three_stage": lambda keys: RecursiveModelIndex(
         keys, stage_sizes=(1, 4, 32)
     ),
-    "rmi_spline_leaves": lambda keys: RecursiveModelIndex(
-        keys,
-        stage_sizes=(1, 16),
-        model_factories=[LinearModel, lambda: SplineSegmentModel(knots=4)],
+    "rmi_four_stage": lambda keys: RecursiveModelIndex(
+        keys, stage_sizes=(1, 4, 8, 64)
     ),
     "hybrid": lambda keys: HybridIndex(keys, stage_sizes=(1, 16), threshold=4),
     "pgm": lambda keys: PGMIndex(keys, epsilon=4, epsilon_internal=2),
@@ -738,7 +727,7 @@ FAMILY_FACTORIES = {
 
 
 class TestFamilyBatchEquivalence:
-    """RMI (compiled and not) / Hybrid / PGM / RadixSpline: the shared
+    """RMI (two to four stages) / Hybrid / PGM / RadixSpline: the shared
     batch surface == scalar loops, all regimes."""
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -749,7 +738,7 @@ class TestFamilyBatchEquivalence:
         queries = query_batch(keys)
         assert_batch_matches_scalar(index, queries)
         np.testing.assert_array_equal(
-            index.lookup_batch_scalar(queries), index.lookup_batch(queries)
+            scalar_loop(index, queries), index.lookup_batch(queries)
         )
         # Accounting must not read what only a build over data sets up
         # (kind "empty" builds nothing).

@@ -188,26 +188,6 @@ def test_three_stage_vectorized_lookups_match_scalar():
         assert scalar.lookup(float(q)) == vector.lookup(float(q))
 
 
-def test_non_linear_leaves_fall_back_to_scalar_fit():
-    """A non-LinearModel factory cannot take the segmented fit; the
-    build must still produce a correct index."""
-    from repro.models import SplineSegmentModel
-
-    keys = dataset("lognormal")
-    factories = [LinearModel, lambda: SplineSegmentModel(knots=4)]
-    index = RecursiveModelIndex(
-        keys,
-        stage_sizes=(1, 32),
-        model_factories=factories,
-    )
-    import bisect
-
-    ref = keys.tolist()
-    rng = np.random.default_rng(SEED + 2)
-    for q in probes(keys, rng, 200):
-        assert index.lookup(float(q)) == bisect.bisect_left(ref, q)
-
-
 def test_lambda_linear_factory_takes_vectorized_path():
     keys = dataset("uniform")
     index = RecursiveModelIndex(
@@ -289,9 +269,7 @@ def test_segmented_error_arrays_match_per_leaf_error_stats(dataset_name):
     index = RecursiveModelIndex(keys, stage_sizes=(1, leaves))
     assignment = index._leaf_assignment
     positions = np.arange(keys.size, dtype=np.float64)
-    predictions = np.array(
-        [index._leaf_for(float(k))[1] for k in keys], dtype=np.float64
-    )
+    _leaf, predictions = index._plan.route(index._column.prepare(keys))
     default = index._default_leaf_error()
     # Contiguous layout (monotone root), then a shuffled one that
     # takes the argsort branch.

@@ -35,7 +35,7 @@ from repro.core import (
 )
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import LearnedLSMStore
-from repro.models import LinearModel, SplineSegmentModel
+from repro.models import LinearModel
 
 SEED = 0xD1FF
 
@@ -138,14 +138,12 @@ NUMERIC_FACTORIES = {
     "rmi_quaternary": lambda keys: RecursiveModelIndex(
         keys, stage_sizes=(1, 32), search_strategy="biased_quaternary"
     ),
-    # Uncompiled RMIs: the batch surface is the per-query loop.
+    # An internal stage compiles into the plan's routing function.
     "rmi_three_stage": lambda keys: RecursiveModelIndex(
         keys, stage_sizes=(1, 4, 32)
     ),
-    "rmi_spline_leaves": lambda keys: RecursiveModelIndex(
-        keys,
-        stage_sizes=(1, 16),
-        model_factories=[LinearModel, lambda: SplineSegmentModel(knots=4)],
+    "rmi_four_stage": lambda keys: RecursiveModelIndex(
+        keys, stage_sizes=(1, 4, 8, 64)
     ),
     "hybrid": lambda keys: HybridIndex(keys, stage_sizes=(1, 16), threshold=4),
     "btree": lambda keys: BTreeIndex(keys, page_size=16),

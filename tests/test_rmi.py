@@ -82,14 +82,39 @@ class TestLookupCorrectness:
         assert index.mean_error_window <= 4
         assert index.lookup(float(keys[777])) == 777
 
-    def test_three_stage_rmi(self, lognormal_small, rng):
+    @pytest.mark.parametrize(
+        "stage_sizes, root",
+        [
+            ((1, 10, 100), LinearModel),
+            ((1, 4, 8, 64), LinearModel),
+            ((1, 8, 64), lambda: NeuralRegressionModel(hidden=(8,), epochs=5)),
+        ],
+        ids=["1-10-100", "1-4-8-64", "nn_root-8-64"],
+    )
+    def test_three_stage_rmi(self, stage_sizes, root, lognormal_small, rng):
+        """Deeper hierarchies compile: scalar and batch routing agree
+        on every stored key, and both surfaces equal the oracle."""
+        keys = lognormal_small
         index = RecursiveModelIndex(
-            lognormal_small,
-            stage_sizes=(1, 10, 100),
-            model_factories=[LinearModel, LinearModel, LinearModel],
+            keys,
+            stage_sizes=stage_sizes,
+            model_factories=[root] + [LinearModel] * (len(stage_sizes) - 1),
         )
-        for q in rng.choice(lognormal_small, 300):
-            assert index.lookup(float(q)) == truth(lognormal_small, q)
+        leaf, _raw = index._plan.route(index._column.prepare(keys))
+        scalar = [index._route_scalar(index._space.encode_scalar(k))
+                  for k in keys.tolist()]
+        np.testing.assert_array_equal(scalar, leaf)
+        queries = np.concatenate([
+            rng.choice(keys, 300),
+            rng.integers(int(keys[0]) - 5, int(keys[-1]) + 5, 300),
+        ])
+        np.testing.assert_array_equal(
+            index.lookup_batch(queries), np.searchsorted(keys, queries)
+        )
+        for q in queries[:300]:
+            assert index.lookup(int(q)) == truth(keys, q)
+        with pytest.raises(TypeError):
+            index.compiled_state()
 
     @pytest.mark.parametrize(
         "strategy", ["binary", "biased_binary", "biased_quaternary", "exponential"]
@@ -185,15 +210,20 @@ class TestModelMixtures:
         for q in rng.choice(lognormal_small, 150):
             assert index.lookup(float(q)) == truth(lognormal_small, q)
 
-    def test_spline_leaves_disable_fast_path(self, uniform_small, rng):
-        index = RecursiveModelIndex(
-            uniform_small,
-            stage_sizes=(1, 50),
-            model_factories=[LinearModel, lambda: SplineSegmentModel(knots=4)],
-        )
-        assert index._plan is None
-        for q in rng.choice(uniform_small, 150):
-            assert index.lookup(float(q)) == truth(uniform_small, q)
+    @pytest.mark.parametrize("position", [1, 2], ids=["internal", "leaf"])
+    def test_non_linear_stage_below_root_refused(self, position):
+        """Only the root may be non-linear: an internal or leaf spline
+        is refused at construction, before any stage is fitted."""
+        def root():
+            raise AssertionError("a stage was built before the refusal")
+
+        factories = [root, LinearModel, LinearModel]
+        factories[position] = lambda: SplineSegmentModel(knots=4)
+        with pytest.raises(ValueError, match="LinearModel"):
+            RecursiveModelIndex(
+                np.arange(100), stage_sizes=(1, 4, 16),
+                model_factories=factories,
+            )
 
 
 class TestAccountingAndStats:
