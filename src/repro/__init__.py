@@ -22,8 +22,7 @@ every substrate its evaluation depends on:
   retrained RMI (the reference the D.1 bench asserts), and
   :class:`LearnedLSMStore`, the same idea at system scale: tiered
   immutable runs, each indexed by a vectorized RMI and guarded by a
-  bloom filter, behind an O(1) memtable with size-tiered or leveled
-  compaction.
+  bloom filter, behind an O(1) memtable with size-tiered compaction.
 * **Competing index families** (PR 10) — :class:`PGMIndex` (recursive
   ε-bounded segments) and :class:`RadixSplineIndex` (spline knots
   behind a radix table) compile to the same
@@ -68,11 +67,7 @@ from .core import (
     synthesize,
 )
 from .families import PGMIndex, RadixSplineIndex
-from .lsm import (
-    LearnedLSMStore,
-    LeveledCompaction,
-    SizeTieredCompaction,
-)
+from .lsm import LearnedLSMStore, SizeTieredCompaction
 from .obs import default_registry, summarize_latencies
 from .range_scan import RangeScanResult
 from .serving import CDFSplitter, CoalescingIndexServer, ShardedLSMStore
@@ -105,7 +100,6 @@ __all__ = [
     "LearnedBloomFilter",
     "LearnedHashFunction",
     "LearnedLSMStore",
-    "LeveledCompaction",
     "LinearModel",
     "MLP",
     "ModelHashBloomFilter",

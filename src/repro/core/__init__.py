@@ -22,7 +22,6 @@ from ..range_scan import (
     RangeScanResult,
     batch_range_scan,
     batch_range_scan_generic,
-    upper_bounds_batch,
 )
 from .engine import (
     SORTED_BATCH_MIN_DUP_FRACTION,
@@ -63,7 +62,6 @@ __all__ = [
     "RangeScanResult",
     "batch_range_scan",
     "batch_range_scan_generic",
-    "upper_bounds_batch",
     "ConflictStats",
     "HybridIndex",
     "LearnedBloomFilter",

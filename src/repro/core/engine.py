@@ -108,7 +108,6 @@ __all__ = [
     "batch_dup_fraction",
     "clamp_window",
     "clamp_window_batch",
-    "upper_bounds_batch",
 ]
 
 #: Minimum batch size before the engine even *considers* the sorted
@@ -618,15 +617,6 @@ class SortedKeyColumn:
                 self.keys, qb.compare[hit], side="right"
             )
         return ub
-
-
-def upper_bounds_batch(
-    keys: np.ndarray, highs: np.ndarray, lower_bounds: np.ndarray
-) -> np.ndarray:
-    """Functional form of :meth:`SortedKeyColumn.upper_bounds` for
-    callers holding a bare key array."""
-    column = SortedKeyColumn(np.asarray(keys))
-    return column.upper_bounds(column.prepare(highs), lower_bounds)
 
 
 class ModelSpace:

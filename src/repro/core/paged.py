@@ -251,7 +251,8 @@ class PagedLearnedIndex:
         position = page * self.page_size + slot
         if position >= self.n:
             return False
-        return self._key_at(position) == int(key)
+        # Native compare: ``int(-0.5)`` would truncate onto key 0.
+        return self._key_at(position) == key
 
     # -- batch interface ----------------------------------------------------------
 

@@ -1,17 +1,12 @@
 """Learned LSM storage engine (Appendix D.1 at system scale).
 
 Tiered immutable sorted runs, each indexed by a vectorized RMI and
-guarded by a bloom filter, behind an O(1) memtable and pluggable
+guarded by a bloom filter, behind an O(1) memtable and size-tiered
 compaction — the Bigtable-shaped insert design the paper sketches,
 composed from the repo's learned-index substrate.
 """
 
-from .compaction import (
-    CompactionPolicy,
-    LeveledCompaction,
-    SizeTieredCompaction,
-    merge_runs,
-)
+from .compaction import SizeTieredCompaction, merge_runs
 from .faultfs import (
     FaultInjectingFilesystem,
     RealFileSystem,
@@ -21,17 +16,14 @@ from .faultfs import (
 from .format import CorruptRunError
 from .manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from .memtable import Memtable
-from .run import LearnedBloomGuard, SortedRun, learned_bloom_factory
+from .run import SortedRun
 from .store import LearnedLSMStore, LSMReadStats, LSMWriteStats
 from .wal import WriteAheadLog
 
 __all__ = [
-    "CompactionPolicy",
     "CorruptRunError",
     "FaultInjectingFilesystem",
-    "LearnedBloomGuard",
     "LearnedLSMStore",
-    "LeveledCompaction",
     "LSMReadStats",
     "LSMWriteStats",
     "MANIFEST_NAME",
@@ -43,7 +35,6 @@ __all__ = [
     "WriteAheadLog",
     "commit_manifest",
     "flip_byte",
-    "learned_bloom_factory",
     "load_manifest",
     "merge_runs",
 ]

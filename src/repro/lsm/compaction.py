@@ -1,4 +1,4 @@
-"""Compaction: k-way vectorized merges of sorted runs + policies.
+"""Compaction: k-way vectorized merges of sorted runs + the policy.
 
 Compaction is where an LSM's write amplification is decided: the
 policy chooses *which* age-adjacent runs to fold together, and
@@ -9,20 +9,13 @@ merged run re-indexes through the PR 3 segmented least-squares build,
 so compacting a million keys is memcpy-plus-array-math, not Python
 loops.
 
-Two classic policies:
+The policy is :class:`SizeTieredCompaction`: seal-sized runs
+accumulate at the front of the run list; whenever ``min_runs``
+*age-adjacent* runs share a size bucket (log-scaled), they merge into
+one run a bucket up.  Geometric tiers ⇒ O(log N / memtable) write
+amplification, read fan-out up to ``min_runs`` per tier.
 
-* :class:`SizeTieredCompaction` — seal-sized runs accumulate at the
-  front of the run list; whenever ``min_runs`` *age-adjacent* runs
-  share a size bucket (log-scaled), they merge into one run a bucket
-  up.  Geometric tiers ⇒ O(log N / memtable) write amplification,
-  read fan-out up to ``min_runs`` per tier.
-* :class:`LeveledCompaction` — sealed runs collect in L0; when L0
-  fills, all of L0 folds into the single L1 run, and any level
-  exceeding its geometric capacity (``base_size * fanout**level``)
-  cascades into the level below.  One run per level ⇒ minimal read
-  fan-out, at higher write amplification.
-
-Both restrict merges to *contiguous* slices of the newest-first run
+Merges are restricted to *contiguous* slices of the newest-first run
 list: without per-entry timestamps, merging non-adjacent runs could
 bury a key's newer version under an older one.  Tombstone garbage
 collection is safe exactly when the merge output becomes the oldest
@@ -36,8 +29,8 @@ merge commits.  A policy may therefore return windows that make no
 progress (e.g. a single run re-selected onto its own level when a
 merge shifted a size bucket's boundary); the store's planner rejects
 pure no-ops and breaks on any repeated (layout, selection) signature,
-so policies need not prove monotonic shrinkage themselves — they must
-only keep ``(start, stop, new_level)`` inside the list bounds.
+so ``select`` need not prove monotonic shrinkage itself — it must only
+keep ``(start, stop, new_level)`` inside the list bounds.
 """
 
 from __future__ import annotations
@@ -49,8 +42,6 @@ import numpy as np
 from .run import SortedRun
 
 __all__ = [
-    "CompactionPolicy",
-    "LeveledCompaction",
     "SizeTieredCompaction",
     "merge_runs",
     "newest_versions",
@@ -74,12 +65,7 @@ def newest_versions(
     return order, newest
 
 
-def merge_runs(
-    runs: list[SortedRun],
-    *,
-    drop_tombstones: bool,
-    **run_kwargs,
-) -> SortedRun:
+def merge_runs(runs: list[SortedRun], *, drop_tombstones: bool) -> SortedRun:
     """Fold age-ordered runs (newest first) into one sorted run.
 
     Newest-wins per key (:func:`newest_versions`); with
@@ -103,33 +89,17 @@ def merge_runs(
         values[keep],
         dead[keep] if not drop_tombstones else None,
         sequence=max(r.sequence for r in runs),
-        **run_kwargs,
     )
 
 
-class CompactionPolicy:
-    """Chooses the next merge: a contiguous window of the run list.
+class SizeTieredCompaction:
+    """Merge ``min_runs`` age-adjacent runs of the same size bucket.
 
-    ``select`` receives the newest-first run list and returns
+    :meth:`select` receives the newest-first run list and returns
     ``(start, stop, new_level)`` — merge ``runs[start:stop]`` into one
     run at ``new_level`` — or None when the layout is stable.  The
     store calls it in a loop after every seal, so one seal can cascade
     through multiple merges.
-    """
-
-    def select(self, runs: list[SortedRun]) -> tuple[int, int, int] | None:
-        raise NotImplementedError
-
-    def configure(self, memtable_capacity: int) -> None:
-        """Hook: the store reports its memtable capacity at attach."""
-
-    def initial_level(self, n: int) -> int:
-        """Level assigned to a bulk-loaded seed run."""
-        return 0
-
-
-class SizeTieredCompaction(CompactionPolicy):
-    """Merge ``min_runs`` age-adjacent runs of the same size bucket.
 
     ``max_runs`` is the fan-out backstop: workloads whose merged
     outputs shrink back into lower buckets (heavy tombstone GC, a
@@ -158,7 +128,7 @@ class SizeTieredCompaction(CompactionPolicy):
         # finer (log2) buckets let them.
         return int(math.log(max(len(run), 2), 4))
 
-    def select(self, runs):
+    def select(self, runs: list[SortedRun]) -> tuple[int, int, int] | None:
         count = 1
         for i in range(1, len(runs) + 1):
             same = (
@@ -173,61 +143,4 @@ class SizeTieredCompaction(CompactionPolicy):
             count = 1
         if len(runs) >= self.max_runs:
             return len(runs) - self.min_runs, len(runs), runs[-1].level
-        return None
-
-
-class LeveledCompaction(CompactionPolicy):
-    """L0 seal pile + one run per deeper level, geometric capacities."""
-
-    def __init__(
-        self,
-        level0_runs: int = 4,
-        fanout: int = 10,
-        base_size: int | None = None,
-    ):
-        if level0_runs < 1:
-            raise ValueError("level0_runs must be >= 1")
-        if fanout < 2:
-            raise ValueError("fanout must be >= 2")
-        self.level0_runs = int(level0_runs)
-        self.fanout = int(fanout)
-        #: Keys L1 may hold (deeper levels scale by ``fanout`` each);
-        #: the store fills it in from its memtable capacity when left
-        #: unset (and re-derives on every attach, so a policy instance
-        #: reused across stores does not keep the first store's sizing
-        #: — policies are still best treated as per-store).
-        self._auto_base = base_size is None
-        self.base_size = base_size if base_size is None else int(base_size)
-
-    def capacity(self, level: int) -> int:
-        base = self.base_size or 4_096
-        return base * self.fanout ** (max(level, 1) - 1)
-
-    def configure(self, memtable_capacity: int) -> None:
-        # Levels size geometrically from the seal size unless the
-        # caller pinned an explicit base.
-        if self._auto_base:
-            self.base_size = int(memtable_capacity) * self.fanout
-
-    def initial_level(self, n: int) -> int:
-        level = 1
-        while n > self.capacity(level):
-            level += 1
-        return level
-
-    def select(self, runs):
-        num_l0 = sum(1 for r in runs if r.level == 0)
-        if num_l0 >= self.level0_runs:
-            # Fold all of L0 plus the L1 run (if any) into L1.
-            stop = num_l0
-            if stop < len(runs) and runs[stop].level == 1:
-                stop += 1
-            return 0, stop, 1
-        # Cascade any over-capacity level into the level below it.
-        for i, run in enumerate(runs):
-            if run.level >= 1 and len(run) > self.capacity(run.level):
-                stop = i + 1
-                if stop < len(runs) and runs[stop].level == run.level + 1:
-                    stop += 1
-                return i, stop, run.level + 1
         return None

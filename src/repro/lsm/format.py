@@ -375,7 +375,7 @@ class SectionFile:
 
     def read(self, name: str) -> bytes:
         """Section ``name`` as verified raw bytes (for non-array
-        payloads: bloom bits, pickled guards)."""
+        payloads: the bloom filter's bits)."""
         entry = self._entry(name)
         offset = self._data_start + int(entry["offset"])
         blob = self._fs.read_bytes(self.path, offset, int(entry["nbytes"]))

@@ -9,229 +9,74 @@ precisely what makes learned indexes practical here, because a run's
 model is trained once at seal/compaction time and never invalidated.
 
 A :class:`SortedRun` is that unit: a sorted unique key array (with
-parallel values and a tombstone mask), indexed by a
-:class:`~repro.core.rmi.RecursiveModelIndex` — sealing costs one
-segmented least-squares pass (PR 3), not ten thousand Python model
-fits — and guarded by a bloom filter over its keys, so point probes for keys the
-run cannot hold skip the model entirely.
+parallel values and a tombstone mask), indexed by a two-stage
+:class:`~repro.core.rmi.RecursiveModelIndex` of one leaf per
+:data:`DEFAULT_LEAF_TARGET` keys — sealing costs one segmented
+least-squares pass (PR 3), not ten thousand Python model fits — and
+guarded by a :class:`~repro.bloom.BloomFilter` at :data:`BLOOM_FPR`
+over its keys, so point probes for keys the run cannot hold skip the
+model entirely.
 
 Durability (PR 6): immutability also makes a run the perfect unit of
 persistence.  :meth:`SortedRun.save` writes one checksummed section
 file (:mod:`repro.lsm.format`) holding the key/value/tombstone arrays,
 the RMI's compiled state (origin and root parameters + the four flat
-leaf tables), and the bloom filter's exported bits;
+leaf tables), and the bloom filter's ``to_bytes`` wire form;
 :meth:`SortedRun.load` reopens it in O(metadata) — every array is a
 lazy ``np.memmap`` property, the RMI reconstructs from the stored
 arrays via :meth:`RecursiveModelIndex.from_compiled_arrays` (bit-exact
-lookups, no retrain), and the guard rehydrates from its exported bits
+lookups, no retrain), and the filter rehydrates from its exported bits
 (no rehashing).  Each section's checksum verifies on first
 materialization, so a flipped bit raises
 :class:`~repro.lsm.format.CorruptRunError` instead of answering wrong.
-
-The bloom filter defaults to :class:`repro.bloom.BloomFilter`; any
-object with ``add_batch`` / ``contains_batch`` / ``size_bytes`` fits
-the ``bloom_factory`` slot.  :func:`learned_bloom_factory` builds that
-adapter over :class:`repro.core.learned_bloom.LearnedBloomFilter`
-(Section 5.1.1): each seal trains the pluggable classifier on the
-run's encoded keys and covers its false negatives with the overflow
-filter, so the zero-false-negative guarantee — the property LSM read
-correctness rests on — is preserved by construction.  Standard filters
-persist via their compact ``to_bytes`` wire form; learned guards fall
-back to pickle (their classifier is arbitrary Python), which the run
-metadata records so a reader knows what it is deserializing.
+The metadata's ``bloom_kind`` names the wire form: absent or
+``"standard"`` is ``BloomFilter.to_bytes``, anything else is a
+``CorruptRunError`` — a run's bytes are only ever parsed, never
+executed.  A ``leaf_target`` entry (older files record one) is ignored.
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Callable, Sequence
-
 import numpy as np
 
 from ..bloom.standard import BloomFilter
-from ..core.learned_bloom import LearnedBloomFilter
 from ..core.rmi import RecursiveModelIndex
 from ..range_scan import assemble_slices
 from .format import RUN_MAGIC, CorruptRunError, SectionFile, write_section_file
 
-__all__ = [
-    "SortedRun",
-    "DEFAULT_LEAF_TARGET",
-    "LearnedBloomGuard",
-    "learned_bloom_factory",
-]
+__all__ = ["SortedRun", "DEFAULT_LEAF_TARGET", "BLOOM_FPR"]
 
 #: Target keys per RMI leaf when sealing a run; leaves scale with run
 #: size so error windows stay page-sized from 4k-key seals to
 #: million-key compacted runs.
 DEFAULT_LEAF_TARGET = 256
 
+#: Target false-positive rate of every run's bloom filter.
+BLOOM_FPR = 0.01
 
-def _default_bloom(n: int, fpr: float) -> BloomFilter:
-    return BloomFilter.for_capacity(max(n, 1), fpr)
-
-
-class LearnedBloomGuard:
-    """Adapter fitting :class:`LearnedBloomFilter` into the
-    ``bloom_factory`` slot of :class:`SortedRun`.
-
-    A learned Bloom filter needs its whole key set at construction
-    (the classifier trains against it, and the overflow filter covers
-    its false negatives), while a run's guard is created empty and
-    filled once via ``add_batch``.  The guard therefore defers the
-    filter build to that single ``add_batch`` call — which a run makes
-    exactly once, at seal/compaction time, so the training cost rides
-    the merge like the RMI rebuild does.  Integer keys are encoded to
-    strings (``encode``) for the string-input classifiers of Section 5.
-    """
-
-    __slots__ = (
-        "_model_factory", "_validation", "_fpr", "_encode",
-        "_model_fpr_share", "_filter", "_added",
-    )
-
-    def __init__(
-        self,
-        model_factory: Callable[[], object],
-        validation_nonkeys: Sequence[str],
-        fpr: float,
-        encode: Callable[[int], str] = str,
-        model_fpr_share: float = 0.5,
-    ):
-        self._model_factory = model_factory
-        self._validation = list(validation_nonkeys)
-        self._fpr = float(fpr)
-        self._encode = encode
-        self._model_fpr_share = float(model_fpr_share)
-        self._filter: LearnedBloomFilter | None = None
-        self._added: list[str] = []
-
-    def add_batch(self, keys) -> None:
-        # Accumulate across calls: a plain BloomFilter in the same slot
-        # supports incremental adds, and silently dropping an earlier
-        # batch would break the zero-false-negative guarantee.  A run
-        # calls add_batch once, so the rebuild normally happens once.
-        encode = self._encode
-        self._added.extend(encode(int(k)) for k in np.asarray(keys).tolist())
-        self._filter = LearnedBloomFilter(
-            self._model_factory(),
-            self._added,
-            self._validation,
-            self._fpr,
-            model_fpr_share=self._model_fpr_share,
-        )
-
-    def __contains__(self, key) -> bool:
-        if self._filter is None:  # empty run: nothing can be present
-            return False
-        return self._encode(int(key)) in self._filter
-
-    def contains_batch(self, queries) -> np.ndarray:
-        queries = np.asarray(queries)
-        if self._filter is None:
-            return np.zeros(queries.size, dtype=bool)
-        encode = self._encode
-        return np.asarray(
-            self._filter.contains_batch(
-                [encode(int(k)) for k in queries.tolist()]
-            ),
-            dtype=bool,
-        )
-
-    def size_bytes(self) -> int:
-        return self._filter.size_bytes() if self._filter is not None else 0
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Pickle wire form (the classifier is arbitrary Python — a
-        compact binary encoding cannot exist in general).  The trained
-        filter state round-trips exactly: same tau, same overflow
-        bits, so the reloaded guard answers every probe identically.
-        Raises ``TypeError`` with a pointed message for unpicklable
-        classifiers (lambdas, closures)."""
-        try:
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise TypeError(
-                "LearnedBloomGuard is not picklable (use module-level "
-                f"model factories and encoders): {exc}"
-            ) from exc
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "LearnedBloomGuard":
-        guard = pickle.loads(blob)
-        if not isinstance(guard, cls):
-            raise TypeError(
-                f"blob decoded to {type(guard).__name__}, not a guard"
-            )
-        return guard
-
-
-def learned_bloom_factory(
-    model_factory: Callable[[], object],
-    validation_nonkeys: Sequence[str],
-    *,
-    encode: Callable[[int], str] = str,
-    model_fpr_share: float = 0.5,
-) -> Callable[[int, float], LearnedBloomGuard]:
-    """A ``bloom_factory`` producing :class:`LearnedBloomGuard` runs.
-
-    ``model_factory`` builds a fresh classifier per seal (each run's
-    key distribution is its own training set); ``validation_nonkeys``
-    tunes every guard's tau exactly as Section 5.1.1 prescribes.
-    """
-
-    def factory(_n: int, fpr: float) -> LearnedBloomGuard:
-        return LearnedBloomGuard(
-            model_factory, validation_nonkeys, fpr,
-            encode=encode, model_fpr_share=model_fpr_share,
-        )
-
-    return factory
-
-
-#: Bloom wire kinds recorded in run metadata.
+#: The one bloom wire kind: ``BloomFilter.to_bytes``.
 _BLOOM_STANDARD = "standard"
-_BLOOM_PICKLE = "pickle"
 
 
-def _serialize_bloom(bloom) -> tuple[str, bytes]:
-    if isinstance(bloom, BloomFilter):
-        return _BLOOM_STANDARD, bloom.to_bytes()
-    if hasattr(bloom, "to_bytes"):
-        return _BLOOM_PICKLE, bloom.to_bytes()
+def _bloom_from_wire(meta, blob: bytes, where: str) -> BloomFilter:
+    """A run's filter from its wire bytes; ``meta`` is the run's
+    metadata (file or shared-memory descriptor), ``where`` names it in
+    the error."""
+    kind = meta.get("bloom_kind", _BLOOM_STANDARD)
+    if kind != _BLOOM_STANDARD:
+        raise CorruptRunError(f"{where}: unknown bloom kind {kind!r}")
     try:
-        return _BLOOM_PICKLE, pickle.dumps(
-            bloom, protocol=pickle.HIGHEST_PROTOCOL
-        )
-    except Exception as exc:
-        raise TypeError(
-            f"bloom guard {type(bloom).__name__} is not serializable "
-            f"(needs to_bytes() or picklability): {exc}"
-        ) from exc
-
-
-def _deserialize_bloom(kind: str, blob: bytes, path: str):
-    if kind == _BLOOM_STANDARD:
-        try:
-            return BloomFilter.from_bytes(blob)
-        except ValueError as exc:
-            raise CorruptRunError(f"{path}: bad bloom section ({exc})") from None
-    if kind == _BLOOM_PICKLE:
-        # Trusted-input caveat: pickle runs arbitrary code; run files
-        # carry it only for learned guards and are checksummed, but
-        # they are not a safe interchange format across trust domains.
-        return pickle.loads(blob)
-    raise CorruptRunError(f"{path}: unknown bloom kind {kind!r}")
+        return BloomFilter.from_bytes(blob)
+    except ValueError as exc:
+        raise CorruptRunError(f"{where}: bad bloom section ({exc})") from None
 
 
 #: The RMI's flat leaf tables, in wire order.
 _LEAF_TABLES = ("slopes", "intercepts", "lo_offsets", "hi_offsets")
 
 
-def _train_rmi(keys: np.ndarray, leaf_target: int) -> RecursiveModelIndex:
-    leaves = max(1, -(-keys.size // max(leaf_target, 1)))
+def _train_rmi(keys: np.ndarray) -> RecursiveModelIndex:
+    leaves = max(1, -(-keys.size // DEFAULT_LEAF_TARGET))
     return RecursiveModelIndex(keys, stage_sizes=(1, leaves))
 
 
@@ -249,8 +94,8 @@ def _compiled_rmi(keys: np.ndarray, meta, table) -> RecursiveModelIndex:
     )
 
 
-def _build_bloom(keys: np.ndarray, fpr: float = 0.01, factory=None):
-    bloom = (factory or _default_bloom)(keys.size, fpr)
+def _build_bloom(keys: np.ndarray) -> BloomFilter:
+    bloom = BloomFilter.for_capacity(max(keys.size, 1), BLOOM_FPR)
     if keys.size:
         bloom.add_batch(keys)
     return bloom
@@ -268,11 +113,6 @@ class SortedRun:
     tombstones:
         Parallel bool mask; True marks a delete marker that shadows any
         older run's version of the key.
-    bloom_fpr / bloom_factory:
-        Target false-positive rate, and the filter constructor
-        ``(n, fpr) -> filter``.
-    leaf_target:
-        Keys per RMI leaf (the run's model granularity).
     sequence / level:
         Bookkeeping: seal sequence number (larger = newer) and the
         compaction level the run currently occupies.
@@ -290,9 +130,6 @@ class SortedRun:
         values: np.ndarray | None = None,
         tombstones: np.ndarray | None = None,
         *,
-        bloom_fpr: float = 0.01,
-        bloom_factory: Callable[[int, float], object] | None = None,
-        leaf_target: int = DEFAULT_LEAF_TARGET,
         sequence: int = 0,
         level: int = 0,
     ):
@@ -307,14 +144,14 @@ class SortedRun:
             keys,
             np.asarray(values, dtype=np.int64),
             np.asarray(tombstones, dtype=bool),
-            _train_rmi(keys, leaf_target),
-            _build_bloom(keys, bloom_fpr, bloom_factory),
-            sequence=sequence, level=level, leaf_target=leaf_target,
+            _train_rmi(keys),
+            _build_bloom(keys),
+            sequence=sequence, level=level,
         )
 
     def _adopt(
         self, keys, values, tombstones, rmi, bloom, *, sequence, level,
-        leaf_target, n=None, num_tombstones=None, source=None, path=None,
+        n=None, num_tombstones=None, source=None, path=None,
     ) -> "SortedRun":
         """Assign every field of a run; all three constructors end
         here.  Eager runs pass arrays, index and guard (counts derive
@@ -335,7 +172,6 @@ class SortedRun:
         self._num_tombstones = int(num_tombstones)
         self.sequence = int(sequence)
         self.level = int(level)
-        self.leaf_target = int(leaf_target)
         self._source = source
         self.path = path
         #: Snapshot pin count (ISSUE 7): reads pin every run in their
@@ -356,20 +192,19 @@ class SortedRun:
         bloom=None,
         sequence: int = 0,
         level: int = 0,
-        leaf_target: int = DEFAULT_LEAF_TARGET,
     ) -> "SortedRun":
         """Wrap existing arrays as a run without copying or retraining.
 
         The zero-copy rebuild path (ISSUE 8): a serving client that
         receives a sealed run's key/value/tombstone arrays plus its
-        RMI's ``compiled_state()`` tables and its guard object — e.g.
+        RMI's ``compiled_state()`` tables and its bloom filter — e.g.
         mapped out of a shared-memory segment — reconstructs a run
         answering every probe bit-identically to the original, in
         O(leaves), with the arrays still aliasing the shared pages.
 
         ``compiled_state=None`` trains a fresh vectorized RMI (the
         arrays are still adopted without copy); ``bloom=None`` builds
-        the default guard over ``keys``.
+        the filter over ``keys``.
         """
         keys = np.asarray(keys, dtype=np.int64)
         return cls.__new__(cls)._adopt(
@@ -378,9 +213,9 @@ class SortedRun:
             np.asarray(tombstones, dtype=bool),
             _compiled_rmi(keys, compiled_state, compiled_state.__getitem__)
             if compiled_state is not None
-            else _train_rmi(keys, leaf_target),
+            else _train_rmi(keys),
             bloom if bloom is not None else _build_bloom(keys),
-            sequence=sequence, level=level, leaf_target=leaf_target,
+            sequence=sequence, level=level,
         )
 
     # -- persistence -----------------------------------------------------------
@@ -408,13 +243,11 @@ class SortedRun:
         flat state, listed once for both writers (:meth:`save`'s
         section file, the serving layer's shared-memory segments)."""
         state = self.rmi.compiled_state()
-        bloom_kind, bloom_blob = _serialize_bloom(self.bloom)
         meta = {
             "kind": "run",
             "n": self._n,
             "sequence": self.sequence,
             "level": self.level,
-            "leaf_target": self.leaf_target,
             "num_tombstones": self._num_tombstones,
             # float64 round-trips JSON exactly (shortest-repr) and so
             # does a Python int, so the origin and the root parameters
@@ -422,14 +255,14 @@ class SortedRun:
             "origin": state["origin"],
             "root_slope": state["root_slope"],
             "root_intercept": state["root_intercept"],
-            "bloom_kind": bloom_kind,
+            "bloom_kind": _BLOOM_STANDARD,
         }
         sections = [
             ("keys", self.keys),
             ("values", self.values),
             ("tombstones", self.tombstones.astype(np.uint8)),
             *((name, state[name]) for name in _LEAF_TABLES),
-            ("bloom", bloom_blob),
+            ("bloom", self.bloom.to_bytes()),
         ]
         return meta, sections
 
@@ -455,7 +288,6 @@ class SortedRun:
                 None, None, None, None, None, source=source, path=path,
                 n=meta["n"], num_tombstones=meta["num_tombstones"],
                 sequence=meta["sequence"], level=meta["level"],
-                leaf_target=meta["leaf_target"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptRunError(
@@ -525,13 +357,10 @@ class SortedRun:
         return self._rmi
 
     @property
-    def bloom(self):
+    def bloom(self) -> BloomFilter:
         if self._bloom is None:
-            meta = self._source.meta
-            self._bloom = _deserialize_bloom(
-                meta.get("bloom_kind", _BLOOM_STANDARD),
-                self._source.read("bloom"),
-                self.path,
+            self._bloom = _bloom_from_wire(
+                self._source.meta, self._source.read("bloom"), self.path
             )
         return self._bloom
 

@@ -5,11 +5,11 @@ merged ... already widely used, for example in Bigtable."  This module
 is that design at system scale: a :class:`~repro.lsm.memtable.Memtable`
 absorbs writes in O(1), seals into immutable
 :class:`~repro.lsm.run.SortedRun` levels (each indexed by a vectorized
-RMI and guarded by a bloom filter), and a
-:class:`~repro.lsm.compaction.CompactionPolicy` bounds the run count in
-the background of the write path.  The result is the trade-off triangle
-the single-run :class:`~repro.core.writable.WritableLearnedIndex`
-cannot express:
+RMI and guarded by a bloom filter), and
+:class:`~repro.lsm.compaction.SizeTieredCompaction` bounds the run
+count in the background of the write path.  The result is the
+trade-off triangle the single-run
+:class:`~repro.core.writable.WritableLearnedIndex` cannot express:
 
 * **write amplification** — a write is rewritten once per tier it
   passes through (policy-controlled), never O(N) per merge;
@@ -59,9 +59,9 @@ that directory.  The moving parts:
 The fsync-per-batch ack barrier also reframes the PR 4 compaction
 sharp edge: a seal used to cascade synchronous merges indefinitely
 while the caller's acknowledged batch waited.  Durable stores
-therefore bound compaction to ``seal_merge_budget`` merge windows per
-seal (default 1); the policy's remaining debt drains one window per
-subsequent seal, and :meth:`compact` still folds everything.
+therefore run one merge window per seal; the policy's remaining debt
+drains one window per subsequent seal, and :meth:`compact` still
+folds everything.
 Memory-only stores keep the unbounded cascade (their seals never hold
 an fsynced ack hostage, and layout-sensitive callers rely on it).
 
@@ -111,7 +111,6 @@ import os
 import threading
 import time
 from operator import index as _index
-from typing import Callable
 
 import numpy as np
 
@@ -119,18 +118,12 @@ from ..core.engine import SortedKeyColumn, column_answers
 from ..obs import MetricsRegistry, StatsView, counter_field
 from ..obs import span as obs_span
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
-from .compaction import (
-    CompactionPolicy,
-    LeveledCompaction,
-    SizeTieredCompaction,
-    merge_runs,
-    newest_versions,
-)
+from .compaction import SizeTieredCompaction, merge_runs, newest_versions
 from .faultfs import RealFileSystem
 from .format import CorruptRunError
 from .manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from .memtable import Memtable
-from .run import DEFAULT_LEAF_TARGET, SortedRun
+from .run import SortedRun
 from .wal import RECORD_DELETE, RECORD_PUT, WriteAheadLog
 from .wal import replay as wal_replay
 
@@ -146,13 +139,6 @@ __all__ = [
     "as_int64_pairs",
     "range_endpoints",
 ]
-
-#: name -> zero-argument policy factory for the ``compaction=`` string
-#: shorthand.
-COMPACTION_POLICIES: dict[str, Callable[[], CompactionPolicy]] = {
-    "size_tiered": SizeTieredCompaction,
-    "leveled": LeveledCompaction,
-}
 
 #: Incremental-fsync bound for merged-run saves in background mode
 #: (RocksDB's ``bytes_per_sync``): caps how much dirty run-file data a
@@ -700,10 +686,9 @@ class LearnedLSMStore(KVSurface):
     memtable_capacity:
         Buffered entries (puts + tombstones) per seal.
     compaction:
-        ``"size_tiered"`` (default), ``"leveled"``, or any
-        :class:`~repro.lsm.compaction.CompactionPolicy` instance.
-    bloom_fpr / bloom_factory / leaf_target:
-        Per-run knobs, forwarded to :class:`~repro.lsm.run.SortedRun`.
+        A :class:`~repro.lsm.compaction.SizeTieredCompaction` (default:
+        a fresh ``SizeTieredCompaction()``); anything else is a
+        ``TypeError``.
     path:
         Directory for durable operation.  ``None`` (default) keeps the
         store memory-only; a directory with an existing ``MANIFEST``
@@ -717,12 +702,6 @@ class LearnedLSMStore(KVSurface):
         call returns — the durability ack barrier.  ``False`` defers
         syncing to seals/``close`` (group-commit throughput, weaker
         guarantee).
-    seal_merge_budget:
-        Maximum compaction merge windows executed per seal.  Defaults
-        to 1 for durable stores (bounds acknowledged-write latency;
-        remaining debt drains on later seals) and unbounded for
-        memory-only stores.  Ignored in background mode (the worker
-        drains every window off the write path anyway).
     background:
         ``True`` runs compaction on a daemon worker thread — seals
         kick it and return, reads serve pinned snapshots, and
@@ -752,37 +731,25 @@ class LearnedLSMStore(KVSurface):
         values=None,
         *,
         memtable_capacity: int = 8_192,
-        compaction: str | CompactionPolicy = "size_tiered",
-        bloom_fpr: float = 0.01,
-        bloom_factory=None,
-        leaf_target: int = DEFAULT_LEAF_TARGET,
+        compaction: SizeTieredCompaction | None = None,
         path: str | None = None,
         filesystem=None,
         wal_fsync: bool = True,
-        seal_merge_budget: int | None = None,
         background: bool | None = None,
         wal_group_commit_bytes: int | None = None,
         wal_group_commit_interval: float | None = None,
     ):
         if memtable_capacity < 1:
             raise ValueError("memtable_capacity must be >= 1")
-        if isinstance(compaction, str):
-            try:
-                compaction = COMPACTION_POLICIES[compaction]()
-            except KeyError:
-                known = ", ".join(sorted(COMPACTION_POLICIES))
-                raise ValueError(
-                    f"unknown compaction policy {compaction!r}; "
-                    f"known: {known}"
-                ) from None
+        if compaction is None:
+            compaction = SizeTieredCompaction()
+        elif not isinstance(compaction, SizeTieredCompaction):
+            raise TypeError(
+                "compaction must be a SizeTieredCompaction, not "
+                f"{type(compaction).__name__}"
+            )
         self.policy = compaction
         self.memtable_capacity = int(memtable_capacity)
-        self.policy.configure(self.memtable_capacity)
-        self._run_kwargs = dict(
-            bloom_fpr=bloom_fpr,
-            bloom_factory=bloom_factory,
-            leaf_target=leaf_target,
-        )
         self.memtable = Memtable()
         self.runs: list[SortedRun] = []
         self._sequence = 0
@@ -812,13 +779,6 @@ class LearnedLSMStore(KVSurface):
         #: Created at the end of __init__ so recovery-time seals stay
         #: synchronous (deterministic for the crash-fuzz sweep).
         self._compactor: _BackgroundCompactor | None = None
-        if seal_merge_budget is not None and int(seal_merge_budget) < 1:
-            raise ValueError("seal_merge_budget must be >= 1")
-        self._seal_merge_budget = (
-            int(seal_merge_budget)
-            if seal_merge_budget is not None
-            else (1 if self.path is not None else None)
-        )
         #: Per-store metrics registry; the public stats objects are
         #: views over it, so ``registry.snapshot()`` exports the same
         #: counters and ``ShardedLSMStore`` can merge them per shard.
@@ -870,13 +830,7 @@ class LearnedLSMStore(KVSurface):
     # -- durable bootstrap -----------------------------------------------------
 
     def _bulk_run(self, uniq: np.ndarray, vals: np.ndarray) -> SortedRun:
-        return SortedRun(
-            uniq,
-            vals,
-            sequence=self._next_sequence(),
-            level=self.policy.initial_level(uniq.size),
-            **self._run_kwargs,
-        )
+        return SortedRun(uniq, vals, sequence=self._next_sequence())
 
     def _file_path(self, name: str) -> str:
         return os.path.join(self.path, name)
@@ -1109,7 +1063,7 @@ class LearnedLSMStore(KVSurface):
     def flush(self) -> None:
         """Seal the memtable into a fresh L0 run, then hand the policy
         its merge debt — to the background worker when one exists,
-        inline (budgeted per seal in durable mode) otherwise.
+        inline (one window per seal in durable mode) otherwise.
 
         Durable seal protocol, in crash-safe order: write + fsync the
         run file → create + fsync the next WAL generation → commit the
@@ -1152,8 +1106,6 @@ class LearnedLSMStore(KVSurface):
                     values,
                     tombstones,
                     sequence=self._next_sequence(),
-                    level=0,
-                    **self._run_kwargs,
                 )
                 if self._wal is not None:
                     run.save(self._fs, self._file_path(self._new_run_name()))
@@ -1174,7 +1126,9 @@ class LearnedLSMStore(KVSurface):
         if self._compactor is not None:
             self._compactor.kick()
         else:
-            self._compact(self._seal_merge_budget)
+            # One window per seal when durable, so an fsynced ack is
+            # never hostage to a cascade; memory-only seals cascade.
+            self._compact(1 if self.path is not None else None)
 
     def _plan_merge(self, seen: set):
         """One validated, productive merge decision over a snapshot of
@@ -1304,9 +1258,7 @@ class LearnedLSMStore(KVSurface):
         with obs_span(
             "lsm.compact.window", background=background, runs=len(window)
         ) as attrs:
-            merged = merge_runs(
-                window, drop_tombstones=drop_tombstones, **self._run_kwargs
-            )
+            merged = merge_runs(window, drop_tombstones=drop_tombstones)
             merged.level = new_level
             self._commit_merge(window, merged)
             if attrs is not None:
@@ -1350,7 +1302,7 @@ class LearnedLSMStore(KVSurface):
     def compact(self) -> None:
         """Force a full compaction: flush, then fold everything into
         one bottom run with tombstones garbage-collected (ignores the
-        per-seal merge budget — this is the explicit maintenance call,
+        one-window-per-seal bound — this is the explicit maintenance call,
         so its merge time is not metered as a write stall)."""
         self.flush()
         with self._merge_lock:

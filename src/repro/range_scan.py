@@ -12,9 +12,8 @@ This module is the shared engine behind every index's
   the high endpoints are then widened from lower bound to upper bound
   with one vectorized ``searchsorted(side="right")`` over just the
   queries that hit a stored key
-  (:meth:`repro.core.engine.SortedKeyColumn.upper_bounds` — the single
-  widening implementation, re-exported here as
-  :func:`upper_bounds_batch`);
+  (:meth:`repro.core.engine.SortedKeyColumn.upper_bounds`, the single
+  widening implementation);
 * **slice assembly** — the per-range ``[start, end)`` position pairs
   become one concatenated value array + CSR-style offsets without a
   Python loop (:func:`assemble_slices`), so a batch of scans costs a
@@ -57,23 +56,7 @@ __all__ = [
     "batch_range_scan",
     "batch_range_scan_generic",
     "merge_scan_results",
-    "upper_bounds_batch",
 ]
-
-
-def upper_bounds_batch(
-    keys: np.ndarray, highs: np.ndarray, lower_bounds: np.ndarray
-) -> np.ndarray:
-    """Upper-bound positions from already-resolved lower bounds.
-
-    Thin functional wrapper over the engine's
-    :meth:`~repro.core.engine.SortedKeyColumn.upper_bounds` (the single
-    widening implementation), kept here for the callers that hold a
-    bare key array.
-    """
-    from .core.engine import upper_bounds_batch as _engine_upper_bounds
-
-    return _engine_upper_bounds(keys, highs, lower_bounds)
 
 
 @dataclass

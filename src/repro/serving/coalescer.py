@@ -8,14 +8,14 @@ each client request individually throws that away: 16 concurrent
 clients issue 16 single-key store calls per round trip.
 
 :class:`CoalescingIndexServer` fixes the impedance mismatch.  Requests
-arriving while the event loop is busy queue up; one flush callback per
-tick (or per ``max_wait`` window) drains the queue, packs every
-pending request into a single ``lookup_batch`` /
-``range_query_batch``, and scatters the results back to each
-request's future.  Under concurrency the batch size grows with the
-arrival rate, so throughput scales with load instead of collapsing
-under per-request overhead — the classic group-commit bargain, priced
-in microseconds of queueing delay.
+arriving while the event loop is busy queue up; one flush callback on
+the next event-loop tick drains the queue, packs every pending request
+into a single ``lookup_batch`` and a single ``range_query_batch``, and
+scatters the results back to each request's future.  Under
+concurrency the batch size grows with the arrival rate, so throughput
+scales with load instead of collapsing under per-request overhead —
+the classic group-commit bargain, priced in microseconds of queueing
+delay.
 
 Error isolation: a failing batch falls back to per-request execution,
 so one poisoned request rejects only its own future while the rest of
@@ -60,7 +60,7 @@ class CoalescerStats(StatsView):
     _PREFIX = "serving.coalescer."
 
     ticks = counter_field(
-        "ticks", "Flush callbacks that ran (scheduled ticks / windows)."
+        "ticks", "Flush callbacks that ran (one per scheduled tick)."
     )
     empty_ticks = counter_field(
         "empty_ticks", "Flushes where every pending request was cancelled."
@@ -131,42 +131,22 @@ class CoalescingIndexServer:
         Anything with ``lookup_batch(keys) -> (values, found)`` and
         ``range_query_batch(lows, highs) -> RangeScanResult`` — a
         learned index, an LSM store, a sharded store, or a snapshot.
-    max_wait:
-        Seconds to hold the first request of a window open for
-        stragglers.  ``0.0`` (default) flushes on the next event-loop
-        tick — no added latency beyond the loop's own scheduling, yet
-        everything that arrived in the same tick still coalesces.
-    max_batch:
-        Flush at whole-request granularity into chunks of at most this
-        many keys/ranges per store call (a single oversized request
-        still goes through alone).  ``None`` = unbounded.
 
+    Every request flushes on the next event-loop tick — no added
+    latency beyond the loop's own scheduling, yet everything that
+    arrived in the same tick coalesces into one store call per kind.
     All methods must be awaited on the owning event loop; the store
     call itself runs inline on the loop (the kernels release no GIL
     worth exploiting here, and inline keeps result arrays zero-copy).
     """
 
-    def __init__(
-        self,
-        store,
-        *,
-        max_wait: float = 0.0,
-        max_batch: int | None = None,
-    ):
-        if max_wait < 0:
-            raise ValueError("max_wait must be >= 0")
-        if max_batch is not None and max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, store):
         self.store = store
-        self.max_wait = float(max_wait)
-        self.max_batch = max_batch
         self.registry = MetricsRegistry()
         self.stats = CoalescerStats(self.registry)
         self._points: list[_Pending] = []
         self._ranges: list[_Pending] = []
-        self._queued_sizes = 0
-        self._flush_handle: asyncio.TimerHandle | None = None
-        self._flush_immediate = False
+        self._flush_handle: asyncio.Handle | None = None
 
     # -- public request surface ------------------------------------------------
 
@@ -215,38 +195,14 @@ class CoalescingIndexServer:
         else:
             pending = _Pending(args, future, size)
         queue.append(pending)
-        self._queued_sizes += size
-        if (
-            self.max_batch is not None
-            and self._queued_sizes >= self.max_batch
-        ):
-            # The window is full — cancel any armed timer and flush
-            # on the next tick instead of waiting out max_wait.
-            self._schedule(loop, immediate=True)
-        else:
-            self._schedule(loop, immediate=self.max_wait == 0.0)
-        return await future
-
-    def _schedule(self, loop, *, immediate: bool) -> None:
-        if self._flush_handle is not None:
-            if not immediate or self._flush_immediate:
-                return
-            # Upgrade an armed max_wait timer to a next-tick flush.
-            self._flush_handle.cancel()
-        self._flush_immediate = immediate
-        if immediate:
+        if self._flush_handle is None:
             self._flush_handle = loop.call_soon(self._flush)
-        else:
-            self._flush_handle = loop.call_later(
-                self.max_wait, self._flush
-            )
+        return await future
 
     def _flush(self) -> None:
         self._flush_handle = None
-        self._flush_immediate = False
         points, self._points = self._points, []
         ranges, self._ranges = self._ranges, []
-        self._queued_sizes = 0
         self.stats.add(ticks=1)
         points = self._drop_cancelled(points)
         ranges = self._drop_cancelled(ranges)
@@ -268,34 +224,16 @@ class CoalescingIndexServer:
             self._run_flush(points, ranges)
 
     def _run_flush(self, points: list, ranges: list) -> None:
-        for chunk in self._chunks(points):
-            self._run_chunk(chunk, self._point_call, kind="point")
-        for chunk in self._chunks(ranges):
-            self._run_chunk(chunk, self._range_call, kind="range")
+        if points:
+            self._run_batch(points, self._point_call, kind="point")
+        if ranges:
+            self._run_batch(ranges, self._range_call, kind="range")
 
     def _drop_cancelled(self, pending: list) -> list:
         kept = [req for req in pending if not req.future.cancelled()]
         if len(kept) < len(pending):
             self.stats.add(requests_cancelled=len(pending) - len(kept))
         return kept
-
-    def _chunks(self, pending: list):
-        """Split at whole-request granularity into <= max_batch keys
-        per chunk; one oversized request forms its own chunk."""
-        if self.max_batch is None:
-            if pending:
-                yield pending
-            return
-        chunk: list[_Pending] = []
-        chunk_size = 0
-        for req in pending:
-            if chunk and chunk_size + req.size > self.max_batch:
-                yield chunk
-                chunk, chunk_size = [], 0
-            chunk.append(req)
-            chunk_size += req.size
-        if chunk:
-            yield chunk
 
     # -- batch execution -------------------------------------------------------
 
@@ -336,7 +274,7 @@ class CoalescingIndexServer:
             ))
         return out
 
-    def _run_chunk(self, requests: list, call, *, kind: str) -> None:
+    def _run_batch(self, requests: list, call, *, kind: str) -> None:
         try:
             results = call(requests)
         except Exception:

@@ -335,7 +335,7 @@ class ShardedLSMStore(KVSurface):
         Durable root; shard ``i`` lives at ``path/shard-<i>``.
     store_kwargs:
         Extra :class:`LearnedLSMStore` keyword arguments applied to
-        every shard (``memtable_capacity``, ``compaction``, ...).
+        every shard (``memtable_capacity``, ``wal_fsync``, ...).
     read_via:
         Default routing for reads issued without an explicit ``via``
         (``"auto"``/``"local"``/``"worker"``) — lets a front end that

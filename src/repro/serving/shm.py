@@ -5,7 +5,7 @@ processes still want the kernel layer's read speed without copying
 megabytes of run data over a pipe per epoch.  Immutability makes that
 cheap: a sealed run's arrays never change, so the worker writes each
 run's flat state — key/value/tombstone arrays, the RMI's compiled
-tables, the bloom guard's wire bytes — into one shared-memory segment
+tables, the bloom filter's wire bytes — into one shared-memory segment
 *once*, and every subsequent epoch that still contains the run ships
 only the segment's name.  The client maps the segment and rebuilds a
 :class:`~repro.lsm.run.SortedRun` via
@@ -43,7 +43,8 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..lsm.run import SortedRun, _deserialize_bloom
+from ..lsm.format import CorruptRunError
+from ..lsm.run import SortedRun, _bloom_from_wire
 
 __all__ = [
     "RunPublisher",
@@ -200,19 +201,26 @@ def attach_run(desc: dict) -> tuple[shared_memory.SharedMemory, SortedRun]:
     Returns the mapping (the caller owns its ``close()``) and a
     :class:`SortedRun` whose arrays alias it — every probe
     bit-identical to the worker's own run, per the
-    :meth:`~repro.lsm.run.SortedRun.from_arrays` contract.
+    :meth:`~repro.lsm.run.SortedRun.from_arrays` contract.  A
+    descriptor whose ``bloom_kind`` is not the standard filter's is a
+    :class:`~repro.lsm.format.CorruptRunError`, and the mapping is
+    closed before it propagates.
     """
     shm, views = _attach(desc)
+    try:
+        bloom = _bloom_from_wire(
+            desc, views["bloom"].tobytes(), f"shm:{desc['name']}"
+        )
+    except CorruptRunError:
+        del views  # the arrays export the mapping's buffer
+        shm.close()
+        raise
     run = SortedRun.from_arrays(
         views["keys"],
         views["values"],
         views["tombstones"].view(np.bool_),
         compiled_state={**desc, **views},
-        bloom=_deserialize_bloom(
-            desc["bloom_kind"],
-            views["bloom"].tobytes(),
-            f"shm:{desc['name']}",
-        ),
+        bloom=bloom,
         sequence=desc["sequence"],
         level=desc["level"],
     )

@@ -633,7 +633,7 @@ class TestExact64BitEquivalence:
         ``probe`` == ``probe_batch`` == set membership, and the run's
         index agrees with the oracle on every engine path."""
         keys = huge_dataset(kind)
-        run = SortedRun(keys, keys ^ 0x5A, leaf_target=64)
+        run = SortedRun(keys, keys ^ 0x5A)
         assert run.rmi.compiled_state()["origin"] == int(keys[0])
         present = set(keys.tolist())
         ints = origin_edge_ints(keys) + keys[::97].tolist()

@@ -529,9 +529,11 @@ def crosscheck_lsm(store: LearnedLSMStore, oracle: KVOracle, rng):
             assert list(store.range_query(int(lows[i]), int(highs[i]))) == expected
 
 
-@pytest.mark.parametrize("policy", ["size_tiered", "leveled"])
-def test_lsm_store_randomized_round_trip(policy):
-    """Interleaved put/batch-put/delete/flush ops vs the dict oracle.
+@pytest.mark.parametrize("mode", ["memory", "durable"])
+def test_lsm_store_randomized_round_trip(tmp_path, mode):
+    """Interleaved put/batch-put/delete/flush ops vs the dict oracle,
+    on a memory-only store (seals cascade their merges) and a durable
+    one (one merge window per seal).
 
     The memtable is small enough that seals and policy compactions fire
     constantly mid-sequence; the full read surface is cross-checked
@@ -544,7 +546,7 @@ def test_lsm_store_randomized_round_trip(policy):
     store = LearnedLSMStore(
         np.unique(rng.integers(0, 30_000, 2_000)).astype(np.int64),
         memtable_capacity=200,
-        compaction=policy,
+        path=str(tmp_path / "db") if mode == "durable" else None,
     )
     oracle = KVOracle()
     for k in store.runs[0].keys.tolist():
@@ -577,21 +579,28 @@ def test_lsm_store_randomized_round_trip(policy):
         if store.write_stats.compactions != compactions_seen:
             compactions_seen = store.write_stats.compactions
             crosscheck_lsm(store, oracle, rng)
-    assert compactions_seen > 0, "no compaction fired; test is vacuous"
+    store.wait_for_compaction()  # background mode merges off-thread
+    assert store.write_stats.compactions > 0, "no compaction; test is vacuous"
     crosscheck_lsm(store, oracle, rng)
     assert len(store) == len(oracle.live)
     store.compact()
     crosscheck_lsm(store, oracle, rng)
     assert len(store) == len(oracle.live)
+    store.close()
 
 
-@pytest.mark.parametrize("policy", ["size_tiered", "leveled"])
-def test_lsm_matches_writable_reference(policy):
-    """Key-only workloads: the LSM store and the single-run writable
-    index are interchangeable (same live key sets, same range answers)."""
+@pytest.mark.parametrize("mode", ["memory", "durable"])
+def test_lsm_matches_writable_reference(tmp_path, mode):
+    """Key-only workloads: the LSM store — memory-only or durable — and
+    the single-run writable index are interchangeable (same live key
+    sets, same range answers)."""
     rng = np.random.default_rng(SEED + 5)
     base = np.unique(rng.integers(0, 50_000, 3_000)).astype(np.int64)
-    store = LearnedLSMStore(base, memtable_capacity=300, compaction=policy)
+    store = LearnedLSMStore(
+        base,
+        memtable_capacity=300,
+        path=str(tmp_path / "db") if mode == "durable" else None,
+    )
     reference = WritableLearnedIndex(
         base, stage_sizes=(1, 64), merge_threshold=500
     )
@@ -613,6 +622,7 @@ def test_lsm_matches_writable_reference(policy):
     expected = reference.range_query_batch(lows, highs)
     for i in range(30):
         np.testing.assert_array_equal(got[i], expected[i])
+    store.close()
 
 
 # -- exact 64-bit regimes (ISSUE 5) ----------------------------------------------

@@ -9,6 +9,7 @@ the last consistent state) instead of a wrong answer.
 """
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -26,12 +27,12 @@ from repro.lsm import (
     WriteAheadLog,
     commit_manifest,
     flip_byte,
-    learned_bloom_factory,
     load_manifest,
 )
 from repro.lsm.format import RUN_MAGIC, SectionFile, write_section_file
-from repro.lsm.run import LearnedBloomGuard
+from repro.lsm.run import DEFAULT_LEAF_TARGET
 from repro.lsm.wal import replay as wal_replay
+from repro.serving import shm
 
 
 @pytest.fixture
@@ -51,7 +52,9 @@ def _example_run(n=4_000, tombstone_every=7, seed=3):
 def _rewrite_as_parent_commit_run(fs, run, path):
     """Rewrite ``run`` at ``path`` the way the commit before the
     model-space origin wrote it: leaf tables fitted on the raw float64
-    keys, and no ``origin`` entry in the metadata."""
+    keys, no ``origin`` entry in the metadata, and the ``leaf_target``
+    and ``bloom_kind: "standard"`` entries every older writer
+    recorded."""
     keys = np.asarray(run.keys)
     state = RecursiveModelIndex(
         keys.astype(np.float64), stage_sizes=run.rmi.stage_sizes
@@ -61,10 +64,12 @@ def _rewrite_as_parent_commit_run(fs, run, path):
     legacy = SortedRun.from_arrays(
         keys, np.asarray(run.values), np.asarray(run.tombstones),
         compiled_state=state, bloom=run.bloom, sequence=run.sequence,
-        level=run.level, leaf_target=run.leaf_target,
+        level=run.level,
     )
     meta, sections = legacy.wire_form()
     assert meta.pop("origin") == 0
+    assert meta["bloom_kind"] == "standard"
+    meta["leaf_target"] = DEFAULT_LEAF_TARGET
     write_section_file(fs, path, magic=RUN_MAGIC, meta=meta, sections=sections)
 
 
@@ -274,19 +279,29 @@ class TestManifest:
 # -- bloom serialization (satellite) -------------------------------------------
 
 
-class _CrcScoreModel:
-    """Module-level (hence picklable) deterministic classifier."""
+class _Tripwire:
+    """Unpickling this creates directory ``path``: the flag a refusal
+    test checks stays unset."""
 
-    def predict_proba_one(self, key: str) -> float:
-        import zlib
+    def __init__(self, path):
+        self.path = path
 
-        return (zlib.crc32(key.encode()) % 4096) / 4096.0
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
 
-    def predict_proba(self, keys):
-        return np.array([self.predict_proba_one(k) for k in keys])
 
-    def size_bytes(self) -> int:
-        return 64
+def _foreign_bloom_wire_form(flag, kind):
+    """A run's wire form whose bloom claims ``kind`` and carries a
+    pickled :class:`_Tripwire`."""
+    meta, sections = _example_run(n=500).wire_form()
+    meta["bloom_kind"] = kind
+    blob = pickle.dumps(_Tripwire(flag))
+    return meta, [(n, blob if n == "bloom" else d) for n, d in sections]
+
+
+#: ``"pickle"`` is the kind older writers used for a pickled learned
+#: guard; ``"learned"`` stands for any other name a writer might invent.
+FOREIGN_BLOOM_KINDS = ["pickle", "learned"]
 
 
 class TestBloomSerialization:
@@ -315,25 +330,6 @@ class TestBloomSerialization:
             BloomFilter.from_bytes(b"NOPE" + blob[4:])
         with pytest.raises(ValueError):
             BloomFilter.from_bytes(blob + b"\x00")
-
-    def test_learned_guard_round_trip(self):
-        validation = [f"v:{i}" for i in range(256)]
-        guard = LearnedBloomGuard(_CrcScoreModel, validation, 0.05)
-        keys = np.arange(0, 1_500, 3, dtype=np.int64)
-        guard.add_batch(keys)
-        clone = LearnedBloomGuard.from_bytes(guard.to_bytes())
-        probes = np.arange(0, 2_000, dtype=np.int64)
-        assert np.array_equal(
-            clone.contains_batch(probes), guard.contains_batch(probes)
-        )
-        assert clone.contains_batch(keys).all()
-
-    def test_learned_guard_unpicklable_classifier_raises(self):
-        guard = LearnedBloomGuard(
-            _CrcScoreModel, [], 0.05, encode=lambda k: str(k)
-        )
-        with pytest.raises(TypeError, match="picklable"):
-            guard.to_bytes()
 
 
 # -- run persistence -----------------------------------------------------------
@@ -444,6 +440,7 @@ class TestRunPersistence:
         _rewrite_as_parent_commit_run(fs, run, path)
         loaded = SortedRun.load(fs, path)
         assert "origin" not in loaded._source.meta
+        assert loaded._source.meta["leaf_target"] == DEFAULT_LEAF_TARGET
         assert loaded.rmi.compiled_state()["origin"] == 0
         assert run.rmi.compiled_state()["origin"] == int(run.keys[0])
         rng = np.random.default_rng(12)
@@ -463,19 +460,81 @@ class TestRunPersistence:
             )
         for q in queries[::40].tolist():
             assert loaded.probe(q) == run.probe(q)
-
-    def test_learned_guard_persists_through_run(self, fs, tmp_path):
-        validation = [f"v:{i}" for i in range(128)]
-        keys = np.arange(0, 3_000, 3, dtype=np.int64)
-        run = SortedRun(
-            keys,
-            bloom_factory=learned_bloom_factory(_CrcScoreModel, validation),
+        assert np.array_equal(
+            loaded.bloom_contains_batch(queries),
+            run.bloom_contains_batch(queries),
         )
+
+    def test_writer_records_standard_bloom_and_no_leaf_target(
+        self, fs, tmp_path
+    ):
         path = str(tmp_path / "run.run")
-        run.save(fs, path)
-        loaded = SortedRun.load(fs, path)
-        assert isinstance(loaded.bloom, LearnedBloomGuard)
-        assert loaded.bloom_contains_batch(keys).all()
+        _example_run(n=500).save(fs, path)
+        meta = SortedRun.load(fs, path)._source.meta
+        assert meta["bloom_kind"] == "standard"
+        assert "leaf_target" not in meta
+
+    @pytest.mark.parametrize("surface", ["file", "shared_memory"])
+    def test_absent_bloom_kind_reads_as_standard(self, fs, tmp_path, surface):
+        run = _example_run(n=2_000)
+        meta, sections = run.wire_form()
+        del meta["bloom_kind"]
+        probes = np.concatenate([run.keys[::3], run.keys[::3] + 1])
+        want = run.bloom_contains_batch(probes)
+        if surface == "file":
+            path = str(tmp_path / "run.run")
+            write_section_file(
+                fs, path, magic=RUN_MAGIC, meta=meta, sections=sections
+            )
+            loaded = SortedRun.load(fs, path)
+            assert np.array_equal(loaded.bloom_contains_batch(probes), want)
+        else:
+            name = f"{shm.default_prefix(0)}nokind"
+            owner, table = shm._create_segment(name, sections)
+            try:
+                mapping, attached = shm.attach_run(
+                    {**meta, "name": name, "sections": table}
+                )
+                try:
+                    got = attached.bloom_contains_batch(probes)
+                    assert np.array_equal(got, want)
+                finally:
+                    del attached
+                    mapping.close()
+            finally:
+                owner.close()
+                owner.unlink()
+
+    @pytest.mark.parametrize("kind", FOREIGN_BLOOM_KINDS)
+    def test_nonstandard_bloom_kind_is_refused_not_unpickled(
+        self, fs, tmp_path, kind
+    ):
+        flag = str(tmp_path / "unpickled")
+        meta, sections = _foreign_bloom_wire_form(flag, kind)
+        path = str(tmp_path / "run.run")
+        write_section_file(
+            fs, path, magic=RUN_MAGIC, meta=meta, sections=sections
+        )
+        loaded = SortedRun.load(fs, path)  # checksums are all valid
+        with pytest.raises(CorruptRunError, match=f"bloom kind '{kind}'"):
+            loaded.bloom_contains_batch(np.arange(8, dtype=np.int64))
+        assert not os.path.exists(flag)
+
+    @pytest.mark.parametrize("kind", FOREIGN_BLOOM_KINDS)
+    def test_nonstandard_bloom_kind_is_refused_over_shared_memory(
+        self, tmp_path, kind
+    ):
+        flag = str(tmp_path / "unpickled")
+        meta, sections = _foreign_bloom_wire_form(flag, kind)
+        name = f"{shm.default_prefix(0)}{kind}"
+        owner, table = shm._create_segment(name, sections)
+        try:
+            with pytest.raises(CorruptRunError, match=f"bloom kind '{kind}'"):
+                shm.attach_run({**meta, "name": name, "sections": table})
+        finally:
+            owner.close()
+            owner.unlink()
+        assert not os.path.exists(flag)
 
 
 # -- durable store lifecycle ---------------------------------------------------
@@ -506,15 +565,21 @@ class TestDurableStore:
     def test_parent_commit_store_reopens_and_compaction_adds_origins(
         self, tmp_path
     ):
-        """Run files without an ``origin`` entry keep serving; the next
-        compaction writes runs that carry one."""
+        """Run files in the older formats — no ``origin`` entry, a
+        ``leaf_target`` entry, a ``"standard"`` bloom kind — reopen and
+        answer every point and range read bit-identically; the next
+        compaction writes runs that carry an origin."""
         d = str(tmp_path / "db")
         fs = RealFileSystem()
         keys, vals = self._payload()
         keys = keys + np.int64(2**62)  # ulp-collapsed as raw float64
+        lows = np.sort(keys)[::50]
+        highs = lows + np.int64(200)
         with LearnedLSMStore(path=d, memtable_capacity=1_024) as store:
             store.insert_batch(keys, vals)
             store.delete_batch(keys[:1_000])
+            want_points = store.lookup_batch(keys)
+            want_ranges = store.range_items_batch(lows, highs)
         old_paths = sorted(
             os.path.join(d, name) for name in os.listdir(d)
             if name.endswith(".run")
@@ -529,7 +594,13 @@ class TestDurableStore:
         assert [origin_of(p) for p in old_paths] == [None] * len(old_paths)
         with LearnedLSMStore(path=d) as store:
             assert sorted(run.path for run in store.runs) == old_paths
-            got, found = store.lookup_batch(keys)
+            for got, want in zip(store.lookup_batch(keys), want_points):
+                assert np.array_equal(got, want)
+            result, values = store.range_items_batch(lows, highs)
+            assert np.array_equal(result.values, want_ranges[0].values)
+            assert np.array_equal(result.offsets, want_ranges[0].offsets)
+            assert np.array_equal(values, want_ranges[1])
+            got, found = want_points
             assert not found[:1_000].any() and found[1_000:].all()
             assert np.array_equal(got[1_000:], vals[1_000:])
             store.compact()

@@ -19,7 +19,6 @@ from repro.core.engine import (
     QueryBatch,
     SortedKeyColumn,
     narrow_offsets,
-    upper_bounds_batch,
 )
 
 
@@ -147,13 +146,13 @@ class TestExactPrimitives:
         expected = [bisect.bisect_right([5, 7, 7, 7, 9], q)
                     for q in (7.0, 7.5, 6.0)]
         np.testing.assert_array_equal(ubs, expected)
-
-    def test_upper_bounds_batch_wrapper(self):
-        keys = np.array([2**62, 2**62, 2**63 - 1], dtype=np.int64)
-        highs = np.array([2**62, 2**63 - 1], dtype=np.int64)
-        lbs = np.array([0, 2], dtype=np.int64)
+        # int64 duplicates beyond 2^53, widened from given lower bounds
+        column = SortedKeyColumn(
+            np.array([2**62, 2**62, 2**63 - 1], dtype=np.int64)
+        )
+        highs = column.prepare(np.array([2**62, 2**63 - 1], dtype=np.int64))
         np.testing.assert_array_equal(
-            upper_bounds_batch(keys, highs, lbs), [2, 3]
+            column.upper_bounds(highs, np.array([0, 2])), [2, 3]
         )
 
     def test_rank_in_right_side_float_semantics(self):

@@ -5,13 +5,10 @@ import pytest
 
 from repro.bloom import BloomFilter
 from repro.lsm import (
-    LearnedBloomGuard,
     LearnedLSMStore,
-    LeveledCompaction,
     Memtable,
     SizeTieredCompaction,
     SortedRun,
-    learned_bloom_factory,
     merge_runs,
 )
 from repro.range_scan import RangeScanResult, merge_scan_results
@@ -107,7 +104,7 @@ class TestSortedRun:
 
     def test_bloom_rejects_most_absent(self):
         keys = np.arange(0, 50_000, 7, dtype=np.int64)
-        run = SortedRun(keys, bloom_fpr=0.01)
+        run = SortedRun(keys)
         absent = np.arange(1, 50_000, 7, dtype=np.int64)
         assert run.bloom_contains_batch(absent).mean() < 0.05
 
@@ -125,10 +122,10 @@ class TestSortedRun:
 
 # -- compaction ----------------------------------------------------------------
 
-def _run(keys, dead=(), level=0, seq=0):
+def _run(keys, dead=()):
     keys = np.asarray(keys, dtype=np.int64)
     mask = np.isin(keys, np.asarray(list(dead), dtype=np.int64))
-    return SortedRun(keys, tombstones=mask, level=level, sequence=seq)
+    return SortedRun(keys, tombstones=mask)
 
 
 class TestMergeRuns:
@@ -155,6 +152,17 @@ class TestMergeRuns:
         oldest = _run([5, 6])
         merged = merge_runs([newest, middle, oldest], drop_tombstones=True)
         np.testing.assert_array_equal(merged.keys, [5, 6])
+
+    def test_merged_run_filter_has_no_false_negatives(self):
+        """The merge output builds its own filter at the store's one
+        false-positive rate: every merged key passes, most absent
+        keys do not."""
+        new = _run(np.arange(0, 30_000, 6))
+        old = _run(np.arange(3, 30_000, 6))
+        merged = merge_runs([new, old], drop_tombstones=True)
+        assert merged.bloom_contains_batch(merged.keys).all()
+        absent = np.arange(1, 30_000, 3, dtype=np.int64)
+        assert merged.bloom_contains_batch(absent).mean() < 0.05
 
 
 class TestPolicies:
@@ -194,33 +202,60 @@ class TestPolicies:
         store.wait_for_compaction()
         assert store.num_runs < 8
 
-    def test_leveled_folds_l0_into_l1(self):
-        policy = LeveledCompaction(level0_runs=2, fanout=10, base_size=100)
-        runs = [
-            _run(np.arange(50), level=0),
-            _run(np.arange(50, 100), level=0),
-            _run(np.arange(1_000), level=1),
-        ]
-        assert policy.select(runs) == (0, 3, 1)
-
-    def test_leveled_cascades_oversized_level(self):
-        policy = LeveledCompaction(level0_runs=4, fanout=10, base_size=10)
-        runs = [_run(np.arange(5_000), level=1)]
-        start, stop, new_level = policy.select(runs)
-        assert (start, stop, new_level) == (0, 1, 2)
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_seal_cascades_only_in_memory(self, tmp_path, durable):
+        """A seal whose first merge completes a second same-bucket
+        streak cascades through both merges in memory; a durable seal
+        stops after one window, so an fsynced ack never waits on a
+        cascade (the next seal picks the second merge up)."""
+        with LearnedLSMStore(
+            memtable_capacity=1_000,
+            compaction=SizeTieredCompaction(min_runs=2),
+            path=str(tmp_path / "db") if durable else None,
+            background=False,
+        ) as store:
+            for start, count in ((0, 40), (100, 10)):
+                store.insert_batch(np.arange(start, start + count))
+                store.flush()
+            # Buckets 1 and 2 (base 4): a stable layout.
+            assert [len(run) for run in store.runs] == [10, 40]
+            assert store.write_stats.compactions == 0
+            store.insert_batch(np.arange(200, 208))
+            store.flush()  # 8 + 10 keys merge up into the 40-key bucket
+            expected = [18, 40] if durable else [58]
+            assert [len(run) for run in store.runs] == expected
+            assert store.write_stats.compactions == (1 if durable else 2)
+            everything = np.concatenate([
+                np.arange(0, 40), np.arange(100, 110), np.arange(200, 208),
+            ])
+            assert store.contains_batch(everything).all()
 
 
 # -- the store -----------------------------------------------------------------
 
-@pytest.fixture(params=["size_tiered", "leveled"])
-def policy(request):
-    return request.param
+@pytest.fixture(params=["memory", "durable"])
+def make_store(request, tmp_path):
+    """``LearnedLSMStore`` factory: each case runs memory-only (a seal
+    cascades its merges) and durable (runs on disk, one merge window
+    per seal).  Every store made is closed at teardown."""
+    stores = []
+
+    def make(*args, **kwargs):
+        if request.param == "durable":
+            kwargs["path"] = str(tmp_path / f"db{len(stores)}")
+        store = LearnedLSMStore(*args, **kwargs)
+        stores.append(store)
+        return store
+
+    yield make
+    for store in stores:
+        store.close()
 
 
 class TestLearnedLSMStore:
-    def test_bulk_load_then_read(self, policy):
+    def test_bulk_load_then_read(self, make_store):
         keys = np.arange(0, 30_000, 3, dtype=np.int64)
-        store = LearnedLSMStore(keys, compaction=policy)
+        store = make_store(keys)
         assert store.num_runs == 1
         assert store.lookup(300) == 300
         assert store.lookup(301) is None
@@ -229,10 +264,8 @@ class TestLearnedLSMStore:
         )
         assert len(store) == keys.size
 
-    def test_values_roundtrip(self, policy):
-        store = LearnedLSMStore(
-            memtable_capacity=100, compaction=policy
-        )
+    def test_values_roundtrip(self, make_store):
+        store = make_store(memtable_capacity=100)
         rng = np.random.default_rng(5)
         keys = rng.choice(10**6, 1_000, replace=False)
         vals = rng.integers(0, 10**9, 1_000)
@@ -241,19 +274,18 @@ class TestLearnedLSMStore:
         assert found.all()
         np.testing.assert_array_equal(values, vals)
 
-    def test_seal_fires_at_capacity(self, policy):
-        store = LearnedLSMStore(memtable_capacity=64, compaction=policy)
+    def test_seal_fires_at_capacity(self, make_store):
+        store = make_store(memtable_capacity=64)
         for k in range(200):
             store.insert(k)
         assert store.write_stats.seals >= 2
         assert len(store.memtable) < 64
         assert store.contains(0) and store.contains(199)
 
-    def test_delete_shadows_sealed_key(self, policy):
-        store = LearnedLSMStore(
+    def test_delete_shadows_sealed_key(self, make_store):
+        store = make_store(
             np.arange(1_000, dtype=np.int64),
             memtable_capacity=10**9,
-            compaction=policy,
         )
         store.delete(500)
         assert not store.contains(500)
@@ -261,11 +293,10 @@ class TestLearnedLSMStore:
         assert 500 not in store.range_query(490, 510)
         assert len(store) == 999
 
-    def test_tombstone_resurrection(self, policy):
-        store = LearnedLSMStore(
+    def test_tombstone_resurrection(self, make_store):
+        store = make_store(
             np.arange(100, dtype=np.int64),
             memtable_capacity=4,
-            compaction=policy,
         )
         store.delete(50)
         store.flush()
@@ -275,8 +306,8 @@ class TestLearnedLSMStore:
         assert store.contains(50)
         assert store.lookup(50) == 5050
 
-    def test_full_compaction_garbage_collects(self, policy):
-        store = LearnedLSMStore(memtable_capacity=32, compaction=policy)
+    def test_full_compaction_garbage_collects(self, make_store):
+        store = make_store(memtable_capacity=32)
         store.insert_batch(np.arange(500, dtype=np.int64))
         for k in range(0, 500, 2):
             store.delete(k)
@@ -345,8 +376,8 @@ class TestLearnedLSMStore:
         )
         assert stats.negative_probes_eliminated >= 0.95
 
-    def test_read_short_circuits_on_newest_hit(self, policy):
-        store = LearnedLSMStore(
+    def test_read_short_circuits_on_newest_hit(self, make_store):
+        store = make_store(
             memtable_capacity=100,
             compaction=SizeTieredCompaction(min_runs=100),
         )
@@ -359,8 +390,8 @@ class TestLearnedLSMStore:
         # Every query resolved in the newest run: one probe each.
         assert store.read_stats.run_probes == 100
 
-    def test_write_amplification_metered(self, policy):
-        store = LearnedLSMStore(memtable_capacity=256, compaction=policy)
+    def test_write_amplification_metered(self, make_store):
+        store = make_store(memtable_capacity=256)
         rng = np.random.default_rng(3)
         for _ in range(40):
             store.insert_batch(rng.integers(0, 10**8, 200))
@@ -369,12 +400,16 @@ class TestLearnedLSMStore:
         assert wa >= 1.0
         assert wa < 30.0
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            LearnedLSMStore(compaction="lazy")
+    @pytest.mark.parametrize(
+        "policy", ["size_tiered", "leveled", object()],
+        ids=["size_tiered", "leveled", "object"],
+    )
+    def test_unknown_policy_rejected(self, policy):
+        with pytest.raises(TypeError, match="SizeTieredCompaction"):
+            LearnedLSMStore(compaction=policy)
 
-    def test_empty_store(self, policy):
-        store = LearnedLSMStore(compaction=policy)
+    def test_empty_store(self, make_store):
+        store = make_store()
         assert len(store) == 0
         assert store.lookup(5) is None
         values, found = store.lookup_batch([1, 2, 3])
@@ -535,112 +570,6 @@ class TestRangeItemsBatch:
             merge_scan_results([source], payloads=[np.array([1])])
 
 
-# -- learned bloom guard (ISSUE 5 satellite) -----------------------------------
-
-class _HashScoreModel:
-    """Deterministic stand-in classifier: crc32-derived scores in [0, 1).
-
-    Scores are arbitrary but stable, so roughly half the keys fall
-    below any tuned tau — exercising the overflow filter — while the
-    zero-false-negative construction must still answer every stored
-    key True.
-    """
-
-    def predict_proba_one(self, key: str) -> float:
-        import zlib
-
-        return (zlib.crc32(key.encode()) % 4096) / 4096.0
-
-    def predict_proba(self, keys):
-        return np.array([self.predict_proba_one(k) for k in keys])
-
-    def size_bytes(self) -> int:
-        return 64
-
-
-class TestLearnedBloomGuard:
-    VALIDATION = [f"v:{i}" for i in range(512)]
-
-    def factory(self):
-        return learned_bloom_factory(_HashScoreModel, self.VALIDATION)
-
-    def test_guard_has_no_false_negatives(self):
-        run = SortedRun(
-            np.arange(0, 2_000, 3, dtype=np.int64),
-            bloom_factory=self.factory(),
-        )
-        assert isinstance(run.bloom, LearnedBloomGuard)
-        assert run.bloom.size_bytes() > 0
-        hits = run.bloom_contains_batch(run.keys)
-        assert hits.all(), "learned bloom must never reject a stored key"
-        for k in run.keys[:50].tolist():
-            assert k in run.bloom
-
-    def test_empty_run_guard(self):
-        guard = self.factory()(0, 0.01)
-        assert 5 not in guard
-        assert not guard.contains_batch(np.array([1, 2])).any()
-        assert guard.size_bytes() == 0
-
-    def test_learned_guarded_store_oracle_identical(self):
-        """A learned-bloom-guarded store answers exactly like the
-        default-bloom store and the dict oracle (guards can only skip
-        probes, never change answers — zero false negatives)."""
-        rng = np.random.default_rng(0xB100)
-        base = np.unique(rng.integers(0, 30_000, 2_000)).astype(np.int64)
-        learned = LearnedLSMStore(
-            base, memtable_capacity=250, bloom_factory=self.factory()
-        )
-        standard = LearnedLSMStore(base, memtable_capacity=250)
-        truth = {int(k): int(k) for k in base}
-        for _ in range(1_200):
-            key = int(rng.integers(-50, 30_050))
-            op = rng.random()
-            if op < 0.5:
-                value = int(rng.integers(0, 10**9))
-                learned.insert(key, value)
-                standard.insert(key, value)
-                truth[key] = value
-            elif op < 0.85:
-                learned.delete(key)
-                standard.delete(key)
-                truth.pop(key, None)
-            else:
-                learned.flush()
-                standard.flush()
-        assert learned.num_runs > 1, "test must exercise multi-run reads"
-        probes = rng.integers(-100, 30_100, 600)
-        values, found = learned.lookup_batch(probes)
-        std_values, std_found = standard.lookup_batch(probes)
-        np.testing.assert_array_equal(found, std_found)
-        np.testing.assert_array_equal(values, std_values)
-        np.testing.assert_array_equal(
-            found, np.array([int(q) in truth for q in probes])
-        )
-        hits = np.nonzero(found)[0]
-        np.testing.assert_array_equal(
-            values[hits],
-            np.array([truth[int(probes[i])] for i in hits], dtype=np.int64),
-        )
-        for q in probes[:30].tolist():
-            assert learned.lookup(q) == truth.get(q)
-
-    def test_guard_filters_some_negatives(self):
-        rng = np.random.default_rng(0xB101)
-        store = LearnedLSMStore(
-            memtable_capacity=10**15,
-            compaction=SizeTieredCompaction(min_runs=100),
-            bloom_factory=self.factory(),
-        )
-        for _ in range(4):
-            store.insert_batch(rng.integers(0, 10**6, 2_000))
-            store.flush()
-        absent = rng.integers(2 * 10**6, 3 * 10**6, 2_000)
-        store.read_stats.reset()
-        store.lookup_batch(absent)
-        assert store.read_stats.bloom_rejects > 0
-
-
 class TestMemtableEndpointExactness:
     """Regression: memtable-resident data must resolve float range
     endpoints through the query core exactly like run-resident data
@@ -704,9 +633,6 @@ class _BoundedSelects:
             "compaction loop failed to terminate: policy.select was "
             f"consulted {self.calls} times for one seal"
         )
-
-    def configure(self, memtable_capacity):
-        pass
 
 
 class _SelfWindowPolicy(_BoundedSelects, SizeTieredCompaction):

@@ -86,6 +86,24 @@ class TestPagedLookup:
         assert index.contains(float(keys[137]))
         missing = int(keys.max()) + 3
         assert not index.contains(float(missing))
+        # Fractional probes compare natively: -0.5 is not the key 0.
+        even = PagedLearnedIndex(np.arange(0, 2_000, 2), page_size=64)
+        probes = [-0.9, -0.5, 0.0, 0.5, 3.5, 4.0]
+        expected = [False, False, True, False, False, True]
+        assert [even.contains(q) for q in probes] == expected
+        assert even.contains_batch(np.array(probes)).tolist() == expected
+
+    def test_contains_is_exact_beyond_2p53(self):
+        """The native compare never rounds through float64: 2^62 is
+        absent between odd keys, however the probe is spelled."""
+        odd = np.int64(2**62) + np.arange(1, 2_001, 2, dtype=np.int64)
+        index = PagedLearnedIndex(odd, page_size=64)
+        probes = [2**62, float(2**62), 2**62 + 1, 2**62 + 2, 2**62 + 1999]
+        expected = [False, False, True, False, True]
+        assert [index.contains(q) for q in probes] == expected
+        assert index.contains_batch(
+            np.array(probes[2:], dtype=np.int64)
+        ).tolist() == expected[2:]
 
     def test_empty(self):
         index = PagedLearnedIndex(np.array([], dtype=np.int64))

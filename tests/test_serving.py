@@ -230,40 +230,47 @@ class TestCoalescer:
         # 2 + 1 ranges coalesced into one 3-range store call.
         assert store.range_calls == [3]
 
-    def test_max_batch_splits_at_request_granularity(self, kv):
+    def test_one_tick_is_one_store_call_whatever_its_size(self, kv):
         keys, values = kv
         store = _CountingStore(keys, values)
 
         async def main():
-            srv = CoalescingIndexServer(store, max_batch=8)
-            reqs = [keys[i * 3:(i + 1) * 3] for i in range(5)]
+            srv = CoalescingIndexServer(store)
+            reqs = [keys[:500], keys[500:503], keys[503:504]]
             results = await asyncio.gather(
                 *(srv.lookup_batch(r) for r in reqs)
             )
             for r, (vals, found) in zip(reqs, results):
                 assert found.all()
                 assert np.array_equal(vals, r * 3)
+            return srv.stats
 
-        asyncio.run(main())
-        # 5 requests x 3 keys with max_batch=8: chunks of 6, 6, 3 —
-        # never a request split across store calls.
-        assert store.point_calls == [6, 6, 3]
+        stats = asyncio.run(main())
+        # Never chunked: the large request and its neighbours share one
+        # 504-key store call, each sliced back to its own keys.
+        assert store.point_calls == [504]
+        assert stats.ticks == 1
 
-    def test_oversized_request_forms_own_chunk(self, kv):
+    def test_each_tick_flushes_only_its_own_requests(self, kv):
         keys, values = kv
         store = _CountingStore(keys, values)
 
         async def main():
-            srv = CoalescingIndexServer(store, max_batch=4)
-            big = keys[:10]
-            (vals, found), small = await asyncio.gather(
-                srv.lookup_batch(big), srv.lookup(int(keys[0]))
+            srv = CoalescingIndexServer(store)
+            first = await srv.lookup(int(keys[0]))
+            # Staggered arrivals do not wait for one another: each is
+            # served by the tick after it was queued.
+            second = await srv.lookup(int(keys[1]))
+            pair = await asyncio.gather(
+                srv.lookup(int(keys[2])), srv.lookup(int(keys[3]))
             )
-            assert found.all() and np.array_equal(vals, big * 3)
-            assert small == int(keys[0]) * 3
+            assert [first, second, *pair] == [int(k) * 3 for k in keys[:4]]
+            return srv.stats
 
-        asyncio.run(main())
-        assert sorted(store.point_calls) == [1, 10]
+        stats = asyncio.run(main())
+        assert store.point_calls == [1, 1, 2]
+        assert stats.ticks == 3
+        assert stats.empty_ticks == 0
 
     def test_exception_isolated_to_poisoned_request(self, kv):
         keys, values = kv
@@ -288,24 +295,33 @@ class TestCoalescer:
         assert stats.fallback_requests == 4
         assert stats.requests_served == 3
 
+    # Cancellation inside the tick: ``ensure_future`` the requests,
+    # ``sleep(0)`` so they queue (the flush callback is now scheduled),
+    # then cancel before that callback runs.
+
     def test_cancellation_mid_window(self, kv):
         keys, values = kv
         store = _CountingStore(keys, values)
 
         async def main():
-            srv = CoalescingIndexServer(store, max_wait=0.05)
-            doomed = asyncio.ensure_future(srv.lookup(int(keys[0])))
-            kept = asyncio.ensure_future(srv.lookup(int(keys[1])))
-            await asyncio.sleep(0.005)  # inside the window
+            srv = CoalescingIndexServer(store)
+            tasks = [
+                asyncio.ensure_future(srv.lookup(int(k)))
+                for k in keys[:4]
+            ]
+            await asyncio.sleep(0)  # all four queued, flush pending
+            doomed, kept = tasks[0], tasks[1:]
             doomed.cancel()
-            assert await kept == int(keys[1]) * 3
+            assert await asyncio.gather(*kept) == [
+                int(k) * 3 for k in keys[1:4]
+            ]
             with pytest.raises(asyncio.CancelledError):
                 await doomed
             return srv.stats
 
         stats = asyncio.run(main())
         # The cancelled request never reached the store.
-        assert store.point_calls == [1]
+        assert store.point_calls == [3]
         assert stats.requests_cancelled == 1
 
     def test_client_timeout_then_recovery(self, kv):
@@ -313,11 +329,12 @@ class TestCoalescer:
         store = _CountingStore(keys, values)
 
         async def main():
-            srv = CoalescingIndexServer(store, max_wait=0.2)
+            srv = CoalescingIndexServer(store)
+            request = asyncio.ensure_future(srv.lookup(int(keys[0])))
+            await asyncio.sleep(0)  # queued, flush pending
             with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    srv.lookup(int(keys[0])), timeout=0.01
-                )
+                # A zero timeout cancels before the flush runs.
+                await asyncio.wait_for(request, timeout=0)
             # The server stays healthy for later clients.
             assert await srv.lookup(int(keys[1])) == int(keys[1]) * 3
             return srv.stats
@@ -331,7 +348,7 @@ class TestCoalescer:
         store = _CountingStore(keys, values)
 
         async def main():
-            srv = CoalescingIndexServer(store, max_wait=0.02)
+            srv = CoalescingIndexServer(store)
             tasks = [
                 asyncio.ensure_future(srv.lookup(int(k)))
                 for k in keys[:4]
@@ -339,7 +356,7 @@ class TestCoalescer:
             await asyncio.sleep(0)
             for t in tasks:
                 t.cancel()
-            await asyncio.sleep(0.05)  # let the window expire
+            await asyncio.sleep(0)  # the flush runs
             return srv.stats
 
         stats = asyncio.run(main())
@@ -348,52 +365,9 @@ class TestCoalescer:
         assert stats.empty_ticks >= 1
         assert stats.requests_cancelled == 4
 
-    def test_max_wait_window_accumulates_stragglers(self, kv):
-        keys, values = kv
-        store = _CountingStore(keys, values)
-
-        async def main():
-            srv = CoalescingIndexServer(store, max_wait=0.1)
-            tasks = []
-            for k in keys[:3]:
-                tasks.append(
-                    asyncio.ensure_future(srv.lookup(int(k)))
-                )
-                await asyncio.sleep(0.005)  # staggered arrivals
-            results = await asyncio.gather(*tasks)
-            assert results == [int(k) * 3 for k in keys[:3]]
-
-        asyncio.run(main())
-        # All three staggered arrivals landed in one window.
-        assert store.point_calls == [3]
-
-    def test_full_window_flushes_before_timer(self, kv):
-        keys, values = kv
-        store = _CountingStore(keys, values)
-
-        async def main():
-            srv = CoalescingIndexServer(
-                store, max_wait=10.0, max_batch=2
-            )
-            # Without the overflow flush this would wait 10 seconds.
-            results = await asyncio.wait_for(
-                asyncio.gather(
-                    srv.lookup(int(keys[0])), srv.lookup(int(keys[1]))
-                ),
-                timeout=1.0,
-            )
-            assert results == [int(keys[0]) * 3, int(keys[1]) * 3]
-
-        asyncio.run(main())
-        assert store.point_calls == [2]
-
     def test_bad_args(self, kv):
         keys, values = kv
         store = _CountingStore(keys, values)
-        with pytest.raises(ValueError):
-            CoalescingIndexServer(store, max_wait=-1)
-        with pytest.raises(ValueError):
-            CoalescingIndexServer(store, max_batch=0)
 
         async def main():
             srv = CoalescingIndexServer(store)
