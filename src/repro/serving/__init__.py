@@ -18,7 +18,7 @@ et al., 2012.12501):
 """
 
 from .coalescer import CoalescingIndexServer
-from .sharded import ShardedLSMStore, ShardedSnapshot
+from .sharded import ShardedLSMStore, ShardedSnapshot, ShardUnavailable
 from .splitter import CDFSplitter
 
 __all__ = [
@@ -26,4 +26,5 @@ __all__ = [
     "CDFSplitter",
     "ShardedLSMStore",
     "ShardedSnapshot",
+    "ShardUnavailable",
 ]

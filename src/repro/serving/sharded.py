@@ -21,6 +21,21 @@ flavours:
 ``via="auto"`` (default) picks by per-shard sub-batch size; a worker
 answers its sub-batch through the same ``ReadView`` code in its store.
 
+Wire form: every message in both directions — command, ack, error
+ack, the spawn-time ack — is one frame, sent with one
+``Connection.send_bytes``.  A frame is a fixed 16-byte header (op code,
+array count, tail length, per-shard sequence number), one 16-byte
+``(dtype char, length)`` entry per array, the arrays' raw buffers (each
+padded to 8 bytes, so decoded views are aligned), then an optional
+tail, pickled with the connection's own pickler, for everything that is
+not an array: epoch descriptor, trace context, obs payload, error text,
+``backup`` destination, ``stats`` dict.  Reads carry no tail unless
+telemetry is on, so a read round trip pickles nothing; the receiver
+decodes each array as a read-only ``np.frombuffer`` view of the frame.
+An ack echoes its command's sequence number.  A closed or broken pipe,
+or an ack whose number is not its command's, raises
+:class:`ShardUnavailable` and fails the store closed.
+
 Consistency: each worker ack carries the shard's current epoch (run
 set + memtable view triple) and the client adopts it before issuing
 another command, so a client that writes then reads always sees its
@@ -40,8 +55,10 @@ loop thread, where the contract holds by construction.
 from __future__ import annotations
 
 import os
+import struct
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
@@ -70,10 +87,16 @@ from .shm import (
     attach_run,
     default_prefix,
     segment_names,
+    unlink_segments,
 )
 from .splitter import CDFSplitter
 
-__all__ = ["ShardedLSMStore", "ShardedSnapshot", "ShardedMetrics"]
+__all__ = [
+    "ShardedLSMStore",
+    "ShardedSnapshot",
+    "ShardedMetrics",
+    "ShardUnavailable",
+]
 
 #: ``via="auto"`` fans a read out to the workers once the *per-shard*
 #: sub-batch reaches this size; below it, the pipe round-trip costs
@@ -81,6 +104,58 @@ __all__ = ["ShardedLSMStore", "ShardedSnapshot", "ShardedMetrics"]
 WORKER_BATCH_THRESHOLD = 2_048
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+#: Frame op names; a name's index is its code on the wire.
+_OPS = (
+    "ack", "error", "close", "insert_batch", "delete_batch", "flush",
+    "compact", "lookup_batch", "range_query_batch", "range_items_batch",
+    "backup", "stats",
+)
+_OP_CODES = {op: code for code, op in enumerate(_OPS)}
+#: Op code, array count, tail length, per-shard sequence number.
+_HEADER = struct.Struct("<HHIQ")
+#: One per array: dtype char, element count.
+_ENTRY = struct.Struct("<c7xQ")
+_PAD = tuple(bytes(n) for n in range(8))
+
+
+class ShardUnavailable(RuntimeError):
+    """A shard worker stopped answering: its pipe closed or broke, or
+    an ack arrived that is not its command's.  The store fails closed —
+    every later call raises this too — since a command may still be in
+    flight whose ack a later call would read as its own.  An exception
+    inside a worker is relayed as a plain ``RuntimeError`` instead, and
+    the store stays usable."""
+
+
+def _encode(op: str, seq: int, arrays=(), tail: dict | None = None) -> bytes:
+    """One frame (see the module docstring): header, array entries,
+    the raw buffers 8-aligned, then ``tail`` pickled unless empty."""
+    arrays = [np.ascontiguousarray(a) for a in arrays]
+    tail = ForkingPickler.dumps(tail) if tail else b""
+    parts = [_HEADER.pack(_OP_CODES[op], len(arrays), len(tail), seq)]
+    parts += [_ENTRY.pack(a.dtype.char.encode(), a.size) for a in arrays]
+    for a in arrays:
+        parts += (a, _PAD[-a.nbytes % 8])
+    parts.append(tail)
+    return b"".join(parts)
+
+
+def _decode(frame: bytes) -> tuple[str, int, list, dict]:
+    """``(op, seq, arrays, tail)`` of one frame; every array is a
+    read-only view of ``frame``, and an absent tail reads as ``{}``."""
+    code, count, tail_len, seq = _HEADER.unpack_from(frame)
+    offset = _HEADER.size + count * _ENTRY.size
+    arrays = []
+    for entry in range(count):
+        char, size = _ENTRY.unpack_from(
+            frame, _HEADER.size + entry * _ENTRY.size
+        )
+        array = np.frombuffer(frame, char, size, offset)
+        arrays.append(array)
+        offset += array.nbytes + -array.nbytes % 8
+    tail = ForkingPickler.loads(frame[offset:]) if tail_len else {}
+    return _OPS[code], seq, arrays, tail
 
 
 def _try_close(shm) -> bool:
@@ -118,11 +193,11 @@ def _shard_worker(
     spawn time (a spawned interpreter re-imports ``repro.obs.state``,
     so a runtime ``set_enabled`` would otherwise not propagate).  When
     on, each command executes under the client's adopted trace context
-    inside a ``worker.<op>`` span, and the ack piggybacks ``{"obs":
-    {"spans": [...], "metrics": delta}}`` — the finished span records
-    plus the registry delta since the previous ack.  Workers are
-    purely command-driven (``background=False``), so ack-time deltas
-    are complete: merging every delta reconstructs the worker's
+    inside a ``worker.<op>`` span, and the ack's tail piggybacks
+    ``"obs": {"spans": [...], "metrics": delta}`` — the finished span
+    records plus the registry delta since the previous ack.  Workers
+    are purely command-driven (``background=False``), so ack-time
+    deltas are complete: merging every delta reconstructs the worker's
     registry exactly.
     """
     if obs_enabled:
@@ -145,46 +220,47 @@ def _shard_worker(
             return publisher.publish(store)
 
     try:
-        conn.send({"ok": True, "epoch": publisher.publish(store)})
+        conn.send_bytes(
+            _encode("ack", 0, tail={"epoch": publisher.publish(store)})
+        )
         while True:
-            cmd = conn.recv()
+            op, seq, arrays, tail = _decode(conn.recv_bytes())
             # A new command proves the client processed the previous
             # ack (it adopts epochs before sending again), so every
             # segment that ack superseded is now unreferenced.
             publisher.unlink_retired()
-            op = cmd["op"]
             if op == "close":
-                conn.send({"ok": True, "result": None, "epoch": None})
+                conn.send_bytes(_encode("ack", seq))
                 return
+            kind, result, reply = "ack", (), {}
             try:
-                result = None
-                epoch = None
-                with tracing.adopt(cmd.get("trace")), tracing.span(
+                with tracing.adopt(tail.get("trace")), tracing.span(
                     "worker." + op, shard=shard_id
                 ):
                     if op == "insert_batch":
-                        store.insert_batch(cmd["keys"], cmd["values"])
-                        epoch = publish()
+                        store.insert_batch(*arrays)
+                        reply["epoch"] = publish()
                     elif op == "delete_batch":
-                        store.delete_batch(cmd["keys"])
-                        epoch = publish()
+                        store.delete_batch(*arrays)
+                        reply["epoch"] = publish()
                     elif op == "flush":
                         store.flush()
-                        epoch = publish()
+                        reply["epoch"] = publish()
                     elif op == "compact":
                         store.compact()
-                        epoch = publish()
+                        reply["epoch"] = publish()
                     elif op == "lookup_batch":
-                        result = store.lookup_batch(cmd["keys"])
+                        result = store.lookup_batch(*arrays)
                     elif op in ("range_query_batch", "range_items_batch"):
                         result = _range_answer(
-                            store, cmd["lows"], cmd["highs"],
-                            op == "range_items_batch",
+                            store, *arrays, op == "range_items_batch"
                         )
                     elif op == "backup":
-                        store.backup(cmd["dest"])
+                        store.backup(
+                            os.path.join(tail["dest"], f"shard-{shard_id}")
+                        )
                     elif op == "stats":
-                        result = {
+                        reply["stats"] = {
                             "num_runs": store.num_runs,
                             "live_keys": int(len(store)),
                             "seals": store.write_stats.seals,
@@ -193,21 +269,15 @@ def _shard_worker(
                         }
                     else:
                         raise ValueError(f"unknown op {op!r}")
-                ack = {"ok": True, "result": result, "epoch": epoch}
-                if obs_state.enabled:
-                    ack["obs"] = obs_payload()
-                conn.send(ack)
             except Exception as exc:  # noqa: BLE001 — relayed to client
-                err_ack = {
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-                if obs_state.enabled:
-                    # Ship (and clear) telemetry on failures too, so a
-                    # failed command's spans don't leak into the next
-                    # ack's trace.
-                    err_ack["obs"] = obs_payload()
-                conn.send(err_ack)
+                kind, result = "error", ()
+                reply = {"error": f"{type(exc).__name__}: {exc}"}
+            if obs_state.enabled:
+                # Ship (and clear) telemetry on failures too, so a
+                # failed command's spans don't leak into the next
+                # ack's trace.
+                reply["obs"] = obs_payload()
+            conn.send_bytes(_encode(kind, seq, result, reply))
     finally:
         publisher.close()
         store.close()
@@ -394,6 +464,11 @@ class ShardedLSMStore(KVSurface):
         ctx = get_context("spawn")
         self._procs = []
         self._conns = []
+        #: Sequence number of the last command sent, per shard (the
+        #: spawn-time ack answers 0).
+        self._seq = [0] * self.num_shards
+        #: Why the store failed closed (see :class:`ShardUnavailable`).
+        self._failed: str | None = None
         self._closed = False
         self._caches: list[dict] = [{} for _ in range(self.num_shards)]
         #: Superseded-but-pinned epochs per shard.
@@ -420,34 +495,58 @@ class ShardedLSMStore(KVSurface):
                 self._procs.append(proc)
                 self._conns.append(parent)
             for shard in range(self.num_shards):
-                ack = self._recv(shard)
-                self._adopt(shard, ack["epoch"])
+                self._recv(shard)
         except BaseException:
             self.close()
             raise
 
     # -- protocol plumbing -----------------------------------------------------
 
-    def _recv(self, shard: int) -> dict:
+    def _unavailable(self, shard: int, reason: str) -> ShardUnavailable:
+        """Fail the store closed and return the error to raise."""
+        self._failed = f"shard {shard} unavailable: {reason}"
+        return ShardUnavailable(self._failed)
+
+    def _send(self, shard: int, op: str, arrays, tail) -> None:
+        self._seq[shard] += 1
+        frame = _encode(op, self._seq[shard], arrays, tail)
         try:
-            ack = self._conns[shard].recv()
-        except EOFError:
-            raise RuntimeError(f"shard {shard} worker died") from None
-        payload = ack.pop("obs", None)
+            self._conns[shard].send_bytes(frame)
+        except ConnectionError as exc:
+            raise self._unavailable(shard, repr(exc)) from exc
+
+    def _recv(self, shard: int) -> tuple[list, dict]:
+        """The ack to ``shard``'s last command as ``(arrays, tail)``,
+        its telemetry absorbed and its epoch adopted.  A relayed worker
+        exception raises ``RuntimeError``; a lost shard, or an ack left
+        unread by an interrupted call, :class:`ShardUnavailable`."""
+        try:
+            frame = self._conns[shard].recv_bytes()
+        except (EOFError, ConnectionError) as exc:
+            raise self._unavailable(shard, repr(exc)) from exc
+        kind, seq, arrays, tail = _decode(frame)
+        if seq != self._seq[shard]:
+            raise self._unavailable(
+                shard, f"ack {seq} to command {self._seq[shard]}"
+            )
+        payload = tail.get("obs")
         if payload is not None:
-            # Absorb telemetry before the ok-check so a failing
+            # Absorb telemetry before the error check so a failing
             # command still lands its spans and metric deltas.
             self._shard_metrics[shard].merge(payload["metrics"])
             tracing.record_spans(payload["spans"])
-        if not ack.get("ok"):
-            raise RuntimeError(
-                f"shard {shard}: {ack.get('error', 'unknown error')}"
-            )
-        return ack
+        if kind == "error":
+            raise RuntimeError(f"shard {shard}: {tail['error']}")
+        if tail.get("epoch") is not None:
+            self._adopt(shard, tail["epoch"])
+        return arrays, tail
 
-    def _fanout(self, commands: dict[int, dict]) -> dict[int, dict]:
-        """Send one command per shard, then collect acks — the workers
-        execute concurrently between the two loops.
+    def _fanout(
+        self, op: str, commands: dict[int, tuple], tail: dict | None = None
+    ) -> dict[int, tuple[list, dict]]:
+        """Send ``op`` to every shard in ``commands`` (shard -> its
+        arrays; ``tail`` goes to each), then collect ``(arrays, tail)``
+        acks — the workers execute concurrently between the two loops.
 
         With obs enabled the whole exchange runs inside a
         ``sharded.fanout`` span, and each command carries the trace
@@ -455,29 +554,27 @@ class ShardedLSMStore(KVSurface):
         parent onto the fanout in the exported timeline.
         """
         if obs_state.enabled and commands:
-            op = next(iter(commands.values()))["op"]
             with tracing.span("sharded.fanout", op=op, shards=len(commands)):
                 wire = tracing.wire_context()
                 if wire is not None:
-                    for cmd in commands.values():
-                        cmd["trace"] = wire
-                return self._fanout_inner(commands)
-        return self._fanout_inner(commands)
+                    tail = {**(tail or {}), "trace": wire}
+                return self._exchange(op, commands, tail)
+        return self._exchange(op, commands, tail)
 
-    def _fanout_inner(self, commands: dict[int, dict]) -> dict[int, dict]:
-        for shard, cmd in commands.items():
-            self._conns[shard].send(cmd)
-        acks: dict[int, dict] = {}
+    def _exchange(
+        self, op: str, commands: dict[int, tuple], tail: dict | None
+    ) -> dict[int, tuple[list, dict]]:
+        for shard, arrays in commands.items():
+            self._send(shard, op, arrays, tail)
+        acks = {}
         errors = []
         for shard in commands:
             try:
-                ack = self._recv(shard)
+                acks[shard] = self._recv(shard)
+            except ShardUnavailable:
+                raise
             except RuntimeError as exc:
                 errors.append(exc)
-                continue
-            if ack.get("epoch") is not None:
-                self._adopt(shard, ack["epoch"])
-            acks[shard] = ack
         if errors:
             raise errors[0]
         return acks
@@ -539,31 +636,27 @@ class ShardedLSMStore(KVSurface):
         sub-batch write per shard."""
         self._ensure_open()
         op = "insert_batch" if kind == RECORD_PUT else "delete_batch"
-        self._fanout({
-            shard: {
-                "op": op,
-                "keys": keys[idx],
-                "values": values if values is None else values[idx],
-            }
+        self._fanout(op, {
+            shard: (keys[idx],) if values is None else (keys[idx], values[idx])
             for shard, idx in self._split(keys).items()
         })
 
+    def _every_shard(self) -> dict[int, tuple]:
+        return dict.fromkeys(range(self.num_shards), ())
+
     def flush(self) -> None:
         self._ensure_open()
-        self._fanout({s: {"op": "flush"} for s in range(self.num_shards)})
+        self._fanout("flush", self._every_shard())
 
     def compact(self) -> None:
         self._ensure_open()
-        self._fanout({s: {"op": "compact"} for s in range(self.num_shards)})
+        self._fanout("compact", self._every_shard())
 
     def backup(self, dest: str) -> None:
         """Per-shard backups under ``dest/shard-<i>`` (hard-link
         snapshots — see :meth:`LearnedLSMStore.backup`)."""
         self._ensure_open()
-        self._fanout({
-            s: {"op": "backup", "dest": os.path.join(dest, f"shard-{s}")}
-            for s in range(self.num_shards)
-        })
+        self._fanout("backup", self._every_shard(), {"dest": dest})
 
     # -- read path -------------------------------------------------------------
 
@@ -638,11 +731,10 @@ class ShardedLSMStore(KVSurface):
             self.registry.counter("serving.sharded.lookup.worker_keys").inc(
                 int(queries.size)
             )
-            acks = self._fanout({
-                shard: {"op": "lookup_batch", "keys": queries[idx]}
-                for shard, idx in parts.items()
+            acks = self._fanout("lookup_batch", {
+                shard: (queries[idx],) for shard, idx in parts.items()
             })
-            answers = {shard: ack["result"] for shard, ack in acks.items()}
+            answers = {shard: arrays for shard, (arrays, _) in acks.items()}
         for shard, idx in parts.items():
             values[idx], found[idx] = answers[shard]
         return values, found
@@ -674,11 +766,10 @@ class ShardedLSMStore(KVSurface):
             }
         else:
             op = "range_items_batch" if with_values else "range_query_batch"
-            acks = self._fanout({
-                shard: {"op": op, "lows": lows[sel], "highs": highs[sel]}
-                for shard, sel in parts.items()
+            acks = self._fanout(op, {
+                shard: (lows[sel], highs[sel]) for shard, sel in parts.items()
             })
-            answers = {shard: ack["result"] for shard, ack in acks.items()}
+            answers = {shard: arrays for shard, (arrays, _) in acks.items()}
         # Pieces concatenate in ascending shard order; a stable sort by
         # range id then keeps shard order within each range, and shard
         # intervals ascend, so each range's keys come out sorted.
@@ -702,10 +793,8 @@ class ShardedLSMStore(KVSurface):
     def shard_stats(self) -> list[dict]:
         """Per-shard store statistics, straight from the workers."""
         self._ensure_open()
-        acks = self._fanout(
-            {s: {"op": "stats"} for s in range(self.num_shards)}
-        )
-        return [acks[s]["result"] for s in range(self.num_shards)]
+        acks = self._fanout("stats", self._every_shard())
+        return [acks[s][1]["stats"] for s in range(self.num_shards)]
 
     def metrics(self) -> ShardedMetrics:
         """One merged cross-process registry + per-shard breakdown.
@@ -726,20 +815,27 @@ class ShardedLSMStore(KVSurface):
             merged=merged,
         )
 
+    def _ensure_open(self) -> None:
+        super()._ensure_open()
+        if self._failed is not None:
+            raise ShardUnavailable(f"store failed closed: {self._failed}")
+
     def close(self) -> None:
         """Stop every worker and release every mapping; idempotent.
-        Outstanding snapshots become invalid."""
+        Outstanding snapshots become invalid.  Segments a killed worker
+        never unlinked are unlinked here."""
         if self._closed:
             return
         self._closed = True
+        close = _encode("close", 0)
         for conn in self._conns:
             try:
-                conn.send({"op": "close"})
+                conn.send_bytes(close)
             except (OSError, ValueError):
                 pass
         for conn in self._conns:
             try:
-                conn.recv()
+                conn.recv_bytes()
             except (EOFError, OSError):
                 pass
         for proc in self._procs:
@@ -747,6 +843,8 @@ class ShardedLSMStore(KVSurface):
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
                 proc.join(timeout=5)
+        for shard, proc in enumerate(self._procs):
+            unlink_segments(default_prefix(shard, proc.pid))
         for conn in self._conns:
             conn.close()
         for shard in range(self.num_shards):

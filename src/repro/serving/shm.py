@@ -39,6 +39,7 @@ does, on this platform), so worker-side ``unlink`` plus client-side
 from __future__ import annotations
 
 import os
+import re
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -51,9 +52,13 @@ __all__ = [
     "attach_run",
     "attach_memtable",
     "segment_names",
+    "unlink_segments",
 ]
 
 _ALIGN = 8
+
+#: Where POSIX shared-memory segments live as files on Linux.
+_SHM_DIR = "/dev/shm"
 
 #: Section names of a published memtable view triple, in order.
 _MEM_SECTIONS = ("put_keys", "put_values", "tomb_keys")
@@ -124,6 +129,8 @@ class RunPublisher:
         self._counter = 0
 
     def _new_name(self, tag: str) -> str:
+        """``prefix`` + ``r`` (run) or ``m`` (memtable) + a counter —
+        the names :func:`unlink_segments` matches."""
         self._counter += 1
         return f"{self._prefix}{tag}{self._counter:06d}"
 
@@ -242,6 +249,28 @@ def segment_names(epoch_desc: dict) -> set[str]:
     return names
 
 
-def default_prefix(shard: int) -> str:
-    """A segment-name prefix unique per (process, shard)."""
-    return f"rsv{os.getpid()}s{shard}"
+def default_prefix(shard: int, pid: int | None = None) -> str:
+    """A segment-name prefix unique per (process, shard): this
+    process's, or that of process ``pid``."""
+    return f"rsv{os.getpid() if pid is None else pid}s{shard}"
+
+
+def unlink_segments(prefix: str) -> None:
+    """Unlink every segment a :class:`RunPublisher` with ``prefix``
+    left behind — all of them, when its process was killed before
+    :meth:`RunPublisher.close` ran.  Mappings stay valid."""
+    if not os.path.isdir(_SHM_DIR):
+        return
+    published = re.compile(re.escape(prefix) + r"[rm]\d+")
+    for name in os.listdir(_SHM_DIR):
+        if not published.fullmatch(name):
+            continue
+        # Attach rather than os.unlink: SharedMemory.unlink also drops
+        # the name from the resource tracker, which would otherwise
+        # report it leaked at exit.
+        try:
+            shm = shared_memory.SharedMemory(name=name)
+        except FileNotFoundError:
+            continue
+        shm.unlink()
+        shm.close()

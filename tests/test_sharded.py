@@ -11,17 +11,24 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import multiprocessing
+import os
+import re
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.lsm.store import KVSurface, LearnedLSMStore, ReadView, StoreSnapshot
 from repro.serving import (
     CDFSplitter,
     CoalescingIndexServer,
     ShardedLSMStore,
+    ShardUnavailable,
     sharded,
 )
+from repro.serving.shm import default_prefix
 
 def _dataset(seed: int = 7, n: int = 20_000):
     rng = np.random.default_rng(seed)
@@ -342,6 +349,189 @@ class TestShardedWrites:
                     np.array([1, 2], dtype=np.int64),
                     np.array([1], dtype=np.int64),
                 )
+
+
+# -- wire form: one raw frame per message, and a lost shard fails closed -------
+
+_LO, _HI = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+_EPOCH = {"runs": [{"name": "rsv1s0r000001"}], "memtable": None}
+
+
+def _obs_tail() -> dict:
+    registry = obs.MetricsRegistry()
+    registry.counter("serving.sharded.test").inc(3)
+    span = {"name": "worker.flush", "trace_id": "t1", "span_id": "s1"}
+    return {"spans": [span], "metrics": registry.snapshot()}
+
+
+#: id -> (op, arrays, tail): every command and ack shape the store sends.
+_FRAMES = {
+    "close": ("close", (), None),
+    "flush_traced": ("flush", (), {"trace": {"trace_id": "t1"}}),
+    "backup": ("backup", (), {"dest": "/some/dir"}),
+    "lookup_empty": ("lookup_batch", (np.empty(0, dtype=np.int64),), None),
+    "lookup_one": ("lookup_batch", (np.array([42]),), None),
+    "insert_extremes": (
+        "insert_batch",
+        (np.array([_LO, -1, 0, _HI]), np.array([_HI, 7, 0, _LO])),
+        None,
+    ),
+    "delete": ("delete_batch", (np.array([5, 3, 5]),), None),
+    "range_float_ends": (
+        "range_items_batch",
+        (np.array([1.5, -np.inf]), np.array([7.5, 2.0])),
+        None,
+    ),
+    "lookup_ack": (
+        "ack", (np.array([7, 0, _LO]), np.array([True, False, True])), None,
+    ),
+    "range_items_ack": (
+        "ack", (np.arange(5), np.array([0, 2, 5]), np.arange(5) * 7), None,
+    ),
+    "over_16k": (  # Connection sends header and body separately
+        "ack", (np.arange(4_001), np.arange(4_001) % 3 == 0), None,
+    ),
+    "write_ack": ("ack", (), {"epoch": _EPOCH, "obs": _obs_tail()}),
+    "stats_ack": ("ack", (), {"stats": {"num_runs": 2, "memtable": 0}}),
+    "error_ack": ("error", (), {"error": "OSError: busy", "obs": _obs_tail()}),
+    "spawn_ack": ("ack", (), {"epoch": {"runs": [], "memtable": None}}),
+}
+
+
+def _plain(tail: dict) -> dict:
+    if "obs" not in tail:
+        return tail
+    metrics = tail["obs"]["metrics"].to_dict()
+    return {**tail, "obs": {**tail["obs"], "metrics": metrics}}
+
+
+@pytest.mark.parametrize(
+    "op, arrays, tail", _FRAMES.values(), ids=list(_FRAMES)
+)
+def test_frame_round_trip(op, arrays, tail):
+    sent = sharded._encode(op, 2**40 + 3, arrays, tail)
+    near, far = multiprocessing.Pipe()
+    try:
+        near.send_bytes(sent)
+        frame = far.recv_bytes()
+    finally:
+        near.close()
+        far.close()
+    assert frame == sent
+    got_op, seq, got, got_tail = sharded._decode(frame)
+    assert (got_op, seq) == (op, 2**40 + 3)
+    assert len(got) == len(arrays)
+    for array, want in zip(got, arrays):
+        assert array.dtype == want.dtype
+        assert np.array_equal(array, want)
+        assert array.base is frame
+        assert array.flags.aligned and not array.flags.writeable
+    assert _plain(got_tail) == _plain(tail or {})
+    if op == "lookup_batch":  # a read command carries no tail
+        assert len(frame) == 16 + 16 + -(-arrays[0].nbytes // 8) * 8
+
+
+def test_worker_reads_pickle_nothing_on_the_client(bulk, monkeypatch):
+    keys, _values, store, oracle = bulk
+    dumps = []
+    real = ForkingPickler.dumps
+
+    def counting_dumps(cls, obj, protocol=None):
+        dumps.append(obj)
+        return real(obj, protocol)
+
+    monkeypatch.setattr(ForkingPickler, "dumps", classmethod(counting_dumps))
+    queries = keys[::311][:64]
+    lows, highs = keys[:40:10], keys[5:45:10]
+    prev = obs.set_enabled(False)
+    try:
+        values, found = store.lookup_batch(queries, via="worker")
+        scan = store.range_query_batch(lows, highs, via="worker")
+    finally:
+        obs.set_enabled(prev)
+    assert dumps == []
+    assert found.all()
+    assert np.array_equal(values, oracle.lookup_batch(queries)[0])
+    assert np.array_equal(
+        np.asarray(scan.values),
+        np.asarray(oracle.range_query_batch(lows, highs).values),
+    )
+
+
+def test_decoded_arrays_are_read_only_and_never_written(tmp_path):
+    """A worker hands frame views straight to its store: every write,
+    read and range op, the WAL and a seal must take them read-only."""
+    keys = np.array([9, 3, 7, 3, 2**62], dtype=np.int64)
+
+    def views(*arrays):
+        got = sharded._decode(sharded._encode("ack", 1, arrays))[2]
+        assert not any(a.flags.writeable for a in got)
+        return got
+
+    path = str(tmp_path / "store")
+    with LearnedLSMStore(
+        path=path, background=False, memtable_capacity=4
+    ) as store:
+        store.insert_batch(*views(keys, keys + 1))
+        assert store.num_runs == 1  # the seal built a run from them
+        store.delete_batch(*views(keys[:1]))
+        store.insert_batch(*views(np.array([11])))
+        assert store.lookup_batch(*views(keys))[1].tolist() == [
+            False, True, True, True, True
+        ]
+        lows, highs = views(np.array([0, 5]), np.array([8, 2**62]))
+        assert [list(r) for r in store.range_query_batch(lows, highs)] == [
+            [3, 7], [7, 11, 2**62]
+        ]
+        scan, payloads = store.range_items_batch(lows, highs)
+        assert payloads.tolist() == [4, 8, 8, 11, 2**62 + 1]
+    with LearnedLSMStore(path=path, background=False) as reopened:
+        values, _found = reopened.lookup_batch(keys)
+        assert values.tolist() == [0, 4, 8, 4, 2**62 + 1]
+
+
+def _kill_worker(store, shard):
+    proc = store._procs[shard]
+    proc.kill()
+    proc.join(timeout=10)
+    assert proc.exitcode is not None
+
+
+def _stray_command(store, shard):
+    # A command the client did not count: its ack arrives first.
+    store._conns[shard].send_bytes(sharded._encode("stats", 0))
+
+
+def _segments(pid: int, shard: int) -> list:
+    prefix = re.escape(default_prefix(shard, pid))
+    return [n for n in os.listdir("/dev/shm") if re.match(prefix + "[rm]", n)]
+
+
+@pytest.mark.parametrize(
+    "fault", [_kill_worker, _stray_command], ids=["killed", "stray_ack"]
+)
+def test_lost_shard_fails_closed_and_leaves_nothing(fault):
+    keys = np.arange(0, 2_000, 2, dtype=np.int64)
+    store = ShardedLSMStore(2, keys, keys * 10, read_via="worker")
+    pids = [proc.pid for proc in store._procs]
+    try:
+        owner = store.splitter.shard_of_batch(keys)
+        first, second = keys[owner == 0], keys[owner == 1]
+        fault(store, 1)
+        with pytest.raises(ShardUnavailable, match="shard 1"):
+            store.lookup_batch(np.concatenate([first[:8], second[:8]]))
+        # An ack of that call is still unread; a store that read it as
+        # this call's answer would return the first call's values.
+        with pytest.raises(ShardUnavailable):
+            store.lookup_batch(first[100:108])
+        with pytest.raises(ShardUnavailable):
+            store.insert(1, 1)
+        if fault is _kill_worker:
+            assert _segments(pids[1], 1)  # a killed worker unlinks nothing
+    finally:
+        store.close()
+    assert not any(proc.is_alive() for proc in store._procs)
+    assert _segments(pids[0], 0) == _segments(pids[1], 1) == []
 
 
 # -- one read state: every holder answers through ReadView ---------------------
