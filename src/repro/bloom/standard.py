@@ -21,6 +21,18 @@ from ..hashmap.hashing import murmur3_string, murmur_fmix64, murmur_fmix64_batch
 
 __all__ = ["BloomFilter", "optimal_bits", "optimal_hash_count"]
 
+#: An integer :meth:`BloomFilter.contains_batch` of at least this many
+#: keys walks its probes row by row; a smaller one takes one ``(k, n)``
+#: gather.  The walk's fixed cost (~8 numpy calls per probe, ~55us at
+#: k = 7) loses on the 64-512-key sub-batches coalesced store calls
+#: hand a run; the gather's ``(k, n)`` temporaries and modulo lose from
+#: here up (the filter crossover scan of
+#: ``benchmarks/bench_small_batch_floor.py``).
+ROW_WALK_MIN_KEYS = 1024
+
+#: Probe positions are uint32 while ``p + s < 2m`` fits it, else uint64.
+_UINT32_MAX_BITS = 1 << 31
+
 
 def optimal_bits(n: int, fpr: float) -> int:
     """m = -n ln(p) / (ln 2)^2, the classic optimum."""
@@ -79,21 +91,46 @@ class BloomFilter:
         m = self.num_bits
         return [(h1 + i * h2) % m for i in range(self.num_hashes)]
 
-    def _positions_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_positions` for an integer key array.
+    def _probe_start(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(p, s)``: each integer key's first bit position and step.
 
-        Returns an ``(n, k)`` int64 array of bit positions, bit-exact
-        with the scalar double-hashing schedule: ``h1``/``h2`` are the
-        two 32-bit halves of the same fmix64 hash, with the identical
-        ``h2 % m == 0`` degeneracy bump.
+        Probe ``i`` of :meth:`_positions` is ``(h1 + i*h2) mod m``,
+        which is ``(p + i*s) mod m`` for ``p = h1 mod m`` and
+        ``s = h2 mod m`` — with ``s = 1`` where ``h2 mod m == 0``,
+        the scalar path's ``h2 + 1`` bump reduced mod ``m``.  Both
+        are below ``m``, so :meth:`_probe_rows` steps from probe to
+        probe with one add and one conditional subtract, never a
+        modulo.  The dtype is unsigned and holds ``2m``.
         """
-        h = murmur_fmix64_batch(keys.astype(np.int64, copy=False), seed=1)
-        m = np.uint64(self.num_bits)
-        h1 = h & np.uint64(0xFFFFFFFF)
-        h2 = h >> np.uint64(32)
-        h2 = np.where(h2 % m == 0, h2 + np.uint64(1), h2)
-        i = np.arange(self.num_hashes, dtype=np.uint64)
-        return ((h1[:, None] + i[None, :] * h2[:, None]) % m).astype(np.int64)
+        h = murmur_fmix64_batch(keys, seed=1)
+        m = self.num_bits
+        if m <= _UINT32_MAX_BITS:
+            p = h.astype(np.uint32)  # the low 32 bits: h1
+            h >>= np.uint64(32)
+            s = h.astype(np.uint32)
+        else:
+            p = h & np.uint64(0xFFFFFFFF)
+            s = h >> np.uint64(32)
+        p %= p.dtype.type(m)
+        s %= s.dtype.type(m)
+        s[s == 0] = 1
+        return p, s
+
+    def _probe_rows(self, keys: np.ndarray):
+        """Yield probe ``0 .. k-1``'s bit positions for every key, one
+        length-n row at a time.  The row is updated in place: use it
+        before asking for the next."""
+        p, s = self._probe_start(keys)
+        m = p.dtype.type(self.num_bits)
+        wrapped = np.empty_like(p)
+        yield p
+        for _ in range(self.num_hashes - 1):
+            p += s  # < 2m: fits the dtype
+            # p - m wraps above p unless p >= m: the min subtracts m
+            # exactly where the sum passed it.
+            np.subtract(p, m, out=wrapped)
+            np.minimum(p, wrapped, out=p)
+            yield p
 
     @staticmethod
     def _as_int_array(keys) -> np.ndarray | None:
@@ -117,11 +154,14 @@ class BloomFilter:
     def add_batch(self, keys) -> None:
         """Add every key; integer arrays take one vectorized pass.
 
-        The vectorized path hashes the whole batch with
-        :func:`~repro.hashmap.hashing.murmur_fmix64_batch` and sets all
-        ``n * k`` bits with a single ``np.bitwise_or.at`` scatter —
-        this is what makes sealing an LSM memtable into a bloom-guarded
-        run cheap.  Bit-exact with the per-key loop.
+        The vectorized path hashes the whole batch once
+        (:func:`~repro.hashmap.hashing.murmur_fmix64_batch`), scatters
+        each of the ``k`` probe rows into a one-byte-per-bit scratch
+        array of ``m`` entries, and ORs its packed form into the bit
+        array — bit-exact with the per-key loop.  That costs O(m) per
+        call whatever the batch size: it is meant for building a whole
+        filter at once, as sealing or merging an LSM run does.
+        Raises ``ValueError`` on a filter adopted by :meth:`from_bytes`.
         """
         arr = self._as_int_array(keys)
         if arr is None:
@@ -130,12 +170,10 @@ class BloomFilter:
             return
         if arr.size == 0:
             return
-        positions = self._positions_batch(arr).ravel()
-        np.bitwise_or.at(
-            self._bits,
-            positions >> 3,
-            np.left_shift(np.uint8(1), (positions & 7).astype(np.uint8)),
-        )
+        hit = np.zeros(self.num_bits, dtype=bool)
+        for row in self._probe_rows(arr):
+            hit[row] = True
+        self._bits |= np.packbits(hit, bitorder="little")
         self.count += int(arr.size)
 
     def __contains__(self, key) -> bool:
@@ -149,25 +187,53 @@ class BloomFilter:
         """Batched membership: one bool per key.
 
         Integer arrays hash in one vectorized
-        :func:`~repro.hashmap.hashing.murmur_fmix64_batch` pass; for
-        string keys hashing stays per-key (murmur over strings is
-        scalar Python) but the ``k`` bit probes per key are still
-        gathered with one vectorized bitmap read per batch.
+        :func:`~repro.hashmap.hashing.murmur_fmix64_batch` pass.  From
+        :data:`ROW_WALK_MIN_KEYS` keys up, the ``k`` probes are walked
+        row by row over length-n arrays (:meth:`_contains_walk`); below
+        it all ``k * n`` positions are read with one ``(k, n)`` gather
+        (:meth:`_contains_gather`).  String keys hash per key (murmur
+        over strings is scalar Python) and take the one-shot gather.
         """
         arr = self._as_int_array(keys)
-        if arr is not None:
-            if arr.size == 0:
-                return np.zeros(0, dtype=bool)
-            positions = self._positions_batch(arr)
-        else:
-            keys = list(keys)
-            if not keys:
-                return np.zeros(0, dtype=bool)
+        if arr is None:
             positions = np.array(
                 [self._positions(key) for key in keys], dtype=np.int64
             )
-        probes = (self._bits[positions >> 3] >> (positions & 7)) & 1
-        return probes.all(axis=1)
+            return self._bits_at(positions.reshape(-1, self.num_hashes).T)
+        if arr.size >= ROW_WALK_MIN_KEYS:
+            return self._contains_walk(arr)
+        return self._contains_gather(arr)
+
+    def _bits_at(self, positions: np.ndarray) -> np.ndarray:
+        """Per column of a ``(k, n)`` position block: all bits set?"""
+        shifts = (positions & 7).astype(np.uint8)
+        return ((self._bits[positions >> 3] >> shifts) & 1).all(axis=0)
+
+    def _contains_gather(self, keys: np.ndarray) -> np.ndarray:
+        """Small integer batches: ~15 numpy calls whatever ``k``, one
+        modulo over the ``(k, n)`` block included."""
+        p, s = self._probe_start(keys)
+        positions = np.arange(self.num_hashes)[:, None] * s.astype(np.int64)
+        positions += p.astype(np.int64)
+        positions %= self.num_bits
+        return self._bits_at(positions)
+
+    def _contains_walk(self, keys: np.ndarray) -> np.ndarray:
+        """Large integer batches: a byte gather and a shift per probe
+        over contiguous length-n rows, ~8 numpy calls per probe; bit 0
+        of ``found`` stays set while every probe's bit is."""
+        n = keys.size
+        found = np.ones(n, dtype=np.uint8)
+        index = np.empty(n, dtype=np.intp)
+        byte = np.empty(n, dtype=np.uint8)
+        shift = np.empty(n, dtype=np.uint8)
+        for row in self._probe_rows(keys):
+            np.right_shift(row, 3, out=index)
+            np.take(self._bits, index, out=byte)
+            np.bitwise_and(row, 7, out=shift, casting="unsafe")
+            np.right_shift(byte, shift, out=byte)
+            found &= byte
+        return found.view(bool)
 
     # -- serialization ------------------------------------------------------------
 
@@ -187,14 +253,22 @@ class BloomFilter:
         ) + self._bits.tobytes()
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "BloomFilter":
-        """Inverse of :meth:`to_bytes`; ValueError on malformed input."""
-        if len(blob) < cls._WIRE.size:
+    def from_bytes(cls, blob) -> "BloomFilter":
+        """Inverse of :meth:`to_bytes`; ValueError on malformed input.
+
+        ``blob`` is any buffer (``bytes``, a memoryview, a uint8 array
+        over shared memory).  The filter adopts a read-only view of its
+        bit array, no copy — a run's guard is immutable — so the buffer
+        stays exported while the filter lives, and :meth:`add` /
+        :meth:`add_batch` raise ``ValueError``.
+        """
+        raw = np.frombuffer(blob, dtype=np.uint8)
+        if raw.size < cls._WIRE.size:
             raise ValueError("bloom blob too short")
-        magic, num_bits, num_hashes, count = cls._WIRE.unpack_from(blob)
+        magic, num_bits, num_hashes, count = cls._WIRE.unpack_from(raw)
         if magic != cls._WIRE_MAGIC:
             raise ValueError(f"bad bloom magic {magic!r}")
-        bits = np.frombuffer(blob, dtype=np.uint8, offset=cls._WIRE.size)
+        bits = raw[cls._WIRE.size:]
         expected = (num_bits + 7) // 8
         if bits.size != expected:
             raise ValueError(
@@ -202,7 +276,8 @@ class BloomFilter:
                 f"expected {expected}"
             )
         out = cls(num_bits, num_hashes)
-        out._bits = bits.copy()  # frombuffer views are read-only
+        bits.flags.writeable = False  # never write through to the source
+        out._bits = bits
         out.count = int(count)
         return out
 

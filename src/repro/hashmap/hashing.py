@@ -32,16 +32,27 @@ def murmur_fmix64(key: int, seed: int = 0) -> int:
     return h
 
 
+_FMIX_SHIFT = np.uint64(33)
+_FMIX_C1 = np.uint64(0xFF51AFD7ED558CCD)
+_FMIX_C2 = np.uint64(0xC4CEB9FE1A85EC53)
+
+
 def murmur_fmix64_batch(keys: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Vectorized :func:`murmur_fmix64` over a uint64 view of ``keys``."""
+    """Vectorized :func:`murmur_fmix64` over a uint64 view of ``keys``.
+
+    Array arithmetic wraps modulo 2^64 without warning, and every step
+    writes into ``h`` or one scratch array, so a call costs two
+    allocations whatever its size.
+    """
     h = np.asarray(keys).astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        h ^= np.uint64((seed * 0x9E3779B97F4A7C15) & _MASK64)
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xC4CEB9FE1A85EC53)
-        h ^= h >> np.uint64(33)
+    shifted = np.empty_like(h)
+    h ^= np.uint64((seed * 0x9E3779B97F4A7C15) & _MASK64)
+    for multiplier in (_FMIX_C1, _FMIX_C2):
+        np.right_shift(h, _FMIX_SHIFT, out=shifted)
+        h ^= shifted
+        h *= multiplier
+    np.right_shift(h, _FMIX_SHIFT, out=shifted)
+    h ^= shifted
     return h
 
 

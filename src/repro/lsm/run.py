@@ -58,10 +58,10 @@ BLOOM_FPR = 0.01
 _BLOOM_STANDARD = "standard"
 
 
-def _bloom_from_wire(meta, blob: bytes, where: str) -> BloomFilter:
-    """A run's filter from its wire bytes; ``meta`` is the run's
-    metadata (file or shared-memory descriptor), ``where`` names it in
-    the error."""
+def _bloom_from_wire(meta, blob, where: str) -> BloomFilter:
+    """A run's filter from its wire bytes (any buffer; the filter
+    adopts a view of it); ``meta`` is the run's metadata (file or
+    shared-memory descriptor), ``where`` names it in the error."""
     kind = meta.get("bloom_kind", _BLOOM_STANDARD)
     if kind != _BLOOM_STANDARD:
         raise CorruptRunError(f"{where}: unknown bloom kind {kind!r}")

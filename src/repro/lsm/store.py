@@ -147,13 +147,19 @@ _MERGE_SAVE_FSYNC_BYTES = 1 << 20
 
 #: A sub-batch this many times under a run's small-batch crossover
 #: (:func:`repro.core.engine.column_answers`) is probed without asking
-#: the run's bloom filter first.  The filter's batch pass costs ~22us +
-#: 0.1us/key whatever the run's size; the probe such a sub-batch gets
-#: is one ``searchsorted`` on the run's key column.  At 8x under the
-#: crossover (512 keys on a 16k-key run, 96 on a 131k-key run, 20 on a
-#: 500k-key run) the filter costs 1.4-4x the whole probe even when
-#: every key is absent, so it cannot pay at any hit rate (the filter
-#: table of ``benchmarks/bench_small_batch_floor.py``).
+#: the run's bloom filter first.  The filter's batch pass costs ~20us +
+#: 0.07us/key whatever the run's size (its one-shot gather; past
+#: ``repro.bloom.standard.ROW_WALK_MIN_KEYS`` keys ~55us + 0.03us/key);
+#: the probe such a sub-batch gets is one ``searchsorted`` on the run's
+#: key column, ~5us + 0.13-0.23us/key from a 16k- to a 500k-key run.
+#: At 8x under the crossover (512 keys on a 16k-key run, 96 on a
+#: 131k-key run, 40 on a 262k-key one, 20 on a 500k-key one) the filter
+#: costs 1.5-2x the whole probe even when every key is absent — except
+#: on 16k-key runs near 512 keys, where it ties (0.9-1.1x) — and 1.6-3x
+#: with three quarters of the keys present (the filter table of
+#: ``benchmarks/bench_small_batch_floor.py``).  A larger factor would
+#: ask it about the 36-40-key sub-batches a two-shard store sends its
+#: 250k-key runs, where it costs 2-3x the probe.
 UNGUARDED_PROBE_FACTOR = 8
 
 _KEY_MIN, _KEY_MAX = -(2**63), 2**63 - 1  # the int64 key domain

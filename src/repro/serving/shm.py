@@ -215,11 +215,12 @@ def attach_run(desc: dict) -> tuple[shared_memory.SharedMemory, SortedRun]:
     """
     shm, views = _attach(desc)
     try:
-        bloom = _bloom_from_wire(
-            desc, views["bloom"].tobytes(), f"shm:{desc['name']}"
-        )
-    except CorruptRunError:
-        del views  # the arrays export the mapping's buffer
+        bloom = _bloom_from_wire(desc, views["bloom"], f"shm:{desc['name']}")
+    except CorruptRunError as exc:
+        # The arrays export the mapping's buffer, and so do the frames
+        # the traceback (and the chained ValueError's) holds.
+        exc.__traceback__ = exc.__context__ = None
+        del views
         shm.close()
         raise
     run = SortedRun.from_arrays(

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from repro.bloom import BloomFilter, optimal_bits, optimal_hash_count
+from repro.bloom import standard
+from repro.bloom.standard import ROW_WALK_MIN_KEYS
+from repro.hashmap import murmur_fmix64_batch
+
+INT64_EDGES = np.array(
+    [-(2**63), -(2**63) + 1, -12_345, -1, 0, 1, 2**53 + 1, 2**63 - 1],
+    dtype=np.int64,
+)
 
 
 class TestSizing:
@@ -68,6 +76,74 @@ class TestFalsePositiveRate:
         bloom = BloomFilter.for_capacity(100, 0.01)
         bloom.add_batch([f"k{i}" for i in range(2000)])
         assert bloom.measured_fpr([f"x{i}" for i in range(2000)]) > 0.2
+
+
+def _degenerate_keys(num_bits):
+    """Keys whose step ``h2`` is 0 mod ``num_bits``: the scalar path
+    bumps it to ``h2 + 1``."""
+    keys = np.arange(16 * num_bits, dtype=np.int64)
+    h2 = murmur_fmix64_batch(keys, seed=1) >> np.uint64(32)
+    return keys[h2 % np.uint64(num_bits) == 0][:3]
+
+
+def _assert_batch_paths_match_scalar(num_bits, num_hashes):
+    """``add_batch`` sets the bits a loop of ``add`` sets, and
+    ``contains_batch`` answers like ``in``, for int64 keys (edges,
+    negatives, degenerate steps) and uint64 keys >= 2^63, in batches
+    on both sides of ``ROW_WALK_MIN_KEYS``."""
+    rng = np.random.default_rng(num_bits + num_hashes)
+    degenerate = _degenerate_keys(num_bits)
+    assert degenerate.size
+    signed = np.concatenate([
+        INT64_EDGES, degenerate,
+        rng.integers(-(2**63), 2**63 - 1, ROW_WALK_MIN_KEYS),
+    ])
+    unsigned = rng.integers(2**63, 2**64, ROW_WALK_MIN_KEYS, dtype=np.uint64)
+    unsigned[:2] = [2**63, 2**64 - 1]
+    batch = BloomFilter(num_bits, num_hashes)
+    oracle = BloomFilter(num_bits, num_hashes)
+    # Sparse steps first: a saturated filter hides a wrong bit.
+    for keys in (signed[:0], degenerate[:1], signed[:1], unsigned[:3],
+                 signed[: ROW_WALK_MIN_KEYS // 2]):
+        batch.add_batch(keys)
+        for key in keys.tolist():
+            oracle.add(key)
+        assert batch.to_bytes() == oracle.to_bytes()
+    for probes in (signed, unsigned):
+        for n in (0, 1, 5, ROW_WALK_MIN_KEYS - 1, ROW_WALK_MIN_KEYS):
+            got = batch.contains_batch(probes[:n])
+            assert got.dtype == bool and got.shape == (n,)
+            want = [key in oracle for key in probes[:n].tolist()]
+            assert got.tolist() == want
+
+
+class TestBatchEquivalence:
+    """The vectorized integer paths against the scalar double-hashing
+    schedule they reimplement (``_positions`` / ``add`` / ``in``)."""
+
+    @pytest.mark.parametrize("num_hashes", [1, 2, 7, 14])
+    @pytest.mark.parametrize("num_bits", [1, 7, 8, 9, 64, 4_099, 157_042])
+    def test_batch_paths_match_the_scalar_oracle(self, num_bits, num_hashes):
+        _assert_batch_paths_match_scalar(num_bits, num_hashes)
+
+    @pytest.mark.parametrize("num_bits", [9, 4_099])
+    def test_uint64_positions_match_too(self, monkeypatch, num_bits):
+        """Filters past 2^31 bits step their probes in uint64; force
+        that dtype on small ones."""
+        monkeypatch.setattr(standard, "_UINT32_MAX_BITS", 0)
+        _assert_batch_paths_match_scalar(num_bits, 7)
+
+    def test_wire_form_is_pinned(self):
+        """``to_bytes`` of a small filter, captured before the batch
+        paths were rewritten: run files and shared-memory segments
+        written by any version answer the same."""
+        bloom = BloomFilter(256, 3)
+        bloom.add_batch(np.arange(0, 134, 7))
+        assert bloom.to_bytes() == bytes.fromhex(
+            "424c4d3100010000030000001400000000000000"
+            "1600859b92860400800284000c14003089210000"
+            "908009138010008862144090"
+        )
 
 
 class TestInternals:

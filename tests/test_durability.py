@@ -331,6 +331,33 @@ class TestBloomSerialization:
         with pytest.raises(ValueError):
             BloomFilter.from_bytes(blob + b"\x00")
 
+    @pytest.mark.parametrize(
+        "wrap",
+        [bytes, bytearray, memoryview,
+         lambda blob: np.frombuffer(bytearray(blob), dtype=np.uint8)],
+        ids=["bytes", "bytearray", "memoryview", "ndarray"],
+    )
+    def test_adopts_any_buffer_without_copy(self, wrap):
+        bloom = BloomFilter.for_capacity(500, 0.01)
+        bloom.add_batch(np.arange(0, 1_500, 3, dtype=np.int64))
+        blob = bloom.to_bytes()
+        source = wrap(blob)
+        clone = BloomFilter.from_bytes(source)
+        assert np.shares_memory(clone._bits, np.frombuffer(source, np.uint8))
+        assert clone.to_bytes() == blob
+        probes = np.arange(0, 3_000, dtype=np.int64)
+        assert np.array_equal(
+            clone.contains_batch(probes), bloom.contains_batch(probes)
+        )
+        # Runs are immutable: an adopted filter refuses writes, and a
+        # writable source is never written through.
+        with pytest.raises(ValueError):
+            clone.add(7)
+        with pytest.raises(ValueError):
+            clone.add_batch(np.arange(1, 100, 3, dtype=np.int64))
+        assert bytes(source) == blob
+        assert clone.count == bloom.count
+
 
 # -- run persistence -----------------------------------------------------------
 
@@ -498,6 +525,11 @@ class TestRunPersistence:
                 try:
                     got = attached.bloom_contains_batch(probes)
                     assert np.array_equal(got, want)
+                    # the filter reads the mapped section, no copy
+                    mapped = np.frombuffer(mapping.buf, dtype=np.uint8)
+                    shared = np.shares_memory(attached.bloom._bits, mapped)
+                    del mapped
+                    assert shared
                 finally:
                     del attached
                     mapping.close()
@@ -535,6 +567,23 @@ class TestRunPersistence:
             owner.close()
             owner.unlink()
         assert not os.path.exists(flag)
+
+    def test_malformed_bloom_section_over_shared_memory(self):
+        """The filter adopts the mapped section itself, so a refusal
+        from inside ``from_bytes`` must still let ``attach_run`` close
+        the mapping (no ``BufferError``)."""
+        meta, sections = _example_run(n=500).wire_form()
+        sections = [
+            (n, b"NOPE" + d[4:] if n == "bloom" else d) for n, d in sections
+        ]
+        name = f"{shm.default_prefix(0)}badmagic"
+        owner, table = shm._create_segment(name, sections)
+        try:
+            with pytest.raises(CorruptRunError, match="bad bloom magic"):
+                shm.attach_run({**meta, "name": name, "sections": table})
+        finally:
+            owner.close()
+            owner.unlink()
 
 
 # -- durable store lifecycle ---------------------------------------------------

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.bloom import BloomFilter
 from repro.lsm import (
     LearnedLSMStore,
     Memtable,
@@ -464,34 +463,6 @@ class TestMergeScanResults:
     def test_empty_sources(self):
         merged = merge_scan_results([])
         assert len(merged) == 0
-
-
-# -- vectorized bloom batch path ----------------------------------------------
-
-class TestBloomBatchEquivalence:
-    def test_add_batch_bit_exact(self):
-        rng = np.random.default_rng(2)
-        keys = rng.integers(-(10**12), 10**12, 3_000)
-        scalar = BloomFilter.for_capacity(3_000, 0.01)
-        batch = BloomFilter.for_capacity(3_000, 0.01)
-        for k in keys:
-            scalar.add(int(k))
-        batch.add_batch(keys)
-        np.testing.assert_array_equal(scalar._bits, batch._bits)
-        assert scalar.count == batch.count
-
-    def test_contains_batch_matches_scalar(self):
-        rng = np.random.default_rng(4)
-        keys = rng.integers(0, 10**9, 2_000)
-        bloom = BloomFilter.for_capacity(2_000, 0.02)
-        bloom.add_batch(keys)
-        probes = np.concatenate(
-            [keys[:500], rng.integers(0, 10**9, 2_000)]
-        )
-        expected = np.array([int(p) in bloom for p in probes])
-        np.testing.assert_array_equal(
-            bloom.contains_batch(probes), expected
-        )
 
 
 # -- range_items_batch (ISSUE 5 satellite) -------------------------------------
