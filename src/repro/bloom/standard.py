@@ -23,15 +23,22 @@ __all__ = ["BloomFilter", "optimal_bits", "optimal_hash_count"]
 
 #: An integer :meth:`BloomFilter.contains_batch` of at least this many
 #: keys walks its probes row by row; a smaller one takes one ``(k, n)``
-#: gather.  The walk's fixed cost (~8 numpy calls per probe, ~55us at
-#: k = 7) loses on the 64-512-key sub-batches coalesced store calls
-#: hand a run; the gather's ``(k, n)`` temporaries and modulo lose from
-#: here up (the filter crossover scan of
-#: ``benchmarks/bench_small_batch_floor.py``).
-ROW_WALK_MIN_KEYS = 1024
+#: gather.  The walk's fixed cost (~8 numpy calls per probe, 2-3x the
+#: gather's at k = 7) loses on the 64-512-key sub-batches coalesced
+#: store calls hand a run; the gather's ``(k, n)`` temporaries lose from
+#: ~2 700-3 600 keys up on a 500k-key run's filter and ~6 000-8 200 on
+#: a 16k- or 131k-key one (the filter crossover scan of
+#: ``benchmarks/bench_small_batch_floor.py``); this is the power of two
+#: in that range.
+ROW_WALK_MIN_KEYS = 4096
 
-#: Probe positions are uint32 while ``p + s < 2m`` fits it, else uint64.
-_UINT32_MAX_BITS = 1 << 31
+
+def _reduce(x: np.ndarray, m) -> np.ndarray:
+    """``x mod m`` in place, for non-negative ``x`` and a scalar ``m``:
+    numpy divides by a scalar with a multiply and a shift, but its
+    remainder runs a hardware divide per element, ~2x this."""
+    x -= x // m * m
+    return x
 
 
 def optimal_bits(n: int, fpr: float) -> int:
@@ -92,40 +99,34 @@ class BloomFilter:
         return [(h1 + i * h2) % m for i in range(self.num_hashes)]
 
     def _probe_start(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(p, s)``: each integer key's first bit position and step.
+        """``(h1, s)``, uint64: each integer key's first hash and step.
 
         Probe ``i`` of :meth:`_positions` is ``(h1 + i*h2) mod m``,
-        which is ``(p + i*s) mod m`` for ``p = h1 mod m`` and
-        ``s = h2 mod m`` — with ``s = 1`` where ``h2 mod m == 0``,
-        the scalar path's ``h2 + 1`` bump reduced mod ``m``.  Both
-        are below ``m``, so :meth:`_probe_rows` steps from probe to
-        probe with one add and one conditional subtract, never a
-        modulo.  The dtype is unsigned and holds ``2m``.
+        which is ``(h1 + i*s) mod m`` for ``s = h2 mod m`` — with
+        ``s = 1`` where ``h2 mod m == 0``, the scalar path's ``h2 + 1``
+        bump reduced mod ``m``.  ``h1 < 2^32``, so ``h1 + i*s`` cannot
+        overflow.
         """
         h = murmur_fmix64_batch(keys, seed=1)
-        m = self.num_bits
-        if m <= _UINT32_MAX_BITS:
-            p = h.astype(np.uint32)  # the low 32 bits: h1
-            h >>= np.uint64(32)
-            s = h.astype(np.uint32)
-        else:
-            p = h & np.uint64(0xFFFFFFFF)
-            s = h >> np.uint64(32)
-        p %= p.dtype.type(m)
-        s %= s.dtype.type(m)
+        h1 = h & np.uint64(0xFFFFFFFF)
+        h >>= np.uint64(32)
+        s = _reduce(h, np.uint64(self.num_bits))
         s[s == 0] = 1
-        return p, s
+        return h1, s
 
     def _probe_rows(self, keys: np.ndarray):
         """Yield probe ``0 .. k-1``'s bit positions for every key, one
         length-n row at a time.  The row is updated in place: use it
-        before asking for the next."""
-        p, s = self._probe_start(keys)
-        m = p.dtype.type(self.num_bits)
+        before asking for the next.  Start and step are both below
+        ``m``, so each step is one add and one conditional subtract,
+        never a modulo."""
+        h1, s = self._probe_start(keys)
+        m = np.uint64(self.num_bits)
+        p = _reduce(h1, m)
         wrapped = np.empty_like(p)
         yield p
         for _ in range(self.num_hashes - 1):
-            p += s  # < 2m: fits the dtype
+            p += s  # < 2m
             # p - m wraps above p unless p >= m: the min subtracts m
             # exactly where the sum passed it.
             np.subtract(p, m, out=wrapped)
@@ -172,7 +173,7 @@ class BloomFilter:
             return
         hit = np.zeros(self.num_bits, dtype=bool)
         for row in self._probe_rows(arr):
-            hit[row] = True
+            hit[row.view(np.int64)] = True  # an intp index: no cast
         self._bits |= np.packbits(hit, bitorder="little")
         self.count += int(arr.size)
 
@@ -210,13 +211,13 @@ class BloomFilter:
         return ((self._bits[positions >> 3] >> shifts) & 1).all(axis=0)
 
     def _contains_gather(self, keys: np.ndarray) -> np.ndarray:
-        """Small integer batches: ~15 numpy calls whatever ``k``, one
-        modulo over the ``(k, n)`` block included."""
-        p, s = self._probe_start(keys)
-        positions = np.arange(self.num_hashes)[:, None] * s.astype(np.int64)
-        positions += p.astype(np.int64)
-        positions %= self.num_bits
-        return self._bits_at(positions)
+        """Small integer batches: ~20 numpy calls whatever ``k``, one
+        reduction mod ``m`` over the ``(k, n)`` block included."""
+        h1, s = self._probe_start(keys)
+        positions = np.arange(self.num_hashes, dtype=np.uint64)[:, None] * s
+        positions += h1
+        _reduce(positions, np.uint64(self.num_bits))
+        return self._bits_at(positions.view(np.int64))  # intp: no cast
 
     def _contains_walk(self, keys: np.ndarray) -> np.ndarray:
         """Large integer batches: a byte gather and a shift per probe
@@ -228,7 +229,8 @@ class BloomFilter:
         byte = np.empty(n, dtype=np.uint8)
         shift = np.empty(n, dtype=np.uint8)
         for row in self._probe_rows(keys):
-            np.right_shift(row, 3, out=index)
+            # positions < m: their int64 view is the same values, uncast
+            np.right_shift(row.view(np.int64), 3, out=index)
             np.take(self._bits, index, out=byte)
             np.bitwise_and(row, 7, out=shift, casting="unsafe")
             np.right_shift(byte, shift, out=byte)

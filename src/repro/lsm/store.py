@@ -114,7 +114,7 @@ from operator import index as _index
 
 import numpy as np
 
-from ..core.engine import SortedKeyColumn, column_answers
+from ..core.engine import SortedKeyColumn
 from ..obs import MetricsRegistry, StatsView, counter_field
 from ..obs import span as obs_span
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
@@ -145,22 +145,43 @@ __all__ = [
 #: concurrent foreground WAL fsync can get queued behind.
 _MERGE_SAVE_FSYNC_BYTES = 1 << 20
 
-#: A sub-batch this many times under a run's small-batch crossover
-#: (:func:`repro.core.engine.column_answers`) is probed without asking
-#: the run's bloom filter first.  The filter's batch pass costs ~20us +
-#: 0.07us/key whatever the run's size (its one-shot gather; past
-#: ``repro.bloom.standard.ROW_WALK_MIN_KEYS`` keys ~55us + 0.03us/key);
+#: ``(run keys up to, sub-batch keys up to)`` rows: a sub-batch this
+#: small is probed without asking the run's bloom filter first.  The
+#: filter's batch pass costs ~20us + 0.06us/key whatever the run's size;
 #: the probe such a sub-batch gets is one ``searchsorted`` on the run's
-#: key column, ~5us + 0.13-0.23us/key from a 16k- to a 500k-key run.
-#: At 8x under the crossover (512 keys on a 16k-key run, 96 on a
-#: 131k-key run, 40 on a 262k-key one, 20 on a 500k-key one) the filter
-#: costs 1.5-2x the whole probe even when every key is absent — except
-#: on 16k-key runs near 512 keys, where it ties (0.9-1.1x) — and 1.6-3x
-#: with three quarters of the keys present (the filter table of
-#: ``benchmarks/bench_small_batch_floor.py``).  A larger factor would
-#: ask it about the 36-40-key sub-batches a two-shard store sends its
-#: 250k-key runs, where it costs 2-3x the probe.
-UNGUARDED_PROBE_FACTOR = 8
+#: key column (every row is under the run's small-batch crossover,
+#: :data:`repro.core.engine.COLUMN_CROSSOVERS`), ~5us + 0.13-0.23us/key
+#: from a 16k- to a 500k-key run.  So the filter's best case, every key
+#: absent, breaks even with the probe at ~450 keys on a 16k-key run,
+#: ~210 on a 131k-key one, ~140 on a 262k-key one, ~100 on a 500k-key
+#: one, ~80 on a 1M-key one and ~48 on a 2M-key one.  Each row sits at
+#: about half of that, where the filter costs 1.2-1.8x the probe when
+#: every key is absent and more when some are present (the filter table
+#: of ``benchmarks/bench_small_batch_floor.py``).  One factor on the
+#: crossover cannot follow this: 8x under it skips the filter on
+#: 512-key sub-batches of a 16k-key run, where it ties the probe, yet
+#: asks it about 21-32-key ones of a 500k-key run, where it loses 1.5x.
+UNGUARDED_PROBE_KEYS = (
+    (1 << 14, 192),
+    (1 << 17, 128),
+    (1 << 18, 64),
+    (1 << 20, 32),
+)
+
+#: The same bound on runs larger than the table's last row.
+UNGUARDED_PROBE_KEYS_BEYOND = 16
+
+
+def probes_unguarded(sub_batch: int, run_keys: int) -> bool:
+    """Should ``sub_batch`` keys be probed in a run of ``run_keys``
+    keys without asking its bloom filter?  Read off
+    :data:`UNGUARDED_PROBE_KEYS`; both answers are identical, this only
+    picks the cheaper one."""
+    for size, keys in UNGUARDED_PROBE_KEYS:
+        if run_keys <= size:
+            return sub_batch <= keys
+    return sub_batch <= UNGUARDED_PROBE_KEYS_BEYOND
+
 
 _KEY_MIN, _KEY_MAX = -(2**63), 2**63 - 1  # the int64 key domain
 
@@ -251,7 +272,7 @@ class ReadView:
         walk :meth:`LearnedLSMStore.lookup_batch` documents: memtable,
         then per run bloom filter → RMI probe over the queries still
         unresolved — the probe alone where the filter would cost more
-        than it (:data:`UNGUARDED_PROBE_FACTOR`).  ``stats`` receives
+        than it (:func:`probes_unguarded`).  ``stats`` receives
         the read-amplification counters when provided."""
         queries = as_int64_keys(keys)
         put_keys, put_values, tomb_keys = self.mem
@@ -279,9 +300,7 @@ class ReadView:
             open_idx = np.nonzero(~resolved)[0]
             if open_idx.size == 0:
                 break
-            guarded = not column_answers(
-                open_idx.size * UNGUARDED_PROBE_FACTOR, len(run)
-            )
+            guarded = not probes_unguarded(open_idx.size, len(run))
             if guarded:
                 sub = queries[open_idx]
                 passed = run.bloom_contains_batch(sub)

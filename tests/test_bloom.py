@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.bloom import BloomFilter, optimal_bits, optimal_hash_count
-from repro.bloom import standard
 from repro.bloom.standard import ROW_WALK_MIN_KEYS
 from repro.hashmap import murmur_fmix64_batch
 
@@ -125,13 +124,6 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("num_bits", [1, 7, 8, 9, 64, 4_099, 157_042])
     def test_batch_paths_match_the_scalar_oracle(self, num_bits, num_hashes):
         _assert_batch_paths_match_scalar(num_bits, num_hashes)
-
-    @pytest.mark.parametrize("num_bits", [9, 4_099])
-    def test_uint64_positions_match_too(self, monkeypatch, num_bits):
-        """Filters past 2^31 bits step their probes in uint64; force
-        that dtype on small ones."""
-        monkeypatch.setattr(standard, "_UINT32_MAX_BITS", 0)
-        _assert_batch_paths_match_scalar(num_bits, 7)
 
     def test_wire_form_is_pinned(self):
         """``to_bytes`` of a small filter, captured before the batch
