@@ -7,8 +7,8 @@ few coalesced lookups and a sealing write batch through a
 
 * one exported JSON trace in which the client's coalescer tick and
   shard fanout appear next to the *worker processes'* spans (store
-  lookup, WAL append, seal, shared-memory republish), joined by the
-  trace id that rode the pipe RPC;
+  lookup, WAL append, seal), joined by the trace id that rode the
+  pipe RPC;
 * the merged Prometheus-format metrics — every worker's registry
   deltas piggybacked home on command acks and vector-added into one
   exact aggregate.
@@ -46,14 +46,13 @@ def main() -> None:
             2,
             keys,
             path=tmp,
-            read_via="worker",
             store_kwargs={"memtable_capacity": 512},
         )
         try:
             drive(store, keys)
             # Enough new keys to roll the 512-entry memtables: the
-            # write trace picks up WAL appends, a seal, and the
-            # shared-memory republish inside each worker.
+            # write trace picks up WAL appends and a seal inside each
+            # worker.
             with obs.trace_scope() as write_trace:
                 store.insert_batch(
                     np.arange(100_000, 101_000, dtype=np.int64)

@@ -5,9 +5,9 @@ streams of single lookups from many concurrent clients.  This example
 runs the two PR 8 serving pieces end to end: the
 ``CoalescingIndexServer`` gathers concurrent awaited requests into one
 vectorized store call per event-loop tick, and the ``ShardedLSMStore``
-spreads the keyspace across worker processes along the learned CDF,
-serving local reads from shared-memory views and pinning cross-shard
-snapshots while writes land.
+spreads the keyspace across worker processes along the learned CDF:
+each worker answers its shard's part of every read, and holds
+cross-shard snapshots pinned while writes land.
 
 Run:  python examples/serving_demo.py
 """
@@ -61,12 +61,12 @@ def sharding_demo(keys: np.ndarray) -> None:
                   f"{stat['num_runs']} runs")
 
         probe = keys[:: keys.size // 50_000 or 1]
-        values, found = store.lookup_batch(probe)  # zero-copy local read
+        values, found = store.lookup_batch(probe)  # one fan-out to 4 workers
         assert found.all() and np.array_equal(values, probe * 10)
-        print(f"  {probe.size:,} shared-memory reads verified")
+        print(f"  {probe.size:,} worker reads verified")
 
-        # A pinned snapshot keeps answering from its epoch while an
-        # overwrite lands in every shard.
+        # A snapshot, held in every worker, keeps answering from its
+        # epoch while an overwrite lands in every shard.
         with store.snapshot() as snap:
             store.insert_batch(keys[:1000], keys[:1000] * 99)
             store.flush()

@@ -258,9 +258,9 @@ class BloomFilter:
     def from_bytes(cls, blob) -> "BloomFilter":
         """Inverse of :meth:`to_bytes`; ValueError on malformed input.
 
-        ``blob`` is any buffer (``bytes``, a memoryview, a uint8 array
-        over shared memory).  The filter adopts a read-only view of its
-        bit array, no copy — a run's guard is immutable — so the buffer
+        ``blob`` is any buffer (``bytes``, a memoryview, a uint8
+        array).  The filter adopts a read-only view of its bit array,
+        no copy — a run's guard is immutable — so the buffer
         stays exported while the filter lives, and :meth:`add` /
         :meth:`add_batch` raise ``ValueError``.
         """

@@ -60,8 +60,8 @@ _BLOOM_STANDARD = "standard"
 
 def _bloom_from_wire(meta, blob, where: str) -> BloomFilter:
     """A run's filter from its wire bytes (any buffer; the filter
-    adopts a view of it); ``meta`` is the run's metadata (file or
-    shared-memory descriptor), ``where`` names it in the error."""
+    adopts a view of it); ``meta`` is the run file's metadata,
+    ``where`` names the file in the error."""
     kind = meta.get("bloom_kind", _BLOOM_STANDARD)
     if kind != _BLOOM_STANDARD:
         raise CorruptRunError(f"{where}: unknown bloom kind {kind!r}")
@@ -188,33 +188,19 @@ class SortedRun:
         values: np.ndarray,
         tombstones: np.ndarray,
         *,
-        compiled_state: dict | None = None,
-        bloom=None,
         sequence: int = 0,
         level: int = 0,
     ) -> "SortedRun":
-        """Wrap existing arrays as a run without copying or retraining.
-
-        The zero-copy rebuild path (ISSUE 8): a serving client that
-        receives a sealed run's key/value/tombstone arrays plus its
-        RMI's ``compiled_state()`` tables and its bloom filter — e.g.
-        mapped out of a shared-memory segment — reconstructs a run
-        answering every probe bit-identically to the original, in
-        O(leaves), with the arrays still aliasing the shared pages.
-
-        ``compiled_state=None`` trains a fresh vectorized RMI (the
-        arrays are still adopted without copy); ``bloom=None`` builds
-        the filter over ``keys``.
-        """
+        """Wrap existing sorted unique arrays as a run without copying
+        them or re-checking their order; trains the RMI and builds the
+        filter over ``keys``, as the constructor does."""
         keys = np.asarray(keys, dtype=np.int64)
         return cls.__new__(cls)._adopt(
             keys,
             np.asarray(values, dtype=np.int64),
             np.asarray(tombstones, dtype=bool),
-            _compiled_rmi(keys, compiled_state, compiled_state.__getitem__)
-            if compiled_state is not None
-            else _train_rmi(keys),
-            bloom if bloom is not None else _build_bloom(keys),
+            _train_rmi(keys),
+            _build_bloom(keys),
             sequence=sequence, level=level,
         )
 
@@ -240,8 +226,7 @@ class SortedRun:
 
     def wire_form(self) -> tuple[dict, list]:
         """``(meta, [(section, array-or-bytes), ...])`` — the run's
-        flat state, listed once for both writers (:meth:`save`'s
-        section file, the serving layer's shared-memory segments)."""
+        flat state, as :meth:`save` writes it into a section file."""
         state = self.rmi.compiled_state()
         meta = {
             "kind": "run",

@@ -254,9 +254,9 @@ class ReadView:
     read is a pure function of that pair, so every holder of one
     answers through this class and all are bit-identical because
     they are the same code: :class:`LearnedLSMStore` builds a view
-    per call (pin → read → unpin), :class:`StoreSnapshot` *is* one
-    that stays pinned, and the serving layer's client epochs are ones
-    whose arrays alias another process's shared pages (ISSUE 8).
+    per call (pin → read → unpin) and :class:`StoreSnapshot` *is* one
+    that stays pinned.  The sharded store's workers answer through
+    their own stores and snapshots, so its reads are this code too.
     """
 
     __slots__ = ("mem", "runs")
@@ -416,8 +416,8 @@ class StoreSnapshot(ReadView):
     answers ``lookup_batch`` / ``range_query_batch`` /
     ``range_items_batch`` from exactly that state no matter how many
     writes, seals, or compactions land afterwards.  This is the PR 7
-    epoch-read contract as a first-class object — the serving layer
-    pins one per shard to publish a consistent epoch (ISSUE 8).
+    epoch-read contract as a first-class object — a sharded snapshot
+    is one of these held in every shard's worker.
 
     Use as a context manager, or call :meth:`release` explicitly
     (idempotent); an unreleased snapshot blocks deletion of every run

@@ -1,4 +1,4 @@
-"""Serving layer: request coalescing + sharded zero-copy stores (PR 8).
+"""Serving layer: request coalescing + sharded stores (PR 8).
 
 The batch engine is only as fast as the batches it is fed.  This
 package converts request *streams* into the large vectorized batches
@@ -11,10 +11,10 @@ et al., 2012.12501):
 * :class:`~repro.serving.splitter.CDFSplitter` — learned-CDF-balanced
   key-space partitioning;
 * :class:`~repro.serving.sharded.ShardedLSMStore` — N
-  ``LearnedLSMStore`` shards, each owned by a worker process, sealed
-  runs published through ``multiprocessing.shared_memory`` so
-  cross-process reads are zero-copy, with per-shard snapshot pinning
-  preserving the PR 7 epoch-read contract across the shard boundary.
+  ``LearnedLSMStore`` shards, each owned and served by a worker
+  process that answers its part of every read and write, with
+  worker-held snapshots carrying the single store's epoch-read
+  contract across the shard boundary.
 """
 
 from .coalescer import CoalescingIndexServer

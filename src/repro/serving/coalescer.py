@@ -17,11 +17,22 @@ scales with load instead of collapsing under per-request overhead —
 the classic group-commit bargain, priced in microseconds of queueing
 delay.
 
+The server takes only the store: there is no wait window and no batch
+cap.  A multi-key request is never split across store calls.
+
 Error isolation: a failing batch falls back to per-request execution,
 so one poisoned request rejects only its own future while the rest of
 the batch still resolves.  Cancelled requests (client timeouts) are
 skipped at flush time; a flush whose every request was cancelled
-touches the store not at all.
+touches the store not at all.  :class:`CoalescerStats` counts ticks,
+store calls, batch sizes, fallbacks and cancellations.
+
+Key contract: the scalars follow the store's
+(:func:`~repro.lsm.store.as_int64_key`): a non-integer key is a
+``TypeError`` and a key outside int64 an ``OverflowError``.  Unlike a
+store, :meth:`CoalescingIndexServer.range_query` refuses a float
+endpoint too, like its batch form, since a tick packs every range into
+one int64 array.
 """
 
 from __future__ import annotations

@@ -1,25 +1,31 @@
-"""Key-range-sharded LSM store with zero-copy cross-process reads.
+"""Key-range-sharded LSM store: every shard is served by its own worker.
 
-:class:`ShardedLSMStore` partitions the key space across N
-:class:`~repro.lsm.store.LearnedLSMStore` shards, each owned by a
-worker *process* (real parallelism — each worker's kernel loops run on
-its own interpreter).  Writes route through a learned-CDF-balanced
-:class:`~repro.serving.splitter.CDFSplitter`; reads come in two
-flavours:
+:class:`ShardedLSMStore` partitions the key space with a
+:class:`~repro.serving.splitter.CDFSplitter` (N-1 interior boundaries
+from a sorted key sample — the learned CDF as a router;
+``shards_overlapping`` routes range batches) across N
+:class:`~repro.lsm.store.LearnedLSMStore` shards.  Each shard lives in
+a spawned worker *process* (real parallelism — each worker's kernel
+loops run on its own interpreter), built with ``background=False`` so
+every structural change rides a command ack.
 
-* ``via="local"`` — the client answers point/range batches itself,
-  through one :class:`~repro.lsm.store.ReadView` per shard over the
-  workers' shared-memory segments (:mod:`repro.serving.shm`).  Zero
-  IPC, zero copy: the client's probes touch the same physical pages
-  the workers sealed.  This is the low-latency path for the small
-  batches a coalescing front end produces.
-* ``via="worker"`` — per-shard sub-batches fan out over the command
-  pipes and resolve inside the worker processes concurrently.  This is
-  the throughput path for large batches: N shards bring N cores to one
-  batch, which is what the 1 → 4 shard scaling gate measures.
+Every read and every write is one :meth:`ShardedLSMStore._fanout`:
+the per-shard sub-batches go out over the command pipes before any
+ack is read, so the shards work concurrently, and each worker answers
+through its own store — that is, through
+:class:`~repro.lsm.store.ReadView`, the one piece of code that reads
+an LSM state.  Point answers scatter back into batch order; range
+answers stitch by a stable argsort on range ids.
 
-``via="auto"`` (default) picks by per-shard sub-batch size; a worker
-answers its sub-batch through the same ``ReadView`` code in its store.
+Surface: the store is a :class:`~repro.lsm.store.KVSurface`.  It
+defines the three batch reads and one ``_write(kind, keys, values)``
+— a stable ``_split`` of the record by owning shard, then one fan-out
+of ``insert_batch`` / ``delete_batch`` sub-batches — and inherits
+every scalar and write entry point.  The key contract is therefore
+the single store's: a non-integer key or value is a ``TypeError`` and
+a key outside int64 (Python int or uint64 array) an ``OverflowError``,
+raised client-side before any shard sees the call; float *range
+endpoints* still bound the range where they say.
 
 Wire form: every message in both directions — command, ack, error
 ack, the spawn-time ack — is one frame, sent with one
@@ -28,34 +34,56 @@ array count, tail length, per-shard sequence number), one 16-byte
 ``(dtype char, length)`` entry per array, the arrays' raw buffers (each
 padded to 8 bytes, so decoded views are aligned), then an optional
 tail, pickled with the connection's own pickler, for everything that is
-not an array: epoch descriptor, trace context, obs payload, error text,
-``backup`` destination, ``stats`` dict.  Reads carry no tail unless
-telemetry is on, so a read round trip pickles nothing; the receiver
-decodes each array as a read-only ``np.frombuffer`` view of the frame.
-An ack echoes its command's sequence number.  A closed or broken pipe,
-or an ack whose number is not its command's, raises
-:class:`ShardUnavailable` and fails the store closed.
+not an array: snapshot number, trace context, obs payload, error text,
+``backup`` destination, ``stats`` dict.  With telemetry off, reads
+outside a snapshot and writes carry no tail either way, so the client
+pickles nothing for them; the receiver decodes each array as a
+read-only ``np.frombuffer`` view of the frame, which the worker's store
+takes as it is.
 
-Consistency: each worker ack carries the shard's current epoch (run
-set + memtable view triple) and the client adopts it before issuing
-another command, so a client that writes then reads always sees its
-own write.  :meth:`ShardedLSMStore.snapshot` pins every shard's
-current epoch into a :class:`ShardedSnapshot` — the PR 7 epoch-read
-contract across the shard boundary: the snapshot answers from exactly
-that cross-shard state while workers keep sealing, compacting, and
-unlinking superseded segments (Linux keeps pinned mappings valid).
+Failure contract: an ack echoes its command's sequence number.  A
+closed or broken pipe, or an ack whose number is not its command's,
+raises :class:`ShardUnavailable` and fails the store closed; an
+exception inside a worker is relayed as a plain ``RuntimeError`` and
+the store stays usable.  :meth:`ShardedLSMStore.close` gives the
+workers :data:`CLOSE_GRACE_S` seconds in all to ack and exit, then
+kills the rest, so a hung worker cannot block it; any other call still
+waits on a hung worker without a deadline.
 
-Threading contract mirrors the underlying store: one thread drives
-writes and epoch adoption (the asyncio event loop, in the serving
-stack); local reads and snapshot reads may not run concurrently with
-that thread's epoch adoption — in practice everything lives on the
-loop thread, where the contract holds by construction.
+Snapshots: :meth:`ShardedLSMStore.snapshot` is the single store's
+epoch-read contract across the shard boundary, held inside the
+workers.  The client picks a number and sends op ``snapshot`` to every
+shard; each worker keeps a
+:meth:`~repro.lsm.store.LearnedLSMStore.snapshot` under it.  A
+:class:`ShardedSnapshot` read carries ``{"snapshot": n}`` in its frame
+tail and is answered from that pinned view, so it stays stable while
+later writes, flushes and compactions land.  The runs it pins are
+deleted once :meth:`ShardedSnapshot.release` sends op ``release``; a
+worker's ``close`` releases whatever snapshot is still held.
+
+Threading: one thread drives the store (the asyncio event loop, in the
+serving stack) — the per-shard sequence numbers assume commands do not
+interleave.
+
+Gates (the CI ``serving`` lane runs ``tests/test_serving.py`` and
+``tests/test_sharded.py`` under ``PYTHONDEVMODE=1``, then the
+benchmark's ``uniform_mixed`` smoke run): every read matches a single
+:class:`~repro.lsm.store.LearnedLSMStore` oracle, through a history
+that interleaves reads and snapshot reads with writes, flushes and
+compactions; ``TestReadHolderConformance`` holds the single store, its
+snapshot, this store, its snapshot and the coalescer to one dict
+replay for all three reads; every call the key contract refuses leaves
+each holder usable and equal to that replay; and structural pins keep
+this module free of a read implementation of its own and every
+``repro`` module free of shared memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
+import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.reduction import ForkingPickler
@@ -66,7 +94,6 @@ from ..core.engine import GroupScatter
 from ..lsm.store import (
     KVSurface,
     LearnedLSMStore,
-    ReadView,
     as_int64_keys,
     as_int64_pairs,
     range_endpoints,
@@ -81,14 +108,6 @@ from ..obs import (
 )
 from ..obs import state as obs_state
 from ..range_scan import RangeScanResult
-from .shm import (
-    RunPublisher,
-    attach_memtable,
-    attach_run,
-    default_prefix,
-    segment_names,
-    unlink_segments,
-)
 from .splitter import CDFSplitter
 
 __all__ = [
@@ -98,10 +117,9 @@ __all__ = [
     "ShardUnavailable",
 ]
 
-#: ``via="auto"`` fans a read out to the workers once the *per-shard*
-#: sub-batch reaches this size; below it, the pipe round-trip costs
-#: more than the local zero-copy resolve saves.
-WORKER_BATCH_THRESHOLD = 2_048
+#: Seconds :meth:`ShardedLSMStore.close` waits, for all workers
+#: together, for close acks and exits before it kills the workers left.
+CLOSE_GRACE_S = 10.0
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -109,7 +127,7 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _OPS = (
     "ack", "error", "close", "insert_batch", "delete_batch", "flush",
     "compact", "lookup_batch", "range_query_batch", "range_items_batch",
-    "backup", "stats",
+    "backup", "stats", "snapshot", "release",
 )
 _OP_CODES = {op: code for code, op in enumerate(_OPS)}
 #: Op code, array count, tail length, per-shard sequence number.
@@ -158,36 +176,15 @@ def _decode(frame: bytes) -> tuple[str, int, list, dict]:
     return _OPS[code], seq, arrays, tail
 
 
-def _try_close(shm) -> bool:
-    """Close a mapping unless numpy views still export its buffer (a
-    caller may briefly hold a result view); deferred retries catch it
-    once the exports die."""
-    try:
-        shm.close()
-        return True
-    except BufferError:
-        return False
-
-
 def _concat(pieces: list) -> np.ndarray:
     return np.concatenate(pieces) if pieces else _EMPTY_I64
-
-
-def _range_answer(view, lows, highs, with_values: bool) -> tuple:
-    """One shard's range answer in wire form, ``(values, offsets[,
-    payloads])``, from a worker's store or a client epoch alike."""
-    if with_values:
-        scan, payloads = view.range_items_batch(lows, highs)
-        return scan.values, scan.offsets, payloads
-    scan = view.range_query_batch(lows, highs)
-    return scan.values, scan.offsets
 
 
 def _shard_worker(
     conn, shard_id: int, store_kwargs: dict, obs_enabled: bool = False
 ) -> None:
-    """Worker-process main loop: own one shard, answer commands, and
-    publish every post-write epoch through shared memory.
+    """Worker-process main loop: own one shard and answer commands,
+    holding the client's snapshots by number.
 
     Telemetry protocol (PR 9): the client forwards its obs flag at
     spawn time (a spawned interpreter re-imports ``repro.obs.state``,
@@ -204,7 +201,7 @@ def _shard_worker(
         set_enabled(True)
     tracing.set_process_name(f"shard-{shard_id}")
     store = LearnedLSMStore(**store_kwargs)
-    publisher = RunPublisher(default_prefix(shard_id))
+    snapshots = {}
     obs_prev = RegistrySnapshot()
 
     def obs_payload() -> dict:
@@ -215,20 +212,10 @@ def _shard_worker(
         obs_prev = current
         return {"spans": tracing.drain_spans(), "metrics": delta}
 
-    def publish():
-        with tracing.span("shm.publish", shard=shard_id):
-            return publisher.publish(store)
-
     try:
-        conn.send_bytes(
-            _encode("ack", 0, tail={"epoch": publisher.publish(store)})
-        )
+        conn.send_bytes(_encode("ack", 0))
         while True:
             op, seq, arrays, tail = _decode(conn.recv_bytes())
-            # A new command proves the client processed the previous
-            # ack (it adopts epochs before sending again), so every
-            # segment that ack superseded is now unreferenced.
-            publisher.unlink_retired()
             if op == "close":
                 conn.send_bytes(_encode("ack", seq))
                 return
@@ -237,24 +224,33 @@ def _shard_worker(
                 with tracing.adopt(tail.get("trace")), tracing.span(
                     "worker." + op, shard=shard_id
                 ):
+                    view = store
+                    if "snapshot" in tail and op != "snapshot":
+                        view = snapshots[tail["snapshot"]]
                     if op == "insert_batch":
                         store.insert_batch(*arrays)
-                        reply["epoch"] = publish()
                     elif op == "delete_batch":
                         store.delete_batch(*arrays)
-                        reply["epoch"] = publish()
                     elif op == "flush":
                         store.flush()
-                        reply["epoch"] = publish()
                     elif op == "compact":
                         store.compact()
-                        reply["epoch"] = publish()
                     elif op == "lookup_batch":
-                        result = store.lookup_batch(*arrays)
-                    elif op in ("range_query_batch", "range_items_batch"):
-                        result = _range_answer(
-                            store, *arrays, op == "range_items_batch"
-                        )
+                        result = view.lookup_batch(*arrays)
+                    elif op == "range_query_batch":
+                        scan = view.range_query_batch(*arrays)
+                        result = scan.values, scan.offsets
+                    elif op == "range_items_batch":
+                        scan, payloads = view.range_items_batch(*arrays)
+                        result = scan.values, scan.offsets, payloads
+                    elif op == "snapshot":
+                        snapshots[tail["snapshot"]] = store.snapshot()
+                    elif op == "release":
+                        del snapshots[tail["snapshot"]]
+                        view.release()
+                        # This process is its store's only writer, so
+                        # it may delete the runs the snapshot held.
+                        store._drain_retired()
                     elif op == "backup":
                         store.backup(
                             os.path.join(tail["dest"], f"shard-{shard_id}")
@@ -279,7 +275,8 @@ def _shard_worker(
                 reply["obs"] = obs_payload()
             conn.send_bytes(_encode(kind, seq, result, reply))
     finally:
-        publisher.close()
+        for snap in snapshots.values():
+            snap.release()
         store.close()
         conn.close()
 
@@ -307,75 +304,43 @@ class ShardedMetrics:
         }
 
 
-class _ClientEpoch(ReadView):
-    """One shard's published state, mapped into the client process: a
-    :class:`~repro.lsm.store.ReadView` whose runs and memtable view
-    triple alias the worker's shared pages."""
-
-    __slots__ = ("names", "_mem_shm", "pins")
-
-    def __init__(self, desc: dict, cache: dict):
-        self.names = segment_names(desc)
-        runs = []
-        for run_desc in desc["runs"]:
-            entry = cache.get(run_desc["name"])
-            if entry is None:
-                entry = attach_run(run_desc)
-                cache[run_desc["name"]] = entry
-            runs.append(entry[1])
-        self._mem_shm, mem = None, (_EMPTY_I64,) * 3
-        if desc.get("memtable") is not None:
-            self._mem_shm, mem = attach_memtable(desc["memtable"])
-        super().__init__(mem, runs)
-        self.pins = 0
-
-    def drop_mappings(self) -> list:
-        """Release every reference into shared pages (the memtable
-        mapping closes here; run mappings belong to the cache).
-        Returns any mapping that could not close yet (live exports)."""
-        self.runs = []
-        self.mem = None
-        shm, self._mem_shm = self._mem_shm, None
-        if shm is not None and not _try_close(shm):
-            return [shm]
-        return []
-
-
 class ShardedSnapshot:
-    """A pinned cross-shard epoch: every read answers from the exact
-    per-shard states current at construction, no matter what the
-    workers do afterwards.  Release when done (context manager)."""
+    """A cross-shard epoch pinned inside the workers: every read
+    answers from the exact per-shard states current at construction,
+    no matter what the store does afterwards.  Release when done
+    (context manager); closing the store releases it too."""
 
-    def __init__(self, store: "ShardedLSMStore"):
+    def __init__(self, store: "ShardedLSMStore", number: int):
         self._store = store
-        self._epochs = list(store._epochs)
-        for epoch in self._epochs:
-            epoch.pins += 1
+        self._tail = {"snapshot": number}
         self._released = False
 
     def lookup_batch(self, keys) -> tuple[np.ndarray, np.ndarray]:
         self._ensure_live()
-        return self._store._points(keys, epochs=self._epochs)
+        return self._store._points(keys, self._tail)
 
     def range_query_batch(self, lows, highs) -> RangeScanResult:
         self._ensure_live()
-        return self._store._ranges(lows, highs, False, epochs=self._epochs)
+        return self._store._ranges(lows, highs, False, self._tail)
 
     def range_items_batch(self, lows, highs):
         self._ensure_live()
-        return self._store._ranges(lows, highs, True, epochs=self._epochs)
+        return self._store._ranges(lows, highs, True, self._tail)
 
     def _ensure_live(self) -> None:
         if self._released:
             raise ValueError("snapshot has been released")
 
     def release(self) -> None:
+        """Let every worker drop its pinned view (idempotent; a no-op
+        once the store is closed or failed, whose workers hold
+        nothing)."""
         if self._released:
             return
         self._released = True
-        for shard, epoch in enumerate(self._epochs):
-            epoch.pins -= 1
-            self._store._sweep_epochs(shard)
+        store = self._store
+        if not store._closed and store._failed is None:
+            store._fanout("release", store._every_shard(), self._tail)
 
     def __enter__(self) -> "ShardedSnapshot":
         return self
@@ -407,10 +372,8 @@ class ShardedLSMStore(KVSurface):
         Extra :class:`LearnedLSMStore` keyword arguments applied to
         every shard (``memtable_capacity``, ``wal_fsync``, ...).
     read_via:
-        Default routing for reads issued without an explicit ``via``
-        (``"auto"``/``"local"``/``"worker"``) — lets a front end that
-        never sees the ``via`` kwarg (e.g. the coalescer) pin its
-        reads to the worker path.
+        Kept for callers that name the read path; its one value is
+        ``"worker"``, anything else is a ``ValueError``.
     """
 
     def __init__(
@@ -423,16 +386,13 @@ class ShardedLSMStore(KVSurface):
         splitter: CDFSplitter | None = None,
         path: str | None = None,
         store_kwargs: dict | None = None,
-        read_via: str = "auto",
+        read_via: str = "worker",
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if read_via not in ("auto", "local", "worker"):
-            raise ValueError(
-                f"read_via must be auto/local/worker, not {read_via!r}"
-            )
+        if read_via != "worker":
+            raise ValueError(f"read_via must be 'worker', not {read_via!r}")
         self.num_shards = int(num_shards)
-        self.read_via = read_via
         #: Client-side registry (fanout accounting); worker-side
         #: metrics accumulate per shard from the ack piggyback.
         self.registry = MetricsRegistry()
@@ -459,7 +419,7 @@ class ShardedLSMStore(KVSurface):
             }
         base_kwargs = dict(store_kwargs or {})
         # Workers compact synchronously so every structural change
-        # rides a command ack — the epoch protocol's invariant.
+        # rides a command ack.
         base_kwargs["background"] = False
         ctx = get_context("spawn")
         self._procs = []
@@ -467,17 +427,10 @@ class ShardedLSMStore(KVSurface):
         #: Sequence number of the last command sent, per shard (the
         #: spawn-time ack answers 0).
         self._seq = [0] * self.num_shards
+        self._snapshot_numbers = itertools.count(1)
         #: Why the store failed closed (see :class:`ShardUnavailable`).
         self._failed: str | None = None
         self._closed = False
-        self._caches: list[dict] = [{} for _ in range(self.num_shards)]
-        #: Superseded-but-pinned epochs per shard.
-        self._pinned: list[list[_ClientEpoch]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        #: Mappings awaiting close (BufferError-deferred) per shard.
-        self._deferred: list[list] = [[] for _ in range(self.num_shards)]
-        self._epochs: list[_ClientEpoch | None] = [None] * self.num_shards
         try:
             for shard in range(self.num_shards):
                 kwargs = dict(base_kwargs)
@@ -517,9 +470,9 @@ class ShardedLSMStore(KVSurface):
 
     def _recv(self, shard: int) -> tuple[list, dict]:
         """The ack to ``shard``'s last command as ``(arrays, tail)``,
-        its telemetry absorbed and its epoch adopted.  A relayed worker
-        exception raises ``RuntimeError``; a lost shard, or an ack left
-        unread by an interrupted call, :class:`ShardUnavailable`."""
+        its telemetry absorbed.  A relayed worker exception raises
+        ``RuntimeError``; a lost shard, or an ack left unread by an
+        interrupted call, :class:`ShardUnavailable`."""
         try:
             frame = self._conns[shard].recv_bytes()
         except (EOFError, ConnectionError) as exc:
@@ -537,8 +490,6 @@ class ShardedLSMStore(KVSurface):
             tracing.record_spans(payload["spans"])
         if kind == "error":
             raise RuntimeError(f"shard {shard}: {tail['error']}")
-        if tail.get("epoch") is not None:
-            self._adopt(shard, tail["epoch"])
         return arrays, tail
 
     def _fanout(
@@ -578,42 +529,6 @@ class ShardedLSMStore(KVSurface):
         if errors:
             raise errors[0]
         return acks
-
-    # -- epoch adoption --------------------------------------------------------
-
-    def _adopt(self, shard: int, desc: dict) -> None:
-        old = self._epochs[shard]
-        self._epochs[shard] = _ClientEpoch(desc, self._caches[shard])
-        if old is not None:
-            if old.pins > 0:
-                self._pinned[shard].append(old)
-            else:
-                self._deferred[shard] += old.drop_mappings()
-        self._sweep_epochs(shard)
-
-    def _sweep_epochs(self, shard: int) -> None:
-        """Drop released superseded epochs, then close run segments no
-        live epoch references (current + still-pinned)."""
-        pinned = [e for e in self._pinned[shard] if e.pins > 0]
-        deferred = []
-        for epoch in self._pinned[shard]:
-            if epoch.pins == 0:
-                deferred += epoch.drop_mappings()
-        self._pinned[shard] = pinned
-        live_epochs = pinned + (
-            [self._epochs[shard]] if self._epochs[shard] else []
-        )
-        referenced = set().union(*(e.names for e in live_epochs), set())
-        cache = self._caches[shard]
-        for name in [n for n in cache if n not in referenced]:
-            shm = cache[name][0]
-            # Drop the cache's run reference before closing — the run's
-            # arrays are views into this very mapping.
-            del cache[name]
-            if not _try_close(shm):
-                deferred.append(shm)
-        deferred += [s for s in self._deferred[shard] if not _try_close(s)]
-        self._deferred[shard] = deferred
 
     # -- write path ------------------------------------------------------------
 
@@ -660,116 +575,78 @@ class ShardedLSMStore(KVSurface):
 
     # -- read path -------------------------------------------------------------
 
-    def lookup_batch(
-        self, keys, *, via: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def lookup_batch(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """(values, found) across all shards — same contract as
-        :meth:`LearnedLSMStore.lookup_batch`.  ``via=None`` falls back
-        to the store's ``read_via`` default."""
-        self._ensure_open()
-        return self._points(keys, via=via)
+        :meth:`LearnedLSMStore.lookup_batch`."""
+        return self._points(keys)
 
-    def range_query_batch(
-        self, lows, highs, *, via: str | None = None
-    ) -> RangeScanResult:
+    def range_query_batch(self, lows, highs) -> RangeScanResult:
         """Live keys per closed range, stitched across shards (shard
         intervals are ordered, so per-shard sorted results concatenate
         sorted)."""
-        self._ensure_open()
-        return self._ranges(lows, highs, False, via=via)
+        return self._ranges(lows, highs, False)
 
     def range_items_batch(
-        self, lows, highs, *, via: str | None = None
+        self, lows, highs
     ) -> tuple[RangeScanResult, np.ndarray]:
-        self._ensure_open()
-        return self._ranges(lows, highs, True, via=via)
+        return self._ranges(lows, highs, True)
 
     def snapshot(self) -> ShardedSnapshot:
-        """Pin the current cross-shard epoch for consistent reads."""
+        """Pin the current cross-shard epoch, inside every worker, for
+        consistent reads."""
         self._ensure_open()
-        return ShardedSnapshot(self)
+        number = next(self._snapshot_numbers)
+        self._fanout("snapshot", self._every_shard(), {"snapshot": number})
+        return ShardedSnapshot(self, number)
 
-    def _use_workers(self, batch_size: int, via: str | None) -> bool:
-        via = via or self.read_via
-        if via == "local":
-            return False
-        if via == "worker":
-            return True
-        if via != "auto":
-            raise ValueError(f"via must be auto/local/worker, not {via!r}")
-        return (
-            self.num_shards > 1
-            and batch_size >= WORKER_BATCH_THRESHOLD * self.num_shards
-        )
-
-    def _points(
-        self, keys, *, via=None, epochs=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scatter the batch by shard, answer each sub-batch — from
-        its shard's view in ``epochs`` (a snapshot's pinned ones;
-        default: the current ones unless ``via`` picks the workers),
-        or with one worker fanout — and gather into batch order."""
+    def _points(self, keys, tail=None) -> tuple[np.ndarray, np.ndarray]:
+        """Scatter the batch by shard, answer every sub-batch with one
+        worker fanout (from a snapshot when ``tail`` names one) and
+        gather into batch order."""
+        self._ensure_open()
         queries = as_int64_keys(keys)
-        if epochs is None and not self._use_workers(queries.size, via):
-            epochs = self._epochs
+        parts = self._split(queries)
+        # Client-observed worker read load: every lookup command issued
+        # is answered by exactly one worker.lookup_batch span, so the
+        # merged per-shard span histogram count equals this counter.
+        self.registry.counter("serving.sharded.lookup.worker_batches").inc(
+            len(parts)
+        )
+        self.registry.counter("serving.sharded.lookup.worker_keys").inc(
+            int(queries.size)
+        )
+        acks = self._fanout("lookup_batch", {
+            shard: (queries[idx],) for shard, idx in parts.items()
+        }, tail)
         values = np.zeros(queries.size, dtype=np.int64)
         found = np.zeros(queries.size, dtype=bool)
-        parts = self._split(queries)
-        if epochs is not None:
-            answers = {
-                shard: epochs[shard].lookup_batch(queries[idx])
-                for shard, idx in parts.items()
-            }
-        else:
-            # Client-observed worker read load: every lookup command
-            # issued is answered by exactly one worker.lookup_batch
-            # span, so the merged per-shard span histogram count
-            # equals this counter.
-            self.registry.counter(
-                "serving.sharded.lookup.worker_batches"
-            ).inc(len(parts))
-            self.registry.counter("serving.sharded.lookup.worker_keys").inc(
-                int(queries.size)
-            )
-            acks = self._fanout("lookup_batch", {
-                shard: (queries[idx],) for shard, idx in parts.items()
-            })
-            answers = {shard: arrays for shard, (arrays, _) in acks.items()}
         for shard, idx in parts.items():
-            values[idx], found[idx] = answers[shard]
+            values[idx], found[idx] = acks[shard][0]
         return values, found
 
-    def _ranges(self, lows, highs, with_values, *, via=None, epochs=None):
-        """Route each range to the shards it overlaps, answer each
-        shard's sub-batch (``via`` / ``epochs`` as in :meth:`_points`)
-        and stitch the per-shard CSR results into one per-range CSR.
+    def _ranges(self, lows, highs, with_values, tail=None):
+        """Route each range to the shards it overlaps, answer every
+        shard's sub-batch with one worker fanout (``tail`` as in
+        :meth:`_points`) and stitch the per-shard CSR results into one
+        per-range CSR.
 
         Routing truncates float endpoints (conservative: it can only
         add a shard whose answer comes back empty); the shards see the
         native-dtype endpoints, like a single store's runs do.
         """
+        self._ensure_open()
         lows, highs = range_endpoints(lows, highs)
-        if epochs is None and not self._use_workers(lows.size, via):
-            epochs = self._epochs
         overlap = self.splitter.shards_overlapping(lows, highs)
         parts = {
             shard: sel
             for shard in range(self.num_shards)
             if (sel := np.nonzero(overlap[shard])[0]).size
         }
-        if epochs is not None:
-            answers = {
-                shard: _range_answer(
-                    epochs[shard], lows[sel], highs[sel], with_values
-                )
-                for shard, sel in parts.items()
-            }
-        else:
-            op = "range_items_batch" if with_values else "range_query_batch"
-            acks = self._fanout(op, {
-                shard: (lows[sel], highs[sel]) for shard, sel in parts.items()
-            })
-            answers = {shard: arrays for shard, (arrays, _) in acks.items()}
+        op = "range_items_batch" if with_values else "range_query_batch"
+        acks = self._fanout(op, {
+            shard: (lows[sel], highs[sel]) for shard, sel in parts.items()
+        }, tail)
+        answers = {shard: arrays for shard, (arrays, _) in acks.items()}
         # Pieces concatenate in ascending shard order; a stable sort by
         # range id then keeps shard order within each range, and shard
         # intervals ascend, so each range's keys come out sorted.
@@ -821,12 +698,13 @@ class ShardedLSMStore(KVSurface):
             raise ShardUnavailable(f"store failed closed: {self._failed}")
 
     def close(self) -> None:
-        """Stop every worker and release every mapping; idempotent.
-        Outstanding snapshots become invalid.  Segments a killed worker
-        never unlinked are unlinked here."""
+        """Stop every worker; idempotent.  Outstanding snapshots are
+        released.  Workers get :data:`CLOSE_GRACE_S` seconds in all to
+        ack and exit; any still running after that is killed."""
         if self._closed:
             return
         self._closed = True
+        deadline = time.monotonic() + CLOSE_GRACE_S
         close = _encode("close", 0)
         for conn in self._conns:
             try:
@@ -835,35 +713,17 @@ class ShardedLSMStore(KVSurface):
                 pass
         for conn in self._conns:
             try:
-                conn.recv_bytes()
+                if conn.poll(max(deadline - time.monotonic(), 0)):
+                    conn.recv_bytes()
             except (EOFError, OSError):
                 pass
         for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5)
-        for shard, proc in enumerate(self._procs):
-            unlink_segments(default_prefix(shard, proc.pid))
+            proc.join(timeout=max(deadline - time.monotonic(), 0))
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
         for conn in self._conns:
             conn.close()
-        for shard in range(self.num_shards):
-            epoch = self._epochs[shard]
-            if epoch is not None:
-                self._deferred[shard] += epoch.drop_mappings()
-            self._epochs[shard] = None
-            for pinned in self._pinned[shard]:
-                self._deferred[shard] += pinned.drop_mappings()
-            self._pinned[shard] = []
-            cache = self._caches[shard]
-            for name in list(cache):
-                shm = cache[name][0]
-                del cache[name]
-                if not _try_close(shm):
-                    self._deferred[shard].append(shm)
-            self._deferred[shard] = [
-                s for s in self._deferred[shard] if not _try_close(s)
-            ]
 
     def __repr__(self) -> str:
         return (

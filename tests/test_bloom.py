@@ -127,8 +127,8 @@ class TestBatchEquivalence:
 
     def test_wire_form_is_pinned(self):
         """``to_bytes`` of a small filter, captured before the batch
-        paths were rewritten: run files and shared-memory segments
-        written by any version answer the same."""
+        paths were rewritten: run files written by any version answer
+        the same."""
         bloom = BloomFilter(256, 3)
         bloom.add_batch(np.arange(0, 134, 7))
         assert bloom.to_bytes() == bytes.fromhex(

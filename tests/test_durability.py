@@ -32,7 +32,6 @@ from repro.lsm import (
 from repro.lsm.format import RUN_MAGIC, SectionFile, write_section_file
 from repro.lsm.run import DEFAULT_LEAF_TARGET
 from repro.lsm.wal import replay as wal_replay
-from repro.serving import shm
 
 
 @pytest.fixture
@@ -55,19 +54,17 @@ def _rewrite_as_parent_commit_run(fs, run, path):
     keys, no ``origin`` entry in the metadata, and the ``leaf_target``
     and ``bloom_kind: "standard"`` entries every older writer
     recorded."""
-    keys = np.asarray(run.keys)
     state = RecursiveModelIndex(
-        keys.astype(np.float64), stage_sizes=run.rmi.stage_sizes
+        np.asarray(run.keys).astype(np.float64),
+        stage_sizes=run.rmi.stage_sizes,
     ).compiled_state()
-    assert state.pop("origin") == 0
-    del state["leaf_count"]
-    legacy = SortedRun.from_arrays(
-        keys, np.asarray(run.values), np.asarray(run.tombstones),
-        compiled_state=state, bloom=run.bloom, sequence=run.sequence,
-        level=run.level,
+    assert state["origin"] == 0
+    meta, sections = run.wire_form()
+    del meta["origin"]
+    meta.update(
+        root_slope=state["root_slope"], root_intercept=state["root_intercept"]
     )
-    meta, sections = legacy.wire_form()
-    assert meta.pop("origin") == 0
+    sections = [(name, state.get(name, data)) for name, data in sections]
     assert meta["bloom_kind"] == "standard"
     meta["leaf_target"] = DEFAULT_LEAF_TARGET
     write_section_file(fs, path, magic=RUN_MAGIC, meta=meta, sections=sections)
@@ -501,41 +498,20 @@ class TestRunPersistence:
         assert meta["bloom_kind"] == "standard"
         assert "leaf_target" not in meta
 
-    @pytest.mark.parametrize("surface", ["file", "shared_memory"])
-    def test_absent_bloom_kind_reads_as_standard(self, fs, tmp_path, surface):
+    def test_absent_bloom_kind_reads_as_standard(self, fs, tmp_path):
         run = _example_run(n=2_000)
         meta, sections = run.wire_form()
         del meta["bloom_kind"]
         probes = np.concatenate([run.keys[::3], run.keys[::3] + 1])
-        want = run.bloom_contains_batch(probes)
-        if surface == "file":
-            path = str(tmp_path / "run.run")
-            write_section_file(
-                fs, path, magic=RUN_MAGIC, meta=meta, sections=sections
-            )
-            loaded = SortedRun.load(fs, path)
-            assert np.array_equal(loaded.bloom_contains_batch(probes), want)
-        else:
-            name = f"{shm.default_prefix(0)}nokind"
-            owner, table = shm._create_segment(name, sections)
-            try:
-                mapping, attached = shm.attach_run(
-                    {**meta, "name": name, "sections": table}
-                )
-                try:
-                    got = attached.bloom_contains_batch(probes)
-                    assert np.array_equal(got, want)
-                    # the filter reads the mapped section, no copy
-                    mapped = np.frombuffer(mapping.buf, dtype=np.uint8)
-                    shared = np.shares_memory(attached.bloom._bits, mapped)
-                    del mapped
-                    assert shared
-                finally:
-                    del attached
-                    mapping.close()
-            finally:
-                owner.close()
-                owner.unlink()
+        path = str(tmp_path / "run.run")
+        write_section_file(
+            fs, path, magic=RUN_MAGIC, meta=meta, sections=sections
+        )
+        loaded = SortedRun.load(fs, path)
+        assert np.array_equal(
+            loaded.bloom_contains_batch(probes),
+            run.bloom_contains_batch(probes),
+        )
 
     @pytest.mark.parametrize("kind", FOREIGN_BLOOM_KINDS)
     def test_nonstandard_bloom_kind_is_refused_not_unpickled(
@@ -551,39 +527,6 @@ class TestRunPersistence:
         with pytest.raises(CorruptRunError, match=f"bloom kind '{kind}'"):
             loaded.bloom_contains_batch(np.arange(8, dtype=np.int64))
         assert not os.path.exists(flag)
-
-    @pytest.mark.parametrize("kind", FOREIGN_BLOOM_KINDS)
-    def test_nonstandard_bloom_kind_is_refused_over_shared_memory(
-        self, tmp_path, kind
-    ):
-        flag = str(tmp_path / "unpickled")
-        meta, sections = _foreign_bloom_wire_form(flag, kind)
-        name = f"{shm.default_prefix(0)}{kind}"
-        owner, table = shm._create_segment(name, sections)
-        try:
-            with pytest.raises(CorruptRunError, match=f"bloom kind '{kind}'"):
-                shm.attach_run({**meta, "name": name, "sections": table})
-        finally:
-            owner.close()
-            owner.unlink()
-        assert not os.path.exists(flag)
-
-    def test_malformed_bloom_section_over_shared_memory(self):
-        """The filter adopts the mapped section itself, so a refusal
-        from inside ``from_bytes`` must still let ``attach_run`` close
-        the mapping (no ``BufferError``)."""
-        meta, sections = _example_run(n=500).wire_form()
-        sections = [
-            (n, b"NOPE" + d[4:] if n == "bloom" else d) for n, d in sections
-        ]
-        name = f"{shm.default_prefix(0)}badmagic"
-        owner, table = shm._create_segment(name, sections)
-        try:
-            with pytest.raises(CorruptRunError, match="bad bloom magic"):
-                shm.attach_run({**meta, "name": name, "sections": table})
-        finally:
-            owner.close()
-            owner.unlink()
 
 
 # -- durable store lifecycle ---------------------------------------------------

@@ -3,7 +3,7 @@
 The acceptance path: a request enters :class:`CoalescingIndexServer`,
 is stamped with a trace id, rides the coalescer tick into
 :class:`ShardedLSMStore`'s pipe RPC, and the shard workers' own spans
-(store lookup, WAL append, seal, shm republish) come back piggybacked
+(store lookup, WAL append, seal) come back piggybacked
 on the command acks — so one exported JSON trace holds client-side and
 worker-side spans joined by the propagated trace id, and
 ``ShardedLSMStore.metrics()`` merges every worker's registry deltas
@@ -30,7 +30,6 @@ def traced_store(tmp_path):
         2,
         keys,
         path=str(tmp_path),
-        read_via="worker",
         store_kwargs={"memtable_capacity": 512},
     )
     try:
@@ -78,15 +77,15 @@ def test_traced_request_joins_client_and_worker_spans(traced_store):
     assert all(s["parent_id"] in fanout_ids for s in lookups)
 
 
-def test_traced_write_captures_wal_seal_and_republish(traced_store):
+def test_traced_write_captures_wal_and_seal(traced_store):
     store, _ = traced_store
     with obs.trace_scope() as tid:
         # 1000 new keys through 512-capacity memtables forces a seal
-        # (and the shm republish that follows) in each shard.
+        # in each shard.
         store.insert_batch(np.arange(200_000, 201_000, dtype=np.int64))
     names = {s["name"] for s in obs.trace_spans(tid)}
     assert {"sharded.fanout", "worker.insert_batch",
-            "lsm.wal.append", "lsm.seal", "shm.publish"} <= names
+            "lsm.wal.append", "lsm.seal"} <= names
 
 
 def test_merged_metrics_are_exact(traced_store):

@@ -1,7 +1,7 @@
 """Serving-layer unit tests: coalescer edge cases, CDF splitter,
 CRC32C fallback and backup/restore.
 
-The sharded-store integration tests (worker processes, shared memory)
+The sharded-store integration tests (worker processes, snapshots)
 live in ``test_sharded.py``; everything here runs in-process.
 """
 

@@ -1,6 +1,5 @@
-"""Sharded-store integration tests: worker processes, shared-memory
-epochs, differential correctness against a single-store oracle
-(ISSUE 8).
+"""Sharded-store integration tests: worker processes, worker-held
+snapshots, differential correctness against a single-store oracle.
 
 Workers are real spawned processes, so each store here costs ~a second
 of interpreter startup; tests share fixtures where isolation allows
@@ -13,7 +12,9 @@ import asyncio
 import inspect
 import multiprocessing
 import os
-import re
+import pathlib
+import signal
+import threading
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.serving import (
     ShardUnavailable,
     sharded,
 )
-from repro.serving.shm import default_prefix
 
 def _dataset(seed: int = 7, n: int = 20_000):
     rng = np.random.default_rng(seed)
@@ -49,19 +49,16 @@ def bulk():
 
 
 class TestShardedReads:
-    def test_local_and_worker_match_oracle(self, bulk, rng):
+    def test_reads_match_oracle(self, bulk, rng):
         keys, _values, store, oracle = bulk
         queries = np.concatenate([
             rng.choice(keys, 800),
             rng.integers(0, 10**9, 200).astype(np.int64),
         ])
         expect_v, expect_f = oracle.lookup_batch(queries)
-        for via in ("local", "worker"):
-            values, found = store.lookup_batch(queries, via=via)
-            assert np.array_equal(found, expect_f), via
-            assert np.array_equal(
-                values[found], expect_v[expect_f]
-            ), via
+        values, found = store.lookup_batch(queries)
+        assert np.array_equal(found, expect_f)
+        assert np.array_equal(values[found], expect_v[expect_f])
 
     def test_ranges_stitch_across_shards(self, bulk, rng):
         keys, _values, store, oracle = bulk
@@ -77,14 +74,13 @@ class TestShardedReads:
             dtype=np.int64,
         )
         expect = oracle.range_query_batch(lows, highs)
-        for via in ("local", "worker"):
-            got = store.range_query_batch(lows, highs, via=via)
-            assert np.array_equal(
-                np.asarray(got.values), np.asarray(expect.values)
-            ), via
-            assert np.array_equal(
-                np.asarray(got.offsets), np.asarray(expect.offsets)
-            ), via
+        got = store.range_query_batch(lows, highs)
+        assert np.array_equal(
+            np.asarray(got.values), np.asarray(expect.values)
+        )
+        assert np.array_equal(
+            np.asarray(got.offsets), np.asarray(expect.offsets)
+        )
 
     def test_range_items_carry_payloads(self, bulk):
         keys, _values, store, oracle = bulk
@@ -105,21 +101,6 @@ class TestShardedReads:
         assert store.lookup(k + 1) is None or keys[124] == k + 1
         span = store.range_query(int(keys[10]), int(keys[15]))
         assert np.array_equal(span, keys[10:16])
-
-    def test_auto_routes_small_batches_locally(self, bulk):
-        keys, _values, store, _oracle = bulk
-        assert not store._use_workers(100, "auto")
-        assert store._use_workers(10**6, "auto")
-        with pytest.raises(ValueError):
-            store.lookup_batch(keys[:4], via="bogus")
-
-    def test_shared_memory_views_are_readonly_aliases(self, bulk):
-        _keys, _values, store, _oracle = bulk
-        runs = store._epochs[0].runs
-        assert runs, "bulk shard published no runs"
-        for run in runs:
-            assert not run.keys.flags.writeable
-            assert not run.keys.flags.owndata, "copied, not aliased"
 
     def test_splitter_balances_bulk_load(self, bulk):
         _keys, _values, store, _oracle = bulk
@@ -142,36 +123,6 @@ class TestShardedReads:
 
         stats = asyncio.run(main())
         assert stats.store_calls <= 4  # coalesced, not per-request
-
-
-def test_published_run_carries_its_model_origin():
-    """The shared-memory epoch path reads the run's ``origin`` entry
-    like ``SortedRun.load`` does; a descriptor without one means tables
-    fitted on raw keys (origin 0) and still answers exactly."""
-    from repro.serving.shm import RunPublisher, attach_run, default_prefix
-
-    keys = np.int64(2**62 - 5_000) + 2 * np.arange(5_000, dtype=np.int64)
-    queries = np.concatenate([keys[::3], keys[::3] + 1, keys[:1] - 9])
-    store = LearnedLSMStore(keys, keys ^ 3, background=False)
-    publisher = RunPublisher(default_prefix(0) + "t")
-    try:
-        (desc,) = publisher.publish(store)["runs"]
-        assert desc["origin"] == int(keys[0])
-        without = {k: v for k, v in desc.items() if k != "origin"}
-        for descriptor, origin in ((desc, int(keys[0])), (without, 0)):
-            shm, run = attach_run(descriptor)
-            try:
-                assert run.rmi.compiled_state()["origin"] == origin
-                for got, want in zip(
-                    run.probe_batch(queries), store.runs[0].probe_batch(queries)
-                ):
-                    assert np.array_equal(got, want)
-            finally:
-                del run
-                assert sharded._try_close(shm)
-    finally:
-        publisher.close()
-        store.close()
 
 
 class TestShardedWrites:
@@ -215,7 +166,7 @@ class TestShardedWrites:
                     snap_expect = oracle.lookup_batch(universe)
                 probe = rng.choice(universe, 500)
                 expect_v, expect_f = oracle.lookup_batch(probe)
-                got_v, got_f = store.lookup_batch(probe, via="local")
+                got_v, got_f = store.lookup_batch(probe)
                 assert np.array_equal(got_f, expect_f), step
                 assert np.array_equal(
                     got_v[got_f], expect_v[expect_f]
@@ -223,16 +174,13 @@ class TestShardedWrites:
                 lows = rng.choice(universe, 20)
                 highs = lows + rng.integers(0, 10**7, 20)
                 expect_r = oracle.range_query_batch(lows, highs)
-                got_r = store.range_query_batch(
-                    lows, highs, via="local"
-                )
+                got_r = store.range_query_batch(lows, highs)
                 assert np.array_equal(
                     np.asarray(got_r.values),
                     np.asarray(expect_r.values),
                 ), step
             # The snapshot still answers from step-5 state even after
-            # three more rounds of writes + epoch churn + segment
-            # unlinks.
+            # three more rounds of writes, seals and compactions.
             snap_v, snap_f = snap.lookup_batch(universe)
             assert np.array_equal(snap_f, snap_expect[1])
             assert np.array_equal(
@@ -253,28 +201,49 @@ class TestShardedWrites:
             store.delete(5)
             assert store.lookup(5) is None
 
-    def test_snapshot_survives_unlink_of_superseded_segments(self):
+    def test_worker_held_snapshot_on_durable_shards(self, tmp_path):
+        """A snapshot pins each shard's runs in its worker: it answers
+        the old values across an overwrite, a flush and a compaction;
+        its release lets the workers delete the runs it held; one left
+        unreleased does not outlive close()."""
         keys = np.arange(0, 40_000, 2, dtype=np.int64)
+        split = CDFSplitter.fit(keys, 2)
+
+        def run_files() -> list:
+            return [
+                {f.name for f in (tmp_path / f"shard-{i}").glob("run-*.run")}
+                for i in range(2)
+            ]
+
         with ShardedLSMStore(
-            2, keys, keys, store_kwargs={"memtable_capacity": 2_048}
+            2, keys, keys, splitter=split, path=str(tmp_path),
+            store_kwargs={"memtable_capacity": 2_048},
         ) as store:
-            with store.snapshot() as snap:
-                before = snap.lookup_batch(keys[:1000])
-                # Overwrite everything and compact: every original
-                # segment is superseded; workers unlink them on the
-                # next command.
-                store.insert_batch(keys, keys * 9)
-                store.flush()
-                store.compact()
-                store.lookup_batch(keys[:10], via="worker")
-                after = snap.lookup_batch(keys[:1000])
-                assert np.array_equal(before[0], after[0])
-                assert np.array_equal(before[1], after[1])
-            with pytest.raises(ValueError):
+            snap = store.snapshot()
+            pinned = run_files()
+            assert all(pinned)
+            store.insert_batch(keys, keys * 9)
+            store.flush()
+            store.compact()
+            values, found = snap.lookup_batch(keys)
+            assert found.all() and np.array_equal(values, keys)
+            scan = snap.range_query_batch([keys[0]], [keys[99]])
+            assert np.array_equal(scan[0], keys[:100])
+            assert all(old <= now for old, now in zip(pinned, run_files()))
+            snap.release()
+            snap.release()  # idempotent
+            assert not any(old & now for old, now in zip(pinned, run_files()))
+            with pytest.raises(ValueError, match="released"):
                 snap.lookup_batch(keys[:5])
-            live, found = store.lookup_batch(keys[:1000], via="local")
-            assert found.all()
-            assert np.array_equal(live, keys[:1000] * 9)
+            held = store.snapshot()
+            store.insert_batch(keys[:10], keys[:10] * 5)
+        assert not any(proc.is_alive() for proc in store._procs)
+        held.release()  # the workers are gone: nothing to release
+        live = keys * 9
+        live[:10] = keys[:10] * 5
+        with ShardedLSMStore(2, splitter=split, path=str(tmp_path)) as store:
+            values, found = store.lookup_batch(keys)
+            assert found.all() and np.array_equal(values, live)
 
     def test_durable_shards_reopen(self, tmp_path):
         keys, values = _dataset(seed=9, n=4_000)
@@ -288,7 +257,7 @@ class TestShardedWrites:
         with ShardedLSMStore(
             2, splitter=split, path=str(tmp_path)
         ) as store:
-            got_v, got_f = store.lookup_batch(keys, via="local")
+            got_v, got_f = store.lookup_batch(keys)
             deleted = np.zeros(keys.size, dtype=bool)
             deleted[::7] = True
             assert np.array_equal(got_f, ~deleted)
@@ -308,7 +277,7 @@ class TestShardedWrites:
         with ShardedLSMStore(
             2, splitter=split, path=str(dst)
         ) as restored:
-            got_v, got_f = restored.lookup_batch(keys, via="local")
+            got_v, got_f = restored.lookup_batch(keys)
             assert got_f.all()
             assert np.array_equal(got_v, values)
 
@@ -343,6 +312,9 @@ class TestShardedWrites:
         split = CDFSplitter.uniform(3)
         with pytest.raises(ValueError):
             ShardedLSMStore(2, splitter=split)
+        for via in ("auto", "local"):  # reads have one path
+            with pytest.raises(ValueError, match="read_via"):
+                ShardedLSMStore(1, read_via=via)
         with ShardedLSMStore(1) as store:
             with pytest.raises(ValueError):
                 store.insert_batch(
@@ -354,7 +326,6 @@ class TestShardedWrites:
 # -- wire form: one raw frame per message, and a lost shard fails closed -------
 
 _LO, _HI = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-_EPOCH = {"runs": [{"name": "rsv1s0r000001"}], "memtable": None}
 
 
 def _obs_tail() -> dict:
@@ -391,10 +362,12 @@ _FRAMES = {
     "over_16k": (  # Connection sends header and body separately
         "ack", (np.arange(4_001), np.arange(4_001) % 3 == 0), None,
     ),
-    "write_ack": ("ack", (), {"epoch": _EPOCH, "obs": _obs_tail()}),
+    "traced_ack": ("ack", (), {"obs": _obs_tail()}),
     "stats_ack": ("ack", (), {"stats": {"num_runs": 2, "memtable": 0}}),
     "error_ack": ("error", (), {"error": "OSError: busy", "obs": _obs_tail()}),
-    "spawn_ack": ("ack", (), {"epoch": {"runs": [], "memtable": None}}),
+    "snapshot_read": (
+        "range_query_batch", (np.array([1]), np.array([9])), {"snapshot": 3},
+    ),
 }
 
 
@@ -431,31 +404,51 @@ def test_frame_round_trip(op, arrays, tail):
         assert len(frame) == 16 + 16 + -(-arrays[0].nbytes // 8) * 8
 
 
-def test_worker_reads_pickle_nothing_on_the_client(bulk, monkeypatch):
-    keys, _values, store, oracle = bulk
-    dumps = []
-    real = ForkingPickler.dumps
+def test_client_pickles_nothing(monkeypatch):
+    """With telemetry off, writes, flushes and reads outside a
+    snapshot are raw frames both ways."""
+    calls = []
+    dumps, loads = ForkingPickler.dumps, ForkingPickler.loads
 
     def counting_dumps(cls, obj, protocol=None):
-        dumps.append(obj)
-        return real(obj, protocol)
+        calls.append(("dumps", obj))
+        return dumps(obj, protocol)
 
-    monkeypatch.setattr(ForkingPickler, "dumps", classmethod(counting_dumps))
-    queries = keys[::311][:64]
-    lows, highs = keys[:40:10], keys[5:45:10]
+    def counting_loads(data, *args, **kwargs):
+        calls.append(("loads", data))
+        return loads(data, *args, **kwargs)
+
+    monkeypatch.delenv("REPRO_OBS", raising=False)  # spawned workers too
     prev = obs.set_enabled(False)
+    keys = np.arange(0, 20_000, 2, dtype=np.int64)
+    fresh = np.arange(1, 129, 2, dtype=np.int64)
+    lows, highs = keys[:40:10], keys[5:45:10]
     try:
-        values, found = store.lookup_batch(queries, via="worker")
-        scan = store.range_query_batch(lows, highs, via="worker")
+        with ShardedLSMStore(2, keys, keys * 7) as store:
+            monkeypatch.setattr(
+                ForkingPickler, "dumps", classmethod(counting_dumps)
+            )
+            monkeypatch.setattr(
+                ForkingPickler, "loads", staticmethod(counting_loads)
+            )
+            store.insert_batch(fresh, fresh * 3)
+            store.delete_batch(fresh[::2])
+            store.flush()
+            values, found = store.lookup_batch(np.concatenate([keys, fresh]))
+            scan = store.range_query_batch(lows, highs)
     finally:
         obs.set_enabled(prev)
-    assert dumps == []
-    assert found.all()
-    assert np.array_equal(values, oracle.lookup_batch(queries)[0])
-    assert np.array_equal(
-        np.asarray(scan.values),
-        np.asarray(oracle.range_query_batch(lows, highs).values),
-    )
+    assert calls == []
+    alive = np.ones(fresh.size, dtype=bool)
+    alive[::2] = False
+    assert found[: keys.size].all()
+    assert np.array_equal(found[keys.size:], alive)
+    assert np.array_equal(values[: keys.size], keys * 7)
+    assert np.array_equal(values[keys.size:][alive], fresh[alive] * 3)
+    assert [list(r) for r in scan] == [
+        [k for k in range(lo, hi + 1) if k % 2 == 0 or k in fresh[alive]]
+        for lo, hi in zip(lows.tolist(), highs.tolist())
+    ]
 
 
 def test_decoded_arrays_are_read_only_and_never_written(tmp_path):
@@ -502,18 +495,12 @@ def _stray_command(store, shard):
     store._conns[shard].send_bytes(sharded._encode("stats", 0))
 
 
-def _segments(pid: int, shard: int) -> list:
-    prefix = re.escape(default_prefix(shard, pid))
-    return [n for n in os.listdir("/dev/shm") if re.match(prefix + "[rm]", n)]
-
-
 @pytest.mark.parametrize(
     "fault", [_kill_worker, _stray_command], ids=["killed", "stray_ack"]
 )
 def test_lost_shard_fails_closed_and_leaves_nothing(fault):
     keys = np.arange(0, 2_000, 2, dtype=np.int64)
-    store = ShardedLSMStore(2, keys, keys * 10, read_via="worker")
-    pids = [proc.pid for proc in store._procs]
+    store = ShardedLSMStore(2, keys, keys * 10)
     try:
         owner = store.splitter.shard_of_batch(keys)
         first, second = keys[owner == 0], keys[owner == 1]
@@ -526,12 +513,26 @@ def test_lost_shard_fails_closed_and_leaves_nothing(fault):
             store.lookup_batch(first[100:108])
         with pytest.raises(ShardUnavailable):
             store.insert(1, 1)
-        if fault is _kill_worker:
-            assert _segments(pids[1], 1)  # a killed worker unlinks nothing
     finally:
         store.close()
     assert not any(proc.is_alive() for proc in store._procs)
-    assert _segments(pids[0], 0) == _segments(pids[1], 1) == []
+
+
+def test_close_returns_despite_a_hung_worker(monkeypatch):
+    monkeypatch.setattr(sharded, "CLOSE_GRACE_S", 0.5)
+    store = ShardedLSMStore(2, np.arange(0, 2_000, 2, dtype=np.int64))
+    hung = store._procs[1]
+    os.kill(hung.pid, signal.SIGSTOP)
+    closer = threading.Thread(target=store.close, daemon=True)
+    closer.start()
+    try:
+        closer.join(timeout=30)
+        assert not closer.is_alive(), "close() blocked on a stopped worker"
+    finally:
+        if hung.is_alive():  # let a blocked close() finish after all
+            os.kill(hung.pid, signal.SIGCONT)
+            closer.join()
+    assert not any(proc.is_alive() for proc in store._procs)
 
 
 # -- one read state: every holder answers through ReadView ---------------------
@@ -585,17 +586,6 @@ class _SyncCoalescer:
         return asyncio.run(self._server.range_query_batch(lows, highs))
 
 
-class _Via:
-    """A ShardedLSMStore pinned to one read path."""
-
-    def __init__(self, store, via):
-        self._store, self._via = store, via
-
-    def __getattr__(self, name):
-        method = getattr(self._store, name)
-        return lambda *args: method(*args, via=self._via)
-
-
 @pytest.fixture(scope="module")
 def read_holders():
     model: dict = {}
@@ -613,8 +603,7 @@ def read_holders():
     holders = {
         "store": single,
         "store_snapshot": snapshots[0],
-        "sharded_local": _Via(sharded, "local"),
-        "sharded_worker": _Via(sharded, "worker"),
+        "sharded": sharded,
         "sharded_snapshot": snapshots[1],
         "coalescer": _SyncCoalescer(single),
     }
@@ -626,8 +615,7 @@ def read_holders():
 
 
 _HOLDERS = (
-    "store", "store_snapshot", "sharded_local", "sharded_worker",
-    "sharded_snapshot", "coalescer",
+    "store", "store_snapshot", "sharded", "sharded_snapshot", "coalescer",
 )
 
 
@@ -715,10 +703,10 @@ def test_sharded_store_reads_only_through_readview():
     ):
         assert name not in source, name
     assert issubclass(StoreSnapshot, ReadView)
-    assert issubclass(sharded._ClientEpoch, ReadView)
-    for name in ("lookup_batch", "range_query_batch", "range_items_batch"):
-        assert name not in sharded._ClientEpoch.__dict__, name
-        assert hasattr(ReadView, name), name
+    # ...and answers through the workers' stores, not over mapped
+    # copies of their state.
+    for module in pathlib.Path(sharded.__file__).parents[1].rglob("*.py"):
+        assert "shared_memory" not in module.read_text(), module
 
 
 # -- one store surface: one key contract on every entry point (ISSUE 20) -------
@@ -755,7 +743,7 @@ def _refuse_all(store) -> None:
 
 def test_refused_calls_leave_every_holder_unchanged(read_holders):
     model, holders = read_holders
-    single, shards = holders["store"], holders["sharded_local"]._store
+    single, shards = holders["store"], holders["sharded"]
     server = holders["coalescer"]._server
     written = single.write_stats.keys_written
     _refuse_all(single)
@@ -774,7 +762,7 @@ def test_refused_calls_leave_every_holder_unchanged(read_holders):
     assert len(single) == len(model)
     assert sum(s["live_keys"] for s in shards.shard_stats()) == len(model)
     probe = np.array(sorted(model) + [-5, 4, 7, 8, 1000, 2**62], dtype=np.int64)
-    for name in ("store", "sharded_local", "sharded_worker", "coalescer"):
+    for name in ("store", "sharded", "coalescer"):
         values, found = holders[name].lookup_batch(probe)
         assert found.tolist() == [int(k) in model for k in probe], name
         assert values[found].tolist() == [model[int(k)] for k in probe[found]]
@@ -787,7 +775,7 @@ def test_scalars_agree_with_one_element_batches(tmp_path):
     with LearnedLSMStore(background=False) as mem, LearnedLSMStore(
         path=path, background=False
     ) as durable, ShardedLSMStore(
-        2, sample_keys=np.array([0, _BIG]), read_via="worker"
+        2, sample_keys=np.array([0, _BIG])
     ) as shards:
         for store in (mem, durable, shards):
             model: dict = {}
