@@ -71,8 +71,8 @@ benchmark's ``uniform_mixed`` smoke run): every read matches a single
 :class:`~repro.lsm.store.LearnedLSMStore` oracle, through a history
 that interleaves reads and snapshot reads with writes, flushes and
 compactions; ``TestReadHolderConformance`` holds the single store, its
-snapshot, this store, its snapshot and the coalescer to one dict
-replay for all three reads; every call the key contract refuses leaves
+snapshot, this store, its snapshot and the coalescer over either store
+to one dict replay for all three reads; every call the key contract refuses leaves
 each holder usable and equal to that replay; and structural pins keep
 this module free of a read implementation of its own and every
 ``repro`` module free of shared memory.

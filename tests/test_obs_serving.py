@@ -88,6 +88,20 @@ def test_traced_write_captures_wal_and_seal(traced_store):
             "lsm.wal.append", "lsm.seal"} <= names
 
 
+def test_traced_snapshot_read_keeps_its_snapshot(traced_store):
+    """The trace context joins the snapshot number in the frame tail
+    without displacing it."""
+    store, keys = traced_store
+    probe = keys[::50]
+    with store.snapshot() as snap:
+        store.insert_batch(probe, probe + 1)
+        with obs.trace_scope() as tid:
+            values, found = snap.lookup_batch(probe)
+        assert found.all() and np.array_equal(values, probe)
+    names = {s["name"] for s in obs.trace_spans(tid)}
+    assert {"sharded.fanout", "worker.lookup_batch"} <= names
+
+
 def test_merged_metrics_are_exact(traced_store):
     store, keys = traced_store
 

@@ -245,6 +245,32 @@ class TestShardedWrites:
             values, found = store.lookup_batch(keys)
             assert found.all() and np.array_equal(values, live)
 
+    def test_snapshots_pin_their_own_states(self):
+        """Each snapshot holds its own cross-shard state, memtable
+        included; releasing one leaves the others answering."""
+        keys = np.arange(0, 4_000, 2, dtype=np.int64)
+        second_v, second_f = keys.copy(), np.ones(keys.size, dtype=bool)
+        second_v[:100] *= 3
+        second_v[100:200], second_f[100:200] = 0, False
+        with ShardedLSMStore(2, keys, keys) as store:
+            first = store.snapshot()
+            store.insert_batch(keys[:100], keys[:100] * 3)
+            store.delete_batch(keys[100:200])
+            with store.snapshot() as second:
+                store.flush()
+                store.insert_batch(keys, keys * 5)
+                store.compact()
+                values, found = first.lookup_batch(keys)
+                assert found.all() and np.array_equal(values, keys)
+                first.release()
+                values, found = second.lookup_batch(keys)
+                assert np.array_equal(found, second_f)
+                assert np.array_equal(values, second_v)
+                assert np.array_equal(store.lookup_batch(keys)[0], keys * 5)
+            for snap in (first, second):
+                with pytest.raises(ValueError, match="released"):
+                    snap.range_query_batch([0], [10])
+
     def test_durable_shards_reopen(self, tmp_path):
         keys, values = _dataset(seed=9, n=4_000)
         split = CDFSplitter.fit(keys, 2)
@@ -362,9 +388,13 @@ _FRAMES = {
     "over_16k": (  # Connection sends header and body separately
         "ack", (np.arange(4_001), np.arange(4_001) % 3 == 0), None,
     ),
+    "spawn_ack": ("ack", (), None),  # also every untraced write ack
     "traced_ack": ("ack", (), {"obs": _obs_tail()}),
     "stats_ack": ("ack", (), {"stats": {"num_runs": 2, "memtable": 0}}),
     "error_ack": ("error", (), {"error": "OSError: busy", "obs": _obs_tail()}),
+    "snapshot": ("snapshot", (), {"snapshot": 3}),
+    "release": ("release", (), {"snapshot": 3}),
+    "snapshot_lookup": ("lookup_batch", (np.array([42]),), {"snapshot": 3}),
     "snapshot_read": (
         "range_query_batch", (np.array([1]), np.array([9])), {"snapshot": 3},
     ),
@@ -400,7 +430,7 @@ def test_frame_round_trip(op, arrays, tail):
         assert array.base is frame
         assert array.flags.aligned and not array.flags.writeable
     assert _plain(got_tail) == _plain(tail or {})
-    if op == "lookup_batch":  # a read command carries no tail
+    if op == "lookup_batch" and not tail:  # a plain read carries no tail
         assert len(frame) == 16 + 16 + -(-arrays[0].nbytes // 8) * 8
 
 
@@ -518,6 +548,19 @@ def test_lost_shard_fails_closed_and_leaves_nothing(fault):
     assert not any(proc.is_alive() for proc in store._procs)
 
 
+def test_snapshot_fails_closed_with_its_store():
+    keys = np.arange(0, 2_000, 2, dtype=np.int64)
+    with ShardedLSMStore(2, keys, keys) as store:
+        snap = store.snapshot()
+        _kill_worker(store, 1)
+        with pytest.raises(ShardUnavailable, match="shard 1"):
+            snap.lookup_batch(keys)
+        with pytest.raises(ShardUnavailable):
+            store.snapshot()
+        snap.release()  # a failed store's workers are not asked
+    assert not any(proc.is_alive() for proc in store._procs)
+
+
 def test_close_returns_despite_a_hung_worker(monkeypatch):
     monkeypatch.setattr(sharded, "CLOSE_GRACE_S", 0.5)
     store = ShardedLSMStore(2, np.arange(0, 2_000, 2, dtype=np.int64))
@@ -606,6 +649,7 @@ def read_holders():
         "sharded": sharded,
         "sharded_snapshot": snapshots[1],
         "coalescer": _SyncCoalescer(single),
+        "sharded_coalescer": _SyncCoalescer(sharded),  # the serving stack
     }
     yield model, holders
     for snap in snapshots:
@@ -616,6 +660,7 @@ def read_holders():
 
 _HOLDERS = (
     "store", "store_snapshot", "sharded", "sharded_snapshot", "coalescer",
+    "sharded_coalescer",
 )
 
 
@@ -674,7 +719,8 @@ class TestReadHolderConformance:
             dtype=np.int64,
         )
         self._check_ranges(
-            model, holders[name], lows, highs, items=name != "coalescer"
+            model, holders[name], lows, highs,
+            items=not name.endswith("coalescer"),
         )
         empty = holders[name].range_query_batch(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -685,7 +731,7 @@ class TestReadHolderConformance:
         model, holders = read_holders
         lows = np.array([1.5, 9.5, 3.5, 100.5])
         highs = np.array([7.5, 20.5, 3.5, 90.5])
-        if name == "coalescer":
+        if name.endswith("coalescer"):
             # One packed int64 array per tick: refused, not truncated.
             with pytest.raises(TypeError):
                 holders[name].range_query_batch(lows, highs)
