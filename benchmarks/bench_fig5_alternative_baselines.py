@@ -16,7 +16,7 @@ from repro.bench import Table, compare_lookups, format_bytes, measure_lookups
 from repro.btree import FASTTree, FixedSizeBTree, HierarchicalLookupTable
 from repro.core import RecursiveModelIndex
 from repro.data import lognormal_keys
-from repro.models import LinearModel, MultivariateLinearModel
+from repro.models import MultivariateLinearModel
 
 from conftest import (
     comparisons_per_lookup,
@@ -33,10 +33,9 @@ def _build_learned(keys):
     return RecursiveModelIndex(
         keys,
         stage_sizes=(1, max(keys.size // 1_000, 8)),
-        model_factories=[
-            lambda: MultivariateLinearModel(features=("key", "log", "key^2")),
-            LinearModel,
-        ],
+        root=lambda: MultivariateLinearModel(
+            features=("key", "log", "key^2")
+        ),
     )
 
 

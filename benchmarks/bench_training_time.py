@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.bench import Table, measure_callable
 from repro.btree import BTreeIndex
 from repro.core import HybridIndex, RecursiveModelIndex
-from repro.models import LinearModel, NeuralRegressionModel
+from repro.models import NeuralRegressionModel
 
 from conftest import console, show_table
 
@@ -38,12 +38,9 @@ def test_training_time(fig4_datasets):
             lambda: RecursiveModelIndex(
                 keys,
                 stage_sizes=(1, leaves),
-                model_factories=[
-                    lambda: NeuralRegressionModel(
-                        hidden=(16,), epochs=5, max_train_samples=20_000
-                    ),
-                    LinearModel,
-                ],
+                root=lambda: NeuralRegressionModel(
+                    hidden=(16,), epochs=5, max_train_samples=20_000
+                ),
             ),
         ),
         (

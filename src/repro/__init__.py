@@ -68,7 +68,7 @@ from .core import (
 )
 from .families import PGMIndex, RadixSplineIndex
 from .lsm import LearnedLSMStore, SizeTieredCompaction
-from .obs import default_registry, summarize_latencies
+from .obs import default_registry
 from .range_scan import RangeScanResult
 from .serving import CDFSplitter, CoalescingIndexServer, ShardedLSMStore
 from .hashmap import (
@@ -115,6 +115,5 @@ __all__ = [
     "StringRMI",
     "conflict_stats",
     "default_registry",
-    "summarize_latencies",
     "synthesize",
 ]

@@ -11,7 +11,6 @@ from .learned_hash import (
     ConflictStats,
     LearnedHashFunction,
     conflict_stats,
-    make_linear_cdf_hash,
 )
 from .learned_sort import (
     LearnedSortStats,
@@ -84,7 +83,6 @@ __all__ = [
     "conflict_stats",
     "default_grid",
     "evaluate_config",
-    "make_linear_cdf_hash",
     "root_factory",
     "synthesize",
     "verify_lower_bound",

@@ -71,13 +71,11 @@ class RMIConfig:
             root = "linear"
         return f"{root}/leaves={self.num_leaves}/{self.search_strategy}"
 
-    def factories(self) -> list[Callable]:
-        return [
-            root_factory(
-                self.root_kind,
-                hidden=self.root_hidden,
-                features=self.root_features,
-                epochs=self.epochs,
-            ),
-            LinearModel,
-        ]
+    def root_factory(self) -> Callable:
+        """The root-model factory this grid point trains the RMI with."""
+        return root_factory(
+            self.root_kind,
+            hidden=self.root_hidden,
+            features=self.root_features,
+            epochs=self.epochs,
+        )

@@ -16,13 +16,12 @@ descend the per-leaf B-Tree instead of running the model.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..btree.btree import BTreeIndex
 from ..btree.search_baselines import exponential_search
-from ..models.base import Model
 from . import engine
 from .rmi import RecursiveModelIndex
 
@@ -62,7 +61,6 @@ class HybridIndex(RecursiveModelIndex):
         self,
         keys: np.ndarray,
         stage_sizes: Sequence[int] = (1, 100),
-        model_factories: Sequence[Callable[[], Model]] | None = None,
         search_strategy: str = "binary",
         threshold: int = 128,
         btree_page_size: int = 128,
@@ -75,7 +73,6 @@ class HybridIndex(RecursiveModelIndex):
         super().__init__(
             keys,
             stage_sizes=stage_sizes,
-            model_factories=model_factories,
             search_strategy=search_strategy,
         )
         self._replace_bad_leaves()
@@ -83,20 +80,24 @@ class HybridIndex(RecursiveModelIndex):
     # -- Algorithm 1, lines 11-14 ---------------------------------------------
 
     def _replace_bad_leaves(self) -> None:
-        n = self.keys.size
-        if n == 0:
+        # Algorithm 1's max_abs_err, read off the leaf error tables.
+        plan = self._plan
+        max_abs = np.maximum(
+            np.abs(plan.lo_offsets.astype(np.int64)),
+            np.abs(plan.hi_offsets.astype(np.int64)),
+        )
+        bad = np.nonzero(
+            (self._stage_counts[-1] > 0) & (max_abs > self.threshold)
+        )[0]
+        if not bad.size:
             return
         assignment = self._leaf_assignment
-        leaves = self.stage_sizes[-1]
         order = np.argsort(assignment, kind="stable")
-        sorted_assign = assignment[order]
         boundaries = np.searchsorted(
-            sorted_assign, np.arange(leaves + 1), side="left"
+            assignment[order], np.arange(self.stage_sizes[-1] + 1),
+            side="left",
         )
-        for j in range(leaves):
-            stats = self.leaf_errors[j]
-            if stats.count == 0 or stats.max_absolute <= self.threshold:
-                continue
+        for j in bad.tolist():
             members = order[boundaries[j]:boundaries[j + 1]]
             base = int(members.min())
             end = int(members.max()) + 1

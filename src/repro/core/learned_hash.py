@@ -20,15 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..models.base import Model
-from ..models.linear import LinearModel
 from .rmi import RecursiveModelIndex
 
 __all__ = [
     "LearnedHashFunction",
     "conflict_stats",
     "ConflictStats",
-    "make_linear_cdf_hash",
 ]
 
 
@@ -41,7 +38,6 @@ class LearnedHashFunction:
         num_slots: int,
         *,
         stage_sizes: Sequence[int] = (1, 1000),
-        model_factories: Sequence[Callable[[], Model]] | None = None,
     ):
         if num_slots < 1:
             raise ValueError("num_slots must be >= 1")
@@ -50,11 +46,7 @@ class LearnedHashFunction:
         self._n = int(keys.size)
         # The RMI already predicts positions in [0, n); rescaling by
         # M/n turns position predictions into slot predictions.
-        self._rmi = RecursiveModelIndex(
-            keys,
-            stage_sizes=stage_sizes,
-            model_factories=model_factories,
-        )
+        self._rmi = RecursiveModelIndex(keys, stage_sizes=stage_sizes)
         self._scale = self.num_slots / max(self._n, 1)
 
     def __call__(self, key: float) -> int:
@@ -152,14 +144,3 @@ def conflict_stats(
     counts = np.bincount(slots, minlength=num_slots)
     return ConflictStats(counts, keys.size, num_slots)
 
-
-def make_linear_cdf_hash(
-    train_keys: np.ndarray, num_slots: int
-) -> LearnedHashFunction:
-    """Single-linear-model CDF hash (the Section 4.1 minimal variant)."""
-    return LearnedHashFunction(
-        train_keys,
-        num_slots,
-        stage_sizes=(1, 1),
-        model_factories=[LinearModel, LinearModel],
-    )

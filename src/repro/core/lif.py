@@ -96,7 +96,7 @@ def evaluate_config(
     index = RecursiveModelIndex(
         keys,
         stage_sizes=(1, config.num_leaves),
-        model_factories=config.factories(),
+        root=config.root_factory(),
         search_strategy=config.search_strategy,
     )
     build_seconds = time.perf_counter() - start

@@ -204,7 +204,7 @@ class StringRMI:
         )
         leaf_stats, lo_offsets, hi_offsets = segmented_error_stats(
             predictions, positions, assignment, m,
-            default=default, with_bounds=True,
+            default=default,
         )
         self.leaf_errors = leaf_stats
         # The batch path adapts over the shared query core through the

@@ -64,13 +64,12 @@ stored bounds widened by the measured append error).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..lsm.memtable import Memtable
 from ..lsm.store import as_int64_key, as_int64_keys
-from ..models.base import Model
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
 from ..util import scalar_view
 from .engine import QueryBatch, SortedKeyColumn
@@ -99,7 +98,6 @@ class WritableLearnedIndex:
         keys: np.ndarray | None = None,
         *,
         stage_sizes: Sequence[int] = (1, 100),
-        model_factories: Sequence[Callable[[], Model]] | None = None,
         merge_threshold: int = 4_096,
     ):
         if merge_threshold < 1:
@@ -108,7 +106,6 @@ class WritableLearnedIndex:
         if base.size and np.any(np.diff(base) <= 0):
             raise ValueError("initial keys must be sorted and unique")
         self._stage_sizes = tuple(stage_sizes)
-        self._model_factories = model_factories
         self.merge_threshold = int(merge_threshold)
         self.merges = 0
         self.retrains = 0
@@ -119,11 +116,7 @@ class WritableLearnedIndex:
     # -- construction helpers -----------------------------------------------
 
     def _rebuild(self, keys: np.ndarray) -> None:
-        self._main = RecursiveModelIndex(
-            keys,
-            stage_sizes=self._stage_sizes,
-            model_factories=self._model_factories,
-        )
+        self._main = RecursiveModelIndex(keys, stage_sizes=self._stage_sizes)
         self.retrains += 1
 
     # -- write path -----------------------------------------------------------

@@ -13,19 +13,15 @@ from .registry import (
     integer_dataset,
     string_dataset,
 )
-from .strings import document_ids, web_paths
+from .strings import document_ids
 from .synthetic import (
     clustered_keys,
-    dedupe_sorted,
-    hotspot_queries,
     lognormal_keys,
     normal_keys,
     osm_like,
-    scan_workload,
     sequential_keys,
     u64_dense,
     uniform_keys,
-    zipf_gap_keys,
     zipfian_queries,
 )
 from .urls import benign_urls, confusable_urls, phishing_urls, url_dataset
@@ -38,23 +34,18 @@ __all__ = [
     "benign_urls",
     "clustered_keys",
     "confusable_urls",
-    "dedupe_sorted",
     "document_ids",
-    "hotspot_queries",
     "integer_dataset",
     "lognormal_keys",
     "map_longitudes",
     "normal_keys",
     "osm_like",
     "phishing_urls",
-    "scan_workload",
     "sequential_keys",
     "string_dataset",
     "u64_dense",
     "uniform_keys",
     "url_dataset",
-    "web_paths",
     "weblog_timestamps",
-    "zipf_gap_keys",
     "zipfian_queries",
 ]

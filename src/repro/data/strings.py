@@ -13,24 +13,15 @@ that make string indexing hard:
   on a prefix varies a lot between prefixes;
 * lexicographic sort order, fixed alphabet.
 
-Two generators are provided: ``document_ids`` (digit-based ids grouped
-into shard prefixes — the default benchmark dataset) and ``web_paths``
-(URL-path-like ids with word segments, used by tests and the string
-example).
+``document_ids`` generates them: digit-based ids grouped into shard
+prefixes, the default benchmark dataset.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["document_ids", "web_paths"]
-
-_WORDS = (
-    "alpha beta gamma delta epsilon zeta eta theta iota kappa lamda mu nu "
-    "xi omicron pi rho sigma tau upsilon phi chi psi omega index search "
-    "doc page item node edge user group file data shard part chunk block "
-    "store cache query plan scan join sort hash tree leaf root"
-).split()
+__all__ = ["document_ids"]
 
 
 def document_ids(
@@ -82,37 +73,3 @@ def document_ids(
     out.sort()
     return out
 
-
-def web_paths(
-    n: int,
-    *,
-    seed: int = 42,
-    max_depth: int = 4,
-) -> list[str]:
-    """Generate ``n`` unique sorted URL-path-like string keys.
-
-    Paths like ``"data/shard/item0042"`` with shared prefixes and mixed
-    alphanumeric segments; exercises tokenization on a realistic
-    alphabet (lowercase + digits + '/').
-    """
-    rng = np.random.default_rng(seed)
-    seen: set[str] = set()
-    out: list[str] = []
-    attempts = 0
-    while len(out) < n:
-        attempts += 1
-        if attempts > n * 64:
-            raise RuntimeError("could not generate %d unique paths" % n)
-        depth = int(rng.integers(1, max_depth + 1))
-        segments = []
-        for level in range(depth):
-            word = _WORDS[int(rng.integers(0, len(_WORDS)))]
-            if level == depth - 1 and rng.random() < 0.7:
-                word = f"{word}{int(rng.integers(0, 10_000)):04d}"
-            segments.append(word)
-        key = "/".join(segments)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    out.sort()
-    return out

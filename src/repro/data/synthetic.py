@@ -21,13 +21,9 @@ __all__ = [
     "normal_keys",
     "clustered_keys",
     "sequential_keys",
-    "zipf_gap_keys",
     "u64_dense",
     "osm_like",
-    "dedupe_sorted",
     "zipfian_queries",
-    "hotspot_queries",
-    "scan_workload",
 ]
 
 #: Paper scales lognormal values "to be integers up to 1B".  This is a
@@ -47,15 +43,6 @@ DEFAULT_MAX_KEY = 1_000_000_000
 #: matches the paper's measured 25.9% (sweep: 0.19 keys/integer -> 17%
 #: conflicts, 0.02 -> 24%, 0.01 -> 26%).
 PAPER_KEYS_PER_INTEGER = 0.01
-
-
-def dedupe_sorted(values: np.ndarray) -> np.ndarray:
-    """Sort and deduplicate ``values`` into the canonical key layout.
-
-    Every key array handed to an index must be strictly increasing; this
-    helper is the single place that invariant is established.
-    """
-    return np.unique(np.asarray(values, dtype=np.int64))
 
 
 def _fill_unique(
@@ -213,20 +200,6 @@ def sequential_keys(n: int, *, start: int = 0, step: int = 1) -> np.ndarray:
     return (start + step * np.arange(n, dtype=np.int64)).astype(np.int64)
 
 
-def zipf_gap_keys(
-    n: int, *, alpha: float = 1.5, seed: int = 42, start: int = 0
-) -> np.ndarray:
-    """Keys whose successive gaps follow a Zipf distribution.
-
-    Models the "mostly dense with occasional large holes" pattern common
-    in auto-increment primary keys with deletions.
-    """
-    rng = np.random.default_rng(seed)
-    gaps = rng.zipf(alpha, size=n).astype(np.int64)
-    keys = start + np.cumsum(gaps)
-    return keys.astype(np.int64)
-
-
 def u64_dense(
     n: int,
     *,
@@ -283,11 +256,10 @@ def osm_like(n: int, *, seed: int = 42) -> np.ndarray:
 # both show that learned-vs-tree rankings change under *skewed* access
 # patterns, not uniform point queries: skew concentrates probes on a few
 # cache-resident leaves (flattering any small model) while range scans
-# amortize the descent over the scan length.  The generators below
-# produce the three canonical skewed workloads over an existing key
-# array; all return query values (not positions), mixing no absent keys
-# — callers blend in absent probes themselves when the fix-up path
-# should be exercised.
+# amortize the descent over the scan length.  The generator below
+# produces a skewed point workload over an existing key array: query
+# values (not positions), mixing no absent keys — callers blend in
+# absent probes themselves when the fix-up path should be exercised.
 
 
 def zipfian_queries(
@@ -308,82 +280,3 @@ def zipfian_queries(
     rank_to_pos = rng.permutation(keys.size)
     return keys[rank_to_pos[ranks]].astype(np.float64)
 
-
-def hotspot_queries(
-    keys: np.ndarray,
-    n: int,
-    *,
-    hot_fraction: float = 0.01,
-    hot_weight: float = 0.9,
-    seed: int = 42,
-) -> np.ndarray:
-    """``n`` point queries, ``hot_weight`` of them inside one contiguous
-    span covering ``hot_fraction`` of the key array.
-
-    The classic YCSB "hotspot" distribution: 90% of traffic on 1% of
-    the data by default.  The hot span's placement is drawn from the
-    seed, so different seeds stress different leaves.
-    """
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        return np.empty(0, dtype=np.float64)
-    if not 0.0 < hot_fraction <= 1.0:
-        raise ValueError("hot_fraction must be in (0, 1]")
-    if not 0.0 <= hot_weight <= 1.0:
-        raise ValueError("hot_weight must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    span = max(int(keys.size * hot_fraction), 1)
-    start = int(rng.integers(0, max(keys.size - span, 0) + 1))
-    hot = rng.random(n) < hot_weight
-    positions = np.where(
-        hot,
-        rng.integers(start, start + span, size=n),
-        rng.integers(0, keys.size, size=n),
-    )
-    return keys[positions].astype(np.float64)
-
-
-def scan_workload(
-    keys: np.ndarray,
-    n: int,
-    *,
-    scan_fraction: float = 0.5,
-    mean_span: int = 100,
-    skew: str = "uniform",
-    seed: int = 42,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A mixed point/range workload: ``(lows, highs)`` endpoint arrays.
-
-    ``scan_fraction`` of the ``n`` queries are range scans whose span
-    (in *positions*) is geometric with mean ``mean_span`` — short scans
-    dominate, with an exponential tail, the shape SOSD uses; the rest
-    are point queries (``low == high``).  Scan start positions follow
-    ``skew``: ``"uniform"``, ``"zipfian"`` or ``"hotspot"`` (reusing
-    the point-query generators above), so a scan-heavy *and* skewed mix
-    is one call.  Feed the result straight to ``range_query_batch``.
-    """
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty
-    if not 0.0 <= scan_fraction <= 1.0:
-        raise ValueError("scan_fraction must be in [0, 1]")
-    if mean_span < 1:
-        raise ValueError("mean_span must be >= 1")
-    rng = np.random.default_rng(seed)
-    if skew == "uniform":
-        lows = keys[rng.integers(0, keys.size, size=n)].astype(np.float64)
-    elif skew == "zipfian":
-        lows = zipfian_queries(keys, n, seed=seed + 1)
-    elif skew == "hotspot":
-        lows = hotspot_queries(keys, n, seed=seed + 1)
-    else:
-        raise ValueError(
-            f"unknown skew {skew!r}; known: uniform, zipfian, hotspot"
-        )
-    start_pos = np.searchsorted(keys, lows, side="left")
-    spans = rng.geometric(1.0 / mean_span, size=n).astype(np.int64)
-    spans[rng.random(n) >= scan_fraction] = 0
-    end_pos = np.minimum(start_pos + spans, keys.size - 1)
-    highs = keys[end_pos].astype(np.float64)
-    return lows, highs

@@ -7,12 +7,7 @@ composed from the repo's learned-index substrate.
 """
 
 from .compaction import SizeTieredCompaction, merge_runs
-from .faultfs import (
-    FaultInjectingFilesystem,
-    RealFileSystem,
-    SimulatedCrash,
-    flip_byte,
-)
+from .faultfs import RealFileSystem, flip_byte
 from .format import CorruptRunError
 from .manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from .memtable import Memtable
@@ -22,14 +17,12 @@ from .wal import WriteAheadLog
 
 __all__ = [
     "CorruptRunError",
-    "FaultInjectingFilesystem",
     "LearnedLSMStore",
     "LSMReadStats",
     "LSMWriteStats",
     "MANIFEST_NAME",
     "Memtable",
     "RealFileSystem",
-    "SimulatedCrash",
     "SortedRun",
     "SizeTieredCompaction",
     "WriteAheadLog",

@@ -5,12 +5,9 @@ training or inference time (Section 3.1: LIF "never uses Tensorflow at
 inference").
 """
 
-from .base import ConstantModel, Model
+from .base import Model
 from .cdf import (
-    EmpiricalCDF,
     ErrorStats,
-    empirical_cdf,
-    error_stats,
     error_stats_list_from_arrays,
     positions_for_keys,
     segmented_error_arrays,
@@ -36,8 +33,6 @@ __all__ = [
     "FEATURE_LIBRARY",
     "MLP",
     "CharVocabulary",
-    "ConstantModel",
-    "EmpiricalCDF",
     "ErrorStats",
     "FrameworkModel",
     "GRUClassifier",
@@ -46,8 +41,6 @@ __all__ = [
     "MultivariateLinearModel",
     "NeuralRegressionModel",
     "SplineSegmentModel",
-    "empirical_cdf",
-    "error_stats",
     "error_stats_list_from_arrays",
     "fit_linear_cdf_root",
     "lexicographic_scalar",

@@ -23,7 +23,7 @@ import abc
 
 import numpy as np
 
-__all__ = ["Model", "ConstantModel"]
+__all__ = ["Model"]
 
 _FLOAT_BYTES = 8
 
@@ -68,40 +68,3 @@ class Model(abc.ABC):
         widening-search fallback.
         """
         return False
-
-
-class ConstantModel(Model):
-    """Predicts the mean position regardless of key.
-
-    The degenerate fallback for leaf models trained on zero or one key,
-    or on duplicated keys where no slope is identifiable.
-    """
-
-    def __init__(self, value: float = 0.0):
-        self.value = float(value)
-
-    def fit(self, keys: np.ndarray, positions: np.ndarray) -> "ConstantModel":
-        positions = np.asarray(positions, dtype=np.float64)
-        if positions.size:
-            self.value = float(positions.mean())
-        return self
-
-    def predict(self, key: float) -> float:
-        return self.value
-
-    def predict_batch(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.float64)
-        return np.full(keys.shape, self.value)
-
-    @property
-    def param_count(self) -> int:
-        return 1
-
-    def op_count(self) -> int:
-        return 0
-
-    def is_monotonic(self) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return f"ConstantModel(value={self.value:.3f})"

@@ -1,13 +1,12 @@
-"""Empirical CDF utilities (Section 2.2).
+"""CDF-model targets and error statistics (Section 2.2).
 
 "a model that predicts the position given a key inside a sorted array
 effectively approximates the cumulative distribution function (CDF).
 We can model the CDF of the data to predict the position as
 p = F(Key) * N."
 
-These helpers convert between the position view (what indexes store)
-and the probability view (what models learn), and compute the error
-statistics the RMI's bound bookkeeping and Appendix A analysis need.
+These helpers give the target positions models learn and compute the
+per-model error statistics the RMI's bound bookkeeping needs.
 """
 
 from __future__ import annotations
@@ -17,13 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "empirical_cdf",
     "positions_for_keys",
     "ErrorStats",
-    "error_stats",
     "segmented_error_arrays",
     "segmented_error_stats",
-    "EmpiricalCDF",
 ]
 
 
@@ -34,20 +30,6 @@ def positions_for_keys(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.float64)
 
 
-def empirical_cdf(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """F_hat(q) = |{k <= q}| / N for each query value.
-
-    Matches Appendix A's definition of the empirical CDF over the stored
-    keys; assumes ``sorted_keys`` is sorted ascending.
-    """
-    sorted_keys = np.asarray(sorted_keys)
-    query = np.asarray(query)
-    if sorted_keys.size == 0:
-        return np.zeros(query.shape, dtype=np.float64)
-    counts = np.searchsorted(sorted_keys, query, side="right")
-    return counts / float(sorted_keys.size)
-
-
 class ErrorStats(NamedTuple):
     """Prediction-error summary for a model over its assigned keys.
 
@@ -56,9 +38,9 @@ class ErrorStats(NamedTuple):
     the true position of key ``k`` lies in
     ``[pred(k) - max_error, pred(k) - min_error]``.
 
-    A ``NamedTuple`` rather than a dataclass because the vectorized RMI
-    build materializes one per leaf — tens of thousands per
-    construction — and tuple allocation is measurably cheaper.
+    A ``NamedTuple`` rather than a dataclass because an index's
+    ``leaf_errors`` builds one per leaf — tens of thousands per access —
+    and tuple allocation is measurably cheaper.
     """
 
     min_error: int
@@ -76,24 +58,6 @@ class ErrorStats(NamedTuple):
     def window(self) -> int:
         """Width of the guaranteed search window."""
         return self.max_error - self.min_error
-
-
-def error_stats(predictions: np.ndarray, truths: np.ndarray) -> ErrorStats:
-    """Compute :class:`ErrorStats` from parallel prediction/truth arrays."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if predictions.shape != truths.shape:
-        raise ValueError("prediction/truth shape mismatch")
-    if predictions.size == 0:
-        return ErrorStats(0, 0, 0.0, 0.0, 0)
-    signed = predictions - truths
-    return ErrorStats(
-        min_error=int(np.floor(signed.min())),
-        max_error=int(np.ceil(signed.max())),
-        mean_absolute=float(np.abs(signed).mean()),
-        std=float(signed.std()),
-        count=int(signed.size),
-    )
 
 
 def segment_reducer(boundaries: np.ndarray, n: int):
@@ -134,24 +98,23 @@ def segmented_error_arrays(
     num_segments: int,
     *,
     default: ErrorStats,
-    min_error_clamp: int = 0,
     boundaries: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of per-segment :func:`error_stats` in one pass.
+    """Per-segment :class:`ErrorStats` columns in one pass.
 
     Returns ``(min_error, max_error, mean_absolute, std, counts)``, the
-    j-th entries being :func:`error_stats` of segment ``j``'s signed
-    errors: min/max from ``np.minimum/maximum.reduceat`` over the
-    segment boundaries, moments from ``np.add.reduceat`` sums.  When
+    j-th entries summarizing segment ``j``'s signed errors
+    (prediction - truth; bounds floored/ceiled to integers, std the
+    population deviation): min/max from
+    ``np.minimum/maximum.reduceat`` over the segment boundaries,
+    moments from ``np.add.reduceat`` sums.  When
     ``assignment`` is non-decreasing — always true under a monotonic
     root model — segments are contiguous slices and the boundaries come
     from one ``searchsorted``; otherwise a stable argsort reorders the
     errors segment-major first.
 
     Segments with no members carry ``default``'s bounds and zero
-    moments; ``min_error_clamp`` widens every occupied segment's bounds
-    to at least ``[-clamp, clamp]`` (the RMI's ``min_leaf_error``).
-    ``boundaries`` asserts a known-contiguous assignment layout
+    moments.  ``boundaries`` asserts a known-contiguous assignment layout
     (see :func:`repro.models.linear.segmented_linear_fit`), skipping
     the monotonicity check and ``searchsorted``.
     """
@@ -183,9 +146,6 @@ def segmented_error_arrays(
     counts, empty, reduce = segment_reducer(boundaries, n)
     min_error = np.floor(reduce(np.minimum, ordered)).astype(np.int64)
     max_error = np.ceil(reduce(np.maximum, ordered)).astype(np.int64)
-    if min_error_clamp:
-        np.minimum(min_error, -int(min_error_clamp), out=min_error)
-        np.maximum(max_error, int(min_error_clamp), out=max_error)
     min_error[empty] = default.min_error
     max_error[empty] = default.max_error
     safe = np.maximum(counts, 1).astype(np.float64)
@@ -206,8 +166,8 @@ def error_stats_list_from_arrays(
     """Materialize parallel stat arrays into ``ErrorStats`` rows.
 
     ``ErrorStats._make`` over one ``zip`` is the cheapest mass
-    construction CPython offers — the vectorized RMI build defers this
-    call until something introspects per-leaf stats.
+    construction CPython offers; the RMI builds its ``leaf_errors``
+    rows with it on each access.
     """
     return list(
         map(
@@ -230,23 +190,17 @@ def segmented_error_stats(
     num_segments: int,
     *,
     default: ErrorStats,
-    min_error_clamp: int = 0,
-    with_bounds: bool = False,
-):
-    """Per-segment :func:`error_stats` in one vectorized pass.
+) -> tuple[list[ErrorStats], np.ndarray, np.ndarray]:
+    """Per-segment :class:`ErrorStats` rows in one vectorized pass.
 
-    Equivalent to grouping ``predictions``/``positions`` by
-    ``assignment`` and calling :func:`error_stats` on each group (see
+    Groups ``predictions``/``positions`` by ``assignment`` (see
     :func:`segmented_error_arrays` for the mechanics).  Segments with
-    no members carry ``default``'s bounds and zero moments/count —
-    value-equal to the RMI's lazily materialized view, which reads the
-    same arrays.
+    no members carry ``default``'s bounds and zero moments/count.
 
-    Returns the ``list[ErrorStats]``, or with ``with_bounds=True`` the
-    tuple ``(stats, lo_offsets, hi_offsets)`` where the float64 offset
-    arrays are the compiled search-window form (``lo = max_error``,
-    ``hi = min_error`` per segment, ``default``'s bounds for empty
-    segments) — what the RMI's ``_compile`` stores.
+    Returns ``(stats, lo_offsets, hi_offsets)``: the
+    ``list[ErrorStats]`` and the float64 offset arrays of the compiled
+    search-window form (``lo = max_error``, ``hi = min_error`` per
+    segment, ``default``'s bounds for empty segments).
     """
     min_error, max_error, mean_abs, std, counts = segmented_error_arrays(
         predictions,
@@ -254,41 +208,9 @@ def segmented_error_stats(
         assignment,
         num_segments,
         default=default,
-        min_error_clamp=min_error_clamp,
     )
     stats = error_stats_list_from_arrays(
         min_error, max_error, mean_abs, std, counts
     )
-    if with_bounds:
-        return (
-            stats,
-            max_error.astype(np.float64),
-            min_error.astype(np.float64),
-        )
-    return stats
+    return stats, max_error.astype(np.float64), min_error.astype(np.float64)
 
-
-class EmpiricalCDF:
-    """A queryable empirical CDF over a fixed sorted key set.
-
-    The "perfect model" reference point: an index using this as its
-    model has zero error on stored keys (it *is* a lookup), so it marks
-    the accuracy frontier other models are compared against in tests.
-    """
-
-    def __init__(self, sorted_keys: np.ndarray):
-        keys = np.asarray(sorted_keys)
-        if keys.size and np.any(np.diff(keys) < 0):
-            raise ValueError("keys must be sorted ascending")
-        self._keys = keys
-
-    @property
-    def n(self) -> int:
-        return int(self._keys.size)
-
-    def __call__(self, query) -> np.ndarray:
-        return empirical_cdf(self._keys, np.asarray(query))
-
-    def position(self, query) -> np.ndarray:
-        """Predicted positions N * F(q), the Section 2.2 estimator."""
-        return self(query) * self.n

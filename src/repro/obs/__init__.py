@@ -29,7 +29,6 @@ from .histogram import (
     bucket_index,
     bucket_midpoint,
     bucket_upper_bound,
-    summarize_latencies,
 )
 from .registry import (
     Counter,
@@ -56,7 +55,7 @@ from .tracing import (
     trace_spans,
     wire_context,
 )
-from .export import json_snapshot, prometheus_text, trace_json
+from .export import prometheus_text, trace_json
 
 __all__ = [
     "state",
@@ -70,7 +69,6 @@ __all__ = [
     "bucket_index",
     "bucket_midpoint",
     "bucket_upper_bound",
-    "summarize_latencies",
     "Counter",
     "Gauge",
     "MetricsRegistry",
@@ -92,7 +90,6 @@ __all__ = [
     "trace_scope",
     "trace_spans",
     "wire_context",
-    "json_snapshot",
     "prometheus_text",
     "trace_json",
 ]

@@ -1,4 +1,4 @@
-"""Exporters: Prometheus text exposition and JSON snapshots."""
+"""Exporters: Prometheus text exposition and JSON traces."""
 
 from __future__ import annotations
 
@@ -47,11 +47,6 @@ def prometheus_text(snapshot: RegistrySnapshot, prefix: str = "repro") -> str:
         lines.append(f"{metric}_sum {hist.sum:.9g}")
         lines.append(f"{metric}_count {hist.count}")
     return "\n".join(lines) + "\n"
-
-
-def json_snapshot(snapshot: RegistrySnapshot, indent=None) -> str:
-    """JSON form of a snapshot (sparse histogram buckets)."""
-    return json.dumps(snapshot.to_dict(), indent=indent, sort_keys=True)
 
 
 def trace_json(trace: dict, indent=2) -> str:

@@ -195,14 +195,3 @@ class LatencyHistogram:
             f"LatencyHistogram(count={self.count}, mean={self.mean:.3g}, "
             f"min={self.min:.3g}, max={self.max:.3g})"
         )
-
-
-def summarize_latencies(values, qs=(50.0, 99.0, 99.9)) -> tuple:
-    """Shared bench helper: histogram-backed percentiles of ``values``.
-
-    Both throughput and serving benchmarks route their latency samples
-    through this single function, so their quantile math cannot drift.
-    """
-    hist = LatencyHistogram()
-    hist.observe_many(values)
-    return tuple(hist.percentile(q) for q in qs)

@@ -1,0 +1,82 @@
+"""Reference implementations and generators that only tests use.
+
+Each definition here is the plain, per-item form of something the
+product computes in bulk (or test data no product path consumes), kept
+as an oracle rather than as product code.  Import it from a test
+module as ``from oracles import ...``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.models.cdf import ErrorStats
+
+
+def empirical_cdf(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """F_hat(q) = |{k <= q}| / N for each query value (Section 2.2,
+    Appendix A): the function every CDF model approximates."""
+    sorted_keys = np.asarray(sorted_keys)
+    query = np.asarray(query)
+    if sorted_keys.size == 0:
+        return np.zeros(query.shape, dtype=np.float64)
+    counts = np.searchsorted(sorted_keys, query, side="right")
+    return counts / float(sorted_keys.size)
+
+
+def error_stats(predictions: np.ndarray, truths: np.ndarray) -> ErrorStats:
+    """:class:`ErrorStats` of one model from parallel prediction/truth
+    arrays — the per-leaf form of
+    :func:`repro.models.cdf.segmented_error_arrays`."""
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truths = np.asarray(truths, dtype=np.float64)
+    if predictions.shape != truths.shape:
+        raise ValueError("prediction/truth shape mismatch")
+    if predictions.size == 0:
+        return ErrorStats(0, 0, 0.0, 0.0, 0)
+    signed = predictions - truths
+    return ErrorStats(
+        min_error=int(np.floor(signed.min())),
+        max_error=int(np.ceil(signed.max())),
+        mean_absolute=float(np.abs(signed).mean()),
+        std=float(signed.std()),
+        count=int(signed.size),
+    )
+
+
+_WORDS = (
+    "alpha beta gamma delta epsilon zeta eta theta iota kappa lamda mu nu "
+    "xi omicron pi rho sigma tau upsilon phi chi psi omega index search "
+    "doc page item node edge user group file data shard part chunk block "
+    "store cache query plan scan join sort hash tree leaf root"
+).split()
+
+
+def web_paths(n: int, *, seed: int = 42, max_depth: int = 4) -> list[str]:
+    """``n`` unique sorted URL-path-like string keys.
+
+    Paths like ``"data/shard/item0042"`` with shared prefixes and mixed
+    alphanumeric segments: a second string key shape, on a realistic
+    alphabet (lowercase + digits + '/').
+    """
+    rng = np.random.default_rng(seed)
+    seen: set[str] = set()
+    out: list[str] = []
+    attempts = 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > n * 64:
+            raise RuntimeError("could not generate %d unique paths" % n)
+        depth = int(rng.integers(1, max_depth + 1))
+        segments = []
+        for level in range(depth):
+            word = _WORDS[int(rng.integers(0, len(_WORDS)))]
+            if level == depth - 1 and rng.random() < 0.7:
+                word = f"{word}{int(rng.integers(0, 10_000)):04d}"
+            segments.append(word)
+        key = "/".join(segments)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    out.sort()
+    return out

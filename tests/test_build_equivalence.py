@@ -1,40 +1,33 @@
-"""Equivalence pins: vectorized segmented-fit build vs the scalar loop.
+"""The RMI's tables against the per-leaf reference fit.
 
-ISSUE 3's contract for the segmented build: same leaf assignment, same
-models up to float tolerance, same-or-adjacent error bounds
-(floor/ceil of float-rounded extremes may differ by one), and
-bit-identical lookups — on every dataset shape that has historically
-broken segmented array code (uniform, lognormal, adversarial clusters,
-duplicate-heavy, more leaves than keys, trailing empty leaves, empty).
-
-The reference side is built with :class:`ReferenceLinear` leaves: not
-*exactly* ``LinearModel``, so the RMI fits every leaf with its
-per-model loop instead of the segmented fit — same math, no product
-knob.
+The RMI trains every stage below its root with one segmented
+least-squares pass.  The oracle here is the per-leaf loop that pass
+replaces: take each leaf's members by ``_leaf_assignment``, fit them
+with ``LinearModel().fit`` and summarize them with ``error_stats``.
+The plan's tables and the error arrays must match it — same models up
+to float tolerance, same members, same-or-adjacent error bounds
+(floor/ceil of float-rounded extremes may differ by one) — and every
+lookup must equal the bisect oracle, on every dataset shape that has
+historically broken segmented array code (uniform, lognormal,
+adversarial clusters, duplicate-heavy, more leaves than keys, trailing
+empty leaves, empty).
 """
 
 from __future__ import annotations
 
+import bisect
 import zlib
 
 import numpy as np
 import pytest
 
+from oracles import error_stats
 from repro.core import HybridIndex, RecursiveModelIndex, WritableLearnedIndex
 from repro.data import lognormal_keys, uniform_keys
 from repro.models import LinearModel, segmented_linear_fit
-from repro.models.cdf import error_stats, segmented_error_arrays
+from repro.models.cdf import ErrorStats, segmented_error_arrays
 
 SEED = 0xB111D
-
-
-class ReferenceLinear(LinearModel):
-    """Per-leaf reference: takes the RMI's per-model fit loop."""
-
-
-def reference_factories(stage_sizes) -> list:
-    """Linear root, :class:`ReferenceLinear` everywhere below it."""
-    return [LinearModel] + [ReferenceLinear] * (len(stage_sizes) - 1)
 
 
 def dataset(name: str) -> np.ndarray:
@@ -85,144 +78,160 @@ def probes(keys: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def leaf_params(index: RecursiveModelIndex) -> tuple[np.ndarray, np.ndarray]:
-    slopes = np.array(
-        [getattr(m, "slope", 0.0) for m in index._stages[-1]]
-    )
-    intercepts = np.array(
-        [
-            getattr(m, "intercept", getattr(m, "value", 0.0))
-            for m in index._stages[-1]
-        ]
-    )
-    return slopes, intercepts
+def assert_lookups_match_bisect(index, keys: np.ndarray, qs: np.ndarray):
+    """Batch and scalar lookups against ``bisect`` over Python scalars."""
+    stored = keys.tolist()
+    expected = [bisect.bisect_left(stored, q) for q in qs.tolist()]
+    np.testing.assert_array_equal(index.lookup_batch(qs), expected)
+    for q, pos in zip(qs.tolist()[:120], expected):
+        assert index.lookup(q) == pos, q
 
 
-def build_pair(keys, stage_sizes, **kwargs):
-    scalar = RecursiveModelIndex(
-        keys,
-        stage_sizes=stage_sizes,
-        model_factories=reference_factories(stage_sizes),
-        **kwargs,
-    )
-    vector = RecursiveModelIndex(keys, stage_sizes=stage_sizes, **kwargs)
-    assert scalar._leaf_param_arrays is None
-    return scalar, vector
+def reference_stage(x, y, assignment, m):
+    """Per-model reference fit of one stage: ``LinearModel().fit`` on
+    each model's members; a model no key reaches predicts the middle of
+    its slot.  Returns ``(slopes, intercepts, predictions)``."""
+    n = x.size
+    slopes = np.zeros(m)
+    intercepts = (np.arange(m) + 0.5) * n / m
+    predictions = np.zeros(n)
+    for j in range(m):
+        members = assignment == j
+        if members.any():
+            model = LinearModel().fit(x[members], y[members])
+            slopes[j], intercepts[j] = model.slope, model.intercept
+            predictions[members] = model.predict_batch(x[members])
+    return slopes, intercepts, predictions
+
+
+def assert_stage_matches(slopes, intercepts, ref_slopes, ref_intercepts):
+    np.testing.assert_allclose(slopes, ref_slopes, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(intercepts, ref_intercepts, rtol=1e-8, atol=1e-6)
+
+
+def assert_errors_match(index, predictions, positions):
+    """Error rows (read off the tables) against ``error_stats`` of each
+    leaf's members under the reference predictions.  Moment tolerances
+    are loose in absolute terms because the reference
+    ``slope·x + intercept`` cancels catastrophically on huge key
+    magnitudes (clustered keys near 1e12 leave it ~1e-3 of noise); the
+    centered segmented form is the more accurate one."""
+    assignment = index._leaf_assignment
+    for j, row in enumerate(index.leaf_errors):
+        members = assignment == j
+        ref = error_stats(predictions[members], positions[members])
+        assert row.count == ref.count, j
+        if not ref.count:
+            slack = min(127, max(positions.size, 1))
+            assert (row.min_error, row.max_error) == (-slack, slack), j
+            continue
+        assert abs(row.min_error - ref.min_error) <= 1, j
+        assert abs(row.max_error - ref.max_error) <= 1, j
+        assert row.mean_absolute == pytest.approx(
+            ref.mean_absolute, rel=1e-4, abs=1e-2
+        ), j
+        assert row.std == pytest.approx(ref.std, rel=1e-4, abs=1e-2), j
 
 
 @pytest.mark.parametrize("dataset_name", DATASETS)
 @pytest.mark.parametrize("leaves", [8, 200])
-def test_build_paths_equivalent(dataset_name, leaves):
+def test_leaf_tables_match_per_leaf_fit(dataset_name, leaves):
     keys = dataset(dataset_name)
-    scalar, vector = build_pair(keys, stage_sizes=(1, leaves))
-
-    # Same root (shared code path) and same key-to-leaf routing.
+    index = RecursiveModelIndex(keys, stage_sizes=(1, leaves))
+    x = index._space.encode(keys)
+    positions = np.arange(keys.size, dtype=np.float64)
+    # Keys route to leaves by the root: floor(root(x) · m / n).
+    root = index._root_model.predict_batch(x)
     np.testing.assert_array_equal(
-        scalar._leaf_assignment, vector._leaf_assignment
+        index._leaf_assignment,
+        np.clip(np.floor(root * leaves / max(keys.size, 1)), 0, leaves - 1),
     )
-    # Same models up to float tolerance.
-    s_slopes, s_intercepts = leaf_params(scalar)
-    v_slopes, v_intercepts = leaf_params(vector)
-    np.testing.assert_allclose(v_slopes, s_slopes, rtol=1e-8, atol=1e-12)
-    np.testing.assert_allclose(
-        v_intercepts, s_intercepts, rtol=1e-8, atol=1e-6
+    ref_slopes, ref_intercepts, predictions = reference_stage(
+        x, positions, index._leaf_assignment, leaves
     )
-    # Error bookkeeping: same membership, same moments, and bounds
-    # equal up to the one-unit floor/ceil rounding slack.  Moment
-    # tolerances are loose in absolute terms because the *scalar*
-    # path's ``slope·x + intercept`` cancels catastrophically on huge
-    # key magnitudes (clustered keys near 1e12 leave it ~1e-3 of
-    # noise); the centered vectorized form is the more accurate one.
-    for j, (s_err, v_err) in enumerate(
-        zip(scalar.leaf_errors, vector.leaf_errors)
-    ):
-        assert s_err.count == v_err.count, j
-        assert abs(s_err.min_error - v_err.min_error) <= 1, j
-        assert abs(s_err.max_error - v_err.max_error) <= 1, j
-        assert v_err.mean_absolute == pytest.approx(
-            s_err.mean_absolute, rel=1e-4, abs=1e-2
-        ), j
-        assert v_err.std == pytest.approx(s_err.std, rel=1e-4, abs=1e-2), j
-
-    rng = np.random.default_rng(SEED)
-    qs = probes(keys, rng, 400)
+    tables = index._plan.export_arrays()
+    assert_stage_matches(
+        tables["slopes"], tables["intercepts"], ref_slopes, ref_intercepts
+    )
+    assert_errors_match(index, predictions, positions)
+    # The offsets the plan serves are the error rows' bounds.
+    rows = index.leaf_errors
     np.testing.assert_array_equal(
-        scalar.lookup_batch(qs), vector.lookup_batch(qs)
+        tables["lo_offsets"], [r.max_error for r in rows]
     )
-    for q in qs[:120]:
-        assert scalar.lookup(float(q)) == vector.lookup(float(q))
-    assert scalar.size_bytes() == vector.size_bytes()
+    np.testing.assert_array_equal(
+        tables["hi_offsets"], [r.min_error for r in rows]
+    )
+    qs = probes(keys, np.random.default_rng(SEED), 400)
+    assert_lookups_match_bisect(index, keys, qs)
 
 
-def test_bounds_cover_stored_keys_both_modes():
-    """The Section 3.4 window invariant holds under either build."""
+def test_bounds_cover_stored_keys():
+    """The Section 3.4 window invariant on every dataset."""
     for name in DATASETS:
         keys = dataset(name)
-        for index in build_pair(keys, stage_sizes=(1, 16)):
-            for i in range(keys.size):
-                _est, lo, hi = index.predict(float(keys[i]))
-                assert lo <= i < hi, (
-                    name, type(index.leaf_model(0)).__name__, i,
-                )
+        index = RecursiveModelIndex(keys, stage_sizes=(1, 16))
+        for i in range(keys.size):
+            _est, lo, hi = index.predict(float(keys[i]))
+            assert lo <= i < hi, (name, i)
 
 
-def test_min_leaf_error_clamp_matches():
-    keys = dataset("lognormal")
-    scalar, vector = build_pair(
-        keys, stage_sizes=(1, 64), min_leaf_error=32
-    )
-    for s_err, v_err in zip(scalar.leaf_errors, vector.leaf_errors):
-        if s_err.count:
-            assert v_err.min_error <= -32 and v_err.max_error >= 32
-        assert abs(s_err.min_error - v_err.min_error) <= 1
-        assert abs(s_err.max_error - v_err.max_error) <= 1
-
-
-def test_three_stage_vectorized_lookups_match_scalar():
-    """Deeper hierarchies vectorize per stage; lookups stay exact."""
-    keys = dataset("uniform")
-    scalar, vector = build_pair(keys, stage_sizes=(1, 10, 200))
-    rng = np.random.default_rng(SEED + 1)
-    qs = probes(keys, rng, 400)
-    for q in qs:
-        assert scalar.lookup(float(q)) == vector.lookup(float(q))
-
-
-def test_lambda_linear_factory_takes_vectorized_path():
-    keys = dataset("uniform")
-    index = RecursiveModelIndex(
-        keys,
-        stage_sizes=(1, 64),
-        model_factories=[LinearModel, lambda: LinearModel()],
-    )
-    # The segmented fit caches flat parameter arrays; the factory sniff
-    # must recognize the lambda as plain LinearModel.
-    assert index._leaf_param_arrays is not None
-
-
-def test_hybrid_replacement_agrees_across_build_paths():
-    keys = dataset("clustered")
-    threshold = 6
-    scalar = HybridIndex(
-        keys, stage_sizes=(1, 16), threshold=threshold,
-        model_factories=reference_factories((1, 16)),
-    )
-    vector = HybridIndex(keys, stage_sizes=(1, 16), threshold=threshold)
-    # Replacement keys off max_abs_err > threshold; the one-unit bound
-    # rounding slack may flip leaves sitting exactly at the threshold.
-    disagree = set(scalar.leaf_btrees) ^ set(vector.leaf_btrees)
-    for j in disagree:
-        err = (
-            scalar.leaf_errors[j]
-            if j in scalar.leaf_btrees
-            else vector.leaf_errors[j]
-        )
-        assert abs(err.max_absolute - threshold) <= 1, j
-    rng = np.random.default_rng(SEED + 3)
-    qs = probes(keys, rng, 300)
+@pytest.mark.parametrize("dataset_name", DATASETS)
+def test_three_stage_tables_match_per_model_fit(dataset_name):
+    """An internal stage is fitted on the keys the root routes to each
+    of its models, and routes the leaves by its affine prediction."""
+    keys = dataset(dataset_name)
+    n = keys.size
+    index = RecursiveModelIndex(keys, stage_sizes=(1, 10, 200))
+    x = index._space.encode(keys)
+    positions = np.arange(n, dtype=np.float64)
+    root = index._root_model.predict_batch(x)
+    middle = np.clip(np.floor(root * 10 / max(n, 1)), 0, 9).astype(np.int64)
+    ref_slopes, ref_intercepts, _ = reference_stage(x, positions, middle, 10)
+    (m, slopes, intercepts), = index._internal_stages
+    assert m == 10
+    assert_stage_matches(slopes, intercepts, ref_slopes, ref_intercepts)
+    routed = slopes[middle] * x + intercepts[middle]
     np.testing.assert_array_equal(
-        scalar.lookup_batch(qs), vector.lookup_batch(qs)
+        index._leaf_assignment,
+        np.clip(np.floor(routed * 200 / max(n, 1)), 0, 199),
     )
+    ref_slopes, ref_intercepts, predictions = reference_stage(
+        x, positions, index._leaf_assignment, 200
+    )
+    tables = index._plan.export_arrays()
+    assert_stage_matches(
+        tables["slopes"], tables["intercepts"], ref_slopes, ref_intercepts
+    )
+    assert_errors_match(index, predictions, positions)
+    qs = probes(keys, np.random.default_rng(SEED + 1), 400)
+    assert_lookups_match_bisect(index, keys, qs)
+
+
+@pytest.mark.parametrize("dataset_name", DATASETS)
+def test_hybrid_replaces_the_leaves_the_oracle_flags(dataset_name):
+    """Algorithm 1's replacement keys off each leaf's max_abs_err over
+    its members; the one-unit bound rounding slack may flip leaves
+    sitting exactly at the threshold."""
+    keys = dataset(dataset_name)
+    threshold = 6
+    hybrid = HybridIndex(keys, stage_sizes=(1, 16), threshold=threshold)
+    x = hybrid._space.encode(keys)
+    positions = np.arange(keys.size, dtype=np.float64)
+    _, _, predictions = reference_stage(
+        x, positions, hybrid._leaf_assignment, 16
+    )
+    for j in range(16):
+        members = hybrid._leaf_assignment == j
+        ref = error_stats(predictions[members], positions[members])
+        if not ref.count:
+            assert j not in hybrid.leaf_btrees, j
+        elif abs(ref.max_absolute - threshold) > 1:
+            assert (j in hybrid.leaf_btrees) == (
+                ref.max_absolute > threshold
+            ), j
+    qs = probes(keys, np.random.default_rng(SEED + 3), 300)
+    assert_lookups_match_bisect(hybrid, keys, qs)
 
 
 def test_segmented_fit_matches_per_segment_scalar_fit():
@@ -262,15 +271,15 @@ def test_segmented_fit_matches_per_segment_scalar_fit():
 @pytest.mark.parametrize("dataset_name", DATASETS)
 def test_segmented_error_arrays_match_per_leaf_error_stats(dataset_name):
     """The error-pass oracle: one vectorized pass == ``error_stats`` on
-    each leaf's members (bounds, moments, counts; empty leaves and the
-    ``min_error_clamp`` widening included)."""
+    each leaf's members (bounds, moments, counts; empty leaves
+    included)."""
     keys = dataset(dataset_name)
-    leaves, clamp = 16, 3
+    leaves = 16
     index = RecursiveModelIndex(keys, stage_sizes=(1, leaves))
     assignment = index._leaf_assignment
     positions = np.arange(keys.size, dtype=np.float64)
     _leaf, predictions = index._plan.route(index._column.prepare(keys))
-    default = index._default_leaf_error()
+    default = ErrorStats(-5, 5, 0.0, 0.0, 0)
     # Contiguous layout (monotone root), then a shuffled one that
     # takes the argsort branch.
     shuffle = np.random.default_rng(SEED + 6).permutation(keys.size)
@@ -279,8 +288,7 @@ def test_segmented_error_arrays_match_per_leaf_error_stats(dataset_name):
             predictions[order], positions[order], assignment[order]
         )
         mn, mx, mean_abs, std, counts = segmented_error_arrays(
-            pred, pos, assign, leaves,
-            default=default, min_error_clamp=clamp,
+            pred, pos, assign, leaves, default=default,
         )
         for j in range(leaves):
             members = assign == j
@@ -291,52 +299,43 @@ def test_segmented_error_arrays_match_per_leaf_error_stats(dataset_name):
                 continue
             ref = error_stats(pred[members], pos[members])
             assert counts[j] == ref.count, j
-            assert mn[j] == min(ref.min_error, -clamp), j
-            assert mx[j] == max(ref.max_error, clamp), j
+            assert mn[j] == ref.min_error, j
+            assert mx[j] == ref.max_error, j
             assert mean_abs[j] == pytest.approx(
                 ref.mean_absolute, rel=1e-9, abs=1e-9
             ), j
             assert std[j] == pytest.approx(ref.std, rel=1e-9, abs=1e-9), j
 
 
-def test_writable_rebuild_paths_agree():
-    """Merge-heavy random mutation, then the two rebuild modes must
-    expose identical contents."""
+def test_writable_rebuilds_match_a_set_oracle():
+    """Merge-heavy random mutation: every rebuild's tables must answer
+    exactly the live key set."""
     rng = np.random.default_rng(SEED + 5)
     base = np.unique(rng.integers(0, 50_000, 2_000)).astype(np.int64)
-    writables = {
-        mode: WritableLearnedIndex(
-            base, stage_sizes=(1, 64), merge_threshold=256,
-            model_factories=factories,
-        )
-        for mode, factories in (
-            ("scalar", reference_factories((1, 64))),
-            ("vectorized", None),
-        )
-    }
+    writable = WritableLearnedIndex(
+        base, stage_sizes=(1, 64), merge_threshold=256
+    )
+    live = set(base.tolist())
     for step in range(1_500):
         op = rng.random()
         if op < 0.45:
             key = int(rng.integers(-100, 50_100))
-            for w in writables.values():
-                w.insert(key)
+            writable.insert(key)
+            live.add(key)
         elif op < 0.6:
             batch = rng.integers(-100, 50_100, int(rng.integers(1, 300)))
-            for w in writables.values():
-                w.insert_batch(batch)
+            writable.insert_batch(batch)
+            live.update(batch.tolist())
         elif op < 0.9:
             key = int(rng.integers(-100, 50_100))
-            for w in writables.values():
-                w.delete(key)
+            writable.delete(key)
+            live.discard(key)
         else:
-            for w in writables.values():
-                w.merge()
-    for w in writables.values():
-        w.merge()
-    scalar, vector = writables["scalar"], writables["vectorized"]
-    assert len(scalar) == len(vector)
-    np.testing.assert_array_equal(scalar._main.keys, vector._main.keys)
+            writable.merge()
+    writable.merge()
+    assert writable.retrains > 1
+    np.testing.assert_array_equal(writable._main.keys, sorted(live))
     qs = rng.integers(-200, 50_200, 2_000)
     np.testing.assert_array_equal(
-        scalar.contains_batch(qs), vector.contains_batch(qs)
+        writable.contains_batch(qs), [q in live for q in qs.tolist()]
     )

@@ -29,12 +29,8 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.lsm import (
-    FaultInjectingFilesystem,
-    LearnedLSMStore,
-    SimulatedCrash,
-    SizeTieredCompaction,
-)
+from fault_injection import FaultInjectingFilesystem, SimulatedCrash
+from repro.lsm import LearnedLSMStore, SizeTieredCompaction
 
 #: Key universe kept small so delete/overwrite collisions are dense.
 DOMAIN = np.arange(0, 600, dtype=np.int64)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data.strings import document_ids, web_paths
+from oracles import web_paths
+from repro.data.strings import document_ids
 
 
 class TestDocumentIds:

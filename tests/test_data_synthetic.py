@@ -6,14 +6,10 @@ import pytest
 from repro.data import synthetic
 from repro.data.synthetic import (
     clustered_keys,
-    dedupe_sorted,
-    hotspot_queries,
     lognormal_keys,
     normal_keys,
-    scan_workload,
     sequential_keys,
     uniform_keys,
-    zipf_gap_keys,
     zipfian_queries,
 )
 
@@ -109,30 +105,6 @@ class TestSequential:
         _assert_canonical(sequential_keys(50), 50)
 
 
-class TestZipfGaps:
-    def test_canonical_layout(self):
-        _assert_canonical(zipf_gap_keys(2_000, seed=1), 2_000)
-
-    def test_gap_distribution_is_heavy_tailed(self):
-        keys = zipf_gap_keys(5_000, alpha=1.5, seed=1)
-        gaps = np.diff(keys)
-        # Zipf(1.5) gaps: unit gaps dominate but the tail is very long.
-        assert (gaps == 1).mean() > 0.3
-        assert gaps.max() > 100 * np.median(gaps)
-
-
-class TestDedupeSorted:
-    def test_sorts_and_dedupes(self):
-        out = dedupe_sorted(np.array([5, 1, 5, 3, 1]))
-        np.testing.assert_array_equal(out, [1, 3, 5])
-
-    def test_dtype(self):
-        assert dedupe_sorted(np.array([2.0, 1.0])).dtype == np.int64
-
-    def test_empty(self):
-        assert dedupe_sorted(np.array([])).size == 0
-
-
 class TestFillUnique:
     def test_raises_when_space_too_small(self):
         with pytest.raises(RuntimeError):
@@ -157,50 +129,9 @@ class TestSkewedWorkloads:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, zipfian_queries(self.KEYS, 500, seed=4))
 
-    def test_hotspot_concentration(self):
-        qs = hotspot_queries(
-            self.KEYS, 5_000, hot_fraction=0.01, hot_weight=0.9, seed=3
-        )
-        assert np.isin(qs, self.KEYS.astype(np.float64)).all()
-        # ~90% of queries land on ~1% of distinct keys.
-        _, counts = np.unique(qs, return_counts=True)
-        top = np.sort(counts)[::-1][: max(self.KEYS.size // 100, 1) + 1]
-        assert top.sum() > 0.8 * qs.size
-
-    def test_hotspot_validation(self):
-        with pytest.raises(ValueError):
-            hotspot_queries(self.KEYS, 10, hot_fraction=0.0)
-        with pytest.raises(ValueError):
-            hotspot_queries(self.KEYS, 10, hot_weight=1.5)
-
-    @pytest.mark.parametrize("skew", ["uniform", "zipfian", "hotspot"])
-    def test_scan_workload_shape(self, skew):
-        lows, highs = scan_workload(
-            self.KEYS, 2_000, scan_fraction=0.5, mean_span=50, skew=skew,
-            seed=5,
-        )
-        assert lows.size == highs.size == 2_000
-        assert (highs >= lows).all()
-        points = (lows == highs).mean()
-        # scan_fraction=0.5: about half the queries are points.
-        assert 0.35 < points < 0.65
-        assert np.isin(lows, self.KEYS.astype(np.float64)).all()
-        assert np.isin(highs, self.KEYS.astype(np.float64)).all()
-
-    def test_scan_workload_point_only_and_validation(self):
-        lows, highs = scan_workload(self.KEYS, 100, scan_fraction=0.0, seed=5)
-        np.testing.assert_array_equal(lows, highs)
-        with pytest.raises(ValueError):
-            scan_workload(self.KEYS, 10, skew="bogus")
-        with pytest.raises(ValueError):
-            scan_workload(self.KEYS, 10, mean_span=0)
-
     def test_empty_keys_give_empty_workloads(self):
         empty = np.empty(0, dtype=np.int64)
         assert zipfian_queries(empty, 10).size == 0
-        assert hotspot_queries(empty, 10).size == 0
-        lows, highs = scan_workload(empty, 10)
-        assert lows.size == 0 and highs.size == 0
 
 
 # -- 64-bit key domains (ISSUE 5) ----------------------------------------------

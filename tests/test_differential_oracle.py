@@ -35,7 +35,6 @@ from repro.core import (
 )
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import LearnedLSMStore
-from repro.models import LinearModel
 
 SEED = 0xD1FF
 
@@ -394,22 +393,14 @@ def check_writable_ranges(index, live: list, lows, highs):
         assert list(index.range_query(lo, hi)) == expected, (i, lo, hi)
 
 
-class ReferenceLinear(LinearModel):
-    """Not *exactly* ``LinearModel``, so the RMI fits it with the
-    per-model loop instead of the segmented fit — same math."""
-
-
-@pytest.mark.parametrize("leaf_factory", [LinearModel, ReferenceLinear])
-def test_writable_randomized_round_trip(leaf_factory):
+def test_writable_randomized_round_trip():
     """Interleaved inserts/batch-inserts/deletes/merges vs the oracle.
 
     The full read surface (``contains_batch`` + ``range_query_batch``
     + scalar ``range_query``) is cross-checked before every merge and
     after the last, so a stale delta slice, a leaked tombstone, a bulk insert
     that loses keys, or a fast-path append that corrupts the error
-    bounds all surface immediately.  Parametrized over the leaf factory
-    so every merge's rebuild is exercised under both the segmented fast
-    build and the per-leaf reference loop.
+    bounds all surface immediately.
     """
     rng = np.random.default_rng(SEED + 2)
     base = np.unique(rng.integers(0, 20_000, 1_200)).astype(np.int64)
@@ -417,7 +408,6 @@ def test_writable_randomized_round_trip(leaf_factory):
         base,
         stage_sizes=(1, 32),
         merge_threshold=10**9,
-        model_factories=[LinearModel, leaf_factory],
     )
     oracle = SetOracle(base)
     for key in (-1, -6):  # negative keys for the half-integer probes

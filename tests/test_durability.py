@@ -14,15 +14,14 @@ import pickle
 import numpy as np
 import pytest
 
+from fault_injection import FaultInjectingFilesystem, SimulatedCrash
 from repro.bloom import BloomFilter
 from repro.core import RecursiveModelIndex
 from repro.lsm import (
     CorruptRunError,
-    FaultInjectingFilesystem,
     LearnedLSMStore,
     MANIFEST_NAME,
     RealFileSystem,
-    SimulatedCrash,
     SortedRun,
     WriteAheadLog,
     commit_manifest,

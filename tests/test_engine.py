@@ -399,7 +399,7 @@ class TestNarrowOffsets:
         from repro.core import CompiledPlanIndex
 
         assert widest > 127
-        # the RMI's override reads ErrorStats rows, the base the tables
+        # the RMI and the base both read the widened offset tables
         assert index.max_error_window == widest
         assert CompiledPlanIndex.max_error_window.fget(index) == widest
         assert CompiledPlanIndex.mean_error_window.fget(index) > 0

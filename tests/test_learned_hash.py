@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import LearnedHashFunction, conflict_stats, make_linear_cdf_hash
+from repro.core import LearnedHashFunction, conflict_stats
 from repro.hashmap import RandomHashFunction
 
 
@@ -47,9 +47,10 @@ class TestLearnedHashFunction:
         )
         assert big.size_bytes() > small.size_bytes()
 
-    def test_linear_cdf_hash_helper(self):
+    def test_single_linear_leaf_hash(self):
+        """The Section 4.1 minimal variant: one linear model."""
         keys = np.arange(1000, dtype=np.int64) * 3
-        h = make_linear_cdf_hash(keys, 1000)
+        h = LearnedHashFunction(keys, 1000, stage_sizes=(1, 1))
         stats = conflict_stats(h, keys, 1000)
         assert stats.conflict_rate < 0.01
 

@@ -34,9 +34,10 @@ class TestRMIConfig:
         nn = RMIConfig(root_kind="nn", root_hidden=(8, 8), num_leaves=10)
         assert "nn8x8" in nn.describe()
 
-    def test_factories_shape(self):
-        factories = RMIConfig(num_leaves=5).factories()
-        assert len(factories) == 2
+    def test_root_factory_carries_the_grid_point(self):
+        assert RMIConfig().root_factory() is LinearModel
+        config = RMIConfig(root_kind="nn", root_hidden=(4,), epochs=1)
+        assert config.root_factory()().net.hidden == (4,)
 
 
 class TestDefaultGrid:

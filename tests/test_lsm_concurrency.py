@@ -29,13 +29,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.lsm import (
-    FaultInjectingFilesystem,
-    LearnedLSMStore,
-    Memtable,
-    SimulatedCrash,
-    SizeTieredCompaction,
-)
+from fault_injection import FaultInjectingFilesystem, SimulatedCrash
+from repro.lsm import LearnedLSMStore, Memtable, SizeTieredCompaction
 
 #: Sweep stride for the mid-merge crash fuzz (same knob as
 #: test_crash_recovery; the CI stress lane widens it).

@@ -1,14 +1,11 @@
-"""Unit tests for CDF utilities and error statistics."""
+"""Unit tests for CDF targets and the per-model oracles (the empirical
+CDF and ``error_stats``) the RMI's tables are checked against."""
 
 import numpy as np
 import pytest
 
-from repro.models import (
-    EmpiricalCDF,
-    empirical_cdf,
-    error_stats,
-    positions_for_keys,
-)
+from oracles import empirical_cdf, error_stats
+from repro.models import positions_for_keys
 
 
 class TestPositions:
@@ -69,19 +66,3 @@ class TestErrorStats:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             error_stats(np.array([1.0]), np.array([1.0, 2.0]))
-
-
-class TestEmpiricalCDFClass:
-    def test_perfect_positions_on_stored_keys(self):
-        keys = np.array([5.0, 10.0, 20.0, 40.0])
-        cdf = EmpiricalCDF(keys)
-        positions = cdf.position(keys)
-        np.testing.assert_allclose(positions, [1, 2, 3, 4])
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            EmpiricalCDF(np.array([3.0, 1.0]))
-
-    def test_scalar_query(self):
-        cdf = EmpiricalCDF(np.array([1.0, 2.0]))
-        assert float(cdf(1.5)) == pytest.approx(0.5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models import ConstantModel, LinearModel, SplineSegmentModel
+from repro.models import LinearModel, SplineSegmentModel
 
 
 class TestLinearModel:
@@ -62,19 +62,6 @@ class TestLinearModel:
         assert model.param_count == 2
         assert model.size_bytes() == 16
         assert model.op_count() == 2
-
-
-class TestConstantModel:
-    def test_mean(self):
-        model = ConstantModel().fit(np.array([1.0, 2.0]), np.array([4.0, 6.0]))
-        assert model.predict(123.0) == pytest.approx(5.0)
-
-    def test_empty_keeps_value(self):
-        model = ConstantModel(3.0).fit(np.array([]), np.array([]))
-        assert model.predict(0.0) == 3.0
-
-    def test_monotonic(self):
-        assert ConstantModel().is_monotonic()
 
 
 class TestSplineSegmentModel:

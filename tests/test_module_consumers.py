@@ -1,4 +1,5 @@
-"""Every module under ``src/repro`` has a consumer that is not a test.
+"""Every module under ``src/repro``, and every function and class it
+exports, has a consumer that is not a test.
 
 A module earns its place in the product package by being used.  A
 consumer is a module of the package that is not an ``__init__``, a
@@ -11,14 +12,22 @@ module's exported names are its ``__all__`` (its public top-level names
 when it has none, as for ``import *``).  The imports are read with
 :mod:`ast`; nothing is executed.
 
-A module with no consumer leaves the package: to ``tests/`` if it is
-still a useful oracle, otherwise it is deleted.
+The same holds one level down.  A function or class defined at the top
+of a module and exported — in the module's ``__all__`` (its public
+names when it has none) or in a package ``__init__``'s — is reached
+when a consumer imports that name from any ``repro`` module or reads it
+as an attribute of one, or when its own module uses it (a result type,
+a raised exception, a helper of an exported function).
+
+A module or definition with no consumer leaves the package: to
+``tests/`` if it is still a useful oracle, otherwise it is deleted.
 """
 
 from __future__ import annotations
 
 import ast
 from collections import defaultdict
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,8 +94,10 @@ def imports_of(path: Path, tree: ast.Module) -> set[tuple[str, str | None]]:
     return out
 
 
-def test_every_product_module_has_a_consumer():
-    trees = {
+@lru_cache(maxsize=1)
+def parsed() -> dict[Path, ast.Module]:
+    """Every product, benchmark and example file, parsed."""
+    return {
         path: ast.parse(path.read_text(), filename=str(path))
         for root, pattern in (
             (SRC / "repro", "**/*.py"),
@@ -95,6 +106,10 @@ def test_every_product_module_has_a_consumer():
         )
         for path in root.glob(pattern)
     }
+
+
+def test_every_product_module_has_a_consumer():
+    trees = parsed()
     modules = {
         module_name(path): tree
         for path, tree in trees.items()
@@ -121,4 +136,49 @@ def test_every_product_module_has_a_consumer():
     # nothing.
     assert {"repro.core.writable", "repro.lsm.store"} <= reached
     orphans = sorted(set(modules) - reached)
+    assert not orphans, f"no product code, bench or example uses {orphans}"
+
+
+def test_every_exported_definition_has_a_consumer():
+    trees = parsed()
+    package_exports: set[str] = set()
+    for path, tree in trees.items():
+        if path.is_relative_to(SRC) and path.name == "__init__.py":
+            package_exports |= exported_names(tree)
+    definitions: dict[str, str] = {}  # name -> defining module
+    reached: set[str] = set()
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC) or path.name == "__init__.py":
+            continue
+        module = module_name(path)
+        exported = exported_names(tree) | package_exports
+        defined = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in exported
+        }
+        definitions.update(dict.fromkeys(defined, module))
+        reached |= {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in defined
+        }
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            continue
+        reached |= {
+            name
+            for base, name in imports_of(path, tree)
+            if is_repro(base) and name is not None
+        }
+
+    # The scan must see the package's well-known edges, or it proves
+    # nothing.
+    assert {"RecursiveModelIndex", "SortedRun", "ErrorStats"} <= reached
+    orphans = sorted(
+        f"{module}.{name}"
+        for name, module in definitions.items()
+        if name not in reached
+    )
     assert not orphans, f"no product code, bench or example uses {orphans}"

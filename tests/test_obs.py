@@ -43,9 +43,7 @@ from repro.obs import (
     bucket_index,
     bucket_midpoint,
     bucket_upper_bound,
-    json_snapshot,
     prometheus_text,
-    summarize_latencies,
 )
 from repro.serving.coalescer import CoalescerStats
 
@@ -341,16 +339,16 @@ def test_paged_io_counters_in_registry():
 
 
 # ---------------------------------------------------------------------------
-# Shared bench percentile helper
+# Histogram percentiles
 
 
-def test_bench_percentiles_pinned_to_shared_histogram():
+def test_histogram_p50_is_a_real_quantile_estimate():
     sample = np.abs(
         np.random.default_rng(7).lognormal(-9.0, 1.0, 5000)
     )
-    expected = summarize_latencies(sample, (50.0, 99.0, 99.9))
-    # Sanity: the shared math is a real quantile estimate.
-    p50 = expected[0]
+    hist = LatencyHistogram()
+    hist.observe_many(sample)
+    p50 = hist.percentile(50.0)
     exact = float(np.percentile(sample, 50.0))
     assert exact / (1.5) <= p50 <= exact * 1.5
 
@@ -445,6 +443,6 @@ def test_prometheus_and_json_exporters():
 
     import json
 
-    payload = json.loads(json_snapshot(snap))
+    payload = json.loads(json.dumps(snap.to_dict()))
     assert payload["counters"]["lsm.read.memtable_hits"] == 4
     assert payload["histograms"]["span.lookup"]["count"] == 3

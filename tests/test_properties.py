@@ -279,7 +279,7 @@ class TestEmpiricalCDFMonotone:
     @COMMON
     @given(keys=key_sets, qs=queries)
     def test_monotone_unit_interval(self, keys, qs):
-        from repro.models import empirical_cdf
+        from oracles import empirical_cdf
 
         values = empirical_cdf(keys, np.sort(np.asarray(qs, dtype=np.float64)))
         assert np.all((values >= 0) & (values <= 1))

@@ -8,7 +8,6 @@ from repro.models import (
     LinearModel,
     MultivariateLinearModel,
     NeuralRegressionModel,
-    SplineSegmentModel,
 )
 
 
@@ -29,12 +28,8 @@ class TestConstruction:
             RecursiveModelIndex(keys, stage_sizes=(1, 0))
         with pytest.raises(ValueError):
             RecursiveModelIndex(keys, stage_sizes=())
-
-    def test_rejects_factory_mismatch(self):
         with pytest.raises(ValueError):
-            RecursiveModelIndex(
-                np.arange(10), stage_sizes=(1, 2), model_factories=[LinearModel]
-            )
+            RecursiveModelIndex(keys, stage_sizes=(1,))
 
     def test_empty_keys(self):
         index = RecursiveModelIndex(np.array([], dtype=np.int64))
@@ -95,11 +90,7 @@ class TestLookupCorrectness:
         """Deeper hierarchies compile: scalar and batch routing agree
         on every stored key, and both surfaces equal the oracle."""
         keys = lognormal_small
-        index = RecursiveModelIndex(
-            keys,
-            stage_sizes=stage_sizes,
-            model_factories=[root] + [LinearModel] * (len(stage_sizes) - 1),
-        )
+        index = RecursiveModelIndex(keys, stage_sizes=stage_sizes, root=root)
         leaf, _raw = index._plan.route(index._column.prepare(keys))
         scalar = [index._route_scalar(index._space.encode_scalar(k))
                   for k in keys.tolist()]
@@ -148,14 +139,6 @@ class TestErrorBounds:
         narrow = RecursiveModelIndex(lognormal_small, stage_sizes=(1, 500))
         assert narrow.mean_error_window < wide.mean_error_window
 
-    def test_min_leaf_error_widens_window(self, uniform_small):
-        plain = RecursiveModelIndex(uniform_small, stage_sizes=(1, 100))
-        padded = RecursiveModelIndex(
-            uniform_small, stage_sizes=(1, 100), min_leaf_error=50
-        )
-        assert padded.mean_error_window >= plain.mean_error_window
-        assert padded.mean_error_window >= 100
-
 
 class TestRangeInterface:
     def test_range_query_matches_reference(self, uniform_small, rng):
@@ -190,10 +173,7 @@ class TestModelMixtures:
         index = RecursiveModelIndex(
             lognormal_small,
             stage_sizes=(1, 100),
-            model_factories=[
-                lambda: MultivariateLinearModel(features=("key", "log")),
-                LinearModel,
-            ],
+            root=lambda: MultivariateLinearModel(features=("key", "log")),
         )
         for q in rng.choice(lognormal_small, 200):
             assert index.lookup(float(q)) == truth(lognormal_small, q)
@@ -202,28 +182,10 @@ class TestModelMixtures:
         index = RecursiveModelIndex(
             lognormal_small,
             stage_sizes=(1, 100),
-            model_factories=[
-                lambda: NeuralRegressionModel(hidden=(8,), epochs=10),
-                LinearModel,
-            ],
+            root=lambda: NeuralRegressionModel(hidden=(8,), epochs=10),
         )
         for q in rng.choice(lognormal_small, 150):
             assert index.lookup(float(q)) == truth(lognormal_small, q)
-
-    @pytest.mark.parametrize("position", [1, 2], ids=["internal", "leaf"])
-    def test_non_linear_stage_below_root_refused(self, position):
-        """Only the root may be non-linear: an internal or leaf spline
-        is refused at construction, before any stage is fitted."""
-        def root():
-            raise AssertionError("a stage was built before the refusal")
-
-        factories = [root, LinearModel, LinearModel]
-        factories[position] = lambda: SplineSegmentModel(knots=4)
-        with pytest.raises(ValueError, match="LinearModel"):
-            RecursiveModelIndex(
-                np.arange(100), stage_sizes=(1, 4, 16),
-                model_factories=factories,
-            )
 
 
 class TestAccountingAndStats:
@@ -251,6 +213,55 @@ class TestAccountingAndStats:
     def test_model_op_count_positive(self, uniform_small):
         index = RecursiveModelIndex(uniform_small, stage_sizes=(1, 10))
         assert index.model_op_count() >= 4
+
+    @pytest.mark.parametrize("stage_sizes", [(1, 64), (1, 8, 64)])
+    @pytest.mark.parametrize("shape", ["squared", "sqrt", "lognormal"])
+    def test_model_op_count_ignores_empty_leaves(
+        self, shape, stage_sizes, lognormal_small
+    ):
+        """Every lookup evaluates one affine model per stage below the
+        root, whether or not the first model of a stage has keys — a
+        skewed column (empty leaf 0) costs what a uniform one does."""
+        n = 20_000
+        keys = {
+            "squared": np.arange(n, dtype=np.int64) ** 2,
+            "sqrt": np.sqrt(np.arange(n) * 1e12).astype(np.int64),
+            "lognormal": lognormal_small,
+        }[shape]
+        index = RecursiveModelIndex(keys, stage_sizes=stage_sizes)
+        uniform = RecursiveModelIndex(
+            np.arange(n, dtype=np.int64), stage_sizes=stage_sizes
+        )
+        assert index.model_op_count() == uniform.model_op_count()
+        assert index.model_op_count() == 2 + 4 * (len(stage_sizes) - 1)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.arange(0, 60_000, 3, dtype=np.int64),
+            np.arange(2_000, dtype=np.int64) ** 2,
+            np.array([-3, -1, 0], dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        ],
+        ids=["uniform", "squared", "fewer_keys_than_leaves", "empty"],
+    )
+    @pytest.mark.parametrize("stage_sizes", [(1, 64), (1, 8, 64)])
+    def test_size_bytes_reads_the_tables(self, keys, stage_sizes):
+        """The root's bytes, 16 B per trained model and 8 B per empty
+        one at each stage below it, and the two offset tables as held."""
+        index = RecursiveModelIndex(keys, stage_sizes=stage_sizes)
+        # A linear root is two float64 parameters.
+        expected = 16 + 2 * index._plan.lo_offsets.nbytes
+        root_pred = index._root_model.predict_batch(index._space.encode(keys))
+        # A stage's trained models are the slots stored keys route to.
+        routed = [
+            np.floor(root_pred * m_l / max(keys.size, 1)).clip(0, m_l - 1)
+            for m_l, _slopes, _intercepts in index._internal_stages
+        ] + [index._leaf_assignment]
+        for m_l, assignment in zip(stage_sizes[1:], routed):
+            occupied = np.unique(assignment).size
+            expected += 16 * occupied + 8 * (m_l - occupied)
+        assert index.size_bytes() == expected
 
     def test_repr(self, uniform_small):
         index = RecursiveModelIndex(uniform_small, stage_sizes=(1, 10))

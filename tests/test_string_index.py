@@ -5,8 +5,9 @@ import bisect
 import numpy as np
 import pytest
 
+from oracles import web_paths
 from repro.core import StringRMI
-from repro.data import string_dataset, web_paths
+from repro.data import string_dataset
 
 
 def probes_for(keys, rng, count=150):
