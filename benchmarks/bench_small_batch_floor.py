@@ -36,7 +36,13 @@ is both the guard on that choice and the source of its constants:
   integer batch paths, the one-shot ``(k, n)`` gather and the row
   walk, on one run filter per size, and prints the batch size at which
   the walk becomes the cheaper side — what
-  ``repro.bloom.standard.ROW_WALK_MIN_KEYS`` is set from.
+  ``repro.bloom.standard.ROW_WALK_MIN_KEYS`` is set from;
+* the **slice-copy scan** times range assembly's ways to read a
+  slice — a block copy per slice, one gather over a call's slices —
+  on a 1M-key column: once over the slice length (what
+  ``repro.range_scan.SLICE_COPY_MIN_KEYS`` is set from) and once over
+  the number of short slices beside a long one
+  (``GATHER_MIN_SLICES``).
 
 Uniform int64 keys, 75% present / 25% absent queries, every call a
 different array (a call that re-reads one array flatters whichever
@@ -61,6 +67,13 @@ from repro.data import uniform_keys
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
 from repro.lsm.store import UNGUARDED_PROBE_KEYS, probes_unguarded
+from repro.range_scan import (
+    GATHER_MIN_SLICES,
+    SLICE_COPY_MIN_KEYS,
+    _copy_every_slice,
+    _copy_slices,
+    _gather_slices,
+)
 
 from conftest import console, show_table
 
@@ -328,4 +341,90 @@ def test_filter_crossover_scan_behind_the_row_walk():
     console(
         "[small-batch floor] set ROW_WALK_MIN_KEYS "
         "(repro.bloom.standard) from the 'crossover' column"
+    )
+
+
+def _slice_calls(n: int, lengths: np.ndarray, calls: int, rng) -> list:
+    """``calls`` assembly inputs ``(starts, lengths, offsets)`` of
+    slices of ``lengths`` keys at random places in an ``n``-key
+    column."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return [
+        (rng.integers(0, n - lengths.max(), lengths.size), lengths, offsets)
+        for _ in range(calls)
+    ]
+
+
+def _assembly_ratios(keys, grid, lengths_at, split, rng) -> list:
+    """Paired time of copying every slice as a block / time of the
+    alternative, per grid point (below 1 the block copies are the
+    cheaper side).  The alternative gathers every slice, or with
+    ``split`` copies the long slices and gathers the rest — the two
+    ways ``assemble_slices`` reads a call's short slices."""
+
+    def other(c):
+        if split:
+            return _copy_slices(keys, c[0], c[1], c[1] >= SLICE_COPY_MIN_KEYS)
+        return _gather_slices(keys, *c)
+
+    row = []
+    for point in grid:
+        calls = _slice_calls(keys.size, lengths_at(point), 64, rng)
+        for call in calls[:4]:
+            assert np.array_equal(
+                _copy_every_slice(keys, call[0], call[1]), other(call)
+            )
+        row.append(_paired(
+            other, lambda c: _copy_every_slice(keys, c[0], c[1]), calls
+        )[2])
+    return row
+
+
+def test_slice_copy_scan_behind_range_assembly():
+    rng = np.random.default_rng(6018)
+    keys = uniform_keys(1_000_000, seed=7)
+    lengths = [1 << e for e in range(4, 12)]
+    by_length = _assembly_ratios(
+        keys, lengths,
+        lambda k: np.full(max(65_536 // k, 64), k, dtype=np.int64),
+        False, rng,
+    )
+    counts = [1 << e for e in range(0, 8)]
+
+    def beside_long(c):
+        out = np.full(c + 1, 8, dtype=np.int64)
+        out[c // 2] = 512
+        return out
+
+    by_count = _assembly_ratios(keys, counts, beside_long, True, rng)
+    table = Table(
+        "Slice-copy scan: time to copy every slice as a block / time "
+        "of the alternative, paired, per assembled call on a 1M-key "
+        "column (below 1 the block copies are the cheaper side)",
+        ["calls of", "alternative"]
+        + [f"#{i}" for i in range(len(lengths))]
+        + ["crossover", "shipped"],
+    )
+    table.add_row(
+        "k-key slices (64k keys)", "gather all",
+        *[f"k={k}: {r:.2f}" for k, r in zip(lengths, by_length)],
+        _crossover(lengths, [1 / r for r in by_length]),
+        SLICE_COPY_MIN_KEYS,
+    )
+    table.add_row(
+        "c 8-key + one 512-key", "copy long, gather rest",
+        *[f"c={c}: {r:.2f}" for c, r in zip(counts, by_count)],
+        _crossover(counts, by_count), GATHER_MIN_SLICES,
+    )
+    show_table(table)
+    # Shape: a 16-key slice is the gather's and a 2 048-key one a
+    # block's; one short slice beside a long one is a block, 128 are
+    # gathered.
+    assert by_length[0] > 1.0 and by_length[-1] < 1.0
+    assert by_count[0] < 1.0 and by_count[-1] > 1.0
+    console(
+        "[small-batch floor] set SLICE_COPY_MIN_KEYS (first row) and "
+        "GATHER_MIN_SLICES (second row) in repro.range_scan from the "
+        "'crossover' column"
     )

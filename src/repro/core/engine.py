@@ -382,6 +382,23 @@ class QueryBatch:
             self._float64 = f
         return f
 
+    @staticmethod
+    def concat(low: "QueryBatch", high: "QueryBatch") -> "QueryBatch":
+        """``low`` then ``high`` as one batch, masks included — two
+        batches prepared separately against one column (each in its
+        own query dtype) resolved in one call."""
+        masks = []
+        for name, fill in (("exactable", True), ("oob_high", False)):
+            a, b = getattr(low, name), getattr(high, name)
+            if a is None and b is None:
+                masks.append(None)
+                continue
+            masks.append(np.concatenate([
+                np.full(low.size, fill) if a is None else a,
+                np.full(high.size, fill) if b is None else b,
+            ]))
+        return QueryBatch(np.concatenate([low.compare, high.compare]), *masks)
+
     def take(self, idx: np.ndarray) -> "QueryBatch":
         """Sub-batch at ``idx`` (indices or bool mask), masks included."""
         return QueryBatch(
@@ -604,18 +621,25 @@ class SortedKeyColumn:
         The single implementation of duplicate-run widening: the upper
         bound differs from the lower bound only when the query hits a
         stored key (the lower bound then sits at the *first*
-        duplicate); those hits widen with one vectorized
-        ``searchsorted(side="right")`` — absent keys pay nothing.
+        duplicate).  A hit widens by its neighbour check — one past
+        the hit, unless the next key is equal too — and only the hits
+        still sitting on an equal key (duplicate runs) pay a
+        ``searchsorted(side="right")`` over the column; absent keys
+        pay nothing.
         """
         n = self.size
         ub = np.asarray(lower_bounds, dtype=np.int64).copy()
         if n == 0 or ub.size == 0:
             return ub
-        hit = self.contains_at(qb, ub)
-        if np.any(hit):
-            ub[hit] = np.searchsorted(
-                self.keys, qb.compare[hit], side="right"
-            )
+        hits = np.flatnonzero(self.contains_at(qb, ub))
+        if hits.size:
+            ub[hits] += 1
+            inner = hits[ub[hits] < n]
+            runs = inner[self.keys[ub[inner]] == qb.compare[inner]]
+            if runs.size:
+                ub[runs] = np.searchsorted(
+                    self.keys, qb.compare[runs], side="right"
+                )
         return ub
 
 

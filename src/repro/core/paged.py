@@ -49,6 +49,7 @@ import numpy as np
 
 from ..obs import MetricsRegistry, counter_field
 from ..range_scan import RangeScanResult, assemble_slices
+from .engine import QueryBatch
 from .rmi import RecursiveModelIndex
 from .search import vectorized_bounded_search
 
@@ -343,16 +344,16 @@ class PagedLearnedIndex:
         (membership checks, range widening/assembly) reuse the pages
         already transferred.
 
-        Queries go through the RMI's query core, so the in-window
+        Queries (raw, or a batch already prepared against the RMI's key
+        column) go through the RMI's query core, so the in-window
         lock-step search and the boundary verification compare the
         fetched int64 pages against int64 values — exact beyond 2^53.
         """
-        queries = np.asarray(queries).ravel()
-        if queries.size == 0 or self.n == 0:
-            return np.zeros(queries.size, dtype=np.int64), None, None
         rmi = self._rmi
-        n = self.n
         qb = rmi._column.prepare(queries)
+        if qb.size == 0 or self.n == 0:
+            return np.zeros(qb.size, dtype=np.int64), None, None
+        n = self.n
         compare = qb.compare
         lo, hi = rmi._plan.windows(qb)
         pages = self._expand_page_ranges(
@@ -426,21 +427,18 @@ class PagedLearnedIndex:
     def range_query_batch(self, lows, highs) -> RangeScanResult:
         """Batched range scans with per-batch IO accounting.
 
-        Both endpoint arrays resolve through one concatenated
-        :meth:`lookup_batch` call; every page covering any result slice
-        transfers once; one vectorized gather assembles all slices.
-        ``result[i]`` holds the stored keys in ``[lows[i], highs[i]]``
-        (closed interval, inverted ranges empty), bit-identical to an
-        in-memory index over the same keys.
+        Both endpoint arrays, each prepared against the key column on
+        its own, resolve through one concatenated :meth:`lookup_batch`
+        pass; every page covering any result slice transfers once;
+        :func:`~repro.range_scan.assemble_slices` copies the slices
+        out of the fetched pages.  ``result[i]`` holds the stored keys
+        in ``[lows[i], highs[i]]`` (closed interval, inverted ranges
+        empty), bit-identical to an in-memory index over the same keys.
         """
         lows = np.asarray(lows).ravel()
         highs = np.asarray(highs).ravel()
         if lows.size != highs.size:
             raise ValueError("lows and highs must have the same length")
-        if lows.dtype != highs.dtype:
-            common = np.result_type(lows, highs)
-            lows = lows.astype(common)
-            highs = highs.astype(common)
         m = lows.size
         if m == 0 or self.n == 0:
             empty = np.zeros(m, dtype=np.int64)
@@ -450,14 +448,16 @@ class PagedLearnedIndex:
                 starts=empty,
                 ends=empty.copy(),
             )
-        pos, cache, qb = self._lookup_batch_cached(np.concatenate([lows, highs]))
+        column = self._rmi._column
+        qb_high = column.prepare(highs)
+        pos, cache, _ = self._lookup_batch_cached(
+            QueryBatch.concat(column.prepare(lows), qb_high)
+        )
         starts = pos[:m]
         ends = pos[m:].copy()
         # Keys are unique (enforced at construction), so widening a
         # high endpoint that hits a stored key is a single +1; the hit
-        # test runs through the query core's exact equality — reusing
-        # the already-prepared concatenated batch's high half.
-        qb_high = qb.take(np.arange(m, 2 * m))
+        # test runs through the query core's exact equality.
         valid = ends < self.n
         if np.any(valid):
             hit = (
@@ -467,8 +467,9 @@ class PagedLearnedIndex:
             if qb_high.exactable is not None:
                 hit &= qb_high.exactable[valid]
             ends[valid] += hit
-        inverted = highs < lows
-        ends[inverted] = starts[inverted]
+        # An inverted range's high end resolves at or below its low
+        # end's position: pin it there, empty.
+        np.maximum(ends, starts, out=ends)
         starts_loc = np.zeros(m, dtype=np.int64)
         ends_loc = np.zeros(m, dtype=np.int64)
         nonempty = ends > starts

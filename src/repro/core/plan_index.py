@@ -243,8 +243,9 @@ class CompiledPlanIndex(RangeScanIndexMixin):
         """Vectorized :meth:`upper_bound`: one position per query.
 
         Lower bounds come from the batch engine; only queries that hit
-        a stored key pay the duplicate-run widening (the column's one
-        vectorized ``searchsorted(side="right")`` over the hits).
+        a stored key pay the duplicate-run widening
+        (:meth:`~repro.core.engine.SortedKeyColumn.upper_bounds`: a
+        neighbour check, and a search only inside duplicate runs).
         """
         qb, positions = self._lower_bounds_with_batch(queries, sort=sort)
         if qb is None:
@@ -259,8 +260,8 @@ class CompiledPlanIndex(RangeScanIndexMixin):
 
         Both endpoint arrays resolve through :meth:`lookup_batch` in a
         single concatenated call (the sorted fast path applies to the
-        combined batch), then one vectorized gather assembles every
-        slice — see :mod:`repro.range_scan`.  ``result[i]`` is
+        combined batch), then the slices are copied out — long ones as
+        blocks, short ones by one gather; see :mod:`repro.range_scan`.  ``result[i]`` is
         bit-identical to ``range_query(lows[i], highs[i])``.
         """
         return batch_range_scan(

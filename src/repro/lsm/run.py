@@ -411,10 +411,12 @@ class SortedRun:
         """(per-range entries, tombstone flags aligned to the values).
 
         The run's RMI resolves all bounds vectorized; the tombstone
-        flags for every returned entry assemble in the same one-gather
-        pass the keys do.  ``with_values=True`` appends a third element
-        — the stored payloads, gathered through the identical slice
-        plan — for the store's ``range_items_batch``.
+        flags for every returned entry are copied out by the same
+        ``[start, end)`` slice plan the keys are
+        (:func:`~repro.range_scan.assemble_slices`).
+        ``with_values=True`` appends a third element — the stored
+        payloads, through the identical slice plan — for the store's
+        ``range_items_batch``.
         """
         result = self.rmi.range_query_batch(lows, highs)
         flags, _ = assemble_slices(self.tombstones, result.starts, result.ends)

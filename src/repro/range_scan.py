@@ -6,18 +6,22 @@ workloads mix point lookups with range scans (Section 3); SOSD and
 This module is the shared engine behind every index's
 ``range_query_batch``:
 
-* **bound resolution** — both endpoints of every range go through the
-  index's own ``lookup_batch`` (one concatenated call, so the model,
-  leaf routing and lock-step search amortize across ``2m`` queries);
-  the high endpoints are then widened from lower bound to upper bound
-  with one vectorized ``searchsorted(side="right")`` over just the
-  queries that hit a stored key
+* **bound resolution** — both endpoint arrays are prepared against
+  the key column, each on its own (a common dtype for int64 and uint64
+  endpoints would be float64, which rounds both beyond 2^53), and go
+  through the index's own ``lookup_batch`` as one concatenated
+  prepared batch, so the model, leaf routing and lock-step search
+  amortize across ``2m`` queries; the high endpoints are then widened
+  from lower bound to upper bound
   (:meth:`repro.core.engine.SortedKeyColumn.upper_bounds`, the single
-  widening implementation);
+  widening implementation: a neighbour check per hit, and a
+  ``searchsorted(side="right")`` only for hits inside a duplicate run);
 * **slice assembly** — the per-range ``[start, end)`` position pairs
-  become one concatenated value array + CSR-style offsets without a
-  Python loop (:func:`assemble_slices`), so a batch of scans costs a
-  single gather regardless of how many ranges it contains.
+  become one concatenated value array + CSR-style offsets
+  (:func:`assemble_slices`): a slice of at least
+  :data:`SLICE_COPY_MIN_KEYS` keys is copied as one contiguous block
+  and the shorter slices share one vectorized gather, so a long range
+  costs a memory copy and no per-key index arithmetic.
 
 Semantics are pinned to the scalar ``range_query``: ranges are closed
 (``[low, high]``), inverted ranges (``high < low``) are empty, and the
@@ -29,8 +33,8 @@ Indexes over Python-comparable keys (strings) use the ``bisect``-based
 with list-backed storage.
 
 Precision envelope (ISSUE 5): endpoint arrays keep their native dtype
-end to end — integer endpoints against integer key columns resolve
-through the exact dtype-aware query core
+end to end, each array its own — integer endpoints against integer
+key columns resolve through the exact dtype-aware query core
 (:mod:`repro.core.engine`), so 64-bit keys at or beyond 2^53 no longer
 round together in the batch paths.  float64 endpoints against integer
 keys compare as exact integer ceilings (see the engine's dtype
@@ -50,6 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "GATHER_MIN_SLICES",
+    "SLICE_COPY_MIN_KEYS",
     "RangeScanIndexMixin",
     "RangeScanResult",
     "assemble_slices",
@@ -105,31 +111,112 @@ class RangeScanResult:
         )
 
 
+#: A slice of at least this many keys is copied as one contiguous
+#: block by :func:`assemble_slices`; shorter ones share one vectorized
+#: gather.  Per slice, a block copy costs a fixed ~1 us of Python (a
+#: view, and its place in the output) and then memory speed; the
+#: gather costs a few ns per key of index arithmetic and reads.  Set
+#: from the slice-copy scan of ``benchmarks/bench_small_batch_floor.py``
+#: (calls of equal slices on a 1M-key int64 column): copying every
+#: slice costs what gathering them does at ~200 keys, and the constant
+#: sits just above, so a slice near it keeps the gather — the path
+#: every slice took before.
+SLICE_COPY_MIN_KEYS = 256
+
+#: A call with a long slice gathers its short slices only when it has
+#: at least this many of them, and otherwise copies them as blocks
+#: too: splitting a call costs a few array passes of its own.  Set
+#: from the same scan (8-key slices beside one 512-key slice), where
+#: the crossover is ~35.
+GATHER_MIN_SLICES = 32
+
+
+def _gather_slices(
+    values: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    offsets: np.ndarray,
+) -> np.ndarray:
+    """``values[starts[i]:starts[i] + lengths[i]]`` for all i, as one
+    gather.  Output element ``j`` of slice ``i`` reads
+    ``starts[i] + (j - offsets[i])``, so the index is one ``arange``
+    plus one ``repeat`` of the per-slice shift."""
+    idx = np.arange(int(offsets[-1]), dtype=np.int64)
+    idx += np.repeat(starts - offsets[:-1], lengths)
+    return values[idx]
+
+
+def _copy_every_slice(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """:func:`_gather_slices`' output, every nonempty slice copied as
+    one contiguous block."""
+    return np.concatenate([
+        values[b:b + k]
+        for b, k in zip(starts.tolist(), lengths.tolist())
+        if k
+    ])
+
+
+def _copy_slices(
+    values: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    long: np.ndarray,
+) -> np.ndarray:
+    """:func:`_gather_slices`' output, with every slice flagged in
+    ``long`` copied as one contiguous block.
+
+    The other slices are gathered in one pass into a compact buffer;
+    between two long slices they are contiguous in the output too, so
+    each such run is one more block.
+    """
+    short = np.where(long, 0, lengths)
+    short_offsets = np.zeros(short.size + 1, dtype=np.int64)
+    np.cumsum(short, out=short_offsets[1:])
+    gathered = _gather_slices(values, starts, short, short_offsets)
+    short_off = short_offsets.tolist()
+    begin = starts.tolist()
+    length = lengths.tolist()
+    blocks = []
+    pending = 0  # first slice whose gathered keys are not yet placed
+    for i in np.flatnonzero(long).tolist():
+        if short_off[i] > short_off[pending]:
+            blocks.append(gathered[short_off[pending]:short_off[i]])
+        blocks.append(values[begin[i]:begin[i] + length[i]])
+        pending = i + 1
+    blocks.append(gathered[short_off[pending]:])
+    return np.concatenate(blocks)
+
+
 def assemble_slices(
     values: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gather ``values[starts[i]:ends[i]]`` for all i in one pass.
+    """Concatenate ``values[starts[i]:ends[i]]`` for all i.
 
     Returns ``(gathered, offsets)`` where ``gathered`` concatenates all
-    slices and ``offsets`` (length ``m + 1``) delimits them.  The index
-    expression builds every slice's positions at once:
-    ``arange(total) - repeat(offsets, lengths) + repeat(starts,
-    lengths)`` — each output element knows which slice it belongs to
-    and its rank inside it.
+    slices (an inverted pair is an empty slice) and ``offsets``
+    (length ``m + 1``) delimits them.  A call of short slices only is
+    one vectorized gather.  Otherwise every slice of at least
+    :data:`SLICE_COPY_MIN_KEYS` keys is copied as one contiguous
+    block, and the shorter ones are gathered — or, when there are
+    fewer than :data:`GATHER_MIN_SLICES` of them, copied as blocks
+    too.  ``gathered`` is always a fresh array, never a view of
+    ``values``.
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.maximum(np.asarray(ends, dtype=np.int64) - starts, 0)
     offsets = np.zeros(starts.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    if total == 0:
-        return values[0:0], offsets
-    idx = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets[:-1], lengths)
-        + np.repeat(starts, lengths)
-    )
-    return values[idx], offsets
+    if offsets[-1] == 0:
+        return values[0:0].copy(), offsets
+    long = lengths >= SLICE_COPY_MIN_KEYS
+    n_long = np.count_nonzero(long)
+    if not n_long:
+        return _gather_slices(values, starts, lengths, offsets), offsets
+    if np.count_nonzero(lengths) - n_long < GATHER_MIN_SLICES:
+        return _copy_every_slice(values, starts, lengths), offsets
+    return _copy_slices(values, starts, lengths, long), offsets
 
 
 def merge_scan_results(
@@ -142,19 +229,25 @@ def merge_scan_results(
     """K-way merge of per-range results from priority-ordered sources.
 
     Every ``results[s]`` must cover the same ``m`` ranges (numeric
-    values).  One ``np.lexsort`` on (range id, key, source rank)
-    interleaves all sources' hits for all ranges at once — the
-    multi-source analogue of the writable index's delta merge, and the
-    engine behind LSM reads that must merge a memtable and many runs.
+    values), and within each range a source's values must be
+    ascending — every scan and slice this package produces is.
+    Several sources interleave through one ``np.lexsort`` on (range
+    id, key, source rank), all ranges at once — the multi-source
+    analogue of the writable index's delta merge, and the engine
+    behind LSM reads that must merge a memtable and many runs.  A
+    single source is already in that order, so it is filtered instead:
+    the entries kept stay in order and the new offsets come from a
+    cumulative count of them.
 
     Sources are ordered newest-first: with ``dedup=True`` (the
     default), equal keys within a range collapse to the entry from the
-    lowest-indexed source that holds them — LSM "newest version wins"
-    semantics, and a superset of ``np.union1d`` deduplication for
-    disjoint sources.  ``drop_masks[s]`` (optional, aligned to
-    ``results[s].values``) flags entries such as tombstones: when a
-    flagged entry wins its key, the key is suppressed from the merged
-    output entirely, shadowing every older source.
+    lowest-indexed source that holds them (within one source, the
+    first) — LSM "newest version wins" semantics, and a superset of
+    ``np.union1d`` deduplication for disjoint sources.
+    ``drop_masks[s]`` (optional, aligned to ``results[s].values``)
+    flags entries such as tombstones: when a flagged entry wins its
+    key, the key is suppressed from the merged output entirely,
+    shadowing every older source.
 
     ``payloads[s]`` (optional, aligned to ``results[s].values``)
     carries per-entry values through the merge; when given, the return
@@ -173,6 +266,13 @@ def merge_scan_results(
     m = len(results[0])
     if any(len(r) != m for r in results):
         raise ValueError("all sources must cover the same ranges")
+    if len(results) == 1:
+        return _filter_one_source(
+            results[0],
+            None if drop_masks is None else drop_masks[0],
+            dedup,
+            None if payloads is None else payloads[0],
+        )
     range_ids = np.arange(m, dtype=np.int64)
     ids_parts, key_parts, rank_parts, dead_parts = [], [], [], []
     pay_parts = [] if payloads is not None else None
@@ -212,6 +312,38 @@ def merge_scan_results(
     return merged
 
 
+def _filter_one_source(result, drop_mask, dedup: bool, payload):
+    """:func:`merge_scan_results` over one source, whose ranges are
+    each ascending already: the lexsort would be the identity, so the
+    merge is the filter ``~dead`` (and, with ``dedup``, first
+    occurrence within each range), with offsets from a cumulative
+    count of the entries kept."""
+    keys = np.asarray(result.values)
+    if payload is not None:
+        payload = np.asarray(payload)
+        if payload.size != keys.size:
+            raise ValueError("payloads must parallel source values")
+    if drop_mask is None:
+        keep = np.ones(keys.size, dtype=bool)
+    else:
+        keep = ~np.asarray(drop_mask, dtype=bool)
+    if dedup and keys.size:
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        # A range's first entry is a first occurrence whatever the
+        # range before it ended with.
+        range_starts = result.offsets[:-1]
+        first[range_starts[range_starts < keys.size]] = True
+        keep &= first
+    kept = np.zeros(keys.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    merged = RangeScanResult(values=keys[keep], offsets=kept[result.offsets])
+    if payload is not None:
+        return merged, payload[keep]
+    return merged
+
+
 def batch_range_scan(
     keys: np.ndarray,
     lows: np.ndarray,
@@ -223,11 +355,13 @@ def batch_range_scan(
     """The numeric engine: two lock-step bound resolutions + assembly.
 
     ``lookup_batch`` is the owning index's batch lower-bound method;
-    both endpoint arrays are resolved in a single concatenated call so
-    model inference and the lock-step search amortize over ``2m``
-    queries.  Endpoints keep their native dtype — the owning index's
-    ``lookup_batch`` and the widening below compare them exactly
-    through the query core.  ``column`` optionally passes the owner's
+    it receives both endpoint arrays as one concatenated
+    :class:`~repro.core.engine.QueryBatch`, so model inference and the
+    lock-step search amortize over ``2m`` queries.  Each endpoint
+    array is prepared against ``column`` on its own, in its native
+    dtype, so the lookup and the widening below compare it exactly
+    through the query core whatever the other array's dtype.
+    ``column`` optionally passes the owner's
     :class:`~repro.core.engine.SortedKeyColumn` (constructed fresh over
     ``keys`` otherwise — columns are views, not copies).
     """
@@ -235,10 +369,6 @@ def batch_range_scan(
     highs = np.asarray(highs).ravel()
     if lows.size != highs.size:
         raise ValueError("lows and highs must have the same length")
-    if lows.dtype != highs.dtype:
-        common = np.result_type(lows, highs)
-        lows = lows.astype(common)
-        highs = highs.astype(common)
     m = lows.size
     if m == 0 or keys.shape[0] == 0:
         empty = np.zeros(m, dtype=np.int64)
@@ -248,18 +378,20 @@ def batch_range_scan(
             starts=empty,
             ends=empty.copy(),
         )
-    pos = np.asarray(lookup_batch(np.concatenate([lows, highs])))
-    starts = pos[:m].astype(np.int64)
-    if column is None:
-        from .core.engine import SortedKeyColumn
+    from .core.engine import QueryBatch, SortedKeyColumn
 
+    if column is None:
         column = SortedKeyColumn(np.asarray(keys))
-    ends = column.upper_bounds(column.prepare(highs), pos[m:])
+    high_qb = column.prepare(highs)
+    pos = np.asarray(
+        lookup_batch(QueryBatch.concat(column.prepare(lows), high_qb))
+    )
+    starts = pos[:m].astype(np.int64)
+    ends = column.upper_bounds(high_qb, pos[m:])
     # Closed-interval semantics: an inverted range is empty, pinned at
-    # the low endpoint's position like the scalar path's early return.
-    inverted = highs < lows
-    if np.any(inverted):
-        ends[inverted] = starts[inverted]
+    # the low endpoint's position like the scalar path's early return
+    # (its high end's upper bound is at most its low end's lower bound).
+    np.maximum(ends, starts, out=ends)
     values, offsets = assemble_slices(keys, starts, ends)
     return RangeScanResult(
         values=values, offsets=offsets, starts=starts, ends=ends
