@@ -34,12 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..range_scan import (
-    RangeScanIndexMixin,
-    RangeScanResult,
-    batch_range_scan_generic,
-)
-from ..util import batch_contains_generic, scalar_view
+from ..range_scan import RangeScanIndexMixin
+from ..util import scalar_view
 
 __all__ = ["BTreeIndex", "GenericBTreeIndex", "TraversalStats"]
 
@@ -308,20 +304,6 @@ class GenericBTreeIndex:
         pos = self.lookup(key)
         return pos < len(self.keys) and self.keys[pos] == key
 
-    def lookup_batch(self, queries) -> np.ndarray:
-        """Batched lower-bound lookups (``bisect`` per query; generic
-        comparable keys cannot be vectorized by numpy)."""
-        return np.array(
-            [bisect.bisect_left(self.keys, q) for q in queries],
-            dtype=np.int64,
-        )
-
-    def contains_batch(self, queries) -> np.ndarray:
-        queries = list(queries)
-        return batch_contains_generic(
-            self.keys, queries, self.lookup_batch(queries)
-        )
-
     def upper_bound(self, key) -> int:
         """Position one past the last stored key <= ``key``."""
         return bisect.bisect_right(self.keys, key, self.lookup(key))
@@ -331,12 +313,6 @@ class GenericBTreeIndex:
         if high < low:
             return []
         return self.keys[self.lookup(low):self.upper_bound(high)]
-
-    def range_query_batch(self, lows, highs) -> RangeScanResult:
-        """Batched :meth:`range_query`; values are list-backed."""
-        return batch_range_scan_generic(
-            self.keys, lows, highs, self.lookup_batch
-        )
 
     def __repr__(self) -> str:
         return (

@@ -17,11 +17,7 @@ from .learned_sort import (
     learned_sort,
     train_cdf_model_on_sample,
 )
-from ..range_scan import (
-    RangeScanResult,
-    batch_range_scan,
-    batch_range_scan_generic,
-)
+from ..range_scan import RangeScanResult, batch_range_scan
 from .engine import (
     SORTED_BATCH_MIN_DUP_FRACTION,
     SORTED_BATCH_THRESHOLD,
@@ -60,7 +56,6 @@ __all__ = [
     "SortedKeyColumn",
     "RangeScanResult",
     "batch_range_scan",
-    "batch_range_scan_generic",
     "ConflictStats",
     "HybridIndex",
     "LearnedBloomFilter",

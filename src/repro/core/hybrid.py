@@ -10,8 +10,12 @@ replaced by B-Trees, making it virtually an entire B-Tree."
 :class:`HybridIndex` extends the RMI: after stage-wise training, every
 last-stage model whose ``max_abs_err`` exceeds ``threshold`` is swapped
 for a dense B-Tree over the key range that model is responsible for.
-Lookups route exactly like the RMI; keys landing on a replaced leaf
-descend the per-leaf B-Tree instead of running the model.
+A scalar ``lookup`` routes exactly like the RMI; a key landing on a
+replaced leaf descends the per-leaf B-Tree instead of searching the
+model's window.  The batch reads are the RMI's own: the compiled plan
+searches every leaf's stored error window and verifies each position
+(Section 3.4), so a replaced leaf's batch answers are the same exact
+lower bounds.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import numpy as np
 
 from ..btree.btree import BTreeIndex
 from ..btree.search_baselines import exponential_search
-from . import engine
 from .rmi import RecursiveModelIndex
 
 __all__ = ["HybridIndex"]
@@ -130,59 +133,6 @@ class HybridIndex(RecursiveModelIndex):
             self.stats.fixups += 1
             pos = exponential_search(keys, key, min(pos, n - 1))
         return pos
-
-    def lookup_batch(
-        self, queries: np.ndarray, *, sort: bool | None = None
-    ) -> np.ndarray:
-        """Batch lookups that respect the per-leaf B-Tree fallbacks.
-
-        Queries routed to model-backed leaves run through the shared
-        query core (one plan route, reused — including the sorted-batch
-        fast path); queries landing on replaced leaves take the scalar
-        fallback descent (they are the hard-to-learn minority by
-        construction), comparing native Python scalars so integer keys
-        beyond 2^53 stay exact.  A batch the column answers
-        (:func:`repro.core.engine.column_answers`, ``sort=None`` only)
-        is not routed at all.
-        """
-        n = self.keys.size
-        if n == 0 or not self.leaf_btrees:
-            return super().lookup_batch(queries, sort=sort)
-        qb = self._column.prepare(queries)
-        if sort is None and engine.column_answers(qb.size, n):
-            # Below the crossover the plan answers from the column, and
-            # a B-Tree leaf's lower bound is the column's too: nothing
-            # to route.
-            return self._plan.lookup_batch(qb, stats=self.stats)
-        leaf, raw = self._plan.route(qb)
-        replaced_ids = np.fromiter(self.leaf_btrees, dtype=np.int64)
-        replaced = np.isin(leaf, replaced_ids)
-        out = np.empty(qb.size, dtype=np.int64)
-        modeled = np.nonzero(~replaced)[0]
-        if modeled.size:
-            out[modeled] = self._plan.lookup_batch(
-                qb.take(modeled),
-                routed=(leaf[modeled], raw[modeled]),
-                sort=sort,
-                stats=self.stats,
-            )
-        keys = self._keys_view
-        compare = qb.compare
-        for i in np.nonzero(replaced)[0]:
-            key = compare[i].item()
-            self.stats.lookups += 1
-            pos = self.leaf_btrees[int(leaf[i])].lookup(key)
-            # Same slice-boundary fix-up as the scalar path.
-            if (pos < n and keys[pos] < key) or (
-                pos > 0 and keys[pos - 1] >= key
-            ):
-                self.stats.fixups += 1
-                pos = exponential_search(keys, key, min(pos, n - 1))
-            out[i] = pos
-        if qb.oob_high is not None:
-            # Queries above the key dtype's range: lower bound is n.
-            out[qb.oob_high] = n
-        return out
 
     # -- accounting ----------------------------------------------------------------
 

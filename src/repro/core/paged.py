@@ -27,18 +27,10 @@ I/O profile with the RMI's memory footprint.  The error window also
 bounds the *byte range* read inside a page, reproducing the appendix's
 partial-read observation.
 
-Batch reads (``lookup_batch`` / ``contains_batch`` /
-``range_query_batch``) add the property that matters most on disk:
-**per-batch IO accounting**.  All query windows are predicted
-vectorized, the union of touched logical pages is computed up front,
-and every page transfers *once per batch* no matter how many queries'
-windows land on it — so a skewed 100k-query batch over a handful of
-hot pages costs a handful of page reads, where the scalar loop pays
-one or two reads per query.  The in-window search then runs the same
-lock-step engine the in-memory RMI uses, over the concatenation of the
-fetched pages.  Batch reads always transfer *whole* pages (many
-queries' windows share each page, so there is no single byte range to
-clip); ``partial_reads`` narrows transfers on the scalar path only.
+Reads are the scalar ``lookup`` and ``contains`` the appendix
+describes, and every page they touch is accounted: the store counts
+page reads and bytes transferred, and a small buffer pool turns a
+repeated touch of a just-read page into a hit rather than an I/O.
 """
 
 from __future__ import annotations
@@ -48,10 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from ..obs import MetricsRegistry, counter_field
-from ..range_scan import RangeScanResult, assemble_slices
-from .engine import QueryBatch
 from .rmi import RecursiveModelIndex
-from .search import vectorized_bounded_search
 
 __all__ = ["PageStore", "PagedLearnedIndex"]
 
@@ -254,249 +243,6 @@ class PagedLearnedIndex:
             return False
         # Native compare: ``int(-0.5)`` would truncate onto key 0.
         return self._key_at(position) == key
-
-    # -- batch interface ----------------------------------------------------------
-
-    def _read_pages_batch(
-        self,
-        logical_pages: np.ndarray,
-        cache: tuple | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fetch sorted unique logical pages once each, concatenated.
-
-        Returns ``(gathered, page_off)``: page ``logical_pages[r]``
-        occupies ``gathered[page_off[r]:page_off[r + 1]]``.  Because the
-        pages are chunks of one globally sorted array fetched in
-        logical order, ``gathered`` is itself sorted — the property the
-        lock-step window search relies on.
-
-        ``cache`` is a ``(pages, gathered, page_off)`` triple from an
-        earlier fetch in the *same* batched operation; pages found
-        there are sliced back out instead of transferring again, which
-        is what keeps the per-batch accounting at one read per touched
-        page across a lookup + verify + gather pipeline.
-        """
-        def fetch(p: int) -> np.ndarray:
-            if cache is not None:
-                cached_pages, cached_data, cached_off = cache
-                r = int(np.searchsorted(cached_pages, p))
-                if r < cached_pages.size and cached_pages[r] == p:
-                    return cached_data[
-                        int(cached_off[r]):int(cached_off[r + 1])
-                    ]
-            return self.store.read_page(int(self.store.translation[p]))
-
-        chunks = [fetch(int(p)) for p in logical_pages]
-        page_off = np.zeros(len(chunks) + 1, dtype=np.int64)
-        np.cumsum([len(c) for c in chunks], out=page_off[1:])
-        gathered = (
-            np.concatenate(chunks)
-            if chunks
-            else np.empty(0, dtype=np.int64)
-        )
-        return gathered, page_off
-
-    def _locate(
-        self,
-        logical_pages: np.ndarray,
-        page_off: np.ndarray,
-        positions: np.ndarray,
-    ) -> np.ndarray:
-        """Map global positions (inside fetched pages) to ``gathered``."""
-        pg = positions // self.page_size
-        rank = np.searchsorted(logical_pages, pg)
-        return page_off[rank] + positions - pg * self.page_size
-
-    def _expand_page_ranges(
-        self, first_page: np.ndarray, last_page: np.ndarray
-    ) -> np.ndarray:
-        """Sorted unique logical pages covering all [first, last] spans."""
-        counts = last_page - first_page + 1
-        offs = np.zeros(first_page.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offs[1:])
-        total = int(offs[-1])
-        pages = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offs[:-1], counts)
-            + np.repeat(first_page, counts)
-        )
-        return np.unique(pages)
-
-    def lookup_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Global lower-bound positions for a whole query batch.
-
-        Positions are logical (``page * page_size + slot``), matching
-        scalar :meth:`lookup`'s ``(page, slot)`` pairs exactly.  IO is
-        batched: the union of all predicted windows' pages transfers
-        once (whole pages — ``partial_reads`` clipping applies to the
-        scalar path only), then every in-window search runs lock-step
-        over the fetched data; only window-boundary results pay (at
-        most one) extra key read to verify, and the rare Section 3.4
-        misses fall back to the scalar page walk.
-        """
-        return self._lookup_batch_cached(queries)[0]
-
-    def _lookup_batch_cached(
-        self, queries: np.ndarray
-    ) -> tuple[np.ndarray, tuple | None, object | None]:
-        """:meth:`lookup_batch` plus the ``(pages, gathered, page_off)``
-        fetch cache, so downstream gathers in the same batched op
-        (membership checks, range widening/assembly) reuse the pages
-        already transferred.
-
-        Queries (raw, or a batch already prepared against the RMI's key
-        column) go through the RMI's query core, so the in-window
-        lock-step search and the boundary verification compare the
-        fetched int64 pages against int64 values — exact beyond 2^53.
-        """
-        rmi = self._rmi
-        qb = rmi._column.prepare(queries)
-        if qb.size == 0 or self.n == 0:
-            return np.zeros(qb.size, dtype=np.int64), None, None
-        n = self.n
-        compare = qb.compare
-        lo, hi = rmi._plan.windows(qb)
-        pages = self._expand_page_ranges(
-            lo // self.page_size, (hi - 1) // self.page_size
-        )
-        gathered, page_off = self._read_pages_batch(pages)
-        cache = (pages, gathered, page_off)
-        lo_loc = self._locate(pages, page_off, lo)
-        hi_loc = self._locate(pages, page_off, hi - 1) + 1
-        pos_loc = vectorized_bounded_search(gathered, compare, lo_loc, hi_loc)
-        # Map back to global positions.  Interior results sit inside a
-        # fetched page; boundary results are pinned to lo/hi directly
-        # (a chunk-boundary pos_loc would otherwise map into a touched
-        # page that is not logically adjacent).
-        rank = np.searchsorted(page_off, pos_loc, side="right") - 1
-        np.clip(rank, 0, max(pages.size - 1, 0), out=rank)
-        pos = pages[rank] * self.page_size + (pos_loc - page_off[rank])
-        pos = np.where(pos_loc >= hi_loc, hi, pos)
-        pos = np.where(pos_loc <= lo_loc, lo, pos)
-        # Boundary verification (Section 3.4).  The lock-step search
-        # already proved keys[lo] >= q for pos == lo and keys[hi-1] < q
-        # for pos == hi, so each boundary needs exactly one neighbour
-        # key — fetched in one more batched read — and only genuine
-        # misses walk pages scalar.
-        at_lo = (pos == lo) & (pos > 0)
-        at_hi = (pos == hi) & (pos < n)
-        suspects = np.nonzero(at_lo | at_hi)[0]
-        if suspects.size:
-            probe_pos = np.where(at_lo[suspects], pos[suspects] - 1,
-                                 pos[suspects])
-            neighbour = self._gather_keys_batch(probe_pos, cache)
-            miss = np.where(
-                at_lo[suspects],
-                neighbour >= compare[suspects],  # keys[pos-1] >= q
-                neighbour < compare[suspects],   # keys[pos] < q
-            )
-            for i in suspects[miss]:
-                pos[i] = self._verify(compare[i].item(), int(pos[i]))
-        if qb.oob_high is not None:
-            # Above the key dtype's range: the lower bound is n.
-            pos[qb.oob_high] = n
-        return pos, cache, qb
-
-    def _gather_keys_batch(
-        self, positions: np.ndarray, cache: tuple | None = None
-    ) -> np.ndarray:
-        """Key values at global positions, one batched page fetch."""
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        pg = positions // self.page_size
-        pages = np.unique(pg)
-        gathered, page_off = self._read_pages_batch(pages, cache)
-        return gathered[self._locate(pages, page_off, positions)]
-
-    def contains_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Batched membership: one bool per query, batched IO."""
-        queries = np.asarray(queries).ravel()
-        out = np.zeros(queries.size, dtype=bool)
-        if self.n == 0 or queries.size == 0:
-            return out
-        pos, cache, qb = self._lookup_batch_cached(queries)
-        valid = pos < self.n
-        if np.any(valid):
-            hit = self._gather_keys_batch(pos[valid], cache) == qb.compare[valid]
-            if qb.exactable is not None:
-                hit &= qb.exactable[valid]
-            out[valid] = hit
-        return out
-
-    def range_query_batch(self, lows, highs) -> RangeScanResult:
-        """Batched range scans with per-batch IO accounting.
-
-        Both endpoint arrays, each prepared against the key column on
-        its own, resolve through one concatenated :meth:`lookup_batch`
-        pass; every page covering any result slice transfers once;
-        :func:`~repro.range_scan.assemble_slices` copies the slices
-        out of the fetched pages.  ``result[i]`` holds the stored keys
-        in ``[lows[i], highs[i]]`` (closed interval, inverted ranges
-        empty), bit-identical to an in-memory index over the same keys.
-        """
-        lows = np.asarray(lows).ravel()
-        highs = np.asarray(highs).ravel()
-        if lows.size != highs.size:
-            raise ValueError("lows and highs must have the same length")
-        m = lows.size
-        if m == 0 or self.n == 0:
-            empty = np.zeros(m, dtype=np.int64)
-            return RangeScanResult(
-                values=np.empty(0, dtype=np.int64),
-                offsets=np.zeros(m + 1, dtype=np.int64),
-                starts=empty,
-                ends=empty.copy(),
-            )
-        column = self._rmi._column
-        qb_high = column.prepare(highs)
-        pos, cache, _ = self._lookup_batch_cached(
-            QueryBatch.concat(column.prepare(lows), qb_high)
-        )
-        starts = pos[:m]
-        ends = pos[m:].copy()
-        # Keys are unique (enforced at construction), so widening a
-        # high endpoint that hits a stored key is a single +1; the hit
-        # test runs through the query core's exact equality.
-        valid = ends < self.n
-        if np.any(valid):
-            hit = (
-                self._gather_keys_batch(ends[valid], cache)
-                == qb_high.compare[valid]
-            )
-            if qb_high.exactable is not None:
-                hit &= qb_high.exactable[valid]
-            ends[valid] += hit
-        # An inverted range's high end resolves at or below its low
-        # end's position: pin it there, empty.
-        np.maximum(ends, starts, out=ends)
-        starts_loc = np.zeros(m, dtype=np.int64)
-        ends_loc = np.zeros(m, dtype=np.int64)
-        nonempty = ends > starts
-        if np.any(nonempty):
-            pages = self._expand_page_ranges(
-                starts[nonempty] // self.page_size,
-                (ends[nonempty] - 1) // self.page_size,
-            )
-            gathered, page_off = self._read_pages_batch(pages, cache)
-            starts_loc[nonempty] = self._locate(
-                pages, page_off, starts[nonempty]
-            )
-            ends_loc[nonempty] = (
-                self._locate(pages, page_off, ends[nonempty] - 1) + 1
-            )
-        else:
-            gathered = np.empty(0, dtype=np.int64)
-        values, offsets = assemble_slices(gathered, starts_loc, ends_loc)
-        return RangeScanResult(
-            values=values, offsets=offsets, starts=starts, ends=ends
-        )
-
-    def range_query(self, low: float, high: float) -> np.ndarray:
-        """All stored keys in ``[low, high]`` (scalar, paged IO)."""
-        return np.asarray(
-            self.range_query_batch([low], [high])[0], dtype=np.int64
-        )
 
     # -- accounting ---------------------------------------------------------------
 

@@ -93,6 +93,7 @@ from .engine import (
 )
 from .plan_index import CompiledPlanIndex, RMIStats
 from .search import (
+    SEARCH_STRATEGIES,
     Counter,
     bounded_search,
     verify_lower_bound,
@@ -133,7 +134,8 @@ class RecursiveModelIndex(CompiledPlanIndex):
         the root is linear regression (a k-knot spline leaf is k linear
         leaves), which is what lets the compiled plan route through it.
     search_strategy:
-        One of :data:`repro.core.search.SEARCH_STRATEGIES`.
+        One of :data:`repro.core.search.SEARCH_STRATEGIES`; any other
+        name is a ``ValueError``.
     """
 
     def __init__(
@@ -151,6 +153,11 @@ class RecursiveModelIndex(CompiledPlanIndex):
             )
         if any(m < 1 for m in stage_sizes):
             raise ValueError("every stage needs at least one model")
+        if search_strategy not in SEARCH_STRATEGIES:
+            raise ValueError(
+                f"unknown search_strategy {search_strategy!r}; supported: "
+                f"{', '.join(SEARCH_STRATEGIES)}"
+            )
         self.stage_sizes = stage_sizes
         self.search_strategy = str(search_strategy)
         self._root_factory = root

@@ -18,8 +18,12 @@ The hierarchy mirrors the integer RMI:
   replaced by :class:`repro.btree.GenericBTreeIndex` over their range
   (Figure 6's hybrid rows).
 
-Lookups have lower-bound semantics over the lexicographically sorted
-key list, for both present and absent query strings.
+Reads are the scalar ``lookup`` / ``contains`` / ``upper_bound`` /
+``range_query`` that Figure 6 measures, with lower-bound semantics over
+the lexicographically sorted key list for present and absent query
+strings alike.  The last mile searches with one of
+:data:`STRING_SEARCH_STRATEGIES`; any other name is a ``ValueError``
+at construction.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ import bisect
 import numpy as np
 
 from ..btree.btree import GenericBTreeIndex
-from ..models.cdf import ErrorStats, segmented_error_stats
-from ..range_scan import RangeScanResult, batch_range_scan_generic
-from ..util import batch_contains_generic, clamp_into
-from ..models.linear import LinearModel, segmented_linear_fit
+from ..models.cdf import (
+    ErrorStats,
+    error_stats_list_from_arrays,
+    segmented_error_arrays,
+)
+from ..models.linear import segmented_linear_fit
 from ..models.nn import MLP
 from ..models.tokenization import (
     lexicographic_scalar,
@@ -40,12 +46,15 @@ from ..models.tokenization import (
     tokenize,
     tokenize_batch,
 )
-from .engine import CompiledPlan, SortedKeyColumn, clamp_window
+from .engine import clamp_window
 from .rmi import RMIStats
 
 __all__ = ["StringRMI"]
 
 _FLOAT_BYTES = 8
+
+#: The last-mile searches over string keys (Section 3.7.2).
+STRING_SEARCH_STRATEGIES = ("binary", "biased_binary", "biased_quaternary")
 
 
 class _StringRootLinear:
@@ -142,6 +151,11 @@ class StringRMI:
             raise ValueError("keys must be sorted lexicographically")
         if num_leaves < 1:
             raise ValueError("num_leaves must be >= 1")
+        if search_strategy not in STRING_SEARCH_STRATEGIES:
+            raise ValueError(
+                f"unknown search_strategy {search_strategy!r}; StringRMI "
+                f"supports {', '.join(STRING_SEARCH_STRATEGIES)}"
+            )
         self.keys = list(keys)
         self.num_leaves = int(num_leaves)
         self.max_length = int(max_length)
@@ -175,10 +189,8 @@ class StringRMI:
             ).astype(np.int64)
         else:
             assignment = np.zeros(0, dtype=np.int64)
-        self._leaf_assignment = assignment
 
         scalars = lexicographic_scalar_batch(self.keys, self.max_length)
-        self._scalars = scalars
         default = ErrorStats(-self.btree_page_size, self.btree_page_size, 0, 0, 0)
         # Leaves are always plain linear models over the lexicographic
         # scalar, so the whole stage fits in one segmented
@@ -199,28 +211,10 @@ class StringRMI:
             predictions = np.zeros(0)
         self._leaf_slopes = slopes.tolist()
         self._leaf_intercepts = intercepts.tolist()
-        self.leaf_models = list(
-            map(LinearModel, self._leaf_slopes, self._leaf_intercepts)
-        )
-        leaf_stats, lo_offsets, hi_offsets = segmented_error_stats(
-            predictions, positions, assignment, m,
-            default=default,
-        )
-        self.leaf_errors = leaf_stats
-        # The batch path adapts over the shared query core through the
-        # *encoded* key column (the lexicographic scalar projection is
-        # monotone over the sorted strings): the plan owns the flat
-        # leaf tables and the Section 3.4 window formula; only the
-        # last-mile search stays a bounded ``bisect`` per query, since
-        # numpy cannot compare Python strings.
-        self._plan = CompiledPlan(
-            SortedKeyColumn(scalars),
-            None,  # the root consumes token matrices, routed explicitly
-            m,
-            slopes,
-            intercepts,
-            lo_offsets,
-            hi_offsets,
+        self.leaf_errors = error_stats_list_from_arrays(
+            *segmented_error_arrays(
+                predictions, positions, assignment, m, default=default
+            )
         )
 
         # Hybrid replacement (Algorithm 1 lines 11-14) on string leaves.
@@ -231,7 +225,7 @@ class StringRMI:
                 assignment[order], np.arange(m + 1), "left"
             )
             for j in range(m):
-                stats = leaf_stats[j]
+                stats = self.leaf_errors[j]
                 if stats.count == 0 or stats.max_absolute <= self.hybrid_threshold:
                     continue
                 members = order[boundaries[j]:boundaries[j + 1]]
@@ -351,64 +345,9 @@ class StringRMI:
                 right = mid
         return left
 
-    def lookup_batch(self, queries: list[str]) -> np.ndarray:
-        """Batched lower-bound lookups.
-
-        Featurization, root inference and leaf routing are fully
-        vectorized (for MLP roots that is where nearly all the time
-        goes); the last mile is a bounded ``bisect`` per query inside
-        its model window, since numpy cannot compare Python strings.
-        Results match :meth:`lookup` exactly.
-        """
-        queries = list(queries)
-        n = len(self.keys)
-        out = np.zeros(len(queries), dtype=np.int64)
-        if n == 0 or not queries:
-            return out
-        tokens = tokenize_batch(queries, self.max_length)
-        scalars = lexicographic_scalar_batch(queries, self.max_length)
-        root_pred = np.asarray(
-            self.root.predict_batch(tokens), dtype=np.float64
-        )
-        m = self.num_leaves
-        leaf = (root_pred * m / n).astype(np.int64)
-        clamp_into(leaf, 0, m - 1)
-        # Shared engine: gathered per-leaf affine predictions over the
-        # encoded scalars, then the Section 3.4 window formula + clamp.
-        raw = self._plan.leaf_predict(leaf, scalars)
-        lo, hi = self._plan.windows_from_raw(leaf, raw)
-        keys = self.keys
-        self.stats.lookups += len(queries)
-        self.stats.window_total += int((hi - lo).sum())
-        for i, q in enumerate(queries):
-            fallback = self.leaf_btrees.get(int(leaf[i]))
-            if fallback is not None:
-                base, tree = fallback
-                pos = base + tree.lookup(q)
-            else:
-                # hi is exclusive for the window; the lower bound can
-                # be == hi when every windowed key is < q.
-                pos = bisect.bisect_left(
-                    keys, q, int(lo[i]), min(int(hi[i]) + 1, n)
-                )
-            if (pos < n and keys[pos] < q) or (
-                pos > 0 and keys[pos - 1] >= q
-            ):
-                self.stats.fixups += 1
-                pos = bisect.bisect_left(keys, q)
-            out[i] = pos
-        return out
-
     def contains(self, key: str) -> bool:
         pos = self.lookup(key)
         return pos < len(self.keys) and self.keys[pos] == key
-
-    def contains_batch(self, queries: list[str]) -> np.ndarray:
-        """Batched membership over the sorted string keys."""
-        queries = list(queries)
-        return batch_contains_generic(
-            self.keys, queries, self.lookup_batch(queries)
-        )
 
     def upper_bound(self, key: str) -> int:
         """Position one past the last stored string <= ``key``."""
@@ -420,24 +359,11 @@ class StringRMI:
             return []
         return self.keys[self.lookup(low):self.upper_bound(high)]
 
-    def range_query_batch(self, lows: list[str], highs: list[str]) -> RangeScanResult:
-        """Batched :meth:`range_query` over parallel endpoint lists.
-
-        Endpoint resolution runs through the vectorized
-        :meth:`lookup_batch` (featurization + root inference + leaf
-        routing amortize over ``2m`` strings); duplicate widening and
-        slice assembly are ``bisect``/list operations, since numpy
-        cannot compare Python strings.
-        """
-        return batch_range_scan_generic(
-            self.keys, lows, highs, self.lookup_batch
-        )
-
     # -- accounting ------------------------------------------------------------------
 
     def size_bytes(self) -> int:
         total = self.root.param_count * _FLOAT_BYTES
-        total += len(self.leaf_models) * 2 * _FLOAT_BYTES
+        total += self.num_leaves * 2 * _FLOAT_BYTES
         total += len(self.leaf_errors) * 8  # packed min/max int32 errors
         for base, tree in self.leaf_btrees.values():
             total += tree.size_bytes()

@@ -26,30 +26,23 @@ tiered runs:
   model fits;
 * bulk loads go through :meth:`insert_batch`, which sorts and
   deduplicates the whole batch in one NumPy pass, drops keys already
-  present in the main index with one ``lookup_batch``, lands the rest
+  present in the main index with one ``contains_batch``, lands the rest
   in the buffer with one dict update, and triggers at most one merge —
   no per-key scalar inserts;
-* the full ordered-index surface (``lookup`` / ``upper_bound`` /
-  ``contains`` / ``range_query`` and their batch forms) is delta-merge
-  aware: positions are ranks in the *live* merged key set, computed
-  from the main index's answer plus two ``searchsorted`` corrections
-  (tombstones below, delta keys below) — no merged array is ever
-  materialized;
-* :meth:`range_query_batch` merges main and delta hits for the whole
-  batch with one multi-source k-way merge
-  (:func:`repro.range_scan.merge_scan_results`) instead of a per-range
-  Python loop;
+* reads (``lookup`` / ``upper_bound`` / ``contains`` /
+  ``range_query``) are delta-merge aware: positions are ranks in the
+  *live* merged key set, computed from the main index's answer plus
+  two ``bisect`` corrections (tombstones below, delta keys below), and
+  a range is the main index's slice minus the tombstones merged with
+  the delta's slice — no merged array is ever materialized;
 * keys follow the key contract of the LSM store
   (:func:`repro.lsm.store.as_int64_key` / ``as_int64_keys``): every
   write and the initial keys are integers in the int64 domain, a
   non-integer is a ``TypeError`` and a key outside int64 an
   ``OverflowError``, and a refused call changes nothing.  Queries and
   range endpoints are not keys: any real value reads exactly, against
-  the delta buffer and the tombstones as against the main index — the
-  batch forms through the main index's
-  :meth:`~repro.core.engine.SortedKeyColumn.prepare` +
-  :meth:`~repro.core.engine.SortedKeyColumn.rank_in`, the scalar forms
-  by native Python comparison.
+  the delta buffer and the tombstones as against the main index, by
+  native Python comparison.
 
 It also demonstrates the paper's append observation: "for an index over
 the timestamps of web-logs ... most if not all inserts will be appends
@@ -70,9 +63,7 @@ import numpy as np
 
 from ..lsm.memtable import Memtable
 from ..lsm.store import as_int64_key, as_int64_keys
-from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
 from ..util import scalar_view
-from .engine import QueryBatch, SortedKeyColumn
 from .rmi import RecursiveModelIndex
 
 __all__ = ["WritableLearnedIndex"]
@@ -82,12 +73,6 @@ def _scalar_rank(sorted_keys: np.ndarray, key, bisect) -> int:
     """``bisect`` of a native ``key`` over a sorted int64 array, item by
     item as Python ints — exact for any real ``key``."""
     return bisect(scalar_view(sorted_keys), key) if sorted_keys.size else 0
-
-
-def _members(sorted_keys: np.ndarray, qb: QueryBatch) -> np.ndarray:
-    """Exact membership of prepared queries in a sorted int64 array."""
-    column = SortedKeyColumn(sorted_keys)
-    return column.contains_at(qb, column.rank_in(sorted_keys, qb))
 
 
 class WritableLearnedIndex:
@@ -143,7 +128,7 @@ class WritableLearnedIndex:
         Semantically a loop of :meth:`insert` — tombstoned keys are
         resurrected, keys already in the main index or the delta are
         no-ops — but executed as sort + dedup (``np.unique``), one
-        ``lookup_batch`` membership probe against the main index, and
+        ``contains_batch`` membership probe against the main index, and
         one dict update into the delta buffer.  At most one merge
         fires, after the whole batch lands, so bulk loads pay one
         retrain instead of one per ``merge_threshold`` keys.
@@ -269,44 +254,6 @@ class WritableLearnedIndex:
             + _scalar_rank(delta, key, bisect_right)
         )
 
-    def _batch_corrections(self, queries, pos, side: str) -> np.ndarray:
-        """Apply the delta/tombstone rank corrections to a whole batch.
-
-        Routed through the main index's query core so the two
-        ``searchsorted`` calls compare in the key dtype (exact int64),
-        with the engine's float-query ceiling semantics.
-        """
-        delta, _, tombs = self._mem.views()
-        if not tombs.size and not delta.size:
-            return pos
-        column = self._main._column
-        qb = column.prepare(queries)
-        if tombs.size:
-            pos -= column.rank_in(tombs, qb, side=side)
-        if delta.size:
-            pos += column.rank_in(delta, qb, side=side)
-        return pos
-
-    def lookup_batch(self, queries, *, sort: bool | None = None) -> np.ndarray:
-        """Batched :meth:`lookup`: live-rank lower bounds.
-
-        The main index runs the shared vectorized engine (``sort``
-        forwards to the sorted-batch fast path); the delta/tombstone
-        corrections are two whole-batch ``searchsorted`` calls through
-        the query core.
-        """
-        queries = np.asarray(queries).ravel()
-        pos = self._main.lookup_batch(queries, sort=sort).astype(np.int64)
-        return self._batch_corrections(queries, pos, "left")
-
-    def upper_bound_batch(
-        self, queries, *, sort: bool | None = None
-    ) -> np.ndarray:
-        """Batched :meth:`upper_bound` with the same corrections."""
-        queries = np.asarray(queries).ravel()
-        pos = self._main.upper_bound_batch(queries, sort=sort).astype(np.int64)
-        return self._batch_corrections(queries, pos, "right")
-
     def contains(self, key) -> bool:
         """Is ``key`` live?  Dict and set probes of the buffer, then the
         main index — each comparing ``key`` natively, so ``3.5`` is
@@ -315,85 +262,31 @@ class WritableLearnedIndex:
             return False
         return self._mem.has_put(key) or self._in_main(key)
 
-    def contains_batch(self, keys) -> np.ndarray:
-        """Batched :meth:`contains`, merging main + delta + tombstones.
-
-        The main index runs its vectorized ``contains_batch``; the
-        delta buffer and the tombstones are each probed with one
-        ``searchsorted`` of the batch prepared by the main index's key
-        column — the delta-merge read path without a per-key Python
-        loop, exact for any query dtype.
-        """
-        queries = np.asarray(keys).ravel()
-        hit = self._main.contains_batch(queries)
-        delta, _, tombs = self._mem.views()
-        if delta.size or tombs.size:
-            qb = self._main._column.prepare(queries)
-            if delta.size:
-                hit |= _members(delta, qb)
-            if tombs.size:
-                hit &= ~_members(tombs, qb)
-        return hit
-
     def range_query(self, low, high) -> np.ndarray:
-        """All live keys in ``[low, high]`` across main + delta."""
-        return self.range_query_batch([low], [high])[0]
+        """All live keys in ``[low, high]``, one sorted merge: the main
+        index's slice minus the tombstones, plus the delta's slice.
 
-    def range_query_batch(self, lows, highs) -> RangeScanResult:
-        """Batched :meth:`range_query`, merging main + delta + tombstones.
-
-        The main index resolves every range through its vectorized
-        ``range_query_batch``; the delta buffer is sliced with two
-        ``rank_in`` calls over the whole batch, endpoints prepared by the
-        main index's key column (a fractional endpoint bounds the range
-        where it says); tombstones mask the main hits with one
-        ``np.isin``.  The per-range merge of the two sorted sources is
-        one multi-source k-way merge
-        (:func:`repro.range_scan.merge_scan_results`: one ``np.lexsort``
-        on (range id, key) interleaves all ``m`` merges at once).
-        ``starts``/``ends`` are ``None`` because delta-merged ranges are
-        not contiguous slices of one array.
+        Endpoints compare natively (a stored key as a Python int), so a
+        fractional endpoint bounds the range where it says and 64-bit
+        keys stay exact; an inverted range is empty.
         """
-        lows_f = np.asarray(lows).ravel()
-        highs_f = np.asarray(highs).ravel()
-        if lows_f.size != highs_f.size:
-            raise ValueError("lows and highs must have the same length")
-        m = lows_f.size
-        if m == 0:
-            return RangeScanResult(
-                values=np.empty(0, dtype=np.int64),
-                offsets=np.zeros(1, dtype=np.int64),
-            )
-        main = self._main.range_query_batch(lows_f, highs_f)
-        values = np.asarray(main.values, dtype=np.int64)
-        offsets = main.offsets
+        if isinstance(low, np.generic):
+            low = low.item()
+        if isinstance(high, np.generic):
+            high = high.item()
+        main = self._main
+        start = main.lookup(low)
+        end = main.lookup(high)
+        # Main keys are unique: a stored ``high`` is the slice's last key.
+        if end < main.keys.size and int(main.keys[end]) == high:
+            end += 1
+        hits = main.keys[start:max(end, start)]
         delta, _, tombs = self._mem.views()
-        if tombs.size and values.size:
-            keep = ~np.isin(values, tombs)
-            ids = np.repeat(np.arange(m, dtype=np.int64), main.counts)[keep]
-            values = values[keep]
-            offsets = np.zeros(m + 1, dtype=np.int64)
-            np.cumsum(np.bincount(ids, minlength=m), out=offsets[1:])
-        main_live = RangeScanResult(values=values, offsets=offsets)
-        if not delta.size:
-            return main_live
-        column = self._main._column
-        d_lo = column.rank_in(delta, column.prepare(lows_f), "left")
-        # An inverted range ranks its high end at or below its low end.
-        d_hi = np.maximum(
-            column.rank_in(delta, column.prepare(highs_f), "right"), d_lo
-        )
-        delta_vals, d_offsets = assemble_slices(delta, d_lo, d_hi)
-        merged = merge_scan_results(
-            [
-                RangeScanResult(values=delta_vals, offsets=d_offsets),
-                main_live,
-            ]
-        )
-        return RangeScanResult(
-            values=np.asarray(merged.values, dtype=np.int64),
-            offsets=merged.offsets,
-        )
+        if tombs.size and hits.size:
+            hits = hits[~np.isin(hits, tombs)]
+        d_lo = _scalar_rank(delta, low, bisect_left)
+        d_hi = max(_scalar_rank(delta, high, bisect_right), d_lo)
+        return np.sort(np.concatenate([hits, delta[d_lo:d_hi]]))
 
     def __len__(self) -> int:
         return (

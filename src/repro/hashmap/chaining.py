@@ -15,6 +15,7 @@ murmur-style random hash — which is the entire point of Section 4.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
@@ -27,6 +28,41 @@ RECORD_BYTES = 20
 SLOT_BYTES = 24
 
 _EMPTY = -1
+
+
+def integral_key(key) -> int | None:
+    """``key`` as a Python int, or None when it has no integer value.
+
+    Every map in this package reads ``2.0`` as the key 2, as a dict
+    does, but never truncates: ``2.5``, NaN, an infinity or ``"7"`` is
+    no key, so a read of one finds nothing.
+    """
+    try:
+        return operator.index(key)
+    except TypeError:
+        pass
+    if isinstance(key, (float, np.floating)) and float(key).is_integer():
+        return int(key)
+    return None
+
+
+def write_key(key) -> int:
+    """:func:`integral_key` for a write: a key with no integer value is
+    a ``TypeError``."""
+    value = integral_key(key)
+    if value is None:
+        raise TypeError(f"hash map keys are integers, got {key!r}")
+    return value
+
+
+def integral_keys(keys) -> np.ndarray:
+    """A key array for a bulk write: an integer array as given, any
+    other array checked key by key with :func:`write_key` (before
+    anything is written) and returned as int64."""
+    keys = np.asarray(keys)
+    if keys.dtype.kind in "iu":
+        return keys
+    return np.array([write_key(k) for k in keys.ravel().tolist()], np.int64)
 
 
 class ChainingHashMap:
@@ -53,6 +89,7 @@ class ChainingHashMap:
 
     def insert(self, key: int, value: int) -> None:
         """Insert or overwrite ``key``."""
+        key = write_key(key)
         slot = self.hash_fn(key)
         if not self._occupied[slot]:
             self._occupied[slot] = True
@@ -85,7 +122,7 @@ class ChainingHashMap:
         self.size += 1
 
     def insert_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
-        keys = np.asarray(keys)
+        keys = integral_keys(keys)
         values = np.asarray(values)
         if keys.size != values.size:
             raise ValueError("keys and values must align")
@@ -130,6 +167,10 @@ class ChainingHashMap:
 
     def get(self, key: int) -> int | None:
         """Payload for ``key`` or None; counts probes for the benchmarks."""
+        if type(key) is not int:
+            key = integral_key(key)
+            if key is None:
+                return None
         slot = self.hash_fn(key)
         self.probe_count += 1
         if not self._occupied[slot]:
@@ -145,7 +186,7 @@ class ChainingHashMap:
         return None
 
     def __contains__(self, key: int) -> bool:
-        return self.get(int(key)) is not None
+        return self.get(key) is not None
 
     def __len__(self) -> int:
         return self.size

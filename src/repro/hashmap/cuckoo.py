@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .chaining import integral_key, write_key
 from .hashing import murmur_fmix64
 
 __all__ = ["BucketizedCuckooHashMap", "GenericCuckooHashMap"]
@@ -80,7 +81,7 @@ class BucketizedCuckooHashMap:
 
     def insert(self, key: int, value: int) -> bool:
         """Insert; returns False when the kick chain exceeds max_kicks."""
-        key = int(key)
+        key = write_key(key)
         b1 = self._bucket1(key)
         if self._try_update(b1, key, value):
             return True
@@ -134,7 +135,10 @@ class BucketizedCuckooHashMap:
     def get(self, key: int) -> int | None:
         """Probe both buckets; each probe scans one bucket in a single
         pass (the AVX packed-compare analogue)."""
-        key = int(key)
+        if type(key) is not int:
+            key = integral_key(key)
+            if key is None:
+                return None
         width = self.BUCKET_SLOTS
         keys_flat = self._keys_flat
         b1 = self._bucket1(key)
@@ -152,7 +156,7 @@ class BucketizedCuckooHashMap:
         return None
 
     def __contains__(self, key: int) -> bool:
-        return self.get(int(key)) is not None
+        return self.get(key) is not None
 
     def __len__(self) -> int:
         return self.size
@@ -243,7 +247,7 @@ class GenericCuckooHashMap:
         return None
 
     def insert(self, key: int, value: int) -> bool:
-        key = int(key)
+        key = write_key(key)
         value = int(value)
         if key == _EMPTY:
             raise ValueError("key collides with the empty sentinel")
@@ -305,7 +309,10 @@ class GenericCuckooHashMap:
             self.insert(key, value)
 
     def get(self, key: int) -> int | None:
-        key = int(key)
+        if type(key) is not int:
+            key = integral_key(key)
+            if key is None:
+                return None
         for bucket in (self._bucket1(key), self._bucket2(key)):
             self.probe_count += 1
             slot = self._find_in_bucket(bucket, key)
@@ -316,7 +323,7 @@ class GenericCuckooHashMap:
         return None
 
     def __contains__(self, key: int) -> bool:
-        return self.get(int(key)) is not None
+        return self.get(key) is not None
 
     def __len__(self) -> int:
         return self.size

@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from .chaining import integral_key, integral_keys
+
 __all__ = ["InPlaceChainedHashMap"]
 
 _EMPTY = -1
@@ -38,7 +40,7 @@ class InPlaceChainedHashMap:
         num_slots: int | None = None,
         record_bytes: int = 20,
     ):
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = np.asarray(integral_keys(keys), dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
         if keys.size != values.size:
             raise ValueError("keys and values must align")
@@ -102,6 +104,10 @@ class InPlaceChainedHashMap:
     # -- reads -------------------------------------------------------------
 
     def get(self, key: int) -> int | None:
+        if type(key) is not int:
+            key = integral_key(key)
+            if key is None:
+                return None
         slot = self.hash_fn(key)
         self.probe_count += 1
         if not self._occupied[slot]:
@@ -116,7 +122,7 @@ class InPlaceChainedHashMap:
             self.probe_count += 1
 
     def __contains__(self, key: int) -> bool:
-        return self.get(int(key)) is not None
+        return self.get(key) is not None
 
     def __len__(self) -> int:
         return self.size

@@ -11,7 +11,6 @@ from .cdf import (
     error_stats_list_from_arrays,
     positions_for_keys,
     segmented_error_arrays,
-    segmented_error_stats,
 )
 from .gru import CharVocabulary, GRUClassifier
 from .linear import (
@@ -47,7 +46,6 @@ __all__ = [
     "lexicographic_scalar_batch",
     "positions_for_keys",
     "segmented_error_arrays",
-    "segmented_error_stats",
     "segmented_linear_fit",
     "tokenize",
     "tokenize_batch",

@@ -19,7 +19,6 @@ __all__ = [
     "positions_for_keys",
     "ErrorStats",
     "segmented_error_arrays",
-    "segmented_error_stats",
 ]
 
 
@@ -181,36 +180,4 @@ def error_stats_list_from_arrays(
             ),
         )
     )
-
-
-def segmented_error_stats(
-    predictions: np.ndarray,
-    positions: np.ndarray,
-    assignment: np.ndarray,
-    num_segments: int,
-    *,
-    default: ErrorStats,
-) -> tuple[list[ErrorStats], np.ndarray, np.ndarray]:
-    """Per-segment :class:`ErrorStats` rows in one vectorized pass.
-
-    Groups ``predictions``/``positions`` by ``assignment`` (see
-    :func:`segmented_error_arrays` for the mechanics).  Segments with
-    no members carry ``default``'s bounds and zero moments/count.
-
-    Returns ``(stats, lo_offsets, hi_offsets)``: the
-    ``list[ErrorStats]`` and the float64 offset arrays of the compiled
-    search-window form (``lo = max_error``, ``hi = min_error`` per
-    segment, ``default``'s bounds for empty segments).
-    """
-    min_error, max_error, mean_abs, std, counts = segmented_error_arrays(
-        predictions,
-        positions,
-        assignment,
-        num_segments,
-        default=default,
-    )
-    stats = error_stats_list_from_arrays(
-        min_error, max_error, mean_abs, std, counts
-    )
-    return stats, max_error.astype(np.float64), min_error.astype(np.float64)
 

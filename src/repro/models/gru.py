@@ -298,38 +298,3 @@ class GRUClassifier:
             m_hat = m / (1 - beta1**t)
             v_hat = v / (1 - beta2**t)
             param -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-    def finite_difference_gradients(
-        self, texts: list[str], labels: np.ndarray, epsilon: float = 1e-5
-    ) -> list[np.ndarray]:
-        """Numerical log-loss gradients for gradient-check tests.
-
-        Only feasible for tiny models; tests use width=3, E=4.
-        """
-        ids = self.vocab.encode_batch(texts, self.max_length)
-        y = np.asarray(labels, dtype=np.float64).ravel()
-
-        def loss() -> float:
-            prob, _ = self._forward(ids)
-            eps2 = 1e-12
-            return float(
-                -np.mean(
-                    y * np.log(prob + eps2) + (1 - y) * np.log(1 - prob + eps2)
-                )
-            )
-
-        grads = []
-        for p in self._params():
-            grad = np.zeros_like(p)
-            flat = p.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + epsilon
-                up = loss()
-                flat[i] = orig - epsilon
-                down = loss()
-                flat[i] = orig
-                gflat[i] = (up - down) / (2 * epsilon)
-            grads.append(grad)
-        return grads

@@ -249,55 +249,6 @@ class MLP:
             ops += 2 * w.size  # multiply + add per weight
         return ops
 
-    def finite_difference_gradients(
-        self, x: np.ndarray, y: np.ndarray, epsilon: float = 1e-6
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Numerical gradients of the loss — used by gradient-check tests."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64).reshape(-1, self.output_dim)
-
-        def loss() -> float:
-            out, _ = self._forward(x)
-            if self.task == "classification":
-                prob = 1.0 / (1.0 + np.exp(-out))
-                eps2 = 1e-12
-                return float(
-                    -np.mean(
-                        y * np.log(prob + eps2)
-                        + (1 - y) * np.log(1 - prob + eps2)
-                    )
-                )
-            return float(np.mean((out - y) ** 2))
-
-        grads_w = []
-        for w in self.weights:
-            grad = np.zeros_like(w)
-            it = np.nditer(w, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = w[idx]
-                w[idx] = orig + epsilon
-                up = loss()
-                w[idx] = orig - epsilon
-                down = loss()
-                w[idx] = orig
-                grad[idx] = (up - down) / (2 * epsilon)
-                it.iternext()
-            grads_w.append(grad)
-        grads_b = []
-        for b in self.biases:
-            grad = np.zeros_like(b)
-            for i in range(b.size):
-                orig = b[i]
-                b[i] = orig + epsilon
-                up = loss()
-                b[i] = orig - epsilon
-                down = loss()
-                b[i] = orig
-                grad[i] = (up - down) / (2 * epsilon)
-            grads_b.append(grad)
-        return grads_w, grads_b
-
 
 class NeuralRegressionModel(Model):
     """Adapts :class:`MLP` to the RMI model interface for scalar keys."""

@@ -28,10 +28,6 @@ Semantics are pinned to the scalar ``range_query``: ranges are closed
 i-th entry of the result is bit-identical to ``range_query(lows[i],
 highs[i])``.
 
-Indexes over Python-comparable keys (strings) use the ``bisect``-based
-:func:`batch_range_scan_generic`, which keeps the same result shape
-with list-backed storage.
-
 Precision envelope (ISSUE 5): endpoint arrays keep their native dtype
 end to end, each array its own — integer endpoints against integer
 key columns resolve through the exact dtype-aware query core
@@ -48,7 +44,6 @@ tree baselines back in — deferring to first use breaks the cycle.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +55,6 @@ __all__ = [
     "RangeScanResult",
     "assemble_slices",
     "batch_range_scan",
-    "batch_range_scan_generic",
     "merge_scan_results",
 ]
 
@@ -408,9 +402,9 @@ class RangeScanIndexMixin:
     :class:`~repro.core.engine.SortedKeyColumn` — the baselines only
     accelerate scalar descents, and over a dense sorted array the
     vectorized page + in-page search is one exact ``searchsorted`` in
-    the key's native dtype; hosts with a real batch engine
-    (``CompiledPlanIndex``, with its ``sort=`` fast path) or non-numpy
-    keys (the generic/string indexes) override the batch surface.
+    the key's native dtype; a host with a real batch engine
+    (``CompiledPlanIndex``, with its ``sort=`` fast path) overrides the
+    batch surface.
     """
 
     def _key_column(self):
@@ -467,47 +461,3 @@ class RangeScanIndexMixin:
             column=self._key_column(),
         )
 
-
-def batch_range_scan_generic(
-    keys: list,
-    lows,
-    highs,
-    lookup_batch,
-) -> RangeScanResult:
-    """:func:`batch_range_scan` over Python-comparable keys.
-
-    Bound resolution still goes through the index's ``lookup_batch``
-    (model-accelerated for :class:`~repro.core.string_index.StringRMI`);
-    duplicate widening and slice assembly fall back to ``bisect`` and
-    list slicing, since numpy cannot compare arbitrary objects.
-    """
-    lows = list(lows)
-    highs = list(highs)
-    if len(lows) != len(highs):
-        raise ValueError("lows and highs must have the same length")
-    m = len(lows)
-    n = len(keys)
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    if m == 0 or n == 0:
-        empty = np.zeros(m, dtype=np.int64)
-        return RangeScanResult(
-            values=[], offsets=offsets, starts=empty, ends=empty.copy()
-        )
-    pos = np.asarray(lookup_batch(lows + highs), dtype=np.int64)
-    starts = pos[:m]
-    ends = pos[m:].copy()
-    values: list = []
-    for i in range(m):
-        if highs[i] < lows[i]:
-            ends[i] = starts[i]
-        else:
-            end = int(ends[i])
-            if end < n and keys[end] == highs[i]:
-                end = bisect.bisect_right(keys, highs[i], end)
-            ends[i] = end
-            if end > starts[i]:
-                values.extend(keys[int(starts[i]):end])
-        offsets[i + 1] = len(values)
-    return RangeScanResult(
-        values=values, offsets=offsets, starts=starts, ends=ends
-    )

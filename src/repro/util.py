@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["scalar_view", "batch_contains_generic", "clamp_into"]
+__all__ = ["scalar_view", "clamp_into"]
 
 _VIEWABLE = {
     np.dtype(np.int64),
@@ -68,22 +68,3 @@ def clamp_into(values: np.ndarray, low, high) -> np.ndarray:
     np.minimum(values, high, out=values)
     return values
 
-
-def batch_contains_generic(keys: list, queries, positions) -> np.ndarray:
-    """Membership mask from lower-bound positions for Python-comparable
-    keys (e.g. strings).
-
-    ``positions[i]`` must be the lower bound of ``queries[i]`` in the
-    sorted ``keys``; the query is present iff the position is in range
-    and the key there equals the query.  Numeric key columns use the
-    dtype-exact :meth:`repro.core.engine.SortedKeyColumn.contains_at`
-    instead; this is the list-indexing fallback numpy cannot vectorize.
-    """
-    n = len(keys)
-    return np.array(
-        [
-            pos < n and keys[pos] == q
-            for pos, q in zip(positions, queries)
-        ],
-        dtype=bool,
-    )

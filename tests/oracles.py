@@ -1,9 +1,10 @@
 """Reference implementations and generators that only tests use.
 
 Each definition here is the plain, per-item form of something the
-product computes in bulk (or test data no product path consumes), kept
-as an oracle rather than as product code.  Import it from a test
-module as ``from oracles import ...``.
+product computes in bulk, a numerical check of something it computes
+analytically (finite-difference gradients), or test data no product
+path consumes — kept as an oracle rather than as product code.  Import
+it from a test module as ``from oracles import ...``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,68 @@ def error_stats(predictions: np.ndarray, truths: np.ndarray) -> ErrorStats:
         std=float(signed.std()),
         count=int(signed.size),
     )
+
+
+def _central_differences(params, loss, epsilon: float) -> list[np.ndarray]:
+    """d loss / d p for every element of every array in ``params``, by
+    central differences, perturbing each element in place."""
+    grads = []
+    for p in params:
+        grad = np.zeros_like(p)
+        for idx in np.ndindex(p.shape):
+            orig = p[idx]
+            p[idx] = orig + epsilon
+            up = loss()
+            p[idx] = orig - epsilon
+            down = loss()
+            p[idx] = orig
+            grad[idx] = (up - down) / (2 * epsilon)
+        grads.append(grad)
+    return grads
+
+
+def _log_loss(prob: np.ndarray, y: np.ndarray) -> float:
+    eps = 1e-12
+    return float(
+        -np.mean(y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps))
+    )
+
+
+def mlp_finite_difference_gradients(
+    net, x: np.ndarray, y: np.ndarray, epsilon: float = 1e-6
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Numerical ``(weight, bias)`` gradients of an
+    :class:`~repro.models.nn.MLP`'s training loss (mean squared error,
+    or log loss for classification): the oracle its backprop is
+    checked against."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64).reshape(-1, net.output_dim)
+
+    def loss() -> float:
+        out, _ = net._forward(x)
+        if net.task == "classification":
+            return _log_loss(1.0 / (1.0 + np.exp(-out)), y)
+        return float(np.mean((out - y) ** 2))
+
+    grads = _central_differences(net.weights + net.biases, loss, epsilon)
+    return grads[:len(net.weights)], grads[len(net.weights):]
+
+
+def gru_finite_difference_gradients(
+    gru, texts: list[str], labels: np.ndarray, epsilon: float = 1e-5
+) -> list[np.ndarray]:
+    """Numerical log-loss gradients of a
+    :class:`~repro.models.gru.GRUClassifier`, aligned to its
+    parameters: the oracle its BPTT is checked against.  Only feasible
+    for tiny models."""
+    ids = gru.vocab.encode_batch(texts, gru.max_length)
+    y = np.asarray(labels, dtype=np.float64).ravel()
+
+    def loss() -> float:
+        prob, _ = gru._forward(ids)
+        return _log_loss(prob, y)
+
+    return _central_differences(gru._params(), loss, epsilon)
 
 
 _WORDS = (

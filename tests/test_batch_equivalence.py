@@ -1,4 +1,4 @@
-"""Batch == scalar equivalence for every index type.
+"""Batch == scalar equivalence for every index type with a batch surface.
 
 The vectorized batch engine (ISSUE 1) must be a pure throughput
 optimization: for any query batch, ``lookup_batch(qs)`` returns exactly
@@ -22,14 +22,12 @@ from repro.btree import (
     BTreeIndex,
     FASTTree,
     FixedSizeBTree,
-    GenericBTreeIndex,
     HierarchicalLookupTable,
 )
 from repro.core import (
     HybridIndex,
     LearnedHashFunction,
     RecursiveModelIndex,
-    StringRMI,
     WritableLearnedIndex,
 )
 from repro.families import PGMIndex, RadixSplineIndex
@@ -228,30 +226,6 @@ class TestRangeBatchEquivalence:
             )
         assert result.total == int(result.counts.sum())
 
-    def test_string_rmi_range_batch(self, strings_small, rng):
-        index = StringRMI(strings_small, num_leaves=50)
-        lows = list(rng.choice(strings_small, 40)) + ["", "zzz"]
-        highs = list(rng.choice(strings_small, 40)) + ["zzz", ""]
-        result = index.range_query_batch(lows, highs)
-        for i, (lo, hi) in enumerate(zip(lows, highs)):
-            assert list(result[i]) == index.range_query(lo, hi), i
-
-    def test_writable_range_batch(self):
-        index = WritableLearnedIndex(
-            np.arange(0, 4_000, 4, dtype=np.int64), merge_threshold=10_000
-        )
-        for k in range(1, 600, 6):
-            index.insert(k)
-        for k in range(0, 1_200, 8):
-            index.delete(k)
-        lows = np.arange(-10, 4_010, 97, dtype=np.int64)
-        highs = lows + np.tile([0, -5, 50, 400], lows.size)[: lows.size]
-        result = index.range_query_batch(lows, highs)
-        for i in range(lows.size):
-            np.testing.assert_array_equal(
-                result[i], index.range_query(int(lows[i]), int(highs[i]))
-            )
-
 
 class TestSortedPathEquivalence:
     """sorted-path == unsorted-path, bit-identical, for every regime."""
@@ -313,69 +287,6 @@ class TestHybridEquivalence:
         keys = dataset(kind)
         index = HybridIndex(keys, stage_sizes=(1, 8), threshold=2)
         assert_batch_matches_scalar(index, query_batch(keys))
-
-
-class TestStringEquivalence:
-    @pytest.mark.parametrize("hybrid_threshold", [None, 1])
-    def test_string_rmi(self, strings_small, hybrid_threshold, rng):
-        index = StringRMI(
-            strings_small,
-            num_leaves=50,
-            hybrid_threshold=hybrid_threshold,
-        )
-        queries = (
-            list(rng.choice(strings_small, 100))
-            + ["", "zzzzzz", "!absent", strings_small[0] + "x"]
-        )
-        batch = index.lookup_batch(queries)
-        scalar = np.array([index.lookup(q) for q in queries])
-        np.testing.assert_array_equal(batch, scalar)
-        member = index.contains_batch(queries)
-        expected = np.array([index.contains(q) for q in queries])
-        np.testing.assert_array_equal(member, expected)
-
-    def test_string_rmi_empty_and_single(self):
-        for keys in ([], ["only"]):
-            index = StringRMI(keys, num_leaves=4)
-            queries = ["", "a", "only", "zz"]
-            np.testing.assert_array_equal(
-                index.lookup_batch(queries),
-                np.array([index.lookup(q) for q in queries]),
-            )
-
-    def test_generic_btree_strings(self, strings_small, rng):
-        tree = GenericBTreeIndex(strings_small, page_size=32)
-        queries = list(rng.choice(strings_small, 80)) + ["", "~~~absent"]
-        np.testing.assert_array_equal(
-            tree.lookup_batch(queries),
-            np.array([tree.lookup(q) for q in queries]),
-        )
-        np.testing.assert_array_equal(
-            tree.contains_batch(queries),
-            np.array([tree.contains(q) for q in queries]),
-        )
-
-
-class TestWritableEquivalence:
-    def test_contains_batch_with_delta_and_tombstones(self):
-        base = np.arange(0, 4_000, 4, dtype=np.int64)
-        index = WritableLearnedIndex(base, merge_threshold=10_000)
-        for k in range(1, 600, 6):
-            index.insert(k)
-        for k in range(0, 1_200, 8):
-            index.delete(k)
-        assert index.delta_size > 0
-        queries = np.arange(-10, 4_020, dtype=np.int64)
-        batch = index.contains_batch(queries)
-        expected = np.array([index.contains(int(q)) for q in queries])
-        np.testing.assert_array_equal(batch, expected)
-
-    def test_contains_batch_empty_index(self):
-        index = WritableLearnedIndex()
-        np.testing.assert_array_equal(
-            index.contains_batch(np.array([1, 2, 3])),
-            np.array([False, False, False]),
-        )
 
 
 class TestHashAndBloomEquivalence:
@@ -678,33 +589,19 @@ class TestExact64BitWritable:
             live.discard(k)
         slist = sorted(live)
         probes = huge_probes(keys, rng)
-        items = [int(q) for q in probes]
-        np.testing.assert_array_equal(
-            index.lookup_batch(probes),
-            np.array([bisect.bisect_left(slist, q) for q in items]),
-        )
-        np.testing.assert_array_equal(
-            index.upper_bound_batch(probes),
-            np.array([bisect.bisect_right(slist, q) for q in items]),
-        )
-        np.testing.assert_array_equal(
-            index.contains_batch(probes),
-            np.array([q in live for q in items]),
-        )
-        for q in items[:25]:
-            assert index.lookup(q) == bisect.bisect_left(slist, q)
-            assert index.contains(q) == (q in live)
+        for q in probes.tolist():
+            assert index.lookup(q) == bisect.bisect_left(slist, q), q
+            assert index.upper_bound(q) == bisect.bisect_right(slist, q), q
+            assert index.contains(q) == (q in live), q
         lows = probes[:60]
         highs = np.minimum(
             lows + rng.integers(0, 50, 60), np.int64(2**63 - 1)
         )
-        result = index.range_query_batch(lows, highs)
-        for i in range(60):
+        for lo, hi in zip(lows.tolist(), highs.tolist()):
             expected = slist[
-                bisect.bisect_left(slist, int(lows[i])):
-                bisect.bisect_right(slist, int(highs[i]))
+                bisect.bisect_left(slist, lo):bisect.bisect_right(slist, hi)
             ]
-            assert list(result[i]) == expected, i
+            assert index.range_query(lo, hi).tolist() == expected, (lo, hi)
 
 
 # -- every plan-backed index ---------------------------------------------------

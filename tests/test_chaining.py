@@ -7,7 +7,10 @@ from repro.core import LearnedHashFunction
 from repro.hashmap import (
     RECORD_BYTES,
     SLOT_BYTES,
+    BucketizedCuckooHashMap,
     ChainingHashMap,
+    GenericCuckooHashMap,
+    InPlaceChainedHashMap,
     RandomHashFunction,
 )
 
@@ -118,3 +121,66 @@ class TestLearnedVersusRandom:
         before = hm.probe_count
         hm.get(int(keys[0]))
         assert hm.probe_count > before
+
+
+# -- every map against a dict: keys are never truncated ---------------------
+
+def _build_map(kind: str, reference: dict):
+    keys = np.array(list(reference), dtype=np.int64)
+    values = np.array(list(reference.values()), dtype=np.int64)
+    if kind == "inplace":
+        return InPlaceChainedHashMap(
+            keys, values, RandomHashFunction(keys.size, seed=3)
+        )
+    hash_map = {
+        "chaining": lambda: ChainingHashMap(
+            256, RandomHashFunction(256, seed=3)
+        ),
+        "bucketized_cuckoo": lambda: BucketizedCuckooHashMap(512),
+        "generic_cuckoo": lambda: GenericCuckooHashMap(512),
+    }[kind]()
+    for key, value in zip(keys.tolist(), values.tolist()):
+        hash_map.insert(key, value)
+    return hash_map
+
+
+NOT_KEYS = (2.5, -0.5, 398.5, float("nan"), float("inf"), np.float64(6.5), "4")
+
+
+@pytest.mark.parametrize(
+    "kind", ["chaining", "bucketized_cuckoo", "generic_cuckoo", "inplace"]
+)
+def test_non_integral_keys_match_a_dict(kind):
+    """Every map reads like a dict: ``2.0`` is the key 2, but ``2.5``,
+    NaN, an infinity or ``"4"`` is no key at all (not a truncated
+    stored key), and writing one is a ``TypeError`` that changes
+    nothing."""
+    reference = {k: 10 * k + 1 for k in range(0, 400, 2)}
+    hash_map = _build_map(kind, reference)
+    if kind == "inplace":
+        with pytest.raises(TypeError):
+            InPlaceChainedHashMap(
+                np.array([0.0, 2.5]), np.array([1, 2]), RandomHashFunction(2)
+            )
+    else:
+        for key in NOT_KEYS:
+            with pytest.raises(TypeError):
+                hash_map.insert(key, 99)
+        hash_map.insert(8.0, 7)
+        reference[8.0] = 7
+        hash_map.insert(np.float32(401.0), 5)
+        reference[401] = 5
+        assert len(hash_map) == len(reference)
+    probes = [2, 2.0, np.float64(4.0), np.int64(6), 8, 401, 401.0, 1, 3]
+    for q in probes + list(NOT_KEYS) + [-float("inf")]:
+        assert hash_map.get(q) == reference.get(q), q
+        assert (q in hash_map) == (q in reference), q
+
+
+def test_bulk_insert_refuses_non_integral_keys():
+    hash_map = ChainingHashMap(16, RandomHashFunction(16))
+    with pytest.raises(TypeError):
+        hash_map.insert_batch(np.array([1.0, 2.5]), np.array([1, 2]))
+    assert len(hash_map) == 0
+    hash_map.insert_batch(np.array([1.0, 2.0]), np.array([1, 2]))
+    assert (hash_map.get(1), hash_map.get(2.0), len(hash_map)) == (1, 2, 2)

@@ -284,9 +284,7 @@ def test_generic_btree_matches_oracle_over_ints():
         assert tree.contains(q) == oracle.contains(q)
     lows = [int(q) for q in rng.integers(-100, 5_100, 50)]
     highs = [lo + int(d) for lo, d in zip(lows, rng.integers(-50, 500, 50))]
-    result = tree.range_query_batch(lows, highs)
-    for i, (lo, hi) in enumerate(zip(lows, highs)):
-        assert list(result[i]) == oracle.range_query(lo, hi)
+    for lo, hi in zip(lows, highs):
         assert tree.range_query(lo, hi) == oracle.range_query(lo, hi)
 
 
@@ -318,9 +316,7 @@ def test_string_rmi_matches_oracle(hybrid_threshold):
         assert index.contains(q) == oracle.contains(q), q
     lows = random_strings(rng, 40)
     highs = random_strings(rng, 40)
-    result = index.range_query_batch(lows, highs)
-    for i, (lo, hi) in enumerate(zip(lows, highs)):
-        assert list(result[i]) == oracle.range_query(lo, hi)
+    for lo, hi in zip(lows, highs):
         assert index.range_query(lo, hi) == oracle.range_query(lo, hi)
 
 
@@ -347,23 +343,15 @@ class SetOracle:
 
 def crosscheck_writable(index: WritableLearnedIndex, oracle: SetOracle, rng):
     probes = rng.integers(-100, 20_100, 300)
-    np.testing.assert_array_equal(
-        index.contains_batch(probes),
-        np.array([oracle.contains(int(q)) for q in probes]),
-    )
     # Live-rank lower/upper bounds (delta-merge aware lookup surface).
     live = sorted(oracle.live)
-    np.testing.assert_array_equal(
-        index.lookup_batch(probes.astype(np.float64)),
-        np.array([bisect.bisect_left(live, int(q)) for q in probes]),
-    )
-    np.testing.assert_array_equal(
-        index.upper_bound_batch(probes.astype(np.float64)),
-        np.array([bisect.bisect_right(live, int(q)) for q in probes]),
-    )
-    for q in probes[:20]:
-        assert index.lookup(int(q)) == bisect.bisect_left(live, int(q))
-        assert index.upper_bound(int(q)) == bisect.bisect_right(live, int(q))
+    for q in probes.tolist():
+        assert index.contains(q) == oracle.contains(q), q
+        assert index.lookup(q) == bisect.bisect_left(live, q), q
+        assert index.upper_bound(q) == bisect.bisect_right(live, q), q
+    # Float probes read like the ints they equal.
+    for q in probes[:20].astype(np.float64).tolist():
+        assert index.lookup(q) == bisect.bisect_left(live, q), q
     lows = rng.integers(-100, 20_100, 40)
     highs = lows + rng.integers(-50, 2_000, 40)
     check_writable_ranges(index, live, lows, highs)
@@ -373,9 +361,6 @@ def crosscheck_writable(index: WritableLearnedIndex, oracle: SetOracle, rng):
     # tombstones as against the main index.
     picks = np.array(live[:3] + list(rng.choice(live, 40)), dtype=np.float64)
     halves = np.column_stack([picks - 0.5, picks + 0.5]).ravel()
-    np.testing.assert_array_equal(
-        index.contains_batch(halves), np.zeros(halves.size, dtype=bool)
-    )
     assert not any(index.contains(q) for q in halves.tolist())
     lows = halves[:12]
     highs = lows + rng.integers(-50, 2_000, 12)
@@ -383,22 +368,20 @@ def crosscheck_writable(index: WritableLearnedIndex, oracle: SetOracle, rng):
 
 
 def check_writable_ranges(index, live: list, lows, highs):
-    """Batch and scalar range reads against a bisect slice of ``live``."""
-    result = index.range_query_batch(lows, highs)
+    """Range reads against a bisect slice of ``live``."""
     for i, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist())):
         expected = live[
             bisect.bisect_left(live, lo):bisect.bisect_right(live, hi)
         ]
-        assert list(result[i]) == expected, (i, lo, hi)
         assert list(index.range_query(lo, hi)) == expected, (i, lo, hi)
 
 
 def test_writable_randomized_round_trip():
     """Interleaved inserts/batch-inserts/deletes/merges vs the oracle.
 
-    The full read surface (``contains_batch`` + ``range_query_batch``
-    + scalar ``range_query``) is cross-checked before every merge and
-    after the last, so a stale delta slice, a leaked tombstone, a bulk insert
+    The full read surface (``contains``, ``lookup``, ``upper_bound``
+    and ``range_query``) is cross-checked before every merge and after
+    the last, so a stale delta slice, a leaked tombstone, a bulk insert
     that loses keys, or a fast-path append that corrupts the error
     bounds all surface immediately.
     """
@@ -604,14 +587,14 @@ def test_lsm_matches_writable_reference(tmp_path, mode):
             reference.delete(key)
     probes = rng.integers(-100, 50_100, 500)
     np.testing.assert_array_equal(
-        store.contains_batch(probes), reference.contains_batch(probes)
+        store.contains_batch(probes),
+        [reference.contains(q) for q in probes.tolist()],
     )
     lows = rng.integers(0, 50_000, 30)
     highs = lows + rng.integers(0, 2_000, 30)
     got = store.range_query_batch(lows, highs)
-    expected = reference.range_query_batch(lows, highs)
-    for i in range(30):
-        np.testing.assert_array_equal(got[i], expected[i])
+    for i, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist())):
+        np.testing.assert_array_equal(got[i], reference.range_query(lo, hi))
     store.close()
 
 
@@ -721,11 +704,6 @@ def test_paged_index_matches_oracle_beyond_2p53(regime):
     index = PagedLearnedIndex(keys, page_size=64)
     oracle = Oracle(int(k) for k in keys)
     probes = huge_oracle_probes(keys, rng, 80)
-    batch = np.array(probes, dtype=np.int64)
-    np.testing.assert_array_equal(
-        index.lookup_batch(batch),
-        np.array([oracle.lookup(q) for q in probes]),
-    )
     scalar = np.array([
         page * index.page_size + slot
         for page, slot in (index.lookup(q) for q in probes)
@@ -733,19 +711,9 @@ def test_paged_index_matches_oracle_beyond_2p53(regime):
     np.testing.assert_array_equal(
         scalar, np.array([oracle.lookup(q) for q in probes])
     )
-    np.testing.assert_array_equal(
-        index.contains_batch(batch),
-        np.array([oracle.contains(q) for q in probes]),
-    )
-    lows = np.array(huge_oracle_probes(keys, rng, 25), dtype=np.int64)
-    highs = np.minimum(
-        lows + rng.integers(0, 150, lows.size), np.int64(2**63 - 1)
-    )
-    result = index.range_query_batch(lows, highs)
-    for i in range(lows.size):
-        assert list(result[i]) == oracle.range_query(
-            int(lows[i]), int(highs[i])
-        ), i
+    assert [index.contains(q) for q in probes] == [
+        oracle.contains(q) for q in probes
+    ]
 
 
 def test_writable_matches_oracle_beyond_2p53():
@@ -769,22 +737,10 @@ def test_writable_matches_oracle_beyond_2p53():
             index.merge()
     index.merge()
     live = sorted(oracle.live)
-    probes = huge_oracle_probes(keys, rng, 150)
-    batch = np.array(probes, dtype=np.int64)
-    np.testing.assert_array_equal(
-        index.contains_batch(batch),
-        np.array([oracle.contains(q) for q in probes]),
-    )
-    np.testing.assert_array_equal(
-        index.lookup_batch(batch),
-        np.array([bisect.bisect_left(live, q) for q in probes]),
-    )
-    np.testing.assert_array_equal(
-        index.upper_bound_batch(batch),
-        np.array([bisect.bisect_right(live, q) for q in probes]),
-    )
-    for q in probes[:20]:
-        assert index.lookup(q) == bisect.bisect_left(live, q)
+    for q in huge_oracle_probes(keys, rng, 150):
+        assert index.contains(q) == oracle.contains(q), q
+        assert index.lookup(q) == bisect.bisect_left(live, q), q
+        assert index.upper_bound(q) == bisect.bisect_right(live, q), q
 
 
 def test_lsm_store_matches_oracle_beyond_2p53():

@@ -77,7 +77,8 @@ class TestLookupCorrectness:
 
 class TestSmallBatch:
     """An 8-key batch is answered before any routing; ``sort=False``
-    still takes the route + B-Tree / engine path, identically."""
+    still takes the engine path, identically — over replaced leaves
+    too, whose stored windows the engine searches and verifies."""
 
     @pytest.mark.parametrize("threshold", [0, 10**9])  # all B-Tree / all modelled
     def test_eight_keys_are_not_routed(
@@ -97,7 +98,7 @@ class TestSmallBatch:
         )
         expected = np.searchsorted(adversarial_keys, queries, side="left")
         np.testing.assert_array_equal(hybrid.lookup_batch(queries), expected)
-        # no lane was routed, searched or sent down a leaf B-Tree
+        # no lane was routed or searched
         assert hybrid.stats.lookups == 0
         assert hybrid.stats.extra["column_answered"] == 8
         np.testing.assert_array_equal(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import gru_finite_difference_gradients
 from repro.models import CharVocabulary, GRUClassifier
 
 
@@ -39,7 +40,7 @@ class TestGRUGradients:
         ids = gru.vocab.encode_batch(texts, 6)
         _prob, cache = gru._forward(ids)
         analytic = gru._backward(cache, labels)
-        numeric = gru.finite_difference_gradients(texts, labels)
+        numeric = gru_finite_difference_gradients(gru, texts, labels)
         names = ["embedding", "w_x", "w_h", "b", "w_out", "b_out"]
         for name, a, n in zip(names, analytic, numeric):
             scale = max(float(np.abs(n).max()), 1e-8)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import mlp_finite_difference_gradients
 from repro.models import MLP, FrameworkModel, NeuralRegressionModel
 
 
@@ -36,7 +37,7 @@ class TestMLPGradients:
         out, acts = net._forward(x)
         delta = 2.0 * (out - y) / x.shape[0]
         grads_w, grads_b = net._backward(acts, delta)
-        num_w, num_b = net.finite_difference_gradients(x, y)
+        num_w, num_b = mlp_finite_difference_gradients(net, x, y)
         for analytic, numeric in zip(grads_w + grads_b, num_w + num_b):
             scale = max(float(np.abs(numeric).max()), 1e-8)
             assert np.abs(analytic - numeric).max() / scale < 1e-5
@@ -50,7 +51,7 @@ class TestMLPGradients:
         prob = 1.0 / (1.0 + np.exp(-out))
         delta = (prob - y) / x.shape[0]
         grads_w, grads_b = net._backward(acts, delta)
-        num_w, num_b = net.finite_difference_gradients(x, y)
+        num_w, num_b = mlp_finite_difference_gradients(net, x, y)
         for analytic, numeric in zip(grads_w + grads_b, num_w + num_b):
             scale = max(float(np.abs(numeric).max()), 1e-8)
             assert np.abs(analytic - numeric).max() / scale < 1e-4

@@ -91,7 +91,6 @@ class TestPagedLookup:
         probes = [-0.9, -0.5, 0.0, 0.5, 3.5, 4.0]
         expected = [False, False, True, False, False, True]
         assert [even.contains(q) for q in probes] == expected
-        assert even.contains_batch(np.array(probes)).tolist() == expected
 
     def test_contains_is_exact_beyond_2p53(self):
         """The native compare never rounds through float64: 2^62 is
@@ -101,9 +100,7 @@ class TestPagedLookup:
         probes = [2**62, float(2**62), 2**62 + 1, 2**62 + 2, 2**62 + 1999]
         expected = [False, False, True, False, True]
         assert [index.contains(q) for q in probes] == expected
-        assert index.contains_batch(
-            np.array(probes[2:], dtype=np.int64)
-        ).tolist() == expected[2:]
+        assert [index.contains(np.int64(q)) for q in probes[2:]] == expected[2:]
 
     def test_empty(self):
         index = PagedLearnedIndex(np.array([], dtype=np.int64))
@@ -149,78 +146,3 @@ class TestIOProfile:
         data_bytes = keys.size * 8
         assert index.size_bytes() < data_bytes / 10
 
-
-class TestBatchAPIs:
-    """ISSUE 4 satellite: batched reads with per-batch IO accounting."""
-
-    @pytest.mark.parametrize("partial", [False, True])
-    def test_lookup_batch_matches_scalar(self, keys, partial):
-        rng = np.random.default_rng(8)
-        index = PagedLearnedIndex(
-            keys, page_size=128, stage_sizes=(1, 200), partial_reads=partial
-        )
-        queries = np.concatenate([
-            rng.choice(keys, 600).astype(np.float64),
-            rng.integers(-100, int(keys.max()) + 100, 300).astype(np.float64),
-        ])
-        batch = index.lookup_batch(queries)
-        scalar = np.array([
-            page * index.page_size + slot
-            for page, slot in (index.lookup(float(q)) for q in queries)
-        ])
-        np.testing.assert_array_equal(batch, scalar)
-
-    def test_batch_io_is_amortized(self, keys):
-        """Each touched page transfers once per batch, not per query."""
-        index = PagedLearnedIndex(keys, page_size=128, stage_sizes=(1, 200))
-        rng = np.random.default_rng(9)
-        queries = rng.choice(keys, 5_000).astype(np.float64)
-        index.reset_io()
-        index.lookup_batch(queries)
-        batch_reads, _ = index.io_stats()
-        index.reset_io()
-        for q in queries:
-            index.lookup(float(q))
-        scalar_reads, _ = index.io_stats()
-        assert batch_reads <= index.store.num_pages + 16
-        assert batch_reads * 5 < scalar_reads
-
-    def test_contains_batch(self, keys):
-        rng = np.random.default_rng(10)
-        index = PagedLearnedIndex(keys, page_size=128, stage_sizes=(1, 200))
-        queries = np.concatenate([
-            rng.choice(keys, 200).astype(np.float64),
-            rng.integers(-100, int(keys.max()) + 100, 200).astype(np.float64),
-        ])
-        np.testing.assert_array_equal(
-            index.contains_batch(queries),
-            np.array([index.contains(float(q)) for q in queries]),
-        )
-
-    def test_range_query_batch_matches_reference(self, keys):
-        rng = np.random.default_rng(12)
-        index = PagedLearnedIndex(keys, page_size=128, stage_sizes=(1, 200))
-        lows = rng.integers(-100, int(keys.max()), 150).astype(np.float64)
-        highs = lows + rng.integers(-10, 10**7, 150)
-        result = index.range_query_batch(lows, highs)
-        assert len(result) == 150
-        for i in range(150):
-            lo, hi = float(lows[i]), float(highs[i])
-            expected = (
-                keys[np.searchsorted(keys, lo):
-                     np.searchsorted(keys, hi, side="right")]
-                if hi >= lo else keys[0:0]
-            )
-            np.testing.assert_array_equal(result[i], expected)
-        np.testing.assert_array_equal(
-            index.range_query(float(lows[0]), float(highs[0])), result[0]
-        )
-
-    def test_empty_batches_and_empty_index(self):
-        empty = PagedLearnedIndex(np.array([], dtype=np.int64))
-        assert empty.lookup_batch(np.array([1.0, 2.0])).tolist() == [0, 0]
-        assert not empty.contains_batch(np.array([1.0])).any()
-        index = PagedLearnedIndex(np.arange(100, dtype=np.int64))
-        assert index.lookup_batch(np.array([])).size == 0
-        result = index.range_query_batch([], [])
-        assert len(result) == 0

@@ -193,11 +193,6 @@ class TestStringIndexEdgeCases:
         ):
             assert index.range_query("a", "z") == (keys or [])
             assert index.range_query("z", "a") == []
-            result = index.range_query_batch(["a", "z"], ["z", "a"])
-            assert len(result) == 2
-            assert list(result.counts)[1] == 0
-            empty = index.range_query_batch([], [])
-            assert len(empty) == 0 and empty.total == 0
 
     def test_all_duplicate_strings(self):
         keys = ["dup"] * 32
@@ -207,20 +202,17 @@ class TestStringIndexEdgeCases:
         ):
             assert index.lookup("dup") == 0
             assert index.upper_bound("dup") == 32
-            assert len(index.range_query("dup", "dup")) == 32
-            result = index.range_query_batch(
-                ["a", "dup", "e"], ["z", "dup", "f"]
-            )
-            assert list(result.counts) == [32, 32, 0]
+            assert [
+                len(index.range_query(lo, hi))
+                for lo, hi in (("a", "z"), ("dup", "dup"), ("e", "f"))
+            ] == [32, 32, 0]
 
 
 class TestWritableEdgeCases:
     def test_empty_writable(self):
         index = WritableLearnedIndex()
         assert list(index.range_query(0, 100)) == []
-        result = index.range_query_batch([0, 5], [100, 1])
-        assert len(result) == 2 and result.total == 0
-        assert len(index.range_query_batch([], [])) == 0
+        assert list(index.range_query(5, 1)) == []
 
     def test_inverted_and_out_of_range(self):
         index = WritableLearnedIndex(
@@ -228,19 +220,16 @@ class TestWritableEdgeCases:
         )
         index.insert(5)
         index.delete(20)
-        result = index.range_query_batch(
-            [100, -500, 2_000, 0], [0, -100, 3_000, 30]
-        )
-        assert list(result[0]) == []  # inverted
-        assert list(result[1]) == []  # below all keys
-        assert list(result[2]) == []  # above all keys
-        assert list(result[3]) == [0, 5, 10, 30]  # delta in, tombstone out
-        assert result.starts is None and result.ends is None
+        assert list(index.range_query(100, 0)) == []  # inverted
+        assert list(index.range_query(-500, -100)) == []  # below all keys
+        assert list(index.range_query(2_000, 3_000)) == []  # above all keys
+        # delta in, tombstone out
+        assert list(index.range_query(0, 30)) == [0, 5, 10, 30]
 
     def test_float_endpoints_match_scalar(self):
         # Fractional endpoints bound the range where they say, against
-        # the delta buffer exactly as against the main index: batch,
-        # scalar and a bisect oracle over the live keys agree.
+        # the delta buffer exactly as against the main index: the range
+        # read and a bisect oracle over the live keys agree.
         base = list(range(0, 100, 4))
         index = WritableLearnedIndex(
             np.array(base, dtype=np.int64), merge_threshold=10**9
@@ -250,14 +239,13 @@ class TestWritableEdgeCases:
         live = sorted(base + [5, 3, -1])
         lows = [0.5, 3.9, 10.0, 5.5, -0.5, 3.5, -5, 2.5]
         highs = [4.0, 8.1, 3.5, 5.2, 4.2, 10, -1.5, 3.0]
-        result = index.range_query_batch(lows, highs)
+        result = [list(index.range_query(lo, hi)) for lo, hi in zip(lows, highs)]
         for i, (lo, hi) in enumerate(zip(lows, highs)):
             expected = live[
                 bisect.bisect_left(live, lo):bisect.bisect_right(live, hi)
             ]
-            assert list(result[i]) == expected, f"range {i}"
-            assert list(index.range_query(lo, hi)) == expected, f"range {i}"
-        assert list(result[0]) == [3, 4]   # 0 excluded: 0 < 0.5
-        assert list(result[3]) == []       # inverted on the float values
-        assert list(result[5]) == [4, 5, 8]  # delta 3 < 3.5
-        assert list(result[6]) == []       # delta -1 > -1.5
+            assert result[i] == expected, f"range {i}"
+        assert result[0] == [3, 4]     # 0 excluded: 0 < 0.5
+        assert result[3] == []         # inverted on the float values
+        assert result[5] == [4, 5, 8]  # delta 3 < 3.5
+        assert result[6] == []         # delta -1 > -1.5

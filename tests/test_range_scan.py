@@ -15,7 +15,9 @@ mixed-dtype endpoints on every range surface.
   forces.
 * Endpoint arrays of different dtypes are each prepared against the
   key column: int64 lows with uint64 highs (and the other pairs) must
-  not meet in float64, which rounds both beyond 2^53.
+  not meet in float64, which rounds both beyond 2^53; the writable
+  index's scalar range read takes the same endpoints one pair at a
+  time.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.btree import (
 )
 from repro.core import (
     HybridIndex,
-    PagedLearnedIndex,
     RangeScanResult,
     RecursiveModelIndex,
     WritableLearnedIndex,
@@ -336,8 +337,6 @@ SURFACES = {
     "fixed_btree": lambda: FixedSizeBTree(KEYS, size_budget_bytes=1_024),
     "fast_tree": lambda: FASTTree(KEYS, page_size=16),
     "lookup_table": lambda: HierarchicalLookupTable(KEYS, group=16),
-    "writable": lambda: WritableLearnedIndex(KEYS, stage_sizes=(1, 32)),
-    "paged": lambda: PagedLearnedIndex(KEYS, page_size=64),
     "lsm_memtable": lambda: _store("memtable"),
     "lsm_run": lambda: _store("run"),
 }
@@ -363,15 +362,15 @@ def test_mixed_dtype_endpoints_resolve_exactly(surface, pair):
         np.testing.assert_array_equal(values, result.values)
 
 
-def test_mixed_dtype_endpoints_on_a_writable_delta():
+@pytest.mark.parametrize("pair", sorted(ENDPOINTS), ids="-".join)
+def test_mixed_dtype_endpoints_on_a_writable_delta(pair):
+    """The writable index's scalar range read, over main keys and delta
+    keys, with each endpoint a NumPy scalar of its array's dtype."""
     index = WritableLearnedIndex(KEYS[::2], stage_sizes=(1, 32))
     for key in KEYS[1::2][:40].tolist():
         index.insert(key)
-    lows, highs = ENDPOINTS[("int64", "uint64")]
-    result = index.range_query_batch(lows, highs)
+    lows, highs = ENDPOINTS[pair]
     live = sorted(set(KEYS[::2].tolist()) | set(KEYS[1::2][:40].tolist()))
-    want = [
-        [k for k in live if lo <= k <= hi]
-        for lo, hi in zip(lows.tolist(), highs.tolist())
-    ]
-    assert [result[i].tolist() for i in range(len(want))] == want
+    for lo, hi in zip(lows, highs):
+        want = [k for k in live if lo.item() <= k <= hi.item()]
+        assert index.range_query(lo, hi).tolist() == want, (lo, hi)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import RecursiveModelIndex
+from repro.core import HybridIndex, RecursiveModelIndex
 from repro.models import (
     LinearModel,
     MultivariateLinearModel,
@@ -30,6 +30,15 @@ class TestConstruction:
             RecursiveModelIndex(keys, stage_sizes=())
         with pytest.raises(ValueError):
             RecursiveModelIndex(keys, stage_sizes=(1,))
+
+    @pytest.mark.parametrize("cls", [RecursiveModelIndex, HybridIndex])
+    @pytest.mark.parametrize(
+        "keys", [np.arange(10), np.array([])], ids=["ten", "empty"]
+    )
+    def test_rejects_unknown_search_strategy(self, cls, keys):
+        """At construction, before any lookup — an empty index too."""
+        with pytest.raises(ValueError, match="exponential"):
+            cls(keys, search_strategy="bogus")
 
     def test_empty_keys(self):
         index = RecursiveModelIndex(np.array([], dtype=np.int64))

@@ -26,6 +26,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StringRMI(["a"], num_leaves=0)
 
+    @pytest.mark.parametrize("strategy", ["exponential", "bogus"])
+    def test_rejects_unsupported_search_strategy(self, strategy):
+        """Only the string searches exist; any other name would run
+        plain binary search under a name it does not have."""
+        with pytest.raises(ValueError, match="biased_quaternary"):
+            StringRMI(["a", "b"], num_leaves=2, search_strategy=strategy)
+
     def test_empty(self):
         index = StringRMI([], num_leaves=4)
         assert index.lookup("anything") == 0
