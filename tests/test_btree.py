@@ -132,6 +132,20 @@ class TestGenericBTree:
         assert tree.contains(strings_small[5])
         assert not tree.contains(strings_small[5] + "x")
 
+    def test_string_membership_and_ranges(self, strings_small, rng):
+        tree = GenericBTreeIndex(strings_small, page_size=32)
+        members = set(strings_small)
+        probes = list(rng.choice(strings_small, 80)) + ["", "~~~absent"]
+        for q in probes:
+            assert tree.contains(q) == (q in members), q
+            assert tree.upper_bound(q) == bisect.bisect_right(strings_small, q)
+        for lo, hi in zip(probes[:40], probes[40:80]):
+            want = strings_small[
+                bisect.bisect_left(strings_small, lo):
+                bisect.bisect_right(strings_small, hi)
+            ]
+            assert tree.range_query(lo, hi) == want, (lo, hi)
+
     def test_size_counts_string_bytes(self):
         tree = GenericBTreeIndex(["aa", "bb", "cc", "dd"], page_size=2)
         assert tree.size_bytes() > 0

@@ -43,6 +43,15 @@ class TestConstruction:
         assert index.lookup("hello") == 0
         assert index.lookup("z") == 1
 
+    @pytest.mark.parametrize("keys", [[], ["only"]], ids=["empty", "single"])
+    def test_tiny_indexes_read_like_bisect(self, keys):
+        index = StringRMI(keys, num_leaves=4)
+        for q in ["", "a", "only", "zz"]:
+            assert index.lookup(q) == bisect.bisect_left(keys, q), q
+            assert index.upper_bound(q) == bisect.bisect_right(keys, q), q
+            assert index.contains(q) == (q in keys), q
+        assert index.range_query("", "zz") == keys
+
 
 class TestLookupCorrectness:
     def test_document_ids_linear_root(self, strings_small, rng):
@@ -79,6 +88,20 @@ class TestLookupCorrectness:
         for q in probes_for(strings_small, rng):
             assert index.lookup(q) == bisect.bisect_left(strings_small, q)
 
+    @pytest.mark.parametrize("hybrid_threshold", [None, 1])
+    def test_contains_matches_membership(
+        self, strings_small, hybrid_threshold, rng
+    ):
+        """With no leaf replaced, and with every leaf replaced by a
+        B-Tree."""
+        index = StringRMI(
+            strings_small, num_leaves=50, hybrid_threshold=hybrid_threshold
+        )
+        members = set(strings_small)
+        for q in probes_for(strings_small, rng, count=100):
+            assert index.lookup(q) == bisect.bisect_left(strings_small, q), q
+            assert index.contains(q) == (q in members), q
+
     def test_contains(self, strings_small):
         index = StringRMI(strings_small, num_leaves=32)
         assert index.contains(strings_small[7])
@@ -98,6 +121,17 @@ class TestBounds:
         hi_key = strings_small[200]
         expected = strings_small[100:201]
         assert index.range_query(lo_key, hi_key) == expected
+
+    def test_range_query_matches_bisect(self, strings_small, rng):
+        index = StringRMI(strings_small, num_leaves=50)
+        lows = list(rng.choice(strings_small, 40)) + ["", "zzz"]
+        highs = list(rng.choice(strings_small, 40)) + ["zzz", ""]
+        for lo, hi in zip(lows, highs):
+            want = strings_small[
+                bisect.bisect_left(strings_small, lo):
+                bisect.bisect_right(strings_small, hi)
+            ]
+            assert index.range_query(lo, hi) == want, (lo, hi)
 
     def test_range_query_empty(self, strings_small):
         index = StringRMI(strings_small, num_leaves=16)

@@ -1,5 +1,7 @@
 """Unit tests for the writable learned index (Appendix D.1)."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,15 @@ class TestConstruction:
         index = WritableLearnedIndex()
         assert len(index) == 0
         assert not index.contains(5)
+
+    def test_empty_index_reads(self):
+        index = WritableLearnedIndex()
+        for key in (-1, 0, 1, 2**62):
+            assert index.lookup(key) == 0
+            assert index.upper_bound(key) == 0
+            assert not index.contains(key)
+        assert index.range_query(0, 10).size == 0
+        assert index.range_query(10, 0).size == 0
 
 
 class TestInsert:
@@ -120,7 +131,43 @@ class TestDelete:
         assert index._main.keys.size == base_keys.size - 3
 
 
+def delta_and_tombstones():
+    """A main index with an unmerged delta and tombstones over both
+    sides, plus the sorted live keys it must answer for."""
+    base = np.arange(0, 4_000, 4, dtype=np.int64)
+    index = WritableLearnedIndex(base, merge_threshold=10_000)
+    live = set(base.tolist())
+    for k in range(1, 600, 6):
+        index.insert(k)
+        live.add(k)
+    for k in range(0, 1_200, 8):
+        index.delete(k)
+        live.discard(k)
+    assert index.delta_size > 0
+    return index, sorted(live)
+
+
+class TestPointReads:
+    def test_reads_with_delta_and_tombstones(self):
+        index, live = delta_and_tombstones()
+        members = set(live)
+        for q in range(-10, 4_020):
+            assert index.lookup(q) == bisect.bisect_left(live, q), q
+            assert index.upper_bound(q) == bisect.bisect_right(live, q), q
+            assert index.contains(q) == (q in members), q
+
+
 class TestRangeQueries:
+    def test_ranges_with_delta_and_tombstones(self):
+        """Wide, narrow, single-key and reversed ranges over a main
+        index whose delta and tombstones are not yet merged."""
+        index, live = delta_and_tombstones()
+        lows = np.arange(-10, 4_010, 97, dtype=np.int64)
+        highs = lows + np.tile([0, -5, 50, 400], lows.size)[: lows.size]
+        for lo, hi in zip(lows.tolist(), highs.tolist()):
+            want = live[bisect.bisect_left(live, lo):bisect.bisect_right(live, hi)]
+            assert index.range_query(lo, hi).tolist() == want, (lo, hi)
+
     def test_merged_view(self, base_keys):
         index = WritableLearnedIndex(
             base_keys, stage_sizes=(1, 64), merge_threshold=10**9
