@@ -47,9 +47,7 @@ def _measure_btree(keys, queries, page_size):
 def _measure_rmi(keys, queries, leaves):
     index = RecursiveModelIndex(keys, stage_sizes=(1, leaves))
     total = measure_lookups(index.lookup, queries, repeats=2)
-    model = measure_lookups(
-        lambda q: index._predict_window(q), queries, repeats=2
-    )
+    model = measure_lookups(index.predict, queries, repeats=2)
     index.stats.reset()
     for q in queries:
         index.lookup(q)

@@ -126,6 +126,7 @@ class BTreeIndex(RangeScanIndexMixin):
         self._level_views = [scalar_view(level) for level in levels]
         self._keys_view = scalar_view(self.keys)
         self._page_start_list = page_starts.tolist()
+        self._scalar_query = self._key_column().prepare_scalar
 
     # -- size accounting -------------------------------------------------------
 
@@ -161,6 +162,7 @@ class BTreeIndex(RangeScanIndexMixin):
         boundaries, the *lower bound* lives in the first such page, not
         the last one whose separator matches.
         """
+        key = key if type(key) is int else self._scalar_query(key)
         self.stats.lookups += 1
         if self._levels[0].size == 0:
             return 0
@@ -190,6 +192,7 @@ class BTreeIndex(RangeScanIndexMixin):
 
     def lookup(self, key: float) -> int:
         """Position of the first stored key >= ``key`` (lower bound)."""
+        key = key if type(key) is int else self._scalar_query(key)
         page = self.find_page(key)
         start = self._page_start_list[page] if self.num_pages else 0
         end = min(start + self.page_size, self.keys.size)
@@ -210,15 +213,11 @@ class BTreeIndex(RangeScanIndexMixin):
         # correct lower bound.
         return left
 
-    # lookup_batch / contains_batch / the range API come from
-    # RangeScanIndexMixin: a B-Tree over a dense sorted array answers
-    # batches fastest by skipping the tree entirely — the structure
-    # exists to locate a page, and ``searchsorted`` does page + in-page
-    # search in one vectorized pass.
-
-    def contains(self, key: float) -> bool:
-        pos = self.lookup(key)
-        return pos < self.keys.size and self.keys[pos] == key
+    # contains / upper_bound / range_query and the batch reads come
+    # from RangeScanIndexMixin: a B-Tree over a dense sorted array
+    # answers batches fastest by skipping the tree entirely — the
+    # structure exists to locate a page, and ``searchsorted`` does
+    # page + in-page search in one vectorized pass.
 
     def __repr__(self) -> str:
         return (

@@ -99,6 +99,7 @@ class FASTTree(RangeScanIndexMixin):
         self._levels = levels  # root level first
         self._keys_view = scalar_view(self.keys)
         self._page_start_list = page_starts.tolist()
+        self._scalar_query = self._key_column().prepare_scalar
 
     def size_bytes(self) -> int:
         """Full allocated footprint, including power-of-two padding."""
@@ -116,6 +117,8 @@ class FASTTree(RangeScanIndexMixin):
 
     def find_page(self, key: float) -> int:
         """Branch-free descent; returns the candidate page index."""
+        # In the column's domain, the lane compares are exact.
+        key = key if type(key) is int else self._scalar_query(key)
         self.stats.lookups += 1
         if self._page_starts.size == 0:
             return 0
@@ -137,6 +140,7 @@ class FASTTree(RangeScanIndexMixin):
         """Lower-bound position via descent + in-page binary search."""
         if self._page_starts.size == 0:
             return 0
+        key = key if type(key) is int else self._scalar_query(key)
         page = self.find_page(key)
         begin = self._page_start_list[page]
         end = min(begin + self.page_size, self.keys.size)
@@ -150,10 +154,6 @@ class FASTTree(RangeScanIndexMixin):
             else:
                 hi = mid
         return lo
-
-    def contains(self, key: float) -> bool:
-        pos = self.lookup(key)
-        return pos < self.keys.size and self.keys[pos] == key
 
     def __repr__(self) -> str:
         return (

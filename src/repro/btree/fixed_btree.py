@@ -74,6 +74,7 @@ class FixedSizeBTree(RangeScanIndexMixin):
         self._level_views = [scalar_view(level) for level in levels]
         self._keys_view = scalar_view(self.keys)
         self._run_start_list = starts.tolist()
+        self._scalar_query = self._key_column().prepare_scalar
 
     def size_bytes(self) -> int:
         total = 0
@@ -91,6 +92,7 @@ class FixedSizeBTree(RangeScanIndexMixin):
         n = self.keys.size
         if n == 0:
             return 0
+        key = key if type(key) is int else self._scalar_query(key)
         # Descend the separator levels (same dense layout as BTreeIndex).
         lo = 0
         for depth in range(len(self._level_views) - 1, -1, -1):
@@ -125,10 +127,6 @@ class FixedSizeBTree(RangeScanIndexMixin):
         )
         self.stats.comparisons += counter.comparisons
         return pos
-
-    def contains(self, key: float) -> bool:
-        pos = self.lookup(key)
-        return pos < self.keys.size and self.keys[pos] == key
 
     def __repr__(self) -> str:
         return (

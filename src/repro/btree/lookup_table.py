@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..range_scan import RangeScanIndexMixin
+from ..util import scalar_view
 from .btree import TraversalStats
 from .search_baselines import binary_search
 
@@ -66,6 +67,8 @@ class HierarchicalLookupTable(RangeScanIndexMixin):
         top = second[::g].copy()
         self._second = second
         self._top = top
+        self._keys_view = scalar_view(data)
+        self._scalar_query = self._key_column().prepare_scalar
 
     def size_bytes(self) -> int:
         """Both auxiliary arrays (the data array is not index overhead)."""
@@ -83,6 +86,8 @@ class HierarchicalLookupTable(RangeScanIndexMixin):
         n = self.keys.size
         if n == 0:
             return 0
+        # In the column's domain, the numpy compares below are exact.
+        key = key if type(key) is int else self._scalar_query(key)
         # Stage 1: binary search the top table for the last entry
         # strictly < key (a separator == key may still have equal keys
         # in the group before it — lower-bound semantics under
@@ -109,10 +114,6 @@ class HierarchicalLookupTable(RangeScanIndexMixin):
         # within the group; if the key exceeds the whole group the lower
         # bound is the group end, which is the next group's start.
         return int(min(pos, n))
-
-    def contains(self, key: float) -> bool:
-        pos = self.lookup(key)
-        return pos < self.keys.size and self.keys[pos] == key
 
     def __repr__(self) -> str:
         return (

@@ -23,6 +23,8 @@ at:
   that native array.  Model predictions stay float64 (they are
   approximate by construction), but window arithmetic is int64 and
   verification compares integers as integers.
+  :meth:`SortedKeyColumn.prepare_scalar` is the same rule for one
+  query, the value the tree baselines' scalar descents compare.
 * :class:`ModelSpace` — the one place a key becomes a model input:
   ``key - origin`` computed exactly in the column's integer domain and
   only then cast to float64, so neighbouring 64-bit keys near 2^63 stay
@@ -243,93 +245,17 @@ def batch_dup_fraction(queries: np.ndarray, sample: int = 4096) -> float:
     return float(1.0 - est_unique / m)
 
 
-def pack_requests(arrays: list) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-request query arrays into one flat batch.
-
-    The gather half of the serving layer's coalescing contract (ISSUE
-    8): many small per-request arrays become the single large batch the
-    vectorized kernels were built for.  Returns ``(flat, offsets)``
-    with ``offsets`` int64 of length ``len(arrays) + 1`` — request
-    ``i`` owns ``flat[offsets[i]:offsets[i + 1]]``, which is exactly
-    the slice :func:`unpack_results` hands back after the batch call.
-    """
-    if not arrays:
-        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-    np.cumsum([a.size for a in arrays], out=offsets[1:])
-    flat = (
-        np.concatenate(arrays)
-        if len(arrays) > 1
-        else np.asarray(arrays[0]).ravel()
-    )
-    return flat, offsets
-
-
-def unpack_results(flat: np.ndarray, offsets: np.ndarray) -> list:
-    """Scatter a flat batch result back into per-request views.
-
-    The inverse of :func:`pack_requests`: ``out[i]`` is the slice of
-    ``flat`` belonging to request ``i`` (zero-copy views of the batch
-    result — callers that outlive the batch should copy).
-    """
-    return [
-        flat[int(offsets[i]):int(offsets[i + 1])]
-        for i in range(offsets.size - 1)
-    ]
-
-
-class GroupScatter:
-    """Stable group-by over parallel arrays with an exact inverse.
-
-    Built once from an integer group id per element (e.g. the shard
-    that owns each query key), it exposes the per-group slices for the
-    fan-out and reassembles per-group results back into original order
-    for the fan-in — the routing kernel under the sharded store's
-    batch reads and writes.
-
-    The sort is ``kind="stable"`` so elements within a group keep
-    their batch order: duplicate keys routed to the same shard resolve
-    last-wins exactly like the unsharded write path.
-    """
-
-    __slots__ = ("order", "offsets", "num_groups", "size")
-
-    def __init__(self, group_ids: np.ndarray, num_groups: int):
-        group_ids = np.asarray(group_ids, dtype=np.int64).ravel()
-        self.num_groups = int(num_groups)
-        self.size = int(group_ids.size)
-        self.order = np.argsort(group_ids, kind="stable")
-        counts = np.bincount(
-            group_ids, minlength=self.num_groups
-        ).astype(np.int64)
-        self.offsets = np.zeros(self.num_groups + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.offsets[1:])
-
-    def indices(self, group: int) -> np.ndarray:
-        """Original positions of group ``group``'s elements."""
-        return self.order[
-            int(self.offsets[group]):int(self.offsets[group + 1])
-        ]
-
-    def take(self, arr: np.ndarray, group: int) -> np.ndarray:
-        """``arr``'s elements belonging to ``group``, in batch order."""
-        return arr[self.indices(group)]
-
-    def count(self, group: int) -> int:
-        return int(self.offsets[group + 1] - self.offsets[group])
-
-    def scatter(self, per_group, out: np.ndarray) -> np.ndarray:
-        """Write per-group result arrays back to original positions.
-
-        ``per_group[g]`` must be aligned to :meth:`take`'s output for
-        group ``g`` (or None to leave that group's slots untouched —
-        the caller's fill value shows through, e.g. "not found").
-        """
-        for group, result in enumerate(per_group):
-            if result is None:
-                continue
-            out[self.indices(group)] = result
-        return out
+def _integer_ceil(key, low: int, high: int) -> int:
+    """The integer a real ``key`` compares as on an integer column
+    spanning ``[low, high]``: its exact ``ceil``, or ``low`` below the
+    range (``-inf`` and NaN too), or ``high + 1`` above it."""
+    try:
+        key = math.ceil(key)
+    except (OverflowError, ValueError):
+        return high + 1 if key > 0 else low
+    if key > high:
+        return high + 1
+    return low if key < low else key
 
 
 class QueryBatch:
@@ -352,7 +278,7 @@ class QueryBatch:
       values (the original values for float query arrays).  It is not
       a model input: a plan encodes ``compare`` against its own origin
       at route time (:class:`ModelSpace`), and nothing per-plan is
-      cached here, so one prepared batch can be routed through several
+      cached here, so one prepared batch can go through several
       plans.
     """
 
@@ -418,12 +344,17 @@ class SortedKeyColumn:
     comparison primitive consumes the prepared native-dtype values.
     """
 
-    __slots__ = ("keys", "dtype", "_view")
+    __slots__ = ("keys", "dtype", "_view", "_bounds")
 
     def __init__(self, keys: np.ndarray):
         self.keys = keys
         self.dtype = keys.dtype
         self._view = None
+        self._bounds = (
+            (int(np.iinfo(self.dtype).min), int(np.iinfo(self.dtype).max))
+            if self.dtype.kind in "iu"
+            else None
+        )
 
     @property
     def size(self) -> int:
@@ -469,6 +400,23 @@ class SortedKeyColumn:
         if q.dtype.kind in "iu":
             return self._prepare_int_queries(q)
         return self._prepare_float_queries(q.astype(np.float64, copy=False))
+
+    def prepare_scalar(self, key):
+        """Scalar twin of :meth:`prepare`: one query as the Python value
+        a scalar descent compares with the column's keys.
+
+        A NumPy scalar becomes its Python value (``np.float64`` against
+        a stored integer rounds both to float64).  On an integer column
+        a float becomes its exact ``ceil`` clamped like
+        :meth:`_prepare_float_queries`' — one past the dtype's maximum
+        above it, so the descent resolves to ``n``.  ``2.5`` prepares
+        as ``3``: membership compares the stored key with the query.
+        """
+        if isinstance(key, np.generic):
+            key = key.item()
+        if self._bounds is None or type(key) is int:
+            return key
+        return _integer_ceil(key, *self._bounds)
 
     def _prepare_int_queries(self, q: np.ndarray) -> QueryBatch:
         """Cross-dtype integer queries: clamp into the column's range."""
@@ -712,10 +660,10 @@ class ModelSpace:
         if self._floor is None:
             return float(key)
         if type(key) is not int:
-            try:
-                key = math.ceil(key) if isinstance(key, float) else int(key)
-            except (OverflowError, ValueError):
-                key = self._top if key > 0 else self.origin
+            if isinstance(key, np.generic):
+                key = key.item()
+            if type(key) is not int:
+                key = _integer_ceil(key, self.origin, self._top)
         if key > self._top:
             key = self._top
         span = key - self.origin
@@ -746,10 +694,10 @@ class CompiledPlan:
     The LIF analogue (Section 3.1) taken to its conclusion: a compiled
     two-stage learned index *is* four flat arrays — per-leaf
     ``slopes``/``intercepts`` and the Section 3.4 error-bound window
-    offsets — plus a root predictor.  Every consumer
-    (:class:`~repro.core.rmi.RecursiveModelIndex`, the hybrid index's
-    modeled leaves, the paged index's page planner, every LSM run)
-    adapts over one of these instead of carrying its own copy of the
+    offsets — plus a root predictor.  Every learned family
+    (:class:`~repro.core.plan_index.CompiledPlanIndex`: the RMI, the
+    hybrid index, PGM and RadixSpline) and every LSM run adapts over
+    one of these instead of carrying its own copy of the
     routing/window/search pipeline.
 
     ``lo_offsets``/``hi_offsets`` are the per-leaf ``max_error`` /
@@ -832,15 +780,7 @@ class CompiledPlan:
         root = np.asarray(self.root_predict_batch(encoded), dtype=np.float64)
         leaf = (root * m / n).astype(np.int64)
         clamp_into(leaf, 0, m - 1)
-        return leaf, self.leaf_predict(leaf, encoded)
-
-    def leaf_predict(
-        self, leaf: np.ndarray, encoded: np.ndarray
-    ) -> np.ndarray:
-        """Gathered per-leaf affine predictions over the float64
-        encoding the leaves were fitted in (``space`` for numeric keys;
-        e.g. the lexicographic scalar for string keys)."""
-        return self.slopes[leaf] * encoded + self.intercepts[leaf]
+        return leaf, self.slopes[leaf] * encoded + self.intercepts[leaf]
 
     def windows_from_raw(
         self, leaf: np.ndarray, raw: np.ndarray
@@ -849,8 +789,8 @@ class CompiledPlan:
 
         The single batch-path source of the Section 3.4 window formula
         (leaf-relative error offsets with the conservative -1/+2
-        floor/ceil slack); the paged index builds its page fetch plans
-        from the same windows.
+        floor/ceil slack), the vectorized twin of
+        :meth:`~repro.core.plan_index.CompiledPlanIndex._window`.
         """
         lo = (raw - self.lo_offsets[leaf]).astype(np.int64)
         lo -= 1
@@ -858,24 +798,11 @@ class CompiledPlan:
         hi += 2
         return clamp_window_batch(lo, hi, self.column.size)
 
-    def windows(
-        self,
-        qb: QueryBatch,
-        routed: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        leaf, raw = routed if routed is not None else self.route(qb)
-        return self.windows_from_raw(leaf, raw)
-
     # -- the batch point engine ------------------------------------------------
 
-    def _engine(
-        self,
-        qb: QueryBatch,
-        routed: tuple[np.ndarray, np.ndarray] | None,
-        stats,
-    ) -> np.ndarray:
+    def _engine(self, qb: QueryBatch, stats) -> np.ndarray:
         """Route → window → lock-step bounded search → verify → fix up."""
-        lo, hi = self.windows(qb, routed)
+        lo, hi = self.windows_from_raw(*self.route(qb))
         counter = None
         if stats is not None:
             stats.lookups += qb.size
@@ -898,7 +825,6 @@ class CompiledPlan:
         qb: QueryBatch,
         *,
         sort: bool | None = None,
-        routed: tuple[np.ndarray, np.ndarray] | None = None,
         stats=None,
     ) -> np.ndarray:
         """Lower-bound positions for a prepared batch.
@@ -921,10 +847,6 @@ class CompiledPlan:
         :data:`SORTED_BATCH_MIN_DUP_FRACTION`) picks the engine path.
         ``True``/``False`` force that engine path (benchmarks measure
         both).
-
-        ``routed`` lets callers that already ran :meth:`route` (e.g.
-        the hybrid index) pass (leaf, raw) instead of paying the root
-        inference twice.
         """
         compare = qb.compare
         column = self.column
@@ -952,14 +874,12 @@ class CompiledPlan:
                 batch_dup_fraction(compare) >= SORTED_BATCH_MIN_DUP_FRACTION
             )
         if not sort or compare.size <= 1:
-            return self._engine(qb, routed, stats)
+            return self._engine(qb, stats)
         uniq, inverse = np.unique(compare, return_inverse=True)
-        # The engine re-routes the unique queries itself — cheaper than
-        # permuting a caller's ``routed`` arrays through the sort.  The
-        # unique sub-batch needs no masks: clamped compare values
+        # The unique sub-batch needs no masks: clamped compare values
         # search fine, and the original batch's oob mask re-applies
         # after the inverse scatter.
-        pos = self._engine(QueryBatch(uniq), None, stats)[inverse]
+        pos = self._engine(QueryBatch(uniq), stats)[inverse]
         if qb.oob_high is not None:
             pos[qb.oob_high] = self.column.size
         return pos

@@ -10,12 +10,14 @@ replaced by B-Trees, making it virtually an entire B-Tree."
 :class:`HybridIndex` extends the RMI: after stage-wise training, every
 last-stage model whose ``max_abs_err`` exceeds ``threshold`` is swapped
 for a dense B-Tree over the key range that model is responsible for.
-A scalar ``lookup`` routes exactly like the RMI; a key landing on a
-replaced leaf descends the per-leaf B-Tree instead of searching the
-model's window.  The batch reads are the RMI's own: the compiled plan
-searches every leaf's stored error window and verifies each position
-(Section 3.4), so a replaced leaf's batch answers are the same exact
-lower bounds.
+The scalar ``lookup`` is the RMI's and routes once: a key landing on a
+replaced leaf descends that leaf's B-Tree in place of searching the
+model's window — the tree plugs into the one Section 3.4 lookup of
+:class:`~repro.core.plan_index.CompiledPlanIndex` as the search inside
+the window, and the verification and fix-up after it are shared.  The
+batch reads are the RMI's own: the compiled plan searches every leaf's
+stored error window and verifies each position (Section 3.4), so a
+replaced leaf's batch answers are the same exact lower bounds.
 """
 
 from __future__ import annotations
@@ -25,27 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from ..btree.btree import BTreeIndex
-from ..btree.search_baselines import exponential_search
 from .rmi import RecursiveModelIndex
 
 __all__ = ["HybridIndex"]
-
-
-class _LeafBTree:
-    """A B-Tree fallback covering one leaf's position range."""
-
-    __slots__ = ("base", "tree", "span")
-
-    def __init__(self, keys: np.ndarray, base: int, end: int, page_size: int):
-        self.base = int(base)
-        self.span = int(end - base)
-        self.tree = BTreeIndex(keys[base:end], page_size=page_size)
-
-    def lookup(self, key: float) -> int:
-        return self.base + self.tree.lookup(key)
-
-    def size_bytes(self) -> int:
-        return self.tree.size_bytes()
 
 
 class HybridIndex(RecursiveModelIndex):
@@ -72,7 +56,8 @@ class HybridIndex(RecursiveModelIndex):
             raise ValueError("threshold must be non-negative")
         self.threshold = int(threshold)
         self.btree_page_size = int(btree_page_size)
-        self.leaf_btrees: dict[int, _LeafBTree] = {}
+        #: Replaced leaf -> (first position, B-Tree over its slice).
+        self.leaf_btrees: dict[int, tuple[int, BTreeIndex]] = {}
         super().__init__(
             keys,
             stage_sizes=stage_sizes,
@@ -104,43 +89,32 @@ class HybridIndex(RecursiveModelIndex):
             members = order[boundaries[j]:boundaries[j + 1]]
             base = int(members.min())
             end = int(members.max()) + 1
-            self.leaf_btrees[j] = _LeafBTree(
-                self.keys, base, end, self.btree_page_size
+            self.leaf_btrees[j] = base, BTreeIndex(
+                self.keys[base:end], page_size=self.btree_page_size
             )
+        self._model_search = self._search_window
+        self._search_window = self._search_leaf
 
-    # -- lookup -----------------------------------------------------------------
+    # -- the window search ----------------------------------------------------------
 
-    def lookup(self, key: float) -> int:
-        n = self.keys.size
-        if n == 0:
-            return 0
-        if not self.leaf_btrees:
-            return super().lookup(key)
-        if isinstance(key, np.generic):
-            key = key.item()
-        leaf = self._route_scalar(self._space.encode_scalar(key))
+    def _search_leaf(self, key, leaf: int, raw: float, lo: int, hi: int):
+        """A replaced leaf's B-Tree in place of its model's window; any
+        other leaf searches as the RMI does.  The tree sees only its
+        slice, so an absent key outside it takes the usual Section 3.4
+        fix-up."""
         fallback = self.leaf_btrees.get(leaf)
-        if fallback is None:
-            return super().lookup(key)
-        self.stats.lookups += 1
-        pos = fallback.lookup(key)
-        keys = self._keys_view
-        # The per-leaf tree only sees its slice; absent keys outside the
-        # slice boundaries need the usual widening fix-up.
-        if (pos < n and keys[pos] < key) or (
-            pos > 0 and keys[pos - 1] >= key
-        ):
-            self.stats.fixups += 1
-            pos = exponential_search(keys, key, min(pos, n - 1))
-        return pos
+        if fallback is not None:
+            base, tree = fallback
+            return base + tree.lookup(key)
+        model = self._model_search
+        return None if model is None else model(key, leaf, raw, lo, hi)
 
     # -- accounting ----------------------------------------------------------------
 
     def size_bytes(self) -> int:
-        total = super().size_bytes()
-        for fallback in self.leaf_btrees.values():
-            total += fallback.size_bytes()
-        return total
+        return super().size_bytes() + sum(
+            tree.size_bytes() for _, tree in self.leaf_btrees.values()
+        )
 
     @property
     def replaced_leaf_count(self) -> int:
@@ -151,7 +125,7 @@ class HybridIndex(RecursiveModelIndex):
         """Fraction of stored keys served by B-Tree leaves."""
         if self.keys.size == 0:
             return 0.0
-        covered = sum(f.span for f in self.leaf_btrees.values())
+        covered = sum(tree.keys.size for _, tree in self.leaf_btrees.values())
         return min(covered / self.keys.size, 1.0)
 
     def __repr__(self) -> str:

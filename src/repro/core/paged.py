@@ -171,6 +171,9 @@ class PagedLearnedIndex:
         """
         if self.n == 0:
             return 0, 0
+        # Compared in the key domain: a float against the int64 pages
+        # would round both to float64.
+        key = self._rmi._column.prepare_scalar(key)
         est, lo, hi = self._rmi.predict(key)
         first_page = lo // self.page_size
         last_page = min(hi, self.n - 1) // self.page_size
@@ -237,6 +240,8 @@ class PagedLearnedIndex:
     def contains(self, key: float) -> bool:
         if self.n == 0:
             return False
+        if isinstance(key, np.generic):
+            key = key.item()
         page, slot = self.lookup(key)
         position = page * self.page_size + slot
         if position >= self.n:

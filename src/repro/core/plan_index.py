@@ -2,10 +2,10 @@
 
 Every learned family in this repo — the RMI (:mod:`repro.core.rmi`),
 the PGM-index and RadixSpline (:mod:`repro.families`) — differs only in
-how it *fits* linear leaf segments and how a query is *routed* to one;
-everything after routing — the Section 3.4 error window, the bounded
-search, the dtype-exact verification and fix-up, the sorted-batch fast
-path, range assembly — is the shared engine (:mod:`repro.core.engine`).
+how it *fits* linear leaf segments and how routing picks one for a
+query; everything after routing — the Section 3.4 error window, the
+bounded search, the dtype-exact verification and fix-up, the
+sorted-batch fast path, range assembly — is shared.
 :class:`CompiledPlanIndex` captures that split: a subclass builds its
 segments and routing structure in ``_build`` and installs them with
 :meth:`~CompiledPlanIndex._install_plan`; the base provides the full
@@ -14,16 +14,21 @@ scalar + batch public surface over the installed
 the differential-oracle and adversarial-dtype suites, the serving
 layer, and the benchmarks unchanged.
 
-The scalar latency path (plain-float list mirrors, bounded binary
-search, exponential-search fix-up) takes the leaf index from the single
-hook :meth:`~CompiledPlanIndex._route_scalar`.  Models — the scalar
-path's and the plan's alike — see a key only through the index's
-:class:`~repro.core.engine.ModelSpace` (``key - origin``, exact in the
-key dtype before the float64 cast), never the raw key.  Exactness never
-depends on routing: any leaf's stored window is searched and the result
-verified, so a misrouted query costs a fix-up, never a wrong position —
-which is also why float64 routing stays exact on int64/uint64 columns
-spanning more than 2^53.
+The scalar lookup is written once, here: the window
+(:meth:`~CompiledPlanIndex._window`: encode, the single routing hook
+:meth:`~CompiledPlanIndex._route_scalar`, the leaf's affine model and
+error offsets, over plain-float list mirrors of the plan's tables), a
+bounded binary search inside it, and the Section 3.4 check that widens
+a miss by exponential search.  Subclasses vary only the search inside
+the window: the RMI's probe schedules and the hybrid index's B-Tree
+leaves plug in as :attr:`~CompiledPlanIndex._search_window`.  Models —
+the scalar path's and the plan's alike — see a key only through the
+index's :class:`~repro.core.engine.ModelSpace` (``key - origin``, exact
+in the key dtype before the float64 cast), never the raw key.
+Exactness never depends on routing: any leaf's stored window is
+searched and the result verified, so a query sent to the wrong leaf
+costs a fix-up, never a wrong position — which is also why float64
+routing stays exact on int64/uint64 columns spanning more than 2^53.
 
 A hierarchy deeper than root → leaf compiles too: its internal stages
 fold into the one ``root_predict_batch`` the plan routes with (see
@@ -74,10 +79,11 @@ class CompiledPlanIndex(RangeScanIndexMixin):
 
     Subclasses implement ``_build`` (segment fitting over
     ``self._space.encode(self.keys)`` + routing structure, installed
-    with :meth:`_install_plan`) and ``_route_scalar`` (one encoded key → leaf index, the
-    scalar analogue of the plan's vectorized routing).  Lower-bound
-    semantics are identical to every index in :mod:`repro.btree`, whose
-    scalar ``upper_bound`` / ``range_query`` this class shares
+    with :meth:`_install_plan`) and ``_route_scalar`` (one encoded key
+    → leaf index, the scalar analogue of the plan's vectorized
+    routing).  Lower-bound semantics are identical to every index in
+    :mod:`repro.btree`, whose scalar ``contains`` / ``upper_bound`` /
+    ``range_query`` this class shares
     (:class:`~repro.range_scan.RangeScanIndexMixin`).
     """
 
@@ -152,6 +158,27 @@ class CompiledPlanIndex(RangeScanIndexMixin):
 
     # -- scalar latency path ----------------------------------------------
 
+    #: The search inside the window, if not the inline binary search:
+    #: ``(key, leaf, raw, lo, hi) -> position`` (``raw``: the leaf's
+    #: unclamped prediction), or ``None`` for the binary search after
+    #: all; it counts its own ``window_total`` and ``comparisons``.
+    _search_window = None
+
+    def _window(self, key, n: int) -> tuple[int, float, int, int]:
+        """``(leaf, raw prediction, lo, hi)`` for one key of an index
+        of ``n > 0`` keys: encode, route, the leaf's affine model, and
+        the clamped ``[raw - lo_offset - 1, raw - hi_offset + 2)`` —
+        the scalar twin of :meth:`CompiledPlan.windows_from_raw`."""
+        encoded = self._space.encode_scalar(key)
+        leaf = self._route_scalar(encoded)
+        raw = self._slopes_list[leaf] * encoded + self._intercepts_list[leaf]
+        lo, hi = clamp_window(
+            int(raw - self._lo_offsets_list[leaf]) - 1,
+            int(raw - self._hi_offsets_list[leaf]) + 2,
+            n,
+        )
+        return leaf, raw, lo, hi
+
     def lookup(self, key) -> int:
         """Position of the first stored key >= ``key`` (lower bound).
 
@@ -165,24 +192,22 @@ class CompiledPlanIndex(RangeScanIndexMixin):
             key = key.item()
         stats = self.stats
         stats.lookups += 1
-        encoded = self._space.encode_scalar(key)
-        j = self._route_scalar(encoded)
-        raw = self._slopes_list[j] * encoded + self._intercepts_list[j]
-        lo = int(raw - self._lo_offsets_list[j]) - 1
-        hi = int(raw - self._hi_offsets_list[j]) + 2
-        lo, hi = clamp_window(lo, hi, n)
-        stats.window_total += hi - lo
+        leaf, raw, lo, hi = self._window(key, n)
         keys = self._keys_view
-        comparisons = 0
-        left, right = lo, hi
-        while left < right:
-            mid = (left + right) >> 1
-            comparisons += 1
-            if keys[mid] < key:
-                left = mid + 1
-            else:
-                right = mid
-        stats.comparisons += comparisons
+        search = self._search_window
+        left = None if search is None else search(key, leaf, raw, lo, hi)
+        if left is None:
+            stats.window_total += hi - lo
+            comparisons = 0
+            left, right = lo, hi
+            while left < right:
+                mid = (left + right) >> 1
+                comparisons += 1
+                if keys[mid] < key:
+                    left = mid + 1
+                else:
+                    right = mid
+            stats.comparisons += comparisons
         # Misprediction check (Section 3.4): widen if the window missed.
         if left < n and keys[left] < key:
             stats.fixups += 1
@@ -191,12 +216,6 @@ class CompiledPlanIndex(RangeScanIndexMixin):
             stats.fixups += 1
             return exponential_search(keys, key, left - 1)
         return left
-
-    def contains(self, key) -> bool:
-        if isinstance(key, np.generic):
-            key = key.item()
-        pos = self.lookup(key)
-        return pos < self.keys.size and self._keys_view[pos] == key
 
     # -- batch surface (thin adapters over the shared engine) --------------
     #

@@ -28,12 +28,13 @@ Key properties reproduced here:
 The public API is ``lookup`` / ``upper_bound`` / ``range_query`` /
 ``contains`` with lower-bound semantics identical to every baseline in
 :mod:`repro.btree`, plus ``predict`` exposing (estimate, window) and
-the batch variants.  All of it except ``predict`` and the
-general-strategy scalar ``lookup`` is inherited from
+the batch variants.  All of it except ``predict`` is inherited from
 :class:`repro.core.plan_index.CompiledPlanIndex`: this module
 contributes what is specific to the RMI — stage-wise training
-(``_build``), root → leaf routing (``_route_scalar``), and the
-table-level accounting and serialization.
+(``_build``), root → leaf routing (``_route_scalar``), the probe
+schedule a non-``"binary"`` ``search_strategy`` runs inside the shared
+lookup's window (chosen once, at construction), and the table-level
+accounting and serialization.
 
 Compilation
 -----------
@@ -70,7 +71,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..btree.search_baselines import exponential_search
 from ..models.base import Model
 from ..models.cdf import (
     ErrorStats,
@@ -84,30 +84,11 @@ from ..models.linear import (
     segmented_linear_fit,
 )
 from ..util import clamp_into
-from .engine import (
-    SORTED_BATCH_MIN_DUP_FRACTION,
-    SORTED_BATCH_THRESHOLD,
-    ModelSpace,
-    clamp_window,
-    clamp_window_batch,
-)
+from .engine import ModelSpace
 from .plan_index import CompiledPlanIndex, RMIStats
-from .search import (
-    SEARCH_STRATEGIES,
-    Counter,
-    bounded_search,
-    verify_lower_bound,
-)
+from .search import SEARCH_STRATEGIES, Counter, bounded_search
 
-__all__ = [
-    "RecursiveModelIndex",
-    "RMIStats",
-    "DEFAULT_LEAF_ERROR",
-    "SORTED_BATCH_THRESHOLD",
-    "SORTED_BATCH_MIN_DUP_FRACTION",
-    "clamp_window",
-    "clamp_window_batch",
-]
+__all__ = ["RecursiveModelIndex", "RMIStats", "DEFAULT_LEAF_ERROR"]
 
 #: Error assigned to untrained (empty) leaves: about a page of slack,
 #: and the widest an int8 offset table holds — one dead leaf must not
@@ -268,9 +249,22 @@ class RecursiveModelIndex(CompiledPlanIndex):
             self._route_batch if internal else root.predict_batch,
             self.stage_sizes[-1], slopes, intercepts, lo_offsets, hi_offsets,
         )
+        # Per stage below the root: (models, slopes, intercepts); the
+        # leaf stage's pick ends the scalar route.
         self._stage_lists = [
             (m_l, s.tolist(), b.tolist()) for m_l, s, b in internal
-        ] + [(self.stage_sizes[-1], self._slopes_list, self._intercepts_list)]
+        ] + [(self.stage_sizes[-1], None, None)]
+        # The probe schedule, chosen once: "binary" is the base's inline
+        # search; biased quaternary seeds its probes at +- each leaf's
+        # error std.
+        self._search_window = (
+            None if self.search_strategy == "binary" else self._probe_window
+        )
+        self._sigmas = None
+        if self.search_strategy == "biased_quaternary":
+            self._sigmas = np.maximum(
+                leaf_moments[1].astype(np.int64), 1
+            ).tolist()
 
     # -- serialization ---------------------------------------------------------
 
@@ -385,82 +379,45 @@ class RecursiveModelIndex(CompiledPlanIndex):
                 j = 0
             elif j >= m_l:
                 j = m_l - 1
+            if slopes is None:
+                return j
             pred = slopes[j] * encoded + intercepts[j]
-        return j
 
     def predict(self, key: float) -> tuple[int, int, int]:
-        """(position estimate, window lo, window hi) for ``key``.
+        """(position estimate, window lo, window hi) for ``key``: the
+        window :meth:`lookup` searches.
 
         The true lower bound of a *stored* key always lies inside
         ``[lo, hi)``; hi is exclusive.
         """
-        _leaf, est, lo, hi = self._predict_window(key)
-        return est, lo, hi
-
-    def _predict_window(self, key: float) -> tuple[int, int, int, int]:
-        """(leaf, estimate, window lo, window hi) from the plan's
-        scalar mirrors — the window the compiled lookup searches."""
         n = self.keys.size
         if n == 0:
-            return 0, 0, 0, 0
-        encoded = self._space.encode_scalar(key)
-        leaf = self._route_scalar(encoded)
-        raw = self._slopes_list[leaf] * encoded + self._intercepts_list[leaf]
-        est = int(raw)
-        if est < 0:
-            est = 0
-        elif est >= n:
-            est = n - 1
-        # int() truncation + the conservative -1/+2 slack implements
-        # floor/ceil for either sign without numpy scalar overhead.
-        lo = int(raw - self._lo_offsets_list[leaf]) - 1
-        hi = int(raw - self._hi_offsets_list[leaf]) + 2
-        lo, hi = clamp_window(lo, hi, n)
-        return leaf, est, lo, hi
+            return 0, 0, 0
+        _leaf, raw, lo, hi = self._window(key, n)
+        return min(max(int(raw), 0), n - 1), lo, hi
 
-    def lookup(self, key: float) -> int:
-        """Position of the first stored key >= ``key`` (lower bound).
-
-        The default ``"binary"`` strategy takes the shared scalar fast
-        path; any other strategy (the paper-figure probe schedules)
-        searches the same window with :func:`bounded_search`.
-        """
-        if self.search_strategy == "binary":
-            return CompiledPlanIndex.lookup(self, key)
+    def _probe_window(
+        self, key, leaf: int, raw: float, lo: int, hi: int
+    ) -> int:
+        """The window search of a non-``"binary"`` strategy (the paper's
+        probe schedules): from the model's estimate, over the window
+        plus one slot, as the lower bound itself can be ``hi``."""
         n = self.keys.size
-        if n == 0:
-            return 0
-        if isinstance(key, np.generic):
-            key = key.item()
-        self.stats.lookups += 1
-        leaf, est, lo, hi = self._predict_window(key)
-        self.stats.window_total += hi - lo
+        stats = self.stats
+        stats.window_total += hi - lo
+        sigmas = self._sigmas
         counter = Counter()
-        sigma = None
-        if self.search_strategy == "biased_quaternary":
-            # Paper: seed the three probes at pos +- sigma of the model.
-            sigma = max(int(self._leaf_moments[1][leaf]) or 1, 1)
-        # hi is exclusive for the window, but the lower bound itself can
-        # be == hi when every key in the window is < key.
-        keys_view = self._keys_view
         pos = bounded_search(
-            keys_view,
+            self._keys_view,
             key,
             lo,
             min(hi + 1, n),
-            est,
-            strategy=self.search_strategy,
-            sigma=sigma,
-            counter=counter,
+            min(max(int(raw), 0), n - 1),
+            self.search_strategy,
+            None if sigmas is None else sigmas[leaf],
+            counter,
         )
-        self.stats.comparisons += counter.comparisons
-        if not verify_lower_bound(keys_view, key, pos):
-            # Section 3.4 fix-up for absent keys under non-monotonic
-            # models: widen via exponential search from the bad position.
-            self.stats.fixups += 1
-            counter.reset()
-            pos = exponential_search(keys_view, key, pos, counter)
-            self.stats.comparisons += counter.comparisons
+        stats.comparisons += counter.comparisons
         return pos
 
     # -- accounting ----------------------------------------------------------------

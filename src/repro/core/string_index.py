@@ -9,7 +9,7 @@ The hierarchy mirrors the integer RMI:
   layers (Figure 6's "1 hidden layer" / "2 hidden layers" rows);
 * **stage 2** — thousands of cheap models.  Leaves operate on a
   *monotone scalar projection* of the string (base-257 prefix value,
-  :func:`repro.models.tokenization.lexicographic_scalar`), which keeps
+  :func:`repro.models.tokenization.lexicographic_scalar_batch`), which keeps
   them two-float-parameter linear models exactly like the integer RMI;
 * per-leaf min/max error bounds and the same bounded last-mile search,
   over string comparisons this time (which is what makes search
@@ -40,14 +40,10 @@ from ..models.cdf import (
 )
 from ..models.linear import segmented_linear_fit
 from ..models.nn import MLP
-from ..models.tokenization import (
-    lexicographic_scalar,
-    lexicographic_scalar_batch,
-    tokenize,
-    tokenize_batch,
-)
+from ..models.tokenization import lexicographic_scalar_batch, tokenize_batch
 from .engine import clamp_window
 from .rmi import RMIStats
+from .search import Counter, biased_binary_search, verify_lower_bound
 
 __all__ = ["StringRMI"]
 
@@ -268,18 +264,22 @@ class StringRMI:
         raw = self._leaf_slopes[j] * scalar + self._leaf_intercepts[j]
         return j, raw
 
-    def predict(self, key: str) -> tuple[int, int, int]:
-        """(estimate, window lo, window hi) like the integer RMI."""
+    def _window(self, leaf: int, raw: float) -> tuple[int, int, int]:
+        """(estimate, window lo, window hi) of a leaf's prediction: the
+        clamped ``[raw - max_error - 1, raw - min_error + 2)``, as the
+        integer RMI's."""
         n = len(self.keys)
-        if n == 0:
-            return 0, 0, 0
-        leaf, raw = self._route(key)
-        est = min(max(int(raw), 0), n - 1)
         err = self.leaf_errors[leaf]
         lo, hi = clamp_window(
             int(raw - err.max_error) - 1, int(raw - err.min_error) + 2, n
         )
-        return est, lo, hi
+        return min(max(int(raw), 0), n - 1), lo, hi
+
+    def predict(self, key: str) -> tuple[int, int, int]:
+        """(estimate, window lo, window hi) like the integer RMI."""
+        if not self.keys:
+            return 0, 0, 0
+        return self._window(*self._route(key))
 
     def lookup(self, key: str) -> int:
         """Lower-bound position of ``key`` among the sorted strings."""
@@ -293,28 +293,30 @@ class StringRMI:
             base, tree = fallback
             pos = base + tree.lookup(key)
         else:
-            est = min(max(int(raw), 0), n - 1)
-            err = self.leaf_errors[leaf]
-            lo, hi = clamp_window(
-                int(raw - err.max_error) - 1, int(raw - err.min_error) + 2, n
-            )
+            est, lo, hi = self._window(leaf, raw)
             self.stats.window_total += hi - lo
-            pos = self._bounded_string_search(key, lo, hi, est, err)
+            pos = self._bounded_string_search(key, leaf, lo, hi, est)
         # Absent keys under a non-monotonic root can escape the window.
-        keys = self.keys
-        if (pos < n and keys[pos] < key) or (pos > 0 and keys[pos - 1] >= key):
+        if not verify_lower_bound(self.keys, key, pos):
             self.stats.fixups += 1
-            pos = bisect.bisect_left(keys, key)
+            pos = bisect.bisect_left(self.keys, key)
         return pos
 
     def _bounded_string_search(
-        self, key: str, lo: int, hi: int, guess: int, err: ErrorStats
+        self, key: str, leaf: int, lo: int, hi: int, guess: int
     ) -> int:
         keys = self.keys
         stats = self.stats
         strategy = self.search_strategy
+        if strategy == "biased_binary":
+            counter = Counter()
+            pos = biased_binary_search(keys, key, lo, hi, guess, counter)
+            stats.comparisons += counter.comparisons
+            return pos
         if strategy == "biased_quaternary":
-            sigma = max(int(err.std) or 1, 1)
+            # One round seeded at the prediction +- the leaf's error
+            # std, then binary search (Figure 6 asserts on its cost).
+            sigma = max(int(self.leaf_errors[leaf].std) or 1, 1)
             center = min(max(guess, lo), hi - 1)
             p1 = min(max(center - sigma, lo), hi - 1)
             p2 = center
@@ -328,13 +330,6 @@ class StringRMI:
                 lo, hi = p2 + 1, p3 + 1
             else:
                 lo = p3 + 1
-        elif strategy == "biased_binary":
-            mid = min(max(guess, lo), hi - 1)
-            stats.comparisons += 1
-            if keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
         left, right = lo, hi
         while left < right:
             mid = (left + right) >> 1

@@ -69,6 +69,12 @@ from .rmi import RecursiveModelIndex
 __all__ = ["WritableLearnedIndex"]
 
 
+def _native(key):
+    """A NumPy scalar as its Python value, which compares exactly with
+    the buffer's Python ints (``np.float64`` would round them)."""
+    return key.item() if isinstance(key, np.generic) else key
+
+
 def _scalar_rank(sorted_keys: np.ndarray, key, bisect) -> int:
     """``bisect`` of a native ``key`` over a sorted int64 array, item by
     item as Python ints — exact for any real ``key``."""
@@ -106,17 +112,11 @@ class WritableLearnedIndex:
 
     # -- write path -----------------------------------------------------------
 
-    def _in_main(self, key) -> bool:
-        """Scalar membership in the main index, compared natively (a
-        stored key as a Python int against ``key``)."""
-        pos = self._main.lookup(key)
-        return pos < self._main.keys.size and int(self._main.keys[pos]) == key
-
     def insert(self, key: int) -> None:
         """Insert ``key``; duplicate inserts are idempotent."""
         key = as_int64_key(key)
         self._mem.discard_tombstone(key)
-        if self._in_main(key) or self._mem.has_put(key):
+        if self._main.contains(key) or self._mem.has_put(key):
             return
         self._mem.put(key, key)
         if self._mem.num_puts >= self.merge_threshold:
@@ -151,7 +151,7 @@ class WritableLearnedIndex:
         key = as_int64_key(key)
         if self._mem.remove_put(key):
             return True
-        if self._in_main(key) and not self._mem.is_tombstone(key):
+        if self._main.contains(key) and not self._mem.is_tombstone(key):
             self._mem.add_tombstone(key)
             return True
         return False
@@ -238,6 +238,7 @@ class WritableLearnedIndex:
         ``key`` natively against the buffer's keys as Python ints, so
         they are exact beyond 2^53 and for any real ``key``.
         """
+        key = _native(key)
         delta, _, tombs = self._mem.views()
         return (
             self._main.lookup(key)
@@ -247,6 +248,7 @@ class WritableLearnedIndex:
 
     def upper_bound(self, key) -> int:
         """Position one past the last live key <= ``key``."""
+        key = _native(key)
         delta, _, tombs = self._mem.views()
         return (
             self._main.upper_bound(key)
@@ -258,9 +260,10 @@ class WritableLearnedIndex:
         """Is ``key`` live?  Dict and set probes of the buffer, then the
         main index — each comparing ``key`` natively, so ``3.5`` is
         never the stored ``3``."""
+        key = _native(key)
         if self._mem.is_tombstone(key):
             return False
-        return self._mem.has_put(key) or self._in_main(key)
+        return self._mem.has_put(key) or self._main.contains(key)
 
     def range_query(self, low, high) -> np.ndarray:
         """All live keys in ``[low, high]``, one sorted merge: the main
@@ -270,17 +273,8 @@ class WritableLearnedIndex:
         fractional endpoint bounds the range where it says and 64-bit
         keys stay exact; an inverted range is empty.
         """
-        if isinstance(low, np.generic):
-            low = low.item()
-        if isinstance(high, np.generic):
-            high = high.item()
-        main = self._main
-        start = main.lookup(low)
-        end = main.lookup(high)
-        # Main keys are unique: a stored ``high`` is the slice's last key.
-        if end < main.keys.size and int(main.keys[end]) == high:
-            end += 1
-        hits = main.keys[start:max(end, start)]
+        low, high = _native(low), _native(high)
+        hits = self._main.range_query(low, high)
         delta, _, tombs = self._mem.views()
         if tombs.size and hits.size:
             hits = hits[~np.isin(hits, tombs)]

@@ -21,12 +21,7 @@ from .linear import (
 )
 from .multivariate import FEATURE_LIBRARY, MultivariateLinearModel
 from .nn import MLP, FrameworkModel, NeuralRegressionModel
-from .tokenization import (
-    lexicographic_scalar,
-    lexicographic_scalar_batch,
-    tokenize,
-    tokenize_batch,
-)
+from .tokenization import lexicographic_scalar_batch, tokenize_batch
 
 __all__ = [
     "FEATURE_LIBRARY",
@@ -42,11 +37,9 @@ __all__ = [
     "SplineSegmentModel",
     "error_stats_list_from_arrays",
     "fit_linear_cdf_root",
-    "lexicographic_scalar",
     "lexicographic_scalar_batch",
     "positions_for_keys",
     "segmented_error_arrays",
     "segmented_linear_fit",
-    "tokenize",
     "tokenize_batch",
 ]

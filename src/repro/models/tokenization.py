@@ -16,26 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "tokenize",
-    "tokenize_batch",
-    "lexicographic_scalar",
-    "lexicographic_scalar_batch",
-]
-
-
-def tokenize(key: str, max_length: int) -> np.ndarray:
-    """Turn a string into the paper's fixed-length ASCII feature vector."""
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
-    vec = np.zeros(max_length, dtype=np.float64)
-    for i, ch in enumerate(key[:max_length]):
-        vec[i] = min(ord(ch), 255)
-    return vec
+__all__ = ["tokenize_batch", "lexicographic_scalar_batch"]
 
 
 def tokenize_batch(keys: list[str], max_length: int) -> np.ndarray:
-    """Vectorize a list of strings into an (n, max_length) matrix."""
+    """The paper's fixed-length ASCII feature vector of every string,
+    as an (n, max_length) matrix."""
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     out = np.zeros((len(keys), max_length), dtype=np.float64)
@@ -45,8 +31,8 @@ def tokenize_batch(keys: list[str], max_length: int) -> np.ndarray:
     return out
 
 
-def lexicographic_scalar(key: str, max_length: int) -> float:
-    """Map a string to a float that preserves lexicographic order.
+def lexicographic_scalar_batch(keys: list[str], max_length: int) -> np.ndarray:
+    """A float per string that preserves lexicographic order.
 
     Interprets the first ``max_length`` bytes as base-257 digits (257 so
     that "a" < "aa": an absent character, encoded 0, sorts before every
@@ -54,17 +40,6 @@ def lexicographic_scalar(key: str, max_length: int) -> float:
     ``max_length`` prefix collapse to the same scalar, which is fine for
     CDF-style models — ties are resolved by the bounded local search.
     """
-    total = 0.0
-    scale = 1.0
-    for i in range(max_length):
-        scale /= 257.0
-        if i < len(key):
-            total += (min(ord(key[i]), 255) + 1) * scale
-    return total
-
-
-def lexicographic_scalar_batch(keys: list[str], max_length: int) -> np.ndarray:
-    """Vectorized :func:`lexicographic_scalar`."""
     tokens = tokenize_batch(keys, max_length)
     lengths = np.array([min(len(k), max_length) for k in keys])
     # ord+1 for present positions, 0 for padding

@@ -26,7 +26,10 @@ This module is the shared engine behind every index's
 Semantics are pinned to the scalar ``range_query``: ranges are closed
 (``[low, high]``), inverted ranges (``high < low``) are empty, and the
 i-th entry of the result is bit-identical to ``range_query(lows[i],
-highs[i])``.
+highs[i])``.  That scalar ``range_query``, with ``contains`` and
+``upper_bound``, is written once too: :class:`RangeScanIndexMixin`
+derives all three from the host's scalar ``lookup`` for every numeric
+index, comparing stored keys as exact Python values.
 
 Precision envelope (ISSUE 5): endpoint arrays keep their native dtype
 end to end, each array its own — integer endpoints against integer
@@ -44,6 +47,7 @@ tree baselines back in — deferring to first use breaks the cycle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,30 +397,69 @@ def batch_range_scan(
 
 
 class RangeScanIndexMixin:
-    """The full batch + range API for numeric sorted-array indexes.
+    """The full scalar + batch read API for numeric sorted-array indexes.
 
     Mixed into every tree/table baseline and the learned-index base
-    so the semantics live in one place: hosts must expose sorted
-    ``keys`` (numpy) and scalar ``lookup`` (lower bound).  The default
-    ``lookup_batch`` answers batches straight off the host's
-    :class:`~repro.core.engine.SortedKeyColumn` — the baselines only
-    accelerate scalar descents, and over a dense sorted array the
-    vectorized page + in-page search is one exact ``searchsorted`` in
-    the key's native dtype; a host with a real batch engine
-    (``CompiledPlanIndex``, with its ``sort=`` fast path) overrides the
-    batch surface.
+    so the semantics live in one place: hosts expose sorted ``keys``
+    (numpy), their :func:`repro.util.scalar_view` as ``_keys_view``,
+    and a scalar ``lookup`` (lower bound), from which :meth:`contains`,
+    :meth:`upper_bound` and :meth:`range_query` are derived here and
+    nowhere else — a NumPy scalar turned into its Python value once,
+    stored keys compared as Python values, so 64-bit keys compare
+    exactly with float queries.  The default ``lookup_batch`` answers
+    batches straight off the host's
+    :class:`~repro.core.engine.SortedKeyColumn` (over a dense sorted
+    array, page + in-page search is one exact ``searchsorted``); a
+    host with a real batch engine (``CompiledPlanIndex``) overrides
+    the batch surface.
     """
 
     def _key_column(self):
         """The host's cached query-core column (rebuilt if ``keys``
         was rebound, e.g. by a bulk reload)."""
-        column = self.__dict__.get("_column")
+        # getattr, not ``self.__dict__``: reading ``__dict__`` turns an
+        # instance's inline attribute values into a dict, which slows
+        # every attribute read of the scalar hot paths.
+        column = getattr(self, "_column", None)
         if column is None or column.keys is not self.keys:
             from .core.engine import SortedKeyColumn
 
             column = SortedKeyColumn(self.keys)
             self._column = column
         return column
+
+    def contains(self, key) -> bool:
+        """Is ``key`` stored?  The lower bound's key, compared natively
+        — ``2.5`` is never the stored ``3``."""
+        if isinstance(key, np.generic):
+            key = key.item()
+        pos = self.lookup(key)
+        return pos < self.keys.size and self._keys_view[pos] == key
+
+    def upper_bound(self, key) -> int:
+        """Position one past the last stored key <= ``key``: the lower
+        bound, one past a hit, and a search only inside a duplicate run
+        (as :meth:`~repro.core.engine.SortedKeyColumn.upper_bounds`)."""
+        if isinstance(key, np.generic):
+            key = key.item()
+        pos = self.lookup(key)
+        keys = self._keys_view
+        n = self.keys.size
+        if pos < n and keys[pos] == key:
+            pos += 1
+            if pos < n and keys[pos] == key:
+                pos = bisect_right(keys, key, pos + 1, n)
+        return pos
+
+    def range_query(self, low, high) -> np.ndarray:
+        """All stored keys in ``[low, high]`` (closed interval)."""
+        if isinstance(low, np.generic):
+            low = low.item()
+        if isinstance(high, np.generic):
+            high = high.item()
+        if high < low:
+            return self.keys[0:0]
+        return self.keys[self.lookup(low):self.upper_bound(high)]
 
     def lookup_batch(self, queries: np.ndarray) -> np.ndarray:
         """Batched lower-bound lookups, exact in the key dtype; results
@@ -428,25 +471,6 @@ class RangeScanIndexMixin:
         column = self._key_column()
         qb = column.prepare(queries)
         return column.contains_at(qb, column.lower_bounds(qb))
-
-    def upper_bound(self, key: float) -> int:
-        """Position one past the last stored key <= ``key``.
-
-        One lower-bound descent plus a ``searchsorted(side="right")``
-        over the duplicate run — O(log d) for d duplicates.  The
-        needle is the stored key: a Python int against a uint64 column
-        would promote both sides to float64 and round beyond 2^53.
-        """
-        pos = self.lookup(key)
-        if pos < self.keys.size and (stored := self.keys[pos]) == key:
-            pos += int(np.searchsorted(self.keys[pos:], stored, side="right"))
-        return pos
-
-    def range_query(self, low: float, high: float) -> np.ndarray:
-        """All stored keys in ``[low, high]`` (closed interval)."""
-        if high < low:
-            return self.keys[0:0]
-        return self.keys[self.lookup(low):self.upper_bound(high)]
 
     def upper_bound_batch(self, queries: np.ndarray) -> np.ndarray:
         """Batched :meth:`upper_bound` through the query core."""
@@ -460,4 +484,3 @@ class RangeScanIndexMixin:
             self.keys, lows, highs, self.lookup_batch,
             column=self._key_column(),
         )
-

@@ -42,13 +42,31 @@ import time
 
 import numpy as np
 
-from ..core.engine import pack_requests, unpack_results
 from ..lsm.store import as_int64_key, as_int64_keys
 from ..obs import MetricsRegistry, StatsView, counter_field, tracing
 from ..obs import state as obs_state
 from ..range_scan import RangeScanResult
 
 __all__ = ["CoalescingIndexServer", "CoalescerStats"]
+
+
+def pack_requests(arrays: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per-request query arrays as one flat batch plus int64 offsets:
+    request ``i`` owns ``flat[offsets[i]:offsets[i + 1]]``."""
+    if not arrays:
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([a.size for a in arrays], out=offsets[1:])
+    if len(arrays) == 1:
+        return np.asarray(arrays[0]).ravel(), offsets
+    return np.concatenate(arrays), offsets
+
+
+def unpack_results(flat: np.ndarray, offsets: np.ndarray) -> list:
+    """The inverse of :func:`pack_requests`: each request's slice of a
+    flat batch result (views — copy to outlive the batch)."""
+    bounds = offsets.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class CoalescerStats(StatsView):

@@ -90,7 +90,6 @@ from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
-from ..core.engine import GroupScatter
 from ..lsm.store import (
     KVSurface,
     LearnedLSMStore,
@@ -537,13 +536,14 @@ class ShardedLSMStore(KVSurface):
         of ``keys`` — the one scatter the bulk load, writes and point
         reads share; stable, so per-shard order is batch order and
         last-wins on duplicates survives the split."""
-        route = GroupScatter(
-            self.splitter.shard_of_batch(keys), self.num_shards
-        )
+        shards = self.splitter.shard_of_batch(keys)
+        order = np.argsort(shards, kind="stable")
+        counts = np.bincount(shards, minlength=self.num_shards)
+        bounds = [0, *np.cumsum(counts).tolist()]
         return {
-            shard: idx
+            shard: order[bounds[shard]:bounds[shard + 1]]
             for shard in range(self.num_shards)
-            if (idx := route.indices(shard)).size
+            if bounds[shard + 1] > bounds[shard]
         }
 
     def _write(self, kind: int, keys: np.ndarray, values) -> None:

@@ -120,16 +120,14 @@ def both_sides_of_the_dispatch(request, monkeypatch):
 
     dispatched = engine.CompiledPlan.lookup_batch
 
-    def lookup_batch(plan, qb, *, sort=None, routed=None, stats=None):
+    def lookup_batch(plan, qb, *, sort=None, stats=None):
         if sort is None:
             with monkeypatch.context() as column_side:
                 column_side.setattr(
                     engine, "column_answers", lambda queries, keys: True
                 )
-                from_column = dispatched(plan, qb, routed=routed)
-        from_engine = dispatched(
-            plan, qb, sort=sort, routed=routed, stats=stats
-        )
+                from_column = dispatched(plan, qb)
+        from_engine = dispatched(plan, qb, sort=sort, stats=stats)
         if sort is None:
             np.testing.assert_array_equal(from_column, from_engine)
         return from_engine

@@ -107,6 +107,31 @@ def gru_finite_difference_gradients(
     return _central_differences(gru._params(), loss, epsilon)
 
 
+def tokenize(key: str, max_length: int) -> np.ndarray:
+    """One string as the paper's fixed-length ASCII feature vector —
+    the per-string form of
+    :func:`repro.models.tokenization.tokenize_batch`."""
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
+    vec = np.zeros(max_length, dtype=np.float64)
+    for i, ch in enumerate(key[:max_length]):
+        vec[i] = min(ord(ch), 255)
+    return vec
+
+
+def lexicographic_scalar(key: str, max_length: int) -> float:
+    """One string's order-preserving base-257 scalar — the per-string
+    form of :func:`repro.models.tokenization.lexicographic_scalar_batch`
+    (and of ``StringRMI._featurize``'s scalar)."""
+    total = 0.0
+    scale = 1.0
+    for i in range(max_length):
+        scale /= 257.0
+        if i < len(key):
+            total += (min(ord(key[i]), 255) + 1) * scale
+    return total
+
+
 _WORDS = (
     "alpha beta gamma delta epsilon zeta eta theta iota kappa lamda mu nu "
     "xi omicron pi rho sigma tau upsilon phi chi psi omega index search "

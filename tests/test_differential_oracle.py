@@ -14,6 +14,7 @@ counterexample rather than a statistical anomaly.
 from __future__ import annotations
 
 import bisect
+import math
 import zlib
 
 import numpy as np
@@ -47,6 +48,13 @@ def case_rng(*case) -> np.random.Generator:
     )
 
 
+def native(q):
+    """A NumPy scalar as its Python value: Python ints and floats
+    compare exactly, where ``np.float64`` against an int rounds both to
+    float64."""
+    return q.item() if isinstance(q, np.generic) else q
+
+
 class Oracle:
     """The reference model: plain ``bisect`` over a sorted list."""
 
@@ -54,17 +62,17 @@ class Oracle:
         self.keys = list(keys)
 
     def lookup(self, q) -> int:
-        return bisect.bisect_left(self.keys, q)
+        return bisect.bisect_left(self.keys, native(q))
 
     def upper_bound(self, q) -> int:
-        return bisect.bisect_right(self.keys, q)
+        return bisect.bisect_right(self.keys, native(q))
 
     def contains(self, q) -> bool:
         pos = self.lookup(q)
-        return pos < len(self.keys) and self.keys[pos] == q
+        return pos < len(self.keys) and self.keys[pos] == native(q)
 
     def range_query(self, lo, hi) -> list:
-        if hi < lo:
+        if native(hi) < native(lo):
             return []
         return self.keys[self.lookup(lo):self.upper_bound(hi)]
 
@@ -604,7 +612,9 @@ def test_lsm_matches_writable_reference(tmp_path, mode):
 # probes themselves would round), so these regimes replay with native
 # Python-int probes against the same bisect oracle: adjacent keys
 # differing by 1 near 2^63, straddling the 2^53 float cliff, across
-# every index type plus the paged index and both storage engines.
+# every index type plus the paged index and both storage engines.  The
+# indexes also take each pick's neighbouring floats (Python and
+# ``np.float64``), which the oracle compares exactly as Python floats.
 
 
 def huge_oracle_keys(regime: str, rng: np.random.Generator) -> np.ndarray:
@@ -632,13 +642,32 @@ def huge_oracle_keys(regime: str, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(regime)
 
 
-def huge_oracle_probes(keys: np.ndarray, rng, n: int) -> list[int]:
+def huge_oracle_probes(keys: np.ndarray, rng, n: int) -> list:
+    """Python-int probes (picks, their neighbours, the edges), then each
+    pick as the nearest float and one ulp either side — as Python floats
+    and again as ``np.float64``, whose compares with a stored integer
+    round both to float64 unless the index converts it first."""
     lo, hi = int(keys.min()), int(keys.max())
     picks = [int(k) for k in rng.choice(keys, n)]
     out = picks + [min(max(k + int(d), 0), hi) for k, d in
                    zip(picks, rng.integers(-2, 3, n))]
     out += [lo - 1, lo, hi - 1, hi]
-    return out
+    floats = [
+        f
+        for k in picks
+        for f in (
+            math.nextafter(float(k), -math.inf),
+            float(k),
+            math.nextafter(float(k), math.inf),
+        )
+    ]
+    return out + floats + [np.float64(f) for f in floats]
+
+
+def split_probes(probes: list) -> tuple[list, list]:
+    """(the Python-int probes, the float ones)."""
+    ints = [q for q in probes if type(q) is int]
+    return ints, [q for q in probes if type(q) is not int]
 
 
 HUGE_ORACLE_REGIMES = ["straddle_2p53", "adjacent_2p63", "strings"]
@@ -665,25 +694,26 @@ def test_numeric_index_matches_oracle_beyond_2p53(name, regime):
                 name, regime, "upper_bound", q,
             )
 
-    batch = np.array(probes, dtype=np.int64)
-    np.testing.assert_array_equal(
-        index.lookup_batch(batch),
-        np.array([oracle.lookup(q) for q in probes]),
-        err_msg=f"{name}/{regime} lookup_batch",
-    )
-    np.testing.assert_array_equal(
-        index.contains_batch(batch),
-        np.array([oracle.contains(q) for q in probes]),
-        err_msg=f"{name}/{regime} contains_batch",
-    )
-    if hasattr(index, "upper_bound_batch"):
+    for group, dtype in zip(split_probes(probes), (np.int64, np.float64)):
+        batch = np.array(group, dtype=dtype)
+        np.testing.assert_array_equal(
+            index.lookup_batch(batch),
+            np.array([oracle.lookup(q) for q in group]),
+            err_msg=f"{name}/{regime} lookup_batch {dtype}",
+        )
+        np.testing.assert_array_equal(
+            index.contains_batch(batch),
+            np.array([oracle.contains(q) for q in group]),
+            err_msg=f"{name}/{regime} contains_batch {dtype}",
+        )
         np.testing.assert_array_equal(
             index.upper_bound_batch(batch),
-            np.array([oracle.upper_bound(q) for q in probes]),
-            err_msg=f"{name}/{regime} upper_bound_batch",
+            np.array([oracle.upper_bound(q) for q in group]),
+            err_msg=f"{name}/{regime} upper_bound_batch {dtype}",
         )
 
-    lows = np.array(huge_oracle_probes(keys, rng, 30), dtype=np.int64)
+    ends, float_ends = split_probes(huge_oracle_probes(keys, rng, 30))
+    lows = np.array(ends, dtype=np.int64)
     highs = np.minimum(
         lows + rng.integers(0, 200, lows.size), np.int64(2**63 - 1)
     )
@@ -693,6 +723,17 @@ def test_numeric_index_matches_oracle_beyond_2p53(name, regime):
         assert list(result[i]) == expected, (name, regime, "range", i)
         scalar = index.range_query(int(lows[i]), int(highs[i]))
         assert list(scalar) == expected, (name, regime, "range_scalar", i)
+    # Float endpoints: neighbouring floats of one pick (a range one ulp
+    # wide, degenerate or inverted) and of two picks.
+    lows, highs = float_ends[0::2], float_ends[1::2]
+    result = index.range_query_batch(
+        np.array(lows, dtype=np.float64), np.array(highs, dtype=np.float64)
+    )
+    for i, (low, high) in enumerate(zip(lows, highs)):
+        expected = oracle.range_query(low, high)
+        assert list(result[i]) == expected, (name, regime, "range_f", i)
+        scalar = index.range_query(low, high)
+        assert list(scalar) == expected, (name, regime, "range_f_scalar", i)
 
 
 @pytest.mark.parametrize("regime", HUGE_ORACLE_REGIMES)
@@ -735,12 +776,20 @@ def test_writable_matches_oracle_beyond_2p53():
             oracle.delete(key)
         else:
             index.merge()
-    index.merge()
-    live = sorted(oracle.live)
-    for q in huge_oracle_probes(keys, rng, 150):
-        assert index.contains(q) == oracle.contains(q), q
-        assert index.lookup(q) == bisect.bisect_left(live, q), q
-        assert index.upper_bound(q) == bisect.bisect_right(live, q), q
+    live = Oracle(sorted(oracle.live))
+    probes = huge_oracle_probes(keys, rng, 150)
+    floats = split_probes(probes)[1]
+    # With the delta buffer and tombstones live, then merged away.
+    for _ in range(2):
+        for q in probes:
+            assert index.contains(q) == live.contains(q), q
+            assert index.lookup(q) == live.lookup(q), q
+            assert index.upper_bound(q) == live.upper_bound(q), q
+        for low, high in zip(floats[0::2], floats[1::2]):
+            assert index.range_query(low, high).tolist() == (
+                live.range_query(low, high)
+            ), (low, high)
+        index.merge()
 
 
 def test_lsm_store_matches_oracle_beyond_2p53():
@@ -761,7 +810,8 @@ def test_lsm_store_matches_oracle_beyond_2p53():
         else:
             store.delete(key)
             oracle.delete(key)
-    probes = huge_oracle_probes(keys, rng, 200)
+    # The store takes integer keys: its probes are the Python ints.
+    probes = split_probes(huge_oracle_probes(keys, rng, 200))[0]
     batch = np.array(probes, dtype=np.int64)
     values, found = store.lookup_batch(batch)
     np.testing.assert_array_equal(
@@ -774,7 +824,9 @@ def test_lsm_store_matches_oracle_beyond_2p53():
     )
     for q in probes[:25]:
         assert store.lookup(q) == oracle.lookup(q)
-    lows = np.array(huge_oracle_probes(keys, rng, 30), dtype=np.int64)
+    lows = np.array(
+        split_probes(huge_oracle_probes(keys, rng, 30))[0], dtype=np.int64
+    )
     highs = np.minimum(
         lows + rng.integers(0, 120, lows.size), np.int64(2**63 - 1)
     )

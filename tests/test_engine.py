@@ -201,7 +201,7 @@ class TestCompiledPlanMatchesRMI:
         assert isinstance(plan, CompiledPlan)
         probes = rng.choice(keys, 200).astype(np.float64)
         qb = index._column.prepare(probes)
-        lo, hi = plan.windows(qb)
+        lo, hi = plan.windows_from_raw(*plan.route(qb))
         for i, q in enumerate(probes):
             _est, slo, shi = index.predict(float(q))
             assert (lo[i], hi[i]) == (slo, shi)
@@ -220,7 +220,17 @@ class TestCompiledPlanMatchesRMI:
     def test_rmi_defines_no_surface_of_its_own(self):
         # The RMI is one CompiledPlanIndex family: the shared surface
         # must not silently regrow as a private copy.
-        from repro.core import CompiledPlanIndex
+        from pathlib import Path
+
+        import repro.core
+        from repro.btree import (
+            BTreeIndex,
+            FASTTree,
+            FixedSizeBTree,
+            HierarchicalLookupTable,
+        )
+        from repro.core import CompiledPlanIndex, HybridIndex
+        from repro.range_scan import RangeScanIndexMixin
 
         assert issubclass(RecursiveModelIndex, CompiledPlanIndex)
         for name in (
@@ -234,6 +244,32 @@ class TestCompiledPlanMatchesRMI:
         ):
             assert name not in RecursiveModelIndex.__dict__, name
             assert hasattr(CompiledPlanIndex, name), name
+        # One Section 3.4 scalar lookup: the RMI's probe schedules and
+        # the hybrid's B-Tree leaves plug into the base's.
+        for cls in (RecursiveModelIndex, HybridIndex):
+            assert "lookup" not in cls.__dict__, cls
+        # The derived scalar reads are written once, in the mixin.
+        for cls in (
+            BTreeIndex,
+            FASTTree,
+            FixedSizeBTree,
+            HierarchicalLookupTable,
+            CompiledPlanIndex,
+        ):
+            assert issubclass(cls, RangeScanIndexMixin), cls
+            for name in ("contains", "upper_bound", "range_query"):
+                assert name not in cls.__dict__, (cls, name)
+        # Deleted plumbing stays deleted.
+        core = Path(repro.core.__file__).parent
+        source = "".join(p.read_text() for p in sorted(core.glob("*.py")))
+        for name in (
+            "_predict_window",
+            "routed",
+            "leaf_predict",
+            "GroupScatter",
+            "pack_requests",
+        ):
+            assert name not in source, name
 
     def test_plan_lookup_sorted_identical(self):
         keys = np.unique(
@@ -307,13 +343,25 @@ class TestModelSpace:
         space = ModelSpace.of(keys)
         assert space.origin == origin and type(space.origin) is int
         finite = [-3.5, -0.0, 0.5, 7.0, 1e9 + 0.5, float(origin) / 2]
-        batch = space.encode(column.prepare(np.array(finite)).compare)
+        compare = column.prepare(np.array(finite)).compare
+        batch = space.encode(compare)
         assert [space.encode_scalar(q) for q in finite] == batch.tolist()
         assert space.encode_scalar(float("nan")) == 0.0
         assert space.encode_scalar(float("-inf")) == 0.0
         top = float(np.iinfo(dtype).max - origin)
         assert space.encode_scalar(float("inf")) == top
         assert space.encode_scalar(np.float32("inf")) == top
+        # The column's scalar twin of ``prepare``: the value a scalar
+        # descent compares, with one past the maximum for "above".
+        info = np.iinfo(dtype)
+        for q, want in zip(finite, compare.tolist()):
+            assert column.prepare_scalar(q) == want
+            assert column.prepare_scalar(np.float64(q)) == want
+        assert column.prepare_scalar(float("nan")) == info.min
+        assert column.prepare_scalar(float("-inf")) == info.min
+        assert column.prepare_scalar(float("inf")) == int(info.max) + 1
+        top_key = np.dtype(dtype).type(info.max)
+        assert column.prepare_scalar(top_key) == int(info.max)
 
     def test_python_ints_beyond_64_bits(self):
         """Clamped into the key dtype, like a prepared batch."""

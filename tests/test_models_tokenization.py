@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.models import (
-    lexicographic_scalar,
-    lexicographic_scalar_batch,
-    tokenize,
-    tokenize_batch,
-)
+from oracles import lexicographic_scalar, tokenize
+from repro.models import lexicographic_scalar_batch, tokenize_batch
 
 
 class TestTokenize:

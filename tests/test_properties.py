@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import lexicographic_scalar
 from repro.bloom import BloomFilter
 from repro.btree import (
     BTreeIndex,
@@ -30,7 +31,7 @@ from repro.btree import (
 from repro.core import RecursiveModelIndex
 from repro.core.search import bounded_search
 from repro.hashmap import ChainingHashMap, GenericCuckooHashMap, RandomHashFunction
-from repro.models import LinearModel, lexicographic_scalar
+from repro.models import LinearModel
 
 COMMON = settings(
     max_examples=40,
