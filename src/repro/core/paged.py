@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from ..obs import MetricsRegistry, counter_field
+from ..util import as_int64_keys
 from .rmi import RecursiveModelIndex
 
 __all__ = ["PageStore", "PagedLearnedIndex"]
@@ -53,7 +54,9 @@ class PageStore:
     Pages are stored at shuffled physical indexes (like extents on a
     fragmented disk); every read is accounted.  ``partial_reads=True``
     lets callers fetch a byte sub-range of a page (modern NVMe / object
-    stores); otherwise whole pages transfer.
+    stores); otherwise whole pages transfer.  Keys follow the key
+    contract (:func:`repro.util.as_int64_keys`): a non-integer array is
+    a ``TypeError`` and a key outside int64 an ``OverflowError``.
     """
 
     # IO accounting lives in the store's obs registry (``paged.io.*``);
@@ -70,7 +73,7 @@ class PageStore:
         partial_reads: bool = False,
         buffer_pages: int = 4,
     ):
-        keys = np.asarray(sorted_keys, dtype=np.int64)
+        keys = as_int64_keys(sorted_keys)
         if keys.size and np.any(np.diff(keys) < 0):
             raise ValueError("keys must be sorted ascending")
         if page_size < 1:
@@ -132,7 +135,8 @@ class PageStore:
 
 
 class PagedLearnedIndex:
-    """RMI + translation table over a :class:`PageStore`."""
+    """RMI + translation table over a :class:`PageStore`, whose key
+    contract the keys follow."""
 
     def __init__(
         self,
@@ -143,7 +147,7 @@ class PagedLearnedIndex:
         shuffle_seed: int = 0,
         partial_reads: bool = False,
     ):
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = as_int64_keys(keys)
         if keys.size and np.any(np.diff(keys) <= 0):
             raise ValueError("keys must be sorted and unique")
         self.n = int(keys.size)

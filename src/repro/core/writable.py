@@ -12,11 +12,13 @@ reference* that :class:`repro.lsm.store.LearnedLSMStore` generalizes to
 tiered runs:
 
 * reads consult the (immutable) learned main index and a small delta
-  buffer (a :class:`repro.lsm.memtable.Memtable`, the same buffer an
-  LSM seals into runs), merging their results;
-* inserts go to the delta buffer (O(1) dict put; sorted views
-  materialize lazily per read burst);
-* deletes are tombstones in the same buffer;
+  buffer, merging their results.  The buffer is the index's own: one
+  Python set of delta keys and one of tombstoned main keys, plus the
+  two as sorted arrays, materialized lazily once per write burst;
+* inserts go to the delta set (O(1); a tombstoned key is resurrected
+  instead, and a key already live is a no-op);
+* deletes are not blind: a delta key leaves the delta, a live main
+  key becomes a tombstone, and anything else reports absent;
 * when the buffer exceeds ``merge_threshold`` (or on explicit
   :meth:`merge`), the buffer is merged into the main array and the RMI
   retrained — cheap, because linear leaves train in closed form
@@ -27,7 +29,7 @@ tiered runs:
 * bulk loads go through :meth:`insert_batch`, which sorts and
   deduplicates the whole batch in one NumPy pass, drops keys already
   present in the main index with one ``contains_batch``, lands the rest
-  in the buffer with one dict update, and triggers at most one merge —
+  in the delta with one set update, and triggers at most one merge —
   no per-key scalar inserts;
 * reads (``lookup`` / ``upper_bound`` / ``contains`` /
   ``range_query``) are delta-merge aware: positions are ranks in the
@@ -36,7 +38,7 @@ tiered runs:
   a range is the main index's slice minus the tombstones merged with
   the delta's slice — no merged array is ever materialized;
 * keys follow the key contract of the LSM store
-  (:func:`repro.lsm.store.as_int64_key` / ``as_int64_keys``): every
+  (:func:`repro.util.as_int64_key` / ``as_int64_keys``): every
   write and the initial keys are integers in the int64 domain, a
   non-integer is a ``TypeError`` and a key outside int64 an
   ``OverflowError``, and a refused call changes nothing.  Queries and
@@ -61,9 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..lsm.memtable import Memtable
-from ..lsm.store import as_int64_key, as_int64_keys
-from ..util import scalar_view
+from ..util import as_int64_key, as_int64_keys, scalar_view
 from .rmi import RecursiveModelIndex
 
 __all__ = ["WritableLearnedIndex"]
@@ -101,7 +101,10 @@ class WritableLearnedIndex:
         self.merges = 0
         self.retrains = 0
         self.fast_appends = 0
-        self._mem = Memtable()  # delta puts + main-key tombstones
+        self._delta: set[int] = set()  # inserted keys the main lacks
+        self._dead: set[int] = set()  # tombstoned main keys
+        #: Both sets as sorted int64 arrays, or None after a write.
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
         self._rebuild(base)
 
     # -- construction helpers -----------------------------------------------
@@ -115,11 +118,15 @@ class WritableLearnedIndex:
     def insert(self, key: int) -> None:
         """Insert ``key``; duplicate inserts are idempotent."""
         key = as_int64_key(key)
-        self._mem.discard_tombstone(key)
-        if self._main.contains(key) or self._mem.has_put(key):
+        if key in self._dead:  # a tombstoned main key: resurrect it
+            self._dead.remove(key)
+            self._sorted = None
             return
-        self._mem.put(key, key)
-        if self._mem.num_puts >= self.merge_threshold:
+        if key in self._delta or self._main.contains(key):
+            return
+        self._delta.add(key)
+        self._sorted = None
+        if len(self._delta) >= self.merge_threshold:
             self.merge()
 
     def insert_batch(self, keys) -> None:
@@ -129,48 +136,62 @@ class WritableLearnedIndex:
         resurrected, keys already in the main index or the delta are
         no-ops — but executed as sort + dedup (``np.unique``), one
         ``contains_batch`` membership probe against the main index, and
-        one dict update into the delta buffer.  At most one merge
-        fires, after the whole batch lands, so bulk loads pay one
-        retrain instead of one per ``merge_threshold`` keys.
+        one set update into the delta.  At most one merge fires, after
+        the whole batch lands, so bulk loads pay one retrain instead of
+        one per ``merge_threshold`` keys.
         """
         batch = np.unique(as_int64_keys(keys))
         if batch.size == 0:
             return
-        self._mem.discard_tombstones(batch)
+        if self._dead:
+            self._dead.difference_update(batch.tolist())
+            self._sorted = None
+        # Tombstones only ever cover main keys, which this filters out.
         batch = batch[~self._main.contains_batch(batch)]
         if batch.size:
-            # Tombstones were swept above and only ever cover main
-            # keys, which the membership probe just filtered out — the
-            # remaining batch cannot resurrect anything.
-            self._mem.put_batch(batch, batch, clear_tombstones=False)
-        if self._mem.num_puts >= self.merge_threshold:
+            self._delta.update(batch.tolist())
+            self._sorted = None
+        if len(self._delta) >= self.merge_threshold:
             self.merge()
 
     def delete(self, key: int) -> bool:
         """Delete ``key``; returns whether it was present."""
         key = as_int64_key(key)
-        if self._mem.remove_put(key):
-            return True
-        if self._main.contains(key) and not self._mem.is_tombstone(key):
-            self._mem.add_tombstone(key)
-            return True
-        return False
+        if key in self._delta:
+            self._delta.remove(key)
+        elif key not in self._dead and self._main.contains(key):
+            self._dead.add(key)
+        else:
+            return False
+        self._sorted = None
+        return True
+
+    def _sorted_delta(self) -> tuple[np.ndarray, np.ndarray]:
+        """(delta keys, tombstoned keys), each sorted — built once per
+        write burst, then shared by every read until the next write."""
+        cached = self._sorted
+        if cached is None:
+            delta, dead = (
+                np.sort(np.fromiter(keys, np.int64, len(keys)))
+                for keys in (self._delta, self._dead)
+            )
+            cached = self._sorted = (delta, dead)
+        return cached
 
     # -- merge ------------------------------------------------------------------
 
     def merge(self) -> None:
         """Fold the delta buffer and tombstones into the main index."""
-        if len(self._mem) == 0:
+        if not self._delta and not self._dead:
             return
         self.merges += 1
         main_keys = self._main.keys
-        tombs = self._mem.tombstone_keys()
+        delta, tombs = self._sorted_delta()
         if tombs.size:
             main_keys = main_keys[~np.isin(main_keys, tombs)]
             tombstoned = True
         else:
             tombstoned = False
-        delta = self._mem.put_keys()
         is_pure_append = (
             not tombstoned
             and main_keys.size > 0
@@ -182,7 +203,9 @@ class WritableLearnedIndex:
             if is_pure_append
             else np.union1d(main_keys, delta)
         )
-        self._mem.clear()
+        self._delta.clear()
+        self._dead.clear()
+        self._sorted = None
         if is_pure_append and self._try_fast_append(merged, delta.size):
             self.fast_appends += 1
             return
@@ -239,7 +262,7 @@ class WritableLearnedIndex:
         they are exact beyond 2^53 and for any real ``key``.
         """
         key = _native(key)
-        delta, _, tombs = self._mem.views()
+        delta, tombs = self._sorted_delta()
         return (
             self._main.lookup(key)
             - _scalar_rank(tombs, key, bisect_left)
@@ -249,7 +272,7 @@ class WritableLearnedIndex:
     def upper_bound(self, key) -> int:
         """Position one past the last live key <= ``key``."""
         key = _native(key)
-        delta, _, tombs = self._mem.views()
+        delta, tombs = self._sorted_delta()
         return (
             self._main.upper_bound(key)
             - _scalar_rank(tombs, key, bisect_right)
@@ -257,13 +280,13 @@ class WritableLearnedIndex:
         )
 
     def contains(self, key) -> bool:
-        """Is ``key`` live?  Dict and set probes of the buffer, then the
-        main index — each comparing ``key`` natively, so ``3.5`` is
-        never the stored ``3``."""
+        """Is ``key`` live?  Set probes of the buffer, then the main
+        index — each comparing ``key`` natively, so ``3.5`` is never
+        the stored ``3``."""
         key = _native(key)
-        if self._mem.is_tombstone(key):
+        if key in self._dead:
             return False
-        return self._mem.has_put(key) or self._main.contains(key)
+        return key in self._delta or self._main.contains(key)
 
     def range_query(self, low, high) -> np.ndarray:
         """All live keys in ``[low, high]``, one sorted merge: the main
@@ -275,7 +298,7 @@ class WritableLearnedIndex:
         """
         low, high = _native(low), _native(high)
         hits = self._main.range_query(low, high)
-        delta, _, tombs = self._mem.views()
+        delta, tombs = self._sorted_delta()
         if tombs.size and hits.size:
             hits = hits[~np.isin(hits, tombs)]
         d_lo = _scalar_rank(delta, low, bisect_left)
@@ -283,23 +306,19 @@ class WritableLearnedIndex:
         return np.sort(np.concatenate([hits, delta[d_lo:d_hi]]))
 
     def __len__(self) -> int:
-        return (
-            self._main.keys.size
-            - self._mem.num_tombstones
-            + self._mem.num_puts
-        )
+        return self._main.keys.size - len(self._dead) + len(self._delta)
 
     @property
     def delta_size(self) -> int:
-        return self._mem.num_puts
+        return len(self._delta)
 
     def size_bytes(self) -> int:
-        return self._main.size_bytes() + self._mem.num_puts * 8
+        return self._main.size_bytes() + len(self._delta) * 8
 
     def __repr__(self) -> str:
         return (
             f"WritableLearnedIndex(n={len(self)}, "
-            f"delta={self._mem.num_puts}, "
-            f"tombstones={self._mem.num_tombstones}, merges={self.merges}, "
+            f"delta={len(self._delta)}, "
+            f"tombstones={len(self._dead)}, merges={self.merges}, "
             f"fast_appends={self.fast_appends})"
         )

@@ -3,11 +3,10 @@
 The paper's insert story is LSM-flavoured: "all inserts are kept in
 buffer and from time to time merged with a potential retraining of the
 model.  This approach is already widely used, for example in Bigtable."
-The *buffer* half of that sentence lives here, factored out of
-:class:`repro.core.writable.WritableLearnedIndex` (which keeps exactly
-one buffer in front of one run — the single-run reference design) so
-the tiered :class:`repro.lsm.store.LearnedLSMStore` can stack many
-sealed buffers behind it.
+The *buffer* half of that sentence lives here: the tiered
+:class:`repro.lsm.store.LearnedLSMStore` writes into one
+:class:`Memtable` and seals it into an immutable
+:class:`~repro.lsm.run.SortedRun` behind older ones.
 
 A :class:`Memtable` holds two disjoint pieces of state:
 
@@ -17,23 +16,30 @@ A :class:`Memtable` holds two disjoint pieces of state:
 * **tombstones** — keys deleted since the last seal.  A put and a
   tombstone for the same key never coexist: whichever lands last wins.
 
-Reads need sorted views; those materialize lazily (one ``np.argsort``
-per burst of mutations) and are cached until the next write, which
-keeps scalar probes O(1) dict hits and batch probes single
-``searchsorted`` calls without paying a per-insert sort like the old
-``bisect.insort`` delta list did.
+It hands out one layout, the run layout: :meth:`entries` is the
+sorted ``(keys, values, tombstone mask)`` triple a
+:class:`~repro.lsm.run.SortedRun` stores, tombstones interleaved as
+entries with value :data:`TOMBSTONE_VALUE` and a set mask bit.  Reads
+probe it as the newest source and a seal writes it as it is.  It
+materializes lazily (one ``np.argsort`` per burst of writes) and is
+cached until the next write, so scalar probes stay O(1) dict and set
+hits and batch probes one ``searchsorted``, without a per-insert sort.
 
-Concurrency (ISSUE 7): the LSM store now serves reads from reader
-threads while a single writer mutates the buffer, so the lazy
-materialization and every bulk mutation run under one internal lock.
-Without it, two readers racing into :meth:`_materialize` (or a reader
-racing a writer's ``dict.update``) could iterate a dict that changes
-size mid-``np.fromiter`` — a crash, not just a stale answer.  Scalar
-dict/set probes stay lock-free: each is a single atomic C-level
+Every write takes its keys through the key contract
+(:func:`repro.util.as_int64_keys`): a non-integer is a ``TypeError``,
+a key outside int64 an ``OverflowError``, and a refused call buffers
+nothing.
+
+Concurrency: the LSM store serves reads from reader threads while a
+single writer mutates the buffer, so the lazy materialization and
+every bulk mutation run under one internal lock.  Without it, two
+readers racing into :meth:`entries` (or a reader racing a writer's
+``dict.update``) could iterate a dict that changes size mid-
+``np.fromiter`` — a crash, not just a stale answer.  :meth:`probe`
+stays lock-free: each dict or set probe is a single atomic C-level
 operation, and a concurrent reader is entitled to either the before or
 the after state.  The materialized triple is immutable once built and
-swapped in atomically, so :meth:`views` hands readers a consistent
-(keys, values, tombstones) snapshot without copying.
+swapped in atomically, so readers share it without copying.
 """
 
 from __future__ import annotations
@@ -42,21 +48,22 @@ import threading
 
 import numpy as np
 
+from ..util import as_int64_keys, as_int64_pairs
 from .wal import RECORD_PUT
 
 __all__ = ["Memtable"]
 
-#: Value stored for tombstone entries in a sealed snapshot.
+#: Value stored for tombstone entries in the run layout.
 TOMBSTONE_VALUE = 0
 
 
 class Memtable:
-    """Write buffer: dict puts + tombstone set + lazy sorted views."""
+    """Write buffer: dict puts + tombstone set + one lazy sorted view."""
 
     def __init__(self):
         self._puts: dict[int, int] = {}
         self._tombstones: set[int] = set()
-        self._sorted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         #: Serializes mutation against lazy materialization; reads of
         #: the already-materialized triple are lock-free (it is swapped
         #: in atomically and never mutated in place).
@@ -64,41 +71,27 @@ class Memtable:
 
     # -- mutation ------------------------------------------------------------
 
-    def _dirty(self) -> None:
-        self._sorted = None
-
     def put(self, key: int, value: int) -> None:
         """Write ``key -> value``; overrides any earlier tombstone."""
         with self._lock:
             self._tombstones.discard(key)
             self._puts[key] = value
-            self._dirty()
+            self._entries = None
 
-    def put_batch(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray,
-        *,
-        clear_tombstones: bool = True,
-    ) -> None:
+    def put_batch(self, keys, values) -> None:
         """Bulk :meth:`put`: one tombstone sweep + one dict update.
 
         Later duplicates in the batch win, exactly like a put loop.
-        ``clear_tombstones=False`` skips the resurrection sweep for
-        callers that have already cleared (or proven disjoint) the
-        batch against the tombstone set.
         """
-        keys = np.asarray(keys, dtype=np.int64).ravel()
-        values = np.asarray(values, dtype=np.int64).ravel()
-        if keys.size != values.size:
-            raise ValueError("keys and values must have the same length")
+        keys, values = as_int64_pairs(keys, values)
         if keys.size == 0:
             return
+        items = keys.tolist()
         with self._lock:
-            if clear_tombstones:
-                self._discard_tombstones_locked(keys)
-            self._puts.update(zip(keys.tolist(), values.tolist()))
-            self._dirty()
+            if self._tombstones:
+                self._tombstones.difference_update(items)
+            self._puts.update(zip(items, values.tolist()))
+            self._entries = None
 
     def delete(self, key: int) -> None:
         """Blind LSM delete: drop any buffered put, record a tombstone.
@@ -109,24 +102,24 @@ class Memtable:
         with self._lock:
             self._puts.pop(key, None)
             self._tombstones.add(key)
-            self._dirty()
+            self._entries = None
 
-    def delete_batch(self, keys: np.ndarray) -> None:
+    def delete_batch(self, keys) -> None:
         """Bulk :meth:`delete`: one dict sweep + one set update.
 
         Order within the batch is irrelevant (every entry becomes a
         tombstone), and like the scalar form it is blind — no read.
         """
-        keys = np.asarray(keys, dtype=np.int64).ravel()
+        keys = as_int64_keys(keys)
         if keys.size == 0:
             return
+        items = keys.tolist()
         with self._lock:
             pop = self._puts.pop
-            items = keys.tolist()
             for key in items:
                 pop(key, None)
             self._tombstones.update(items)
-            self._dirty()
+            self._entries = None
 
     def apply(self, kind: int, keys: np.ndarray, values=None) -> None:
         """Land one ``(kind, keys, values)`` write record — a live
@@ -136,142 +129,58 @@ class Memtable:
         else:
             self.delete_batch(keys)
 
-    # Writable-index primitives: the single-run design decides *policy*
-    # (e.g. "only tombstone keys the main index holds") itself, so it
-    # composes these instead of calling ``delete``.
-
-    def remove_put(self, key: int) -> bool:
-        """Drop a buffered put without tombstoning; True if it existed."""
-        with self._lock:
-            if key in self._puts:
-                del self._puts[key]
-                self._dirty()
-                return True
-            return False
-
-    def add_tombstone(self, key: int) -> None:
-        with self._lock:
-            self._tombstones.add(key)
-            self._dirty()
-
-    def discard_tombstone(self, key: int) -> None:
-        with self._lock:
-            if key in self._tombstones:
-                self._tombstones.discard(key)
-                self._dirty()
-
-    def _discard_tombstones_locked(self, keys: np.ndarray) -> None:
-        if not self._tombstones:
-            return
-        dead = np.fromiter(self._tombstones, dtype=np.int64)
-        hit = keys[np.isin(keys, dead)]
-        if hit.size:
-            self._tombstones.difference_update(int(k) for k in hit)
-            self._dirty()
-
-    def discard_tombstones(self, keys: np.ndarray) -> None:
-        """Drop every tombstone present in ``keys`` (one ``np.isin``)."""
-        keys = np.asarray(keys, dtype=np.int64).ravel()
-        with self._lock:
-            self._discard_tombstones_locked(keys)
-
     def clear(self) -> None:
         with self._lock:
             self._puts.clear()
             self._tombstones.clear()
-            self._dirty()
+            self._entries = None
 
-    # -- scalar probes ---------------------------------------------------------
+    # -- reads -----------------------------------------------------------------
 
-    def has_put(self, key: int) -> bool:
-        return key in self._puts
+    def probe(self, key) -> tuple[bool, bool, int]:
+        """(entry present, entry is tombstone, value) — shaped like
+        :meth:`SortedRun.probe <repro.lsm.run.SortedRun.probe>`.
 
-    def get(self, key: int):
-        """The buffered value, or None when ``key`` has no put."""
-        return self._puts.get(key)
+        The tombstone set is checked first; a put that vanishes between
+        the two checks (a racing seal) reads absent, and the run the
+        seal published answers instead.
+        """
+        if key in self._tombstones:
+            return True, True, TOMBSTONE_VALUE
+        value = self._puts.get(key)
+        if value is None:
+            return False, False, 0
+        return True, False, value
 
-    def is_tombstone(self, key: int) -> bool:
-        return key in self._tombstones
-
-    # -- sorted views ----------------------------------------------------------
-
-    def _materialize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, values, tombstone mask) over *all* entries, sorted —
+        the run layout, and one atomic triple: a reader never pairs
+        arrays from two different generations."""
         # Double-checked: the common case (cache warm) reads one
         # attribute lock-free — the triple is immutable once published.
-        cached = self._sorted
+        cached = self._entries
         if cached is not None:
             return cached
         with self._lock:
-            cached = self._sorted
+            cached = self._entries
             if cached is None:
-                n = len(self._puts)
-                keys = np.fromiter(
-                    self._puts.keys(), dtype=np.int64, count=n
+                puts, tombs = len(self._puts), len(self._tombstones)
+                keys = np.empty(puts + tombs, dtype=np.int64)
+                values = np.full(puts + tombs, TOMBSTONE_VALUE, np.int64)
+                dead = np.zeros(puts + tombs, dtype=bool)
+                keys[:puts] = np.fromiter(self._puts, np.int64, count=puts)
+                values[:puts] = np.fromiter(
+                    self._puts.values(), np.int64, count=puts
                 )
-                values = np.fromiter(
-                    self._puts.values(), dtype=np.int64, count=n
-                )
+                keys[puts:] = np.fromiter(self._tombstones, np.int64, tombs)
+                dead[puts:] = True
+                # Puts and tombstones are disjoint: the keys are unique.
                 order = np.argsort(keys)
-                tombs = np.fromiter(
-                    self._tombstones,
-                    dtype=np.int64,
-                    count=len(self._tombstones),
-                )
-                tombs.sort()
-                cached = (keys[order], values[order], tombs)
-                self._sorted = cached
+                cached = (keys[order], values[order], dead[order])
+                self._entries = cached
         return cached
 
-    def views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One atomic (put keys, put values, tombstone keys) triple.
-
-        Readers that fetch :meth:`put_keys` and :meth:`tombstone_keys`
-        separately can interleave with a writer and pair views from two
-        different generations; this returns the single cached triple,
-        so the three arrays are always mutually consistent.
-        """
-        return self._materialize()
-
-    def put_keys(self) -> np.ndarray:
-        """Sorted buffered put keys (the classic delta array)."""
-        return self._materialize()[0]
-
-    def put_values(self) -> np.ndarray:
-        """Values aligned to :meth:`put_keys`."""
-        return self._materialize()[1]
-
-    def tombstone_keys(self) -> np.ndarray:
-        """Sorted tombstoned keys."""
-        return self._materialize()[2]
-
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, values, tombstone mask) over *all* entries, sorted.
-
-        Puts and tombstones are disjoint by invariant, so the union is
-        the run layout a seal writes: tombstones become entries with
-        :data:`TOMBSTONE_VALUE` and a set mask bit.
-        """
-        put_keys, put_values, tombs = self._materialize()
-        if tombs.size == 0:
-            return put_keys, put_values, np.zeros(put_keys.size, dtype=bool)
-        keys = np.concatenate([put_keys, tombs])
-        values = np.concatenate(
-            [put_values, np.full(tombs.size, TOMBSTONE_VALUE, dtype=np.int64)]
-        )
-        dead = np.zeros(keys.size, dtype=bool)
-        dead[put_keys.size:] = True
-        order = np.argsort(keys, kind="stable")
-        return keys[order], values[order], dead[order]
-
     # -- accounting ------------------------------------------------------------
-
-    @property
-    def num_puts(self) -> int:
-        return len(self._puts)
-
-    @property
-    def num_tombstones(self) -> int:
-        return len(self._tombstones)
 
     def __len__(self) -> int:
         """Total buffered entries (puts + tombstones) — what a seal

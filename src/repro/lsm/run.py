@@ -42,9 +42,10 @@ import numpy as np
 from ..bloom.standard import BloomFilter
 from ..core.rmi import RecursiveModelIndex
 from ..range_scan import assemble_slices
+from ..util import as_int64_pairs
 from .format import RUN_MAGIC, CorruptRunError, SectionFile, write_section_file
 
-__all__ = ["SortedRun", "DEFAULT_LEAF_TARGET", "BLOOM_FPR"]
+__all__ = ["SortedRun", "DEFAULT_LEAF_TARGET", "BLOOM_FPR", "probe_at"]
 
 #: Target keys per RMI leaf when sealing a run; leaves scale with run
 #: size so error windows stay page-sized from 4k-key seals to
@@ -101,15 +102,34 @@ def _build_bloom(keys: np.ndarray) -> BloomFilter:
     return bloom
 
 
+def probe_at(keys, values, tombstones, queries, pos):
+    """(entry mask, tombstone mask, values) of a query batch in one
+    run-layout triple, given each query's lower bound ``pos`` in
+    ``keys`` — the membership test that ends every batch probe, a
+    run's (``pos`` from its RMI) and the memtable's (from one
+    ``searchsorted``)."""
+    n = keys.size
+    if n == 0:
+        empty = np.zeros(queries.size, dtype=bool)
+        return empty, empty.copy(), np.zeros(queries.size, dtype=np.int64)
+    safe = np.minimum(pos, n - 1)
+    hit = (pos < n) & (keys[safe] == queries)
+    return hit, hit & tombstones[safe], values[safe]
+
+
 class SortedRun:
     """One immutable level of an LSM store.
 
     Parameters
     ----------
     keys:
-        Sorted unique int64 keys — both live entries and tombstones.
+        Sorted unique int64 keys — both live entries and tombstones —
+        under the key contract (:func:`repro.util.as_int64_keys`): a
+        non-integer array is a ``TypeError`` and a key outside int64
+        an ``OverflowError``, never a cast that changes a key.
     values:
-        Parallel payloads (ignored for tombstone entries).
+        Parallel int64 payloads (ignored for tombstone entries),
+        under the same contract; they default to the keys.
     tombstones:
         Parallel bool mask; True marks a delete marker that shadows any
         older run's version of the key.
@@ -133,16 +153,14 @@ class SortedRun:
         sequence: int = 0,
         level: int = 0,
     ):
-        keys = np.asarray(keys, dtype=np.int64)
+        keys, values = as_int64_pairs(keys, values)
         if keys.size and np.any(keys[1:] <= keys[:-1]):
             raise ValueError("run keys must be sorted and unique")
-        if values is None:
-            values = keys.copy()
         if tombstones is None:
             tombstones = np.zeros(keys.size, dtype=bool)
         self._adopt(
             keys,
-            np.asarray(values, dtype=np.int64),
+            values,
             np.asarray(tombstones, dtype=bool),
             _train_rmi(keys),
             _build_bloom(keys),
@@ -194,10 +212,10 @@ class SortedRun:
         """Wrap existing sorted unique arrays as a run without copying
         them or re-checking their order; trains the RMI and builds the
         filter over ``keys``, as the constructor does."""
-        keys = np.asarray(keys, dtype=np.int64)
+        keys, values = as_int64_pairs(keys, values)
         return cls.__new__(cls)._adopt(
             keys,
-            np.asarray(values, dtype=np.int64),
+            values,
             np.asarray(tombstones, dtype=bool),
             _train_rmi(keys),
             _build_bloom(keys),
@@ -393,15 +411,8 @@ class SortedRun:
         run *answers* (present or deleted) versus which fall through
         to older runs.
         """
-        n = self._n
-        if n == 0:
-            empty = np.zeros(queries.size, dtype=bool)
-            return empty, empty.copy(), np.zeros(queries.size, dtype=np.int64)
         pos = self.rmi.lookup_batch(queries)
-        safe = np.minimum(pos, n - 1)
-        hit = (pos < n) & (self.keys[safe] == queries)
-        dead = hit & self.tombstones[safe]
-        return hit, dead, self.values[safe]
+        return probe_at(self.keys, self.values, self.tombstones, queries, pos)
 
     # -- range reads -----------------------------------------------------------
 

@@ -221,7 +221,6 @@ def merge_scan_results(
     results,
     *,
     drop_masks=None,
-    dedup: bool = True,
     payloads=None,
 ):
     """K-way merge of per-range results from priority-ordered sources.
@@ -237,11 +236,11 @@ def merge_scan_results(
     the entries kept stay in order and the new offsets come from a
     cumulative count of them.
 
-    Sources are ordered newest-first: with ``dedup=True`` (the
-    default), equal keys within a range collapse to the entry from the
-    lowest-indexed source that holds them (within one source, the
-    first) — LSM "newest version wins" semantics, and a superset of
-    ``np.union1d`` deduplication for disjoint sources.
+    Sources are ordered newest-first: equal keys within a range
+    collapse to the entry from the lowest-indexed source that holds
+    them (within one source, the first) — LSM "newest version wins"
+    semantics, and a superset of ``np.union1d`` deduplication for
+    disjoint sources.
     ``drop_masks[s]`` (optional, aligned to ``results[s].values``)
     flags entries such as tombstones: when a flagged entry wins its
     key, the key is suppressed from the merged output entirely,
@@ -268,7 +267,6 @@ def merge_scan_results(
         return _filter_one_source(
             results[0],
             None if drop_masks is None else drop_masks[0],
-            dedup,
             None if payloads is None else payloads[0],
         )
     range_ids = np.arange(m, dtype=np.int64)
@@ -294,12 +292,9 @@ def merge_scan_results(
     dead = np.concatenate(dead_parts)
     order = np.lexsort((rank, keys, ids))
     ids, keys, dead = ids[order], keys[order], dead[order]
-    if dedup:
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])
-        keep = first & ~dead
-    else:
-        keep = ~dead
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])
+    keep &= ~dead
     ids, keys = ids[keep], keys[keep]
     offsets = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(ids, minlength=m), out=offsets[1:])
@@ -310,12 +305,11 @@ def merge_scan_results(
     return merged
 
 
-def _filter_one_source(result, drop_mask, dedup: bool, payload):
+def _filter_one_source(result, drop_mask, payload):
     """:func:`merge_scan_results` over one source, whose ranges are
     each ascending already: the lexsort would be the identity, so the
-    merge is the filter ``~dead`` (and, with ``dedup``, first
-    occurrence within each range), with offsets from a cumulative
-    count of the entries kept."""
+    merge is the filter ``~dead`` and first occurrence within each
+    range, with offsets from a cumulative count of the entries kept."""
     keys = np.asarray(result.values)
     if payload is not None:
         payload = np.asarray(payload)
@@ -325,7 +319,7 @@ def _filter_one_source(result, drop_mask, dedup: bool, payload):
         keep = np.ones(keys.size, dtype=bool)
     else:
         keep = ~np.asarray(drop_mask, dtype=bool)
-    if dedup and keys.size:
+    if keys.size:
         first = np.empty(keys.size, dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])

@@ -28,7 +28,7 @@ touches the store not at all.  :class:`CoalescerStats` counts ticks,
 store calls, batch sizes, fallbacks and cancellations.
 
 Key contract: the scalars follow the store's
-(:func:`~repro.lsm.store.as_int64_key`): a non-integer key is a
+(:func:`~repro.util.as_int64_key`): a non-integer key is a
 ``TypeError`` and a key outside int64 an ``OverflowError``.  Unlike a
 store, :meth:`CoalescingIndexServer.range_query` refuses a float
 endpoint too, like its batch form, since a tick packs every range into
@@ -42,10 +42,10 @@ import time
 
 import numpy as np
 
-from ..lsm.store import as_int64_key, as_int64_keys
 from ..obs import MetricsRegistry, StatsView, counter_field, tracing
 from ..obs import state as obs_state
 from ..range_scan import RangeScanResult
+from ..util import as_int64_key, as_int64_keys
 
 __all__ = ["CoalescingIndexServer", "CoalescerStats"]
 

@@ -90,13 +90,7 @@ from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
-from ..lsm.store import (
-    KVSurface,
-    LearnedLSMStore,
-    as_int64_keys,
-    as_int64_pairs,
-    range_endpoints,
-)
+from ..lsm.store import KVSurface, LearnedLSMStore
 from ..lsm.wal import RECORD_PUT
 from ..obs import (
     MetricsRegistry,
@@ -107,6 +101,7 @@ from ..obs import (
 )
 from ..obs import state as obs_state
 from ..range_scan import RangeScanResult
+from ..util import as_int64_keys, as_int64_pairs, range_endpoints
 from .splitter import CDFSplitter
 
 __all__ = [

@@ -8,13 +8,25 @@ over the same buffer returns native Python scalars in ~150ns, so every
 index's scalar hot path reads keys through this view while vectorized
 code keeps using the numpy array.  (In the paper's C++ setting this
 distinction does not exist; both are a single load.)
+
+The key contract (``as_int64_keys`` / ``as_int64_key`` /
+``as_int64_pairs``) lives here too, below every structure that stores
+int64 keys — the LSM store and its memtable and runs, the writable and
+paged indexes — so each refuses a key it would otherwise change:
+a non-integer is a ``TypeError``, a key outside int64 an
+``OverflowError``, and a refused call changes nothing.
 """
 
 from __future__ import annotations
 
+from operator import index as _index
+
 import numpy as np
 
-__all__ = ["scalar_view", "clamp_into"]
+__all__ = [
+    "scalar_view", "clamp_into",
+    "as_int64_key", "as_int64_keys", "as_int64_pairs", "range_endpoints",
+]
 
 _VIEWABLE = {
     np.dtype(np.int64),
@@ -68,3 +80,64 @@ def clamp_into(values: np.ndarray, low, high) -> np.ndarray:
     np.minimum(values, high, out=values)
     return values
 
+
+_KEY_MIN, _KEY_MAX = -(2**63), 2**63 - 1  # the int64 key domain
+
+
+def as_int64_keys(keys) -> np.ndarray:
+    """The key contract, batch form: an integer array in the int64
+    domain, or a typed refusal — never a cast that changes a key.
+
+    The ``SortedKeyColumn`` contract — float keys would
+    silently alias above 2^53, and a float *query* would truncate
+    onto a neighbouring key — so every batch surface that takes keys
+    (writes and point reads alike) refuses them with ``TypeError``,
+    and a uint64 value above ``2^63 - 1`` with ``OverflowError`` (the
+    cast would wrap it onto a negative key).  Plain Python int
+    sequences infer an integer dtype and pass; an empty batch passes
+    regardless of numpy's float64 default for ``[]``.
+    """
+    arr = np.asarray(keys)
+    if arr.dtype == np.int64:  # the per-request case: nothing to check
+        return arr.ravel()
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(
+            "batch keys must be an integer array, got dtype "
+            f"{arr.dtype}; cast explicitly if that loss is intended"
+        )
+    if arr.dtype == np.uint64 and int(arr.max()) > _KEY_MAX:
+        raise OverflowError(f"key {arr.max()} is outside the int64 key domain")
+    return arr.astype(np.int64).ravel()
+
+
+def as_int64_key(key) -> int:
+    """The key contract, scalar form: ``key`` as a Python int.
+    ``TypeError`` for a non-integer (``2.5``, ``2.0``, ``"7"`` — no
+    truncation onto a neighbour), ``OverflowError`` outside int64."""
+    key = _index(key)
+    if not _KEY_MIN <= key <= _KEY_MAX:
+        raise OverflowError(f"key {key} is outside the int64 key domain")
+    return key
+
+
+def as_int64_pairs(keys, values=None) -> tuple[np.ndarray, np.ndarray]:
+    """Parallel ``(keys, values)`` under the key contract; values
+    default to the keys (the key-only callers' payload)."""
+    keys = as_int64_keys(keys)
+    values = keys if values is None else as_int64_keys(values)
+    if values.size != keys.size:
+        raise ValueError("keys and values must have the same length")
+    return keys, values
+
+
+def range_endpoints(lows, highs) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize endpoint arrays, keeping their native dtype so
+    int64 ranges resolve exactly through every run's query core and a
+    float endpoint bounds the range where it says."""
+    lows = np.asarray(lows).ravel()
+    highs = np.asarray(highs).ravel()
+    if lows.size != highs.size:
+        raise ValueError("lows and highs must have the same length")
+    return lows, highs

@@ -19,53 +19,102 @@ class TestMemtable:
     def test_put_get_delete(self):
         mem = Memtable()
         mem.put(5, 50)
-        assert mem.get(5) == 50
-        assert mem.has_put(5)
+        assert mem.probe(5) == (True, False, 50)
         mem.put(5, 51)
-        assert mem.get(5) == 51
+        assert mem.probe(5) == (True, False, 51)
         assert len(mem) == 1
         mem.delete(5)
-        assert not mem.has_put(5)
-        assert mem.is_tombstone(5)
+        assert mem.probe(5) == (True, True, 0)
         assert len(mem) == 1  # the tombstone is an entry
+        assert mem.probe(6) == (False, False, 0)
 
     def test_put_overrides_tombstone(self):
         mem = Memtable()
         mem.delete(9)
         mem.put(9, 90)
-        assert not mem.is_tombstone(9)
-        assert mem.get(9) == 90
+        assert mem.probe(9) == (True, False, 90)
 
     def test_put_batch_last_wins(self):
         mem = Memtable()
         mem.put_batch([3, 1, 3], [30, 10, 31])
-        assert mem.get(3) == 31
-        np.testing.assert_array_equal(mem.put_keys(), [1, 3])
-        np.testing.assert_array_equal(mem.put_values(), [10, 31])
+        assert mem.probe(3) == (True, False, 31)
+        keys, values, dead = mem.entries()
+        np.testing.assert_array_equal(keys, [1, 3])
+        np.testing.assert_array_equal(values, [10, 31])
+        assert not dead.any()
+
+    def test_put_batch_clears_tombstones(self):
+        mem = Memtable()
+        mem.delete_batch([1, 2, 3])
+        mem.put_batch([2, 4], [20, 40])
+        keys, values, dead = mem.entries()
+        np.testing.assert_array_equal(keys, [1, 2, 3, 4])
+        np.testing.assert_array_equal(dead, [True, False, True, False])
+        np.testing.assert_array_equal(values, [0, 20, 0, 40])
 
     def test_sorted_views_track_mutations(self):
         mem = Memtable()
         mem.put_batch([5, 2, 9], [1, 2, 3])
-        np.testing.assert_array_equal(mem.put_keys(), [2, 5, 9])
+        np.testing.assert_array_equal(mem.entries()[0], [2, 5, 9])
         mem.delete(5)
-        np.testing.assert_array_equal(mem.put_keys(), [2, 9])
-        np.testing.assert_array_equal(mem.tombstone_keys(), [5])
+        keys, _, dead = mem.entries()
+        np.testing.assert_array_equal(keys, [2, 5, 9])
+        np.testing.assert_array_equal(dead, [False, True, False])
+        mem.clear()
+        assert all(part.size == 0 for part in mem.entries())
 
-    def test_snapshot_interleaves_tombstones(self):
+    def test_entries_interleave_tombstones(self):
         mem = Memtable()
         mem.put_batch([2, 8], [20, 80])
         mem.delete(5)
-        keys, values, dead = mem.snapshot()
+        keys, values, dead = mem.entries()
         np.testing.assert_array_equal(keys, [2, 5, 8])
         np.testing.assert_array_equal(dead, [False, True, False])
-        np.testing.assert_array_equal(values[~dead], [20, 80])
+        np.testing.assert_array_equal(values, [20, 0, 80])
 
-    def test_remove_put_primitive(self):
+    def test_entries_are_cached_until_a_write(self):
         mem = Memtable()
-        mem.put(4, 40)
-        assert mem.remove_put(4)
-        assert not mem.remove_put(4)
-        assert not mem.is_tombstone(4)  # remove_put never tombstones
+        mem.put_batch([4, 1], [40, 10])
+        mem.delete(2)
+        first = mem.entries()
+        assert mem.entries() is first
+        mem.probe(4)
+        assert mem.entries() is first
+        mem.put(3, 30)
+        assert mem.entries() is not first
+
+    @pytest.mark.parametrize(
+        "write, error",
+        [
+            (lambda m: m.put_batch(np.array([2.5]), np.array([1])), TypeError),
+            (lambda m: m.put_batch(np.array([2]), np.array([1.5])), TypeError),
+            (lambda m: m.put_batch(["7"], [1]), TypeError),
+            (lambda m: m.delete_batch(np.array([2.0])), TypeError),
+            (
+                lambda m: m.put_batch(
+                    np.array([2**63], dtype=np.uint64), np.array([1])
+                ),
+                OverflowError,
+            ),
+            (
+                lambda m: m.delete_batch(
+                    np.array([1, 2**64 - 5], dtype=np.uint64)
+                ),
+                OverflowError,
+            ),
+        ],
+    )
+    def test_key_contract_refuses_and_buffers_nothing(self, write, error):
+        """A float key used to buffer its truncation (2.5 as 2) and a
+        uint64 above 2^63 - 1 its wrap onto a negative key."""
+        mem = Memtable()
+        mem.put(1, 10)
+        before = mem.entries()
+        with pytest.raises(error):
+            write(mem)
+        assert len(mem) == 1
+        assert mem.entries() is before
+        assert mem.probe(2) == (False, False, 0)
 
 
 # -- sorted runs ---------------------------------------------------------------
@@ -80,7 +129,7 @@ class TestSortedRun:
         mem.put_batch(keys, vals)
         for k in keys[:100]:
             mem.delete(int(k))
-        run = SortedRun(*mem.snapshot())
+        run = SortedRun(*mem.entries())
         hit, dead, got = run.probe_batch(np.sort(keys))
         assert hit.all()
         assert int(dead.sum()) == len(set(keys[:100].tolist()))
@@ -95,6 +144,25 @@ class TestSortedRun:
             SortedRun(np.array([3, 1]))
         with pytest.raises(ValueError):
             SortedRun(np.array([1, 1]))
+
+    def test_key_contract(self):
+        """``2**63`` as uint64 used to wrap to ``-2**63``, and float
+        keys to truncate onto their integer neighbours."""
+        with pytest.raises(OverflowError):
+            SortedRun(np.array([2**63], dtype=np.uint64))
+        with pytest.raises(TypeError):
+            SortedRun(np.array([0.5, 1.5]))
+        with pytest.raises(TypeError):
+            SortedRun(np.array([1, 2]), np.array([1.5, 2.5]))
+        dead = np.zeros(1, dtype=bool)
+        with pytest.raises(TypeError):
+            SortedRun.from_arrays(np.array([2.5]), np.array([1]), dead)
+        with pytest.raises(OverflowError):
+            SortedRun.from_arrays(
+                np.array([2**63], dtype=np.uint64), np.array([1]), dead
+            )
+        top = np.array([2**63 - 1], dtype=np.uint64)
+        assert SortedRun(top).keys.tolist() == [2**63 - 1]
 
     def test_bloom_has_no_false_negatives(self):
         keys = np.arange(0, 50_000, 7, dtype=np.int64)
@@ -561,19 +629,14 @@ class TestMemtableEndpointExactness:
         sealed = store.range_query_batch(lows, highs)
         assert list(sealed[0]) == list(buffered[0])
 
-    def test_reads_never_rematerialize_the_seal_layout(self, monkeypatch):
-        """Reads consume the memtable's cached view triple;
-        ``Memtable.snapshot()`` (a concatenate + stable argsort once a
-        tombstone is buffered) is what a seal writes, not a per-read
-        cost."""
+    def test_reads_never_rematerialize_the_seal_layout(self):
+        """Reads with no write between them share the memtable's one
+        cached run-layout triple, and ``flush()`` seals exactly that
+        triple: the run adopts its arrays, with no second sort."""
         store = LearnedLSMStore(np.arange(0, 100, 2), memtable_capacity=10**9)
         store.insert_batch([1, 3, 4], [10, 30, 40])
         store.delete_batch([4, 6])
-
-        def boom(self):
-            raise AssertionError("a read re-materialized the seal layout")
-
-        monkeypatch.setattr(Memtable, "snapshot", boom)
+        triple = store.memtable.entries()
         values, found = store.lookup_batch([1, 4, 6, 8])
         assert found.tolist() == [True, False, False, True]
         assert values.tolist() == [10, 0, 0, 8]
@@ -581,9 +644,20 @@ class TestMemtableEndpointExactness:
         items, payloads = store.range_items_batch([0], [8])
         assert list(items[0]) == [0, 1, 2, 3, 8]
         assert payloads.tolist() == [0, 10, 2, 30, 8]
+        assert store.lookup(3) == 30 and store.lookup(6) is None
         with store.snapshot() as snap:
+            assert snap.mem is triple
             assert snap.lookup_batch([3, 6])[1].tolist() == [True, False]
             assert list(snap.range_query_batch([5], [9])[0]) == [8]
+        assert list(store.live_keys()[:6]) == [0, 1, 2, 3, 8, 10]
+        assert store.memtable.entries() is triple
+        store.flush()
+        sealed = store.runs[0]
+        for stored, buffered in zip(
+            (sealed.keys, sealed.values, sealed.tombstones), triple
+        ):
+            assert np.shares_memory(stored, buffered)
+            np.testing.assert_array_equal(stored, buffered)
 
 
 # -- compaction no-progress guard (ISSUE 7) ------------------------------------

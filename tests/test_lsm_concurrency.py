@@ -4,7 +4,7 @@ Three layers of assurance for the repo's first threads:
 
 * **Stress** — the races the thread-safety audit fixed, amplified with
   a tiny interpreter switch interval so the *unfixed* code fails here
-  (``Memtable._materialize`` iterating a dict a writer mutates raises
+  (``Memtable.entries`` iterating a dict a writer mutates raises
   ``RuntimeError``/``ValueError``; unsynchronized ``+=`` on the stats
   counters loses increments).  Run under ``PYTHONDEVMODE=1`` in the CI
   stress lane.
@@ -96,11 +96,11 @@ class TestStress:
 
         def reader():
             while not stop.is_set():
-                put_keys, put_values, tombs = mem.views()
-                assert put_keys.size == put_values.size
-                if put_keys.size > 1:
-                    assert (np.diff(put_keys) > 0).all()
-                mem.snapshot()
+                keys, values, dead = mem.entries()
+                assert keys.size == values.size == dead.size
+                if keys.size > 1:
+                    assert (np.diff(keys) > 0).all()
+                assert not values[dead].any()
 
         _run_threads([writer, reader, reader, reader])
 

@@ -182,3 +182,34 @@ def test_every_exported_definition_has_a_consumer():
         if name not in reached
     )
     assert not orphans, f"no product code, bench or example uses {orphans}"
+
+
+#: The index packages, and the storage and serving packages built on
+#: top of them: nothing below may import anything above.
+INDEX_LAYERS = ("repro.core", "repro.btree", "repro.families", "repro.models")
+SYSTEM_LAYERS = ("repro.lsm", "repro.serving")
+
+
+def within(module: str, packages: tuple[str, ...]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in packages)
+
+
+def test_index_layers_import_no_storage_or_serving():
+    """The learned indexes stand alone: the LSM store and the serving
+    layer compose them, never the other way round."""
+    scanned, offenders = set(), set()
+    for path, tree in parsed().items():
+        if not path.is_relative_to(SRC):
+            continue
+        module = module_name(path)
+        if not within(module, INDEX_LAYERS):
+            continue
+        scanned.add(module)
+        for base, name in imports_of(path, tree):
+            targets = {base} if name is None else {base, f"{base}.{name}"}
+            offenders |= {
+                f"{module} -> {t}" for t in targets if within(t, SYSTEM_LAYERS)
+            }
+    # The scan must see the modules it guards, or it proves nothing.
+    assert {"repro.core.writable", "repro.families.pgm"} <= scanned
+    assert not offenders, sorted(offenders)

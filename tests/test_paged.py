@@ -111,6 +111,22 @@ class TestPagedLookup:
         with pytest.raises(ValueError):
             PagedLearnedIndex(np.array([1, 1, 2]))
 
+    def test_key_contract(self):
+        """Float keys used to truncate onto integers (0.5 stored as 0,
+        so ``contains(1)`` was True and ``contains(0.5)`` False), and a
+        uint64 above 2^63 - 1 wrapped onto a negative key."""
+        with pytest.raises(TypeError):
+            PagedLearnedIndex(np.array([0.5, 1.5, 2.5, 3.5]), page_size=2)
+        with pytest.raises(TypeError):
+            PageStore(np.array([0.5, 1.5]))
+        with pytest.raises(OverflowError):
+            PagedLearnedIndex(np.array([1, 2**63], dtype=np.uint64))
+        with pytest.raises(OverflowError):
+            PageStore(np.array([2**64 - 5], dtype=np.uint64))
+        top = np.array([2**63 - 2, 2**63 - 1], dtype=np.uint64)
+        index = PagedLearnedIndex(top, page_size=1)
+        assert index.contains(2**63 - 1) and not index.contains(-(2**63))
+
 
 class TestIOProfile:
     def test_one_page_read_in_the_common_case(self, keys):

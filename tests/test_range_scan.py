@@ -242,8 +242,8 @@ def _source(ranges, seed):
 
 class TestMergeOneSource:
     @COMMON
-    @given(_range_lists, st.booleans(), st.booleans(), st.integers(0, 99))
-    def test_equals_the_lexsort_path(self, ranges, masked, dedup, seed):
+    @given(_range_lists, st.booleans(), st.integers(0, 99))
+    def test_equals_the_lexsort_path(self, ranges, masked, seed):
         source, mask, payload = _source(ranges, seed)
         m = len(source)
         empty = RangeScanResult(
@@ -252,19 +252,18 @@ class TestMergeOneSource:
         )
         masks = [mask] if masked else None
         got, got_pay = merge_scan_results(
-            [source], drop_masks=masks, dedup=dedup, payloads=[payload]
+            [source], drop_masks=masks, payloads=[payload]
         )
         want, want_pay = merge_scan_results(
             [source, empty],
             drop_masks=None if masks is None else masks + [None],
-            dedup=dedup,
             payloads=[payload, np.empty(0, dtype=payload.dtype)],
         )
         for a, b in ((got.values, want.values), (got.offsets, want.offsets),
                      (got_pay, want_pay)):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
-        plain = merge_scan_results([source], drop_masks=masks, dedup=dedup)
+        plain = merge_scan_results([source], drop_masks=masks)
         np.testing.assert_array_equal(plain.values, got.values)
         np.testing.assert_array_equal(plain.offsets, got.offsets)
 

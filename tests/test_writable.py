@@ -199,6 +199,24 @@ class TestRangeQueries:
                 key = int(rng.choice(sorted(reference)))
                 index.delete(key)
                 reference.discard(key)
+        # Batch inserts interleaved with deletes: each batch resurrects
+        # tombstoned main keys and repeats delta, live-main and fresh
+        # keys, which must all land exactly as a scalar insert loop.
+        main = base_keys.tolist()
+        for _ in range(40):
+            gone = [int(k) for k in rng.choice(main, 6)]
+            gone.append(int(rng.choice(sorted(reference))))
+            for key in gone:
+                assert index.delete(key) == (key in reference)
+                reference.discard(key)
+            batch = gone[: int(rng.integers(1, 8))] + [
+                int(k) for k in rng.integers(0, base_keys.max() * 2, 4)
+            ]
+            batch += [int(rng.choice(sorted(reference))), batch[0]]
+            index.insert_batch(np.array(batch))
+            reference.update(batch)
+            for key in gone + batch:
+                assert index.contains(key) == (key in reference), key
         lo, hi = sorted(
             (int(rng.integers(0, base_keys.max())),
              int(rng.integers(0, base_keys.max())))
