@@ -23,7 +23,7 @@ from repro.bench import (
     measure_lookups,
     percentage,
 )
-from repro.btree import GenericBTreeIndex
+from repro.btree import BTreeIndex
 from repro.core import StringRMI
 from repro.data import string_dataset
 
@@ -69,7 +69,7 @@ def test_figure6_string_dataset(query_rng):
     def add(name, index, model_probe):
         total = measure_lookups(index.lookup, queries, repeats=2)
         model = measure_lookups(model_probe, queries, repeats=2)
-        if isinstance(index, GenericBTreeIndex):
+        if isinstance(index, BTreeIndex):
             modeled = STRING_COST.btree_lookup(
                 index.height, index.page_size, index.size_bytes()
             )
@@ -89,7 +89,7 @@ def test_figure6_string_dataset(query_rng):
         )
 
     for page in PAGE_SIZES:
-        tree = GenericBTreeIndex(keys, page_size=page)
+        tree = BTreeIndex(keys, page_size=page)
         add(f"btree page={page}", tree, tree.find_page)
 
     epochs = 80

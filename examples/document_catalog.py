@@ -5,7 +5,8 @@ over non-continuous document-id strings.  This example builds the
 learned string index (token-vector root + linear leaves + per-leaf
 error bounds), turns on the hybrid B-Tree fallback for hard regions,
 and serves prefix-range scans — the classic "all documents in shard
-17" query.
+17" query.  The baseline is the same :class:`repro.btree.BTreeIndex`
+the numeric benchmarks race, over the id strings.
 
 Run:  python examples/document_catalog.py
 """
@@ -13,7 +14,7 @@ Run:  python examples/document_catalog.py
 import bisect
 import time
 
-from repro.btree import GenericBTreeIndex
+from repro.btree import BTreeIndex
 from repro.core import StringRMI
 from repro.data import string_dataset
 
@@ -40,7 +41,7 @@ def main() -> None:
           f"mean error window {index.mean_error_window:.0f}, "
           f"{index.replaced_leaf_count} leaves fell back to B-Trees")
 
-    btree = GenericBTreeIndex(doc_ids, page_size=128)
+    btree = BTreeIndex(doc_ids, page_size=128)
     print(f"  string B-Tree baseline: {btree.size_bytes() / 1024:.0f} KB")
 
     # Point lookups (existence checks).

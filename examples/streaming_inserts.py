@@ -13,9 +13,6 @@ This example streams two workloads into :class:`WritableLearnedIndex`:
 2. **random inserts** — keys landing anywhere: merges retrain (cheap,
    closed-form leaves).
 
-It also demos the Section 7 "Beyond Indexing" sketch: sorting the
-incoming batch with a learned CDF partition + insertion repair.
-
 Run:  python examples/streaming_inserts.py
 """
 
@@ -23,8 +20,7 @@ import time
 
 import numpy as np
 
-from repro.core import WritableLearnedIndex, learned_sort
-from repro.data import lognormal_keys
+from repro.core import WritableLearnedIndex
 
 
 def stream(index, batches, label):
@@ -71,20 +67,6 @@ def main() -> None:
     index.delete(int(base[1234]))
     assert not index.contains(int(base[1234]))
     print(f"  after deletes: {index!r}")
-
-    # Bonus: learned sort of an incoming unsorted batch (Section 7).
-    batch = lognormal_keys(200_000, seed=41).astype(np.float64)
-    rng.shuffle(batch)
-    start = time.perf_counter()
-    ordered, stats = learned_sort(batch, return_stats=True)
-    learned_s = time.perf_counter() - start
-    start = time.perf_counter()
-    reference = np.sort(batch)
-    numpy_s = time.perf_counter() - start
-    assert np.array_equal(ordered, reference)
-    print(f"\nlearned sort: {len(batch):,} keys in {learned_s:.2f}s "
-          f"(model partition left {stats.displacement_per_key:.2f} "
-          f"shifts/key for the repair pass; numpy C quicksort: {numpy_s:.2f}s)")
 
 
 if __name__ == "__main__":

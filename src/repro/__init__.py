@@ -52,7 +52,6 @@ from .btree import (
     BTreeIndex,
     FASTTree,
     FixedSizeBTree,
-    GenericBTreeIndex,
     HierarchicalLookupTable,
 )
 from .core import (
@@ -92,7 +91,6 @@ __all__ = [
     "FASTTree",
     "FixedSizeBTree",
     "GRUClassifier",
-    "GenericBTreeIndex",
     "GenericCuckooHashMap",
     "HierarchicalLookupTable",
     "HybridIndex",

@@ -59,8 +59,26 @@ def optimal_hash_count(m: int, n: int) -> int:
     return max(1, int(round(m / n * math.log(2))))
 
 
+def _integral(key) -> int | None:
+    """A number's ``int`` if it is integral, else ``None``."""
+    try:
+        value = int(key)
+    except (ValueError, OverflowError):  # NaN, +-inf
+        return None
+    return value if value == key else None
+
+
+def _refuse(key) -> TypeError:
+    return TypeError(f"bloom filter keys are integers or strings, not {key!r}")
+
+
 class BloomFilter:
-    """Bit-array Bloom filter over string or integer keys."""
+    """Bit-array Bloom filter over string or integer keys.
+
+    A number that is not an integer is never a key: ``in`` and
+    :meth:`contains_batch` answer ``False`` for it, and :meth:`add` /
+    :meth:`add_batch` raise ``TypeError`` and add nothing.
+    """
 
     def __init__(self, num_bits: int, num_hashes: int):
         if num_bits < 1:
@@ -81,20 +99,30 @@ class BloomFilter:
 
     # -- hashing --------------------------------------------------------------
 
-    def _hash_pair(self, key) -> tuple[int, int]:
+    def _hash_pair(self, key) -> tuple[int, int] | None:
+        """The key's two hashes, or ``None`` for a number that is not
+        an integer (``2.5``, NaN): no integer key is equal to it.  An
+        integral number hashes as its ``int``."""
+        if type(key) is not int and not isinstance(key, str):
+            key = _integral(key)
+            if key is None:
+                return None
         if isinstance(key, str):
             h1 = murmur3_string(key, seed=0x9747B28C)
             h2 = murmur3_string(key, seed=0x1B873593)
         else:
-            h = murmur_fmix64(int(key), seed=1)
+            h = murmur_fmix64(key, seed=1)
             h1, h2 = h & 0xFFFFFFFF, (h >> 32) & 0xFFFFFFFF
         # Double hashing degenerates if h2 == 0 mod m.
         if h2 % self.num_bits == 0:
             h2 += 1
         return h1, h2
 
-    def _positions(self, key) -> list[int]:
-        h1, h2 = self._hash_pair(key)
+    def _positions(self, key) -> list[int] | None:
+        pair = self._hash_pair(key)
+        if pair is None:
+            return None
+        h1, h2 = pair
         m = self.num_bits
         return [(h1 + i * h2) % m for i in range(self.num_hashes)]
 
@@ -148,7 +176,10 @@ class BloomFilter:
     # -- operations ------------------------------------------------------------
 
     def add(self, key) -> None:
-        for pos in self._positions(key):
+        positions = self._positions(key)
+        if positions is None:
+            raise _refuse(key)
+        for pos in positions:
             self._bits[pos >> 3] |= 1 << (pos & 7)
         self.count += 1
 
@@ -166,8 +197,14 @@ class BloomFilter:
         """
         arr = self._as_int_array(keys)
         if arr is None:
-            for key in keys:
-                self.add(key)
+            keys = list(keys)
+            rows = [self._positions(key) for key in keys]
+            if None in rows:
+                raise _refuse(keys[rows.index(None)])
+            for positions in rows:
+                for pos in positions:
+                    self._bits[pos >> 3] |= 1 << (pos & 7)
+            self.count += len(rows)
             return
         if arr.size == 0:
             return
@@ -178,8 +215,11 @@ class BloomFilter:
         self.count += int(arr.size)
 
     def __contains__(self, key) -> bool:
+        positions = self._positions(key)
+        if positions is None:
+            return False
         bits = self._bits
-        for pos in self._positions(key):
+        for pos in positions:
             if not (bits[pos >> 3] >> (pos & 7)) & 1:
                 return False
         return True
@@ -197,10 +237,16 @@ class BloomFilter:
         """
         arr = self._as_int_array(keys)
         if arr is None:
+            rows = [self._positions(key) for key in keys]
+            keyed = np.array([row is not None for row in rows], dtype=bool)
             positions = np.array(
-                [self._positions(key) for key in keys], dtype=np.int64
+                [row for row in rows if row is not None], dtype=np.int64
             )
-            return self._bits_at(positions.reshape(-1, self.num_hashes).T)
+            found = np.zeros(keyed.size, dtype=bool)
+            found[keyed] = self._bits_at(
+                positions.reshape(-1, self.num_hashes).T
+            )
+            return found
         if arr.size >= ROW_WALK_MIN_KEYS:
             return self._contains_walk(arr)
         return self._contains_gather(arr)

@@ -1,6 +1,6 @@
 """Tree and search substrates: every non-learned range-index baseline."""
 
-from .btree import BTreeIndex, GenericBTreeIndex, TraversalStats
+from .btree import BTreeIndex, TraversalStats
 from .fast_tree import SIMD_WIDTH, FASTTree
 from .fixed_btree import FixedSizeBTree
 from .lookup_table import HierarchicalLookupTable
@@ -16,7 +16,6 @@ __all__ = [
     "Counter",
     "FASTTree",
     "FixedSizeBTree",
-    "GenericBTreeIndex",
     "HierarchicalLookupTable",
     "SIMD_WIDTH",
     "TraversalStats",

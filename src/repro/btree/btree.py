@@ -20,8 +20,11 @@ n-th record, i.e., the first key of a page".
   max-error of the page-size" model view of a B-Tree.
 
 The same class doubles as the *hybrid-index fallback* (Section 3.3) by
-indexing an arbitrary key subrange, and as a generic comparable-key
-tree (:class:`GenericBTreeIndex`) for strings.
+indexing an arbitrary key subrange — of numbers under
+:class:`~repro.core.HybridIndex`, of strings under
+:class:`~repro.core.StringRMI` — and as Figure 6's string baseline: any
+comparable keys work, and strings stay the caller's objects in an
+``object`` array.
 
 Instrumentation counters (nodes visited, comparisons) feed the
 Section 2.1 cost model.
@@ -29,15 +32,14 @@ Section 2.1 cost model.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..range_scan import RangeScanIndexMixin
 from ..util import scalar_view
 
-__all__ = ["BTreeIndex", "GenericBTreeIndex", "TraversalStats"]
+__all__ = ["BTreeIndex", "TraversalStats"]
 
 _KEY_BYTES = 8
 _POINTER_BYTES = 8
@@ -50,22 +52,24 @@ class TraversalStats:
     lookups: int = 0
     nodes_visited: int = 0
     comparisons: int = 0
-    extra: dict = field(default_factory=dict)
 
     def reset(self) -> None:
         self.lookups = 0
         self.nodes_visited = 0
         self.comparisons = 0
-        self.extra.clear()
 
 
 class BTreeIndex(RangeScanIndexMixin):
-    """Bulk-loaded dense B+Tree over int/float keys in a sorted array.
+    """Bulk-loaded dense B+Tree over the keys of a sorted array.
 
     Parameters
     ----------
     keys:
-        Sorted numpy array being indexed (the data itself; not copied).
+        Sorted array being indexed (the data itself; a numpy array is
+        not copied).  A sequence of strings becomes an ``object``
+        array of the same strings: a fixed-width numpy string would
+        strip trailing NULs (``np.asarray(['a\\x00'])`` reads back
+        ``'a'``).
     page_size:
         Number of *records* per logical page — the paper's page-size
         knob (Figure 4 uses 32..512).  The tree indexes one key per
@@ -82,7 +86,11 @@ class BTreeIndex(RangeScanIndexMixin):
         page_size: int = 128,
         fanout: int | None = None,
     ):
-        keys = np.asarray(keys)
+        if not isinstance(keys, np.ndarray):
+            array = np.asarray(keys)
+            keys = array if array.dtype.kind not in "US" else np.array(
+                keys, dtype=object
+            )
         if keys.ndim != 1:
             raise ValueError("keys must be one-dimensional")
         # Comparison instead of np.diff: no int64 difference overflow
@@ -135,12 +143,17 @@ class BTreeIndex(RangeScanIndexMixin):
 
         Matches the paper's convention of counting only the index, not
         the data array (Section 3.7.1, "we only counted the extra index
-        overhead excluding the sorted array itself").
+        overhead excluding the sorted array itself").  An ``object``
+        key (a string) counts its length.
         """
-        total = 0
-        for level in self._levels:
-            total += int(level.size) * (_KEY_BYTES + _POINTER_BYTES)
-        return total
+        if self.keys.dtype == object:
+            return sum(
+                len(str(key)) + _POINTER_BYTES
+                for level in self._level_views
+                for key in level
+            )
+        separators = sum(int(level.size) for level in self._levels)
+        return separators * (_KEY_BYTES + _POINTER_BYTES)
 
     @property
     def height(self) -> int:
@@ -225,96 +238,3 @@ class BTreeIndex(RangeScanIndexMixin):
             f"height={self.height}, size={self.size_bytes()}B)"
         )
 
-
-class GenericBTreeIndex:
-    """Bulk-loaded B+Tree over arbitrary comparable keys (e.g. strings).
-
-    Used as the hybrid fallback for string RMIs (Section 3.7.2) and as
-    the string-dataset baseline in Figure 6.  Same dense bottom-up
-    design as :class:`BTreeIndex`, with Python-object key storage.
-    """
-
-    def __init__(self, keys: list, page_size: int = 128):
-        if page_size < 1:
-            raise ValueError("page_size must be >= 1")
-        if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
-            raise ValueError("keys must be sorted ascending")
-        self.keys = list(keys)
-        self.page_size = int(page_size)
-        self.fanout = max(int(page_size), 2)
-        self.stats = TraversalStats()
-        self._page_starts = list(range(0, len(self.keys), self.page_size))
-        levels: list[list] = [[self.keys[p] for p in self._page_starts]]
-        while len(levels[-1]) > self.fanout:
-            below = levels[-1]
-            levels.append(below[::self.fanout])
-        self._levels = levels
-
-    def size_bytes(self, *, key_bytes: int | None = None) -> int:
-        """Index size; string keys default to their actual byte length."""
-        total = 0
-        for level in self._levels:
-            for key in level:
-                kb = key_bytes if key_bytes is not None else len(str(key))
-                total += kb + _POINTER_BYTES
-        return total
-
-    @property
-    def height(self) -> int:
-        return len(self._levels)
-
-    @property
-    def num_pages(self) -> int:
-        return len(self._page_starts)
-
-    def find_page(self, key) -> int:
-        self.stats.lookups += 1
-        if not self._levels[0]:
-            return 0
-        lo = 0
-        for depth in range(len(self._levels) - 1, -1, -1):
-            level = self._levels[depth]
-            hi = min(lo + self.fanout, len(level))
-            self.stats.nodes_visited += 1
-            left, right = lo, hi
-            while left < right:
-                mid = (left + right) >> 1
-                self.stats.comparisons += 1
-                # strict compare: see BTreeIndex.find_page on duplicates
-                if level[mid] < key:
-                    left = mid + 1
-                else:
-                    right = mid
-            slot = max(left - 1, lo)
-            if depth == 0:
-                return slot
-            lo = slot * self.fanout
-        return 0  # pragma: no cover
-
-    def lookup(self, key) -> int:
-        page = self.find_page(key)
-        start = self._page_starts[page] if self.num_pages else 0
-        end = min(start + self.page_size, len(self.keys))
-        pos = bisect.bisect_left(self.keys, key, start, end)
-        self.stats.comparisons += max(1, int(np.ceil(np.log2(max(end - start, 2)))))
-        return pos
-
-    def contains(self, key) -> bool:
-        pos = self.lookup(key)
-        return pos < len(self.keys) and self.keys[pos] == key
-
-    def upper_bound(self, key) -> int:
-        """Position one past the last stored key <= ``key``."""
-        return bisect.bisect_right(self.keys, key, self.lookup(key))
-
-    def range_query(self, low, high) -> list:
-        """All stored keys in ``[low, high]`` (closed interval)."""
-        if high < low:
-            return []
-        return self.keys[self.lookup(low):self.upper_bound(high)]
-
-    def __repr__(self) -> str:
-        return (
-            f"GenericBTreeIndex(n={len(self.keys)}, "
-            f"page_size={self.page_size}, height={self.height})"
-        )

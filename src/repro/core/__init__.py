@@ -12,11 +12,6 @@ from .learned_hash import (
     LearnedHashFunction,
     conflict_stats,
 )
-from .learned_sort import (
-    LearnedSortStats,
-    learned_sort,
-    train_cdf_model_on_sample,
-)
 from ..range_scan import RangeScanResult, batch_range_scan
 from .engine import (
     SORTED_BATCH_MIN_DUP_FRACTION,
@@ -38,8 +33,6 @@ from .search import (
     SEARCH_STRATEGIES,
     biased_binary_search,
     biased_quaternary_search,
-    bounded_search,
-    verify_lower_bound,
 )
 from .string_index import StringRMI
 
@@ -63,22 +56,17 @@ __all__ = [
     "ModelHashBloomFilter",
     "RMIConfig",
     "RMIStats",
-    "LearnedSortStats",
     "PageStore",
     "PagedLearnedIndex",
     "RecursiveModelIndex",
     "StringRMI",
     "ThresholdTuning",
     "WritableLearnedIndex",
-    "learned_sort",
-    "train_cdf_model_on_sample",
     "biased_binary_search",
     "biased_quaternary_search",
-    "bounded_search",
     "conflict_stats",
     "default_grid",
     "evaluate_config",
     "root_factory",
     "synthesize",
-    "verify_lower_bound",
 ]

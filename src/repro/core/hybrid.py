@@ -10,14 +10,19 @@ replaced by B-Trees, making it virtually an entire B-Tree."
 :class:`HybridIndex` extends the RMI: after stage-wise training, every
 last-stage model whose ``max_abs_err`` exceeds ``threshold`` is swapped
 for a dense B-Tree over the key range that model is responsible for.
-The scalar ``lookup`` is the RMI's and routes once: a key landing on a
-replaced leaf descends that leaf's B-Tree in place of searching the
-model's window — the tree plugs into the one Section 3.4 lookup of
-:class:`~repro.core.plan_index.CompiledPlanIndex` as the search inside
-the window, and the verification and fix-up after it are shared.  The
-batch reads are the RMI's own: the compiled plan searches every leaf's
-stored error window and verifies each position (Section 3.4), so a
-replaced leaf's batch answers are the same exact lower bounds.
+The replacement and the search it plugs in are written once, in
+:class:`BTreeLeaves`, which the string index
+(:class:`~repro.core.StringRMI`) shares: one
+:class:`~repro.btree.BTreeIndex` serves numeric and string leaves
+alike.  The scalar ``lookup`` is the shared one and routes once: a key
+landing on a replaced leaf descends that leaf's B-Tree in place of
+searching the model's window — the tree plugs into the one Section 3.4
+lookup of :class:`~repro.core.plan_index.ScalarLookup` as the search
+inside the window, and the verification and fix-up after it are
+shared.  The batch reads are the RMI's own: the compiled plan searches
+every leaf's stored error window and verifies each position
+(Section 3.4), so a replaced leaf's batch answers are the same exact
+lower bounds.
 """
 
 from __future__ import annotations
@@ -29,10 +34,71 @@ import numpy as np
 from ..btree.btree import BTreeIndex
 from .rmi import RecursiveModelIndex
 
-__all__ = ["HybridIndex"]
+__all__ = ["BTreeLeaves", "HybridIndex"]
 
 
-class HybridIndex(RecursiveModelIndex):
+class BTreeLeaves:
+    """Algorithm 1, lines 11-14, for a host of the shared scalar lookup
+    (:class:`~repro.core.plan_index.ScalarLookup`): the numeric
+    :class:`HybridIndex` and :class:`~repro.core.StringRMI`."""
+
+    def _replace_bad_leaves(
+        self,
+        threshold: int,
+        page_size: int,
+        assignment: np.ndarray,
+        counts: np.ndarray,
+        lo_offsets: np.ndarray,
+        hi_offsets: np.ndarray,
+    ) -> None:
+        """Swap every trained leaf whose ``max_abs_err`` — the larger
+        magnitude of its two window offsets — exceeds ``threshold``
+        for a B-Tree over the positions of its stored keys
+        (``assignment``: the leaf of each stored key)."""
+        max_abs = np.maximum(
+            np.abs(lo_offsets.astype(np.int64)),
+            np.abs(hi_offsets.astype(np.int64)),
+        )
+        bad = np.nonzero((counts > 0) & (max_abs > threshold))[0]
+        #: Replaced leaf -> (first position, B-Tree over its slice).
+        self.leaf_btrees: dict[int, tuple[int, BTreeIndex]] = {}
+        if not bad.size:
+            return
+        order = np.argsort(assignment, kind="stable")
+        boundaries = np.searchsorted(
+            assignment[order], np.arange(counts.size + 1), side="left"
+        )
+        for j in bad.tolist():
+            members = order[boundaries[j]:boundaries[j + 1]]
+            base = int(members.min())
+            end = int(members.max()) + 1
+            self.leaf_btrees[j] = base, BTreeIndex(
+                self.keys[base:end], page_size=page_size
+            )
+        self._model_search = self._search_window
+        self._search_window = self._search_leaf
+
+    def _search_leaf(self, key, leaf: int, raw: float, lo: int, hi: int):
+        """A replaced leaf's B-Tree in place of its model's window; any
+        other leaf searches as the host does.  The tree sees only its
+        slice, so an absent key outside it takes the usual Section 3.4
+        fix-up."""
+        fallback = self.leaf_btrees.get(leaf)
+        if fallback is not None:
+            base, tree = fallback
+            return base + tree.lookup(key)
+        model = self._model_search
+        return None if model is None else model(key, leaf, raw, lo, hi)
+
+    def _leaf_btree_bytes(self) -> int:
+        return sum(tree.size_bytes() for _, tree in self.leaf_btrees.values())
+
+    @property
+    def replaced_leaf_count(self) -> int:
+        return len(self.leaf_btrees)
+
+
+class HybridIndex(BTreeLeaves, RecursiveModelIndex):
     """RMI whose inaccurate leaves are replaced by B-Trees.
 
     Parameters (beyond :class:`RecursiveModelIndex`)
@@ -56,69 +122,21 @@ class HybridIndex(RecursiveModelIndex):
             raise ValueError("threshold must be non-negative")
         self.threshold = int(threshold)
         self.btree_page_size = int(btree_page_size)
-        #: Replaced leaf -> (first position, B-Tree over its slice).
-        self.leaf_btrees: dict[int, tuple[int, BTreeIndex]] = {}
         super().__init__(
             keys,
             stage_sizes=stage_sizes,
             search_strategy=search_strategy,
         )
-        self._replace_bad_leaves()
-
-    # -- Algorithm 1, lines 11-14 ---------------------------------------------
-
-    def _replace_bad_leaves(self) -> None:
-        # Algorithm 1's max_abs_err, read off the leaf error tables.
         plan = self._plan
-        max_abs = np.maximum(
-            np.abs(plan.lo_offsets.astype(np.int64)),
-            np.abs(plan.hi_offsets.astype(np.int64)),
+        self._replace_bad_leaves(
+            self.threshold, self.btree_page_size, self._leaf_assignment,
+            self._stage_counts[-1], plan.lo_offsets, plan.hi_offsets,
         )
-        bad = np.nonzero(
-            (self._stage_counts[-1] > 0) & (max_abs > self.threshold)
-        )[0]
-        if not bad.size:
-            return
-        assignment = self._leaf_assignment
-        order = np.argsort(assignment, kind="stable")
-        boundaries = np.searchsorted(
-            assignment[order], np.arange(self.stage_sizes[-1] + 1),
-            side="left",
-        )
-        for j in bad.tolist():
-            members = order[boundaries[j]:boundaries[j + 1]]
-            base = int(members.min())
-            end = int(members.max()) + 1
-            self.leaf_btrees[j] = base, BTreeIndex(
-                self.keys[base:end], page_size=self.btree_page_size
-            )
-        self._model_search = self._search_window
-        self._search_window = self._search_leaf
-
-    # -- the window search ----------------------------------------------------------
-
-    def _search_leaf(self, key, leaf: int, raw: float, lo: int, hi: int):
-        """A replaced leaf's B-Tree in place of its model's window; any
-        other leaf searches as the RMI does.  The tree sees only its
-        slice, so an absent key outside it takes the usual Section 3.4
-        fix-up."""
-        fallback = self.leaf_btrees.get(leaf)
-        if fallback is not None:
-            base, tree = fallback
-            return base + tree.lookup(key)
-        model = self._model_search
-        return None if model is None else model(key, leaf, raw, lo, hi)
 
     # -- accounting ----------------------------------------------------------------
 
     def size_bytes(self) -> int:
-        return super().size_bytes() + sum(
-            tree.size_bytes() for _, tree in self.leaf_btrees.values()
-        )
-
-    @property
-    def replaced_leaf_count(self) -> int:
-        return len(self.leaf_btrees)
+        return super().size_bytes() + self._leaf_btree_bytes()
 
     @property
     def replaced_key_fraction(self) -> float:

@@ -14,14 +14,18 @@ scalar + batch public surface over the installed
 the differential-oracle and adversarial-dtype suites, the serving
 layer, and the benchmarks unchanged.
 
-The scalar lookup is written once, here: the window
-(:meth:`~CompiledPlanIndex._window`: encode, the single routing hook
+The scalar lookup is written once, here, in :class:`ScalarLookup`:
+the host's window (for this class
+:meth:`~CompiledPlanIndex._window`: encode, the single routing hook
 :meth:`~CompiledPlanIndex._route_scalar`, the leaf's affine model and
 error offsets, over plain-float list mirrors of the plan's tables), a
 bounded binary search inside it, and the Section 3.4 check that widens
-a miss by exponential search.  Subclasses vary only the search inside
-the window: the RMI's probe schedules and the hybrid index's B-Tree
-leaves plug in as :attr:`~CompiledPlanIndex._search_window`.  Models —
+a miss by exponential search.  Hosts vary only the search inside the
+window: the probe schedules of :mod:`repro.core.search` and the hybrid
+B-Tree leaves of :class:`~repro.core.hybrid.BTreeLeaves` plug in as
+:attr:`~ScalarLookup._search_window`.  The string index
+(:mod:`repro.core.string_index`) hosts the same lookup over its
+tokenized window and Python-string keys.  Models —
 the scalar path's and the plan's alike — see a key only through the
 index's :class:`~repro.core.engine.ModelSpace` (``key - origin``, exact
 in the key dtype before the float64 cast), never the raw key.
@@ -47,8 +51,9 @@ from ..range_scan import (
 )
 from ..util import scalar_view
 from .engine import CompiledPlan, ModelSpace, SortedKeyColumn, clamp_window
+from .search import SEARCH_STRATEGIES, biased_quaternary_search
 
-__all__ = ["CompiledPlanIndex", "RMIStats"]
+__all__ = ["CompiledPlanIndex", "RMIStats", "ScalarLookup"]
 
 
 class RMIStats:
@@ -74,7 +79,108 @@ class RMIStats:
         return self.window_total / self.lookups if self.lookups else 0.0
 
 
-class CompiledPlanIndex(RangeScanIndexMixin):
+class ScalarLookup:
+    """The one scalar Section 3.4 lookup, for every host that predicts
+    a window and searches it.
+
+    A host supplies ``_keys_view`` (its sorted keys, indexable as
+    Python values), ``stats`` (an :class:`RMIStats`) and
+    ``_window(key, n) -> (leaf, raw prediction, lo, hi)`` for an index
+    of ``n = len(_keys_view) > 0`` keys; a host whose
+    ``search_strategy`` is not ``"binary"`` also sets ``_sigmas`` (each
+    leaf's error std, for biased quaternary search, else ``None``) and
+    installs :meth:`_probe_window` as :attr:`_search_window`.
+    """
+
+    #: The search inside the window, if not the inline binary search:
+    #: ``(key, leaf, raw, lo, hi) -> position`` (``raw``: the leaf's
+    #: unclamped prediction), or ``None`` for the binary search after
+    #: all; it counts its own ``window_total`` and ``comparisons``.
+    _search_window = None
+
+    #: Slots past ``hi`` a probe schedule searches too: the lower bound
+    #: of an absent key can be ``hi`` itself.
+    _probe_slack = 0
+
+    def _window(
+        self, key, n: int
+    ) -> tuple[int, float, int, int]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def predict(self, key) -> tuple[int, int, int]:
+        """(position estimate, window lo, window hi) for ``key``: the
+        window :meth:`lookup` searches.
+
+        The true lower bound of a *stored* key always lies inside
+        ``[lo, hi)``; hi is exclusive.
+        """
+        n = len(self._keys_view)
+        if n == 0:
+            return 0, 0, 0
+        _leaf, raw, lo, hi = self._window(key, n)
+        return min(max(int(raw), 0), n - 1), lo, hi
+
+    def lookup(self, key) -> int:
+        """Position of the first stored key >= ``key`` (lower bound).
+
+        A NumPy scalar compares as its Python value: ``np.float64``
+        against a stored int would round the int to float64.
+        """
+        keys = self._keys_view
+        n = len(keys)
+        if n == 0:
+            return 0
+        if isinstance(key, np.generic):
+            key = key.item()
+        stats = self.stats
+        stats.lookups += 1
+        leaf, raw, lo, hi = self._window(key, n)
+        search = self._search_window
+        left = None if search is None else search(key, leaf, raw, lo, hi)
+        if left is None:
+            stats.window_total += hi - lo
+            comparisons = 0
+            left, right = lo, hi
+            while left < right:
+                mid = (left + right) >> 1
+                comparisons += 1
+                if keys[mid] < key:
+                    left = mid + 1
+                else:
+                    right = mid
+            stats.comparisons += comparisons
+        # Misprediction check (Section 3.4): widen if the window missed.
+        if left < n and keys[left] < key:
+            stats.fixups += 1
+            return exponential_search(keys, key, left)
+        if left > 0 and keys[left - 1] >= key:
+            stats.fixups += 1
+            return exponential_search(keys, key, left - 1)
+        return left
+
+    def _probe_window(
+        self, key, leaf: int, raw: float, lo: int, hi: int
+    ) -> int:
+        """The window search of a non-``"binary"`` strategy (the paper's
+        probe schedules), from the model's estimate; it counts its
+        comparisons straight into ``stats``."""
+        keys = self._keys_view
+        n = len(keys)
+        stats = self.stats
+        stats.window_total += hi - lo
+        hi = min(hi + self._probe_slack, n)
+        guess = min(max(int(raw), 0), n - 1)
+        sigmas = self._sigmas
+        if sigmas is None:
+            return SEARCH_STRATEGIES[self.search_strategy](
+                keys, key, lo, hi, guess, stats
+            )
+        return biased_quaternary_search(
+            keys, key, lo, hi, guess, sigmas[leaf], stats
+        )
+
+
+class CompiledPlanIndex(ScalarLookup, RangeScanIndexMixin):
     """A learned range index whose batch surface is one compiled plan.
 
     Subclasses implement ``_build`` (segment fitting over
@@ -158,12 +264,6 @@ class CompiledPlanIndex(RangeScanIndexMixin):
 
     # -- scalar latency path ----------------------------------------------
 
-    #: The search inside the window, if not the inline binary search:
-    #: ``(key, leaf, raw, lo, hi) -> position`` (``raw``: the leaf's
-    #: unclamped prediction), or ``None`` for the binary search after
-    #: all; it counts its own ``window_total`` and ``comparisons``.
-    _search_window = None
-
     def _window(self, key, n: int) -> tuple[int, float, int, int]:
         """``(leaf, raw prediction, lo, hi)`` for one key of an index
         of ``n > 0`` keys: encode, route, the leaf's affine model, and
@@ -178,44 +278,6 @@ class CompiledPlanIndex(RangeScanIndexMixin):
             n,
         )
         return leaf, raw, lo, hi
-
-    def lookup(self, key) -> int:
-        """Position of the first stored key >= ``key`` (lower bound).
-
-        A NumPy scalar compares as its Python value: ``np.float64``
-        against a stored int would round the int to float64.
-        """
-        n = self.keys.size
-        if n == 0:
-            return 0
-        if isinstance(key, np.generic):
-            key = key.item()
-        stats = self.stats
-        stats.lookups += 1
-        leaf, raw, lo, hi = self._window(key, n)
-        keys = self._keys_view
-        search = self._search_window
-        left = None if search is None else search(key, leaf, raw, lo, hi)
-        if left is None:
-            stats.window_total += hi - lo
-            comparisons = 0
-            left, right = lo, hi
-            while left < right:
-                mid = (left + right) >> 1
-                comparisons += 1
-                if keys[mid] < key:
-                    left = mid + 1
-                else:
-                    right = mid
-            stats.comparisons += comparisons
-        # Misprediction check (Section 3.4): widen if the window missed.
-        if left < n and keys[left] < key:
-            stats.fixups += 1
-            return exponential_search(keys, key, left)
-        if left > 0 and keys[left - 1] >= key:
-            stats.fixups += 1
-            return exponential_search(keys, key, left - 1)
-        return left
 
     # -- batch surface (thin adapters over the shared engine) --------------
     #

@@ -28,13 +28,13 @@ Key properties reproduced here:
 The public API is ``lookup`` / ``upper_bound`` / ``range_query`` /
 ``contains`` with lower-bound semantics identical to every baseline in
 :mod:`repro.btree`, plus ``predict`` exposing (estimate, window) and
-the batch variants.  All of it except ``predict`` is inherited from
+the batch variants.  All of it is inherited from
 :class:`repro.core.plan_index.CompiledPlanIndex`: this module
 contributes what is specific to the RMI — stage-wise training
-(``_build``), root → leaf routing (``_route_scalar``), the probe
-schedule a non-``"binary"`` ``search_strategy`` runs inside the shared
-lookup's window (chosen once, at construction), and the table-level
-accounting and serialization.
+(``_build``), root → leaf routing (``_route_scalar``), the choice of
+probe schedule a non-``"binary"`` ``search_strategy`` runs inside the
+shared lookup's window (made once, at construction), and the
+table-level accounting and serialization.
 
 Compilation
 -----------
@@ -86,7 +86,7 @@ from ..models.linear import (
 from ..util import clamp_into
 from .engine import ModelSpace
 from .plan_index import CompiledPlanIndex, RMIStats
-from .search import SEARCH_STRATEGIES, Counter, bounded_search
+from .search import SEARCH_STRATEGIES
 
 __all__ = ["RecursiveModelIndex", "RMIStats", "DEFAULT_LEAF_ERROR"]
 
@@ -118,6 +118,9 @@ class RecursiveModelIndex(CompiledPlanIndex):
         One of :data:`repro.core.search.SEARCH_STRATEGIES`; any other
         name is a ``ValueError``.
     """
+
+    #: A probe schedule searches one slot past the window.
+    _probe_slack = 1
 
     def __init__(
         self,
@@ -255,8 +258,8 @@ class RecursiveModelIndex(CompiledPlanIndex):
             (m_l, s.tolist(), b.tolist()) for m_l, s, b in internal
         ] + [(self.stage_sizes[-1], None, None)]
         # The probe schedule, chosen once: "binary" is the base's inline
-        # search; biased quaternary seeds its probes at +- each leaf's
-        # error std.
+        # search; biased quaternary seeds its probe round at +- each
+        # leaf's error std.
         self._search_window = (
             None if self.search_strategy == "binary" else self._probe_window
         )
@@ -382,43 +385,6 @@ class RecursiveModelIndex(CompiledPlanIndex):
             if slopes is None:
                 return j
             pred = slopes[j] * encoded + intercepts[j]
-
-    def predict(self, key: float) -> tuple[int, int, int]:
-        """(position estimate, window lo, window hi) for ``key``: the
-        window :meth:`lookup` searches.
-
-        The true lower bound of a *stored* key always lies inside
-        ``[lo, hi)``; hi is exclusive.
-        """
-        n = self.keys.size
-        if n == 0:
-            return 0, 0, 0
-        _leaf, raw, lo, hi = self._window(key, n)
-        return min(max(int(raw), 0), n - 1), lo, hi
-
-    def _probe_window(
-        self, key, leaf: int, raw: float, lo: int, hi: int
-    ) -> int:
-        """The window search of a non-``"binary"`` strategy (the paper's
-        probe schedules): from the model's estimate, over the window
-        plus one slot, as the lower bound itself can be ``hi``."""
-        n = self.keys.size
-        stats = self.stats
-        stats.window_total += hi - lo
-        sigmas = self._sigmas
-        counter = Counter()
-        pos = bounded_search(
-            self._keys_view,
-            key,
-            lo,
-            min(hi + 1, n),
-            min(max(int(raw), 0), n - 1),
-            self.search_strategy,
-            None if sigmas is None else sigmas[leaf],
-            counter,
-        )
-        stats.comparisons += counter.comparisons
-        return pos
 
     # -- accounting ----------------------------------------------------------------
 

@@ -8,14 +8,21 @@ window.  The paper evaluates:
   in that the first middle point is set to the value predicted by the
   model";
 * **Biased Quaternary Search** — "the initial three middle points of
-  quaternary search as pos - sigma, pos, pos + sigma", continuing with
-  traditional quaternary search so the hardware can prefetch all split
-  points at once;
+  quaternary search as pos - sigma, pos, pos + sigma".  Here that is
+  one round, then binary search inside the bracket it picks.  This
+  departs from the paper's "continue with traditional quaternary
+  search": those rounds pay off only when the hardware prefetches all
+  three split points at once, and the interpreter has no prefetch, so
+  each further round costs three comparisons for two halvings — 1.5
+  comparisons per halving where binary search pays one;
 * plain binary search within the error bounds (the Figure 4 default);
 * exponential search from the prediction, needing no stored bounds.
 
 All strategies return lower-bound positions (first index whose key is
->= the lookup key) and optionally count comparisons for the cost model.
+>= the lookup key) and optionally count comparisons for the cost model
+into ``counter`` — a :class:`Counter`, or any object with an integer
+``comparisons`` attribute (the scalar lookup passes its index's
+stats).
 
 Scalar vs batch
 ---------------
@@ -45,9 +52,7 @@ from ..btree.search_baselines import (
 __all__ = [
     "biased_binary_search",
     "biased_quaternary_search",
-    "bounded_search",
     "vectorized_bounded_search",
-    "verify_lower_bound",
     "verify_lower_bound_batch",
     "SEARCH_STRATEGIES",
     "Counter",
@@ -91,33 +96,22 @@ def biased_quaternary_search(
     sigma: int = 1,
     counter: Counter | None = None,
 ) -> int:
-    """Quaternary search seeded at ``guess - sigma, guess, guess + sigma``.
+    """One quaternary round at ``guess - sigma, guess, guess + sigma``,
+    then binary search.
 
-    Each round probes three split points (which real hardware prefetches
-    together); the first round's points bracket the prediction with the
-    model's error std so most lookups finish after one round.
+    The round's points bracket the prediction with the model's error
+    std (``sigma >= 1``), so most lookups continue in a bracket of
+    about ``sigma`` slots; a window of three slots or fewer skips the
+    round.  The window must lie in the array:
+    ``0 <= lo <= hi <= len(keys)``.
     """
-    n = len(keys)
-    lo = max(0, min(lo, n))
-    hi = max(lo, min(hi, n))
-    sigma = max(int(sigma), 1)
-    first = True
-    while hi - lo > 3:
-        if first:
-            center = max(lo, min(guess, hi - 1))
-            p1 = max(lo, center - sigma)
-            p2 = center
-            p3 = min(hi - 1, center + sigma)
-            first = False
-        else:
-            quarter = (hi - lo) >> 2
-            p1 = lo + quarter
-            p2 = lo + 2 * quarter
-            p3 = lo + 3 * quarter
-        if counter is not None:
-            counter.comparisons += 3
-        # Narrow to the sub-range that preserves the lower-bound
-        # invariant: the answer stays inside [lo, hi).
+    comparisons = 0
+    if hi - lo > 3:
+        p2 = min(max(guess, lo), hi - 1)
+        p1 = max(p2 - sigma, lo)
+        p3 = min(p2 + sigma, hi - 1)
+        comparisons = 3
+        # Narrow to the bracket that keeps the lower bound in [lo, hi).
         if keys[p1] >= key:
             hi = p1 + 1
         elif keys[p2] >= key:
@@ -126,7 +120,16 @@ def biased_quaternary_search(
             lo, hi = p2 + 1, p3 + 1
         else:
             lo = p3 + 1
-    return binary_search(keys, key, lo, hi, counter)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        comparisons += 1
+        if keys[mid] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    if counter is not None:
+        counter.comparisons += comparisons
+    return lo
 
 
 def _plain_binary(keys, key, lo, hi, guess, counter=None):
@@ -151,27 +154,6 @@ SEARCH_STRATEGIES: dict[str, Callable] = {
     "biased_quaternary": _biased_quaternary_default,
     "exponential": _exponential,
 }
-
-
-def bounded_search(
-    keys,
-    key: float,
-    lo: int,
-    hi: int,
-    guess: int,
-    strategy: str = "binary",
-    sigma: int | None = None,
-    counter: Counter | None = None,
-) -> int:
-    """Dispatch to a named strategy; see :data:`SEARCH_STRATEGIES`."""
-    if strategy == "biased_quaternary" and sigma is not None:
-        return biased_quaternary_search(keys, key, lo, hi, guess, sigma, counter)
-    try:
-        fn = SEARCH_STRATEGIES[strategy]
-    except KeyError:
-        known = ", ".join(sorted(SEARCH_STRATEGIES))
-        raise KeyError(f"unknown strategy {strategy!r}; known: {known}") from None
-    return fn(keys, key, lo, hi, guess, counter)
 
 
 #: Batch size from which the lock-step search compacts its straggler
@@ -258,7 +240,7 @@ def vectorized_bounded_search(
 def verify_lower_bound_batch(
     keys: np.ndarray, queries: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`verify_lower_bound`: one bool per query.
+    """The Section 3.4 misprediction check: one bool per query.
 
     ``positions`` must already lie in ``[0, n]``; entries fail when the
     key at the position is still < query or the key before it is >=
@@ -272,20 +254,3 @@ def verify_lower_bound_batch(
     prev = np.maximum(positions - 1, 0)
     bad |= (positions > 0) & (keys[prev] >= queries)
     return ~bad
-
-
-def verify_lower_bound(keys, key: float, pos: int) -> bool:
-    """True iff ``pos`` is the correct lower bound of ``key`` in ``keys``.
-
-    The Section 3.4 misprediction check: for non-monotonic models the
-    error window can miss for *absent* keys; callers widen the search
-    when this returns False.
-    """
-    n = len(keys)
-    if pos < 0 or pos > n:
-        return False
-    if pos < n and keys[pos] < key:
-        return False
-    if pos > 0 and keys[pos - 1] >= key:
-        return False
-    return True

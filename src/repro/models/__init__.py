@@ -15,7 +15,6 @@ from .cdf import (
 from .gru import CharVocabulary, GRUClassifier
 from .linear import (
     LinearModel,
-    SplineSegmentModel,
     fit_linear_cdf_root,
     segmented_linear_fit,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "Model",
     "MultivariateLinearModel",
     "NeuralRegressionModel",
-    "SplineSegmentModel",
     "error_stats_list_from_arrays",
     "fit_linear_cdf_root",
     "lexicographic_scalar_batch",

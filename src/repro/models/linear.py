@@ -22,7 +22,6 @@ from .cdf import segment_reducer
 
 __all__ = [
     "LinearModel",
-    "SplineSegmentModel",
     "fit_linear_cdf_root",
     "segmented_linear_fit",
 ]
@@ -226,82 +225,3 @@ class LinearModel(Model):
 
     def __repr__(self) -> str:
         return f"LinearModel(slope={self.slope:.6g}, intercept={self.intercept:.6g})"
-
-
-class SplineSegmentModel(Model):
-    """Monotone piecewise-linear interpolation over ``k`` knots.
-
-    A middle ground between one line and a full second stage: knots are
-    taken at evenly spaced key quantiles, and prediction interpolates
-    between the surrounding knots.  Because the knot positions are
-    non-decreasing the model is monotonic by construction, so the
-    Section 3.4 bound guarantees hold even for absent keys.
-    """
-
-    def __init__(self, knots: int = 16):
-        if knots < 2:
-            raise ValueError("need at least 2 knots")
-        self.requested_knots = int(knots)
-        self.knot_keys = np.zeros(2)
-        self.knot_positions = np.zeros(2)
-
-    def fit(
-        self, keys: np.ndarray, positions: np.ndarray
-    ) -> "SplineSegmentModel":
-        keys = np.asarray(keys, dtype=np.float64)
-        positions = np.asarray(positions, dtype=np.float64)
-        if keys.size == 0:
-            self.knot_keys = np.array([0.0, 1.0])
-            self.knot_positions = np.array([0.0, 0.0])
-            return self
-        if keys.size == 1:
-            k = float(keys[0])
-            self.knot_keys = np.array([k, k + 1.0])
-            self.knot_positions = np.array([positions[0], positions[0]])
-            return self
-        k = min(self.requested_knots, keys.size)
-        picks = np.linspace(0, keys.size - 1, k).round().astype(np.int64)
-        knot_keys = keys[picks]
-        knot_positions = positions[picks]
-        # Collapse duplicate knot keys (possible with heavy clustering).
-        unique_keys, first = np.unique(knot_keys, return_index=True)
-        if unique_keys.size < 2:
-            k0 = float(unique_keys[0])
-            self.knot_keys = np.array([k0, k0 + 1.0])
-            mean = float(positions.mean())
-            self.knot_positions = np.array([mean, mean])
-            return self
-        self.knot_keys = unique_keys
-        self.knot_positions = np.maximum.accumulate(knot_positions[first])
-        return self
-
-    def predict(self, key: float) -> float:
-        kk = self.knot_keys
-        kp = self.knot_positions
-        if key <= kk[0]:
-            return float(kp[0])
-        if key >= kk[-1]:
-            return float(kp[-1])
-        hi = int(np.searchsorted(kk, key, side="right"))
-        lo = hi - 1
-        span = kk[hi] - kk[lo]
-        frac = (key - kk[lo]) / span
-        return float(kp[lo] + frac * (kp[hi] - kp[lo]))
-
-    def predict_batch(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.float64)
-        return np.interp(keys, self.knot_keys, self.knot_positions)
-
-    @property
-    def param_count(self) -> int:
-        return 2 * int(self.knot_keys.size)
-
-    def op_count(self) -> int:
-        # binary search over knots + one interpolation
-        return int(np.ceil(np.log2(max(self.knot_keys.size, 2)))) + 4
-
-    def is_monotonic(self) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return f"SplineSegmentModel(knots={self.knot_keys.size})"

@@ -10,7 +10,9 @@ module implements the substrate from scratch:
 
 * :class:`MLP` — dense ReLU network with manual backprop, trained by
   mini-batch Adam or SGD, for either regression (MSE) or binary
-  classification (log loss);
+  classification (log loss); a net with no hidden layer also fits in
+  closed form (least squares), and one sample runs through
+  ``forward_one`` — the string index's root over token vectors;
 * :class:`NeuralRegressionModel` — adapts an MLP to the
   :class:`repro.models.base.Model` interface for use inside an RMI,
   including a scalar fast path that runs the forward pass with plain
@@ -88,6 +90,7 @@ class MLP:
         self.y_mean = 0.0
         self.y_scale = 1.0
         self._adam_state: list | None = None
+        self._prepare_one()
 
     # -- forward / backward -------------------------------------------------
 
@@ -111,6 +114,27 @@ class MLP:
         if self.task == "classification":
             return 1.0 / (1.0 + np.exp(-out))
         return out * self.y_scale + self.y_mean
+
+    def _prepare_one(self) -> None:
+        """The layers :meth:`forward_one` runs: the input
+        standardization folded into the first layer, and the output
+        layer as a vector and a float."""
+        w0 = self.weights[0] / self.x_scale[:, None]
+        b0 = self.biases[0] - (self.x_mean / self.x_scale) @ self.weights[0]
+        layers = [(w0, b0), *zip(self.weights[1:], self.biases[1:])]
+        w_out, b_out = layers.pop()
+        w_out = np.ascontiguousarray(w_out[:, 0])
+        self._one = layers, w_out, float(b_out[0])
+
+    def forward_one(self, x: np.ndarray) -> float:
+        """:meth:`forward` for one sample of a one-output regression
+        net, without the batch plumbing: a float64 vector in, the raw
+        target out."""
+        hidden, w_out, b_out = self._one
+        for w, b in hidden:
+            x = x @ w + b
+            np.maximum(x, 0.0, out=x)
+        return (float(x @ w_out) + b_out) * self.y_scale + self.y_mean
 
     def _backward(
         self, activations: list[np.ndarray], delta: np.ndarray
@@ -198,7 +222,30 @@ class MLP:
             history.append(epoch_loss / max(batches, 1))
             if verbose:
                 print(f"epoch {epoch}: loss {history[-1]:.6f}")
+        self._prepare_one()
         return history
+
+    def fit_least_squares(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Closed-form least-squares fit of a net with no hidden layer:
+        ``x @ w + b`` on the raw inputs, standardization left as the
+        identity.  A net with hidden layers is a ``ValueError``."""
+        if self.hidden or self.task != "regression" or self.output_dim != 1:
+            raise ValueError(
+                "least squares fits a one-output regression net with no "
+                "hidden layer"
+            )
+        x = np.asarray(x, dtype=np.float64).reshape(-1, self.input_dim)
+        design = np.column_stack([x, np.ones(x.shape[0])])
+        solution, *_ = np.linalg.lstsq(
+            design, np.asarray(y, dtype=np.float64), rcond=None
+        )
+        self.weights[0] = solution[:-1].reshape(-1, 1)
+        self.biases[0] = solution[-1:].copy()
+        self.x_mean = np.zeros(self.input_dim)
+        self.x_scale = np.ones(self.input_dim)
+        self.y_mean = 0.0
+        self.y_scale = 1.0
+        self._prepare_one()
 
     def _init_adam(self) -> None:
         self._adam_state = [

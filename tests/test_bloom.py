@@ -161,3 +161,48 @@ class TestInternals:
         bloom.add(12345)
         assert "string-key" in bloom
         assert 12345 in bloom
+
+
+class TestNonIntegralNumbers:
+    """A number that is not an integer is never an integer key."""
+
+    @pytest.fixture()
+    def evens(self):
+        bloom = BloomFilter.for_capacity(1_000, 0.01)
+        bloom.add_batch(np.arange(0, 2_000, 2, dtype=np.int64))
+        return bloom
+
+    @pytest.mark.parametrize(
+        "key", [2.5, np.float64(2.5), 1998.25, float("nan"), float("inf")]
+    )
+    def test_is_absent(self, evens, key):
+        assert key not in evens
+
+    def test_batch_reads_them_as_absent(self, evens):
+        found = evens.contains_batch([2.5, 4.5, 3.0, 4.0])
+        assert found.tolist() == [False, False, 3 in evens, True]
+        found = evens.contains_batch(np.array([2.5, 4.5, 6.0]))
+        assert found.tolist() == [False, False, True]
+
+    @pytest.mark.parametrize("key", [2.5, np.float64(2.5), float("nan")])
+    def test_add_refuses_and_adds_nothing(self, evens, key):
+        before = evens.to_bytes()
+        with pytest.raises(TypeError):
+            evens.add(key)
+        with pytest.raises(TypeError):
+            evens.add_batch([2001, 2003, key])
+        with pytest.raises(TypeError):
+            evens.add_batch(np.array([2001.0, 2003.0, key]))
+        assert evens.to_bytes() == before
+
+    def test_integral_float_hashes_as_its_int(self):
+        as_int = BloomFilter(997, 5)
+        as_int.add(4)
+        as_float = BloomFilter(997, 5)
+        as_float.add(4.0)
+        as_float.add_batch([])
+        assert as_float.to_bytes() == as_int.to_bytes()
+        as_float.add_batch(np.array([6.0]))
+        as_int.add_batch(np.array([6]))
+        assert as_float.to_bytes() == as_int.to_bytes()
+        assert 4.0 in as_int and np.float64(6.0) in as_int

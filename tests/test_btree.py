@@ -5,7 +5,7 @@ import bisect
 import numpy as np
 import pytest
 
-from repro.btree import BTreeIndex, GenericBTreeIndex
+from repro.btree import BTreeIndex
 
 
 def truth(keys: np.ndarray, q) -> int:
@@ -115,9 +115,9 @@ class TestRangeQuery:
             np.testing.assert_array_equal(tree.range_query(lo, hi), expected)
 
 
-class TestGenericBTree:
+class TestStringBTree:
     def test_string_lookups(self, strings_small, rng):
-        tree = GenericBTreeIndex(strings_small, page_size=32)
+        tree = BTreeIndex(strings_small, page_size=32)
         probes = [strings_small[i] for i in rng.integers(0, len(strings_small), 100)]
         probes += [p + "!" for p in probes[:30]] + ["", "zzzz"]
         for q in probes:
@@ -125,15 +125,15 @@ class TestGenericBTree:
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            GenericBTreeIndex(["b", "a"])
+            BTreeIndex(["b", "a"])
 
     def test_contains(self, strings_small):
-        tree = GenericBTreeIndex(strings_small, page_size=16)
+        tree = BTreeIndex(strings_small, page_size=16)
         assert tree.contains(strings_small[5])
         assert not tree.contains(strings_small[5] + "x")
 
     def test_string_membership_and_ranges(self, strings_small, rng):
-        tree = GenericBTreeIndex(strings_small, page_size=32)
+        tree = BTreeIndex(strings_small, page_size=32)
         members = set(strings_small)
         probes = list(rng.choice(strings_small, 80)) + ["", "~~~absent"]
         for q in probes:
@@ -144,9 +144,18 @@ class TestGenericBTree:
                 bisect.bisect_left(strings_small, lo):
                 bisect.bisect_right(strings_small, hi)
             ]
-            assert tree.range_query(lo, hi) == want, (lo, hi)
+            assert list(tree.range_query(lo, hi)) == want, (lo, hi)
 
     def test_size_counts_string_bytes(self):
-        tree = GenericBTreeIndex(["aa", "bb", "cc", "dd"], page_size=2)
-        assert tree.size_bytes() > 0
-        assert tree.size_bytes(key_bytes=100) > tree.size_bytes()
+        """Each separator ("aa", "ccc") counts its length + a pointer."""
+        tree = BTreeIndex(["aa", "bb", "ccc", "dd"], page_size=2)
+        assert tree.size_bytes() == (2 + 8) + (3 + 8)
+
+    def test_strings_stay_the_callers_objects(self):
+        """A fixed-width numpy string would read "a\x00" back as "a"."""
+        keys = ["a", "a\x00", "a\x00\x00", "b"]
+        tree = BTreeIndex(keys, page_size=2)
+        assert tree.keys.dtype == object
+        for q in keys:
+            assert tree.lookup(q) == bisect.bisect_left(keys, q), q
+            assert tree.contains(q)

@@ -8,9 +8,8 @@ from repro.core.search import (
     Counter,
     biased_binary_search,
     biased_quaternary_search,
-    bounded_search,
-    verify_lower_bound,
 )
+from repro.btree.search_baselines import binary_search
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +78,55 @@ class TestBiasedQuaternary:
             biased_quaternary_search(
                 keys, int(q), 0, len(keys), expected, sigma=2, counter=c_quat
             )
-            bounded_search(
-                keys, int(q), 0, len(keys), expected, "binary", counter=c_bin
-            )
+            binary_search(keys, int(q), 0, len(keys), c_bin)
         assert c_quat.comparisons < c_bin.comparisons
 
 
-class TestBoundedSearchDispatch:
+class Probes:
+    """A key sequence that records every position it is read at."""
+
+    def __init__(self, keys):
+        self.keys = keys
+        self.at: list[int] = []
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        self.at.append(i)
+        return self.keys[i]
+
+
+class TestBiasedQuaternarySchedule:
+    """One round at guess - sigma, guess, guess + sigma, then binary
+    search of the bracket the round picked."""
+
+    @pytest.mark.parametrize(
+        "target, bracket",
+        [(990, (900, 996)), (1000, (996, 1004)), (1008, (1004, 1012)),
+         (1050, (1012, 1100))],
+    )
+    def test_one_round_then_binary(self, keys, target, bracket):
+        q = int(keys[target])
+        probes, counter = Probes(keys), Counter()
+        got = biased_quaternary_search(probes, q, 900, 1100, 1003, 8, counter)
+        assert got == target
+        binary, binary_counter = Probes(keys), Counter()
+        assert binary_search(binary, q, *bracket, binary_counter) == target
+        assert counter.comparisons == 3 + binary_counter.comparisons
+        rounds = len(probes.at) - len(binary.at)
+        assert set(probes.at[:rounds]) <= {995, 1003, 1011}
+        assert probes.at[rounds:] == binary.at
+
+    def test_narrow_window_is_binary(self, keys):
+        q = int(keys[501])
+        counter, binary_counter = Counter(), Counter()
+        assert biased_quaternary_search(keys, q, 500, 503, 501, 1, counter) == 501
+        binary_search(keys, q, 500, 503, binary_counter)
+        assert counter.comparisons == binary_counter.comparisons
+
+
+class TestStrategyTable:
     def test_all_strategies_agree(self, keys):
         rng = np.random.default_rng(4)
         n = len(keys)
@@ -93,29 +134,5 @@ class TestBoundedSearchDispatch:
             [rng.choice(keys, 80), rng.integers(-5, 10**6 + 5, 80)]
         ):
             expected = truth(keys, q)
-            for name in SEARCH_STRATEGIES:
-                got = bounded_search(keys, q, 0, n, expected, name)
-                assert got == expected, name
-
-    def test_unknown_strategy(self, keys):
-        with pytest.raises(KeyError, match="unknown strategy"):
-            bounded_search(keys, 1.0, 0, 10, 5, "psychic")
-
-
-class TestVerifyLowerBound:
-    def test_accepts_correct(self, keys):
-        q = int(keys[50])
-        assert verify_lower_bound(keys, q, 50)
-
-    def test_rejects_wrong(self, keys):
-        q = int(keys[50])
-        assert not verify_lower_bound(keys, q, 49)
-        assert not verify_lower_bound(keys, q, 51)
-        assert not verify_lower_bound(keys, q, -1)
-        assert not verify_lower_bound(keys, q, len(keys) + 1)
-
-    def test_boundaries(self, keys):
-        below = int(keys[0]) - 1
-        above = int(keys[-1]) + 1
-        assert verify_lower_bound(keys, below, 0)
-        assert verify_lower_bound(keys, above, len(keys))
+            for name, search in SEARCH_STRATEGIES.items():
+                assert search(keys, q, 0, n, expected) == expected, name

@@ -24,7 +24,6 @@ from repro.btree import (
     BTreeIndex,
     FASTTree,
     FixedSizeBTree,
-    GenericBTreeIndex,
     HierarchicalLookupTable,
 )
 from repro.core import (
@@ -279,45 +278,43 @@ def test_batch_size_picks_column_or_engine(name, dispatch_as_shipped):
     assert "column_answered" not in index.stats.extra
 
 
-def test_generic_btree_matches_oracle_over_ints():
-    """GenericBTreeIndex fuzzed with Python-int keys (object path)."""
-    rng = np.random.default_rng(SEED)
-    keys = sorted(int(k) for k in rng.choice(rng.integers(0, 5_000, 40), 800))
-    tree = GenericBTreeIndex(keys, page_size=16)
-    oracle = Oracle(keys)
-    probes = [int(q) for q in rng.integers(-100, 5_100, 150)]
-    for q in probes:
-        assert tree.lookup(q) == oracle.lookup(q)
-        assert tree.upper_bound(q) == oracle.upper_bound(q)
-        assert tree.contains(q) == oracle.contains(q)
-    lows = [int(q) for q in rng.integers(-100, 5_100, 50)]
-    highs = [lo + int(d) for lo, d in zip(lows, rng.integers(-50, 500, 50))]
-    for lo, hi in zip(lows, highs):
-        assert tree.range_query(lo, hi) == oracle.range_query(lo, hi)
-
-
 # -- string indexes ------------------------------------------------------------
 
 def random_strings(rng: np.random.Generator, n: int, *, dup_every: int = 3):
-    alphabet = "abcdxyz"
+    """Short strings over an alphabet holding a NUL and characters
+    above 255 — the token clamp's range and the case a fixed-width
+    numpy string would truncate."""
+    alphabet = list("abcdxyz") + ["\x00", "\u0100", "\U0001F600"]
     out = []
     for _ in range(n):
         length = int(rng.integers(1, 8))
-        out.append("".join(rng.choice(list(alphabet), length)))
+        picks = rng.integers(0, len(alphabet), length)
+        out.append("".join(alphabet[i] for i in picks))
     # Duplicate a third of them so equal runs exist.
     out.extend(out[::dup_every])
     return sorted(out)
 
 
-@pytest.mark.parametrize("hybrid_threshold", [None, 1])
-def test_string_rmi_matches_oracle(hybrid_threshold):
+STRING_FACTORIES = {
+    "rmi": lambda keys: StringRMI(keys, num_leaves=24),
+    "rmi_hybrid": lambda keys: StringRMI(
+        keys, num_leaves=24, hybrid_threshold=1
+    ),
+    "btree": lambda keys: BTreeIndex(keys, page_size=8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRING_FACTORIES))
+def test_string_index_matches_oracle(name):
     rng = np.random.default_rng(SEED + 1)
     keys = random_strings(rng, 400)
-    index = StringRMI(
-        keys, num_leaves=24, hybrid_threshold=hybrid_threshold
-    )
+    keys = sorted(keys + ["a\x00", "a\x00\x00", "\u0100", "\U0001F600"])
+    index = STRING_FACTORIES[name](keys)
     oracle = Oracle(keys)
-    probes = random_strings(rng, 60) + ["", "zzzz", keys[0], keys[-1] + "x"]
+    probes = random_strings(rng, 60) + [
+        "", "zzzz", keys[0], keys[-1] + "x", "a", "a\x00", "a\x00\x00\x00",
+        "\u0100", "\u00ff", "\U0001F600", "\U0001F601",
+    ]
     for q in probes:
         assert index.lookup(q) == oracle.lookup(q), q
         assert index.upper_bound(q) == oracle.upper_bound(q), q
@@ -325,7 +322,7 @@ def test_string_rmi_matches_oracle(hybrid_threshold):
     lows = random_strings(rng, 40)
     highs = random_strings(rng, 40)
     for lo, hi in zip(lows, highs):
-        assert index.range_query(lo, hi) == oracle.range_query(lo, hi)
+        assert list(index.range_query(lo, hi)) == oracle.range_query(lo, hi)
 
 
 # -- writable index round-trip ---------------------------------------------------

@@ -229,7 +229,7 @@ class TestCompiledPlanMatchesRMI:
             FixedSizeBTree,
             HierarchicalLookupTable,
         )
-        from repro.core import CompiledPlanIndex, HybridIndex
+        from repro.core import CompiledPlanIndex, HybridIndex, StringRMI
         from repro.range_scan import RangeScanIndexMixin
 
         assert issubclass(RecursiveModelIndex, CompiledPlanIndex)
@@ -244,9 +244,10 @@ class TestCompiledPlanMatchesRMI:
         ):
             assert name not in RecursiveModelIndex.__dict__, name
             assert hasattr(CompiledPlanIndex, name), name
-        # One Section 3.4 scalar lookup: the RMI's probe schedules and
-        # the hybrid's B-Tree leaves plug into the base's.
-        for cls in (RecursiveModelIndex, HybridIndex):
+        # One Section 3.4 scalar lookup: the probe schedules and the
+        # hybrid B-Tree leaves plug into the base's, for numbers and
+        # strings alike.
+        for cls in (RecursiveModelIndex, HybridIndex, StringRMI):
             assert "lookup" not in cls.__dict__, cls
         # The derived scalar reads are written once, in the mixin.
         for cls in (

@@ -1,9 +1,9 @@
-"""Unit tests for linear and spline regression models."""
+"""Unit tests for the linear regression model."""
 
 import numpy as np
 import pytest
 
-from repro.models import LinearModel, SplineSegmentModel
+from repro.models import LinearModel
 
 
 class TestLinearModel:
@@ -62,50 +62,3 @@ class TestLinearModel:
         assert model.param_count == 2
         assert model.size_bytes() == 16
         assert model.op_count() == 2
-
-
-class TestSplineSegmentModel:
-    def test_interpolates_knots(self):
-        keys = np.linspace(0, 100, 50)
-        positions = np.arange(50.0)
-        model = SplineSegmentModel(knots=8).fit(keys, positions)
-        for k, p in zip(keys[::7], positions[::7]):
-            assert model.predict(float(k)) == pytest.approx(p, abs=1.5)
-
-    def test_monotone_by_construction(self):
-        rng = np.random.default_rng(1)
-        keys = np.sort(rng.uniform(0, 1000, size=300))
-        model = SplineSegmentModel(knots=16).fit(keys, np.arange(300.0))
-        probes = np.linspace(-10, 1010, 500)
-        values = model.predict_batch(probes)
-        assert np.all(np.diff(values) >= -1e-9)
-        assert model.is_monotonic()
-
-    def test_clamps_outside_range(self):
-        model = SplineSegmentModel(knots=4).fit(
-            np.array([10.0, 20.0, 30.0, 40.0]), np.array([0.0, 1.0, 2.0, 3.0])
-        )
-        assert model.predict(-100.0) == pytest.approx(0.0)
-        assert model.predict(1e9) == pytest.approx(3.0)
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(2)
-        keys = np.sort(rng.uniform(0, 100, size=64))
-        model = SplineSegmentModel(knots=6).fit(keys, np.arange(64.0))
-        probes = rng.uniform(-5, 105, size=32)
-        batch = model.predict_batch(probes)
-        for q, expected in zip(probes, batch):
-            assert model.predict(float(q)) == pytest.approx(expected)
-
-    def test_degenerate_inputs(self):
-        assert SplineSegmentModel(knots=4).fit(
-            np.array([]), np.array([])
-        ).predict(5.0) == 0.0
-        single = SplineSegmentModel(knots=4).fit(
-            np.array([3.0]), np.array([9.0])
-        )
-        assert single.predict(3.0) == pytest.approx(9.0)
-
-    def test_rejects_too_few_knots(self):
-        with pytest.raises(ValueError):
-            SplineSegmentModel(knots=1)

@@ -99,6 +99,38 @@ class TestMLPTraining:
         assert prob[200:].mean() > 0.8
 
 
+class TestSingleSample:
+    @pytest.mark.parametrize("hidden", [(), (4,), (8, 8)])
+    def test_forward_one_matches_forward(self, hidden):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 255, size=(300, 6))
+        y = x @ rng.normal(size=6) + rng.normal(size=300)
+        net = MLP(6, hidden=hidden, seed=2)
+        if hidden:
+            net.fit(x, y, epochs=3, batch_size=64)
+        else:
+            net.fit_least_squares(x, y)
+        batch = net.forward(x).ravel()
+        single = np.array([net.forward_one(row) for row in x])
+        np.testing.assert_allclose(single, batch, rtol=1e-9)
+
+    def test_least_squares_is_lstsq(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0, 255, size=(200, 5))
+        y = x @ rng.normal(size=5) + 3.0 + rng.normal(size=200)
+        net = MLP(5, seed=1)
+        net.fit_least_squares(x, y)
+        design = np.column_stack([x, np.ones(len(x))])
+        want, *_ = np.linalg.lstsq(design, y, rcond=None)
+        np.testing.assert_array_equal(net.weights[0].ravel(), want[:-1])
+        np.testing.assert_array_equal(net.biases[0], want[-1:])
+        np.testing.assert_array_equal(net.forward(x).ravel(), x @ want[:-1] + want[-1])
+
+    def test_least_squares_refuses_hidden_layers(self):
+        with pytest.raises(ValueError, match="hidden"):
+            MLP(3, hidden=(4,)).fit_least_squares(np.ones((4, 3)), np.ones(4))
+
+
 class TestNeuralRegressionModel:
     def test_scalar_matches_batch(self):
         rng = np.random.default_rng(3)

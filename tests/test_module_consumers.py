@@ -213,3 +213,46 @@ def test_index_layers_import_no_storage_or_serving():
     # The scan must see the modules it guards, or it proves nothing.
     assert {"repro.core.writable", "repro.families.pgm"} <= scanned
     assert not offenders, sorted(offenders)
+
+
+def calls_of(tree: ast.AST, name: str) -> bool:
+    """Does ``tree`` call ``name`` (bare or as an attribute)?"""
+    return any(
+        isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_scalar_lookup_and_one_btree():
+    """The Section 3.4 lookup is written once: the scalar window search,
+    its verification and its exponential fix-up live in
+    ``plan_index.py``, and the string index and the hybrid only plug
+    into it; the one B-Tree index serves numbers and strings alike."""
+    trees = {
+        path.relative_to(SRC / "repro").as_posix(): tree
+        for path, tree in parsed().items()
+        if path.is_relative_to(SRC)
+    }
+    fix_ups = {
+        path for path, tree in trees.items()
+        if path.startswith("core/") and calls_of(tree, "exponential_search")
+    }
+    # Besides the scalar lookup: the batch plan's fix-up (engine.py)
+    # and the "exponential" strategy itself (search.py).
+    assert fix_ups == {"core/plan_index.py", "core/engine.py", "core/search.py"}
+    for path in ("core/string_index.py", "core/hybrid.py"):
+        tree = trees[path]
+        assert not any(isinstance(n, ast.While) for n in ast.walk(tree)), path
+        assert not calls_of(tree, "bisect_left"), path
+    btrees = {
+        node.name
+        for path, tree in trees.items()
+        if path.startswith("btree/")
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name.endswith("BTreeIndex")
+    }
+    assert btrees == {"BTreeIndex"}

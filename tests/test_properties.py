@@ -29,7 +29,7 @@ from repro.btree import (
     interpolation_search,
 )
 from repro.core import RecursiveModelIndex
-from repro.core.search import bounded_search
+from repro.core.search import SEARCH_STRATEGIES
 from repro.hashmap import ChainingHashMap, GenericCuckooHashMap, RandomHashFunction
 from repro.models import LinearModel
 
@@ -131,7 +131,7 @@ class TestSearchPrimitives:
         assert exponential_search(keys, q, guess) == expected
         for strategy in ("biased_binary", "biased_quaternary"):
             assert (
-                bounded_search(keys, q, 0, len(keys), guess, strategy)
+                SEARCH_STRATEGIES[strategy](keys, q, 0, len(keys), guess)
                 == expected
             )
 

@@ -160,3 +160,42 @@ class TestAccounting:
             index.lookup(q)
         assert index.stats.lookups == 40
         assert index.stats.comparisons > 0
+
+
+#: (comparisons, window_total, fixups) of the 400 lookups of
+#: ``test_golden_counts``, recorded before the string index moved onto
+#: the shared Section 3.4 lookup.  Biased quaternary is the one entry
+#: that moved: it spent its 3-comparison round on windows of three
+#: slots or fewer too (2785 and 403 comparisons), which the one-round
+#: schedule of ``repro.core.search`` leaves to binary search.
+GOLDEN_COUNTS = {
+    ("binary", None): (2337, 29040, 0),
+    ("biased_binary", None): (2313, 29040, 0),
+    ("biased_quaternary", None): (2775, 29040, 0),
+    ("binary", 16): (299, 1407, 0),
+    ("biased_binary", 16): (302, 1407, 0),
+    ("biased_quaternary", 16): (393, 1407, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "strategy, hybrid_threshold", sorted(GOLDEN_COUNTS, key=str)
+)
+def test_golden_counts(strings_small, strategy, hybrid_threshold):
+    """The linear root's search work on 300 present and 100 absent
+    probes, pinned: the shared lookup must spend what the string
+    index's own lookup spent."""
+    index = StringRMI(
+        strings_small,
+        num_leaves=300,
+        search_strategy=strategy,
+        hybrid_threshold=hybrid_threshold,
+    )
+    rng = np.random.default_rng(36)
+    picks = rng.integers(0, len(strings_small), 300)
+    present = [strings_small[i] for i in picks]
+    for q in present + [k + "~" for k in present[:100]]:
+        index.lookup(q)
+    stats = index.stats
+    got = (stats.comparisons, stats.window_total, stats.fixups)
+    assert got == GOLDEN_COUNTS[strategy, hybrid_threshold]
