@@ -21,12 +21,13 @@ is both the guard on that choice and the source of its constants:
   same on both at every call size — models are fitted on
   ``key - keys[0]``, so the float64 ulp must not widen a window
   (ROADMAP item 2a's dense case);
-* the **crossover scan** prints, for every column size in
-  ``COLUMN_CROSSOVERS`` (and one four times the largest, for
-  ``COLUMN_CROSSOVER_BEYOND``), the paired column/engine time ratio
-  over a grid of call sizes and the call size at which it crosses 1 —
-  the number each row is set from.  Re-run it and edit the table when
-  the engine's fixed cost changes;
+* the **crossover scan** prints, for each family and every column
+  size in its ``crossovers`` rows (and one four times the largest,
+  for the ``beyond`` value), the paired column/engine time ratio over
+  a grid of call sizes and the call size at which it crosses 1 — the
+  number each row is set from — then the family's table in the form
+  the source holds it.  Re-run it and paste the tables when the
+  engine's fixed cost changes;
 * the **filter table** carries the same question one layer up: an LSM
   run's bloom pass against the probe it guards, on all-absent
   sub-batches (the filter's best case), beside the rule
@@ -57,12 +58,7 @@ import numpy as np
 from repro.bench import Table, compare_lookups
 from repro.bloom.standard import ROW_WALK_MIN_KEYS
 from repro.core import RecursiveModelIndex
-from repro.core.engine import (
-    COLUMN_CROSSOVER_BEYOND,
-    COLUMN_CROSSOVERS,
-    SortedKeyColumn,
-    column_answers,
-)
+from repro.core.engine import SortedKeyColumn, column_answers
 from repro.data import uniform_keys
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
@@ -180,7 +176,8 @@ def test_lookup_batch_never_loses_to_either_forced_path():
                     f"{dispatched.mean_ns / 1e3:.1f}",
                     f"{column_over / engine_over:.2f}",
                     f"{over_best:.2f}",
-                    "column" if column_answers(k, n) else "engine",
+                    "column" if column_answers(k, n, index.crossovers)
+                    else "engine",
                 )
     show_table(table)
     assert not losing, f"lookup_batch loses to a forced path: {losing}"
@@ -230,40 +227,50 @@ def test_dense_column_near_2p62_costs_the_engine_what_a_uniform_one_does():
 def test_crossover_scan_behind_the_dispatch_table():
     rng = np.random.default_rng(3018)
     call_sizes = [1 << e for e in range(5, 14)]
-    table = Table(
-        "Crossover scan (RMI): column time / engine time, paired "
-        "(below 1 the column is the cheaper side)",
-        ["column keys"] + [str(k) for k in call_sizes]
-        + ["crossover", "shipped"],
-    )
-    ratios = {}
-    beyond = (COLUMN_CROSSOVERS[-1][0] * 4, COLUMN_CROSSOVER_BEYOND)
-    for n, shipped in COLUMN_CROSSOVERS + (beyond,):
-        keys = uniform_keys(n, seed=7)
-        column = SortedKeyColumn(keys)
-        index = FAMILIES["RMI"](keys)
-        row = [
-            _paired(
-                lambda q: index.lookup_batch(q, sort=False),
-                column.lower_bounds,
-                _calls(keys, k, rng),
-            )[2]
-            for k in call_sizes
-        ]
-        ratios[n] = row
-        table.add_row(
-            f"{n:,}", *[f"{r:.2f}" for r in row],
-            _crossover(call_sizes, row), shipped,
+    for family, build in FAMILIES.items():
+        table = Table(
+            f"Crossover scan ({family}): column time / engine time, "
+            "paired (below 1 the column is the cheaper side)",
+            ["column keys"] + [str(k) for k in call_sizes]
+            + ["crossover", "shipped"],
         )
-    show_table(table)
-    # Shape: a 32-key call is the column's on every size, an 8 192-key
-    # call the engine's once the column no longer fits the L2 cache.
-    assert all(row[0] < 1.0 for row in ratios.values())
-    assert ratios[beyond[0]][-1] > 1.0
+        ratios, found = {}, {}
+        rows, beyond = build(uniform_keys(1_000, seed=7)).crossovers
+        for n, shipped in rows + ((rows[-1][0] * 4, beyond),):
+            keys = uniform_keys(n, seed=7)
+            column = SortedKeyColumn(keys)
+            index = build(keys)
+            row = [
+                _paired(
+                    lambda q: index.lookup_batch(q, sort=False),
+                    column.lower_bounds,
+                    _calls(keys, k, rng),
+                )[2]
+                for k in call_sizes
+            ]
+            ratios[n] = row
+            found[n] = _crossover(call_sizes, row)
+            table.add_row(
+                f"{n:,}", *[f"{r:.2f}" for r in row], found[n], shipped
+            )
+        show_table(table)
+        # Shape: a 32-key call is the column's on every size, an 8 192-key
+        # call the engine's once the column no longer fits the L2 cache.
+        assert all(row[0] < 1.0 for row in ratios.values()), family
+        assert ratios[rows[-1][0] * 4][-1] > 1.0, family
+        # The table in the form the source holds it, each row the
+        # scan's crossover ("> 8192" and the like printed as found).
+        console(
+            f"[small-batch floor] {family} crossovers = (("
+            + "".join(f"(1 << {n.bit_length() - 1}, {found[n]}), "
+                      for n, _ in rows)
+            + f"), {found[rows[-1][0] * 4]})"
+        )
     console(
-        "[small-batch floor] set each COLUMN_CROSSOVERS row (and "
-        "COLUMN_CROSSOVER_BEYOND) from the 'crossover' column; within "
-        "2x is close enough, the two paths cost the same there"
+        "[small-batch floor] set each family's crossovers (the RMI's: "
+        "COLUMN_CROSSOVERS and COLUMN_CROSSOVER_BEYOND) from the "
+        "'crossover' column; within 2x is close enough, the two paths "
+        "cost the same there"
     )
 
 

@@ -17,7 +17,7 @@ at:
   exact search primitives.  Queries are *prepared* once into a
   :class:`QueryBatch` whose ``compare`` array is in the **key's native
   dtype** (exact int64/uint64 paths; float64 only for float keys);
-  every comparison downstream — the lock-step bounded search, boundary
+  every comparison downstream — the fixed-round bounded search, boundary
   verification, the scalar exponential fix-up, ``searchsorted``
   corrections, membership equality, duplicate-run widening — runs on
   that native array.  Model predictions stay float64 (they are
@@ -34,7 +34,7 @@ at:
 * :class:`CompiledPlan` — the flat leaf tables every compiled learned
   index reduces to (slopes, intercepts, error-bound window offsets,
   window clamp) plus the batch point engine built on them: route →
-  window → lock-step bounded search → boundary-only verification →
+  window → fixed-round bounded search → boundary-only verification →
   scalar exponential fix-up, and the sorted-batch dedup fast path.
 
 Dtype contract
@@ -63,21 +63,21 @@ fixed ~45-80us a call (some forty small NumPy calls) and then ~0.1us a
 key; ``np.searchsorted`` pays ~1us a call and 0.1-0.8us a key, more
 the further the column outgrows the cache.  So
 :meth:`CompiledPlan.lookup_batch` chooses per call, by
-:func:`column_answers` — a pure function of two things it can see, the
-number of queries in the call and the number of keys in the column —
-and sends a call under the crossover for that column size straight to
-the column: a learned index never loses to the array it wraps
-(Section 3.3's bound, applied to the batch surface).  The crossovers
-are the module constants :data:`COLUMN_CROSSOVERS`, set from the table
-``benchmarks/bench_small_batch_floor.py`` prints and guards; there is
-no constructor option or environment variable.  ``sort=True`` /
+:func:`column_answers` — a pure function of the call's query count,
+the column's key count and the family's crossover table the plan
+carries (a family's routing sets its cost per call) — and sends a call
+under the crossover straight to the column: a learned index never
+loses to the array it wraps (Section 3.3's bound, applied to the batch
+surface).  The tables (the RMI's is :data:`COLUMN_CROSSOVERS`) are set
+from the scan ``benchmarks/bench_small_batch_floor.py`` prints and
+guards; there is no constructor option or environment variable.  ``sort=True`` /
 ``sort=False`` name an engine path and therefore force the engine at
 any size, which is how the benches and the traced benchmark time it;
 ``stats.extra["column_answered"]`` (and, with telemetry on,
 ``engine.lookup_batch.column_calls`` / ``.column_keys``) say how many
 queries the column answered, while ``stats.lookups`` / ``comparisons``
 / ``window_total`` / ``fixups`` keep counting engine work only.  The
-rule reads nothing of the plan: wide windows (skewed leaves) do move
+rule reads no window of the plan: wide windows (skewed leaves) do move
 the true crossover up 2-4x, but the plan's build-time mean window does
 not predict it on skewed data, and the table errs toward the engine —
 the path such a call took before.
@@ -86,7 +86,6 @@ the path such a call took before.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 
@@ -106,6 +105,7 @@ __all__ = [
     "SORTED_BATCH_MIN_DUP_FRACTION",
     "COLUMN_CROSSOVERS",
     "COLUMN_CROSSOVER_BEYOND",
+    "RMI_CROSSOVERS",
     "column_answers",
     "batch_dup_fraction",
     "clamp_window",
@@ -133,44 +133,43 @@ SORTED_BATCH_THRESHOLD = 32_768
 #: each other either way.
 SORTED_BATCH_MIN_DUP_FRACTION = 0.5
 
-#: ``(column keys, queries)``: on a column of at most that many keys, a
-#: call of at most that many queries is answered by the column (see
-#: "Small-batch dispatch" in the module docstring).  Each row is the
-#: call size at which the RMI's engine forced with ``sort=False`` and
-#: ``SortedKeyColumn.lower_bounds`` cost the same on a uniform int64
-#: column of that size, as the crossover scan of
-#: ``benchmarks/bench_small_batch_floor.py`` prints it — except the
-#: first, set between the RMI's (~2k-5k) and the PGM's and
-#: RadixSpline's (> 8k: their routing costs more per call, which shows
-#: while the column still sits in cache).  A size between two rows
-#: takes the larger row's smaller crossover, so the table errs toward
-#: the engine.
+#: The RMI's ``(column keys, queries)`` rows: on a column of at most
+#: that many keys, a call of at most that many queries is answered by
+#: the column (see "Small-batch dispatch" in the module docstring).
+#: Each row is the call size at which the engine forced with
+#: ``sort=False`` and ``SortedKeyColumn.lower_bounds`` cost the same on
+#: a uniform int64 column of that size, as the crossover scan of
+#: ``benchmarks/bench_small_batch_floor.py`` prints it.  A size between
+#: two rows takes the larger row's smaller crossover.
 COLUMN_CROSSOVERS = (
-    (1 << 14, 4096),
-    (1 << 17, 768),
-    (1 << 18, 320),
-    (1 << 19, 160),
-    (1 << 20, 96),
+    (1 << 14, 768),
+    (1 << 17, 384),
+    (1 << 18, 384),
+    (1 << 19, 240),
+    (1 << 20, 128),
 )
 
-#: Crossover on columns larger than the table's last row.
+#: The RMI's crossover on columns larger than the table's last row.
 COLUMN_CROSSOVER_BEYOND = 48
 
-_CROSSOVER_SIZES = tuple(size for size, _ in COLUMN_CROSSOVERS)
-_CROSSOVER_QUERIES = tuple(k for _, k in COLUMN_CROSSOVERS) + (
-    COLUMN_CROSSOVER_BEYOND,
-)
+
+#: The RMI's ``(rows, beyond)`` table, every index's by default.
+RMI_CROSSOVERS = (COLUMN_CROSSOVERS, COLUMN_CROSSOVER_BEYOND)
 
 
-def column_answers(queries: int, keys: int) -> bool:
+def column_answers(queries: int, keys: int, crossovers=RMI_CROSSOVERS):
     """Should a call of ``queries`` lookups into a column of ``keys``
     keys skip the model and search the whole column?
 
-    A pure function of the two sizes, read off
-    :data:`COLUMN_CROSSOVERS`; both answers are bit-identical, this
+    A pure function of the two sizes, read off a family's ``(rows,
+    beyond)`` crossover table; both answers are bit-identical, this
     only picks the cheaper one.
     """
-    return queries <= _CROSSOVER_QUERIES[bisect_left(_CROSSOVER_SIZES, keys)]
+    rows, beyond = crossovers
+    for size, most in rows:
+        if keys <= size:
+            return queries <= most
+    return queries <= beyond
 
 
 def clamp_window(lo: int, hi: int, n: int) -> tuple[int, int]:
@@ -512,9 +511,9 @@ class SortedKeyColumn:
     ) -> tuple[np.ndarray, int]:
         """The batch point engine's last mile, hosted exactly once.
 
-        Lock-step bounded binary search inside the per-query windows,
-        boundary-only verification (interior results are proven by the
-        search's own probes — see
+        Fixed-round branch-free search inside the per-query windows,
+        boundary-only verification (an interior result is the global
+        lower bound — see
         :func:`repro.core.search.vectorized_bounded_search`), scalar
         exponential fix-up for the rare Section 3.4 misses, and the
         out-of-dtype-range clamp resolution.  Returns ``(positions,
@@ -707,7 +706,8 @@ class CompiledPlan:
     integer dtype that fits them (:func:`narrow_offsets`).  The root
     predictor and the leaf models all live in ``space``
     (:class:`ModelSpace`; by default the column's own, origin at its
-    first key).
+    first key).  ``crossovers`` is the family's small-batch dispatch
+    table (:func:`column_answers`).
     """
 
     __slots__ = (
@@ -719,6 +719,7 @@ class CompiledPlan:
         "lo_offsets",
         "hi_offsets",
         "space",
+        "crossovers",
     )
 
     def __init__(
@@ -731,6 +732,7 @@ class CompiledPlan:
         lo_offsets: np.ndarray,
         hi_offsets: np.ndarray,
         space: ModelSpace | None = None,
+        crossovers=RMI_CROSSOVERS,
     ):
         self.column = column
         self.root_predict_batch = root_predict_batch
@@ -741,6 +743,7 @@ class CompiledPlan:
             lo_offsets, hi_offsets
         )
         self.space = ModelSpace.of(column.keys) if space is None else space
+        self.crossovers = crossovers
 
     # -- serialization ---------------------------------------------------------
 
@@ -801,7 +804,7 @@ class CompiledPlan:
     # -- the batch point engine ------------------------------------------------
 
     def _engine(self, qb: QueryBatch, stats) -> np.ndarray:
-        """Route → window → lock-step bounded search → verify → fix up."""
+        """Route → window → fixed-round bounded search → verify → fix up."""
         lo, hi = self.windows_from_raw(*self.route(qb))
         counter = None
         if stats is not None:
@@ -810,8 +813,8 @@ class CompiledPlan:
             counter = Counter()
         # Unlike the scalar path, no +1 window extension: a result at
         # the exclusive end is caught by the boundary verification
-        # inside bounded_lower_bounds, and the narrower window saves a
-        # lock-step round.
+        # inside bounded_lower_bounds, and a window one slot narrower
+        # can save a round.
         pos, fixups = self.column.bounded_lower_bounds(
             qb, lo, hi, counter=counter
         )
@@ -850,7 +853,9 @@ class CompiledPlan:
         """
         compare = qb.compare
         column = self.column
-        from_column = sort is None and column_answers(compare.size, column.size)
+        from_column = sort is None and column_answers(
+            compare.size, column.size, self.crossovers
+        )
         if obs_state.enabled:
             # One branch on the hot path when disabled; the batch
             # counters feed the obs exporters and the auto-tuning arc.

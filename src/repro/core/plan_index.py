@@ -50,7 +50,9 @@ from ..range_scan import (
     batch_range_scan,
 )
 from ..util import scalar_view
-from .engine import CompiledPlan, ModelSpace, SortedKeyColumn, clamp_window
+from .engine import (
+    RMI_CROSSOVERS, CompiledPlan, ModelSpace, SortedKeyColumn, clamp_window,
+)
 from .search import SEARCH_STRATEGIES, biased_quaternary_search
 
 __all__ = ["CompiledPlanIndex", "RMIStats", "ScalarLookup"]
@@ -62,6 +64,7 @@ class RMIStats:
     Plain ints, like the ``TraversalStats`` of the baselines these
     indexes are raced against: every scalar lookup bumps them and
     nothing exports them, so they are not a :class:`repro.obs.StatsView`.
+    A batch's ``comparisons`` are the gathers its bounded search issued.
     """
 
     __slots__ = ("lookups", "comparisons", "fixups", "window_total", "extra")
@@ -193,6 +196,10 @@ class CompiledPlanIndex(ScalarLookup, RangeScanIndexMixin):
     (:class:`~repro.range_scan.RangeScanIndexMixin`).
     """
 
+    #: The small-batch dispatch table the plan carries
+    #: (:func:`repro.core.engine.column_answers`).
+    crossovers = RMI_CROSSOVERS
+
     def __init__(self, keys: np.ndarray):
         keys = np.asarray(keys)
         if keys.ndim != 1:
@@ -254,6 +261,7 @@ class CompiledPlanIndex(ScalarLookup, RangeScanIndexMixin):
             lo_offsets,
             hi_offsets,
             self._space,
+            self.crossovers,
         )
         # Python-list mirrors: native scalars per probe on the scalar
         # latency path (indexing numpy boxes a NumPy scalar each time).
@@ -282,7 +290,7 @@ class CompiledPlanIndex(ScalarLookup, RangeScanIndexMixin):
     # -- batch surface (thin adapters over the shared engine) --------------
     #
     # Queries are prepared once into the key column's native dtype, the
-    # CompiledPlan runs route → window → lock-step bounded search →
+    # CompiledPlan runs route → window → fixed-round bounded search →
     # verification → fix-up, and the column primitives answer
     # membership and duplicate widening.  No search or comparison
     # logic lives in this class.

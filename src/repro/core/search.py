@@ -30,11 +30,12 @@ The scalar strategies above are the *latency* path: one Python-level
 probe sequence per query, mirroring what a code-generated C++ lookup
 would execute, so per-query comparison counts feed the Section 2.1 cost
 model honestly.  :func:`vectorized_bounded_search` is the *throughput*
-path: it runs the plain binary-search strategy for a whole query batch
-in lock-step (`while np.any(left < right)`), one numpy gather +
-compare per round over every still-active query.  Both return the same
-lower-bound positions; only the probe schedule differs, which is why
-benchmarks report scalar latency and batch throughput separately.
+path: a whole batch searches its windows in fixed branch-free rounds
+(:func:`halving_rounds`), one gather + compare + add over every lane
+per round — the branch-free last mile "Benchmarking Learned Indexes"
+finds beats binary search inside small error bounds.  Both return the
+same lower-bound positions; only the probe schedule differs, which is
+why benchmarks report scalar latency and batch throughput separately.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from ..btree.search_baselines import (
 __all__ = [
     "biased_binary_search",
     "biased_quaternary_search",
+    "halving_rounds",
     "vectorized_bounded_search",
     "verify_lower_bound_batch",
     "SEARCH_STRATEGIES",
@@ -156,10 +158,36 @@ SEARCH_STRATEGIES: dict[str, Callable] = {
 }
 
 
-#: Batch size from which the lock-step search compacts its straggler
-#: lanes (measured on this box: compaction loses 10-25% below ~1k
-#: lanes, wins 5-15% above ~4k, uniform and lognormal windows alike).
-COMPACT_MIN_BATCH = 2048
+#: Batch size from which :func:`vectorized_bounded_search` gives wide
+#: outlier lanes their own rounds.  Measured on a 2-vCPU x86 host over
+#: RMI and RadixSpline windows, the split loses up to 30% at 2k-4k
+#: lanes, ties near 8k and wins 5-9% from 16k.
+COMPACT_MIN_BATCH = 16_384
+
+
+def halving_rounds(
+    keys: np.ndarray,
+    queries: np.ndarray,
+    base: np.ndarray,
+    rounds: int,
+    side: str = "left",
+    *,
+    down_to: int = 0,
+) -> np.ndarray:
+    """For ``half = 2**(rounds-1)`` down to ``2**down_to``, advance
+    ``base`` (in place) by ``half`` where ``keys[base + half - 1]`` is
+    ``< query`` (``side="left"``) or ``<= query``.  No masks: every lane
+    runs every round.  Down to ``2**0``, each lane lands on its lower
+    (upper) bound clamped into ``[base, base + 2**rounds)``, as
+    ``keys`` is sorted and a probe past its end reads the last key."""
+    less = np.less if side == "left" else np.less_equal
+    for r in range(rounds - 1, max(down_to, 1) - 1, -1):
+        half = 1 << r
+        base += less(keys.take(base + (half - 1), mode="clip"), queries) * half
+    if down_to == 0 < rounds:
+        # The half == 1 round, spared its add and multiply by one.
+        base += less(keys.take(base, mode="clip"), queries)
+    return base
 
 
 def vectorized_bounded_search(
@@ -169,72 +197,47 @@ def vectorized_bounded_search(
     hi: np.ndarray,
     counter: Counter | None = None,
 ) -> np.ndarray:
-    """Lock-step lower-bound binary search over per-query windows.
+    """Per-query lower bound within its window, in fixed rounds.
 
-    Runs one binary-search round per iteration for *every* query whose
-    window ``[lo, hi)`` is still open: a single fancy-indexed gather of
-    ``keys`` at the midpoints plus one vectorized compare, i.e. the
-    data-parallel analogue of issuing a batch of independent binary
-    searches.  Queries whose windows close simply stop participating;
-    the loop ends after ``ceil(log2(max window))`` rounds.
+    A window ``[lo, hi)`` has ``hi - lo + 1`` candidates, resolved by
+    ``bit_length(hi - lo)`` :func:`halving_rounds` from ``lo`` and a
+    clamp at ``hi``; lanes share the widest window's rounds, but from
+    :data:`COMPACT_MIN_BATCH` lanes wide outliers run their extra rounds
+    alone.  ``counter`` counts lanes x rounds.  ``keys`` must be
+    non-empty and sorted, ``0 <= lo <= hi <= n``.
 
-    ``keys`` must be non-empty and sorted; ``lo``/``hi`` are int arrays
-    already clamped to ``[0, n]``.  Returns the per-query lower bound
-    *within its window* (callers verify against the full array and fix
-    up misses, exactly like the scalar path).
-
-    Verification shortcut for callers: a returned position strictly
-    inside its window has had both neighbours probed (the final probes
-    that pinned ``left`` and ``right`` established ``keys[pos-1] <
-    query <= keys[pos]``), so it is already a *globally* correct lower
-    bound.  Only boundary results (``pos == lo`` or ``pos == hi``) can
-    be Section 3.4 mispredictions and need the verification pass.
+    The result is the global lower bound clamped into ``[lo, hi]``, so
+    only boundary results (``pos == lo`` or ``pos == hi``) can be
+    Section 3.4 mispredictions and need the caller's verification.
     """
-    left = np.asarray(lo, dtype=np.int64).copy()
-    right = np.asarray(hi, dtype=np.int64).copy()
-    batch = left.size
-    # Phase 1 — full-width lock-step rounds while most lanes are open:
-    # every array op streams over the whole batch, so masking beats
-    # compaction until the open fraction drops.  A small batch never
-    # compacts: a pass over it costs one call's fixed overhead however
-    # few lanes are open, less than the gathers compaction adds.
-    compact_below = batch if batch >= COMPACT_MIN_BATCH else 0
-    while True:
-        active = left < right
-        open_lanes = int(np.count_nonzero(active))
-        if open_lanes == 0:
-            return left
-        if open_lanes * 4 < compact_below:
-            break
+    base = np.array(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    width = hi - base
+    rounds = shared = int(width.max(initial=0)).bit_length()
+    lanes = base.size
+    if lanes >= COMPACT_MIN_BATCH:
+        # All lanes run the ``t`` rounds minimising ``lanes * t + wide *
+        # (rounds + 2 - t)``: the wide lanes (width >= 2**t) run their
+        # top rounds alone first, and peeling them off costs about two
+        # rounds of theirs.  Lane counts come from a strided sample of
+        # 1 024-2 047 widths; frexp's exponent is their bit length.
+        sample = width[:: lanes >> 10]
+        counts = np.bincount(np.frexp(sample)[1], minlength=rounds + 1)
+        n_wide = (sample.size - np.cumsum(counts)) * (lanes / sample.size)
+        t = np.arange(rounds + 1)
+        cost = lanes * t + n_wide * (rounds + 2 - t)
+        shared = rounds - int(np.argmin(cost[::-1]))  # ties: fewer groups
+    if shared < rounds:
+        wide = np.flatnonzero(width >> shared)
+        base[wide] = halving_rounds(
+            keys, queries[wide], base[wide], rounds, down_to=shared
+        )
         if counter is not None:
-            counter.comparisons += open_lanes
-        mid = left + right
-        mid >>= 1
-        # Closed lanes have left == right (possibly == n); 'clip' keeps
-        # their gather in range — the lanes are masked below anyway.
-        less = keys.take(mid, mode="clip") < queries
-        less &= active  # lanes moving right this round
-        active ^= less  # lanes moving left this round
-        np.putmask(right, active, mid)
-        mid += 1
-        np.putmask(left, less, mid)
-    # Phase 2 — compact the straggler lanes (wide-window outliers) so
-    # the remaining rounds no longer pay full-batch passes.
-    idx = np.nonzero(active)[0]
-    l, r, q = left[idx], right[idx], queries[idx]
-    while l.size:
-        if counter is not None:
-            counter.comparisons += int(l.size)
-        mid = (l + r) >> 1  # all lanes open: mid < r <= n, gather safe
-        less = keys[mid] < q
-        l = np.where(less, mid + 1, l)
-        r = np.where(less, r, mid)
-        closed = l >= r
-        if closed.any():
-            left[idx[closed]] = l[closed]
-            still = ~closed
-            idx, l, r, q = idx[still], l[still], r[still], q[still]
-    return left
+            counter.comparisons += wide.size * (rounds - shared)
+    halving_rounds(keys, queries, base, shared)
+    if counter is not None:
+        counter.comparisons += lanes * shared
+    return np.minimum(base, hi, out=base)
 
 
 def verify_lower_bound_batch(

@@ -18,7 +18,7 @@ Mapping onto this repo's kernel:
   four flat tables over the shared key column — so every batch path,
   the sorted-batch fast path, and the serving layer run unchanged;
 * the recursive descent is this family's ``root_predict_batch``: it
-  resolves a query batch to leaf indices with fixed-round lock-step
+  resolves a query batch to leaf indices with fixed-round branch-free
   bounded searches per level and hands the engine
   ``(leaf + 0.5) * n / m``, the fixed point of the plan's
   ``floor(pred * m / n)`` routing.
@@ -27,15 +27,16 @@ Internal levels index *distinct* keys, so every converged internal
 segment — single-key segments fit exactly — obeys the uniform
 ε_internal bound.  The descent exploits that twice: windows are a
 constant ``2·ε_internal + 4`` wide (no per-segment offset gathers),
-and the bounded search is *branchless lock-step*: a power-of-two
-window halved by ``base += half * (keys[base + half - 1] <= q)``
-rounds — one gather, one compare, one fused add per round, no masks
-and no ``np.where`` — landing on the child *upper bound*, whose
-``- 1`` is the predecessor segment with no correction pass.  The top
-array (at most :data:`TOP_FANOUT` entries) is routed by a small
-bucket table whose cells bracket the upper bound exactly (the cell
-function is monotone in the key), so the top costs a handful of
-arithmetic ops plus the measured ``ceil(log2(max bracket))`` rounds.
+and the bounded search is the engine's own branch-free halving
+(:func:`repro.core.search.halving_rounds` with ``side="right"``):
+``base += half * (keys[base + half - 1] <= q)`` rounds — one clipped
+gather, one compare, one add per round, no masks and no ``np.where``
+— landing on the child *upper bound*, whose ``- 1`` is the
+predecessor segment with no correction pass.  The top array (at most
+:data:`TOP_FANOUT` entries) is routed by a small bucket table whose
+cells bracket the upper bound exactly (the cell function is monotone
+in the key), so the top costs a handful of arithmetic ops plus the
+measured ``ceil(log2(max bracket + 1))`` rounds.
 
 Segments, levels and the top table are all fitted over the index's
 model space (``key - keys[0]``, exact in the key dtype before the
@@ -52,8 +53,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..models.cdf import positions_for_keys
 from ..core.plan_index import CompiledPlanIndex
+from ..core.search import halving_rounds
+from ..models.cdf import positions_for_keys
 from ..util import clamp_into
 from .segmentation import epsilon_segment
 
@@ -66,7 +68,7 @@ DEFAULT_PGM_EPSILON = 16
 
 #: Default ε for the internal (recursive) levels.  Internal arrays are
 #: tiny relative to the data, so a tight bound costs little space but
-#: keeps each descent step to three lock-step rounds — the PGM paper
+#: keeps each descent step to three halving rounds — the PGM paper
 #: likewise tunes ε_internal separately from the leaf ε.
 DEFAULT_PGM_EPSILON_INTERNAL = 2
 
@@ -80,21 +82,20 @@ TOP_FANOUT = 512
 TOP_TABLE_MAX_BITS = 13
 
 #: Fall back to ``searchsorted`` top routing when some bucket would
-#: need more than this many lock-step rounds to resolve.
-TOP_ROUNDS_CAP = 6
+#: need more than this many halving rounds to resolve.
+TOP_ROUNDS_CAP = 7
 
 
 class _Level(NamedTuple):
     """One internal level: an ε-segmentation over ``child_keys`` (the
-    strictly-increasing first keys of the level below, stored with the
-    branchless-search sentinel tail).  No per-segment error bounds —
-    the uniform ε_internal bound covers every converged segment of a
-    distinct-key array."""
+    strictly-increasing first keys of the level below).  No per-segment
+    error bounds — the uniform ε_internal bound covers every converged
+    segment of a distinct-key array."""
 
     first_keys: np.ndarray  # this level's segment first keys
     slopes: np.ndarray
     intercepts: np.ndarray
-    child_padded: np.ndarray  # child first keys + inf tail
+    child_keys: np.ndarray  # the level below's first keys
     child_count: int
 
 
@@ -109,41 +110,6 @@ def _predecessor(
     j = pos - ((pos == c) | (keys[take] > qf))
     clamp_into(j, 0, c - 1)
     return j
-
-
-def _pad_keys(keys: np.ndarray, rounds: int) -> np.ndarray:
-    """``keys`` extended by a ``2**rounds`` tail of ``+inf`` sentinels
-    so every branchless-round probe stays in bounds without masking
-    (``inf <= q`` is false, so sentinels never advance ``base``)."""
-    pad = np.full(1 << rounds, np.inf)
-    return np.concatenate([keys.astype(np.float64), pad])
-
-
-def _upper_bound_branchless(
-    padded: np.ndarray,
-    qf: np.ndarray,
-    base: np.ndarray,
-    rounds: int,
-) -> np.ndarray:
-    """Per-query upper bound by branchless lock-step halving.
-
-    ``base`` brackets each query's upper bound in ``[base, base + W]``
-    with ``W = 2**rounds``; ``padded`` carries a ``W``-long ``+inf``
-    tail (:func:`_pad_keys`) so probes never leave the array.  Each
-    round probes one position and advances ``base`` by ``half`` where
-    the probe key is ``<= q`` — three vector ops, no mask, no
-    ``np.where``; the classic branchless binary search run in lock
-    step.  ``base`` is mutated in place and returned.  Out-of-model
-    lanes (NaN predictions) compare false everywhere and stay at their
-    clipped ``base`` — a routing hint the engine repairs downstream.
-    """
-    length = 1 << rounds
-    while length > 1:
-        half = length >> 1
-        base += half * (padded.take(base + (half - 1)) <= qf)
-        length -= half
-    base += padded.take(base) <= qf
-    return base
 
 
 class PGMIndex(CompiledPlanIndex):
@@ -163,6 +129,11 @@ class PGMIndex(CompiledPlanIndex):
     epsilon_internal:
         Error bound for the recursive levels over segment first keys.
     """
+
+    #: Small-batch dispatch rows, set from the crossover scan of
+    #: ``benchmarks/bench_small_batch_floor.py``.
+    crossovers = (((1 << 14, 1536), (1 << 17, 896), (1 << 18, 768),
+                   (1 << 19, 448), (1 << 20, 288)), 64)
 
     def __init__(
         self,
@@ -195,8 +166,8 @@ class PGMIndex(CompiledPlanIndex):
         child = first_keys
         k = int(np.ceil(self.epsilon_internal))
         # Window [floor(raw) - k - 1, floor(raw) + k + 3) brackets the
-        # upper bound for a prediction within +-k; round up to the
-        # enclosing power of two for the branchless halving.
+        # upper bound for a prediction within +-k: 2k + 4 candidates,
+        # which bit_length(2k + 3) halving rounds resolve.
         self._level_rounds = (2 * k + 3).bit_length()
         self._level_slack = k
         while child.size > TOP_FANOUT:
@@ -211,7 +182,7 @@ class PGMIndex(CompiledPlanIndex):
             parents = child[lseg.boundaries[:-1]]
             levels.append(_Level(
                 parents, lseg.slopes, lseg.intercepts,
-                _pad_keys(child, self._level_rounds), child.size,
+                child, child.size,
             ))
             child = parents
         levels.reverse()  # descent order: top level first
@@ -237,7 +208,7 @@ class PGMIndex(CompiledPlanIndex):
     def _fit_top_route(top: np.ndarray) -> tuple:
         """Routing recipe for the top array: trivial for one entry, a
         bucket table otherwise (a few arithmetic ops plus the measured
-        worst-bucket lock-step rounds beat ``searchsorted``'s fixed
+        worst-bucket halving rounds beat ``searchsorted``'s fixed
         per-query overhead), ``searchsorted`` when some bucket is
         adversarially deep.
 
@@ -262,11 +233,11 @@ class PGMIndex(CompiledPlanIndex):
         table = np.searchsorted(
             top_cells, np.arange(cells + 1), side="left"
         ).astype(np.int64)
-        max_bracket = int(np.max(table[1:] - table[:-1])) + 1
-        rounds = max(max_bracket - 1, 1).bit_length()
+        # [table[c], table[c + 1] + 1] holds diff + 2 candidates.
+        rounds = (int(np.max(table[1:] - table[:-1])) + 1).bit_length()
         if rounds > TOP_ROUNDS_CAP:
             return ("search",)
-        return ("table", min_f, scale, table, rounds, _pad_keys(top, rounds))
+        return ("table", min_f, scale, table, rounds)
 
     def _descend(self, qf: np.ndarray) -> np.ndarray:
         """Leaf segment index per query: the recursive PGM descent.
@@ -283,10 +254,10 @@ class PGMIndex(CompiledPlanIndex):
         if route[0] == "single":
             j = np.zeros(qf.size, dtype=np.int64)
         elif route[0] == "table":
-            _tag, min_f, scale, table, rounds, padded = route
+            _tag, min_f, scale, table, rounds = route
             cell = ((qf - min_f) * scale).astype(np.int64)
             clamp_into(cell, 0, table.size - 2)
-            j = _upper_bound_branchless(padded, qf, table.take(cell), rounds)
+            j = halving_rounds(top, qf, table.take(cell), rounds, "right")
             j -= 1
             clamp_into(j, 0, top.size - 1)
         else:
@@ -300,7 +271,7 @@ class PGMIndex(CompiledPlanIndex):
             base = raw.astype(np.int64)
             base -= slack + 1
             clamp_into(base, 0, level.child_count)
-            j = _upper_bound_branchless(level.child_padded, qf, base, rounds)
+            j = halving_rounds(level.child_keys, qf, base, rounds, "right")
             j -= 1
             clamp_into(j, 0, level.child_count - 1)
         return j
@@ -322,9 +293,8 @@ class PGMIndex(CompiledPlanIndex):
         total += len(self._leaf_first_list) * 8
         if self._top_route[0] == "table":
             total += self._top_route[3].size * 8  # bucket table
-            total += self._top_route[5].size * 8  # padded top keys
         for level in self._levels:
-            # slopes + intercepts + padded child copy
+            # slopes + intercepts + child first keys
             total += level.first_keys.size * 8 * 2
-            total += level.child_padded.size * 8
+            total += level.child_keys.size * 8
         return total

@@ -13,7 +13,7 @@ Here the spline comes from the shared ε-segmentation run in
 point — exactly a spline chord, built array-native instead of the
 paper's streaming corridor), and the spline segments *are* the leaf
 tables of a :class:`~repro.core.engine.CompiledPlan`.  The radix table
-plus one lock-step bounded search over the knot array form this
+plus one fixed-round bounded search over the knot array form this
 family's ``root_predict_batch``.  The bracket property
 
     ``table[c] <= lower_bound(knots, q) <= table[c + 1]``   (q in cell c)
@@ -67,6 +67,11 @@ class RadixSplineIndex(CompiledPlanIndex):
         to roughly twice the knot count, clamped to
         ``[MIN_RADIX_BITS, MAX_RADIX_BITS]``.
     """
+
+    #: Small-batch dispatch rows, set from the crossover scan of
+    #: ``benchmarks/bench_small_batch_floor.py``.
+    crossovers = (((1 << 14, 1280), (1 << 17, 640), (1 << 18, 512),
+                   (1 << 19, 256), (1 << 20, 144)), 96)
 
     def __init__(
         self,

@@ -10,7 +10,7 @@ This module is the shared engine behind every index's
   the key column, each on its own (a common dtype for int64 and uint64
   endpoints would be float64, which rounds both beyond 2^53), and go
   through the index's own ``lookup_batch`` as one concatenated
-  prepared batch, so the model, leaf routing and lock-step search
+  prepared batch, so the model, leaf routing and bounded search
   amortize across ``2m`` queries; the high endpoints are then widened
   from lower bound to upper bound
   (:meth:`repro.core.engine.SortedKeyColumn.upper_bounds`, the single
@@ -344,13 +344,13 @@ def batch_range_scan(
     *,
     column=None,
 ) -> RangeScanResult:
-    """The numeric engine: two lock-step bound resolutions + assembly.
+    """The numeric engine: two batch bound resolutions + assembly.
 
     ``lookup_batch`` is the owning index's batch lower-bound method;
     it receives both endpoint arrays as one concatenated
     :class:`~repro.core.engine.QueryBatch`, so model inference and the
-    lock-step search amortize over ``2m`` queries.  Each endpoint
-    array is prepared against ``column`` on its own, in its native
+    bounded search amortize over ``2m`` queries.  Each endpoint array
+    is prepared against ``column`` on its own, in its native
     dtype, so the lookup and the widening below compare it exactly
     through the query core whatever the other array's dtype.
     ``column`` optionally passes the owner's
