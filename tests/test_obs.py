@@ -272,10 +272,12 @@ def test_rmi_and_coalescer_stats_views():
     stats = CoalescerStats()
     stats.ticks += 1
     stats.requests_served += 7
-    stats.point_batch_sizes.append(7)
+    stats.add(point_calls=2, point_keys=14, range_calls=1, ranges=3)
     assert stats.mean_point_batch() == pytest.approx(7.0)
     snap = stats.registry.snapshot()
     assert snap.counters["serving.coalescer.requests_served"] == 7
+    assert snap.counters["serving.coalescer.point_keys"] == 14
+    assert snap.counters["serving.coalescer.ranges"] == 3
 
 
 def test_engine_counters_say_which_path_answered():

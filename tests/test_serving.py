@@ -114,10 +114,12 @@ class _CountingStore:
         self._values = np.asarray(values, dtype=np.int64)
         self.point_calls: list[int] = []
         self.range_calls: list[int] = []
+        self.sent_keys: list[list[int]] = []  # each point call's keys
 
     def lookup_batch(self, keys):
         queries = np.asarray(keys, dtype=np.int64).ravel()
         self.point_calls.append(int(queries.size))
+        self.sent_keys.append(queries.tolist())
         pos = np.searchsorted(self._keys, queries)
         pos = np.minimum(pos, self._keys.size - 1)
         found = (
@@ -376,6 +378,167 @@ class TestCoalescer:
 
         asyncio.run(main())
 
+    def test_one_tick_mixes_scalars_batches_and_ranges(self, kv):
+        keys, values = kv
+        store = _CountingStore(keys, values)
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+            hit, miss = int(keys[7]), int(keys[7]) + 1
+            got = await asyncio.gather(
+                srv.lookup_batch(keys[40:45]),
+                srv.lookup(hit),
+                srv.range_query_batch([int(keys[0])], [int(keys[3])]),
+                srv.lookup_batch(np.array([miss, int(keys[9])])),
+                srv.lookup(miss),
+                srv.lookup_batch(keys[60:160]),
+                srv.range_query(int(keys[20]), int(keys[22])),
+                srv.lookup(np.int64(keys[8])),
+            )
+            return got, srv.stats
+
+        got, stats = asyncio.run(main())
+        five, v_hit, r1, pair, v_miss, hundred, r2, v_np = got
+        # One store call per kind; the tick's scalars lead the batch.
+        assert store.point_calls == [3 + 5 + 2 + 100]
+        assert store.sent_keys[0][:3] == [
+            int(keys[7]), int(keys[7]) + 1, int(keys[8])
+        ]
+        assert store.range_calls == [2]
+        assert stats.ticks == 1 and stats.store_calls == 2
+        assert (v_hit, v_miss, v_np) == (
+            int(keys[7]) * 3, None, int(keys[8]) * 3
+        )
+        assert five[1].all() and np.array_equal(five[0], keys[40:45] * 3)
+        assert pair[1].tolist() == [False, True]
+        assert pair[0][1] == int(keys[9]) * 3
+        assert hundred[1].all()
+        assert np.array_equal(hundred[0], keys[60:160] * 3)
+        assert np.array_equal(r1[0], keys[0:4])
+        assert np.array_equal(r2, keys[20:23])
+
+    def test_scalar_answers_are_python_ints_or_none(self, kv):
+        keys, values = kv
+        store = _CountingStore(keys, values)
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+            return await asyncio.gather(
+                srv.lookup(int(keys[1])),
+                srv.lookup(int(keys[1]) + 1),
+                srv.lookup_batch(keys[:2]),
+            )
+
+        hit, miss, _ = asyncio.run(main())
+        assert type(hit) is int and hit == int(keys[1]) * 3
+        assert miss is None
+
+    def test_lookup_does_not_ride_lookup_batch(self, kv):
+        keys, values = kv
+        store = _CountingStore(keys, values)
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+
+            async def refuse(keys):
+                raise AssertionError("lookup went through lookup_batch")
+
+            srv.lookup_batch = refuse
+            return await srv.lookup(int(keys[4]))
+
+        assert asyncio.run(main()) == int(keys[4]) * 3
+
+    def test_poisoned_scalar_in_mixed_tick_rejects_only_itself(self, kv):
+        keys, values = kv
+        poison = int(keys.max()) + 1000
+        store = _PoisonStore(keys, values, poison)
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+            results = await asyncio.gather(
+                srv.lookup(int(keys[2])),
+                srv.lookup_batch(keys[10:14]),
+                srv.lookup(poison),
+                srv.lookup(int(keys[2]) + 1),
+                srv.range_query(int(keys[0]), int(keys[1])),
+                return_exceptions=True,
+            )
+            return results, srv.stats
+
+        (good, batch, bad, miss, scan), stats = asyncio.run(main())
+        assert good == int(keys[2]) * 3 and type(good) is int
+        assert miss is None
+        assert np.array_equal(batch[0], keys[10:14] * 3)
+        assert isinstance(bad, RuntimeError)
+        assert np.array_equal(scan, keys[0:2])
+        # One failed 7-key call, then four solo re-runs of which only
+        # the poisoned one raised; the range call was not disturbed.
+        assert store.point_calls[0] == 7
+        assert stats.fallback_requests == 4
+        assert store.range_calls == [1]
+
+    def test_cancelled_scalar_never_reaches_the_store(self, kv):
+        keys, values = kv
+        store = _CountingStore(keys, values)
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+            doomed = asyncio.ensure_future(srv.lookup(int(keys[3])))
+            kept = asyncio.ensure_future(srv.lookup(int(keys[4])))
+            batch = asyncio.ensure_future(srv.lookup_batch(keys[5:7]))
+            await asyncio.sleep(0)  # all queued, flush pending
+            doomed.cancel()
+            assert await kept == int(keys[4]) * 3
+            assert (await batch)[1].all()
+            with pytest.raises(asyncio.CancelledError):
+                await doomed
+            return srv.stats
+
+        stats = asyncio.run(main())
+        assert store.sent_keys == [[int(k) for k in keys[4:7]]]
+        assert stats.requests_cancelled == 1
+
+    @pytest.mark.parametrize(
+        "key,error", [(2**63, OverflowError), (2.5, TypeError)]
+    )
+    def test_refused_scalar_queues_nothing(self, kv, key, error):
+        keys, values = kv
+        store = _CountingStore(keys, values)
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+            with pytest.raises(error):
+                await srv.lookup(key)
+            await asyncio.sleep(0)  # a scheduled tick would run here
+            return srv.stats
+
+        stats = asyncio.run(main())
+        assert stats.ticks == 0
+        assert store.point_calls == []
+
+    def test_zero_range_request_shares_a_tick(self, kv):
+        keys, values = kv
+        store = _CountingStore(keys, values)
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+            return await asyncio.gather(
+                srv.range_query_batch([int(keys[0])], [int(keys[2])]),
+                srv.range_query_batch([], []),
+                srv.range_query_batch(
+                    [int(keys[5]), int(keys[9])],
+                    [int(keys[6]), int(keys[8])],
+                ),
+            )
+
+        before, empty, after = asyncio.run(main())
+        assert store.range_calls == [3]
+        assert empty.offsets.tolist() == [0]
+        assert empty.values.size == 0 and len(empty) == 0
+        assert np.array_equal(before[0], keys[0:3])
+        assert after.offsets.tolist() == [0, 2, 2]
+        assert np.array_equal(after.values, keys[5:7])
+
     def test_works_against_real_lsm_store(self, kv):
         keys, values = kv
         with LearnedLSMStore(keys, values, background=False) as store:
@@ -578,3 +741,39 @@ class TestCoalescerStatsShape:
         stats = CoalescerStats()
         assert stats.mean_point_batch() == 0.0
         assert stats.ticks == 0
+
+    def test_thousand_ticks_leave_no_per_tick_container(self, kv):
+        keys, values = kv
+        store = _CountingStore(keys, values)
+
+        def container_sizes(stats) -> dict:
+            snap = stats.registry.snapshot()
+            sizes = {
+                name: len(held)
+                for name, held in vars(stats).items()
+                if hasattr(held, "__len__")
+            }
+            sizes.update(
+                counters=len(snap.counters),
+                gauges=len(snap.gauges),
+                histograms=len(snap.histograms),
+            )
+            return sizes
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+            await srv.lookup(int(keys[0]))
+            first = container_sizes(srv.stats)
+            for i in range(1, 1_000):
+                if i % 2:
+                    await srv.lookup(int(keys[i]))
+                else:
+                    await srv.range_query(int(keys[i]), int(keys[i]))
+            return first, srv.stats
+
+        first, stats = asyncio.run(main())
+        assert stats.ticks == 1_000
+        assert container_sizes(stats) == first
+        assert (stats.point_calls, stats.point_keys) == (501, 501)
+        assert (stats.range_calls, stats.ranges) == (499, 499)
+        assert stats.mean_point_batch() == 1.0
