@@ -88,11 +88,24 @@ FLOOR_CALL_SIZES = (1, 8, 64, 512, 4_096)
 HEADROOM = 1.25
 
 #: A loss this small, in us per call, is not a wrong choice of path:
-#: choosing at all costs ~1.5us (prepare -> plan -> predicate -> stats,
+#: choosing at all costs ~1.5us (prepare -> plan -> predicate,
 #: before either path runs), and on a column larger than the cache the
 #: side that runs second on a chunk finds its probes warm.  The
 #: cheapest wrong choice there is to make costs ten times this.
 DISPATCH_ALLOWANCE_US = 5.0
+
+
+def _mean_window(index, calls: list) -> float:
+    """The engine's mean search window over ``calls``, from the plan's
+    own route and window stages, as the traced benchmark reads it."""
+    plan = index._plan
+    total = count = 0
+    for queries in calls:
+        qb = plan.column.prepare(queries)
+        lo, hi = plan.windows_from_raw(*plan.route(qb))
+        total += int((hi - lo).sum())
+        count += lo.size
+    return total / count
 
 
 def _calls(keys: np.ndarray, k: int, rng: np.random.Generator) -> list:
@@ -205,8 +218,6 @@ def test_dense_column_near_2p62_costs_the_engine_what_a_uniform_one_does():
                     on_dense.lookup_batch(qd, sort=False),
                     np.searchsorted(dense, qd),
                 )
-            on_uniform.stats.reset()
-            on_dense.stats.reset()
             base, packed, ratio = _paired(
                 lambda pair: on_uniform.lookup_batch(pair[0], sort=False),
                 lambda pair: on_dense.lookup_batch(pair[1], sort=False),
@@ -217,8 +228,8 @@ def test_dense_column_near_2p62_costs_the_engine_what_a_uniform_one_does():
             table.add_row(
                 k, family, f"{base.mean_ns / 1e3:.1f}",
                 f"{packed.mean_ns / 1e3:.1f}", f"{ratio:.2f}",
-                f"{on_uniform.stats.mean_window:.1f}",
-                f"{on_dense.stats.mean_window:.1f}",
+                f"{_mean_window(on_uniform, [q for q, _ in pairs]):.1f}",
+                f"{_mean_window(on_dense, [q for _, q in pairs]):.1f}",
             )
     show_table(table)
     assert not slower, f"the engine pays for dense 64-bit keys: {slower}"

@@ -21,6 +21,9 @@ import numpy as np
 
 __all__ = ["CostModel", "CostEstimate", "DEFAULT_COST_MODEL"]
 
+#: Section 2.3's fixed cost of one Tensorflow-style model invocation.
+FRAMEWORK_INVOCATION_NS = 75_000.0
+
 
 @dataclass(frozen=True)
 class CostEstimate:
@@ -130,13 +133,11 @@ class CostModel:
             clock_ghz=self.clock_ghz,
         )
 
-    def framework_model_lookup(
-        self, model_ops: int, invocation_overhead_ns: float = 75_000.0
-    ) -> CostEstimate:
+    def framework_model_lookup(self, model_ops: int) -> CostEstimate:
         """Section 2.3: a Tensorflow-style invocation costs ~microseconds
         of overhead regardless of model size."""
         model = model_ops / self.ops_per_cycle
-        overhead_cycles = invocation_overhead_ns * self.clock_ghz
+        overhead_cycles = FRAMEWORK_INVOCATION_NS * self.clock_ghz
         return CostEstimate(
             model_cycles=model + overhead_cycles,
             search_cycles=0.0,

@@ -39,6 +39,14 @@ class LatencyResult:
         )
 
 
+#: Queries per timed chunk: enough that the timer's own cost per
+#: operation is negligible.
+CHUNK = 256
+
+#: Queries run through every lookup untimed before the first chunk.
+WARMUP = 64
+
+
 def measure_callable(
     fn: Callable[[], None],
     *,
@@ -95,8 +103,6 @@ def measure_lookups(
     queries: Sequence,
     *,
     repeats: int = 3,
-    warmup: int = 64,
-    chunk: int = 256,
 ) -> LatencyResult:
     """Measure ``lookup(q)`` latency over ``queries``.
 
@@ -105,7 +111,7 @@ def measure_lookups(
     the right granularity for comparing index structures (per-call
     timing in Python is dominated by timer noise).
     """
-    pieces = _chunks(queries, chunk, warmup, lookup)
+    pieces = _chunks(queries, CHUNK, WARMUP, lookup)
     passes = [[_chunk_ns(lookup, p) for p in pieces] for _ in range(repeats)]
     return _summarize(passes, pieces)
 
@@ -116,7 +122,7 @@ def compare_lookups(
     queries: Sequence,
     *,
     repeats: int = 3,
-    chunk: int = 256,
+    chunk: int = CHUNK,
 ) -> tuple[LatencyResult, LatencyResult, float]:
     """Paired measurement of two lookups over the same ``queries``.
 
@@ -127,7 +133,7 @@ def compare_lookups(
     ``ratio``, the median over all chunk pairs of ``b_ns / a_ns``:
     above 1 means ``lookup_a`` is the faster side.
     """
-    pieces = _chunks(queries, chunk, 64, lookup_a, lookup_b)
+    pieces = _chunks(queries, chunk, WARMUP, lookup_a, lookup_b)
     sides = (lookup_a, lookup_b)
     passes: tuple[list, list] = ([], [])
     for _ in range(repeats):

@@ -338,18 +338,6 @@ class BloomFilter:
         hits = sum(1 for key in non_keys if key in self)
         return hits / len(non_keys)
 
-    def expected_fpr(self) -> float:
-        """(1 - e^{-kn/m})^k with the current occupancy."""
-        if self.count == 0:
-            return 0.0
-        k, n, m = self.num_hashes, self.count, self.num_bits
-        return (1.0 - math.exp(-k * n / m)) ** k
-
-    def fill_ratio(self) -> float:
-        """Fraction of set bits (diagnostics)."""
-        set_bits = int(np.unpackbits(self._bits).sum())
-        return set_bits / (len(self._bits) * 8)
-
     def size_bytes(self) -> int:
         return len(self._bits)
 

@@ -73,19 +73,11 @@ class BTreeIndex(RangeScanIndexMixin):
     page_size:
         Number of *records* per logical page — the paper's page-size
         knob (Figure 4 uses 32..512).  The tree indexes one key per
-        page.
-    fanout:
-        Keys per tree node.  The paper's page size doubles as its node
-        width; by default we follow that (fanout = page_size), but the
-        two can be decoupled for ablations.
+        page, and the page size doubles as the node width (keys per
+        tree node, at least 2), as in the paper.
     """
 
-    def __init__(
-        self,
-        keys: np.ndarray,
-        page_size: int = 128,
-        fanout: int | None = None,
-    ):
+    def __init__(self, keys: np.ndarray, page_size: int = 128):
         if not isinstance(keys, np.ndarray):
             array = np.asarray(keys)
             keys = array if array.dtype.kind not in "US" else np.array(
@@ -101,9 +93,7 @@ class BTreeIndex(RangeScanIndexMixin):
             raise ValueError("page_size must be >= 1")
         self.keys = keys
         self.page_size = int(page_size)
-        self.fanout = int(fanout if fanout is not None else page_size)
-        if self.fanout < 2:
-            self.fanout = 2
+        self.fanout = max(self.page_size, 2)
         self.stats = TraversalStats()
         self._build()
 

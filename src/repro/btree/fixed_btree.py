@@ -25,25 +25,21 @@ __all__ = ["FixedSizeBTree"]
 _KEY_BYTES = 8
 _POINTER_BYTES = 8
 
+#: Separators per level of the flat tree.
+FANOUT = 64
+
 
 class FixedSizeBTree(RangeScanIndexMixin):
     """Budgeted flat separator array + interpolation search in runs."""
 
-    def __init__(
-        self,
-        keys: np.ndarray,
-        size_budget_bytes: int,
-        fanout: int = 64,
-    ):
+    def __init__(self, keys: np.ndarray, size_budget_bytes: int):
         keys = np.asarray(keys)
         if keys.size and np.any(keys[:-1] > keys[1:]):
             raise ValueError("keys must be sorted ascending")
         if size_budget_bytes < (_KEY_BYTES + _POINTER_BYTES):
             raise ValueError("size budget smaller than one entry")
-        if fanout < 2:
-            raise ValueError("fanout must be >= 2")
         self.keys = keys
-        self.fanout = int(fanout)
+        self.fanout = FANOUT
         self.stats = TraversalStats()
         self._build(int(size_budget_bytes))
 

@@ -21,6 +21,10 @@ __all__ = [
     "Counter",
 ]
 
+#: Interpolation rounds before :func:`interpolation_search` gives up
+#: and binary-searches what is left of the window.
+MAX_INTERPOLATIONS = 32
+
 
 class Counter:
     """A mutable comparison counter shared across search calls."""
@@ -64,7 +68,6 @@ def interpolation_search(
     lo: int = 0,
     hi: int | None = None,
     counter: Counter | None = None,
-    max_interpolations: int = 32,
 ) -> int:
     """Lower-bound interpolation search.
 
@@ -72,7 +75,8 @@ def interpolation_search(
     endpoints — effectively a locally learned linear model, which is
     why the paper's related-work section treats it as a precursor to
     learned indexes.  Falls back to binary search if it fails to
-    converge (adversarial key distributions).
+    converge in :data:`MAX_INTERPOLATIONS` rounds (adversarial key
+    distributions).
     """
     n = len(keys)
     if hi is None:
@@ -90,7 +94,7 @@ def interpolation_search(
         if key > right_key:
             return hi
         steps += 1
-        if steps > max_interpolations:
+        if steps > MAX_INTERPOLATIONS:
             return binary_search(keys, key, lo, hi, counter)
         span = float(right_key) - float(left_key)
         if span <= 0:

@@ -28,7 +28,6 @@ def root_factory(
     hidden: tuple[int, ...] = (),
     features: tuple[str, ...] = ("key", "log", "key^2"),
     epochs: int = 20,
-    seed: int = 0,
 ) -> Callable:
     """Zero-argument factory for a stage-1 model of the given family."""
     if kind == "linear":
@@ -39,9 +38,7 @@ def root_factory(
         if not hidden:
             # A 0-hidden-layer NN is linear regression (Section 3.3).
             return LinearModel
-        return lambda: NeuralRegressionModel(
-            hidden=hidden, epochs=epochs, seed=seed
-        )
+        return lambda: NeuralRegressionModel(hidden=hidden, epochs=epochs)
     raise ValueError(f"unknown root model kind {kind!r}; known: {ROOT_MODEL_KINDS}")
 
 

@@ -73,12 +73,11 @@ from the scan ``benchmarks/bench_small_batch_floor.py`` prints and
 guards; there is no constructor option or environment variable.  ``sort=True`` /
 ``sort=False`` name an engine path and therefore force the engine at
 any size, which is how the benches and the traced benchmark time it;
-``stats.extra["column_answered"]`` (and, with telemetry on,
-``engine.lookup_batch.column_calls`` / ``.column_keys``) say how many
-queries the column answered, while ``stats.lookups`` / ``comparisons``
-/ ``window_total`` / ``fixups`` keep counting engine work only.  The
-rule reads no window of the plan: wide windows (skewed leaves) do move
-the true crossover up 2-4x, but the plan's build-time mean window does
+with telemetry on, ``engine.lookup_batch.column_calls`` /
+``.column_keys`` say how many calls and queries the column answered.
+A batch call keeps no per-index stats: the index's ``stats`` count
+its scalar lookups only.  The rule reads no window of the plan: wide
+windows (skewed leaves) do move the true crossover up 2-4x, but the plan's build-time mean window does
 not predict it on skewed data, and the table errs toward the engine —
 the path such a call took before.
 """
@@ -86,10 +85,11 @@ the path such a call took before.
 from __future__ import annotations
 
 import math
+from operator import index as _index
 
 import numpy as np
 
-from ..btree.search_baselines import Counter, exponential_search
+from ..btree.search_baselines import exponential_search
 from ..obs import default_registry
 from ..obs import state as obs_state
 from ..util import clamp_into, scalar_view
@@ -118,7 +118,8 @@ __all__ = [
 #: ``np.unique`` costs ~40ns/query, about half of what the engine
 #: spends per query, so sorting only pays when deduplication removes
 #: at least ~half the batch.  Above this size the heuristic therefore
-#: probes a fixed-seed random ~4k sample for duplicate density
+#: probes a fixed-seed random sample of :data:`DUP_SAMPLE` queries for
+#: duplicate density
 #: (:data:`SORTED_BATCH_MIN_DUP_FRACTION`, estimation details in
 #: :func:`batch_dup_fraction`) — skewed workloads (zipfian, hotspot)
 #: qualify, uniform workloads don't.  ``benchmarks/e2e`` times the
@@ -132,6 +133,10 @@ SORTED_BATCH_THRESHOLD = 32_768
 #: ~60% duplicates the sorted and unsorted paths are within ~15% of
 #: each other either way.
 SORTED_BATCH_MIN_DUP_FRACTION = 0.5
+
+#: Queries :func:`batch_dup_fraction` draws to estimate a batch's
+#: duplicate fraction.
+DUP_SAMPLE = 4096
 
 #: The RMI's ``(column keys, queries)`` rows: on a column of at most
 #: that many keys, a call of at most that many queries is answered by
@@ -207,7 +212,7 @@ def clamp_window_batch(
     return lo, hi
 
 
-def batch_dup_fraction(queries: np.ndarray, sample: int = 4096) -> float:
+def batch_dup_fraction(queries: np.ndarray) -> float:
     """Estimated duplicate fraction of the *whole* batch.
 
     The naive sample duplicate rate wildly underestimates batch
@@ -225,6 +230,7 @@ def batch_dup_fraction(queries: np.ndarray, sample: int = 4096) -> float:
     skip the fast path exactly where dedup is cheapest.
     """
     m = queries.size
+    sample = DUP_SAMPLE
     if m <= sample:
         # The whole batch fits in the probe: the duplicate fraction
         # is exact, no extrapolation.
@@ -373,12 +379,23 @@ class SortedKeyColumn:
     def prepare(self, queries) -> QueryBatch:
         """Normalize a query array into a :class:`QueryBatch`.
 
-        Idempotent: an already-prepared batch passes through.  Object
-        arrays (e.g. lists holding Python ints beyond int64) fall back
-        to float64, the best numpy can do with them.
+        Idempotent: an already-prepared batch passes through.  On an
+        integer column, anything but an array of a NumPy number dtype
+        — a Python list, an object array — is prepared one element at
+        a time by :meth:`_prepare_items`, because NumPy holds a list
+        that mixes a negative int with one above int64, an int above
+        uint64 or a float beside a big int only as float64 or objects;
+        numeric arrays pay nothing for it.  On a float column, object
+        arrays compare in float64, the column's own precision.
         """
         if isinstance(queries, QueryBatch):
             return queries
+        if self._bounds is not None and (
+            not isinstance(queries, np.ndarray) or queries.dtype == object
+        ):
+            return self._prepare_items(
+                np.asarray(queries, dtype=object).ravel().tolist()
+            )
         q = np.asarray(queries)
         if q.ndim != 1:
             q = q.ravel()
@@ -416,6 +433,38 @@ class SortedKeyColumn:
         if self._bounds is None or type(key) is int:
             return key
         return _integer_ceil(key, *self._bounds)
+
+    def _prepare_items(self, items: list) -> QueryBatch:
+        """Python values against an integer column, each exactly: an
+        integer by :meth:`_prepare_int_queries`' clamp, anything else by
+        :meth:`_prepare_float_queries`' ``ceil`` rule."""
+        low, high = self._bounds
+        compare = []
+        exactable = []
+        oob_high = []
+        for item in items:
+            try:
+                key = _index(item)
+                exact = True
+            except TypeError:
+                value = float(item)
+                key = _integer_ceil(value, low, high)
+                exact = key == value  # int == float compares exactly
+            if key > high:
+                compare.append(high)
+                exactable.append(False)
+                oob_high.append(True)
+                continue
+            if key < low:
+                key, exact = low, False
+            compare.append(key)
+            exactable.append(exact)
+            oob_high.append(False)
+        return QueryBatch(
+            np.array(compare, dtype=self.dtype),
+            None if all(exactable) else np.array(exactable, dtype=bool),
+            np.array(oob_high, dtype=bool) if any(oob_high) else None,
+        )
 
     def _prepare_int_queries(self, q: np.ndarray) -> QueryBatch:
         """Cross-dtype integer queries: clamp into the column's range."""
@@ -506,8 +555,6 @@ class SortedKeyColumn:
         qb: QueryBatch,
         lo: np.ndarray,
         hi: np.ndarray,
-        *,
-        counter: Counter | None = None,
     ) -> tuple[np.ndarray, int]:
         """The batch point engine's last mile, hosted exactly once.
 
@@ -521,7 +568,7 @@ class SortedKeyColumn:
         """
         keys = self.keys
         compare = qb.compare
-        pos = vectorized_bounded_search(keys, compare, lo, hi, counter=counter)
+        pos = vectorized_bounded_search(keys, compare, lo, hi)
         fixups = 0
         suspects = ((pos == lo) | (pos == hi)).nonzero()[0]
         if suspects.size:
@@ -803,32 +850,20 @@ class CompiledPlan:
 
     # -- the batch point engine ------------------------------------------------
 
-    def _engine(self, qb: QueryBatch, stats) -> np.ndarray:
+    def _engine(self, qb: QueryBatch) -> np.ndarray:
         """Route → window → fixed-round bounded search → verify → fix up."""
         lo, hi = self.windows_from_raw(*self.route(qb))
-        counter = None
-        if stats is not None:
-            stats.lookups += qb.size
-            stats.window_total += int((hi - lo).sum())
-            counter = Counter()
         # Unlike the scalar path, no +1 window extension: a result at
         # the exclusive end is caught by the boundary verification
         # inside bounded_lower_bounds, and a window one slot narrower
         # can save a round.
-        pos, fixups = self.column.bounded_lower_bounds(
-            qb, lo, hi, counter=counter
-        )
-        if stats is not None:
-            stats.comparisons += counter.comparisons
-            stats.fixups += fixups
-        return pos
+        return self.column.bounded_lower_bounds(qb, lo, hi)[0]
 
     def lookup_batch(
         self,
         qb: QueryBatch,
         *,
         sort: bool | None = None,
-        stats=None,
     ) -> np.ndarray:
         """Lower-bound positions for a prepared batch.
 
@@ -839,12 +874,10 @@ class CompiledPlan:
         far fewer of them — then scatter positions back through the
         inverse map.  A query's position depends only on its compare
         value (the engine verifies every boundary), so the output is
-        bit-identical to the unsorted engine; instrumentation counts
-        the deduplicated engine work.  ``sort=None`` lets the call
-        choose: the column answers it outright when
+        bit-identical to the unsorted engine.  ``sort=None`` lets the
+        call choose: the column answers it outright when
         :func:`column_answers` says the whole-column search is the
-        cheaper side (``stats.extra["column_answered"]`` counts those
-        queries; the engine counters count engine work only), otherwise
+        cheaper side, otherwise
         the size + duplicate-density heuristic
         (:data:`SORTED_BATCH_THRESHOLD`,
         :data:`SORTED_BATCH_MIN_DUP_FRACTION`) picks the engine path.
@@ -868,23 +901,18 @@ class CompiledPlan:
                     int(compare.size)
                 )
         if from_column:
-            if stats is not None:
-                extra = stats.extra
-                extra["column_answered"] = (
-                    extra.get("column_answered", 0) + compare.size
-                )
             return column.lower_bounds(qb)
         if sort is None:
             sort = compare.size >= SORTED_BATCH_THRESHOLD and (
                 batch_dup_fraction(compare) >= SORTED_BATCH_MIN_DUP_FRACTION
             )
         if not sort or compare.size <= 1:
-            return self._engine(qb, stats)
+            return self._engine(qb)
         uniq, inverse = np.unique(compare, return_inverse=True)
         # The unique sub-batch needs no masks: clamped compare values
         # search fine, and the original batch's oob mask re-applies
         # after the inverse scatter.
-        pos = self._engine(QueryBatch(uniq), stats)[inverse]
+        pos = self._engine(QueryBatch(uniq))[inverse]
         if qb.oob_high is not None:
             pos[qb.oob_high] = self.column.size
         return pos

@@ -36,6 +36,10 @@ from .rmi import RecursiveModelIndex
 
 __all__ = ["BTreeLeaves", "HybridIndex"]
 
+#: Page size of the B-Trees that replace inaccurate leaves (the
+#: B-Tree baselines' default).
+LEAF_BTREE_PAGE_SIZE = 128
+
 
 class BTreeLeaves:
     """Algorithm 1, lines 11-14, for a host of the shared scalar lookup
@@ -45,7 +49,6 @@ class BTreeLeaves:
     def _replace_bad_leaves(
         self,
         threshold: int,
-        page_size: int,
         assignment: np.ndarray,
         counts: np.ndarray,
         lo_offsets: np.ndarray,
@@ -73,7 +76,7 @@ class BTreeLeaves:
             base = int(members.min())
             end = int(members.max()) + 1
             self.leaf_btrees[j] = base, BTreeIndex(
-                self.keys[base:end], page_size=page_size
+                self.keys[base:end], page_size=LEAF_BTREE_PAGE_SIZE
             )
         self._model_search = self._search_window
         self._search_window = self._search_leaf
@@ -106,8 +109,6 @@ class HybridIndex(BTreeLeaves, RecursiveModelIndex):
     threshold:
         Maximum tolerated absolute leaf error before replacement
         (Algorithm 1's ``threshold``; Figure 6 uses 64 and 128).
-    btree_page_size:
-        Page size of the fallback B-Trees.
     """
 
     def __init__(
@@ -116,12 +117,10 @@ class HybridIndex(BTreeLeaves, RecursiveModelIndex):
         stage_sizes: Sequence[int] = (1, 100),
         search_strategy: str = "binary",
         threshold: int = 128,
-        btree_page_size: int = 128,
     ):
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
         self.threshold = int(threshold)
-        self.btree_page_size = int(btree_page_size)
         super().__init__(
             keys,
             stage_sizes=stage_sizes,
@@ -129,7 +128,7 @@ class HybridIndex(BTreeLeaves, RecursiveModelIndex):
         )
         plan = self._plan
         self._replace_bad_leaves(
-            self.threshold, self.btree_page_size, self._leaf_assignment,
+            self.threshold, self._leaf_assignment,
             self._stage_counts[-1], plan.lo_offsets, plan.hi_offsets,
         )
 
@@ -137,14 +136,6 @@ class HybridIndex(BTreeLeaves, RecursiveModelIndex):
 
     def size_bytes(self) -> int:
         return super().size_bytes() + self._leaf_btree_bytes()
-
-    @property
-    def replaced_key_fraction(self) -> float:
-        """Fraction of stored keys served by B-Tree leaves."""
-        if self.keys.size == 0:
-            return 0.0
-        covered = sum(tree.keys.size for _, tree in self.leaf_btrees.values())
-        return min(covered / self.keys.size, 1.0)
 
     def __repr__(self) -> str:
         return (

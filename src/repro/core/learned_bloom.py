@@ -247,9 +247,6 @@ class ModelHashBloomFilter:
         )
         return model_bytes + len(self._bitmap) + self.aux.size_bytes()
 
-    def expected_total_fpr(self) -> float:
-        return self.bitmap_fpr * self.aux_fpr
-
     def __repr__(self) -> str:
         return (
             f"ModelHashBloomFilter(m={self.bitmap_bits}, "

@@ -89,9 +89,9 @@ def evaluate_config(
     config: RMIConfig,
     *,
     query_sample: int = 2000,
-    seed: int = 0,
 ) -> tuple[RecursiveModelIndex, CandidateResult]:
-    """Train one candidate and measure its lookup latency."""
+    """Train one candidate and measure its lookup latency on a
+    fixed-seed query sample."""
     start = time.perf_counter()
     index = RecursiveModelIndex(
         keys,
@@ -100,7 +100,7 @@ def evaluate_config(
         search_strategy=config.search_strategy,
     )
     build_seconds = time.perf_counter() - start
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = keys.size
     if n:
         sample = rng.choice(keys, size=min(query_sample, n))
@@ -131,7 +131,6 @@ def synthesize(
     size_budget_bytes: int | None = None,
     query_sample: int = 2000,
     train_sample: int | None = None,
-    seed: int = 0,
 ) -> tuple[RecursiveModelIndex, CandidateResult, list[CandidateResult]]:
     """Grid-search an RMI for ``keys``.
 
@@ -155,7 +154,7 @@ def synthesize(
     best: tuple[RecursiveModelIndex, CandidateResult] | None = None
     for config in grid:
         index, result = evaluate_config(
-            search_keys, config, query_sample=query_sample, seed=seed
+            search_keys, config, query_sample=query_sample
         )
         results.append(result)
         if size_budget_bytes is not None and result.size_bytes > size_budget_bytes:
@@ -173,6 +172,6 @@ def synthesize(
     best_index, best_result = best
     if search_keys is not keys:
         best_index, best_result = evaluate_config(
-            keys, best_result.config, query_sample=query_sample, seed=seed
+            keys, best_result.config, query_sample=query_sample
         )
     return best_index, best_result, results

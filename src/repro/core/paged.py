@@ -47,6 +47,11 @@ __all__ = ["PageStore", "PagedLearnedIndex"]
 
 _KEY_BYTES = 8
 
+#: Pages of the store's LRU buffer pool: repeated touches of a
+#: just-read page within a lookup are buffer hits, not I/O (as on any
+#: real storage engine).
+BUFFER_PAGES = 4
+
 
 class PageStore:
     """A simulated block device of fixed-size key pages.
@@ -71,7 +76,6 @@ class PageStore:
         *,
         shuffle_seed: int = 0,
         partial_reads: bool = False,
-        buffer_pages: int = 4,
     ):
         keys = as_int64_keys(sorted_keys)
         if keys.size and np.any(np.diff(keys) < 0):
@@ -80,10 +84,6 @@ class PageStore:
             raise ValueError("page_size must be >= 1")
         self.page_size = int(page_size)
         self.partial_reads = bool(partial_reads)
-        # A tiny LRU buffer pool: repeated touches of a just-read page
-        # within a lookup are buffer hits, not I/O (as on any real
-        # storage engine).
-        self.buffer_pages = int(buffer_pages)
         self._buffer: dict[int, np.ndarray] = {}
         self.num_pages = max((keys.size + page_size - 1) // page_size, 1)
         rng = np.random.default_rng(shuffle_seed)
@@ -110,10 +110,9 @@ class PageStore:
         if not buffered:
             page = self._pages[physical]
             self.page_reads += 1
-            if self.buffer_pages:
-                self._buffer[physical] = page
-                while len(self._buffer) > self.buffer_pages:
-                    self._buffer.pop(next(iter(self._buffer)))
+            self._buffer[physical] = page
+            while len(self._buffer) > BUFFER_PAGES:
+                self._buffer.pop(next(iter(self._buffer)))
         if self.partial_reads and last_slot is not None:
             first_slot = max(first_slot, 0)
             last_slot = min(last_slot, len(page))
@@ -144,7 +143,6 @@ class PagedLearnedIndex:
         *,
         page_size: int = 256,
         stage_sizes: Sequence[int] = (1, 100),
-        shuffle_seed: int = 0,
         partial_reads: bool = False,
     ):
         keys = as_int64_keys(keys)
@@ -152,12 +150,7 @@ class PagedLearnedIndex:
             raise ValueError("keys must be sorted and unique")
         self.n = int(keys.size)
         self.page_size = int(page_size)
-        self.store = PageStore(
-            keys,
-            page_size,
-            shuffle_seed=shuffle_seed,
-            partial_reads=partial_reads,
-        )
+        self.store = PageStore(keys, page_size, partial_reads=partial_reads)
         # The RMI is trained on the logical (sorted) order; only key
         # *values* and positions are needed, not the physical layout.
         self._rmi = RecursiveModelIndex(keys, stage_sizes=stage_sizes)

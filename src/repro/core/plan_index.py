@@ -37,6 +37,59 @@ routing stays exact on int64/uint64 columns spanning more than 2^53.
 A hierarchy deeper than root → leaf compiles too: its internal stages
 fold into the one ``root_predict_batch`` the plan routes with (see
 :mod:`repro.core.rmi`).
+
+Contract for anyone adding a family
+-----------------------------------
+* **Builder hooks.**  A family subclasses :class:`CompiledPlanIndex`
+  and implements ``_build()`` — fit over ``self._space.encode(self.keys)``
+  (``key - keys[0]`` subtracted exactly in the key dtype, then float64:
+  ``ModelSpace.encode`` / ``encode_scalar`` are the only places a key
+  becomes a model input) and hand the flat ``(root_predict_batch,
+  leaf_count, slopes, intercepts, lo_offsets, hi_offsets)`` tables to
+  :meth:`~CompiledPlanIndex._install_plan` (offsets are narrowed to the
+  smallest of int8/int16/int32 that holds both tables;
+  ``root_predict_batch`` receives encoded queries) — and
+  ``_route_scalar(encoded)``, the scalar leaf route; optionally
+  ``_routing_size_bytes()`` for size accounting.  Everything else is
+  inherited.  ``_build`` is skipped on empty keys, and an empty index
+  branches on ``keys.size``, never on ``_plan``.
+* **The RMI** is its root plus flat tables: it keeps per-stage key
+  counts and each leaf's error std (the biased quaternary probe seed)
+  beside the plan, and its ``size_bytes`` and windows are read off
+  those.  It also keeps ``predict``, the probe schedule a
+  non-``"binary"`` ``search_strategy`` plugs into the shared lookup,
+  and ``compiled_state`` / ``from_compiled_arrays`` (no retrain, no
+  re-validation; the state carries ``origin``, default 0).  Its
+  training path's per-leaf oracle is ``tests/test_build_equivalence.py``.
+* **Private reads.**  In-package consumers read at most ``_plan`` and
+  ``_column`` of an index: ``HybridIndex`` reads its own plan's offset
+  tables, ``WritableLearnedIndex``'s fast-append check and
+  ``LearnedHashFunction`` route through both, ``PagedLearnedIndex``
+  reads its RMI's ``_column`` for the scalar query rule, and the
+  benchmark's per-layer trace reads ``_plan``; the LSM store uses
+  public methods only.  The side indexes (``PagedLearnedIndex``,
+  ``WritableLearnedIndex``, ``StringRMI``) read through scalar calls
+  only; ``WritableLearnedIndex`` keeps ``insert_batch``.
+* **Stats.**  An index's ``stats`` (:class:`RMIStats`) count its scalar
+  lookups — the cost-model counters Figures 4 and 6 and the ablations
+  read.  A batch call leaves them alone; with telemetry on, the
+  ``engine.lookup_batch.*`` registry counters count batch calls and
+  keys, and ``column_calls`` / ``column_keys`` the share the column
+  answered.
+* **ε semantics** (:mod:`repro.families.segmentation`).  Every segment
+  spanning two or more distinct keys obeys ``|slope·x + intercept −
+  pos| ≤ ε``; a single-run segment carries its measured bounds.  The
+  offsets are measured in the fitter's centered form, so re-evaluating
+  ``slope·x + intercept`` may drift a few ulp of ``|slope·x|``; the
+  engine's −1/+2 window padding absorbs it.
+* **Adding a family.**  Implement the hooks, export it from
+  ``families/__init__`` and ``repro/__init__``, and add a factory to
+  ``NUMERIC_FACTORIES`` in ``tests/test_differential_oracle.py`` (the
+  suite crosses it with every key regime, the beyond-2^53 ones
+  included) and to the factories of ``tests/test_batch_equivalence.py``.
+  A timing comparison is a ``benchmarks/e2e`` metric, not a new script.
+  Inserts are Appendix D.1's delta buffer (``WritableLearnedIndex``,
+  ``LearnedLSMStore``); there is no writable family.
 """
 
 from __future__ import annotations
@@ -64,18 +117,17 @@ class RMIStats:
     Plain ints, like the ``TraversalStats`` of the baselines these
     indexes are raced against: every scalar lookup bumps them and
     nothing exports them, so they are not a :class:`repro.obs.StatsView`.
-    A batch's ``comparisons`` are the gathers its bounded search issued.
+    Batch calls leave them alone; with telemetry on, the
+    ``engine.lookup_batch.*`` registry counters count those.
     """
 
-    __slots__ = ("lookups", "comparisons", "fixups", "window_total", "extra")
+    __slots__ = ("lookups", "comparisons", "fixups", "window_total")
 
     def __init__(self) -> None:
-        self.extra: dict = {}
         self.reset()
 
     def reset(self) -> None:
         self.lookups = self.comparisons = self.fixups = self.window_total = 0
-        self.extra.clear()
 
     @property
     def mean_window(self) -> float:
@@ -317,7 +369,7 @@ class CompiledPlanIndex(ScalarLookup, RangeScanIndexMixin):
         if self.keys.size == 0:
             return None, np.zeros(np.size(queries), dtype=np.int64)
         qb = self._column.prepare(queries)
-        return qb, self._plan.lookup_batch(qb, sort=sort, stats=self.stats)
+        return qb, self._plan.lookup_batch(qb, sort=sort)
 
     def contains_batch(self, queries: np.ndarray) -> np.ndarray:
         """Vectorized membership: one bool per query, dtype-exact."""
@@ -325,21 +377,6 @@ class CompiledPlanIndex(ScalarLookup, RangeScanIndexMixin):
         if qb is None:
             return np.zeros(positions.size, dtype=bool)
         return self._column.contains_at(qb, positions)
-
-    def upper_bound_batch(
-        self, queries: np.ndarray, *, sort: bool | None = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`upper_bound`: one position per query.
-
-        Lower bounds come from the batch engine; only queries that hit
-        a stored key pay the duplicate-run widening
-        (:meth:`~repro.core.engine.SortedKeyColumn.upper_bounds`: a
-        neighbour check, and a search only inside duplicate runs).
-        """
-        qb, positions = self._lower_bounds_with_batch(queries, sort=sort)
-        if qb is None:
-            return positions
-        return self._column.upper_bounds(qb, positions)
 
     def range_query_batch(
         self, lows: np.ndarray, highs: np.ndarray, *, sort: bool | None = None

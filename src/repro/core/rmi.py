@@ -59,10 +59,10 @@ and accumulate ``Σdx²`` and ``Σdx·dy``, giving
 reaches predicts the middle of its slot, ``(j + 0.5)·n / M``.  Leaf
 error bounds come from one vectorized pass over the signed errors
 (:func:`repro.models.cdf.segmented_error_arrays`), and every number
-the index reports — size, windows, per-leaf error rows — is read off
-those tables.  The per-leaf reference fit (``LinearModel().fit`` on
-each leaf's members) lives in ``tests/test_build_equivalence.py`` as
-the oracle the tables are pinned against.
+the index reports — size, windows — is read off those tables.  The
+per-leaf reference fit (``LinearModel().fit`` on each leaf's members)
+lives in ``tests/test_build_equivalence.py`` as the oracle the tables
+are pinned against.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ import numpy as np
 from ..models.base import Model
 from ..models.cdf import (
     ErrorStats,
-    error_stats_list_from_arrays,
     positions_for_keys,
     segmented_error_arrays,
 )
@@ -211,13 +210,13 @@ class RecursiveModelIndex(CompiledPlanIndex):
         self._leaf_assignment = assignment
         # Empty leaves get about a page of slack.
         slack = min(DEFAULT_LEAF_ERROR, max(n, 1))
-        min_error, max_error, mean_abs, std, _ = segmented_error_arrays(
+        min_error, max_error, std, _ = segmented_error_arrays(
             predictions, positions, assignment, self.stage_sizes[-1],
             default=ErrorStats(-slack, slack, 0.0, 0.0, 0),
             boundaries=boundaries,
         )
         self._install(
-            root, internal, stage_counts, (mean_abs, std),
+            root, internal, stage_counts, std,
             slopes, intercepts, max_error, min_error,
         )
 
@@ -226,7 +225,7 @@ class RecursiveModelIndex(CompiledPlanIndex):
         root: Model,
         internal: list,
         stage_counts: list[np.ndarray],
-        leaf_moments: tuple[np.ndarray, np.ndarray],
+        leaf_std: np.ndarray,
         slopes: np.ndarray,
         intercepts: np.ndarray,
         lo_offsets: np.ndarray,
@@ -234,7 +233,7 @@ class RecursiveModelIndex(CompiledPlanIndex):
     ) -> None:
         """Adopt the trained tables: the root, the internal stages'
         ``(model count, slopes, intercepts)``, each stage's per-model
-        key counts, the leaves' ``(mean |error|, error std)`` and the
+        key counts, the leaves' error std and the
         four leaf tables the plan serves.
 
         The LIF analogue (Section 3.1): "given a trained Tensorflow
@@ -247,7 +246,6 @@ class RecursiveModelIndex(CompiledPlanIndex):
         self._root_predict = root.predict
         self._internal_stages = internal
         self._stage_counts = stage_counts
-        self._leaf_moments = leaf_moments
         self._install_plan(
             self._route_batch if internal else root.predict_batch,
             self.stage_sizes[-1], slopes, intercepts, lo_offsets, hi_offsets,
@@ -266,7 +264,7 @@ class RecursiveModelIndex(CompiledPlanIndex):
         self._sigmas = None
         if self.search_strategy == "biased_quaternary":
             self._sigmas = np.maximum(
-                leaf_moments[1].astype(np.int64), 1
+                leaf_std.astype(np.int64), 1
             ).tolist()
 
     # -- serialization ---------------------------------------------------------
@@ -313,7 +311,6 @@ class RecursiveModelIndex(CompiledPlanIndex):
         lo_offsets: np.ndarray,
         hi_offsets: np.ndarray,
         origin: int = 0,
-        search_strategy: str = "binary",
     ) -> "RecursiveModelIndex":
         """Rebuild a compiled index from :meth:`compiled_state` parts.
 
@@ -326,9 +323,8 @@ class RecursiveModelIndex(CompiledPlanIndex):
         ``origin`` defaults to 0: a state exported before the origin
         existed holds tables fitted on raw keys.  Raises ``ValueError``
         for an origin outside the key dtype and for non-finite
-        offsets.  Diagnostic ``leaf_errors`` are approximated from the
-        stored window offsets (zero mean/std, count 1) — bounds exact,
-        moments not.  Nothing is fitted: the tables are installed.
+        offsets.  Nothing is fitted: the tables are installed, and the
+        window is binary-searched.
         """
         keys = np.asarray(keys)
         slopes = np.ascontiguousarray(slopes, dtype=np.float64)
@@ -346,12 +342,11 @@ class RecursiveModelIndex(CompiledPlanIndex):
         self._bind_keys(keys)
         self._space = ModelSpace(keys.dtype, origin)
         self.stage_sizes = (1, m)
-        self.search_strategy = str(search_strategy)
+        self.search_strategy = "binary"
         # Empty-leaf slots were folded into the intercepts at export.
-        zeros = np.zeros(m, dtype=np.float64)
         self._install(
             LinearModel(root_slope, root_intercept), [],
-            [np.ones(m, dtype=np.int64)], (zeros, zeros),
+            [np.ones(m, dtype=np.int64)], np.zeros(m),
             slopes, intercepts, lo_offsets, hi_offsets,
         )
         return self
@@ -405,16 +400,6 @@ class RecursiveModelIndex(CompiledPlanIndex):
         the root, then per stage below it one multiply + clamp to pick
         the model and the affine model itself."""
         return self._root_model.op_count() + 4 * (len(self.stage_sizes) - 1)
-
-    @property
-    def leaf_errors(self) -> list[ErrorStats]:
-        """Per-leaf :class:`ErrorStats` rows, built from the error
-        tables on each access."""
-        plan = self._plan
-        return error_stats_list_from_arrays(
-            plan.hi_offsets, plan.lo_offsets, *self._leaf_moments,
-            self._stage_counts[-1],
-        )
 
     @property
     def max_error_window(self) -> int:

@@ -195,7 +195,6 @@ def vectorized_bounded_search(
     queries: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    counter: Counter | None = None,
 ) -> np.ndarray:
     """Per-query lower bound within its window, in fixed rounds.
 
@@ -203,8 +202,7 @@ def vectorized_bounded_search(
     ``bit_length(hi - lo)`` :func:`halving_rounds` from ``lo`` and a
     clamp at ``hi``; lanes share the widest window's rounds, but from
     :data:`COMPACT_MIN_BATCH` lanes wide outliers run their extra rounds
-    alone.  ``counter`` counts lanes x rounds.  ``keys`` must be
-    non-empty and sorted, ``0 <= lo <= hi <= n``.
+    alone.  ``keys`` must be non-empty and sorted, ``0 <= lo <= hi <= n``.
 
     The result is the global lower bound clamped into ``[lo, hi]``, so
     only boundary results (``pos == lo`` or ``pos == hi``) can be
@@ -232,11 +230,7 @@ def vectorized_bounded_search(
         base[wide] = halving_rounds(
             keys, queries[wide], base[wide], rounds, down_to=shared
         )
-        if counter is not None:
-            counter.comparisons += wide.size * (rounds - shared)
     halving_rounds(keys, queries, base, shared)
-    if counter is not None:
-        counter.comparisons += lanes * shared
     return np.minimum(base, hi, out=base)
 
 

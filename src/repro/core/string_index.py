@@ -41,7 +41,7 @@ from ..models.linear import segmented_linear_fit
 from ..models.nn import MLP
 from ..models.tokenization import lexicographic_scalar_batch, tokenize_batch
 from .engine import clamp_window
-from .hybrid import BTreeLeaves
+from .hybrid import LEAF_BTREE_PAGE_SIZE, BTreeLeaves
 from .plan_index import RMIStats, ScalarLookup
 
 __all__ = ["StringRMI"]
@@ -64,7 +64,6 @@ class StringRMI(BTreeLeaves, ScalarLookup):
         hidden: tuple[int, ...] = (),
         search_strategy: str = "biased_binary",
         hybrid_threshold: int | None = None,
-        btree_page_size: int = 128,
         epochs: int = 40,
         seed: int = 0,
     ):
@@ -82,7 +81,6 @@ class StringRMI(BTreeLeaves, ScalarLookup):
         self.max_length = int(max_length)
         self.search_strategy = str(search_strategy)
         self.hybrid_threshold = hybrid_threshold
-        self.btree_page_size = int(btree_page_size)
         self.stats = RMIStats()
         self._build(hidden, epochs, seed)
 
@@ -107,7 +105,9 @@ class StringRMI(BTreeLeaves, ScalarLookup):
             ).astype(np.int64)
 
         scalars = lexicographic_scalar_batch(self.keys, self.max_length)
-        default = ErrorStats(-self.btree_page_size, self.btree_page_size, 0, 0, 0)
+        # Empty leaves get a B-Tree page of slack.
+        slack = LEAF_BTREE_PAGE_SIZE
+        default = ErrorStats(-slack, slack, 0, 0, 0)
         # Leaves are always plain linear models over the lexicographic
         # scalar, so the whole stage fits in one segmented
         # least-squares pass — same math as the integer RMI's
@@ -122,7 +122,7 @@ class StringRMI(BTreeLeaves, ScalarLookup):
         predictions = slopes[assignment] * scalars + intercepts[assignment]
         self._leaf_slopes = slopes.tolist()
         self._leaf_intercepts = intercepts.tolist()
-        min_error, max_error, _, std, counts = segmented_error_arrays(
+        min_error, max_error, std, counts = segmented_error_arrays(
             predictions, positions, assignment, m, default=default
         )
         self._max_errors = max_error.tolist()
@@ -137,7 +137,7 @@ class StringRMI(BTreeLeaves, ScalarLookup):
         self.leaf_btrees = {}
         if self.hybrid_threshold is not None:
             self._replace_bad_leaves(
-                self.hybrid_threshold, self.btree_page_size, assignment,
+                self.hybrid_threshold, assignment,
                 counts, max_error, min_error,
             )
 

@@ -38,6 +38,15 @@ LONGITUDE_SCALE = 10_000_000
 #: conflicts, 3 -> 22%, 1.5 -> 8.8%).
 PAPER_QUANTA_PER_KEY = 1.5
 
+#: Fraction of each band's mass concentrated in narrow "city"
+#: sub-clusters (adds fine-grained CDF steps).
+CITY_LUMPINESS = 0.35
+
+#: Fraction of features spread uniformly over all longitudes (shipping
+#: lanes, islands, data errors) — keeps the CDF strictly increasing
+#: everywhere.
+UNIFORM_BACKGROUND = 0.04
+
 # (center degrees, std degrees, weight) for the world's population bands.
 # Weights roughly follow the share of mapped features per region.
 _BANDS = [
@@ -60,8 +69,6 @@ def map_longitudes(
     n: int,
     *,
     seed: int = 42,
-    city_lumpiness: float = 0.35,
-    uniform_background: float = 0.04,
     scale: int | None = None,
 ) -> np.ndarray:
     """Generate ``n`` unique, sorted fixed-point longitude keys.
@@ -72,13 +79,6 @@ def map_longitudes(
         Number of unique keys.
     seed:
         RNG seed.
-    city_lumpiness:
-        Fraction of each band's mass concentrated in narrow "city"
-        sub-clusters (adds fine-grained CDF steps).
-    uniform_background:
-        Fraction of features spread uniformly over all longitudes
-        (shipping lanes, islands, data errors) — keeps the CDF strictly
-        increasing everywhere.
     scale:
         Fixed-point steps per degree.  Defaults to a resolution that
         keeps the paper's quanta-per-key density (see
@@ -105,14 +105,14 @@ def map_longitudes(
         u = rng.random(count)
         out = np.empty(count, dtype=np.float64)
 
-        background = u < uniform_background
+        background = u < UNIFORM_BACKGROUND
         n_bg = int(background.sum())
         out[background] = rng.uniform(-180.0, 180.0, size=n_bg)
 
         rest = ~background
         n_rest = int(rest.sum())
         band = rng.choice(len(_BANDS), size=n_rest, p=weights)
-        in_city = rng.random(n_rest) < city_lumpiness
+        in_city = rng.random(n_rest) < CITY_LUMPINESS
         values = rng.normal(centers[band], stds[band])
         # Re-draw the "city" subset from that band's narrow clusters.
         for b in range(len(_BANDS)):

@@ -73,18 +73,21 @@ def _fill_unique(
     return unique.astype(np.int64)
 
 
+#: The paper's lognormal parameters: LogNormal(0, 2).
+LOGNORMAL_MU = 0.0
+LOGNORMAL_SIGMA = 2.0
+
+
 def lognormal_keys(
     n: int,
     *,
-    mu: float = 0.0,
-    sigma: float = 2.0,
     max_key: int | None = None,
     seed: int = 42,
 ) -> np.ndarray:
     """The paper's heavy-tailed synthetic dataset.
 
-    Samples ``n`` unique values from LogNormal(mu, sigma) and scales them
-    to integers in ``[0, max_key]``.  With sigma=2 the CDF is highly
+    Samples ``n`` unique values from LogNormal(0, 2) and scales them to
+    integers in ``[0, max_key]``.  With sigma=2 the CDF is highly
     non-linear, which is what makes it "more difficult to learn using
     neural nets" (Section 3.7.1).
 
@@ -96,6 +99,7 @@ def lognormal_keys(
     if max_key is None:
         max_key = max(int(n / PAPER_KEYS_PER_INTEGER), 16)
     rng = np.random.default_rng(seed)
+    mu, sigma = LOGNORMAL_MU, LOGNORMAL_SIGMA
     # Scale so the bulk of the distribution lands inside [0, max_key]:
     # exp(mu + 3*sigma) covers ~99.9% of the mass.
     scale = max_key / np.exp(mu + 3.0 * sigma)
@@ -262,10 +266,12 @@ def osm_like(n: int, *, seed: int = 42) -> np.ndarray:
 # absent probes themselves when the fix-up path should be exercised.
 
 
-def zipfian_queries(
-    keys: np.ndarray, n: int, *, alpha: float = 1.1, seed: int = 42
-) -> np.ndarray:
-    """``n`` point queries whose *rank* popularity is Zipf(alpha).
+#: Skew of :func:`zipfian_queries`' rank popularity.
+ZIPF_ALPHA = 1.1
+
+
+def zipfian_queries(keys: np.ndarray, n: int, *, seed: int = 42) -> np.ndarray:
+    """``n`` point queries whose *rank* popularity is Zipf(ZIPF_ALPHA).
 
     A random permutation maps popularity ranks onto key positions, so
     the hot keys are scattered across the key space (the realistic
@@ -275,7 +281,7 @@ def zipfian_queries(
     if keys.size == 0:
         return np.empty(0, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    ranks = rng.zipf(alpha, size=n).astype(np.int64)
+    ranks = rng.zipf(ZIPF_ALPHA, size=n).astype(np.int64)
     ranks = np.minimum(ranks - 1, keys.size - 1)
     rank_to_pos = rng.permutation(keys.size)
     return keys[rank_to_pos[ranks]].astype(np.float64)

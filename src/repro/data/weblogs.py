@@ -42,6 +42,12 @@ _SECONDS_PER_YEAR = 365 * _SECONDS_PER_DAY
 #: 8 -> 29%, 5.5 -> 26%).
 PAPER_TICKS_PER_KEY = 5.5
 
+#: Department-event bursts per simulated year.
+EVENTS_PER_YEAR = 24
+
+#: Simulated span of the log.
+LOG_YEARS = 2.0
+
 
 class RateModel:
     """Traffic-rate function lambda(t) for the simulated university site.
@@ -51,16 +57,16 @@ class RateModel:
     the generator rescales them to hit a requested key count.
     """
 
-    def __init__(self, seed: int = 7, *, event_count_per_year: int = 24):
+    def __init__(self, seed: int = 7):
         rng = np.random.default_rng(seed)
         # Holidays: ~12 fixed days per year, drawn once per model.
         self._holiday_days = rng.choice(365, size=12, replace=False)
         # Department events: bursts at random times during terms.
         self._event_times = rng.uniform(
-            0, _SECONDS_PER_YEAR, size=event_count_per_year
+            0, _SECONDS_PER_YEAR, size=EVENTS_PER_YEAR
         )
-        self._event_strength = rng.uniform(3.0, 12.0, size=event_count_per_year)
-        self._event_width = rng.uniform(0.5, 4.0, size=event_count_per_year) * 3_600
+        self._event_strength = rng.uniform(3.0, 12.0, size=EVENTS_PER_YEAR)
+        self._event_width = rng.uniform(0.5, 4.0, size=EVENTS_PER_YEAR) * 3_600
 
     # -- individual factors ------------------------------------------------
 
@@ -135,7 +141,6 @@ class RateModel:
 def weblog_timestamps(
     n: int,
     *,
-    years: float = 2.0,
     seed: int = 42,
     resolution: int | None = None,
 ) -> np.ndarray:
@@ -144,9 +149,8 @@ def weblog_timestamps(
     Parameters
     ----------
     n:
-        Number of unique timestamp keys to produce.
-    years:
-        Simulated span of the log.
+        Number of unique timestamp keys to produce (over
+        :data:`LOG_YEARS` of simulated log).
     seed:
         Seed for both the rate model and the Poisson thinning.
     resolution:
@@ -165,7 +169,7 @@ def weblog_timestamps(
         raise ValueError("n must be positive")
     model = RateModel(seed=seed)
     rng = np.random.default_rng(seed + 1)
-    horizon = int(years * _SECONDS_PER_YEAR)
+    horizon = int(LOG_YEARS * _SECONDS_PER_YEAR)
     # Linear time-axis rescale: the calendar structure (days, weeks,
     # semesters) is generated at natural scale, then mapped onto a tick
     # grid of ``total_ticks`` quanta so per-tick density matches the

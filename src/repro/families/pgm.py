@@ -283,11 +283,6 @@ class PGMIndex(CompiledPlanIndex):
         j = bisect_right(self._leaf_first_list, encoded) - 1
         return j if j >= 0 else 0
 
-    @property
-    def level_count(self) -> int:
-        """Internal levels between the top array and the leaves."""
-        return len(self._levels)
-
     def _routing_size_bytes(self) -> int:
         total = self._top_keys.size * 8
         total += len(self._leaf_first_list) * 8

@@ -216,21 +216,6 @@ class ChainingHashMap:
         """
         return self.num_slots * SLOT_BYTES + len(self._of_keys) * SLOT_BYTES
 
-    def chain_length_histogram(self) -> dict[int, int]:
-        """chain length -> number of slots (diagnostics and tests)."""
-        histogram: dict[int, int] = {}
-        for slot in range(self.num_slots):
-            if not self._occupied[slot]:
-                histogram[0] = histogram.get(0, 0) + 1
-                continue
-            length = 1
-            node = self._next[slot]
-            while node != _EMPTY:
-                length += 1
-                node = self._of_next[node]
-            histogram[length] = histogram.get(length, 0) + 1
-        return histogram
-
     def __repr__(self) -> str:
         return (
             f"ChainingHashMap(slots={self.num_slots}, size={self.size}, "

@@ -27,6 +27,9 @@ __all__ = ["BucketizedCuckooHashMap", "GenericCuckooHashMap"]
 
 _EMPTY = np.int64(-(2**62))  # sentinel outside every dataset's key range
 
+#: Displacements an insert tries before it reports the table full.
+MAX_KICKS = 500
+
 
 class BucketizedCuckooHashMap:
     """2-hash bucketized cuckoo map with vectorized (AVX-style) probes.
@@ -44,8 +47,6 @@ class BucketizedCuckooHashMap:
         *,
         bucket_slots: int | None = None,
         value_bytes: int = 12,
-        max_kicks: int = 500,
-        seed: int = 0,
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -56,8 +57,7 @@ class BucketizedCuckooHashMap:
         buckets = max(1, int(np.ceil(capacity / self.BUCKET_SLOTS)))
         self.num_buckets = buckets
         self.value_bytes = int(value_bytes)
-        self.max_kicks = int(max_kicks)
-        self.seed = int(seed)
+        self.seed = 0
         self._keys = np.full((buckets, self.BUCKET_SLOTS), _EMPTY, dtype=np.int64)
         self._values = np.zeros((buckets, self.BUCKET_SLOTS), dtype=np.int64)
         # Flat native mirrors for the probe path: a bucket probe is one
@@ -80,7 +80,7 @@ class BucketizedCuckooHashMap:
     # -- writes ----------------------------------------------------------------
 
     def insert(self, key: int, value: int) -> bool:
-        """Insert; returns False when the kick chain exceeds max_kicks."""
+        """Insert; returns False when the kick chain exceeds MAX_KICKS."""
         key = write_key(key)
         b1 = self._bucket1(key)
         if self._try_update(b1, key, value):
@@ -94,7 +94,7 @@ class BucketizedCuckooHashMap:
         # Kick loop: evict a random victim and relocate it.
         rng = np.random.default_rng(key & 0xFFFF)
         bucket = b1
-        for _ in range(self.max_kicks):
+        for _ in range(MAX_KICKS):
             victim_slot = int(rng.integers(0, self.BUCKET_SLOTS))
             victim_key = int(self._keys[bucket, victim_slot])
             victim_value = int(self._values[bucket, victim_slot])
@@ -198,7 +198,6 @@ class GenericCuckooHashMap:
         *,
         target_utilization: float = 0.95,
         value_bytes: int = 12,
-        max_kicks: int = 500,
         stash_size: int = 64,
         seed: int = 0,
     ):
@@ -207,7 +206,6 @@ class GenericCuckooHashMap:
         if not 0.0 < target_utilization <= 0.97:
             raise ValueError("target_utilization must be in (0, 0.97]")
         self.value_bytes = int(value_bytes)
-        self.max_kicks = int(max_kicks)
         self.stash_size = int(stash_size)
         self.seed = int(seed)
         buckets = max(
@@ -270,7 +268,7 @@ class GenericCuckooHashMap:
         # Kick chain with a deterministic-but-varied victim pick.
         rng = np.random.default_rng(key & 0xFFFFF)
         current_key, current_value, bucket = key, value, b1
-        for _ in range(self.max_kicks):
+        for _ in range(MAX_KICKS):
             victim_slot = int(rng.integers(0, self.BUCKET_SLOTS))
             victim_key = int(self._keys[bucket, victim_slot])
             victim_value = int(self._values[bucket, victim_slot])

@@ -27,6 +27,9 @@ __all__ = ["InPlaceChainedHashMap"]
 
 _EMPTY = -1
 
+#: Bytes of one stored record (key and value), for size accounting.
+RECORD_BYTES = 20
+
 
 class InPlaceChainedHashMap:
     """100%-utilization chained map built in two passes."""
@@ -38,7 +41,6 @@ class InPlaceChainedHashMap:
         hash_fn: Callable[[float], int],
         *,
         num_slots: int | None = None,
-        record_bytes: int = 20,
     ):
         keys = np.asarray(integral_keys(keys), dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
@@ -50,7 +52,6 @@ class InPlaceChainedHashMap:
         if self.num_slots < keys.size:
             raise ValueError("need at least one slot per key")
         self.hash_fn = hash_fn
-        self.record_bytes = int(record_bytes)
         self.size = int(keys.size)
         self.probe_count = 0
         self.first_pass_hits = 0
@@ -144,18 +145,7 @@ class InPlaceChainedHashMap:
 
     def size_bytes(self) -> int:
         # record + 32-bit in-place offset per slot
-        return self.num_slots * (self.record_bytes + 4)
-
-    def mean_probes_per_hit(self, sample_keys: np.ndarray) -> float:
-        """Average chain probes for present keys (benchmark metric)."""
-        before = self.probe_count
-        hits = 0
-        for key in np.asarray(sample_keys):
-            if self.get(int(key)) is not None:
-                hits += 1
-        if hits == 0:
-            return 0.0
-        return (self.probe_count - before) / hits
+        return self.num_slots * (RECORD_BYTES + 4)
 
     def __repr__(self) -> str:
         return (

@@ -23,10 +23,9 @@ mid-write leaves only an unreferenced ``.tmp`` orphan — a reader never
 sees a partially written section file.
 
 Checksums: the format *records the checksum algorithm* in its header
-byte.  Writers default to hardware-accelerated ``crc32c`` when the
-optional package is importable and ``zlib.crc32`` (also C speed)
-otherwise; ``REPRO_CHECKSUM=crc32c`` / ``=crc32`` overrides the
-choice.  Readers dispatch on the recorded byte — and since PR 8 a
+byte.  Writers use hardware-accelerated ``crc32c`` when the optional
+package is importable and ``zlib.crc32`` (also C speed) otherwise.
+Readers dispatch on the recorded byte — and a
 vendored slice-by-8 software CRC32C (:func:`software_crc32c`,
 bit-compatible with the wheel) backs the CRC32C id everywhere, so a
 file written on a machine with the wheel always verifies on a machine
@@ -122,8 +121,7 @@ def software_crc32c(data) -> int:
     Slice-by-8 over 8-byte words; roughly three orders of magnitude
     slower than the hardware instruction, so it serves as the
     *verification fallback* for CRC32C-stamped files on machines
-    without the wheel (and as the writer only under an explicit
-    ``REPRO_CHECKSUM=crc32c`` opt-in).
+    without the wheel.
     """
     global _CRC32C_TABLES
     if _CRC32C_TABLES is None:
@@ -158,20 +156,8 @@ def crc32c(data) -> int:
     return software_crc32c(data)
 
 
-def _default_algo() -> int:
-    choice = os.environ.get("REPRO_CHECKSUM", "").strip().lower()
-    if choice == "crc32c":
-        return ALGO_CRC32C
-    if choice == "crc32":
-        return ALGO_CRC32
-    if choice:
-        raise ValueError(
-            f"REPRO_CHECKSUM={choice!r} (known: crc32, crc32c)"
-        )
-    return ALGO_CRC32C if _HAVE_CRC32C else ALGO_CRC32
-
-
-_DEFAULT_ALGO = _default_algo()
+#: What writers stamp: the wheel's CRC32C when it is installed.
+_DEFAULT_ALGO = ALGO_CRC32C if _HAVE_CRC32C else ALGO_CRC32
 
 
 class CorruptRunError(Exception):
@@ -385,12 +371,6 @@ class SectionFile:
             )
         self._verify(name, blob)
         return blob
-
-    def section_span(self, name: str) -> tuple[int, int]:
-        """(absolute offset, nbytes) of a section — corruption tests
-        use this to aim their byte flips."""
-        entry = self._entry(name)
-        return self._data_start + int(entry["offset"]), int(entry["nbytes"])
 
     def file_size(self) -> int:
         return self._fs.file_size(self.path)

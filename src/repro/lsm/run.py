@@ -207,11 +207,10 @@ class SortedRun:
         tombstones: np.ndarray,
         *,
         sequence: int = 0,
-        level: int = 0,
     ) -> "SortedRun":
-        """Wrap existing sorted unique arrays as a run without copying
-        them or re-checking their order; trains the RMI and builds the
-        filter over ``keys``, as the constructor does."""
+        """Wrap existing sorted unique arrays as a level-0 run without
+        copying them or re-checking their order; trains the RMI and
+        builds the filter over ``keys``, as the constructor does."""
         keys, values = as_int64_pairs(keys, values)
         return cls.__new__(cls)._adopt(
             keys,
@@ -219,7 +218,7 @@ class SortedRun:
             np.asarray(tombstones, dtype=bool),
             _train_rmi(keys),
             _build_bloom(keys),
-            sequence=sequence, level=level,
+            sequence=sequence, level=0,
         )
 
     # -- persistence -----------------------------------------------------------

@@ -946,10 +946,6 @@ class LearnedLSMStore(KVSurface):
             for run in retired + runs:
                 run.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def _next_sequence(self) -> int:
         with self._state_lock:
             self._sequence += 1

@@ -194,9 +194,6 @@ class WriteAheadLog:
     def append_puts(self, keys: np.ndarray, values: np.ndarray) -> None:
         self.append(RECORD_PUT, keys, values)
 
-    def append_deletes(self, keys: np.ndarray) -> None:
-        self.append(RECORD_DELETE, keys)
-
     def sync(self) -> None:
         if self._dirty:
             self._fs.fsync(self._handle)

@@ -8,7 +8,6 @@ inference").
 from .base import Model
 from .cdf import (
     ErrorStats,
-    error_stats_list_from_arrays,
     positions_for_keys,
     segmented_error_arrays,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "Model",
     "MultivariateLinearModel",
     "NeuralRegressionModel",
-    "error_stats_list_from_arrays",
     "fit_linear_cdf_root",
     "lexicographic_scalar_batch",
     "positions_for_keys",

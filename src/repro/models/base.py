@@ -59,12 +59,3 @@ class Model(abc.ABC):
     @abc.abstractmethod
     def op_count(self) -> int:
         """Arithmetic operations (multiply-adds) per scalar inference."""
-
-    def is_monotonic(self) -> bool:
-        """Whether the model is monotonically non-decreasing in the key.
-
-        Monotonic models guarantee min/max error bounds hold for absent
-        look-up keys too (Section 3.4); non-monotonic models require the
-        widening-search fallback.
-        """
-        return False

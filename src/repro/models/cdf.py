@@ -36,10 +36,6 @@ class ErrorStats(NamedTuple):
     predictions (prediction - truth), i.e. the Section 3.4 search bounds:
     the true position of key ``k`` lies in
     ``[pred(k) - max_error, pred(k) - min_error]``.
-
-    A ``NamedTuple`` rather than a dataclass because an index's
-    ``leaf_errors`` builds one per leaf — tens of thousands per access —
-    and tuple allocation is measurably cheaper.
     """
 
     min_error: int
@@ -47,11 +43,6 @@ class ErrorStats(NamedTuple):
     mean_absolute: float
     std: float
     count: int
-
-    @property
-    def max_absolute(self) -> int:
-        """Algorithm 1's ``max_abs_err`` hybrid-replacement criterion."""
-        return max(abs(self.min_error), abs(self.max_error))
 
     @property
     def window(self) -> int:
@@ -98,10 +89,10 @@ def segmented_error_arrays(
     *,
     default: ErrorStats,
     boundaries: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment :class:`ErrorStats` columns in one pass.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-segment error bounds, std and counts in one pass.
 
-    Returns ``(min_error, max_error, mean_absolute, std, counts)``, the
+    Returns ``(min_error, max_error, std, counts)``, the
     j-th entries summarizing segment ``j``'s signed errors
     (prediction - truth; bounds floored/ceiled to integers, std the
     population deviation): min/max from
@@ -125,7 +116,6 @@ def segmented_error_arrays(
             np.full(m, int(default.min_error), dtype=np.int64),
             np.full(m, int(default.max_error), dtype=np.int64),
             np.zeros(m, dtype=np.float64),
-            np.zeros(m, dtype=np.float64),
             np.zeros(m, dtype=np.int64),
         )
     signed = predictions - np.asarray(positions, dtype=np.float64)
@@ -148,36 +138,8 @@ def segmented_error_arrays(
     min_error[empty] = default.min_error
     max_error[empty] = default.max_error
     safe = np.maximum(counts, 1).astype(np.float64)
-    mean_abs = reduce(np.add, np.abs(ordered)) / safe
     mean = reduce(np.add, ordered) / safe
     mean_sq = reduce(np.add, ordered * ordered) / safe
     std = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
-    return min_error, max_error, mean_abs, std, counts
-
-
-def error_stats_list_from_arrays(
-    min_error: np.ndarray,
-    max_error: np.ndarray,
-    mean_absolute: np.ndarray,
-    std: np.ndarray,
-    counts: np.ndarray,
-) -> list[ErrorStats]:
-    """Materialize parallel stat arrays into ``ErrorStats`` rows.
-
-    ``ErrorStats._make`` over one ``zip`` is the cheapest mass
-    construction CPython offers; the RMI builds its ``leaf_errors``
-    rows with it on each access.
-    """
-    return list(
-        map(
-            ErrorStats._make,
-            zip(
-                min_error.tolist(),
-                max_error.tolist(),
-                mean_absolute.tolist(),
-                std.tolist(),
-                counts.tolist(),
-            ),
-        )
-    )
+    return min_error, max_error, std, counts
 

@@ -25,6 +25,18 @@ import numpy as np
 
 __all__ = ["CharVocabulary", "GRUClassifier"]
 
+#: Global gradient-norm bound of each Adam step.
+GRAD_CLIP = 5.0
+
+#: Seed of the per-epoch shuffles in ``fit``.
+SHUFFLE_SEED = 1
+
+#: Strings per forward pass in ``predict_proba``.
+PREDICT_BATCH = 512
+
+#: Bytes per parameter in ``size_bytes``: float32, like a deployed model.
+FLOAT_BYTES = 4
+
 
 class CharVocabulary:
     """Maps characters to dense ids: printable ASCII + <pad> + <oov>."""
@@ -103,9 +115,9 @@ class GRUClassifier:
     def param_count(self) -> int:
         return int(sum(p.size for p in self._params()))
 
-    def size_bytes(self, *, float_bytes: int = 4) -> int:
-        """Model footprint; float32 by default like a deployed model."""
-        return self.param_count * float_bytes
+    def size_bytes(self) -> int:
+        """Model footprint in float32, like a deployed model."""
+        return self.param_count * FLOAT_BYTES
 
     # -- forward -------------------------------------------------------------
 
@@ -151,11 +163,11 @@ class GRUClassifier:
         cache["prob"] = prob
         return prob.ravel(), cache
 
-    def predict_proba(self, texts: list[str], batch_size: int = 512) -> np.ndarray:
+    def predict_proba(self, texts: list[str]) -> np.ndarray:
         """P(key) for each string."""
         out = np.empty(len(texts))
-        for start in range(0, len(texts), batch_size):
-            chunk = texts[start:start + batch_size]
+        for start in range(0, len(texts), PREDICT_BATCH):
+            chunk = texts[start:start + PREDICT_BATCH]
             ids = self.vocab.encode_batch(chunk, self.max_length)
             prob, _ = self._forward(ids)
             out[start:start + len(chunk)] = prob
@@ -236,16 +248,13 @@ class GRUClassifier:
         epochs: int = 3,
         batch_size: int = 128,
         learning_rate: float = 3e-3,
-        clip: float = 5.0,
-        seed: int = 1,
-        verbose: bool = False,
     ) -> list[float]:
         """Mini-batch Adam over (texts, binary labels); returns loss history."""
         labels = np.asarray(labels, dtype=np.float64).ravel()
         if len(texts) != labels.size:
             raise ValueError("texts and labels length mismatch")
         ids_all = self.vocab.encode_batch(texts, self.max_length)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SHUFFLE_SEED)
         n = len(texts)
         params = self._params()
         self._adam = {
@@ -254,7 +263,7 @@ class GRUClassifier:
             "t": 0,
         }
         history: list[float] = []
-        for epoch in range(epochs):
+        for _ in range(epochs):
             order = rng.permutation(n)
             total_loss = 0.0
             batches = 0
@@ -271,20 +280,16 @@ class GRUClassifier:
                     )
                 )
                 grads = self._backward(cache, y)
-                self._adam_step(grads, learning_rate, clip)
+                self._adam_step(grads, learning_rate)
                 total_loss += loss
                 batches += 1
             history.append(total_loss / max(batches, 1))
-            if verbose:
-                print(f"epoch {epoch}: loss {history[-1]:.4f}")
         return history
 
-    def _adam_step(
-        self, grads: list[np.ndarray], lr: float, clip: float
-    ) -> None:
+    def _adam_step(self, grads: list[np.ndarray], lr: float) -> None:
         norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
-        if clip and norm > clip:
-            grads = [g * (clip / norm) for g in grads]
+        if norm > GRAD_CLIP:
+            grads = [g * (GRAD_CLIP / norm) for g in grads]
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         self._adam["t"] += 1
         t = self._adam["t"]

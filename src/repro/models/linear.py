@@ -188,24 +188,6 @@ class LinearModel(Model):
         self.intercept = mean_y - self.slope * mean_x
         return self
 
-    def fit_endpoints(
-        self, keys: np.ndarray, positions: np.ndarray
-    ) -> "LinearModel":
-        """Interpolate the first and last point instead of least squares.
-
-        Useful for strictly bounding segments (spline-style fitting);
-        guarantees zero error at both endpoints.
-        """
-        keys = np.asarray(keys, dtype=np.float64)
-        positions = np.asarray(positions, dtype=np.float64)
-        if keys.size < 2 or keys[-1] == keys[0]:
-            return self.fit(keys, positions)
-        self.slope = float(
-            (positions[-1] - positions[0]) / (keys[-1] - keys[0])
-        )
-        self.intercept = float(positions[0] - self.slope * keys[0])
-        return self
-
     def predict(self, key: float) -> float:
         return self.slope * key + self.intercept
 
@@ -219,9 +201,6 @@ class LinearModel(Model):
 
     def op_count(self) -> int:
         return 2  # one multiply, one add
-
-    def is_monotonic(self) -> bool:
-        return self.slope >= 0.0
 
     def __repr__(self) -> str:
         return f"LinearModel(slope={self.slope:.6g}, intercept={self.intercept:.6g})"

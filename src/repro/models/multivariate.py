@@ -24,6 +24,9 @@ from .base import Model
 
 __all__ = ["MultivariateLinearModel", "FEATURE_LIBRARY"]
 
+#: Share of the keys ``auto_select`` holds out to score feature subsets.
+VALIDATION_FRACTION = 0.1
+
 
 def _safe_log(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.abs(x))
@@ -51,7 +54,6 @@ class MultivariateLinearModel(Model):
         self,
         features: tuple[str, ...] = ("key", "log", "key^2"),
         auto_select: bool = False,
-        validation_fraction: float = 0.1,
     ):
         unknown = [f for f in features if f not in FEATURE_LIBRARY]
         if unknown:
@@ -62,7 +64,6 @@ class MultivariateLinearModel(Model):
             raise ValueError("need at least one feature")
         self.features = tuple(features)
         self.auto_select = bool(auto_select)
-        self.validation_fraction = float(validation_fraction)
         self.weights = np.zeros(len(self.features))
         self.bias = 0.0
         self._mean = np.zeros(len(self.features))
@@ -109,7 +110,7 @@ class MultivariateLinearModel(Model):
 
         # Automatic selection: hold out a slice, score each non-empty
         # subset of the configured features, keep the best.
-        holdout = max(1, int(keys.size * self.validation_fraction))
+        holdout = max(1, int(keys.size * VALIDATION_FRACTION))
         stride = max(1, keys.size // holdout)
         val_mask = np.zeros(keys.size, dtype=bool)
         val_mask[::stride] = True

@@ -30,6 +30,12 @@ import numpy as np
 
 __all__ = ["MLP", "NeuralRegressionModel", "FrameworkModel"]
 
+#: Seed of the per-epoch shuffles in :meth:`MLP.fit`.
+SHUFFLE_SEED = 1
+
+#: Mini-batch size of :class:`NeuralRegressionModel` training.
+REGRESSION_BATCH = 512
+
 from ..obs import default_registry
 from ..obs import span as obs_span
 from ..obs import state as obs_state
@@ -48,9 +54,8 @@ class MLP:
     input_dim:
         Width of the input vector (1 for scalar keys).
     hidden:
-        Tuple of hidden-layer widths; empty tuple = linear model.
-    output_dim:
-        Output width (1 everywhere in this repo).
+        Tuple of hidden-layer widths; empty tuple = linear model.  The
+        output is one value.
     task:
         ``"regression"`` (MSE loss, identity output) or
         ``"classification"`` (log loss, sigmoid output).
@@ -62,19 +67,18 @@ class MLP:
         self,
         input_dim: int,
         hidden: tuple[int, ...] = (),
-        output_dim: int = 1,
         task: str = "regression",
         seed: int = 0,
     ):
         if task not in ("regression", "classification"):
             raise ValueError("task must be 'regression' or 'classification'")
-        if input_dim < 1 or output_dim < 1:
-            raise ValueError("input_dim and output_dim must be >= 1")
+        if input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
         if any(h < 1 for h in hidden):
             raise ValueError("hidden widths must be >= 1")
         self.input_dim = int(input_dim)
         self.hidden = tuple(int(h) for h in hidden)
-        self.output_dim = int(output_dim)
+        self.output_dim = 1
         self.task = task
         rng = np.random.default_rng(seed)
         dims = [self.input_dim, *self.hidden, self.output_dim]
@@ -161,9 +165,6 @@ class MLP:
         batch_size: int = 256,
         learning_rate: float = 1e-3,
         optimizer: str = "adam",
-        shuffle: bool = True,
-        seed: int = 1,
-        verbose: bool = False,
     ) -> list[float]:
         """Mini-batch training; returns the per-epoch mean loss history."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -185,13 +186,13 @@ class MLP:
             targets = y
         z = (x - self.x_mean) / self.x_scale
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SHUFFLE_SEED)
         n = z.shape[0]
         history: list[float] = []
         self._init_adam()
         step = 0
-        for epoch in range(epochs):
-            order = rng.permutation(n) if shuffle else np.arange(n)
+        for _ in range(epochs):
+            order = rng.permutation(n)
             epoch_loss = 0.0
             batches = 0
             for start in range(0, n, batch_size):
@@ -220,8 +221,6 @@ class MLP:
                 epoch_loss += loss
                 batches += 1
             history.append(epoch_loss / max(batches, 1))
-            if verbose:
-                print(f"epoch {epoch}: loss {history[-1]:.6f}")
         self._prepare_one()
         return history
 
@@ -304,14 +303,12 @@ class NeuralRegressionModel(Model):
         self,
         hidden: tuple[int, ...] = (16,),
         epochs: int = 30,
-        batch_size: int = 512,
         learning_rate: float = 1e-3,
         seed: int = 0,
         max_train_samples: int = 50_000,
     ):
         self.net = MLP(1, hidden=hidden, task="regression", seed=seed)
         self.epochs = int(epochs)
-        self.batch_size = int(batch_size)
         self.learning_rate = float(learning_rate)
         self.max_train_samples = int(max_train_samples)
         self._scalar_weights: list | None = None
@@ -335,7 +332,7 @@ class NeuralRegressionModel(Model):
             keys.reshape(-1, 1),
             positions,
             epochs=self.epochs,
-            batch_size=self.batch_size,
+            batch_size=REGRESSION_BATCH,
             learning_rate=self.learning_rate,
         )
         self._cache_scalar_weights()

@@ -18,7 +18,11 @@ def _sanitize(name: str) -> str:
     return metric
 
 
-def prometheus_text(snapshot: RegistrySnapshot, prefix: str = "repro") -> str:
+#: Namespace of every exported metric name.
+PREFIX = "repro"
+
+
+def prometheus_text(snapshot: RegistrySnapshot) -> str:
     """Prometheus text exposition format (version 0.0.4).
 
     Histogram buckets are emitted cumulatively with ``le`` labels at
@@ -27,16 +31,12 @@ def prometheus_text(snapshot: RegistrySnapshot, prefix: str = "repro") -> str:
     """
     lines = []
     for name in sorted(snapshot.counters):
-        metric = f"{prefix}_{_sanitize(name)}"
+        metric = f"{PREFIX}_{_sanitize(name)}"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {snapshot.counters[name]}")
-    for name in sorted(snapshot.gauges):
-        metric = f"{prefix}_{_sanitize(name)}"
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {snapshot.gauges[name]}")
     for name in sorted(snapshot.histograms):
         hist = snapshot.histograms[name]
-        metric = f"{prefix}_{_sanitize(name)}"
+        metric = f"{PREFIX}_{_sanitize(name)}"
         lines.append(f"# TYPE {metric} histogram")
         cum = 0
         for idx in hist.counts.nonzero()[0]:
@@ -49,6 +49,6 @@ def prometheus_text(snapshot: RegistrySnapshot, prefix: str = "repro") -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_json(trace: dict, indent=2) -> str:
+def trace_json(trace: dict) -> str:
     """JSON form of ``tracing.export_trace`` output."""
-    return json.dumps(trace, indent=indent, sort_keys=False)
+    return json.dumps(trace, indent=2, sort_keys=False)

@@ -88,23 +88,6 @@ class LatencyHistogram:
             if value > self.max:
                 self.max = value
 
-    def observe_many(self, values) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return
-        clipped = np.clip(values, MIN_TRACKABLE, MAX_TRACKABLE)
-        idx = ((np.log2(clipped) - _MIN_EXP) * BUCKETS_PER_OCTAVE).astype(
-            np.int64
-        )
-        np.clip(idx, 0, NUM_BUCKETS - 1, out=idx)
-        add = np.bincount(idx, minlength=NUM_BUCKETS)
-        with self._lock:
-            self.counts += add
-            self.count += int(values.size)
-            self.sum += float(values.sum())
-            self.min = min(self.min, float(values.min()))
-            self.max = max(self.max, float(values.max()))
-
     # -- aggregation -----------------------------------------------------
 
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
@@ -161,9 +144,6 @@ class LatencyHistogram:
         idx = int(np.searchsorted(cum, math.floor(rank), side="right"))
         est = bucket_midpoint(min(idx, NUM_BUCKETS - 1))
         return min(max(est, self.min), self.max)
-
-    def percentiles(self, qs) -> list:
-        return [self.percentile(q) for q in qs]
 
     @property
     def mean(self) -> float:

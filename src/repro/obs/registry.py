@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms.
+"""Process-local metrics registry: counters and histograms.
 
 A ``MetricsRegistry`` is a named bag of thread-safe instruments.
 ``snapshot()`` produces a lock-free, picklable ``RegistrySnapshot``
@@ -45,39 +45,12 @@ class Counter:
         return f"Counter({self.name}={self._value})"
 
 
-class Gauge:
-    """Point-in-time numeric value; last write wins on merge."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, delta=1) -> None:
-        with self._lock:
-            self._value += delta
-
-    @property
-    def value(self):
-        return self._value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Gauge({self.name}={self._value})"
-
-
 class MetricsRegistry:
     """Get-or-create instrument namespace; safe under free threading."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict = {}
-        self._gauges: dict = {}
         self._histograms: dict = {}
 
     def counter(self, name: str) -> Counter:
@@ -86,13 +59,6 @@ class MetricsRegistry:
             with self._lock:
                 c = self._counters.setdefault(name, Counter(name))
         return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            with self._lock:
-                g = self._gauges.setdefault(name, Gauge(name))
-        return g
 
     def histogram(self, name: str) -> LatencyHistogram:
         h = self._histograms.get(name)
@@ -104,34 +70,30 @@ class MetricsRegistry:
     def snapshot(self) -> "RegistrySnapshot":
         with self._lock:
             counters = {n: c.value for n, c in self._counters.items()}
-            gauges = {n: g.value for n, g in self._gauges.items()}
             hists = {n: h.copy() for n, h in self._histograms.items()}
-        return RegistrySnapshot(counters, gauges, hists)
+        return RegistrySnapshot(counters, hists)
 
     def reset(self) -> None:
         """Drop every instrument (test hygiene, not for production use)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
 
 class RegistrySnapshot:
     """Immutable-by-convention, picklable view of a registry's state."""
 
-    __slots__ = ("counters", "gauges", "histograms")
+    __slots__ = ("counters", "histograms")
 
-    def __init__(self, counters=None, gauges=None, histograms=None) -> None:
+    def __init__(self, counters=None, histograms=None) -> None:
         self.counters = dict(counters or {})
-        self.gauges = dict(gauges or {})
         self.histograms = dict(histograms or {})
 
     def merge(self, other: "RegistrySnapshot") -> "RegistrySnapshot":
-        """Fold ``other`` in: counters add, gauges last-write-wins,
-        histograms vector-add.  Exact by construction. Returns self."""
+        """Fold ``other`` in: counters add, histograms vector-add.
+        Exact by construction. Returns self."""
         for name, v in other.counters.items():
             self.counters[name] = self.counters.get(name, 0) + v
-        self.gauges.update(other.gauges)
         for name, h in other.histograms.items():
             mine = self.histograms.get(name)
             if mine is None:
@@ -150,19 +112,17 @@ class RegistrySnapshot:
         for name, h in self.histograms.items():
             old = prev.histograms.get(name)
             hists[name] = h.copy() if old is None else h.diff(old)
-        return RegistrySnapshot(counters, dict(self.gauges), hists)
+        return RegistrySnapshot(counters, hists)
 
     def copy(self) -> "RegistrySnapshot":
         return RegistrySnapshot(
             dict(self.counters),
-            dict(self.gauges),
             {n: h.copy() for n, h in self.histograms.items()},
         )
 
     def to_dict(self) -> dict:
         return {
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
             "histograms": {n: h.to_dict() for n, h in self.histograms.items()},
         }
 

@@ -136,8 +136,9 @@ def span(name: str, **attrs):
 
 
 @contextlib.contextmanager
-def trace_scope(trace_id=None, parent_span_id=None, member_ids=()):
-    """Install a trace context without recording a span of its own.
+def trace_scope(member_ids=()):
+    """Install a fresh trace context without recording a span of its
+    own.
 
     Used by request stamping (each coalesced request gets an ID before
     any span opens) and by batch operations that serve many traces at
@@ -146,8 +147,8 @@ def trace_scope(trace_id=None, parent_span_id=None, member_ids=()):
     if not state.enabled:
         yield None
         return
-    tid = trace_id if trace_id is not None else new_trace_id()
-    token = _ctx.set((tid, parent_span_id, tuple(member_ids)))
+    tid = new_trace_id()
+    token = _ctx.set((tid, None, tuple(member_ids)))
     try:
         yield tid
     finally:
@@ -193,10 +194,9 @@ def record_manual_span(
     *,
     start: float,
     duration: float,
-    parent_id=None,
     attrs=None,
 ) -> None:
-    """Record a span whose lifetime could not be a ``with`` block
+    """Record a root span whose lifetime could not be a ``with`` block
     (e.g. a queued request resolved by a later callback).  Mirrors
     :func:`span`'s record shape and histogram side effect."""
     if not state.enabled:
@@ -206,7 +206,7 @@ def record_manual_span(
             "name": name,
             "trace_id": trace_id,
             "span_id": uuid.uuid4().hex[:16],
-            "parent_id": parent_id,
+            "parent_id": None,
             "process": _process_name,
             "start": start,
             "duration": duration,

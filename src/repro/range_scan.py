@@ -466,12 +466,6 @@ class RangeScanIndexMixin:
         qb = column.prepare(queries)
         return column.contains_at(qb, column.lower_bounds(qb))
 
-    def upper_bound_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Batched :meth:`upper_bound` through the query core."""
-        column = self._key_column()
-        qb = column.prepare(queries)
-        return column.upper_bounds(qb, column.lower_bounds(qb))
-
     def range_query_batch(self, lows, highs) -> RangeScanResult:
         """Batched :meth:`range_query` over parallel endpoint arrays."""
         return batch_range_scan(

@@ -87,20 +87,6 @@ class CDFSplitter:
             self.boundaries, keys, side="right"
         ).astype(np.int64)
 
-    def shard_interval(self, shard: int) -> tuple[int, int]:
-        """Closed key interval ``[lo, hi]`` owned by ``shard``."""
-        lo = (
-            _INT64_MIN
-            if shard == 0
-            else int(self.boundaries[shard - 1])
-        )
-        hi = (
-            _INT64_MAX
-            if shard == self.num_shards - 1
-            else int(self.boundaries[shard]) - 1
-        )
-        return lo, hi
-
     def shards_overlapping(self, lows, highs) -> np.ndarray:
         """Bool matrix ``[num_shards, num_ranges]``: does shard s own
         any part of range r?  Inverted ranges overlap nothing."""

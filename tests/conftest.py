@@ -76,6 +76,23 @@ def queries_factory():
     return make_queries
 
 
+@pytest.fixture()
+def engine_counts():
+    """Telemetry on for one test: ``engine_counts(name)`` reads what
+    the test's batch calls added to ``engine.lookup_batch.<name>``."""
+    from repro import obs
+
+    previous = obs.set_enabled(True)
+    registry = obs.default_registry()
+    before = registry.snapshot()
+    try:
+        yield lambda name: registry.snapshot().diff(before).counters.get(
+            f"engine.lookup_batch.{name}", 0
+        )
+    finally:
+        obs.set_enabled(previous)
+
+
 # -- the engine suites run on both sides of the small-batch dispatch -----------
 
 _BOTH_SIDES_MODULES = {
@@ -120,14 +137,14 @@ def both_sides_of_the_dispatch(request, monkeypatch):
 
     dispatched = engine.CompiledPlan.lookup_batch
 
-    def lookup_batch(plan, qb, *, sort=None, stats=None):
+    def lookup_batch(plan, qb, *, sort=None):
         if sort is None:
             with monkeypatch.context() as column_side:
                 column_side.setattr(
                     engine, "column_answers", lambda *sizes: True
                 )
                 from_column = dispatched(plan, qb)
-        from_engine = dispatched(plan, qb, sort=sort, stats=stats)
+        from_engine = dispatched(plan, qb, sort=sort)
         if sort is None:
             np.testing.assert_array_equal(from_column, from_engine)
         return from_engine

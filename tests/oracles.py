@@ -45,6 +45,11 @@ def error_stats(predictions: np.ndarray, truths: np.ndarray) -> ErrorStats:
     )
 
 
+def max_absolute(stats: ErrorStats) -> int:
+    """Algorithm 1's ``max_abs_err`` hybrid-replacement criterion."""
+    return max(abs(stats.min_error), abs(stats.max_error))
+
+
 def _central_differences(params, loss, epsilon: float) -> list[np.ndarray]:
     """d loss / d p for every element of every array in ``params``, by
     central differences, perturbing each element in place."""

@@ -65,12 +65,6 @@ class TestFalsePositiveRate:
             measured = bloom.measured_fpr(non_keys)
             assert measured == pytest.approx(target, rel=0.6)
 
-    def test_expected_fpr_tracks_occupancy(self):
-        bloom = BloomFilter.for_capacity(1000, 0.01)
-        assert bloom.expected_fpr() == 0.0
-        bloom.add_batch([f"k{i}" for i in range(1000)])
-        assert bloom.expected_fpr() == pytest.approx(0.01, rel=0.3)
-
     def test_overfilled_filter_degrades(self):
         bloom = BloomFilter.for_capacity(100, 0.01)
         bloom.add_batch([f"k{i}" for i in range(2000)])
@@ -142,14 +136,6 @@ class TestInternals:
     def test_size_bytes(self):
         bloom = BloomFilter(8000, 3)
         assert bloom.size_bytes() == 1000
-
-    def test_fill_ratio_monotone(self):
-        bloom = BloomFilter(4096, 3)
-        assert bloom.fill_ratio() == 0.0
-        bloom.add("a")
-        ratio_one = bloom.fill_ratio()
-        bloom.add_batch([f"k{i}" for i in range(100)])
-        assert bloom.fill_ratio() > ratio_one
 
     def test_measured_fpr_empty_nonkeys(self):
         bloom = BloomFilter(64, 2)

@@ -85,14 +85,6 @@ class TestStorageAccounting:
         assert hm.overflow_records() == 3
         assert hm.size_bytes() == 4 * SLOT_BYTES + 3 * SLOT_BYTES
 
-    def test_chain_histogram(self):
-        hm = ChainingHashMap(4, lambda key: 0)
-        for k in range(3):
-            hm.insert(k, k)
-        histogram = hm.chain_length_histogram()
-        assert histogram[3] == 1
-        assert histogram[0] == 3
-
 
 class TestLearnedVersusRandom:
     def test_learned_hash_wastes_fewer_slots(self, maps_small):

@@ -159,8 +159,10 @@ class TestKeyDomainParameterization:
     def test_normal_and_clustered_min_key(self):
         from repro.data import clustered_keys, normal_keys
 
-        for gen in (normal_keys, clustered_keys):
-            keys = gen(500, min_key=10**12, max_key=2 * 10**12, seed=2)
+        for keys in (
+            normal_keys(500, min_key=10**12, max_key=2 * 10**12, seed=2),
+            clustered_keys(500, min_key=10**12, max_key=2 * 10**12, seed=2),
+        ):
             assert int(keys.min()) >= 10**12
             assert int(keys.max()) <= 2 * 10**12
             assert np.all(keys[1:] > keys[:-1])

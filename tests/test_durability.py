@@ -30,12 +30,21 @@ from repro.lsm import (
 )
 from repro.lsm.format import RUN_MAGIC, SectionFile, write_section_file
 from repro.lsm.run import DEFAULT_LEAF_TARGET
+from repro.lsm.wal import RECORD_DELETE
 from repro.lsm.wal import replay as wal_replay
 
 
 @pytest.fixture
 def fs():
     return RealFileSystem()
+
+
+def section_span(fs, path, name):
+    """(absolute offset, nbytes) of a section of a run file, to aim a
+    byte flip at."""
+    reader = SectionFile(fs, path, magic=RUN_MAGIC)
+    entry = reader._entry(name)
+    return reader._data_start + int(entry["offset"]), int(entry["nbytes"])
 
 
 def _example_run(n=4_000, tombstone_every=7, seed=3):
@@ -129,8 +138,7 @@ class TestSectionFile:
         write_section_file(
             fs, path, magic=RUN_MAGIC, meta={}, sections=[("keys", keys)],
         )
-        reader = SectionFile(fs, path, magic=RUN_MAGIC)
-        offset, nbytes = reader.section_span("keys")
+        offset, nbytes = section_span(fs, path, "keys")
         flip_byte(path, offset + nbytes // 2)
         # Open succeeded (O(metadata)); materialization must not.
         with pytest.raises(CorruptRunError, match="checksum"):
@@ -158,7 +166,7 @@ class TestWAL:
             np.array([3, 1, 2], dtype=np.int64),
             np.array([30, 10, 20], dtype=np.int64),
         )
-        wal.append_deletes(np.array([1], dtype=np.int64))
+        wal.append(RECORD_DELETE, np.array([1], dtype=np.int64))
         wal.append_puts(
             np.array([9], dtype=np.int64), np.array([90], dtype=np.int64)
         )
@@ -441,9 +449,7 @@ class TestRunPersistence:
                 fs, path, magic=RUN_MAGIC, meta=meta, sections=sections
             )
         else:
-            offset, nbytes = SectionFile(
-                fs, path, magic=RUN_MAGIC
-            ).section_span(section)
+            offset, nbytes = section_span(fs, path, section)
             assert nbytes > 0, f"test run must populate section {section}"
             flip_byte(path, offset + nbytes // 2)
         loaded = SortedRun.load(fs, path)  # O(metadata) open still fine
@@ -651,9 +657,7 @@ class TestDurableStore:
             store.insert_batch(np.arange(2_000, dtype=np.int64))
         state = load_manifest(RealFileSystem(), d)
         run_path = os.path.join(d, state["runs"][0]["file"])
-        offset, nbytes = SectionFile(
-            RealFileSystem(), run_path, magic=RUN_MAGIC
-        ).section_span("values")
+        offset, nbytes = section_span(RealFileSystem(), run_path, "values")
         flip_byte(run_path, offset + nbytes // 2)
         with LearnedLSMStore(path=d) as reopened:
             with pytest.raises(CorruptRunError):
@@ -664,7 +668,6 @@ class TestDurableStore:
         store.insert(1, 10)
         store.close()
         store.close()
-        assert store.closed
         with pytest.raises(ValueError, match="closed"):
             store.insert(2)
         with pytest.raises(ValueError, match="closed"):

@@ -236,7 +236,6 @@ class TestCompiledPlanMatchesRMI:
         for name in (
             "lookup_batch",
             "contains_batch",
-            "upper_bound_batch",
             "range_query_batch",
             "upper_bound",
             "contains",

@@ -35,12 +35,13 @@ class TestReplacement:
     ):
         hybrid = HybridIndex(adversarial_keys, stage_sizes=(1, 50), threshold=0)
         # every leaf with any error at all becomes a B-Tree
-        imperfect = sum(
-            1
-            for stats in hybrid.leaf_errors
-            if stats.count and stats.max_absolute > 0
+        plan = hybrid._plan
+        errors = np.maximum(
+            np.abs(plan.lo_offsets.astype(np.int64)),
+            np.abs(plan.hi_offsets.astype(np.int64)),
         )
-        assert hybrid.replaced_leaf_count == imperfect
+        imperfect = (hybrid._stage_counts[-1] > 0) & (errors > 0)
+        assert hybrid.replaced_leaf_count == np.count_nonzero(imperfect)
 
     def test_rejects_negative_threshold(self, uniform_small):
         with pytest.raises(ValueError):
@@ -82,7 +83,8 @@ class TestSmallBatch:
 
     @pytest.mark.parametrize("threshold", [0, 10**9])  # all B-Tree / all modelled
     def test_eight_keys_are_not_routed(
-        self, threshold, adversarial_keys, rng, dispatch_as_shipped
+        self, threshold, adversarial_keys, rng, dispatch_as_shipped,
+        engine_counts,
     ):
         hybrid = HybridIndex(
             adversarial_keys, stage_sizes=(1, 50), threshold=threshold
@@ -99,38 +101,31 @@ class TestSmallBatch:
         expected = np.searchsorted(adversarial_keys, queries, side="left")
         np.testing.assert_array_equal(hybrid.lookup_batch(queries), expected)
         # no lane was routed or searched
-        assert hybrid.stats.lookups == 0
-        assert hybrid.stats.extra["column_answered"] == 8
+        assert engine_counts("column_keys") == 8
         np.testing.assert_array_equal(
             hybrid.lookup_batch(queries, sort=False), expected
         )
-        assert hybrid.stats.lookups == 8
-        assert hybrid.stats.extra["column_answered"] == 8
+        assert engine_counts("keys") == 16
+        assert engine_counts("column_keys") == 8
 
 
 class TestWorstCaseBound:
     def test_hybrid_bounds_bad_leaf_cost(self, adversarial_keys, rng):
         """Section 3.3: hybrids bound worst-case lookups to B-Tree cost."""
-        pure = RecursiveModelIndex(adversarial_keys, stage_sizes=(1, 100))
         hybrid = HybridIndex(
             adversarial_keys, stage_sizes=(1, 100), threshold=64
         )
         assert hybrid.replaced_leaf_count > 0
         # hybrid replaces exactly the leaves whose window explodes
-        worst_pure = max(s.window for s in pure.leaf_errors if s.count)
+        plan = hybrid._plan
+        windows = plan.lo_offsets.astype(np.int64) - plan.hi_offsets
         remaining = [
-            s.window
-            for j, s in enumerate(hybrid.leaf_errors)
-            if s.count and j not in hybrid.leaf_btrees
+            windows[j]
+            for j in np.flatnonzero(hybrid._stage_counts[-1])
+            if j not in hybrid.leaf_btrees
         ]
         if remaining:
             assert max(remaining) <= 2 * 64 + 2
-
-    def test_replaced_fraction_reported(self, adversarial_keys):
-        hybrid = HybridIndex(
-            adversarial_keys, stage_sizes=(1, 100), threshold=16
-        )
-        assert 0.0 < hybrid.replaced_key_fraction <= 1.0
 
 
 class TestAccounting:

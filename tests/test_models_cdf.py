@@ -45,7 +45,6 @@ class TestErrorStats:
         )
         assert stats.min_error == -2
         assert stats.max_error == 2
-        assert stats.max_absolute == 2
         assert stats.window == 4
 
     def test_bounds_contain_truth(self):

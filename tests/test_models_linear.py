@@ -46,17 +46,6 @@ class TestLinearModel:
         for k, expected in zip(keys, batch):
             assert model.predict(float(k)) == pytest.approx(expected)
 
-    def test_monotonicity_flag(self):
-        assert LinearModel(slope=0.5).is_monotonic()
-        assert not LinearModel(slope=-0.5).is_monotonic()
-
-    def test_fit_endpoints_zero_error_at_ends(self):
-        keys = np.array([0.0, 3.0, 50.0, 100.0])
-        positions = np.array([0.0, 1.0, 2.0, 3.0])
-        model = LinearModel().fit_endpoints(keys, positions)
-        assert model.predict(0.0) == pytest.approx(0.0)
-        assert model.predict(100.0) == pytest.approx(3.0)
-
     def test_accounting(self):
         model = LinearModel()
         assert model.param_count == 2

@@ -19,19 +19,38 @@ when a consumer imports that name from any ``repro`` module or reads it
 as an attribute of one, or when its own module uses it (a result type,
 a raised exception, a helper of an exported function).
 
+And one level further down:
+
+* every public method or property of an exported class is read by a
+  consumer — some consumer reads an attribute of its name (by name: the
+  AST cannot tell an object's type);
+* every defaulted keyword option of an exported function, constructor
+  or public method is set by some call, tests included — by keyword,
+  by position, through a ``*args`` / ``**kwargs`` splat whose keys the
+  calling file names, through a wrapper that forwards its ``**kwargs``,
+  or through a subclass's constructor or its ``super().__init__``;
+* every ``REPRO_*`` environment variable the package reads is named
+  by the CI workflow, a benchmark or an example.
+
 A module or definition with no consumer leaves the package: to
-``tests/`` if it is still a useful oracle, otherwise it is deleted.
+``tests/`` if it is still a useful oracle, otherwise it is deleted.  A
+method nothing reads is deleted with the tests that only exercised
+it, and an option no call sets becomes a module constant.  The
+exceptions are safety seams, listed in :data:`SAFETY_SEAMS` with
+their reasons.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections import defaultdict
 from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+TESTS = ROOT / "tests"
 
 
 def module_name(path: Path) -> str:
@@ -256,3 +275,270 @@ def test_one_scalar_lookup_and_one_btree():
         if isinstance(node, ast.ClassDef) and node.name.endswith("BTreeIndex")
     }
     assert btrees == {"BTreeIndex"}
+
+
+# -- one level down: methods, options, environment variables ------------------
+
+#: What the checks below leave in place although no consumer reads it
+#: or no call sets it: safety seams, each with its reason.
+SAFETY_SEAMS = {
+    "repro.lsm.store.LearnedLSMStore(wal_group_commit_interval)": (
+        "bounds how long an acknowledged write waits for its fsync under "
+        "group commit; a durability bound is set per deployment, not by "
+        "the benchmark"
+    ),
+}
+
+
+def exported_classes_and_functions():
+    """``(module, definition)`` for every exported top-level class and
+    function of a product module."""
+    trees = parsed()
+    package_exports: set[str] = set()
+    for path, tree in trees.items():
+        if path.is_relative_to(SRC) and path.name == "__init__.py":
+            package_exports |= exported_names(tree)
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC) or path.name == "__init__.py":
+            continue
+        exported = exported_names(tree) | package_exports
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name in exported
+            ):
+                yield module_name(path), node
+
+
+def public_methods(cls: ast.ClassDef):
+    return [
+        node for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def test_every_public_method_has_a_reader():
+    read = {
+        node.attr
+        for path, tree in parsed().items()
+        if path.name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    methods = {
+        f"{module}.{cls.name}.{method.name}": method.name
+        for module, cls in exported_classes_and_functions()
+        if isinstance(cls, ast.ClassDef)
+        for method in public_methods(cls)
+    }
+    # The scan must see the package's well-known edges, or it proves
+    # nothing.
+    assert "repro.lsm.store.LearnedLSMStore.lookup_batch" in methods
+    assert {"lookup_batch", "append_puts", "root_predict_batch"} <= read
+    unread = sorted(
+        label for label, name in methods.items() if name not in read
+    )
+    assert not unread, f"no product code, bench or example reads {unread}"
+
+
+def defaulted_options(fn: ast.FunctionDef, bound: bool) -> dict:
+    """Option name -> its index among the positional arguments a call
+    passes (``None`` for keyword-only), for each parameter with a
+    default; ``bound`` drops ``self`` / ``cls``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    options = {
+        arg.arg: i - bound
+        for i, arg in enumerate(positional)
+        if i >= first
+    }
+    options.update(
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    )
+    return options
+
+
+def callee(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def sets(call: ast.Call, option: str, index: int | None, named: set) -> bool:
+    """Does ``call`` set ``option``?  ``named``: the option names a
+    ``**mapping`` splat in the call's file may carry."""
+    if any(k.arg == option for k in call.keywords):
+        return True
+    if any(k.arg is None for k in call.keywords) and option in named:
+        return True
+    if index is None:
+        return False
+    star = next(
+        (i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+        None,
+    )
+    return index < len(call.args) if star is None else index >= star
+
+
+def test_every_keyword_option_is_set():
+    trees = dict(parsed())
+    trees.update(
+        (path, ast.parse(path.read_text(), filename=str(path)))
+        for path in TESTS.glob("*.py")
+    )
+    calls: dict[str, list] = defaultdict(list)  # callee -> [(call, named)]
+    init_calls: dict[str, list] = defaultdict(list)  # class -> base inits
+    bases: dict[str, set[str]] = defaultdict(set)
+    own_init: dict[str, bool] = {}
+    for tree in trees.values():
+        # Names a ``**`` splat in this file may carry: dict literal keys,
+        # ``dict(...)`` keywords, and what the file's calls pass to a
+        # function of its own that forwards its ``**kwargs`` (added as
+        # the walk meets them; the set is shared, so every call of the
+        # file sees them all).
+        named = {
+            key.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Dict)
+            for key in node.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+        } | {
+            k.arg
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and callee(node) == "dict"
+            for k in node.keywords
+            if k.arg
+        }
+        forwarders = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.args.kwarg is not None
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and callee(node):
+                calls[callee(node)].append((node, named))
+                if callee(node) in forwarders:
+                    named |= {k.arg for k in node.keywords if k.arg}
+            elif isinstance(node, ast.ClassDef):
+                bases[node.name] |= {
+                    b.id if isinstance(b, ast.Name) else b.attr
+                    for b in node.bases
+                    if isinstance(b, (ast.Name, ast.Attribute))
+                }
+                own_init[node.name] = any(
+                    isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                    for f in node.body
+                )
+                init_calls[node.name] += [
+                    (call, named)
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and callee(call) == "__init__"
+                ]
+
+    def constructed_as(cls: str) -> set[str]:
+        """``cls`` and its subclasses that inherit its ``__init__``."""
+        names, grew = {cls}, True
+        while grew:
+            more = {
+                sub for sub, of in bases.items()
+                if of & names and not own_init.get(sub, False)
+            }
+            grew = not more <= names
+            names |= more
+        return names
+
+    options = []  # (label, option, index, [(call, named, drops self)])
+    for module, node in exported_classes_and_functions():
+        if isinstance(node, ast.FunctionDef):
+            found = defaulted_options(node, bound=False)
+            options += [
+                (f"{module}.{node.name}", name, index, calls[node.name])
+                for name, index in found.items()
+            ]
+            continue
+        for fn in node.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list
+            )
+            found = defaulted_options(fn, bound=not static)
+            if fn.name == "__init__":
+                names = constructed_as(node.name)
+                via = [c for name in names for c in calls[name]]
+                # ``super().__init__(...)`` passes no self;
+                # ``Base.__init__(self, ...)`` does.
+                via += [
+                    (call, named) if isinstance(call.func.value, ast.Call)
+                    else (ast.Call(call.func, call.args[1:], call.keywords),
+                          named)
+                    for sub, of in bases.items()
+                    if of & names and own_init.get(sub, False)
+                    for call, named in init_calls[sub]
+                ]
+                label = f"{module}.{node.name}"
+            elif fn.name.startswith("_"):
+                continue
+            else:
+                via = [
+                    (call, named) for call, named in calls[fn.name]
+                    if isinstance(call.func, ast.Attribute)
+                ]
+                label = f"{module}.{node.name}.{fn.name}"
+            options += [
+                (label, name, index, via) for name, index in found.items()
+            ]
+
+    # The scan must see the package's well-known edges, or it proves
+    # nothing.
+    labels = {f"{label}({name})" for label, name, _, _ in options}
+    assert {
+        "repro.lsm.store.LearnedLSMStore(memtable_capacity)",
+        "repro.families.pgm.PGMIndex(epsilon)",
+        "repro.core.plan_index.CompiledPlanIndex.lookup_batch(sort)",
+    } <= labels
+    unset = {
+        f"{label}({name})"
+        for label, name, index, via in options
+        if not any(sets(call, name, index, named) for call, named in via)
+    }
+    assert set(SAFETY_SEAMS) <= unset, "a safety seam is set after all"
+    unset = sorted(unset - set(SAFETY_SEAMS))
+    assert not unset, f"no call sets {unset}"
+
+
+ENV_KNOB = re.compile(r"REPRO_[A-Z0-9_]+")
+
+
+def test_every_environment_variable_is_set_outside_tests():
+    read = {
+        node.value
+        for path, tree in parsed().items()
+        if path.is_relative_to(SRC)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and ENV_KNOB.fullmatch(node.value)
+    }
+    setters = [ROOT / ".github" / "workflows" / "ci.yml"] + [
+        path
+        for root in (ROOT / "benchmarks", ROOT / "examples")
+        for path in root.rglob("*")
+        if path.is_file() and path.suffix in (".py", ".md", ".yml", ".sh")
+    ]
+    named = {
+        name for path in setters for name in ENV_KNOB.findall(path.read_text())
+    }
+    # The scan must see the package's well-known knob, or it proves
+    # nothing.
+    assert "REPRO_OBS" in read
+    unset = sorted(read - named)
+    assert not unset, f"nothing outside tests sets {unset}"

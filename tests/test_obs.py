@@ -29,7 +29,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import RecursiveModelIndex
+from repro.core import HybridIndex, RecursiveModelIndex
+from repro.families import PGMIndex, RadixSplineIndex
 from repro.core.engine import CompiledPlan
 from repro.core.paged import PageStore
 from repro.core.rmi import RMIStats
@@ -90,21 +91,14 @@ def test_bucket_layout_monotone_and_covering():
     assert ratio == pytest.approx(1.0 + RELATIVE_BUCKET_WIDTH)
 
 
-def test_scalar_and_vector_observe_agree():
-    values = np.abs(np.random.default_rng(0).normal(0.01, 0.05, 500)) + 1e-7
-    a, b = LatencyHistogram(), LatencyHistogram()
-    for v in values:
-        a.observe(float(v))
-    b.observe_many(values)
-    assert np.array_equal(a.counts, b.counts)
-    assert a.count == b.count == values.size
-    assert a.min == b.min and a.max == b.max
-    assert a.sum == pytest.approx(b.sum)
+def observe_all(histogram, values) -> None:
+    for value in np.asarray(values, dtype=np.float64).tolist():
+        histogram.observe(value)
 
 
 def test_histogram_pickle_roundtrip():
     h = LatencyHistogram()
-    h.observe_many(np.array([1e-5, 3e-4, 0.2]))
+    observe_all(h, np.array([1e-5, 3e-4, 0.2]))
     clone = pickle.loads(pickle.dumps(h))
     assert np.array_equal(clone.counts, h.counts)
     assert (clone.count, clone.sum, clone.min, clone.max) == (
@@ -120,7 +114,7 @@ def test_histogram_pickle_roundtrip():
 def test_merge_is_exact_associative_commutative(xs, ys, zs):
     def build(vals):
         h = LatencyHistogram()
-        h.observe_many(np.asarray(vals))
+        observe_all(h, np.asarray(vals))
         return h
 
     union = build(xs + ys + zs)
@@ -138,7 +132,7 @@ def test_merge_is_exact_associative_commutative(xs, ys, zs):
 @given(latency_lists, st.floats(min_value=0.0, max_value=100.0))
 def test_quantile_error_bounded_by_bucket_width(values, q):
     h = LatencyHistogram()
-    h.observe_many(np.asarray(values))
+    observe_all(h, np.asarray(values))
     estimate = h.percentile(q)
     rank = int((q / 100.0) * (len(values) - 1))
     exact = sorted(values)[rank]
@@ -162,9 +156,9 @@ def test_percentile_edge_cases():
 
 def test_histogram_diff_is_inverse_of_merge():
     base = LatencyHistogram()
-    base.observe_many(np.array([1e-4, 2e-4, 5e-3]))
+    observe_all(base, np.array([1e-4, 2e-4, 5e-3]))
     snap = base.copy()
-    base.observe_many(np.array([0.1, 0.2]))
+    observe_all(base, np.array([0.1, 0.2]))
     delta = base.diff(snap)
     assert delta.count == 2
     assert np.array_equal(
@@ -181,11 +175,9 @@ def test_registry_get_or_create_and_snapshot():
     c = reg.counter("a.b")
     assert reg.counter("a.b") is c
     c.inc(3)
-    reg.gauge("g").set(1.5)
     reg.histogram("h").observe(0.01)
     snap = reg.snapshot()
     assert snap.counters["a.b"] == 3
-    assert snap.gauges["g"] == 1.5
     assert snap.histograms["h"].count == 1
     # Snapshots are detached: mutating the registry afterwards does
     # not change the snapshot.
@@ -280,6 +272,38 @@ def test_rmi_and_coalescer_stats_views():
     assert snap.counters["serving.coalescer.ranges"] == 3
 
 
+@pytest.mark.parametrize("build", [
+    lambda keys: RecursiveModelIndex(keys, stage_sizes=(1, 64)),
+    lambda keys: HybridIndex(keys, stage_sizes=(1, 64), threshold=0),
+    PGMIndex,
+    RadixSplineIndex,
+])
+def test_a_batch_call_leaves_the_index_stats_alone(build):
+    """``RMIStats`` count scalar lookups only; with telemetry on, the
+    registry counts the batch calls, whichever path answers them."""
+    keys = np.arange(0, 600_000, 3, dtype=np.int64)
+    index = build(keys)
+    index.lookup(3_000)
+    stats = index.stats
+    before = (stats.lookups, stats.comparisons, stats.fixups,
+              stats.window_total)
+    assert before[0] == 1
+    registry = obs.default_registry()
+    counted = registry.snapshot()
+    obs.set_enabled(True)
+    queries = np.random.default_rng(5).integers(-5, 600_005, 50_000)
+    index.lookup_batch(queries[:8])
+    index.lookup_batch(queries, sort=False)
+    index.lookup_batch(queries, sort=True)
+    index.contains_batch(queries)
+    index.range_query_batch(queries[:100], queries[:100] + 30)
+    assert (stats.lookups, stats.comparisons, stats.fixups,
+            stats.window_total) == before
+    calls = registry.snapshot().diff(counted).counters
+    assert calls["engine.lookup_batch.calls"] == 5
+    assert calls["engine.lookup_batch.column_keys"] >= 8
+
+
 def test_engine_counters_say_which_path_answered():
     """``engine.lookup_batch.calls`` / ``.keys`` count every dispatched
     batch, ``.column_calls`` / ``.column_keys`` the ones the column
@@ -304,7 +328,6 @@ def test_engine_counters_say_which_path_answered():
     ) == 0
 
     obs.set_enabled(True)
-    index.stats.reset()
     lookup_all()
     counted = registry.snapshot().diff(before).counters
     calls = counted["engine.lookup_batch.calls"]
@@ -312,9 +335,10 @@ def test_engine_counters_say_which_path_answered():
     assert (calls, column_calls) == (5, 3)
     assert counted["engine.lookup_batch.keys"] == sum(sizes)
     assert counted["engine.lookup_batch.column_keys"] == 24
-    # the per-index stats tell the same story
-    assert index.stats.extra["column_answered"] == 24
-    assert index.stats.lookups == 200_000
+    # A batch call keeps no per-index stats; only scalar lookups do.
+    assert index.stats.lookups == index.stats.window_total == 0
+    index.lookup(int(batches[0][0]))
+    assert index.stats.lookups == 1
 
     # Disabled telemetry costs the new branch one attribute read: all
     # four counters live under the one ``if obs_state.enabled:``.
@@ -349,7 +373,7 @@ def test_histogram_p50_is_a_real_quantile_estimate():
         np.random.default_rng(7).lognormal(-9.0, 1.0, 5000)
     )
     hist = LatencyHistogram()
-    hist.observe_many(sample)
+    observe_all(hist, sample)
     p50 = hist.percentile(50.0)
     exact = float(np.percentile(sample, 50.0))
     assert exact / (1.5) <= p50 <= exact * 1.5
@@ -426,15 +450,13 @@ def test_record_manual_span_and_membership():
 def test_prometheus_and_json_exporters():
     reg = MetricsRegistry()
     reg.counter("lsm.read.memtable_hits").inc(4)
-    reg.gauge("serving.depth").set(2.0)
     h = reg.histogram("span.lookup")
-    h.observe_many(np.array([1e-4, 2e-4, 1e-3]))
+    observe_all(h, np.array([1e-4, 2e-4, 1e-3]))
     snap = reg.snapshot()
 
     text = prometheus_text(snap)
     assert "# TYPE repro_lsm_read_memtable_hits counter" in text
     assert "repro_lsm_read_memtable_hits 4" in text
-    assert "repro_serving_depth 2.0" in text
     assert 'le="+Inf"' in text
     assert "repro_span_lookup_count 3" in text
     # Cumulative bucket counts end at the total count.

@@ -106,11 +106,6 @@ class TestAllDuplicates:
         np.testing.assert_array_equal(
             index.lookup_batch(np.array([6.0, 7.0, 8.0])), [0, 0, 64]
         )
-        if hasattr(index, "upper_bound_batch"):
-            np.testing.assert_array_equal(
-                index.upper_bound_batch(np.array([6.0, 7.0, 8.0])),
-                [0, 64, 64],
-            )
 
     def test_range_returns_whole_run(self, name):
         index = build(name, self.KEYS)

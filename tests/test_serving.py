@@ -52,21 +52,15 @@ class TestCDFSplitter:
         assert shards[0] == 0 and shards[-1] == 3
         assert np.all((shards >= 0) & (shards < 4))
 
-    def test_intervals_partition_and_match_routing(self, uniform_small):
+    def test_routing_matches_the_boundaries(self, uniform_small):
+        # Shard s owns [boundaries[s - 1], boundaries[s]): the
+        # boundaries tile the domain with no gap or overlap.
         split = CDFSplitter.fit(uniform_small, 3)
-        shards = split.shard_of_batch(uniform_small)
-        for shard in range(3):
-            lo, hi = split.shard_interval(shard)
-            mask = shards == shard
-            if mask.any():
-                owned = uniform_small[mask]
-                assert owned.min() >= lo and owned.max() <= hi
-        # Intervals tile the domain with no gap or overlap.
-        for shard in range(2):
-            assert (
-                split.shard_interval(shard)[1] + 1
-                == split.shard_interval(shard + 1)[0]
-            )
+        assert split.boundaries.size == 2
+        np.testing.assert_array_equal(
+            split.shard_of_batch(uniform_small),
+            np.searchsorted(split.boundaries, uniform_small, side="right"),
+        )
 
     def test_shards_overlapping(self, uniform_small):
         split = CDFSplitter.fit(uniform_small, 4)
@@ -115,6 +109,7 @@ class _CountingStore:
         self.point_calls: list[int] = []
         self.range_calls: list[int] = []
         self.sent_keys: list[list[int]] = []  # each point call's keys
+        self.sent_lows: list[list[int]] = []  # each range call's lows
 
     def lookup_batch(self, keys):
         queries = np.asarray(keys, dtype=np.int64).ravel()
@@ -133,6 +128,7 @@ class _CountingStore:
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
         self.range_calls.append(int(lows.size))
+        self.sent_lows.append(lows.tolist())
         starts = np.searchsorted(self._keys, lows, side="left")
         ends = np.searchsorted(self._keys, highs, side="right")
         ends = np.maximum(ends, starts)
@@ -161,6 +157,12 @@ class _PoisonStore(_CountingStore):
             self.point_calls.append(int(queries.size))
             raise RuntimeError("poisoned request")
         return super().lookup_batch(queries)
+
+    def range_query_batch(self, lows, highs):
+        if np.any(np.asarray(lows, dtype=np.int64) == self.poison):
+            self.range_calls.append(int(np.size(lows)))
+            raise RuntimeError("poisoned range")
+        return super().range_query_batch(lows, highs)
 
 
 @pytest.fixture()
@@ -539,6 +541,84 @@ class TestCoalescer:
         assert after.offsets.tolist() == [0, 2, 2]
         assert np.array_equal(after.values, keys[5:7])
 
+    def test_one_tick_mixes_single_and_batch_ranges(self, kv):
+        keys, values = kv
+        store = _CountingStore(keys, values)
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+
+            async def refuse(lows, highs):
+                raise AssertionError("range_query went through the batch form")
+
+            batch_form, srv.range_query_batch = srv.range_query_batch, refuse
+            got = await asyncio.gather(
+                batch_form(
+                    [int(keys[5]), int(keys[9])],
+                    [int(keys[6]), int(keys[8])],
+                ),
+                srv.range_query(int(keys[0]), int(keys[2])),
+                batch_form([], []),
+                srv.range_query(int(keys[30]) + 1, int(keys[31]) - 1),
+                srv.range_query(np.int64(keys[40]), int(keys[43])),
+            )
+            return got, srv.stats
+
+        (batch, first, empty, none, last), stats = asyncio.run(main())
+        # One store call; the single ranges lead it, in arrival order.
+        assert store.range_calls == [3 + 2]
+        assert store.sent_lows[0][:3] == [
+            int(keys[0]), int(keys[30]) + 1, int(keys[40])
+        ]
+        assert stats.ticks == 1 and stats.range_calls == 1
+        assert np.array_equal(first, keys[0:3]) and first.dtype == np.int64
+        assert none.size == 0 and none.dtype == np.int64
+        assert np.array_equal(last, keys[40:44])
+        assert batch.offsets.tolist() == [0, 2, 2]
+        assert np.array_equal(batch.values, keys[5:7])
+        assert empty.offsets.tolist() == [0] and empty.values.size == 0
+
+    def test_poisoned_single_range_rejects_only_itself(self, kv):
+        keys, values = kv
+        poison = int(keys.max()) + 1000
+        store = _PoisonStore(keys, values, poison)
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+            return await asyncio.gather(
+                srv.range_query(int(keys[0]), int(keys[1])),
+                srv.range_query(poison, poison + 5),
+                srv.range_query_batch([int(keys[4])], [int(keys[6])]),
+                return_exceptions=True,
+            ), srv.stats
+
+        (good, bad, batch), stats = asyncio.run(main())
+        assert np.array_equal(good, keys[0:2]) and good.dtype == np.int64
+        assert isinstance(bad, RuntimeError)
+        assert np.array_equal(batch[0], keys[4:7])
+        # One failed 3-range call, then three solo re-runs.
+        assert store.range_calls[0] == 3
+        assert stats.fallback_requests == 3
+
+    @pytest.mark.parametrize(
+        "low,high,error",
+        [(2.5, 10, TypeError), (0, 7.0, TypeError), (0, 2**63, OverflowError)],
+    )
+    def test_refused_range_endpoint_queues_nothing(self, kv, low, high, error):
+        keys, values = kv
+        store = _CountingStore(keys, values)
+
+        async def main():
+            srv = CoalescingIndexServer(store)
+            with pytest.raises(error):
+                await srv.range_query(low, high)
+            await asyncio.sleep(0)  # a scheduled tick would run here
+            return srv.stats
+
+        stats = asyncio.run(main())
+        assert stats.ticks == 0
+        assert store.range_calls == []
+
     def test_works_against_real_lsm_store(self, kv):
         keys, values = kv
         with LearnedLSMStore(keys, values, background=False) as store:
@@ -611,9 +691,10 @@ class TestCRC32C:
         arr = np.arange(32, dtype=np.uint8)
         assert software_crc32c(memoryview(arr)) == 0x46DD794E
 
-    def test_store_round_trip_under_crc32c_env(self, tmp_path):
-        """A store written with REPRO_CHECKSUM=crc32c verifies and
-        reopens — the fallback is a fully working writer too."""
+    def test_store_round_trip_under_crc32c(self, tmp_path):
+        """A store whose files are stamped CRC32C verifies and reopens,
+        with or without the wheel — the software fallback reads and
+        writes them too."""
         import repro.lsm.format as fmt
 
         old = fmt._DEFAULT_ALGO
@@ -755,7 +836,6 @@ class TestCoalescerStatsShape:
             }
             sizes.update(
                 counters=len(snap.counters),
-                gauges=len(snap.gauges),
                 histograms=len(snap.histograms),
             )
             return sizes
