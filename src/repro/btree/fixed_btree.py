@@ -39,7 +39,6 @@ class FixedSizeBTree(RangeScanIndexMixin):
         if size_budget_bytes < (_KEY_BYTES + _POINTER_BYTES):
             raise ValueError("size budget smaller than one entry")
         self.keys = keys
-        self.fanout = FANOUT
         self.stats = TraversalStats()
         self._build(int(size_budget_bytes))
 
@@ -50,7 +49,7 @@ class FixedSizeBTree(RangeScanIndexMixin):
         # Budget is split across the separator levels of a B-Tree whose
         # bottom level has `bottom` entries; upper levels add ~1/fanout
         # overhead, so solve bottom * (1 + 1/f + 1/f^2 ...) <= max_entries.
-        geometric = 1.0 / (1.0 - 1.0 / self.fanout)
+        geometric = 1.0 / (1.0 - 1.0 / FANOUT)
         bottom = max(int(max_entries / geometric), 1)
         bottom = min(bottom, max(n, 1))
         starts = np.linspace(0, max(n - 1, 0), bottom).astype(np.int64)
@@ -64,8 +63,8 @@ class FixedSizeBTree(RangeScanIndexMixin):
         )
         self._run_starts = starts
         levels = [separators]
-        while levels[-1].size > self.fanout:
-            levels.append(levels[-1][::self.fanout].copy())
+        while levels[-1].size > FANOUT:
+            levels.append(levels[-1][::FANOUT].copy())
         self._levels = levels
         self._level_views = [scalar_view(level) for level in levels]
         self._keys_view = scalar_view(self.keys)
@@ -93,7 +92,7 @@ class FixedSizeBTree(RangeScanIndexMixin):
         lo = 0
         for depth in range(len(self._level_views) - 1, -1, -1):
             level = self._level_views[depth]
-            hi = min(lo + self.fanout, len(level))
+            hi = min(lo + FANOUT, len(level))
             self.stats.nodes_visited += 1
             left, right = lo, hi
             while left < right:
@@ -110,7 +109,7 @@ class FixedSizeBTree(RangeScanIndexMixin):
             if depth == 0:
                 run = slot
                 break
-            lo = slot * self.fanout
+            lo = slot * FANOUT
         run_start = self._run_start_list[run]
         run_end = (
             self._run_start_list[run + 1] + 1

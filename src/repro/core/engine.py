@@ -380,23 +380,25 @@ class SortedKeyColumn:
         """Normalize a query array into a :class:`QueryBatch`.
 
         Idempotent: an already-prepared batch passes through.  On an
-        integer column, anything but an array of a NumPy number dtype
-        — a Python list, an object array — is prepared one element at
-        a time by :meth:`_prepare_items`, because NumPy holds a list
-        that mixes a negative int with one above int64, an int above
-        uint64 or a float beside a big int only as float64 or objects;
-        numeric arrays pay nothing for it.  On a float column, object
-        arrays compare in float64, the column's own precision.
+        integer column, an object array, or a Python list NumPy can
+        only hold as float64, is prepared one element at a time by
+        :meth:`_prepare_items`: NumPy keeps a list that mixes a
+        negative int with one above int64, or a float with a big int,
+        only as float64, and an int above uint64 only as an object.
+        Numeric arrays, and lists NumPy holds as integers, pay nothing
+        for it.  On a float column, object arrays compare in float64,
+        the column's own precision.
         """
         if isinstance(queries, QueryBatch):
             return queries
+        q = np.asarray(queries)
         if self._bounds is not None and (
-            not isinstance(queries, np.ndarray) or queries.dtype == object
+            q.dtype == object
+            or (q.dtype == np.float64 and not isinstance(queries, np.ndarray))
         ):
             return self._prepare_items(
                 np.asarray(queries, dtype=object).ravel().tolist()
             )
-        q = np.asarray(queries)
         if q.ndim != 1:
             q = q.ravel()
         if q.dtype == object:

@@ -52,6 +52,9 @@ _KEY_BYTES = 8
 #: real storage engine).
 BUFFER_PAGES = 4
 
+#: Seed of the permutation that places logical pages at physical ones.
+SHUFFLE_SEED = 0
+
 
 class PageStore:
     """A simulated block device of fixed-size key pages.
@@ -74,7 +77,6 @@ class PageStore:
         sorted_keys: np.ndarray,
         page_size: int = 256,
         *,
-        shuffle_seed: int = 0,
         partial_reads: bool = False,
     ):
         keys = as_int64_keys(sorted_keys)
@@ -86,7 +88,7 @@ class PageStore:
         self.partial_reads = bool(partial_reads)
         self._buffer: dict[int, np.ndarray] = {}
         self.num_pages = max((keys.size + page_size - 1) // page_size, 1)
-        rng = np.random.default_rng(shuffle_seed)
+        rng = np.random.default_rng(SHUFFLE_SEED)
         physical_of_logical = rng.permutation(self.num_pages)
         self._pages: list[np.ndarray] = [None] * self.num_pages  # type: ignore
         for logical in range(self.num_pages):

@@ -57,7 +57,6 @@ class BucketizedCuckooHashMap:
         buckets = max(1, int(np.ceil(capacity / self.BUCKET_SLOTS)))
         self.num_buckets = buckets
         self.value_bytes = int(value_bytes)
-        self.seed = 0
         self._keys = np.full((buckets, self.BUCKET_SLOTS), _EMPTY, dtype=np.int64)
         self._values = np.zeros((buckets, self.BUCKET_SLOTS), dtype=np.int64)
         # Flat native mirrors for the probe path: a bucket probe is one
@@ -72,10 +71,10 @@ class BucketizedCuckooHashMap:
     # -- hashing -------------------------------------------------------------
 
     def _bucket1(self, key: int) -> int:
-        return murmur_fmix64(key, self.seed) % self.num_buckets
+        return murmur_fmix64(key, 0) % self.num_buckets
 
     def _bucket2(self, key: int) -> int:
-        return murmur_fmix64(key, self.seed + 1) % self.num_buckets
+        return murmur_fmix64(key, 1) % self.num_buckets
 
     # -- writes ----------------------------------------------------------------
 

@@ -28,6 +28,11 @@ import time
 
 import numpy as np
 
+from ..obs import default_registry
+from ..obs import span as obs_span
+from ..obs import state as obs_state
+from .base import Model
+
 __all__ = ["MLP", "NeuralRegressionModel", "FrameworkModel"]
 
 #: Seed of the per-epoch shuffles in :meth:`MLP.fit`.
@@ -35,11 +40,6 @@ SHUFFLE_SEED = 1
 
 #: Mini-batch size of :class:`NeuralRegressionModel` training.
 REGRESSION_BATCH = 512
-
-from ..obs import default_registry
-from ..obs import span as obs_span
-from ..obs import state as obs_state
-from .base import Model
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -78,10 +78,9 @@ class MLP:
             raise ValueError("hidden widths must be >= 1")
         self.input_dim = int(input_dim)
         self.hidden = tuple(int(h) for h in hidden)
-        self.output_dim = 1
         self.task = task
         rng = np.random.default_rng(seed)
-        dims = [self.input_dim, *self.hidden, self.output_dim]
+        dims = [self.input_dim, *self.hidden, 1]
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -170,7 +169,7 @@ class MLP:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[0] == 1 and x.shape[1] != self.input_dim:
             x = x.T
-        y = np.asarray(y, dtype=np.float64).reshape(-1, self.output_dim)
+        y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y row counts differ")
 
@@ -228,7 +227,7 @@ class MLP:
         """Closed-form least-squares fit of a net with no hidden layer:
         ``x @ w + b`` on the raw inputs, standardization left as the
         identity.  A net with hidden layers is a ``ValueError``."""
-        if self.hidden or self.task != "regression" or self.output_dim != 1:
+        if self.hidden or self.task != "regression":
             raise ValueError(
                 "least squares fits a one-output regression net with no "
                 "hidden layer"

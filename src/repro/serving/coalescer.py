@@ -23,11 +23,7 @@ from all of its one-key requests, packs it ahead of the multi-key
 requests' arrays, and hands each one-key request its answer from one
 ``tolist()`` of the results — a Python ``int`` or ``None``.  Per
 request the front end pays for a future and a queue slot, not for a
-one-element array, two result slices and two NumPy scalars.  A single
-:meth:`~CoalescingIndexServer.range_query` rides the same way, as a
-pair of Python ints packed ahead of the batch ranges' endpoint arrays
-and answered by a slice between two entries of one ``tolist()`` of
-the offsets.
+one-element array, two result slices and two NumPy scalars.
 
 The server takes only the store: there is no wait window and no batch
 cap.  A multi-key request is never split across store calls.
@@ -138,12 +134,11 @@ class _Pending:
     """One queued request: its query and the future awaiting it.
 
     ``query`` is a Python int (a one-key :meth:`lookup`), an int64
-    array (a :meth:`lookup_batch`), a ``(low, high)`` pair of Python
-    ints (a :meth:`range_query`) or a ``(lows, highs)`` pair of int64
-    arrays (a :meth:`range_query_batch`).  ``trace_id`` stamps the
-    request the moment it is submitted (the caller's active trace if
-    any, else a fresh ID) so the whole pipeline below — tick, store
-    call, shard fanout, worker-side spans — can be joined back to it.
+    array (a :meth:`lookup_batch`) or a ``(lows, highs)`` pair of int64
+    arrays (a range request).  ``trace_id`` stamps the request the
+    moment it is submitted (the caller's active trace if any, else a
+    fresh ID) so the whole pipeline below — tick, store call, shard
+    fanout, worker-side spans — can be joined back to it.
     """
 
     __slots__ = ("query", "future", "size", "trace_id", "start", "t0")
@@ -188,7 +183,7 @@ class CoalescingIndexServer:
         self.registry = MetricsRegistry()
         self.stats = CoalescerStats(self.registry)
         self._points: list[_Pending] = []  # one-key ints and key arrays
-        self._ranges: list[_Pending] = []  # int pairs and array pairs
+        self._ranges: list[_Pending] = []
         self._flush_handle: asyncio.Handle | None = None
 
     # -- public request surface ------------------------------------------------
@@ -206,12 +201,10 @@ class CoalescingIndexServer:
         return await self._enqueue(self._points, queries, queries.size)
 
     async def range_query(self, low: int, high: int) -> np.ndarray:
-        """Live keys in the closed range ``[low, high]`` as an int64
-        array.  The endpoints are checked here, as the batch form
-        checks its arrays (a float endpoint is a ``TypeError``), and
-        queued as a pair of Python ints."""
-        pair = (as_int64_key(low), as_int64_key(high))
-        return await self._enqueue(self._ranges, pair, 1)
+        """Live keys in the closed range ``[low, high]`` — the batch
+        form's contract: a float endpoint is a ``TypeError``."""
+        result = await self.range_query_batch([low], [high])
+        return np.asarray(result[0], dtype=np.int64)
 
     async def range_query_batch(self, lows, highs) -> RangeScanResult:
         """Live keys per closed range.  Endpoints ride one packed
@@ -312,25 +305,11 @@ class CoalescingIndexServer:
         return scalars + batches, results
 
     def _range_call(self, requests: list) -> tuple[list, list]:
-        """One store call for the tick's range requests: the single
-        ranges' int pairs as one pair of arrays ahead of the batch
-        ranges' arrays, every answer sliced back from one ``tolist()``
-        of the offsets.  Returns the requests in that order beside
-        their answers."""
-        singles = [r for r in requests if isinstance(r.query[0], int)]
-        batches = [r for r in requests if not isinstance(r.query[0], int)]
-        ns = len(singles)
-        low_arrays = [r.query[0] for r in batches]
-        high_arrays = [r.query[1] for r in batches]
-        bounds = _bounds(low_arrays, ns)
-        if ns:
-            low_arrays.insert(
-                0, np.array([r.query[0] for r in singles], dtype=np.int64)
-            )
-            high_arrays.insert(
-                0, np.array([r.query[1] for r in singles], dtype=np.int64)
-            )
-        lows, highs = _flat(low_arrays), _flat(high_arrays)
+        """One store call for the tick's range requests, each sliced
+        back from one ``tolist()`` of either offsets array."""
+        low_arrays = [r.query[0] for r in requests]
+        lows = _flat(low_arrays)
+        highs = _flat([r.query[1] for r in requests])
         self.stats.add(store_calls=1, range_calls=1, ranges=lows.size)
         with tracing.span(
             "coalesce.store_call", kind="range", ranges=int(lows.size)
@@ -339,11 +318,8 @@ class CoalescingIndexServer:
         values = np.asarray(scan.values)
         csr = np.asarray(scan.offsets)
         starts = csr.tolist()
-        results = [
-            np.asarray(values[lo:hi], dtype=np.int64)
-            for lo, hi in zip(starts[:ns], starts[1:ns + 1])
-        ]
-        results += [
+        bounds = _bounds(low_arrays)
+        return requests, [
             RangeScanResult(
                 values=values[starts[first]:starts[last]],
                 offsets=np.asarray(
@@ -352,7 +328,6 @@ class CoalescingIndexServer:
             )
             for first, last in zip(bounds, bounds[1:])
         ]
-        return singles + batches, results
 
     def _run_batch(self, requests: list, call, kind: str, traced: bool):
         try:
@@ -388,13 +363,7 @@ class CoalescingIndexServer:
     def _solo(self, query):
         """One request's answer from a store call of its own."""
         if isinstance(query, tuple):
-            if not isinstance(query[0], int):
-                return self.store.range_query_batch(*query)
-            scan = self.store.range_query_batch(
-                np.array([query[0]], dtype=np.int64),
-                np.array([query[1]], dtype=np.int64),
-            )
-            return np.asarray(scan[0], dtype=np.int64)
+            return self.store.range_query_batch(*query)
         if isinstance(query, int):
             values, found = self.store.lookup_batch(
                 np.array([query], dtype=np.int64)

@@ -83,7 +83,7 @@ def mlp_finite_difference_gradients(
     or log loss for classification): the oracle its backprop is
     checked against."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).reshape(-1, net.output_dim)
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
 
     def loss() -> float:
         out, _ = net._forward(x)

@@ -156,6 +156,22 @@ def test_leaf_tables_match_per_leaf_fit(dataset_name, leaves):
     assert_errors_match(index, predictions, positions)
     qs = probes(keys, np.random.default_rng(SEED), 400)
     assert_lookups_match_bisect(index, keys, qs)
+    # Biased quaternary seeds its probe round at each leaf's error std
+    # (at least 1), taken from the same build's error pass.
+    biased = RecursiveModelIndex(
+        keys, stage_sizes=(1, leaves), search_strategy="biased_quaternary"
+    )
+    for j in range(leaves):
+        members = biased._leaf_assignment == j
+        if not members.any():
+            continue
+        ref = error_stats(predictions[members], positions[members])
+        tol = 1e-4 * ref.std + 1e-2
+        assert (
+            max(int(ref.std - tol), 1)
+            <= biased._sigmas[j]
+            <= max(int(ref.std + tol), 1)
+        ), j
 
 
 def test_bounds_cover_stored_keys():
@@ -272,15 +288,20 @@ def test_segmented_error_arrays_match_per_leaf_error_stats(dataset_name):
     positions = np.arange(keys.size, dtype=np.float64)
     _leaf, predictions = index._plan.route(index._column.prepare(keys))
     default = ErrorStats(-5, 5, 0.0, 0.0, 0)
-    # Contiguous layout (monotone root), then a shuffled one that
-    # takes the argsort branch.
+    # Contiguous layout (monotone root), found by searchsorted and then
+    # given as ``boundaries`` the way the RMI build passes them; then a
+    # shuffled one that takes the argsort branch.
+    in_order = np.arange(keys.size)
+    given = np.searchsorted(assignment, np.arange(leaves + 1), side="left")
     shuffle = np.random.default_rng(SEED + 6).permutation(keys.size)
-    for order in (np.arange(keys.size), shuffle):
+    for order, boundaries in (
+        (in_order, None), (in_order, given), (shuffle, None)
+    ):
         pred, pos, assign = (
             predictions[order], positions[order], assignment[order]
         )
         mn, mx, std, counts = segmented_error_arrays(
-            pred, pos, assign, leaves, default=default,
+            pred, pos, assign, leaves, default=default, boundaries=boundaries,
         )
         for j in range(leaves):
             members = assign == j

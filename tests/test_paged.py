@@ -18,7 +18,7 @@ def truth(keys, q):
 
 class TestPageStore:
     def test_pages_are_shuffled(self, keys):
-        store = PageStore(keys, page_size=128, shuffle_seed=3)
+        store = PageStore(keys, page_size=128)
         assert store.num_pages == (keys.size + 127) // 128
         assert not np.array_equal(
             store.translation, np.arange(store.num_pages)

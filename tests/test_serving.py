@@ -109,7 +109,6 @@ class _CountingStore:
         self.point_calls: list[int] = []
         self.range_calls: list[int] = []
         self.sent_keys: list[list[int]] = []  # each point call's keys
-        self.sent_lows: list[list[int]] = []  # each range call's lows
 
     def lookup_batch(self, keys):
         queries = np.asarray(keys, dtype=np.int64).ravel()
@@ -128,7 +127,6 @@ class _CountingStore:
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
         self.range_calls.append(int(lows.size))
-        self.sent_lows.append(lows.tolist())
         starts = np.searchsorted(self._keys, lows, side="left")
         ends = np.searchsorted(self._keys, highs, side="right")
         ends = np.maximum(ends, starts)
@@ -540,43 +538,6 @@ class TestCoalescer:
         assert np.array_equal(before[0], keys[0:3])
         assert after.offsets.tolist() == [0, 2, 2]
         assert np.array_equal(after.values, keys[5:7])
-
-    def test_one_tick_mixes_single_and_batch_ranges(self, kv):
-        keys, values = kv
-        store = _CountingStore(keys, values)
-
-        async def main():
-            srv = CoalescingIndexServer(store)
-
-            async def refuse(lows, highs):
-                raise AssertionError("range_query went through the batch form")
-
-            batch_form, srv.range_query_batch = srv.range_query_batch, refuse
-            got = await asyncio.gather(
-                batch_form(
-                    [int(keys[5]), int(keys[9])],
-                    [int(keys[6]), int(keys[8])],
-                ),
-                srv.range_query(int(keys[0]), int(keys[2])),
-                batch_form([], []),
-                srv.range_query(int(keys[30]) + 1, int(keys[31]) - 1),
-                srv.range_query(np.int64(keys[40]), int(keys[43])),
-            )
-            return got, srv.stats
-
-        (batch, first, empty, none, last), stats = asyncio.run(main())
-        # One store call; the single ranges lead it, in arrival order.
-        assert store.range_calls == [3 + 2]
-        assert store.sent_lows[0][:3] == [
-            int(keys[0]), int(keys[30]) + 1, int(keys[40])
-        ]
-        assert stats.ticks == 1 and stats.range_calls == 1
-        assert np.array_equal(first, keys[0:3]) and first.dtype == np.int64
-        assert none.size == 0 and none.dtype == np.int64
-        assert np.array_equal(last, keys[40:44])
-        assert batch.offsets.tolist() == [0, 2, 2]
-        assert np.array_equal(batch.values, keys[5:7])
-        assert empty.offsets.tolist() == [0] and empty.values.size == 0
 
     def test_poisoned_single_range_rejects_only_itself(self, kv):
         keys, values = kv
