@@ -50,12 +50,10 @@ class TraversalStats:
     """Mutable counters accumulated across lookups."""
 
     lookups: int = 0
-    nodes_visited: int = 0
     comparisons: int = 0
 
     def reset(self) -> None:
         self.lookups = 0
-        self.nodes_visited = 0
         self.comparisons = 0
 
 
@@ -177,7 +175,6 @@ class BTreeIndex(RangeScanIndexMixin):
         for depth in range(len(self._level_views) - 1, -1, -1):
             level = self._level_views[depth]
             hi = min(lo + fanout, len(level))
-            stats.nodes_visited += 1
             # binary search inside the node for rightmost key < key
             left, right = lo, hi
             while left < right:

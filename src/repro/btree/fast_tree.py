@@ -126,7 +126,6 @@ class FASTTree(RangeScanIndexMixin):
         for depth, level in enumerate(self._levels):
             start = slot * SIMD_WIDTH if depth else 0
             block = level[start:start + SIMD_WIDTH]
-            self.stats.nodes_visited += 1
             self.stats.comparisons += SIMD_WIDTH
             # SIMD lane compare + popcount: rank of the key in the node.
             # Strictly-less so duplicated keys resolve to the page of

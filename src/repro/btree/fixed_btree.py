@@ -93,7 +93,6 @@ class FixedSizeBTree(RangeScanIndexMixin):
         for depth in range(len(self._level_views) - 1, -1, -1):
             level = self._level_views[depth]
             hi = min(lo + FANOUT, len(level))
-            self.stats.nodes_visited += 1
             left, right = lo, hi
             while left < right:
                 mid = (left + right) >> 1

@@ -93,21 +93,18 @@ class HierarchicalLookupTable(RangeScanIndexMixin):
         # in the group before it — lower-bound semantics under
         # duplicates).
         top_rank = binary_search(self._top, key, counter=None)
-        self.stats.nodes_visited += 1
         self.stats.comparisons += max(
             1, int(np.ceil(np.log2(max(self._top.size, 2))))
         )
         top_slot = max(top_rank - 1, 0)
         # Stage 2: AVX scan of the corresponding 64-entry second-table group.
         second_start = top_slot * self.group
-        self.stats.nodes_visited += 1
         rank2 = self._scan_group(self._second, second_start, key)
         second_slot = second_start + max(rank2 - 1, 0)
         second_slot = min(second_slot, self._second.size - 1)
         # Stage 3: AVX scan of the data group.
         data_start = second_slot * self.group
         data_start = min(data_start, max(n - 1, 0))
-        self.stats.nodes_visited += 1
         rank3 = self._scan_group(self.keys, data_start, key)
         pos = data_start + rank3
         # rank counts strictly-smaller keys, so pos is the lower bound

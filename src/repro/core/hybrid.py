@@ -126,9 +126,11 @@ class HybridIndex(BTreeLeaves, RecursiveModelIndex):
             stage_sizes=stage_sizes,
             search_strategy=search_strategy,
         )
+
+    def _leaves_trained(self, assignment: np.ndarray) -> None:
         plan = self._plan
         self._replace_bad_leaves(
-            self.threshold, self._leaf_assignment,
+            self.threshold, assignment,
             self._stage_counts[-1], plan.lo_offsets, plan.hi_offsets,
         )
 

@@ -207,7 +207,6 @@ class RecursiveModelIndex(CompiledPlanIndex):
                     slopes[assignment] * keys_f + intercepts[assignment]
                 )
 
-        self._leaf_assignment = assignment
         # Empty leaves get about a page of slack.
         slack = min(DEFAULT_LEAF_ERROR, max(n, 1))
         min_error, max_error, std, _ = segmented_error_arrays(
@@ -219,6 +218,13 @@ class RecursiveModelIndex(CompiledPlanIndex):
             root, internal, stage_counts, std,
             slopes, intercepts, max_error, min_error,
         )
+        self._leaves_trained(assignment)
+
+    def _leaves_trained(self, assignment: np.ndarray) -> None:
+        """Called once the tables are installed, with the leaf each
+        stored key trained; the index keeps no per-key array besides
+        its keys, so a subclass that needs it (the hybrid's B-Tree
+        replacement) reads it here."""
 
     def _install(
         self,

@@ -11,7 +11,9 @@ This module implements that model from scratch:
 * learned embedding matrix (V x E),
 * single GRU layer (update gate z, reset gate r, candidate h~),
 * final hidden state -> dense -> sigmoid probability,
-* full backpropagation through time, mini-batch Adam,
+* full backpropagation through time, trained by mini-batch Adam with a
+  global-norm gradient clip through :func:`repro.models.nn.train_adam`,
+  the loop the range-index MLP trains with,
 * model size accounting for the Figure 10 memory-footprint axis
   (float32 storage, matching deployable model formats).
 
@@ -23,13 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .nn import train_adam
+
 __all__ = ["CharVocabulary", "GRUClassifier"]
 
 #: Global gradient-norm bound of each Adam step.
 GRAD_CLIP = 5.0
-
-#: Seed of the per-epoch shuffles in ``fit``.
-SHUFFLE_SEED = 1
 
 #: Strings per forward pass in ``predict_proba``.
 PREDICT_BATCH = 512
@@ -97,7 +98,6 @@ class GRUClassifier:
         self.b = np.zeros(3 * h)
         self.w_out = glorot(h, 1)
         self.b_out = np.zeros(1)
-        self._adam: dict | None = None
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -254,52 +254,24 @@ class GRUClassifier:
         if len(texts) != labels.size:
             raise ValueError("texts and labels length mismatch")
         ids_all = self.vocab.encode_batch(texts, self.max_length)
-        rng = np.random.default_rng(SHUFFLE_SEED)
-        n = len(texts)
-        params = self._params()
-        self._adam = {
-            "m": [np.zeros_like(p) for p in params],
-            "v": [np.zeros_like(p) for p in params],
-            "t": 0,
-        }
-        history: list[float] = []
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            total_loss = 0.0
-            batches = 0
-            for start in range(0, n, batch_size):
-                idx = order[start:start + batch_size]
-                ids = ids_all[idx]
-                y = labels[idx]
-                prob, cache = self._forward(ids)
-                eps = 1e-12
-                loss = float(
-                    -np.mean(
-                        y * np.log(prob + eps)
-                        + (1 - y) * np.log(1 - prob + eps)
-                    )
-                )
-                grads = self._backward(cache, y)
-                self._adam_step(grads, learning_rate)
-                total_loss += loss
-                batches += 1
-            history.append(total_loss / max(batches, 1))
-        return history
 
-    def _adam_step(self, grads: list[np.ndarray], lr: float) -> None:
-        norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
-        if norm > GRAD_CLIP:
-            grads = [g * (GRAD_CLIP / norm) for g in grads]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        self._adam["t"] += 1
-        t = self._adam["t"]
-        for i, (param, grad) in enumerate(zip(self._params(), grads)):
-            m = self._adam["m"][i]
-            v = self._adam["v"][i]
-            m *= beta1
-            m += (1 - beta1) * grad
-            v *= beta2
-            v += (1 - beta2) * grad * grad
-            m_hat = m / (1 - beta1**t)
-            v_hat = v / (1 - beta2**t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        def loss_and_grads(rows: np.ndarray):
+            y = labels[rows]
+            prob, cache = self._forward(ids_all[rows])
+            eps = 1e-12
+            loss = float(
+                -np.mean(
+                    y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps)
+                )
+            )
+            return loss, self._backward(cache, y)
+
+        return train_adam(
+            self._params(),
+            loss_and_grads,
+            len(texts),
+            epochs=epochs,
+            batch_size=batch_size,
+            learning_rate=learning_rate,
+            clip=GRAD_CLIP,
+        )

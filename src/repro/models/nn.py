@@ -8,11 +8,16 @@ would defeat the point anyway — Section 2.3 shows framework invocation
 overhead is the first thing a learned index must eliminate — so this
 module implements the substrate from scratch:
 
-* :class:`MLP` — dense ReLU network with manual backprop, trained by
-  mini-batch Adam or SGD, for either regression (MSE) or binary
-  classification (log loss); a net with no hidden layer also fits in
-  closed form (least squares), and one sample runs through
-  ``forward_one`` — the string index's root over token vectors;
+* :func:`train_adam` — the one training loop of the package's neural
+  models: seeded per-epoch shuffles, mini-batches, an optional
+  global-norm gradient clip and Adam.  :class:`MLP` and
+  :class:`repro.models.gru.GRUClassifier` each hand it their parameters
+  and a loss-and-gradients closure;
+* :class:`MLP` — dense ReLU regression network (MSE loss) with manual
+  backprop, trained by :func:`train_adam`; a net with no hidden layer
+  also fits in closed form (least squares), and one sample runs
+  through ``forward_one`` — the string index's root over token
+  vectors;
 * :class:`NeuralRegressionModel` — adapts an MLP to the
   :class:`repro.models.base.Model` interface for use inside an RMI,
   including a scalar fast path that runs the forward pass with plain
@@ -25,6 +30,7 @@ module implements the substrate from scratch:
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from .base import Model
 
 __all__ = ["MLP", "NeuralRegressionModel", "FrameworkModel"]
 
-#: Seed of the per-epoch shuffles in :meth:`MLP.fit`.
+#: Seed of the per-epoch shuffles in :func:`train_adam`.
 SHUFFLE_SEED = 1
 
 #: Mini-batch size of :class:`NeuralRegressionModel` training.
@@ -46,8 +52,59 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def train_adam(
+    params: list[np.ndarray],
+    loss_and_grads: Callable[[np.ndarray], tuple[float, list[np.ndarray]]],
+    n: int,
+    *,
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
+    clip: float | None = None,
+) -> list[float]:
+    """Mini-batch Adam over ``n`` samples; returns the per-epoch mean
+    loss history.
+
+    Each epoch visits the samples in a fresh permutation drawn from
+    :data:`SHUFFLE_SEED`, ``batch_size`` at a time:
+    ``loss_and_grads(rows)`` returns the batch's loss and its gradients
+    aligned to ``params``, which are then updated in place.  With
+    ``clip``, gradients whose global L2 norm exceeds it are scaled down
+    to it first.
+    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    rng = np.random.default_rng(SHUFFLE_SEED)
+    history: list[float] = []
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        batches = 0
+        for start in range(0, n, batch_size):
+            loss, grads = loss_and_grads(order[start:start + batch_size])
+            if clip is not None:
+                norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+                if norm > clip:
+                    grads = [g * (clip / norm) for g in grads]
+            step += 1
+            for param, grad, (m, v) in zip(params, grads, moments):
+                m *= beta1
+                m += (1 - beta1) * grad
+                v *= beta2
+                v += (1 - beta2) * grad * grad
+                m_hat = m / (1 - beta1**step)
+                v_hat = v / (1 - beta2**step)
+                param -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            epoch_loss += loss
+            batches += 1
+        history.append(epoch_loss / max(batches, 1))
+    return history
+
+
 class MLP:
-    """Fully-connected network: input -> [hidden ReLU]* -> linear output.
+    """Fully-connected regression network: input -> [hidden ReLU]* ->
+    linear output, trained on mean squared error.
 
     Parameters
     ----------
@@ -56,9 +113,6 @@ class MLP:
     hidden:
         Tuple of hidden-layer widths; empty tuple = linear model.  The
         output is one value.
-    task:
-        ``"regression"`` (MSE loss, identity output) or
-        ``"classification"`` (log loss, sigmoid output).
     seed:
         Weight-initialization seed (He initialization).
     """
@@ -67,18 +121,14 @@ class MLP:
         self,
         input_dim: int,
         hidden: tuple[int, ...] = (),
-        task: str = "regression",
         seed: int = 0,
     ):
-        if task not in ("regression", "classification"):
-            raise ValueError("task must be 'regression' or 'classification'")
         if input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if any(h < 1 for h in hidden):
             raise ValueError("hidden widths must be >= 1")
         self.input_dim = int(input_dim)
         self.hidden = tuple(int(h) for h in hidden)
-        self.task = task
         rng = np.random.default_rng(seed)
         dims = [self.input_dim, *self.hidden, 1]
         self.weights: list[np.ndarray] = []
@@ -92,7 +142,6 @@ class MLP:
         self.x_scale = np.ones(self.input_dim)
         self.y_mean = 0.0
         self.y_scale = 1.0
-        self._adam_state: list | None = None
         self._prepare_one()
 
     # -- forward / backward -------------------------------------------------
@@ -114,8 +163,6 @@ class MLP:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         z = (x - self.x_mean) / self.x_scale
         out, _ = self._forward(z)
-        if self.task == "classification":
-            return 1.0 / (1.0 + np.exp(-out))
         return out * self.y_scale + self.y_mean
 
     def _prepare_one(self) -> None:
@@ -130,8 +177,7 @@ class MLP:
         self._one = layers, w_out, float(b_out[0])
 
     def forward_one(self, x: np.ndarray) -> float:
-        """:meth:`forward` for one sample of a one-output regression
-        net, without the batch plumbing: a float64 vector in, the raw
+        """:meth:`forward` for one sample, without the batch plumbing: a float64 vector in, the raw
         target out."""
         hidden, w_out, b_out = self._one
         for w, b in hidden:
@@ -163,9 +209,9 @@ class MLP:
         epochs: int = 50,
         batch_size: int = 256,
         learning_rate: float = 1e-3,
-        optimizer: str = "adam",
     ) -> list[float]:
-        """Mini-batch training; returns the per-epoch mean loss history."""
+        """Mini-batch Adam on mean squared error; returns the per-epoch
+        mean loss history."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[0] == 1 and x.shape[1] != self.input_dim:
             x = x.T
@@ -177,49 +223,28 @@ class MLP:
         scale = x.std(axis=0)
         scale[scale == 0.0] = 1.0
         self.x_scale = scale
-        if self.task == "regression":
-            self.y_mean = float(y.mean())
-            self.y_scale = float(y.std()) or 1.0
-            targets = (y - self.y_mean) / self.y_scale
-        else:
-            targets = y
+        self.y_mean = float(y.mean())
+        self.y_scale = float(y.std()) or 1.0
+        targets = (y - self.y_mean) / self.y_scale
         z = (x - self.x_mean) / self.x_scale
 
-        rng = np.random.default_rng(SHUFFLE_SEED)
-        n = z.shape[0]
-        history: list[float] = []
-        self._init_adam()
-        step = 0
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, n, batch_size):
-                idx = order[start:start + batch_size]
-                xb, yb = z[idx], targets[idx]
-                out, activations = self._forward(xb)
-                if self.task == "classification":
-                    prob = 1.0 / (1.0 + np.exp(-out))
-                    eps = 1e-12
-                    loss = float(
-                        -np.mean(
-                            yb * np.log(prob + eps)
-                            + (1 - yb) * np.log(1 - prob + eps)
-                        )
-                    )
-                    delta = (prob - yb) / xb.shape[0]
-                else:
-                    diff = out - yb
-                    loss = float(np.mean(diff**2))
-                    delta = 2.0 * diff / xb.shape[0]
-                grads_w, grads_b = self._backward(activations, delta)
-                step += 1
-                self._apply_gradients(
-                    grads_w, grads_b, learning_rate, optimizer, step
-                )
-                epoch_loss += loss
-                batches += 1
-            history.append(epoch_loss / max(batches, 1))
+        def loss_and_grads(rows: np.ndarray):
+            xb, yb = z[rows], targets[rows]
+            out, activations = self._forward(xb)
+            diff = out - yb
+            grads_w, grads_b = self._backward(
+                activations, 2.0 * diff / xb.shape[0]
+            )
+            return float(np.mean(diff**2)), grads_w + grads_b
+
+        history = train_adam(
+            self.weights + self.biases,
+            loss_and_grads,
+            z.shape[0],
+            epochs=epochs,
+            batch_size=batch_size,
+            learning_rate=learning_rate,
+        )
         self._prepare_one()
         return history
 
@@ -227,11 +252,8 @@ class MLP:
         """Closed-form least-squares fit of a net with no hidden layer:
         ``x @ w + b`` on the raw inputs, standardization left as the
         identity.  A net with hidden layers is a ``ValueError``."""
-        if self.hidden or self.task != "regression":
-            raise ValueError(
-                "least squares fits a one-output regression net with no "
-                "hidden layer"
-            )
+        if self.hidden:
+            raise ValueError("least squares fits a net with no hidden layer")
         x = np.asarray(x, dtype=np.float64).reshape(-1, self.input_dim)
         design = np.column_stack([x, np.ones(x.shape[0])])
         solution, *_ = np.linalg.lstsq(
@@ -244,40 +266,6 @@ class MLP:
         self.y_mean = 0.0
         self.y_scale = 1.0
         self._prepare_one()
-
-    def _init_adam(self) -> None:
-        self._adam_state = [
-            (np.zeros_like(w), np.zeros_like(w)) for w in self.weights
-        ] + [(np.zeros_like(b), np.zeros_like(b)) for b in self.biases]
-
-    def _apply_gradients(
-        self,
-        grads_w: list[np.ndarray],
-        grads_b: list[np.ndarray],
-        lr: float,
-        optimizer: str,
-        step: int,
-    ) -> None:
-        if optimizer == "sgd":
-            for w, gw in zip(self.weights, grads_w):
-                w -= lr * gw
-            for b, gb in zip(self.biases, grads_b):
-                b -= lr * gb
-            return
-        if optimizer != "adam":
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        params = self.weights + self.biases
-        grads = grads_w + grads_b
-        for i, (param, grad) in enumerate(zip(params, grads)):
-            m, v = self._adam_state[i]
-            m *= beta1
-            m += (1 - beta1) * grad
-            v *= beta2
-            v += (1 - beta2) * grad * grad
-            m_hat = m / (1 - beta1**step)
-            v_hat = v / (1 - beta2**step)
-            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
     # -- accounting ----------------------------------------------------------
 
@@ -306,7 +294,7 @@ class NeuralRegressionModel(Model):
         seed: int = 0,
         max_train_samples: int = 50_000,
     ):
-        self.net = MLP(1, hidden=hidden, task="regression", seed=seed)
+        self.net = MLP(1, hidden=hidden, seed=seed)
         self.epochs = int(epochs)
         self.learning_rate = float(learning_rate)
         self.max_train_samples = int(max_train_samples)
@@ -414,7 +402,6 @@ class FrameworkModel:
             "bias_add": self._kernel_bias_add,
             "relu": self._kernel_relu,
             "destandardize": self._kernel_destandardize,
-            "sigmoid": self._kernel_sigmoid,
             "identity": self._kernel_identity,
         }
 
@@ -445,16 +432,13 @@ class FrameworkModel:
                 ops.append(
                     {"op": "relu", "name": f"dense_{i}/relu", "attrs": {}}
                 )
-        if self.net.task == "regression":
-            ops.append(
-                {
-                    "op": "destandardize",
-                    "name": "output/destandardize",
-                    "attrs": {},
-                }
-            )
-        else:
-            ops.append({"op": "sigmoid", "name": "output/sigmoid", "attrs": {}})
+        ops.append(
+            {
+                "op": "destandardize",
+                "name": "output/destandardize",
+                "attrs": {},
+            }
+        )
         ops.append({"op": "identity", "name": "output/position", "attrs": {}})
         return ops
 
@@ -474,9 +458,6 @@ class FrameworkModel:
 
     def _kernel_destandardize(self, tensor, attrs):
         return tensor * self.net.y_scale + self.net.y_mean
-
-    def _kernel_sigmoid(self, tensor, attrs):
-        return 1.0 / (1.0 + np.exp(-tensor))
 
     def _kernel_identity(self, tensor, attrs):
         return np.array(tensor, copy=True)

@@ -45,9 +45,45 @@ def error_stats(predictions: np.ndarray, truths: np.ndarray) -> ErrorStats:
     )
 
 
+def stage_assignments(index, keys: np.ndarray) -> list[np.ndarray]:
+    """Which model of each stage below a
+    :class:`~repro.core.RecursiveModelIndex`'s root every stored key
+    trains: ``floor(f(x) · M_l / n)``, clamped, with ``f`` the root and
+    then each internal stage's affine model — the routing the build
+    does, written out."""
+    n = max(keys.size, 1)
+    x = index._space.encode(keys)
+    pred = np.asarray(index._root_model.predict_batch(x), dtype=np.float64)
+    stages = index._internal_stages + [(index.stage_sizes[-1], None, None)]
+    out = []
+    for m_l, slopes, intercepts in stages:
+        j = np.clip(np.floor(pred * m_l / n), 0, m_l - 1).astype(np.int64)
+        out.append(j)
+        if slopes is not None:
+            pred = slopes[j] * x + intercepts[j]
+    return out
+
+
 def max_absolute(stats: ErrorStats) -> int:
     """Algorithm 1's ``max_abs_err`` hybrid-replacement criterion."""
     return max(abs(stats.min_error), abs(stats.max_error))
+
+
+def unique_dup_fraction(queries: np.ndarray, sample: int) -> float:
+    """:func:`repro.core.engine.batch_dup_fraction` written with
+    ``np.unique``: the exact duplicate fraction of a batch of at most
+    ``sample`` queries, else the birthday estimate from a fixed-seed
+    probe of ``sample`` of them."""
+    m = queries.size
+    if m <= sample:
+        return float(1.0 - np.unique(queries).size / max(m, 1))
+    idx = np.random.default_rng(0x5EED).integers(0, m, sample)
+    collisions = sample - np.unique(queries[idx]).size
+    c = collisions - sample * sample / (2.0 * m)
+    if c <= 0:
+        return 0.0
+    d = sample * sample / (2.0 * c)
+    return float(1.0 - min(d * -np.expm1(-m / d), m) / m)
 
 
 def _central_differences(params, loss, epsilon: float) -> list[np.ndarray]:
@@ -79,16 +115,13 @@ def mlp_finite_difference_gradients(
     net, x: np.ndarray, y: np.ndarray, epsilon: float = 1e-6
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Numerical ``(weight, bias)`` gradients of an
-    :class:`~repro.models.nn.MLP`'s training loss (mean squared error,
-    or log loss for classification): the oracle its backprop is
-    checked against."""
+    :class:`~repro.models.nn.MLP`'s training loss (mean squared
+    error): the oracle its backprop is checked against."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
 
     def loss() -> float:
         out, _ = net._forward(x)
-        if net.task == "classification":
-            return _log_loss(1.0 / (1.0 + np.exp(-out)), y)
         return float(np.mean((out - y) ** 2))
 
     grads = _central_differences(net.weights + net.biases, loss, epsilon)

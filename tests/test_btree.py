@@ -85,8 +85,8 @@ class TestLookup:
         tree.stats.reset()
         tree.lookup(float(uniform_small[0]))
         assert tree.stats.lookups == 1
-        assert tree.stats.nodes_visited >= tree.height
-        assert tree.stats.comparisons > 0
+        # At least one separator comparison on every level descended.
+        assert tree.stats.comparisons >= tree.height > 0
 
 
 class TestRangeQuery:

@@ -2,7 +2,8 @@
 
 The RMI trains every stage below its root with one segmented
 least-squares pass.  The oracle here is the per-leaf loop that pass
-replaces: take each leaf's members by ``_leaf_assignment``, fit them
+replaces: take each leaf's members by the root's routing
+(``oracles.stage_assignments``), fit them
 with ``LinearModel().fit`` and summarize them with ``error_stats``.
 The plan's tables and the error arrays must match it — same models up
 to float tolerance, same members, same-or-adjacent error bounds
@@ -21,7 +22,7 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import error_stats, max_absolute
+from oracles import error_stats, max_absolute, stage_assignments
 from repro.core import HybridIndex, RecursiveModelIndex, WritableLearnedIndex
 from repro.data import lognormal_keys, uniform_keys
 from repro.models import LinearModel, segmented_linear_fit
@@ -109,7 +110,7 @@ def assert_stage_matches(slopes, intercepts, ref_slopes, ref_intercepts):
     np.testing.assert_allclose(intercepts, ref_intercepts, rtol=1e-8, atol=1e-6)
 
 
-def assert_errors_match(index, predictions, positions):
+def assert_errors_match(index, assignment, predictions, positions):
     """The plan's error offsets (``lo_offsets`` the leaf's max error,
     ``hi_offsets`` its min) against ``error_stats`` of each leaf's
     members under the reference predictions.  Bounds may differ by one
@@ -117,7 +118,6 @@ def assert_errors_match(index, predictions, positions):
     catastrophically on huge key magnitudes (clustered keys near 1e12
     leave it ~1e-3 of noise); the centered segmented form is the more
     accurate one."""
-    assignment = index._leaf_assignment
     plan = index._plan
     counts = index._stage_counts[-1]
     for j in range(plan.leaf_count):
@@ -142,18 +142,17 @@ def test_leaf_tables_match_per_leaf_fit(dataset_name, leaves):
     positions = np.arange(keys.size, dtype=np.float64)
     # Keys route to leaves by the root: floor(root(x) · m / n).
     root = index._root_model.predict_batch(x)
-    np.testing.assert_array_equal(
-        index._leaf_assignment,
-        np.clip(np.floor(root * leaves / max(keys.size, 1)), 0, leaves - 1),
-    )
+    assignment = np.clip(
+        np.floor(root * leaves / max(keys.size, 1)), 0, leaves - 1
+    ).astype(np.int64)
     ref_slopes, ref_intercepts, predictions = reference_stage(
-        x, positions, index._leaf_assignment, leaves
+        x, positions, assignment, leaves
     )
     tables = index._plan.export_arrays()
     assert_stage_matches(
         tables["slopes"], tables["intercepts"], ref_slopes, ref_intercepts
     )
-    assert_errors_match(index, predictions, positions)
+    assert_errors_match(index, assignment, predictions, positions)
     qs = probes(keys, np.random.default_rng(SEED), 400)
     assert_lookups_match_bisect(index, keys, qs)
     # Biased quaternary seeds its probe round at each leaf's error std
@@ -162,7 +161,7 @@ def test_leaf_tables_match_per_leaf_fit(dataset_name, leaves):
         keys, stage_sizes=(1, leaves), search_strategy="biased_quaternary"
     )
     for j in range(leaves):
-        members = biased._leaf_assignment == j
+        members = assignment == j
         if not members.any():
             continue
         ref = error_stats(predictions[members], positions[members])
@@ -200,18 +199,17 @@ def test_three_stage_tables_match_per_model_fit(dataset_name):
     assert m == 10
     assert_stage_matches(slopes, intercepts, ref_slopes, ref_intercepts)
     routed = slopes[middle] * x + intercepts[middle]
-    np.testing.assert_array_equal(
-        index._leaf_assignment,
-        np.clip(np.floor(routed * 200 / max(n, 1)), 0, 199),
-    )
+    assignment = np.clip(
+        np.floor(routed * 200 / max(n, 1)), 0, 199
+    ).astype(np.int64)
     ref_slopes, ref_intercepts, predictions = reference_stage(
-        x, positions, index._leaf_assignment, 200
+        x, positions, assignment, 200
     )
     tables = index._plan.export_arrays()
     assert_stage_matches(
         tables["slopes"], tables["intercepts"], ref_slopes, ref_intercepts
     )
-    assert_errors_match(index, predictions, positions)
+    assert_errors_match(index, assignment, predictions, positions)
     qs = probes(keys, np.random.default_rng(SEED + 1), 400)
     assert_lookups_match_bisect(index, keys, qs)
 
@@ -226,11 +224,10 @@ def test_hybrid_replaces_the_leaves_the_oracle_flags(dataset_name):
     hybrid = HybridIndex(keys, stage_sizes=(1, 16), threshold=threshold)
     x = hybrid._space.encode(keys)
     positions = np.arange(keys.size, dtype=np.float64)
-    _, _, predictions = reference_stage(
-        x, positions, hybrid._leaf_assignment, 16
-    )
+    assignment, = stage_assignments(hybrid, keys)
+    _, _, predictions = reference_stage(x, positions, assignment, 16)
     for j in range(16):
-        members = hybrid._leaf_assignment == j
+        members = assignment == j
         ref = error_stats(predictions[members], positions[members])
         if not ref.count:
             assert j not in hybrid.leaf_btrees, j
@@ -284,7 +281,7 @@ def test_segmented_error_arrays_match_per_leaf_error_stats(dataset_name):
     keys = dataset(dataset_name)
     leaves = 16
     index = RecursiveModelIndex(keys, stage_sizes=(1, leaves))
-    assignment = index._leaf_assignment
+    assignment, = stage_assignments(index, keys)
     positions = np.arange(keys.size, dtype=np.float64)
     _leaf, predictions = index._plan.route(index._column.prepare(keys))
     default = ErrorStats(-5, 5, 0.0, 0.0, 0)

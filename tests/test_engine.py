@@ -12,12 +12,15 @@ import bisect
 import numpy as np
 import pytest
 
+from oracles import unique_dup_fraction
 from repro.core import RecursiveModelIndex
 from repro.core.engine import (
+    DUP_SAMPLE,
     CompiledPlan,
     ModelSpace,
     QueryBatch,
     SortedKeyColumn,
+    batch_dup_fraction,
     narrow_offsets,
 )
 
@@ -465,3 +468,40 @@ class TestEmptyColumn:
         np.testing.assert_array_equal(
             column.upper_bounds(qb, np.zeros(2, dtype=np.int64)), [0, 0]
         )
+
+
+def _integer_batches():
+    rng = np.random.default_rng(11)
+    base = np.uint64(1) << np.uint64(63)
+    for m in (0, 1, 2, 100, DUP_SAMPLE - 1, DUP_SAMPLE, DUP_SAMPLE + 1,
+              20_000, 200_000):
+        batches = {
+            "uniform": rng.integers(-(1 << 40), 1 << 40, m),
+            "hot": rng.integers(0, 50, m),
+            "zipf": rng.zipf(1.3, m).astype(np.int64),
+            "dense-u64": base + rng.integers(0, 3 * m + 1, m).astype(np.uint64),
+            "sorted-runs": np.sort(rng.integers(0, max(m // 8, 1), m)),
+            "hotspot": np.concatenate([
+                rng.integers(0, 10_000, m // 2),
+                rng.integers(0, 1 << 50, m - m // 2),
+            ]),
+        }
+        for name, queries in batches.items():
+            yield pytest.param(queries, id=f"{name}-{m}")
+
+
+@pytest.mark.parametrize("queries", _integer_batches())
+def test_dup_fraction_matches_the_unique_formula(queries):
+    """The duplicate estimate that picks the sorted path is the
+    ``np.unique`` formula to the bit, on both sides of
+    ``DUP_SAMPLE``."""
+    assert batch_dup_fraction(queries) == unique_dup_fraction(
+        queries, DUP_SAMPLE
+    )
+
+
+def test_dup_fraction_counts_nans_as_one_value():
+    queries = np.array([np.nan, 1.0, np.nan, 2.0, 1.0, np.nan])
+    assert batch_dup_fraction(queries) == unique_dup_fraction(
+        queries, DUP_SAMPLE
+    ) == 0.5

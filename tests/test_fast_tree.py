@@ -45,7 +45,8 @@ class TestFASTTree:
         tree = FASTTree(uniform_small, page_size=64)
         tree.stats.reset()
         tree.find_page(float(uniform_small[0]))
-        assert tree.stats.comparisons == tree.stats.nodes_visited * SIMD_WIDTH
+        assert tree.stats.lookups == 1
+        assert tree.stats.comparisons == tree.height * SIMD_WIDTH
 
     def test_extremes(self, uniform_small):
         tree = FASTTree(uniform_small, page_size=32)

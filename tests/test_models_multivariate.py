@@ -56,30 +56,6 @@ class TestMultivariateLinearModel:
                 float(model.predict_batch(np.array([q]))[0]), rel=1e-9
             )
 
-    def test_auto_select_picks_subset(self):
-        rng = np.random.default_rng(2)
-        keys = np.sort(rng.lognormal(0, 2, size=2000))
-        model = MultivariateLinearModel(
-            features=("key", "log", "key^2"), auto_select=True
-        )
-        model.fit(keys, np.arange(2000.0))
-        assert set(model.features) <= {"key", "log", "key^2"}
-        assert len(model.features) >= 1
-
-    def test_auto_select_beats_or_ties_full_set(self):
-        rng = np.random.default_rng(3)
-        keys = np.sort(rng.lognormal(0, 2, size=2000))
-        positions = np.arange(2000.0)
-        full = MultivariateLinearModel(features=("key", "log", "key^2"))
-        full.fit(keys, positions)
-        auto = MultivariateLinearModel(
-            features=("key", "log", "key^2"), auto_select=True
-        )
-        auto.fit(keys, positions)
-        full_err = np.abs(full.predict_batch(keys) - positions).max()
-        auto_err = np.abs(auto.predict_batch(keys) - positions).max()
-        assert auto_err <= full_err * 1.5
-
     def test_empty_fit(self):
         model = MultivariateLinearModel()
         model.fit(np.array([]), np.array([]))

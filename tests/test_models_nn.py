@@ -5,6 +5,7 @@ import pytest
 
 from oracles import mlp_finite_difference_gradients
 from repro.models import MLP, FrameworkModel, NeuralRegressionModel
+from repro.models.nn import train_adam
 
 
 class TestMLPConstruction:
@@ -13,8 +14,6 @@ class TestMLPConstruction:
             MLP(0)
         with pytest.raises(ValueError):
             MLP(1, hidden=(0,))
-        with pytest.raises(ValueError):
-            MLP(1, task="nope")
 
     def test_zero_hidden_is_linear(self):
         net = MLP(1, hidden=())
@@ -42,20 +41,6 @@ class TestMLPGradients:
             scale = max(float(np.abs(numeric).max()), 1e-8)
             assert np.abs(analytic - numeric).max() / scale < 1e-5
 
-    def test_classification_backprop_matches_finite_differences(self):
-        rng = np.random.default_rng(0)
-        net = MLP(3, hidden=(4,), task="classification", seed=2)
-        x = rng.normal(size=(8, 3))
-        y = rng.integers(0, 2, size=(8, 1)).astype(float)
-        out, acts = net._forward(x)
-        prob = 1.0 / (1.0 + np.exp(-out))
-        delta = (prob - y) / x.shape[0]
-        grads_w, grads_b = net._backward(acts, delta)
-        num_w, num_b = mlp_finite_difference_gradients(net, x, y)
-        for analytic, numeric in zip(grads_w + grads_b, num_w + num_b):
-            scale = max(float(np.abs(numeric).max()), 1e-8)
-            assert np.abs(analytic - numeric).max() / scale < 1e-4
-
 
 class TestMLPTraining:
     def test_loss_decreases(self):
@@ -66,37 +51,56 @@ class TestMLPTraining:
         history = net.fit(x, y, epochs=60, batch_size=64, learning_rate=3e-3)
         assert history[-1] < history[0] * 0.3
 
-    def test_sgd_optimizer(self):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(0, 1, size=(256, 1))
-        y = (2 * x + 1).ravel()
-        net = MLP(1, hidden=(), seed=0)
-        history = net.fit(
-            x, y, epochs=40, optimizer="sgd", learning_rate=0.05
-        )
-        assert history[-1] < history[0]
-
-    def test_rejects_unknown_optimizer(self):
-        net = MLP(1)
-        with pytest.raises(ValueError):
-            net.fit(np.ones((4, 1)), np.ones(4), epochs=1, optimizer="mystery")
-
     def test_rejects_mismatched_rows(self):
         net = MLP(1)
         with pytest.raises(ValueError):
             net.fit(np.ones((4, 1)), np.ones(5), epochs=1)
 
-    def test_classification_learns_separation(self):
-        rng = np.random.default_rng(2)
-        x = np.concatenate(
-            [rng.normal(-2, 0.5, size=(200, 1)), rng.normal(2, 0.5, size=(200, 1))]
+
+class TestTrainAdam:
+    def test_batches_cover_each_sample_once_per_epoch(self):
+        seen = []
+
+        def loss_and_grads(rows):
+            seen.append(rows.copy())
+            return float(rows.size), [np.ones(2)]
+
+        history = train_adam(
+            [np.zeros(2)], loss_and_grads, 10,
+            epochs=3, batch_size=4, learning_rate=1e-2,
         )
-        y = np.concatenate([np.zeros(200), np.ones(200)])
-        net = MLP(1, hidden=(8,), task="classification", seed=0)
-        net.fit(x, y, epochs=60, batch_size=64, learning_rate=1e-2)
-        prob = net.forward(x).ravel()
-        assert prob[:200].mean() < 0.2
-        assert prob[200:].mean() > 0.8
+        assert [rows.size for rows in seen] == [4, 4, 2] * 3
+        for epoch in range(3):
+            rows = np.concatenate(seen[3 * epoch:3 * epoch + 3])
+            np.testing.assert_array_equal(np.sort(rows), np.arange(10))
+        assert history == [10 / 3] * 3
+
+    def test_clip_scales_the_global_norm_down_to_the_bound(self):
+        # Batches alternate gradients of norm 50 and 1.  Clipping at 5
+        # must train exactly as handing in the clipped gradients does,
+        # and not as the raw ones do (Adam is scale-free only for
+        # gradients of one size).
+        raw = [np.array([30.0, -40.0]), np.array([0.6, 0.8])]
+        clipped = [np.array([3.0, -4.0]), np.array([0.6, 0.8])]
+
+        def run(sequence, clip):
+            param = np.array([1.0, 2.0])
+            calls = []
+
+            def loss_and_grads(rows):
+                calls.append(rows)
+                return 0.0, [sequence[(len(calls) - 1) % 2]]
+
+            train_adam(
+                [param], loss_and_grads, 8,
+                epochs=2, batch_size=2, learning_rate=0.1, clip=clip,
+            )
+            return param
+
+        np.testing.assert_array_equal(run(raw, 5.0), run(clipped, None))
+        assert not np.array_equal(run(raw, None), run(clipped, None))
+        # Under the bound, the clip leaves the gradients alone.
+        np.testing.assert_array_equal(run(raw, 60.0), run(raw, None))
 
 
 class TestSingleSample:

@@ -277,6 +277,35 @@ def test_one_scalar_lookup_and_one_btree():
     assert btrees == {"BTreeIndex"}
 
 
+def test_one_adam_update():
+    """The neural models train one way: the Adam moment update is
+    written once, in ``models/nn.py``'s ``train_adam``, and the MLP and
+    the GRU both train through it."""
+    trees = {
+        path.relative_to(SRC / "repro").as_posix(): tree
+        for path, tree in parsed().items()
+        if path.is_relative_to(SRC)
+    }
+
+    def decays(node: ast.AST) -> bool:
+        # Adam's second-moment decay: a ``beta2`` name or 0.999.
+        return any(
+            (isinstance(n, ast.Name) and n.id == "beta2")
+            or (isinstance(n, ast.Constant) and n.value == 0.999)
+            for n in ast.walk(node)
+        )
+
+    updates = [
+        f"{path}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and decays(node)
+    ]
+    assert updates == ["models/nn.py:train_adam"]
+    for path in ("models/nn.py", "models/gru.py"):
+        assert calls_of(trees[path], "train_adam"), path
+
+
 # -- one level down: methods, options, environment variables ------------------
 
 #: What the checks below leave in place although no consumer reads it

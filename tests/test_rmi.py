@@ -1,8 +1,11 @@
 """Unit tests for the Recursive Model Index (Section 3.2)."""
 
+import types
+
 import numpy as np
 import pytest
 
+from oracles import stage_assignments
 from repro.core import HybridIndex, RecursiveModelIndex
 from repro.models import (
     LinearModel,
@@ -262,16 +265,54 @@ class TestAccountingAndStats:
         index = RecursiveModelIndex(keys, stage_sizes=stage_sizes)
         # A linear root is two float64 parameters.
         expected = 16 + 2 * index._plan.lo_offsets.nbytes
-        root_pred = index._root_model.predict_batch(index._space.encode(keys))
         # A stage's trained models are the slots stored keys route to.
-        routed = [
-            np.floor(root_pred * m_l / max(keys.size, 1)).clip(0, m_l - 1)
-            for m_l, _slopes, _intercepts in index._internal_stages
-        ] + [index._leaf_assignment]
+        routed = stage_assignments(index, keys)
         for m_l, assignment in zip(stage_sizes[1:], routed):
             occupied = np.unique(assignment).size
             expected += 16 * occupied + 8 * (m_l - occupied)
         assert index.size_bytes() == expected
+
+    @pytest.mark.parametrize("cls", [RecursiveModelIndex, HybridIndex])
+    @pytest.mark.parametrize("stage_sizes", [(1, 64), (1, 8, 64)])
+    def test_holds_no_per_key_array_but_its_keys(self, cls, stage_sizes):
+        """Every array the index reaches — attributes, containers,
+        closures — is a view of its keys or smaller than the key
+        count: the build's per-key routing is dropped once used."""
+        keys = np.sort(
+            np.random.default_rng(8).integers(0, 1 << 40, 20_000)
+        )
+        index = cls(keys, stage_sizes=stage_sizes)
+        seen, stack, arrays = set(), [index], []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(
+                obj, (type, str, bytes, types.ModuleType)
+            ):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif isinstance(obj, (list, tuple, set, frozenset)):
+                stack.extend(obj)
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
+            else:
+                stack.extend(getattr(obj, "__dict__", {}).values())
+                stack.extend(
+                    getattr(obj, slot) for slot in getattr(obj, "__slots__", ())
+                    if hasattr(obj, slot)
+                )
+                stack.extend(
+                    cell.cell_contents
+                    for cell in getattr(obj, "__closure__", None) or ()
+                )
+                stack.append(getattr(obj, "__self__", None))
+        assert any(a is index.keys for a in arrays)
+        big = [
+            a.shape for a in arrays
+            if a.size >= keys.size and not np.shares_memory(a, keys)
+        ]
+        assert not big
 
     def test_repr(self, uniform_small):
         index = RecursiveModelIndex(uniform_small, stage_sizes=(1, 10))
