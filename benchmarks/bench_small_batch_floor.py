@@ -38,6 +38,12 @@ is both the guard on that choice and the source of its constants:
   walk, on one run filter per size, and prints the batch size at which
   the walk becomes the cheaper side — what
   ``repro.bloom.standard.ROW_WALK_MIN_KEYS`` is set from;
+* the **needle-order scan** times ``np.searchsorted`` on a call's
+  queries as they come against the same search with the queries
+  argsorted first and the positions scattered back, over arrays of
+  512 to 1M keys, and prints the call size at which ordering becomes
+  the cheaper side — what ``repro.lsm.run.ORDERED_SEARCH_MIN_KEYS``
+  (the LSM memtable's batch search) is set from;
 * the **slice-copy scan** times range assembly's ways to read a
   slice — a block copy per slice, one gather over a call's slices —
   on a 1M-key column: once over the slice length (what
@@ -62,6 +68,7 @@ from repro.core.engine import SortedKeyColumn, column_answers
 from repro.data import uniform_keys
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
+from repro.lsm.run import ORDERED_SEARCH_MIN_KEYS, _searchsorted_in_order
 from repro.lsm.store import UNGUARDED_PROBE_KEYS, probes_unguarded
 from repro.range_scan import (
     GATHER_MIN_SLICES,
@@ -359,6 +366,51 @@ def test_filter_crossover_scan_behind_the_row_walk():
     console(
         "[small-batch floor] set ROW_WALK_MIN_KEYS "
         "(repro.bloom.standard) from the 'crossover' column"
+    )
+
+
+def test_needle_order_scan_behind_the_memtable_search():
+    rng = np.random.default_rng(7018)
+    call_sizes = [1 << e for e in range(4, 13)]
+    table = Table(
+        "Needle-order scan: searchsorted time on the queries as they "
+        "come / time with them argsorted first, paired (above 1 "
+        "ordering pays)",
+        ["array keys"] + [str(k) for k in call_sizes]
+        + ["crossover", "shipped"],
+    )
+    ratios = {}
+    for n in (512, 4_096, 16_384, 131_072, 1_000_000):
+        keys = uniform_keys(n, seed=7)
+        row = []
+        for k in call_sizes:
+            calls = _calls(keys, k, rng)
+            for q in calls[:4]:
+                assert np.array_equal(
+                    _searchsorted_in_order(keys, q), np.searchsorted(keys, q)
+                )
+            row.append(_paired(
+                lambda q: _searchsorted_in_order(keys, q),
+                lambda q: np.searchsorted(keys, q),
+                calls,
+            )[2])
+        ratios[n] = row
+        table.add_row(
+            f"{n:,}", *[f"{r:.2f}" for r in row],
+            _crossover(call_sizes, row), ORDERED_SEARCH_MIN_KEYS,
+        )
+    show_table(table)
+    # Shape: a 16-key call is the plain search's on every array ...
+    losing = {n: row[0] for n, row in ratios.items() if row[0] >= 1.0}
+    assert not losing, f"ordering pays on the smallest calls: {losing}"
+    # ... and ordering pays with headroom at four times the shipped
+    # constant, on every array size.
+    at = call_sizes.index(4 * ORDERED_SEARCH_MIN_KEYS)
+    short = {n: row[at] for n, row in ratios.items() if row[at] < HEADROOM}
+    assert not short, f"ordered needles do not pay: {short}"
+    console(
+        "[small-batch floor] set ORDERED_SEARCH_MIN_KEYS (repro.lsm.run) "
+        "to the power of two at or above the largest 'crossover' value"
     )
 
 

@@ -14,11 +14,12 @@ fits *every* segment of the current partition at once (reusing the
 vectorized machinery in :func:`repro.models.linear.segmented_linear_fit`
 and :func:`repro.models.cdf.segment_reducer`), measures every segment's
 worst signed residual in one ``reduceat`` pass, and splits every
-violating segment into ``ceil(max_abs/ε)`` equal-run chunks in one
-vectorized round.  Each round is a handful of O(n) array passes and the
-round count is logarithmic (children carry at most half a violator's
-distinct-key runs), so a million-key segmentation costs a small constant
-multiple of the RMI's one-pass vectorized build — the ISSUE 10 gate.
+violating segment into ``ceil(max_abs/ε)`` equal-run chunks (at most
+one per 2ε runs) in one vectorized round.  Each round is a handful of
+O(n) array passes and the round count is logarithmic (children carry
+at most half a violator's distinct-key runs), so a million-key
+segmentation costs a small constant multiple of the RMI's one-pass
+vectorized build — the ISSUE 10 gate.
 
 ε semantics
 -----------
@@ -173,13 +174,18 @@ def epsilon_segment(
         if rounds >= MAX_ROUNDS or not np.any(violating):
             break
         rounds += 1
-        # Split every violator into k equal-run chunks at once.  The
-        # residual of a least-squares line grows at least linearly with
-        # the span it must cover, so k = ceil(max_abs / ε) jumps most
-        # of the way to the converged partition in one round; the clip
-        # to [2, nruns] guarantees strict progress.
+        # Split every violator into k equal-run chunks at once.  Where
+        # a line's residual grows about linearly with the span it must
+        # cover, k = ceil(max_abs / ε) jumps most of the way to the
+        # converged partition in one round.  A skewed column breaks
+        # that (one line over a lognormal CDF misses by ~n/4 and would
+        # cut every key apart), so k is capped to leave each chunk at
+        # least 2ε runs, about what one line fits within ε; a chunk
+        # that still violates splits again next round.  The floor of 2
+        # guarantees strict progress.
+        runs = nruns[violating]
         k = np.ceil(max_abs[violating] / eps).astype(np.int64)
-        np.clip(k, 2, nruns[violating], out=k)
+        np.clip(k, 2, np.maximum(runs // int(2 * eps), 2), out=k)
         pieces = k - 1  # interior cuts per violating segment
         total = int(pieces.sum())
         # Flat (segment, cut) index pairs without a Python loop: for
@@ -190,10 +196,13 @@ def epsilon_segment(
         )
         cut_runs = (
             np.repeat(r0[violating], pieces)
-            + ((offs + 1) * np.repeat(nruns[violating], pieces))
+            + ((offs + 1) * np.repeat(runs, pieces))
             // np.repeat(k, pieces)
         )
-        boundaries = np.unique(
+        # With 2 <= k <= nruns the cuts fall strictly inside their
+        # segment and strictly increase, so a sort merges them in with
+        # no duplicate to drop.
+        boundaries = np.sort(
             np.concatenate([boundaries, run_starts[cut_runs]])
         )
     return EpsilonSegmentation(

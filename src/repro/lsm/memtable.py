@@ -23,7 +23,9 @@ entries with value :data:`TOMBSTONE_VALUE` and a set mask bit.  Reads
 probe it as the newest source and a seal writes it as it is.  It
 materializes lazily (one ``np.argsort`` per burst of writes) and is
 cached until the next write, so scalar probes stay O(1) dict and set
-hits and batch probes one ``searchsorted``, without a per-insert sort.
+hits and a batch probe one search of its keys
+(:func:`repro.lsm.run.ordered_searchsorted`, with the queries in
+sorted order from 128 on), without a per-insert sort.
 
 Every write takes its keys through the key contract
 (:func:`repro.util.as_int64_keys`): a non-integer is a ``TypeError``,

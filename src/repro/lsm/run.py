@@ -102,12 +102,42 @@ def _build_bloom(keys: np.ndarray) -> BloomFilter:
     return bloom
 
 
+#: From this many queries, :func:`ordered_searchsorted` searches with
+#: the queries in sorted order.  ``np.searchsorted`` keeps the previous
+#: answer as the low end of the next search while its needles ascend,
+#: so sorted needles search ever shorter, cache-warm ranges; unordered
+#: ones pay a full binary search each.  Below this the argsort costs
+#: more than that saves.  Read off the 'crossover' column (where ordering starts to
+#: win, ratio 1.0) of the needle-order scan in
+#: ``benchmarks/bench_small_batch_floor.py``: the power of two at or
+#: above its largest value over arrays of 512 to 1M keys.
+ORDERED_SEARCH_MIN_KEYS = 128
+
+
+def ordered_searchsorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(keys, queries)``, bit for bit, searched with
+    the queries in sorted order from :data:`ORDERED_SEARCH_MIN_KEYS`
+    queries on: argsort, search, scatter each position back to its
+    query.  A lower bound depends only on the query's value, so the
+    order it is searched in cannot change it."""
+    if queries.size < ORDERED_SEARCH_MIN_KEYS:
+        return np.searchsorted(keys, queries)
+    return _searchsorted_in_order(keys, queries)
+
+
+def _searchsorted_in_order(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    order = np.argsort(queries)
+    pos = np.empty(queries.size, dtype=np.intp)
+    pos[order] = np.searchsorted(keys, queries[order])
+    return pos
+
+
 def probe_at(keys, values, tombstones, queries, pos):
     """(entry mask, tombstone mask, values) of a query batch in one
     run-layout triple, given each query's lower bound ``pos`` in
     ``keys`` — the membership test that ends every batch probe, a
-    run's (``pos`` from its RMI) and the memtable's (from one
-    ``searchsorted``)."""
+    run's (``pos`` from its RMI) and the memtable's (from
+    :func:`ordered_searchsorted`)."""
     n = keys.size
     if n == 0:
         empty = np.zeros(queries.size, dtype=bool)

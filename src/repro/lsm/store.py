@@ -36,6 +36,18 @@ Durability (PR 6)
 Passing ``path=`` turns the store into a crash-safe database rooted at
 that directory.  The moving parts:
 
+* **The write funnel** — every write call reaches
+  ``LearnedLSMStore._write(kind, keys, values)`` with its keys and
+  values already int64 under the key contract (:class:`KVSurface`), so
+  a call the contract refuses — a ``TypeError`` for a non-integer key
+  or value, an ``OverflowError`` outside int64 — appends nothing.
+  ``_write`` appends one WAL record, which is fsynced before the call
+  returns (``wal_fsync=False`` defers the sync to the next seal or
+  ``close``), then lands the same ``(kind, keys, values)`` in the
+  memtable through :meth:`Memtable.apply
+  <repro.lsm.memtable.Memtable.apply>`, the call WAL replay makes too.
+  Scalar ``insert`` / ``delete`` are its two measured overrides and
+  share its ``_log`` step.
 * **WAL** (:mod:`repro.lsm.wal`) — every write call appends one
   checksummed record and (by default) fsyncs before returning, so a
   write that was acknowledged is a write that survives.  The memtable
@@ -56,14 +68,31 @@ that directory.  The moving parts:
   is idempotent: crashing *during* recovery and recovering again
   reaches the same state.
 
-The fsync-per-batch ack barrier also reframes the PR 4 compaction
-sharp edge: a seal used to cascade synchronous merges indefinitely
-while the caller's acknowledged batch waited.  Durable stores
-therefore run one merge window per seal; the policy's remaining debt
-drains one window per subsequent seal, and :meth:`compact` still
-folds everything.
+The one compaction policy is
+:class:`~repro.lsm.compaction.SizeTieredCompaction`: ``compaction=``
+takes an instance of it (the crash, concurrency and termination tests
+shape run layouts through its ``min_runs`` / ``max_runs``), and
+anything else is a ``TypeError``.  The fsync-per-batch ack barrier
+also reframes the PR 4 compaction sharp edge: a seal used to cascade
+synchronous merges indefinitely while the caller's acknowledged batch
+waited.  Durable stores therefore run one merge window per seal; the
+policy's remaining debt drains one window per subsequent seal, and
+:meth:`compact` still folds everything.
 Memory-only stores keep the unbounded cascade (their seals never hold
 an fsynced ack hostage, and layout-sensitive callers rely on it).
+
+The guarantees are tested, not argued: ``tests/test_crash_recovery.py``
+kills the store at every write / fsync / rename / remove / truncate
+site of a deterministic ``FaultInjectingFilesystem`` sweep (the
+harness is ``tests/fault_injection.py``), under both the "lose" and the
+"keep + torn" loss models, and checks the recovered state against a
+dict oracle — acknowledged writes survive, batches stay atomic,
+tombstones never resurrect, and recovering twice reaches the same
+state (``REPRO_CRASH_FUZZ_STRIDE`` subsamples the sweep).
+``tests/test_durability.py`` holds the per-section corruption matrix
+(a flipped bit is a :class:`~repro.lsm.format.CorruptRunError`, never
+a wrong answer or a silent fall-back to a stale state), round trips
+and the store's lifecycle.
 
 Background compaction + snapshot reads (ISSUE 7)
 ------------------------------------------------
@@ -96,13 +125,22 @@ writer and the compactor freely.  The machinery:
   and its is-oldest (tombstone-GC eligibility) property is stable.
 * **Deferred deletion.**  Superseded runs are retired, and closed +
   unlinked only once their pin count returns to zero — a reader
-  mid-probe never loses its memmap.  Retired files a crash strands
-  are manifest-unreferenced orphans the next recovery sweeps.
+  mid-probe never loses its memmap.  The drain runs after structural
+  transitions, never on a reader thread, so reads stay IO-free; in
+  synchronous single-threaded use every pin is already zero when it
+  runs, so the filesystem-op sequence (and the crash sweep's
+  injection-site schedule) is what it was before snapshots existed.
+  Retired files a crash strands are manifest-unreferenced orphans the
+  next recovery sweeps.
 
 Lock order (outermost first): merge lock (serializes the worker
 against explicit :meth:`compact`) → structure lock (serializes
 manifest-committing transitions: seal vs merge swap) → state lock
-(run-list reads/swaps, pins, retirement, id/sequence counters).
+(run-list reads/swaps, pins, retirement, id/sequence counters).  The
+WAL has its own internal lock.  The fault harness counts injection
+sites thread-safely and makes each simulated filesystem primitive
+atomic, so a crash rollback never undoes an operation a real kernel
+had already made durable.
 """
 
 from __future__ import annotations
@@ -123,7 +161,7 @@ from .faultfs import RealFileSystem
 from .format import CorruptRunError
 from .manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from .memtable import Memtable
-from .run import SortedRun, probe_at
+from .run import SortedRun, ordered_searchsorted, probe_at
 from .wal import RECORD_DELETE, RECORD_PUT, WriteAheadLog
 from .wal import replay as wal_replay
 
@@ -203,7 +241,8 @@ class ReadView:
         self, keys, stats: "LSMReadStats | None" = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(values, found) for a whole key batch — the newest-first
-        walk :meth:`LearnedLSMStore.lookup_batch` documents: memtable,
+        walk :meth:`LearnedLSMStore.lookup_batch` documents: memtable
+        (one search of its sorted keys, :func:`ordered_searchsorted`),
         then per run bloom filter → RMI probe over the queries still
         unresolved — the probe alone where the filter would cost more
         than it (:func:`probes_unguarded`).  ``stats`` receives
@@ -217,7 +256,7 @@ class ReadView:
         if mem_keys.size:
             resolved, dead, vals = probe_at(
                 mem_keys, mem_values, mem_dead, queries,
-                np.searchsorted(mem_keys, queries),
+                ordered_searchsorted(mem_keys, queries),
             )
             found = resolved & ~dead
             np.copyto(values, vals, where=found)

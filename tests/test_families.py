@@ -43,6 +43,13 @@ def key_regimes():
 REGIMES = dict(key_regimes())
 
 
+def skewed_column(seed: int) -> np.ndarray:
+    """~120k unique keys of the benchmark's lognormal column (σ = 2):
+    one line over its CDF misses by about a quarter of the keys."""
+    draws = np.random.default_rng(seed).normal(0.0, 2.0, 120_000)
+    return np.unique((np.exp(draws) * 1e7).astype(np.int64))
+
+
 # -- the shared ε-segmentation fitter ------------------------------------------
 
 class TestEpsilonSegmentInvariants:
@@ -98,6 +105,37 @@ class TestEpsilonSegmentInvariants:
         distinct = np.unique(keys_f).size
         assert seg.rounds <= int(np.ceil(np.log2(max(distinct, 2)))) + 2, (
             regime, seg.rounds,
+        )
+
+    @pytest.mark.parametrize("fit", ["least_squares", "endpoint"])
+    @pytest.mark.parametrize("eps", [4, 16, 32])
+    def test_skewed_column_is_not_cut_apart(self, fit, eps):
+        """A first split into ``ceil(max_abs / ε)`` chunks would cut a
+        skewed column into single keys.  It must come out at no more
+        than one segment per ε keys, within the bound, in a logarithmic
+        number of rounds."""
+        keys_f = skewed_column(0xFA2).astype(np.float64)
+        n = keys_f.size
+        seg = epsilon_segment(keys_f, positions_for_keys(n), eps, fit=fit)
+        assert seg.segment_count <= n // eps, (fit, eps, seg.segment_count)
+        assert seg.rounds <= int(np.ceil(np.log2(n))) + 2
+        counts = np.diff(seg.boundaries)
+        terms = np.repeat(seg.slopes, counts) * keys_f
+        intercepts = np.repeat(seg.intercepts, counts)
+        resid = np.abs(terms + intercepts - np.arange(n))
+        tol = 4.0 * np.spacing(
+            np.maximum(np.maximum(np.abs(terms), np.abs(intercepts)), 1.0)
+        )
+        assert np.all(resid <= eps + tol)
+
+    @pytest.mark.parametrize("family", [PGMIndex, RadixSplineIndex])
+    def test_skewed_column_keeps_default_epsilon_segments_few(self, family):
+        keys = skewed_column(0xFA3)
+        index = family(keys)
+        assert index.segment_count <= keys.size // 16
+        queries = np.concatenate([keys[::7], keys[::11] + 1])
+        np.testing.assert_array_equal(
+            index.lookup_batch(queries), np.searchsorted(keys, queries)
         )
 
     def test_rejects_epsilon_below_one(self):

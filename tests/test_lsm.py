@@ -10,6 +10,7 @@ from repro.lsm import (
     SortedRun,
     merge_runs,
 )
+from repro.lsm.run import ORDERED_SEARCH_MIN_KEYS
 from repro.range_scan import RangeScanResult, merge_scan_results
 
 
@@ -484,6 +485,108 @@ class TestLearnedLSMStore:
         assert store.range_query(0, 10).size == 0
         result = store.range_query_batch([0], [10])
         assert len(result) == 1 and result.total == 0
+
+
+# -- the batch read walk on a fixed history -----------------------------------
+
+def _walked_store():
+    """``(store, dict replay, query pool)`` after one fixed history on
+    a memory-only synchronous store: a bulk load, three sealed insert
+    batches that a merge folds, deletes sealed over them, then puts
+    and tombstones left in the memtable over keys of every run.  The
+    pool holds memtable puts and tombstones, run keys, deleted run
+    keys, absent keys inside the key range and keys outside it."""
+    rng = np.random.default_rng(0x5EA1)
+    base = np.arange(0, 400_000, 8, dtype=np.int64)
+    store = LearnedLSMStore(
+        base, memtable_capacity=1 << 20,
+        compaction=SizeTieredCompaction(min_runs=3), background=False,
+    )
+    oracle = dict(zip(base.tolist(), base.tolist()))
+
+    def insert(keys):
+        values = rng.integers(0, 10**9, keys.size)
+        store.insert_batch(keys, values)
+        oracle.update(zip(keys.tolist(), values.tolist()))
+
+    def delete(keys):
+        store.delete_batch(keys)
+        for key in keys.tolist():
+            oracle.pop(key, None)
+
+    for _ in range(3):
+        insert(rng.integers(0, 400_000, 4_096))
+        store.flush()
+    assert store.num_runs == 2 and store.write_stats.compactions == 1
+    delete(rng.choice(base, 1_500, replace=False))
+    store.flush()
+    insert(rng.integers(0, 400_000, 2_000))
+    delete(rng.choice(base, 500, replace=False))
+    delete(rng.integers(0, 400_000, 300))
+    assert store.num_runs == 3 and len(store.memtable) > 2_000
+    mem_keys, _, mem_dead = store.memtable.entries()
+    pool = np.concatenate([
+        mem_keys[~mem_dead], mem_keys[mem_dead],
+        rng.choice(base, 2_000), rng.integers(0, 400_000, 2_000),
+        [-(2**63), -1, 400_001, 2**40, 2**63 - 1],
+    ])
+    return store, oracle, pool
+
+
+def _replay(oracle, queries):
+    values = [oracle.get(q) for q in queries.tolist()]
+    found = np.array([v is not None for v in values], dtype=bool)
+    return np.array([v or 0 for v in values], dtype=np.int64), found
+
+
+class TestBatchReadWalk:
+    #: The read accounting of the fixed history's 64-, 1 024- and
+    #: 4 096-key reads, field by field in ``LSMReadStats._FIELDS``
+    #: order.  A change to how the walk searches a source must leave
+    #: every count as it is.
+    PINNED = {
+        64: (64, 19, 133, 0, 0, 133),
+        1_024: (1_024, 412, 348, 5, 1_436, 0),
+        4_096: (4_096, 1_683, 1_464, 48, 5_647, 0),
+    }
+
+    def test_read_accounting_is_pinned(self):
+        store, oracle, pool = _walked_store()
+        rng = np.random.default_rng(0x5EA2)
+        stats = store.read_stats
+        for size, expected in self.PINNED.items():
+            queries = rng.choice(pool, size)
+            stats.reset()
+            values, found = store.lookup_batch(queries)
+            want_values, want_found = _replay(oracle, queries)
+            np.testing.assert_array_equal(found, want_found)
+            np.testing.assert_array_equal(values, want_values)
+            got = tuple(getattr(stats, field) for field in stats._FIELDS)
+            assert got == expected, (size, got)
+
+    @pytest.mark.parametrize(
+        "size",
+        [ORDERED_SEARCH_MIN_KEYS - 1, ORDERED_SEARCH_MIN_KEYS,
+         4 * ORDERED_SEARCH_MIN_KEYS],
+    )
+    def test_batch_reads_match_the_dict_replay(self, size):
+        """Either side of the size the memtable search starts sorting
+        its queries at: duplicate queries, tombstoned keys, keys outside
+        the memtable's range, and the same reads once the memtable is
+        sealed and empty."""
+        store, oracle, pool = _walked_store()
+        rng = np.random.default_rng(size)
+        queries = rng.choice(pool, size)
+        quarter = size // 4
+        queries[:quarter] = queries[quarter: 2 * quarter]
+        assert np.unique(queries).size < size
+        for _ in range(2):
+            values, found = store.lookup_batch(queries)
+            want_values, want_found = _replay(oracle, queries)
+            np.testing.assert_array_equal(found, want_found)
+            np.testing.assert_array_equal(values, want_values)
+            store.flush()
+            assert len(store.memtable) == 0
 
 
 # -- the multi-source merge helper ---------------------------------------------

@@ -415,6 +415,18 @@ def sets(call: ast.Call, option: str, index: int | None, named: set) -> bool:
 
 
 def test_every_keyword_option_is_set():
+    """Every defaulted keyword option of an exported function,
+    constructor or public method is set by some call, tests included.
+
+    A call is matched to a definition by the callee's *name* as the
+    call spells it (``f(...)``, ``obj.f(...)``, ``Cls(...)``).  So an
+    option set only through an alias reads as unset: a loop variable
+    bound to the class (``for family in (PGMIndex, ...): family(k,
+    epsilon=4)``), a parametrized class or factory fixture, or a
+    lambda or dict of factories that calls it.  Such an option needs a
+    call by its own name somewhere, or a :data:`SAFETY_SEAMS` entry;
+    aliases are not resolved.
+    """
     trees = dict(parsed())
     trees.update(
         (path, ast.parse(path.read_text(), filename=str(path)))
