@@ -63,7 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..util import as_int64_key, as_int64_keys, scalar_view
+from ..util import as_int64_key, as_int64_keys, newest_per_key, scalar_view
 from .rmi import RecursiveModelIndex
 
 __all__ = ["WritableLearnedIndex"]
@@ -134,13 +134,15 @@ class WritableLearnedIndex:
 
         Semantically a loop of :meth:`insert` — tombstoned keys are
         resurrected, keys already in the main index or the delta are
-        no-ops — but executed as sort + dedup (``np.unique``), one
-        ``contains_batch`` membership probe against the main index, and
-        one set update into the delta.  At most one merge fires, after
-        the whole batch lands, so bulk loads pay one retrain instead of
-        one per ``merge_threshold`` keys.
+        no-ops — but executed as sort + dedup (a neighbour compare,
+        :func:`~repro.util.newest_per_key`), one ``contains_batch``
+        membership probe against the main index, and one set update
+        into the delta.  At most one merge fires, after the whole batch
+        lands, so bulk loads pay one retrain instead of one per
+        ``merge_threshold`` keys.
         """
-        batch = np.unique(as_int64_keys(keys))
+        batch = as_int64_keys(keys)
+        batch = batch[newest_per_key(batch)]
         if batch.size == 0:
             return
         if self._dead:

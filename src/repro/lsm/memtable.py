@@ -1,56 +1,48 @@
 """Sorted in-memory write buffer with tombstones (Appendix D.1).
 
-The paper's insert story is LSM-flavoured: "all inserts are kept in
-buffer and from time to time merged with a potential retraining of the
-model.  This approach is already widely used, for example in Bigtable."
-The *buffer* half of that sentence lives here: the tiered
-:class:`repro.lsm.store.LearnedLSMStore` writes into one
-:class:`Memtable` and seals it into an immutable
-:class:`~repro.lsm.run.SortedRun` behind older ones.
+The paper's insert story: "all inserts are kept in buffer and from
+time to time merged with a potential retraining of the model."  The
+*buffer* is a :class:`Memtable`: the
+:class:`repro.lsm.store.LearnedLSMStore` writes into one and seals it
+into an immutable :class:`~repro.lsm.run.SortedRun` behind older ones.
 
-A :class:`Memtable` holds two disjoint pieces of state:
+It holds three segments, oldest first: the *layout* (the sorted
+``(keys, values, tombstone mask)`` triple a run stores, tombstones as
+entries of value :data:`TOMBSTONE_VALUE`), the *records* (an owned
+copy of each batch write since, in write order) and the *scalar
+segment* (a dict of the scalar ``put`` / ``delete`` calls since the
+last batch, ``None`` for a tombstone, folded into a record when the
+next batch arrives, so write order holds).
 
-* **puts** — ``key -> value`` for keys written since the last seal
-  (dict-backed, so the write path is O(1) per key and a bulk put is
-  one C-level ``dict.update``);
-* **tombstones** — keys deleted since the last seal.  A put and a
-  tombstone for the same key never coexist: whichever lands last wins.
+Cost model: a batch write (:meth:`put_batch`, :meth:`delete_batch`,
+:meth:`apply`, so WAL replay too) is one copy and one list append, O(1)
+Python; a scalar write is one dict store.  The first read after a burst
+of writes builds the layout once: one ``argsort`` of the records, then
+a linear merge into the old layout, newest entry per key
+(:func:`repro.util.newest_per_key`).  :meth:`entries` returns it and a
+seal writes it as it is.  A scalar :meth:`probe` reads the dict, then
+the layout by ``searchsorted``: scalar writes never force a rebuild.
+``len()`` is exact (it builds); the seal check reads :meth:`len_bound`
+first.  Writes take keys through the key contract
+(:func:`repro.util.as_int64_keys`; a refused call buffers nothing).
 
-It hands out one layout, the run layout: :meth:`entries` is the
-sorted ``(keys, values, tombstone mask)`` triple a
-:class:`~repro.lsm.run.SortedRun` stores, tombstones interleaved as
-entries with value :data:`TOMBSTONE_VALUE` and a set mask bit.  Reads
-probe it as the newest source and a seal writes it as it is.  It
-materializes lazily (one ``np.argsort`` per burst of writes) and is
-cached until the next write, so scalar probes stay O(1) dict and set
-hits and a batch probe one search of its keys
-(:func:`repro.lsm.run.ordered_searchsorted`, with the queries in
-sorted order from 128 on), without a per-insert sort.
-
-Every write takes its keys through the key contract
-(:func:`repro.util.as_int64_keys`): a non-integer is a ``TypeError``,
-a key outside int64 an ``OverflowError``, and a refused call buffers
-nothing.
-
-Concurrency: the LSM store serves reads from reader threads while a
-single writer mutates the buffer, so the lazy materialization and
-every bulk mutation run under one internal lock.  Without it, two
-readers racing into :meth:`entries` (or a reader racing a writer's
-``dict.update``) could iterate a dict that changes size mid-
-``np.fromiter`` — a crash, not just a stale answer.  :meth:`probe`
-stays lock-free: each dict or set probe is a single atomic C-level
-operation, and a concurrent reader is entitled to either the before or
-the after state.  The materialized triple is immutable once built and
-swapped in atomically, so readers share it without copying.
+Concurrency: one writer, any number of readers.  Writes, folds and
+builds run under one lock; reads go lock-free while nothing is pending,
+as the published triple is immutable and swapped in whole.  A fold
+appends its record before it swaps the dict out, and a build publishes
+the new layout before it drops the records, so a lock-free
+:meth:`probe` that misses the dict finds the entry in a pending record
+(and builds) or in the layout.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
 import numpy as np
 
-from ..util import as_int64_keys, as_int64_pairs
+from ..util import as_int64_keys, as_int64_pairs, newest_per_key
 from .wal import RECORD_PUT
 
 __all__ = ["Memtable"]
@@ -59,73 +51,60 @@ __all__ = ["Memtable"]
 TOMBSTONE_VALUE = 0
 
 
+def _newest(parts, kind: str):
+    """Newest entry per key over ``(keys, values, dead)`` parts, oldest
+    first: the sorted triple, then memoryviews of it for scalar probes."""
+    keys = np.concatenate([p[0] for p in parts])
+    values, dead = (
+        np.concatenate([np.broadcast_to(p[i], p[0].shape) for p in parts])
+        for i in (1, 2)
+    )
+    pick = newest_per_key(keys, kind)
+    triple = keys[pick], values[pick], dead[pick]
+    return (*triple, *map(memoryview, triple))
+
+
+_EMPTY = _newest([(np.empty(0, np.int64), 0, False)], "stable")
+_ABSENT = object()
+
+
 class Memtable:
-    """Write buffer: dict puts + tombstone set + one lazy sorted view."""
+    """Write buffer: sorted layout + batch records + scalar dict."""
 
     def __init__(self):
-        self._puts: dict[int, int] = {}
-        self._tombstones: set[int] = set()
-        self._entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        #: Serializes mutation against lazy materialization; reads of
-        #: the already-materialized triple are lock-free (it is swapped
-        #: in atomically and never mutated in place).
         self._lock = threading.Lock()
+        self.clear()
 
     # -- mutation ------------------------------------------------------------
 
     def put(self, key: int, value: int) -> None:
         """Write ``key -> value``; overrides any earlier tombstone."""
         with self._lock:
-            self._tombstones.discard(key)
-            self._puts[key] = value
+            self._scalar[key] = value
             self._entries = None
 
     def put_batch(self, keys, values) -> None:
-        """Bulk :meth:`put`: one tombstone sweep + one dict update.
-
-        Later duplicates in the batch win, exactly like a put loop.
-        """
+        """Bulk :meth:`put`: later duplicates in the batch win, exactly
+        like a put loop."""
         keys, values = as_int64_pairs(keys, values)
-        if keys.size == 0:
-            return
-        items = keys.tolist()
-        with self._lock:
-            if self._tombstones:
-                self._tombstones.difference_update(items)
-            self._puts.update(zip(items, values.tolist()))
-            self._entries = None
+        if keys.size:
+            self._append(keys.copy(), values.copy(), False)
 
     def delete(self, key: int) -> None:
-        """Blind LSM delete: drop any buffered put, record a tombstone.
-
-        No read is performed — the tombstone shadows older runs whether
-        or not they hold the key (resolved at compaction time).
-        """
+        """Blind LSM delete: a tombstone shadows older runs whether or
+        not they hold the key (resolved at compaction time)."""
         with self._lock:
-            self._puts.pop(key, None)
-            self._tombstones.add(key)
+            self._scalar[key] = None
             self._entries = None
 
     def delete_batch(self, keys) -> None:
-        """Bulk :meth:`delete`: one dict sweep + one set update.
-
-        Order within the batch is irrelevant (every entry becomes a
-        tombstone), and like the scalar form it is blind — no read.
-        """
+        """Bulk :meth:`delete`: every entry becomes a tombstone."""
         keys = as_int64_keys(keys)
-        if keys.size == 0:
-            return
-        items = keys.tolist()
-        with self._lock:
-            pop = self._puts.pop
-            for key in items:
-                pop(key, None)
-            self._tombstones.update(items)
-            self._entries = None
+        if keys.size:
+            self._append(keys.copy(), TOMBSTONE_VALUE, True)
 
     def apply(self, kind: int, keys: np.ndarray, values=None) -> None:
-        """Land one ``(kind, keys, values)`` write record — a live
-        store call and a replayed WAL record alike."""
+        """Land one write record: a live store call or a WAL replay."""
         if kind == RECORD_PUT:
             self.put_batch(keys, values)
         else:
@@ -133,68 +112,88 @@ class Memtable:
 
     def clear(self) -> None:
         with self._lock:
-            self._puts.clear()
-            self._tombstones.clear()
+            self._scalar: dict = {}
+            self._records: list = []
+            self._pending = 0  # keys across the records
+            self._layout, self._entries = _EMPTY, _EMPTY[:3]
+
+    def _append(self, keys, values, dead) -> None:
+        with self._lock:
+            self._fold_scalar()
+            self._records.append((keys, values, dead))
+            self._pending += keys.size
             self._entries = None
+
+    def _fold_scalar(self) -> None:
+        """Move the scalar segment into a record (lock held)."""
+        scalar = self._scalar
+        if scalar:
+            keys = np.array(list(scalar), dtype=np.int64)
+            dead = np.array([v is None for v in scalar.values()], bool)
+            # ``None or 0`` is the tombstone's value, TOMBSTONE_VALUE.
+            values = np.array([v or 0 for v in scalar.values()], np.int64)
+            self._records.append((keys, values, dead))
+            self._pending += keys.size
+            self._scalar = {}
+
+    def _settle(self, fold: bool) -> None:
+        """Build the layout from the last one plus every record (lock
+        held); with ``fold``, the scalar segment first."""
+        if fold:
+            self._fold_scalar()
+        if self._records:
+            # Sort the records alone, then merge them into the layout:
+            # a stable sort merges two sorted runs in linear time.
+            layout = _newest(self._records, "quicksort")
+            if self._layout[0].size:
+                layout = _newest([self._layout, layout], "stable")
+            self._layout = layout  # before the records go: see above
+            self._records, self._pending = [], 0
+        if not self._scalar:
+            self._entries = self._layout[:3]
 
     # -- reads -----------------------------------------------------------------
 
     def probe(self, key) -> tuple[bool, bool, int]:
         """(entry present, entry is tombstone, value) — shaped like
-        :meth:`SortedRun.probe <repro.lsm.run.SortedRun.probe>`.
-
-        The tombstone set is checked first; a put that vanishes between
-        the two checks (a racing seal) reads absent, and the run the
-        seal published answers instead.
-        """
-        if key in self._tombstones:
-            return True, True, TOMBSTONE_VALUE
-        value = self._puts.get(key)
-        if value is None:
-            return False, False, 0
-        return True, False, value
+        :meth:`SortedRun.probe <repro.lsm.run.SortedRun.probe>`."""
+        value = self._scalar.get(key, _ABSENT)
+        if value is not _ABSENT:
+            return True, value is None, value or TOMBSTONE_VALUE
+        if self._records:
+            with self._lock:
+                self._settle(fold=False)
+        _, _, _, keys, values, dead = self._layout  # after the records
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return True, dead[i], values[i]
+        return False, False, 0
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, values, tombstone mask) over *all* entries, sorted —
-        the run layout, and one atomic triple: a reader never pairs
-        arrays from two different generations."""
-        # Double-checked: the common case (cache warm) reads one
-        # attribute lock-free — the triple is immutable once published.
+        """(keys, values, tombstone mask) over *all* entries, sorted: the
+        run layout, one atomic triple (never arrays of two generations)."""
         cached = self._entries
         if cached is not None:
             return cached
         with self._lock:
-            cached = self._entries
-            if cached is None:
-                puts, tombs = len(self._puts), len(self._tombstones)
-                keys = np.empty(puts + tombs, dtype=np.int64)
-                values = np.full(puts + tombs, TOMBSTONE_VALUE, np.int64)
-                dead = np.zeros(puts + tombs, dtype=bool)
-                keys[:puts] = np.fromiter(self._puts, np.int64, count=puts)
-                values[:puts] = np.fromiter(
-                    self._puts.values(), np.int64, count=puts
-                )
-                keys[puts:] = np.fromiter(self._tombstones, np.int64, tombs)
-                dead[puts:] = True
-                # Puts and tombstones are disjoint: the keys are unique.
-                order = np.argsort(keys)
-                cached = (keys[order], values[order], dead[order])
-                self._entries = cached
-        return cached
+            self._settle(fold=True)
+            return self._entries
 
     # -- accounting ------------------------------------------------------------
 
     def __len__(self) -> int:
-        """Total buffered entries (puts + tombstones) — what a seal
-        writes, and what capacity policies meter."""
-        return len(self._puts) + len(self._tombstones)
+        """Distinct buffered keys, puts and tombstones: what a seal writes."""
+        return self.entries()[0].size
+
+    def len_bound(self) -> int:
+        """An upper bound on ``len()`` that builds nothing: exact until
+        a write repeats a buffered key."""
+        return self._layout[0].size + self._pending + len(self._scalar)
 
     def size_bytes(self) -> int:
         """Approximate buffered payload: 16B per put, 8B per tombstone."""
-        return len(self._puts) * 16 + len(self._tombstones) * 8
+        return len(self) * 16 - int(np.count_nonzero(self.entries()[2])) * 8
 
     def __repr__(self) -> str:
-        return (
-            f"Memtable(puts={len(self._puts)}, "
-            f"tombstones={len(self._tombstones)})"
-        )
+        dead = int(np.count_nonzero(self.entries()[2]))
+        return f"Memtable(puts={len(self) - dead}, tombstones={dead})"

@@ -155,7 +155,10 @@ from ..core.engine import SortedKeyColumn
 from ..obs import MetricsRegistry, StatsView, counter_field
 from ..obs import span as obs_span
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
-from ..util import as_int64_key, as_int64_keys, as_int64_pairs, range_endpoints
+from ..util import (
+    as_int64_key, as_int64_keys, as_int64_pairs, newest_per_key,
+    range_endpoints,
+)
 from .compaction import SizeTieredCompaction, merge_runs, newest_versions
 from .faultfs import RealFileSystem
 from .format import CorruptRunError
@@ -773,8 +776,8 @@ class LearnedLSMStore(KVSurface):
             keys, vals = as_int64_pairs(keys, values)
             if keys.size:
                 # Last value wins on duplicate keys, like a put loop.
-                uniq, last = np.unique(keys[::-1], return_index=True)
-                bulk = (uniq, vals[::-1][last])
+                pick = newest_per_key(keys)
+                bulk = (keys[pick], vals[pick])
 
         if self.path is None:
             if filesystem is not None:
@@ -1009,8 +1012,12 @@ class LearnedLSMStore(KVSurface):
             self._wal.append(kind, keys, values)
 
     # ``insert`` / ``delete`` override the inherited one-element batch,
-    # a measured fork: a scalar dict put is 1.2-1.5 us against 2.8-3.7
-    # through ``_write`` memory-only, 6.2 against 7.7 durable unsynced.
+    # a measured fork: a scalar insert is 1.5-2.4 us against 5.2-7.1 for
+    # ``insert_batch([k])`` memory-only, 7.5-9.5 against 11-13 durable
+    # unsynced (medians of 7 passes of 2 000 keys into a 200k-key store,
+    # three processes; 2-vCPU Xeon, Python 3.11, NumPy 2.4).  It also
+    # lands in the memtable's dict, so a scalar read after it builds
+    # nothing, where a one-key batch record makes that read sort.
 
     def insert(self, key: int, value: int | None = None) -> None:
         """Write ``key -> value`` (value defaults to the key)."""
@@ -1035,7 +1042,10 @@ class LearnedLSMStore(KVSurface):
         self._maybe_seal()
 
     def _maybe_seal(self) -> None:
-        if len(self.memtable) >= self.memtable_capacity:
+        # The bound costs nothing; the exact count builds the layout,
+        # which only a write that may fill the memtable pays.
+        memtable, capacity = self.memtable, self.memtable_capacity
+        if memtable.len_bound() >= capacity and len(memtable) >= capacity:
             self.flush()
 
     def flush(self) -> None:
@@ -1059,9 +1069,9 @@ class LearnedLSMStore(KVSurface):
         """
         self._ensure_open()
         with self._structure_lock:
-            if len(self.memtable) == 0:
-                return
             keys, values, dead = self.memtable.entries()
+            if keys.size == 0:
+                return
             if not self.runs and dead.any():
                 # Nothing older to shadow: garbage-collect immediately.
                 live = ~dead

@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "scalar_view", "clamp_into",
     "as_int64_key", "as_int64_keys", "as_int64_pairs", "range_endpoints",
+    "newest_per_key",
 ]
 
 _VIEWABLE = {
@@ -130,6 +131,25 @@ def as_int64_pairs(keys, values=None) -> tuple[np.ndarray, np.ndarray]:
     if values.size != keys.size:
         raise ValueError("keys and values must have the same length")
     return keys, values
+
+
+def newest_per_key(keys: np.ndarray, kind: str = "quicksort") -> np.ndarray:
+    """Indices of the last entry of every distinct key in ``keys``, in
+    key order: what survives a put loop over ``keys`` in array order.
+
+    One ``argsort`` (of ``kind``: ``"stable"`` merges presorted runs in
+    linear time) plus a neighbour compare; a key group's newest entry
+    is its largest original index (``np.maximum.reduceat``), a step
+    skipped when no key repeats.  Several times cheaper than
+    ``np.unique`` on unsorted int64 keys.
+    """
+    order = np.argsort(keys, kind=kind)
+    sorted_keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    if first.all():
+        return order
+    return np.maximum.reduceat(order, np.flatnonzero(first))
 
 
 def range_endpoints(lows, highs) -> tuple[np.ndarray, np.ndarray]:

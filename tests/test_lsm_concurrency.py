@@ -3,11 +3,12 @@
 Three layers of assurance for the repo's first threads:
 
 * **Stress** — the races the thread-safety audit fixed, amplified with
-  a tiny interpreter switch interval so the *unfixed* code fails here
-  (``Memtable.entries`` iterating a dict a writer mutates raises
-  ``RuntimeError``/``ValueError``; unsynchronized ``+=`` on the stats
-  counters loses increments).  Run under ``PYTHONDEVMODE=1`` in the CI
-  stress lane.
+  a tiny interpreter switch interval so broken code fails here: a
+  memtable layout build racing the writer's record appends and
+  scalar-segment folds (a torn triple, or a lock-free ``probe`` that
+  misses an acknowledged write), and unsynchronized ``+=`` on the
+  stats counters losing increments.  Run under ``PYTHONDEVMODE=1`` in
+  the CI stress lane.
 * **Differential oracle** — reader threads issuing ``lookup_batch`` /
   ``range_items_batch`` *while* the writer seals and the background
   worker merges, checked against a dict oracle.  Racing reads cannot
@@ -74,11 +75,11 @@ def _run_threads(workers):
 
 
 class TestStress:
-    def test_materialize_survives_concurrent_mutation(self, fast_switching):
-        """Readers materializing sorted views while a writer mutates
-        the dicts.  Unfixed, ``np.fromiter`` / set iteration race the
-        ``dict.update`` / ``pop`` and raise (``dictionary changed size
-        during iteration``, ``iterator too short``)."""
+    def test_layout_build_races_appends_and_folds(self, fast_switching):
+        """Readers building the run layout while the writer appends
+        batch records and folds its scalar segment into one: every
+        triple a reader gets is whole (sorted, unique, parallel, each
+        value one its key was written with)."""
         mem = Memtable()
         stop = threading.Event()
         rng = np.random.default_rng(7)
@@ -88,6 +89,9 @@ class TestStress:
                 for i in range(400):
                     keys = rng.integers(0, 5_000, 64).astype(np.int64)
                     mem.put_batch(keys, keys * 2)
+                    for key in keys[:4].tolist():
+                        mem.put(key, key * 2)
+                    mem.delete(int(keys[4]))
                     mem.delete_batch(keys[::3])
                     if i % 50 == 0:
                         mem.clear()
@@ -101,8 +105,52 @@ class TestStress:
                 if keys.size > 1:
                     assert (np.diff(keys) > 0).all()
                 assert not values[dead].any()
+                np.testing.assert_array_equal(values[~dead], keys[~dead] * 2)
 
         _run_threads([writer, reader, reader, reader])
+
+    def test_scalar_probe_sees_every_acknowledged_write(
+        self, fast_switching
+    ):
+        """A lock-free scalar ``probe`` racing layout builds (its own
+        and other readers' ``entries``) and the writer's folds: a key
+        whose write returned before the probe began must be found,
+        whichever segment — dict, pending record or layout — holds it."""
+        mem = Memtable()
+        acked = [0]  # keys below this were all written, and returned
+        stop = threading.Event()
+
+        def writer():
+            try:
+                for base in range(0, 24_000, 48):
+                    keys = np.arange(base, base + 40, dtype=np.int64)
+                    mem.put_batch(keys, keys * 2)
+                    for key in range(base + 40, base + 48):
+                        mem.put(key, key * 2)
+                    acked[0] = base + 48
+            finally:
+                stop.set()
+
+        def prober(seed):
+            def run():
+                rng = np.random.default_rng(seed)
+                while not stop.is_set():
+                    top = acked[0]
+                    if top == 0:
+                        continue
+                    for key in (top - 1, top - 9, int(rng.integers(top))):
+                        if key >= 0:
+                            assert mem.probe(key) == (True, False, key * 2)
+            return run
+
+        def builder():
+            while not stop.is_set():
+                top = acked[0]
+                keys = mem.entries()[0]
+                assert keys.size >= top
+                np.testing.assert_array_equal(keys[:top], np.arange(top))
+
+        _run_threads([writer, prober(1), prober(2), builder])
 
     def test_read_stats_exact_under_concurrent_lookups(
         self, fast_switching
