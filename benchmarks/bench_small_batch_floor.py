@@ -44,6 +44,14 @@ is both the guard on that choice and the source of its constants:
   512 to 1M keys, and prints the call size at which ordering becomes
   the cheaper side — what ``repro.lsm.run.ORDERED_SEARCH_MIN_KEYS``
   (the LSM memtable's batch search) is set from;
+* the **packed-order scan** times the two ways
+  ``repro.util.sorted_order`` orders a batch of integers — ``argsort``
+  plus the gather of the sorted values, and one ``np.sort`` of the
+  values packed with their positions — at 128 to 1M keys, on uniform
+  and zipf-hot batches, and prints the size at which packing becomes
+  the cheaper side — what ``repro.util.PACKED_ORDER_MIN_KEYS`` (the
+  engine's sorted path, the memtable's record sort, ordered memtable
+  searches) is set from;
 * the **slice-copy scan** times range assembly's ways to read a
   slice — a block copy per slice, one gather over a call's slices —
   on a 1M-key column: once over the slice length (what
@@ -77,6 +85,7 @@ from repro.range_scan import (
     _copy_slices,
     _gather_slices,
 )
+from repro.util import PACKED_ORDER_MIN_KEYS, _packed_order
 
 from conftest import console, show_table
 
@@ -411,6 +420,59 @@ def test_needle_order_scan_behind_the_memtable_search():
     console(
         "[small-batch floor] set ORDERED_SEARCH_MIN_KEYS (repro.lsm.run) "
         "to the power of two at or above the largest 'crossover' value"
+    )
+
+
+def _argsort_and_gather(values):
+    order = np.argsort(values)
+    return values[order], order
+
+
+def test_packed_order_scan_behind_sorted_order():
+    rng = np.random.default_rng(8018)
+    sizes = [1 << e for e in range(7, 21)]
+    pool = uniform_keys(1 << 20, seed=7)
+    inputs = {
+        "uniform": lambda n: rng.integers(0, 2**40, n),
+        # a few thousand hot keys of a 1M-key pool, as zipf-hot calls
+        # on the benchmark's lognormal_zipf workload draw them
+        "zipf-hot": lambda n: pool[
+            np.minimum(rng.zipf(1.3, n), pool.size) - 1
+        ],
+    }
+    table = Table(
+        "Packed-order scan: argsort + gather time / packed np.sort time, "
+        "paired, per batch (above 1 packing pays)",
+        ["batch"] + [str(n) for n in sizes] + ["crossover", "shipped"],
+    )
+    ratios = {}
+    for name, draw in inputs.items():
+        row = []
+        for n in sizes:
+            calls = [draw(n) for _ in range(max(4, min(64, (1 << 20) // n)))]
+            for values in calls[:2]:
+                ordered, order = _packed_order(values)
+                assert np.array_equal(order, np.argsort(values, kind="stable"))
+                assert np.array_equal(ordered, np.sort(values))
+            row.append(_paired(_packed_order, _argsort_and_gather, calls)[2])
+        ratios[name] = row
+        table.add_row(
+            name, *[f"{r:.2f}" for r in row], _crossover(sizes, row),
+            PACKED_ORDER_MIN_KEYS,
+        )
+    show_table(table)
+    # The shipped constant brackets the crossover: a batch a quarter of
+    # it is the argsort's on both inputs, one four times it packing's
+    # with headroom.
+    quarter = sizes.index(PACKED_ORDER_MIN_KEYS // 4)
+    four = sizes.index(PACKED_ORDER_MIN_KEYS * 4)
+    early = {k: r[quarter] for k, r in ratios.items() if r[quarter] >= 1.0}
+    assert not early, f"packing pays below a quarter of the constant: {early}"
+    short = {k: r[four] for k, r in ratios.items() if r[four] < HEADROOM}
+    assert not short, f"packing does not pay at 4x the constant: {short}"
+    console(
+        "[small-batch floor] set PACKED_ORDER_MIN_KEYS (repro.util) to the "
+        "power of two at or above the larger 'crossover' value"
     )
 
 

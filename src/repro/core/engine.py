@@ -35,7 +35,9 @@ at:
   index reduces to (slopes, intercepts, error-bound window offsets,
   window clamp) plus the batch point engine built on them: route →
   window → fixed-round bounded search → boundary-only verification →
-  scalar exponential fix-up, and the sorted-batch dedup fast path.
+  scalar exponential fix-up, and the sorted-batch dedup fast path
+  (one packed ``np.sort`` of the batch, :func:`repro.util.sorted_order`,
+  the engine on the distinct values, one scatter back).
 
 Dtype contract
 --------------
@@ -92,7 +94,7 @@ import numpy as np
 from ..btree.search_baselines import exponential_search
 from ..obs import default_registry
 from ..obs import state as obs_state
-from ..util import clamp_into, scalar_view
+from ..util import clamp_into, scalar_view, sorted_order
 from .search import vectorized_bounded_search, verify_lower_bound_batch
 
 __all__ = [
@@ -113,11 +115,14 @@ __all__ = [
 ]
 
 #: Minimum batch size before the engine even *considers* the sorted
-#: fast path (sort + dedup + engine on unique queries + inverse
-#: scatter).  Size alone is not sufficient: the argsort inside
-#: ``np.unique`` costs ~40ns/query, about half of what the engine
-#: spends per query, so sorting only pays when deduplication removes
-#: at least ~half the batch.  Above this size the heuristic therefore
+#: fast path (one packed sort, :func:`repro.util.sorted_order` + a
+#: neighbour compare + engine on the distinct queries + one scatter).
+#: Size alone is not sufficient: ordering and scattering cost
+#: ~15-20ns/query, a quarter of what the engine spends per query, so on
+#: a batch with no duplicates the unsorted engine still wins (66 against
+#: 84 ns/key, 100k uniform queries on a 1M-key RMI; a zipf-hot batch of
+#: ~8k distinct values takes 27 on the sorted path against 66; 2-vCPU
+#: Xeon, NumPy 2.4).  Above this size the heuristic therefore
 #: probes a fixed-seed random sample of :data:`DUP_SAMPLE` queries for
 #: duplicate density
 #: (:data:`SORTED_BATCH_MIN_DUP_FRACTION`, estimation details in
@@ -128,10 +133,12 @@ __all__ = [
 SORTED_BATCH_THRESHOLD = 32_768
 
 #: Estimated fraction of the batch that must be duplicates before the
-#: sorted path is chosen automatically (see above).  The estimate is
-#: noisy near the boundary, but so are the stakes: between ~30% and
-#: ~60% duplicates the sorted and unsorted paths are within ~15% of
-#: each other either way.
+#: sorted path is chosen automatically (see above).  With ordering at
+#: ~18 of the engine's ~66 ns/query the paths break even near 30%
+#: duplicates, so between that and this bound the unsorted engine runs
+#: up to ~30% slower than the sorted path would; a zipf-hot batch
+#: (~90% duplicates) is far above it, and the estimate is noisy near
+#: any bound.  No scan has set it for the packed sort yet.
 SORTED_BATCH_MIN_DUP_FRACTION = 0.5
 
 #: Queries :func:`batch_dup_fraction` draws to estimate a batch's
@@ -883,18 +890,19 @@ class CompiledPlan:
     ) -> np.ndarray:
         """Lower-bound positions for a prepared batch.
 
-        ``sort`` controls the sorted-batch fast path: sort + dedup the
-        compare values in one ``np.unique(return_inverse=True)`` pass,
-        run the engine on the sorted unique queries — sequential
-        gathers, and under the skewed workloads where batching matters
-        far fewer of them — then scatter positions back through the
-        inverse map.  A query's position depends only on its compare
-        value (the engine verifies every boundary), so the output is
-        bit-identical to the unsorted engine.  ``sort=None`` lets the
-        call choose: the column answers it outright when
+        ``sort`` controls the sorted-batch fast path: order the compare
+        values with their positions in one packed sort
+        (:func:`repro.util.sorted_order`; an argsort where the values do
+        not pack), mark each run of equal values by a neighbour compare,
+        run the engine on the distinct values — sequential gathers, and
+        under the skewed workloads where batching matters far fewer of
+        them — then repeat each position over its run and scatter it
+        back through the order.  A query's position depends only on its
+        compare value (the engine verifies every boundary), so the
+        output is bit-identical to the unsorted engine.  ``sort=None``
+        lets the call choose: the column answers it outright when
         :func:`column_answers` says the whole-column search is the
-        cheaper side, otherwise
-        the size + duplicate-density heuristic
+        cheaper side, otherwise the size + duplicate-density heuristic
         (:data:`SORTED_BATCH_THRESHOLD`,
         :data:`SORTED_BATCH_MIN_DUP_FRACTION`) picks the engine path.
         ``True``/``False`` force that engine path (benchmarks measure
@@ -924,11 +932,20 @@ class CompiledPlan:
             )
         if not sort or compare.size <= 1:
             return self._engine(qb)
-        uniq, inverse = np.unique(compare, return_inverse=True)
+        ordered, order = sorted_order(compare)
+        first = np.empty(compare.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
         # The unique sub-batch needs no masks: clamped compare values
         # search fine, and the original batch's oob mask re-applies
-        # after the inverse scatter.
-        pos = self._engine(QueryBatch(uniq))[inverse]
+        # after the scatter.  Each unique position repeats over its
+        # run of equal values (cheaper than a gather by cumsum ids).
+        pos = np.empty(compare.size, dtype=np.int64)
+        pos[order] = np.repeat(
+            self._engine(QueryBatch(ordered[starts])),
+            np.diff(starts, append=compare.size),
+        )
         if qb.oob_high is not None:
             pos[qb.oob_high] = self.column.size
         return pos

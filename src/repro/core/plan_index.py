@@ -355,8 +355,10 @@ class CompiledPlanIndex(ScalarLookup, RangeScanIndexMixin):
         Identical to a per-query :meth:`lookup` loop and exact in the
         key dtype (int64 keys >= 2^53 included).
 
-        ``sort`` controls the sorted-batch fast path (sort + dedup +
-        engine over the sorted unique queries + inverse-map scatter):
+        ``sort`` controls the sorted-batch fast path (one packed sort +
+        engine over the distinct queries + one scatter back, see
+        :meth:`CompiledPlan.lookup_batch
+        <repro.core.engine.CompiledPlan.lookup_batch>`):
         ``None`` (default) applies the size + duplicate-density
         heuristic, ``True``/``False`` force it on/off.  All three
         settings return bit-identical positions.

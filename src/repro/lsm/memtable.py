@@ -17,22 +17,29 @@ next batch arrives, so write order holds).
 Cost model: a batch write (:meth:`put_batch`, :meth:`delete_batch`,
 :meth:`apply`, so WAL replay too) is one copy and one list append, O(1)
 Python; a scalar write is one dict store.  The first read after a burst
-of writes builds the layout once: one ``argsort`` of the records, then
-a linear merge into the old layout, newest entry per key
+of writes builds the layout once: one sort of the records (packed with
+their positions, :func:`repro.util.sorted_order`), then a linear merge
+into the old layout, newest entry per key
 (:func:`repro.util.newest_per_key`).  :meth:`entries` returns it and a
 seal writes it as it is.  A scalar :meth:`probe` reads the dict, then
-the layout by ``searchsorted``: scalar writes never force a rebuild.
+the pending records newest first while they hold at most
+:data:`PROBE_SCAN_MAX_KEYS` keys (more, and it builds), then the layout
+by ``bisect``: scalar writes and a few batch writes never force a
+rebuild.
 ``len()`` is exact (it builds); the seal check reads :meth:`len_bound`
 first.  Writes take keys through the key contract
 (:func:`repro.util.as_int64_keys`; a refused call buffers nothing).
 
 Concurrency: one writer, any number of readers.  Writes, folds and
-builds run under one lock; reads go lock-free while nothing is pending,
-as the published triple is immutable and swapped in whole.  A fold
+builds run under one lock; reads go lock-free unless they build, as
+the published triple is immutable and swapped in whole.  A fold
 appends its record before it swaps the dict out, and a build publishes
 the new layout before it drops the records, so a lock-free
 :meth:`probe` that misses the dict finds the entry in a pending record
-(and builds) or in the layout.
+(scanned, or built in) or in the layout.  A probe scans the record
+list it read after the dict, and a build rebinds ``_records`` to a new
+list rather than emptying the old one, so a scan never sees a record
+vanish under it.
 """
 
 from __future__ import annotations
@@ -55,8 +62,13 @@ def _newest(parts, kind: str):
     """Newest entry per key over ``(keys, values, dead)`` parts, oldest
     first: the sorted triple, then memoryviews of it for scalar probes."""
     keys = np.concatenate([p[0] for p in parts])
+    # A record's scalar value / tombstone flag spans its keys; np.full
+    # costs a third of np.broadcast_to on a one-key record.
     values, dead = (
-        np.concatenate([np.broadcast_to(p[i], p[0].shape) for p in parts])
+        np.concatenate([
+            p[i] if isinstance(p[i], np.ndarray) else np.full(p[0].size, p[i])
+            for p in parts
+        ])
         for i in (1, 2)
     )
     pick = newest_per_key(keys, kind)
@@ -64,8 +76,30 @@ def _newest(parts, kind: str):
     return (*triple, *map(memoryview, triple))
 
 
+def _scan_records(records: list, key):
+    """:meth:`Memtable.probe` over pending records without a build:
+    newest record first, the last occurrence in a record winning."""
+    for keys, values, dead in reversed(records):
+        listed = keys.tolist()
+        if key in listed:
+            if dead is True:  # a delete record
+                return True, True, TOMBSTONE_VALUE
+            i = len(listed) - 1 - listed[::-1].index(key)
+            return True, dead is not False and bool(dead[i]), int(values[i])
+    return None
+
+
 _EMPTY = _newest([(np.empty(0, np.int64), 0, False)], "stable")
 _ABSENT = object()
+
+#: While at most this many keys sit in pending records, a scalar
+#: :meth:`Memtable.probe` scans the records instead of building the
+#: layout, which a loop of one-key batch writes and reads would
+#: otherwise rebuild per read.  A scan costs ~0.12us per one-key record
+#: (~15us at this bound), under the ~25us a build costs even on a
+#: 256-entry memtable; a one-key ``put_batch`` + ``probe`` pair on a
+#: 4 096-entry one went from 72 to 4.6us (2-vCPU Xeon, NumPy 2.4).
+PROBE_SCAN_MAX_KEYS = 128
 
 
 class Memtable:
@@ -160,9 +194,15 @@ class Memtable:
         value = self._scalar.get(key, _ABSENT)
         if value is not _ABSENT:
             return True, value is None, value or TOMBSTONE_VALUE
-        if self._records:
-            with self._lock:
-                self._settle(fold=False)
+        records = self._records
+        if records:
+            if self._pending > PROBE_SCAN_MAX_KEYS:
+                with self._lock:
+                    self._settle(fold=False)
+            else:
+                hit = _scan_records(records, key)
+                if hit is not None:
+                    return hit
         _, _, _, keys, values, dead = self._layout  # after the records
         i = bisect_left(keys, key)
         if i < len(keys) and keys[i] == key:

@@ -42,7 +42,7 @@ import numpy as np
 from ..bloom.standard import BloomFilter
 from ..core.rmi import RecursiveModelIndex
 from ..range_scan import assemble_slices
-from ..util import as_int64_pairs
+from ..util import as_int64_pairs, sorted_order
 from .format import RUN_MAGIC, CorruptRunError, SectionFile, write_section_file
 
 __all__ = ["SortedRun", "DEFAULT_LEAF_TARGET", "BLOOM_FPR", "probe_at"]
@@ -107,28 +107,31 @@ def _build_bloom(keys: np.ndarray) -> BloomFilter:
 #: answer as the low end of the next search while its needles ascend,
 #: so sorted needles search ever shorter, cache-warm ranges; unordered
 #: ones pay a full binary search each.  Below this the argsort costs
-#: more than that saves.  Read off the 'crossover' column (where ordering starts to
-#: win, ratio 1.0) of the needle-order scan in
-#: ``benchmarks/bench_small_batch_floor.py``: the power of two at or
-#: above its largest value over arrays of 512 to 1M keys.
+#: more than that saves (from ``PACKED_ORDER_MIN_KEYS`` up the ordering
+#: is the cheaper packed sort, :func:`repro.util.sorted_order`).  Read
+#: off the 'crossover' column (where ordering starts to win, ratio 1.0)
+#: of the needle-order scan in ``benchmarks/bench_small_batch_floor.py``:
+#: the power of two at or above its largest value over arrays of 512 to
+#: 1M keys.
 ORDERED_SEARCH_MIN_KEYS = 128
 
 
 def ordered_searchsorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """``np.searchsorted(keys, queries)``, bit for bit, searched with
     the queries in sorted order from :data:`ORDERED_SEARCH_MIN_KEYS`
-    queries on: argsort, search, scatter each position back to its
-    query.  A lower bound depends only on the query's value, so the
-    order it is searched in cannot change it."""
+    queries on: order them (:func:`repro.util.sorted_order`), search,
+    scatter each position back to its query.  A lower bound depends
+    only on the query's value, so the order it is searched in cannot
+    change it."""
     if queries.size < ORDERED_SEARCH_MIN_KEYS:
         return np.searchsorted(keys, queries)
     return _searchsorted_in_order(keys, queries)
 
 
 def _searchsorted_in_order(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    order = np.argsort(queries)
+    ordered, order = sorted_order(queries)
     pos = np.empty(queries.size, dtype=np.intp)
-    pos[order] = np.searchsorted(keys, queries[order])
+    pos[order] = np.searchsorted(keys, ordered)
     return pos
 
 

@@ -26,7 +26,7 @@ import numpy as np
 __all__ = [
     "scalar_view", "clamp_into",
     "as_int64_key", "as_int64_keys", "as_int64_pairs", "range_endpoints",
-    "newest_per_key",
+    "sorted_order", "PACKED_ORDER_MIN_KEYS", "newest_per_key",
 ]
 
 _VIEWABLE = {
@@ -133,18 +133,86 @@ def as_int64_pairs(keys, values=None) -> tuple[np.ndarray, np.ndarray]:
     return keys, values
 
 
+#: From this many integer values, :func:`sorted_order` sorts them
+#: packed with their positions.  Below it one ``argsort`` plus a gather
+#: is the cheaper side: the packed path pays some ten array passes a
+#: call around its sort.  Read off the packed-order scan of
+#: ``benchmarks/bench_small_batch_floor.py``: the power of two at or
+#: above the size where packing wins on uniform and zipf-hot batches.
+PACKED_ORDER_MIN_KEYS = 2048
+
+
+def sorted_order(values: np.ndarray, kind: str = "quicksort"):
+    """``(values in ascending order, an order that sorts them)``, one
+    ``np.sort`` where the values allow it.
+
+    From :data:`PACKED_ORDER_MIN_KEYS` integer values whose exact span
+    fits the bits an index leaves free, each value travels as one
+    uint64 ``(value - min) << b | index`` (``b`` the bit length of
+    ``n - 1``): every word is distinct, so one unstable ``np.sort``
+    orders the values *stably*, and the sorted words decode to both
+    outputs in two linear passes — about half of an ``argsort`` plus
+    the gather its callers need, which a sort without positions is not.
+    Otherwise (floats, a small batch, a wide span, or ``kind="stable"``,
+    which names presorted runs that timsort merges in linear time) it
+    is ``np.argsort(values, kind=kind)`` and that gather.
+    """
+    if (
+        kind != "stable"
+        and values.size >= PACKED_ORDER_MIN_KEYS
+        and values.dtype.kind in "iu"
+    ):
+        packed = _packed_order(values)
+        if packed is not None:
+            return packed
+    order = np.argsort(values, kind=kind)
+    return values[order], order
+
+
+def _packed_order(values: np.ndarray):
+    """:func:`sorted_order`'s packed path, or ``None`` when the span
+    leaves no room for the positions."""
+    n = values.size
+    bits = (n - 1).bit_length()
+    low = int(values.min())
+    if int(values.max()) - low >= 1 << (64 - bits):
+        return None
+    # uint64 arithmetic wraps modulo 2^64, so ``value - low`` is exact
+    # for every integer dtype once the span fits.
+    base = np.uint64(low % (1 << 64))
+    if values.dtype.itemsize == 8:
+        packed = np.subtract(values.view(np.uint64), base)
+    else:
+        packed = values.astype(np.uint64)
+        packed -= base
+    shift = np.uint64(bits)
+    packed <<= shift
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    # Positions are below 2^63: a view reads them as intp for free
+    # (an ``astype`` from uint64 takes numpy's slow checked cast).
+    order = (packed & np.uint64((1 << bits) - 1)).view(np.intp)
+    packed >>= shift
+    packed += base
+    if values.dtype.itemsize == 8:
+        return packed.view(values.dtype), order
+    return packed.astype(values.dtype), order
+
+
 def newest_per_key(keys: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     """Indices of the last entry of every distinct key in ``keys``, in
     key order: what survives a put loop over ``keys`` in array order.
 
-    One ``argsort`` (of ``kind``: ``"stable"`` merges presorted runs in
-    linear time) plus a neighbour compare; a key group's newest entry
-    is its largest original index (``np.maximum.reduceat``), a step
-    skipped when no key repeats.  Several times cheaper than
-    ``np.unique`` on unsorted int64 keys.
+    Strictly ascending keys (a bulk load's) return after one compare
+    pass.  Otherwise one :func:`sorted_order` (of ``kind``:
+    ``"stable"`` merges presorted runs in linear time) plus a neighbour
+    compare; a key group's newest entry is its largest original index
+    (``np.maximum.reduceat``), a step skipped when no key repeats.
+    Several times cheaper than ``np.unique`` on unsorted int64 keys.
     """
-    order = np.argsort(keys, kind=kind)
-    sorted_keys = keys[order]
+    if keys.size < 2 or bool((keys[1:] > keys[:-1]).all()):
+        return np.arange(keys.size)
+    sorted_keys, order = sorted_order(keys, kind)
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
     if first.all():

@@ -30,8 +30,14 @@ from repro.core import (
     RecursiveModelIndex,
     WritableLearnedIndex,
 )
+from repro.core.engine import (
+    SORTED_BATCH_MIN_DUP_FRACTION,
+    SORTED_BATCH_THRESHOLD,
+    batch_dup_fraction,
+)
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
+from repro.util import _packed_order
 
 RNG = np.random.default_rng(77)
 
@@ -262,6 +268,25 @@ class TestSortedPathEquivalence:
         np.testing.assert_array_equal(a.offsets, b.offsets)
         np.testing.assert_array_equal(a.starts, b.starts)
         np.testing.assert_array_equal(a.ends, b.ends)
+
+    def test_heuristic_sorted_path_on_a_full_span_column(self):
+        """A zipf-hot batch under ``sort=None`` on a column touching
+        both ends of int64: the heuristic takes the sorted path, and
+        the batch's span leaves no bits to pack positions into, so the
+        argsort fallback orders it."""
+        keys = huge_dataset("int64_full_span")
+        index = RecursiveModelIndex(keys, stage_sizes=(1, 48))
+        rng = np.random.default_rng(0x21F)
+        ranks = np.minimum(rng.zipf(1.3, SORTED_BATCH_THRESHOLD), keys.size)
+        queries = rng.permutation(keys)[ranks - 1]
+        queries[:2] = keys[0], keys[-1]
+        assert batch_dup_fraction(queries) >= SORTED_BATCH_MIN_DUP_FRACTION
+        assert _packed_order(queries) is None
+        oracle = np.searchsorted(keys, queries)
+        np.testing.assert_array_equal(index.lookup_batch(queries), oracle)
+        np.testing.assert_array_equal(
+            index.lookup_batch(queries, sort=False), oracle
+        )
 
     def test_presorted_queries_hit_same_positions(self):
         keys = dataset("uniform")

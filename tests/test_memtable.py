@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.lsm import LearnedLSMStore, Memtable
-from repro.util import newest_per_key
+from repro.lsm.memtable import PROBE_SCAN_MAX_KEYS
+from repro.util import PACKED_ORDER_MIN_KEYS, newest_per_key
 
 
 def _oracle_triple(state: dict):
@@ -108,6 +109,37 @@ class TestDifferential:
                 if read_between:
                     mem.probe(args[0] if np.isscalar(args[0]) else args[0][0])
             _check(mem, want, 10, np.random.default_rng(0), read="probe")
+
+    def test_one_key_batches_read_back_on_both_sides_of_the_scan_bound(self):
+        """A loop of one-key batch writes, each read back: while the
+        pending records hold at most PROBE_SCAN_MAX_KEYS keys a probe
+        scans them and leaves the layout as it was, past that it builds;
+        every answer equals the dict replay."""
+        rng = np.random.default_rng(43)
+        mem, state = Memtable(), {}
+        base = np.arange(0, 600, 3)
+        mem.put_batch(base, base + 1)
+        state.update(zip(base.tolist(), (base + 1).tolist()))
+        layout = mem.entries()[0]
+        for step in range(3 * PROBE_SCAN_MAX_KEYS):
+            key = int(rng.integers(0, 600))
+            if rng.random() < 0.3:
+                mem.delete_batch([key])
+                state[key] = None
+            else:
+                value = int(rng.integers(-(2**62), 2**62))
+                mem.put_batch([key], [value])
+                state[key] = value
+            for probe in (key, int(rng.integers(-2, 602))):
+                want = state.get(probe, False)
+                if want is False:
+                    assert mem.probe(probe) == (False, False, 0)
+                else:
+                    assert mem.probe(probe) == (True, want is None, want or 0)
+            if step < PROBE_SCAN_MAX_KEYS:
+                assert mem._layout[0] is layout  # scanned, not built
+        assert mem._layout[0] is not layout
+        _check(mem, state, 600, rng, read="probe")
 
     def test_scalar_reads_do_not_rebuild_after_scalar_writes(self):
         mem = Memtable()
@@ -250,6 +282,28 @@ class TestNewestPerKey:
             last[key] = i
         want = [last[k] for k in sorted(last)]
         np.testing.assert_array_equal(pick, want)
+
+    @pytest.mark.parametrize("kind", ["quicksort", "stable"])
+    @pytest.mark.parametrize("shape", ["ascending", "sorted_runs", "hot"])
+    def test_presorted_and_duplicate_heavy(self, shape, kind):
+        """Around the packed sort's crossover: strictly ascending keys
+        (a bulk load's), sorted runs of duplicates, and a few hot keys
+        repeated thousands of times."""
+        rng = np.random.default_rng(len(shape))
+        for n in (PACKED_ORDER_MIN_KEYS - 1, 4 * PACKED_ORDER_MIN_KEYS):
+            if shape == "ascending":
+                keys = np.cumsum(rng.integers(1, 2**40, n))
+            elif shape == "sorted_runs":
+                keys = np.sort(rng.integers(-(2**62), 2**62, n // 4 + 1))
+                keys = np.repeat(keys, 4)[:n]
+            else:
+                keys = rng.choice(rng.integers(-(2**62), 2**62, 9), n)
+            last = {}
+            for i, key in enumerate(keys.tolist()):
+                last[key] = i
+            np.testing.assert_array_equal(
+                newest_per_key(keys, kind), [last[k] for k in sorted(last)]
+            )
 
     def test_unique_keys_are_their_argsort(self):
         keys = np.array([2**62, -(2**63), 5, -1], dtype=np.int64)
