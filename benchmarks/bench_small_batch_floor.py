@@ -77,7 +77,7 @@ from repro.data import uniform_keys
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
 from repro.lsm.run import ORDERED_SEARCH_MIN_KEYS, _searchsorted_in_order
-from repro.lsm.store import UNGUARDED_PROBE_KEYS, probes_unguarded
+from repro.lsm.store import UNGUARDED_PROBE_KEYS
 from repro.range_scan import (
     GATHER_MIN_SLICES,
     SLICE_COPY_MIN_KEYS,
@@ -322,7 +322,7 @@ def test_unguarded_probes_are_cheaper_than_their_filter():
         for k in (1, 8, 64, 128, 256, 512, 4_096):
             calls = [q + 1 for q in _calls(keys, k, rng)]
             alone, with_filter, ratio = _paired(run.probe_batch, guarded, calls)
-            asks = not probes_unguarded(k, n)
+            asks = not column_answers(k, n, UNGUARDED_PROBE_KEYS)
             if not asks:
                 skipped[n, k] = ratio
             table.add_row(
@@ -336,7 +336,9 @@ def test_unguarded_probes_are_cheaper_than_their_filter():
     losing = {cell: r for cell, r in skipped.items() if r < 1.0}
     assert skipped and not losing, f"an unguarded probe loses: {losing}"
     # ... and the probe it gets is the run's column search.
-    assert all(column_answers(k, n) for n, k in UNGUARDED_PROBE_KEYS)
+    rows, beyond = UNGUARDED_PROBE_KEYS
+    assert all(column_answers(k, n) for n, k in rows)
+    assert column_answers(beyond, 4 * rows[-1][0])
 
 
 def test_filter_crossover_scan_behind_the_row_walk():

@@ -91,8 +91,9 @@ tombstones never resurrect, and recovering twice reaches the same
 state (``REPRO_CRASH_FUZZ_STRIDE`` subsamples the sweep).
 ``tests/test_durability.py`` holds the per-section corruption matrix
 (a flipped bit is a :class:`~repro.lsm.format.CorruptRunError`, never
-a wrong answer or a silent fall-back to a stale state), round trips
-and the store's lifecycle.
+a wrong answer or a silent fall-back to a stale state) and the store's
+lifecycle; ``tests/test_kv_history.py``'s state machine holds every
+holder of a read state to a ``dict`` model through any history.
 
 Background compaction + snapshot reads (ISSUE 7)
 ------------------------------------------------
@@ -151,7 +152,7 @@ import time
 
 import numpy as np
 
-from ..core.engine import SortedKeyColumn
+from ..core.engine import SortedKeyColumn, column_answers
 from ..obs import MetricsRegistry, StatsView, counter_field
 from ..obs import span as obs_span
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
@@ -182,11 +183,12 @@ __all__ = [
 #: concurrent foreground WAL fsync can get queued behind.
 _MERGE_SAVE_FSYNC_BYTES = 1 << 20
 
-#: ``(run keys up to, sub-batch keys up to)`` rows: a sub-batch this
-#: small is probed without asking the run's bloom filter first.  The
-#: filter's batch pass costs ~20us + 0.06us/key whatever the run's size;
-#: the probe such a sub-batch gets is one ``searchsorted`` on the run's
-#: key column (every row is under the run's small-batch crossover,
+#: ``(run keys up to, sub-batch keys up to)`` rows and the bound beyond
+#: them, as :func:`column_answers` reads them: a sub-batch this small
+#: is probed without asking the run's bloom filter.  The filter's
+#: batch pass costs ~20us + 0.06us/key whatever the run's size; the
+#: probe such a sub-batch gets is one ``searchsorted`` on the run's key
+#: column (every row is under the run's small-batch crossover,
 #: :data:`repro.core.engine.COLUMN_CROSSOVERS`), ~5us + 0.13-0.23us/key
 #: from a 16k- to a 500k-key run.  So the filter's best case, every key
 #: absent, breaks even with the probe at ~450 keys on a 16k-key run,
@@ -199,25 +201,9 @@ _MERGE_SAVE_FSYNC_BYTES = 1 << 20
 #: 512-key sub-batches of a 16k-key run, where it ties the probe, yet
 #: asks it about 21-32-key ones of a 500k-key run, where it loses 1.5x.
 UNGUARDED_PROBE_KEYS = (
-    (1 << 14, 192),
-    (1 << 17, 128),
-    (1 << 18, 64),
-    (1 << 20, 32),
+    ((1 << 14, 192), (1 << 17, 128), (1 << 18, 64), (1 << 20, 32)),
+    16,
 )
-
-#: The same bound on runs larger than the table's last row.
-UNGUARDED_PROBE_KEYS_BEYOND = 16
-
-
-def probes_unguarded(sub_batch: int, run_keys: int) -> bool:
-    """Should ``sub_batch`` keys be probed in a run of ``run_keys``
-    keys without asking its bloom filter?  Read off
-    :data:`UNGUARDED_PROBE_KEYS`; both answers are identical, this only
-    picks the cheaper one."""
-    for size, keys in UNGUARDED_PROBE_KEYS:
-        if run_keys <= size:
-            return sub_batch <= keys
-    return sub_batch <= UNGUARDED_PROBE_KEYS_BEYOND
 
 
 class ReadView:
@@ -248,7 +234,7 @@ class ReadView:
         (one search of its sorted keys, :func:`ordered_searchsorted`),
         then per run bloom filter → RMI probe over the queries still
         unresolved — the probe alone where the filter would cost more
-        than it (:func:`probes_unguarded`).  ``stats`` receives
+        than it (:data:`UNGUARDED_PROBE_KEYS`).  ``stats`` receives
         the read-amplification counters when provided."""
         queries = as_int64_keys(keys)
         mem_keys, mem_values, mem_dead = self.mem
@@ -272,7 +258,9 @@ class ReadView:
             open_idx = np.nonzero(~resolved)[0]
             if open_idx.size == 0:
                 break
-            guarded = not probes_unguarded(open_idx.size, len(run))
+            guarded = not column_answers(
+                open_idx.size, len(run), UNGUARDED_PROBE_KEYS
+            )
             if guarded:
                 sub = queries[open_idx]
                 passed = run.bloom_contains_batch(sub)

@@ -27,6 +27,19 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
+def _routing_keys(ends) -> np.ndarray:
+    """Range endpoints as int64: a float truncates (the integer keys it
+    bounds route alike); one beyond int64 saturates, NaN high."""
+    ends = np.asarray(ends)
+    if ends.dtype.kind == "u":
+        ends = np.minimum(ends, np.uint64(_INT64_MAX))
+    elif ends.dtype.kind == "f":
+        over = ~(ends < 2.0**63)
+        ends = np.where(over, 0.0, np.maximum(ends, -(2.0**63)))
+        return np.where(over, _INT64_MAX, ends.astype(np.int64))
+    return ends.astype(np.int64)
+
+
 class CDFSplitter:
     """Routes int64 keys to ``num_shards`` contiguous key intervals.
 
@@ -90,8 +103,7 @@ class CDFSplitter:
     def shards_overlapping(self, lows, highs) -> np.ndarray:
         """Bool matrix ``[num_shards, num_ranges]``: does shard s own
         any part of range r?  Inverted ranges overlap nothing."""
-        lows = np.asarray(lows, dtype=np.int64)
-        highs = np.asarray(highs, dtype=np.int64)
+        lows, highs = _routing_keys(lows), _routing_keys(highs)
         first = self.shard_of_batch(lows)
         last = self.shard_of_batch(highs)
         shard_ids = np.arange(self.num_shards, dtype=np.int64)[:, None]

@@ -103,6 +103,7 @@ _BOTH_SIDES_MODULES = {
     "test_build_equivalence",
     "test_hybrid",
     "test_range_edge_cases",
+    "test_kv_history",
 }
 
 

@@ -206,3 +206,28 @@ def web_paths(n: int, *, seed: int = 42, max_depth: int = 4) -> list[str]:
             out.append(key)
     out.sort()
     return out
+
+
+_U64 = np.array([2**64 - 5], dtype=np.uint64)  # wraps onto key -5 if cast
+
+#: (method, args, error): calls on a key-value holder that used to
+#: answer for a neighbouring key, write one, or wedge the store — each
+#: a typed refusal under the key contract, which writes nothing.
+REFUSED_CALLS = (
+    ("lookup", (2.5,), TypeError),
+    ("lookup", ("7",), TypeError),
+    ("contains", (2.0,), TypeError),
+    ("delete", (4.9,), TypeError),
+    ("insert", (7.9,), TypeError),
+    ("insert", (8, 1.5), TypeError),
+    ("insert", (2**63,), OverflowError),
+    ("delete", (2**64 - 5,), OverflowError),
+    ("lookup", (2**64 - 5,), OverflowError),
+    ("lookup_batch", (_U64,), OverflowError),
+    ("contains_batch", (_U64,), OverflowError),
+    ("insert_batch", (_U64,), OverflowError),
+    ("insert_batch", ([8], _U64), OverflowError),
+    ("delete_batch", (_U64,), OverflowError),
+    ("insert_batch", ([1000], [1.9]), TypeError),
+    ("insert_batch", ([1.5],), TypeError),
+)

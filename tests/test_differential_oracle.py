@@ -35,7 +35,6 @@ from repro.core import (
     WritableLearnedIndex,
 )
 from repro.families import PGMIndex, RadixSplineIndex
-from repro.lsm import LearnedLSMStore
 
 SEED = 0xD1FF
 
@@ -481,161 +480,15 @@ def test_writable_auto_merge_round_trip():
     crosscheck_writable(index, oracle, rng)
 
 
-# -- LSM store round-trip --------------------------------------------------------
-
-class KVOracle:
-    """Reference for the LSM store: a dict plus a sorted key list."""
-
-    def __init__(self):
-        self.live: dict[int, int] = {}
-
-    def insert(self, k, v):
-        self.live[int(k)] = int(v)
-
-    def delete(self, k):
-        self.live.pop(int(k), None)
-
-    def lookup(self, k):
-        return self.live.get(int(k))
-
-    def sorted_keys(self) -> list:
-        return sorted(self.live)
-
-    def range_query(self, lo, hi) -> list:
-        if hi < lo:
-            return []
-        keys = self.sorted_keys()
-        return keys[bisect.bisect_left(keys, lo):bisect.bisect_right(keys, hi)]
-
-
-def crosscheck_lsm(store: LearnedLSMStore, oracle: KVOracle, rng):
-    probes = rng.integers(-100, 30_100, 400)
-    values, found = store.lookup_batch(probes)
-    expected_found = np.array([oracle.lookup(int(q)) is not None for q in probes])
-    np.testing.assert_array_equal(found, expected_found)
-    hits = np.nonzero(expected_found)[0]
-    np.testing.assert_array_equal(
-        values[hits],
-        np.array([oracle.lookup(int(probes[i])) for i in hits], dtype=np.int64),
-    )
-    np.testing.assert_array_equal(store.contains_batch(probes), expected_found)
-    for q in probes[:25]:
-        assert store.lookup(int(q)) == oracle.lookup(int(q))
-    lows = rng.integers(-100, 30_100, 50)
-    highs = lows + rng.integers(-50, 3_000, 50)
-    result = store.range_query_batch(lows, highs)
-    assert len(result) == 50
-    for i in range(50):
-        expected = oracle.range_query(int(lows[i]), int(highs[i]))
-        assert list(result[i]) == expected, i
-        if i < 10:
-            assert list(store.range_query(int(lows[i]), int(highs[i]))) == expected
-
-
-@pytest.mark.parametrize("mode", ["memory", "durable"])
-def test_lsm_store_randomized_round_trip(tmp_path, mode):
-    """Interleaved put/batch-put/delete/flush ops vs the dict oracle,
-    on a memory-only store (seals cascade their merges) and a durable
-    one (one merge window per seal).
-
-    The memtable is small enough that seals and policy compactions fire
-    constantly mid-sequence; the full read surface is cross-checked
-    after every compaction the policy triggers (so a merge that loses a
-    key, resurrects a tombstoned one, or mis-orders newest-wins
-    surfaces immediately) and again at the end, after an explicit full
-    compaction.
-    """
-    rng = np.random.default_rng(SEED + 4)
-    store = LearnedLSMStore(
-        np.unique(rng.integers(0, 30_000, 2_000)).astype(np.int64),
-        memtable_capacity=200,
-        path=str(tmp_path / "db") if mode == "durable" else None,
-    )
-    oracle = KVOracle()
-    for k in store.runs[0].keys.tolist():
-        oracle.insert(k, k)
-    compactions_seen = store.write_stats.compactions
-    for step in range(2_000):
-        op = rng.random()
-        key = int(rng.integers(-50, 30_050))
-        if op < 0.4:
-            value = int(rng.integers(0, 10**9))
-            store.insert(key, value)
-            oracle.insert(key, value)
-        elif op < 0.5:
-            batch = rng.integers(-50, 30_050, int(rng.integers(1, 80)))
-            values = rng.integers(0, 10**9, batch.size)
-            store.insert_batch(batch, values)
-            for k, v in zip(batch.tolist(), values.tolist()):
-                oracle.insert(k, v)
-        elif op < 0.55:
-            # Delete-then-reinsert: the resurrection case compaction
-            # newest-wins ordering must get right.
-            store.delete(key)
-            store.insert(key, key)
-            oracle.insert(key, key)
-        elif op < 0.9:
-            store.delete(key)
-            oracle.delete(key)
-        else:
-            store.flush()
-        if store.write_stats.compactions != compactions_seen:
-            compactions_seen = store.write_stats.compactions
-            crosscheck_lsm(store, oracle, rng)
-    store.wait_for_compaction()  # background mode merges off-thread
-    assert store.write_stats.compactions > 0, "no compaction; test is vacuous"
-    crosscheck_lsm(store, oracle, rng)
-    assert len(store) == len(oracle.live)
-    store.compact()
-    crosscheck_lsm(store, oracle, rng)
-    assert len(store) == len(oracle.live)
-    store.close()
-
-
-@pytest.mark.parametrize("mode", ["memory", "durable"])
-def test_lsm_matches_writable_reference(tmp_path, mode):
-    """Key-only workloads: the LSM store — memory-only or durable — and
-    the single-run writable index are interchangeable (same live key
-    sets, same range answers)."""
-    rng = np.random.default_rng(SEED + 5)
-    base = np.unique(rng.integers(0, 50_000, 3_000)).astype(np.int64)
-    store = LearnedLSMStore(
-        base,
-        memtable_capacity=300,
-        path=str(tmp_path / "db") if mode == "durable" else None,
-    )
-    reference = WritableLearnedIndex(
-        base, stage_sizes=(1, 64), merge_threshold=500
-    )
-    for _ in range(1_500):
-        key = int(rng.integers(0, 50_000))
-        if rng.random() < 0.7:
-            store.insert(key)
-            reference.insert(key)
-        else:
-            store.delete(key)
-            reference.delete(key)
-    probes = rng.integers(-100, 50_100, 500)
-    np.testing.assert_array_equal(
-        store.contains_batch(probes),
-        [reference.contains(q) for q in probes.tolist()],
-    )
-    lows = rng.integers(0, 50_000, 30)
-    highs = lows + rng.integers(0, 2_000, 30)
-    got = store.range_query_batch(lows, highs)
-    for i, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist())):
-        np.testing.assert_array_equal(got[i], reference.range_query(lo, hi))
-    store.close()
-
-
 # -- exact 64-bit regimes (ISSUE 5) ----------------------------------------------
 #
 # The float-probe replay above cannot exercise keys beyond 2^53 (the
 # probes themselves would round), so these regimes replay with native
 # Python-int probes against the same bisect oracle: adjacent keys
 # differing by 1 near 2^63, straddling the 2^53 float cliff, across
-# every index type plus the paged index and both storage engines.  The
-# indexes also take each pick's neighbouring floats (Python and
+# every index type plus the paged and writable indexes (the LSM
+# holders' 2^53 cluster is ``test_kv_history.py``'s).  The indexes
+# also take each pick's neighbouring floats (Python and
 # ``np.float64``), which the oracle compares exactly as Python floats.
 
 
@@ -807,53 +660,3 @@ def test_writable_matches_oracle_beyond_2p53():
                 live.range_query(low, high)
             ), (low, high)
         index.merge()
-
-
-def test_lsm_store_matches_oracle_beyond_2p53():
-    rng = np.random.default_rng(SEED + 65)
-    keys = huge_oracle_keys("adjacent_2p63", rng)
-    store = LearnedLSMStore(keys, memtable_capacity=150)
-    oracle = KVOracle()
-    for k in keys.tolist():
-        oracle.insert(k, k)
-    hi = int(keys.max())
-    for _ in range(800):
-        key = min(int(rng.choice(keys)) + int(rng.integers(-2, 3)), hi)
-        op = rng.random()
-        if op < 0.5:
-            value = int(rng.integers(0, 10**9))
-            store.insert(key, value)
-            oracle.insert(key, value)
-        else:
-            store.delete(key)
-            oracle.delete(key)
-    # The store takes integer keys: its probes are the Python ints.
-    probes = split_probes(huge_oracle_probes(keys, rng, 200))[0]
-    batch = np.array(probes, dtype=np.int64)
-    values, found = store.lookup_batch(batch)
-    np.testing.assert_array_equal(
-        found, np.array([oracle.lookup(q) is not None for q in probes])
-    )
-    hits = np.nonzero(found)[0]
-    np.testing.assert_array_equal(
-        values[hits],
-        np.array([oracle.lookup(probes[i]) for i in hits], dtype=np.int64),
-    )
-    for q in probes[:25]:
-        assert store.lookup(q) == oracle.lookup(q)
-    lows = np.array(
-        split_probes(huge_oracle_probes(keys, rng, 30))[0], dtype=np.int64
-    )
-    highs = np.minimum(
-        lows + rng.integers(0, 120, lows.size), np.int64(2**63 - 1)
-    )
-    result = store.range_query_batch(lows, highs)
-    items, item_values = store.range_items_batch(lows, highs)
-    for i in range(lows.size):
-        expected = oracle.range_query(int(lows[i]), int(highs[i]))
-        assert list(result[i]) == expected, i
-        assert list(items[i]) == expected, i
-        o0, o1 = int(items.offsets[i]), int(items.offsets[i + 1])
-        assert [oracle.lookup(int(k)) for k in items.values[o0:o1]] == list(
-            item_values[o0:o1]
-        ), i

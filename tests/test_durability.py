@@ -544,21 +544,6 @@ class TestDurableStore:
         vals = rng.integers(1, 1 << 60, size=n, dtype=np.int64)
         return keys, vals
 
-    def test_reopen_after_clean_close(self, tmp_path):
-        d = str(tmp_path / "db")
-        keys, vals = self._payload()
-        with LearnedLSMStore(path=d, memtable_capacity=1_024) as store:
-            store.insert_batch(keys, vals)
-            store.delete_batch(keys[:1_000])
-            live = store.live_keys()
-        with LearnedLSMStore(path=d) as store:
-            assert all(r.is_loaded_lazy() for r in store.runs)
-            got, found = store.lookup_batch(keys)
-            assert not found[:1_000].any()
-            assert found[1_000:].all()
-            assert np.array_equal(got[1_000:], vals[1_000:])
-            assert np.array_equal(store.live_keys(), live)
-
     def test_parent_commit_store_reopens_and_compaction_adds_origins(
         self, tmp_path
     ):
@@ -680,13 +665,6 @@ class TestDurableStore:
             mem.insert(1)
         with pytest.raises(ValueError, match="closed"):
             mem.insert(2)
-
-    def test_wal_fsync_off_still_recovers_after_close(self, tmp_path):
-        d = str(tmp_path / "db")
-        with LearnedLSMStore(path=d, wal_fsync=False) as store:
-            store.insert_batch(np.arange(50, dtype=np.int64))
-        with LearnedLSMStore(path=d) as store:
-            assert store.contains_batch(np.arange(50)).all()
 
     def test_bulk_load_persists_and_conflicts_detected(self, tmp_path):
         d = str(tmp_path / "db")

@@ -17,62 +17,6 @@ from repro.range_scan import RangeScanResult, merge_scan_results
 # -- memtable ------------------------------------------------------------------
 
 class TestMemtable:
-    def test_put_get_delete(self):
-        mem = Memtable()
-        mem.put(5, 50)
-        assert mem.probe(5) == (True, False, 50)
-        mem.put(5, 51)
-        assert mem.probe(5) == (True, False, 51)
-        assert len(mem) == 1
-        mem.delete(5)
-        assert mem.probe(5) == (True, True, 0)
-        assert len(mem) == 1  # the tombstone is an entry
-        assert mem.probe(6) == (False, False, 0)
-
-    def test_put_overrides_tombstone(self):
-        mem = Memtable()
-        mem.delete(9)
-        mem.put(9, 90)
-        assert mem.probe(9) == (True, False, 90)
-
-    def test_put_batch_last_wins(self):
-        mem = Memtable()
-        mem.put_batch([3, 1, 3], [30, 10, 31])
-        assert mem.probe(3) == (True, False, 31)
-        keys, values, dead = mem.entries()
-        np.testing.assert_array_equal(keys, [1, 3])
-        np.testing.assert_array_equal(values, [10, 31])
-        assert not dead.any()
-
-    def test_put_batch_clears_tombstones(self):
-        mem = Memtable()
-        mem.delete_batch([1, 2, 3])
-        mem.put_batch([2, 4], [20, 40])
-        keys, values, dead = mem.entries()
-        np.testing.assert_array_equal(keys, [1, 2, 3, 4])
-        np.testing.assert_array_equal(dead, [True, False, True, False])
-        np.testing.assert_array_equal(values, [0, 20, 0, 40])
-
-    def test_sorted_views_track_mutations(self):
-        mem = Memtable()
-        mem.put_batch([5, 2, 9], [1, 2, 3])
-        np.testing.assert_array_equal(mem.entries()[0], [2, 5, 9])
-        mem.delete(5)
-        keys, _, dead = mem.entries()
-        np.testing.assert_array_equal(keys, [2, 5, 9])
-        np.testing.assert_array_equal(dead, [False, True, False])
-        mem.clear()
-        assert all(part.size == 0 for part in mem.entries())
-
-    def test_entries_interleave_tombstones(self):
-        mem = Memtable()
-        mem.put_batch([2, 8], [20, 80])
-        mem.delete(5)
-        keys, values, dead = mem.entries()
-        np.testing.assert_array_equal(keys, [2, 5, 8])
-        np.testing.assert_array_equal(dead, [False, True, False])
-        np.testing.assert_array_equal(values, [20, 0, 80])
-
     def test_entries_are_cached_until_a_write(self):
         mem = Memtable()
         mem.put_batch([4, 1], [40, 10])
@@ -321,27 +265,6 @@ def make_store(request, tmp_path):
 
 
 class TestLearnedLSMStore:
-    def test_bulk_load_then_read(self, make_store):
-        keys = np.arange(0, 30_000, 3, dtype=np.int64)
-        store = make_store(keys)
-        assert store.num_runs == 1
-        assert store.lookup(300) == 300
-        assert store.lookup(301) is None
-        np.testing.assert_array_equal(
-            store.range_query(10, 20), [12, 15, 18]
-        )
-        assert len(store) == keys.size
-
-    def test_values_roundtrip(self, make_store):
-        store = make_store(memtable_capacity=100)
-        rng = np.random.default_rng(5)
-        keys = rng.choice(10**6, 1_000, replace=False)
-        vals = rng.integers(0, 10**9, 1_000)
-        store.insert_batch(keys, vals)
-        values, found = store.lookup_batch(keys)
-        assert found.all()
-        np.testing.assert_array_equal(values, vals)
-
     def test_seal_fires_at_capacity(self, make_store):
         store = make_store(memtable_capacity=64)
         for k in range(200):
@@ -349,30 +272,6 @@ class TestLearnedLSMStore:
         assert store.write_stats.seals >= 2
         assert len(store.memtable) < 64
         assert store.contains(0) and store.contains(199)
-
-    def test_delete_shadows_sealed_key(self, make_store):
-        store = make_store(
-            np.arange(1_000, dtype=np.int64),
-            memtable_capacity=10**9,
-        )
-        store.delete(500)
-        assert not store.contains(500)
-        assert store.lookup(500) is None
-        assert 500 not in store.range_query(490, 510)
-        assert len(store) == 999
-
-    def test_tombstone_resurrection(self, make_store):
-        store = make_store(
-            np.arange(100, dtype=np.int64),
-            memtable_capacity=4,
-        )
-        store.delete(50)
-        store.flush()
-        assert not store.contains(50)
-        store.insert(50, 5050)
-        store.flush()
-        assert store.contains(50)
-        assert store.lookup(50) == 5050
 
     def test_full_compaction_garbage_collects(self, make_store):
         store = make_store(memtable_capacity=32)
@@ -475,16 +374,6 @@ class TestLearnedLSMStore:
     def test_unknown_policy_rejected(self, policy):
         with pytest.raises(TypeError, match="SizeTieredCompaction"):
             LearnedLSMStore(compaction=policy)
-
-    def test_empty_store(self, make_store):
-        store = make_store()
-        assert len(store) == 0
-        assert store.lookup(5) is None
-        values, found = store.lookup_batch([1, 2, 3])
-        assert not found.any()
-        assert store.range_query(0, 10).size == 0
-        result = store.range_query_batch([0], [10])
-        assert len(result) == 1 and result.total == 0
 
 
 # -- the batch read walk on a fixed history -----------------------------------
@@ -641,51 +530,6 @@ class TestMergeScanResults:
 class TestRangeItemsBatch:
     """(key, value) range reads: the merge_scan_results payload gather."""
 
-    def build(self):
-        rng = np.random.default_rng(0x17EB5)
-        keys = np.unique(rng.integers(0, 20_000, 1_500)).astype(np.int64)
-        store = LearnedLSMStore(
-            keys, values=keys * 3, memtable_capacity=120
-        )
-        truth = {int(k): int(k) * 3 for k in keys}
-        # Overwrites across runs (newest wins), deletes, and fresh keys
-        # still buffered in the memtable.
-        for k in keys[::5].tolist():
-            store.insert(k, k + 7)
-            truth[k] = k + 7
-        for k in keys[1::9].tolist():
-            store.delete(k)
-            truth.pop(k, None)
-        for k in range(20_001, 20_040):
-            store.insert(k, k * 2)
-            truth[k] = k * 2
-        return store, truth
-
-    def test_items_match_oracle(self):
-        store, truth = self.build()
-        rng = np.random.default_rng(3)
-        lows = rng.integers(-10, 20_050, 60)
-        highs = lows + rng.integers(-20, 500, 60)
-        result, values = store.range_items_batch(lows, highs)
-        keys_only = store.range_query_batch(lows, highs)
-        np.testing.assert_array_equal(result.offsets, keys_only.offsets)
-        np.testing.assert_array_equal(result.values, keys_only.values)
-        assert values.size == result.total
-        for j, key in enumerate(np.asarray(result.values).tolist()):
-            assert values[j] == truth[key], (j, key)
-
-    def test_items_empty_batch(self):
-        store, _ = self.build()
-        result, values = store.range_items_batch([], [])
-        assert len(result) == 0
-        assert values.size == 0
-
-    def test_items_inverted_and_empty_ranges(self):
-        store, _ = self.build()
-        result, values = store.range_items_batch([500, 100], [400, 100 - 1])
-        assert result.total == 0
-        assert values.size == 0
-
     def test_run_level_value_gather(self):
         keys = np.array([1, 3, 5, 9], dtype=np.int64)
         run = SortedRun(keys, values=keys * 10)
@@ -713,24 +557,13 @@ class TestRangeItemsBatch:
 
 
 class TestMemtableEndpointExactness:
-    """Regression: memtable-resident data must resolve float range
-    endpoints through the query core exactly like run-resident data
-    (a raw searchsorted promoted the int64 snapshot to float64, so
-    2^53+1 fell inside the range [2^53, 2^53])."""
+    """Memtable-resident data is read as the run layout a seal writes.
 
-    def test_buffered_and_sealed_answers_match(self):
-        key = 2**53 + 1
-        store = LearnedLSMStore(memtable_capacity=10**9)
-        store.insert(key)
-        lows, highs = [float(2**53)], [float(2**53)]
-        buffered = store.range_query_batch(lows, highs)
-        assert list(buffered[0]) == []
-        assert list(store.range_query_batch([key], [key])[0]) == [key]
-        items, _values = store.range_items_batch(lows, highs)
-        assert items.total == 0
-        store.flush()
-        sealed = store.range_query_batch(lows, highs)
-        assert list(sealed[0]) == list(buffered[0])
+    That it resolves float range endpoints exactly like run-resident
+    data (a raw searchsorted once promoted the int64 snapshot to
+    float64, so 2^53+1 fell inside the range [2^53, 2^53]) is
+    ``test_kv_history.py``'s: ``float(k)`` endpoints over its 2^53
+    cluster, buffered and sealed."""
 
     def test_reads_never_rematerialize_the_seal_layout(self):
         """Reads with no write between them share the memtable's one

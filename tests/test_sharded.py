@@ -1,9 +1,15 @@
 """Sharded-store integration tests: worker processes, worker-held
-snapshots, differential correctness against a single-store oracle.
+snapshots on durable shards, the wire form, and a lost or hung worker.
 
-Workers are real spawned processes, so each store here costs ~a second
-of interpreter startup; tests share fixtures where isolation allows
-and keep datasets small.
+That the sharded store, its snapshots and a coalescer over it answer
+like a dict through any history of writes, flushes, compactions and
+refused calls is ``test_kv_history.py``'s model-based history; this
+file keeps what a history cannot see: run files, reopen and backup of
+shard directories, frames, and failure.
+
+Workers are real spawned processes, so each store here costs about
+half a second of interpreter startup; tests share fixtures where
+isolation allows and keep datasets small.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from multiprocessing.reduction import ForkingPickler
 import numpy as np
 import pytest
 
+from oracles import REFUSED_CALLS
 from repro import obs
 from repro.lsm.store import KVSurface, LearnedLSMStore, ReadView, StoreSnapshot
 from repro.serving import (
@@ -38,77 +45,20 @@ def _dataset(seed: int = 7, n: int = 20_000):
 
 @pytest.fixture(scope="module")
 def bulk():
-    """One bulk-loaded 2-shard store + its oracle, shared by the
-    read-only tests."""
+    """One bulk-loaded 2-shard store, shared by the read-only tests."""
     keys, values = _dataset()
-    oracle = LearnedLSMStore(keys, values, background=False)
-    store = ShardedLSMStore(2, keys, values)
-    yield keys, values, store, oracle
-    store.close()
-    oracle.close()
+    with ShardedLSMStore(2, keys, values) as store:
+        yield keys, store
 
 
 class TestShardedReads:
-    def test_reads_match_oracle(self, bulk, rng):
-        keys, _values, store, oracle = bulk
-        queries = np.concatenate([
-            rng.choice(keys, 800),
-            rng.integers(0, 10**9, 200).astype(np.int64),
-        ])
-        expect_v, expect_f = oracle.lookup_batch(queries)
-        values, found = store.lookup_batch(queries)
-        assert np.array_equal(found, expect_f)
-        assert np.array_equal(values[found], expect_v[expect_f])
-
-    def test_ranges_stitch_across_shards(self, bulk, rng):
-        keys, _values, store, oracle = bulk
-        # Ranges straddling the shard boundary, fully inside one
-        # shard, empty, and inverted.
-        mid = int(store.splitter.boundaries[0])
-        lows = np.array(
-            [keys[0], mid - 10**6, mid, 10**9 + 5, 500, keys[100]],
-            dtype=np.int64,
-        )
-        highs = np.array(
-            [keys[-1], mid + 10**6, mid, 10**9 + 50, 400, keys[120]],
-            dtype=np.int64,
-        )
-        expect = oracle.range_query_batch(lows, highs)
-        got = store.range_query_batch(lows, highs)
-        assert np.array_equal(
-            np.asarray(got.values), np.asarray(expect.values)
-        )
-        assert np.array_equal(
-            np.asarray(got.offsets), np.asarray(expect.offsets)
-        )
-
-    def test_range_items_carry_payloads(self, bulk):
-        keys, _values, store, oracle = bulk
-        lows = np.array([keys[10], keys[5000]], dtype=np.int64)
-        highs = np.array([keys[40], keys[5030]], dtype=np.int64)
-        got, payloads = store.range_items_batch(lows, highs)
-        expect, expect_payloads = oracle.range_items_batch(lows, highs)
-        assert np.array_equal(
-            np.asarray(got.values), np.asarray(expect.values)
-        )
-        assert np.array_equal(payloads, expect_payloads)
-
-    def test_scalar_helpers(self, bulk):
-        keys, _values, store, _oracle = bulk
-        k = int(keys[123])
-        assert store.lookup(k) == k * 7
-        assert store.contains(k)
-        assert store.lookup(k + 1) is None or keys[124] == k + 1
-        span = store.range_query(int(keys[10]), int(keys[15]))
-        assert np.array_equal(span, keys[10:16])
-
     def test_splitter_balances_bulk_load(self, bulk):
-        _keys, _values, store, _oracle = bulk
+        _keys, store = bulk
         sizes = [s["live_keys"] for s in store.shard_stats()]
         assert min(sizes) > 0.8 * max(sizes)
 
     def test_coalescer_over_sharded_store(self, bulk):
-        keys, _values, store, _oracle = bulk
+        keys, store = bulk
 
         async def main():
             srv = CoalescingIndexServer(store)
@@ -126,81 +76,6 @@ class TestShardedReads:
 
 
 class TestShardedWrites:
-    def test_differential_interleaved_history(self, tmp_path):
-        """Reads interleaved with writes, deletes, seals, and
-        compactions must match the single-store oracle at every
-        step — including reads taken through a pinned snapshot while
-        later writes land."""
-        rng = np.random.default_rng(42)
-        keys, values = _dataset(seed=3, n=6_000)
-        with LearnedLSMStore(
-            background=False, memtable_capacity=1_024
-        ) as oracle, ShardedLSMStore(
-            2,
-            sample_keys=keys,
-            store_kwargs={"memtable_capacity": 1_024},
-        ) as store:
-            universe = np.unique(
-                np.concatenate([
-                    keys, rng.integers(0, 10**9, 2_000).astype(np.int64)
-                ])
-            )
-            snap = None
-            snap_expect = None
-            for step in range(8):
-                batch = rng.choice(keys, 700)
-                vals = batch * (step + 2)
-                store.insert_batch(batch, vals)
-                oracle.insert_batch(batch, vals)
-                dels = rng.choice(keys, 150)
-                store.delete_batch(dels)
-                oracle.delete_batch(dels)
-                if step == 2:
-                    store.flush()
-                    oracle.flush()
-                if step == 4:
-                    store.compact()
-                    oracle.compact()
-                if step == 5:
-                    snap = store.snapshot()
-                    snap_expect = oracle.lookup_batch(universe)
-                probe = rng.choice(universe, 500)
-                expect_v, expect_f = oracle.lookup_batch(probe)
-                got_v, got_f = store.lookup_batch(probe)
-                assert np.array_equal(got_f, expect_f), step
-                assert np.array_equal(
-                    got_v[got_f], expect_v[expect_f]
-                ), step
-                lows = rng.choice(universe, 20)
-                highs = lows + rng.integers(0, 10**7, 20)
-                expect_r = oracle.range_query_batch(lows, highs)
-                got_r = store.range_query_batch(lows, highs)
-                assert np.array_equal(
-                    np.asarray(got_r.values),
-                    np.asarray(expect_r.values),
-                ), step
-            # The snapshot still answers from step-5 state even after
-            # three more rounds of writes, seals and compactions.
-            snap_v, snap_f = snap.lookup_batch(universe)
-            assert np.array_equal(snap_f, snap_expect[1])
-            assert np.array_equal(
-                snap_v[snap_f], snap_expect[0][snap_expect[1]]
-            )
-            snap.release()
-
-    def test_read_your_writes_and_empty_store(self):
-        with ShardedLSMStore(2) as store:
-            _v, f = store.lookup_batch(
-                np.array([1, 2, 3], dtype=np.int64)
-            )
-            assert not f.any()
-            empty = store.range_query_batch([0], [10**9])
-            assert empty.total == 0
-            store.insert(5, 50)
-            assert store.lookup(5) == 50
-            store.delete(5)
-            assert store.lookup(5) is None
-
     def test_worker_held_snapshot_on_durable_shards(self, tmp_path):
         """A snapshot pins each shard's runs in its worker: it answers
         the old values across an overwrite, a flush and a compaction;
@@ -244,32 +119,6 @@ class TestShardedWrites:
         with ShardedLSMStore(2, splitter=split, path=str(tmp_path)) as store:
             values, found = store.lookup_batch(keys)
             assert found.all() and np.array_equal(values, live)
-
-    def test_snapshots_pin_their_own_states(self):
-        """Each snapshot holds its own cross-shard state, memtable
-        included; releasing one leaves the others answering."""
-        keys = np.arange(0, 4_000, 2, dtype=np.int64)
-        second_v, second_f = keys.copy(), np.ones(keys.size, dtype=bool)
-        second_v[:100] *= 3
-        second_v[100:200], second_f[100:200] = 0, False
-        with ShardedLSMStore(2, keys, keys) as store:
-            first = store.snapshot()
-            store.insert_batch(keys[:100], keys[:100] * 3)
-            store.delete_batch(keys[100:200])
-            with store.snapshot() as second:
-                store.flush()
-                store.insert_batch(keys, keys * 5)
-                store.compact()
-                values, found = first.lookup_batch(keys)
-                assert found.all() and np.array_equal(values, keys)
-                first.release()
-                values, found = second.lookup_batch(keys)
-                assert np.array_equal(found, second_f)
-                assert np.array_equal(values, second_v)
-                assert np.array_equal(store.lookup_batch(keys)[0], keys * 5)
-            for snap in (first, second):
-                with pytest.raises(ValueError, match="released"):
-                    snap.range_query_batch([0], [10])
 
     def test_durable_shards_reopen(self, tmp_path):
         keys, values = _dataset(seed=9, n=4_000)
@@ -579,166 +428,7 @@ def test_close_returns_despite_a_hung_worker(monkeypatch):
 
 
 # -- one read state: every holder answers through ReadView ---------------------
-
-_BIG = 2**53
-
-
-def _replay_history(write, model: dict) -> None:
-    """One write history, applied to a store (through ``write``) and
-    to the dict oracle alike: three flushed generations with
-    overwrites, deletes and resurrections, then an unflushed tail of
-    puts *and* tombstones.  Keys >= 2^53 alias their neighbours in
-    float64, so any float round trip in a read path shows up."""
-    keys = np.concatenate([
-        np.arange(0, 600, 2), _BIG + np.arange(0, 600, 3)
-    ]).astype(np.int64)
-
-    def put(batch, factor):
-        write("insert_batch", batch, batch * factor)
-        model.update(zip(batch.tolist(), (batch * factor).tolist()))
-
-    def delete(batch):
-        write("delete_batch", batch)
-        for key in batch.tolist():
-            model.pop(key, None)
-
-    put(keys, 3)
-    write("flush")
-    put(keys[::5], 5)
-    delete(keys[1::7])
-    write("flush")
-    put(np.arange(1, 100, 2, dtype=np.int64), 7)
-    put(keys[1::14], 11)
-    delete(keys[2::9])
-    write("flush")
-    put(keys[3::11], 13)
-    put(np.array([_BIG + 1], dtype=np.int64), 17)
-    delete(np.concatenate([keys[4::13], [12_345]]).astype(np.int64))
-
-
-class _SyncCoalescer:
-    """Drive a CoalescingIndexServer like a plain store."""
-
-    def __init__(self, store):
-        self._server = CoalescingIndexServer(store)
-
-    def lookup_batch(self, keys):
-        return asyncio.run(self._server.lookup_batch(keys))
-
-    def range_query_batch(self, lows, highs):
-        return asyncio.run(self._server.range_query_batch(lows, highs))
-
-
-@pytest.fixture(scope="module")
-def read_holders():
-    model: dict = {}
-    single = LearnedLSMStore(background=False)
-    _replay_history(lambda op, *a: getattr(single, op)(*a), model)
-    sharded = ShardedLSMStore(2, sample_keys=np.array(sorted(model)))
-    _replay_history(lambda op, *a: getattr(sharded, op)(*a), {})
-    # The state the issue asks for: >= 3 runs under a memtable holding
-    # both puts and tombstones — in the single store and in each shard.
-    assert single.num_runs >= 3
-    _keys, _values, dead = single.memtable.entries()
-    assert dead.any() and not dead.all()
-    for stats in sharded.shard_stats():
-        assert stats["num_runs"] >= 3 and stats["memtable"] > 0
-    snapshots = [single.snapshot(), sharded.snapshot()]
-    holders = {
-        "store": single,
-        "store_snapshot": snapshots[0],
-        "sharded": sharded,
-        "sharded_snapshot": snapshots[1],
-        "coalescer": _SyncCoalescer(single),
-        "sharded_coalescer": _SyncCoalescer(sharded),  # the serving stack
-    }
-    yield model, holders
-    for snap in snapshots:
-        snap.release()
-    sharded.close()
-    single.close()
-
-
-_HOLDERS = (
-    "store", "store_snapshot", "sharded", "sharded_snapshot", "coalescer",
-    "sharded_coalescer",
-)
-
-
-@pytest.mark.parametrize("name", _HOLDERS)
-class TestReadHolderConformance:
-    """Every holder of an LSM read state gives the dict replay's
-    answer, for all three reads — they are one ReadView."""
-
-    def test_point_reads(self, read_holders, name):
-        model, holders = read_holders
-        view = holders[name]
-        live = np.array(sorted(model), dtype=np.int64)
-        queries = np.concatenate([
-            live[::3],                       # present (some overwritten)
-            np.arange(0, 700, 1),            # small: present/deleted/absent
-            _BIG + np.arange(-2, 610),       # >= 2^53 neighbours
-            [12_345, -5, 2**62],
-        ]).astype(np.int64)
-        values, found = view.lookup_batch(queries)
-        expect_found = np.array([int(q) in model for q in queries])
-        assert np.array_equal(found, expect_found)
-        assert values[found].tolist() == [
-            model[int(q)] for q in queries[expect_found]
-        ]
-        assert not values[~found].any()
-        empty_v, empty_f = view.lookup_batch(np.empty(0, dtype=np.int64))
-        assert empty_v.size == 0 and empty_f.size == 0
-
-    def test_float_point_batch_is_a_type_error(self, read_holders, name):
-        _model, holders = read_holders
-        with pytest.raises(TypeError):
-            holders[name].lookup_batch(np.array([1.5, 2.0]))
-
-    def _check_ranges(self, model, view, lows, highs, *, items):
-        live = sorted(model)
-        expect = [
-            [k for k in live if lo <= k <= hi]
-            for lo, hi in zip(lows.tolist(), highs.tolist())
-        ]
-        got = view.range_query_batch(lows, highs)
-        assert [np.asarray(r).tolist() for r in got] == expect
-        if items:
-            scan, payloads = view.range_items_batch(lows, highs)
-            assert [np.asarray(r).tolist() for r in scan] == expect
-            assert payloads.tolist() == [
-                model[k] for keys in expect for k in keys
-            ]
-
-    def test_integer_ranges(self, read_holders, name):
-        model, holders = read_holders
-        lows = np.array(
-            [0, 37, 500, 90, -10, _BIG - 3, _BIG + 1, 10**6], dtype=np.int64
-        )
-        highs = np.array(
-            [60, 37, _BIG + 9, 10, 2**62, _BIG + 1, _BIG + 40, 10**7],
-            dtype=np.int64,
-        )
-        self._check_ranges(
-            model, holders[name], lows, highs,
-            items=not name.endswith("coalescer"),
-        )
-        empty = holders[name].range_query_batch(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-        assert len(empty) == 0 and empty.total == 0
-
-    def test_half_integer_endpoints(self, read_holders, name):
-        model, holders = read_holders
-        lows = np.array([1.5, 9.5, 3.5, 100.5])
-        highs = np.array([7.5, 20.5, 3.5, 90.5])
-        if name.endswith("coalescer"):
-            # One packed int64 array per tick: refused, not truncated.
-            with pytest.raises(TypeError):
-                holders[name].range_query_batch(lows, highs)
-            return
-        self._check_ranges(model, holders[name], lows, highs, items=True)
-
+# (that they answer alike is test_kv_history.py's)
 
 def test_sharded_store_reads_only_through_readview():
     # The serving layer holds read states; it must not regrow a read
@@ -758,107 +448,17 @@ def test_sharded_store_reads_only_through_readview():
 
 # -- one store surface: one key contract on every entry point (ISSUE 20) -------
 
-_U64 = np.array([2**64 - 5], dtype=np.uint64)  # wraps onto key -5 if cast
-
-#: (method, args, error): calls that used to answer for a neighbouring
-#: key, write one, or wedge the store — each a typed refusal now.
-_REFUSED = (
-    ("lookup", (2.5,), TypeError),
-    ("lookup", ("7",), TypeError),
-    ("contains", (2.0,), TypeError),
-    ("delete", (4.9,), TypeError),
-    ("insert", (7.9,), TypeError),
-    ("insert", (8, 1.5), TypeError),
-    ("insert", (2**63,), OverflowError),
-    ("delete", (2**64 - 5,), OverflowError),
-    ("lookup", (2**64 - 5,), OverflowError),
-    ("lookup_batch", (_U64,), OverflowError),
-    ("contains_batch", (_U64,), OverflowError),
-    ("insert_batch", (_U64,), OverflowError),
-    ("insert_batch", ([8], _U64), OverflowError),
-    ("delete_batch", (_U64,), OverflowError),
-    ("insert_batch", ([1000], [1.9]), TypeError),
-    ("insert_batch", ([1.5],), TypeError),
-)
-
-
-def _refuse_all(store) -> None:
-    for method, args, error in _REFUSED:
-        with pytest.raises(error):
-            getattr(store, method)(*args)
-
-
-def test_refused_calls_leave_every_holder_unchanged(read_holders):
-    model, holders = read_holders
-    single, shards = holders["store"], holders["sharded"]
-    server = holders["coalescer"]._server
-    written = single.write_stats.keys_written
-    _refuse_all(single)
-    _refuse_all(shards)
-    for key, error in ((2.5, TypeError), (2**64 - 5, OverflowError)):
-        with pytest.raises(error):
-            asyncio.run(server.lookup(key))
-    with pytest.raises(TypeError):  # the coalescer's own batch contract
-        asyncio.run(server.range_query(2.5, 6.5))
-    # Float range endpoints are not keys: they bound the range.
-    expect = [k for k in sorted(model) if 2.5 <= k <= 6.5]
-    assert single.range_query(2.5, 6.5).tolist() == expect
-    assert shards.range_query(2.5, 6.5).tolist() == expect
-    # Nothing landed, nothing is wedged: contents are the dict replay.
-    assert single.write_stats.keys_written == written
-    assert len(single) == len(model)
-    assert sum(s["live_keys"] for s in shards.shard_stats()) == len(model)
-    probe = np.array(sorted(model) + [-5, 4, 7, 8, 1000, 2**62], dtype=np.int64)
-    for name in ("store", "sharded", "coalescer"):
-        values, found = holders[name].lookup_batch(probe)
-        assert found.tolist() == [int(k) in model for k in probe], name
-        assert values[found].tolist() == [model[int(k)] for k in probe[found]]
-    assert asyncio.run(server.lookup(np.int64(1))) == model[1]
-
-
-def test_scalars_agree_with_one_element_batches(tmp_path):
-    keys = [3, np.int64(_BIG + 1), np.uint32(77), _BIG + 2, -9, _BIG]
+def test_refused_writes_append_no_wal_record(tmp_path):
     path = str(tmp_path / "durable")
-    with LearnedLSMStore(background=False) as mem, LearnedLSMStore(
-        path=path, background=False
-    ) as durable, ShardedLSMStore(
-        2, sample_keys=np.array([0, _BIG])
-    ) as shards:
-        for store in (mem, durable, shards):
-            model: dict = {}
-            with LearnedLSMStore(background=False) as twin:
-                for i, key in enumerate(keys):
-                    store.insert(key, np.int64(i + 1))
-                    twin.insert_batch([key], [i + 1])
-                    model[int(key)] = i + 1
-                store.insert(5)
-                twin.insert_batch([5])
-                model[5] = 5
-                store.delete(np.int64(3))
-                twin.delete_batch([3])
-                del model[3]
-                _refuse_all(store)
-                probe = sorted(model) + [3, 4, _BIG + 3]
-                for got, want in zip(
-                    store.lookup_batch(probe), twin.lookup_batch(probe)
-                ):
-                    assert np.array_equal(got, want)
-            for key in probe:
-                values, found = store.lookup_batch([key])
-                batch = int(values[0]) if found[0] else None
-                assert store.lookup(np.int64(key)) == batch == model.get(key)
-                assert store.contains(key) == (key in model)
-                assert store.contains_batch([key]).tolist() == [key in model]
-            span = store.range_query(-10, _BIG + 2).tolist()
-            assert span == sorted(model)
-            assert span == list(store.range_query_batch([-10], [_BIG + 2])[0])
-    # The WAL holds the eight acknowledged writes and no refused one.
+    with LearnedLSMStore(path=path, background=False) as store:
+        store.insert(3, 1)
+        store.delete_batch([3, 4])
+        for method, args, error in REFUSED_CALLS:
+            with pytest.raises(error):
+                getattr(store, method)(*args)
     with LearnedLSMStore(path=path, background=False) as reopened:
-        assert reopened.recovered_wal_records == len(keys) + 2
-        assert reopened.lookup_batch(sorted(model))[0].tolist() == [
-            model[k] for k in sorted(model)
-        ]
-        assert len(reopened) == len(model)
+        assert reopened.recovered_wal_records == 2
+        assert len(reopened) == 0
 
 
 def test_store_surface_is_written_once():
