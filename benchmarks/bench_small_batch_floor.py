@@ -34,16 +34,25 @@ is both the guard on that choice and the source of its constants:
   ``ReadView.lookup_batch`` applies
   (``repro.lsm.store.UNGUARDED_PROBE_KEYS``);
 * the **filter crossover scan** times the bloom filter's own two
-  integer batch paths, the one-shot ``(k, n)`` gather and the row
-  walk, on one run filter per size, and prints the batch size at which
-  the walk becomes the cheaper side — what
-  ``repro.bloom.standard.ROW_WALK_MIN_KEYS`` is set from;
+  batch paths over hashed keys, the one-shot ``(k, n)`` gather and the
+  row walk (which drops the keys two probes reject once at most half
+  pass them), on one run filter per size, on batches of 10% and 50%
+  stored keys, and prints the batch size at which the walk becomes the
+  cheaper side — what ``repro.bloom.standard.ROW_WALK_MIN_KEYS`` is
+  set from;
+* the **ascending-probe scan** times an LSM run's two ways to place
+  ascending needles — ``np.searchsorted`` on its key column and its
+  RMI — on runs of 16k to 4M keys, and prints the call size at which
+  the RMI becomes the cheaper side — what
+  ``repro.lsm.run.ORDERED_PROBE_CROSSOVERS`` (the ordered LSM batch
+  read's run probes) is set from;
 * the **needle-order scan** times ``np.searchsorted`` on a call's
   queries as they come against the same search with the queries
   argsorted first and the positions scattered back, over arrays of
   512 to 1M keys, and prints the call size at which ordering becomes
   the cheaper side — what ``repro.lsm.run.ORDERED_SEARCH_MIN_KEYS``
-  (the LSM memtable's batch search) is set from;
+  (from which an LSM batch read over a non-empty memtable orders its
+  queries) is set from;
 * the **packed-order scan** times the two ways
   ``repro.util.sorted_order`` orders a batch of integers — ``argsort``
   plus the gather of the sorted values, and one ``np.sort`` of the
@@ -70,13 +79,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench import Table, compare_lookups
+from repro.bloom import BloomFilter
 from repro.bloom.standard import ROW_WALK_MIN_KEYS
 from repro.core import RecursiveModelIndex
 from repro.core.engine import SortedKeyColumn, column_answers
 from repro.data import uniform_keys
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
-from repro.lsm.run import ORDERED_SEARCH_MIN_KEYS, _searchsorted_in_order
+from repro.lsm.run import ORDERED_PROBE_CROSSOVERS, ORDERED_SEARCH_MIN_KEYS
 from repro.lsm.store import UNGUARDED_PROBE_KEYS
 from repro.range_scan import (
     GATHER_MIN_SLICES,
@@ -85,7 +95,7 @@ from repro.range_scan import (
     _copy_slices,
     _gather_slices,
 )
-from repro.util import PACKED_ORDER_MIN_KEYS, _packed_order
+from repro.util import PACKED_ORDER_MIN_KEYS, _packed_order, sorted_order
 
 from conftest import console, show_table
 
@@ -341,43 +351,118 @@ def test_unguarded_probes_are_cheaper_than_their_filter():
     assert column_answers(beyond, 4 * rows[-1][0])
 
 
+def _hashed_calls(keys, k, present, rng) -> list:
+    """Filter inputs: the hashes of distinct ``k``-key calls, a share
+    ``present`` of each call's keys stored and the rest absent."""
+    stored = int(k * present)
+    low, high = int(keys[0]) - 10, int(keys[-1]) + 10
+    return [
+        BloomFilter.hash_keys(rng.permutation(np.concatenate(
+            [rng.choice(keys, stored), rng.integers(low, high, k - stored)]
+        )))
+        for _ in range(max(16, min(256, 200_000 // k)))
+    ]
+
+
 def test_filter_crossover_scan_behind_the_row_walk():
     rng = np.random.default_rng(5018)
     call_sizes = [1 << e for e in range(6, 15)]
     table = Table(
         "Filter crossover scan: one-shot (k, n) gather time / row walk "
-        "time, paired, per integer contains_batch (below 1 the gather "
-        "is the cheaper side)",
-        ["run keys"] + [str(k) for k in call_sizes]
+        "time, paired, per contains_hashes (below 1 the gather is the "
+        "cheaper side); the walk goes on with the keys that pass two "
+        "probes when at most half do",
+        ["run keys", "present"] + [str(k) for k in call_sizes]
         + ["crossover", "shipped"],
     )
     ratios = {}
     for n in (16_384, 131_072, 500_000):
         keys = uniform_keys(n, seed=7)
         bloom = SortedRun(keys, keys, np.zeros(n, dtype=bool)).bloom
-        row = []
-        for k in call_sizes:
-            calls = _calls(keys, k, rng)
-            for q in calls[:4]:
-                assert np.array_equal(
-                    bloom._contains_gather(q), bloom._contains_walk(q)
-                )
-            row.append(_paired(
-                bloom._contains_walk, bloom._contains_gather, calls
-            )[2])
-        ratios[n] = row
-        table.add_row(
-            f"{n:,}", *[f"{r:.2f}" for r in row],
-            _crossover(call_sizes, row), ROW_WALK_MIN_KEYS,
-        )
+        for present in (0.1, 0.5):
+            row = []
+            for k in call_sizes:
+                calls = _hashed_calls(keys, k, present, rng)
+                for h in calls[:4]:
+                    assert np.array_equal(
+                        bloom._contains_gather(h), bloom._contains_walk(h)
+                    )
+                row.append(_paired(
+                    bloom._contains_walk, bloom._contains_gather, calls
+                )[2])
+            ratios[n, present] = row
+            table.add_row(
+                f"{n:,}", f"{present:.0%}", *[f"{r:.2f}" for r in row],
+                _crossover(call_sizes, row), ROW_WALK_MIN_KEYS,
+            )
     show_table(table)
     # Shape: a 64-key batch is the gather's on every filter, a 16 384-key
     # batch the walk's.
     assert all(row[0] < 1.0 and row[-1] > 1.0 for row in ratios.values())
     console(
-        "[small-batch floor] set ROW_WALK_MIN_KEYS "
-        "(repro.bloom.standard) from the 'crossover' column"
+        "[small-batch floor] set ROW_WALK_MIN_KEYS (repro.bloom.standard) "
+        "to the power of two nearest the 'crossover' column"
     )
+
+
+def test_ascending_probe_scan_behind_the_run_column_table():
+    rng = np.random.default_rng(9018)
+    call_sizes = [1 << e for e in range(5, 17)]
+    rows, beyond = ORDERED_PROBE_CROSSOVERS
+    table = Table(
+        "Ascending-probe scan: key-column searchsorted time / RMI time "
+        "(engine forced, sort=False) on one LSM run, ascending needles, "
+        "paired (below 1 the column is the cheaper side)",
+        ["run keys"] + [str(k) for k in call_sizes]
+        + ["crossover", "shipped"],
+    )
+    ratios = {}
+    for n in (16_384, 131_072, 262_144, 1 << 20, 1 << 22):
+        keys = uniform_keys(n, seed=7)
+        run = SortedRun(keys)
+        row = []
+        for k in call_sizes:
+            calls = [np.sort(q) for q in _calls(keys, k, rng)]
+            for q in calls[:4]:
+                hit, _, _ = run.probe_batch(q, ascending=True)
+                assert np.array_equal(hit, run.probe_batch(q)[0])
+                assert np.array_equal(
+                    run.rmi.lookup_batch(q, sort=False),
+                    np.searchsorted(keys, q),
+                )
+            row.append(_paired(
+                lambda q: run.rmi.lookup_batch(q, sort=False),
+                lambda q: np.searchsorted(run.keys, q),
+                calls,
+            )[2])
+        ratios[n] = row
+        shipped = next((most for size, most in rows if n <= size), beyond)
+        table.add_row(
+            f"{n:,}", *[f"{r:.2f}" for r in row],
+            _crossover(call_sizes, row), shipped,
+        )
+    show_table(table)
+    # Shape: 32 ascending needles are the column's on every run, and on
+    # the 4M-key run the RMI is the cheaper side with headroom from four
+    # to 32 times the table's bound beyond its rows.
+    assert all(row[0] < 1.0 for row in ratios.values())
+    past = [r for k, r in zip(call_sizes, ratios[1 << 22])
+            if 4 * beyond <= k <= 32 * beyond]
+    assert past and min(past) > HEADROOM, past
+    console(
+        "[small-batch floor] set ORDERED_PROBE_CROSSOVERS (repro.lsm.run) "
+        "from the 'crossover' column: each row at or below the lowest "
+        "value over repeated scans"
+    )
+
+
+def _searchsorted_in_order(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(keys, queries)`` with the queries searched in
+    ascending order and each position scattered back to its query."""
+    ordered, order = sorted_order(queries)
+    pos = np.empty(queries.size, dtype=np.intp)
+    pos[order] = np.searchsorted(keys, ordered)
+    return pos
 
 
 def test_needle_order_scan_behind_the_memtable_search():

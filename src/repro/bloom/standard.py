@@ -21,15 +21,17 @@ from ..hashmap.hashing import murmur3_string, murmur_fmix64, murmur_fmix64_batch
 
 __all__ = ["BloomFilter", "optimal_bits", "optimal_hash_count"]
 
-#: An integer :meth:`BloomFilter.contains_batch` of at least this many
-#: keys walks its probes row by row; a smaller one takes one ``(k, n)``
-#: gather.  The walk's fixed cost (~8 numpy calls per probe, 2-3x the
-#: gather's at k = 7) loses on the 64-512-key sub-batches coalesced
-#: store calls hand a run; the gather's ``(k, n)`` temporaries lose from
-#: ~2 700-3 600 keys up on a 500k-key run's filter and ~6 000-8 200 on
-#: a 16k- or 131k-key one (the filter crossover scan of
+#: A :meth:`BloomFilter.contains_hashes` batch of at least this many
+#: keys walks its probes row by row, dropping the keys two probes
+#: reject once at most half pass them; a smaller one takes one
+#: ``(k, n)`` gather.  The walk's fixed cost (~8 numpy calls per probe,
+#: 2-3x the gather's at k = 7) loses on the 64-512-key sub-batches
+#: coalesced store calls hand a run; the gather's ``(k, n)``
+#: temporaries lose from ~2 800-4 600 keys up when 10% of the keys are
+#: stored and ~4 300-7 300 when half are, on 16k- to 500k-key run
+#: filters (two runs of the filter crossover scan of
 #: ``benchmarks/bench_small_batch_floor.py``); this is the power of two
-#: in that range.
+#: nearest those.
 ROW_WALK_MIN_KEYS = 4096
 
 
@@ -126,8 +128,20 @@ class BloomFilter:
         m = self.num_bits
         return [(h1 + i * h2) % m for i in range(self.num_hashes)]
 
-    def _probe_start(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(h1, s)``, uint64: each integer key's first hash and step.
+    @staticmethod
+    def hash_keys(keys: np.ndarray) -> np.ndarray:
+        """The uint64 hashes :meth:`contains_hashes` reads, one per
+        integer key.  Every filter hashes its integer keys with the
+        same seed whatever its size, so one pass serves any number of
+        filters (an LSM read asks one per run)."""
+        return murmur_fmix64_batch(keys, seed=1)
+
+    def _probe_start(
+        self, hashes: np.ndarray, steps: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(h1, s)``, uint64: each hashed key's first hash and step,
+        ``s`` written into ``steps`` (``hashes`` itself, where the
+        caller is done with them) or a new array.
 
         Probe ``i`` of :meth:`_positions` is ``(h1 + i*h2) mod m``,
         which is ``(h1 + i*s) mod m`` for ``s = h2 mod m`` — with
@@ -135,30 +149,35 @@ class BloomFilter:
         bump reduced mod ``m``.  ``h1 < 2^32``, so ``h1 + i*s`` cannot
         overflow.
         """
-        h = murmur_fmix64_batch(keys, seed=1)
-        h1 = h & np.uint64(0xFFFFFFFF)
-        h >>= np.uint64(32)
-        s = _reduce(h, np.uint64(self.num_bits))
+        h1 = hashes & np.uint64(0xFFFFFFFF)
+        s = np.right_shift(hashes, np.uint64(32), out=steps)
+        _reduce(s, np.uint64(self.num_bits))
         s[s == 0] = 1
         return h1, s
 
-    def _probe_rows(self, keys: np.ndarray):
-        """Yield probe ``0 .. k-1``'s bit positions for every key, one
-        length-n row at a time.  The row is updated in place: use it
-        before asking for the next.  Start and step are both below
-        ``m``, so each step is one add and one conditional subtract,
-        never a modulo."""
-        h1, s = self._probe_start(keys)
+    @staticmethod
+    def _next_row(p, s, m, wrapped) -> None:
+        """Advance probe positions ``p`` by their steps ``s``, in place.
+        Both are below ``m``, so this is one add and one conditional
+        subtract, never a modulo."""
+        p += s  # < 2m
+        # p - m wraps above p unless p >= m: the min subtracts m
+        # exactly where the sum passed it.
+        np.subtract(p, m, out=wrapped)
+        np.minimum(p, wrapped, out=p)
+
+    def _probe_rows(self, hashes: np.ndarray):
+        """Yield probe ``0 .. k-1``'s bit positions for every hashed
+        key, one length-n row at a time; ``hashes`` is overwritten.
+        The row is updated in place: use it before asking for the
+        next."""
+        h1, s = self._probe_start(hashes, hashes)
         m = np.uint64(self.num_bits)
         p = _reduce(h1, m)
         wrapped = np.empty_like(p)
         yield p
         for _ in range(self.num_hashes - 1):
-            p += s  # < 2m
-            # p - m wraps above p unless p >= m: the min subtracts m
-            # exactly where the sum passed it.
-            np.subtract(p, m, out=wrapped)
-            np.minimum(p, wrapped, out=p)
+            self._next_row(p, s, m, wrapped)
             yield p
 
     @staticmethod
@@ -209,7 +228,7 @@ class BloomFilter:
         if arr.size == 0:
             return
         hit = np.zeros(self.num_bits, dtype=bool)
-        for row in self._probe_rows(arr):
+        for row in self._probe_rows(self.hash_keys(arr)):
             hit[row.view(np.int64)] = True  # an intp index: no cast
         self._bits |= np.packbits(hit, bitorder="little")
         self.count += int(arr.size)
@@ -227,13 +246,10 @@ class BloomFilter:
     def contains_batch(self, keys) -> np.ndarray:
         """Batched membership: one bool per key.
 
-        Integer arrays hash in one vectorized
-        :func:`~repro.hashmap.hashing.murmur_fmix64_batch` pass.  From
-        :data:`ROW_WALK_MIN_KEYS` keys up, the ``k`` probes are walked
-        row by row over length-n arrays (:meth:`_contains_walk`); below
-        it all ``k * n`` positions are read with one ``(k, n)`` gather
-        (:meth:`_contains_gather`).  String keys hash per key (murmur
-        over strings is scalar Python) and take the one-shot gather.
+        Integer arrays hash in one vectorized pass (:meth:`hash_keys`)
+        and answer through :meth:`contains_hashes`.  String keys hash
+        per key (murmur over strings is scalar Python) and take the
+        one-shot gather.
         """
         arr = self._as_int_array(keys)
         if arr is None:
@@ -247,41 +263,74 @@ class BloomFilter:
                 positions.reshape(-1, self.num_hashes).T
             )
             return found
-        if arr.size >= ROW_WALK_MIN_KEYS:
-            return self._contains_walk(arr)
-        return self._contains_gather(arr)
+        return self.contains_hashes(self.hash_keys(arr))
+
+    def contains_hashes(self, hashes: np.ndarray) -> np.ndarray:
+        """One bool per hash of :meth:`hash_keys`: may its key be in
+        the filter?  ``hashes`` is read, never written.
+
+        From :data:`ROW_WALK_MIN_KEYS` hashes up, the ``k`` probes are
+        walked row by row over length-n arrays (:meth:`_contains_walk`);
+        below it all ``k * n`` positions are read with one ``(k, n)``
+        gather (:meth:`_contains_gather`).
+        """
+        if hashes.size >= ROW_WALK_MIN_KEYS:
+            return self._contains_walk(hashes)
+        return self._contains_gather(hashes)
 
     def _bits_at(self, positions: np.ndarray) -> np.ndarray:
         """Per column of a ``(k, n)`` position block: all bits set?"""
         shifts = (positions & 7).astype(np.uint8)
         return ((self._bits[positions >> 3] >> shifts) & 1).all(axis=0)
 
-    def _contains_gather(self, keys: np.ndarray) -> np.ndarray:
-        """Small integer batches: ~20 numpy calls whatever ``k``, one
-        reduction mod ``m`` over the ``(k, n)`` block included."""
-        h1, s = self._probe_start(keys)
+    def _contains_gather(self, hashes: np.ndarray) -> np.ndarray:
+        """Small batches: ~20 numpy calls whatever ``k``, one reduction
+        mod ``m`` over the ``(k, n)`` block included."""
+        h1, s = self._probe_start(hashes)
         positions = np.arange(self.num_hashes, dtype=np.uint64)[:, None] * s
         positions += h1
         _reduce(positions, np.uint64(self.num_bits))
         return self._bits_at(positions.view(np.int64))  # intp: no cast
 
-    def _contains_walk(self, keys: np.ndarray) -> np.ndarray:
-        """Large integer batches: a byte gather and a shift per probe
-        over contiguous length-n rows, ~8 numpy calls per probe; bit 0
-        of ``found`` stays set while every probe's bit is."""
-        n = keys.size
-        found = np.ones(n, dtype=np.uint8)
+    def _contains_walk(self, hashes: np.ndarray) -> np.ndarray:
+        """Large batches: a byte gather and a shift per probe over
+        contiguous rows, ~8 numpy calls per probe; bit 0 of ``found``
+        stays set while every probe's bit is.  After two probes, when
+        at most half the keys are still alive (an absent key survives
+        a probe about half the time), the remaining probes walk those
+        keys only."""
+        h1, s = self._probe_start(hashes)
+        m = np.uint64(self.num_bits)
+        p = _reduce(h1, m)
+        n = p.size
+        found = out = np.ones(n, dtype=np.uint8)
+        alive = None
         index = np.empty(n, dtype=np.intp)
         byte = np.empty(n, dtype=np.uint8)
         shift = np.empty(n, dtype=np.uint8)
-        for row in self._probe_rows(keys):
+        wrapped = np.empty_like(p)
+        for i in range(self.num_hashes):
+            if i:
+                self._next_row(p, s, m, wrapped)
             # positions < m: their int64 view is the same values, uncast
-            np.right_shift(row.view(np.int64), 3, out=index)
+            np.right_shift(p.view(np.int64), 3, out=index)
             np.take(self._bits, index, out=byte)
-            np.bitwise_and(row, 7, out=shift, casting="unsafe")
+            np.bitwise_and(p, 7, out=shift, casting="unsafe")
             np.right_shift(byte, shift, out=byte)
             found &= byte
-        return found.view(bool)
+            if i == 1 and i + 1 < self.num_hashes:
+                live = np.count_nonzero(found)
+                if 2 * live <= n:
+                    if live == 0:
+                        break
+                    alive = np.flatnonzero(found.view(bool))
+                    p, s = p[alive], s[alive]
+                    found = np.ones(live, dtype=np.uint8)
+                    index, byte = index[:live], byte[:live]
+                    shift, wrapped = shift[:live], wrapped[:live]
+        if alive is not None:
+            out[alive] = found
+        return out.view(bool)
 
     # -- serialization ------------------------------------------------------------
 

@@ -111,7 +111,6 @@ __all__ = [
     "column_answers",
     "batch_dup_fraction",
     "clamp_window",
-    "clamp_window_batch",
 ]
 
 #: Minimum batch size before the engine even *considers* the sorted
@@ -200,22 +199,6 @@ def clamp_window(lo: int, hi: int, n: int) -> tuple[int, int]:
     if hi <= lo:
         lo = min(lo, max(hi - 1, 0))
         hi = min(lo + 1, n)
-    return lo, hi
-
-
-def clamp_window_batch(
-    lo: np.ndarray, hi: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`clamp_window` over parallel int64 arrays."""
-    clamp_into(lo, 0, n)
-    np.minimum(hi, n, out=hi)
-    degenerate = hi <= lo
-    if degenerate.any():
-        collapsed = np.minimum(
-            lo[degenerate], np.maximum(hi[degenerate] - 1, 0)
-        )
-        lo[degenerate] = collapsed
-        hi[degenerate] = np.minimum(collapsed + 1, n)
     return lo, hi
 
 
@@ -865,11 +848,23 @@ class CompiledPlan:
         floor/ceil slack), the vectorized twin of
         :meth:`~repro.core.plan_index.CompiledPlanIndex._window`.
         """
-        lo = (raw - self.lo_offsets[leaf]).astype(np.int64)
+        n = self.column.size
+        # Clamped in float64 before the cast, which has no int64 value
+        # for a prediction past 2^63 (a probe of 2**63 - 1 into a
+        # two-key column); for every finite prediction these are
+        # clamp_window's integer clamps of lo to [0, n] and hi to n.
+        lo = clamp_into(raw - self.lo_offsets[leaf], 1, n + 1).astype(np.int64)
         lo -= 1
-        hi = (raw - self.hi_offsets[leaf]).astype(np.int64)
+        hi = clamp_into(raw - self.hi_offsets[leaf], -2, n - 2).astype(np.int64)
         hi += 2
-        return clamp_window_batch(lo, hi, self.column.size)
+        degenerate = hi <= lo
+        if degenerate.any():
+            collapsed = np.minimum(
+                lo[degenerate], np.maximum(hi[degenerate] - 1, 0)
+            )
+            lo[degenerate] = collapsed
+            hi[degenerate] = np.minimum(collapsed + 1, n)
+        return lo, hi
 
     # -- the batch point engine ------------------------------------------------
 

@@ -40,12 +40,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..bloom.standard import BloomFilter
+from ..core.engine import column_answers
 from ..core.rmi import RecursiveModelIndex
 from ..range_scan import assemble_slices
-from ..util import as_int64_pairs, sorted_order
+from ..util import as_int64_pairs
 from .format import RUN_MAGIC, CorruptRunError, SectionFile, write_section_file
 
-__all__ = ["SortedRun", "DEFAULT_LEAF_TARGET", "BLOOM_FPR", "probe_at"]
+__all__ = [
+    "SortedRun",
+    "DEFAULT_LEAF_TARGET",
+    "BLOOM_FPR",
+    "ORDERED_PROBE_CROSSOVERS",
+    "probe_at",
+]
 
 #: Target keys per RMI leaf when sealing a run; leaves scale with run
 #: size so error windows stay page-sized from 4k-key seals to
@@ -102,45 +109,44 @@ def _build_bloom(keys: np.ndarray) -> BloomFilter:
     return bloom
 
 
-#: From this many queries, :func:`ordered_searchsorted` searches with
-#: the queries in sorted order.  ``np.searchsorted`` keeps the previous
-#: answer as the low end of the next search while its needles ascend,
-#: so sorted needles search ever shorter, cache-warm ranges; unordered
-#: ones pay a full binary search each.  Below this the argsort costs
-#: more than that saves (from ``PACKED_ORDER_MIN_KEYS`` up the ordering
-#: is the cheaper packed sort, :func:`repro.util.sorted_order`).  Read
-#: off the 'crossover' column (where ordering starts to win, ratio 1.0)
-#: of the needle-order scan in ``benchmarks/bench_small_batch_floor.py``:
-#: the power of two at or above its largest value over arrays of 512 to
-#: 1M keys.
+#: From this many queries, a batch read over a non-empty memtable
+#: orders its queries (:func:`repro.util.sorted_order`) and walks the
+#: memtable and every run with them in that order
+#: (:meth:`repro.lsm.store.ReadView.lookup_batch`).  ``np.searchsorted``
+#: keeps the previous answer as the low end of the next search while
+#: its needles ascend, so sorted needles search ever shorter,
+#: cache-warm ranges; unordered ones pay a full binary search each.
+#: Below this the argsort costs more than the memtable search saves
+#: (from ``PACKED_ORDER_MIN_KEYS`` up the ordering is the cheaper packed
+#: sort).  Read off the 'crossover' column (where ordering starts to
+#: win, ratio 1.0) of the needle-order scan in
+#: ``benchmarks/bench_small_batch_floor.py``: the power of two at or
+#: above its largest value over arrays of 512 to 1M keys.
 ORDERED_SEARCH_MIN_KEYS = 128
 
-
-def ordered_searchsorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(keys, queries)``, bit for bit, searched with
-    the queries in sorted order from :data:`ORDERED_SEARCH_MIN_KEYS`
-    queries on: order them (:func:`repro.util.sorted_order`), search,
-    scatter each position back to its query.  A lower bound depends
-    only on the query's value, so the order it is searched in cannot
-    change it."""
-    if queries.size < ORDERED_SEARCH_MIN_KEYS:
-        return np.searchsorted(keys, queries)
-    return _searchsorted_in_order(keys, queries)
-
-
-def _searchsorted_in_order(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    ordered, order = sorted_order(queries)
-    pos = np.empty(queries.size, dtype=np.intp)
-    pos[order] = np.searchsorted(keys, ordered)
-    return pos
+#: ``(run keys up to, ascending needles up to)`` rows and the bound
+#: beyond them, as :func:`~repro.core.engine.column_answers` reads them:
+#: :meth:`SortedRun.probe_batch` answers that many *ascending* needles
+#: with one ``np.searchsorted`` on the run's key column, and more with
+#: its RMI.  Ascending needles make the column search several times
+#: cheaper than unordered ones do, so these sit 3-100x above the RMI's
+#: own rows (:data:`repro.core.engine.COLUMN_CROSSOVERS`): the column
+#: wins at every scanned call size, up to 65 536 needles, on a 16k- or
+#: 131k-key run, and up to ~1 280-1 600 on a 262k-key one, ~320-500 on
+#: a 1M-key one and ~180-235 on a 4M-key one (four runs of the
+#: ascending-probe scan of ``benchmarks/bench_small_batch_floor.py``);
+#: each row is a round number near the lowest crossover seen.
+ORDERED_PROBE_CROSSOVERS = (
+    ((1 << 17, 1 << 16), (1 << 18, 1280), (1 << 20, 320)),
+    192,
+)
 
 
 def probe_at(keys, values, tombstones, queries, pos):
     """(entry mask, tombstone mask, values) of a query batch in one
     run-layout triple, given each query's lower bound ``pos`` in
     ``keys`` — the membership test that ends every batch probe, a
-    run's (``pos`` from its RMI) and the memtable's (from
-    :func:`ordered_searchsorted`)."""
+    run's and the memtable's."""
     n = keys.size
     if n == 0:
         empty = np.zeros(queries.size, dtype=bool)
@@ -433,17 +439,25 @@ class SortedRun:
         return False, False, 0
 
     def probe_batch(
-        self, queries: np.ndarray
+        self, queries: np.ndarray, *, ascending: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(entry mask, tombstone mask, values) for a query batch.
+        """(entry mask, tombstone mask, values) for an int64 query batch.
 
         One vectorized ``lookup_batch`` against the run's RMI — int64
         end to end through the shared query core, so keys >= 2^53
         resolve exactly; the masks tell the store which queries this
         run *answers* (present or deleted) versus which fall through
-        to older runs.
+        to older runs.  ``ascending=True`` says the queries are sorted:
+        up to :data:`ORDERED_PROBE_CROSSOVERS` of them then take one
+        ``np.searchsorted`` on the key column instead, which returns
+        the same positions.
         """
-        pos = self.rmi.lookup_batch(queries)
+        if ascending and column_answers(
+            queries.size, self._n, ORDERED_PROBE_CROSSOVERS
+        ):
+            pos = np.searchsorted(self.keys, queries)
+        else:
+            pos = self.rmi.lookup_batch(queries)
         return probe_at(self.keys, self.values, self.tombstones, queries, pos)
 
     # -- range reads -----------------------------------------------------------

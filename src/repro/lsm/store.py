@@ -16,7 +16,13 @@ trade-off triangle the single-run
 * **read amplification** — point reads fan out newest-first across
   runs, with per-run bloom filters short-circuiting the runs that
   cannot hold the key (:attr:`LSMReadStats` meters exactly how many
-  negative probes the guards eliminate);
+  negative probes the guards eliminate).  A batch read
+  (:meth:`ReadView.lookup_batch`) walks the memtable and then each run
+  with the keys still open: it hashes them once for every filter it
+  asks, and from :data:`~repro.lsm.run.ORDERED_SEARCH_MIN_KEYS` keys
+  over a non-empty memtable it sorts them once, so every source is
+  searched with ascending needles, and puts the answers back in the
+  caller's order at the end;
 * **retrain cost** — every seal/compaction builds its run's RMI with
   the PR 3 segmented least-squares pass, so model maintenance rides
   the merge's array math.
@@ -152,20 +158,21 @@ import time
 
 import numpy as np
 
+from ..bloom.standard import BloomFilter
 from ..core.engine import SortedKeyColumn, column_answers
 from ..obs import MetricsRegistry, StatsView, counter_field
 from ..obs import span as obs_span
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
 from ..util import (
     as_int64_key, as_int64_keys, as_int64_pairs, newest_per_key,
-    range_endpoints,
+    range_endpoints, sorted_order,
 )
 from .compaction import SizeTieredCompaction, merge_runs, newest_versions
 from .faultfs import RealFileSystem
 from .format import CorruptRunError
 from .manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from .memtable import Memtable
-from .run import SortedRun, ordered_searchsorted, probe_at
+from .run import ORDERED_SEARCH_MIN_KEYS, SortedRun, probe_at
 from .wal import RECORD_DELETE, RECORD_PUT, WriteAheadLog
 from .wal import replay as wal_replay
 
@@ -230,56 +237,93 @@ class ReadView:
         self, keys, stats: "LSMReadStats | None" = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(values, found) for a whole key batch — the newest-first
-        walk :meth:`LearnedLSMStore.lookup_batch` documents: memtable
-        (one search of its sorted keys, :func:`ordered_searchsorted`),
-        then per run bloom filter → RMI probe over the queries still
-        unresolved — the probe alone where the filter would cost more
-        than it (:data:`UNGUARDED_PROBE_KEYS`).  ``stats`` receives
-        the read-amplification counters when provided."""
+        walk :meth:`LearnedLSMStore.lookup_batch` documents: the
+        memtable (one ``searchsorted`` of its sorted keys), then per
+        run bloom filter → probe over the queries still open — the
+        probe alone where the filter would cost more than it
+        (:data:`UNGUARDED_PROBE_KEYS`).
+
+        From :data:`~repro.lsm.run.ORDERED_SEARCH_MIN_KEYS` queries
+        over a non-empty memtable the walk orders the batch once,
+        keeps that order through every run — so each run's probe gets
+        ascending needles (``SortedRun.probe_batch(ascending=True)``)
+        — and scatters ``(values, found)`` back at the end.  The open
+        keys are hashed once, at the first run whose filter is asked,
+        and every later filter reads those hashes
+        (:meth:`~repro.bloom.BloomFilter.contains_hashes`).  ``stats``
+        receives the read-amplification counters when provided."""
         queries = as_int64_keys(keys)
         mem_keys, mem_values, mem_dead = self.mem
         m = queries.size
         values = np.zeros(m, dtype=np.int64)
+        found = np.zeros(m, dtype=bool)
         if m == 0:
-            return values, np.zeros(0, dtype=bool)
+            return values, found
+        order = None
+        # The open queries: ``needles`` (ascending once ordered), their
+        # positions in the batch (None while that is every position)
+        # and, once a filter is asked, their hashes.
+        open_idx = hashes = None
+        memtable_hits = 0
         if mem_keys.size:
-            resolved, dead, vals = probe_at(
+            if m >= ORDERED_SEARCH_MIN_KEYS:
+                queries, order = sorted_order(queries)
+            hit, dead, vals = probe_at(
                 mem_keys, mem_values, mem_dead, queries,
-                ordered_searchsorted(mem_keys, queries),
+                np.searchsorted(mem_keys, queries),
             )
-            found = resolved & ~dead
+            np.logical_and(hit, ~dead, out=found)
             np.copyto(values, vals, where=found)
-        else:
-            resolved = np.zeros(m, dtype=bool)
-            found = np.zeros(m, dtype=bool)
-        memtable_hits = int(np.count_nonzero(resolved))
+            memtable_hits = int(np.count_nonzero(hit))
+            if memtable_hits:
+                open_idx = np.flatnonzero(~hit)
+        needles = queries if open_idx is None else queries[open_idx]
         rejects = probes = misses = unguarded = 0
-        for run in self.runs:
-            open_idx = np.nonzero(~resolved)[0]
-            if open_idx.size == 0:
+        last = len(self.runs) - 1
+        for i, run in enumerate(self.runs):
+            if needles.size == 0:
                 break
             guarded = not column_answers(
-                open_idx.size, len(run), UNGUARDED_PROBE_KEYS
+                needles.size, len(run), UNGUARDED_PROBE_KEYS
             )
+            cand, sel = needles, None  # sel: the candidates' needle positions
             if guarded:
-                sub = queries[open_idx]
-                passed = run.bloom_contains_batch(sub)
-                rejects += int(sub.size - np.count_nonzero(passed))
-                cand_idx = open_idx[passed]
-                if cand_idx.size == 0:
+                if hashes is None:
+                    hashes = BloomFilter.hash_keys(needles)
+                passed = run.bloom.contains_hashes(hashes)
+                passing = int(np.count_nonzero(passed))
+                rejects += needles.size - passing
+                if passing == 0:
                     continue
-            else:
-                cand_idx = open_idx
-            hit, dead, vals = run.probe_batch(queries[cand_idx])
-            probes += int(cand_idx.size)
+                if passing < needles.size:
+                    sel = np.flatnonzero(passed)
+                    cand = needles[sel]
+            hit, dead, vals = run.probe_batch(
+                cand, ascending=order is not None
+            )
+            probes += cand.size
+            at = np.flatnonzero(hit)
             if guarded:
-                misses += int(np.count_nonzero(~hit))
+                misses += cand.size - at.size
             else:
-                unguarded += int(cand_idx.size)
-            live = hit & ~dead
-            values[cand_idx[live]] = vals[live]
-            found[cand_idx[live]] = True
-            resolved[cand_idx[hit]] = True
+                unguarded += cand.size
+            if at.size == 0:
+                continue
+            live = ~dead[at]
+            vals = np.where(live, vals[at], 0)
+            if sel is not None:
+                at = sel[at]  # the needles this run answers
+            dest = at if open_idx is None else open_idx[at]
+            values[dest] = vals
+            found[dest] = live
+            if i < last:
+                keep = np.ones(needles.size, dtype=bool)
+                keep[at] = False
+                keep = np.flatnonzero(keep)
+                needles = needles[keep]
+                open_idx = keep if open_idx is None else open_idx[keep]
+                if hashes is not None:
+                    hashes = hashes[keep]
         if stats is not None:
             stats.add(
                 lookups=m,
@@ -289,7 +333,13 @@ class ReadView:
                 bloom_rejects=rejects,
                 unguarded_probes=unguarded,
             )
-        return values, found
+        if order is None:
+            return values, found
+        out_values = np.empty(m, dtype=np.int64)
+        out_found = np.empty(m, dtype=bool)
+        out_values[order] = values
+        out_found[order] = found
+        return out_values, out_found
 
     def range_query_batch(self, lows, highs) -> RangeScanResult:
         """Live keys in each closed range ``[lows[i], highs[i]]``."""
@@ -1439,8 +1489,9 @@ class LearnedLSMStore(KVSurface):
 
         One ``lookup_batch`` fans newest-first across runs: each run
         sees only the queries still unresolved, its bloom filter drops
-        the ones it cannot hold, and its RMI probes the survivors —
-        the batch analogue of the scalar walk, with identical results.
+        the ones it cannot hold, and its RMI (or, for few ascending
+        needles, its key column) probes the survivors — the batch
+        analogue of the scalar walk, with identical results.
         ``values[i]`` is 0 wherever ``found[i]`` is False.  The whole
         batch answers from one pinned (memtable entries, run-set)
         snapshot, so a concurrent seal or background merge can neither

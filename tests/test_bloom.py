@@ -132,6 +132,56 @@ class TestBatchEquivalence:
         )
 
 
+def _alive_after_two_probes(bloom, keys) -> float:
+    """The share of ``keys`` whose first two probe bits are both set:
+    what the row walk's half-survivor gate counts."""
+    bits = np.unpackbits(bloom._bits, bitorder="little")
+    return float(np.mean([
+        all(bits[pos] for pos in bloom._positions(key)[:2])
+        for key in keys.tolist()
+    ]))
+
+
+class TestContainsHashes:
+    """``contains_hashes`` of :meth:`BloomFilter.hash_keys` answers like
+    ``contains_batch`` and like ``in``, on a built filter and on its
+    ``from_bytes`` copy, for batches of every mix of present and absent
+    keys, on both sides of ``ROW_WALK_MIN_KEYS`` and of the row walk's
+    half-survivor gate."""
+
+    @pytest.mark.parametrize("num_hashes", [1, 2, 7])
+    def test_hashes_answer_like_keys(self, num_hashes):
+        rng = np.random.default_rng(num_hashes)
+        members = rng.integers(-(2**63), 2**63 - 1, 3 * ROW_WALK_MIN_KEYS)
+        bloom = BloomFilter(optimal_bits(members.size, 0.01), num_hashes)
+        bloom.add_batch(members)
+        copy = BloomFilter.from_bytes(bloom.to_bytes())
+        absent = rng.integers(-(2**63), 2**63 - 1, 3 * ROW_WALK_MIN_KEYS)
+        batches = {
+            "absent": absent,
+            "present": members,
+            "mixed": np.where(rng.random(absent.size) < 0.2, members, absent),
+        }
+        if num_hashes > 2:
+            # absent keys mostly fail two probes: the walk goes on with
+            # the survivors; present ones all pass them: it does not
+            assert _alive_after_two_probes(bloom, absent[:500]) <= 0.4
+            assert _alive_after_two_probes(bloom, members[:500]) == 1.0
+        for name, keys in batches.items():
+            for n in (0, 1, 64, ROW_WALK_MIN_KEYS - 1, ROW_WALK_MIN_KEYS,
+                      2 * ROW_WALK_MIN_KEYS + 3):
+                probes = keys[:n]
+                want = [key in bloom for key in probes.tolist()]
+                hashes = BloomFilter.hash_keys(probes)
+                before = hashes.copy()
+                for guard in (bloom, copy):
+                    got = guard.contains_hashes(hashes)
+                    assert got.dtype == bool and got.tolist() == want, (
+                        name, n)
+                    assert guard.contains_batch(probes).tolist() == want
+                np.testing.assert_array_equal(hashes, before)
+
+
 class TestInternals:
     def test_size_bytes(self):
         bloom = BloomFilter(8000, 3)

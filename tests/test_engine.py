@@ -8,6 +8,7 @@ correct boundary semantics.
 """
 
 import bisect
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,22 @@ class TestCompiledPlanMatchesRMI:
         for i, q in enumerate(probes):
             _est, slo, shi = index.predict(float(q))
             assert (lo[i], hi[i]) == (slo, shi)
+
+    def test_windows_past_int64_cast_nothing_invalid(self):
+        """A probe of 2**63 - 1 into a two-key run predicts a position
+        near 2^63, which has no int64 value: the window is clamped in
+        float first, so the forced engine raises no cast warning and
+        answers like searchsorted."""
+        from repro.lsm import SortedRun
+
+        run = SortedRun([0, 1])
+        probes = np.array([2**63 - 1, -(2**63), 0, 1, 2], dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sort in (False, True):
+                np.testing.assert_array_equal(
+                    run.rmi.lookup_batch(probes, sort=sort), [2, 0, 0, 1, 2]
+                )
 
     def test_plan_is_the_only_batch_engine(self):
         # The RMI's batch surface must be a thin adapter: no local

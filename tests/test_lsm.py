@@ -477,6 +477,34 @@ class TestBatchReadWalk:
             store.flush()
             assert len(store.memtable) == 0
 
+    def test_ordered_walk_reads_alike_on_either_side_of_the_run_table(
+        self, monkeypatch
+    ):
+        """Three runs under a non-empty memtable, read at sizes either
+        side of the memtable's ordering switch and well past it: with
+        every run probe of ascending needles forced onto the key column,
+        then onto the RMI, the answers match the dict replay and the
+        read accounting is the same."""
+        import repro.lsm.run as run_mod
+
+        store, oracle, pool = _walked_store()
+        assert store.num_runs >= 3 and len(store.memtable)
+        stats = store.read_stats
+        for size in (127, 128, 2_048, 8_192):
+            queries = np.random.default_rng(size).choice(pool, size)
+            want_values, want_found = _replay(oracle, queries)
+            counts = set()
+            for beyond in (2**62, 0):  # every call the column's, none
+                monkeypatch.setattr(
+                    run_mod, "ORDERED_PROBE_CROSSOVERS", ((), beyond)
+                )
+                stats.reset()
+                values, found = store.lookup_batch(queries)
+                np.testing.assert_array_equal(found, want_found)
+                np.testing.assert_array_equal(values, want_values)
+                counts.add(tuple(getattr(stats, f) for f in stats._FIELDS))
+            assert len(counts) == 1, (size, counts)
+
 
 # -- the multi-source merge helper ---------------------------------------------
 
