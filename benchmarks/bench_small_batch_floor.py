@@ -1,101 +1,42 @@
 """The small-batch floor: a learned index never loses to the column
 it wraps (Section 3.3's promise, applied to the batch surface).
 
-``lookup_batch`` picks per call, from (queries in the call, keys in
-the column), between the model path and the whole-column search the
-index already owns (``repro.core.engine.column_answers``).  This file
-is both the guard on that choice and the source of its constants:
-
-* the **floor table** times the engine forced with ``sort=False``, the
-  column (``SortedKeyColumn.lower_bounds``) and the dispatched
-  ``lookup_batch`` on the same cold query arrays, for three column
-  sizes x five call sizes x three families, and asserts that the
-  dispatched call is never more than 1.25x slower than the better of
-  the two forced paths (a loss of a few us is allowed for
-  separately: the three Python frames between ``index.lookup_batch``
-  and the column cost ~1.5us here, half of an 8-key call, and no
-  choice of path gives them back);
-* the **dense column** row puts 131 072 int64 keys packed near 2^62
-  (ulp 1 024: cast raw, ~500 neighbours share a float64) beside the
-  uniform column of that size and asserts the forced engine costs the
-  same on both at every call size — models are fitted on
-  ``key - keys[0]``, so the float64 ulp must not widen a window
-  (ROADMAP item 2a's dense case);
-* the **crossover scan** prints, for each family and every column
-  size in its ``crossovers`` rows (and one four times the largest,
-  for the ``beyond`` value), the paired column/engine time ratio over
-  a grid of call sizes and the call size at which it crosses 1 — the
-  number each row is set from — then the family's table in the form
-  the source holds it.  Re-run it and paste the tables when the
-  engine's fixed cost changes;
-* the **filter table** carries the same question one layer up: an LSM
-  run's bloom pass against the probe it guards, on all-absent
-  sub-batches (the filter's best case), beside the rule
-  ``ReadView.lookup_batch`` applies
-  (``repro.lsm.store.UNGUARDED_PROBE_KEYS``);
-* the **filter crossover scan** times the bloom filter's own two
-  batch paths over hashed keys, the one-shot ``(k, n)`` gather and the
-  row walk (which drops the keys two probes reject once at most half
-  pass them), on one run filter per size, on batches of 10% and 50%
-  stored keys, and prints the batch size at which the walk becomes the
-  cheaper side — what ``repro.bloom.standard.ROW_WALK_MIN_KEYS`` is
-  set from;
-* the **ascending-probe scan** times an LSM run's two ways to place
-  ascending needles — ``np.searchsorted`` on its key column and its
-  RMI — on runs of 16k to 4M keys, and prints the call size at which
-  the RMI becomes the cheaper side — what
-  ``repro.lsm.run.ORDERED_PROBE_CROSSOVERS`` (the ordered LSM batch
-  read's run probes) is set from;
-* the **needle-order scan** times ``np.searchsorted`` on a call's
-  queries as they come against the same search with the queries
-  argsorted first and the positions scattered back, over arrays of
-  512 to 1M keys, and prints the call size at which ordering becomes
-  the cheaper side — what ``repro.lsm.run.ORDERED_SEARCH_MIN_KEYS``
-  (from which an LSM batch read over a non-empty memtable orders its
-  queries) is set from;
-* the **packed-order scan** times the two ways
-  ``repro.util.sorted_order`` orders a batch of integers — ``argsort``
-  plus the gather of the sorted values, and one ``np.sort`` of the
-  values packed with their positions — at 128 to 1M keys, on uniform
-  and zipf-hot batches, and prints the size at which packing becomes
-  the cheaper side — what ``repro.util.PACKED_ORDER_MIN_KEYS`` (the
-  engine's sorted path, the memtable's record sort, ordered memtable
-  searches) is set from;
-* the **slice-copy scan** times range assembly's ways to read a
-  slice — a block copy per slice, one gather over a call's slices —
-  on a 1M-key column: once over the slice length (what
-  ``repro.range_scan.SLICE_COPY_MIN_KEYS`` is set from) and once over
-  the number of short slices beside a long one
-  (``GATHER_MIN_SLICES``).
-
-Uniform int64 keys, 75% present / 25% absent queries, every call a
-different array (a call that re-reads one array flatters whichever
-side keeps it in cache).  Column sizes are not scaled by
-``REPRO_SCALE``: the constants are per size.
+Every constant in :mod:`repro.dispatch` picks, per call, between two
+paths with the same answers.  The **floor table** asserts that
+``lookup_batch`` never runs more than 1.25x (and a few us: the Python
+frames before either path cost ~1.5us) over the better of the engine
+forced with ``sort=False`` and the column's own search; the **dense
+column** row that keys packed near 2^62 cost the engine what uniform
+ones do (models are fitted on ``key - keys[0]``, ROADMAP item 2a).
+Each **scan** (a :data:`SCANS` entry) times side A, the path taken from
+its constant up, against side B, the one under it, paired: a cell below
+1 says B is the cheaper side.  It prints each row's crossover and the
+value they set beside the shipped one, and asserts the constant's
+shape.  Uniform int64 keys, 75% present / 25% absent queries, every
+call a different array; sizes are not scaled by ``REPRO_SCALE``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from collections import namedtuple
+from functools import partial
 
+import numpy as np
+import pytest
+
+from repro import dispatch
 from repro.bench import Table, compare_lookups
 from repro.bloom import BloomFilter
-from repro.bloom.standard import ROW_WALK_MIN_KEYS
 from repro.core import RecursiveModelIndex
-from repro.core.engine import SortedKeyColumn, column_answers
-from repro.data import uniform_keys
+from repro.core import search as core_search
+from repro.core.engine import SortedKeyColumn
+from repro.data import lognormal_keys, uniform_keys
+from repro.dispatch import column_answers
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
-from repro.lsm.run import ORDERED_PROBE_CROSSOVERS, ORDERED_SEARCH_MIN_KEYS
-from repro.lsm.store import UNGUARDED_PROBE_KEYS
-from repro.range_scan import (
-    GATHER_MIN_SLICES,
-    SLICE_COPY_MIN_KEYS,
-    _copy_every_slice,
-    _copy_slices,
-    _gather_slices,
-)
-from repro.util import PACKED_ORDER_MIN_KEYS, _packed_order, sorted_order
+from repro.range_scan import _copy_every_slice, _copy_slices, _gather_slices
+from repro.util import _packed_order, sorted_order
 
 from conftest import console, show_table
 
@@ -134,18 +75,14 @@ def _mean_window(index, calls: list) -> float:
     return total / count
 
 
-def _calls(keys: np.ndarray, k: int, rng: np.random.Generator) -> list:
-    """Distinct ``k``-key query arrays: about 200k keys of calls, at
-    least 16 and at most 256 of them."""
-    present = max(k * 3 // 4, 1)
+def _calls(keys: np.ndarray, k: int, rng, present=0.75, count=None):
+    """``count`` distinct ``k``-key calls (default: 200k keys, 16 to 256
+    calls), a share ``present`` of each stored keys, the rest random."""
+    stored = max(int(k * present), 1)
     low, high = int(keys[0]) - 10, int(keys[-1]) + 10
-    calls = []
-    for _ in range(max(16, min(256, 200_000 // k))):
-        queries = np.concatenate(
-            [rng.choice(keys, present), rng.integers(low, high, k - present)]
-        )
-        calls.append(rng.permutation(queries))
-    return calls
+    return [rng.permutation(np.concatenate(
+        [rng.choice(keys, stored), rng.integers(low, high, k - stored)]
+    )) for _ in range(count or max(16, min(256, 200_000 // k)))]
 
 
 def _paired(lookup_a, lookup_b, calls):
@@ -154,18 +91,6 @@ def _paired(lookup_a, lookup_b, calls):
     return compare_lookups(
         lookup_a, lookup_b, calls, chunk=max(len(calls) // 8, 1)
     )
-
-
-def _crossover(call_sizes, row) -> str:
-    """The first call size (grid doubling) where a paired ratio reaches
-    1, log-interpolated against the grid point before it."""
-    for i, r in enumerate(row):
-        if r >= 1.0:
-            if i == 0:
-                return f"< {call_sizes[0]}"
-            step = (1.0 - row[i - 1]) / (r - row[i - 1])
-            return f"{call_sizes[i - 1] * 2 ** step:.0f}"
-    return f"> {call_sizes[-1]}"
 
 
 def test_lookup_batch_never_loses_to_either_forced_path():
@@ -261,389 +186,293 @@ def test_dense_column_near_2p62_costs_the_engine_what_a_uniform_one_does():
     assert not slower, f"the engine pays for dense 64-bit keys: {slower}"
 
 
-def test_crossover_scan_behind_the_dispatch_table():
-    rng = np.random.default_rng(3018)
-    call_sizes = [1 << e for e in range(5, 14)]
-    for family, build in FAMILIES.items():
-        table = Table(
-            f"Crossover scan ({family}): column time / engine time, "
-            "paired (below 1 the column is the cheaper side)",
-            ["column keys"] + [str(k) for k in call_sizes]
-            + ["crossover", "shipped"],
-        )
-        ratios, found = {}, {}
-        rows, beyond = build(uniform_keys(1_000, seed=7)).crossovers
-        for n, shipped in rows + ((rows[-1][0] * 4, beyond),):
-            keys = uniform_keys(n, seed=7)
-            column = SortedKeyColumn(keys)
-            index = build(keys)
-            row = [
-                _paired(
-                    lambda q: index.lookup_batch(q, sort=False),
-                    column.lower_bounds,
-                    _calls(keys, k, rng),
-                )[2]
-                for k in call_sizes
-            ]
-            ratios[n] = row
-            found[n] = _crossover(call_sizes, row)
-            table.add_row(
-                f"{n:,}", *[f"{r:.2f}" for r in row], found[n], shipped
-            )
-        show_table(table)
-        # Shape: a 32-key call is the column's on every size, an 8 192-key
-        # call the engine's once the column no longer fits the L2 cache.
-        assert all(row[0] < 1.0 for row in ratios.values()), family
-        assert ratios[rows[-1][0] * 4][-1] > 1.0, family
-        # The table in the form the source holds it, each row the
-        # scan's crossover ("> 8192" and the like printed as found).
-        console(
-            f"[small-batch floor] {family} crossovers = (("
-            + "".join(f"(1 << {n.bit_length() - 1}, {found[n]}), "
-                      for n, _ in rows)
-            + f"), {found[rows[-1][0] * 4]})"
-        )
-    console(
-        "[small-batch floor] set each family's crossovers (the RMI's: "
-        "COLUMN_CROSSOVERS and COLUMN_CROSSOVER_BEYOND) from the "
-        "'crossover' column; within 2x is close enough, the two paths "
-        "cost the same there"
-    )
+
+#: The scan of one :mod:`repro.dispatch` constant (a table's rows: its
+#: sizes and one beyond).  ``sides(row)`` returns side A, side B,
+#: ``calls(grid point, rng)`` and maybe a check of one call's answers
+#: (else A and B must agree); ``shape(scan, ratios)`` asserts.
+Scan = namedtuple("Scan", "constant sides_are rows grid sides rule shape")
 
 
-def test_unguarded_probes_are_cheaper_than_their_filter():
-    rng = np.random.default_rng(4018)
-    table = Table(
-        "Filter table: us per all-absent sub-batch, bloom then probe of "
-        "what passed / probe alone",
-        ["run keys", "keys/sub-batch", "guarded", "probe alone",
-         "guarded/probe alone", "store asks the filter"],
-    )
-    skipped = {}
-    for n in (16_384, 131_072, 500_000):
-        keys = uniform_keys(n, seed=7)
-        run = SortedRun(keys, keys, np.zeros(n, dtype=bool))
+#: How a scan's crossovers set its value (a table's, row by row).
+RULES = {
+    "as found": lambda xs: round(max(xs)),
+    "half of it": lambda xs: round(max(xs) / 2),
+    "2^k at or above the max": lambda xs: 2 ** math.ceil(math.log2(max(xs))),
+    "2^k nearest the median": lambda xs: 2 ** round(math.log2(np.median(xs))),
+    "the largest, to one decimal": lambda xs: round(max(xs), 1),
+}
 
-        def guarded(q):
-            candidates = q[run.bloom_contains_batch(q)]
-            if candidates.size:
-                run.probe_batch(candidates)
 
-        for k in (1, 8, 64, 128, 256, 512, 4_096):
-            calls = [q + 1 for q in _calls(keys, k, rng)]
-            alone, with_filter, ratio = _paired(run.probe_batch, guarded, calls)
-            asks = not column_answers(k, n, UNGUARDED_PROBE_KEYS)
-            if not asks:
-                skipped[n, k] = ratio
-            table.add_row(
-                f"{n:,}", k, f"{with_filter.mean_ns / 1e3:.1f}",
-                f"{alone.mean_ns / 1e3:.1f}", f"{ratio:.2f}",
-                "yes" if asks else "no",
-            )
-    show_table(table)
-    # Wherever the store skips the filter, the filter's best case still
-    # costs more than the probe.
-    losing = {cell: r for cell, r in skipped.items() if r < 1.0}
+def _crossover(grid, ratios) -> tuple[float, str]:
+    """Where the ratios first reach 1, interpolated, and its text (the
+    grid's edge when they stay on one side of 1)."""
+    for i, r in enumerate(ratios):
+        if r >= 1.0 and i == 0:
+            return grid[0], f"< {grid[0]}"
+        if r >= 1.0:
+            step = (1.0 - ratios[i - 1]) / (r - ratios[i - 1])
+            x = grid[i - 1] + step * (grid[i] - grid[i - 1])
+            return x, f"{x:.2f}" if x < 10 else f"{x:.0f}"
+    return grid[-1], f"> {grid[-1]}"
+
+
+def _source(scan: Scan, found: list) -> str:
+    """The value ``found`` sets, in the form the source holds it."""
+    rule = RULES[scan.rule]
+    if not isinstance(getattr(dispatch, scan.constant), tuple):
+        return repr(rule(found))
+    *rows, beyond = (rule([x]) for x in found)
+    pairs = ", ".join(f"(1 << {n.bit_length() - 1}, {most})"
+                      for n, most in zip(scan.rows, rows))
+    return f"(({pairs}), {beyond})"
+
+
+def _brackets(below, above, headroom=1.0):
+    """Shape: on every row B wins at ``below``, A at ``above``."""
+
+    def shape(scan, ratios):
+        i, j = scan.grid.index(below), scan.grid.index(above)
+        wrong = {row: (r[i], r[j]) for row, r in ratios.items()
+                 if not (r[i] < 1.0 and r[j] >= headroom)}
+        assert not wrong, f"{scan.constant}: {below} / {above}: {wrong}"
+
+    return shape
+
+
+def _filter_skipped_where_it_loses(scan, ratios):
+    # Wherever the store skips the filter, its best case still loses.
+    skipped = {(n, k): r for n, row in ratios.items()
+               for k, r in zip(scan.grid, row)
+               if column_answers(k, n, dispatch.UNGUARDED_PROBE_KEYS)}
+    losing = {cell: r for cell, r in skipped.items() if r > 1.0}
     assert skipped and not losing, f"an unguarded probe loses: {losing}"
-    # ... and the probe it gets is the run's column search.
-    rows, beyond = UNGUARDED_PROBE_KEYS
-    assert all(column_answers(k, n) for n, k in rows)
-    assert column_answers(beyond, 4 * rows[-1][0])
 
 
-def _hashed_calls(keys, k, present, rng) -> list:
-    """Filter inputs: the hashes of distinct ``k``-key calls, a share
-    ``present`` of each call's keys stored and the rest absent."""
-    stored = int(k * present)
-    low, high = int(keys[0]) - 10, int(keys[-1]) + 10
-    return [
-        BloomFilter.hash_keys(rng.permutation(np.concatenate(
-            [rng.choice(keys, stored), rng.integers(low, high, k - stored)]
-        )))
-        for _ in range(max(16, min(256, 200_000 // k)))
-    ]
-
-
-def test_filter_crossover_scan_behind_the_row_walk():
-    rng = np.random.default_rng(5018)
-    call_sizes = [1 << e for e in range(6, 15)]
-    table = Table(
-        "Filter crossover scan: one-shot (k, n) gather time / row walk "
-        "time, paired, per contains_hashes (below 1 the gather is the "
-        "cheaper side); the walk goes on with the keys that pass two "
-        "probes when at most half do",
-        ["run keys", "present"] + [str(k) for k in call_sizes]
-        + ["crossover", "shipped"],
-    )
-    ratios = {}
-    for n in (16_384, 131_072, 500_000):
-        keys = uniform_keys(n, seed=7)
-        bloom = SortedRun(keys, keys, np.zeros(n, dtype=bool)).bloom
-        for present in (0.1, 0.5):
-            row = []
-            for k in call_sizes:
-                calls = _hashed_calls(keys, k, present, rng)
-                for h in calls[:4]:
-                    assert np.array_equal(
-                        bloom._contains_gather(h), bloom._contains_walk(h)
-                    )
-                row.append(_paired(
-                    bloom._contains_walk, bloom._contains_gather, calls
-                )[2])
-            ratios[n, present] = row
-            table.add_row(
-                f"{n:,}", f"{present:.0%}", *[f"{r:.2f}" for r in row],
-                _crossover(call_sizes, row), ROW_WALK_MIN_KEYS,
-            )
-    show_table(table)
-    # Shape: a 64-key batch is the gather's on every filter, a 16 384-key
-    # batch the walk's.
-    assert all(row[0] < 1.0 and row[-1] > 1.0 for row in ratios.values())
-    console(
-        "[small-batch floor] set ROW_WALK_MIN_KEYS (repro.bloom.standard) "
-        "to the power of two nearest the 'crossover' column"
-    )
-
-
-def test_ascending_probe_scan_behind_the_run_column_table():
-    rng = np.random.default_rng(9018)
-    call_sizes = [1 << e for e in range(5, 17)]
-    rows, beyond = ORDERED_PROBE_CROSSOVERS
-    table = Table(
-        "Ascending-probe scan: key-column searchsorted time / RMI time "
-        "(engine forced, sort=False) on one LSM run, ascending needles, "
-        "paired (below 1 the column is the cheaper side)",
-        ["run keys"] + [str(k) for k in call_sizes]
-        + ["crossover", "shipped"],
-    )
-    ratios = {}
-    for n in (16_384, 131_072, 262_144, 1 << 20, 1 << 22):
-        keys = uniform_keys(n, seed=7)
-        run = SortedRun(keys)
-        row = []
-        for k in call_sizes:
-            calls = [np.sort(q) for q in _calls(keys, k, rng)]
-            for q in calls[:4]:
-                hit, _, _ = run.probe_batch(q, ascending=True)
-                assert np.array_equal(hit, run.probe_batch(q)[0])
-                assert np.array_equal(
-                    run.rmi.lookup_batch(q, sort=False),
-                    np.searchsorted(keys, q),
-                )
-            row.append(_paired(
-                lambda q: run.rmi.lookup_batch(q, sort=False),
-                lambda q: np.searchsorted(run.keys, q),
-                calls,
-            )[2])
-        ratios[n] = row
-        shipped = next((most for size, most in rows if n <= size), beyond)
-        table.add_row(
-            f"{n:,}", *[f"{r:.2f}" for r in row],
-            _crossover(call_sizes, row), shipped,
-        )
-    show_table(table)
-    # Shape: 32 ascending needles are the column's on every run, and on
-    # the 4M-key run the RMI is the cheaper side with headroom from four
-    # to 32 times the table's bound beyond its rows.
-    assert all(row[0] < 1.0 for row in ratios.values())
-    past = [r for k, r in zip(call_sizes, ratios[1 << 22])
-            if 4 * beyond <= k <= 32 * beyond]
+def _ascending_probe_shape(scan, ratios):
+    # 32 ascending needles are the column's on every run, and on the
+    # largest the RMI wins with headroom from 4 to 32 times its bound.
+    assert all(r[0] < 1.0 for r in ratios.values())
+    n, table = scan.rows[-1], dispatch.ORDERED_PROBE_CROSSOVERS
+    past = [r for k, r in zip(scan.grid, ratios[n]) if not column_answers(
+        k // 4, n, table) and column_answers(k // 32, n, table)]
     assert past and min(past) > HEADROOM, past
-    console(
-        "[small-batch floor] set ORDERED_PROBE_CROSSOVERS (repro.lsm.run) "
-        "from the 'crossover' column: each row at or below the lowest "
-        "value over repeated scans"
-    )
 
 
-def _searchsorted_in_order(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(keys, queries)`` with the queries searched in
-    ascending order and each position scattered back to its query."""
-    ordered, order = sorted_order(queries)
-    pos = np.empty(queries.size, dtype=np.intp)
-    pos[order] = np.searchsorted(keys, ordered)
-    return pos
+def _split_shape(scan, ratios):
+    # The split loses at 2 048 lanes on narrow windows (not the RMI's
+    # ~1 200-slot ones on lognormal keys) and wins at 131 072 lanes.
+    narrow = {row: r[0] for row, r in ratios.items()
+              if row != ("RMI", "lognormal") and r[0] >= 1.0}
+    short = {row: r[-1] for row, r in ratios.items() if r[-1] <= 1.0}
+    assert not narrow and not short, (narrow, short)
 
 
-def test_needle_order_scan_behind_the_memtable_search():
-    rng = np.random.default_rng(7018)
-    call_sizes = [1 << e for e in range(4, 13)]
-    table = Table(
-        "Needle-order scan: searchsorted time on the queries as they "
-        "come / time with them argsorted first, paired (above 1 "
-        "ordering pays)",
-        ["array keys"] + [str(k) for k in call_sizes]
-        + ["crossover", "shipped"],
-    )
-    ratios = {}
-    for n in (512, 4_096, 16_384, 131_072, 1_000_000):
-        keys = uniform_keys(n, seed=7)
-        row = []
-        for k in call_sizes:
-            calls = _calls(keys, k, rng)
-            for q in calls[:4]:
-                assert np.array_equal(
-                    _searchsorted_in_order(keys, q), np.searchsorted(keys, q)
-                )
-            row.append(_paired(
-                lambda q: _searchsorted_in_order(keys, q),
-                lambda q: np.searchsorted(keys, q),
-                calls,
-            )[2])
-        ratios[n] = row
-        table.add_row(
-            f"{n:,}", *[f"{r:.2f}" for r in row],
-            _crossover(call_sizes, row), ORDERED_SEARCH_MIN_KEYS,
-        )
-    show_table(table)
-    # Shape: a 16-key call is the plain search's on every array ...
-    losing = {n: row[0] for n, row in ratios.items() if row[0] >= 1.0}
-    assert not losing, f"ordering pays on the smallest calls: {losing}"
-    # ... and ordering pays with headroom at four times the shipped
-    # constant, on every array size.
-    at = call_sizes.index(4 * ORDERED_SEARCH_MIN_KEYS)
-    short = {n: row[at] for n, row in ratios.items() if row[at] < HEADROOM}
-    assert not short, f"ordered needles do not pay: {short}"
-    console(
-        "[small-batch floor] set ORDERED_SEARCH_MIN_KEYS (repro.lsm.run) "
-        "to the power of two at or above the largest 'crossover' value"
-    )
+def _engine_or_column(family, n):
+    keys = uniform_keys(n, seed=7)
+    index, column = FAMILIES[family](keys), SortedKeyColumn(keys)
+    return (lambda q: index.lookup_batch(q, sort=False),
+            column.lower_bounds, lambda k, rng: _calls(keys, k, rng))
 
 
-def _argsort_and_gather(values):
-    order = np.argsort(values)
-    return values[order], order
+def _guarded_or_alone(n):
+    keys = uniform_keys(n, seed=7)
+    run = SortedRun(keys, keys, np.zeros(n, dtype=bool))
+
+    def guarded(q):
+        candidates = q[run.bloom_contains_batch(q)]
+        if candidates.size:
+            run.probe_batch(candidates)
+
+    def check(q):  # the filter passes every key the probe finds
+        assert run.bloom_contains_batch(q)[run.probe_batch(q)[0]].all()
+
+    return (guarded, run.probe_batch,
+            lambda k, rng: [q + 1 for q in _calls(keys, k, rng)], check)
 
 
-def test_packed_order_scan_behind_sorted_order():
-    rng = np.random.default_rng(8018)
-    sizes = [1 << e for e in range(7, 21)]
-    pool = uniform_keys(1 << 20, seed=7)
-    inputs = {
-        "uniform": lambda n: rng.integers(0, 2**40, n),
-        # a few thousand hot keys of a 1M-key pool, as zipf-hot calls
-        # on the benchmark's lognormal_zipf workload draw them
-        "zipf-hot": lambda n: pool[
-            np.minimum(rng.zipf(1.3, n), pool.size) - 1
-        ],
-    }
-    table = Table(
-        "Packed-order scan: argsort + gather time / packed np.sort time, "
-        "paired, per batch (above 1 packing pays)",
-        ["batch"] + [str(n) for n in sizes] + ["crossover", "shipped"],
-    )
-    ratios = {}
-    for name, draw in inputs.items():
-        row = []
-        for n in sizes:
-            calls = [draw(n) for _ in range(max(4, min(64, (1 << 20) // n)))]
-            for values in calls[:2]:
-                ordered, order = _packed_order(values)
-                assert np.array_equal(order, np.argsort(values, kind="stable"))
-                assert np.array_equal(ordered, np.sort(values))
-            row.append(_paired(_packed_order, _argsort_and_gather, calls)[2])
-        ratios[name] = row
-        table.add_row(
-            name, *[f"{r:.2f}" for r in row], _crossover(sizes, row),
-            PACKED_ORDER_MIN_KEYS,
-        )
-    show_table(table)
-    # The shipped constant brackets the crossover: a batch a quarter of
-    # it is the argsort's on both inputs, one four times it packing's
-    # with headroom.
-    quarter = sizes.index(PACKED_ORDER_MIN_KEYS // 4)
-    four = sizes.index(PACKED_ORDER_MIN_KEYS * 4)
-    early = {k: r[quarter] for k, r in ratios.items() if r[quarter] >= 1.0}
-    assert not early, f"packing pays below a quarter of the constant: {early}"
-    short = {k: r[four] for k, r in ratios.items() if r[four] < HEADROOM}
-    assert not short, f"packing does not pay at 4x the constant: {short}"
-    console(
-        "[small-batch floor] set PACKED_ORDER_MIN_KEYS (repro.util) to the "
-        "power of two at or above the larger 'crossover' value"
-    )
+def _walk_or_gather(row):
+    n, present = row
+    keys = uniform_keys(n, seed=7)
+    bloom = SortedRun(keys, keys, np.zeros(n, dtype=bool)).bloom
+    return (bloom._contains_walk, bloom._contains_gather, lambda k, rng: [
+        BloomFilter.hash_keys(q) for q in _calls(keys, k, rng, present)])
 
 
-def _slice_calls(n: int, lengths: np.ndarray, calls: int, rng) -> list:
-    """``calls`` assembly inputs ``(starts, lengths, offsets)`` of
-    slices of ``lengths`` keys at random places in an ``n``-key
-    column."""
-    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return [
-        (rng.integers(0, n - lengths.max(), lengths.size), lengths, offsets)
-        for _ in range(calls)
-    ]
+def _rmi_or_column_ascending(n):
+    run = SortedRun(uniform_keys(n, seed=7))
+    return (lambda q: run.rmi.lookup_batch(q, sort=False),
+            lambda q: np.searchsorted(run.keys, q),
+            lambda k, rng: [np.sort(q) for q in _calls(run.keys, k, rng)])
 
 
-def _assembly_ratios(keys, grid, lengths_at, split, rng) -> list:
-    """Paired time of copying every slice as a block / time of the
-    alternative, per grid point (below 1 the block copies are the
-    cheaper side).  The alternative gathers every slice, or with
-    ``split`` copies the long slices and gathers the rest — the two
-    ways ``assemble_slices`` reads a call's short slices."""
+def _ordered_or_not(n):
+    keys = uniform_keys(n, seed=7)
 
-    def other(c):
-        if split:
-            return _copy_slices(keys, c[0], c[1], c[1] >= SLICE_COPY_MIN_KEYS)
-        return _gather_slices(keys, *c)
+    def in_order(q):  # search ascending, scatter each position back
+        ordered, order = sorted_order(q)
+        pos = np.empty(q.size, dtype=np.intp)
+        pos[order] = np.searchsorted(keys, ordered)
+        return pos
 
-    row = []
-    for point in grid:
-        calls = _slice_calls(keys.size, lengths_at(point), 64, rng)
-        for call in calls[:4]:
-            assert np.array_equal(
-                _copy_every_slice(keys, call[0], call[1]), other(call)
-            )
-        row.append(_paired(
-            other, lambda c: _copy_every_slice(keys, c[0], c[1]), calls
-        )[2])
-    return row
+    return (in_order, lambda q: np.searchsorted(keys, q),
+            lambda k, rng: _calls(keys, k, rng))
 
 
-def test_slice_copy_scan_behind_range_assembly():
-    rng = np.random.default_rng(6018)
+def _packed_or_argsort(batch):
+    pool = uniform_keys(1 << 20, seed=7)  # zipf-hot as on lognormal_zipf
+
+    def calls(n, rng):
+        return [rng.integers(0, 2**40, n) if batch == "uniform" else
+                pool[np.minimum(rng.zipf(1.3, n), pool.size) - 1]
+                for _ in range(max(4, min(64, (1 << 20) // n)))]
+
+    def argsort_and_gather(values):
+        order = np.argsort(values)
+        return values[order], order
+
+    def check(values):  # the packed order is the stable one
+        ordered, order = _packed_order(values)
+        assert np.array_equal(order, np.argsort(values, kind="stable"))
+        assert np.array_equal(ordered, np.sort(values))
+
+    return _packed_order, argsort_and_gather, calls, check
+
+
+def _assembly(row):
+    # 64 calls of k-key slices, or c 8-key slices beside a 512-key one
+    keys, long = uniform_keys(1_000_000, seed=7), dispatch.SLICE_COPY_MIN_KEYS
+
+    def calls(point, rng):
+        lengths = (np.full(max(65_536 // point, 64), point) if row == "k-key"
+                   else np.insert(np.full(point, 8), point // 2, 512))
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        return [(rng.integers(0, keys.size - lengths.max(), lengths.size),
+                 lengths, offsets) for _ in range(64)]
+
+    def copy_every(c):
+        return _copy_every_slice(keys, c[0], c[1])
+
+    if row == "k-key":
+        return copy_every, lambda c: _gather_slices(keys, *c), calls
+    return (lambda c: _copy_slices(keys, c[0], c[1], c[1] >= long),
+            copy_every, calls)
+
+
+def _sorted_or_not(family):
     keys = uniform_keys(1_000_000, seed=7)
-    lengths = [1 << e for e in range(4, 12)]
-    by_length = _assembly_ratios(
-        keys, lengths,
-        lambda k: np.full(max(65_536 // k, 64), k, dtype=np.int64),
-        False, rng,
-    )
-    counts = [1 << e for e in range(0, 8)]
+    index = FAMILIES[family](keys)
 
-    def beside_long(c):
-        out = np.full(c + 1, 8, dtype=np.int64)
-        out[c // 2] = 512
-        return out
+    def calls(dup, rng):  # 100k keys, a share ``dup`` repeating others
+        distinct = _calls(keys, 100_000 - round(100_000 * dup), rng, count=12)
+        return [rng.permutation(np.concatenate(
+            [q, rng.choice(q, 100_000 - q.size)])) for q in distinct]
 
-    by_count = _assembly_ratios(keys, counts, beside_long, True, rng)
-    table = Table(
-        "Slice-copy scan: time to copy every slice as a block / time "
-        "of the alternative, paired, per assembled call on a 1M-key "
-        "column (below 1 the block copies are the cheaper side)",
-        ["calls of", "alternative"]
-        + [f"#{i}" for i in range(len(lengths))]
-        + ["crossover", "shipped"],
-    )
-    table.add_row(
-        "k-key slices (64k keys)", "gather all",
-        *[f"k={k}: {r:.2f}" for k, r in zip(lengths, by_length)],
-        _crossover(lengths, [1 / r for r in by_length]),
-        SLICE_COPY_MIN_KEYS,
-    )
-    table.add_row(
-        "c 8-key + one 512-key", "copy long, gather rest",
-        *[f"c={c}: {r:.2f}" for c, r in zip(counts, by_count)],
-        _crossover(counts, by_count), GATHER_MIN_SLICES,
-    )
+    return (lambda q: index.lookup_batch(q, sort=True),
+            lambda q: index.lookup_batch(q, sort=False), calls)
+
+
+def _split_or_not(row):
+    family, keys_are = row
+    draw = uniform_keys if keys_are == "uniform" else lognormal_keys
+    keys = draw(1_000_000, seed=7)
+    plan = FAMILIES[family](keys)._plan
+
+    def calls(k, rng):  # the engine's (keys, queries, lo, hi)
+        qbs = [plan.column.prepare(q) for q in _calls(keys, k, rng)]
+        return [(plan.column.keys, qb.compare,
+                 *plan.windows_from_raw(*plan.route(qb))) for qb in qbs]
+
+    def search(compact_min_batch, call):  # as if COMPACT_MIN_BATCH were it
+        shipped = core_search.COMPACT_MIN_BATCH
+        setattr(core_search, "COMPACT_MIN_BATCH", compact_min_batch)
+        try:
+            return core_search.vectorized_bounded_search(*call)
+        finally:
+            setattr(core_search, "COMPACT_MIN_BATCH", shipped)
+
+    return partial(search, 0), partial(search, 1 << 62), calls
+
+
+def _pow2(lo: int, hi: int) -> tuple:
+    return tuple(1 << e for e in range(lo, hi + 1))
+
+
+_COLUMN_SIZES = (1 << 14, 1 << 17, 1 << 18, 1 << 19, 1 << 20, 1 << 22)
+
+SCANS = [
+    *(Scan(f"{name}_CROSSOVERS", f"A the {family} engine forced "
+           "(sort=False), B the column's searchsorted", _COLUMN_SIZES,
+           _pow2(5, 13), partial(_engine_or_column, family), "as found",
+           _brackets(32, 8192))
+      for name, family in (("RMI", "RMI"), ("PGM", "PGM"),
+                           ("RADIX_SPLINE", "RadixSpline"))),
+    Scan("UNGUARDED_PROBE_KEYS", "A a bloom filter then a probe of what "
+         "passed, B the probe alone, all-absent sub-batches on an LSM run",
+         (1 << 14, 1 << 17, 1 << 18, 1 << 20, 1 << 22),
+         (1, 8, 64, 128, 256, 512, 4096), _guarded_or_alone, "half of it",
+         _filter_skipped_where_it_loses),
+    Scan("ROW_WALK_MIN_KEYS", "A the row walk, B one (k, n) gather, per "
+         "contains_hashes on an LSM run's filter, 10% or 50% keys stored",
+         tuple((n, p) for n in (16_384, 131_072, 500_000) for p in (.1, .5)),
+         _pow2(6, 14), _walk_or_gather, "2^k nearest the median",
+         _brackets(64, 16_384)),
+    Scan("ORDERED_PROBE_CROSSOVERS", "A the RMI (sort=False), B key-column "
+         "searchsorted, ascending needles on an LSM run",
+         (1 << 17, 1 << 18, 1 << 20, 1 << 22), _pow2(5, 16),
+         _rmi_or_column_ascending, "as found", _ascending_probe_shape),
+    Scan("ORDERED_SEARCH_MIN_KEYS", "A searchsorted of the queries "
+         "argsorted first, B of the queries as they come",
+         (512, 4_096, 16_384, 131_072, 1_000_000), _pow2(4, 12),
+         _ordered_or_not, "2^k at or above the max",
+         _brackets(16, 4 * dispatch.ORDERED_SEARCH_MIN_KEYS, HEADROOM)),
+    Scan("PACKED_ORDER_MIN_KEYS", "A one packed np.sort, B argsort and "
+         "a gather, per batch", ("uniform", "zipf-hot"), _pow2(7, 20),
+         _packed_or_argsort, "2^k at or above the max",
+         _brackets(dispatch.PACKED_ORDER_MIN_KEYS // 4,
+                   dispatch.PACKED_ORDER_MIN_KEYS * 4, HEADROOM)),
+    Scan("SLICE_COPY_MIN_KEYS", "A a block copy per slice, B one gather, "
+         "calls of k-key slices", ("k-key",), _pow2(4, 11), _assembly,
+         "2^k at or above the max", _brackets(16, 2048)),
+    Scan("GATHER_MIN_SLICES", "A copy the long slice and gather the rest, "
+         "B copy every slice, c 8-key slices beside one 512-key slice",
+         ("c 8-key",), _pow2(0, 7), _assembly, "2^k nearest the median",
+         _brackets(1, 128)),
+    Scan("SORTED_BATCH_MIN_DUP_FRACTION", "A lookup_batch(sort=True), B "
+         "sort=False, 100k-key calls into a 1M-key column, by duplicates",
+         tuple(FAMILIES), tuple(i / 10 for i in range(10)), _sorted_or_not,
+         "the largest, to one decimal", _brackets(0.0, 0.9)),
+    Scan("COMPACT_MIN_BATCH", "A vectorized_bounded_search with the "
+         "wide-lane split, B without it, a 1M-key column's windows, by lanes",
+         (("RMI", "uniform"), ("RMI", "lognormal"),
+          ("RadixSpline", "uniform"), ("RadixSpline", "lognormal")),
+         _pow2(11, 17), _split_or_not, "2^k at or above the max",
+         _split_shape),
+]
+
+
+@pytest.mark.parametrize("scan", SCANS, ids=lambda scan: scan.constant)
+def test_scan(scan):
+    rng = np.random.default_rng(3018)
+    table = Table(f"{scan.constant} scan: {scan.sides_are}; side B time "
+                  "/ side A time, paired (below 1 side B is the cheaper side)",
+                  ["row", *map(str, scan.grid), "crossover"])
+    ratios, found = {}, []
+    for row in scan.rows:
+        a, b, calls, *check = scan.sides(row)
+        check = check[0] if check else (
+            lambda c: np.testing.assert_array_equal(a(c), b(c)))
+        ratios[row] = []
+        for point in scan.grid:
+            point_calls = calls(point, rng)
+            for call in point_calls[:4]:
+                check(call)
+            ratios[row].append(_paired(a, b, point_calls)[2])
+        x, text = _crossover(scan.grid, ratios[row])
+        found.append(x)
+        table.add_row(row, *[f"{r:.2f}" for r in ratios[row]], text)
     show_table(table)
-    # Shape: a 16-key slice is the gather's and a 2 048-key one a
-    # block's; one short slice beside a long one is a block, 128 are
-    # gathered.
-    assert by_length[0] > 1.0 and by_length[-1] < 1.0
-    assert by_count[0] < 1.0 and by_count[-1] > 1.0
-    console(
-        "[small-batch floor] set SLICE_COPY_MIN_KEYS (first row) and "
-        "GATHER_MIN_SLICES (second row) in repro.range_scan from the "
-        "'crossover' column"
-    )
+    console(f"[dispatch] {scan.constant} = {_source(scan, found)}"
+            f"  # from the crossovers: {scan.rule}")
+    console(f"[dispatch] shipped: {getattr(dispatch, scan.constant)!r}")
+    scan.shape(scan, ratios)

@@ -17,23 +17,10 @@ import struct
 
 import numpy as np
 
+from ..dispatch import ROW_WALK_MIN_KEYS
 from ..hashmap.hashing import murmur3_string, murmur_fmix64, murmur_fmix64_batch
 
 __all__ = ["BloomFilter", "optimal_bits", "optimal_hash_count"]
-
-#: A :meth:`BloomFilter.contains_hashes` batch of at least this many
-#: keys walks its probes row by row, dropping the keys two probes
-#: reject once at most half pass them; a smaller one takes one
-#: ``(k, n)`` gather.  The walk's fixed cost (~8 numpy calls per probe,
-#: 2-3x the gather's at k = 7) loses on the 64-512-key sub-batches
-#: coalesced store calls hand a run; the gather's ``(k, n)``
-#: temporaries lose from ~2 800-4 600 keys up when 10% of the keys are
-#: stored and ~4 300-7 300 when half are, on 16k- to 500k-key run
-#: filters (two runs of the filter crossover scan of
-#: ``benchmarks/bench_small_batch_floor.py``); this is the power of two
-#: nearest those.
-ROW_WALK_MIN_KEYS = 4096
-
 
 def _reduce(x: np.ndarray, m) -> np.ndarray:
     """``x mod m`` in place, for non-negative ``x`` and a scalar ``m``:
@@ -269,10 +256,10 @@ class BloomFilter:
         """One bool per hash of :meth:`hash_keys`: may its key be in
         the filter?  ``hashes`` is read, never written.
 
-        From :data:`ROW_WALK_MIN_KEYS` hashes up, the ``k`` probes are
-        walked row by row over length-n arrays (:meth:`_contains_walk`);
-        below it all ``k * n`` positions are read with one ``(k, n)``
-        gather (:meth:`_contains_gather`).
+        From :data:`~repro.dispatch.ROW_WALK_MIN_KEYS` hashes up, the
+        ``k`` probes are walked row by row over length-n arrays
+        (:meth:`_contains_walk`); below it all ``k * n`` positions are
+        read with one ``(k, n)`` gather (:meth:`_contains_gather`).
         """
         if hashes.size >= ROW_WALK_MIN_KEYS:
             return self._contains_walk(hashes)

@@ -13,13 +13,7 @@ from .learned_hash import (
     conflict_stats,
 )
 from ..range_scan import RangeScanResult, batch_range_scan
-from .engine import (
-    SORTED_BATCH_MIN_DUP_FRACTION,
-    SORTED_BATCH_THRESHOLD,
-    CompiledPlan,
-    QueryBatch,
-    SortedKeyColumn,
-)
+from .engine import CompiledPlan, QueryBatch, SortedKeyColumn
 from .lif import CandidateResult, default_grid, evaluate_config, synthesize
 from .paged import PagedLearnedIndex, PageStore
 from .plan_index import CompiledPlanIndex
@@ -40,8 +34,6 @@ __all__ = [
     "DEFAULT_LEAF_ERROR",
     "ROOT_MODEL_KINDS",
     "SEARCH_STRATEGIES",
-    "SORTED_BATCH_MIN_DUP_FRACTION",
-    "SORTED_BATCH_THRESHOLD",
     "CandidateResult",
     "CompiledPlan",
     "CompiledPlanIndex",

@@ -60,19 +60,15 @@ Small-batch dispatch
 --------------------
 Routing is a verified hint, so the column's own whole-array search
 (:meth:`SortedKeyColumn.lower_bounds`) returns the same positions as the
-model path, bit for bit; only the cost differs.  The engine pays a
-fixed ~45-80us a call (some forty small NumPy calls) and then ~0.1us a
-key; ``np.searchsorted`` pays ~1us a call and 0.1-0.8us a key, more
-the further the column outgrows the cache.  So
+model path, bit for bit; only the cost differs.  So
 :meth:`CompiledPlan.lookup_batch` chooses per call, by
-:func:`column_answers` — a pure function of the call's query count,
-the column's key count and the family's crossover table the plan
-carries (a family's routing sets its cost per call) — and sends a call
+:func:`repro.dispatch.column_answers` over the crossover table the plan
+carries (a family's routing sets its cost per call), and sends a call
 under the crossover straight to the column: a learned index never
 loses to the array it wraps (Section 3.3's bound, applied to the batch
-surface).  The tables (the RMI's is :data:`COLUMN_CROSSOVERS`) are set
-from the scan ``benchmarks/bench_small_batch_floor.py`` prints and
-guards; there is no constructor option or environment variable.  ``sort=True`` /
+surface).  The tables, and how to re-tune them on a new host, are in
+:mod:`repro.dispatch`; there is no constructor option or environment
+variable.  ``sort=True`` /
 ``sort=False`` name an engine path and therefore force the engine at
 any size, which is how the benches and the traced benchmark time it;
 with telemetry on, ``engine.lookup_batch.column_calls`` /
@@ -92,6 +88,12 @@ from operator import index as _index
 import numpy as np
 
 from ..btree.search_baselines import exponential_search
+from ..dispatch import (
+    RMI_CROSSOVERS,
+    SORTED_BATCH_MIN_DUP_FRACTION,
+    SORTED_BATCH_THRESHOLD,
+    column_answers,
+)
 from ..obs import default_registry
 from ..obs import state as obs_state
 from ..util import clamp_into, scalar_view, sorted_order
@@ -103,84 +105,13 @@ __all__ = [
     "ModelSpace",
     "narrow_offsets",
     "CompiledPlan",
-    "SORTED_BATCH_THRESHOLD",
-    "SORTED_BATCH_MIN_DUP_FRACTION",
-    "COLUMN_CROSSOVERS",
-    "COLUMN_CROSSOVER_BEYOND",
-    "RMI_CROSSOVERS",
-    "column_answers",
     "batch_dup_fraction",
     "clamp_window",
 ]
 
-#: Minimum batch size before the engine even *considers* the sorted
-#: fast path (one packed sort, :func:`repro.util.sorted_order` + a
-#: neighbour compare + engine on the distinct queries + one scatter).
-#: Size alone is not sufficient: ordering and scattering cost
-#: ~15-20ns/query, a quarter of what the engine spends per query, so on
-#: a batch with no duplicates the unsorted engine still wins (66 against
-#: 84 ns/key, 100k uniform queries on a 1M-key RMI; a zipf-hot batch of
-#: ~8k distinct values takes 27 on the sorted path against 66; 2-vCPU
-#: Xeon, NumPy 2.4).  Above this size the heuristic therefore
-#: probes a fixed-seed random sample of :data:`DUP_SAMPLE` queries for
-#: duplicate density
-#: (:data:`SORTED_BATCH_MIN_DUP_FRACTION`, estimation details in
-#: :func:`batch_dup_fraction`) — skewed workloads (zipfian, hotspot)
-#: qualify, uniform workloads don't.  ``benchmarks/e2e`` times the
-#: forced sorted path beside the unsorted engine
-#: (``core.engine.sorted_path_ns`` under ``--trace 1``).
-SORTED_BATCH_THRESHOLD = 32_768
-
-#: Estimated fraction of the batch that must be duplicates before the
-#: sorted path is chosen automatically (see above).  With ordering at
-#: ~18 of the engine's ~66 ns/query the paths break even near 30%
-#: duplicates, so between that and this bound the unsorted engine runs
-#: up to ~30% slower than the sorted path would; a zipf-hot batch
-#: (~90% duplicates) is far above it, and the estimate is noisy near
-#: any bound.  No scan has set it for the packed sort yet.
-SORTED_BATCH_MIN_DUP_FRACTION = 0.5
-
 #: Queries :func:`batch_dup_fraction` draws to estimate a batch's
 #: duplicate fraction.
 DUP_SAMPLE = 4096
-
-#: The RMI's ``(column keys, queries)`` rows: on a column of at most
-#: that many keys, a call of at most that many queries is answered by
-#: the column (see "Small-batch dispatch" in the module docstring).
-#: Each row is the call size at which the engine forced with
-#: ``sort=False`` and ``SortedKeyColumn.lower_bounds`` cost the same on
-#: a uniform int64 column of that size, as the crossover scan of
-#: ``benchmarks/bench_small_batch_floor.py`` prints it.  A size between
-#: two rows takes the larger row's smaller crossover.
-COLUMN_CROSSOVERS = (
-    (1 << 14, 768),
-    (1 << 17, 384),
-    (1 << 18, 384),
-    (1 << 19, 240),
-    (1 << 20, 128),
-)
-
-#: The RMI's crossover on columns larger than the table's last row.
-COLUMN_CROSSOVER_BEYOND = 48
-
-
-#: The RMI's ``(rows, beyond)`` table, every index's by default.
-RMI_CROSSOVERS = (COLUMN_CROSSOVERS, COLUMN_CROSSOVER_BEYOND)
-
-
-def column_answers(queries: int, keys: int, crossovers=RMI_CROSSOVERS):
-    """Should a call of ``queries`` lookups into a column of ``keys``
-    keys skip the model and search the whole column?
-
-    A pure function of the two sizes, read off a family's ``(rows,
-    beyond)`` crossover table; both answers are bit-identical, this
-    only picks the cheaper one.
-    """
-    rows, beyond = crossovers
-    for size, most in rows:
-        if keys <= size:
-            return queries <= most
-    return queries <= beyond
 
 
 def clamp_window(lo: int, hi: int, n: int) -> tuple[int, int]:
@@ -898,8 +829,9 @@ class CompiledPlan:
         lets the call choose: the column answers it outright when
         :func:`column_answers` says the whole-column search is the
         cheaper side, otherwise the size + duplicate-density heuristic
-        (:data:`SORTED_BATCH_THRESHOLD`,
-        :data:`SORTED_BATCH_MIN_DUP_FRACTION`) picks the engine path.
+        (:data:`~repro.dispatch.SORTED_BATCH_THRESHOLD`,
+        :data:`~repro.dispatch.SORTED_BATCH_MIN_DUP_FRACTION`) picks the
+        engine path.
         ``True``/``False`` force that engine path (benchmarks measure
         both).
         """

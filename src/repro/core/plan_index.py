@@ -102,10 +102,9 @@ from ..range_scan import (
     RangeScanResult,
     batch_range_scan,
 )
+from ..dispatch import RMI_CROSSOVERS
 from ..util import scalar_view
-from .engine import (
-    RMI_CROSSOVERS, CompiledPlan, ModelSpace, SortedKeyColumn, clamp_window,
-)
+from .engine import CompiledPlan, ModelSpace, SortedKeyColumn, clamp_window
 from .search import SEARCH_STRATEGIES, biased_quaternary_search
 
 __all__ = ["CompiledPlanIndex", "RMIStats", "ScalarLookup"]
@@ -249,7 +248,7 @@ class CompiledPlanIndex(ScalarLookup, RangeScanIndexMixin):
     """
 
     #: The small-batch dispatch table the plan carries
-    #: (:func:`repro.core.engine.column_answers`).
+    #: (:func:`repro.dispatch.column_answers`).
     crossovers = RMI_CROSSOVERS
 
     def __init__(self, keys: np.ndarray):

@@ -49,6 +49,7 @@ from ..btree.search_baselines import (
     binary_search,
     exponential_search,
 )
+from ..dispatch import COMPACT_MIN_BATCH
 
 __all__ = [
     "biased_binary_search",
@@ -158,13 +159,6 @@ SEARCH_STRATEGIES: dict[str, Callable] = {
 }
 
 
-#: Batch size from which :func:`vectorized_bounded_search` gives wide
-#: outlier lanes their own rounds.  Measured on a 2-vCPU x86 host over
-#: RMI and RadixSpline windows, the split loses up to 30% at 2k-4k
-#: lanes, ties near 8k and wins 5-9% from 16k.
-COMPACT_MIN_BATCH = 16_384
-
-
 def halving_rounds(
     keys: np.ndarray,
     queries: np.ndarray,
@@ -201,8 +195,9 @@ def vectorized_bounded_search(
     A window ``[lo, hi)`` has ``hi - lo + 1`` candidates, resolved by
     ``bit_length(hi - lo)`` :func:`halving_rounds` from ``lo`` and a
     clamp at ``hi``; lanes share the widest window's rounds, but from
-    :data:`COMPACT_MIN_BATCH` lanes wide outliers run their extra rounds
-    alone.  ``keys`` must be non-empty and sorted, ``0 <= lo <= hi <= n``.
+    :data:`~repro.dispatch.COMPACT_MIN_BATCH` lanes wide outliers run
+    their extra rounds alone.  ``keys`` must be non-empty and sorted,
+    ``0 <= lo <= hi <= n``.
 
     The result is the global lower bound clamped into ``[lo, hi]``, so
     only boundary results (``pos == lo`` or ``pos == hi``) can be

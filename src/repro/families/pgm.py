@@ -55,6 +55,7 @@ import numpy as np
 
 from ..core.plan_index import CompiledPlanIndex
 from ..core.search import halving_rounds
+from ..dispatch import PGM_CROSSOVERS
 from ..models.cdf import positions_for_keys
 from ..util import clamp_into
 from .segmentation import epsilon_segment
@@ -130,10 +131,8 @@ class PGMIndex(CompiledPlanIndex):
         Error bound for the recursive levels over segment first keys.
     """
 
-    #: Small-batch dispatch rows, set from the crossover scan of
-    #: ``benchmarks/bench_small_batch_floor.py``.
-    crossovers = (((1 << 14, 1536), (1 << 17, 896), (1 << 18, 768),
-                   (1 << 19, 448), (1 << 20, 288)), 64)
+    #: The small-batch dispatch table the plan carries.
+    crossovers = PGM_CROSSOVERS
 
     def __init__(
         self,

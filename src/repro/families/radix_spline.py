@@ -36,6 +36,7 @@ import numpy as np
 from ..core.search import vectorized_bounded_search
 from ..models.cdf import positions_for_keys
 from ..core.plan_index import CompiledPlanIndex
+from ..dispatch import RADIX_SPLINE_CROSSOVERS
 from ..util import clamp_into
 from .pgm import _predecessor
 from .segmentation import epsilon_segment
@@ -68,10 +69,8 @@ class RadixSplineIndex(CompiledPlanIndex):
         ``[MIN_RADIX_BITS, MAX_RADIX_BITS]``.
     """
 
-    #: Small-batch dispatch rows, set from the crossover scan of
-    #: ``benchmarks/bench_small_batch_floor.py``.
-    crossovers = (((1 << 14, 1280), (1 << 17, 640), (1 << 18, 512),
-                   (1 << 19, 256), (1 << 20, 144)), 96)
+    #: The small-batch dispatch table the plan carries.
+    crossovers = RADIX_SPLINE_CROSSOVERS
 
     def __init__(
         self,

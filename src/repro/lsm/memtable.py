@@ -23,9 +23,9 @@ into the old layout, newest entry per key
 (:func:`repro.util.newest_per_key`).  :meth:`entries` returns it and a
 seal writes it as it is.  A scalar :meth:`probe` reads the dict, then
 the pending records newest first while they hold at most
-:data:`PROBE_SCAN_MAX_KEYS` keys (more, and it builds), then the layout
-by ``bisect``: scalar writes and a few batch writes never force a
-rebuild.
+:data:`~repro.dispatch.PROBE_SCAN_MAX_KEYS` keys (more, and it
+builds), then the layout by ``bisect``: scalar writes and a few batch
+writes never force a rebuild.
 ``len()`` is exact (it builds); the seal check reads :meth:`len_bound`
 first.  Writes take keys through the key contract
 (:func:`repro.util.as_int64_keys`; a refused call buffers nothing).
@@ -49,6 +49,7 @@ from bisect import bisect_left
 
 import numpy as np
 
+from ..dispatch import PROBE_SCAN_MAX_KEYS
 from ..util import as_int64_keys, as_int64_pairs, newest_per_key
 from .wal import RECORD_PUT
 
@@ -91,16 +92,6 @@ def _scan_records(records: list, key):
 
 _EMPTY = _newest([(np.empty(0, np.int64), 0, False)], "stable")
 _ABSENT = object()
-
-#: While at most this many keys sit in pending records, a scalar
-#: :meth:`Memtable.probe` scans the records instead of building the
-#: layout, which a loop of one-key batch writes and reads would
-#: otherwise rebuild per read.  A scan costs ~0.12us per one-key record
-#: (~15us at this bound), under the ~25us a build costs even on a
-#: 256-entry memtable; a one-key ``put_batch`` + ``probe`` pair on a
-#: 4 096-entry one went from 72 to 4.6us (2-vCPU Xeon, NumPy 2.4).
-PROBE_SCAN_MAX_KEYS = 128
-
 
 class Memtable:
     """Write buffer: sorted layout + batch records + scalar dict."""

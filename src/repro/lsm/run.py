@@ -40,8 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..bloom.standard import BloomFilter
-from ..core.engine import column_answers
 from ..core.rmi import RecursiveModelIndex
+from ..dispatch import ORDERED_PROBE_CROSSOVERS, column_answers
 from ..range_scan import assemble_slices
 from ..util import as_int64_pairs
 from .format import RUN_MAGIC, CorruptRunError, SectionFile, write_section_file
@@ -50,7 +50,6 @@ __all__ = [
     "SortedRun",
     "DEFAULT_LEAF_TARGET",
     "BLOOM_FPR",
-    "ORDERED_PROBE_CROSSOVERS",
     "probe_at",
 ]
 
@@ -107,39 +106,6 @@ def _build_bloom(keys: np.ndarray) -> BloomFilter:
     if keys.size:
         bloom.add_batch(keys)
     return bloom
-
-
-#: From this many queries, a batch read over a non-empty memtable
-#: orders its queries (:func:`repro.util.sorted_order`) and walks the
-#: memtable and every run with them in that order
-#: (:meth:`repro.lsm.store.ReadView.lookup_batch`).  ``np.searchsorted``
-#: keeps the previous answer as the low end of the next search while
-#: its needles ascend, so sorted needles search ever shorter,
-#: cache-warm ranges; unordered ones pay a full binary search each.
-#: Below this the argsort costs more than the memtable search saves
-#: (from ``PACKED_ORDER_MIN_KEYS`` up the ordering is the cheaper packed
-#: sort).  Read off the 'crossover' column (where ordering starts to
-#: win, ratio 1.0) of the needle-order scan in
-#: ``benchmarks/bench_small_batch_floor.py``: the power of two at or
-#: above its largest value over arrays of 512 to 1M keys.
-ORDERED_SEARCH_MIN_KEYS = 128
-
-#: ``(run keys up to, ascending needles up to)`` rows and the bound
-#: beyond them, as :func:`~repro.core.engine.column_answers` reads them:
-#: :meth:`SortedRun.probe_batch` answers that many *ascending* needles
-#: with one ``np.searchsorted`` on the run's key column, and more with
-#: its RMI.  Ascending needles make the column search several times
-#: cheaper than unordered ones do, so these sit 3-100x above the RMI's
-#: own rows (:data:`repro.core.engine.COLUMN_CROSSOVERS`): the column
-#: wins at every scanned call size, up to 65 536 needles, on a 16k- or
-#: 131k-key run, and up to ~1 280-1 600 on a 262k-key one, ~320-500 on
-#: a 1M-key one and ~180-235 on a 4M-key one (four runs of the
-#: ascending-probe scan of ``benchmarks/bench_small_batch_floor.py``);
-#: each row is a round number near the lowest crossover seen.
-ORDERED_PROBE_CROSSOVERS = (
-    ((1 << 17, 1 << 16), (1 << 18, 1280), (1 << 20, 320)),
-    192,
-)
 
 
 def probe_at(keys, values, tombstones, queries, pos):
@@ -448,9 +414,9 @@ class SortedRun:
         resolve exactly; the masks tell the store which queries this
         run *answers* (present or deleted) versus which fall through
         to older runs.  ``ascending=True`` says the queries are sorted:
-        up to :data:`ORDERED_PROBE_CROSSOVERS` of them then take one
-        ``np.searchsorted`` on the key column instead, which returns
-        the same positions.
+        up to :data:`~repro.dispatch.ORDERED_PROBE_CROSSOVERS` of them
+        then take one ``np.searchsorted`` on the key column instead,
+        which returns the same positions.
         """
         if ascending and column_answers(
             queries.size, self._n, ORDERED_PROBE_CROSSOVERS

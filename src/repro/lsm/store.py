@@ -19,7 +19,7 @@ trade-off triangle the single-run
   negative probes the guards eliminate).  A batch read
   (:meth:`ReadView.lookup_batch`) walks the memtable and then each run
   with the keys still open: it hashes them once for every filter it
-  asks, and from :data:`~repro.lsm.run.ORDERED_SEARCH_MIN_KEYS` keys
+  asks, and from :data:`~repro.dispatch.ORDERED_SEARCH_MIN_KEYS` keys
   over a non-empty memtable it sorts them once, so every source is
   searched with ascending needles, and puts the answers back in the
   caller's order at the end;
@@ -159,7 +159,12 @@ import time
 import numpy as np
 
 from ..bloom.standard import BloomFilter
-from ..core.engine import SortedKeyColumn, column_answers
+from ..core.engine import SortedKeyColumn
+from ..dispatch import (
+    ORDERED_SEARCH_MIN_KEYS,
+    UNGUARDED_PROBE_KEYS,
+    column_answers,
+)
 from ..obs import MetricsRegistry, StatsView, counter_field
 from ..obs import span as obs_span
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
@@ -172,7 +177,7 @@ from .faultfs import RealFileSystem
 from .format import CorruptRunError
 from .manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from .memtable import Memtable
-from .run import ORDERED_SEARCH_MIN_KEYS, SortedRun, probe_at
+from .run import SortedRun, probe_at
 from .wal import RECORD_DELETE, RECORD_PUT, WriteAheadLog
 from .wal import replay as wal_replay
 
@@ -189,28 +194,6 @@ __all__ = [
 #: (RocksDB's ``bytes_per_sync``): caps how much dirty run-file data a
 #: concurrent foreground WAL fsync can get queued behind.
 _MERGE_SAVE_FSYNC_BYTES = 1 << 20
-
-#: ``(run keys up to, sub-batch keys up to)`` rows and the bound beyond
-#: them, as :func:`column_answers` reads them: a sub-batch this small
-#: is probed without asking the run's bloom filter.  The filter's
-#: batch pass costs ~20us + 0.06us/key whatever the run's size; the
-#: probe such a sub-batch gets is one ``searchsorted`` on the run's key
-#: column (every row is under the run's small-batch crossover,
-#: :data:`repro.core.engine.COLUMN_CROSSOVERS`), ~5us + 0.13-0.23us/key
-#: from a 16k- to a 500k-key run.  So the filter's best case, every key
-#: absent, breaks even with the probe at ~450 keys on a 16k-key run,
-#: ~210 on a 131k-key one, ~140 on a 262k-key one, ~100 on a 500k-key
-#: one, ~80 on a 1M-key one and ~48 on a 2M-key one.  Each row sits at
-#: about half of that, where the filter costs 1.2-1.8x the probe when
-#: every key is absent and more when some are present (the filter table
-#: of ``benchmarks/bench_small_batch_floor.py``).  One factor on the
-#: crossover cannot follow this: 8x under it skips the filter on
-#: 512-key sub-batches of a 16k-key run, where it ties the probe, yet
-#: asks it about 21-32-key ones of a 500k-key run, where it loses 1.5x.
-UNGUARDED_PROBE_KEYS = (
-    ((1 << 14, 192), (1 << 17, 128), (1 << 18, 64), (1 << 20, 32)),
-    16,
-)
 
 
 class ReadView:
@@ -241,9 +224,9 @@ class ReadView:
         memtable (one ``searchsorted`` of its sorted keys), then per
         run bloom filter → probe over the queries still open — the
         probe alone where the filter would cost more than it
-        (:data:`UNGUARDED_PROBE_KEYS`).
+        (:data:`~repro.dispatch.UNGUARDED_PROBE_KEYS`).
 
-        From :data:`~repro.lsm.run.ORDERED_SEARCH_MIN_KEYS` queries
+        From :data:`~repro.dispatch.ORDERED_SEARCH_MIN_KEYS` queries
         over a non-empty memtable the walk orders the batch once,
         keeps that order through every run — so each run's probe gets
         ascending needles (``SortedRun.probe_batch(ascending=True)``)

@@ -19,9 +19,9 @@ This module is the shared engine behind every index's
 * **slice assembly** — the per-range ``[start, end)`` position pairs
   become one concatenated value array + CSR-style offsets
   (:func:`assemble_slices`): a slice of at least
-  :data:`SLICE_COPY_MIN_KEYS` keys is copied as one contiguous block
-  and the shorter slices share one vectorized gather, so a long range
-  costs a memory copy and no per-key index arithmetic.
+  :data:`~repro.dispatch.SLICE_COPY_MIN_KEYS` keys is copied as one
+  contiguous block and the shorter slices share one vectorized gather,
+  so a long range costs a memory copy and no per-key index arithmetic.
 
 Semantics are pinned to the scalar ``range_query``: ranges are closed
 (``[low, high]``), inverted ranges (``high < low``) are empty, and the
@@ -52,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispatch import GATHER_MIN_SLICES, SLICE_COPY_MIN_KEYS
+
 __all__ = [
-    "GATHER_MIN_SLICES",
-    "SLICE_COPY_MIN_KEYS",
     "RangeScanIndexMixin",
     "RangeScanResult",
     "assemble_slices",
@@ -107,26 +107,6 @@ class RangeScanResult:
         return (
             f"RangeScanResult(ranges={len(self)}, total={self.total})"
         )
-
-
-#: A slice of at least this many keys is copied as one contiguous
-#: block by :func:`assemble_slices`; shorter ones share one vectorized
-#: gather.  Per slice, a block copy costs a fixed ~1 us of Python (a
-#: view, and its place in the output) and then memory speed; the
-#: gather costs a few ns per key of index arithmetic and reads.  Set
-#: from the slice-copy scan of ``benchmarks/bench_small_batch_floor.py``
-#: (calls of equal slices on a 1M-key int64 column): copying every
-#: slice costs what gathering them does at ~200 keys, and the constant
-#: sits just above, so a slice near it keeps the gather — the path
-#: every slice took before.
-SLICE_COPY_MIN_KEYS = 256
-
-#: A call with a long slice gathers its short slices only when it has
-#: at least this many of them, and otherwise copies them as blocks
-#: too: splitting a call costs a few array passes of its own.  Set
-#: from the same scan (8-key slices beside one 512-key slice), where
-#: the crossover is ~35.
-GATHER_MIN_SLICES = 32
 
 
 def _gather_slices(
@@ -196,11 +176,11 @@ def assemble_slices(
     slices (an inverted pair is an empty slice) and ``offsets``
     (length ``m + 1``) delimits them.  A call of short slices only is
     one vectorized gather.  Otherwise every slice of at least
-    :data:`SLICE_COPY_MIN_KEYS` keys is copied as one contiguous
-    block, and the shorter ones are gathered — or, when there are
-    fewer than :data:`GATHER_MIN_SLICES` of them, copied as blocks
-    too.  ``gathered`` is always a fresh array, never a view of
-    ``values``.
+    :data:`~repro.dispatch.SLICE_COPY_MIN_KEYS` keys is copied as one
+    contiguous block, and the shorter ones are gathered — or, when there
+    are fewer than :data:`~repro.dispatch.GATHER_MIN_SLICES` of them,
+    copied as blocks too.  ``gathered`` is always a fresh array, never a
+    view of ``values``.
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.maximum(np.asarray(ends, dtype=np.int64) - starts, 0)

@@ -23,10 +23,12 @@ from operator import index as _index
 
 import numpy as np
 
+from .dispatch import PACKED_ORDER_MIN_KEYS
+
 __all__ = [
     "scalar_view", "clamp_into",
     "as_int64_key", "as_int64_keys", "as_int64_pairs", "range_endpoints",
-    "sorted_order", "PACKED_ORDER_MIN_KEYS", "newest_per_key",
+    "sorted_order", "newest_per_key",
 ]
 
 _VIEWABLE = {
@@ -133,23 +135,14 @@ def as_int64_pairs(keys, values=None) -> tuple[np.ndarray, np.ndarray]:
     return keys, values
 
 
-#: From this many integer values, :func:`sorted_order` sorts them
-#: packed with their positions.  Below it one ``argsort`` plus a gather
-#: is the cheaper side: the packed path pays some ten array passes a
-#: call around its sort.  Read off the packed-order scan of
-#: ``benchmarks/bench_small_batch_floor.py``: the power of two at or
-#: above the size where packing wins on uniform and zipf-hot batches.
-PACKED_ORDER_MIN_KEYS = 2048
-
-
 def sorted_order(values: np.ndarray, kind: str = "quicksort"):
     """``(values in ascending order, an order that sorts them)``, one
     ``np.sort`` where the values allow it.
 
-    From :data:`PACKED_ORDER_MIN_KEYS` integer values whose exact span
-    fits the bits an index leaves free, each value travels as one
-    uint64 ``(value - min) << b | index`` (``b`` the bit length of
-    ``n - 1``): every word is distinct, so one unstable ``np.sort``
+    From :data:`~repro.dispatch.PACKED_ORDER_MIN_KEYS` integer values
+    whose exact span fits the bits an index leaves free, each value
+    travels as one uint64 ``(value - min) << b | index`` (``b`` the bit
+    length of ``n - 1``): every word is distinct, so one unstable ``np.sort``
     orders the values *stably*, and the sorted words decode to both
     outputs in two linear passes — about half of an ``argsort`` plus
     the gather its callers need, which a sort without positions is not.

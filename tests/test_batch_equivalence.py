@@ -30,11 +30,8 @@ from repro.core import (
     RecursiveModelIndex,
     WritableLearnedIndex,
 )
-from repro.core.engine import (
-    SORTED_BATCH_MIN_DUP_FRACTION,
-    SORTED_BATCH_THRESHOLD,
-    batch_dup_fraction,
-)
+from repro.core.engine import batch_dup_fraction
+from repro.dispatch import SORTED_BATCH_MIN_DUP_FRACTION, SORTED_BATCH_THRESHOLD
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
 from repro.util import _packed_order

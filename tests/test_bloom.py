@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bloom import BloomFilter, optimal_bits, optimal_hash_count
-from repro.bloom.standard import ROW_WALK_MIN_KEYS
+from repro.dispatch import ROW_WALK_MIN_KEYS
 from repro.hashmap import murmur_fmix64_batch
 
 INT64_EDGES = np.array(

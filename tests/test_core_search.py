@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.search import (
-    COMPACT_MIN_BATCH,
     SEARCH_STRATEGIES,
     Counter,
     biased_binary_search,
@@ -17,6 +16,7 @@ from repro.core.search import (
     vectorized_bounded_search,
 )
 from repro.btree.search_baselines import binary_search
+from repro.dispatch import COMPACT_MIN_BATCH
 from repro.families import RadixSplineIndex
 
 

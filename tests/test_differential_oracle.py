@@ -27,13 +27,13 @@ from repro.btree import (
     HierarchicalLookupTable,
 )
 from repro.core import (
-    SORTED_BATCH_THRESHOLD,
     CompiledPlan,
     HybridIndex,
     RecursiveModelIndex,
     StringRMI,
     WritableLearnedIndex,
 )
+from repro.dispatch import SORTED_BATCH_THRESHOLD
 from repro.families import PGMIndex, RadixSplineIndex
 
 SEED = 0xD1FF

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dispatch import ORDERED_SEARCH_MIN_KEYS
 from repro.lsm import (
     LearnedLSMStore,
     Memtable,
@@ -10,7 +11,6 @@ from repro.lsm import (
     SortedRun,
     merge_runs,
 )
-from repro.lsm.run import ORDERED_SEARCH_MIN_KEYS
 from repro.range_scan import RangeScanResult, merge_scan_results
 
 

@@ -12,9 +12,9 @@ the newest-wins helper the write paths share.
 import numpy as np
 import pytest
 
+from repro.dispatch import PACKED_ORDER_MIN_KEYS, PROBE_SCAN_MAX_KEYS
 from repro.lsm import LearnedLSMStore, Memtable
-from repro.lsm.memtable import PROBE_SCAN_MAX_KEYS
-from repro.util import PACKED_ORDER_MIN_KEYS, newest_per_key
+from repro.util import newest_per_key
 
 
 def _oracle_triple(state: dict):

@@ -40,14 +40,10 @@ from repro.core import (
     WritableLearnedIndex,
 )
 from repro.core.engine import SortedKeyColumn
+from repro.dispatch import GATHER_MIN_SLICES, SLICE_COPY_MIN_KEYS
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import LearnedLSMStore
-from repro.range_scan import (
-    GATHER_MIN_SLICES,
-    SLICE_COPY_MIN_KEYS,
-    assemble_slices,
-    merge_scan_results,
-)
+from repro.range_scan import assemble_slices, merge_scan_results
 
 COMMON = settings(
     max_examples=60,

@@ -12,7 +12,8 @@ depends on, and the input shapes a sort treats specially.
 import numpy as np
 import pytest
 
-from repro.util import PACKED_ORDER_MIN_KEYS, _packed_order, sorted_order
+from repro.dispatch import PACKED_ORDER_MIN_KEYS
+from repro.util import _packed_order, sorted_order
 
 N = PACKED_ORDER_MIN_KEYS
 INTEGER_DTYPES = [
