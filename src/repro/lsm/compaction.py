@@ -2,12 +2,12 @@
 
 Compaction is where an LSM's write amplification is decided: the
 policy chooses *which* age-adjacent runs to fold together, and
-:func:`merge_runs` executes the fold as pure array math — one
-``np.lexsort`` on (key, age) interleaves every run at once, a
-first-occurrence scan keeps the newest version of each key, and the
-merged run re-indexes through the PR 3 segmented least-squares build,
-so compacting a million keys is memcpy-plus-array-math, not Python
-loops.
+:func:`merge_runs` executes the fold as pure array math — the runs,
+listed oldest first, go through :func:`repro.util.newest_entries`, the
+LSM's one newest-wins fold (one timsort of presorted runs; each key's
+last entry wins), and the merged run re-indexes through the segmented
+least-squares build, so compacting a million keys is
+memcpy-plus-array-math, not Python loops.
 
 The policy is :class:`SizeTieredCompaction`: seal-sized runs
 accumulate at the front of the run list; whenever ``min_runs``
@@ -37,58 +37,33 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ..util import newest_entries
 from .run import SortedRun
 
 __all__ = [
     "SizeTieredCompaction",
     "merge_runs",
-    "newest_versions",
 ]
-
-
-def newest_versions(
-    keys: np.ndarray, rank: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The newest-wins core shared by merges and live-set scans.
-
-    ``rank`` is each entry's source age (0 = newest source).  Returns
-    ``(order, newest)``: ``keys[order]`` is key-sorted with the newest
-    copy of every duplicate first, and ``newest`` marks those first
-    occurrences — one ``np.lexsort`` plus one shifted compare.
-    """
-    order = np.lexsort((rank, keys))
-    sorted_keys = keys[order]
-    newest = np.ones(sorted_keys.size, dtype=bool)
-    newest[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return order, newest
 
 
 def merge_runs(runs: list[SortedRun], *, drop_tombstones: bool) -> SortedRun:
     """Fold age-ordered runs (newest first) into one sorted run.
 
-    Newest-wins per key (:func:`newest_versions`); with
-    ``drop_tombstones`` (merging into the oldest position) delete
-    markers are garbage-collected instead of rewritten.
+    Newest-wins per key (:func:`~repro.util.newest_entries` over the
+    runs oldest first); with ``drop_tombstones`` (merging into the
+    oldest position) delete markers are garbage-collected instead of
+    rewritten.
     """
     if not runs:
         raise ValueError("need at least one run to merge")
-    keys = np.concatenate([r.keys for r in runs])
-    values = np.concatenate([r.values for r in runs])
-    dead = np.concatenate([r.tombstones for r in runs])
-    rank = np.repeat(
-        np.arange(len(runs), dtype=np.int64),
-        [r.keys.size for r in runs],
+    keys, values, dead = newest_entries(
+        [(r.keys, r.values, r.tombstones) for r in reversed(runs)], "stable"
     )
-    order, newest = newest_versions(keys, rank)
-    keys, values, dead = keys[order], values[order], dead[order]
-    keep = newest & ~dead if drop_tombstones else newest
+    if drop_tombstones:
+        live = ~dead
+        keys, values, dead = keys[live], values[live], None
     return SortedRun(
-        keys[keep],
-        values[keep],
-        dead[keep] if not drop_tombstones else None,
-        sequence=max(r.sequence for r in runs),
+        keys, values, dead, sequence=max(r.sequence for r in runs)
     )
 
 

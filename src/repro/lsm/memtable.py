@@ -20,7 +20,7 @@ Python; a scalar write is one dict store.  The first read after a burst
 of writes builds the layout once: one sort of the records (packed with
 their positions, :func:`repro.util.sorted_order`), then a linear merge
 into the old layout, newest entry per key
-(:func:`repro.util.newest_per_key`).  :meth:`entries` returns it and a
+(:func:`repro.util.newest_entries`).  :meth:`entries` returns it and a
 seal writes it as it is.  A scalar :meth:`probe` reads the dict, then
 the pending records newest first while they hold at most
 :data:`~repro.dispatch.PROBE_SCAN_MAX_KEYS` keys (more, and it
@@ -50,7 +50,7 @@ from bisect import bisect_left
 import numpy as np
 
 from ..dispatch import PROBE_SCAN_MAX_KEYS
-from ..util import as_int64_keys, as_int64_pairs, newest_per_key
+from ..util import as_int64_keys, as_int64_pairs, newest_entries
 from .wal import RECORD_PUT
 
 __all__ = ["Memtable"]
@@ -60,20 +60,9 @@ TOMBSTONE_VALUE = 0
 
 
 def _newest(parts, kind: str):
-    """Newest entry per key over ``(keys, values, dead)`` parts, oldest
-    first: the sorted triple, then memoryviews of it for scalar probes."""
-    keys = np.concatenate([p[0] for p in parts])
-    # A record's scalar value / tombstone flag spans its keys; np.full
-    # costs a third of np.broadcast_to on a one-key record.
-    values, dead = (
-        np.concatenate([
-            p[i] if isinstance(p[i], np.ndarray) else np.full(p[0].size, p[i])
-            for p in parts
-        ])
-        for i in (1, 2)
-    )
-    pick = newest_per_key(keys, kind)
-    triple = keys[pick], values[pick], dead[pick]
+    """:func:`~repro.util.newest_entries` of ``parts``, then
+    memoryviews of the triple for scalar probes."""
+    triple = newest_entries(parts, kind)
     return (*triple, *map(memoryview, triple))
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bloom.standard import BloomFilter
+from ..core.engine import CompiledPlan
 from ..core.rmi import RecursiveModelIndex
 from ..dispatch import ORDERED_PROBE_CROSSOVERS, column_answers
 from ..range_scan import assemble_slices
@@ -78,10 +79,6 @@ def _bloom_from_wire(meta, blob, where: str) -> BloomFilter:
         raise CorruptRunError(f"{where}: bad bloom section ({exc})") from None
 
 
-#: The RMI's flat leaf tables, in wire order.
-_LEAF_TABLES = ("slopes", "intercepts", "lo_offsets", "hi_offsets")
-
-
 def _train_rmi(keys: np.ndarray) -> RecursiveModelIndex:
     leaves = max(1, -(-keys.size // DEFAULT_LEAF_TARGET))
     return RecursiveModelIndex(keys, stage_sizes=(1, leaves))
@@ -97,7 +94,7 @@ def _compiled_rmi(keys: np.ndarray, meta, table) -> RecursiveModelIndex:
         origin=meta.get("origin", 0),
         root_slope=float(meta["root_slope"]),
         root_intercept=float(meta["root_intercept"]),
-        **{name: table(name) for name in _LEAF_TABLES},
+        **{name: table(name) for name in CompiledPlan.ARRAY_FIELDS},
     )
 
 
@@ -268,7 +265,7 @@ class SortedRun:
             ("keys", self.keys),
             ("values", self.values),
             ("tombstones", self.tombstones.astype(np.uint8)),
-            *((name, state[name]) for name in _LEAF_TABLES),
+            *((name, state[name]) for name in CompiledPlan.ARRAY_FIELDS),
             ("bloom", self.bloom.to_bytes()),
         ]
         return meta, sections

@@ -169,10 +169,10 @@ from ..obs import MetricsRegistry, StatsView, counter_field
 from ..obs import span as obs_span
 from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
 from ..util import (
-    as_int64_key, as_int64_keys, as_int64_pairs, newest_per_key,
-    range_endpoints, sorted_order,
+    as_int64_key, as_int64_keys, as_int64_pairs, newest_entries,
+    newest_per_key, range_endpoints, sorted_order,
 )
-from .compaction import SizeTieredCompaction, merge_runs, newest_versions
+from .compaction import SizeTieredCompaction, merge_runs
 from .faultfs import RealFileSystem
 from .format import CorruptRunError
 from .manifest import MANIFEST_NAME, commit_manifest, load_manifest
@@ -339,18 +339,26 @@ class ReadView:
     def _range_walk(self, lows, highs, *, with_values: bool):
         """``(merged result, payloads or None)`` over every source.
 
-        The memtable (the newest source, its tombstone mask the drop
-        mask) and each run's vectorized scan contribute their entries;
-        one :func:`~repro.range_scan.merge_scan_results` pass resolves
-        them.  Inverted ranges come out empty in every source: the run
-        RMIs pin them (closed-interval semantics shared with the whole
-        repo) and the ``hi = max(hi, lo)`` clamp does the same here.
+        Each run's vectorized scan, oldest run first, then the
+        memtable (the newest source, its tombstone mask the drop mask)
+        contribute their entries; one
+        :func:`~repro.range_scan.merge_scan_results` pass resolves
+        them, the last source holding a key winning it.  Inverted
+        ranges come out empty in every source: the run RMIs pin them
+        (closed-interval semantics shared with the whole repo) and the
+        ``hi = max(hi, lo)`` clamp does the same here.
         """
         lows, highs = range_endpoints(lows, highs)
-        keys, stored, dead = self.mem
         sources: list[RangeScanResult] = []
         masks: list[np.ndarray] = []
         payloads: list[np.ndarray] = []
+        for run in reversed(self.runs):
+            parts = run.range_scan_batch(lows, highs, with_values=with_values)
+            sources.append(parts[0])
+            masks.append(parts[1])
+            if with_values:
+                payloads.append(parts[2])
+        keys, stored, dead = self.mem
         if keys.size:
             # Endpoints resolve through the query core like every
             # run's RMI does — a raw searchsorted would promote the
@@ -366,12 +374,6 @@ class ReadView:
             masks.append(assemble_slices(dead, lo, hi)[0])
             if with_values:
                 payloads.append(assemble_slices(stored, lo, hi)[0])
-        for run in self.runs:
-            parts = run.range_scan_batch(lows, highs, with_values=with_values)
-            sources.append(parts[0])
-            masks.append(parts[1])
-            if with_values:
-                payloads.append(parts[2])
         if not sources:
             empty = np.empty(0, dtype=np.int64)
             offsets = np.zeros(lows.size + 1, dtype=np.int64)
@@ -1488,11 +1490,11 @@ class LearnedLSMStore(KVSurface):
     def range_query_batch(self, lows, highs) -> RangeScanResult:
         """Live keys in each closed range ``[lows[i], highs[i]]``.
 
-        Every source — the memtable's entries plus each run's vectorized
-        range scan — contributes its entries; one
+        Every source — each run's vectorized range scan plus the
+        memtable's entries — contributes its entries; one
         :func:`~repro.range_scan.merge_scan_results` pass interleaves
-        them newest-first, deduplicates to the newest version per key,
-        and drops keys whose newest version is a tombstone.
+        them, oldest source first, deduplicates to the newest version
+        per key, and drops keys whose newest version is a tombstone.
         """
         return self._read(ReadView.range_query_batch, lows, highs)
 
@@ -1515,25 +1517,20 @@ class LearnedLSMStore(KVSurface):
     # -- accounting ------------------------------------------------------------
 
     def live_keys(self) -> np.ndarray:
-        """All live keys, merged and deduplicated — O(N log N)."""
+        """All live keys, merged and deduplicated — O(N log N): the
+        runs oldest first, then the memtable, through
+        :func:`~repro.util.newest_entries`, less the tombstones."""
         self._ensure_open()
         mem_keys, _mem_values, mem_dead = self.memtable.entries()
         runs = self._pin_runs()
         try:
-            parts = [mem_keys] + [r.keys for r in runs]
-            dead_parts = [mem_dead] + [r.tombstones for r in runs]
-            keys = np.concatenate(parts)
-            dead = np.concatenate(dead_parts)
+            parts = [(r.keys, 0, r.tombstones) for r in reversed(runs)]
+            keys, _, dead = newest_entries(
+                parts + [(mem_keys, 0, mem_dead)], "stable"
+            )
         finally:
             self._unpin_runs(runs)
-        if keys.size == 0:
-            return keys
-        rank = np.repeat(
-            np.arange(len(parts), dtype=np.int64),
-            [p.size for p in parts],
-        )
-        order, newest = newest_versions(keys, rank)
-        return keys[order][newest & ~dead[order]]
+        return keys[~dead]
 
     def __len__(self) -> int:
         """Exact live key count (O(N log N) — see :meth:`live_keys`)."""

@@ -28,9 +28,9 @@ raised client-side before any shard sees the call; float *range
 endpoints* still bound the range where they say.
 
 Wire form: every message in both directions — command, ack, error
-ack, the spawn-time ack — is one frame, sent with one
-``Connection.send_bytes``.  A frame is a fixed 16-byte header (op code,
-array count, tail length, per-shard sequence number), one 16-byte
+ack, the start-up ``open`` frame and its ack — is one frame, sent with
+one ``Connection.send_bytes``.  A frame is a fixed 16-byte header (op
+code, array count, tail length, per-shard sequence number), one 16-byte
 ``(dtype char, length)`` entry per array, the arrays' raw buffers (each
 padded to 8 bytes, so decoded views are aligned), then an optional
 tail, pickled with the connection's own pickler, for everything that is
@@ -43,7 +43,10 @@ takes as it is.
 
 Failure contract: an ack echoes its command's sequence number.  A
 closed or broken pipe, or an ack whose number is not its command's,
-raises :class:`ShardUnavailable` and fails the store closed; an
+raises :class:`ShardUnavailable` and fails the store closed — at
+start-up too, as a worker reads its bulk ``(keys, values)`` from its
+first frame (op ``open``), not from its spawn payload, which
+``Process.start`` would block on writing to a dead worker.  An
 exception inside a worker is relayed as a plain ``RuntimeError`` and
 the store stays usable.  :meth:`ShardedLSMStore.close` gives the
 workers :data:`CLOSE_GRACE_S` seconds in all to ack and exit, then
@@ -121,7 +124,7 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _OPS = (
     "ack", "error", "close", "insert_batch", "delete_batch", "flush",
     "compact", "lookup_batch", "range_query_batch", "range_items_batch",
-    "backup", "stats", "snapshot", "release",
+    "backup", "stats", "snapshot", "release", "open",
 )
 _OP_CODES = {op: code for code, op in enumerate(_OPS)}
 #: Op code, array count, tail length, per-shard sequence number.
@@ -194,7 +197,12 @@ def _shard_worker(
     if obs_enabled:
         set_enabled(True)
     tracing.set_process_name(f"shard-{shard_id}")
-    store = LearnedLSMStore(**store_kwargs)
+    # The ``open`` frame: the bulk ``(keys, values)``, if any.
+    _, seq, bulk, _ = _decode(conn.recv_bytes())
+    store = LearnedLSMStore(
+        **dict(zip(("keys", "values"), bulk)), **store_kwargs
+    )
+    del bulk  # views of the frame; the store keeps its own copies
     snapshots = {}
     obs_prev = RegistrySnapshot()
 
@@ -207,7 +215,7 @@ def _shard_worker(
         return {"spans": tracing.drain_spans(), "metrics": delta}
 
     try:
-        conn.send_bytes(_encode("ack", 0))
+        conn.send_bytes(_encode("ack", seq))
         while True:
             op, seq, arrays, tail = _decode(conn.recv_bytes())
             if op == "close":
@@ -352,9 +360,9 @@ class ShardedLSMStore(KVSurface):
     num_shards:
         Worker process count (= key-range partitions).
     keys / values:
-        Optional bulk load, routed by the splitter and loaded inside
-        each worker at startup (no write amplification, like the
-        single store's bulk path).
+        Optional bulk load, routed by the splitter and sent to each
+        worker in its start-up ``open`` frame, which it loads as the
+        single store's bulk path does (no write amplification).
     sample_keys:
         Training sample for the CDF splitter; defaults to the bulk
         ``keys``, or a uniform int64 split when neither is given.
@@ -408,7 +416,7 @@ class ShardedLSMStore(KVSurface):
         if keys is not None:
             keys, values = as_int64_pairs(keys, values)
             bulk = {
-                shard: {"keys": keys[idx], "values": values[idx]}
+                shard: (keys[idx], values[idx])
                 for shard, idx in self._split(keys).items()
             }
         base_kwargs = dict(store_kwargs or {})
@@ -418,8 +426,7 @@ class ShardedLSMStore(KVSurface):
         ctx = get_context("spawn")
         self._procs = []
         self._conns = []
-        #: Sequence number of the last command sent, per shard (the
-        #: spawn-time ack answers 0).
+        #: Sequence number of the last command sent, per shard.
         self._seq = [0] * self.num_shards
         self._snapshot_numbers = itertools.count(1)
         #: Why the store failed closed (see :class:`ShardUnavailable`).
@@ -430,7 +437,6 @@ class ShardedLSMStore(KVSurface):
                 kwargs = dict(base_kwargs)
                 if path is not None:
                     kwargs["path"] = os.path.join(path, f"shard-{shard}")
-                kwargs.update(bulk.get(shard, {}))
                 parent, child = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker,
@@ -441,6 +447,8 @@ class ShardedLSMStore(KVSurface):
                 child.close()
                 self._procs.append(proc)
                 self._conns.append(parent)
+            for shard in range(self.num_shards):
+                self._send(shard, "open", bulk.get(shard, ()), None)
             for shard in range(self.num_shards):
                 self._recv(shard)
         except BaseException:

@@ -28,7 +28,7 @@ from .dispatch import PACKED_ORDER_MIN_KEYS
 __all__ = [
     "scalar_view", "clamp_into",
     "as_int64_key", "as_int64_keys", "as_int64_pairs", "range_endpoints",
-    "sorted_order", "newest_per_key",
+    "sorted_order", "newest_per_key", "newest_entries",
 ]
 
 _VIEWABLE = {
@@ -199,18 +199,45 @@ def newest_per_key(keys: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     Strictly ascending keys (a bulk load's) return after one compare
     pass.  Otherwise one :func:`sorted_order` (of ``kind``:
     ``"stable"`` merges presorted runs in linear time) plus a neighbour
-    compare; a key group's newest entry is its largest original index
-    (``np.maximum.reduceat``), a step skipped when no key repeats.
-    Several times cheaper than ``np.unique`` on unsorted int64 keys.
+    compare; a key group's newest entry is its largest original index:
+    its last entry after a stable sort, else ``np.maximum.reduceat``,
+    a step skipped when no key repeats.  Several times cheaper than
+    ``np.unique`` on unsorted int64 keys.
     """
     if keys.size < 2 or bool((keys[1:] > keys[:-1]).all()):
         return np.arange(keys.size)
     sorted_keys, order = sorted_order(keys, kind)
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    if first.all():
+    last = np.ones(keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=last[:-1])
+    if last.all():
         return order
-    return np.maximum.reduceat(order, np.flatnonzero(first))
+    if kind == "stable":
+        return order[last]
+    return np.maximum.reduceat(order, np.flatnonzero(np.roll(last, 1)))
+
+
+def newest_entries(parts, kind: str):
+    """Each key's last entry over ``(keys, values, dead)`` parts listed
+    oldest first, as the key-sorted ``(keys, values, dead)`` triple a
+    run stores: what a put / delete loop over the parts in order leaves.
+
+    The one newest-wins fold of the LSM: memtable builds, run merges
+    and live-key scans.  A part's ``values`` or ``dead`` may be a
+    scalar spanning its keys (a delete record's flag).  ``kind`` is
+    :func:`newest_per_key`'s: ``"stable"`` for parts that are each
+    sorted already.
+    """
+    keys = np.concatenate([p[0] for p in parts])
+    # np.full costs a third of np.broadcast_to on a one-key part.
+    values, dead = (
+        np.concatenate([
+            p[i] if isinstance(p[i], np.ndarray) else np.full(p[0].size, p[i])
+            for p in parts
+        ])
+        for i in (1, 2)
+    )
+    pick = newest_per_key(keys, kind)
+    return keys[pick], values[pick], dead[pick]
 
 
 def range_endpoints(lows, highs) -> tuple[np.ndarray, np.ndarray]:

@@ -11,10 +11,12 @@ the newest-wins helper the write paths share.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dispatch import PACKED_ORDER_MIN_KEYS, PROBE_SCAN_MAX_KEYS
 from repro.lsm import LearnedLSMStore, Memtable
-from repro.util import newest_per_key
+from repro.util import newest_entries, newest_per_key
 
 
 def _oracle_triple(state: dict):
@@ -309,6 +311,51 @@ class TestNewestPerKey:
         keys = np.array([2**62, -(2**63), 5, -1], dtype=np.int64)
         np.testing.assert_array_equal(newest_per_key(keys), [1, 3, 2, 0])
         assert newest_per_key(np.empty(0, np.int64)).size == 0
+
+
+# A part as the LSM folds one: keys, then values and dead flags each an
+# array parallel to the keys or one scalar spanning them (a record's).
+_parts = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.integers(-9, 9), st.integers(0, 99), st.booleans()),
+            max_size=8,
+        ),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parts, st.sampled_from(["quicksort", "stable"]))
+def test_newest_entries_replays_the_parts_oldest_first(parts, kind):
+    """Each key's last entry over the parts in order, whether a part's
+    values and dead flags are arrays or scalars, presorted or not."""
+    folded, state = [], {}
+    for rows, presorted, one_value, one_flag in parts:
+        if presorted:  # a run's or the layout's: sorted, a key once
+            rows = sorted({key: row for key, *row in rows}.items())
+            rows = [(key, *row) for key, row in rows]
+        if one_value:
+            rows = [(key, 7, dead) for key, _, dead in rows]
+        if one_flag:
+            rows = [(key, value, True) for key, value, _ in rows]
+        keys = np.array([r[0] for r in rows], dtype=np.int64)
+        values = 7 if one_value else np.array([r[1] for r in rows], np.int64)
+        dead = True if one_flag else np.array([r[2] for r in rows], bool)
+        folded.append((keys, values, dead))
+        state.update((key, (value, flag)) for key, value, flag in rows)
+    keys, values, dead = newest_entries(folded, kind)
+    assert (keys.dtype, values.dtype, dead.dtype) == (
+        np.int64, np.int64, np.bool_
+    )
+    assert keys.tolist() == sorted(state)
+    assert values.tolist() == [state[k][0] for k in sorted(state)]
+    assert dead.tolist() == [state[k][1] for k in sorted(state)]
 
 
 @pytest.mark.parametrize("durable", [False, True])

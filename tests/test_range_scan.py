@@ -10,9 +10,9 @@ mixed-dtype endpoints on every range surface.
 * ``SortedKeyColumn.upper_bounds`` widens a hit by its neighbour and
   searches only inside duplicate runs; it must equal
   ``searchsorted(side="right")``.
-* ``merge_scan_results`` filters a single source instead of sorting
-  it; it must equal the lexsort path, which a second, empty source
-  forces.
+* ``merge_scan_results`` over sources listed oldest first must equal
+  a dict replay of them, range by range: the last source holding a
+  key wins it, and a winning tombstone drops it.
 * Endpoint arrays of different dtypes are each prepared against the
   key column: int64 lows with uint64 highs (and the other pairs) must
   not meet in float64, which rounds both beyond 2^53; the writable
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.btree import (
@@ -217,68 +217,101 @@ class TestUpperBounds:
         _upper_bound_check(np.sort(np.asarray(keys, dtype=np.int64)), queries)
 
 
-_range_lists = st.lists(
-    st.lists(st.integers(-20, 20), max_size=12).map(sorted),
-    min_size=0,
-    max_size=8,
+# A source as an LSM holds it: key -> (payload, is a tombstone).
+_lsm_sources = st.lists(
+    st.dictionaries(
+        st.integers(-12, 12),
+        st.tuples(st.integers(0, 999), st.booleans()),
+        max_size=12,
+    ),
+    min_size=1,
+    max_size=4,
+)
+_closed_ranges = st.lists(
+    st.tuples(st.integers(-14, 14), st.integers(-14, 14)), max_size=6
 )
 
 
-def _source(ranges, seed):
-    values = np.asarray([k for r in ranges for k in r], dtype=np.int64)
+def _scan(source: dict, ranges):
+    """``source``'s closed-range scan as a run or the memtable gives
+    it: each range ascending, a key at most once per range, and a key
+    in every range it falls in."""
+    parts = [[k for k in sorted(source) if lo <= k <= hi] for lo, hi in ranges]
+    keys = [k for part in parts for k in part]
     offsets = np.zeros(len(ranges) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in ranges], out=offsets[1:])
-    rng = np.random.default_rng(seed)
+    np.cumsum([len(part) for part in parts], out=offsets[1:])
     return (
-        RangeScanResult(values=values, offsets=offsets),
-        rng.random(values.size) < 0.3,
-        rng.integers(0, 1000, values.size),
+        RangeScanResult(np.array(keys, dtype=np.int64), offsets),
+        np.array([source[k][1] for k in keys], dtype=bool),
+        np.array([source[k][0] for k in keys], dtype=np.int64),
     )
 
 
-class TestMergeOneSource:
+class TestMergeScanResults:
     @COMMON
-    @given(_range_lists, st.booleans(), st.integers(0, 99))
-    def test_equals_the_lexsort_path(self, ranges, masked, seed):
-        source, mask, payload = _source(ranges, seed)
-        m = len(source)
-        empty = RangeScanResult(
-            values=np.empty(0, dtype=np.int64),
-            offsets=np.zeros(m + 1, dtype=np.int64),
+    @given(
+        _lsm_sources, _closed_ranges, st.booleans(),
+        st.sampled_from([1, 2**59]),
+    )
+    @example(
+        [{5: (1, False)}, {5: (2, True)}, {5: (3, False)}], [(5, 5)], True, 1
+    )
+    @example(  # four sources tie on every key of six overlapping ranges
+        [{k: (100 * s + k, False) for k in range(-12, 13)} for s in range(4)],
+        [(-14, 14)] * 6, False, 1,
+    )
+    @example(  # keys span 2^64 - 1: np.lexsort sorts
+        [{-(2**63): (1, False), 2**63 - 1: (2, False)}, {0: (3, False)}],
+        [(-(2**63), 2**63 - 1), (0, 0), (-5, 5)], True, 1,
+    )
+    @example(  # a 63-bit span leaves no room for four range ids
+        [{0: (1, False), 2**62 + 1: (2, False)}, {0: (3, False)}],
+        [(0, 2**62 + 1)] * 4, False, 1,
+    )
+    def test_replays_the_sources_oldest_first(
+        self, sources, ranges, masked, scale
+    ):
+        """Equal keys in a range keep their source order through the
+        stable sort, so the last source holding a key wins it, and a
+        winning tombstone drops it; one source is a plain filter.  The
+        range id and the key share one sort word while the keys' span
+        leaves room for the id; wider spans (``scale`` 2^59, and the
+        examples) go through ``np.lexsort``."""
+        sources = [{k * scale: v for k, v in s.items()} for s in sources]
+        ranges = [(lo * scale, hi * scale) for lo, hi in ranges]
+        scans = [_scan(source, ranges) for source in sources]
+        results = [scan[0] for scan in scans]
+        masks = [scan[1] for scan in scans] if masked else None
+        merged, payloads = merge_scan_results(
+            results, drop_masks=masks, payloads=[scan[2] for scan in scans]
         )
-        masks = [mask] if masked else None
-        got, got_pay = merge_scan_results(
-            [source], drop_masks=masks, payloads=[payload]
-        )
-        want, want_pay = merge_scan_results(
-            [source, empty],
-            drop_masks=None if masks is None else masks + [None],
-            payloads=[payload, np.empty(0, dtype=payload.dtype)],
-        )
-        for a, b in ((got.values, want.values), (got.offsets, want.offsets),
-                     (got_pay, want_pay)):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
-        plain = merge_scan_results([source], drop_masks=masks)
-        np.testing.assert_array_equal(plain.values, got.values)
-        np.testing.assert_array_equal(plain.offsets, got.offsets)
+        plain = merge_scan_results(results, drop_masks=masks)
+        state = {}
+        for source in sources:
+            state.update(source)
+        want = [
+            [k for k in sorted(state)
+             if lo <= k <= hi and not (masked and state[k][1])]
+            for lo, hi in ranges
+        ]
+        for got in (merged, plain):
+            assert got.values.dtype == got.offsets.dtype == np.int64
+            assert [list(r) for r in got] == want
+        assert payloads.dtype == np.int64
+        assert payloads.tolist() == [state[k][0] for r in want for k in r]
 
-    def test_duplicates_and_tombstones_within_a_range(self):
-        source, _, _ = _source([[1, 1, 2, 3, 3, 3], [3, 3, 4], []], 0)
-        dead = np.array([1, 0, 0, 0, 1, 0, 0, 0, 0], dtype=bool)
-        merged, pay = merge_scan_results(
-            [source], drop_masks=[dead], payloads=[np.arange(9)]
-        )
-        # 1 loses to its tombstoned first copy; 3's first copy in each
-        # range wins.
-        assert merged.values.tolist() == [2, 3, 3, 4]
-        assert merged.offsets.tolist() == [0, 2, 4, 4]
-        assert pay.tolist() == [2, 3, 6, 8]
-
-    def test_payload_length_is_checked(self):
-        source, _, _ = _source([[1, 2]], 0)
+    def test_sources_must_cover_the_same_ranges(self):
+        one, two = _scan({}, [(0, 1)])[0], _scan({}, [(0, 1), (2, 3)])[0]
         with pytest.raises(ValueError):
-            merge_scan_results([source], payloads=[np.arange(3)])
+            merge_scan_results([one, two])
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_payloads_must_parallel_the_values(self, count):
+        result = _scan({1: (0, False), 2: (0, False)}, [(0, 9)])[0]
+        with pytest.raises(ValueError):
+            merge_scan_results(
+                [result] * count, payloads=[np.arange(3)] * count
+            )
 
 
 # -- mixed-dtype endpoints ----------------------------------------------------

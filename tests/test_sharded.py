@@ -20,6 +20,8 @@ import multiprocessing
 import os
 import pathlib
 import signal
+import subprocess
+import sys
 import threading
 from multiprocessing.reduction import ForkingPickler
 
@@ -425,6 +427,34 @@ def test_close_returns_despite_a_hung_worker(monkeypatch):
             os.kill(hung.pid, signal.SIGCONT)
             closer.join()
     assert not any(proc.is_alive() for proc in store._procs)
+
+
+_DIES_AT_START_UP = """
+import numpy as np
+from repro.serving import ShardedLSMStore, ShardUnavailable
+keys = np.arange(500_000, dtype=np.int64)
+try:
+    ShardedLSMStore(2, keys, keys)
+except ShardUnavailable as exc:
+    print("ShardUnavailable:", exc)
+"""
+
+
+def test_worker_dying_at_start_up_is_shard_unavailable(tmp_path):
+    """Fed on stdin, the main module cannot be re-imported, so every
+    spawned worker dies before it reads a frame.  A 500k-key bulk load
+    must then fail the client's send, not block ``Process.start`` on a
+    spawn payload bigger than the pipe that nobody reads."""
+    src = str(pathlib.Path(sharded.__file__).parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-"], input=_DIES_AT_START_UP, text=True,
+        capture_output=True, cwd=tmp_path, env=env, timeout=60,
+    )
+    assert "ShardUnavailable: shard " in done.stdout, done.stderr[-2000:]
 
 
 # -- one read state: every holder answers through ReadView ---------------------
