@@ -11,6 +11,7 @@ from repro.lsm import (
     SortedRun,
     merge_runs,
 )
+from repro.range_scan import RangeScanResult, merge_scan_results
 
 
 # -- memtable ------------------------------------------------------------------
@@ -505,10 +506,65 @@ class TestBatchReadWalk:
             assert len(counts) == 1, (size, counts)
 
 
+# -- the multi-source merge helper ---------------------------------------------
+
+def _rsr(values, offsets):
+    return RangeScanResult(
+        values=np.asarray(values, dtype=np.int64),
+        offsets=np.asarray(offsets, dtype=np.int64),
+    )
+
+
+class TestMergeScanResults:
+    """Sources are listed oldest first: the last one holding a key wins."""
+
+    def test_interleaves_sorted(self):
+        a = _rsr([1, 5], [0, 2])
+        b = _rsr([2, 9], [0, 2])
+        merged = merge_scan_results([a, b])
+        np.testing.assert_array_equal(merged[0], [1, 2, 5, 9])
+
+    def test_dedup_keeps_newest_source(self):
+        older = _rsr([5], [0, 1])
+        newer = _rsr([5], [0, 1])
+        merged, payloads = merge_scan_results(
+            [older, newer], payloads=[np.array([1]), np.array([2])]
+        )
+        np.testing.assert_array_equal(merged[0], [5])
+        np.testing.assert_array_equal(payloads, [2])
+
+    def test_drop_mask_shadows_older_sources(self):
+        oldest = _rsr([5, 6], [0, 2])
+        newest = _rsr([5], [0, 1])
+        merged = merge_scan_results(
+            [oldest, newest],
+            drop_masks=[None, np.array([True])],
+        )
+        np.testing.assert_array_equal(merged[0], [6])
+
+    def test_per_range_independence(self):
+        a = _rsr([1, 1], [0, 1, 2])   # key 1 in both ranges
+        b = _rsr([1], [0, 0, 1])      # key 1 only in range 1
+        merged = merge_scan_results([a, b])
+        np.testing.assert_array_equal(merged[0], [1])
+        np.testing.assert_array_equal(merged[1], [1])
+
+    def test_mismatched_ranges_rejected(self):
+        with pytest.raises(ValueError):
+            merge_scan_results([_rsr([], [0]), _rsr([], [0, 0])])
+
+    def test_empty_sources(self):
+        """Sources that cover no range merge to no range."""
+        for count in (1, 2):
+            merged = merge_scan_results([_rsr([], [0])] * count)
+            assert len(merged) == 0
+            assert merged.values.size == 0
+
+
 # -- range_items_batch (ISSUE 5 satellite) -------------------------------------
 
 class TestRangeItemsBatch:
-    """(key, value) range reads: a run's payload gather."""
+    """(key, value) range reads: the merge_scan_results payload gather."""
 
     def test_run_level_value_gather(self):
         keys = np.array([1, 3, 5, 9], dtype=np.int64)
@@ -519,6 +575,21 @@ class TestRangeItemsBatch:
         np.testing.assert_array_equal(result.values, [1, 3, 5, 5, 9])
         np.testing.assert_array_equal(values, [10, 30, 50, 50, 90])
         assert not flags.any()
+
+    def test_merge_scan_results_payloads(self):
+        older = _rsr([5, 8], [0, 2])
+        newer = _rsr([5, 7], [0, 2])
+        merged, payloads = merge_scan_results(
+            [older, newer],
+            payloads=[np.array([-5, 80]), np.array([50, 70])],
+        )
+        np.testing.assert_array_equal(merged.values, [5, 7, 8])
+        np.testing.assert_array_equal(payloads, [50, 70, 80])
+
+    def test_merge_scan_results_payload_length_mismatch(self):
+        source = _rsr([5, 7], [0, 2])
+        with pytest.raises(ValueError):
+            merge_scan_results([source], payloads=[np.array([1])])
 
 
 class TestMemtableEndpointExactness:

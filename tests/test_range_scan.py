@@ -314,6 +314,57 @@ class TestMergeScanResults:
             )
 
 
+
+# Per-range key lists as one source's scan holds them: each ascending,
+# a key at most once per range.
+_range_lists = st.lists(
+    st.lists(st.integers(-20, 20), max_size=12, unique=True).map(sorted),
+    min_size=0,
+    max_size=8,
+)
+
+
+def _source(ranges, seed):
+    values = np.asarray([k for r in ranges for k in r], dtype=np.int64)
+    offsets = np.zeros(len(ranges) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in ranges], out=offsets[1:])
+    rng = np.random.default_rng(seed)
+    return (
+        RangeScanResult(values=values, offsets=offsets),
+        rng.random(values.size) < 0.3,
+        rng.integers(0, 1000, values.size),
+    )
+
+
+class TestMergeOneSource:
+    @COMMON
+    @given(_range_lists, st.booleans(), st.integers(0, 99))
+    def test_equals_the_lexsort_path(self, ranges, masked, seed):
+        """One source's plain filter equals the several-source sort
+        path run on it beside an empty older source."""
+        source, mask, payload = _source(ranges, seed)
+        m = len(source)
+        empty = RangeScanResult(
+            values=np.empty(0, dtype=np.int64),
+            offsets=np.zeros(m + 1, dtype=np.int64),
+        )
+        masks = [mask] if masked else None
+        got, got_pay = merge_scan_results(
+            [source], drop_masks=masks, payloads=[payload]
+        )
+        want, want_pay = merge_scan_results(
+            [empty, source],
+            drop_masks=None if masks is None else [None] + masks,
+            payloads=[np.empty(0, dtype=payload.dtype), payload],
+        )
+        for a, b in ((got.values, want.values), (got.offsets, want.offsets),
+                     (got_pay, want_pay)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        plain = merge_scan_results([source], drop_masks=masks)
+        np.testing.assert_array_equal(plain.values, got.values)
+        np.testing.assert_array_equal(plain.offsets, got.offsets)
+
 # -- mixed-dtype endpoints ----------------------------------------------------
 
 BASE = 2**62
