@@ -213,11 +213,12 @@ def merge_scan_results(
     source that holds them — LSM "newest version wins", in the order
     :func:`~repro.util.newest_entries` reads its parts.  Several
     sources interleave through one stable sort on (range id, key), all
-    ranges at once, so a key's entries keep their source order and
-    each group's last entry is its newest.  A single source holds no
-    key twice in a range, so its merge is the drop-mask filter.
-    Either way the new offsets are a cumulative count of the entries
-    kept.
+    ranges at once (``np.lexsort``, which is stable), so a key's
+    entries keep their source order and each group's last entry is its
+    newest.  A single source holds no key twice in a range, so its
+    merge is the drop-mask filter.  Either way the new offsets are a
+    cumulative count of the entries kept.  No source at all is a
+    ``ValueError``.
 
     ``drop_masks[s]`` (optional, aligned to ``results[s].values``)
     flags entries such as tombstones: when a flagged entry wins its
@@ -230,6 +231,8 @@ def merge_scan_results(
     ``merged_payloads`` parallel to ``merged_result.values`` — the
     value gather behind ``LearnedLSMStore.range_items_batch``.
     """
+    if not results:
+        raise ValueError("need at least one source to merge")
     m = len(results[0])
     if any(len(r) != m for r in results):
         raise ValueError("all sources must cover the same ranges")
@@ -247,11 +250,15 @@ def merge_scan_results(
         keys, keep, order = values[0], ~dead[0], None
         bounds = results[0].offsets
     else:
-        range_ids = np.arange(m, dtype=np.uint64)
+        # The narrowest id dtype: lexsort's stable pass on ids of 16
+        # bits or fewer is a radix sort.
+        range_ids = np.arange(m, dtype=np.min_scalar_type(m))
         ids = np.concatenate([range_ids.repeat(r.counts) for r in results])
         keys = np.concatenate(values)
-        order, keep = _pair_groups(ids, keys, m)
-        keys = keys[order]
+        order = np.lexsort((keys, ids))
+        ids, keys = ids[order], keys[order]
+        keep = np.ones(keys.size, dtype=bool)
+        keep[:-1] = (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])
         keep &= ~np.concatenate(dead)[order]
         bounds = sum((r.offsets for r in results[1:]), results[0].offsets)
     kept = np.zeros(keys.size + 1, dtype=np.int64)
@@ -261,33 +268,6 @@ def merge_scan_results(
         return merged
     pay = payloads[0] if order is None else np.concatenate(payloads)[order]
     return merged, pay[keep]
-
-
-def _pair_groups(ids, keys, m: int):
-    """``(order, last)``: the stable order of the ``(ids, keys)`` pairs
-    and, in that order, a mask of each equal pair's last entry.
-
-    Integer keys whose span leaves room for the range id in a uint64
-    sort as one word ``id << b | key - min``: a stable ``argsort`` of
-    those merges the sources' presorted runs (timsort), several times
-    faster than ``np.lexsort``'s two indirect passes on a thousand
-    pairs or more.  ``ids`` are uint64; the words are built in them."""
-    last = np.ones(keys.size, dtype=bool)
-    if keys.size and keys.dtype.kind in "iu":
-        low = int(np.minimum.reduce(keys))
-        bits = (int(np.maximum.reduce(keys)) - low).bit_length()
-        if bits + (m - 1).bit_length() < 64:
-            ids <<= np.uint64(bits)
-            # uint64 arithmetic wraps modulo 2^64: ``key - low`` is exact.
-            ids += keys.astype(np.uint64) - np.uint64(low % (1 << 64))
-            order = np.argsort(ids, kind="stable")
-            words = ids[order]
-            np.not_equal(words[1:], words[:-1], out=last[:-1])
-            return order, last
-    order = np.lexsort((keys, ids))
-    ids, keys = ids[order], keys[order]
-    last[:-1] = (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])
-    return order, last
 
 
 def batch_range_scan(

@@ -199,21 +199,18 @@ def newest_per_key(keys: np.ndarray, kind: str = "quicksort") -> np.ndarray:
     Strictly ascending keys (a bulk load's) return after one compare
     pass.  Otherwise one :func:`sorted_order` (of ``kind``:
     ``"stable"`` merges presorted runs in linear time) plus a neighbour
-    compare; a key group's newest entry is its largest original index:
-    its last entry after a stable sort, else ``np.maximum.reduceat``,
-    a step skipped when no key repeats.  Several times cheaper than
-    ``np.unique`` on unsorted int64 keys.
+    compare; a key group's newest entry is its largest original index
+    (``np.maximum.reduceat``), a step skipped when no key repeats.
+    Several times cheaper than ``np.unique`` on unsorted int64 keys.
     """
     if keys.size < 2 or bool((keys[1:] > keys[:-1]).all()):
         return np.arange(keys.size)
     sorted_keys, order = sorted_order(keys, kind)
-    last = np.ones(keys.size, dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=last[:-1])
-    if last.all():
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    if first.all():
         return order
-    if kind == "stable":
-        return order[last]
-    return np.maximum.reduceat(order, np.flatnonzero(np.roll(last, 1)))
+    return np.maximum.reduceat(order, np.flatnonzero(first))
 
 
 def newest_entries(parts, kind: str):

@@ -560,6 +560,10 @@ class TestMergeScanResults:
             assert len(merged) == 0
             assert merged.values.size == 0
 
+    def test_no_source_rejected(self):
+        with pytest.raises(ValueError, match="at least one source"):
+            merge_scan_results([])
+
 
 # -- range_items_batch (ISSUE 5 satellite) -------------------------------------
 

@@ -249,36 +249,24 @@ def _scan(source: dict, ranges):
 
 class TestMergeScanResults:
     @COMMON
-    @given(
-        _lsm_sources, _closed_ranges, st.booleans(),
-        st.sampled_from([1, 2**59]),
-    )
-    @example(
-        [{5: (1, False)}, {5: (2, True)}, {5: (3, False)}], [(5, 5)], True, 1
-    )
+    @given(_lsm_sources, _closed_ranges, st.booleans())
+    @example([{5: (1, False)}, {5: (2, True)}, {5: (3, False)}], [(5, 5)], True)
     @example(  # four sources tie on every key of six overlapping ranges
         [{k: (100 * s + k, False) for k in range(-12, 13)} for s in range(4)],
-        [(-14, 14)] * 6, False, 1,
+        [(-14, 14)] * 6, False,
     )
-    @example(  # keys span 2^64 - 1: np.lexsort sorts
+    @example(  # keys at both ends of int64
         [{-(2**63): (1, False), 2**63 - 1: (2, False)}, {0: (3, False)}],
-        [(-(2**63), 2**63 - 1), (0, 0), (-5, 5)], True, 1,
+        [(-(2**63), 2**63 - 1), (0, 0), (-5, 5)], True,
     )
-    @example(  # a 63-bit span leaves no room for four range ids
-        [{0: (1, False), 2**62 + 1: (2, False)}, {0: (3, False)}],
-        [(0, 2**62 + 1)] * 4, False, 1,
+    @example(  # more ranges than a uint8 range id holds
+        [{k: (k, k % 3 == 0) for k in range(-12, 13, 2)}, {0: (7, False)}],
+        [(-14, 14), (0, 0), (-3, 9)] * 100, True,
     )
-    def test_replays_the_sources_oldest_first(
-        self, sources, ranges, masked, scale
-    ):
+    def test_replays_the_sources_oldest_first(self, sources, ranges, masked):
         """Equal keys in a range keep their source order through the
         stable sort, so the last source holding a key wins it, and a
-        winning tombstone drops it; one source is a plain filter.  The
-        range id and the key share one sort word while the keys' span
-        leaves room for the id; wider spans (``scale`` 2^59, and the
-        examples) go through ``np.lexsort``."""
-        sources = [{k * scale: v for k, v in s.items()} for s in sources]
-        ranges = [(lo * scale, hi * scale) for lo, hi in ranges]
+        winning tombstone drops it; one source is a plain filter."""
         scans = [_scan(source, ranges) for source in sources]
         results = [scan[0] for scan in scans]
         masks = [scan[1] for scan in scans] if masked else None
