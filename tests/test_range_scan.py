@@ -302,7 +302,6 @@ class TestMergeScanResults:
             )
 
 
-
 # Per-range key lists as one source's scan holds them: each ascending,
 # a key at most once per range.
 _range_lists = st.lists(
@@ -352,6 +351,7 @@ class TestMergeOneSource:
         plain = merge_scan_results([source], drop_masks=masks)
         np.testing.assert_array_equal(plain.values, got.values)
         np.testing.assert_array_equal(plain.offsets, got.offsets)
+
 
 # -- mixed-dtype endpoints ----------------------------------------------------
 
