@@ -461,31 +461,20 @@ class SortedKeyColumn:
 
     # -- exact search primitives ----------------------------------------------
 
-    def rank_in(
-        self, sorted_values: np.ndarray, qb: QueryBatch, side: str = "left"
-    ) -> np.ndarray:
-        """Exact ``searchsorted`` of prepared queries into an auxiliary
-        sorted array of the column's dtype (delta buffers, tombstone
-        lists, ...), preserving bisect semantics for float queries:
-        for a non-integral ``q``, ``bisect_right == bisect_left`` at
-        ``ceil(q)``."""
-        if side == "right" and qb.exactable is not None:
-            left = np.searchsorted(sorted_values, qb.compare, side="left")
-            right = np.searchsorted(sorted_values, qb.compare, side="right")
-            pos = np.where(qb.exactable, right, left)
-        else:
-            pos = np.searchsorted(sorted_values, qb.compare, side=side)
-        # Fresh from searchsorted (intp), so the in-place write below
-        # is safe without the copy.
-        pos = pos.astype(np.int64, copy=False)
-        if qb.oob_high is not None:
-            pos[qb.oob_high] = len(sorted_values)
-        return pos
-
     def lower_bounds(self, queries) -> np.ndarray:
         """Whole-column exact lower bounds (the model-free batch path
-        every dense tree baseline answers batches with)."""
-        return self.rank_in(self.keys, self.prepare(queries), side="left")
+        every dense tree baseline answers batches with): one
+        ``searchsorted`` of the prepared compare values, and the
+        column's end for queries above the dtype."""
+        qb = self.prepare(queries)
+        # Fresh from searchsorted (intp), so the in-place write below
+        # is safe without the copy.
+        pos = np.searchsorted(self.keys, qb.compare).astype(
+            np.int64, copy=False
+        )
+        if qb.oob_high is not None:
+            pos[qb.oob_high] = self.size
+        return pos
 
     def bounded_lower_bounds(
         self,

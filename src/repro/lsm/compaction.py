@@ -22,15 +22,9 @@ collection is safe exactly when the merge output becomes the oldest
 run — no older run can still hold a shadowed version — which is also
 when a tombstone has finished its job.
 
-Selection contract (ISSUE 7): ``select`` is consulted repeatedly —
-after every executed window, and from the background worker over a
-run-list *snapshot* that may be stale by one seal by the time the
-merge commits.  A policy may therefore return windows that make no
-progress (e.g. a single run re-selected onto its own level when a
-merge shifted a size bucket's boundary); the store's planner rejects
-pure no-ops and breaks on any repeated (layout, selection) signature,
-so ``select`` need not prove monotonic shrinkage itself — it must only
-keep ``(start, stop, new_level)`` inside the list bounds.
+Every window holds at least ``min_runs`` >= 2 runs, so every merge
+shortens the run list, and a drain ends within as many merges as
+there are runs.
 """
 
 from __future__ import annotations
@@ -71,8 +65,8 @@ class SizeTieredCompaction:
     """Merge ``min_runs`` age-adjacent runs of the same size bucket.
 
     :meth:`select` receives the newest-first run list and returns
-    ``(start, stop, new_level)`` — merge ``runs[start:stop]`` into one
-    run at ``new_level`` — or None when the layout is stable.  The
+    ``(start, stop)`` — merge ``runs[start:stop]`` into one run — or
+    None when the layout is stable.  The
     store calls it in a loop after every seal, so one seal can cascade
     through multiple merges.
 
@@ -103,7 +97,7 @@ class SizeTieredCompaction:
         # finer (log2) buckets let them.
         return int(math.log(max(len(run), 2), 4))
 
-    def select(self, runs: list[SortedRun]) -> tuple[int, int, int] | None:
+    def select(self, runs: list[SortedRun]) -> tuple[int, int] | None:
         count = 1
         for i in range(1, len(runs) + 1):
             same = (
@@ -114,8 +108,8 @@ class SizeTieredCompaction:
                 count += 1
                 continue
             if count >= self.min_runs:
-                return i - count, i, runs[i - 1].level
+                return i - count, i
             count = 1
         if len(runs) >= self.max_runs:
-            return len(runs) - self.min_runs, len(runs), runs[-1].level
+            return len(runs) - self.min_runs, len(runs)
         return None

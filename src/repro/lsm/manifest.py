@@ -5,8 +5,9 @@ file (``MANIFEST``, see :mod:`repro.lsm.format`) records everything
 needed to reconstruct the store's structure:
 
 * the live run files, newest-first, with per-run sanity metadata
-  (sequence, level, entry count, tombstone count — cross-checked
-  against each run file's own header at load);
+  (sequence, entry count, tombstone count — cross-checked against
+  each run file's own header at load; the ``level`` entry older
+  manifests carry is ignored);
 * the current WAL generation file name;
 * the next file id and next run sequence number (so ids never recycle
   across a crash — a half-deleted orphan can never collide with a

@@ -32,7 +32,8 @@ materialization, so a flipped bit raises
 The metadata's ``bloom_kind`` names the wire form: absent or
 ``"standard"`` is ``BloomFilter.to_bytes``, anything else is a
 ``CorruptRunError`` — a run's bytes are only ever parsed, never
-executed.  A ``leaf_target`` entry (older files record one) is ignored.
+executed.  A ``leaf_target`` or ``level`` entry (older files record
+them) is ignored.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "DEFAULT_LEAF_TARGET",
     "BLOOM_FPR",
     "probe_at",
+    "scan_entries",
 ]
 
 #: Target keys per RMI leaf when sealing a run; leaves scale with run
@@ -119,8 +121,22 @@ def probe_at(keys, values, tombstones, queries, pos):
     return hit, hit & tombstones[safe], values[safe]
 
 
+def scan_entries(result, tombstones, values=None):
+    """``(result, tombstone flags)`` of a range scan over one
+    run-layout source, the flags copied out by the ``[starts, ends)``
+    slice plan the scan copied its keys by
+    (:func:`~repro.range_scan.assemble_slices`); given ``values``, the
+    stored payloads follow as a third element, through the same plan.
+    Every range scan of a run and of the memtable ends here."""
+    flags, _ = assemble_slices(tombstones, result.starts, result.ends)
+    if values is None:
+        return result, flags
+    payloads, _ = assemble_slices(values, result.starts, result.ends)
+    return result, flags, payloads
+
+
 class SortedRun:
-    """One immutable level of an LSM store.
+    """One immutable sorted run of an LSM store.
 
     Parameters
     ----------
@@ -135,9 +151,8 @@ class SortedRun:
     tombstones:
         Parallel bool mask; True marks a delete marker that shadows any
         older run's version of the key.
-    sequence / level:
-        Bookkeeping: seal sequence number (larger = newer) and the
-        compaction level the run currently occupies.
+    sequence:
+        Seal sequence number (larger = newer).
 
     Constructed runs are eager (arrays in memory, RMI and bloom built
     at init); runs reopened from disk via :meth:`load` are lazy —
@@ -153,7 +168,6 @@ class SortedRun:
         tombstones: np.ndarray | None = None,
         *,
         sequence: int = 0,
-        level: int = 0,
     ):
         keys, values = as_int64_pairs(keys, values)
         if keys.size and np.any(keys[1:] <= keys[:-1]):
@@ -166,11 +180,11 @@ class SortedRun:
             np.asarray(tombstones, dtype=bool),
             _train_rmi(keys),
             _build_bloom(keys),
-            sequence=sequence, level=level,
+            sequence=sequence,
         )
 
     def _adopt(
-        self, keys, values, tombstones, rmi, bloom, *, sequence, level,
+        self, keys, values, tombstones, rmi, bloom, *, sequence,
         n=None, num_tombstones=None, source=None, path=None,
     ) -> "SortedRun":
         """Assign every field of a run; all three constructors end
@@ -191,7 +205,6 @@ class SortedRun:
             num_tombstones = np.count_nonzero(tombstones)
         self._num_tombstones = int(num_tombstones)
         self.sequence = int(sequence)
-        self.level = int(level)
         self._source = source
         self.path = path
         #: Snapshot pin count (ISSUE 7): reads pin every run in their
@@ -210,7 +223,7 @@ class SortedRun:
         *,
         sequence: int = 0,
     ) -> "SortedRun":
-        """Wrap existing sorted unique arrays as a level-0 run without
+        """Wrap existing sorted unique arrays as a run without
         copying them or re-checking their order; trains the RMI and
         builds the filter over ``keys``, as the constructor does."""
         keys, values = as_int64_pairs(keys, values)
@@ -220,7 +233,7 @@ class SortedRun:
             np.asarray(tombstones, dtype=bool),
             _train_rmi(keys),
             _build_bloom(keys),
-            sequence=sequence, level=0,
+            sequence=sequence,
         )
 
     # -- persistence -----------------------------------------------------------
@@ -251,7 +264,6 @@ class SortedRun:
             "kind": "run",
             "n": self._n,
             "sequence": self.sequence,
-            "level": self.level,
             "num_tombstones": self._num_tombstones,
             # float64 round-trips JSON exactly (shortest-repr) and so
             # does a Python int, so the origin and the root parameters
@@ -278,7 +290,7 @@ class SortedRun:
         lazily on first access (each section checksum-verified exactly
         once, at materialization).  ``expect`` carries the manifest's
         per-run record — any disagreement with the file's own metadata
-        (count, sequence, level, tombstones) raises
+        (count, sequence, tombstones) raises
         :class:`CorruptRunError`, catching wrong-file and stale-file
         corruption that per-section checksums cannot see.
         """
@@ -291,7 +303,7 @@ class SortedRun:
             self._adopt(
                 None, None, None, None, None, source=source, path=path,
                 n=meta["n"], num_tombstones=meta["num_tombstones"],
-                sequence=meta["sequence"], level=meta["level"],
+                sequence=meta["sequence"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptRunError(
@@ -300,7 +312,7 @@ class SortedRun:
         if expect is not None:
             for field, attr in (
                 ("n", "_n"), ("sequence", "sequence"),
-                ("level", "level"), ("tombstones", "_num_tombstones"),
+                ("tombstones", "_num_tombstones"),
             ):
                 if field in expect and int(expect[field]) != getattr(
                     self, attr
@@ -430,20 +442,16 @@ class SortedRun:
     ):
         """(per-range entries, tombstone flags aligned to the values).
 
-        The run's RMI resolves all bounds vectorized; the tombstone
-        flags for every returned entry are copied out by the same
-        ``[start, end)`` slice plan the keys are
-        (:func:`~repro.range_scan.assemble_slices`).
-        ``with_values=True`` appends a third element — the stored
-        payloads, through the identical slice plan — for the store's
-        ``range_items_batch``.
+        The run's RMI resolves all bounds vectorized, and
+        :func:`scan_entries` copies out the flags; ``with_values=True``
+        appends the stored payloads as a third element, for the
+        store's ``range_items_batch``.
         """
-        result = self.rmi.range_query_batch(lows, highs)
-        flags, _ = assemble_slices(self.tombstones, result.starts, result.ends)
-        if not with_values:
-            return result, flags
-        values, _ = assemble_slices(self.values, result.starts, result.ends)
-        return result, flags, values
+        return scan_entries(
+            self.rmi.range_query_batch(lows, highs),
+            self.tombstones,
+            self.values if with_values else None,
+        )
 
     # -- accounting ------------------------------------------------------------
 
@@ -477,6 +485,6 @@ class SortedRun:
 
     def __repr__(self) -> str:
         return (
-            f"SortedRun(n={self._n}, level={self.level}, "
-            f"seq={self.sequence}, tombstones={self.num_tombstones})"
+            f"SortedRun(n={self._n}, seq={self.sequence}, "
+            f"tombstones={self.num_tombstones})"
         )

@@ -3,9 +3,9 @@
 The paper: "all inserts are kept in buffer and from time to time
 merged ... already widely used, for example in Bigtable."  This module
 is that design at system scale: a :class:`~repro.lsm.memtable.Memtable`
-absorbs writes in O(1), seals into immutable
-:class:`~repro.lsm.run.SortedRun` levels (each indexed by a vectorized
-RMI and guarded by a bloom filter), and
+absorbs writes in O(1), seals into immutable sorted runs
+(:class:`~repro.lsm.run.SortedRun`, each indexed by a vectorized RMI
+and guarded by a bloom filter), and
 :class:`~repro.lsm.compaction.SizeTieredCompaction` bounds the run
 count in the background of the write path.  The result is the
 trade-off triangle the single-run
@@ -76,9 +76,9 @@ that directory.  The moving parts:
 
 The one compaction policy is
 :class:`~repro.lsm.compaction.SizeTieredCompaction`: ``compaction=``
-takes an instance of it (the crash, concurrency and termination tests
-shape run layouts through its ``min_runs`` / ``max_runs``), and
-anything else is a ``TypeError``.  The fsync-per-batch ack barrier
+takes an instance of it (the crash and concurrency tests shape run
+layouts through its ``min_runs`` / ``max_runs``), and anything else
+is a ``TypeError``.  The fsync-per-batch ack barrier
 also reframes the PR 4 compaction sharp edge: a seal used to cascade
 synchronous merges indefinitely while the caller's acknowledged batch
 waited.  Durable stores therefore run one merge window per seal; the
@@ -167,7 +167,7 @@ from ..dispatch import (
 )
 from ..obs import MetricsRegistry, StatsView, counter_field
 from ..obs import span as obs_span
-from ..range_scan import RangeScanResult, assemble_slices, merge_scan_results
+from ..range_scan import RangeScanResult, batch_range_scan, merge_scan_results
 from ..util import (
     as_int64_key, as_int64_keys, as_int64_pairs, newest_entries,
     newest_per_key, range_endpoints, sorted_order,
@@ -177,7 +177,7 @@ from .faultfs import RealFileSystem
 from .format import CorruptRunError
 from .manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from .memtable import Memtable
-from .run import SortedRun, probe_at
+from .run import SortedRun, probe_at, scan_entries
 from .wal import RECORD_DELETE, RECORD_PUT, WriteAheadLog
 from .wal import replay as wal_replay
 
@@ -344,43 +344,39 @@ class ReadView:
         contribute their entries; one
         :func:`~repro.range_scan.merge_scan_results` pass resolves
         them, the last source holding a key winning it.  Inverted
-        ranges come out empty in every source: the run RMIs pin them
-        (closed-interval semantics shared with the whole repo) and the
-        ``hi = max(hi, lo)`` clamp does the same here.
+        ranges come out empty in every source: each source's scan is a
+        :func:`~repro.range_scan.batch_range_scan`, which pins them
+        (closed-interval semantics shared with the whole repo).
         """
         lows, highs = range_endpoints(lows, highs)
-        sources: list[RangeScanResult] = []
-        masks: list[np.ndarray] = []
-        payloads: list[np.ndarray] = []
-        for run in reversed(self.runs):
-            parts = run.range_scan_batch(lows, highs, with_values=with_values)
-            sources.append(parts[0])
-            masks.append(parts[1])
-            if with_values:
-                payloads.append(parts[2])
+        parts = [
+            run.range_scan_batch(lows, highs, with_values=with_values)
+            for run in reversed(self.runs)
+        ]
         keys, stored, dead = self.mem
         if keys.size:
-            # Endpoints resolve through the query core like every
-            # run's RMI does — a raw searchsorted would promote the
-            # int64 keys to float64 under float endpoints, making
-            # memtable-resident data answer differently from
-            # run-resident data beyond 2^53.
+            # The memtable is scanned the way a run is, with a key
+            # column's exact lower bounds standing in for the run's
+            # RMI — a raw searchsorted would promote the int64 keys to
+            # float64 under float endpoints, making memtable-resident
+            # data answer differently from run-resident data beyond
+            # 2^53.
             column = SortedKeyColumn(keys)
-            lo = column.rank_in(keys, column.prepare(lows), side="left")
-            hi = column.rank_in(keys, column.prepare(highs), side="right")
-            hi = np.maximum(hi, lo)
-            hits, offsets = assemble_slices(keys, lo, hi)
-            sources.append(RangeScanResult(values=hits, offsets=offsets))
-            masks.append(assemble_slices(dead, lo, hi)[0])
-            if with_values:
-                payloads.append(assemble_slices(stored, lo, hi)[0])
-        if not sources:
+            parts.append(scan_entries(
+                batch_range_scan(
+                    keys, lows, highs, column.lower_bounds, column=column
+                ),
+                dead,
+                stored if with_values else None,
+            ))
+        if not parts:
             empty = np.empty(0, dtype=np.int64)
             offsets = np.zeros(lows.size + 1, dtype=np.int64)
             return RangeScanResult(values=empty, offsets=offsets), empty
+        sources, masks, *payloads = map(list, zip(*parts))
         if with_values:
             merged, carried = merge_scan_results(
-                sources, drop_masks=masks, payloads=payloads
+                sources, drop_masks=masks, payloads=payloads[0]
             )
             values = np.asarray(carried, dtype=np.int64)
         else:
@@ -640,11 +636,7 @@ class _BackgroundCompactor:
                 self._pending = False
                 self._idle = False
             try:
-                # Fresh no-progress signature set per burst: a new kick
-                # means new input (a seal), which legitimately reopens
-                # windows an earlier burst declared unproductive.
-                seen: set = set()
-                while self._store._background_merge_once(seen):
+                while self._store._background_merge_once():
                     pass
             except BaseException as exc:  # noqa: BLE001 — surfaced via drain
                 with self._cond:
@@ -870,6 +862,10 @@ class LearnedLSMStore(KVSurface):
         self._wal_name = self._new_wal_name()
         WriteAheadLog.create(self._fs, self._file_path(self._wal_name))
         self._commit_manifest()
+        self._open_wal()
+
+    def _open_wal(self) -> None:
+        """Open the current WAL generation for appends."""
         self._wal = WriteAheadLog(
             self._fs,
             self._file_path(self._wal_name),
@@ -917,9 +913,7 @@ class LearnedLSMStore(KVSurface):
         for record in records:
             self.memtable.apply(record.kind, record.keys, record.values)
         self.recovered_wal_records = len(records)
-        self._wal = WriteAheadLog(
-            fs, wal_path, fsync=self._wal_fsync, **self._wal_group
-        )
+        self._open_wal()
         # A replayed memtable can be at or past capacity (the crash hit
         # mid-seal): finish the seal now, under the same crash-safe
         # protocol.
@@ -950,7 +944,6 @@ class LearnedLSMStore(KVSurface):
                 {
                     "file": os.path.basename(run.path),
                     "sequence": run.sequence,
-                    "level": run.level,
                     "n": len(run),
                     "tombstones": run.num_tombstones,
                 }
@@ -972,12 +965,7 @@ class LearnedLSMStore(KVSurface):
 
     def _rotate_wal_finish(self, old_name: str) -> None:
         self._fs.remove(self._file_path(old_name))
-        self._wal = WriteAheadLog(
-            self._fs,
-            self._file_path(self._wal_name),
-            fsync=self._wal_fsync,
-            **self._wal_group,
-        )
+        self._open_wal()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -1072,7 +1060,7 @@ class LearnedLSMStore(KVSurface):
             self.flush()
 
     def flush(self) -> None:
-        """Seal the memtable into a fresh L0 run, then hand the policy
+        """Seal the memtable into a fresh newest run, then hand the policy
         its merge debt — to the background worker when one exists,
         inline (one window per seal in durable mode) otherwise.
 
@@ -1137,53 +1125,19 @@ class LearnedLSMStore(KVSurface):
             # never hostage to a cascade; memory-only seals cascade.
             self._compact(1 if self.path is not None else None)
 
-    def _plan_merge(self, seen: set):
-        """One validated, productive merge decision over a snapshot of
-        the current run list, or None.
-
-        This is the no-progress guard (ISSUE 7): ``policy.select`` is
-        re-consulted after every merge, and a policy whose bucket/level
-        boundaries shift under it can oscillate — re-selecting a window
-        that rewrites data without changing the layout, forever.  Two
-        checks bound that: a single-run window merged onto its own
-        level with nothing to GC is rejected outright (a pure no-op),
-        and a repeat of the exact (layout, selection) structural
-        signature within one drain breaks the loop (the state space of
-        signatures is finite, so termination is unconditional).
-        Returns ``(window, at_end, new_level)``.
-        """
+    def _plan_merge(self):
+        """The policy's next window over a snapshot of the run list,
+        as ``(window, at_end)``, or None when the layout is stable."""
         with self._state_lock:
             runs = list(self.runs)
         selection = self.policy.select(runs)
         if selection is None:
             return None
-        start, stop, new_level = (
-            int(selection[0]), int(selection[1]), int(selection[2]),
-        )
-        if not 0 <= start < stop <= len(runs):
-            raise ValueError(
-                f"compaction policy selected invalid window "
-                f"{selection!r} over {len(runs)} runs"
-            )
-        signature = (
-            tuple((len(r), r.level) for r in runs),
-            (start, stop, new_level),
-        )
-        if signature in seen:
-            return None
-        seen.add(signature)
-        window = runs[start:stop]
+        start, stop = selection
         # Tombstone GC is safe exactly when the window reaches the end
         # of the (newest-first) list; seals only prepend, so the
         # property decided on this snapshot holds through the commit.
-        at_end = stop == len(runs)
-        if (
-            stop - start == 1
-            and new_level == window[0].level
-            and not (at_end and window[0].num_tombstones)
-        ):
-            return None
-        return window, at_end, new_level
+        return runs[start:stop], stop == len(runs)
 
     def _commit_merge(self, window: list[SortedRun], merged: SortedRun) -> None:
         """Swap ``window`` → ``merged`` atomically; retire the inputs.
@@ -1252,9 +1206,9 @@ class LearnedLSMStore(KVSurface):
 
     def _execute_merge(
         self, window: list[SortedRun], drop_tombstones: bool,
-        new_level: int, *, background: bool,
+        *, background: bool,
     ) -> None:
-        """Run one planned window: merge → level → commit → count.
+        """Run one planned window: merge → commit → count.
 
         The expensive part — :func:`merge_runs` + the RMI rebuild —
         needs no structural lock (callers hold only the merge lock),
@@ -1266,19 +1220,18 @@ class LearnedLSMStore(KVSurface):
             "lsm.compact.window", background=background, runs=len(window)
         ) as attrs:
             merged = merge_runs(window, drop_tombstones=drop_tombstones)
-            merged.level = new_level
             self._commit_merge(window, merged)
             if attrs is not None:
                 attrs["entries"] = len(merged)
         self.write_stats.add(compactions=1, entries_compacted=len(merged))
 
-    def _background_merge_once(self, seen: set) -> bool:
+    def _background_merge_once(self) -> bool:
         """One policy-selected window, executed on the worker thread;
         True if merged."""
         with self._merge_lock:
             if self._closed:
                 return False
-            plan = self._plan_merge(seen)
+            plan = self._plan_merge()
             if plan is None:
                 return False
             self._execute_merge(*plan, background=True)
@@ -1293,10 +1246,9 @@ class LearnedLSMStore(KVSurface):
         asserts stay zero in background mode.
         """
         merges = 0
-        seen: set = set()
         with self._merge_lock:
             while budget is None or merges < budget:
-                plan = self._plan_merge(seen)
+                plan = self._plan_merge()
                 if plan is None:
                     break
                 began = time.perf_counter()
@@ -1317,8 +1269,7 @@ class LearnedLSMStore(KVSurface):
                 window = list(self.runs)
             if len(window) > 1:
                 self._execute_merge(
-                    window, drop_tombstones=True,
-                    new_level=max(r.level for r in window), background=False,
+                    window, drop_tombstones=True, background=False
                 )
 
     def wait_for_compaction(self) -> None:
@@ -1550,10 +1501,9 @@ class LearnedLSMStore(KVSurface):
             self._unpin_runs(runs)
 
     def __repr__(self) -> str:
-        levels = [r.level for r in tuple(self.runs)]
         where = f", path={self.path!r}" if self.path is not None else ""
         return (
-            f"LearnedLSMStore(runs={len(self.runs)}, levels={levels}, "
+            f"LearnedLSMStore(runs={len(self.runs)}, "
             f"memtable={len(self.memtable)}, "
             f"seals={self.write_stats.seals}, "
             f"compactions={self.write_stats.compactions}{where})"

@@ -53,15 +53,15 @@ def _example_run(n=4_000, tombstone_every=7, seed=3):
     values = rng.integers(0, 1 << 62, size=keys.size, dtype=np.int64)
     dead = np.zeros(keys.size, dtype=bool)
     dead[::tombstone_every] = True
-    return SortedRun(keys, values, dead, sequence=9, level=2)
+    return SortedRun(keys, values, dead, sequence=9)
 
 
 def _rewrite_as_parent_commit_run(fs, run, path):
     """Rewrite ``run`` at ``path`` the way the commit before the
     model-space origin wrote it: leaf tables fitted on the raw float64
-    keys, no ``origin`` entry in the metadata, and the ``leaf_target``
-    and ``bloom_kind: "standard"`` entries every older writer
-    recorded."""
+    keys, no ``origin`` entry in the metadata, and the ``leaf_target``,
+    ``bloom_kind: "standard"`` and ``level: 0`` entries every older
+    writer recorded."""
     state = RecursiveModelIndex(
         np.asarray(run.keys).astype(np.float64),
         stage_sizes=run.rmi.stage_sizes,
@@ -75,6 +75,7 @@ def _rewrite_as_parent_commit_run(fs, run, path):
     sections = [(name, state.get(name, data)) for name, data in sections]
     assert meta["bloom_kind"] == "standard"
     meta["leaf_target"] = DEFAULT_LEAF_TARGET
+    meta["level"] = 0
     write_section_file(fs, path, magic=RUN_MAGIC, meta=meta, sections=sections)
 
 
@@ -375,7 +376,6 @@ class TestRunPersistence:
         assert loaded.is_loaded_lazy()
         assert len(loaded) == len(run)
         assert loaded.sequence == run.sequence
-        assert loaded.level == run.level
         assert loaded.num_tombstones == run.num_tombstones
 
         rng = np.random.default_rng(11)
@@ -548,9 +548,11 @@ class TestDurableStore:
         self, tmp_path
     ):
         """Run files in the older formats — no ``origin`` entry, a
-        ``leaf_target`` entry, a ``"standard"`` bloom kind — reopen and
-        answer every point and range read bit-identically; the next
-        compaction writes runs that carry an origin."""
+        ``leaf_target`` entry, a ``"standard"`` bloom kind, a ``level``
+        entry — under a manifest whose run entries carry a ``level``
+        too, reopen and answer every point and range read
+        bit-identically; the next compaction writes runs that carry an
+        origin and no level."""
         d = str(tmp_path / "db")
         fs = RealFileSystem()
         keys, vals = self._payload()
@@ -569,6 +571,10 @@ class TestDurableStore:
         assert old_paths
         for path in old_paths:
             _rewrite_as_parent_commit_run(fs, SortedRun.load(fs, path), path)
+        state = load_manifest(fs, d)
+        for entry in state["runs"]:
+            entry["level"] = 0
+        commit_manifest(fs, d, state)
 
         def origin_of(path):
             return SectionFile(fs, path, magic=RUN_MAGIC).meta.get("origin")
@@ -588,6 +594,12 @@ class TestDurableStore:
             store.compact()
             (merged,) = store.runs
             assert origin_of(merged.path) == int(merged.keys[0])
+            assert "level" not in SectionFile(
+                fs, merged.path, magic=RUN_MAGIC
+            ).meta
+            assert all(
+                "level" not in entry for entry in load_manifest(fs, d)["runs"]
+            )
             got, found = store.lookup_batch(keys)
             assert not found[:1_000].any() and found[1_000:].all()
             assert np.array_equal(got[1_000:], vals[1_000:])

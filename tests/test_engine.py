@@ -159,18 +159,6 @@ class TestExactPrimitives:
             column.upper_bounds(highs, np.array([0, 2])), [2, 3]
         )
 
-    def test_rank_in_right_side_float_semantics(self):
-        # count of values <= 3.5 equals count of values < 4
-        column = SortedKeyColumn(np.empty(0, dtype=np.int64))
-        aux = np.array([1, 3, 4, 4, 8], dtype=np.int64)
-        qb = column.prepare(np.array([3.5, 4.0, 100.0]))
-        np.testing.assert_array_equal(
-            column.rank_in(aux, qb, side="right"), [2, 4, 5]
-        )
-        np.testing.assert_array_equal(
-            column.rank_in(aux, qb, side="left"), [2, 2, 5]
-        )
-
     def test_bounded_lower_bounds_matches_searchsorted(self):
         rng = np.random.default_rng(11)
         keys = np.unique(rng.integers(2**62, 2**63 - 1, 3_000))

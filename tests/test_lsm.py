@@ -183,7 +183,7 @@ class TestPolicies:
         runs = [_run(np.arange(100)) for _ in range(3)]
         assert policy.select(runs) is None
         runs.insert(0, _run(np.arange(100)))
-        assert policy.select(runs) == (0, 4, 0)
+        assert policy.select(runs) == (0, 4)
 
     def test_size_tiered_ignores_mixed_buckets(self):
         policy = SizeTieredCompaction(min_runs=2)
@@ -198,7 +198,7 @@ class TestPolicies:
         runs = [
             _run(np.arange(100 if i % 2 else 10_000)) for i in range(4)
         ]
-        assert policy.select(runs) == (2, 4, 0)
+        assert policy.select(runs) == (2, 4)
         # And end-to-end: a confined keyspace with heavy deletes keeps
         # the run count bounded by the backstop.
         rng = np.random.default_rng(6)
@@ -636,129 +636,25 @@ class TestMemtableEndpointExactness:
             np.testing.assert_array_equal(stored, buffered)
 
 
-# -- compaction no-progress guard (ISSUE 7) ------------------------------------
+# -- background compaction failure -------------------------------------------
 
-class _BoundedSelects:
-    """Mixin: fail the test (instead of hanging it) if the store
-    consults ``select`` more than ``limit`` times — the signature an
-    unguarded compaction loop leaves behind."""
+def test_compactor_failure_is_sticky(monkeypatch):
+    """A merge that fails on the worker thread is re-raised by every
+    later drain, not only the first: the worker is gone, and a store
+    that went quiet after one report would hide that."""
+    def failing_merge(runs, *, drop_tombstones):
+        raise RuntimeError("merge failed")
 
-    limit = 200
-
-    def __init__(self):
-        self.calls = 0
-
-    def _metered(self):
-        self.calls += 1
-        assert self.calls <= self.limit, (
-            "compaction loop failed to terminate: policy.select was "
-            f"consulted {self.calls} times for one seal"
-        )
-
-
-class _SelfWindowPolicy(_BoundedSelects, SizeTieredCompaction):
-    """Always re-selects the newest run onto its own level — a pure
-    no-op window that re-runs ``policy.select`` without ever changing
-    the layout."""
-
-    def __init__(self):
-        _BoundedSelects.__init__(self)
-
-    def select(self, runs):
-        self._metered()
-        if not runs:
-            return None
-        return 0, 1, runs[0].level
-
-
-class _LevelOscillator(_BoundedSelects, SizeTieredCompaction):
-    """Bounces the newest run between levels 0 and 1 forever: each
-    selection is individually 'productive' (the level changes), but
-    the second bounce reproduces an earlier (layout, selection)
-    signature exactly — only the signature guard can stop it."""
-
-    def __init__(self):
-        _BoundedSelects.__init__(self)
-
-    def select(self, runs):
-        self._metered()
-        if not runs:
-            return None
-        return 0, 1, 1 - runs[0].level
-
-
-class TestCompactionTermination:
-    def test_self_window_policy_terminates(self):
-        policy = _SelfWindowPolicy()
-        store = LearnedLSMStore(
-            memtable_capacity=4, compaction=policy, background=False
-        )
-        store.insert_batch(np.arange(8, dtype=np.int64))
-        assert store.num_runs >= 1
-        assert policy.calls <= policy.limit
-        # Correctness untouched by the rejected windows:
-        _, found = store.lookup_batch(np.arange(8, dtype=np.int64))
-        assert found.all()
-
-    def test_oscillating_policy_terminates(self):
-        policy = _LevelOscillator()
-        store = LearnedLSMStore(
-            memtable_capacity=4, compaction=policy, background=False
-        )
-        store.insert_batch(np.arange(8, dtype=np.int64))
-        assert policy.calls <= policy.limit
-        _, found = store.lookup_batch(np.arange(8, dtype=np.int64))
-        assert found.all()
-
-    def test_self_window_with_droppable_tombstones_is_progress(self):
-        """The single-run exemption: when the window is the whole list
-        and carries tombstones, re-merging it GCs them — that is real
-        progress, must happen exactly once, and must not retrigger."""
-        policy = _SelfWindowPolicy()
-        store = LearnedLSMStore(
-            memtable_capacity=4, compaction=policy, background=False
-        )
-        keys = np.arange(4, dtype=np.int64)
-        dead = np.array([True, True, False, False])
-        store.runs = [SortedRun(keys, keys * 2, dead)]
-        store._compact(None)
-        assert policy.calls <= policy.limit
-        assert store.num_runs == 1
-        assert store.runs[0].num_tombstones == 0  # the GC merge ran
-        assert store.write_stats.compactions == 1  # ...exactly once
-        _, found = store.lookup_batch(keys)
-        assert not found[:2].any() and found[2:].all()
-
-    @staticmethod
-    def _bad_policy():
-        class Bad(_BoundedSelects, SizeTieredCompaction):
-            def __init__(self):
-                _BoundedSelects.__init__(self)
-
-            def select(self, runs):
-                self._metered()
-                return 0, len(runs) + 1, 0
-
-        return Bad()
-
-    def test_invalid_selection_rejected(self):
-        store = LearnedLSMStore(
-            memtable_capacity=4,
-            compaction=self._bad_policy(),
-            background=False,
-        )
-        with pytest.raises(ValueError, match="invalid window"):
-            store.insert_batch(np.arange(8, dtype=np.int64))
-
-    def test_invalid_selection_rejected_background(self):
-        """On the worker thread the same guard trips, sticks, and
-        re-raises at the synchronization point instead of vanishing
-        into a dead daemon."""
-        store = LearnedLSMStore(
-            memtable_capacity=4,
-            compaction=self._bad_policy(),
-            background=True,
-        )
-        store.insert_batch(np.arange(8, dtype=np.int64))
-        with pytest.raises(ValueError, match="invalid window"):
-            store.wait_for_compaction()
+    monkeypatch.setattr("repro.lsm.store.merge_runs", failing_merge)
+    with LearnedLSMStore(
+        memtable_capacity=4,
+        compaction=SizeTieredCompaction(min_runs=2),
+        background=True,
+    ) as store:
+        # Four seals, so the policy has a window to merge (one 16-key
+        # batch would seal once and never merge).
+        for start in range(0, 16, 4):
+            store.insert_batch(np.arange(start, start + 4, dtype=np.int64))
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="merge failed"):
+                store.wait_for_compaction()
