@@ -159,6 +159,22 @@ class TestExactPrimitives:
             column.upper_bounds(highs, np.array([0, 2])), [2, 3]
         )
 
+    def test_float_needles_on_both_sides(self):
+        # A non-integral needle counts the keys below it on either
+        # side (<= 3.5 is < 4); an integral one splits a duplicate run.
+        keys = [1, 3, 4, 4, 8]
+        column = SortedKeyColumn(np.array(keys, dtype=np.int64))
+        needles = [3.5, 4.0, 100.0, -1e19, 1e19]
+        qb = column.prepare(np.array(needles))
+        lbs = column.lower_bounds(qb)
+        np.testing.assert_array_equal(
+            lbs, [bisect.bisect_left(keys, q) for q in needles]
+        )
+        np.testing.assert_array_equal(
+            column.upper_bounds(qb, lbs),
+            [bisect.bisect_right(keys, q) for q in needles],
+        )
+
     def test_bounded_lower_bounds_matches_searchsorted(self):
         rng = np.random.default_rng(11)
         keys = np.unique(rng.integers(2**62, 2**63 - 1, 3_000))

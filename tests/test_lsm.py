@@ -214,6 +214,28 @@ class TestPolicies:
         store.wait_for_compaction()
         assert store.num_runs < 8
 
+    def test_every_window_shortens_the_run_list(self):
+        """Every window holds at least ``min_runs`` >= 2 runs, so a
+        drain ends within as many merges as there are runs, even when
+        merged outputs shrink back a bucket (tombstone GC)."""
+        rng = np.random.default_rng(48)
+        for _ in range(300):
+            low = int(rng.integers(2, 5))
+            high = int(rng.integers(low, 3 * low))
+            policy = SizeTieredCompaction(min_runs=low, max_runs=high)
+            # ``select`` reads only each run's length: a range stands in.
+            sizes = rng.integers(1, 5_000, rng.integers(1, 40))
+            runs = [range(n) for n in sizes]
+            for _ in range(len(runs)):
+                if (selection := policy.select(runs)) is None:
+                    break
+                start, stop = selection
+                assert 0 <= start and stop <= len(runs)
+                assert stop - start >= low
+                total = sum(map(len, runs[start:stop]))
+                runs[start:stop] = [range(rng.integers(1, total + 1))]
+            assert policy.select(runs) is None
+
     @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
     def test_seal_cascades_only_in_memory(self, tmp_path, durable):
         """A seal whose first merge completes a second same-bucket
@@ -356,6 +378,30 @@ class TestLearnedLSMStore:
         assert found.all()
         # Every query resolved in the newest run: one probe each.
         assert store.read_stats.run_probes == 100
+
+    def test_merges_never_outnumber_the_runs_they_remove(self, make_store):
+        """Each seal adds one run and each merge removes at least one,
+        over puts and deletes whose merges shrink back a bucket."""
+        store = make_store(
+            memtable_capacity=4, compaction=SizeTieredCompaction(min_runs=2)
+        )
+        rng = np.random.default_rng(8)
+        oracle = {}
+        for _ in range(60):
+            keys = rng.integers(0, 40, 4)
+            if rng.random() < 0.3:
+                store.delete_batch(keys)
+                oracle.update(dict.fromkeys(keys.tolist()))
+            else:
+                store.insert_batch(keys, keys * 3)
+                oracle.update((k, 3 * k) for k in keys.tolist())
+        store.wait_for_compaction()
+        stats = store.write_stats
+        assert 1 <= stats.compactions <= stats.seals - store.num_runs
+        queries = np.arange(40, dtype=np.int64)
+        np.testing.assert_equal(
+            store.lookup_batch(queries), _replay(oracle, queries)
+        )
 
     def test_write_amplification_metered(self, make_store):
         store = make_store(memtable_capacity=256)
@@ -636,21 +682,41 @@ class TestMemtableEndpointExactness:
             np.testing.assert_array_equal(stored, buffered)
 
 
-# -- background compaction failure -------------------------------------------
+# -- compaction failure -------------------------------------------------------
 
-def test_compactor_failure_is_sticky(monkeypatch):
-    """A merge that fails on the worker thread is re-raised by every
-    later drain, not only the first: the worker is gone, and a store
-    that went quiet after one report would hide that."""
+@pytest.fixture
+def failing_merges(monkeypatch):
     def failing_merge(runs, *, drop_tombstones):
         raise RuntimeError("merge failed")
 
     monkeypatch.setattr("repro.lsm.store.merge_runs", failing_merge)
-    with LearnedLSMStore(
+
+
+def _pair_store(background):
+    return LearnedLSMStore(
         memtable_capacity=4,
         compaction=SizeTieredCompaction(min_runs=2),
-        background=True,
-    ) as store:
+        background=background,
+    )
+
+
+def test_inline_merge_failure_reaches_the_writer(failing_merges):
+    """A merge that fails on the write path raises from the write that
+    triggered it; its sealed inputs stay, so every key still answers."""
+    store = _pair_store(background=False)
+    store.insert_batch(np.arange(4, dtype=np.int64))
+    with pytest.raises(RuntimeError, match="merge failed"):
+        store.insert_batch(np.arange(4, 8, dtype=np.int64))
+    assert store.num_runs == 2 and store.write_stats.compactions == 0
+    got, found = store.lookup_batch(np.arange(8, dtype=np.int64))
+    assert found.all() and np.array_equal(got, np.arange(8))
+
+
+def test_compactor_failure_is_sticky(failing_merges):
+    """A merge that fails on the worker thread is re-raised by every
+    later drain, not only the first: the worker is gone, and a store
+    that went quiet after one report would hide that."""
+    with _pair_store(background=True) as store:
         # Four seals, so the policy has a window to merge (one 16-key
         # batch would seal once and never merge).
         for start in range(0, 16, 4):
