@@ -70,6 +70,10 @@ def main() -> None:
           f"of negative-run probes eliminated "
           f"({rs.bloom_rejects:,} rejects vs {rs.probe_misses:,} "
           f"false probes)")
+    negative = max(rs.bloom_rejects + rs.probe_misses, 1)
+    stated = np.mean([run.bloom.expected_fpr for run in store.runs])
+    print(f"  bloom false positives: {rs.probe_misses / negative:.2%} "
+          f"observed, {stated:.2%} stated (mean over the runs' filters)")
     print(f"  run pyramid:         "
           f"{[len(r) for r in store.runs]}")
 

@@ -57,6 +57,18 @@ def _integral(key) -> int | None:
     return value if value == key else None
 
 
+def _as_int_array(keys) -> np.ndarray | None:
+    """``keys`` as an integer ndarray, or None for the scalar path
+    (strings, object dtypes, ints overflowing int64)."""
+    if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
+        return keys.ravel()
+    try:
+        arr = np.asarray(keys)
+    except (ValueError, OverflowError):
+        return None
+    return arr.ravel() if arr.dtype.kind in "iu" else None
+
+
 def _refuse(key) -> TypeError:
     return TypeError(f"bloom filter keys are integers or strings, not {key!r}")
 
@@ -167,18 +179,6 @@ class BloomFilter:
             self._next_row(p, s, m, wrapped)
             yield p
 
-    @staticmethod
-    def _as_int_array(keys) -> np.ndarray | None:
-        """``keys`` as an integer ndarray, or None for the scalar path
-        (strings, object dtypes, ints overflowing int64)."""
-        if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-            return keys.ravel()
-        try:
-            arr = np.asarray(keys)
-        except (ValueError, OverflowError):
-            return None
-        return arr.ravel() if arr.dtype.kind in "iu" else None
-
     # -- operations ------------------------------------------------------------
 
     def add(self, key) -> None:
@@ -201,7 +201,7 @@ class BloomFilter:
         filter at once, as sealing or merging an LSM run does.
         Raises ``ValueError`` on a filter adopted by :meth:`from_bytes`.
         """
-        arr = self._as_int_array(keys)
+        arr = _as_int_array(keys)
         if arr is None:
             keys = list(keys)
             rows = [self._positions(key) for key in keys]
@@ -238,7 +238,7 @@ class BloomFilter:
         per key (murmur over strings is scalar Python) and take the
         one-shot gather.
         """
-        arr = self._as_int_array(keys)
+        arr = _as_int_array(keys)
         if arr is None:
             rows = [self._positions(key) for key in keys]
             keyed = np.array([row is not None for row in rows], dtype=bool)
@@ -264,6 +264,14 @@ class BloomFilter:
         if hashes.size >= ROW_WALK_MIN_KEYS:
             return self._contains_walk(hashes)
         return self._contains_gather(hashes)
+
+    @classmethod
+    def probe_keys(cls, keys: np.ndarray) -> tuple[np.ndarray]:
+        """``(hashes,)``: what :meth:`contains_probes` reads, the same
+        for every filter (the :class:`BlockedBloomFilter` interface)."""
+        return (cls.hash_keys(keys),)
+
+    contains_probes = contains_hashes
 
     def _bits_at(self, positions: np.ndarray) -> np.ndarray:
         """Per column of a ``(k, n)`` position block: all bits set?"""

@@ -140,16 +140,18 @@ PACKED_ORDER_MIN_KEYS = 2048
 # -- the LSM store (repro.lsm) ------------------------------------------------
 
 #: An LSM batch read probes a run without asking its bloom filter for a
-#: sub-batch within this table (run keys, sub-batch keys).  The filter
-#: costs ~20us + 0.06us a key whatever the run's size; the probe such a
+#: sub-batch within this table (run keys, sub-batch keys).  A run's
+#: blocked filter costs ~20us + 0.01-0.02us a key whatever the run's
+#: size (hash, word and mask, then one gather a key); the probe such a
 #: sub-batch gets is one ``searchsorted`` on the run's key column (every
 #: row is under :data:`RMI_CROSSOVERS`), ~5us + 0.13-0.23us a key.  Set
 #: by the ``UNGUARDED_PROBE_KEYS`` scan (the filter's best case, every
 #: key absent, against the probe alone): each row at half its crossover,
-#: where the filter still costs 1.2-1.8x the probe.
+#: the median of four scans, whose crossovers moved by up to 1.5x from
+#: one to the next.
 UNGUARDED_PROBE_KEYS = (
-    ((1 << 14, 192), (1 << 17, 128), (1 << 18, 64), (1 << 20, 32)),
-    16,
+    ((1 << 14, 113), (1 << 17, 78), (1 << 18, 51), (1 << 20, 16)),
+    5,
 )
 
 #: From this many queries a batch read over a non-empty memtable orders
@@ -181,13 +183,16 @@ ORDERED_PROBE_CROSSOVERS = (
 #: hand from those timings; no scan.
 PROBE_SCAN_MAX_KEYS = 128
 
-#: A bloom filter's batch of at least this many hashes walks its probes
-#: row by row, dropping the keys two probes reject once at most half
-#: pass them; a smaller one takes one ``(k, n)`` gather, whose
+#: A standard bloom filter's batch of at least this many hashes walks
+#: its probes row by row, dropping the keys two probes reject once at
+#: most half pass them; a smaller one takes one ``(k, n)`` gather, whose
 #: temporaries lose on large batches while the walk's ~8 numpy calls a
-#: probe lose on small ones.  Set by the ``ROW_WALK_MIN_KEYS`` scan
-#: (16k- to 500k-key run filters, 10% and 50% stored keys): the power
-#: of two nearest the median crossover.
+#: probe lose on small ones.  Only the standard filter (the Section 5
+#: baseline, the learned filter's overflow, and LSM run files written
+#: before runs held blocked filters) reads it.  Set by the
+#: ``ROW_WALK_MIN_KEYS`` scan (standard filters sized as 16k- to
+#: 500k-key runs' were, 10% and 50% stored keys): the power of two
+#: nearest the median crossover.
 ROW_WALK_MIN_KEYS = 4096
 
 # -- range assembly (repro.range_scan.assemble_slices) ------------------------

@@ -13,15 +13,18 @@ parallel values and a tombstone mask), indexed by a two-stage
 :class:`~repro.core.rmi.RecursiveModelIndex` of one leaf per
 :data:`DEFAULT_LEAF_TARGET` keys — sealing costs one segmented
 least-squares pass (PR 3), not ten thousand Python model fits — and
-guarded by a :class:`~repro.bloom.BloomFilter` at :data:`BLOOM_FPR`
+guarded by a register-blocked :class:`~repro.bloom.BlockedBloomFilter`
 over its keys, so point probes for keys the run cannot hold skip the
-model entirely.
+model entirely.  :data:`BLOOM_FPR` is its sizing rule: the filter
+takes the bits a standard filter would need for that rate, rounded up
+to whole 64-bit words, and spends them at an expected rate of ~2%
+(each key's bits share one word: one gather a check, not seven).
 
 Durability (PR 6): immutability also makes a run the perfect unit of
 persistence.  :meth:`SortedRun.save` writes one checksummed section
 file (:mod:`repro.lsm.format`) holding the key/value/tombstone arrays,
 the RMI's compiled state (origin and root parameters + the four flat
-leaf tables), and the bloom filter's ``to_bytes`` wire form;
+leaf tables), and the filter's ``to_bytes`` wire form;
 :meth:`SortedRun.load` reopens it in O(metadata) — every array is a
 lazy ``np.memmap`` property, the RMI reconstructs from the stored
 arrays via :meth:`RecursiveModelIndex.from_compiled_arrays` (bit-exact
@@ -29,17 +32,21 @@ lookups, no retrain), and the filter rehydrates from its exported bits
 (no rehashing).  Each section's checksum verifies on first
 materialization, so a flipped bit raises
 :class:`~repro.lsm.format.CorruptRunError` instead of answering wrong.
-The metadata's ``bloom_kind`` names the wire form: absent or
-``"standard"`` is ``BloomFilter.to_bytes``, anything else is a
-``CorruptRunError`` — a run's bytes are only ever parsed, never
-executed.  A ``leaf_target`` or ``level`` entry (older files record
-them) is ignored.
+The metadata's ``bloom_kind`` names the wire form: ``"blocked"`` is
+``BlockedBloomFilter.to_bytes``, what every run is written with;
+absent or ``"standard"`` is ``BloomFilter.to_bytes``, what files
+written before the blocked filter hold — such a run answers through
+its standard filter until a merge takes it in and writes its keys
+under a blocked one.  Any other kind is a ``CorruptRunError`` — a
+run's bytes are only ever parsed, never executed.  A ``leaf_target``
+or ``level`` entry (older files record them) is ignored.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..bloom.blocked import BlockedBloomFilter
 from ..bloom.standard import BloomFilter
 from ..core.engine import CompiledPlan
 from ..core.rmi import RecursiveModelIndex
@@ -61,22 +68,26 @@ __all__ = [
 #: million-key compacted runs.
 DEFAULT_LEAF_TARGET = 256
 
-#: Target false-positive rate of every run's bloom filter.
+#: Sizing rule of every run's filter: the bits a standard filter needs
+#: for this false-positive rate.  A run's blocked filter spends them at
+#: a rate of ~2% (``BlockedBloomFilter.expected_fpr``).
 BLOOM_FPR = 0.01
 
-#: The one bloom wire kind: ``BloomFilter.to_bytes``.
-_BLOOM_STANDARD = "standard"
+#: The run file's ``bloom_kind`` values, each naming the class whose
+#: ``from_bytes`` reads the ``bloom`` section: ``"standard"`` (or no
+#: entry) in files written before runs held blocked filters.
+_BLOOM_KINDS = {"standard": BloomFilter, "blocked": BlockedBloomFilter}
 
 
-def _bloom_from_wire(meta, blob, where: str) -> BloomFilter:
+def _bloom_from_wire(meta, blob, where: str):
     """A run's filter from its wire bytes (any buffer; the filter
     adopts a view of it); ``meta`` is the run file's metadata,
     ``where`` names the file in the error."""
-    kind = meta.get("bloom_kind", _BLOOM_STANDARD)
-    if kind != _BLOOM_STANDARD:
+    kind = meta.get("bloom_kind", "standard")
+    if kind not in _BLOOM_KINDS:
         raise CorruptRunError(f"{where}: unknown bloom kind {kind!r}")
     try:
-        return BloomFilter.from_bytes(blob)
+        return _BLOOM_KINDS[kind].from_bytes(blob)
     except ValueError as exc:
         raise CorruptRunError(f"{where}: bad bloom section ({exc})") from None
 
@@ -100,8 +111,8 @@ def _compiled_rmi(keys: np.ndarray, meta, table) -> RecursiveModelIndex:
     )
 
 
-def _build_bloom(keys: np.ndarray) -> BloomFilter:
-    bloom = BloomFilter.for_capacity(max(keys.size, 1), BLOOM_FPR)
+def _build_bloom(keys: np.ndarray) -> BlockedBloomFilter:
+    bloom = BlockedBloomFilter.for_capacity(max(keys.size, 1), BLOOM_FPR)
     if keys.size:
         bloom.add_batch(keys)
     return bloom
@@ -271,7 +282,10 @@ class SortedRun:
             "origin": state["origin"],
             "root_slope": state["root_slope"],
             "root_intercept": state["root_intercept"],
-            "bloom_kind": _BLOOM_STANDARD,
+            "bloom_kind": next(
+                kind for kind, cls in _BLOOM_KINDS.items()
+                if type(self.bloom) is cls
+            ),
         }
         sections = [
             ("keys", self.keys),
@@ -373,7 +387,7 @@ class SortedRun:
         return self._rmi
 
     @property
-    def bloom(self) -> BloomFilter:
+    def bloom(self) -> BlockedBloomFilter | BloomFilter:
         if self._bloom is None:
             self._bloom = _bloom_from_wire(
                 self._source.meta, self._source.read("bloom"), self.path

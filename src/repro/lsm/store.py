@@ -18,9 +18,10 @@ trade-off triangle the single-run
   cannot hold the key (:attr:`LSMReadStats` meters exactly how many
   negative probes the guards eliminate).  A batch read
   (:meth:`ReadView.lookup_batch`) walks the memtable and then each run
-  with the keys still open: it hashes them once for every filter it
-  asks, and from :data:`~repro.dispatch.ORDERED_SEARCH_MIN_KEYS` keys
-  over a non-empty memtable it sorts them once, so every source is
+  with the keys still open: it hashes them, and derives each key's
+  filter word and mask, once for every filter it asks, and from
+  :data:`~repro.dispatch.ORDERED_SEARCH_MIN_KEYS` keys over a
+  non-empty memtable it sorts them once, so every source is
   searched with ascending needles, and puts the answers back in the
   caller's order at the end;
 * **retrain cost** — every seal/compaction builds its run's RMI with
@@ -158,7 +159,6 @@ import time
 
 import numpy as np
 
-from ..bloom.standard import BloomFilter
 from ..core.engine import SortedKeyColumn
 from ..dispatch import (
     ORDERED_SEARCH_MIN_KEYS,
@@ -231,10 +231,17 @@ class ReadView:
         keeps that order through every run — so each run's probe gets
         ascending needles (``SortedRun.probe_batch(ascending=True)``)
         — and scatters ``(values, found)`` back at the end.  The open
-        keys are hashed once, at the first run whose filter is asked,
-        and every later filter reads those hashes
-        (:meth:`~repro.bloom.BloomFilter.contains_hashes`).  ``stats``
-        receives the read-amplification counters when provided."""
+        keys are hashed and masked once, at the first run whose filter
+        is asked: each key's ``(word hash, mask)`` pair
+        (:meth:`~repro.bloom.BlockedBloomFilter.probe_keys`) is the
+        same for every run's filter whatever its size, follows the
+        needles as runs answer them, and each later filter checks it
+        with one gather, one AND and one compare
+        (:meth:`~repro.bloom.BlockedBloomFilter.contains_probes`).  A
+        standard filter, in a run file written before runs held blocked
+        filters, reads the keys' hashes instead, derived the same way
+        once per call.  ``stats`` receives the read-amplification
+        counters when provided."""
         queries = as_int64_keys(keys)
         mem_keys, mem_values, mem_dead = self.mem
         m = queries.size
@@ -243,10 +250,10 @@ class ReadView:
         if m == 0:
             return values, found
         order = None
-        # The open queries: ``needles`` (ascending once ordered), their
-        # positions in the batch (None while that is every position)
-        # and, once a filter is asked, their hashes.
-        open_idx = hashes = None
+        # The open queries: ``needles`` (ascending once ordered) and
+        # their positions in the batch (None while that is every
+        # position).
+        open_idx = None
         memtable_hits = 0
         if mem_keys.size:
             if m >= ORDERED_SEARCH_MIN_KEYS:
@@ -261,6 +268,7 @@ class ReadView:
             if memtable_hits:
                 open_idx = np.flatnonzero(~hit)
         needles = queries if open_idx is None else queries[open_idx]
+        filter_probes = {}  # filter class -> its probe arrays of needles
         rejects = probes = misses = unguarded = 0
         last = len(self.runs) - 1
         for i, run in enumerate(self.runs):
@@ -271,9 +279,11 @@ class ReadView:
             )
             cand, sel = needles, None  # sel: the candidates' needle positions
             if guarded:
-                if hashes is None:
-                    hashes = BloomFilter.hash_keys(needles)
-                passed = run.bloom.contains_hashes(hashes)
+                bloom = run.bloom
+                kind = type(bloom)
+                if kind not in filter_probes:
+                    filter_probes[kind] = kind.probe_keys(needles)
+                passed = bloom.contains_probes(*filter_probes[kind])
                 passing = int(np.count_nonzero(passed))
                 rejects += needles.size - passing
                 if passing == 0:
@@ -305,8 +315,8 @@ class ReadView:
                 keep = np.flatnonzero(keep)
                 needles = needles[keep]
                 open_idx = keep if open_idx is None else open_idx[keep]
-                if hashes is not None:
-                    hashes = hashes[keep]
+                for kind, arrays in filter_probes.items():
+                    filter_probes[kind] = tuple(a[keep] for a in arrays)
         if stats is not None:
             stats.add(
                 lookups=m,
@@ -527,7 +537,12 @@ class LSMReadStats(StatsView):
     before the model ran.  ``probe_misses`` counts executed probes that
     the filter passed and that found no entry — i.e. bloom false
     positives.  The fraction of negative-run probes the guards
-    eliminate is ``bloom_rejects / (bloom_rejects + probe_misses)``.
+    eliminate is ``bloom_rejects / (bloom_rejects + probe_misses)``:
+    ~0.98 for the runs' blocked filters, whose false-positive rate is
+    ~2% (:data:`~repro.lsm.run.BLOOM_FPR` sizes them), ~0.99 for the
+    standard filters of run files written before them.  Which keys a
+    filter passes moves a count between ``bloom_rejects`` and
+    ``probe_misses``, never their sum.
     ``unguarded_probes`` are the run probes executed without asking
     the filter (sub-batches cheaper to probe than to filter); hit or
     miss, they appear in neither of the filter's two counters, so both

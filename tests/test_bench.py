@@ -1,4 +1,5 @@
-"""Unit tests for the cost model, timing harness and table rendering."""
+"""Unit tests for the cost model, timing harness, table rendering and
+the paired benchmark ruler's summary."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.bench import (
     measure_lookups,
     percentage,
 )
+from repro.bench.paired import summarize
 
 
 class TestCostModel:
@@ -136,3 +138,42 @@ class TestTables:
         table = Table("Demo", ["one", "two"])
         with pytest.raises(ValueError):
             table.add_row("only-one")
+
+
+def _record(**values):
+    """A ``run.py`` last line holding ``values``, units made up."""
+    return {
+        "correct": True, "attempted": 10, "failed": 0,
+        "metrics": {k: {"value": v, "unit": "ns/key"} for k, v in values.items()},
+    }
+
+
+class TestPairedSummary:
+    def test_ratios_interval_and_wins(self):
+        # read_ns: B / A = 0.7, 0.8, 0.6, 0.9, 1.1 -> median 0.8, B lower 4/5
+        a = [100.0, 200.0, 100.0, 100.0, 100.0]
+        b = [70.0, 160.0, 60.0, 90.0, 110.0]
+        pairs = [
+            (_record(read_ns=x, write_ns=1.0, gone=1.0),
+             _record(read_ns=y, write_ns=1.0))
+            for x, y in zip(a, b)
+        ]
+        rows = {row["metric"]: row for row in summarize(pairs)}
+        assert set(rows) == {"read_ns", "write_ns"}  # both sides report
+        read = rows["read_ns"]
+        assert read["median"] == pytest.approx(0.8)
+        assert (read["lower"], read["pairs"]) == (4, 5)
+        assert read["unit"] == "ns/key"
+        assert 0.6 <= read["low"] <= read["median"] <= read["high"] <= 1.1
+        write = rows["write_ns"]
+        assert (write["median"], write["low"], write["high"]) == (1.0,) * 3
+        assert write["lower"] == 0
+        assert summarize(pairs) == list(rows.values())  # seeded draws
+
+    def test_a_zero_base_is_one_or_infinite(self):
+        pairs = [(_record(fails=0.0, grows=0.0), _record(fails=0.0, grows=3.0))]
+        rows = {row["metric"]: row for row in summarize(pairs)}
+        assert rows["fails"]["median"] == 1.0
+        assert rows["grows"]["median"] == float("inf")
+        assert rows["grows"]["low"] == rows["grows"]["high"] == float("inf")
+        assert rows["grows"]["lower"] == 0

@@ -478,11 +478,24 @@ class TestBatchReadWalk:
     #: The read accounting of the fixed history's 64-, 1 024- and
     #: 4 096-key reads, field by field in ``LSMReadStats._FIELDS``
     #: order.  A change to how the walk searches a source must leave
-    #: every count as it is.
+    #: every count as it is.  ``run_probes``, ``probe_misses`` and
+    #: ``bloom_rejects`` also depend on which absent keys the runs'
+    #: filters pass.
     PINNED = {
         64: (64, 19, 133, 0, 0, 133),
-        1_024: (1_024, 412, 348, 5, 1_436, 0),
-        4_096: (4_096, 1_683, 1_464, 48, 5_647, 0),
+        1_024: (1_024, 412, 375, 32, 1_409, 0),
+        4_096: (4_096, 1_683, 1_546, 130, 5_565, 0),
+    }
+
+    #: What no filter changes, per read: ``lookups``, ``memtable_hits``,
+    #: ``unguarded_probes``, the negative (query, run) pairs the filters
+    #: saw (``bloom_rejects + probe_misses``) and the probes that found
+    #: an entry (``run_probes - probe_misses``).  The runs' standard
+    #: filters gave these same counts.
+    FILTER_FREE = {
+        64: (64, 19, 133, 0, 133),
+        1_024: (1_024, 412, 0, 1_441, 343),
+        4_096: (4_096, 1_683, 0, 5_695, 1_416),
     }
 
     def test_read_accounting_is_pinned(self):
@@ -498,6 +511,10 @@ class TestBatchReadWalk:
             np.testing.assert_array_equal(values, want_values)
             got = tuple(getattr(stats, field) for field in stats._FIELDS)
             assert got == expected, (size, got)
+            lookups, hits, probes, misses, rejects, unguarded = got
+            assert (
+                lookups, hits, unguarded, rejects + misses, probes - misses
+            ) == self.FILTER_FREE[size]
 
     @pytest.mark.parametrize(
         "size",
