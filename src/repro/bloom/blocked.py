@@ -186,7 +186,8 @@ class BlockedBloomFilter:
     def from_bytes(cls, blob) -> "BlockedBloomFilter":
         """Inverse of :meth:`to_bytes`; ``ValueError`` on malformed
         input.  Like :meth:`BloomFilter.from_bytes`, the filter adopts
-        a read-only view of the buffer."""
+        a read-only view of the buffer (a copy of the words where they
+        are not aligned there)."""
         raw = np.frombuffer(blob, dtype=np.uint8)
         if raw.size < cls._WIRE.size:
             raise ValueError("blocked bloom blob too short")
@@ -199,7 +200,7 @@ class BlockedBloomFilter:
                 f"blocked bloom blob carries {body.size} word bytes for "
                 f"{num_words} words"
             )
-        out = cls(1)
+        out = cls.__new__(cls)
         out.num_words = int(num_words)
         words = body.view("<u8")
         if not words.flags.aligned or words.dtype != np.uint64:
