@@ -35,7 +35,6 @@ from repro.data import lognormal_keys, uniform_keys
 from repro.dispatch import column_answers
 from repro.families import PGMIndex, RadixSplineIndex
 from repro.lsm import SortedRun
-from repro.lsm.run import BLOOM_FPR
 from repro.range_scan import _copy_every_slice, _copy_slices, _gather_slices
 from repro.util import _packed_order, sorted_order
 
@@ -295,7 +294,8 @@ def _guarded_or_alone(n):
 def _walk_or_gather(row):
     n, present = row
     keys = uniform_keys(n, seed=7)
-    bloom = BloomFilter.for_capacity(n, BLOOM_FPR)  # only it walks rows
+    # only a standard filter walks rows; sized as LSM runs' were, for 1%
+    bloom = BloomFilter.for_capacity(n, 0.01)
     bloom.add_batch(keys)
     return (bloom._contains_walk, bloom._contains_gather, lambda k, rng: [
         BloomFilter.hash_keys(q) for q in _calls(keys, k, rng, present)])
@@ -415,8 +415,7 @@ SCANS = [
          (1, 8, 64, 128, 256, 512, 4096), _guarded_or_alone, "half of it",
          _filter_skipped_where_it_loses),
     Scan("ROW_WALK_MIN_KEYS", "A the row walk, B one (k, n) gather, per "
-         "contains_hashes on a standard filter sized as an LSM run's, 10% "
-         "or 50% keys stored",
+         "contains_hashes on a 1% standard filter, 10% or 50% keys stored",
          tuple((n, p) for n in (16_384, 131_072, 500_000) for p in (.1, .5)),
          _pow2(6, 14), _walk_or_gather, "2^k nearest the median",
          _brackets(64, 16_384)),

@@ -265,14 +265,6 @@ class BloomFilter:
             return self._contains_walk(hashes)
         return self._contains_gather(hashes)
 
-    @classmethod
-    def probe_keys(cls, keys: np.ndarray) -> tuple[np.ndarray]:
-        """``(hashes,)``: what :meth:`contains_probes` reads, the same
-        for every filter (the :class:`BlockedBloomFilter` interface)."""
-        return (cls.hash_keys(keys),)
-
-    contains_probes = contains_hashes
-
     def _bits_at(self, positions: np.ndarray) -> np.ndarray:
         """Per column of a ``(k, n)`` position block: all bits set?"""
         shifts = (positions & 7).astype(np.uint8)

@@ -16,9 +16,11 @@ least-squares pass (PR 3), not ten thousand Python model fits — and
 guarded by a register-blocked :class:`~repro.bloom.BlockedBloomFilter`
 over its keys, so point probes for keys the run cannot hold skip the
 model entirely.  :data:`BLOOM_FPR` is its sizing rule: the filter
-takes the bits a standard filter would need for that rate, rounded up
-to whole 64-bit words, and spends them at an expected rate of ~2%
-(each key's bits share one word: one gather a check, not seven).
+takes whole 64-bit words enough for a stated false-positive rate
+(``BlockedBloomFilter.expected_fpr``) of at most that, 1.7% at ~10.2
+bits a key (each key's bits share one word: one gather a check, not
+the seven of a standard filter, which would spend 9.6 bits a key for
+1%).
 
 Durability (PR 6): immutability also makes a run the perfect unit of
 persistence.  :meth:`SortedRun.save` writes one checksummed section
@@ -35,10 +37,12 @@ materialization, so a flipped bit raises
 The metadata's ``bloom_kind`` names the wire form: ``"blocked"`` is
 ``BlockedBloomFilter.to_bytes``, what every run is written with;
 absent or ``"standard"`` is ``BloomFilter.to_bytes``, what files
-written before the blocked filter hold — such a run answers through
-its standard filter until a merge takes it in and writes its keys
-under a blocked one.  Any other kind is a ``CorruptRunError`` — a
-run's bytes are only ever parsed, never executed.  A ``leaf_target``
+written before runs held blocked filters carry.  Such a section is
+never read: the run builds its blocked filter over its keys on the
+first read that asks it (~14 ms at 500k keys), so every read asks one
+kind of filter, and the next merge that takes the run in writes a
+blocked one.  Any other kind is a ``CorruptRunError`` — a run's
+bytes are only ever parsed, never executed.  A ``leaf_target``
 or ``level`` entry (older files record them) is ignored.
 """
 
@@ -47,7 +51,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..bloom.blocked import BlockedBloomFilter
-from ..bloom.standard import BloomFilter
 from ..core.engine import CompiledPlan
 from ..core.rmi import RecursiveModelIndex
 from ..dispatch import ORDERED_PROBE_CROSSOVERS, column_answers
@@ -68,28 +71,11 @@ __all__ = [
 #: million-key compacted runs.
 DEFAULT_LEAF_TARGET = 256
 
-#: Sizing rule of every run's filter: the bits a standard filter needs
-#: for this false-positive rate.  A run's blocked filter spends them at
-#: a rate of ~2% (``BlockedBloomFilter.expected_fpr``).
-BLOOM_FPR = 0.01
-
-#: The run file's ``bloom_kind`` values, each naming the class whose
-#: ``from_bytes`` reads the ``bloom`` section: ``"standard"`` (or no
-#: entry) in files written before runs held blocked filters.
-_BLOOM_KINDS = {"standard": BloomFilter, "blocked": BlockedBloomFilter}
-
-
-def _bloom_from_wire(meta, blob, where: str):
-    """A run's filter from its wire bytes (any buffer; the filter
-    adopts a view of it); ``meta`` is the run file's metadata,
-    ``where`` names the file in the error."""
-    kind = meta.get("bloom_kind", "standard")
-    if kind not in _BLOOM_KINDS:
-        raise CorruptRunError(f"{where}: unknown bloom kind {kind!r}")
-    try:
-        return _BLOOM_KINDS[kind].from_bytes(blob)
-    except ValueError as exc:
-        raise CorruptRunError(f"{where}: bad bloom section ({exc})") from None
+#: Sizing rule of every run's filter: the stated false-positive rate
+#: (``BlockedBloomFilter.expected_fpr``) it is built for, ~10.2 bits a
+#: key.  The 9.6 bits of a 1% standard filter would state ~2%; 1.7%
+#: keeps the rate the runs show under 2% for 0.4% more bytes on disk.
+BLOOM_FPR = 0.017
 
 
 def _train_rmi(keys: np.ndarray) -> RecursiveModelIndex:
@@ -282,10 +268,7 @@ class SortedRun:
             "origin": state["origin"],
             "root_slope": state["root_slope"],
             "root_intercept": state["root_intercept"],
-            "bloom_kind": next(
-                kind for kind, cls in _BLOOM_KINDS.items()
-                if type(self.bloom) is cls
-            ),
+            "bloom_kind": "blocked",
         }
         sections = [
             ("keys", self.keys),
@@ -387,11 +370,24 @@ class SortedRun:
         return self._rmi
 
     @property
-    def bloom(self) -> BlockedBloomFilter | BloomFilter:
+    def bloom(self) -> BlockedBloomFilter:
         if self._bloom is None:
-            self._bloom = _bloom_from_wire(
-                self._source.meta, self._source.read("bloom"), self.path
-            )
+            kind = self._source.meta.get("bloom_kind", "standard")
+            if kind == "standard":  # written before runs held blocked filters
+                self._bloom = _build_bloom(self.keys)
+            elif kind != "blocked":
+                raise CorruptRunError(
+                    f"{self.path}: unknown bloom kind {kind!r}"
+                )
+            else:
+                try:
+                    self._bloom = BlockedBloomFilter.from_bytes(
+                        self._source.read("bloom")
+                    )
+                except ValueError as exc:
+                    raise CorruptRunError(
+                        f"{self.path}: bad bloom section ({exc})"
+                    ) from None
         return self._bloom
 
     def close(self) -> None:

@@ -159,6 +159,7 @@ import time
 
 import numpy as np
 
+from ..bloom.blocked import BlockedBloomFilter
 from ..core.engine import SortedKeyColumn
 from ..dispatch import (
     ORDERED_SEARCH_MIN_KEYS,
@@ -237,11 +238,9 @@ class ReadView:
         same for every run's filter whatever its size, follows the
         needles as runs answer them, and each later filter checks it
         with one gather, one AND and one compare
-        (:meth:`~repro.bloom.BlockedBloomFilter.contains_probes`).  A
-        standard filter, in a run file written before runs held blocked
-        filters, reads the keys' hashes instead, derived the same way
-        once per call.  ``stats`` receives the read-amplification
-        counters when provided."""
+        (:meth:`~repro.bloom.BlockedBloomFilter.contains_probes`).
+        ``stats`` receives the read-amplification counters when
+        provided."""
         queries = as_int64_keys(keys)
         mem_keys, mem_values, mem_dead = self.mem
         m = queries.size
@@ -250,10 +249,10 @@ class ReadView:
         if m == 0:
             return values, found
         order = None
-        # The open queries: ``needles`` (ascending once ordered) and
-        # their positions in the batch (None while that is every
-        # position).
-        open_idx = None
+        # The open queries: ``needles`` (ascending once ordered), their
+        # positions in the batch (None while that is every position)
+        # and, once a filter is asked, their ``(word hash, mask)``.
+        open_idx = probe = None
         memtable_hits = 0
         if mem_keys.size:
             if m >= ORDERED_SEARCH_MIN_KEYS:
@@ -268,7 +267,6 @@ class ReadView:
             if memtable_hits:
                 open_idx = np.flatnonzero(~hit)
         needles = queries if open_idx is None else queries[open_idx]
-        filter_probes = {}  # filter class -> its probe arrays of needles
         rejects = probes = misses = unguarded = 0
         last = len(self.runs) - 1
         for i, run in enumerate(self.runs):
@@ -279,11 +277,9 @@ class ReadView:
             )
             cand, sel = needles, None  # sel: the candidates' needle positions
             if guarded:
-                bloom = run.bloom
-                kind = type(bloom)
-                if kind not in filter_probes:
-                    filter_probes[kind] = kind.probe_keys(needles)
-                passed = bloom.contains_probes(*filter_probes[kind])
+                if probe is None:
+                    probe = BlockedBloomFilter.probe_keys(needles)
+                passed = run.bloom.contains_probes(*probe)
                 passing = int(np.count_nonzero(passed))
                 rejects += needles.size - passing
                 if passing == 0:
@@ -315,8 +311,8 @@ class ReadView:
                 keep = np.flatnonzero(keep)
                 needles = needles[keep]
                 open_idx = keep if open_idx is None else open_idx[keep]
-                for kind, arrays in filter_probes.items():
-                    filter_probes[kind] = tuple(a[keep] for a in arrays)
+                if probe is not None:
+                    probe = (probe[0][keep], probe[1][keep])
         if stats is not None:
             stats.add(
                 lookups=m,
@@ -538,9 +534,8 @@ class LSMReadStats(StatsView):
     the filter passed and that found no entry — i.e. bloom false
     positives.  The fraction of negative-run probes the guards
     eliminate is ``bloom_rejects / (bloom_rejects + probe_misses)``:
-    ~0.98 for the runs' blocked filters, whose false-positive rate is
-    ~2% (:data:`~repro.lsm.run.BLOOM_FPR` sizes them), ~0.99 for the
-    standard filters of run files written before them.  Which keys a
+    ~0.98 for the runs' blocked filters, whose stated false-positive
+    rate is :data:`~repro.lsm.run.BLOOM_FPR` (1.7%).  Which keys a
     filter passes moves a count between ``bloom_rejects`` and
     ``probe_misses``, never their sum.
     ``unguarded_probes`` are the run probes executed without asking

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from repro.bloom import BlockedBloomFilter, BloomFilter
 from repro.hashmap import murmur_fmix64
 from repro.lsm import CorruptRunError, LearnedLSMStore, RealFileSystem, SortedRun
-from repro.lsm.format import RUN_MAGIC, write_section_file
+from repro.lsm.format import RUN_MAGIC, SectionFile, write_section_file
 from repro.lsm.run import BLOOM_FPR
 
 INT64_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**53 + 1, 2**63 - 2, 2**63 - 1]
+
+#: The rate writers before the blocked filter sized a run's standard
+#: filter for.
+STANDARD_FPR = 0.01
 
 
 def _filled(keys, num_words=None):
@@ -72,9 +76,9 @@ class TestNoFalseNegatives:
 class TestRate:
     @pytest.mark.parametrize("n", [4_096, 100_000, 500_000])
     def test_observed_rate_is_the_stated_one(self, n):
-        """~2% at the bits of a 1% standard filter, as stated: 200k
-        absent keys put the observed rate within ~4 standard errors
-        (0.0013) of ``expected_fpr``."""
+        """A run's filter, sized for ``BLOOM_FPR``: 200k absent keys
+        put the observed rate within ~4 standard errors (0.0013) of
+        ``expected_fpr``."""
         rng = np.random.default_rng(n)
         keys = np.unique(rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64))
         bloom = _filled(keys)
@@ -83,12 +87,32 @@ class TestRate:
         assert 0.015 <= observed <= 0.025
         assert abs(observed - bloom.expected_fpr) < 0.0013, observed
 
-    def test_same_bits_as_the_standard_filter_rounded_to_words(self):
-        for n in (1, 100, 4_096, 123_457):
-            standard = BloomFilter.for_capacity(n, BLOOM_FPR)
-            blocked = BlockedBloomFilter.for_capacity(n, BLOOM_FPR)
-            assert blocked.num_words == -(-standard.num_bits // 64)
-            assert 0 <= blocked.size_bytes() - standard.size_bytes() < 8
+    @pytest.mark.parametrize("fpr", [0.005, BLOOM_FPR, 0.02, 0.1])
+    def test_for_capacity_takes_about_the_fewest_words(self, fpr):
+        """Every size's stated rate with ``n`` keys is at most ``fpr``;
+        from 1 000 keys on, two words less would state more."""
+        for n in (1, 2, 10, 100, 1_000, 4_096, 123_457, 1_000_000):
+            bloom = BlockedBloomFilter.for_capacity(n, fpr)
+            bloom.count = n  # the rate ``n`` keys would give it
+            assert bloom.expected_fpr <= fpr
+            if n >= 1_000:
+                fewer = BlockedBloomFilter(bloom.num_words - 2)
+                fewer.count = n
+                assert fewer.expected_fpr > fpr
+
+    def test_run_filters_cost_under_a_bit_a_key_more(self):
+        """At ``BLOOM_FPR`` a run's filter takes ~10.2 bits a key,
+        where a 1% standard filter takes ~9.6."""
+        n = 100_000
+        blocked = BlockedBloomFilter.for_capacity(n, BLOOM_FPR)
+        standard = BloomFilter.for_capacity(n, STANDARD_FPR)
+        extra = (blocked.size_bytes() - standard.size_bytes()) * 8 / n
+        assert 0 < extra < 0.7, extra
+
+    @pytest.mark.parametrize("fpr", [0, 1, -0.5, float("nan")])
+    def test_rate_outside_zero_one_is_refused(self, fpr):
+        with pytest.raises(ValueError):
+            BlockedBloomFilter.for_capacity(100, fpr)
 
 
 class TestProbes:
@@ -160,7 +184,7 @@ class TestWireForm:
         blob = _filled(range(100)).to_bytes()
         for bad in (
             blob[:8], blob[:-1], blob + b"\x00" * 8, b"NOPE" + blob[4:],
-            BloomFilter.for_capacity(100, BLOOM_FPR).to_bytes(),
+            BloomFilter.for_capacity(100, STANDARD_FPR).to_bytes(),
             blob[:4] + b"\x00" * 4 + blob[8:],  # zero words
         ):
             with pytest.raises(ValueError):
@@ -173,7 +197,7 @@ class TestWireForm:
         meta, sections = run.wire_form()
         assert meta["bloom_kind"] == "blocked"
         blob = (run.bloom.to_bytes()[:-3] if damage == "truncated" else
-                BloomFilter.for_capacity(len(run), BLOOM_FPR).to_bytes())
+                BloomFilter.for_capacity(len(run), STANDARD_FPR).to_bytes())
         path = str(tmp_path / "run.run")
         write_section_file(fs, path, magic=RUN_MAGIC, meta=meta, sections=[
             (name, blob if name == "bloom" else data)
@@ -189,7 +213,7 @@ def _rewrite_with_standard_filter(fs, path):
     ``bloom_kind: "standard"`` over a standard filter's wire form."""
     run = SortedRun.load(fs, path)
     meta, sections = run.wire_form()
-    standard = BloomFilter.for_capacity(max(len(run), 1), BLOOM_FPR)
+    standard = BloomFilter.for_capacity(max(len(run), 1), STANDARD_FPR)
     standard.add_batch(np.asarray(run.keys))
     meta["bloom_kind"] = "standard"
     sections = [(name, standard.to_bytes() if name == "bloom" else data)
@@ -198,10 +222,53 @@ def _rewrite_with_standard_filter(fs, path):
     write_section_file(fs, path, magic=RUN_MAGIC, meta=meta, sections=sections)
 
 
+def _bloom_kinds(fs, d):
+    """The ``bloom_kind`` each run file in ``d`` records."""
+    return [
+        SectionFile(fs, os.path.join(d, name), magic=RUN_MAGIC).meta.get(
+            "bloom_kind"
+        )
+        for name in sorted(os.listdir(d)) if name.endswith(".run")
+    ]
+
+
+class TestStandardFilterRuns:
+    def test_filter_is_built_over_the_keys_and_the_section_unread(
+        self, tmp_path
+    ):
+        """A run file holding a standard filter answers through the
+        blocked filter its keys build, bit for bit the one a new run
+        holds; the standard section itself is never parsed (garbage
+        there changes nothing)."""
+        fs = RealFileSystem()
+        run = SortedRun(np.arange(0, 30_000, 3, dtype=np.int64))
+        meta, sections = run.wire_form()
+        for name, blob in (
+            ("standard", None), ("garbage", b"not a filter at all"),
+        ):
+            path = str(tmp_path / f"{name}.run")
+            meta["bloom_kind"] = "standard"
+            write_section_file(fs, path, magic=RUN_MAGIC, meta=meta, sections=[
+                (section, blob if section == "bloom" and blob else data)
+                for section, data in sections
+            ])
+            if blob is None:
+                _rewrite_with_standard_filter(fs, path)
+            loaded = SortedRun.load(fs, path)
+            assert isinstance(loaded.bloom, BlockedBloomFilter)
+            assert loaded.bloom.to_bytes() == run.bloom.to_bytes()
+            queries = np.arange(-5, 30_005, dtype=np.int64)
+            assert np.array_equal(
+                loaded.bloom_contains_batch(queries),
+                run.bloom_contains_batch(queries),
+            )
+
+
 def test_store_mixing_standard_and_blocked_runs(tmp_path):
     """A store whose run files hold older standard filters reopens
     beside new blocked-filter runs and answers like a dict replay,
-    batch and scalar; a merge rewrites every filter as blocked."""
+    batch and scalar; a merge rewrites every file's filter as
+    blocked."""
     d = str(tmp_path / "db")
     fs = RealFileSystem()
     rng = np.random.default_rng(49)
@@ -234,22 +301,16 @@ def test_store_mixing_standard_and_blocked_runs(tmp_path):
     for name in os.listdir(d):
         if name.endswith(".run"):
             _rewrite_with_standard_filter(fs, os.path.join(d, name))
+    assert set(_bloom_kinds(fs, d)) == {"standard"}
     with LearnedLSMStore(path=d, memtable_capacity=4_096) as store:
-        assert all(isinstance(r.bloom, BloomFilter) for r in store.runs)
         check(store)
         write(store, 4_096)
         store.flush()
         write(store, 1_000)  # stays in the memtable
-        kinds = {type(run.bloom) for run in store.runs}
-        assert kinds == {BloomFilter, BlockedBloomFilter}
+        assert set(_bloom_kinds(fs, d)) == {"standard", "blocked"}
         check(store)
         store.compact()
-        assert all(
-            isinstance(run.bloom, BlockedBloomFilter) for run in store.runs
-        )
+        assert set(_bloom_kinds(fs, d)) == {"blocked"}
         check(store)
     with LearnedLSMStore(path=d) as store:
-        assert all(
-            isinstance(run.bloom, BlockedBloomFilter) for run in store.runs
-        )
         check(store)

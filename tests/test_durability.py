@@ -29,7 +29,7 @@ from repro.lsm import (
     load_manifest,
 )
 from repro.lsm.format import RUN_MAGIC, SectionFile, write_section_file
-from repro.lsm.run import BLOOM_FPR, DEFAULT_LEAF_TARGET
+from repro.lsm.run import DEFAULT_LEAF_TARGET
 from repro.lsm.wal import RECORD_DELETE
 from repro.lsm.wal import replay as wal_replay
 
@@ -56,42 +56,29 @@ def _example_run(n=4_000, tombstone_every=7, seed=3):
     return SortedRun(keys, values, dead, sequence=9)
 
 
-def _standard_bloom(keys):
-    """The standard filter a run over ``keys`` held before runs held
-    blocked filters."""
-    bloom = BloomFilter.for_capacity(max(keys.size, 1), BLOOM_FPR)
-    bloom.add_batch(keys)
-    return bloom
-
-
-def _with_standard_bloom(run):
-    """``run``'s wire form with the standard filter's ``bloom``
-    section, as writers before the blocked filter recorded it."""
-    meta, sections = run.wire_form()
-    assert meta["bloom_kind"] == "blocked"
-    meta["bloom_kind"] = "standard"
-    blob = _standard_bloom(np.asarray(run.keys)).to_bytes()
-    return meta, [(n, blob if n == "bloom" else d) for n, d in sections]
-
-
 def _rewrite_as_parent_commit_run(fs, run, path):
     """Rewrite ``run`` at ``path`` the way the commit before the
     model-space origin wrote it: leaf tables fitted on the raw float64
-    keys, no ``origin`` entry in the metadata, a standard filter's
-    wire form in the ``bloom`` section, and the ``leaf_target``,
-    ``bloom_kind: "standard"`` and ``level: 0`` entries every older
-    writer recorded."""
+    keys, no ``origin`` entry in the metadata, a standard filter's wire
+    form (sized for 1%, as those writers sized it) in the ``bloom``
+    section, and the ``leaf_target``, ``bloom_kind: "standard"`` and
+    ``level: 0`` entries every older writer recorded."""
     state = RecursiveModelIndex(
         np.asarray(run.keys).astype(np.float64),
         stage_sizes=run.rmi.stage_sizes,
     ).compiled_state()
     assert state["origin"] == 0
-    meta, sections = _with_standard_bloom(run)
+    bloom = BloomFilter.for_capacity(max(len(run), 1), 0.01)
+    bloom.add_batch(np.asarray(run.keys))
+    state["bloom"] = bloom.to_bytes()
+    meta, sections = run.wire_form()
     del meta["origin"]
     meta.update(
         root_slope=state["root_slope"], root_intercept=state["root_intercept"]
     )
     sections = [(name, state.get(name, data)) for name, data in sections]
+    assert meta["bloom_kind"] == "blocked"
+    meta["bloom_kind"] = "standard"
     meta["leaf_target"] = DEFAULT_LEAF_TARGET
     meta["level"] = 0
     write_section_file(fs, path, magic=RUN_MAGIC, meta=meta, sections=sections)
@@ -509,7 +496,7 @@ class TestRunPersistence:
             assert loaded.probe(q) == run.probe(q)
         assert np.array_equal(
             loaded.bloom_contains_batch(queries),
-            _standard_bloom(run.keys).contains_batch(queries),
+            run.bloom_contains_batch(queries),
         )
 
     def test_writer_records_blocked_bloom_and_no_leaf_target(
@@ -523,7 +510,7 @@ class TestRunPersistence:
 
     def test_absent_bloom_kind_reads_as_standard(self, fs, tmp_path):
         run = _example_run(n=2_000)
-        meta, sections = _with_standard_bloom(run)
+        meta, sections = run.wire_form()
         del meta["bloom_kind"]
         probes = np.concatenate([run.keys[::3], run.keys[::3] + 1])
         path = str(tmp_path / "run.run")
@@ -531,10 +518,9 @@ class TestRunPersistence:
             fs, path, magic=RUN_MAGIC, meta=meta, sections=sections
         )
         loaded = SortedRun.load(fs, path)
-        assert isinstance(loaded.bloom, BloomFilter)
         assert np.array_equal(
             loaded.bloom_contains_batch(probes),
-            _standard_bloom(run.keys).contains_batch(probes),
+            run.bloom_contains_batch(probes),
         )
 
     @pytest.mark.parametrize("kind", FOREIGN_BLOOM_KINDS)

@@ -483,8 +483,8 @@ class TestBatchReadWalk:
     #: filters pass.
     PINNED = {
         64: (64, 19, 133, 0, 0, 133),
-        1_024: (1_024, 412, 375, 32, 1_409, 0),
-        4_096: (4_096, 1_683, 1_546, 130, 5_565, 0),
+        1_024: (1_024, 412, 378, 35, 1_406, 0),
+        4_096: (4_096, 1_683, 1_538, 122, 5_573, 0),
     }
 
     #: What no filter changes, per read: ``lookups``, ``memtable_hits``,

@@ -3,8 +3,7 @@ exports, has a consumer that is not a test.
 
 A module earns its place in the product package by being used.  A
 consumer is a module of the package that is not an ``__init__``, a
-file under ``benchmarks/``, a script under ``examples/``, or, for a
-program, a CI step that runs it (``python -m repro.x``).  It reaches
+file under ``benchmarks/`` or a script under ``examples/``.  It reaches
 a module by importing it, or by importing one of the module's exported
 names through any ``repro`` package — ``from repro.core import
 WritableLearnedIndex`` reaches ``repro.core.writable``, and so does
@@ -151,9 +150,6 @@ def test_every_product_module_has_a_consumer():
             if name is not None:
                 reached.add(f"{base}.{name}")
                 reached |= owners.get(name, set())
-
-    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    reached |= set(re.findall(r"python3? -m (repro(?:\.\w+)+)", ci))
 
     # The scan must see the package's well-known edges, or it proves
     # nothing.
